@@ -83,6 +83,17 @@ func TestHandleQueryJSON(t *testing.T) {
 	if rec.Code != 400 {
 		t.Errorf("bad k: status %d, want 400", rec.Code)
 	}
+	// A WIN query wider than the kernel takes is the client's error,
+	// not a 200 whose every candidate was dropped by a kernel panic.
+	s.fn = "win"
+	rec = httptest.NewRecorder()
+	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo"+strings.Repeat(",nba", 24), nil))
+	if rec.Code != 400 || !strings.Contains(rec.Body.String(), "too wide") {
+		t.Errorf("25-term WIN query: status %d body %q, want 400 naming the width", rec.Code, rec.Body)
+	}
+	if st := s.eng.Stats(); st.JoinPanics != 0 {
+		t.Errorf("25-term WIN query cost %d kernel panics", st.JoinPanics)
+	}
 }
 
 func TestREPLCommands(t *testing.T) {

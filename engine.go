@@ -84,6 +84,12 @@ type EngineConfig = engine.Config
 // rejects the query; servers should map it to a retryable status.
 var ErrOverloaded = engine.ErrOverloaded
 
+// ErrQueryTooWide is returned by Engine.Search (and the sharded and
+// remote tiers) for a query with more concepts than its kernel can
+// join — more than 24 under a WIN JoinSpec. Servers should map it to a
+// client error.
+var ErrQueryTooWide = engine.ErrQueryTooWide
+
 // OverloadPolicy selects what Search does at the MaxInFlight cap:
 // block until the caller's context expires, or shed immediately.
 type OverloadPolicy = engine.OverloadPolicy

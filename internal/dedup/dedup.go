@@ -16,15 +16,14 @@
 //
 // Two entry points cover the two calling shapes: the one-shot Best /
 // BestWithOptions functions, and the reusable Deduper (plus the
-// kernel wrapper Wrap in kernel.go), which keeps the memo table,
-// group/drop scratch, and result buffer alive across calls for
-// document-at-a-time workers.
+// kernel wrapper Wrap in kernel.go), which owns every piece of search
+// state as stack-disciplined scratch and so allocates nothing per call
+// once warmed, duplicates or not.
 package dedup
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
 
 	"bestjoin/internal/match"
 )
@@ -79,11 +78,20 @@ func BestWithOptions(alg Algorithm, lists match.Lists, opts Options) Result {
 	return d.Best(alg, lists)
 }
 
-// Deduper is a reusable duplicate-avoidance evaluator: it owns the
-// visited-instance memo, the duplicate-group and drop-set scratch, and
-// the best-matchset buffer, all reused across Best calls. On the
-// common path — the duplicate-unaware optimum is already valid — a
-// warmed Deduper allocates nothing.
+// Deduper is a reusable duplicate-avoidance evaluator. It owns all
+// search state — duplicate groups, keeper odometers, modified
+// instances, the removal path, the visited-instance memo and the
+// best-matchset buffer — as scratch reused across Best calls, so a
+// warmed Deduper allocates nothing, whether or not the instance has
+// duplicates.
+//
+// Scratch discipline: the search is a depth-first recursion, so every
+// arena below is a stack. A level appends what it needs, holds the
+// slices it appended (never indexes the arena), and truncates back on
+// return; children only ever append past their parent's data. An
+// append that outgrows an arena moves it, which is harmless: the
+// parent's slices keep the old backing array alive and nothing below a
+// level's own mark is ever rewritten.
 //
 // The Set in the returned Result aliases Deduper-owned memory and is
 // valid only until the next Best call; callers that keep results must
@@ -99,20 +107,49 @@ type Deduper struct {
 	best        match.Set
 	bestScore   float64
 	found       bool
-	// visited memoizes explored instances by their removal set:
-	// different keeper-choice paths frequently converge on the same
-	// modified instance, which need not be solved twice.
-	visited map[string]bool
-	// byLoc and drop are the group/drop scratch of the splitting step,
-	// cleared and refilled per use instead of reallocated.
-	byLoc map[int][]int
-	drop  map[dropKey]bool
+
+	order   []int         // pushGroups' sort scratch, dead once it returns
+	groups  []group       // stack: one run of groups per search level
+	terms   []int         // stack: backing for group.terms
+	keepers []int         // stack: one odometer digit per group
+	lists   []match.List  // stack: list headers of modified instances
+	matches []match.Match // stack: filtered lists of modified instances
+	removed []removal     // stack: the removal path root → current instance
+
+	// The visited-instance memo: different keeper-choice paths
+	// frequently converge on the same modified instance, which need not
+	// be solved twice. An instance is identified by its removal set in
+	// canonical (term, loc) order, stored back to back in memoKeys;
+	// memoTable is an open-addressed index into it whose slots are live
+	// only when stamped with the current generation, so forgetting
+	// everything between Best calls is one increment.
+	memoKeys  []removal
+	memoTable []memoSlot
+	memoLen   int // live slots
+	memoGen   uint32
+	// hash, when set, replaces hashRemovals (tests force collisions).
+	hash func([]removal) uint64
 }
 
-// dropKey identifies one (term, location) pair removed when building a
-// modified instance.
-type dropKey struct {
+// removal identifies one (term, location) pair deleted from the
+// original instance: every match of that term at that location.
+type removal struct {
 	term, loc int
+}
+
+// group is one duplicated token: its location and the terms whose
+// matchset entries sit at that location.
+type group struct {
+	loc   int
+	terms []int
+}
+
+// memoSlot locates one visited removal set, memoKeys[off:off+n], when
+// gen is the Deduper's current generation, and is empty otherwise.
+type memoSlot struct {
+	gen    uint32
+	hash   uint64
+	off, n int
 }
 
 // NewDeduper returns a Deduper with the Best defaults (pruning and
@@ -129,35 +166,30 @@ func (d *Deduper) Best(alg Algorithm, lists match.Lists) Result {
 	d.invocations = 0
 	d.found = false
 	d.bestScore = 0
-	if len(d.visited) > 0 {
-		clear(d.visited)
+	// A search abandoned by a panicking alg leaves its stacks behind.
+	d.groups, d.terms, d.keepers = d.groups[:0], d.terms[:0], d.keepers[:0]
+	d.lists, d.matches, d.removed = d.lists[:0], d.matches[:0], d.removed[:0]
+	d.memoKeys, d.memoLen = d.memoKeys[:0], 0
+	if d.memoGen++; d.memoGen == 0 {
+		// The counter wrapped: stamps written 2^32 calls ago would read
+		// as live again, so this once the table is really wiped.
+		clear(d.memoTable)
+		d.memoGen = 1
 	}
-	d.solve(lists, nil)
+	d.solve(lists)
 	d.alg = nil
-	res := Result{Score: d.bestScore, OK: d.found, Invocations: d.invocations}
+	res := Result{OK: d.found, Invocations: d.invocations}
 	if d.found {
-		res.Set = d.best
-	} else {
-		res.Score = 0
+		res.Set, res.Score = d.best, d.bestScore
 	}
 	return res
 }
 
-// removal identifies one match deleted from the original instance.
-type removal struct {
-	term, loc int
-}
-
-func (d *Deduper) solve(lists match.Lists, removed []removal) {
-	if d.Opts.Memoize && len(removed) > 0 {
-		key := removalKey(removed)
-		if d.visited == nil {
-			d.visited = make(map[string]bool)
-		}
-		if d.visited[key] {
-			return
-		}
-		d.visited[key] = true
+// solve explores one instance: lists with d.removed (the whole stack)
+// as the path of removals that produced it from the root.
+func (d *Deduper) solve(lists match.Lists) {
+	if d.Opts.Memoize && len(d.removed) > 0 && d.visited() {
+		return
 	}
 	if d.invocations >= MaxInvocations {
 		return
@@ -189,38 +221,18 @@ func (d *Deduper) solve(lists match.Lists, removed []removal) {
 	// The returned best matchset uses some tokens for several terms.
 	// For each such token, one of its terms keeps the token and the
 	// token's matches are removed from the other terms' lists; the
-	// instances enumerate every combination of keepers.
-	groups := d.duplicateGroups(set)
-	keepers := make([]int, len(groups))
-	var walk func(g int)
-	walk = func(g int) {
-		if g == len(groups) {
-			modified, added := d.removeDuplicates(lists, groups, keepers)
-			d.solve(modified, append(removed[:len(removed):len(removed)], added...))
-			return
-		}
-		for k := range groups[g].terms {
-			keepers[g] = k
-			walk(g + 1)
-		}
+	// instances enumerate every combination of keepers, the first
+	// group's keeper varying slowest. set may alias alg's buffer, which
+	// the reruns below overwrite, but groups holds all that is needed
+	// of it.
+	gMark, tMark, kMark := len(d.groups), len(d.terms), len(d.keepers)
+	groups, keepers := d.pushGroups(set)
+	for more := true; more; more = nextKeepers(groups, keepers) {
+		lMark, mMark, rMark := len(d.lists), len(d.matches), len(d.removed)
+		d.solve(d.pushInstance(lists, groups, keepers))
+		d.lists, d.matches, d.removed = d.lists[:lMark], d.matches[:mMark], d.removed[:rMark]
 	}
-	walk(0)
-}
-
-// removalKey canonicalizes a removal set.
-func removalKey(removed []removal) string {
-	rs := append([]removal(nil), removed...)
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].term != rs[j].term {
-			return rs[i].term < rs[j].term
-		}
-		return rs[i].loc < rs[j].loc
-	})
-	var b strings.Builder
-	for _, x := range rs {
-		fmt.Fprintf(&b, "%d:%d;", x.term, x.loc)
-	}
-	return b.String()
+	d.groups, d.terms, d.keepers = d.groups[:gMark], d.terms[:tMark], d.keepers[:kMark]
 }
 
 // Split materializes the Section VI modified instances for a matchset
@@ -231,111 +243,179 @@ func removalKey(removed []removal) string {
 // variant of duplicate avoidance (the paper notes the problem "can be
 // similarly modified") rerun their solver over each instance.
 func Split(lists match.Lists, set match.Set) []match.Lists {
+	// A throwaway Deduper whose instance stack is never popped: every
+	// pushed instance stays live and becomes the caller's.
 	var d Deduper
-	groups := d.duplicateGroups(set)
+	groups, keepers := d.pushGroups(set)
 	if len(groups) == 0 {
 		return nil
 	}
 	var out []match.Lists
-	keepers := make([]int, len(groups))
-	var walk func(g int)
-	walk = func(g int) {
-		if g == len(groups) {
-			modified, _ := d.removeDuplicates(lists, groups, keepers)
-			out = append(out, modified)
-			return
-		}
-		for k := range groups[g].terms {
-			keepers[g] = k
-			walk(g + 1)
-		}
+	for more := true; more; more = nextKeepers(groups, keepers) {
+		out = append(out, d.pushInstance(lists, groups, keepers))
 	}
-	walk(0)
 	return out
 }
 
-// group is one duplicated token: its location and the (sorted) terms
-// whose matchset entries sit at that location.
-type group struct {
-	loc   int
-	terms []int
-}
-
-// duplicateGroups returns the duplicated tokens of a matchset: one
-// group per location shared by two or more entries. Within a group,
+// pushGroups pushes the duplicated tokens of a matchset — one group
+// per location shared by two or more entries, in location order — and
+// a zeroed keeper odometer with one digit per group. Within a group,
 // terms are ordered by descending match score (ties by term index):
 // keeping the token for its highest-scoring term tends to preserve the
 // strongest valid matchsets, so exploring keepers in that order lets
-// the search bound prune earlier. The by-location index map is reused
-// across calls; the group and term slices themselves are fresh, since
-// recursion keeps outer levels' groups alive.
-func (d *Deduper) duplicateGroups(set match.Set) []group {
-	if d.byLoc == nil {
-		d.byLoc = make(map[int][]int)
-	} else {
-		clear(d.byLoc)
+// the search bound prune earlier.
+func (d *Deduper) pushGroups(set match.Set) (groups []group, keepers []int) {
+	// Sort the term indexes by (loc, score descending, term): groups are
+	// then the runs of equal location, already in keeper order.
+	q := len(set)
+	d.terms, d.groups, d.keepers = grown(d.terms, q), grown(d.groups, q/2), grown(d.keepers, q/2)
+	ord := grown(d.order[:0], q)
+	for j := range set {
+		ord = append(ord, j)
 	}
-	for j, m := range set {
-		d.byLoc[m.Loc] = append(d.byLoc[m.Loc], j)
-	}
-	var out []group
-	for loc, terms := range d.byLoc {
-		if len(terms) > 1 {
-			sort.Slice(terms, func(a, b int) bool {
-				if set[terms[a]].Score != set[terms[b]].Score {
-					return set[terms[a]].Score > set[terms[b]].Score
-				}
-				return terms[a] < terms[b]
-			})
-			out = append(out, group{loc: loc, terms: terms})
+	slices.SortFunc(ord, func(a, b int) int {
+		return cmp.Or(cmp.Compare(set[a].Loc, set[b].Loc), cmp.Compare(set[b].Score, set[a].Score), cmp.Compare(a, b))
+	})
+	d.order = ord
+	gMark, kMark := len(d.groups), len(d.keepers)
+	for i := 0; i < len(ord); {
+		loc := set[ord[i]].Loc
+		end := i + 1
+		for end < len(ord) && set[ord[end]].Loc == loc {
+			end++
 		}
+		if end-i > 1 {
+			tMark := len(d.terms)
+			d.terms = append(d.terms, ord[i:end]...)
+			d.groups = append(d.groups, group{loc: loc, terms: d.terms[tMark:len(d.terms):len(d.terms)]})
+			d.keepers = append(d.keepers, 0)
+		}
+		i = end
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].loc < out[j].loc })
-	return out
+	return d.groups[gMark:len(d.groups):len(d.groups)], d.keepers[kMark:len(d.keepers):len(d.keepers)]
 }
 
-// removeDuplicates builds the modified instance in which, for each
-// group g, only groups[g].terms[keepers[g]] retains its matches at the
-// group's location; all other terms in the group lose theirs. It also
-// returns the removals performed, for instance memoization. The drop
-// set is reused across calls; the modified lists are fresh, since they
-// live on in the recursion.
-func (d *Deduper) removeDuplicates(lists match.Lists, groups []group, keepers []int) (match.Lists, []removal) {
-	if d.drop == nil {
-		d.drop = make(map[dropKey]bool)
-	} else {
-		clear(d.drop)
+// nextKeepers advances the keeper odometer (last group fastest) and
+// reports false once every combination has been produced.
+func nextKeepers(groups []group, keepers []int) bool {
+	for g := len(groups) - 1; g >= 0; g-- {
+		if keepers[g]++; keepers[g] < len(groups[g].terms) {
+			return true
+		}
+		keepers[g] = 0
 	}
-	var removed []removal
+	return false
+}
+
+// pushInstance pushes the modified instance in which, for each group
+// g, only groups[g].terms[keepers[g]] retains its matches at the
+// group's location; every other term of the group loses its matches
+// there and the loss is pushed on the removal path. Lists that lose
+// nothing are shared with the parent instance.
+func (d *Deduper) pushInstance(lists match.Lists, groups []group, keepers []int) match.Lists {
+	lMark := len(d.lists)
+	d.removed = grown(d.removed, len(lists)) // each term is removed from at most once
+	d.lists = append(grown(d.lists, len(lists)), lists...)
+	inst := d.lists[lMark:len(d.lists):len(d.lists)]
 	for g, grp := range groups {
 		for k, term := range grp.terms {
 			if k == keepers[g] {
 				continue
 			}
-			d.drop[dropKey{term: term, loc: grp.loc}] = true
-			removed = append(removed, removal{term: term, loc: grp.loc})
-		}
-	}
-	out := make(match.Lists, len(lists))
-	for j, l := range lists {
-		drops := false
-		for _, m := range l {
-			if d.drop[dropKey{term: j, loc: m.Loc}] {
-				drops = true
-				break
+			d.removed = append(d.removed, removal{term: term, loc: grp.loc})
+			// A term sits in one group only (it has one matchset entry),
+			// so lists[term] is still the parent's list here.
+			mMark := len(d.matches)
+			d.matches = grown(d.matches, len(lists[term]))
+			for _, m := range lists[term] {
+				if m.Loc != grp.loc {
+					d.matches = append(d.matches, m)
+				}
+			}
+			if kept := d.matches[mMark:len(d.matches):len(d.matches)]; len(kept) < len(lists[term]) {
+				inst[term] = kept
+			} else {
+				d.matches = d.matches[:mMark]
 			}
 		}
-		if !drops {
-			out[j] = l
-			continue
-		}
-		kept := make(match.List, 0, len(l))
-		for _, m := range l {
-			if !d.drop[dropKey{term: j, loc: m.Loc}] {
-				kept = append(kept, m)
-			}
-		}
-		out[j] = kept
 	}
-	return out, removed
+	return inst
+}
+
+// visited reports whether the instance identified by the current
+// removal path was already explored, recording it if not. Paths that
+// reach the same instance differ only in order, so the path is put in
+// canonical (term, loc) order — on top of memoKeys, where it stays as
+// the entry's key when new — and looked up by hash with an exact
+// comparison on every hash hit: a collision costs a probe, never a
+// skipped instance.
+func (d *Deduper) visited() bool {
+	off := len(d.memoKeys)
+	d.memoKeys = append(grown(d.memoKeys, len(d.removed)), d.removed...)
+	key := d.memoKeys[off:]
+	slices.SortFunc(key, func(a, b removal) int {
+		return cmp.Or(cmp.Compare(a.term, b.term), cmp.Compare(a.loc, b.loc))
+	})
+	hash := d.hash
+	if hash == nil {
+		hash = hashRemovals
+	}
+	h := hash(key)
+	if 2*(d.memoLen+1) > len(d.memoTable) {
+		d.growMemo()
+	}
+	s := d.memoSlot(h, key)
+	if s.gen == d.memoGen {
+		d.memoKeys = d.memoKeys[:off]
+		return true
+	}
+	*s = memoSlot{gen: d.memoGen, hash: h, off: off, n: len(key)}
+	d.memoLen++
+	return false
+}
+
+// memoSlot probes for key: it returns the live slot holding it, or the
+// empty slot where it belongs.
+func (d *Deduper) memoSlot(h uint64, key []removal) *memoSlot {
+	mask := uint64(len(d.memoTable) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &d.memoTable[i]
+		if s.gen != d.memoGen || s.hash == h && slices.Equal(d.memoKeys[s.off:s.off+s.n], key) {
+			return s
+		}
+	}
+}
+
+// growMemo doubles the memo table (from 16 slots), carrying the live
+// slots over; the fresh table's zero stamps are empty under any live
+// generation, which is never 0.
+func (d *Deduper) growMemo() {
+	old := d.memoTable
+	d.memoTable = make([]memoSlot, max(16, 2*len(old)))
+	for _, s := range old {
+		if s.gen == d.memoGen {
+			*d.memoSlot(s.hash, d.memoKeys[s.off:s.off+s.n]) = s
+		}
+	}
+}
+
+// grown returns s with room for n more elements. It grows by at least
+// 16 at a time: kernels are built per query, and a fresh Deduper's
+// dozen stacks would otherwise each pay the first few append doublings.
+func grown[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, 16))
+}
+
+// hashRemovals is FNV-1a over the (term, loc) words of a canonical
+// removal set.
+func hashRemovals(key []removal) uint64 {
+	h := uint64(14695981039346656037)
+	for _, r := range key {
+		h = (h ^ uint64(r.term)) * 1099511628211
+		h = (h ^ uint64(r.loc)) * 1099511628211
+	}
+	return h ^ h>>32 // the table indexes by the low bits
 }

@@ -10,11 +10,12 @@ import (
 // Kernel is a join.Kernel that layers duplicate avoidance over an
 // inner kernel: Join runs the full Section VI search with the inner
 // kernel as the duplicate-unaware solver and returns the best valid
-// (duplicate-free) matchset. The Deduper's memo, scratch, and result
-// buffer — and the inner kernel's own scratch — are reused across
-// calls, so the wrapper keeps the inner kernel's allocation-free
-// document-at-a-time behavior on the common path where the
-// unconstrained optimum is already valid.
+// (duplicate-free) matchset. The Deduper's search scratch, memo and
+// result buffer — and the inner kernel's own scratch — are reused
+// across calls, so the wrapper keeps the inner kernel's
+// allocation-free document-at-a-time behavior on every document,
+// however many duplicates its matchsets carry
+// (TestValidKernelZeroAlloc).
 //
 // The ownership contract matches the Kernel interface: the returned
 // Set aliases wrapper-owned memory, valid until the next Reset or

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bestjoin/internal/dedup"
 	"bestjoin/internal/match"
 )
 
@@ -109,6 +110,9 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 					}
 					e.counters.docsEvaluated.Add(1)
 					evaluated.Add(1)
+					if dk, valid := kern.(*dedup.Kernel); valid {
+						e.counters.kernelInvs.Add(uint64(dk.Invocations()))
+					}
 					if ok && !math.IsNaN(score) {
 						top.offer(jb.doc, score, set)
 						floor = top.Floor()

@@ -414,3 +414,28 @@ func TestDecodePanicOnCorruptIndexDegrades(t *testing.T) {
 		t.Fatalf("healthy concept degraded by unrelated corruption: %v %+v", err, ok)
 	}
 }
+
+// TestQueryTooWideRejectedOnce: a WIN query wider than the kernel's
+// subset table allows is a typed error at the entry point — not one
+// recovered kernel panic per candidate document behind a 200 degraded
+// answer. Families without a width cap take the same query.
+func TestQueryTooWideRejectedOnce(t *testing.T) {
+	e := New(buildCompact(t, testCorpus(40, 3)), Config{Workers: 2})
+	wide := make([]index.Concept, join.MaxWINTerms+1)
+	for i := range wide {
+		wide[i] = testConcepts()[i%3]
+	}
+	for _, mode := range []QueryMode{ModeAND, ModeOR} {
+		q := Query{Concepts: wide, Spec: KernelSpec{Family: "win", Alpha: 0.1, Valid: true}, Mode: mode}
+		if _, err := e.Search(context.Background(), q); !errors.Is(err, ErrQueryTooWide) {
+			t.Fatalf("mode %v: %d-concept WIN query: err %v, want ErrQueryTooWide", mode, len(wide), err)
+		}
+	}
+	if st := e.Stats(); st.JoinPanics != 0 || st.JoinsRun != 0 || st.Queries != 0 {
+		t.Fatalf("rejected queries still did work: %+v", st)
+	}
+	q := Query{Concepts: wide, Spec: KernelSpec{Family: "med", Alpha: 0.1, Valid: true}}
+	if res, err := e.Search(context.Background(), q); err != nil || res.Degraded {
+		t.Fatalf("%d-concept MED query: err %v, result %+v", len(wide), err, res)
+	}
+}

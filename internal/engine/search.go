@@ -55,6 +55,25 @@ type Query struct {
 	Floor *GlobalFloor
 }
 
+// ErrQueryTooWide is returned for a query with more concepts than its
+// kernel can join. WIN keeps one state per subset of query terms, so
+// join.WINKernel refuses (panics on) more than join.MaxWINTerms lists;
+// the width is checked once, at the entry points, instead of surfacing
+// as one recovered kernel panic per candidate document.
+var ErrQueryTooWide = errors.New("engine: query too wide for its kernel")
+
+// CheckWidth reports ErrQueryTooWide when the query's Spec names a
+// kernel that cannot join len(Concepts) lists. Engine.Search, the
+// shard coordinator and the remote shard server all call it before any
+// work is done. An opaque Join factory cannot be inspected; custom
+// factories cap their own width.
+func (q Query) CheckWidth() error {
+	if q.Spec.Family == "win" && len(q.Concepts) > join.MaxWINTerms {
+		return fmt.Errorf("%w: WIN joins at most %d concepts, got %d", ErrQueryTooWide, join.MaxWINTerms, len(q.Concepts))
+	}
+	return nil
+}
+
 // DocResult is one ranked document: its id, best matchset, and score.
 type DocResult struct {
 	Doc   int
@@ -143,6 +162,9 @@ func (e *Engine) SearchSnapshot(ctx context.Context, q Query, s Snapshot) (*Resu
 func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result, error) {
 	if len(q.Concepts) == 0 {
 		return nil, errors.New("engine: query has no concepts")
+	}
+	if err := q.CheckWidth(); err != nil {
+		return nil, err
 	}
 	// A spec-only query is eligible for the auxiliary pair-index stage
 	// (pairpath.go): pair lists are keyed by the spec's fingerprint, so

@@ -21,6 +21,7 @@ type counters struct {
 	queries       atomic.Uint64
 	docsEvaluated atomic.Uint64
 	joinsRun      atomic.Uint64
+	kernelInvs    atomic.Uint64
 	prunedDocs    atomic.Uint64
 	conceptHits   atomic.Uint64
 	conceptMisses atomic.Uint64
@@ -138,6 +139,14 @@ type Stats struct {
 	Queries       uint64 // Search calls
 	DocsEvaluated uint64 // candidate documents actually joined
 	JoinsRun      uint64 // best-join invocations
+	// KernelInvocations sums, over the joins that ran a valid-matchset
+	// (dedup-wrapped) kernel, how many times the duplicate-unaware
+	// inner kernel ran — one per join whose optimum reuses no token,
+	// more when the Section VI search has to split. Over JoinsRun it is
+	// the paper's Figure 8 quantity, the number that says how much of a
+	// deployment's join time is duplicate avoidance. Unwrapped kernels
+	// add nothing.
+	KernelInvocations uint64
 	// PrunedDocs counts candidate documents skipped because their
 	// score upper bound was strictly below the top-k floor — joins
 	// that never ran. PrunedFraction is PrunedDocs over all candidates
@@ -276,6 +285,8 @@ func (e *Engine) Stats() Stats {
 		PairServed:       e.counters.pairServed.Load(),
 		PairBoundPrunes:  e.counters.pairBoundPrunes.Load(),
 		QueryLatency:     e.latency.snapshot(),
+
+		KernelInvocations: e.counters.kernelInvs.Load(),
 	}
 }
 

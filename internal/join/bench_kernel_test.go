@@ -10,8 +10,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"bestjoin/internal/dedup"
 	"bestjoin/internal/match"
 	"bestjoin/internal/randinst"
+	"bestjoin/internal/synth"
 )
 
 func benchInstances(n int) []match.Lists {
@@ -40,5 +42,35 @@ func BenchmarkKernelVsOneShot(b *testing.B) {
 				kern.Join()
 			}
 		})
+	}
+}
+
+// BenchmarkValidKernel times the kernel that is actually served — the
+// duplicate-avoidance wrapper over a reused inner kernel — on the
+// paper's synthetic workload at three duplicate frequencies (λ = 50,
+// 2.0 and 0.85: 0 %, 26 % and 60 % of matches share their token with
+// another term). invocations/op is the Figure 8 metric; allocs/op must
+// read 0 at every frequency.
+func BenchmarkValidKernel(b *testing.B) {
+	for _, tc := range kernelCases()[:2] { // win, med
+		for _, d := range []struct {
+			name   string
+			lambda float64
+		}{{"dup=0", 50}, {"dup=25", 2.0}, {"dup=60", 0.85}} {
+			cfg := synth.DefaultConfig()
+			cfg.Docs, cfg.Lambda, cfg.Seed = 64, d.lambda, 17
+			docs := synth.Generate(cfg).Docs
+			b.Run(tc.name+"/"+d.name, func(b *testing.B) {
+				kern := dedup.Wrap(tc.kernel())
+				invocations := 0
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					kern.Reset(nil, docs[i%len(docs)])
+					kern.Join()
+					invocations += kern.Invocations()
+				}
+				b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
+			})
+		}
 	}
 }

@@ -50,7 +50,9 @@ func (k *MAXKernel) ScoreUpperBound(perListMax []float64) float64 {
 // perListMax, ScoreUnionUpperBound must be ≥ the score Join would
 // return on the match lists of ANY subset of ≥ minMatch lists,
 // compacted in order (the engine passes workers only the matched
-// lists, re-indexed from 0). The implementations below satisfy this
+// lists, re-indexed from 0). An implementation may reorder perListMax
+// (the shipped ones sort it in place rather than allocate a copy per
+// pivot document). The implementations below satisfy the contract
 // only for term-exchangeable scoring functions — G (or Contribution)
 // independent of the term index — which holds for every shipped
 // unweighted instance. Queries scoring with term-dependent transforms

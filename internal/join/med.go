@@ -11,11 +11,12 @@ import (
 
 // MEDKernel is the reusable Kernel for MED scoring functions
 // (Algorithm 2): it owns the per-term dominating-match lists and
-// envelope cursors, the contribution closures, the merge cursors, and
-// the candidate/output matchset buffers. See the Kernel interface for
-// the reuse and ownership contract.
+// envelope cursors, the contribution closures, the g_j memo, the merge
+// cursors, and the candidate/output matchset buffers. See the Kernel
+// interface for the reuse and ownership contract.
 type MEDKernel struct {
 	fn       scorefn.MED
+	g        gMemo // g_j(score), evaluated once per distinct (term, score)
 	lists    match.Lists
 	contribs []envelope.Contribution
 	entries  [][]envelope.Entry
@@ -28,28 +29,43 @@ type MEDKernel struct {
 
 // NewMEDKernel returns an empty kernel bound to fn; scratch grows on
 // first use and is reused from then on.
-func NewMEDKernel(fn scorefn.MED) *MEDKernel { return &MEDKernel{fn: fn} }
+func NewMEDKernel(fn scorefn.MED) *MEDKernel {
+	k := &MEDKernel{fn: fn}
+	k.g.bind(fn)
+	return k
+}
 
 // Reset loads a new instance. fn may be nil to keep the current
 // scoring function, or a scorefn.MED to swap it (the kernel's
-// contribution closures read the current function at call time, so no
-// scratch is rebuilt).
+// contribution closures read the current function at call time, so
+// only the g_j memo is dropped, no scratch rebuilt).
 func (k *MEDKernel) Reset(fn any, lists match.Lists) {
 	if fn != nil {
 		k.fn = fn.(scorefn.MED)
+		k.g.bind(k.fn)
 	}
 	k.lists = lists
 }
 
-// grow sizes the per-term scratch for q terms. The contribution
-// closure for term j computes the MED contribution
-// c_j(m,l) = g_j(score(m)) − |loc(m)−l| against the kernel's current
-// scoring function.
+// contribution is scorefn.MEDContribution,
+// c_j(m,l) = g_j(score(m)) − |loc(m)−l|, under the kernel's current
+// scoring function with g_j served from the memo: the same
+// subtraction on the same operands, so bit-identical.
+func (k *MEDKernel) contribution(j int, m match.Match, l int) float64 {
+	d := m.Loc - l
+	if d < 0 {
+		d = -d
+	}
+	return k.g.g(j, m.Score) - float64(d)
+}
+
+// grow sizes the per-term scratch for q terms.
 func (k *MEDKernel) grow(q int) {
+	k.g.grow(q)
 	for j := len(k.contribs); j < q; j++ {
 		j := j
 		k.contribs = append(k.contribs, func(m match.Match, l int) float64 {
-			return scorefn.MEDContribution(k.fn, j, m, l)
+			return k.contribution(j, m, l)
 		})
 	}
 	for len(k.entries) < q {
@@ -145,7 +161,7 @@ func (k *MEDKernel) scoreMED(s match.Set) float64 {
 	med := k.locs[len(k.locs)-match.MedianRank(len(k.locs))]
 	total := 0.0
 	for j, m := range s {
-		total += scorefn.MEDContribution(k.fn, j, m, med)
+		total += k.contribution(j, m, med)
 	}
 	return k.fn.F(total)
 }
@@ -158,6 +174,7 @@ func (k *MEDKernel) scoreMED(s match.Set) float64 {
 // Time O(|Q| · Σ|Lj|) (precomputation O(Σ|Lj|), then O(|Q|) per
 // match), space O(Σ|Lj|). ok is false when some list is empty.
 func MED(fn scorefn.MED, lists match.Lists) (best match.Set, score float64, ok bool) {
-	k := MEDKernel{fn: fn, lists: lists}
+	k := NewMEDKernel(fn)
+	k.lists = lists
 	return k.Join()
 }

@@ -78,10 +78,12 @@ func (a *winArena) alloc(term int, m match.Match, prev *winNode) *winNode {
 
 // WINKernel is the reusable Kernel for WIN scoring functions
 // (Algorithm 1): it owns the 2^|Q| subset-state table, the chain-node
-// arena, the merge cursors, and the output matchset buffer. See the
-// Kernel interface for the reuse and ownership contract.
+// arena, the g_j memo, the merge cursors, and the output matchset
+// buffer. See the Kernel interface for the reuse and ownership
+// contract.
 type WINKernel struct {
 	fn     scorefn.WIN
+	g      gMemo // g_j(score), evaluated once per distinct (term, score)
 	lists  match.Lists
 	states []winState
 	arena  winArena
@@ -91,13 +93,19 @@ type WINKernel struct {
 
 // NewWINKernel returns an empty kernel bound to fn; scratch grows on
 // first use and is reused from then on.
-func NewWINKernel(fn scorefn.WIN) *WINKernel { return &WINKernel{fn: fn} }
+func NewWINKernel(fn scorefn.WIN) *WINKernel {
+	k := &WINKernel{fn: fn}
+	k.g.bind(fn)
+	return k
+}
 
 // Reset loads a new instance. fn may be nil to keep the current
-// scoring function, or a scorefn.WIN to swap it.
+// scoring function, or a scorefn.WIN to swap it (which drops the g_j
+// memo).
 func (k *WINKernel) Reset(fn any, lists match.Lists) {
 	if fn != nil {
 		k.fn = fn.(scorefn.WIN)
+		k.g.bind(k.fn)
 	}
 	k.lists = lists
 }
@@ -128,6 +136,7 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 		clear(k.states)
 	}
 	k.arena.reset()
+	k.g.grow(q)
 	if sep, isSep := fn.(scorefn.WINSeparable); isSep {
 		return k.joinKeyed(sep, q)
 	}
@@ -143,7 +152,7 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 			break
 		}
 		j, m := ev.Term, ev.M
-		g := fn.G(j, m.Score)
+		g := k.g.g(j, m.Score)
 		l := m.Loc
 		bit := 1 << j
 		rest := full &^ bit
@@ -201,7 +210,6 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 // are equivalent because Lift is strictly increasing.
 func (k *WINKernel) joinKeyed(sep scorefn.WINSeparable, q int) (best match.Set, score float64, ok bool) {
 	lists := k.lists
-	fn := k.fn
 	alpha := sep.KeySlope()
 	full := 1<<q - 1
 	states := k.states
@@ -215,7 +223,7 @@ func (k *WINKernel) joinKeyed(sep scorefn.WINSeparable, q int) (best match.Set, 
 			break
 		}
 		j, m := ev.Term, ev.M
-		g := fn.G(j, m.Score)
+		g := k.g.g(j, m.Score)
 		l := m.Loc
 		bit := 1 << j
 		rest := full &^ bit
@@ -273,6 +281,7 @@ func (k *WINKernel) emit(bestNode *winNode, q int) match.Set {
 // has more than MaxWINTerms terms; ok is false when some list is
 // empty.
 func WIN(fn scorefn.WIN, lists match.Lists) (best match.Set, score float64, ok bool) {
-	k := WINKernel{fn: fn, lists: lists}
+	k := NewWINKernel(fn)
+	k.lists = lists
 	return k.Join()
 }

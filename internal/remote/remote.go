@@ -228,7 +228,7 @@ func (wq *WireQuery) ToQuery() (engine.Query, error) {
 		q.Floor = engine.NewGlobalFloor()
 		q.Floor.Raise(*wq.Floor)
 	}
-	return q, nil
+	return q, q.CheckWidth()
 }
 
 // Budget returns the wire query's deadline budget (0 = none).

@@ -674,6 +674,7 @@ func TestServerRejects(t *testing.T) {
 		{"min_match over n", `{"concepts":[{"a":1}],"family":"med","alpha":0.1,"min_match":5}`},
 		{"negative budget", `{"concepts":[{"a":1}],"family":"med","alpha":0.1,"budget_ms":-5}`},
 		{"nonfinite weight", `{"concepts":[{"a":1e999}],"family":"med","alpha":0.1}`},
+		{"win too wide", `{"concepts":[` + strings.Repeat(`{"a":1},`, 24) + `{"a":1}],"family":"win","alpha":0.1,"valid":true}`},
 	}
 	for _, tc := range cases {
 		if code := post(tc.body); code != http.StatusBadRequest {

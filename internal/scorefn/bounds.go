@@ -1,9 +1,6 @@
 package scorefn
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Score upper bounds: for each family, the highest score any matchset
 // drawn from lists with the given per-list maximum match scores could
@@ -81,9 +78,10 @@ func UpperBoundMAX(fn MAX, perListMax []float64) float64 {
 // scores up to 0.5. A sound disjunctive bound must therefore maximize
 // over the admissible subset sizes.
 //
-// The functions below sort the per-list maxima descending and evaluate
-// the family's zero-proximity cap on every prefix of size
-// s ∈ [minMatch, len], returning the largest. That dominates the best
+// The functions below sort the per-list maxima descending (in place —
+// the caller's slice is reordered) and evaluate the family's
+// zero-proximity cap on every prefix of size s ∈ [minMatch, len],
+// returning the largest. That dominates the best
 // join over any admissible subset PROVIDED the per-term transform is
 // term-exchangeable — G(j, x) (or Contribution(j, x, d)) does not
 // depend on j — because then the score of a size-s subset depends only
@@ -98,67 +96,78 @@ func UpperBoundMAX(fn MAX, perListMax []float64) float64 {
 // minMatch values outside [1, len(perListMax)] are clamped; an empty
 // perListMax yields -Inf (no admissible matchset).
 
-// unionPrefixMax sorts maxima descending into scratch and returns the
-// max over admissible prefix sizes of cap(prefix). cap receives the
-// prefix length s and the sorted maxima; it must fold the first s.
-func unionPrefixMax(perListMax []float64, minMatch int, cap func(s int, sorted []float64) float64) float64 {
-	n := len(perListMax)
-	if n == 0 {
-		return math.Inf(-1)
-	}
-	if minMatch < 1 {
-		minMatch = 1
-	}
-	if minMatch > n {
-		minMatch = n
-	}
-	sorted := append(make([]float64, 0, n), perListMax...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	best := math.Inf(-1)
-	for s := minMatch; s <= n; s++ {
-		if v := cap(s, sorted); v > best || math.IsNaN(v) {
-			best = v
+// sortDescending sorts the per-list maxima in place, largest first and
+// NaNs last (the order sort.Reverse(sort.Float64Slice) gives): an
+// insertion sort, since there is one maximum per query term, and in
+// place because the engine calls the union bounds once per pivot
+// document on a scratch slice it refills each time.
+func sortDescending(perListMax []float64) {
+	for i := 1; i < len(perListMax); i++ {
+		v := perListMax[i]
+		j := i
+		for ; j > 0; j-- {
+			// sort.Float64Slice's Less(p, v): p sorts after v.
+			if p := perListMax[j-1]; !(p < v || p != p && v == v) {
+				break
+			}
+			perListMax[j] = perListMax[j-1]
 		}
+		perListMax[j] = v
+	}
+}
+
+// prefixMax folds one admissible prefix's cap into the running
+// maximum; a NaN cap poisons the bound (it never prunes).
+func prefixMax(best, v float64) float64 {
+	if v > best || math.IsNaN(v) {
+		return v
 	}
 	return best
 }
 
 // UnionUpperBoundWIN returns the disjunctive WIN score cap
 // max over s ∈ [minMatch, n] of f(Σ_{i<s} g(sorted_i), 0), with the
-// per-list maxima sorted descending. Sound for term-exchangeable G.
+// per-list maxima sorted descending — in place: perListMax is
+// reordered. Sound for term-exchangeable G.
 func UnionUpperBoundWIN(fn WIN, perListMax []float64, minMatch int) float64 {
-	gsums := 0.0
-	last := 0
-	return unionPrefixMax(perListMax, minMatch, func(s int, sorted []float64) float64 {
-		for ; last < s; last++ {
-			gsums += fn.G(last, sorted[last])
+	sortDescending(perListMax)
+	minMatch = min(minMatch, len(perListMax)) // below 1 admits every prefix, as 1 does
+	best, gsum := math.Inf(-1), 0.0
+	for i, m := range perListMax {
+		gsum += fn.G(i, m)
+		if i+1 >= minMatch {
+			best = prefixMax(best, fn.F(gsum, 0))
 		}
-		return fn.F(gsums, 0)
-	})
+	}
+	return best
 }
 
 // UnionUpperBoundMED returns the disjunctive MED score cap; see
 // UnionUpperBoundWIN.
 func UnionUpperBoundMED(fn MED, perListMax []float64, minMatch int) float64 {
-	total := 0.0
-	last := 0
-	return unionPrefixMax(perListMax, minMatch, func(s int, sorted []float64) float64 {
-		for ; last < s; last++ {
-			total += fn.G(last, sorted[last])
+	sortDescending(perListMax)
+	minMatch = min(minMatch, len(perListMax))
+	best, total := math.Inf(-1), 0.0
+	for i, m := range perListMax {
+		total += fn.G(i, m)
+		if i+1 >= minMatch {
+			best = prefixMax(best, fn.F(total))
 		}
-		return fn.F(total)
-	})
+	}
+	return best
 }
 
 // UnionUpperBoundMAX returns the disjunctive MAX score cap; see
 // UnionUpperBoundWIN.
 func UnionUpperBoundMAX(fn MAX, perListMax []float64, minMatch int) float64 {
-	total := 0.0
-	last := 0
-	return unionPrefixMax(perListMax, minMatch, func(s int, sorted []float64) float64 {
-		for ; last < s; last++ {
-			total += fn.Contribution(last, sorted[last], 0)
+	sortDescending(perListMax)
+	minMatch = min(minMatch, len(perListMax))
+	best, total := math.Inf(-1), 0.0
+	for i, m := range perListMax {
+		total += fn.Contribution(i, m, 0)
+		if i+1 >= minMatch {
+			best = prefixMax(best, fn.F(total))
 		}
-		return fn.F(total)
-	})
+	}
+	return best
 }

@@ -256,6 +256,9 @@ func (c *Coordinator) Shards() int { return len(c.children) }
 // OR-ed across shards. In quorum mode a partial fleet still answers:
 // the survivors merge into a sound subset flagged Degraded.
 func (c *Coordinator) Search(ctx context.Context, q engine.Query) (*engine.Result, error) {
+	if err := q.CheckWidth(); err != nil {
+		return nil, err // once here, not once per shard
+	}
 	start := time.Now()
 	k := q.K
 	if k <= 0 {
@@ -510,6 +513,7 @@ func (c *Coordinator) Stats() engine.Stats {
 		hists[i] = s.QueryLatency
 		agg.DocsEvaluated += s.DocsEvaluated
 		agg.JoinsRun += s.JoinsRun
+		agg.KernelInvocations += s.KernelInvocations
 		agg.PrunedDocs += s.PrunedDocs
 		agg.ConceptHits += s.ConceptHits
 		agg.ConceptMisses += s.ConceptMisses

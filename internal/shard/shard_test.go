@@ -372,7 +372,7 @@ func TestShardHealthAndStats(t *testing.T) {
 
 	q := engine.Query{
 		Concepts: []index.Concept{{"amber": 1.0}, {"cedar": 0.8}},
-		Join:     engine.WINJoiner(scorefn.ExpWIN{Alpha: 0.07}),
+		Join:     engine.ValidWINJoiner(scorefn.ExpWIN{Alpha: 0.07}),
 		K:        5,
 	}
 	const rounds = 3
@@ -391,11 +391,12 @@ func TestShardHealthAndStats(t *testing.T) {
 	if len(st.Shards) != 4 {
 		t.Fatalf("Shards rollup has %d entries", len(st.Shards))
 	}
-	var childQueries, childEvaluated uint64
+	var childQueries, childEvaluated, childInvocations uint64
 	var childLatency uint64
 	for _, cs := range st.Shards {
 		childQueries += cs.Queries
 		childEvaluated += cs.DocsEvaluated
+		childInvocations += cs.KernelInvocations
 		childLatency += cs.QueryLatency.Count
 	}
 	if childQueries != rounds*4 {
@@ -403,6 +404,9 @@ func TestShardHealthAndStats(t *testing.T) {
 	}
 	if st.DocsEvaluated != childEvaluated {
 		t.Fatalf("rolled-up DocsEvaluated %d != child sum %d", st.DocsEvaluated, childEvaluated)
+	}
+	if st.KernelInvocations != childInvocations || st.KernelInvocations < st.JoinsRun || st.JoinsRun == 0 {
+		t.Fatalf("rolled-up KernelInvocations %d, child sum %d, JoinsRun %d", st.KernelInvocations, childInvocations, st.JoinsRun)
 	}
 	if st.QueryLatency.Count != childLatency {
 		t.Fatalf("merged latency count %d != child sum %d", st.QueryLatency.Count, childLatency)
@@ -436,6 +440,18 @@ func TestShardSearchErrors(t *testing.T) {
 		t.Fatal("out-of-range MinMatch accepted")
 	} else if errors.Is(err, engine.ErrOverloaded) {
 		t.Fatalf("validation error surfaced as overload: %v", err)
+	}
+	// A WIN query past the kernel's width cap is refused by the
+	// coordinator itself, typed, before any shard sees it.
+	wide := engine.Query{Spec: engine.KernelSpec{Family: "win", Alpha: 0.5, Valid: true}}
+	for i := 0; i < 25; i++ {
+		wide.Concepts = append(wide.Concepts, index.Concept{"amber": 1.0})
+	}
+	if _, err := coord.Search(context.Background(), wide); !errors.Is(err, engine.ErrQueryTooWide) {
+		t.Fatalf("25-concept WIN query: err %v, want ErrQueryTooWide", err)
+	}
+	if st := coord.Stats(); st.ShardQueries != 4 || st.JoinPanics != 0 {
+		t.Fatalf("too-wide query reached the shards: ShardQueries %d (want the 4 of the two queries above), JoinPanics %d", st.ShardQueries, st.JoinPanics)
 	}
 }
 

@@ -13,6 +13,10 @@
 # Usage: scripts/benchjson.sh [benchtime]   (default 100x; the
 # admission-control benchmark needs enough iterations to saturate its
 # in-flight cap, or shed/op reads as zero)
+#
+# BENCH_SAVE_BASELINE=1 rewrites BENCH_engine.baseline.txt from this
+# run's medians first, so the 1.25x gate measures later commits against
+# this one across every benchmark that exists today.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,7 +73,20 @@ medianize() {
     ' "$1"
 }
 
+# The served join kernel on its own (the duplicate-avoidance wrapper
+# over a reused WIN/MED kernel at 0/25/60 % duplicate frequency): ns,
+# allocs — 0 at every frequency — and invocations per join, the paper's
+# Figure 8 metric. A join is microseconds, so these run a fixed 20000x.
+echo "== go test -bench=BenchmarkValidKernel -benchmem (benchtime=20000x, count=$COUNT) =="
+go test -run='^$' -bench='BenchmarkValidKernel' -benchmem -benchtime=20000x -count="$COUNT" ./internal/join/ | tee -a "$RAW"
+
 medianize "$RAW" > "$MED"
+if [ "${BENCH_SAVE_BASELINE:-}" = "1" ]; then
+    # Provenance first (the parsers read only ^Benchmark lines; a -N
+    # name suffix is GOMAXPROCS), then one medianized line per benchmark.
+    { go version; grep -m1 '^cpu:' "$RAW"; cat "$MED"; } > BENCH_engine.baseline.txt
+    echo "rewrote BENCH_engine.baseline.txt from this run's medians"
+fi
 
 # Parse `BenchmarkName  N  X ns/op  Y B/op  Z allocs/op` lines to JSON.
 # Custom b.ReportMetric units ride along when present: pruneddocs/op
@@ -87,7 +104,8 @@ medianize "$RAW" > "$MED"
 # drift flags a latency regression or transport flakiness), and
 # pairhits/op + pairboundprunes/op from the pair-index benchmark (the
 # auxiliary pair tier's list hits and the candidates its tightened
-# bounds retired).
+# bounds retired), and invocations/op from the valid-kernel benchmark
+# (inner-kernel runs per join: the duplicate-avoidance search's width).
 # The cached BenchmarkEngine path doubles as the panic-recovery
 # overhead gauge — the recover() wrappers sit on every join, so any
 # regression shows up directly against the baseline (the budget is <1%).
@@ -95,7 +113,7 @@ bench_to_json() {
     awk '
     /^Benchmark/ {
         name = $1
-        ns = bytes = allocs = pruned = joins = shed = bskip = bdec = pskip = ucand = shq = mcand = codec = dwait = hedged = retried = phits = pprunes = ""
+        ns = bytes = allocs = pruned = joins = shed = bskip = bdec = pskip = ucand = shq = mcand = codec = dwait = hedged = retried = phits = pprunes = invs = ""
         for (i = 2; i <= NF; i++) {
             if ($i == "ns/op")             ns = $(i - 1)
             if ($i == "B/op")              bytes = $(i - 1)
@@ -115,6 +133,7 @@ bench_to_json() {
             if ($i == "retried/op")          retried = $(i - 1)
             if ($i == "pairhits/op")         phits = $(i - 1)
             if ($i == "pairboundprunes/op")  pprunes = $(i - 1)
+            if ($i == "invocations/op")      invs = $(i - 1)
         }
         if (ns == "") next
         if (out != "") out = out ","
@@ -135,6 +154,7 @@ bench_to_json() {
         if (retried != "") rec = rec sprintf(", \"retried_per_op\": %s", retried)
         if (phits != "")   rec = rec sprintf(", \"pairhits_per_op\": %s", phits)
         if (pprunes != "") rec = rec sprintf(", \"pairboundprunes_per_op\": %s", pprunes)
+        if (invs != "")    rec = rec sprintf(", \"invocations_per_op\": %s", invs)
         out = out rec "}"
     }
     END { printf "[%s\n  ]", out }

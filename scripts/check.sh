@@ -29,11 +29,15 @@ echo "== go test -race -tags faultinject (chaos) =="
 go test -race -tags faultinject ./internal/faultinject/ ./internal/engine/ ./internal/shard/ ./internal/remote/
 
 # Allocation ceiling: the warm-cache query path must stay under a
-# fixed allocs/op budget (testing.AllocsPerRun inside the test). Run
-# without -race — the race runtime adds allocations of its own and
-# would make the ceiling meaningless.
+# fixed allocs/op budget (testing.AllocsPerRun inside the test), with
+# the unwrapped kernel and with the valid-matchset kernel proxserve
+# serves, and that kernel on its own must allocate nothing per document
+# however many duplicated tokens it has to split on. Run without -race
+# — the race runtime adds allocations of its own and would make the
+# ceilings meaningless.
 echo "== cached-path allocation ceiling =="
 go test -count=1 -run TestEngineCachedAllocCeiling ./internal/engine/
+go test -count=1 -run TestValidKernelZeroAlloc ./internal/dedup/
 
 # Known-vulnerability scan, when the tool is installed (the CI image
 # may not ship it; the gate must not fail on a missing scanner).
