@@ -120,11 +120,20 @@ func BenchmarkEngineColdVsCached(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if st := e.Stats(); st.ConceptMisses+st.ListMisses > warm.ConceptMisses+warm.ListMisses {
+		st := e.Stats()
+		if st.ConceptMisses+st.ListMisses > warm.ConceptMisses+warm.ListMisses {
 			b.Fatalf("cached runs decoded postings: %d concept + %d list misses after warm-up",
 				st.ConceptMisses-warm.ConceptMisses, st.ListMisses-warm.ListMisses)
 		}
+		reportInvocations(b, st, warm)
 	})
+}
+
+// reportInvocations puts the two numbers /stats divides — joins and
+// inner-kernel invocations per query since base — on a cached row.
+func reportInvocations(b *testing.B, st, base bestjoin.EngineStats) {
+	b.ReportMetric(float64(st.JoinsRun-base.JoinsRun)/float64(b.N), "joins/op")
+	b.ReportMetric(float64(st.KernelInvocations-base.KernelInvocations)/float64(b.N), "invocations/op")
 }
 
 // BenchmarkEngineCoalesced measures the cross-query coalescing layer
@@ -299,6 +308,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 			if _, err := e.Search(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
+			warm := e.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -306,6 +316,8 @@ func BenchmarkEngineWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			reportInvocations(b, e.Stats(), warm)
 		})
 	}
 }

@@ -23,6 +23,7 @@ package dedup
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"bestjoin/internal/match"
@@ -40,6 +41,9 @@ type Result struct {
 	// Invocations counts how many times the duplicate-unaware
 	// algorithm ran, the metric of the paper's Figure 8.
 	Invocations int
+	// Capped reports that the search stopped at MaxInvocations: Set is
+	// then the best valid matchset found so far, maybe not the optimum.
+	Capped bool
 }
 
 // MaxInvocations caps the number of reruns as a safety valve against
@@ -48,13 +52,17 @@ type Result struct {
 // cap is far above anything realistic inputs reach.
 const MaxInvocations = 100000
 
+// maxInvocations is the cap in force; tests lower it.
+var maxInvocations = MaxInvocations
+
 // Best finds the best valid (duplicate-free) matchset by the paper's
 // recursive instance-splitting method, with a sound bound: removing
 // matches can only lower an instance's unconstrained optimum, so a
 // subtree whose duplicate-unaware optimum does not exceed the best
 // valid matchset found so far cannot contain a better valid matchset
 // and is pruned. OK is false when no valid matchset exists (or the
-// invocation cap was hit before one was found).
+// invocation cap was hit before one was found; Result.Capped tells the
+// two apart).
 func Best(alg Algorithm, lists match.Lists) Result {
 	return NewDeduper().Best(alg, lists)
 }
@@ -96,6 +104,10 @@ func BestWithOptions(alg Algorithm, lists match.Lists, opts Options) Result {
 // The Set in the returned Result aliases Deduper-owned memory and is
 // valid only until the next Best call; callers that keep results must
 // Clone them. A Deduper is not safe for concurrent use.
+//
+// Best always searches to the valid optimum. Kernel.Join runs the same
+// search under the floor it was armed with, where a Result that is not
+// OK also means "no valid matchset reaches the floor".
 type Deduper struct {
 	// Opts tunes the search. NewDeduper enables both optimizations
 	// (the Best defaults); the zero value runs the paper's plain
@@ -103,10 +115,13 @@ type Deduper struct {
 	Opts Options
 
 	alg         Algorithm
+	floor       float64 // see search; -Inf cuts nothing
 	invocations int
 	best        match.Set
 	bestScore   float64
 	found       bool
+	capped      bool // the search stopped at maxInvocations
+	cut         bool // the root instance's optimum fell below floor
 
 	order   []int         // pushGroups' sort scratch, dead once it returns
 	groups  []group       // stack: one run of groups per search level
@@ -162,9 +177,18 @@ func NewDeduper() *Deduper {
 // duplicate-unaware solver. alg may return sets aliasing its own
 // reused memory (a join.Kernel does): Best copies what it keeps.
 func (d *Deduper) Best(alg Algorithm, lists match.Lists) Result {
-	d.alg = alg
+	return d.search(alg, lists, math.Inf(-1))
+}
+
+// search is Best under a top-k floor (Kernel.SetFloor): an instance
+// whose duplicate-unaware optimum is strictly below floor is dropped
+// with everything derived from it, which by solve's bound cannot reach
+// floor either. The result is the valid optimum when that is at or
+// above floor and not OK otherwise, mostly after the root run alone.
+func (d *Deduper) search(alg Algorithm, lists match.Lists, floor float64) Result {
+	d.alg, d.floor = alg, floor
 	d.invocations = 0
-	d.found = false
+	d.found, d.capped, d.cut = false, false, false
 	d.bestScore = 0
 	// A search abandoned by a panicking alg leaves its stacks behind.
 	d.groups, d.terms, d.keepers = d.groups[:0], d.terms[:0], d.keepers[:0]
@@ -178,7 +202,7 @@ func (d *Deduper) Best(alg Algorithm, lists match.Lists) Result {
 	}
 	d.solve(lists)
 	d.alg = nil
-	res := Result{OK: d.found, Invocations: d.invocations}
+	res := Result{OK: d.found, Invocations: d.invocations, Capped: d.capped}
 	if d.found {
 		res.Set, res.Score = d.best, d.bestScore
 	}
@@ -191,12 +215,19 @@ func (d *Deduper) solve(lists match.Lists) {
 	if d.Opts.Memoize && len(d.removed) > 0 && d.visited() {
 		return
 	}
-	if d.invocations >= MaxInvocations {
+	if d.invocations >= maxInvocations {
+		d.capped = true
 		return
 	}
 	d.invocations++
 	set, score, ok := d.alg(lists)
 	if !ok {
+		return
+	}
+	// Floor: strictly below only — an equal score can still win the
+	// caller's tie-break — and a NaN compares false, so it never cuts.
+	if score < d.floor {
+		d.cut = d.invocations == 1
 		return
 	}
 	// Bound: every matchset of this instance (and of every instance

@@ -25,13 +25,13 @@ type Kernel struct {
 	lists match.Lists
 	d     Deduper
 	alg   Algorithm
-	invs  int
+	floor float64
 }
 
 // Wrap layers duplicate avoidance over inner, with the Best defaults
 // (pruning and memoization enabled).
 func Wrap(inner join.Kernel) *Kernel {
-	k := &Kernel{inner: inner, d: Deduper{Opts: Options{Prune: true, Memoize: true}}}
+	k := &Kernel{inner: inner, d: Deduper{Opts: Options{Prune: true, Memoize: true}}, floor: math.Inf(-1)}
 	// One closure for the kernel's lifetime: each sub-instance of the
 	// search reloads the inner kernel rather than rebuilding anything.
 	k.alg = func(lists match.Lists) (match.Set, float64, bool) {
@@ -48,18 +48,33 @@ func (k *Kernel) Reset(fn any, lists match.Lists) {
 	k.inner.Reset(fn, lists)
 }
 
+var _ join.Floored = (*Kernel)(nil)
+
+// SetFloor arms the following Joins with a top-k floor (join.Floored):
+// a document whose best valid matchset scores strictly below it comes
+// back ok == false, usually after one inner-kernel run. A fresh
+// kernel's floor is -Inf, under which Join is exactly dedup.Best.
+func (k *Kernel) SetFloor(floor float64) { k.floor = floor }
+
 // Join solves the loaded instance with duplicate avoidance. ok is
-// false when no valid matchset exists (or the invocation cap was hit
-// before one was found).
+// false when no valid matchset exists, when none reaches the floor
+// (SetFloor), or when the invocation cap was hit before one was found
+// — Capped tells, and then even an ok answer may not be the optimum.
 func (k *Kernel) Join() (match.Set, float64, bool) {
-	res := k.d.Best(k.alg, k.lists)
-	k.invs = res.Invocations
+	res := k.d.search(k.alg, k.lists, k.floor)
 	return res.Set, res.Score, res.OK
 }
 
 // Invocations reports how many times the inner kernel ran during the
 // last Join — the paper's Figure 8 metric.
-func (k *Kernel) Invocations() int { return k.invs }
+func (k *Kernel) Invocations() int { return k.d.invocations }
+
+// Capped reports whether the last Join stopped at MaxInvocations.
+func (k *Kernel) Capped() bool { return k.d.capped }
+
+// FloorCut reports whether the last Join ended at its first inner run,
+// the root instance's optimum being strictly below the floor.
+func (k *Kernel) FloorCut() bool { return k.d.cut }
 
 // ScoreUpperBound forwards to the inner kernel's bound when it has
 // one. Valid (duplicate-free) matchsets are a subset of all matchsets,

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bestjoin/internal/dedup"
 	"bestjoin/internal/match"
 )
 
@@ -45,10 +44,11 @@ type docJob struct {
 // chunk and refreshed only after an offer could have raised it; a
 // stale floor is sound — the floor only rises, so staleness prunes
 // less, never more. Strictly-below only: a bound equal to the floor
-// can still win its tie-break on document id. Conjunctive jobs
-// (mask == 0) carry full-width list slices; disjunctive jobs carry a
-// concept bitmask with one compacted list slot per set bit. The caller
-// closes jobs and waits on wg.
+// can still win its tie-break on document id. The same floor arms a
+// join.Floored kernel (safeJoin), unless pruning is disabled.
+// Conjunctive jobs (mask == 0) carry full-width list slices;
+// disjunctive jobs carry a concept bitmask with one compacted list
+// slot per set bit. The caller closes jobs and waits on wg.
 func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conceptData,
 	workers int, jobs <-chan []docJob, top *topK, evaluated, pruned *atomic.Int64, wg *sync.WaitGroup) {
 	nc := len(cds)
@@ -93,26 +93,35 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 						}
 						continue
 					}
-					if kern == nil { // last build panicked: retry per job
+					if kern.Kernel == nil { // last build panicked: retry per job
 						kern = buildKernel(factory, e)
-						if kern == nil {
+						if kern.Kernel == nil {
 							qs.fail()
 							continue
 						}
 					}
-					set, score, ok, panicked := safeJoin(kern, jb.lists)
+					set, score, ok, panicked := safeJoin(kern, floor, jb.lists)
 					e.counters.joinsRun.Add(1)
 					if panicked {
 						e.counters.joinPanics.Add(1)
 						qs.fail()
-						kern = nil // poisoned scratch: rebuild before reuse
+						kern = workerKernel{} // poisoned scratch: rebuild before reuse
 						continue
+					}
+					if dk := kern.valid; dk != nil {
+						e.counters.kernelInvs.Add(uint64(dk.Invocations()))
+						if dk.FloorCut() {
+							e.counters.floorCutJoins.Add(1)
+						}
+						if dk.Capped() {
+							// No trustworthy score: like a document past the
+							// deadline, this one stays unevaluated (Partial).
+							e.counters.dedupCapped.Add(1)
+							continue
+						}
 					}
 					e.counters.docsEvaluated.Add(1)
 					evaluated.Add(1)
-					if dk, valid := kern.(*dedup.Kernel); valid {
-						e.counters.kernelInvs.Add(uint64(dk.Invocations()))
-					}
 					if ok && !math.IsNaN(score) {
 						top.offer(jb.doc, score, set)
 						floor = top.Floor()

@@ -132,30 +132,48 @@ func (s KernelSpec) Factory() (KernelFactory, error) {
 	return nil, fmt.Errorf("engine: unknown kernel family %q (want win, med, or max)", s.Family)
 }
 
+// workerKernel is one worker's kernel with its optional capabilities
+// resolved once per build, not once per document.
+type workerKernel struct {
+	join.Kernel
+	floored join.Floored  // nil without floor support, or with pruning disabled
+	valid   *dedup.Kernel // nil unless the kernel is the valid-matchset wrapper
+}
+
 // buildKernel calls the query's factory, recovering a panicking
-// factory to nil so one hostile factory cannot kill a worker (and
-// with it the whole query's WaitGroup).
-func buildKernel(f KernelFactory, e *Engine) (kern join.Kernel) {
+// factory to the zero workerKernel so one hostile factory cannot kill
+// a worker (and with it the whole query's WaitGroup).
+func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.counters.joinPanics.Add(1)
-			kern = nil
+			wk = workerKernel{}
 		}
 	}()
-	return f()
+	wk.Kernel = f()
+	if e.prune {
+		wk.floored, _ = wk.Kernel.(join.Floored)
+	}
+	wk.valid, _ = wk.Kernel.(*dedup.Kernel)
+	return wk
 }
 
 // safeJoin runs one kernel invocation under recover: a panic in
-// Reset, in Join, or injected at the KernelJoin site is contained to
-// this one document. The kernel must be treated as poisoned after a
-// panic — its scratch may be mid-mutation.
-func safeJoin(kern join.Kernel, lists match.Lists) (set match.Set, score float64, ok, panicked bool) {
+// SetFloor, in Reset, in Join, or injected at the KernelJoin site is
+// contained to this one document. The kernel must be treated as
+// poisoned after a panic — its scratch may be mid-mutation. A Floored
+// kernel is armed with floor first, so ok == false also means "scores
+// strictly below floor" (the kernel-floor screen, DESIGN.md).
+func safeJoin(kern workerKernel, floor float64, lists match.Lists) (set match.Set, score float64, ok, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			set, score, ok, panicked = nil, 0, false, true
 		}
 	}()
 	faultinject.MaybePanic(faultinject.KernelJoin)
+	if kern.floored != nil {
+		kern.floored.SetFloor(floor)
+	}
 	kern.Reset(nil, lists)
 	set, score, ok = kern.Join()
 	return

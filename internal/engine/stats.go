@@ -22,6 +22,8 @@ type counters struct {
 	docsEvaluated atomic.Uint64
 	joinsRun      atomic.Uint64
 	kernelInvs    atomic.Uint64
+	floorCutJoins atomic.Uint64
+	dedupCapped   atomic.Uint64
 	prunedDocs    atomic.Uint64
 	conceptHits   atomic.Uint64
 	conceptMisses atomic.Uint64
@@ -145,8 +147,17 @@ type Stats struct {
 	// more when the Section VI search has to split. Over JoinsRun it is
 	// the paper's Figure 8 quantity, the number that says how much of a
 	// deployment's join time is duplicate avoidance. Unwrapped kernels
-	// add nothing.
+	// add nothing. The kernel floor ends searches early against a floor
+	// that rises with the worker schedule, so with pruning on and
+	// several workers the count is schedule-dependent, like PrunedDocs.
 	KernelInvocations uint64
+	// FloorCutJoins counts valid-matchset joins that stopped after one
+	// inner-kernel run because that duplicate-unaware optimum was
+	// already strictly below the top-k floor. DedupCapped counts joins
+	// whose search hit dedup.MaxInvocations; those documents are left
+	// unevaluated and the result is Partial.
+	FloorCutJoins uint64
+	DedupCapped   uint64
 	// PrunedDocs counts candidate documents skipped because their
 	// score upper bound was strictly below the top-k floor — joins
 	// that never ran. PrunedFraction is PrunedDocs over all candidates
@@ -287,6 +298,8 @@ func (e *Engine) Stats() Stats {
 		QueryLatency:     e.latency.snapshot(),
 
 		KernelInvocations: e.counters.kernelInvs.Load(),
+		FloorCutJoins:     e.counters.floorCutJoins.Load(),
+		DedupCapped:       e.counters.dedupCapped.Load(),
 	}
 }
 

@@ -65,21 +65,20 @@ func (t *topK) Floor() float64 {
 // never enter, and because the floor is monotone non-decreasing the
 // lock-free read can only be more permissive than the state under the
 // lock — never the reverse. Equal scores must still take the lock (a
-// smaller doc id displaces the weakest kept entry). Offers that pass
-// the screen clone the set before locking: set may alias the worker's
-// kernel-owned buffer, and cloning outside the critical section keeps
-// the allocation off the serialized path. A clone is wasted only when
-// the offer loses a tie-break or a concurrent offer raises the floor
-// past it — both rare.
+// smaller doc id displaces the weakest kept entry). set may alias the
+// worker's kernel-owned buffer, so an entering offer clones it — under
+// the lock, once it is known to enter: a query has a few dozen of
+// those, against thousands of offers that tie with the floor and lose
+// on document id (graded scores tie often), which must not pay for a
+// clone each.
 func (t *topK) offer(doc int, score float64, set match.Set) {
 	if score < t.Floor() {
 		return
 	}
-	cloned := set.Clone()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.h) < t.k {
-		heap.Push(&t.h, DocResult{Doc: doc, Score: score, Set: cloned})
+		heap.Push(&t.h, DocResult{Doc: doc, Score: score, Set: set.Clone()})
 		if len(t.h) == t.k {
 			t.raiseFloor(t.h[0].Score)
 		}
@@ -87,7 +86,7 @@ func (t *topK) offer(doc int, score float64, set match.Set) {
 	}
 	worst := t.h[0]
 	if score > worst.Score || (score == worst.Score && doc < worst.Doc) {
-		t.h[0] = DocResult{Doc: doc, Score: score, Set: cloned}
+		t.h[0] = DocResult{Doc: doc, Score: score, Set: set.Clone()}
 		heap.Fix(&t.h, 0)
 		t.raiseFloor(t.h[0].Score)
 	}

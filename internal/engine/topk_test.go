@@ -38,12 +38,22 @@ func TestTopKOfferEqualityNotScreened(t *testing.T) {
 	if docs := top.results(); docs[0].Doc != 3 || docs[1].Doc != 5 {
 		t.Fatalf("below-floor offer mutated the heap: %+v", docs)
 	}
+	// At the floor with a larger id: takes the lock, loses, and must not
+	// have cloned its set on the way — graded scores make these the
+	// bulk of a union query's offers.
+	tied := testSet(7)
+	if allocs := testing.AllocsPerRun(100, func() { top.offer(7, 1.0, tied) }); allocs != 0 {
+		t.Fatalf("losing tie at the floor costs %v allocs, want 0", allocs)
+	}
+	if docs := top.results(); docs[0].Doc != 3 || docs[1].Doc != 5 {
+		t.Fatalf("losing tie mutated the heap: %+v", docs)
+	}
 }
 
 // TestTopKConcurrentOffersDeterministic hammers one topK from eight
 // goroutines with disjoint shuffles of the same offer stream and
 // checks the result equals the serial reference — the property the
-// optimistic clone and floor screen must not break.
+// lock-free floor screen must not break.
 func TestTopKConcurrentOffersDeterministic(t *testing.T) {
 	const k, n, workers = 7, 400, 8
 	type offer struct {

@@ -184,8 +184,11 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 
 	// The pivot walk. Unlike the conjunctive path the candidate count
 	// is unknown upfront, so chunks are freshly allocated slices (the
-	// workers may still hold shipped ones).
+	// workers may still hold shipped ones), and the jobs' list headers
+	// are carved off a slab that is replaced, never rewound, when it
+	// runs out.
 	chunk := make([]docJob, 0, dispatchChunk)
+	var slab match.Lists
 	ship := func() bool {
 		select {
 		case jobs <- chunk:
@@ -273,7 +276,10 @@ pivots:
 		// caches are touched single-threaded, as in conjunctive
 		// dispatch); workers fill block-served slots lazily.
 		var mask uint64
-		lists := make(match.Lists, len(atDoc))
+		if len(slab) < len(atDoc) {
+			slab = make(match.Lists, dispatchChunk*len(cds))
+		}
+		lists := slab[:len(atDoc):len(atDoc)]
 		ok := true
 		for s, cu := range atDoc {
 			mask |= 1 << uint(cu.ci)
@@ -295,6 +301,7 @@ pivots:
 		}
 		if ok {
 			chunk = append(chunk, docJob{doc: d, bound: bound, orig: bound, mask: mask, lists: lists})
+			slab = slab[len(lists):]
 			if len(chunk) == dispatchChunk && !ship() {
 				break pivots
 			}

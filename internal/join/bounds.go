@@ -80,6 +80,17 @@ func (k *MAXKernel) ScoreUnionUpperBound(perListMax []float64, minMatch int) flo
 	return scorefn.UnionUpperBoundMAX(k.fn, perListMax, minMatch)
 }
 
+// Floored is the optional kernel capability behind the engine's
+// kernel-floor screen: a kernel whose Join is a search (the
+// duplicate-avoidance wrapper) can stop once nothing it could still
+// return reaches the top-k floor. After SetFloor, Join may return
+// ok == false for a document scoring strictly below floor — never for
+// one at or above it, which may still win its doc-id tie-break. A
+// fresh kernel's floor is -Inf, which cuts nothing.
+type Floored interface {
+	SetFloor(floor float64)
+}
+
 var (
 	_ UpperBounded = (*WINKernel)(nil)
 	_ UpperBounded = (*MEDKernel)(nil)

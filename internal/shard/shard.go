@@ -514,6 +514,8 @@ func (c *Coordinator) Stats() engine.Stats {
 		agg.DocsEvaluated += s.DocsEvaluated
 		agg.JoinsRun += s.JoinsRun
 		agg.KernelInvocations += s.KernelInvocations
+		agg.FloorCutJoins += s.FloorCutJoins
+		agg.DedupCapped += s.DedupCapped
 		agg.PrunedDocs += s.PrunedDocs
 		agg.ConceptHits += s.ConceptHits
 		agg.ConceptMisses += s.ConceptMisses

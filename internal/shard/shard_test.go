@@ -391,12 +391,13 @@ func TestShardHealthAndStats(t *testing.T) {
 	if len(st.Shards) != 4 {
 		t.Fatalf("Shards rollup has %d entries", len(st.Shards))
 	}
-	var childQueries, childEvaluated, childInvocations uint64
+	var childQueries, childEvaluated, childInvocations, childCuts uint64
 	var childLatency uint64
 	for _, cs := range st.Shards {
 		childQueries += cs.Queries
 		childEvaluated += cs.DocsEvaluated
 		childInvocations += cs.KernelInvocations
+		childCuts += cs.FloorCutJoins
 		childLatency += cs.QueryLatency.Count
 	}
 	if childQueries != rounds*4 {
@@ -407,6 +408,9 @@ func TestShardHealthAndStats(t *testing.T) {
 	}
 	if st.KernelInvocations != childInvocations || st.KernelInvocations < st.JoinsRun || st.JoinsRun == 0 {
 		t.Fatalf("rolled-up KernelInvocations %d, child sum %d, JoinsRun %d", st.KernelInvocations, childInvocations, st.JoinsRun)
+	}
+	if st.FloorCutJoins != childCuts || st.FloorCutJoins > st.JoinsRun || st.DedupCapped != 0 {
+		t.Fatalf("rolled-up FloorCutJoins %d, child sum %d, JoinsRun %d, DedupCapped %d", st.FloorCutJoins, childCuts, st.JoinsRun, st.DedupCapped)
 	}
 	if st.QueryLatency.Count != childLatency {
 		t.Fatalf("merged latency count %d != child sum %d", st.QueryLatency.Count, childLatency)

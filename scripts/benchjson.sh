@@ -76,7 +76,9 @@ medianize() {
 # The served join kernel on its own (the duplicate-avoidance wrapper
 # over a reused WIN/MED kernel at 0/25/60 % duplicate frequency): ns,
 # allocs — 0 at every frequency — and invocations per join, the paper's
-# Figure 8 metric. A join is microseconds, so these run a fixed 20000x.
+# Figure 8 metric, each also with the kernel floor armed at the
+# instance set's median root optimum. A join is microseconds, so these
+# run a fixed 20000x.
 echo "== go test -bench=BenchmarkValidKernel -benchmem (benchtime=20000x, count=$COUNT) =="
 go test -run='^$' -bench='BenchmarkValidKernel' -benchmem -benchtime=20000x -count="$COUNT" ./internal/join/ | tee -a "$RAW"
 
@@ -105,7 +107,10 @@ fi
 # pairhits/op + pairboundprunes/op from the pair-index benchmark (the
 # auxiliary pair tier's list hits and the candidates its tightened
 # bounds retired), and invocations/op from the valid-kernel benchmark
-# (inner-kernel runs per join: the duplicate-avoidance search's width).
+# (inner-kernel runs per join: the duplicate-avoidance search's width,
+# floorless and under a median floor) and, next to joins/op, from the
+# cached engine rows (per query: their quotient is what /stats shows
+# as KernelInvocations/JoinsRun).
 # The cached BenchmarkEngine path doubles as the panic-recovery
 # overhead gauge — the recover() wrappers sit on every join, so any
 # regression shows up directly against the baseline (the budget is <1%).

@@ -16,6 +16,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The load harness under bench/ is a module of its own (BENCHMARK.json
+# builds it from there), so nothing above compiles it: vet and
+# self-test it here, or an engine API change breaks the benchmark
+# unnoticed.
+echo "== bench/ harness: go vet + go test =="
+(cd bench && go vet ./... && go test ./...)
+
 # Chaos gate: the same engine tests plus the fault-injection harness,
 # with the injection sites armed by the faultinject build tag, still
 # under -race. Injected kernel panics, corrupt decodes, latency, and
