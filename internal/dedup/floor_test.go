@@ -98,10 +98,19 @@ func TestKernelFloor(t *testing.T) {
 	oneShot := searchKernels()
 	for ki, name := range []string{"win", "med", "max"} {
 		k := Wrap(innerKernels()[name])
+		// The WIN and MED kernels take the floor themselves: a root cut
+		// may be their window screen's, before any score exists. That
+		// is still a floor cut of one run.
+		windowCuts := 0
 		join := func(lists match.Lists, floor float64) Result {
 			k.SetFloor(floor)
 			k.Reset(nil, lists)
 			set, score, ok := k.Join()
+			if k.WindowCut() {
+				if windowCuts++; ok || !k.FloorCut() || k.Invocations() != 1 {
+					t.Fatalf("%s floor %v: window cut with ok %v, FloorCut %v, %d invocations", name, floor, ok, k.FloorCut(), k.Invocations())
+				}
+			}
 			return Result{Set: set.Clone(), Score: score, OK: ok, Invocations: k.Invocations(), Capped: k.Capped()}
 		}
 		cuts, splits := 0, 0
@@ -135,6 +144,10 @@ func TestKernelFloor(t *testing.T) {
 					t.Fatalf("%s %s #%d floor just above the root optimum %v: %+v (cut %v)", name, fam, i, root, got, k.FloorCut())
 				}
 				cuts++
+				// Out of any matchset's reach, the screen sees it first.
+				if got := join(lists, math.MaxFloat64); got.OK || got.Invocations != 1 || !k.FloorCut() || k.WindowCut() != (name != "max") {
+					t.Fatalf("%s %s #%d floor out of reach: %+v (cut %v, by the window screen %v)", name, fam, i, got, k.FloorCut(), k.WindowCut())
+				}
 				if !want.OK {
 					continue
 				}
@@ -153,12 +166,50 @@ func TestKernelFloor(t *testing.T) {
 				}
 			}
 		}
-		if cuts == 0 || splits == 0 {
-			t.Fatalf("%s: %d cuts, %d split searches — the families do not exercise the floor", name, cuts, splits)
+		if cuts == 0 || splits == 0 || (windowCuts > 0) != (name != "max") {
+			t.Fatalf("%s: %d cuts (%d by the window screen), %d split searches — the families do not exercise the floor", name, cuts, windowCuts, splits)
 		}
 		// The floor is sticky until the next SetFloor, and -Inf disarms it.
 		if got, want := join(dupTokenLists(1), math.Inf(-1)), Best(oneShot[ki].alg, dupTokenLists(1)); !sameResult(got, want) {
 			t.Fatalf("%s: disarmed kernel %+v, Best %+v", name, got, want)
+		}
+	}
+}
+
+// TestSearchFloorOnly: after SearchFloorOnly the floor still stops the
+// search at its root — on the score the inner kernel computed, never on
+// the inner kernel's screen — and changes no answer.
+func TestSearchFloorOnly(t *testing.T) {
+	for name, inner := range innerKernels() {
+		both, only := Wrap(innerKernels()[name]), Wrap(inner)
+		only.SearchFloorOnly()
+		cuts := 0
+		for fam, instances := range searchFamilies() {
+			for i, lists := range instances {
+				for _, floor := range []float64{math.Inf(-1), 0.5, math.MaxFloat64} {
+					run := func(k *Kernel) Result {
+						k.SetFloor(floor)
+						k.Reset(nil, lists)
+						set, score, ok := k.Join()
+						return Result{Set: set.Clone(), Score: score, OK: ok, Invocations: k.Invocations()}
+					}
+					// Every run of a cut search is a full one here, but
+					// there are as many: the screen cuts only what the
+					// search would have cut on the score.
+					if got, want := run(only), run(both); !sameResult(got, want) {
+						t.Fatalf("%s %s #%d floor %v: %+v, forwarding kernel %+v", name, fam, i, floor, got, want)
+					}
+					if only.WindowCut() || only.FloorCut() != both.FloorCut() {
+						t.Fatalf("%s %s #%d floor %v: WindowCut %v, FloorCut %v, forwarding kernel's FloorCut %v", name, fam, i, floor, only.WindowCut(), only.FloorCut(), both.FloorCut())
+					}
+					if only.FloorCut() {
+						cuts++
+					}
+				}
+			}
+		}
+		if cuts == 0 {
+			t.Fatalf("%s: no search was cut", name)
 		}
 	}
 }

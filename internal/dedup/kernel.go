@@ -21,17 +21,20 @@ import (
 // Set aliases wrapper-owned memory, valid until the next Reset or
 // Join. Not safe for concurrent use.
 type Kernel struct {
-	inner join.Kernel
-	lists match.Lists
-	d     Deduper
-	alg   Algorithm
-	floor float64
+	inner     join.Kernel
+	floored   join.Floored // inner, when it takes a floor itself
+	lists     match.Lists
+	d         Deduper
+	alg       Algorithm
+	floor     float64
+	windowCut bool // the last Join's root run was cut by inner's own screen
 }
 
 // Wrap layers duplicate avoidance over inner, with the Best defaults
 // (pruning and memoization enabled).
 func Wrap(inner join.Kernel) *Kernel {
 	k := &Kernel{inner: inner, d: Deduper{Opts: Options{Prune: true, Memoize: true}}, floor: math.Inf(-1)}
+	k.floored, _ = inner.(join.Floored)
 	// One closure for the kernel's lifetime: each sub-instance of the
 	// search reloads the inner kernel rather than rebuilding anything.
 	k.alg = func(lists match.Lists) (match.Set, float64, bool) {
@@ -52,9 +55,23 @@ var _ join.Floored = (*Kernel)(nil)
 
 // SetFloor arms the following Joins with a top-k floor (join.Floored):
 // a document whose best valid matchset scores strictly below it comes
-// back ok == false, usually after one inner-kernel run. A fresh
-// kernel's floor is -Inf, under which Join is exactly dedup.Best.
-func (k *Kernel) SetFloor(floor float64) { k.floor = floor }
+// back ok == false, usually after one inner-kernel run. A Floored
+// inner kernel is armed with the same floor — valid matchsets are a
+// subset of all matchsets, and every sub-instance the search derives
+// is an instance of its own — so that one run may itself stop at the
+// inner kernel's screen. A fresh kernel's floor is -Inf, under which
+// Join is exactly dedup.Best.
+func (k *Kernel) SetFloor(floor float64) {
+	k.floor = floor
+	if k.floored != nil {
+		k.floored.SetFloor(floor)
+	}
+}
+
+// SearchFloorOnly stops SetFloor forwarding the floor to the inner
+// kernel: the search keeps its own cut, the inner kernel runs every
+// instance in full, as one without a screen does.
+func (k *Kernel) SearchFloorOnly() { k.floored = nil }
 
 // Join solves the loaded instance with duplicate avoidance. ok is
 // false when no valid matchset exists, when none reaches the floor
@@ -62,6 +79,9 @@ func (k *Kernel) SetFloor(floor float64) { k.floor = floor }
 // — Capped tells, and then even an ok answer may not be the optimum.
 func (k *Kernel) Join() (match.Set, float64, bool) {
 	res := k.d.search(k.alg, k.lists, k.floor)
+	// A search of one run ended at its root; if the inner kernel's
+	// last Join was cut, that was it.
+	k.windowCut = res.Invocations == 1 && k.floored != nil && k.floored.WindowCut()
 	return res.Set, res.Score, res.OK
 }
 
@@ -73,8 +93,14 @@ func (k *Kernel) Invocations() int { return k.d.invocations }
 func (k *Kernel) Capped() bool { return k.d.capped }
 
 // FloorCut reports whether the last Join ended at its first inner run,
-// the root instance's optimum being strictly below the floor.
-func (k *Kernel) FloorCut() bool { return k.d.cut }
+// the root instance's optimum being strictly below the floor — as the
+// run's score showed, or as the inner kernel's screen showed without
+// computing one (WindowCut).
+func (k *Kernel) FloorCut() bool { return k.d.cut || k.windowCut }
+
+// WindowCut reports whether the last Join ended at its first inner run
+// because the inner kernel's window screen cut it.
+func (k *Kernel) WindowCut() bool { return k.windowCut }
 
 // ScoreUpperBound forwards to the inner kernel's bound when it has
 // one. Valid (duplicate-free) matchsets are a subset of all matchsets,

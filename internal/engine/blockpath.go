@@ -246,43 +246,62 @@ func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []in
 	}
 }
 
-// blockFetch memoizes one worker's most recent block per concept:
-// bound-tied documents keep ascending id order through dispatch, so
-// consecutive jobs usually share a block and skip even the cache Get.
+// blockFetch memoizes one worker's most recent block per concept, and
+// the position of the last document served from it: bound-tied
+// documents keep ascending id order through dispatch, so consecutive
+// jobs usually share a block — skipping the skip-table search and even
+// the cache Get — and often sit at neighbouring positions.
 type blockFetch struct {
 	blk   int
+	di    int
 	docs  []int
 	lists []match.List
 }
 
+// list returns doc's match list under block-served concept cd: locate
+// the document's block, fetch its decoded form (worker memo → list
+// cache → decode), and find the document in it. The memo only
+// short-cuts the two searches — blocks cover disjoint id ranges and a
+// block lists a document once — so the answer does not depend on what
+// the worker served before. false means the document is not there
+// (unreachable for a generated candidate) or a decode failed.
+func (f *blockFetch) list(e *Engine, qs *queryState, cd *conceptData, doc int) (match.List, bool) {
+	bt := cd.blocks.bt
+	if f.blk < 0 || doc < bt.Infos[f.blk].FirstDoc || doc > bt.Infos[f.blk].LastDoc {
+		blk := bt.FindBlock(doc)
+		if blk < 0 {
+			return nil, false
+		}
+		docs, lists, ok := e.fetchBlock(qs, cd, blk)
+		if !ok {
+			return nil, false
+		}
+		f.blk, f.di, f.docs, f.lists = blk, -1, docs, lists
+	}
+	di := f.di + 1
+	if di >= len(f.docs) || f.docs[di] != doc {
+		di = sort.SearchInts(f.docs, doc)
+		if di == len(f.docs) || f.docs[di] != doc {
+			return nil, false
+		}
+	}
+	f.di = di
+	return f.lists[di], true
+}
+
 // fillBlockLists completes a job's match lists for block-served
-// concepts: locate the document's block, fetch its decoded form
-// (worker memo → list cache → decode), and slot the document's list
-// into the job. Flat concepts were already assembled by the
-// dispatcher. false means a decode failed and the document must be
-// dropped.
+// concepts. Flat concepts were already assembled by the dispatcher.
+// false means a decode failed and the document must be dropped.
 func (e *Engine) fillBlockLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch) bool {
 	for j, cd := range cds {
 		if cd.blocks == nil {
 			continue
 		}
-		f := &fetch[j]
-		blk := cd.blocks.bt.FindBlock(jb.doc)
-		if blk < 0 {
-			return false // unreachable for a generated candidate
-		}
-		if f.blk != blk {
-			docs, lists, ok := e.fetchBlock(qs, cd, blk)
-			if !ok {
-				return false
-			}
-			f.blk, f.docs, f.lists = blk, docs, lists
-		}
-		di := sort.SearchInts(f.docs, jb.doc)
-		if di == len(f.docs) || f.docs[di] != jb.doc {
+		l, ok := fetch[j].list(e, qs, cd, jb.doc)
+		if !ok {
 			return false
 		}
-		jb.lists[j] = f.lists[di]
+		jb.lists[j] = l
 	}
 	return true
 }

@@ -45,18 +45,19 @@ type docJob struct {
 // stale floor is sound — the floor only rises, so staleness prunes
 // less, never more. Strictly-below only: a bound equal to the floor
 // can still win its tie-break on document id. The same floor arms a
-// join.Floored kernel (safeJoin), unless pruning is disabled.
+// join.Floored kernel (safeJoin), unless pruning is disabled — as far
+// down as buildKernel lets it reach for the path (union).
 // Conjunctive jobs (mask == 0) carry full-width list slices;
 // disjunctive jobs carry a concept bitmask with one compacted list
 // slot per set bit. The caller closes jobs and waits on wg.
 func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conceptData,
-	workers int, jobs <-chan []docJob, top *topK, evaluated, pruned *atomic.Int64, wg *sync.WaitGroup) {
+	workers int, union bool, jobs <-chan []docJob, top *topK, evaluated, pruned *atomic.Int64, wg *sync.WaitGroup) {
 	nc := len(cds)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kern := buildKernel(factory, e)
+			kern := buildKernel(factory, e, union)
 			fetch := make([]blockFetch, nc)
 			for i := range fetch {
 				fetch[i].blk = -1
@@ -94,7 +95,7 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 						continue
 					}
 					if kern.Kernel == nil { // last build panicked: retry per job
-						kern = buildKernel(factory, e)
+						kern = buildKernel(factory, e, union)
 						if kern.Kernel == nil {
 							qs.fail()
 							continue
@@ -108,11 +109,14 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 						kern = workerKernel{} // poisoned scratch: rebuild before reuse
 						continue
 					}
+					if fk := kern.floored; fk != nil && fk.FloorCut() {
+						e.counters.floorCutJoins.Add(1)
+						if fk.WindowCut() {
+							e.counters.windowCutJoins.Add(1)
+						}
+					}
 					if dk := kern.valid; dk != nil {
 						e.counters.kernelInvs.Add(uint64(dk.Invocations()))
-						if dk.FloorCut() {
-							e.counters.floorCutJoins.Add(1)
-						}
 						if dk.Capped() {
 							// No trustworthy score: like a document past the
 							// deadline, this one stays unevaluated (Partial).

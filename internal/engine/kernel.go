@@ -142,8 +142,12 @@ type workerKernel struct {
 
 // buildKernel calls the query's factory, recovering a panicking
 // factory to the zero workerKernel so one hostile factory cannot kill
-// a worker (and with it the whole query's WaitGroup).
-func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
+// a worker (and with it the whole query's WaitGroup). union builds for
+// the disjunctive path, which arms the duplicate-avoidance search with
+// the floor and nothing below it: the WIN/MED window screen serves
+// conjunctive queries only, until arming it for the sub-instances a
+// union joins is measured as a change of its own (ROADMAP).
+func buildKernel(f KernelFactory, e *Engine, union bool) (wk workerKernel) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.counters.joinPanics.Add(1)
@@ -151,10 +155,17 @@ func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
 		}
 	}()
 	wk.Kernel = f()
+	wk.valid, _ = wk.Kernel.(*dedup.Kernel)
 	if e.prune {
 		wk.floored, _ = wk.Kernel.(join.Floored)
+		if union {
+			if wk.valid == nil {
+				wk.floored = nil
+			} else {
+				wk.valid.SearchFloorOnly()
+			}
+		}
 	}
-	wk.valid, _ = wk.Kernel.(*dedup.Kernel)
 	return wk
 }
 

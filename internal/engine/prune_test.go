@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bestjoin/internal/index"
@@ -178,5 +179,76 @@ func TestPruningFloorMonotone(t *testing.T) {
 		if res.Partial {
 			t.Fatalf("%s: unexpectedly Partial", label)
 		}
+	}
+}
+
+// TestWindowScreenNeverCutsOnEquality is TestNeverPruneOnEquality for
+// the window screen, at the one place its bound can fall under a score
+// it must dominate: rounding. The screen sums g_j over the lists'
+// maxima in term order; the WIN kernel sums the same numbers in
+// location order. The weights below are picked so the two orders
+// disagree in the last bit — (a+b)+c, the screen's, is one ulp under
+// (b+c)+a and (a+c)+b — and the documents put the three words at
+// adjacent positions in the four orders that give the larger sum, so
+// every one of them scores the same bits, and a bound that is the
+// screen's sum taken literally sits one ulp below all of them.
+//
+// K = 2, one worker. Documents 8 and 9 carry a far-away strong synonym
+// that lifts their dispatch bound, not their score; they fill the heap
+// first and the floor becomes exactly the shared score. Then 0…5 arrive
+// in id order: each scores the floor and 0 and 1 must take the heap
+// over on the doc-id tie-break. Only the bound's rounding margin lets
+// them reach the kernel: without it all six are cut and the answer is
+// [8, 9]. Documents 6 and 7 spread the words over one more position and
+// are the screen's to cut; document 10 holds the words in term order,
+// scores the smaller sum, and loses on score.
+func TestWindowScreenNeverCutsOnEquality(t *testing.T) {
+	var a, b, c float64
+search:
+	for i := 10; i <= 40; i++ {
+		for j := 10; j <= 40; j++ {
+			for k := 10; k <= 40; k++ {
+				a, b, c = float64(i)/10, float64(j)/10, float64(k)/10
+				if big := (b + c) + a; big == (a+c)+b && (a+b)+c < big && (a+b)+c-2 < big-2 {
+					break search
+				}
+			}
+		}
+	}
+	small, big := (a+b)+c-2, (b+c)+a-2
+	if !(small < big) {
+		t.Fatal("no weights whose sum depends on the order in the way the test needs")
+	}
+	orders := []string{"berry cherry apple", "cherry berry apple", "apple cherry berry", "cherry apple berry"}
+	docs := make([]string, 11)
+	for d := 0; d < 6; d++ {
+		docs[d] = orders[d%len(orders)]
+	}
+	docs[6], docs[7] = "berry cherry pad apple", "cherry pad berry apple"
+	docs[8] = orders[0] + strings.Repeat(" pad", 30) + " anchor"
+	docs[9] = orders[1] + strings.Repeat(" pad", 30) + " anchor"
+	docs[10] = "apple berry cherry"
+	compact := buildCompact(t, docs)
+
+	e := New(compact, Config{Workers: 1})
+	res, err := e.Search(context.Background(), Query{
+		Concepts: []index.Concept{{"apple": a, "anchor": a + 5}, {"berry": b}, {"cherry": c}},
+		Join:     WINJoiner(scorefn.LinearWIN{Scale: 1}),
+		K:        2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Docs) != 2 || res.Docs[0].Doc != 0 || res.Docs[1].Doc != 1 {
+		t.Fatalf("got %+v, want docs [0, 1] — they score the floor exactly and must not be cut", res.Docs)
+	}
+	if res.Docs[0].Score != big || res.Docs[1].Score != big {
+		t.Fatalf("got scores [%v, %v], want [%v, %v]", res.Docs[0].Score, res.Docs[1].Score, big, big)
+	}
+	if res.Evaluated != len(docs) || res.Pruned != 0 || res.Partial {
+		t.Fatalf("Evaluated=%d Pruned=%d Partial=%v, want all %d evaluated", res.Evaluated, res.Pruned, res.Partial, len(docs))
+	}
+	if st := e.Stats(); st.WindowCutJoins != 2 || st.FloorCutJoins != 2 {
+		t.Fatalf("WindowCutJoins=%d FloorCutJoins=%d, want 2 and 2: documents 6 and 7, nothing that ties the floor", st.WindowCutJoins, st.FloorCutJoins)
 	}
 }

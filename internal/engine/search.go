@@ -324,7 +324,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	}
 	jobs := make(chan []docJob, chunkCap)
 	var wg sync.WaitGroup
-	e.joinWorkers(qs, q.Join, cds, workers, jobs, top, &evaluated, &pruned, &wg)
+	e.joinWorkers(qs, q.Join, cds, workers, false, jobs, top, &evaluated, &pruned, &wg)
 
 	// One flat backing array for every job's lists header, and one for
 	// the jobs themselves: chunks are subslices of jobsBacking (which

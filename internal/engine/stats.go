@@ -18,19 +18,20 @@ import (
 // candidate documents, a list miss re-decodes postings for one
 // (document, concept) — conflating them hides which cache is cold.
 type counters struct {
-	queries       atomic.Uint64
-	docsEvaluated atomic.Uint64
-	joinsRun      atomic.Uint64
-	kernelInvs    atomic.Uint64
-	floorCutJoins atomic.Uint64
-	dedupCapped   atomic.Uint64
-	prunedDocs    atomic.Uint64
-	conceptHits   atomic.Uint64
-	conceptMisses atomic.Uint64
-	listHits      atomic.Uint64
-	listMisses    atomic.Uint64
-	deadlineHits  atomic.Uint64
-	partials      atomic.Uint64
+	queries        atomic.Uint64
+	docsEvaluated  atomic.Uint64
+	joinsRun       atomic.Uint64
+	kernelInvs     atomic.Uint64
+	floorCutJoins  atomic.Uint64
+	windowCutJoins atomic.Uint64
+	dedupCapped    atomic.Uint64
+	prunedDocs     atomic.Uint64
+	conceptHits    atomic.Uint64
+	conceptMisses  atomic.Uint64
+	listHits       atomic.Uint64
+	listMisses     atomic.Uint64
+	deadlineHits   atomic.Uint64
+	partials       atomic.Uint64
 	// Robustness counters: recovered faults, degraded answers, load
 	// shedding, and hot reloads. queueDepth is a gauge — jobs currently
 	// sitting in worker queues — not a cumulative count.
@@ -151,13 +152,18 @@ type Stats struct {
 	// that rises with the worker schedule, so with pruning on and
 	// several workers the count is schedule-dependent, like PrunedDocs.
 	KernelInvocations uint64
-	// FloorCutJoins counts valid-matchset joins that stopped after one
-	// inner-kernel run because that duplicate-unaware optimum was
-	// already strictly below the top-k floor. DedupCapped counts joins
+	// FloorCutJoins counts joins a floor-aware kernel (join.Floored)
+	// ended at their first run because nothing in the document could
+	// reach the top-k floor: a valid-matchset search whose
+	// duplicate-unaware optimum came out strictly below it, or — the
+	// WindowCutJoins among them — a WIN or MED run the window screen
+	// stopped before its dynamic program, wrapped or not. Both still
+	// count in JoinsRun and DocsEvaluated. DedupCapped counts joins
 	// whose search hit dedup.MaxInvocations; those documents are left
 	// unevaluated and the result is Partial.
-	FloorCutJoins uint64
-	DedupCapped   uint64
+	FloorCutJoins  uint64
+	WindowCutJoins uint64
+	DedupCapped    uint64
 	// PrunedDocs counts candidate documents skipped because their
 	// score upper bound was strictly below the top-k floor — joins
 	// that never ran. PrunedFraction is PrunedDocs over all candidates
@@ -299,6 +305,7 @@ func (e *Engine) Stats() Stats {
 
 		KernelInvocations: e.counters.kernelInvs.Load(),
 		FloorCutJoins:     e.counters.floorCutJoins.Load(),
+		WindowCutJoins:    e.counters.windowCutJoins.Load(),
 		DedupCapped:       e.counters.dedupCapped.Load(),
 	}
 }

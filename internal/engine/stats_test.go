@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"bestjoin/internal/dedup"
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
+	"bestjoin/internal/naive"
 	"bestjoin/internal/scorefn"
 )
 
@@ -17,12 +21,22 @@ import (
 // server is the paper's Figure 8 quantity. With pruning off no join
 // sees a floor and the count is the floorless replay's; with pruning
 // on and one worker the floor each join sees is a function of dispatch
-// order alone, so a replay arming the same floors must match exactly
-// (FloorCutJoins too) and come out strictly below the floorless count;
-// with more workers the floors depend on the schedule, like
-// PrunedDocs, and only the bounds hold.
+// order alone, so a replay that models both kernel-floor screens must
+// predict every counter exactly — JoinsRun, KernelInvocations,
+// FloorCutJoins, WindowCutJoins, PrunedDocs, for the wrapped kernel and
+// the bare one — and the wrapped count must come out strictly below the
+// floorless one; with more workers the floors depend on the schedule,
+// like PrunedDocs, and only the bounds hold.
 func TestKernelInvocationsCounted(t *testing.T) {
-	compact := buildCompact(t, testCorpus(200, 5))
+	// Three documents the window screen must let through to the search
+	// floor: every concept's best word is there, so the cap is high, but
+	// far from the others, and the words that sit together are weak.
+	corpus := testCorpus(200, 5)
+	far := strings.Repeat("quartz ", 40)
+	for i := 0; i < 3; i++ {
+		corpus = append(corpus, "lenovo "+far+"nba "+far+"partnership "+far+"hewlett basketball alliance")
+	}
+	compact := buildCompact(t, corpus)
 	concepts := overlapConcepts()
 	fn := scorefn.ExpWIN{Alpha: 0.07}
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
@@ -32,17 +46,20 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	if _, err := e.Search(ctx, Query{Concepts: concepts, Join: WINJoiner(fn)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.JoinsRun == 0 || st.KernelInvocations != 0 || st.FloorCutJoins != 0 {
-		t.Fatalf("unwrapped kernel: JoinsRun %d, KernelInvocations %d, FloorCutJoins %d, want >0, 0 and 0", st.JoinsRun, st.KernelInvocations, st.FloorCutJoins)
+	if st := e.Stats(); st.JoinsRun == 0 || st.KernelInvocations != 0 || st.FloorCutJoins != 0 || st.WindowCutJoins != 0 {
+		t.Fatalf("unwrapped kernel, unpruned: JoinsRun %d, KernelInvocations %d, FloorCutJoins %d, WindowCutJoins %d, want >0, 0, 0 and 0",
+			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins)
 	}
 
 	// The floorless replay, collecting what the floored one needs: each
-	// candidate's lists and its score upper bound.
+	// candidate's lists, its score upper bound, and its window cap —
+	// scorefn's bound at the smallest window of the candidate's whole
+	// cross product, not at whatever the kernel's merge scan says.
 	var joins, invocations uint64
 	kern := ValidWINJoiner(fn)().(*dedup.Kernel)
 	var docs []int
 	var lists []match.Lists
-	var bounds []float64
+	var bounds, caps []float64
 	for d := 0; d < compact.Docs(); d++ {
 		if l := compact.QueryLists(d, concepts); l.Complete() {
 			kern.Reset(nil, l)
@@ -55,7 +72,10 @@ func TestKernelInvocationsCounted(t *testing.T) {
 					maxima[j] = max(maxima[j], m.Score)
 				}
 			}
-			docs, lists, bounds = append(docs, d), append(lists, l), append(bounds, kern.ScoreUpperBound(maxima))
+			wmin := math.MaxInt
+			naive.ForEach(l, func(s match.Set) { wmin = min(wmin, s.Window()) })
+			docs, lists = append(docs, d), append(lists, l)
+			bounds, caps = append(bounds, kern.ScoreUpperBound(maxima)), append(caps, scorefn.WindowUpperBoundWIN(fn, maxima, wmin))
 		}
 	}
 	if invocations <= joins {
@@ -65,53 +85,80 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.JoinsRun != joins || st.KernelInvocations != invocations || st.FloorCutJoins != 0 {
-		t.Fatalf("valid kernel, unpruned: JoinsRun %d KernelInvocations %d FloorCutJoins %d, replay says %d, %d and 0",
-			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, joins, invocations)
+	if st := e.Stats(); st.JoinsRun != joins || st.KernelInvocations != invocations || st.FloorCutJoins != 0 || st.WindowCutJoins != 0 {
+		t.Fatalf("valid kernel, unpruned: JoinsRun %d KernelInvocations %d FloorCutJoins %d WindowCutJoins %d, replay says %d, %d, 0 and 0",
+			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins, joins, invocations)
 	}
 
 	// The floored replay: one worker takes candidates in bound order,
 	// skips those whose bound is under its floor, arms the kernel with
-	// that floor, and reloads it after every offer.
-	var fJoins, fInvocations, fCuts, fPruned uint64
-	top := newTopK(DefaultK, nil)
-	floor := top.Floor()
-	for _, i := range boundOrder(bounds) {
-		if bounds[i] < floor {
-			fPruned++
-			continue
+	// that floor, and reloads it after every offer. The kernels replayed
+	// know no window screen — one-shot joins, which dedup.Wrap cannot
+	// arm — so the screen is the model's: a candidate whose window cap
+	// is under the floor is cut at its root run, unscored. The search
+	// floor alone would have cut it there too, one kernel run later, so
+	// the screen moves no counter but its own.
+	oneShot := func(l match.Lists) (match.Set, float64, bool) { return join.WIN(fn, l) }
+	type prediction struct{ joins, invocations, floorCuts, windowCuts, pruned uint64 }
+	replay := func(valid bool) (p prediction) {
+		search := dedup.Wrap(join.KernelFunc(oneShot))
+		top := newTopK(DefaultK, nil)
+		floor := top.Floor()
+		for _, i := range boundOrder(bounds) {
+			if bounds[i] < floor {
+				p.pruned++
+				continue
+			}
+			p.joins++
+			set, score, ok := oneShot(lists[i])
+			if valid {
+				search.SetFloor(floor)
+				search.Reset(nil, lists[i])
+				set, score, ok = search.Join()
+				p.invocations += uint64(search.Invocations())
+			}
+			switch windowCut := caps[i] < floor; {
+			case windowCut:
+				if valid && !(search.FloorCut() && search.Invocations() == 1) || score >= floor {
+					t.Fatalf("doc %d: window cap %v under floor %v, but the join scores %v", docs[i], caps[i], floor, score)
+				}
+				p.windowCuts++
+				p.floorCuts++
+				ok = false
+			case valid && search.FloorCut():
+				p.floorCuts++
+			}
+			if ok {
+				top.offer(docs[i], score, set)
+				floor = top.Floor()
+			}
 		}
-		kern.SetFloor(floor)
-		kern.Reset(nil, lists[i])
-		set, score, ok := kern.Join()
-		fJoins++
-		fInvocations += uint64(kern.Invocations())
-		if kern.FloorCut() {
-			fCuts++
+		return p
+	}
+	for _, valid := range []bool{true, false} {
+		p := replay(valid)
+		if p.windowCuts == 0 || valid && (p.floorCuts == p.windowCuts || p.invocations >= invocations) {
+			t.Fatalf("floored replay (valid %v): %+v against %d floorless invocations — the corpus does not exercise both cuts", valid, p, invocations)
 		}
-		if ok {
-			top.offer(docs[i], score, set)
-			floor = top.Floor()
+		e = New(compact, Config{Workers: 1})
+		if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: KernelSpec{Family: "win", Alpha: 0.07, Valid: valid}}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if fCuts == 0 || fInvocations >= invocations {
-		t.Fatalf("floored replay: %d cuts, %d invocations against %d floorless — the corpus does not exercise the cut", fCuts, fInvocations, invocations)
-	}
-	e = New(compact, Config{Workers: 1})
-	if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.JoinsRun != fJoins || st.KernelInvocations != fInvocations || st.FloorCutJoins != fCuts || st.PrunedDocs != fPruned {
-		t.Fatalf("valid kernel, one worker: JoinsRun %d KernelInvocations %d FloorCutJoins %d PrunedDocs %d, replay says %d, %d, %d and %d",
-			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.PrunedDocs, fJoins, fInvocations, fCuts, fPruned)
+		st := e.Stats()
+		if got := (prediction{st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins, st.PrunedDocs}); got != p {
+			t.Fatalf("one worker (valid %v): JoinsRun, KernelInvocations, FloorCutJoins, WindowCutJoins, PrunedDocs %+v, replay says %+v", valid, got, p)
+		}
+		if st.DocsEvaluated != st.JoinsRun {
+			t.Fatalf("one worker (valid %v): DocsEvaluated %d, JoinsRun %d — a cut join is an evaluated document", valid, st.DocsEvaluated, st.JoinsRun)
+		}
 	}
 	e = New(compact, Config{Workers: 4})
 	if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.KernelInvocations < st.JoinsRun || st.KernelInvocations > invocations || st.FloorCutJoins > st.JoinsRun || st.JoinsRun > joins {
-		t.Fatalf("valid kernel, four workers: JoinsRun %d KernelInvocations %d FloorCutJoins %d outside [JoinsRun, %d], [0, JoinsRun], [0, %d]",
-			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, invocations, joins)
+	if st := e.Stats(); st.KernelInvocations < st.JoinsRun || st.KernelInvocations > invocations || st.WindowCutJoins > st.FloorCutJoins || st.FloorCutJoins > st.JoinsRun || st.JoinsRun > joins {
+		t.Fatalf("valid kernel, four workers: JoinsRun %d KernelInvocations %d FloorCutJoins %d WindowCutJoins %d outside [JoinsRun, %d], [WindowCutJoins, JoinsRun], [0, %d]",
+			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins, invocations, joins)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,7 +179,7 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 	}
 	jobs := make(chan []docJob, chunkCap)
 	var wg sync.WaitGroup
-	e.joinWorkers(qs, q.Join, cds, e.workers, jobs, top, &evaluated, &pruned, &wg)
+	e.joinWorkers(qs, q.Join, cds, e.workers, true, jobs, top, &evaluated, &pruned, &wg)
 
 	// The pivot walk. Unlike the conjunctive path the candidate count
 	// is unknown upfront, so chunks are freshly allocated slices (the
@@ -460,23 +459,11 @@ func (e *Engine) fillUnionLists(qs *queryState, cds []*conceptData, jb docJob, f
 			continue
 		}
 		if cd.blocks != nil {
-			f := &fetch[j]
-			blk := cd.blocks.bt.FindBlock(jb.doc)
-			if blk < 0 {
-				return false // unreachable for a confirmed pivot
-			}
-			if f.blk != blk {
-				docs, lists, ok := e.fetchBlock(qs, cd, blk)
-				if !ok {
-					return false
-				}
-				f.blk, f.docs, f.lists = blk, docs, lists
-			}
-			di := sort.SearchInts(f.docs, jb.doc)
-			if di == len(f.docs) || f.docs[di] != jb.doc {
+			l, ok := fetch[j].list(e, qs, cd, jb.doc)
+			if !ok {
 				return false
 			}
-			jb.lists[s] = f.lists[di]
+			jb.lists[s] = l
 		}
 		s++
 	}

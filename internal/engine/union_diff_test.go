@@ -425,3 +425,40 @@ func TestUnionPivotSkipsCounted(t *testing.T) {
 		assertResultInvariants(t, "skew", res)
 	}
 }
+
+// TestUnionArmsSearchFloorOnly pins the kernel floors' scope: a
+// conjunctive query arms the window screen (the WIN/MED kernels',
+// wrapped or bare), a disjunctive one arms the duplicate-avoidance
+// search with the floor and leaves every inner run unscreened — same
+// query, same kernels, same answers either way.
+func TestUnionArmsSearchFloorOnly(t *testing.T) {
+	compact := buildCompact(t, testCorpus(600, 31))
+	for _, c := range overlapConcepts() {
+		compact.AddConceptBlocks(c)
+	}
+	for _, valid := range []bool{true, false} {
+		for _, mode := range []QueryMode{ModeAND, ModeOR} {
+			q := Query{Concepts: overlapConcepts(), Spec: KernelSpec{Family: "med", Alpha: 0.1, Valid: valid}, K: 3, Mode: mode}
+			e := New(compact, Config{Workers: 1})
+			got, err := e.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("valid %v mode %v", valid, mode)
+			assertSameDocs(t, label, got.Docs, want.Docs)
+			st := e.Stats()
+			switch {
+			case mode == ModeAND && st.WindowCutJoins == 0:
+				t.Errorf("%s: the window screen cut nothing of %d joins", label, st.JoinsRun)
+			case mode == ModeOR && st.WindowCutJoins != 0:
+				t.Errorf("%s: %d window cuts on the disjunctive path", label, st.WindowCutJoins)
+			case mode == ModeOR && (st.FloorCutJoins != 0) != valid:
+				t.Errorf("%s: %d floor cuts, want some for the search and none for a bare kernel", label, st.FloorCutJoins)
+			}
+		}
+	}
+}

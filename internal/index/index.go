@@ -27,11 +27,15 @@ type Posting struct {
 type Index struct {
 	postings map[string][]Posting
 	docs     int
+	// stems memoizes text.Stem per distinct token seen by Add: a corpus
+	// repeats a small vocabulary, and the stemmer is most of what
+	// indexing a token costs.
+	stems map[string]string
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{postings: make(map[string][]Posting)}
+	return &Index{postings: make(map[string][]Posting), stems: make(map[string]string)}
 }
 
 // Add indexes one document's tokens under the given document id.
@@ -39,7 +43,11 @@ func New() *Index {
 // stay sorted.
 func (ix *Index) Add(doc int, tokens []text.Token) {
 	for _, t := range tokens {
-		stem := text.Stem(t.Word)
+		stem, ok := ix.stems[t.Word]
+		if !ok {
+			stem = text.Stem(t.Word)
+			ix.stems[t.Word] = stem
+		}
 		ix.postings[stem] = append(ix.postings[stem], Posting{Doc: doc, Pos: t.Pos})
 	}
 	if doc+1 > ix.docs {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"bestjoin/internal/lexicon"
@@ -109,5 +110,32 @@ func TestConceptFromGraph(t *testing.T) {
 	}
 	if c[text.Stem("seminar")] != 0.4 {
 		t.Errorf("seminar score = %v", c[text.Stem("seminar")])
+	}
+}
+
+// TestAddStemsEveryOccurrence: Add stems a distinct token once and
+// reuses the answer, so a repeated word form must land where stemming
+// each occurrence would put it — same list, every position, in order —
+// and forms sharing a stem must still share a list.
+func TestAddStemsEveryOccurrence(t *testing.T) {
+	ix := New()
+	docs := []string{"partners partner partners running", "runs partners run", "running partnered"}
+	want := map[string][]Posting{}
+	for d, body := range docs {
+		ix.AddText(d, body)
+		for _, tok := range text.Tokenize(body) {
+			want[text.Stem(tok.Word)] = append(want[text.Stem(tok.Word)], Posting{Doc: d, Pos: tok.Pos})
+		}
+	}
+	if len(ix.postings) != len(want) {
+		t.Fatalf("%d posting lists, want %d", len(ix.postings), len(want))
+	}
+	for stem, ps := range want {
+		if got := ix.postings[stem]; !slices.Equal(got, ps) {
+			t.Fatalf("postings[%q] = %v, want %v", stem, got, ps)
+		}
+	}
+	if n := len(ix.Postings("partner")); n != 5 {
+		t.Fatalf("Postings(partner) has %d entries, want 5", n)
 	}
 }

@@ -56,6 +56,11 @@ func BenchmarkKernelVsOneShot(b *testing.B) {
 // engine worker sees it late in a query: armed with the median root
 // optimum of the instance set, so about half the documents stop after
 // their first inner run and the rest search to their valid optimum.
+// The other two arms isolate the window screen: under floor=window-cut
+// no document can reach the floor and every join ends at the screen,
+// the merge and the window pass its whole cost; under floor=survivor the screen is armed
+// with a floor nothing falls below, so its difference from the
+// floorless arm is what the screen costs a document it lets through.
 func BenchmarkValidKernel(b *testing.B) {
 	for _, tc := range kernelCases()[:2] { // win, med
 		for _, d := range []struct {
@@ -75,7 +80,10 @@ func BenchmarkValidKernel(b *testing.B) {
 			for _, arm := range []struct {
 				suffix string
 				floor  float64
-			}{{"", math.Inf(-1)}, {"/floor", roots[len(roots)/2]}} {
+			}{
+				{"", math.Inf(-1)}, {"/floor", roots[len(roots)/2]},
+				{"/floor=window-cut", math.MaxFloat64}, {"/floor=survivor", math.SmallestNonzeroFloat64},
+			} {
 				b.Run(tc.name+"/"+d.name+arm.suffix, func(b *testing.B) {
 					kern := dedup.Wrap(tc.kernel())
 					kern.SetFloor(arm.floor)

@@ -81,14 +81,27 @@ func (k *MAXKernel) ScoreUnionUpperBound(perListMax []float64, minMatch int) flo
 }
 
 // Floored is the optional kernel capability behind the engine's
-// kernel-floor screen: a kernel whose Join is a search (the
-// duplicate-avoidance wrapper) can stop once nothing it could still
-// return reaches the top-k floor. After SetFloor, Join may return
-// ok == false for a document scoring strictly below floor — never for
-// one at or above it, which may still win its doc-id tie-break. A
-// fresh kernel's floor is -Inf, which cuts nothing.
+// kernel-floor screens: a kernel that can tell, for less than the join
+// costs, that nothing it could return reaches the top-k floor. After
+// SetFloor, Join may return ok == false for a document scoring
+// strictly below floor — never for one at or above it, which may still
+// win its doc-id tie-break. A fresh kernel's floor cuts nothing.
+//
+// Two kernels have the capability. The duplicate-avoidance wrapper's
+// Join is a search, which stops once its duplicate-unaware optimum is
+// below the floor (dedup.Kernel). WINKernel and MEDKernel apply the
+// window screen (eventStream): a cap from the smallest window the
+// instance admits, checked before their dynamic program runs. The
+// wrapper forwards its floor, so each inner run of a search is
+// screened too.
 type Floored interface {
 	SetFloor(floor float64)
+	// FloorCut reports whether the last Join came back ok == false on
+	// account of the floor — for a search, at its root run, having
+	// found nothing before. WindowCut narrows that to the window
+	// screen: the cut (root) run never reached the dynamic program.
+	FloorCut() bool
+	WindowCut() bool
 }
 
 var (
@@ -98,4 +111,6 @@ var (
 	_ UnionBounded = (*WINKernel)(nil)
 	_ UnionBounded = (*MEDKernel)(nil)
 	_ UnionBounded = (*MAXKernel)(nil)
+	_ Floored      = (*WINKernel)(nil)
+	_ Floored      = (*MEDKernel)(nil)
 )

@@ -11,20 +11,23 @@ import (
 
 // MEDKernel is the reusable Kernel for MED scoring functions
 // (Algorithm 2): it owns the per-term dominating-match lists and
-// envelope cursors, the contribution closures, the g_j memo, the merge
-// cursors, and the candidate/output matchset buffers. See the Kernel
-// interface for the reuse and ownership contract.
+// envelope cursors, the contribution closures, the g_j memo, the
+// merged event stream, and the candidate/output matchset buffers. See
+// the Kernel interface for the reuse and ownership contract. It is
+// Floored: armed with a top-k floor, Join returns ok == false — before
+// building any envelope — for an instance whose window upper bound
+// (scorefn.WindowCapMED) is strictly below the floor.
 type MEDKernel struct {
-	fn       scorefn.MED
-	g        gMemo // g_j(score), evaluated once per distinct (term, score)
-	lists    match.Lists
-	contribs []envelope.Contribution
-	entries  [][]envelope.Entry
-	cursors  []envelope.Cursor
-	cand     match.Set
-	out      match.Set
-	locs     []int
-	merger   match.Merger
+	fn          scorefn.MED
+	g           gMemo // g_j(score), evaluated once per distinct (term, score)
+	lists       match.Lists
+	contribs    []envelope.Contribution
+	entries     [][]envelope.Entry
+	cursors     []envelope.Cursor
+	cand        match.Set
+	out         match.Set
+	locs        []int
+	eventStream // SetFloor, FloorCut, WindowCut
 }
 
 // NewMEDKernel returns an empty kernel bound to fn; scratch grows on
@@ -94,14 +97,20 @@ func (k *MEDKernel) grow(q int) {
 // candidate when m is the median-ranked element of that set.
 //
 // Time O(|Q| · Σ|Lj|), space O(Σ|Lj|) — owned by the kernel and
-// reused. ok is false when some list is empty.
+// reused. ok is false when some list is empty, or when a floor is
+// armed (SetFloor) and no matchset can reach it.
 func (k *MEDKernel) Join() (best match.Set, score float64, ok bool) {
 	lists := k.lists
 	q := len(lists)
-	if !lists.Complete() {
+	k.grow(q)
+	if !k.load(lists) {
 		return nil, 0, false
 	}
-	k.grow(q)
+	if k.armed {
+		if wmin, total, mag, ok := k.window(&k.g); ok && k.cutBy(scorefn.WindowCapMED(k.fn, total, mag, wmin)) {
+			return nil, 0, false
+		}
+	}
 	for j := range lists {
 		k.entries[j] = envelope.PrecomputeInto(k.entries[j][:0], lists[j], k.contribs[j])
 		k.cursors[j].Reset(j, k.entries[j], k.contribs[j])
@@ -111,12 +120,7 @@ func (k *MEDKernel) Join() (best match.Set, score float64, ok bool) {
 	found := false
 	cand := k.cand
 
-	k.merger.Start(lists)
-	for {
-		ev, more := k.merger.Next(lists)
-		if !more {
-			break
-		}
+	for _, ev := range k.events {
 		m := ev.M
 		cand[ev.Term] = m
 		following := 0 // matches in cand succeeding m in processing order

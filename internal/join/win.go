@@ -78,17 +78,20 @@ func (a *winArena) alloc(term int, m match.Match, prev *winNode) *winNode {
 
 // WINKernel is the reusable Kernel for WIN scoring functions
 // (Algorithm 1): it owns the 2^|Q| subset-state table, the chain-node
-// arena, the g_j memo, the merge cursors, and the output matchset
-// buffer. See the Kernel interface for the reuse and ownership
-// contract.
+// arena, the g_j memo, the merged event stream, and the output
+// matchset buffer. See the Kernel interface for the reuse and
+// ownership contract. It is Floored: armed with a top-k floor, Join
+// returns ok == false — before touching the subset table or the arena
+// — for an instance whose window upper bound
+// (scorefn.WindowCapWIN) is strictly below the floor.
 type WINKernel struct {
-	fn     scorefn.WIN
-	g      gMemo // g_j(score), evaluated once per distinct (term, score)
-	lists  match.Lists
-	states []winState
-	arena  winArena
-	merger match.Merger
-	out    match.Set
+	fn          scorefn.WIN
+	g           gMemo // g_j(score), evaluated once per distinct (term, score)
+	lists       match.Lists
+	states      []winState
+	arena       winArena
+	eventStream // SetFloor, FloorCut, WindowCut
+	out         match.Set
 }
 
 // NewWINKernel returns an empty kernel bound to fn; scratch grows on
@@ -118,15 +121,22 @@ func (k *WINKernel) Reset(fn any, lists match.Lists) {
 //
 // Time O(2^|Q| · Σ|Lj|), space O(|Q| · 2^|Q|) — owned by the kernel
 // and reused. Join panics if the query has more than MaxWINTerms
-// terms; ok is false when some list is empty.
+// terms; ok is false when some list is empty, or when a floor is armed
+// (SetFloor) and no matchset can reach it.
 func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 	lists := k.lists
 	q := len(lists)
 	if q > MaxWINTerms {
 		panic(fmt.Sprintf("join: WIN supports at most %d query terms, got %d", MaxWINTerms, q))
 	}
-	if !lists.Complete() {
+	k.g.grow(q)
+	if !k.load(lists) {
 		return nil, 0, false
+	}
+	if k.armed {
+		if wmin, gsum, mag, ok := k.window(&k.g); ok && k.cutBy(scorefn.WindowCapWIN(k.fn, gsum, mag, wmin)) {
+			return nil, 0, false
+		}
 	}
 	fn := k.fn
 	if cap(k.states) < 1<<q {
@@ -136,7 +146,6 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 		clear(k.states)
 	}
 	k.arena.reset()
-	k.g.grow(q)
 	if sep, isSep := fn.(scorefn.WINSeparable); isSep {
 		return k.joinKeyed(sep, q)
 	}
@@ -145,13 +154,8 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 	var bestNode *winNode
 	bestScore := math.Inf(-1)
 
-	k.merger.Start(lists)
-	for {
-		ev, more := k.merger.Next(lists)
-		if !more {
-			break
-		}
-		j, m := ev.Term, ev.M
+	for i := range k.events {
+		j, m := k.events[i].Term, k.events[i].M
 		g := k.g.g(j, m.Score)
 		l := m.Loc
 		bit := 1 << j
@@ -209,20 +213,14 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 // same expression, per the WINSeparable contract), and the comparisons
 // are equivalent because Lift is strictly increasing.
 func (k *WINKernel) joinKeyed(sep scorefn.WINSeparable, q int) (best match.Set, score float64, ok bool) {
-	lists := k.lists
 	alpha := sep.KeySlope()
 	full := 1<<q - 1
 	states := k.states
 	var bestNode *winNode
 	bestKey := math.Inf(-1)
 
-	k.merger.Start(lists)
-	for {
-		ev, more := k.merger.Next(lists)
-		if !more {
-			break
-		}
-		j, m := ev.Term, ev.M
+	for i := range k.events {
+		j, m := k.events[i].Term, k.events[i].M
 		g := k.g.g(j, m.Score)
 		l := m.Loc
 		bit := 1 << j

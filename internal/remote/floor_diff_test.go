@@ -17,20 +17,33 @@ import (
 	"bestjoin/internal/shard"
 )
 
-// The kernel floor's acceptance test. The valid-matchset kernels, armed
-// with the top-k floor by every worker of every topology, must return
-// what grading every document exhaustively and sorting returns: the
-// reference ranker scores each candidate with naive.BestValid over
-// lists read straight off the index and sorts (score desc, doc asc).
-// The corpus is built against the cut: two thirds of the documents are
-// copies of a dozen templates, so the k-th score is shared by several
-// documents and a floor that cut on equality — or an equal-scoring
-// document losing its tie-break to a stale floor — would show as a
-// wrong doc id; and the concepts share words, so over a fifth of the
-// joins have a duplicate-unaware optimum that is not valid and the
-// floor decides whether the Section VI search runs.
+// The kernel floors' acceptance test. The kernels that take the top-k
+// floor — the valid-matchset wrappers, which stop their search under
+// it, and the WIN and MED kernels, wrapped or bare, which screen each
+// run by its smallest window — armed by every worker of every
+// topology, must return what grading every document exhaustively and
+// sorting returns: the reference ranker scores each candidate with
+// internal/naive over lists read straight off the index and sorts
+// (score desc, doc asc). The corpora are built against the cuts: two
+// thirds of the mixed one's documents are copies of a dozen templates,
+// and the tied one is nothing but copies of five, so the k-th score is
+// shared by several documents (by a fifth of the corpus) and a floor
+// that cut on equality — or an equal-scoring document losing its
+// tie-break to a stale floor — would show as a wrong doc id; and the
+// concepts share words, so over a fifth of the joins have a
+// duplicate-unaware optimum that is not valid and the floor decides
+// whether the Section VI search runs. A word all three concepts share
+// also puts a window of zero in nearly every document, under which the
+// window screen cuts nothing; the bare kernels, which have no other
+// cut, are therefore asked disjoint concepts, where the windows differ
+// and the screen decides. Only conjunctive queries arm the screen; the
+// disjunctive modes run the search floor alone and must agree all the
+// same.
 
-func floorCorpus(rng *rand.Rand) []string {
+// floorCorpus draws 96 documents: copies of the given number of
+// templates, every fresh-th one (none when fresh is 0) a body of its
+// own.
+func floorCorpus(rng *rand.Rand, templates, fresh int) []string {
 	body := func() string {
 		words := make([]string, 18+rng.Intn(10))
 		for i := range words {
@@ -38,16 +51,16 @@ func floorCorpus(rng *rand.Rand) []string {
 		}
 		return strings.Join(words, " ")
 	}
-	templates := make([]string, 12)
-	for i := range templates {
-		templates[i] = body()
+	tmpl := make([]string, templates)
+	for i := range tmpl {
+		tmpl[i] = body()
 	}
 	docs := make([]string, 96)
 	for d := range docs {
-		if d%3 == 2 {
+		if fresh > 0 && d%fresh == fresh-1 {
 			docs[d] = body()
 		} else {
-			docs[d] = templates[rng.Intn(len(templates))]
+			docs[d] = tmpl[rng.Intn(len(tmpl))]
 		}
 	}
 	return docs
@@ -63,6 +76,16 @@ func floorConcepts() []index.Concept {
 	}
 }
 
+// floorConceptsDisjoint share no word: no duplicates, and windows that
+// differ from document to document.
+func floorConceptsDisjoint() []index.Concept {
+	return []index.Concept{
+		{"amber": 1, "basalt": 0.7},
+		{"cedar": 1, "delta": 0.7},
+		{"ember": 1, "fjord": 0.7},
+	}
+}
+
 type floorFamily struct {
 	spec  engine.KernelSpec
 	score func(match.Set) float64
@@ -71,7 +94,7 @@ type floorFamily struct {
 
 func floorFamilies() []floorFamily {
 	win, med, max := scorefn.ExpWIN{Alpha: 0.07}, scorefn.ExpMED{Alpha: 0.05}, scorefn.SumMAX{Alpha: 0.1}
-	return []floorFamily{
+	fams := []floorFamily{
 		{engine.KernelSpec{Family: "win", Alpha: win.Alpha, Valid: true},
 			func(s match.Set) float64 { return scorefn.ScoreWIN(win, s) },
 			func(l match.Lists) (match.Set, float64, bool) { return naive.WIN(win, l) }},
@@ -82,11 +105,19 @@ func floorFamilies() []floorFamily {
 			func(s match.Set) float64 { v, _ := scorefn.ScoreMAX(max, s); return v },
 			func(l match.Lists) (match.Set, float64, bool) { return naive.MAX(max, l) }},
 	}
+	// The bare WIN and MED kernels take the floor too (the window
+	// screen); a bare MAX kernel takes none.
+	for _, f := range fams[:2] {
+		f.spec.Valid = false
+		fams = append(fams, f)
+	}
+	return fams
 }
 
 // referenceRanking grades every document matching at least minMatch
-// concepts over its matched lists and sorts.
-func referenceRanking(compact *index.Compact, concepts []index.Concept, minMatch int, score func(match.Set) float64) []engine.DocResult {
+// concepts over its matched lists — exhaustively, over valid matchsets
+// only when the family's spec says so — and sorts.
+func referenceRanking(compact *index.Compact, concepts []index.Concept, minMatch int, fam floorFamily) []engine.DocResult {
 	var out []engine.DocResult
 	for d := 0; d < compact.Docs(); d++ {
 		var lists match.Lists
@@ -98,7 +129,11 @@ func referenceRanking(compact *index.Compact, concepts []index.Concept, minMatch
 		if len(lists) < minMatch {
 			continue
 		}
-		if _, s, ok := naive.BestValid(lists, score); ok && !math.IsNaN(s) {
+		_, s, ok := fam.raw(lists)
+		if fam.spec.Valid {
+			_, s, ok = naive.BestValid(lists, fam.score)
+		}
+		if ok && !math.IsNaN(s) {
 			out = append(out, engine.DocResult{Doc: d, Score: s})
 		}
 	}
@@ -112,17 +147,27 @@ func referenceRanking(compact *index.Compact, concepts []index.Concept, minMatch
 }
 
 func TestFloorDifferentialAgainstReference(t *testing.T) {
-	compact := buildCompact(t, floorCorpus(rand.New(rand.NewSource(15))))
-	concepts := floorConcepts()
+	rng := rand.New(rand.NewSource(15))
+	t.Run("mixed", func(t *testing.T) { floorDifferential(t, floorCorpus(rng, 12, 3)) })
+	t.Run("tied", func(t *testing.T) { floorDifferential(t, floorCorpus(rng, 5, 0)) })
+}
+
+func floorDifferential(t *testing.T, corpus []string) {
+	compact := buildCompact(t, corpus)
 	modes := []struct {
 		name     string
 		mode     engine.QueryMode
 		minMatch int // Query.MinMatch
 		need     int // matched concepts a candidate needs
-	}{{"and", engine.ModeAND, 0, len(concepts)}, {"or", engine.ModeOR, 0, 1}, {"2of3", engine.ModeDefault, 2, 2}}
+	}{{"and", engine.ModeAND, 0, 3}, {"or", engine.ModeOR, 0, 1}, {"2of3", engine.ModeDefault, 2, 2}}
 	ctx := context.Background()
 
 	for _, fam := range floorFamilies() {
+		family := fmt.Sprintf("%s valid %v", fam.spec.Family, fam.spec.Valid)
+		concepts := floorConcepts()
+		if !fam.spec.Valid {
+			concepts = floorConceptsDisjoint()
+		}
 		// The corpus must put the search, and ties, where the floor is.
 		joins, dups := 0, 0
 		for d := 0; d < compact.Docs(); d++ {
@@ -133,14 +178,14 @@ func TestFloorDifferentialAgainstReference(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d of %d joins carry a duplicate", fam.spec.Family, dups, joins)
-		if 5*dups < joins {
-			t.Fatalf("%s: %d of %d joins carry a duplicate, want a fifth", fam.spec.Family, dups, joins)
+		t.Logf("%s: %d of %d joins carry a duplicate", family, dups, joins)
+		if fam.spec.Valid && 5*dups < joins {
+			t.Fatalf("%s: %d of %d joins carry a duplicate, want a fifth", family, dups, joins)
 		}
 		refs := make([][]engine.DocResult, len(modes))
 		ties := 0
 		for mi, m := range modes {
-			refs[mi] = referenceRanking(compact, concepts, m.need, fam.score)
+			refs[mi] = referenceRanking(compact, concepts, m.need, fam)
 			for _, k := range []int{1, 5, 50} {
 				if k < len(refs[mi]) && refs[mi][k-1].Score == refs[mi][k].Score {
 					ties++
@@ -148,13 +193,13 @@ func TestFloorDifferentialAgainstReference(t *testing.T) {
 			}
 		}
 		if ties < 4 {
-			t.Fatalf("%s: the k-th score is tied at only %d of 9 cut-offs", fam.spec.Family, ties)
+			t.Fatalf("%s: the k-th score is tied at only %d of 9 cut-offs", family, ties)
 		}
 		// Witness sets come from the floorless search: one worker, no
 		// pruning, so no kernel is ever armed.
 		floorless := engine.New(compact, engine.Config{Workers: 1, DisablePruning: true})
 
-		var cuts uint64
+		var cuts, windowCuts uint64
 		for _, workers := range []int{1, 2, 8} {
 			ecfg := engine.Config{Workers: workers}
 			single := engine.New(compact, ecfg)
@@ -169,7 +214,7 @@ func TestFloorDifferentialAgainstReference(t *testing.T) {
 			for name, s := range map[string]engine.Searcher{"single": single, "2 shards": sharded, "remote": fleet} {
 				for mi, m := range modes {
 					for _, k := range []int{1, 5, 50} {
-						label := fmt.Sprintf("%s workers %d %s %s k %d", fam.spec.Family, workers, name, m.name, k)
+						label := fmt.Sprintf("%s workers %d %s %s k %d", family, workers, name, m.name, k)
 						q := engine.Query{Concepts: concepts, Spec: fam.spec, K: k, Mode: m.mode, MinMatch: m.minMatch}
 						got, err := s.Search(ctx, q)
 						if err != nil {
@@ -192,18 +237,28 @@ func TestFloorDifferentialAgainstReference(t *testing.T) {
 								t.Fatalf("%s: rank %d doc %d score %v (%#x), reference doc %d score %v (%#x)",
 									label, i, g.Doc, g.Score, math.Float64bits(g.Score), w.Doc, w.Score, math.Float64bits(w.Score))
 							}
-							if !g.Set.Valid() || math.Float64bits(fam.score(g.Set)) != math.Float64bits(g.Score) {
-								t.Fatalf("%s: rank %d doc %d witness %v is not a valid matchset scoring %v", label, i, g.Doc, g.Set, g.Score)
+							if fam.spec.Valid && !g.Set.Valid() || math.Float64bits(fam.score(g.Set)) != math.Float64bits(g.Score) {
+								t.Fatalf("%s: rank %d doc %d witness %v is not a matchset (valid: %v) scoring %v", label, i, g.Doc, g.Set, fam.spec.Valid, g.Score)
 							}
 						}
 						assertSame(t, label+" vs floorless", got, base, false)
 					}
 				}
 			}
-			cuts += single.Stats().FloorCutJoins + sharded.Stats().FloorCutJoins + fleet.Stats().FloorCutJoins
+			for _, st := range []engine.Stats{single.Stats(), sharded.Stats(), fleet.Stats()} {
+				if st.WindowCutJoins > st.FloorCutJoins || st.FloorCutJoins > st.JoinsRun {
+					t.Fatalf("%s: WindowCutJoins %d, FloorCutJoins %d, JoinsRun %d are not nested", family, st.WindowCutJoins, st.FloorCutJoins, st.JoinsRun)
+				}
+				cuts, windowCuts = cuts+st.FloorCutJoins, windowCuts+st.WindowCutJoins
+			}
 		}
 		if cuts == 0 {
-			t.Fatalf("%s: no join was cut by the floor", fam.spec.Family)
+			t.Fatalf("%s: no join was cut by the floor", family)
+		}
+		// A bare kernel's only cut is the screen's, and it must have
+		// bitten; under the shared-word concepts it has nothing to bite.
+		if !fam.spec.Valid && windowCuts != cuts || fam.spec.Family == "max" && windowCuts != 0 {
+			t.Fatalf("%s: %d window cuts among %d floor cuts", family, windowCuts, cuts)
 		}
 	}
 }

@@ -171,3 +171,73 @@ func UnionUpperBoundMAX(fn MAX, perListMax []float64, minMatch int) float64 {
 	}
 	return best
 }
+
+// Window upper bounds: the per-list-maxima caps above with the
+// proximity term held to the best any matchset of the instance can
+// actually reach. wmin is the smallest window holding one match of
+// every list — a location-ordered merge of the lists yields it — so
+// every matchset M of the instance has window(M) ≥ wmin, and:
+//
+//   - WIN: f is decreasing in the window, hence
+//     score(M) ≤ f(Σ g_j(max_j), wmin).
+//   - MED: the median is one of M's own locations, so for |Q| ≥ 2 the
+//     leftmost and rightmost matches alone are max loc − min loc away
+//     from it in total: Σ_j |loc(m_j) − median(M)| ≥ window(M) ≥ wmin,
+//     hence score(M) ≤ f(Σ g_j(max_j) − wmin). For |Q| = 1 both sides
+//     of the distance inequality are 0.
+//
+// Unlike the caps above these are compared against scores the join
+// kernels computed with the same terms in a different order (WIN sums
+// g in location order, MED folds each distance into its term first),
+// so they must dominate under rounding, not only in real arithmetic.
+// A float64 sum of n terms is within n·2⁻⁵³·Σ|x_i| of the real one
+// whatever the order, and a matchset's own magnitudes exceed the
+// maxima's by no more than its score total falls short of theirs, so
+// inflating the total by sumMargin times the summed magnitudes of the
+// bound's own terms covers both sums by three orders of magnitude at
+// any query width a kernel accepts. A non-finite g or scoring-function
+// value surfaces as a NaN or infinite bound; callers cut on
+// "bound < floor", which a NaN never satisfies.
+// CheckWindowUpperBoundWIN/MED probe domination exhaustively.
+const sumMargin = 1e-12
+
+// WindowUpperBoundWIN returns the WIN score cap f(Σ g_j(max_j), wmin)
+// for matchsets spanning a window of at least wmin, Σ inflated by the
+// rounding margin.
+func WindowUpperBoundWIN(fn WIN, perListMax []float64, wmin int) float64 {
+	gsum, mag := 0.0, 0.0
+	for j, m := range perListMax {
+		g := fn.G(j, m)
+		gsum += g
+		mag += math.Abs(g)
+	}
+	return WindowCapWIN(fn, gsum, mag, wmin)
+}
+
+// WindowCapWIN is WindowUpperBoundWIN for a caller that already holds
+// the g_j(max_j) — the WIN kernel, which has every g of the instance
+// and keeps each list's largest: gsum is their sum in term order, mag
+// the sum of their magnitudes.
+func WindowCapWIN(fn WIN, gsum, mag float64, wmin int) float64 {
+	return fn.F(gsum+mag*sumMargin, float64(wmin))
+}
+
+// WindowUpperBoundMED returns the MED score cap f(Σ g_j(max_j) − wmin)
+// for matchsets spanning a window of at least wmin, the total inflated
+// by the rounding margin.
+func WindowUpperBoundMED(fn MED, perListMax []float64, wmin int) float64 {
+	total, mag := 0.0, 0.0
+	for j, m := range perListMax {
+		g := fn.G(j, m)
+		total += g
+		mag += math.Abs(g)
+	}
+	return WindowCapMED(fn, total, mag, wmin)
+}
+
+// WindowCapMED is WindowUpperBoundMED for a caller that already holds
+// the g_j(max_j); see WindowCapWIN.
+func WindowCapMED(fn MED, total, mag float64, wmin int) float64 {
+	w := float64(wmin)
+	return fn.F(total - w + (mag+w)*sumMargin)
+}

@@ -7,6 +7,7 @@
 package scorefn_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -203,5 +204,61 @@ func TestCheckUpperBound(t *testing.T) {
 		if err := scorefn.CheckUpperBoundMAX(fn, 3, 60, rng); err != nil {
 			t.Errorf("%#v: %v", fn, err)
 		}
+	}
+}
+
+// TestWindowUpperBound: the window bounds' contract, checked two ways.
+// The in-package checkers enumerate small crowded and hostile
+// instances (duplicated locations, zero, negative and NaN scores) for
+// every shipped instance, the non-separable weighted WIN included, at
+// one to four terms. And against internal/naive: the exhaustive
+// optimum of a random instance never exceeds the bound taken at the
+// instance's own smallest window, while a bound taken one location
+// wider than that is no bound at all for the tight instance.
+func TestWindowUpperBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	weights := []float64{1.5, 0.5, 2}
+	wins := []scorefn.WIN{
+		scorefn.ExpWIN{Alpha: 0.1},
+		scorefn.LinearWIN{Scale: 0.3},
+		scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.1}, Weights: weights},
+	}
+	meds := []scorefn.MED{
+		scorefn.ExpMED{Alpha: 0.1},
+		scorefn.LinearMED{Scale: 0.3},
+		scorefn.WeightedMED{Base: scorefn.LinearMED{Scale: 0.3}, Weights: weights},
+	}
+	for terms := 1; terms <= 4; terms++ {
+		for _, fn := range wins {
+			if err := scorefn.CheckWindowUpperBoundWIN(fn, terms, 80, rng); err != nil {
+				t.Errorf("%#v, %d terms: %v", fn, terms, err)
+			}
+		}
+		for _, fn := range meds {
+			if err := scorefn.CheckWindowUpperBoundMED(fn, terms, 80, rng); err != nil {
+				t.Errorf("%#v, %d terms: %v", fn, terms, err)
+			}
+		}
+	}
+	for trial := 0; trial < 600; trial++ {
+		lists := randLists(rng, 1+rng.Intn(4))
+		maxima := perListMax(lists)
+		wmin := math.MaxInt
+		naive.ForEach(lists, func(s match.Set) { wmin = min(wmin, s.Window()) })
+		win, med := wins[trial%len(wins)], meds[trial%len(meds)]
+		if _, score, _ := naive.WIN(win, lists); score > scorefn.WindowUpperBoundWIN(win, maxima, wmin) {
+			t.Fatalf("trial %d: naive WIN score %v exceeds the window bound at wmin %d (lists %v)", trial, score, wmin, lists)
+		}
+		if _, score, _ := naive.MED(med, lists); score > scorefn.WindowUpperBoundMED(med, maxima, wmin) {
+			t.Fatalf("trial %d: naive MED score %v exceeds the window bound at wmin %d (lists %v)", trial, score, wmin, lists)
+		}
+	}
+	tight := match.Lists{{{Loc: 3, Score: 0.9}}, {{Loc: 5, Score: 0.8}}}
+	maxima := perListMax(tight)
+	if _, score, _ := naive.WIN(wins[0], tight); !(score > scorefn.WindowUpperBoundWIN(wins[0], maxima, 3)) {
+		t.Fatal("WIN bound at a window wider than the instance's still dominates: the window is not in the bound")
+	}
+	if _, score, _ := naive.MED(meds[0], tight); !(score > scorefn.WindowUpperBoundMED(meds[0], maxima, 3)) {
+		t.Fatal("MED bound at a window wider than the instance's still dominates: the window is not in the bound")
 	}
 }

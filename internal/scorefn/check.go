@@ -2,6 +2,7 @@ package scorefn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"bestjoin/internal/match"
@@ -183,26 +184,13 @@ func checkUpperBound(terms, n int, rng *rand.Rand,
 		}
 		b := bound(maxima)
 		// Domination over the full cross product.
-		idx := make([]int, terms)
-		set := make(match.Set, terms)
-		for {
-			for j := range set {
-				set[j] = lists[j][idx[j]]
-			}
+		if err := forEachSet(lists, func(set match.Set) error {
 			if v := score(set); v > b {
 				return fmt.Errorf("scorefn: %s upper bound %v below matchset score %v for %v", family, b, v, set)
 			}
-			j := terms - 1
-			for ; j >= 0; j-- {
-				idx[j]++
-				if idx[j] < len(lists[j]) {
-					break
-				}
-				idx[j] = 0
-			}
-			if j < 0 {
-				break
-			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		// Tightness: all maxima at one shared location scores the bound.
 		tight := make(match.Set, terms)
@@ -282,31 +270,146 @@ func checkUnionUpperBound(terms, n int, rng *rand.Rand,
 			if len(sub) < minMatch {
 				continue
 			}
-			idx := make([]int, len(sub))
-			set := make(match.Set, len(sub))
-			for {
-				for j := range set {
-					set[j] = sub[j][idx[j]]
-				}
+			if err := forEachSet(sub, func(set match.Set) error {
 				if v := score(set); v > b {
 					return fmt.Errorf("scorefn: %s union bound %v (m=%d) below subset %b matchset score %v for %v",
 						family, b, minMatch, mask, v, set)
 				}
-				j := len(sub) - 1
-				for ; j >= 0; j-- {
-					idx[j]++
-					if idx[j] < len(sub[j]) {
-						break
-					}
-					idx[j] = 0
-				}
-				if j < 0 {
-					break
-				}
+				return nil
+			}); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// CheckWindowUpperBoundWIN probes the window-upper-bound contract of a
+// WIN scoring function on n randomized enumerable instances: with wmin
+// the smallest window over every matchset of the instance, no
+// matchset's ScoreWIN may exceed WindowUpperBoundWIN of the per-list
+// maxima and wmin — on instances crowded onto a few locations (shared
+// tokens, wmin often 0), and on hostile ones mixing zero, negative and
+// NaN scores in, where a bound that is itself NaN cuts nothing and so
+// passes. And the bound must be worth having: with every list's
+// maximum at one shared location it lies within the rounding margin of
+// the score. It returns the first violation found, or nil.
+func CheckWindowUpperBoundWIN(fn WIN, terms int, n int, rng *rand.Rand) error {
+	return checkWindowUpperBound(terms, n, rng,
+		func(maxima []float64, wmin int) float64 { return WindowUpperBoundWIN(fn, maxima, wmin) },
+		func(s match.Set) float64 { return ScoreWIN(fn, s) },
+		"WIN")
+}
+
+// CheckWindowUpperBoundMED is CheckWindowUpperBoundWIN for the MED
+// family.
+func CheckWindowUpperBoundMED(fn MED, terms int, n int, rng *rand.Rand) error {
+	return checkWindowUpperBound(terms, n, rng,
+		func(maxima []float64, wmin int) float64 { return WindowUpperBoundMED(fn, maxima, wmin) },
+		func(s match.Set) float64 { return ScoreMED(fn, s) },
+		"MED")
+}
+
+func checkWindowUpperBound(terms, n int, rng *rand.Rand,
+	bound func([]float64, int) float64, score func(match.Set) float64, family string) error {
+	for i := 0; i < n; i++ {
+		// 1–3 matches per list on a dozen locations; every other
+		// instance draws its scores from the hostile mix.
+		draw := randScore
+		if i%2 == 1 {
+			draw = hostileScore
+		}
+		lists := make([]match.List, terms)
+		for j := range lists {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				lists[j] = append(lists[j], match.Match{Loc: rng.Intn(12), Score: draw(rng)})
+			}
+			lists[j].Sort()
+		}
+		maxima := listMaxima(lists)
+		wmin := math.MaxInt
+		forEachSet(lists, func(set match.Set) error {
+			wmin = min(wmin, set.Window())
+			return nil
+		})
+		b := bound(maxima, wmin)
+		if err := forEachSet(lists, func(set match.Set) error {
+			if v := score(set); v > b {
+				return fmt.Errorf("scorefn: %s window bound %v (wmin %d) below matchset score %v for %v in %v", family, b, wmin, v, set, lists)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		tight := make(match.Set, terms)
+		for j := range tight {
+			tight[j] = match.Match{Loc: 7, Score: randScore(rng)}
+			maxima[j] = tight[j].Score
+		}
+		if v, b := score(tight), bound(maxima, 0); !(b >= v && b-v <= 1e-9*math.Abs(v)) {
+			return fmt.Errorf("scorefn: %s window bound %v not within the rounding margin of score %v at zero window", family, b, v)
+		}
+	}
+	return nil
+}
+
+// listMaxima returns each list's maximum match score, the window
+// bounds' perListMax, as a join kernel tracks it: a NaN score is never
+// a maximum, and an all-NaN list reads -Inf.
+func listMaxima(lists []match.List) []float64 {
+	out := make([]float64, len(lists))
+	for j, l := range lists {
+		out[j] = math.Inf(-1)
+		for _, m := range l {
+			if m.Score > out[j] {
+				out[j] = m.Score
+			}
+		}
+	}
+	return out
+}
+
+// forEachSet calls fn on every matchset of the lists' cross product
+// (one reused Set), stopping at fn's first error.
+func forEachSet(lists []match.List, fn func(match.Set) error) error {
+	idx := make([]int, len(lists))
+	set := make(match.Set, len(lists))
+	for {
+		for j := range set {
+			set[j] = lists[j][idx[j]]
+		}
+		if err := fn(set); err != nil {
+			return err
+		}
+		j := len(lists) - 1
+		for ; j >= 0; j-- {
+			if idx[j]++; idx[j] < len(lists[j]) {
+				break
+			}
+			idx[j] = 0
+		}
+		if j < 0 {
+			return nil
+		}
+	}
+}
+
+// hostileScore draws from the scores a contract-abiding caller never
+// sends and a bound must still not mis-cut on: zero and negative
+// (ln is -Inf or NaN), NaN itself, exact ones (ties), among ordinary
+// scores.
+func hostileScore(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0:
+		return 0
+	case 1:
+		return -rng.Float64()
+	case 2:
+		return math.NaN()
+	case 3:
+		return 1
+	}
+	return randScore(rng)
 }
 
 func randScore(rng *rand.Rand) float64 {

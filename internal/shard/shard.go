@@ -515,6 +515,7 @@ func (c *Coordinator) Stats() engine.Stats {
 		agg.JoinsRun += s.JoinsRun
 		agg.KernelInvocations += s.KernelInvocations
 		agg.FloorCutJoins += s.FloorCutJoins
+		agg.WindowCutJoins += s.WindowCutJoins
 		agg.DedupCapped += s.DedupCapped
 		agg.PrunedDocs += s.PrunedDocs
 		agg.ConceptHits += s.ConceptHits
