@@ -403,79 +403,93 @@ func TestEnginePublicAPI(t *testing.T) {
 // engineBenchUnionQuery evaluates the main benchmark query's concepts
 // as a ranked union: any concept may match, so the candidate space is
 // near the whole corpus — exactly the regime where WAND pivot skipping
-// pays or the union path drowns in joins. The family is the additive
-// SumMAX: under the product families a single strong list caps every
-// union bound at ~its own maximum, so no pivot can fall below a floor
-// built from multi-concept matches and WAND degenerates to exhaustive
-// (soundly, but with nothing to measure). Additive scoring is where
-// the bound separates partial matches from full ones.
-func engineBenchUnionQuery() bestjoin.EngineQuery {
+// pays or the union path drowns in joins. Two families, two regimes.
+// Under the additive SumMAX the bound separates partial matches from
+// full ones and pivots fall strictly below the floor. Under the product
+// families proxserve serves (here the valid-matchset ExpMED) a single
+// strong list caps every union bound at ~its own maximum, the heap
+// fills with documents at that cap, and every later pivot ties the
+// floor: those are pruned because the id-ordered walk has already lost
+// them the tie (the rank-order floor), not on score.
+func engineBenchUnionQuery(join bestjoin.Joiner) bestjoin.EngineQuery {
 	q := engineBenchQuery()
 	q.Mode = bestjoin.ModeOR
-	q.Join = bestjoin.JoinMAX(bestjoin.SumMAX{Alpha: 0.1})
+	q.Join = join
 	return q
 }
 
 // BenchmarkEngineUnion measures the disjunctive (block-max WAND) path:
-// the ranked union pruned vs exhaustive, plus an m-of-n middle point.
-// pivotskips/op and unioncandidates/op land in BENCH_engine.json via
-// scripts/benchjson.sh, so the skip rate is tracked across changes the
-// same way the conjunctive layer tracks pruneddocs/op.
+// the ranked union pruned vs exhaustive, plus an m-of-n middle point,
+// for SumMAX (unprefixed names) and for the served family (med/).
+// joins/op, pivotskips/op, pruneddocs/op and unioncandidates/op land in
+// BENCH_engine.json via scripts/benchjson.sh, so the skip rate is
+// tracked across changes the same way the conjunctive layer tracks
+// pruneddocs/op.
 func BenchmarkEngineUnion(b *testing.B) {
 	c := engineBenchIndex()
-	q := engineBenchUnionQuery()
-
-	// Gate: the pruned union must be bitwise identical to the
-	// exhaustive one before its latency means anything.
-	pe := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
-	ue := bestjoin.NewEngine(c, bestjoin.EngineConfig{DisablePruning: true})
-	rp, err := pe.Search(context.Background(), q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ru, err := ue.Search(context.Background(), q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(rp.Docs) != len(ru.Docs) {
-		b.Fatalf("pruned union returned %d docs, unpruned %d", len(rp.Docs), len(ru.Docs))
-	}
-	for i := range rp.Docs {
-		if rp.Docs[i].Doc != ru.Docs[i].Doc || rp.Docs[i].Score != ru.Docs[i].Score {
-			b.Fatalf("rank %d differs: pruned (%d, %v) vs unpruned (%d, %v)", i,
-				rp.Docs[i].Doc, rp.Docs[i].Score, ru.Docs[i].Doc, ru.Docs[i].Score)
-		}
-	}
-
-	m2 := q
-	m2.MinMatch = 2
-	for _, bench := range []struct {
-		name string
-		cfg  bestjoin.EngineConfig
-		q    bestjoin.EngineQuery
+	for _, fam := range []struct {
+		prefix string
+		join   bestjoin.Joiner
 	}{
-		{"or/pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}, q},
-		{"or/unpruned", bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true}, q},
-		{"m2/pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}, m2},
+		{"", bestjoin.JoinMAX(bestjoin.SumMAX{Alpha: 0.1})},
+		{"med/", bestjoin.JoinValidMED(bestjoin.ExpMED{Alpha: 0.1})},
 	} {
-		b.Run(bench.name, func(b *testing.B) {
-			e := bestjoin.NewEngine(c, bench.cfg)
-			if _, err := e.Search(context.Background(), bench.q); err != nil {
+		q := engineBenchUnionQuery(fam.join)
+		m2 := q
+		m2.MinMatch = 2
+
+		// Gate: the pruned union must be bitwise identical to the
+		// exhaustive one before its latency means anything.
+		for _, gq := range []bestjoin.EngineQuery{q, m2} {
+			rp, err := bestjoin.NewEngine(c, bestjoin.EngineConfig{}).Search(context.Background(), gq)
+			if err != nil {
 				b.Fatal(err)
 			}
-			base := e.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			ru, err := bestjoin.NewEngine(c, bestjoin.EngineConfig{DisablePruning: true}).Search(context.Background(), gq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rp.Docs) != len(ru.Docs) {
+				b.Fatalf("%sm=%d: pruned union returned %d docs, unpruned %d", fam.prefix, gq.MinMatch, len(rp.Docs), len(ru.Docs))
+			}
+			for i := range rp.Docs {
+				if rp.Docs[i].Doc != ru.Docs[i].Doc || rp.Docs[i].Score != ru.Docs[i].Score {
+					b.Fatalf("%sm=%d: rank %d differs: pruned (%d, %v) vs unpruned (%d, %v)", fam.prefix, gq.MinMatch, i,
+						rp.Docs[i].Doc, rp.Docs[i].Score, ru.Docs[i].Doc, ru.Docs[i].Score)
+				}
+			}
+		}
+
+		for _, bench := range []struct {
+			name string
+			cfg  bestjoin.EngineConfig
+			q    bestjoin.EngineQuery
+		}{
+			{"or/pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}, q},
+			{"or/unpruned", bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true}, q},
+			{"m2/pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}, m2},
+		} {
+			b.Run(fam.prefix+bench.name, func(b *testing.B) {
+				e := bestjoin.NewEngine(c, bench.cfg)
 				if _, err := e.Search(context.Background(), bench.q); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			st := e.Stats()
-			b.ReportMetric(float64(st.PivotSkips-base.PivotSkips)/float64(b.N), "pivotskips/op")
-			b.ReportMetric(float64(st.UnionCandidates-base.UnionCandidates)/float64(b.N), "unioncandidates/op")
-		})
+				base := e.Stats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.Search(context.Background(), bench.q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				st := e.Stats()
+				b.ReportMetric(float64(st.JoinsRun-base.JoinsRun)/float64(b.N), "joins/op")
+				b.ReportMetric(float64(st.PivotSkips-base.PivotSkips)/float64(b.N), "pivotskips/op")
+				b.ReportMetric(float64(st.PrunedDocs-base.PrunedDocs)/float64(b.N), "pruneddocs/op")
+				b.ReportMetric(float64(st.UnionCandidates-base.UnionCandidates)/float64(b.N), "unioncandidates/op")
+			})
+		}
 	}
 }
 

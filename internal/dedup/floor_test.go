@@ -176,44 +176,6 @@ func TestKernelFloor(t *testing.T) {
 	}
 }
 
-// TestSearchFloorOnly: after SearchFloorOnly the floor still stops the
-// search at its root — on the score the inner kernel computed, never on
-// the inner kernel's screen — and changes no answer.
-func TestSearchFloorOnly(t *testing.T) {
-	for name, inner := range innerKernels() {
-		both, only := Wrap(innerKernels()[name]), Wrap(inner)
-		only.SearchFloorOnly()
-		cuts := 0
-		for fam, instances := range searchFamilies() {
-			for i, lists := range instances {
-				for _, floor := range []float64{math.Inf(-1), 0.5, math.MaxFloat64} {
-					run := func(k *Kernel) Result {
-						k.SetFloor(floor)
-						k.Reset(nil, lists)
-						set, score, ok := k.Join()
-						return Result{Set: set.Clone(), Score: score, OK: ok, Invocations: k.Invocations()}
-					}
-					// Every run of a cut search is a full one here, but
-					// there are as many: the screen cuts only what the
-					// search would have cut on the score.
-					if got, want := run(only), run(both); !sameResult(got, want) {
-						t.Fatalf("%s %s #%d floor %v: %+v, forwarding kernel %+v", name, fam, i, floor, got, want)
-					}
-					if only.WindowCut() || only.FloorCut() != both.FloorCut() {
-						t.Fatalf("%s %s #%d floor %v: WindowCut %v, FloorCut %v, forwarding kernel's FloorCut %v", name, fam, i, floor, only.WindowCut(), only.FloorCut(), both.FloorCut())
-					}
-					if only.FloorCut() {
-						cuts++
-					}
-				}
-			}
-		}
-		if cuts == 0 {
-			t.Fatalf("%s: no search was cut", name)
-		}
-	}
-}
-
 // TestCappedSearchIsFlagged lowers the rerun cap under a 60 %
 // duplicate-frequency synth workload: every search that stops at the
 // cap says so, and no search that ran to completion does.

@@ -68,11 +68,6 @@ func (k *Kernel) SetFloor(floor float64) {
 	}
 }
 
-// SearchFloorOnly stops SetFloor forwarding the floor to the inner
-// kernel: the search keeps its own cut, the inner kernel runs every
-// instance in full, as one without a screen does.
-func (k *Kernel) SearchFloorOnly() { k.floored = nil }
-
 // Join solves the loaded instance with duplicate avoidance. ok is
 // false when no valid matchset exists, when none reaches the floor
 // (SetFloor), or when the invocation cap was hit before one was found

@@ -91,14 +91,15 @@ func TestDifferentialBlocksVsFlat(t *testing.T) {
 	}
 }
 
-// TestBlocksNeverPruneOnEquality mirrors the flat-path equality test
-// at block granularity: a block whose max-score bound ties the top-k
-// floor must still be decoded, because a document inside it can win
-// its tie-break on id. The corpus is built so every document scores
-// identically; with k less than the document count the floor equals
-// every block's bound, and any block-level skip would change the
-// (id-ordered) answer.
-func TestBlocksNeverPruneOnEquality(t *testing.T) {
+// TestBlocksPruneInRankOrder is the flat-path equality test at block
+// granularity. Every document scores identically and every block's
+// max-score bound ties the top-k floor, so what decides a block is
+// document ids alone: a block holding a document that still wins its
+// tie against the k-th kept entry must be decoded, and a block whose
+// documents have all lost it already must not be. One worker takes the
+// 12 candidates in id order, so after documents 0–3 fill the heap the
+// four blocks behind them go unfetched, exactly.
+func TestBlocksPruneInRankOrder(t *testing.T) {
 	docs := make([]string, 12)
 	for i := range docs {
 		docs[i] = "amber basalt"
@@ -113,6 +114,11 @@ func TestBlocksNeverPruneOnEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "all ties", res.Docs, want.Docs)
 	if len(res.Docs) != 4 {
 		t.Fatalf("got %d docs, want 4", len(res.Docs))
 	}
@@ -121,8 +127,9 @@ func TestBlocksNeverPruneOnEquality(t *testing.T) {
 			t.Fatalf("rank %d is doc %d, want %d (tie-break by id broken)", i, dr.Doc, i)
 		}
 	}
-	if got := e.Stats().BlocksSkipped; got != 0 {
-		t.Fatalf("%d blocks skipped on an all-ties query", got)
+	if st := e.Stats(); st.BlocksSkipped != 4 || res.Pruned != 8 || res.Evaluated != 4 {
+		t.Fatalf("%d blocks skipped, %d documents pruned, %d evaluated; want the 4 blocks and 8 documents behind doc 3 skipped and 4 evaluated",
+			st.BlocksSkipped, res.Pruned, res.Evaluated)
 	}
 }
 

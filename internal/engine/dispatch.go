@@ -40,41 +40,43 @@ type docJob struct {
 // and disjunctive paths. Workers drain job chunks, re-check each job's
 // bound against the risen floor, complete block-served match lists
 // (lazy per-block decode), run the kernel under panic isolation, and
-// offer results to the shared top-k heap. The floor is loaded once per
-// chunk and refreshed only after an offer could have raised it; a
-// stale floor is sound — the floor only rises, so staleness prunes
-// less, never more. Strictly-below only: a bound equal to the floor
-// can still win its tie-break on document id. The same floor arms a
-// join.Floored kernel (safeJoin), unless pruning is disabled — as far
-// down as buildKernel lets it reach for the path (union).
+// offer results to the shared top-k heap. The floor entry is
+// snapshotted once per chunk and refreshed only after an offer could
+// have raised it; a stale snapshot is sound — the entry only improves
+// in rank order, so staleness prunes less, never more. A job is
+// dropped only when its bound is strictly below its bar
+// (floorEntry.bar): a bound at the floor still runs when the
+// document's id would win the tie. The same bar arms a join.Floored
+// kernel (safeJoin), unless pruning is disabled.
 // Conjunctive jobs (mask == 0) carry full-width list slices;
 // disjunctive jobs carry a concept bitmask with one compacted list
 // slot per set bit. The caller closes jobs and waits on wg.
 func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conceptData,
-	workers int, union bool, jobs <-chan []docJob, top *topK, evaluated, pruned *atomic.Int64, wg *sync.WaitGroup) {
+	workers int, jobs <-chan []docJob, top *topK, evaluated, pruned *atomic.Int64, wg *sync.WaitGroup) {
 	nc := len(cds)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kern := buildKernel(factory, e, union)
+			kern := buildKernel(factory, e)
 			fetch := make([]blockFetch, nc)
 			for i := range fetch {
 				fetch[i].blk = -1
 			}
 			for chunk := range jobs {
 				e.counters.queueDepth.Add(-int64(len(chunk)))
-				floor := top.Floor()
+				floor := top.entry()
 				for _, jb := range chunk {
 					// Drain without evaluating once the query is out of
 					// time; those documents count as unevaluated.
 					if qs.ctx.Err() != nil {
 						continue
 					}
-					if jb.bound < floor {
+					bar := floor.bar(jb.doc)
+					if jb.bound < bar {
 						pruned.Add(1)
 						e.counters.prunedDocs.Add(1)
-						if jb.orig >= floor {
+						if jb.orig >= bar {
 							// Only the pair-tightened bound is below the
 							// floor: this prune is the pair index's win.
 							e.counters.pairBoundPrunes.Add(1)
@@ -95,13 +97,13 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 						continue
 					}
 					if kern.Kernel == nil { // last build panicked: retry per job
-						kern = buildKernel(factory, e, union)
+						kern = buildKernel(factory, e)
 						if kern.Kernel == nil {
 							qs.fail()
 							continue
 						}
 					}
-					set, score, ok, panicked := safeJoin(kern, floor, jb.lists)
+					set, score, ok, panicked := safeJoin(kern, bar, jb.lists)
 					e.counters.joinsRun.Add(1)
 					if panicked {
 						e.counters.joinPanics.Add(1)
@@ -128,7 +130,7 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 					evaluated.Add(1)
 					if ok && !math.IsNaN(score) {
 						top.offer(jb.doc, score, set)
-						floor = top.Floor()
+						floor = top.entry()
 					}
 				}
 			}

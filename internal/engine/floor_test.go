@@ -80,6 +80,33 @@ func TestTopKSharedFloor(t *testing.T) {
 	}
 }
 
+// TestSharedFloorTieRule: which ties a member may prune depends on
+// where the shared floor sits. Strictly above the member's own k-th
+// kept score it is a score and nothing more — some other member holds
+// the documents, their ids are unknown — so a document tying it never
+// prunes, whatever ids this member keeps. Equal to (or below) the
+// member's own score, the member's own entry decides: a document that
+// k local entries outrank is out of this member's top-k and so out of
+// the merge.
+func TestSharedFloorTieRule(t *testing.T) {
+	g := NewGlobalFloor()
+	top := newTopK(2, g)
+	top.offer(2, 0.5, nil)
+	top.offer(3, 0.5, nil)
+	if e := top.entry(); e.score != 0.5 || e.doc != 3 || !(0.5 < e.bar(9)) || e.bar(1) != 0.5 {
+		t.Fatalf("local entry (%v, %d), bar(9) %v, bar(1) %v: want (0.5, 3), above 0.5, 0.5", e.score, e.doc, e.bar(9), e.bar(1))
+	}
+	g.Raise(1.0) // another member's documents
+	if e := top.entry(); e.score != 1.0 || e.doc != math.MaxInt || e.bar(9) != 1.0 {
+		t.Fatalf("shared floor above the local score: entry (%v, %d), bar(9) %v; want (1, MaxInt) and 1 — document 9 may hold the merge's lowest id", e.score, e.doc, e.bar(9))
+	}
+	top.offer(9, 1.0, nil)
+	top.offer(5, 1.0, nil) // local k-th score now equals the shared floor
+	if e := top.entry(); e.score != 1.0 || e.doc != 9 || !(1.0 < e.bar(11)) || e.bar(7) != 1.0 {
+		t.Fatalf("shared floor equal to the local score: entry (%v, %d), bar(11) %v, bar(7) %v; want (1, 9), above 1, 1", e.score, e.doc, e.bar(11), e.bar(7))
+	}
+}
+
 func TestEngineHealthAndEpoch(t *testing.T) {
 	idx := buildCompact(t, []string{"alpha beta", "beta gamma"})
 	e := New(idx, Config{Workers: 1})

@@ -142,12 +142,8 @@ type workerKernel struct {
 
 // buildKernel calls the query's factory, recovering a panicking
 // factory to the zero workerKernel so one hostile factory cannot kill
-// a worker (and with it the whole query's WaitGroup). union builds for
-// the disjunctive path, which arms the duplicate-avoidance search with
-// the floor and nothing below it: the WIN/MED window screen serves
-// conjunctive queries only, until arming it for the sub-instances a
-// union joins is measured as a change of its own (ROADMAP).
-func buildKernel(f KernelFactory, e *Engine, union bool) (wk workerKernel) {
+// a worker (and with it the whole query's WaitGroup).
+func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.counters.joinPanics.Add(1)
@@ -158,13 +154,6 @@ func buildKernel(f KernelFactory, e *Engine, union bool) (wk workerKernel) {
 	wk.valid, _ = wk.Kernel.(*dedup.Kernel)
 	if e.prune {
 		wk.floored, _ = wk.Kernel.(join.Floored)
-		if union {
-			if wk.valid == nil {
-				wk.floored = nil
-			} else {
-				wk.valid.SearchFloorOnly()
-			}
-		}
 	}
 	return wk
 }
@@ -173,9 +162,10 @@ func buildKernel(f KernelFactory, e *Engine, union bool) (wk workerKernel) {
 // SetFloor, in Reset, in Join, or injected at the KernelJoin site is
 // contained to this one document. The kernel must be treated as
 // poisoned after a panic — its scratch may be mid-mutation. A Floored
-// kernel is armed with floor first, so ok == false also means "scores
-// strictly below floor" (the kernel-floor screen, DESIGN.md).
-func safeJoin(kern workerKernel, floor float64, lists match.Lists) (set match.Set, score float64, ok, panicked bool) {
+// kernel is armed with the document's bar first, so ok == false also
+// means "ranks strictly below the k-th kept entry" (the kernel-floor
+// screen, DESIGN.md).
+func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set, score float64, ok, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			set, score, ok, panicked = nil, 0, false, true
@@ -183,7 +173,7 @@ func safeJoin(kern workerKernel, floor float64, lists match.Lists) (set match.Se
 	}()
 	faultinject.MaybePanic(faultinject.KernelJoin)
 	if kern.floored != nil {
-		kern.floored.SetFloor(floor)
+		kern.floored.SetFloor(bar)
 	}
 	kern.Reset(nil, lists)
 	set, score, ok = kern.Join()

@@ -63,8 +63,9 @@ func (e *Engine) conceptPairs(qs *queryState, a, b index.Concept, fp uint64) (pt
 // The serve mirrors the kernel path's accounting: every record in the
 // list is one candidate (tombstones included — the list's document
 // set is exactly the two concepts' intersection), a record offered or
-// tombstoned counts as evaluated, and a record (or whole block)
-// skipped against the floor counts as pruned, strictly-below only.
+// tombstoned counts as evaluated, and a record (or whole block) that
+// ranks strictly below the k-th kept entry (floorEntry.bar) counts as
+// pruned.
 func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time.Time) (*Result, bool) {
 	pt := e.conceptPairs(qs, q.Concepts[0], q.Concepts[1], fp)
 	if pt == nil {
@@ -84,9 +85,13 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 			break
 		}
 		info := &pt.Infos[i]
-		if e.prune && info.MaxScore < top.Floor() {
-			// The whole block is provably below the floor: skip it
-			// without decoding, like the block-max skip layer.
+		// Refreshed per block (a shared fleet floor may have risen) and
+		// after every offer; the block's first document has the weakest
+		// bar in it.
+		floor := top.entry()
+		if e.prune && info.MaxScore < floor.bar(info.FirstDoc) {
+			// The whole block provably ranks below the k-th kept entry:
+			// skip it without decoding, like the block-max skip layer.
 			pruned += info.NDocs
 			continue
 		}
@@ -104,7 +109,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 				continue
 			}
 			// A record's exact score is its own tightest upper bound.
-			if e.prune && ent.Score < top.Floor() {
+			if e.prune && ent.Score < floor.bar(ent.Doc) {
 				pruned++
 				continue
 			}
@@ -113,6 +118,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 				scratch[0], scratch[1] = ent.W1, ent.W0
 			}
 			top.offer(ent.Doc, ent.Score, scratch) // offer clones scratch
+			floor = top.entry()
 			evaluated++
 		}
 	}

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"bestjoin/internal/index"
+	"bestjoin/internal/join"
+	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
 
@@ -71,6 +74,101 @@ func TestNeverPruneOnEquality(t *testing.T) {
 	}
 	if res.Partial {
 		t.Fatal("result marked Partial")
+	}
+}
+
+// slowRepeatKernel is a WIN kernel that dawdles over documents whose
+// first list holds three matches or more, so a test can make chosen documents
+// reach the heap after everything dispatched behind them. Embedding
+// keeps every optional capability (bounds, join.Floored) of the kernel.
+type slowRepeatKernel struct {
+	*join.WINKernel
+	slow bool
+}
+
+func (k *slowRepeatKernel) Reset(fn any, lists match.Lists) {
+	k.slow = len(lists) > 0 && len(lists[0]) > 2
+	k.WINKernel.Reset(fn, lists)
+}
+
+func (k *slowRepeatKernel) Join() (match.Set, float64, bool) {
+	if k.slow {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return k.WINKernel.Join()
+}
+
+// TestLateLowIdsStillWin: every document scores the same (LinearWIN,
+// integer-valued, as in TestNeverPruneOnEquality), so the answer is the
+// k lowest ids, and both arms arrange for those to reach the heap last,
+// when it already holds k ties with larger ids and every screen is
+// comparing against them. A tie lost on id prunes; these ties are won
+// on id and must not.
+//
+//   - AND, bound-ordered dispatch: documents 10… are "gold pad apple"
+//     (bound 5, score 4), 0…9 are "apple" (bound 4 = score 4), so the
+//     dispatcher sends 0…9 after all the others. 0…4 must displace the
+//     kept entries; 5…9 have lost the tie by then.
+//   - OR over blocks: concept B's only (hence last) block holds
+//     documents 0…4, which repeat their word and are joined slowly;
+//     concept A's 395 documents behind them are joined by the other
+//     workers meanwhile.
+func TestLateLowIdsStillWin(t *testing.T) {
+	const n, k = 400, 5
+	factory := func() join.Kernel {
+		return &slowRepeatKernel{WINKernel: join.NewWINKernel(scorefn.LinearWIN{Scale: 1})}
+	}
+	and := make([]string, n)
+	or := make([]string, n)
+	for i := range and {
+		and[i], or[i] = "gold pad apple", "apple"
+		if i < 2*k {
+			and[i] = "apple"
+		}
+		if i < k {
+			or[i] = "gold gold gold"
+		}
+	}
+	arms := []struct {
+		name  string
+		docs  []string
+		query Query
+		score float64
+	}{
+		{"and", and, Query{Concepts: []index.Concept{{"apple": 2, "gold": 3}, {"apple": 2}}}, 4},
+		{"or", or, Query{Concepts: []index.Concept{{"gold": 2}, {"apple": 2}}, Mode: ModeOR}, 2},
+	}
+	for _, arm := range arms {
+		compact := buildCompact(t, arm.docs)
+		for _, c := range arm.query.Concepts {
+			compact.AddConceptBlocksSized(c, 8)
+		}
+		q := arm.query
+		q.Join, q.K = factory, k
+		want, err := New(compact, Config{Workers: 8, DisablePruning: true}).Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned := 0
+		for trial := 0; trial < 5; trial++ {
+			res, err := New(compact, Config{Workers: 8}).Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameDocs(t, arm.name, res.Docs, want.Docs)
+			for i, dr := range res.Docs {
+				if dr.Doc != i || dr.Score != arm.score {
+					t.Fatalf("%s: rank %d is doc %d score %v, want doc %d score %v", arm.name, i, dr.Doc, dr.Score, i, arm.score)
+				}
+			}
+			if len(res.Docs) != k || res.Partial || res.Evaluated+res.Pruned != res.Candidates {
+				t.Fatalf("%s: %d docs, Partial %v, Evaluated %d + Pruned %d of %d", arm.name, len(res.Docs), res.Partial, res.Evaluated, res.Pruned, res.Candidates)
+			}
+			pruned += res.Pruned
+		}
+		if pruned == 0 {
+			t.Fatalf("%s: no lost tie was pruned in any trial", arm.name)
+		}
 	}
 }
 

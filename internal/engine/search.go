@@ -50,8 +50,9 @@ type Query struct {
 	// single-engine case) keeps the floor query-local. Sharing is
 	// lossless for the merged result: a shard's k-th-best kept score is
 	// a lower bound on the global k-th best — those k documents exist —
-	// and pruning is strictly-below only, so equal-scoring documents
-	// still surface for the merge's doc-id tie-break.
+	// and against the shared floor pruning is strictly-below on score,
+	// so equal-scoring documents still surface for the merge's doc-id
+	// tie-break (a member prunes ties only against its own kept entry).
 	Floor *GlobalFloor
 }
 
@@ -324,7 +325,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	}
 	jobs := make(chan []docJob, chunkCap)
 	var wg sync.WaitGroup
-	e.joinWorkers(qs, q.Join, cds, workers, false, jobs, top, &evaluated, &pruned, &wg)
+	e.joinWorkers(qs, q.Join, cds, workers, jobs, top, &evaluated, &pruned, &wg)
 
 	// One flat backing array for every job's lists header, and one for
 	// the jobs themselves: chunks are subslices of jobsBacking (which
@@ -345,7 +346,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 			return false
 		}
 	}
-	flushFloor := top.Floor()
+	flushFloor := top.entry()
 dispatch:
 	for oi := 0; oi < len(candidates); oi++ {
 		if oi&31 == 0 {
@@ -355,7 +356,7 @@ dispatch:
 			if ctx.Err() != nil {
 				break dispatch
 			}
-			flushFloor = top.Floor()
+			flushFloor = top.entry()
 		}
 		i := oi
 		bound := math.Inf(1)
@@ -363,13 +364,14 @@ dispatch:
 			i = order[oi]
 			bound = bounds[i]
 			// Screen before assembling lists: a document whose bound
-			// is strictly below the current floor cannot displace any
-			// kept document (the floor only rises), so skipping its
-			// join — and its match-list assembly — loses nothing.
-			if bound < flushFloor {
+			// ranks strictly below the k-th kept entry (floorEntry.bar)
+			// cannot displace any kept document (the entry only
+			// improves), so skipping its join — and its match-list
+			// assembly — loses nothing.
+			if bar := flushFloor.bar(candidates[i]); bound < bar {
 				pruned.Add(1)
 				e.counters.prunedDocs.Add(1)
-				if pairOrig != nil && pairOrig[i] >= flushFloor {
+				if pairOrig != nil && pairOrig[i] >= bar {
 					// The per-list bound alone would have let this
 					// document through to a join: the prune is the pair
 					// index's win.

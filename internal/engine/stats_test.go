@@ -20,12 +20,13 @@ import (
 // unwrapped kernel, so KernelInvocations/JoinsRun read off a live
 // server is the paper's Figure 8 quantity. With pruning off no join
 // sees a floor and the count is the floorless replay's; with pruning
-// on and one worker the floor each join sees is a function of dispatch
-// order alone, so a replay that models both kernel-floor screens must
-// predict every counter exactly — JoinsRun, KernelInvocations,
-// FloorCutJoins, WindowCutJoins, PrunedDocs, for the wrapped kernel and
-// the bare one — and the wrapped count must come out strictly below the
-// floorless one; with more workers the floors depend on the schedule,
+// on and one worker the bar each join sees (floorEntry.bar: the floor,
+// or one ulp above it for a document that has lost the tie on id) is a
+// function of dispatch order alone, so a replay that models both
+// kernel-floor screens must predict every counter exactly — JoinsRun,
+// KernelInvocations, FloorCutJoins, WindowCutJoins, PrunedDocs, for the
+// wrapped kernel and the bare one — and the wrapped count must come out
+// strictly below the floorless one; with more workers the floors depend on the schedule,
 // like PrunedDocs, and only the bounds hold.
 func TestKernelInvocationsCounted(t *testing.T) {
 	// Three documents the window screen must let through to the search
@@ -91,8 +92,8 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	}
 
 	// The floored replay: one worker takes candidates in bound order,
-	// skips those whose bound is under its floor, arms the kernel with
-	// that floor, and reloads it after every offer. The kernels replayed
+	// skips those whose bound is under their bar, arms the kernel with
+	// that bar, and reloads the floor entry after every offer. The kernels replayed
 	// know no window screen — one-shot joins, which dedup.Wrap cannot
 	// arm — so the screen is the model's: a candidate whose window cap
 	// is under the floor is cut at its root run, unscored. The search
@@ -103,8 +104,9 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	replay := func(valid bool) (p prediction) {
 		search := dedup.Wrap(join.KernelFunc(oneShot))
 		top := newTopK(DefaultK, nil)
-		floor := top.Floor()
+		entry := top.entry()
 		for _, i := range boundOrder(bounds) {
+			floor := entry.bar(docs[i])
 			if bounds[i] < floor {
 				p.pruned++
 				continue
@@ -130,7 +132,7 @@ func TestKernelInvocationsCounted(t *testing.T) {
 			}
 			if ok {
 				top.offer(docs[i], score, set)
-				floor = top.Floor()
+				entry = top.entry()
 			}
 		}
 		return p

@@ -133,6 +133,120 @@ func TestTopKFloorBeforeFull(t *testing.T) {
 	}
 }
 
+// TestBarMatchesResultOrder: for random heaps and random (bound, doc),
+// bound < bar(doc) exactly when (bound, doc) sorts strictly after the
+// heap's weakest kept entry under docHeap.Less — the order offer and
+// results rank by. Values are drawn from a pool with ±0, ±Inf, NaN and
+// neighbouring floats so ties and the edges are hit constantly. A heap
+// not yet full and a NaN on either side never prune. The one case the
+// float bar cannot say: at a floor of +Inf there is no float above, so
+// a lost tie there is kept (conservative, never unsound).
+func TestBarMatchesResultOrder(t *testing.T) {
+	inf := math.Inf(1)
+	pool := []float64{-inf, -1, math.Copysign(0, -1), 0, 5e-324, 0.5, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 7, math.MaxFloat64, inf, math.NaN()}
+	rng := rand.New(rand.NewSource(1903))
+	pruned, kept := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		k := 1 + rng.Intn(4)
+		top := newTopK(k, nil)
+		for n := rng.Intn(2 * k); n > 0; n-- {
+			top.offer(rng.Intn(12), pool[rng.Intn(len(pool))], nil)
+		}
+		entry := top.entry()
+		for probe := 0; probe < 8; probe++ {
+			cand := DocResult{Doc: rng.Intn(12), Score: pool[rng.Intn(len(pool))]}
+			got := cand.Score < entry.bar(cand.Doc)
+			if len(top.h) < k {
+				if got {
+					t.Fatalf("heap %+v of k=%d not full, yet (%v, %d) prunes", top.h, k, cand.Score, cand.Doc)
+				}
+				continue
+			}
+			root := top.h[0]
+			if entry.score != root.Score && !(math.IsNaN(entry.score) && math.IsNaN(root.Score)) || entry.doc != root.Doc {
+				t.Fatalf("entry (%v, %d), heap root (%v, %d)", entry.score, entry.doc, root.Score, root.Doc)
+			}
+			want := docHeap{cand, root}.Less(0, 1)
+			if root.Score == inf && cand.Score == inf {
+				want = false
+			}
+			if got != want {
+				t.Fatalf("root (%v, %d): (%v, %d) prunes = %v, sorts strictly after the root = %v", root.Score, root.Doc, cand.Score, cand.Doc, got, want)
+			}
+			if math.IsNaN(cand.Score) && got {
+				t.Fatalf("NaN bound prunes against root (%v, %d)", root.Score, root.Doc)
+			}
+			if got {
+				pruned++
+			} else {
+				kept++
+			}
+		}
+	}
+	if pruned < 1000 || kept < 1000 {
+		t.Fatalf("%d pruned, %d kept: the draw does not exercise both sides", pruned, kept)
+	}
+}
+
+// TestTopKEntryNeverTorn hammers offer from several goroutines while
+// readers take snapshots: every snapshot must be a (score, doc) pair
+// that was the heap's root at some moment — scores are a function of
+// the document id here, so a torn pair (one entry's score, another's
+// doc) is recognisable on sight — and successive snapshots of one
+// reader only improve in rank order.
+func TestTopKEntryNeverTorn(t *testing.T) {
+	const k, writers, readers, docs = 4, 4, 4, 20000
+	score := func(doc int) float64 { return float64(doc % 97) } // many ties across ids
+	top := newTopK(k, nil)
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			last := top.entry()
+			for {
+				e := top.entry()
+				if e.doc != math.MaxInt && e.score != score(e.doc) || e.doc == math.MaxInt && !math.IsInf(e.score, -1) {
+					t.Errorf("torn snapshot (%v, %d): doc %d scores %v", e.score, e.doc, e.doc, score(e.doc))
+					return
+				}
+				if e.tied != math.Nextafter(e.score, math.Inf(1)) {
+					t.Errorf("snapshot (%v, %d) carries tied %v", e.score, e.doc, e.tied)
+					return
+				}
+				if e.score < last.score || e.score == last.score && e.doc > last.doc {
+					t.Errorf("snapshot went from (%v, %d) back to (%v, %d)", last.score, last.doc, e.score, e.doc)
+					return
+				}
+				last = e
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(docs) {
+				if i%writers == w {
+					top.offer(i, score(i), nil)
+				}
+			}
+		}(w)
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	if e, res := top.entry(), top.results(); e.score != res[k-1].Score || e.doc != res[k-1].Doc {
+		t.Fatalf("final snapshot (%v, %d), k-th result (%v, %d)", e.score, e.doc, res[k-1].Score, res[k-1].Doc)
+	}
+}
+
 // TestDocHeapPopOrder pins docHeap's heap.Interface contract directly:
 // popping drains in (score asc, doc desc) order, so the root is always
 // the entry top-k would discard first.

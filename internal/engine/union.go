@@ -20,22 +20,27 @@ import (
 // a confirmed candidate. Its aggregate score bound is the kernel's
 // disjunctive cap (join.UnionBounded) over the matched cursors'
 // per-list maxima — exact document maxima for flat concepts, block-max
-// table entries for block-served ones. A pivot whose bound is strictly
-// below the atomic top-k floor is skipped without assembling a single
-// match list (never on equality: an equal-bound document can still win
-// its tie-break on document id), and the walk then tries to jump the
-// matched cursors over the whole remaining block range in one seek
-// (see advance). Documents that survive the bound go to the shared
-// worker pool, where block match areas are decoded lazily — only for
-// documents that also survive the floor re-check at evaluation time.
+// table entries for block-served ones. A pivot whose bound ranks
+// strictly below the k-th kept entry (floorEntry.bar: below its score,
+// or tied with it on a larger document id — a tie the pivot would
+// still win on id never prunes) is skipped without assembling a single match
+// list, and the walk then tries to jump the matched cursors over the
+// whole remaining block range in one seek (see advance). The walk is
+// id-ordered, so once the heap holds k documents at the kernel's cap
+// every later pivot has lost its tie already: that is where Fagin's
+// threshold (k objects with grade at least the threshold) stops the
+// walk. Documents that survive the bound go to the shared worker pool,
+// where block match areas are decoded lazily — only for documents that
+// also survive the re-check at evaluation time.
 //
 // Soundness (DESIGN.md "Disjunctive retrieval & WAND soundness"): the
 // per-cursor maxima dominate every match score the document can
 // contribute, the union bound dominates the join over any subset of
-// ≥ m matched lists, and the floor is monotone non-decreasing — so a
-// pivot skipped against today's floor is rejected a fortiori by every
-// later one. The differential suite (union_diff_test.go) proves the
-// pruned union path bitwise-identical to the exhaustive ranked union.
+// ≥ m matched lists, and the kept entry only improves in rank order —
+// so a pivot skipped against today's entry is rejected a fortiori by
+// every later one. The differential suite (union_diff_test.go) proves
+// the pruned union path bitwise-identical to the exhaustive ranked
+// union.
 
 // QueryMode selects how many of a query's concepts a candidate
 // document must contain.
@@ -69,11 +74,19 @@ type unionCursor struct {
 
 // unionBounder wraps a kernel's disjunctive bound with panic
 // containment: a bound that panics poisons only the bounding — the
-// query continues unpruned, which is always sound.
+// query continues unpruned, which is always sound. It remembers its
+// last evaluation (consecutive pivots mostly carry bit-identical
+// maxima, and the cap costs a sort, a G per list and an F per subset
+// size); it belongs to the one dispatcher goroutine.
 type unionBounder struct {
 	e      *Engine
 	ub     join.UnionBounded
 	failed bool
+	// The last successful evaluation: the arguments' exact bits, in the
+	// order given, and the bound they produced. lastMin 0 = none yet.
+	lastMax   []uint64
+	lastMin   int
+	lastBound float64
 }
 
 // unionBounderFor probes the query's kernel for join.UnionBounded,
@@ -92,8 +105,13 @@ func (e *Engine) unionBounderFor(factory KernelFactory) (b *unionBounder) {
 }
 
 // bound evaluates the kernel's disjunctive cap; a panic flips failed
-// and yields +Inf, which never prunes.
+// and yields +Inf, which never prunes. Arguments bit-identical to the
+// previous call's return its bound without calling the kernel — the
+// same float, since the cap is a function of its arguments alone.
 func (b *unionBounder) bound(perListMax []float64, minMatch int) (v float64) {
+	if b.remembers(perListMax, minMatch) {
+		return b.lastBound
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			b.e.counters.joinPanics.Add(1)
@@ -101,7 +119,29 @@ func (b *unionBounder) bound(perListMax []float64, minMatch int) (v float64) {
 			v = math.Inf(1)
 		}
 	}()
-	return b.ub.ScoreUnionUpperBound(perListMax, minMatch)
+	b.lastMax = b.lastMax[:0]
+	for _, m := range perListMax {
+		b.lastMax = append(b.lastMax, math.Float64bits(m))
+	}
+	// Nothing is remembered until the kernel has answered: it may
+	// panic. It may also reorder perListMax, hence the copy above.
+	b.lastMin = 0
+	b.lastBound = b.ub.ScoreUnionUpperBound(perListMax, minMatch)
+	b.lastMin = minMatch
+	return b.lastBound
+}
+
+// remembers reports whether the arguments are the last evaluation's.
+func (b *unionBounder) remembers(perListMax []float64, minMatch int) bool {
+	if b.lastMin != minMatch || len(b.lastMax) != len(perListMax) {
+		return false
+	}
+	for i, m := range perListMax {
+		if math.Float64bits(m) != b.lastMax[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // searchUnion evaluates a disjunctive query: candidates are documents
@@ -179,7 +219,7 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 	}
 	jobs := make(chan []docJob, chunkCap)
 	var wg sync.WaitGroup
-	e.joinWorkers(qs, q.Join, cds, e.workers, true, jobs, top, &evaluated, &pruned, &wg)
+	e.joinWorkers(qs, q.Join, cds, e.workers, jobs, top, &evaluated, &pruned, &wg)
 
 	// The pivot walk. Unlike the conjunctive path the candidate count
 	// is unknown upfront, so chunks are freshly allocated slices (the
@@ -199,7 +239,7 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 			return false
 		}
 	}
-	flushFloor := top.Floor()
+	flushFloor := top.entry()
 	scratch := make([]float64, 0, len(alive))
 	atDoc := make([]*unionCursor, 0, len(alive))
 	steps := 0
@@ -212,7 +252,7 @@ pivots:
 				qs.cancelled = true
 				break pivots
 			}
-			flushFloor = top.Floor()
+			flushFloor = top.entry()
 		}
 		steps++
 		d := mthSmallestDoc(alive, minMatch)
@@ -260,11 +300,11 @@ pivots:
 		}
 		res.Candidates++
 		e.counters.unionCandidates.Add(1)
-		if bound < flushFloor {
+		if bound < flushFloor.bar(d) {
 			// Pivot skip: the matched cursors' aggregate bound cannot
-			// beat the floor, so d is pruned before a single match list
-			// is assembled — and the walk may clear a whole block range
-			// in the same move.
+			// outrank the kept entry, so d is pruned before a single
+			// match list is assembled — and the walk may clear a whole
+			// block range in the same move.
 			pruned.Add(1)
 			e.counters.prunedDocs.Add(1)
 			e.counters.pivotSkips.Add(1)
@@ -328,7 +368,8 @@ pivots:
 // position, the matched cursors' range maxima (block MaxScore; flat
 // suffix max past the current position) are constant upper bounds and
 // no other concept can join. If even their union bound sits strictly
-// below the floor, every document in the range loses a fortiori, so
+// below bar(d+1) — the weakest bar in the range, bars only rising with
+// the document id — every document in the range loses a fortiori, so
 // the walk seeks straight to jumpEnd+1 without confirming membership
 // of anything in between — whole blocks pass with their match areas,
 // and even their document directories, untouched. A pure-flat aligned
@@ -336,7 +377,7 @@ pivots:
 // suffix bound there is Fagin-style early termination of the whole
 // walk.
 func (e *Engine) advanceUnion(qs *queryState, alive *[]*unionCursor, atDoc []*unionCursor,
-	d int, floor float64, minMatch int, ub *unionBounder, scratch []float64) {
+	d int, floor floorEntry, minMatch int, ub *unionBounder, scratch []float64) {
 	target := d + 1
 	if ub != nil && !ub.failed {
 		jumpEnd := math.MaxInt
@@ -365,10 +406,10 @@ func (e *Engine) advanceUnion(qs *queryState, alive *[]*unionCursor, atDoc []*un
 				}
 			}
 			// Jump when too few concepts can even appear in the range,
-			// or when the range bound falls strictly below the floor.
+			// or when the range bound falls strictly below its bar.
 			jump := len(scratch) < minMatch
 			if !jump {
-				jump = ub.bound(scratch, minMatch) < floor && !ub.failed
+				jump = ub.bound(scratch, minMatch) < floor.bar(d+1) && !ub.failed
 			}
 			if jump {
 				if target = jumpEnd + 1; jumpEnd == math.MaxInt {

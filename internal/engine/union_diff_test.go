@@ -426,39 +426,105 @@ func TestUnionPivotSkipsCounted(t *testing.T) {
 	}
 }
 
-// TestUnionArmsSearchFloorOnly pins the kernel floors' scope: a
-// conjunctive query arms the window screen (the WIN/MED kernels',
-// wrapped or bare), a disjunctive one arms the duplicate-avoidance
-// search with the floor and leaves every inner run unscreened — same
-// query, same kernels, same answers either way.
-func TestUnionArmsSearchFloorOnly(t *testing.T) {
+// TestUnionArmsWindowScreen pins the kernel floors' scope: a
+// disjunctive query — plain OR and m-of-n — arms the WIN/MED window
+// screen exactly as a conjunctive one does, for the valid-matchset
+// wrapper and for a bare kernel, and the answers stay the unpruned
+// engine's.
+func TestUnionArmsWindowScreen(t *testing.T) {
 	compact := buildCompact(t, testCorpus(600, 31))
 	for _, c := range overlapConcepts() {
 		compact.AddConceptBlocks(c)
 	}
-	for _, valid := range []bool{true, false} {
-		for _, mode := range []QueryMode{ModeAND, ModeOR} {
-			q := Query{Concepts: overlapConcepts(), Spec: KernelSpec{Family: "med", Alpha: 0.1, Valid: valid}, K: 3, Mode: mode}
-			e := New(compact, Config{Workers: 1})
-			got, err := e.Search(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("valid %v mode %v", valid, mode)
-			assertSameDocs(t, label, got.Docs, want.Docs)
-			st := e.Stats()
-			switch {
-			case mode == ModeAND && st.WindowCutJoins == 0:
-				t.Errorf("%s: the window screen cut nothing of %d joins", label, st.JoinsRun)
-			case mode == ModeOR && st.WindowCutJoins != 0:
-				t.Errorf("%s: %d window cuts on the disjunctive path", label, st.WindowCutJoins)
-			case mode == ModeOR && (st.FloorCutJoins != 0) != valid:
-				t.Errorf("%s: %d floor cuts, want some for the search and none for a bare kernel", label, st.FloorCutJoins)
+	for _, family := range []string{"win", "med"} {
+		for _, valid := range []bool{true, false} {
+			for _, minMatch := range []int{0, 2} {
+				q := Query{Concepts: overlapConcepts(), Spec: KernelSpec{Family: family, Alpha: 0.1, Valid: valid},
+					K: 3, Mode: ModeOR, MinMatch: minMatch}
+				e := New(compact, Config{Workers: 1})
+				got, err := e.Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s valid %v m %d", family, valid, minMatch)
+				assertSameDocs(t, label, got.Docs, want.Docs)
+				if st := e.Stats(); st.WindowCutJoins == 0 || st.WindowCutJoins > st.FloorCutJoins {
+					t.Errorf("%s: %d window cuts, %d floor cuts of %d joins", label, st.WindowCutJoins, st.FloorCutJoins, st.JoinsRun)
+				}
 			}
 		}
+	}
+}
+
+// countingUnionBound is a join.UnionBounded that counts its
+// evaluations, sums its arguments, scrambles them as the shipped
+// bounds' in-place sort may, and panics on a negative maximum.
+type countingUnionBound struct{ calls int }
+
+func (c *countingUnionBound) ScoreUnionUpperBound(perListMax []float64, minMatch int) float64 {
+	c.calls++
+	sum := float64(minMatch)
+	for i, m := range perListMax {
+		if m < 0 {
+			panic("negative maximum")
+		}
+		sum += m
+		perListMax[i] = -1
+	}
+	return sum
+}
+
+// TestUnionBounderRemembersLastAnswer: bit-identical arguments return
+// the previous bound without an evaluation; any other arguments — a
+// different maximum, order, length, minMatch, or zero of the other sign
+// — evaluate; and a panicking bound fails the bounder as before, with
+// nothing remembered.
+func TestUnionBounderRemembersLastAnswer(t *testing.T) {
+	e := New(buildCompact(t, []string{"amber"}), Config{Workers: 1})
+	kern := &countingUnionBound{}
+	b := &unionBounder{e: e, ub: kern}
+	negZero := math.Copysign(0, -1)
+	steps := []struct {
+		maxima   []float64
+		minMatch int
+		want     float64
+		calls    int
+	}{
+		{[]float64{1, 0.5}, 1, 2.5, 1},
+		{[]float64{1, 0.5}, 1, 2.5, 1}, // remembered
+		{[]float64{1, 0.5}, 1, 2.5, 1},
+		{[]float64{0.5, 1}, 1, 2.5, 2}, // order
+		{[]float64{0.5, 1}, 2, 3.5, 3}, // minMatch
+		{[]float64{0.5}, 2, 2.5, 4},    // length
+		{[]float64{0}, 2, 2, 5},
+		{[]float64{negZero}, 2, 2, 6}, // -0 is not +0
+		{[]float64{negZero}, 2, 2, 6},
+	}
+	for i, st := range steps {
+		scratch := append([]float64(nil), st.maxima...)
+		if got := b.bound(scratch, st.minMatch); got != st.want || kern.calls != st.calls || b.failed {
+			t.Fatalf("step %d: bound %v after %d evaluations (failed %v), want %v after %d", i, got, kern.calls, b.failed, st.want, st.calls)
+		}
+	}
+	scratch := make([]float64, 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, m := range []float64{negZero, negZero, 1} {
+			scratch[0] = m
+			b.bound(scratch, 2)
+		}
+	}); allocs != 0 {
+		t.Fatalf("bound allocates %v per hit and miss", allocs)
+	}
+	panics := e.Stats().JoinPanics
+	if got := b.bound([]float64{-1}, 2); !math.IsInf(got, 1) || !b.failed || e.Stats().JoinPanics != panics+1 {
+		t.Fatalf("panicking bound: %v, failed %v, %d panics counted", got, b.failed, e.Stats().JoinPanics-panics)
+	}
+	calls := kern.calls
+	if got := b.bound([]float64{-1}, 2); !math.IsInf(got, 1) || kern.calls != calls+1 {
+		t.Fatalf("a panicked evaluation was remembered: %v after %d more evaluations", got, kern.calls-calls)
 	}
 }

@@ -36,9 +36,14 @@ import (
 // also puts a window of zero in nearly every document, under which the
 // window screen cuts nothing; the bare kernels, which have no other
 // cut, are therefore asked disjoint concepts, where the windows differ
-// and the screen decides. Only conjunctive queries arm the screen; the
-// disjunctive modes run the search floor alone and must agree all the
-// same.
+// and the screen decides; conjunctive and disjunctive modes arm it
+// alike. Every query runs twice: with a floor of its own, and with a
+// shared floor (Query.Floor; the wire floor on the remote rows) raised
+// beforehand to the reference's k-th score — true, since k documents
+// score at least that. A member whose own k-th kept score equals it
+// prunes the ties it has lost on document id; one whose kept scores sit
+// below it (a shard holding fewer than k such documents) may prune on
+// score alone, or the merge loses the low ids it holds.
 
 // floorCorpus draws 96 documents: copies of the given number of
 // templates, every fresh-th one (none when fresh is 0) a body of its
@@ -214,34 +219,43 @@ func floorDifferential(t *testing.T, corpus []string) {
 			for name, s := range map[string]engine.Searcher{"single": single, "2 shards": sharded, "remote": fleet} {
 				for mi, m := range modes {
 					for _, k := range []int{1, 5, 50} {
-						label := fmt.Sprintf("%s workers %d %s %s k %d", family, workers, name, m.name, k)
-						q := engine.Query{Concepts: concepts, Spec: fam.spec, K: k, Mode: m.mode, MinMatch: m.minMatch}
-						got, err := s.Search(ctx, q)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						base, err := floorless.Search(ctx, q)
-						if err != nil {
-							t.Fatalf("%s: floorless: %v", label, err)
-						}
-						if got.Partial || got.Degraded {
-							t.Fatalf("%s: Partial %v Degraded %v", label, got.Partial, got.Degraded)
-						}
-						want := refs[mi][:min(k, len(refs[mi]))]
-						if len(got.Docs) != len(want) {
-							t.Fatalf("%s: %d docs, reference has %d", label, len(got.Docs), len(want))
-						}
-						for i, w := range want {
-							g := got.Docs[i]
-							if g.Doc != w.Doc || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
-								t.Fatalf("%s: rank %d doc %d score %v (%#x), reference doc %d score %v (%#x)",
-									label, i, g.Doc, g.Score, math.Float64bits(g.Score), w.Doc, w.Score, math.Float64bits(w.Score))
+						for _, preRaised := range []bool{false, true} {
+							if preRaised && k > len(refs[mi]) {
+								continue
 							}
-							if fam.spec.Valid && !g.Set.Valid() || math.Float64bits(fam.score(g.Set)) != math.Float64bits(g.Score) {
-								t.Fatalf("%s: rank %d doc %d witness %v is not a matchset (valid: %v) scoring %v", label, i, g.Doc, g.Set, fam.spec.Valid, g.Score)
+							label := fmt.Sprintf("%s workers %d %s %s k %d pre-raised %v", family, workers, name, m.name, k, preRaised)
+							q := engine.Query{Concepts: concepts, Spec: fam.spec, K: k, Mode: m.mode, MinMatch: m.minMatch}
+							if preRaised {
+								q.Floor = engine.NewGlobalFloor()
+								q.Floor.Raise(refs[mi][k-1].Score)
 							}
+							got, err := s.Search(ctx, q)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							base, err := floorless.Search(ctx, q)
+							if err != nil {
+								t.Fatalf("%s: floorless: %v", label, err)
+							}
+							if got.Partial || got.Degraded {
+								t.Fatalf("%s: Partial %v Degraded %v", label, got.Partial, got.Degraded)
+							}
+							want := refs[mi][:min(k, len(refs[mi]))]
+							if len(got.Docs) != len(want) {
+								t.Fatalf("%s: %d docs, reference has %d", label, len(got.Docs), len(want))
+							}
+							for i, w := range want {
+								g := got.Docs[i]
+								if g.Doc != w.Doc || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+									t.Fatalf("%s: rank %d doc %d score %v (%#x), reference doc %d score %v (%#x)",
+										label, i, g.Doc, g.Score, math.Float64bits(g.Score), w.Doc, w.Score, math.Float64bits(w.Score))
+								}
+								if fam.spec.Valid && !g.Set.Valid() || math.Float64bits(fam.score(g.Set)) != math.Float64bits(g.Score) {
+									t.Fatalf("%s: rank %d doc %d witness %v is not a matchset (valid: %v) scoring %v", label, i, g.Doc, g.Set, fam.spec.Valid, g.Score)
+								}
+							}
+							assertSame(t, label+" vs floorless", got, base, false)
 						}
-						assertSame(t, label+" vs floorless", got, base, false)
 					}
 				}
 			}
