@@ -125,40 +125,37 @@ func main() {
 		synth   = flag.Int("synth", 0, "index a synthetic corpus of this many documents instead of files")
 		httpad  = flag.String("http", "", "serve HTTP on this address instead of the stdin REPL")
 
-		shards   = flag.Int("shards", 1, "doc-partitioned shards behind a scatter-gather coordinator (1 = single engine)")
+		shards       = flag.Int("shards", 1, "doc-partitioned shards behind a scatter-gather coordinator (1 = single engine); its child engines serve pair lists for this process's own -fn only, also under -serve-shard")
 		serveShard   = flag.Bool("serve-shard", false, "expose the remote shard API (/shardquery, /swapindex, /shardstats) so a -shards-at coordinator can drive this process")
 		shardOf      = flag.String("shard-of", "", "serve partition i of n of the built index, given as i/n (shard processes of a doc-partitioned fleet)")
 		shardsAt     = flag.String("shards-at", "", "comma-separated host:port list of remote shard processes to coordinate over (no local index is built)")
 		quorum       = flag.Int("quorum", 0, "minimum remote shards that must answer a query: 0 = all (strict), 1..N arms degraded partial answers")
 		shardTimeout = flag.Duration("shard-timeout", 2*time.Second, "per-attempt deadline budget for each remote shard call")
-		inflight = flag.Int("max-inflight", 64, "maximum concurrently admitted queries (0 = unlimited)")
-		shed     = flag.Bool("shed", false, "at the in-flight cap, shed queries immediately instead of queueing")
-		idxPath  = flag.String("index", "", "serve this saved index file instead of indexing a corpus (SIGHUP reloads it)")
-		savePath = flag.String("save", "", "after indexing, save the checksummed index to this path")
-		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof (debug only)")
+		inflight     = flag.Int("max-inflight", 64, "maximum concurrently admitted queries (0 = unlimited)")
+		shed         = flag.Bool("shed", false, "at the in-flight cap, shed queries immediately instead of queueing")
+		idxPath      = flag.String("index", "", "serve this saved index file instead of indexing a corpus (SIGHUP reloads it)")
+		savePath     = flag.String("save", "", "after indexing, save the checksummed index to this path")
+		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof (debug only)")
 
 		nopairs    = flag.Bool("nopairs", false, "disable the auxiliary pair-index tier: no pair lists are built and the engine never serves from them (baseline mode)")
-		pairBudget = flag.Int("pair-budget", 4<<20, "storage budget in bytes for precomputed pair lists, spent on the costliest concept pairs first (0 or less = unlimited)")
+		pairBudget = flag.Int("pair-budget", 4<<20, "storage budget in bytes for precomputed pair lists per kernel spec, spent on the costliest concept pairs of the whole index first and counted on this process's partition (0 or less = unlimited)")
 	)
 	flag.Parse()
 
 	// A -shards-at coordinator holds no index of its own; every other
 	// mode builds (or loads) one, optionally cut down to its -shard-of
 	// partition.
+	src := &source{
+		files: flag.Args(), synth: *synth, idxPath: *idxPath, savePath: *savePath,
+		shardOf: *shardOf, lex: bestjoin.BuiltinLexicon(),
+		pairs: !*nopairs, spec: specFor(*fn, *alpha), pairBudget: *pairBudget,
+	}
 	var compact *bestjoin.CompactIndex
+	var plan bestjoin.PairPlan
 	var err error
 	if *shardsAt == "" {
-		compact, err = buildIndex(flag.Args(), *synth, *idxPath, *savePath)
-		if err != nil {
+		if compact, plan, err = src.loadServing(); err != nil {
 			log.Fatalf("proxserve: %v", err)
-		}
-		if *shardOf != "" {
-			if compact, err = cutPartition(compact, *shardOf); err != nil {
-				log.Fatalf("proxserve: %v", err)
-			}
-		}
-		if !*nopairs {
-			buildPairs(compact, bestjoin.BuiltinLexicon(), *fn, *alpha, *pairBudget)
 		}
 	}
 	overload := bestjoin.OverloadBlock
@@ -204,6 +201,7 @@ func main() {
 		e := bestjoin.NewEngine(compact, ecfg)
 		eng, publish = e, e.Publish
 	}
+	src.armPairs(eng, plan)
 	if err := publish("bestjoin.engine"); err != nil {
 		log.Printf("proxserve: %v", err)
 	}
@@ -240,23 +238,12 @@ func main() {
 		if *idxPath != "" {
 			hup := make(chan os.Signal, 1)
 			signal.Notify(hup, syscall.SIGHUP)
-			shardOf := *shardOf
 			go watchReload(hup, func() error {
-				c, err := bestjoin.LoadCompactIndexFile(*idxPath)
+				c, plan, err := src.loadServing()
 				if err != nil {
 					return err
 				}
-				if shardOf != "" {
-					if c, err = cutPartition(c, shardOf); err != nil {
-						return err
-					}
-				}
-				if !*nopairs {
-					// The saved file may predate the pair tier (or carry
-					// pairs for another kernel); rebuild so the hot-reloaded
-					// index serves pairs like the original did.
-					buildPairs(c, srv.lex, *fn, *alpha, *pairBudget)
-				}
+				src.armPairs(eng, plan)
 				eng.SwapIndex(c)
 				return nil
 			}, srv.reload)
@@ -622,27 +609,111 @@ func expandConcept(lex *bestjoin.Lexicon, term string) bestjoin.Concept {
 }
 
 // pairConceptCount bounds how many of the corpus's heaviest stems the
-// startup pair build considers; the -pair-budget byte cap then selects
-// among their O(n²) pairs costliest-first.
+// pair plan considers; the -pair-budget byte cap then selects among
+// their O(n²) pairs costliest-first.
 const pairConceptCount = 24
 
-// buildPairs precomputes auxiliary pair lists over the corpus's
-// heaviest stems, each expanded into a concept exactly as the query
-// path expands terms, under the served kernel spec — so the two-term
-// queries the kernel path handles worst (common-word pairs) are the
-// ones answered from precomputed lists. Build failures only cost the
-// speedup (the kernel path answers everything), so they log and serve.
-func buildPairs(c *bestjoin.CompactIndex, lex *bestjoin.Lexicon, fn string, alpha float64, budget int) {
+// source is everything that decides what this process serves: where
+// the index comes from, which partition of it, and the pair tier's
+// settings. Start-up and every SIGHUP reload go through loadServing,
+// so the two cannot drift apart.
+type source struct {
+	files    []string
+	synth    int
+	idxPath  string
+	savePath string
+	shardOf  string // "i/n", or "" to serve the whole index
+	lex      *bestjoin.Lexicon
+
+	pairs      bool // false under -nopairs: no plan, no lists, no background build
+	spec       bestjoin.JoinSpec
+	pairBudget int
+}
+
+// loadServing builds (or loads) the index and returns what the engine
+// is handed: the index, cut to the -shard-of partition, and the pair
+// plan. The plan is computed on the WHOLE index, not the partition: a
+// partition's heaviest stems rank differently from its sibling's, and
+// shards that each planned for themselves would register different
+// pairs — with one plan, any two shards' lists are prefixes of the same
+// order. Lists for this process's own -fn are built here, on the
+// partition; lists for any other spec a query carries are built by the
+// engine on demand (armPairs).
+func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, error) {
+	c, err := buildIndex(src.files, src.synth, src.idxPath, src.savePath)
+	if err != nil {
+		return nil, bestjoin.PairPlan{}, err
+	}
+	whole := c
+	if src.shardOf != "" {
+		if c, err = cutPartition(whole, src.shardOf); err != nil {
+			return nil, bestjoin.PairPlan{}, err
+		}
+	}
+	var plan bestjoin.PairPlan
+	if src.pairs {
+		plan = planPairs(whole, src.lex)
+		// A saved file may predate the pair tier (or carry pairs for
+		// another kernel); AddConceptPairs skips what is already there.
+		buildPairs(c, plan, src.spec, src.pairBudget)
+	}
+	return c, plan, nil
+}
+
+// armPairs hands the plan and -pair-budget to a single engine, which
+// then builds the planned lists in the background for whatever kernel
+// spec its queries carry — a shard process is queried with the
+// coordinator's -fn, not its own. Called before the index the plan
+// came with is swapped in. Under -nopairs the plan is empty and nothing
+// is ever built. An in-process -shards coordinator is left alone: its
+// children serve the lists built here for this process's own -fn,
+// partitioned with the index.
+func (src *source) armPairs(eng bestjoin.Searcher, plan bestjoin.PairPlan) {
+	e, ok := eng.(*bestjoin.Engine)
+	if !ok {
+		return
+	}
+	e.SetPairPlan(plan, src.pairBudget, func(spec bestjoin.JoinSpec, lists int, err error) {
+		switch {
+		case err != nil:
+			log.Printf("proxserve: pair-list build for %s failed (serving without): %v", specString(spec), err)
+		case lists > 0:
+			log.Printf("proxserve: attached %d pair lists for %s", lists, specString(spec))
+		}
+	})
+}
+
+// specString renders a kernel spec for the log: {win 0.1 valid}.
+func specString(spec bestjoin.JoinSpec) string {
+	valid := ""
+	if spec.Valid {
+		valid = " valid"
+	}
+	return fmt.Sprintf("{%s %g%s}", spec.Family, spec.Alpha, valid)
+}
+
+// planPairs orders the pairs of the corpus's heaviest stems, each
+// expanded into a concept exactly as the query path expands terms —
+// so the two-term queries the kernel path handles worst (common-word
+// pairs) are the ones answered from precomputed lists.
+func planPairs(c *bestjoin.CompactIndex, lex *bestjoin.Lexicon) bestjoin.PairPlan {
 	concepts := make([]bestjoin.Concept, 0, pairConceptCount)
 	for _, stem := range c.HeavyStems(pairConceptCount) {
 		concepts = append(concepts, expandConcept(lex, stem))
 	}
-	n, err := bestjoin.BuildPairIndex(c, concepts, specFor(fn, alpha), budget)
+	return bestjoin.PlanPairs(c, concepts)
+}
+
+// buildPairs precomputes the plan's lists on c under the served kernel
+// spec. Build failures only cost the speedup (the kernel path answers
+// everything), so they log and serve.
+func buildPairs(c *bestjoin.CompactIndex, plan bestjoin.PairPlan, spec bestjoin.JoinSpec, budget int) {
+	n, err := bestjoin.BuildPairPlan(c, plan, spec, budget)
 	if err != nil {
 		log.Printf("proxserve: pair-index build failed (serving without pairs): %v", err)
 		return
 	}
-	fmt.Printf("precomputed %d concept-pair lists over the %d heaviest stems\n", n, len(concepts))
+	fmt.Printf("precomputed %d concept-pair lists of %d planned over the heaviest stems\n", n, plan.Len())
 }
 
 // spec is the -fn/-alpha kernel in declarative form — the

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -793,7 +794,7 @@ func TestQueryPairServed(t *testing.T) {
 	}
 	compact := ix.Compact()
 	lex := bestjoin.BuiltinLexicon()
-	buildPairs(compact, lex, "med", 0.1, 0)
+	buildPairs(compact, planPairs(compact, lex), specFor("med", 0.1), 0)
 	mk := func(nopairs bool) *server {
 		return &server{
 			eng: bestjoin.NewEngine(compact, bestjoin.EngineConfig{
@@ -827,5 +828,112 @@ func TestQueryPairServed(t *testing.T) {
 			t.Fatalf("rank %d: pair-served (%d, %v) vs kernel (%d, %v)", i,
 				got.Docs[i].Doc, got.Docs[i].Score, want.Docs[i].Doc, want.Docs[i].Score)
 		}
+	}
+}
+
+// TestLoadServingPlansOnWholeIndex pins the one start-up sequence: a
+// -shard-of process gets its partition together with the plan of the
+// WHOLE index, lists for its own -fn are built on the partition, and
+// -nopairs means no plan and no lists. A second call — what SIGHUP
+// does — returns the same.
+func TestLoadServingPlansOnWholeIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.idx")
+	ix := bestjoin.NewIndex()
+	for d, body := range synthCorpus(300) {
+		ix.AddText(d, body)
+	}
+	whole := ix.Compact()
+	if err := whole.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	lex := bestjoin.BuiltinLexicon()
+	src := &source{idxPath: path, shardOf: "1/2", lex: lex,
+		pairs: true, spec: specFor("med", 0.1), pairBudget: 1}
+	for _, when := range []string{"start-up", "reload"} {
+		c, plan, err := src.loadServing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := planPairs(whole, lex); plan.Len() == 0 || !reflect.DeepEqual(plan, want) {
+			t.Fatalf("%s: plan of %d pairs is not the whole index's (%d pairs)", when, plan.Len(), want.Len())
+		}
+		if c.Docs() != whole.Docs() || c.Bytes() >= whole.Bytes() {
+			t.Fatalf("%s: served index is not a partition: %d docs, %d of %d bytes", when, c.Docs(), c.Bytes(), whole.Bytes())
+		}
+		if n := c.ConceptPairsCount(); n != 1 {
+			t.Fatalf("%s: %d own-spec lists at a one-list budget", when, n)
+		}
+	}
+	src.pairs = false
+	c, plan, err := src.loadServing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Len() != 0 || c.ConceptPairsCount() != 0 {
+		t.Fatalf("-nopairs: %d planned pairs, %d lists", plan.Len(), c.ConceptPairsCount())
+	}
+	src.shardOf = "2/2"
+	if _, _, err := src.loadServing(); err == nil {
+		t.Fatal("bad -shard-of accepted")
+	}
+}
+
+// TestArmPairsServesForeignSpec is the shard process in miniature: the
+// engine starts with lists for its own -fn, is queried under another
+// one, and — armed with the plan — serves that spec's pair queries from
+// lists it built in the background, at the same epoch, with the same
+// answer. An engine that was not armed never does.
+func TestArmPairsServesForeignSpec(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.idx")
+	ix := bestjoin.NewIndex()
+	for d, body := range synthCorpus(60) {
+		ix.AddText(d, body)
+	}
+	if err := ix.Compact().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	src := &source{idxPath: path, lex: bestjoin.BuiltinLexicon(),
+		pairs: true, spec: specFor("med", 0.1), pairBudget: 0}
+	serve := func(arm bool) *server {
+		c, plan, err := src.loadServing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 2})
+		if arm {
+			src.armPairs(eng, plan)
+		}
+		return &server{eng: eng, lex: src.lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
+	}
+	armed, bare := serve(true), serve(false)
+	want, err := bare.query("quartz,ribbon", 3, bare.mode, bare.minMatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for armed.eng.Stats().PairServed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("armed engine never served the foreign spec from a pair list")
+		}
+		got, err := armed.query("quartz,ribbon", 3, armed.mode, armed.minMatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Docs) != len(want.Docs) {
+			t.Fatalf("%d docs, want %d", len(got.Docs), len(want.Docs))
+		}
+		for i := range got.Docs {
+			if got.Docs[i].Doc != want.Docs[i].Doc || got.Docs[i].Score != want.Docs[i].Score {
+				t.Fatalf("rank %d: (%d, %v), want (%d, %v)", i,
+					got.Docs[i].Doc, got.Docs[i].Score, want.Docs[i].Doc, want.Docs[i].Score)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h := armed.eng.Health(); h.Epoch != 0 {
+		t.Fatalf("attach moved the epoch to %d", h.Epoch)
+	}
+	if st := bare.eng.Stats(); st.PairServed != 0 {
+		t.Fatal("an engine without the plan served a foreign spec from a pair list")
 	}
 }

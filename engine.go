@@ -198,9 +198,32 @@ type JoinSpec = engine.KernelSpec
 // answered straight off the precomputed list, and wider queries use
 // the lists to tighten pruning bounds; answers are bitwise identical
 // either way. Call at build time, before the index serves queries.
-// Returns the number of pairs registered.
+// Returns the number of pairs registered. It is PlanPairs followed by
+// BuildPairPlan on the same index.
 func BuildPairIndex(idx *CompactIndex, concepts []Concept, spec JoinSpec, budgetBytes int) (int, error) {
 	return engine.BuildPairIndex(idx, concepts, spec, budgetBytes)
+}
+
+// PairPlan is the spec-independent half of the pair tier: which
+// concept pairs get a list, costliest first. Pair lists are a cache of
+// kernel outputs; the plan says what to cache, a build fills it for
+// one kernel spec.
+type PairPlan = engine.PairPlan
+
+// PlanPairs orders the concepts' pairs by posting-bytes product on idx
+// without running any kernel. A fleet plans once on the whole index so
+// every shard builds — and serves — the same pairs.
+func PlanPairs(idx *CompactIndex, concepts []Concept) PairPlan {
+	return engine.PlanPairs(idx, concepts)
+}
+
+// BuildPairPlan registers the plan's lists on idx (the planned index
+// or a partition of it) for one kernel spec, under a byte budget.
+// Engine.SetPairPlan hands a plan to a serving engine instead, which
+// then builds lists in the background for whatever spec its queries
+// carry and attaches them without changing the index epoch.
+func BuildPairPlan(idx *CompactIndex, plan PairPlan, spec JoinSpec, budgetBytes int) (int, error) {
+	return engine.BuildPairPlan(idx, plan, spec, budgetBytes)
 }
 
 // RemoteShard is an HTTP client for one shard process; it slots into

@@ -49,6 +49,7 @@ package engine
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"bestjoin/internal/index"
@@ -118,10 +119,13 @@ type Config struct {
 
 // Engine answers top-k queries over one compacted index. It is safe
 // for concurrent use; all mutable state is the snapshot pointer, the
-// two caches, and the stats counters, each with its own
+// pair plan, the two caches, and the stats counters, each with its own
 // synchronization.
 type Engine struct {
 	snap     atomic.Pointer[snapshot]
+	planning atomic.Pointer[pairPlanning] // nil until SetPairPlan
+	building sync.Mutex                   // one background pair build at a time
+	builds   sync.WaitGroup               // background pair builds in flight
 	workers  int
 	prune    bool
 	pairs    bool
@@ -221,7 +225,7 @@ func New(idx *index.Compact, cfg Config) *Engine {
 		concepts: newLRU[conceptKey, conceptEntry](cfg.CacheConcepts),
 		flights:  flightGroup{m: make(map[listKey]*flightCall)},
 	}
-	e.snap.Store(&snapshot{idx: idx})
+	e.snap.Store(newSnapshot(idx, 0, &pairPrep{}))
 	return e
 }
 

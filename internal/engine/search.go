@@ -233,6 +233,9 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 		snap = e.snap.Load()
 	}
 	qs := &queryState{ctx: ctx, idx: snap.idx, epoch: snap.epoch}
+	if pairFP != 0 {
+		e.preparePairs(snap, q.Spec, pairFP)
+	}
 
 	// Pair-served fast path: a two-term conjunctive spec query whose
 	// pair list is registered skips concept resolution, candidate

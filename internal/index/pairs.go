@@ -3,7 +3,9 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"bestjoin/internal/match"
@@ -510,6 +512,28 @@ func (c *Compact) ConceptPairs(a, b Concept, spec uint64) (*PairTable, bool) {
 
 // ConceptPairsCount returns the number of registered pair lists.
 func (c *Compact) ConceptPairsCount() int { return len(c.pairs) }
+
+// PairSpecs returns the distinct kernel fingerprints under which pair
+// lists are registered, ascending.
+func (c *Compact) PairSpecs() []uint64 {
+	specs := make([]uint64, 0, len(c.pairs))
+	for k := range c.pairs {
+		specs = append(specs, k.Spec)
+	}
+	slices.Sort(specs)
+	return slices.Compact(specs)
+}
+
+// ForkPairs returns an index that shares every posting, metadata and
+// block buffer with c but owns its pair-list registry (seeded with c's
+// lists), so AddConceptPairs on the fork never touches c: pair lists
+// can be built beside an index that is serving queries. The shared
+// buffers are read-only on both sides.
+func (c *Compact) ForkPairs() *Compact {
+	fork := *c
+	fork.pairs = maps.Clone(c.pairs)
+	return &fork
+}
 
 // ConceptPostingBytes returns the total compressed posting bytes
 // behind a concept's member words — the cost-model input for the

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -448,4 +449,43 @@ func TestCorruptPairHooks(t *testing.T) {
 		}()
 		c.ConceptPairs(a, b, spec)
 	}()
+}
+
+// TestForkPairsOwnsItsRegistry: a fork starts with the parent's lists,
+// shares its posting bytes, and registers new lists without the parent
+// seeing them — the property that lets pair lists be built beside an
+// index that is serving queries.
+func TestForkPairsOwnsItsRegistry(t *testing.T) {
+	c, a, b, spec := pairTestIndex(t)
+	parent := c.Marshal()
+	fork := c.ForkPairs()
+	if got := fork.PairSpecs(); len(got) != 1 || got[0] != spec {
+		t.Fatalf("fork's fingerprints %x, want [%x]", got, spec)
+	}
+	if _, ok := fork.ConceptPairs(a, b, spec); !ok {
+		t.Fatal("fork lost the parent's list")
+	}
+	if n, ok := fork.AddConceptPairs(a, b, spec-1, pairTestJoin); !ok || n == 0 {
+		t.Fatal("AddConceptPairs on the fork failed")
+	}
+	if n, ok := fork.AddConceptPairs(a, Concept{"partnership": 1}, spec-1, pairTestJoin); !ok || n == 0 {
+		t.Fatal("AddConceptPairs on the fork failed")
+	}
+	if got := fork.PairSpecs(); len(got) != 2 || got[0] != spec-1 || got[1] != spec {
+		t.Fatalf("fork's fingerprints %x, want [%x %x]", got, spec-1, spec)
+	}
+	if c.ConceptPairsCount() != 1 || !bytes.Equal(c.Marshal(), parent) {
+		t.Fatal("registering on the fork changed the parent")
+	}
+	if fork.Docs() != c.Docs() || fork.Bytes() != c.Bytes() {
+		t.Fatal("fork does not serve the parent's postings")
+	}
+	// An index with no lists forks to one that can still register them.
+	bare := framedTestIndex(t).ForkPairs()
+	if len(bare.PairSpecs()) != 0 {
+		t.Fatal("bare fork reports fingerprints")
+	}
+	if _, ok := bare.AddConceptPairs(a, b, spec, pairTestJoin); !ok {
+		t.Fatal("AddConceptPairs on a bare fork failed")
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,23 +85,32 @@ func remoteSpecs() []engine.KernelSpec {
 }
 
 // startFleet partitions the index across n shard servers (each a real
-// HTTP server wrapping a real engine) and returns their addresses
-// plus a shutdown func.
+// HTTP server wrapping a real engine) and returns their addresses.
 func startFleet(t testing.TB, compact *index.Compact, n int, ecfg engine.Config) []string {
 	t.Helper()
 	parts, err := compact.Partition(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make([]string, n)
+	addrs, _ := startShardEngines(t, parts, ecfg)
+	return addrs
+}
+
+// startShardEngines serves each partition from its own engine behind
+// its own HTTP server; the servers close with the test.
+func startShardEngines(t testing.TB, parts []*index.Compact, ecfg engine.Config) ([]string, []*engine.Engine) {
+	t.Helper()
+	addrs := make([]string, len(parts))
+	engines := make([]*engine.Engine, len(parts))
 	for i, p := range parts {
+		engines[i] = engine.New(p, ecfg)
 		mux := http.NewServeMux()
-		NewServer(engine.New(p, ecfg), ServerConfig{}).Register(mux)
+		NewServer(engines[i], ServerConfig{}).Register(mux)
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
 	}
-	return addrs
+	return addrs, engines
 }
 
 // fastCfg is the shard-client config for transparency tests: patient
@@ -154,16 +164,20 @@ func TestRemoteDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		docs := remoteCorpus(rng)
 		compact := buildCompact(t, docs)
-		single := engine.New(compact, engine.Config{Workers: 2})
+		// The reference never touches a pair list, so a fleet answer
+		// served from one is checked against a kernel-joined one.
+		single := engine.New(compact, engine.Config{Workers: 2, DisablePairIndex: true})
 		for _, n := range []int{1, 2, 3} {
 			local, err := shard.New(compact, shard.Config{Shards: n, Engine: engine.Config{Workers: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fleet, err := NewFleet(startFleet(t, compact, n, engine.Config{Workers: 2}), fastCfg(), shard.Config{})
+			pf := startPlannedFleet(t, compact, n)
+			fleet, err := NewFleet(pf.addrs, fastCfg(), shard.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			pf.checkPairTier(t, fleet, single, remoteSpecs()[(int(seed)+n)%len(remoteSpecs())])
 			for _, spec := range remoteSpecs() {
 				for round := 0; round < 2; round++ {
 					concepts := remoteConcepts(rng)
@@ -195,6 +209,104 @@ func TestRemoteDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// plannedFleet is a loopback fleet deployed the way proxserve deploys
+// one: every shard engine carries the pair plan of the WHOLE index, and
+// starts with lists for a spec of its own that no query names — so the
+// spec a query does name has to be prepared on demand.
+type plannedFleet struct {
+	addrs    []string
+	engines  []*engine.Engine
+	attached chan pairBuild // one send per finished background build
+	planned  []index.Concept
+}
+
+// pairBuild is what an engine announces when a background build ends.
+type pairBuild struct {
+	spec  engine.KernelSpec
+	lists int
+	err   error
+}
+
+func startPlannedFleet(t *testing.T, compact *index.Compact, n int) *plannedFleet {
+	t.Helper()
+	pf := &plannedFleet{
+		planned: []index.Concept{{"amber": 1}, {"basalt": 0.9, "cedar": 0.5}, {"delta": 1}},
+		// Buffered past anything the test can start (4 specs × 3 shards),
+		// so a build finishing after the test moved on never blocks.
+		attached: make(chan pairBuild, 64),
+	}
+	plan := engine.PlanPairs(compact, pf.planned)
+	parts, err := compact.Partition(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := engine.KernelSpec{Family: "max", Alpha: 0.3, Valid: true}
+	for _, p := range parts {
+		if _, err := engine.BuildPairPlan(p, plan, own, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pf.addrs, pf.engines = startShardEngines(t, parts, engine.Config{Workers: 2})
+	for _, e := range pf.engines {
+		e.SetPairPlan(plan, 0, func(spec engine.KernelSpec, lists int, err error) {
+			pf.attached <- pairBuild{spec, lists, err}
+		})
+	}
+	return pf
+}
+
+// checkPairTier drives one planned two-term query through the fleet
+// twice: kernel-joined on every shard the first time (which starts the
+// builds), pair-served on every shard once they attach, bitwise equal
+// to the pair-disabled reference both times — and the attach is
+// invisible to the coordinator's health view.
+func (pf *plannedFleet) checkPairTier(t *testing.T, fleet *shard.Coordinator, single *engine.Engine, spec engine.KernelSpec) {
+	t.Helper()
+	q := engine.Query{Concepts: pf.planned[:2], Spec: spec, K: 5}
+	want, err := single.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := fleet.Health()
+	if !health.Ready {
+		t.Fatalf("fleet not ready: %+v", health)
+	}
+	label := fmt.Sprintf("pair tier, %d shards, spec %+v", len(pf.engines), spec)
+	got, err := fleet.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, label+" (before the attach)", got, want, true)
+	for i, e := range pf.engines {
+		if st := e.Stats(); st.PairServed != 0 {
+			t.Fatalf("%s: shard %d pair-served before any list was built", label, i)
+		}
+	}
+	for range pf.engines {
+		select {
+		case b := <-pf.attached:
+			if b.spec != spec || b.err != nil || b.lists != len(pf.planned) {
+				t.Fatalf("%s: a build finished with %+v, want %d lists", label, b, len(pf.planned))
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: background builds never finished", label)
+		}
+	}
+	got, err = fleet.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, label+" (after the attach)", got, want, true)
+	for i, e := range pf.engines {
+		if st := e.Stats(); st.PairServed != 1 {
+			t.Fatalf("%s: shard %d PairServed = %d after the attach, want 1", label, i, st.PairServed)
+		}
+	}
+	if after := fleet.Health(); !reflect.DeepEqual(after, health) {
+		t.Fatalf("%s: the attach moved the fleet's health: %+v → %+v", label, health, after)
 	}
 }
 

@@ -16,6 +16,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The root package's differential tests take ~0.05 s each; ten runs
+# catch an assertion that depends on worker timing (PR 19 left
+# TestShardedPairDifferential failing three runs in four, and one run
+# of the suite above passes a test like that one time in four).
+echo "== root differentials x10 =="
+go test -race -count=10 -run Differential .
+
 # The load harness under bench/ is a module of its own (BENCHMARK.json
 # builds it from there), so nothing above compiles it: vet and
 # self-test it here, or an engine API change breaks the benchmark

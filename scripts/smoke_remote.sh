@@ -7,6 +7,13 @@
 # (degraded, flagged as such in the JSON body); once both shards are
 # back the fleet must report healthy again.
 #
+# The coordinator runs -fn win against shards started with the default
+# -fn (med), so the kernel spec on the wire is one no shard built pair
+# lists for at start-up: each shard has to build them on demand, from
+# the whole-index plan, and a RESTARTED shard has to do so again with
+# nobody telling it to. The script waits (bounded) for every shard's
+# /shardstats to show PairServed growing, before and after the roll.
+#
 # Needs curl or wget for HTTP; skips cleanly when neither is present
 # (the in-repo equivalent runs as TestRemoteRollingRestart).
 set -eu
@@ -69,20 +76,23 @@ PIDS="$PID0 $PID1"
 wait_healthy "$SHARD0" "shard 0"
 wait_healthy "$SHARD1" "shard 1"
 
-"$TMP/proxserve" -shards-at "$SHARD0,$SHARD1" -quorum 1 \
+"$TMP/proxserve" -shards-at "$SHARD0,$SHARD1" -quorum 1 -fn win \
     -http "$COORD" >"$TMP/coord.log" 2>&1 &
 CPID=$!
 PIDS="$PIDS $CPID"
 wait_healthy "$COORD" "coordinator"
 
 QUERY="http://$COORD/query?terms=lenovo,nba,partnership&k=5"
+# quartz and ribbon are filler vocabulary of the -synth corpus: in
+# nearly every document, so their pair heads the pair plan.
+PAIRQUERY="http://$COORD/query?terms=quartz,ribbon&k=5"
 FAILED=0
 DEGRADED=0
-run_queries() { # $1 = count, $2 = label
+run_queries() { # $1 = count, $2 = label, $3 = URL (default $QUERY)
     n=0
     while [ "$n" -lt "$1" ]; do
         n=$(( n + 1 ))
-        if body="$(fetch "$QUERY")"; then
+        if body="$(fetch "${3:-$QUERY}")"; then
             case "$body" in
             *'"Docs"'*) ;;
             *)
@@ -121,8 +131,40 @@ settle() { # $1 = label
     done
 }
 
+# pair_served prints a shard's PairServed counter (0 if unreadable).
+pair_served() { # $1 = shard address
+    n="$(fetch "http://$1/shardstats" | sed -n 's/.*"PairServed":\([0-9][0-9]*\).*/\1/p')" || n=""
+    echo "${n:-0}"
+}
+
+# await_pair_served sends the heavy two-term query through the
+# coordinator until BOTH shards have answered it off a pair list since
+# the call began: the first queries are kernel-joined and start each
+# shard's background build, later ones are served from what it attached.
+await_pair_served() { # $1 = label
+    was0="$(pair_served "$SHARD0")"
+    was1="$(pair_served "$SHARD1")"
+    i=0
+    while :; do
+        run_queries 1 "pair query $1" "$PAIRQUERY"
+        if [ "$(pair_served "$SHARD0")" -gt "$was0" ] && [ "$(pair_served "$SHARD1")" -gt "$was1" ]; then
+            return 0
+        fi
+        i=$(( i + 1 ))
+        if [ "$i" -gt 100 ]; then
+            echo "smoke-remote: a shard never served the coordinator's spec from a pair list $1" \
+                "(PairServed shard0 $was0 -> $(pair_served "$SHARD0"), shard1 $was1 -> $(pair_served "$SHARD1"))" >&2
+            cat "$TMP"/*.log >&2 || true
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
 echo "== queries against the healthy fleet =="
 run_queries 5 "healthy"
+echo "== both shards build pair lists for the coordinator's spec on demand =="
+await_pair_served "before the roll"
 if [ "$DEGRADED" -ne 0 ]; then
     echo "smoke-remote: healthy fleet answered degraded" >&2
     exit 1
@@ -155,5 +197,16 @@ fi
 # full-fleet answers.
 echo "== fleet settles back to non-degraded =="
 settle "after both shards restarted"
+
+# Nothing told the restarted shards which spec to prepare: the spec
+# rides every query, and each shard planned for itself at start-up.
+echo "== restarted shards serve pair lists again =="
+DEGRADED_ROLL="$DEGRADED"
+await_pair_served "after the roll"
+if [ "$FAILED" -ne 0 ] || [ "$DEGRADED" -ne "$DEGRADED_ROLL" ]; then
+    echo "smoke-remote: pair queries after the roll: $FAILED failed, $(( DEGRADED - DEGRADED_ROLL )) degraded" >&2
+    cat "$TMP"/*.log >&2 || true
+    exit 1
+fi
 
 echo "smoke-remote: OK ($DEGRADED degraded answers while shards were down, 0 failed queries)"
