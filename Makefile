@@ -26,7 +26,6 @@ bench-json:
 fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecode -fuzztime=30s ./internal/match/
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
-	go test -run=Fuzz -fuzz=FuzzDecodeDocMax -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzLoadCompact -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzLoadFile -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBlocks -fuzztime=30s ./internal/index/

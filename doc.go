@@ -81,16 +81,16 @@
 // context deadlines with partial results, and Stats/expvar
 // observability. The engine prunes losslessly by default: candidates
 // whose score upper bound (ScoreUpperBoundWIN/MED/MAX over per-concept
-// maximum match scores) cannot beat the current top-k floor are
+// block-maximum match scores) cannot beat the current top-k floor are
 // skipped without joining, with output identical to the exhaustive
-// engine; EngineConfig.DisablePruning turns it off. Registering
-// block-partitioned postings on the index
-// (CompactIndex.AddConceptBlocks) moves the same pruning below the
-// decode: candidate generation walks per-block skip tables, blocks
-// are decoded lazily and in parallel on the worker pool, and blocks
-// whose block-max score bound cannot beat the top-k floor are skipped
-// without touching their bytes — still with output identical to the
-// flat path. Queries are conjunctive by default; EngineQuery.Mode =
+// engine; EngineConfig.DisablePruning turns it off. Every concept is
+// served through a block table — registered on the index
+// (CompactIndex.AddConceptBlocks) or built from the postings on first
+// use — which moves the same pruning below the decode: candidate
+// generation walks per-block skip tables, blocks are decoded lazily
+// and in parallel on the worker pool, and blocks whose block-max score
+// bound cannot beat the top-k floor are skipped without touching their
+// bytes. Queries are conjunctive by default; EngineQuery.Mode =
 // ModeOR (with an optional m-of-n EngineQuery.MinMatch threshold)
 // instead ranks the union of documents matching at least m concepts
 // through a block-max WAND pivot walk, pruned by a union score bound

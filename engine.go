@@ -27,8 +27,10 @@ type CompactIndex = index.Compact
 
 // LoadCompactIndex deserializes a CompactIndex.Marshal buffer,
 // validating every posting list eagerly so corrupt or adversarial
-// bytes fail here rather than at query time. Both the framed
-// (checksummed) and the pre-framing legacy layout are accepted.
+// bytes fail here rather than at query time. Only the framed,
+// checksummed layout is accepted: unframed input, and a framed buffer
+// carrying the retired section 2, fail with an ErrCorruptIndex-wrapped
+// error naming what was seen.
 func LoadCompactIndex(b []byte) (*CompactIndex, error) { return index.LoadCompact(b) }
 
 // ErrCorruptIndex tags every corruption error from index loading —
@@ -54,19 +56,20 @@ type Concept = index.Concept
 // and exposes counters and latency histograms via Stats.
 //
 // By default the engine prunes losslessly: candidates whose score
-// upper bound (from per-concept maximum match scores) is strictly
-// below the current top-k floor are skipped without running the join,
-// with output guaranteed identical to the exhaustive engine — see
-// DESIGN.md "Score-upper-bound pruning". Set
+// upper bound (from per-concept block-maximum match scores) is
+// strictly below the current top-k floor are skipped without running
+// the join, with output guaranteed identical to the exhaustive engine
+// — see DESIGN.md "Score-upper-bound pruning". Set
 // EngineConfig.DisablePruning for the exhaustive baseline.
 //
-// Concepts with block-partitioned postings registered on the index
-// (CompactIndex.AddConceptBlocks) additionally prune below the
-// decode: candidates come from per-block skip tables, posting blocks
-// are decoded lazily and in parallel on the worker pool, and blocks
-// whose block-max bound cannot beat the floor are never decoded at
-// all — output stays identical to the flat path. See DESIGN.md
-// "Block-max skip layer".
+// Every concept is served through a block table — the one registered
+// on the index (CompactIndex.AddConceptBlocks), or one the engine
+// builds from the postings the first time the concept is queried — so
+// the same pruning also works below the decode: candidates come from
+// per-block skip tables, posting blocks are decoded lazily and in
+// parallel on the worker pool, and blocks whose block-max bound cannot
+// beat the floor are never decoded at all. See DESIGN.md "Block-max
+// skip layer".
 type Engine = engine.Engine
 
 // The engine degrades instead of dying under partial failure: kernel

@@ -3,7 +3,8 @@ package engine
 // Differential harness for the group-varint batched decode path: the
 // batch codec is supposed to be invisible — an engine whose concepts
 // are served from batched block buffers must return exactly what the
-// varint-block engine and the flat engine return. This property test
+// varint-block engine and an engine building its tables on demand
+// return. This property test
 // builds random corpora and random queries and asserts all three
 // engines' output — document ids, scores (bit for bit), matchsets,
 // tie-break order, and the Partial flag — is identical across all
@@ -33,8 +34,8 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 		// Three physically separate indexes from the same corpus: one
 		// with batched block postings for every concept, one with varint
 		// block postings at the same block size (odd trials use a tiny
-		// size so queries cross many block boundaries), and one flat
-		// reference (half the trials with doc-max metadata registered).
+		// size so queries cross many block boundaries), and one with
+		// nothing registered, whose tables are built on demand.
 		batchIdx := buildCompact(t, corpus)
 		varintIdx := buildCompact(t, corpus)
 		blockSize := 16
@@ -47,12 +48,7 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 			}
 			varintIdx.AddConceptBlocksSized(c, blockSize)
 		}
-		flatIdx := buildCompact(t, corpus)
-		if trial%4 >= 2 {
-			for _, c := range concepts {
-				flatIdx.AddConceptMeta(c)
-			}
-		}
+		bareIdx := buildCompact(t, corpus)
 		k := 1 + rng.Intn(6)
 		for _, workers := range []int{1, 4} {
 			for _, noprune := range []bool{false, true} {
@@ -60,7 +56,7 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 					cfg := Config{Workers: workers, DisablePruning: noprune}
 					batched := New(batchIdx, cfg)
 					varint := New(varintIdx, cfg)
-					flat := New(flatIdx, cfg)
+					ondemand := New(bareIdx, cfg)
 					q := Query{Concepts: concepts, Join: fam.factory, K: k}
 					rb, err := batched.Search(context.Background(), q)
 					if err != nil {
@@ -70,15 +66,15 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rf, err := flat.Search(context.Background(), q)
+					ro, err := ondemand.Search(context.Background(), q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("trial %d %s workers=%d k=%d bs=%d noprune=%v",
 						trial, fam.name, workers, k, blockSize, noprune)
 					assertIdentical(t, label+" batch-vs-varint", rb, rv)
-					assertIdentical(t, label+" batch-vs-flat", rb, rf)
-					if rb.Degraded || rv.Degraded || rf.Degraded {
+					assertIdentical(t, label+" batch-vs-on-demand", rb, ro)
+					if rb.Degraded || rv.Degraded || ro.Degraded {
 						t.Fatalf("%s: degraded on a healthy index", label)
 					}
 					// The batch engine must actually have decoded batched

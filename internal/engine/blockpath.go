@@ -9,29 +9,27 @@ import (
 	"bestjoin/internal/match"
 )
 
-// The block-max skip layer: when a concept has block-partitioned
-// postings registered (index.Compact.AddConceptBlocks), the engine
-// serves it without ever materializing its corpus-wide doc-set or
-// match lists. Candidate generation walks the skip table — whole
-// blocks are galloped over by their (FirstDoc, LastDoc) range, and a
-// block's document directory (a few varints) is decoded only when the
-// intersection actually needs ids inside it. Match areas are decoded
-// lazily, per block, by the join workers — in parallel, which is what
-// finally breaks the serial-decode bottleneck of the flat path — and
-// only for blocks that still matter when a worker reaches them: a
-// candidate block whose block-max score upper bound has fallen
-// strictly below the top-k floor is pruned below decode, its bytes
-// never touched. Stats().BlocksSkipped counts those;
+// The block-max skip layer: every concept is served through a block
+// table (concept.go resolves it), so the engine never materializes a
+// concept's corpus-wide doc-set or match lists. Candidate generation
+// walks the skip table — whole blocks are galloped over by their
+// (FirstDoc, LastDoc) range, and a block's document directory (a few
+// varints) is decoded only when the walk actually needs ids inside it.
+// Match areas are decoded lazily, per block, by the join workers — in
+// parallel — and only for blocks that still matter when a worker
+// reaches them: a candidate block whose block-max score upper bound has
+// fallen strictly below the top-k floor is pruned below decode, its
+// bytes never touched. Stats().BlocksSkipped counts those;
 // Stats().BlockDecodes counts the blocks that were decoded.
 //
-// Soundness mirrors the flat pruning argument (DESIGN.md): a block's
-// MaxScore is ≥ every per-document maximum inside it, the UpperBound
-// hooks are monotone non-decreasing in each per-list maximum, and the
-// floor only rises — so a block-max bound strictly below the floor
-// proves every document in the block loses. Equality never prunes,
-// preserving the document-id tie-break. The differential suite
-// (TestDifferentialBlocksVsFlat) proves block-served and flat-served
-// engines return bitwise-identical results.
+// Soundness (DESIGN.md): a block's MaxScore is ≥ every per-document
+// maximum inside it, the UpperBound hooks are monotone non-decreasing
+// in each per-list maximum, and the floor only rises — so a block-max
+// bound strictly below the floor proves every document in the block
+// loses. Equality never prunes, preserving the document-id tie-break.
+// The differential suite (TestDifferentialBlocksVsFlat) proves
+// block-served engines bitwise-identical to the per-document reference
+// (index.Compact.QueryLists joined document by document).
 
 // blockSet is the cached per-(epoch, concept) block state: the
 // decoded skip table plus a memo of decoded block directories. The
@@ -51,27 +49,6 @@ func (cd *conceptData) setBlocks(bs *blockSet) {
 	words := (bs.bt.NumBlocks() + 63) / 64
 	cd.cand = make([]uint64, words)
 	cd.fetched = make([]atomic.Uint64, words)
-}
-
-// conceptBlocks resolves a concept's block table under recover:
-// index.Compact.ConceptBlocks panics on corrupt bytes, and a corrupt
-// index must degrade the query, not the process. ok is false both
-// when the concept has no blocks registered (fall through to the flat
-// path) and when the lookup failed (cd.failed is then set).
-func (e *Engine) conceptBlocks(qs *queryState, cd *conceptData) (bs *blockSet, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.counters.decodeFailures.Add(1)
-			qs.degraded.Store(true)
-			cd.failed = true
-			bs, ok = nil, false
-		}
-	}()
-	bt, found := qs.idx.ConceptBlocks(cd.concept)
-	if !found {
-		return nil, false
-	}
-	return &blockSet{bt: bt, dirs: make([]atomic.Pointer[[]int], bt.NumBlocks())}, true
 }
 
 // ensureDir returns block blk's document directory, decoding and
@@ -94,17 +71,15 @@ func (e *Engine) ensureDir(qs *queryState, cd *conceptData, blk int) ([]int, boo
 }
 
 // listCursor iterates one concept's documents in ascending order for
-// the intersection walk, over either representation. Flat concepts
-// walk their materialized doc slice; block concepts walk the skip
-// table, passing whole blocks by range without touching their bytes
-// and decoding a directory only when the walk needs ids inside it.
+// candidate generation: it walks the skip table, passing whole blocks
+// by range without touching their bytes and decoding a directory only
+// when the walk needs ids inside it.
 type listCursor struct {
-	cd *conceptData
-	i  int // flat mode: index into cd.docs
-	// Block mode. dir is nil until the current block's directory is
-	// actually needed: a seek that lands on a block's FirstDoc answers
-	// straight from the skip entry.
+	cd  *conceptData
 	blk int
+	// dir is nil until the current block's directory is actually
+	// needed: a seek that lands on a block's FirstDoc answers straight
+	// from the skip entry.
 	dir []int
 	di  int
 }
@@ -113,23 +88,6 @@ type listCursor struct {
 // ok is false when the concept is exhausted (or failed).
 func (cu *listCursor) seek(e *Engine, qs *queryState, d int) (int, bool) {
 	cd := cu.cd
-	if cd.blocks == nil {
-		// The failed check matters on the flat path too: the union
-		// dispatcher interleaves match-list decodes with cursor seeks,
-		// and a failed decode nils cd.docs under a cursor that has
-		// already advanced — the cursor must read as exhausted, not
-		// index the vanished slice.
-		if cd.failed {
-			return 0, false
-		}
-		for cu.i < len(cd.docs) && cd.docs[cu.i] < d {
-			cu.i++
-		}
-		if cu.i == len(cd.docs) {
-			return 0, false
-		}
-		return cd.docs[cu.i], true
-	}
 	if cd.failed {
 		return 0, false
 	}
@@ -166,16 +124,12 @@ func (cu *listCursor) seek(e *Engine, qs *queryState, d int) (int, bool) {
 	}
 }
 
-// maxAt returns the current document's per-list maximum match score:
-// exact for flat concepts, the containing block's MaxScore for block
-// concepts. The block max is coarser but still an upper bound on the
-// document's true maximum, so every bound built from it stays sound —
-// and keeping bounds constant across a block is exactly what makes
-// whole-block skipping possible.
+// maxAt returns the per-list maximum the current document is bounded
+// by: the containing block's MaxScore — an upper bound on the
+// document's true maximum, so every bound built from it is sound, and
+// constant across the block, which is what makes whole-block skipping
+// possible.
 func (cu *listCursor) maxAt() float64 {
-	if cu.cd.blocks == nil {
-		return cu.cd.maxSc[cu.i]
-	}
 	return cu.cd.blocks.bt.Infos[cu.blk].MaxScore
 }
 
@@ -183,27 +137,19 @@ func (cu *listCursor) maxAt() float64 {
 // at least one candidate document). Candidate blocks never fetched by
 // a worker were pruned below decode.
 func (cu *listCursor) mark() {
-	if cu.cd.blocks != nil {
-		cu.cd.cand[cu.blk/64] |= 1 << (cu.blk % 64)
-	}
+	cu.cd.cand[cu.blk/64] |= 1 << (cu.blk % 64)
 }
 
 // intersectCursors returns the documents present in every concept by
 // a leapfrog walk over cursors, together with the per-list maximum
 // match scores of every surviving document, flattened document-major:
-// perListMax[i*len(cds)+j] is concept j's maximum (or block maximum)
-// for the i-th candidate. perListMax is nil when any flat concept
-// lacks maxima. Unlike the pre-block intersection, no concept's
-// corpus-wide doc-set is ever materialized here.
+// perListMax[i*len(cds)+j] is concept j's block maximum for the i-th
+// candidate. No concept's corpus-wide doc-set is ever materialized.
 func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []int, perListMax []float64) {
 	n := len(cds)
-	withMax := true
 	for _, cd := range cds {
 		if cd.failed {
 			return nil, nil
-		}
-		if cd.blocks == nil && cd.maxSc == nil && len(cd.docs) > 0 {
-			withMax = false
 		}
 	}
 	curs := make([]listCursor, n)
@@ -223,12 +169,8 @@ func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []in
 		}
 		if matched == n {
 			docs = append(docs, d)
-			if withMax {
-				for jj := range curs {
-					perListMax = append(perListMax, curs[jj].maxAt())
-				}
-			}
 			for jj := range curs {
+				perListMax = append(perListMax, curs[jj].maxAt())
 				curs[jj].mark()
 			}
 			// Poll the context on a coarse stride: a cancelled query
@@ -258,7 +200,7 @@ type blockFetch struct {
 	lists []match.List
 }
 
-// list returns doc's match list under block-served concept cd: locate
+// list returns doc's match list under concept cd: locate
 // the document's block, fetch its decoded form (worker memo → list
 // cache → decode), and find the document in it. The memo only
 // short-cuts the two searches — blocks cover disjoint id ranges and a
@@ -289,34 +231,36 @@ func (f *blockFetch) list(e *Engine, qs *queryState, cd *conceptData, doc int) (
 	return f.lists[di], true
 }
 
-// fillBlockLists completes a job's match lists for block-served
-// concepts. Flat concepts were already assembled by the dispatcher.
-// false means a decode failed and the document must be dropped.
-func (e *Engine) fillBlockLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch) bool {
+// fillLists completes a job's match lists on a worker — lazy per-block
+// decode fanned out across the pool. A conjunctive job (mask == 0) has
+// one slot per concept; a disjunctive job one slot per set bit of
+// jb.mask, in ascending concept order. false means a decode failed and
+// the document must be dropped.
+func (e *Engine) fillLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch) bool {
+	s := 0
 	for j, cd := range cds {
-		if cd.blocks == nil {
+		if jb.mask != 0 && jb.mask&(1<<uint(j)) == 0 {
 			continue
 		}
 		l, ok := fetch[j].list(e, qs, cd, jb.doc)
 		if !ok {
 			return false
 		}
-		jb.lists[j] = l
+		jb.lists[s] = l
+		s++
 	}
 	return true
 }
 
-// fetchBlock returns one decoded block via the list cache (block-mode
-// entries are keyed by block index in the listKey doc field — a
-// concept is served by exactly one representation per epoch, so the
-// key spaces cannot collide). Cache misses route through the flight
+// fetchBlock returns one decoded block via the list cache (entries are
+// keyed by block index). Cache misses route through the flight
 // group (coalesce.go) so concurrent misses on the same block — within
 // one query's worker pool or across queries sharing a concept —
 // perform a single decode. The fetched bit records that the block was
 // needed; candidate blocks with the bit still clear at query end were
 // pruned below decode.
 func (e *Engine) fetchBlock(qs *queryState, cd *conceptData, blk int) (docs []int, lists []match.List, ok bool) {
-	key := listKey{epoch: qs.epoch, doc: blk, fp: cd.fp}
+	key := listKey{epoch: qs.epoch, blk: blk, fp: cd.fp}
 	if ent, hit := e.lists.Get(key); hit && !faultinject.ForceMiss(faultinject.ListCacheMiss) {
 		e.counters.listHits.Add(1)
 		cd.fetched[blk/64].Or(1 << (blk % 64))

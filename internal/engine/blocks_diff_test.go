@@ -1,17 +1,17 @@
 package engine
 
-// Differential harness for the block-max skip layer: block-served
-// queries are supposed to be invisible — the only observable
-// difference between an engine whose concepts have block-partitioned
-// postings and one decoding flat postings is how much work the cold
-// path does. This property test builds random corpora and random
-// queries and asserts the block engine's output — document ids,
-// scores (bit for bit), matchsets, tie-break order, and the Partial
-// flag — is identical to the flat engine's across all scoring
-// families, with and without the duplicate-avoidance wrapper, with
-// one worker and with several. scripts/check.sh runs it under -race,
-// so the worker-side lazy block decode, the shared directory memo,
-// and the fetched bitsets are exercised concurrently too.
+// Differential harness for the one served representation: however a
+// concept's block table reaches the engine — registered at build time
+// at any block size, or built on demand at the first query — the
+// answer must be the paper's: bit for bit what joining every document's
+// index.Compact.QueryLists and ranking by (score, id) gives. This
+// property test builds random corpora and random queries and holds
+// conjunctive, disjunctive and m-of-n queries to that reference across
+// all scoring families, with and without the duplicate-avoidance
+// wrapper, with one worker and with several, pruning on and off, cold
+// and on warm caches. scripts/check.sh runs it under -race, so the
+// worker-side lazy block decode, the shared directory memo, and the
+// fetched bitsets are exercised concurrently too.
 
 import (
 	"context"
@@ -22,76 +22,100 @@ import (
 	"bestjoin/internal/index"
 )
 
+// diffLayout is the layout axis of the differential suites: how a test
+// index's concepts reach the engine.
+type diffLayout struct {
+	name     string
+	register func(*index.Compact, index.Concept) // nil: built on demand
+}
+
+// diffLayouts enumerates the axis: tables registered with tiny blocks
+// (walks cross many block boundaries), mid-size blocks (several
+// documents share one, block jumps have room), AddConceptBlocks'
+// default batched form, and nothing registered at all.
+func diffLayouts() []diffLayout {
+	sized := func(n int) func(*index.Compact, index.Concept) {
+		return func(c *index.Compact, cc index.Concept) { c.AddConceptBlocksSized(cc, n) }
+	}
+	return []diffLayout{
+		{"on-demand", nil},
+		{"bs=3", sized(3)},
+		{"bs=16", sized(16)},
+		{"bs=default", (*index.Compact).AddConceptBlocks},
+	}
+}
+
+// apply registers every concept under the layout (a no-op on demand).
+func (l diffLayout) apply(c *index.Compact, concepts []index.Concept) {
+	if l.register != nil {
+		for _, cc := range concepts {
+			l.register(c, cc)
+		}
+	}
+}
+
 func TestDifferentialBlocksVsFlat(t *testing.T) {
-	trials := 24
+	trials := 12
 	if testing.Short() {
-		trials = 6
+		trials = 3
 	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(4000 + int64(trial)))
 		corpus := diffCorpus(rng)
 		concepts := diffConcepts(rng)
-		// Two physically separate indexes from the same corpus: one
-		// with block-partitioned postings registered for every concept
-		// (odd trials use a tiny block size so queries cross many
-		// block boundaries; even trials keep a mid size so several
-		// documents share a block), one serving the flat decode path.
-		// Half the flat trials also register doc-max metadata, so
-		// block bounds are checked against both flat candidate paths.
-		blockIdx := buildCompact(t, corpus)
-		blockSize := 16
-		if trial%2 == 1 {
-			blockSize = 3
-		}
-		for _, c := range concepts {
-			blockIdx.AddConceptBlocksSized(c, blockSize)
-		}
-		flatIdx := buildCompact(t, corpus)
-		if trial%4 >= 2 {
-			for _, c := range concepts {
-				flatIdx.AddConceptMeta(c)
-			}
-		}
 		k := 1 + rng.Intn(6)
-		for _, workers := range []int{1, 4} {
-			for _, fam := range diffFamilies() {
-				blocked := New(blockIdx, Config{Workers: workers})
-				flat := New(flatIdx, Config{Workers: workers})
-				q := Query{Concepts: concepts, Join: fam.factory, K: k}
-				rb, err := blocked.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
+		// One physically separate index per layout, and a bare one for
+		// the reference.
+		ref := buildCompact(t, corpus)
+		layouts := diffLayouts()
+		idxs := make([]*index.Compact, len(layouts))
+		for i, layout := range layouts {
+			idxs[i] = buildCompact(t, corpus)
+			layout.apply(idxs[i], concepts)
+		}
+		// AND, OR, and — when the query is wide enough — 2-of-n.
+		modes := []Query{{}, {Mode: ModeOR}}
+		if len(concepts) > 2 {
+			modes = append(modes, Query{Mode: ModeOR, MinMatch: 2})
+		}
+		for _, fam := range diffFamilies() {
+			for _, q := range modes {
+				q.Concepts, q.Join, q.K = concepts, fam.factory, k
+				want := bruteForce(ref, concepts, fam.factory, k)
+				if q.Mode == ModeOR {
+					want = bruteForceUnion(ref, concepts, fam.factory, k, max(q.MinMatch, 1))
 				}
-				rf, err := flat.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
+				for i, layout := range layouts {
+					for _, workers := range []int{1, 4} {
+						for _, noprune := range []bool{false, true} {
+							label := fmt.Sprintf("trial %d %s %s or=%v m=%d workers=%d k=%d noprune=%v",
+								trial, layout.name, fam.name, q.Mode == ModeOR, q.MinMatch, workers, k, noprune)
+							e := New(idxs[i], Config{Workers: workers, DisablePruning: noprune})
+							// Cold, then again on warm caches (skip tables
+							// and decoded blocks in the LRUs).
+							for _, pass := range []string{"", " cached"} {
+								res, err := e.Search(context.Background(), q)
+								if err != nil {
+									t.Fatal(err)
+								}
+								assertResultInvariants(t, label+pass, res)
+								assertSameDocs(t, label+pass, res.Docs, want)
+								if res.Degraded || res.Partial {
+									t.Fatalf("%s: degraded=%v partial=%v on a healthy index", label+pass, res.Degraded, res.Partial)
+								}
+							}
+							if st := e.Stats(); st.DocsEvaluated > 0 && st.BlockDecodes == 0 {
+								t.Fatalf("%s: evaluated %d docs with zero block decodes", label, st.DocsEvaluated)
+							}
+						}
+					}
 				}
-				label := fmt.Sprintf("trial %d %s workers=%d k=%d bs=%d",
-					trial, fam.name, workers, k, blockSize)
-				assertIdentical(t, label, rb, rf)
-				if rb.Degraded || rf.Degraded {
-					t.Fatalf("%s: degraded on a healthy index", label)
-				}
-				// The block engine must actually have taken the block
-				// path: candidates exist in most trials, and any decode
-				// at all must be counted.
-				st := blocked.Stats()
-				if rb.Evaluated > 0 && st.BlockDecodes == 0 {
-					t.Fatalf("%s: evaluated %d docs with zero block decodes", label, rb.Evaluated)
-				}
-				// Repeat the query: the cached path (skip tables and
-				// decoded blocks warm in the LRUs) must stay identical.
-				rb2, err := blocked.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdentical(t, label+" cached", rb2, rf)
 			}
 		}
 	}
 }
 
-// TestBlocksPruneInRankOrder is the flat-path equality test at block
+// TestBlocksPruneInRankOrder pins the rank-order tie-break at block
 // granularity. Every document scores identically and every block's
 // max-score bound ties the top-k floor, so what decides a block is
 // document ids alone: a block holding a document that still wins its
@@ -134,7 +158,7 @@ func TestBlocksPruneInRankOrder(t *testing.T) {
 }
 
 // TestCorruptBlocksDegradeNotCrash pins the block layer's failure
-// model, mirroring the flat corrupt-decode test: corruption of a
+// model for registered tables: corruption of a
 // concept's block bytes — whether in the skip table (the lookup
 // panics) or in a lazily-decoded payload (directory and match-area
 // decodes error) — must degrade the query to a sound subset, never

@@ -50,7 +50,7 @@ func coalesceFixture(t *testing.T, cfg Config) (*Engine, *queryState, *conceptDa
 func TestCoalesceWaitersServedByLeader(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
 	const n = 8
-	key := listKey{epoch: qs.epoch, doc: 0, fp: cd.fp}
+	key := listKey{epoch: qs.epoch, blk: 0, fp: cd.fp}
 	call := &flightCall{done: make(chan struct{})}
 	e.flights.mu.Lock()
 	e.flights.m[key] = call
@@ -130,7 +130,7 @@ func TestCoalesceWaitersServedByLeader(t *testing.T) {
 // coalesced decode, and does not degrade anything by itself.
 func TestCoalesceCancelledWaiter(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
-	key := listKey{epoch: qs.epoch, doc: 0, fp: cd.fp}
+	key := listKey{epoch: qs.epoch, blk: 0, fp: cd.fp}
 	call := &flightCall{done: make(chan struct{})}
 	e.flights.mu.Lock()
 	e.flights.m[key] = call
@@ -190,7 +190,7 @@ func TestCoalesceCancelledWaiter(t *testing.T) {
 // decode failure.
 func TestCoalesceSharedFailureDegrades(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
-	key := listKey{epoch: qs.epoch, doc: 0, fp: cd.fp}
+	key := listKey{epoch: qs.epoch, blk: 0, fp: cd.fp}
 	call := &flightCall{done: make(chan struct{})}
 	e.flights.mu.Lock()
 	e.flights.m[key] = call

@@ -1,231 +1,92 @@
 package engine
 
 import (
-	"math"
 	"sync/atomic"
 
 	"bestjoin/internal/faultinject"
 	"bestjoin/internal/index"
-	"bestjoin/internal/match"
 )
 
-// Per-query concept resolution: the cache-assisted chain from a query
-// concept to its corpus-wide match data — concept cache, block skip
-// table, precomputed doc-max metadata, or a full posting decode.
+// Per-query concept resolution: a query concept is always read through
+// a block table (blockpath.go) — the concept cache's, the index's
+// registered one, or one built on demand from the raw postings.
 
 // conceptData is the per-query working state for one concept.
 type conceptData struct {
 	concept index.Concept
 	fp      uint64
-	failed  bool      // decode failed: the concept poisons its queries
-	docs    []int     // sorted ids of documents containing the concept
-	maxSc   []float64 // aligned with docs: max match score per document
-	// local holds this query's freshly decoded lists; nil until the
-	// concept has been decoded (cache hits avoid it entirely).
-	local map[int]match.List
-	// Block mode (blockpath.go): blocks replaces docs/maxSc/local
-	// entirely. cand marks blocks that contributed candidates (written
-	// only by the dispatcher goroutine during intersection); fetched
-	// marks blocks some worker actually obtained (hit or decode) —
-	// atomics, because workers race on them.
+	failed  bool // resolution or a directory decode failed: the concept poisons its queries
+	// blocks is nil only when the concept failed or the query was
+	// cancelled before the table was resolved. cand marks blocks that
+	// contributed candidates (written only by the dispatcher goroutine
+	// during candidate generation); fetched marks blocks some worker
+	// actually obtained (hit or decode) — atomics, because workers race
+	// on them.
 	blocks  *blockSet
 	cand    []uint64
 	fetched []atomic.Uint64
 }
 
 // conceptData resolves a concept for this query: from the concept
-// cache when possible; else its block skip table
-// (index.Compact.ConceptBlocks) — the representation that defers all
-// match decoding to the workers; else precomputed doc-max metadata
-// (index.Compact.ConceptMeta), which costs a doc-level decode instead
-// of a full posting decode; else by decoding postings corpus-wide.
-// Hits and misses land in the concept-cache counters.
+// cache when possible, else through conceptBlocks, which the cache then
+// remembers for the epoch. Hits and misses land in the concept-cache
+// counters.
 func (e *Engine) conceptData(qs *queryState, c index.Concept) *conceptData {
 	cd := &conceptData{concept: c, fp: index.ConceptKey(c)}
-	if ce, ok := e.concepts.Get(conceptKey{epoch: qs.epoch, fp: cd.fp}); ok &&
-		!faultinject.ForceMiss(faultinject.ConceptCacheMiss) {
+	key := conceptKey{epoch: qs.epoch, fp: cd.fp}
+	if bs, ok := e.concepts.Get(key); ok && !faultinject.ForceMiss(faultinject.ConceptCacheMiss) {
 		e.counters.conceptHits.Add(1)
-		if ce.blocks != nil {
-			cd.setBlocks(ce.blocks)
-		} else {
-			cd.docs, cd.maxSc = ce.docs, ce.maxSc
-		}
+		cd.setBlocks(bs)
 		return cd
 	}
 	e.counters.conceptMisses.Add(1)
 	if bs, ok := e.conceptBlocks(qs, cd); ok {
 		cd.setBlocks(bs)
-		e.concepts.Put(conceptKey{epoch: qs.epoch, fp: cd.fp}, conceptEntry{blocks: bs})
-		return cd
+		e.concepts.Put(key, bs)
 	}
-	if cd.failed {
-		return cd
-	}
-	if docs, maxSc, ok := e.conceptMeta(qs, cd, c); ok {
-		cd.docs, cd.maxSc = docs, maxSc
-		e.concepts.Put(conceptKey{epoch: qs.epoch, fp: cd.fp}, conceptEntry{docs: docs, maxSc: maxSc})
-		return cd
-	}
-	if cd.failed {
-		return cd
-	}
-	e.decode(qs, cd)
 	return cd
 }
 
-// conceptMeta looks up precomputed concept metadata under recover:
-// index.Compact.ConceptMeta panics on corrupt metadata, and a corrupt
-// index must degrade the query, not the process.
-func (e *Engine) conceptMeta(qs *queryState, cd *conceptData, c index.Concept) (docs []int, maxSc []float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.counters.decodeFailures.Add(1)
-			qs.degraded.Store(true)
-			cd.failed = true
-			docs, maxSc, ok = nil, nil, false
-		}
-	}()
-	return qs.idx.ConceptMeta(c)
-}
-
-// list fetches the match list of one concept in one document: from
-// this query's decoded state, else the LRU, else by decoding the
-// concept's postings (which fills both). Hits and misses land in the
-// list-cache counters. ok is false when the concept's decode failed
-// or was cancelled; the caller must then drop the document (or the
-// query), never join against a half-decoded list.
-func (e *Engine) list(qs *queryState, cd *conceptData, doc int) (match.List, bool) {
-	if cd.failed {
-		return nil, false
-	}
-	if cd.local != nil {
-		return cd.local[doc], true
-	}
-	if ent, ok := e.lists.Get(listKey{epoch: qs.epoch, doc: doc, fp: cd.fp}); ok &&
-		!faultinject.ForceMiss(faultinject.ListCacheMiss) {
-		e.counters.listHits.Add(1)
-		return ent.list, true
-	}
-	e.counters.listMisses.Add(1)
-	if !e.decode(qs, cd) {
-		return nil, false
-	}
-	return cd.local[doc], true
-}
-
-// decode materializes a concept across the whole corpus: a k-way merge
-// of the member words' posting lists in (document, position) order,
-// keeping the best score per (document, position) — the same merge as
-// index.Compact.ConceptList, but for all documents at once instead of
-// re-decoding per document. Because each word's postings are already
-// sorted by (doc, pos), the merge emits every match in final order
-// directly into one flat backing list; per-document lists are capped
-// subslices of it, so the whole corpus-wide decode costs a handful of
-// allocations instead of two map levels plus one slice and one sort
-// per document. Results populate the query-local state and both
-// caches.
+// conceptBlocks resolves a concept's block table: the one registered
+// in the index (index.Compact.AddConceptBlocks) when there is one, else
+// a table built on demand from the concept's postings by the same
+// builder — never registered into the shared read-only index, only
+// held by the concept cache; two queries racing to build the same
+// table both succeed with equal tables. A concept absent from the
+// corpus resolves to an empty table.
 //
-// Two failure modes are contained here. Corrupt posting bytes
-// (index.Compact.Postings panics on them, and the ConceptDecode
-// injection site simulates them) are recovered: the concept is marked
-// failed, the query degrades, the process survives. And the merge
-// checks the context every few thousand postings, so a cancelled
-// query abandons the decode promptly instead of finishing a merge
-// nobody will read; an abandoned decode caches nothing for the
-// concept and marks the query cancelled.
-func (e *Engine) decode(qs *queryState, cd *conceptData) (ok bool) {
+// Two failure modes are contained here. Corrupt bytes (the index
+// panics on them, and the ConceptDecode injection site simulates them)
+// are recovered: the concept is marked failed, the query degrades, the
+// process survives. And the build polls the query's context on a
+// coarse posting stride, so a cancelled query abandons a merge nobody
+// will read: it caches nothing and marks the query cancelled. ok is
+// false in both cases.
+func (e *Engine) conceptBlocks(qs *queryState, cd *conceptData) (bs *blockSet, ok bool) {
+	fail := func() {
+		e.counters.decodeFailures.Add(1)
+		qs.degraded.Store(true)
+		cd.failed = true
+		bs, ok = nil, false
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			e.counters.decodeFailures.Add(1)
-			qs.degraded.Store(true)
-			cd.failed = true
-			cd.docs, cd.maxSc, cd.local = nil, nil, nil
-			ok = false
+			fail()
 		}
 	}()
-	faultinject.MaybeSleep(faultinject.DecodeLatency)
-	faultinject.MaybePanic(faultinject.ConceptDecode)
-	type source struct {
-		ps    []index.Posting
-		score float64
-		next  int
-	}
-	srcs := make([]source, 0, len(cd.concept))
-	total := 0
-	for word, score := range cd.concept {
-		if ps := qs.idx.Postings(word); len(ps) > 0 {
-			srcs = append(srcs, source{ps: ps, score: score})
-			total += len(ps)
-		}
-	}
-	flat := make(match.List, 0, total)
-	cd.local = make(map[int]match.List)
-	var docs []int
-	var maxs []float64
-	curDoc, begin := -1, 0
-	curMax := math.Inf(-1)
-	flush := func() {
-		if curDoc < 0 {
-			return
-		}
-		l := flat[begin:len(flat):len(flat)]
-		cd.local[curDoc] = l
-		docs = append(docs, curDoc)
-		maxs = append(maxs, curMax)
-		e.lists.Put(listKey{epoch: qs.epoch, doc: curDoc, fp: cd.fp}, listEntry{list: l})
-		begin = len(flat)
-		curMax = math.Inf(-1)
-	}
-	merged := 0
-	for {
-		// A multi-million-posting merge must not outlive its query:
-		// poll the context on a coarse stride (flush boundaries are
-		// irregular, a posting count is steady).
-		if merged&0x0fff == 0 && qs.ctx.Err() != nil {
-			cd.local = nil
-			qs.cancelled = true
-			return false
-		}
-		merged++
-		min := -1
-		for s := range srcs {
-			if srcs[s].next == len(srcs[s].ps) {
-				continue
+	bt, found := qs.idx.ConceptBlocks(cd.concept)
+	if !found {
+		faultinject.MaybeSleep(faultinject.DecodeLatency)
+		faultinject.MaybePanic(faultinject.ConceptDecode)
+		var err error
+		if bt, err = qs.idx.BuildBlockTable(qs.ctx, cd.concept); err != nil {
+			if qs.ctx.Err() != nil {
+				qs.cancelled = true
+			} else {
+				fail()
 			}
-			if min < 0 {
-				min = s
-				continue
-			}
-			p, q := srcs[s].ps[srcs[s].next], srcs[min].ps[srcs[min].next]
-			if p.Doc < q.Doc || (p.Doc == q.Doc && p.Pos < q.Pos) {
-				min = s
-			}
+			return nil, false
 		}
-		if min < 0 {
-			break
-		}
-		src := &srcs[min]
-		p := src.ps[src.next]
-		src.next++
-		if p.Doc != curDoc {
-			flush()
-			curDoc = p.Doc
-		}
-		// Words of one concept can share a (doc, pos); duplicates are
-		// adjacent in merge order, and the best member-word score wins.
-		if src.score > curMax {
-			curMax = src.score
-		}
-		if n := len(flat); n > begin && flat[n-1].Loc == p.Pos {
-			if src.score > flat[n-1].Score {
-				flat[n-1].Score = src.score
-			}
-			continue
-		}
-		flat = append(flat, match.Match{Loc: p.Pos, Score: src.score})
 	}
-	flush()
-	cd.docs, cd.maxSc = docs, maxs
-	e.concepts.Put(conceptKey{epoch: qs.epoch, fp: cd.fp}, conceptEntry{docs: docs, maxSc: maxs})
-	return true
+	return &blockSet{bt: bt, dirs: make([]atomic.Pointer[[]int], bt.NumBlocks())}, true
 }

@@ -8,8 +8,8 @@ package engine
 // order, and the Partial flag — is identical to the unpruned engine's
 // across all three scoring families, with and without the
 // duplicate-avoidance wrapper, with one worker and with several, and
-// with candidate generation served from precomputed index metadata as
-// well as from posting decode. scripts/check.sh runs it under -race,
+// with block tables registered at build time as well as built on
+// demand. scripts/check.sh runs it under -race,
 // so the atomic floor shared across workers is exercised too.
 
 import (
@@ -131,15 +131,9 @@ func TestDifferentialPrunedVsUnpruned(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + int64(trial)))
 		compact := buildCompact(t, diffCorpus(rng))
 		concepts := diffConcepts(rng)
-		// Half the trials register precomputed concept metadata, so
-		// the pruned engine's candidates (and maxima) come from the
-		// doc-level metadata path instead of posting decode.
-		withMeta := trial%2 == 1
-		if withMeta {
-			for _, c := range concepts {
-				compact.AddConceptMeta(c)
-			}
-		}
+		// Rotate how the concepts' block tables reach the engine.
+		layout := diffLayouts()[trial%len(diffLayouts())]
+		layout.apply(compact, concepts)
 		k := 1 + rng.Intn(6)
 		for _, workers := range []int{1, 4} {
 			for _, fam := range diffFamilies() {
@@ -154,8 +148,8 @@ func TestDifferentialPrunedVsUnpruned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("trial %d %s workers=%d k=%d meta=%v",
-					trial, fam.name, workers, k, withMeta)
+				label := fmt.Sprintf("trial %d %s workers=%d k=%d %s",
+					trial, fam.name, workers, k, layout.name)
 				assertIdentical(t, label, rp, ru)
 				if got := int(pruned.Stats().PrunedDocs); got != rp.Pruned {
 					t.Fatalf("%s: Result.Pruned %d != stats PrunedDocs %d", label, rp.Pruned, got)

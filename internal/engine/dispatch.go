@@ -23,8 +23,9 @@ const dispatchChunk = 32
 // upper bound (+Inf when the query has no bound), and its assembled
 // join instance. Conjunctive jobs leave mask zero and size lists to
 // the full query width; disjunctive jobs set the bit of every matched
-// concept and size lists to the match count, slots in set-bit order
-// (fillUnionLists completes the block-served slots).
+// concept and size lists to the match count, slots in set-bit order.
+// The dispatcher ships lists empty; the worker fills every slot
+// (fillLists).
 type docJob struct {
 	doc   int
 	bound float64
@@ -38,8 +39,8 @@ type docJob struct {
 
 // joinWorkers spawns the join worker pool shared by the conjunctive
 // and disjunctive paths. Workers drain job chunks, re-check each job's
-// bound against the risen floor, complete block-served match lists
-// (lazy per-block decode), run the kernel under panic isolation, and
+// bound against the risen floor, fetch the job's match lists (lazy
+// per-block decode), run the kernel under panic isolation, and
 // offer results to the shared top-k heap. The floor entry is
 // snapshotted once per chunk and refreshed only after an offer could
 // have raised it; a stale snapshot is sound — the entry only improves
@@ -83,9 +84,7 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 						}
 						continue
 					}
-					filled := jb.mask == 0 && e.fillBlockLists(qs, cds, jb, fetch) ||
-						jb.mask != 0 && e.fillUnionLists(qs, cds, jb, fetch)
-					if !filled {
+					if !e.fillLists(qs, cds, jb, fetch) {
 						// Block decode failure: drop this document only. An
 						// unfilled job on an expired context is not a failure
 						// — a cancelled flight waiter returns false without
@@ -142,9 +141,6 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 // pruned below decode, their bytes never touched.
 func (e *Engine) countSkippedBlocks(cds []*conceptData) {
 	for _, cd := range cds {
-		if cd.blocks == nil {
-			continue
-		}
 		skipped := 0
 		for w := range cd.cand {
 			skipped += bits.OnesCount64(cd.cand[w] &^ cd.fetched[w].Load())

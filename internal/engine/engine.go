@@ -9,10 +9,10 @@
 //
 // The engine supports context cancellation and deadlines (a query that
 // runs out of time returns its best-so-far answer marked Partial), an
-// LRU cache of decoded per-(document, concept) match lists so repeated
-// queries skip posting decompression entirely, and an observability
-// layer of atomic counters plus a latency histogram, exposed via
-// Stats() and optionally expvar (Publish).
+// LRU cache of decoded posting blocks so repeated queries skip posting
+// decompression entirely, and an observability layer of atomic counters
+// plus a latency histogram, exposed via Stats() and optionally expvar
+// (Publish).
 //
 // Joins run on reusable kernels (join.Kernel): a query supplies a
 // KernelFactory, each worker builds one kernel from it and reuses that
@@ -69,14 +69,15 @@ type Config struct {
 	// Workers is the number of join workers per query; ≤ 0 means
 	// GOMAXPROCS.
 	Workers int
-	// CacheLists caps the (document, concept) match-list LRU in
-	// entries; ≤ 0 means DefaultCacheLists.
+	// CacheLists caps the match-list LRU, counted in decoded blocks
+	// (one entry is one concept's block of ~index.BlockSize documents
+	// with their match lists); ≤ 0 means DefaultCacheLists.
 	CacheLists int
-	// CacheConcepts caps the concept → candidate-documents LRU in
-	// entries; ≤ 0 means DefaultCacheConcepts.
+	// CacheConcepts caps the concept → block-table LRU in entries;
+	// ≤ 0 means DefaultCacheConcepts.
 	CacheConcepts int
 	// CacheBytes additionally bounds the match-list cache by the total
-	// byte cost of its entries — decoded match lists vary by orders of
+	// byte cost of its entries — decoded blocks vary by orders of
 	// magnitude, so an entry-count cap alone can pin anywhere from
 	// kilobytes to gigabytes. ≤ 0 keeps the default entry-count-only
 	// behavior; > 0 is a hard bound (Stats().CacheBytes reports the
@@ -96,8 +97,7 @@ type Config struct {
 	Overload OverloadPolicy
 	// QueueDepth caps each worker's candidate job queue; ≤ 0 means
 	// DefaultQueueDepth. Smaller queues bound the dispatcher's
-	// lead over the workers (and the memory pinned by assembled match
-	// lists); they never change results.
+	// lead over the workers; they never change results.
 	QueueDepth int
 	// DisableCoalescing turns off cross-query decode coalescing
 	// (coalesce.go); the zero Config coalesces. Coalescing never
@@ -134,28 +134,15 @@ type Engine struct {
 	mode     QueryMode
 	admit    admitter
 	lists    *lruCache[listKey, listEntry]
-	concepts *lruCache[conceptKey, conceptEntry]
+	concepts *lruCache[conceptKey, *blockSet]
 	flights  flightGroup
 	counters counters
 	latency  histogram
 }
 
-// conceptEntry is the cached corpus-wide summary of one concept:
-// either the sorted candidate documents with, aligned, the maximum
-// match score the concept attains in each (flat mode), or the
-// concept's block skip table (block mode) — which replaces both, at
-// block granularity, without materializing per-document state.
-type conceptEntry struct {
-	docs   []int
-	maxSc  []float64
-	blocks *blockSet
-}
-
-// listEntry is one match-list cache value: a single document's list
-// for flat-served concepts, or a whole decoded block (document ids
-// plus aligned lists) for block-served ones.
+// listEntry is one match-list cache value: a whole decoded block —
+// document ids plus, aligned, each document's match list.
 type listEntry struct {
-	list  match.List
 	docs  []int
 	lists []match.List
 }
@@ -165,18 +152,18 @@ type listEntry struct {
 const matchBytes = 16
 
 // listEntryCost estimates one cache entry's resident bytes: match
-// storage plus slice headers plus fixed LRU bookkeeping. Block-mode
+// storage plus slice headers plus fixed LRU bookkeeping. A block's
 // lists are disjoint subslices of one flat backing, so summing their
 // lengths counts each match once.
 func listEntryCost(v listEntry) int64 {
-	n := int64(len(v.list))*matchBytes + int64(len(v.docs))*8 + int64(len(v.lists))*24
+	n := int64(len(v.docs))*8 + int64(len(v.lists))*24
 	for _, l := range v.lists {
 		n += int64(len(l)) * matchBytes
 	}
 	return n + 64
 }
 
-// conceptKey identifies one cached concept summary under one index
+// conceptKey identifies one cached concept block table under one index
 // epoch: entries cached against a swapped-out index are unreachable
 // by construction.
 type conceptKey struct {
@@ -185,13 +172,11 @@ type conceptKey struct {
 }
 
 // listKey identifies one decoded match-list cache entry: an index
-// epoch, a concept fingerprint, and doc — a document id for
-// flat-served concepts, a block index for block-served ones (a
-// concept is served by exactly one representation per epoch, so the
-// two uses cannot collide).
+// epoch, a concept fingerprint, and a block index in that concept's
+// table.
 type listKey struct {
 	epoch uint64
-	doc   int
+	blk   int
 	fp    uint64
 }
 
@@ -222,7 +207,7 @@ func New(idx *index.Compact, cfg Config) *Engine {
 		mode:     cfg.Mode,
 		admit:    newAdmitter(cfg.MaxInFlight, cfg.Overload),
 		lists:    lists,
-		concepts: newLRU[conceptKey, conceptEntry](cfg.CacheConcepts),
+		concepts: newLRU[conceptKey, *blockSet](cfg.CacheConcepts),
 		flights:  flightGroup{m: make(map[listKey]*flightCall)},
 	}
 	e.snap.Store(newSnapshot(idx, 0, &pairPrep{}))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -300,6 +301,21 @@ func TestMalformedQueries(t *testing.T) {
 	}
 	if _, err := e.Search(context.Background(), Query{Concepts: testConcepts()}); err == nil {
 		t.Error("nil joiner accepted")
+	}
+	// A non-finite concept weight is the caller's error on every entry
+	// point, as it already is on the wire — not a concept quietly served
+	// without bounds.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := Query{Concepts: []index.Concept{{"lenovo": 1}, {"nba": w}}, Join: MEDJoiner(scorefn.ExpMED{Alpha: 0.1})}
+		if _, err := e.Search(context.Background(), q); err == nil {
+			t.Errorf("Search accepted concept weight %v", w)
+		}
+		if _, err := e.SearchSnapshot(context.Background(), q, e.Snapshot()); err == nil {
+			t.Errorf("SearchSnapshot accepted concept weight %v", w)
+		}
+	}
+	if st := e.Stats(); st.Queries != 0 {
+		t.Errorf("malformed queries were admitted: %+v", st)
 	}
 	// A concept with no corpus occurrences yields an empty, complete
 	// result, not an error.

@@ -200,6 +200,14 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	if q.MinMatch < 0 || q.MinMatch > n {
 		return nil, fmt.Errorf("engine: MinMatch %d out of range [0, %d]", q.MinMatch, n)
 	}
+	for j, c := range q.Concepts {
+		// NaN < floor is always false and ±Inf defeats every cap: such a
+		// weight would poison the score bounds, so it is the caller's
+		// error, as it already is on the wire (internal/remote).
+		if !c.Finite() {
+			return nil, fmt.Errorf("engine: concept %d has a non-finite weight", j)
+		}
+	}
 	minMatch := q.MinMatch
 	if minMatch == 0 {
 		minMatch = n
@@ -247,13 +255,12 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 		}
 	}
 
-	// Candidate generation: resolve each concept (cache-assisted) and
-	// intersect by a cursor walk. Flat concepts materialize their
-	// corpus-wide doc-set; block-served concepts never do — the walk
-	// gallops over block doc-ranges from the skip table, decoding only
-	// the block directories the intersection actually enters. Large
-	// decodes check the context, so a cancelled query stops burning
-	// CPU here instead of merging postings nobody will read.
+	// Candidate generation: resolve each concept's block table
+	// (cache-assisted) and intersect by a cursor walk that gallops over
+	// block doc-ranges from the skip tables, decoding only the block
+	// directories the intersection actually enters. Building a table on
+	// demand checks the context, so a cancelled query stops burning CPU
+	// here instead of merging postings nobody will read.
 	cds := make([]*conceptData, len(q.Concepts))
 	for j, c := range q.Concepts {
 		cds[j] = e.conceptData(qs, c)
@@ -282,7 +289,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// descending (ties keep ascending document order). Processing the
 	// most promising documents first drives the top-k floor up
 	// quickly, so later, weaker candidates are skipped before their
-	// join — or even before their match lists are assembled. A factory
+	// join — or even before their blocks are decoded. A factory
 	// or bound that panics here downgrades the query to the unpruned
 	// (still correct) path.
 	nc := len(cds)
@@ -292,7 +299,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// lists lowered any of them (pairpath.go), so the dispatch screen
 	// below can attribute the prunes only the pair bound caused.
 	var pairOrig []float64
-	if e.prune && perListMax != nil {
+	if e.prune {
 		bounds = e.planBounds(q.Join, candidates, perListMax, nc)
 		if bounds != nil {
 			if pairFP != 0 && nc > 2 {
@@ -305,16 +312,15 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// Worker pool: candidates flow through one shared channel in
 	// dispatchChunk batches, so channel operations and top-k floor
 	// loads amortize across a chunk instead of costing one each per
-	// document (the flat-worker-scaling fix). The dispatcher assembles
-	// flat-concept match lists (touching the caches single-threaded);
-	// workers fill block-concept lists themselves — lazy per-block
-	// decode fanned out across the pool — run joins, and offer results
-	// to the shared top-k heap. The heap's result is insertion-order
-	// independent (ties break on document id, and the floor only
-	// rises), so unsharded dispatch cannot change answers. Each worker
-	// builds one kernel from the query's factory and reuses its
-	// scratch for every document it evaluates; a kernel that panics is
-	// discarded and rebuilt, so one poisoned join cannot corrupt the
+	// document (the flat-worker-scaling fix). The dispatcher only
+	// screens and ships; workers fetch each job's match lists — lazy
+	// per-block decode fanned out across the pool — run joins, and
+	// offer results to the shared top-k heap. The heap's result is
+	// insertion-order independent (ties break on document id, and the
+	// floor only rises), so unsharded dispatch cannot change answers.
+	// Each worker builds one kernel from the query's factory and reuses
+	// its scratch for every document it evaluates; a kernel that panics
+	// is discarded and rebuilt, so one poisoned join cannot corrupt the
 	// next document's evaluation.
 	workers := e.workers
 	if workers > len(candidates) {
@@ -353,9 +359,9 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 dispatch:
 	for oi := 0; oi < len(candidates); oi++ {
 		if oi&31 == 0 {
-			// Stop assembling (and possibly decoding) lists for a
-			// query nobody is waiting on anymore, and refresh the
-			// dispatcher's floor on the same coarse stride.
+			// Stop dispatching for a query nobody is waiting on
+			// anymore, and refresh the dispatcher's floor on the same
+			// coarse stride.
 			if ctx.Err() != nil {
 				break dispatch
 			}
@@ -366,11 +372,11 @@ dispatch:
 		if order != nil {
 			i = order[oi]
 			bound = bounds[i]
-			// Screen before assembling lists: a document whose bound
-			// ranks strictly below the k-th kept entry (floorEntry.bar)
+			// Screen before shipping: a document whose bound ranks
+			// strictly below the k-th kept entry (floorEntry.bar)
 			// cannot displace any kept document (the entry only
-			// improves), so skipping its join — and its match-list
-			// assembly — loses nothing.
+			// improves), so skipping its join — and its block fetches
+			// — loses nothing.
 			if bar := flushFloor.bar(candidates[i]); bound < bar {
 				pruned.Add(1)
 				e.counters.prunedDocs.Add(1)
@@ -383,33 +389,12 @@ dispatch:
 				continue
 			}
 		}
-		doc := candidates[i]
-		lists := backing[i*nc : (i+1)*nc : (i+1)*nc]
-		assembled := true
-		for j, cd := range cds {
-			if cd.blocks != nil {
-				continue // workers fill block-served lists lazily
-			}
-			l, ok := e.list(qs, cd, doc)
-			if !ok {
-				if qs.cancelled {
-					break dispatch
-				}
-				// Decode failure: drop this document, keep the query.
-				qs.fail()
-				assembled = false
-				break
-			}
-			lists[j] = l
-		}
-		if !assembled {
-			continue
-		}
 		orig := bound
 		if pairOrig != nil && order != nil {
 			orig = pairOrig[i]
 		}
-		jobsBacking = append(jobsBacking, docJob{doc: doc, bound: bound, orig: orig, lists: lists})
+		jobsBacking = append(jobsBacking, docJob{doc: candidates[i], bound: bound, orig: orig,
+			lists: backing[i*nc : (i+1)*nc : (i+1)*nc]})
 		if pending++; pending == dispatchChunk {
 			if !ship() {
 				break dispatch

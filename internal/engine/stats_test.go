@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bestjoin/internal/dedup"
+	"bestjoin/internal/index"
 	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 	"bestjoin/internal/naive"
@@ -53,9 +54,17 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	}
 
 	// The floorless replay, collecting what the floored one needs: each
-	// candidate's lists, its score upper bound, and its window cap —
-	// scorefn's bound at the smallest window of the candidate's whole
+	// candidate's lists, its score upper bound — over the block maxima
+	// the engine bounds it by — and its window cap: scorefn's bound at
+	// the document's own maxima and the smallest window of its whole
 	// cross product, not at whatever the kernel's merge scan says.
+	tables := make([]*index.BlockTable, len(concepts))
+	for j, c := range concepts {
+		var err error
+		if tables[j], err = compact.BuildBlockTable(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var joins, invocations uint64
 	kern := ValidWINJoiner(fn)().(*dedup.Kernel)
 	var docs []int
@@ -67,16 +76,17 @@ func TestKernelInvocationsCounted(t *testing.T) {
 			kern.Join()
 			joins++
 			invocations += uint64(kern.Invocations())
-			maxima := make([]float64, len(l))
+			maxima, blockMax := make([]float64, len(l)), make([]float64, len(l))
 			for j := range l {
 				for _, m := range l[j] {
 					maxima[j] = max(maxima[j], m.Score)
 				}
+				blockMax[j] = tables[j].Infos[tables[j].FindBlock(d)].MaxScore
 			}
 			wmin := math.MaxInt
 			naive.ForEach(l, func(s match.Set) { wmin = min(wmin, s.Window()) })
 			docs, lists = append(docs, d), append(lists, l)
-			bounds, caps = append(bounds, kern.ScoreUpperBound(maxima)), append(caps, scorefn.WindowUpperBoundWIN(fn, maxima, wmin))
+			bounds, caps = append(bounds, kern.ScoreUpperBound(blockMax)), append(caps, scorefn.WindowUpperBoundWIN(fn, maxima, wmin))
 		}
 	}
 	if invocations <= joins {

@@ -19,19 +19,18 @@ import (
 // sit below the pivot, at least m cursors sit exactly at the minimum —
 // a confirmed candidate. Its aggregate score bound is the kernel's
 // disjunctive cap (join.UnionBounded) over the matched cursors'
-// per-list maxima — exact document maxima for flat concepts, block-max
-// table entries for block-served ones. A pivot whose bound ranks
-// strictly below the k-th kept entry (floorEntry.bar: below its score,
-// or tied with it on a larger document id — a tie the pivot would
-// still win on id never prunes) is skipped without assembling a single match
-// list, and the walk then tries to jump the matched cursors over the
-// whole remaining block range in one seek (see advance). The walk is
-// id-ordered, so once the heap holds k documents at the kernel's cap
-// every later pivot has lost its tie already: that is where Fagin's
-// threshold (k objects with grade at least the threshold) stops the
-// walk. Documents that survive the bound go to the shared worker pool,
-// where block match areas are decoded lazily — only for documents that
-// also survive the re-check at evaluation time.
+// per-list maxima — their block-max table entries. A pivot whose bound
+// ranks strictly below the k-th kept entry (floorEntry.bar: below its
+// score, or tied with it on a larger document id — a tie the pivot
+// would still win on id never prunes) is skipped without fetching a
+// single match list, and the walk jumps the matched cursors over the
+// whole remaining block range in the same seek (see advanceUnion). The
+// walk is id-ordered, so once the heap holds k documents at the
+// kernel's cap every later pivot has lost its tie already: that is
+// where Fagin's threshold (k objects with grade at least the threshold)
+// stops the walk. Documents that survive the bound go to the shared
+// worker pool, where block match areas are decoded lazily — only for
+// documents that also survive the re-check at evaluation time.
 //
 // Soundness (DESIGN.md "Disjunctive retrieval & WAND soundness"): the
 // per-cursor maxima dominate every match score the document can
@@ -62,14 +61,11 @@ const (
 
 // unionCursor wraps a listCursor for the pivot walk: ci is the
 // concept's position in the query (the bit it owns in docJob.mask),
-// doc the cursor's current document (−1 once exhausted), suf a flat
-// concept's suffix maxima (suf[i] = max over cd.maxSc[i:]), the range
-// bound block jumps need.
+// doc the cursor's current document (−1 once exhausted).
 type unionCursor struct {
 	listCursor
 	ci  int
 	doc int
-	suf []float64
 }
 
 // unionBounder wraps a kernel's disjunctive bound with panic
@@ -152,23 +148,13 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 
 	// One cursor per living concept. A failed concept (corrupt
 	// postings — the query is already Degraded) and an unknown concept
-	// (no postings at all) alike contribute no cursor: the union
-	// degrades to the surviving terms instead of returning nothing,
-	// which is the point of disjunctive evaluation.
+	// (no postings at all: an empty table, exhausted at the first seek)
+	// alike contribute no cursor: the union degrades to the surviving
+	// terms instead of returning nothing, which is the point of
+	// disjunctive evaluation.
 	bounding := e.prune
 	alive := make([]*unionCursor, 0, len(cds))
 	for ci, cd := range cds {
-		if cd.failed {
-			continue
-		}
-		if cd.blocks == nil {
-			if len(cd.docs) == 0 {
-				continue
-			}
-			if cd.maxSc == nil {
-				bounding = false
-			}
-		}
 		cu := &unionCursor{ci: ci}
 		cu.cd = cd
 		doc, ok := cu.seek(e, qs, 0)
@@ -198,17 +184,10 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 	}
 	if e.prune && !bounding {
 		// A pruning engine running this union exhaustively — the kernel
-		// has no disjunctive bound (e.g. the Weighted* scorefn families)
-		// or a concept lacks maxima. Silent degradation is an
-		// operational trap, so surface it in Stats().UnionUnpruned.
+		// has no disjunctive bound (e.g. the Weighted* scorefn families).
+		// Silent degradation is an operational trap, so surface it in
+		// Stats().UnionUnpruned.
 		e.counters.unionUnpruned.Add(1)
-	}
-	if bounding {
-		for _, cu := range alive {
-			if cu.cd.blocks == nil {
-				cu.suf = suffixMax(cu.cd.maxSc)
-			}
-		}
 	}
 
 	top := newTopK(k, q.Floor)
@@ -308,42 +287,23 @@ pivots:
 			pruned.Add(1)
 			e.counters.prunedDocs.Add(1)
 			e.counters.pivotSkips.Add(1)
-			e.advanceUnion(qs, &alive, atDoc, d, flushFloor, minMatch, ub, scratch)
+			e.advanceUnion(qs, &alive, atDoc, d)
 			continue
 		}
-		// Surviving candidate: assemble flat-served lists here (the
-		// caches are touched single-threaded, as in conjunctive
-		// dispatch); workers fill block-served slots lazily.
+		// Surviving candidate: ship one empty slot per matched concept;
+		// a worker fills them (fillLists).
 		var mask uint64
+		for _, cu := range atDoc {
+			mask |= 1 << uint(cu.ci)
+			cu.mark()
+		}
 		if len(slab) < len(atDoc) {
 			slab = make(match.Lists, dispatchChunk*len(cds))
 		}
-		lists := slab[:len(atDoc):len(atDoc)]
-		ok := true
-		for s, cu := range atDoc {
-			mask |= 1 << uint(cu.ci)
-			if cu.cd.blocks != nil {
-				cu.mark()
-				continue
-			}
-			l, lok := e.list(qs, cu.cd, d)
-			if !lok {
-				if qs.cancelled {
-					break pivots
-				}
-				// Decode failure: drop this document, keep the query.
-				qs.fail()
-				ok = false
-				break
-			}
-			lists[s] = l
-		}
-		if ok {
-			chunk = append(chunk, docJob{doc: d, bound: bound, orig: bound, mask: mask, lists: lists})
-			slab = slab[len(lists):]
-			if len(chunk) == dispatchChunk && !ship() {
-				break pivots
-			}
+		chunk = append(chunk, docJob{doc: d, bound: bound, orig: bound, mask: mask, lists: slab[:len(atDoc):len(atDoc)]})
+		slab = slab[len(atDoc):]
+		if len(chunk) == dispatchChunk && !ship() {
+			break pivots
 		}
 		seekUnion(e, qs, &alive, atDoc, d+1)
 	}
@@ -361,64 +321,29 @@ pivots:
 	return e.finish(qs, res, start)
 }
 
-// advanceUnion moves the matched cursors past a skipped pivot — and,
-// when the range bound allows, past the whole remaining block range in
-// one seek. Over the range (d, jumpEnd], with jumpEnd capped by every
-// matched block cursor's block end and by the first unmatched cursor's
-// position, the matched cursors' range maxima (block MaxScore; flat
-// suffix max past the current position) are constant upper bounds and
-// no other concept can join. If even their union bound sits strictly
-// below bar(d+1) — the weakest bar in the range, bars only rising with
-// the document id — every document in the range loses a fortiori, so
-// the walk seeks straight to jumpEnd+1 without confirming membership
-// of anything in between — whole blocks pass with their match areas,
-// and even their document directories, untouched. A pure-flat aligned
-// set with no unmatched cursors has an unbounded range: a failing
-// suffix bound there is Fagin-style early termination of the whole
-// walk.
-func (e *Engine) advanceUnion(qs *queryState, alive *[]*unionCursor, atDoc []*unionCursor,
-	d int, floor floorEntry, minMatch int, ub *unionBounder, scratch []float64) {
-	target := d + 1
-	if ub != nil && !ub.failed {
-		jumpEnd := math.MaxInt
-		for _, cu := range *alive {
-			if cu.doc > d && cu.doc-1 < jumpEnd {
-				jumpEnd = cu.doc - 1
-			}
-		}
-		for _, cu := range atDoc {
-			if cu.cd.blocks != nil {
-				if last := cu.cd.blocks.bt.Infos[cu.blk].LastDoc; last < jumpEnd {
-					jumpEnd = last
-				}
-			}
-		}
-		if jumpEnd > d {
-			scratch = scratch[:0]
-			for _, cu := range atDoc {
-				if cu.cd.blocks != nil {
-					scratch = append(scratch, cu.cd.blocks.bt.Infos[cu.blk].MaxScore)
-				} else if v := cu.suf[cu.i+1]; !math.IsInf(v, -1) {
-					// An exhausted-after-d flat cursor contributes no
-					// document in the range; dropping its slot only
-					// shrinks the bound's subset space, which is sound.
-					scratch = append(scratch, v)
-				}
-			}
-			// Jump when too few concepts can even appear in the range,
-			// or when the range bound falls strictly below its bar.
-			jump := len(scratch) < minMatch
-			if !jump {
-				jump = ub.bound(scratch, minMatch) < floor.bar(d+1) && !ub.failed
-			}
-			if jump {
-				if target = jumpEnd + 1; jumpEnd == math.MaxInt {
-					target = math.MaxInt // no overflow; exhausts the cursors
-				}
-			}
+// advanceUnion moves the matched cursors past a skipped pivot d — and
+// past the whole remaining block range in the same seek. Over the
+// range (d, jumpEnd], with jumpEnd capped by every matched cursor's
+// block end and by the first unmatched cursor's position, no other
+// concept can join and the matched cursors' block maxima are the very
+// upper bounds d was just rejected on. A bar only rises with the
+// document id, so every document in the range loses a fortiori: the
+// walk seeks straight to jumpEnd+1 without confirming membership of
+// anything in between — whole blocks pass with their match areas, and
+// even their document directories, untouched.
+func (e *Engine) advanceUnion(qs *queryState, alive *[]*unionCursor, atDoc []*unionCursor, d int) {
+	jumpEnd := math.MaxInt
+	for _, cu := range *alive {
+		if cu.doc > d && cu.doc-1 < jumpEnd {
+			jumpEnd = cu.doc - 1
 		}
 	}
-	seekUnion(e, qs, alive, atDoc, target)
+	for _, cu := range atDoc {
+		if last := cu.cd.blocks.bt.Infos[cu.blk].LastDoc; last < jumpEnd {
+			jumpEnd = last
+		}
+	}
+	seekUnion(e, qs, alive, atDoc, jumpEnd+1)
 }
 
 // seekUnion advances every cursor in atDoc to the first document
@@ -470,43 +395,4 @@ func mthSmallestDoc(alive []*unionCursor, m int) int {
 		}
 	}
 	return small[m-1]
-}
-
-// suffixMax returns suf with suf[i] = max(maxSc[i:]) and a trailing
-// −Inf sentinel: the tightest constant upper bound on a flat concept's
-// remaining documents, used for range bounds during block jumps.
-func suffixMax(maxSc []float64) []float64 {
-	suf := make([]float64, len(maxSc)+1)
-	suf[len(maxSc)] = math.Inf(-1)
-	for i := len(maxSc) - 1; i >= 0; i-- {
-		suf[i] = maxSc[i]
-		if suf[i+1] > suf[i] {
-			suf[i] = suf[i+1]
-		}
-	}
-	return suf
-}
-
-// fillUnionLists completes a disjunctive job on a worker: jb.lists
-// holds one slot per set bit of jb.mask (ascending concept order), the
-// dispatcher already filled flat-served slots, and block-served slots
-// are fetched here through the same per-worker block memo as the
-// conjunctive path. false means a decode failed and the document must
-// be dropped.
-func (e *Engine) fillUnionLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch) bool {
-	s := 0
-	for j, cd := range cds {
-		if jb.mask&(1<<uint(j)) == 0 {
-			continue
-		}
-		if cd.blocks != nil {
-			l, ok := fetch[j].list(e, qs, cd, jb.doc)
-			if !ok {
-				return false
-			}
-			jb.lists[s] = l
-		}
-		s++
-	}
-	return true
 }

@@ -9,8 +9,8 @@ package engine
 // matchsets, tie-break order, and the Partial flag — is identical to
 // the unpruned engine's AND to an independent exhaustive baseline,
 // across all scoring families, with and without duplicate avoidance,
-// one and several workers, every minMatch in [1, n], and all candidate
-// representations (flat decode, doc-max metadata, two block sizes).
+// one and several workers, every minMatch in [1, n], and block tables
+// registered (three block sizes) as well as built on demand.
 // scripts/check.sh runs it under -race.
 
 import (
@@ -111,26 +111,9 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 		corpus := diffCorpus(rng)
 		concepts := diffConcepts(rng)
 		idx := buildCompact(t, corpus)
-		// Rotate the candidate representation: flat posting decode,
-		// precomputed doc-max metadata, and two block sizes (tiny so
-		// walks cross many block boundaries, mid so several documents
-		// share a block and block jumps have room).
-		blockSize := 0
-		switch trial % 4 {
-		case 1:
-			for _, c := range concepts {
-				idx.AddConceptMeta(c)
-			}
-		case 2:
-			blockSize = 16
-		case 3:
-			blockSize = 3
-		}
-		if blockSize > 0 {
-			for _, c := range concepts {
-				idx.AddConceptBlocksSized(c, blockSize)
-			}
-		}
+		// Rotate how the concepts' block tables reach the engine.
+		layout := diffLayouts()[trial%len(diffLayouts())]
+		layout.apply(idx, concepts)
 		k := 1 + rng.Intn(6)
 		for minMatch := 1; minMatch <= len(concepts); minMatch++ {
 			for _, workers := range []int{1, 4} {
@@ -146,8 +129,8 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("trial %d %s workers=%d k=%d m=%d bs=%d",
-						trial, fam.name, workers, k, minMatch, blockSize)
+					label := fmt.Sprintf("trial %d %s workers=%d k=%d m=%d %s",
+						trial, fam.name, workers, k, minMatch, layout.name)
 					assertResultInvariants(t, label+" pruned", rp)
 					assertResultInvariants(t, label+" unpruned", ru)
 					assertUnionIdentical(t, label, rp, ru)

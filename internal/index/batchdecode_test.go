@@ -358,9 +358,4 @@ func TestPersistBatchSectionRoundTrip(t *testing.T) {
 	if len(old.batch) != 0 {
 		t.Fatal("varint-only index grew a batch map")
 	}
-	// And the pre-framing legacy layout must still load (no batch, no
-	// blocks — postings and meta only).
-	if _, err := LoadCompact(c.marshalLegacy()); err != nil {
-		t.Fatalf("legacy layout rejected: %v", err)
-	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,14 +12,13 @@ import (
 
 // Block-partitioned concept postings: the skip layer that lets the
 // engine prune *below* decode. A concept's corpus-wide match data
-// (the same best-member-word-score-wins merge as BuildConceptMeta,
-// but keeping every position) is cut into blocks of ~BlockSize
-// documents. Each block carries a skip-table entry — first/last
-// document id, payload byte range, and the block's maximum match
-// score — so a query can (a) gallop over whole blocks during
-// candidate generation without decoding them and (b) skip decoding
-// any block whose block-max score upper bound cannot beat the
-// current top-k floor. That is the classic block-max index layout
+// (the best-member-word-score-wins merge of conceptDocLists) is cut
+// into blocks of ~BlockSize documents. Each block carries a skip-table
+// entry — first/last document id, payload byte range, and the block's
+// maximum match score — so a query can (a) gallop over whole blocks
+// during candidate generation without decoding them and (b) skip
+// decoding any block whose block-max score upper bound cannot beat
+// the current top-k floor. That is the classic block-max index layout
 // behind threshold-algorithm early termination (Fagin et al.) and
 // response-time-guaranteed proximity search (Veretennikov).
 //
@@ -433,12 +433,10 @@ func (bt *BlockTable) Validate() error {
 }
 
 // BuildConceptBlocks computes a concept's block-partitioned posting
-// buffer from the compressed postings: the same corpus-wide
-// best-member-word-score-wins merge as the engine's flat decode, so a
-// block-served query sees bitwise-identical match lists. The empty
-// concept (no corpus occurrences) builds to nil.
+// buffer from the compressed postings. The empty concept (no corpus
+// occurrences) builds to nil.
 func (c *Compact) BuildConceptBlocks(concept Concept) []byte {
-	docs, lists := c.conceptDocLists(concept)
+	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
 	return EncodeBlocks(docs, lists, 0)
 }
 
@@ -447,41 +445,125 @@ func (c *Compact) BuildConceptBlocks(concept Concept) []byte {
 // the uint32 the batch form can carry; the caller keeps the varint
 // form then.
 func (c *Compact) BuildConceptBlocksBatch(concept Concept) ([]byte, bool) {
-	docs, lists := c.conceptDocLists(concept)
+	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
 	return EncodeBlocksBatch(docs, lists, 0)
 }
 
+// mergePollStride is how many postings conceptDocLists merges between
+// context polls: a multi-million-posting merge must not outlive the
+// query that asked for it, and a posting count is a steady clock.
+const mergePollStride = 1 << 12
+
 // conceptDocLists computes a concept's corpus-wide match data — the
-// best-member-word-score-wins merge both block encoders pack.
-func (c *Compact) conceptDocLists(concept Concept) ([]int, []match.List) {
-	best := map[int]map[int]float64{}
+// one "best member-word score wins" merge behind block registration,
+// the on-demand table build and the pair lists. It is a k-way merge of
+// the member words' posting lists in (document, position) order: each
+// word's postings are already sorted that way, so every match is
+// emitted in final order straight into one flat backing list, and the
+// per-document lists are capped subslices of it. Words of one concept
+// can share a (document, position) — only when they share a stem —
+// and such duplicates are adjacent in merge order, where the higher
+// weight wins. ok is false when ctx ended before the merge did; the
+// partial output must be discarded. Corrupt posting bytes panic, as in
+// Compact.Postings.
+func (c *Compact) conceptDocLists(ctx context.Context, concept Concept) (docs []int, lists []match.List, ok bool) {
+	type source struct {
+		ps    []Posting
+		score float64
+	}
+	srcs := make([]source, 0, len(concept))
+	total := 0
 	for word, score := range concept {
-		for _, p := range c.Postings(word) {
-			m := best[p.Doc]
-			if m == nil {
-				m = map[int]float64{}
-				best[p.Doc] = m
-			}
-			if s, ok := m[p.Pos]; !ok || score > s {
-				m[p.Pos] = score
-			}
+		if ps := c.Postings(word); len(ps) > 0 {
+			srcs = append(srcs, source{ps: ps, score: score})
+			total += len(ps)
 		}
 	}
-	docs := make([]int, 0, len(best))
-	for d := range best {
-		docs = append(docs, d)
-	}
-	sort.Ints(docs)
-	lists := make([]match.List, len(docs))
-	for i, d := range docs {
-		l := make(match.List, 0, len(best[d]))
-		for pos, s := range best[d] {
-			l = append(l, match.Match{Loc: pos, Score: s})
+	flat := make(match.List, 0, total)
+	curDoc, begin := -1, 0
+	for merged := 0; ; merged++ {
+		if merged%mergePollStride == 0 && ctx.Err() != nil {
+			return nil, nil, false
 		}
-		l.Sort()
-		lists[i] = l
+		min := -1
+		for s := range srcs {
+			if len(srcs[s].ps) == 0 {
+				continue
+			}
+			if min < 0 {
+				min = s
+				continue
+			}
+			p, q := srcs[s].ps[0], srcs[min].ps[0]
+			if p.Doc < q.Doc || (p.Doc == q.Doc && p.Pos < q.Pos) {
+				min = s
+			}
+		}
+		if min < 0 {
+			break
+		}
+		src := &srcs[min]
+		p := src.ps[0]
+		src.ps = src.ps[1:]
+		if p.Doc != curDoc {
+			if curDoc >= 0 {
+				lists = append(lists, flat[begin:len(flat):len(flat)])
+			}
+			docs = append(docs, p.Doc)
+			curDoc, begin = p.Doc, len(flat)
+		}
+		if n := len(flat); n > begin && flat[n-1].Loc == p.Pos {
+			if src.score > flat[n-1].Score {
+				flat[n-1].Score = src.score
+			}
+			continue
+		}
+		flat = append(flat, match.Match{Loc: p.Pos, Score: src.score})
 	}
-	return docs, lists
+	if curDoc >= 0 {
+		lists = append(lists, flat[begin:len(flat):len(flat)])
+	}
+	return docs, lists, true
+}
+
+// encodeConceptBlocks packs merged match data in the group-varint
+// batched layout (batchdecode.go) whenever preferBatch is set and the
+// values fit it, falling back to the per-integer varint layout
+// otherwise; queries see identical match lists either way. The empty
+// input encodes to nil.
+func encodeConceptBlocks(docs []int, lists []match.List, blockSize int, preferBatch bool) (buf []byte, batch bool) {
+	if preferBatch {
+		if buf, ok := EncodeBlocksBatch(docs, lists, blockSize); ok && buf != nil {
+			return buf, true
+		}
+	}
+	return EncodeBlocks(docs, lists, blockSize), false
+}
+
+// BuildBlockTable builds a concept's block table straight from the
+// postings, without registering it: how a concept that has no
+// registered table is served. The table goes through the same encoder
+// and the same DecodeBlocksBatch/DecodeBlocks validation as one loaded
+// from disk, so it is indistinguishable from a registered one; a
+// concept absent from the corpus yields an empty table. The error is
+// ctx's when the build was abandoned, or names a non-finite weight.
+// Corrupt posting bytes panic, as in Compact.Postings.
+func (c *Compact) BuildBlockTable(ctx context.Context, concept Concept) (*BlockTable, error) {
+	if !concept.Finite() {
+		return nil, fmt.Errorf("index: concept has a non-finite weight")
+	}
+	docs, lists, ok := c.conceptDocLists(ctx, concept)
+	if !ok {
+		return nil, ctx.Err()
+	}
+	buf, batch := encodeConceptBlocks(docs, lists, 0, true)
+	if buf == nil {
+		return &BlockTable{}, nil
+	}
+	if batch {
+		return DecodeBlocksBatch(buf)
+	}
+	return DecodeBlocks(buf)
 }
 
 // AddConceptBlocks precomputes and registers a concept's
@@ -517,29 +599,22 @@ func (c *Compact) AddConceptBlocksBatchSized(concept Concept, blockSize int) boo
 }
 
 func (c *Compact) addConceptBlocks(concept Concept, blockSize int, preferBatch bool) bool {
-	for _, s := range concept {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return false
-		}
+	if !concept.Finite() {
+		return false
 	}
-	docs, lists := c.conceptDocLists(concept)
-	if len(docs) == 0 {
+	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
+	buf, batch := encodeConceptBlocks(docs, lists, blockSize, preferBatch)
+	if buf == nil {
 		return false
 	}
 	key := ConceptKey(concept)
-	if preferBatch {
-		if buf, ok := EncodeBlocksBatch(docs, lists, blockSize); ok && buf != nil {
-			if c.batch == nil {
-				c.batch = make(map[uint64][]byte)
-			}
-			c.batch[key] = buf
-			delete(c.blocks, key)
-			return true
+	if batch {
+		if c.batch == nil {
+			c.batch = make(map[uint64][]byte)
 		}
-	}
-	buf := EncodeBlocks(docs, lists, blockSize)
-	if buf == nil {
-		return false
+		c.batch[key] = buf
+		delete(c.blocks, key)
+		return true
 	}
 	if c.blocks == nil {
 		c.blocks = make(map[uint64][]byte)

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -30,9 +32,10 @@ func blocksTestCompact(t *testing.T, nDocs int, seed int64) *Compact {
 	return ix.Compact()
 }
 
-// flatConceptMatches replicates the corpus-wide best-score-wins merge
-// the engine's flat decode performs: the ground truth block decoding
-// must reproduce bitwise.
+// flatConceptMatches derives the corpus-wide best-score-wins merge
+// document by document from the per-document reference
+// (Compact.ConceptList): the ground truth block decoding must
+// reproduce bitwise.
 func flatConceptMatches(c *Compact, concept Concept) (docs []int, lists []match.List) {
 	for d := 0; d < c.Docs(); d++ {
 		if l := c.ConceptList(d, concept); len(l) > 0 {
@@ -46,11 +49,21 @@ func flatConceptMatches(c *Compact, concept Concept) (docs []int, lists []match.
 func TestBlocksRoundTripMatchesFlatDecode(t *testing.T) {
 	c := blocksTestCompact(t, 300, 1)
 	concept := Concept{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25}
-	for _, size := range []int{1, 7, 64, 0} {
-		c.AddConceptBlocksSized(concept, size)
-		bt, ok := c.ConceptBlocks(concept)
-		if !ok {
-			t.Fatalf("size %d: concept blocks not registered", size)
+	// Registered at several block sizes, and — size −1 — built on
+	// demand from the postings of an index with nothing registered.
+	for _, size := range []int{1, 7, 64, 0, -1} {
+		var bt *BlockTable
+		if size < 0 {
+			var err error
+			if bt, err = blocksTestCompact(t, 300, 1).BuildBlockTable(context.Background(), concept); err != nil {
+				t.Fatalf("BuildBlockTable: %v", err)
+			}
+		} else {
+			c.AddConceptBlocksSized(concept, size)
+			var ok bool
+			if bt, ok = c.ConceptBlocks(concept); !ok {
+				t.Fatalf("size %d: concept blocks not registered", size)
+			}
 		}
 		wantDocs, wantLists := flatConceptMatches(c, concept)
 		var gotDocs []int
@@ -100,6 +113,26 @@ func TestBlocksRoundTripMatchesFlatDecode(t *testing.T) {
 					size, gotDocs[i], gotLists[i], wantLists[i])
 			}
 		}
+	}
+}
+
+// TestBuildBlockTableEdges pins the on-demand builder's contract at
+// its edges: a concept absent from the corpus is an empty table, not an
+// error; a non-finite weight is an error; and a build whose context
+// has ended reports that context's error instead of a table.
+func TestBuildBlockTableEdges(t *testing.T) {
+	c := blocksTestCompact(t, 50, 2)
+	bt, err := c.BuildBlockTable(context.Background(), Concept{"nowhere": 1})
+	if err != nil || bt == nil || bt.NumBlocks() != 0 || bt.FindBlock(3) != -1 {
+		t.Fatalf("absent concept: table %+v, err %v; want an empty table", bt, err)
+	}
+	if _, err := c.BuildBlockTable(context.Background(), Concept{"river": math.NaN()}); err == nil {
+		t.Fatal("NaN weight built a table")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if bt, err := c.BuildBlockTable(ctx, Concept{"river": 1}); !errors.Is(err, context.Canceled) || bt != nil {
+		t.Fatalf("cancelled build: table %v, err %v; want context.Canceled", bt, err)
 	}
 }
 

@@ -134,11 +134,10 @@ func DecodePostings(b []byte) ([]Posting, error) {
 
 // Compact is a read-only compressed index: the same query surface as
 // Index over varint-packed posting lists, plus optional per-concept
-// max-score metadata (meta.go) registered at build time for lossless
-// top-k pruning.
+// block tables (blocks.go, batchdecode.go) and concept-pair lists
+// (pairs.go) registered at build time.
 type Compact struct {
 	postings map[string][]byte
-	meta     map[uint64][]byte  // ConceptKey → EncodeDocMax buffer
 	blocks   map[uint64][]byte  // ConceptKey → EncodeBlocks buffer
 	batch    map[uint64][]byte  // ConceptKey → EncodeBlocksBatch buffer
 	pairs    map[PairKey][]byte // PairKey → EncodePairs buffer

@@ -68,10 +68,7 @@ func LoadFile(path string) (*Compact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: load %s: %w", path, err)
 	}
-	if !framed(b) {
-		return nil, fmt.Errorf("index: load %s: %w: missing magic (not a framed index file)", path, ErrCorrupt)
-	}
-	c, err := loadFramed(b)
+	c, err := LoadCompact(b)
 	if err != nil {
 		return nil, fmt.Errorf("index: load %s: %w", path, err)
 	}

@@ -18,9 +18,9 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Docs() != c.Docs() || loaded.ConceptMetaCount() != c.ConceptMetaCount() {
-		t.Fatalf("round trip lost data: docs %d/%d meta %d/%d",
-			loaded.Docs(), c.Docs(), loaded.ConceptMetaCount(), c.ConceptMetaCount())
+	if loaded.Docs() != c.Docs() || loaded.ConceptBlocksCount() != c.ConceptBlocksCount() {
+		t.Fatalf("round trip lost data: docs %d/%d blocks %d/%d",
+			loaded.Docs(), c.Docs(), loaded.ConceptBlocksCount(), c.ConceptBlocksCount())
 	}
 	for _, word := range []string{"lenovo", "nba", "basketball"} {
 		a, b := c.Postings(word), loaded.Postings(word)
@@ -149,7 +149,8 @@ func TestLoadFileRejectsBitRot(t *testing.T) {
 // a file without checksums cannot be trusted against bit-rot.
 func TestLoadFileRejectsLegacyBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.idx")
-	if err := os.WriteFile(path, framedTestIndex(t).marshalLegacy(), 0o600); err != nil {
+	unframed, _ := RetiredShapesForTest(framedTestIndex(t))
+	if err := os.WriteFile(path, unframed, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	_, err := LoadFile(path)

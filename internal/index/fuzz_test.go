@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bestjoin/internal/match"
@@ -50,67 +51,6 @@ func FuzzDecodePostings(f *testing.F) {
 		for i := range ps {
 			if ps[i] != again[i] {
 				t.Fatalf("round trip changed posting %d", i)
-			}
-		}
-	})
-}
-
-// FuzzDecodeDocMax ensures the concept max-score metadata decode path
-// never panics on arbitrary bytes, that accepted summaries respect the
-// documented invariants (strictly ascending bounded ids, finite
-// scores), and that accepted inputs round-trip. Seeds mirror the
-// MaxLocation bounds style of the PR 1 decode hardening: crafted
-// overflow, NaN, and negative-score buffers.
-func FuzzDecodeDocMax(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeDocMax([]int{0}, []float64{1}))
-	f.Add(EncodeDocMax([]int{2, 9, 4096}, []float64{0.5, -0.25, 1}))
-	// Crafted max-score overflow: a doc delta of MaxUint64 used to be
-	// the int-wrapping shape in postings; the metadata decoder must
-	// bound it the same way.
-	overflow := binary.AppendUvarint(nil, 1)
-	overflow = binary.AppendUvarint(overflow, math.MaxUint64)
-	f.Add(binary.LittleEndian.AppendUint64(overflow, math.Float64bits(1)))
-	// NaN and ±Inf score bits: must be rejected, never stored.
-	nan := binary.AppendUvarint(nil, 1)
-	nan = binary.AppendUvarint(nan, 3)
-	f.Add(binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN())))
-	inf := binary.AppendUvarint(nil, 1)
-	inf = binary.AppendUvarint(inf, 3)
-	f.Add(binary.LittleEndian.AppendUint64(inf, math.Float64bits(math.Inf(-1))))
-	// Negative finite scores are legal and must round-trip.
-	neg := binary.AppendUvarint(nil, 1)
-	neg = binary.AppendUvarint(neg, 0)
-	f.Add(binary.LittleEndian.AppendUint64(neg, math.Float64bits(-0.75)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		docs, scores, err := DecodeDocMax(data)
-		if err != nil {
-			return
-		}
-		if len(docs) != len(scores) {
-			t.Fatalf("decoded %d docs but %d scores", len(docs), len(scores))
-		}
-		for i := range docs {
-			if docs[i] < 0 || docs[i] > MaxDocID {
-				t.Fatalf("doc %d out of range: %d", i, docs[i])
-			}
-			if i > 0 && docs[i] <= docs[i-1] {
-				t.Fatalf("doc ids not strictly ascending at %d: %d then %d", i, docs[i-1], docs[i])
-			}
-			if math.IsNaN(scores[i]) || math.IsInf(scores[i], 0) {
-				t.Fatalf("non-finite score %v accepted at %d", scores[i], i)
-			}
-		}
-		again, scoresAgain, err := DecodeDocMax(EncodeDocMax(docs, scores))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(again) != len(docs) {
-			t.Fatalf("round trip changed entry count")
-		}
-		for i := range docs {
-			if again[i] != docs[i] || scoresAgain[i] != scores[i] {
-				t.Fatalf("round trip changed entry %d", i)
 			}
 		}
 	})
@@ -328,18 +268,24 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzLoadCompact ensures index deserialization never panics, on
-// both the framed and the legacy layout.
+// FuzzLoadCompact ensures index deserialization never panics, and
+// that nothing without the framing magic is ever accepted. The seeds
+// include the two retired shapes (unframed, section 2).
 func FuzzLoadCompact(f *testing.F) {
 	ix := New()
 	ix.AddText(0, "alpha beta gamma")
 	f.Add(ix.Compact().Marshal())
-	f.Add(ix.Compact().marshalLegacy())
+	unframed, section2 := RetiredShapesForTest(ix.Compact())
+	f.Add(unframed)
+	f.Add(section2)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := LoadCompact(data)
 		if err != nil {
 			return
+		}
+		if !strings.HasPrefix(string(data), frameMagic) {
+			t.Fatal("unframed input accepted")
 		}
 		// A loaded index must be queryable without panicking.
 		_ = c.Postings("alpha")
@@ -355,10 +301,11 @@ func FuzzLoadFile(f *testing.F) {
 	ix.AddText(0, "alpha beta gamma")
 	ix.AddText(2, "beta delta")
 	c := ix.Compact()
-	c.AddConceptMeta(Concept{"alpha": 1, "beta": 0.5})
 	c.AddConceptBlocks(Concept{"alpha": 1, "beta": 0.5})
 	f.Add(c.Marshal())
-	f.Add(c.marshalLegacy())
+	unframed, section2 := RetiredShapesForTest(c)
+	f.Add(unframed)
+	f.Add(section2)
 	f.Add([]byte(frameMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -380,11 +327,9 @@ func FuzzLoadFile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-load of accepted index failed: %v", err)
 		}
-		if re.Docs() != loaded.Docs() || re.ConceptMetaCount() != loaded.ConceptMetaCount() ||
-			re.ConceptBlocksCount() != loaded.ConceptBlocksCount() {
-			t.Fatalf("round trip changed the index: docs %d/%d meta %d/%d blocks %d/%d",
-				re.Docs(), loaded.Docs(), re.ConceptMetaCount(), loaded.ConceptMetaCount(),
-				re.ConceptBlocksCount(), loaded.ConceptBlocksCount())
+		if re.Docs() != loaded.Docs() || re.ConceptBlocksCount() != loaded.ConceptBlocksCount() {
+			t.Fatalf("round trip changed the index: docs %d/%d blocks %d/%d",
+				re.Docs(), loaded.Docs(), re.ConceptBlocksCount(), loaded.ConceptBlocksCount())
 		}
 	})
 }

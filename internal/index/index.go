@@ -10,6 +10,9 @@
 package index
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"sort"
 
 	"bestjoin/internal/match"
@@ -87,6 +90,38 @@ func (ix *Index) DocFreq(word string) int {
 // inverted lists together form the match list of one general query
 // term, each with the score its occurrences carry.
 type Concept map[string]float64
+
+// Finite reports whether every member-word weight is a finite number.
+// A NaN or ±Inf weight would poison every score-bound comparison, so
+// nothing is built from, and no query is served for, such a concept.
+func (c Concept) Finite() bool {
+	for _, s := range c {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// ConceptKey hashes a concept to a stable 64-bit key, independent of
+// map iteration order: the identity under which concept block tables,
+// pair lists and the engine's concept caches are stored.
+func ConceptKey(c Concept) uint64 {
+	words := make([]string, 0, len(c))
+	for w := range c {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, w := range words {
+		h.Write([]byte(w))
+		h.Write([]byte{0})
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c[w]))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
 
 // ConceptList derives the match list of a concept within one document
 // by merging the concept's inverted lists restricted to that document

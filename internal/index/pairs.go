@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -429,15 +430,8 @@ func (pt *PairTable) Validate() error {
 // answers), or the pair is already registered. bytes reports the
 // encoded size actually added, for the selector's budget accounting.
 func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lists) (match.Set, float64, bool)) (bytes int, ok bool) {
-	for _, s := range a {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return 0, false
-		}
-	}
-	for _, s := range b {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return 0, false
-		}
+	if !a.Finite() || !b.Finite() {
+		return 0, false
 	}
 	ka, kb := ConceptKey(a), ConceptKey(b)
 	if ka > kb {
@@ -448,8 +442,8 @@ func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lis
 	if _, dup := c.pairs[key]; dup {
 		return 0, false
 	}
-	docsA, listsA := c.conceptDocLists(a)
-	docsB, listsB := c.conceptDocLists(b)
+	docsA, listsA, _ := c.conceptDocLists(context.Background(), a)
+	docsB, listsB, _ := c.conceptDocLists(context.Background(), b)
 	var entries []PairEntry
 	lists := make(match.Lists, 2)
 	for i, j := 0, 0; i < len(docsA) && j < len(docsB); {

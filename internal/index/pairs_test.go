@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -225,22 +226,6 @@ func TestPairsEmptySetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPairsLegacyLoad pins back-compat: the pre-framing layout (which
-// predates pair lists entirely) still loads, with no pairs.
-func TestPairsLegacyLoad(t *testing.T) {
-	c, _, _, _ := pairTestIndex(t)
-	loaded, err := LoadCompact(c.marshalLegacy())
-	if err != nil {
-		t.Fatalf("legacy buffer rejected: %v", err)
-	}
-	if loaded.ConceptPairsCount() != 0 {
-		t.Fatal("legacy layout cannot carry pairs")
-	}
-	if loaded.Docs() != c.Docs() {
-		t.Fatalf("legacy round trip lost docs: %d vs %d", loaded.Docs(), c.Docs())
-	}
-}
-
 // TestPairsMarshalRejectsEveryBitFlip extends the bit-rot acceptance
 // test to a pair-bearing index: the section-5 CRC leaves no pair byte
 // unprotected.
@@ -294,8 +279,8 @@ func TestAddConceptPairsMatchesJoin(t *testing.T) {
 
 	// The list's doc set must be exactly the concepts' intersection,
 	// and every scored record must replay the join bitwise.
-	docsA, listsA := c.conceptDocLists(a)
-	docsB, listsB := c.conceptDocLists(b)
+	docsA, listsA, _ := c.conceptDocLists(context.Background(), a)
+	docsB, listsB, _ := c.conceptDocLists(context.Background(), b)
 	k := 0
 	for i, j := 0, 0; i < len(docsA) && j < len(docsB); {
 		switch {

@@ -7,8 +7,8 @@ import (
 )
 
 // Document-partitioned sharding: Partition splits one compacted index
-// into n shard indexes whose posting lists, concept metadata, and
-// concept block tables are each restricted to the shard's documents.
+// into n shard indexes whose posting lists, concept block tables and
+// pair lists are each restricted to the shard's documents.
 // The partitioner is the substrate of the scatter-gather serving tier
 // (internal/shard): best-join scoring is document-local — a document's
 // match lists, and therefore its score and matchset, depend only on
@@ -28,11 +28,10 @@ import (
 //     translation and tie-breaks on document id mean the same thing on
 //     every shard.
 //
-// Registered concept metadata survives partitioning: doc-max summaries
-// are filtered per shard, and block tables are rebuilt from the
-// shard's documents (block boundaries move — a shard has ~1/n of each
-// block's documents — but block-max pruning is lossless, so boundaries
-// never change answers, only skip rates).
+// Registered block tables survive partitioning: they are rebuilt from
+// the shard's documents (block boundaries move — a shard has ~1/n of
+// each block's documents — but block-max pruning is lossless, so
+// boundaries never change answers, only skip rates).
 
 // ShardOf returns the shard owning document doc under an n-way
 // partition: doc mod n, the deterministic round-robin assignment used
@@ -78,9 +77,6 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 			}
 		}
 	}
-	if err := c.partitionMeta(shards); err != nil {
-		return nil, err
-	}
 	if err := c.partitionBlocks(shards); err != nil {
 		return nil, err
 	}
@@ -122,34 +118,6 @@ func (c *Compact) partitionPairs(shards []*Compact) error {
 					shard.pairs = make(map[PairKey][]byte)
 				}
 				shard.pairs[key] = enc
-			}
-		}
-	}
-	return nil
-}
-
-// partitionMeta filters each registered doc-max summary per shard.
-func (c *Compact) partitionMeta(shards []*Compact) error {
-	n := len(shards)
-	for key, buf := range c.meta {
-		docs, maxSc, err := DecodeDocMax(buf)
-		if err != nil {
-			return fmt.Errorf("index: partition: concept meta %x: %v", key, err)
-		}
-		for s, shard := range shards {
-			var sd []int
-			var sm []float64
-			for i, d := range docs {
-				if ShardOf(d, n) == s {
-					sd = append(sd, d)
-					sm = append(sm, maxSc[i])
-				}
-			}
-			if enc := EncodeDocMax(sd, sm); enc != nil {
-				if shard.meta == nil {
-					shard.meta = make(map[uint64][]byte)
-				}
-				shard.meta[key] = enc
 			}
 		}
 	}

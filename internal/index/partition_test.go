@@ -35,7 +35,6 @@ func partitionCorpus(t *testing.T) (*Compact, []Concept) {
 		{"laptops": 0.9, "pc": 0.7},
 	}
 	for _, cc := range concepts {
-		c.AddConceptMeta(cc)
 		c.AddConceptBlocksSized(cc, 2) // tiny blocks → several per concept
 	}
 	return c, concepts
@@ -106,42 +105,6 @@ func sortPostings(ps []Posting) {
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && (ps[j].Doc < ps[j-1].Doc || (ps[j].Doc == ps[j-1].Doc && ps[j].Pos < ps[j-1].Pos)); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func TestPartitionSplitsConceptMeta(t *testing.T) {
-	c, concepts := partitionCorpus(t)
-	const n = 3
-	shards, err := c.Partition(n)
-	if err != nil {
-		t.Fatalf("Partition(%d): %v", n, err)
-	}
-	for _, cc := range concepts {
-		wantDocs, wantMax, ok := c.ConceptMeta(cc)
-		if !ok {
-			t.Fatalf("concept %v: meta missing on original", cc)
-		}
-		gotMax := map[int]float64{}
-		for s, shard := range shards {
-			docs, maxSc, ok := shard.ConceptMeta(cc)
-			if !ok {
-				continue
-			}
-			for i, d := range docs {
-				if ShardOf(d, n) != s {
-					t.Fatalf("shard %d meta owns doc %d", s, d)
-				}
-				gotMax[d] = maxSc[i]
-			}
-		}
-		if len(gotMax) != len(wantDocs) {
-			t.Fatalf("concept %v: shard meta covers %d docs, want %d", cc, len(gotMax), len(wantDocs))
-		}
-		for i, d := range wantDocs {
-			if gotMax[d] != wantMax[i] {
-				t.Fatalf("concept %v doc %d: shard max %v, want %v", cc, d, gotMax[d], wantMax[i])
-			}
 		}
 	}
 }
@@ -304,11 +267,6 @@ func TestPartitionDeterministic(t *testing.T) {
 		for stem, buf := range a[s].postings {
 			if !bytes.Equal(buf, b[s].postings[stem]) {
 				t.Fatalf("shard %d stem %q: buffers differ across runs", s, stem)
-			}
-		}
-		for key, buf := range a[s].meta {
-			if !bytes.Equal(buf, b[s].meta[key]) {
-				t.Fatalf("shard %d meta %x: buffers differ across runs", s, key)
 			}
 		}
 		for key, buf := range a[s].blocks {

@@ -24,26 +24,24 @@ import (
 // Section 1 holds the posting payload — varint(docs), varint(#terms),
 // then per term (sorted by stem for determinism) varint(len(stem))
 // stem varint(len(postings)) postings, where postings is the
-// varint-packed buffer of compress.go. Section 2, present only when
-// concept max-score metadata is registered (meta.go), holds
-// varint(#concepts), then per concept (sorted by key) uint64le(key)
-// varint(len(meta)) meta. Section 3, present only when
-// block-partitioned concept postings are registered (blocks.go), has
-// the same per-concept shape with EncodeBlocks buffers as values.
+// varint-packed buffer of compress.go. Section 3, present only when
+// block-partitioned concept postings are registered in the varint
+// layout (blocks.go), holds varint(#concepts), then per concept
+// (sorted by key) uint64le(key) varint(len) EncodeBlocks buffer.
 // Section 4, present only when group-varint batched concept postings
 // are registered (batchdecode.go), repeats that shape with
-// EncodeBlocksBatch buffers; a reader predating section 4 rejects the
-// unknown id loudly instead of misparsing it. Section 5, present only
-// when precomputed pair lists are registered (pairs.go), holds
-// varint(#pairs), then per pair (sorted by key) uint64le(lo)
-// uint64le(hi) uint64le(spec) varint(len) EncodePairs buffer. Indexes
-// written before a given section existed simply omit it and keep
-// loading — the corresponding feature is absent, never misread.
+// EncodeBlocksBatch buffers. Section 5, present only when precomputed
+// pair lists are registered (pairs.go), holds varint(#pairs), then per
+// pair (sorted by key) uint64le(lo) uint64le(hi) uint64le(spec)
+// varint(len) EncodePairs buffer. An index that omits an optional
+// section simply lacks the feature; an unknown section id is rejected
+// loudly instead of being misparsed.
 //
-// LoadCompact still accepts the pre-framing layout (the two payloads
-// concatenated with no magic, no checksums), so indexes marshaled
-// before the framing change keep loading. Marshal always emits the
-// framed form.
+// Two shapes older code could read are rejected, each with an
+// ErrCorrupt-wrapped error naming what was seen: section 2 (per-concept
+// doc-max metadata, a representation the engine no longer serves), and
+// unframed input (the pre-framing layout, which carried no checksums —
+// nothing but tests ever wrote either).
 
 // Framing constants. The version byte lets the layout evolve without
 // breaking old readers loudly: an unknown version is rejected with a
@@ -53,7 +51,7 @@ const (
 	frameVersion = 1
 
 	secPostings    = 1 // posting payload: docs header + term table
-	secMeta        = 2 // optional concept max-score metadata
+	secRetiredMeta = 2 // concept max-score metadata: no longer read
 	secBlocks      = 3 // optional block-partitioned concept postings
 	secBlocksBatch = 4 // optional group-varint batched concept postings
 	secPairs       = 5 // optional precomputed concept-pair postings
@@ -73,16 +71,12 @@ var ErrCorrupt = errors.New("index: corrupt framed index")
 // form.
 func (c *Compact) Marshal() []byte {
 	postings := c.marshalPostings()
-	meta := c.marshalMeta()
 	blocks := c.marshalConceptMap(c.blocks)
 	batch := c.marshalConceptMap(c.batch)
 	pairs := c.marshalPairs()
-	buf := append(make([]byte, 0, len(postings)+len(meta)+len(blocks)+len(batch)+len(pairs)+32), frameMagic...)
+	buf := append(make([]byte, 0, len(postings)+len(blocks)+len(batch)+len(pairs)+32), frameMagic...)
 	buf = append(buf, frameVersion)
 	nsec := uint64(1)
-	if meta != nil {
-		nsec++
-	}
 	if blocks != nil {
 		nsec++
 	}
@@ -94,9 +88,6 @@ func (c *Compact) Marshal() []byte {
 	}
 	buf = binary.AppendUvarint(buf, nsec)
 	buf = appendSection(buf, secPostings, postings)
-	if meta != nil {
-		buf = appendSection(buf, secMeta, meta)
-	}
 	if blocks != nil {
 		buf = appendSection(buf, secBlocks, blocks)
 	}
@@ -136,30 +127,8 @@ func (c *Compact) marshalPostings() []byte {
 	return buf
 }
 
-// marshalMeta builds the concept-metadata payload (section 2), nil
-// when no metadata is registered.
-func (c *Compact) marshalMeta() []byte {
-	if len(c.meta) == 0 {
-		return nil
-	}
-	keys := make([]uint64, 0, len(c.meta))
-	for k := range c.meta {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.LittleEndian.AppendUint64(buf, k)
-		m := c.meta[k]
-		buf = binary.AppendUvarint(buf, uint64(len(m)))
-		buf = append(buf, m...)
-	}
-	return buf
-}
-
 // marshalConceptMap builds a per-concept payload (sections 3 and 4),
-// nil when the map is empty. Same shape as the metadata section:
-// varint(#concepts), then per concept (sorted by key for determinism)
+// nil when the map is empty: varint(#concepts), then per concept (sorted by key for determinism)
 // uint64le(key) varint(len) buffer.
 func (c *Compact) marshalConceptMap(m map[uint64][]byte) []byte {
 	if len(m) == 0 {
@@ -214,32 +183,16 @@ func (c *Compact) marshalPairs() []byte {
 	return buf
 }
 
-// marshalLegacy emits the pre-framing layout: the two payloads
-// concatenated bare. Kept (unexported) so tests can pin that
-// LoadCompact still reads indexes marshaled before the framing change.
-func (c *Compact) marshalLegacy() []byte {
-	return append(c.marshalPostings(), c.marshalMeta()...)
-}
-
-// framed reports whether a buffer starts with the framing magic.
-func framed(b []byte) bool {
-	return len(b) >= len(frameMagic) && string(b[:len(frameMagic)]) == frameMagic
-}
-
-// LoadCompact deserializes a Marshal buffer: the framed form when the
-// magic is present, the pre-framing legacy form otherwise. Both paths
-// validate every posting list and metadata buffer eagerly, so corrupt
-// or adversarial bytes fail here rather than at query time.
+// LoadCompact deserializes a Marshal buffer, verifying the framing —
+// magic, version, section structure, per-section checksums, no
+// trailing bytes — and eagerly validating every posting list, block
+// table and pair list, so corrupt or adversarial bytes fail here
+// rather than at query time. Input without the magic is refused: the
+// frame's checksums are what make bytes off the wire trustworthy.
 func LoadCompact(b []byte) (*Compact, error) {
-	if framed(b) {
-		return loadFramed(b)
+	if len(b) < len(frameMagic) || string(b[:len(frameMagic)]) != frameMagic {
+		return nil, fmt.Errorf("%w: missing magic (unframed input is not accepted)", ErrCorrupt)
 	}
-	return loadLegacy(b)
-}
-
-// loadFramed verifies the framing — magic, version, section structure,
-// per-section checksums, no trailing bytes — then parses the payloads.
-func loadFramed(b []byte) (*Compact, error) {
 	b = b[len(frameMagic):]
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: truncated before version", ErrCorrupt)
@@ -253,7 +206,7 @@ func loadFramed(b []byte) (*Compact, error) {
 		return nil, fmt.Errorf("%w: bad section count", ErrCorrupt)
 	}
 	b = b[n:]
-	var postings, meta, blocks, batch, pairs []byte
+	var postings, blocks, batch, pairs []byte
 	prevID := byte(0)
 	for i := uint64(0); i < nsec; i++ {
 		if len(b) == 0 {
@@ -283,8 +236,8 @@ func loadFramed(b []byte) (*Compact, error) {
 		switch id {
 		case secPostings:
 			postings = payload
-		case secMeta:
-			meta = payload
+		case secRetiredMeta:
+			return nil, fmt.Errorf("%w: section %d (concept max-score metadata) is no longer supported", ErrCorrupt, id)
 		case secBlocks:
 			blocks = payload
 		case secBlocksBatch:
@@ -305,15 +258,6 @@ func loadFramed(b []byte) (*Compact, error) {
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in posting section", ErrCorrupt, len(rest))
-	}
-	if meta != nil {
-		rest, err := parseMeta(c, meta)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in meta section", ErrCorrupt, len(rest))
-		}
 	}
 	if blocks != nil {
 		rest, err := parseBlocks(c, blocks)
@@ -341,26 +285,6 @@ func loadFramed(b []byte) (*Compact, error) {
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("%w: %d trailing bytes in pairs section", ErrCorrupt, len(rest))
 		}
-	}
-	return c, nil
-}
-
-// loadLegacy parses the pre-framing layout: posting payload followed
-// directly by the optional metadata payload.
-func loadLegacy(b []byte) (*Compact, error) {
-	c, rest, err := parsePostings(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) == 0 {
-		return c, nil // pre-metadata buffer: no concept section
-	}
-	rest, err = parseMeta(c, rest)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("index: %d trailing bytes", len(rest))
 	}
 	return c, nil
 }
@@ -411,48 +335,11 @@ func parsePostings(b []byte) (*Compact, []byte, error) {
 	return c, b, nil
 }
 
-// parseMeta decodes the concept-metadata payload into c, returning
-// the unconsumed remainder.
-func parseMeta(c *Compact, b []byte) ([]byte, error) {
-	nMeta, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("index: corrupt concept-meta count")
-	}
-	b = b[n:]
-	// Each concept costs at least 9 bytes (8-byte key, length byte).
-	if nMeta > uint64(len(b))/9 {
-		return nil, fmt.Errorf("index: concept-meta count %d exceeds buffer", nMeta)
-	}
-	c.meta = make(map[uint64][]byte, nMeta)
-	for i := uint64(0); i < nMeta; i++ {
-		if len(b) < 8 {
-			return nil, fmt.Errorf("index: truncated concept-meta key %d", i)
-		}
-		key := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		mlen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < mlen {
-			return nil, fmt.Errorf("index: corrupt concept meta %d", i)
-		}
-		b = b[n:]
-		meta := make([]byte, mlen)
-		copy(meta, b[:mlen])
-		b = b[mlen:]
-		// Validate eagerly, like postings: ConceptMeta treats decode
-		// failure as memory corruption and panics.
-		if _, _, err := DecodeDocMax(meta); err != nil {
-			return nil, fmt.Errorf("index: invalid concept meta %d: %v", i, err)
-		}
-		c.meta[key] = meta
-	}
-	return b, nil
-}
-
 // parseBlocks decodes the block-partitioned-postings payload into
 // c.blocks, returning the unconsumed remainder. Every block of every
 // concept is fully decoded here — the same eager-validation stance as
-// postings and metadata, so ConceptBlocks can treat decode failure as
-// memory corruption.
+// postings, so ConceptBlocks can treat decode failure as memory
+// corruption.
 func parseBlocks(c *Compact, b []byte) ([]byte, error) {
 	m, rest, err := parseConceptBlockMap(b, DecodeBlocks)
 	if err != nil {

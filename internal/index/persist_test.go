@@ -57,9 +57,8 @@ func TestLoadCompactCorrupt(t *testing.T) {
 	}
 }
 
-// framedTestIndex builds a small index with concept metadata and
-// block-partitioned concept postings, so its Marshal carries all
-// three sections.
+// framedTestIndex builds a small index with block-partitioned concept
+// postings in both layouts, so its Marshal carries sections 1, 3 and 4.
 func framedTestIndex(t *testing.T) *Compact {
 	t.Helper()
 	ix := New()
@@ -67,19 +66,17 @@ func framedTestIndex(t *testing.T) *Compact {
 	ix.AddText(1, "dell announced a partnership with the olympics")
 	ix.AddText(3, "the nba finals drew a record basketball audience")
 	c := ix.Compact()
-	c.AddConceptMeta(Concept{"lenovo": 1, "dell": 0.9})
-	c.AddConceptMeta(Concept{"nba": 1, "olympics": 0.8, "basketball": 0.7})
 	c.AddConceptBlocksSized(Concept{"lenovo": 1, "dell": 0.9}, 2)
 	c.AddConceptBlocks(Concept{"nba": 1, "olympics": 0.8, "basketball": 0.7})
 	return c
 }
 
-// TestMarshalIsFramed pins the on-disk format: magic, version, and a
-// meta section when metadata is registered.
+// TestMarshalIsFramed pins the on-disk format: magic, version, and the
+// block sections when tables are registered.
 func TestMarshalIsFramed(t *testing.T) {
 	c := framedTestIndex(t)
 	b := c.Marshal()
-	if !framed(b) {
+	if !strings.HasPrefix(string(b), frameMagic) {
 		t.Fatal("Marshal output does not start with the framing magic")
 	}
 	if b[4] != frameVersion {
@@ -88,13 +85,6 @@ func TestMarshalIsFramed(t *testing.T) {
 	loaded, err := LoadCompact(b)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if loaded.ConceptMetaCount() != c.ConceptMetaCount() {
-		t.Fatalf("meta count %d, want %d", loaded.ConceptMetaCount(), c.ConceptMetaCount())
-	}
-	docs, maxSc, ok := loaded.ConceptMeta(Concept{"lenovo": 1, "dell": 0.9})
-	if !ok || len(docs) == 0 || len(docs) != len(maxSc) {
-		t.Fatalf("concept meta did not survive the round trip: ok=%v docs=%v", ok, docs)
 	}
 	if loaded.ConceptBlocksCount() != c.ConceptBlocksCount() {
 		t.Fatalf("blocks count %d, want %d", loaded.ConceptBlocksCount(), c.ConceptBlocksCount())
@@ -109,21 +99,24 @@ func TestMarshalIsFramed(t *testing.T) {
 	}
 }
 
-// TestLoadCompactLegacy pins backward compatibility: buffers written
-// before the framing change (no magic, no checksums) must still load.
+// TestLoadCompactLegacy pins that the two retired input shapes are
+// refused, each with an ErrCorrupt-wrapped error naming what was seen:
+// the unframed pre-framing layout (it carries no checksums, and
+// LoadCompact is what /swapindex feeds wire bytes to) and a framed
+// file carrying section 2, the doc-max metadata nothing serves anymore.
 func TestLoadCompactLegacy(t *testing.T) {
-	c := framedTestIndex(t)
-	legacy := c.marshalLegacy()
-	if framed(legacy) {
-		t.Fatal("legacy marshal unexpectedly framed")
-	}
-	loaded, err := LoadCompact(legacy)
-	if err != nil {
-		t.Fatalf("legacy buffer rejected: %v", err)
-	}
-	if loaded.Docs() != c.Docs() || loaded.ConceptMetaCount() != c.ConceptMetaCount() {
-		t.Fatalf("legacy round trip lost data: docs %d/%d meta %d/%d",
-			loaded.Docs(), c.Docs(), loaded.ConceptMetaCount(), c.ConceptMetaCount())
+	unframed, section2 := RetiredShapesForTest(framedTestIndex(t))
+	for _, tc := range []struct {
+		name, names string
+		b           []byte
+	}{
+		{"unframed", "missing magic", unframed},
+		{"section 2", "section 2", section2},
+	} {
+		_, err := LoadCompact(tc.b)
+		if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: err = %v, want ErrCorrupt naming %q", tc.name, err, tc.names)
+		}
 	}
 }
 

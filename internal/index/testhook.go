@@ -1,6 +1,10 @@
 package index
 
-import "bestjoin/internal/text"
+import (
+	"encoding/binary"
+
+	"bestjoin/internal/text"
+)
 
 // CorruptPostingsForTest overwrites the compressed posting bytes of
 // word with an undecodable buffer, simulating in-memory corruption of
@@ -16,14 +20,17 @@ func CorruptPostingsForTest(c *Compact, word string) {
 	}
 }
 
-// CorruptConceptMetaForTest overwrites a concept's registered doc-max
-// metadata with bytes DecodeDocMax rejects, so ConceptMeta panics:
-// the in-memory corruption the engine's metadata lookup must contain.
-// Not for production use.
-func CorruptConceptMetaForTest(c *Compact, concept Concept) {
-	c.meta[ConceptKey(concept)] = []byte{
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
-	}
+// RetiredShapesForTest returns c's postings in the two input shapes
+// LoadCompact no longer accepts: unframed (the bare pre-framing
+// payload, no magic and no checksums) and framed with a correctly
+// checksummed section 2. Every loader, and the /swapindex endpoint,
+// must refuse both. Not for production use.
+func RetiredShapesForTest(c *Compact) (unframed, section2 []byte) {
+	unframed = c.marshalPostings()
+	section2 = append([]byte(frameMagic), frameVersion)
+	section2 = binary.AppendUvarint(section2, 2)
+	section2 = appendSection(section2, secPostings, unframed)
+	return unframed, appendSection(section2, secRetiredMeta, []byte{0})
 }
 
 // CorruptConceptBlocksForTest replaces a concept's registered block

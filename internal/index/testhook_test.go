@@ -36,13 +36,6 @@ func TestCorruptPostingsHookPanics(t *testing.T) {
 	mustPanic(t, "Postings on corrupt bytes", func() { c.Postings("amber") })
 }
 
-func TestCorruptConceptMetaHookPanics(t *testing.T) {
-	c, concept := hookCorpus(t)
-	c.AddConceptMeta(concept)
-	CorruptConceptMetaForTest(c, concept)
-	mustPanic(t, "ConceptMeta on corrupt bytes", func() { c.ConceptMeta(concept) })
-}
-
 func TestCorruptConceptBlocksHookPanics(t *testing.T) {
 	for _, layout := range []string{"varint", "batch"} {
 		t.Run(layout, func(t *testing.T) {

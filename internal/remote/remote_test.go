@@ -10,6 +10,7 @@ package remote
 // tests.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -808,6 +809,46 @@ func TestServerRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("corrupt /swapindex: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSwapIndexRejectsRetiredShapes: /swapindex takes index bytes off
+// the wire, so it accepts only the checksummed frame. The unframed
+// pre-framing layout and a framed body carrying section 2 (doc-max
+// metadata) both answer 400 and leave the served epoch where it was;
+// the same postings properly framed are swapped in.
+func TestSwapIndexRejectsRetiredShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	compact := buildCompact(t, remoteCorpus(rng))
+	e := engine.New(compact, engine.Config{Workers: 1})
+	mux := http.NewServeMux()
+	NewServer(e, ServerConfig{}).Register(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	swap := func(body []byte) int {
+		resp, err := http.Post(ts.URL+"/swapindex", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	before := e.Health().Epoch
+	unframed, section2 := index.RetiredShapesForTest(compact)
+	for name, body := range map[string][]byte{"unframed": unframed, "section 2": section2} {
+		if code := swap(body); code != http.StatusBadRequest {
+			t.Errorf("%s body: status %d, want 400", name, code)
+		}
+		if got := e.Health().Epoch; got != before {
+			t.Errorf("%s body moved the served epoch %d → %d", name, before, got)
+		}
+	}
+	if code := swap(compact.Marshal()); code != http.StatusNoContent {
+		t.Fatalf("framed body: status %d, want 204", code)
+	}
+	if got := e.Health().Epoch; got != before+1 {
+		t.Errorf("framed body: epoch %d, want %d", got, before+1)
 	}
 }
 

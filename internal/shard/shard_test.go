@@ -7,8 +7,8 @@ package shard
 // the Partial/Degraded flags — is identical to a single engine over
 // the unsplit index, across conjunctive, disjunctive, and m-of-n
 // evaluation, all six scoring families, one worker and several,
-// pruning on and off, and with candidates served from plain postings,
-// precomputed concept metadata, and the block-partitioned layout.
+// pruning on and off, and with block tables registered at build time
+// (and re-cut by the partitioner) as well as built on demand per shard.
 // scripts/check.sh runs it under -race, so the shared global floor
 // and the scatter goroutines are exercised for data races too.
 
@@ -142,8 +142,8 @@ func assertSameResult(t *testing.T, label string, sharded, single *engine.Result
 // TestShardDifferential is the core acceptance test: N ∈ {1, 2, 4}
 // shards versus the single engine across AND/OR/m-of-n × all six
 // scoring families × 1/4 workers × pruning on/off, over random
-// corpora served from plain postings, concept metadata, and the
-// block-partitioned layout in rotation.
+// corpora whose block tables are registered or built on demand, in
+// rotation.
 func TestShardDifferential(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -153,18 +153,12 @@ func TestShardDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(4000 + int64(trial)))
 		compact := buildCompact(t, shardCorpus(rng))
 		concepts := shardConcepts(rng)
-		// Rotate the index layout the candidates are served from:
-		// plain postings, doc-level concept metadata, block-partitioned
-		// postings with a skip table.
-		layout := "plain"
-		switch trial % 3 {
-		case 1:
-			layout = "meta"
-			for _, c := range concepts {
-				compact.AddConceptMeta(c)
-			}
-		case 2:
-			layout = "blocks"
+		// Rotate how the concepts' block tables reach the engines: built
+		// on demand from each shard's postings, or registered on the
+		// whole index and re-cut per shard by Partition.
+		layout := "on-demand"
+		if trial%2 == 1 {
+			layout = "registered"
 			for _, c := range concepts {
 				compact.AddConceptBlocksSized(c, 16)
 			}

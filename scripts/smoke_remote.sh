@@ -14,6 +14,12 @@
 # nobody telling it to. The script waits (bounded) for every shard's
 # /shardstats to show PairServed growing, before and after the roll.
 #
+# The shards run -synth 400 with no pre-built -index file, so no block
+# table is registered: they must still serve through the block layer
+# (tables built on demand) — the path the benchmark measures — which
+# shows as "BlockDecodes" above 0 on each shard, before and after the
+# roll.
+#
 # Needs curl or wget for HTTP; skips cleanly when neither is present
 # (the in-repo equivalent runs as TestRemoteRollingRestart).
 set -eu
@@ -131,10 +137,23 @@ settle() { # $1 = label
     done
 }
 
-# pair_served prints a shard's PairServed counter (0 if unreadable).
-pair_served() { # $1 = shard address
-    n="$(fetch "http://$1/shardstats" | sed -n 's/.*"PairServed":\([0-9][0-9]*\).*/\1/p')" || n=""
+# shard_stat prints one counter of a shard's /shardstats (0 if
+# unreadable).
+shard_stat() { # $1 = shard address, $2 = counter name
+    n="$(fetch "http://$1/shardstats" | sed -n 's/.*"'"$2"'":\([0-9][0-9]*\).*/\1/p')" || n=""
     echo "${n:-0}"
+}
+pair_served() { shard_stat "$1" PairServed; }
+
+# assert_block_served fails unless both shards have decoded blocks.
+assert_block_served() { # $1 = label
+    for addr in "$SHARD0" "$SHARD1"; do
+        if [ "$(shard_stat "$addr" BlockDecodes)" -eq 0 ]; then
+            echo "smoke-remote: shard $addr answered queries with BlockDecodes 0 $1:" \
+                "it is not serving through block tables" >&2
+            exit 1
+        fi
+    done
 }
 
 # await_pair_served sends the heavy two-term query through the
@@ -165,6 +184,7 @@ echo "== queries against the healthy fleet =="
 run_queries 5 "healthy"
 echo "== both shards build pair lists for the coordinator's spec on demand =="
 await_pair_served "before the roll"
+assert_block_served "before the roll"
 if [ "$DEGRADED" -ne 0 ]; then
     echo "smoke-remote: healthy fleet answered degraded" >&2
     exit 1
@@ -203,6 +223,7 @@ settle "after both shards restarted"
 echo "== restarted shards serve pair lists again =="
 DEGRADED_ROLL="$DEGRADED"
 await_pair_served "after the roll"
+assert_block_served "after the roll"
 if [ "$FAILED" -ne 0 ] || [ "$DEGRADED" -ne "$DEGRADED_ROLL" ]; then
     echo "smoke-remote: pair queries after the roll: $FAILED failed, $(( DEGRADED - DEGRADED_ROLL )) degraded" >&2
     cat "$TMP"/*.log >&2 || true
