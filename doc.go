@@ -96,8 +96,8 @@
 // through a block-max WAND pivot walk, pruned by a union score bound
 // that remains sound for the paper's product-form scorers. On the warm
 // path, block buffers use a batched group-varint encoding (decoding
-// four integers per control byte, with an automatic varint fallback
-// for values past uint32) and concurrent queries sharing a concept
+// four integers per control byte, values past uint32 carried by an
+// in-band escape) and concurrent queries sharing a concept
 // coalesce their block decodes through a singleflight layer — one
 // decode per block no matter how many queries race, counted by
 // Stats().CoalescedDecodes and switchable off with

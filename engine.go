@@ -28,9 +28,10 @@ type CompactIndex = index.Compact
 // LoadCompactIndex deserializes a CompactIndex.Marshal buffer,
 // validating every posting list eagerly so corrupt or adversarial
 // bytes fail here rather than at query time. Only the framed,
-// checksummed layout is accepted: unframed input, and a framed buffer
-// carrying the retired section 2, fail with an ErrCorruptIndex-wrapped
-// error naming what was seen.
+// checksummed layout is accepted: unframed input, a framed buffer
+// carrying the retired section 2 or 3, and one repeating or misordering
+// an entry fail with an ErrCorruptIndex-wrapped error naming what was
+// seen.
 func LoadCompactIndex(b []byte) (*CompactIndex, error) { return index.LoadCompact(b) }
 
 // ErrCorruptIndex tags every corruption error from index loading —

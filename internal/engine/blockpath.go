@@ -13,8 +13,9 @@ import (
 // table (concept.go resolves it), so the engine never materializes a
 // concept's corpus-wide doc-set or match lists. Candidate generation
 // walks the skip table — whole blocks are galloped over by their
-// (FirstDoc, LastDoc) range, and a block's document directory (a few
-// varints) is decoded only when the walk actually needs ids inside it.
+// (FirstDoc, LastDoc) range, and a block's document directory (one
+// short group-varint stream) is decoded only when the walk actually
+// needs ids inside it.
 // Match areas are decoded lazily, per block, by the join workers — in
 // parallel — and only for blocks that still matter when a worker
 // reaches them: a candidate block whose block-max score upper bound has

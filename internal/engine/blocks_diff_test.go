@@ -32,7 +32,7 @@ type diffLayout struct {
 // diffLayouts enumerates the axis: tables registered with tiny blocks
 // (walks cross many block boundaries), mid-size blocks (several
 // documents share one, block jumps have room), AddConceptBlocks'
-// default batched form, and nothing registered at all.
+// default size, and nothing registered at all.
 func diffLayouts() []diffLayout {
 	sized := func(n int) func(*index.Compact, index.Concept) {
 		return func(c *index.Compact, cc index.Concept) { c.AddConceptBlocksSized(cc, n) }
@@ -158,13 +158,20 @@ func TestBlocksPruneInRankOrder(t *testing.T) {
 }
 
 // TestCorruptBlocksDegradeNotCrash pins the block layer's failure
-// model for registered tables: corruption of a
-// concept's block bytes — whether in the skip table (the lookup
-// panics) or in a lazily-decoded payload (directory and match-area
-// decodes error) — must degrade the query to a sound subset, never
-// crash the process, never return an error, and count in
-// Stats().DecodeFailures.
+// model for registered flagged tables (document ids spaced wideStride
+// apart, so the payload corrupted below carries escape trailers); its
+// twin TestBatchBlocksDegradeNotCrash pins it for unflagged ones.
 func TestCorruptBlocksDegradeNotCrash(t *testing.T) {
+	assertCorruptBlocksDegrade(t, wideStride)
+}
+
+// assertCorruptBlocksDegrade registers a table over a corpus with ids
+// spaced stride apart and corrupts it: whether in the skip table (the
+// lookup panics) or in a lazily-decoded payload (directory and
+// match-area decodes error), the query must degrade to a sound subset,
+// never crash the process, never return an error, and count in
+// Stats().DecodeFailures.
+func assertCorruptBlocksDegrade(t *testing.T, stride int) {
 	corpus := make([]string, 30)
 	for i := range corpus {
 		corpus[i] = "amber basalt"
@@ -173,7 +180,7 @@ func TestCorruptBlocksDegradeNotCrash(t *testing.T) {
 	q := Query{Concepts: []index.Concept{concept}, Join: diffFamilies()[0].factory, K: 3}
 
 	t.Run("skip-table", func(t *testing.T) {
-		compact := buildCompact(t, corpus)
+		compact := buildCompactSpaced(t, corpus, stride)
 		compact.AddConceptBlocksSized(concept, 4)
 		index.CorruptConceptBlocksForTest(compact, concept)
 		e := New(compact, Config{Workers: 2})
@@ -189,7 +196,7 @@ func TestCorruptBlocksDegradeNotCrash(t *testing.T) {
 		}
 	})
 	t.Run("payload", func(t *testing.T) {
-		compact := buildCompact(t, corpus)
+		compact := buildCompactSpaced(t, corpus, stride)
 		compact.AddConceptBlocksSized(concept, 4)
 		index.CorruptConceptBlockPayloadForTest(compact, concept)
 		e := New(compact, Config{Workers: 2})

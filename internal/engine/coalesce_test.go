@@ -29,9 +29,7 @@ func coalesceFixture(t *testing.T, cfg Config) (*Engine, *queryState, *conceptDa
 	}
 	compact := buildCompact(t, corpus)
 	concept := index.Concept{"amber": 1, "basalt": 0.5}
-	if !compact.AddConceptBlocksBatchSized(concept, 8) {
-		t.Fatal("batch layout not registered")
-	}
+	compact.AddConceptBlocksSized(concept, 8)
 	e := New(compact, cfg)
 	qs := &queryState{ctx: context.Background(), idx: compact, epoch: 1}
 	cd := e.conceptData(qs, concept)
@@ -324,9 +322,7 @@ func TestCoalesceEndToEnd(t *testing.T) {
 	}
 	compact := buildCompact(t, corpus)
 	concept := index.Concept{"amber": 1, "basalt": 0.5}
-	if !compact.AddConceptBlocksBatchSized(concept, 8) {
-		t.Fatal("batch layout not registered")
-	}
+	compact.AddConceptBlocksSized(concept, 8)
 	e := New(compact, Config{Workers: 2})
 	q := Query{Concepts: []index.Concept{concept}, Join: diffFamilies()[0].factory, K: 5}
 	ref, err := e.Search(context.Background(), q)

@@ -24,34 +24,54 @@ import (
 //
 // Encoded layout (EncodeBlocks):
 //
+//	[varint(0)]                                // wide flag, see below
 //	varint(#palette) float64le × #palette      // distinct scores, ascending
 //	varint(#blocks)
-//	per block: varint(firstGap) varint(span) varint(payloadLen) varint(maxIdx)
+//	stream of 4·#blocks values:                // skip table
+//	        per block firstGap, span, payloadLen, maxIdx
 //	concatenated block payloads
+//
+// Block payload:
+//
+//	varint(#docs)
+//	stream of 2·#docs−1 values:                // directory
+//	        count₀, then per further document docDelta, count
+//	stream of 2·Σcount values:                 // match area
+//	        per match posDelta, scoreIdx
 //
 // firstGap is the first document id for block 0 and the gap from the
 // previous block's last document (≥ 1, blocks are disjoint and
 // ascending) afterwards; span is lastDoc − firstDoc; maxIdx indexes
 // the palette entry equal to the block's maximum match score.
-//
-// Block payload:
-//
-//	varint(#docs)
-//	directory: per document varint(docDelta) varint(#matches)
-//	           (the first document's delta is omitted: it IS firstDoc)
-//	match area: per match varint(posDelta) varint(scoreIdx)
-//	           (positions restart per document; first delta is absolute)
-//
-// The directory comes first so candidate generation can decode just
-// the document ids of a block — a few varints — while the match area
+// Positions restart per document; the first delta is absolute. Scores
+// live in the palette: a concept has only a handful of distinct
+// member-word weights, so a match stores a small index instead of
+// eight float bytes. The directory comes first so candidate generation
+// can decode just the document ids of a block while the match area
 // (the expensive part) stays untouched until the block provably
-// matters. Scores live in the palette: a concept has only a handful
-// of distinct member-word weights, so per-match score storage is one
-// small varint instead of eight float bytes.
+// matters.
 //
-// Like every other decode path in this package the buffers may come
-// from disk or other untrusted storage, so decoding is bounded the
-// PR 1 way: deltas are capped by MaxDocID/MaxPosition before int
+// Every stream is group-varint: values four at a time behind one
+// control byte whose 2-bit fields give each value's byte length minus
+// one, the values following little-endian in exactly that many bytes.
+// The decoder reads the control byte once and then copies four values
+// with unconditional 4-byte loads and masks — no per-byte continuation
+// branches (the stream-vbyte / group-varint layout from the
+// batched-decode literature).
+//
+// Wide values. A lane holds 32 bits, but ids and positions run to
+// 2^40. A table with any value of 2^32−1 or more is flagged: it starts
+// with varint(0) — a palette count no table has, so no unflagged
+// buffer reads as flagged — and in it a lane of 2^32−1 is an escape:
+// the true value follows the stream as a uvarint, in a trailer right
+// after the stream, escapes in slot order. An unflagged table has no
+// trailers and reads a 2^32−1 lane literally: that is the form of every
+// table written before the escape existed, and those files must keep
+// loading byte for byte.
+//
+// The buffers may come from disk or other untrusted storage, so
+// decoding is bounded like every other decode path in this package:
+// escaped values are capped at MaxDocID/MaxPosition before int
 // conversion can wrap, ids and positions must be strictly ascending,
 // palette scores must be finite and strictly ascending, counts are
 // checked against the bytes that must back them, and — soundness
@@ -65,6 +85,10 @@ import (
 // large enough to amortize per-block bookkeeping, small enough that
 // block-max bounds stay selective.
 const BlockSize = 128
+
+// escapeLane is the lane value that, in a flagged table, stands for a
+// value carried in its stream's trailer.
+const escapeLane = math.MaxUint32
 
 // BlockInfo is one decoded skip-table entry.
 type BlockInfo struct {
@@ -86,10 +110,7 @@ type BlockTable struct {
 	Palette []float64 // distinct match scores, strictly ascending
 	Infos   []BlockInfo
 	payload []byte
-	// batch marks a table whose payloads use the group-varint batched
-	// layout (batchdecode.go); the decode entry points dispatch on it,
-	// so callers never care which codec backs a table.
-	batch bool
+	wide    bool // flagged: every stream is followed by its escape trailer
 }
 
 // NumBlocks returns the number of blocks in the table.
@@ -110,8 +131,9 @@ func (bt *BlockTable) FindBlock(doc int) int {
 // list each — into the block-partitioned layout. blockSize ≤ 0 means
 // BlockSize. The empty input encodes to nil. Inputs must satisfy the
 // documented invariants (ascending docs, ascending positions, finite
-// scores); EncodeBlocks is a build-time path fed only by
-// BuildConceptBlocks and tests.
+// scores, ids and positions within MaxDocID/MaxPosition); EncodeBlocks
+// is a build-time path fed by the merge of conceptDocLists, Partition
+// and tests.
 func EncodeBlocks(docs []int, lists []match.List, blockSize int) []byte {
 	if len(docs) == 0 {
 		return nil
@@ -120,66 +142,230 @@ func EncodeBlocks(docs []int, lists []match.List, blockSize int) []byte {
 		blockSize = BlockSize
 	}
 	palette, scoreIdx := buildPalette(lists)
+	wide := false
+	stream := func(dst []byte, vals []uint64) []byte {
+		dst, escaped := appendStream(dst, vals)
+		wide = wide || escaped
+		return dst
+	}
 
 	nBlocks := (len(docs) + blockSize - 1) / blockSize
-	buf := binary.AppendUvarint(nil, uint64(len(palette)))
+	var payload []byte
+	skipVals := make([]uint64, 0, 4*nBlocks)
+	var dirVals, matchVals []uint64
+	prevLast := 0
+	for b := 0; b < len(docs); b += blockSize {
+		e := min(b+blockSize, len(docs))
+		dirVals, matchVals = dirVals[:0], matchVals[:0]
+		maxIdx := 0
+		for i := b; i < e; i++ {
+			if i > b {
+				dirVals = append(dirVals, uint64(docs[i]-docs[i-1]))
+			}
+			dirVals = append(dirVals, uint64(len(lists[i])))
+			prev := 0
+			for _, m := range lists[i] {
+				idx := scoreIdx[m.Score]
+				maxIdx = max(maxIdx, idx)
+				matchVals = append(matchVals, uint64(m.Loc-prev), uint64(idx))
+				prev = m.Loc
+			}
+		}
+		start := len(payload)
+		payload = binary.AppendUvarint(payload, uint64(e-b))
+		payload = stream(payload, dirVals)
+		payload = stream(payload, matchVals)
+		skipVals = append(skipVals, uint64(docs[b]-prevLast), uint64(docs[e-1]-docs[b]),
+			uint64(len(payload)-start), uint64(maxIdx))
+		prevLast = docs[e-1]
+	}
+
+	// buf[0] is the flag, varint(0); an unflagged table drops it. A skip
+	// value takes at most 5 bytes unless escaped.
+	buf := make([]byte, 1, 1+2*binary.MaxVarintLen64+8*len(palette)+5*len(skipVals)+len(payload))
+	buf = binary.AppendUvarint(buf, uint64(len(palette)))
 	for _, s := range palette {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
 	}
 	buf = binary.AppendUvarint(buf, uint64(nBlocks))
+	buf = append(stream(buf, skipVals), payload...)
+	if !wide {
+		return buf[1:]
+	}
+	return buf
+}
 
-	var payload []byte
-	type skip struct {
-		first, last, plen, maxIdx int
-	}
-	skips := make([]skip, 0, nBlocks)
-	for b := 0; b < len(docs); b += blockSize {
-		e := b + blockSize
-		if e > len(docs) {
-			e = len(docs)
+// buildPalette collects the distinct match scores of lists, ascending,
+// with a score → palette index map.
+func buildPalette(lists []match.List) ([]float64, map[float64]int) {
+	seen := make(map[float64]struct{})
+	for _, l := range lists {
+		for _, m := range l {
+			seen[m.Score] = struct{}{}
 		}
-		start := len(payload)
-		payload = binary.AppendUvarint(payload, uint64(e-b))
-		// Directory: per-document delta (first omitted) and match count.
-		for i := b; i < e; i++ {
-			if i > b {
-				payload = binary.AppendUvarint(payload, uint64(docs[i]-docs[i-1]))
+	}
+	palette := make([]float64, 0, len(seen))
+	for s := range seen {
+		palette = append(palette, s)
+	}
+	sort.Float64s(palette)
+	scoreIdx := make(map[float64]int, len(palette))
+	for i, s := range palette {
+		scoreIdx[s] = i
+	}
+	return palette, scoreIdx
+}
+
+// appendStream appends vals as one group-varint stream: groups of four,
+// plus one short tail group when len(vals) is not a multiple of four.
+// A value of escapeLane or more is stored as an escapeLane lane and
+// again, after the stream, as a uvarint — the trailer, in slot order;
+// escaped reports whether there was one. A stream without escapes is
+// exactly its groups.
+func appendStream(dst []byte, vals []uint64) (_ []byte, escaped bool) {
+	for i := 0; i < len(vals); i += 4 {
+		dst = appendGroup(dst, vals[i:min(i+4, len(vals))])
+	}
+	for _, v := range vals {
+		if v >= escapeLane {
+			dst, escaped = binary.AppendUvarint(dst, v), true
+		}
+	}
+	return dst, escaped
+}
+
+// appendGroup encodes one group of 1–4 values: the control byte (2-bit
+// length-minus-one fields, value i in bits 2i..2i+1), then each lane
+// little-endian, a value past the lane range clamped to escapeLane. A
+// short tail group leaves its unused control bits zero and contributes
+// no bytes for them.
+func appendGroup(dst []byte, vals []uint64) []byte {
+	ctrl := byte(0)
+	at := len(dst)
+	dst = append(dst, 0)
+	for i, x := range vals {
+		v := uint32(min(x, escapeLane))
+		n := byteLen32(v)
+		ctrl |= byte(n-1) << (2 * uint(i))
+		switch n {
+		case 1:
+			dst = append(dst, byte(v))
+		case 2:
+			dst = append(dst, byte(v), byte(v>>8))
+		case 3:
+			dst = append(dst, byte(v), byte(v>>8), byte(v>>16))
+		default:
+			dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
+	}
+	dst[at] = ctrl
+	return dst
+}
+
+// byteLen32 is the group-varint byte length of v (1–4).
+func byteLen32(v uint32) int {
+	switch {
+	case v < 1<<8:
+		return 1
+	case v < 1<<16:
+		return 2
+	case v < 1<<24:
+		return 3
+	default:
+		return 4
+	}
+}
+
+// gvMask[l] keeps the low l bytes of an unconditional 4-byte load.
+var gvMask = [5]uint32{0, 0xff, 0xffff, 0xffffff, 0xffffffff}
+
+// decodeGroups decodes exactly len(out) group-varint values from b,
+// returning the unconsumed remainder; ok is false when b runs out.
+// Full groups with 17+ bytes in hand take the branch-free path: one
+// control-byte read, four unconditional 4-byte little-endian loads
+// masked to their declared lengths (the worst-case group is 1+16
+// bytes, so 17 guarantees every load stays in bounds).
+func decodeGroups(b []byte, out []uint32) (rest []byte, ok bool) {
+	i := 0
+	for len(out)-i >= 4 && len(b) >= 17 {
+		c := b[0]
+		p := b[1:]
+		l0 := int(c&3) + 1
+		l1 := int((c>>2)&3) + 1
+		l2 := int((c>>4)&3) + 1
+		l3 := int(c>>6) + 1
+		out[i] = binary.LittleEndian.Uint32(p) & gvMask[l0]
+		p = p[l0:]
+		out[i+1] = binary.LittleEndian.Uint32(p) & gvMask[l1]
+		p = p[l1:]
+		out[i+2] = binary.LittleEndian.Uint32(p) & gvMask[l2]
+		p = p[l2:]
+		out[i+3] = binary.LittleEndian.Uint32(p) & gvMask[l3]
+		b = b[1+l0+l1+l2+l3:]
+		i += 4
+	}
+	// Tail: the short final group, or full groups too close to the end
+	// of the buffer for unconditional loads.
+	for i < len(out) {
+		if len(b) == 0 {
+			return nil, false
+		}
+		c := b[0]
+		b = b[1:]
+		k := len(out) - i
+		if k > 4 {
+			k = 4
+		}
+		for s := 0; s < k; s++ {
+			l := int(c>>(2*uint(s))&3) + 1
+			if len(b) < l {
+				return nil, false
 			}
-			payload = binary.AppendUvarint(payload, uint64(len(lists[i])))
-		}
-		// Match area, tracking the block max.
-		maxIdx := 0
-		for i := b; i < e; i++ {
-			prev := 0
-			for j, m := range lists[i] {
-				if j == 0 {
-					payload = binary.AppendUvarint(payload, uint64(m.Loc))
-				} else {
-					payload = binary.AppendUvarint(payload, uint64(m.Loc-prev))
-				}
-				prev = m.Loc
-				idx := scoreIdx[m.Score]
-				if idx > maxIdx {
-					maxIdx = idx
-				}
-				payload = binary.AppendUvarint(payload, uint64(idx))
+			v := uint32(0)
+			for j := 0; j < l; j++ {
+				v |= uint32(b[j]) << (8 * uint(j))
 			}
+			out[i] = v
+			b = b[l:]
+			i++
 		}
-		skips = append(skips, skip{first: docs[b], last: docs[e-1], plen: len(payload) - start, maxIdx: maxIdx})
 	}
-	prevLast := 0
-	for i, s := range skips {
-		gap := s.first
-		if i > 0 {
-			gap = s.first - prevLast
+	return b, true
+}
+
+// lane is a decoded stream value: uint32 straight from an unflagged
+// table's lanes, uint64 once a flagged table's escapes are resolved.
+// The decoders below are written once over both.
+type lane interface{ uint32 | uint64 }
+
+// narrowLanes decodes a stream of n values of an unflagged table.
+func narrowLanes(b []byte, n int) ([]uint32, []byte, bool) {
+	out := make([]uint32, n)
+	b, ok := decodeGroups(b, out)
+	return out, b, ok
+}
+
+// wideLanes decodes a stream of n values of a flagged table and its
+// trailer: each escapeLane lane takes the trailer's next uvarint. An
+// escaped value above MaxDocID (= MaxPosition, the largest value any
+// slot holds) is rejected, so no later int conversion can wrap.
+func wideLanes(b []byte, n int) ([]uint64, []byte, bool) {
+	lanes, b, ok := narrowLanes(b, n)
+	if !ok {
+		return nil, nil, false
+	}
+	out := make([]uint64, n)
+	for i, v := range lanes {
+		out[i] = uint64(v)
+		if v == escapeLane {
+			x, k := binary.Uvarint(b)
+			if k <= 0 || x > MaxDocID {
+				return nil, nil, false
+			}
+			out[i], b = x, b[k:]
 		}
-		buf = binary.AppendUvarint(buf, uint64(gap))
-		buf = binary.AppendUvarint(buf, uint64(s.last-s.first))
-		buf = binary.AppendUvarint(buf, uint64(s.plen))
-		buf = binary.AppendUvarint(buf, uint64(s.maxIdx))
-		prevLast = s.last
 	}
-	return append(buf, payload...)
+	return out, b, true
 }
 
 // DecodeBlocks unpacks the palette and skip table of an EncodeBlocks
@@ -196,110 +382,128 @@ func DecodeBlocks(b []byte) (*BlockTable, error) {
 		return nil, fmt.Errorf("index: corrupt block palette header")
 	}
 	b = b[n:]
+	bt := &BlockTable{wide: nPal == 0}
+	if bt.wide {
+		if nPal, n = binary.Uvarint(b); n <= 0 {
+			return nil, fmt.Errorf("index: corrupt block palette header")
+		}
+		b = b[n:]
+	}
 	if nPal == 0 || nPal > uint64(len(b))/8 {
 		return nil, fmt.Errorf("index: block palette count %d exceeds buffer", nPal)
 	}
-	palette := make([]float64, nPal)
-	for i := range palette {
+	bt.Palette = make([]float64, nPal)
+	for i := range bt.Palette {
 		s := math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("index: block palette score %d is not finite", i)
 		}
-		if i > 0 && s <= palette[i-1] {
+		if i > 0 && s <= bt.Palette[i-1] {
 			return nil, fmt.Errorf("index: block palette not strictly ascending at %d", i)
 		}
-		palette[i] = s
+		bt.Palette[i] = s
 	}
 	nBlocks, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, fmt.Errorf("index: corrupt block count")
 	}
 	b = b[n:]
-	// Each block costs at least 4 skip bytes plus a 4-byte minimum
-	// payload; reject counts the buffer cannot hold so corrupt input
-	// cannot drive huge allocations.
-	if nBlocks == 0 || nBlocks > uint64(len(b))/4 {
+	// Each block costs at least 5 skip bytes (control byte plus four
+	// one-byte values) and a multi-byte payload; reject counts the
+	// buffer cannot hold so corrupt input cannot drive huge allocations.
+	if nBlocks == 0 || nBlocks > uint64(len(b))/5 {
 		return nil, fmt.Errorf("index: block count %d exceeds buffer", nBlocks)
 	}
-	infos := make([]BlockInfo, nBlocks)
+	var err error
+	if bt.wide {
+		err = decodeSkips(bt, b, int(nBlocks), wideLanes)
+	} else {
+		err = decodeSkips(bt, b, int(nBlocks), narrowLanes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bt, nil
+}
+
+// decodeSkips parses the skip-table stream of nBlocks entries at the
+// head of b into bt.Infos, keeping the rest of b as the payload area.
+func decodeSkips[T lane](bt *BlockTable, b []byte, nBlocks int, read func([]byte, int) ([]T, []byte, bool)) error {
+	vals, b, ok := read(b, 4*nBlocks)
+	if !ok {
+		return fmt.Errorf("index: truncated block skip table")
+	}
+	bt.Infos = make([]BlockInfo, nBlocks)
 	var payloadTotal uint64
 	prevLast := 0
-	for i := range infos {
-		gap, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, fmt.Errorf("index: corrupt block %d first-doc gap", i)
-		}
-		b = b[n:]
-		if gap > MaxDocID {
-			return nil, fmt.Errorf("index: block %d first-doc gap %d exceeds %d", i, gap, uint64(MaxDocID))
-		}
+	for i := range bt.Infos {
+		gap, span, plen, maxIdx := uint64(vals[4*i]), uint64(vals[4*i+1]), uint64(vals[4*i+2]), uint64(vals[4*i+3])
 		if i > 0 && gap == 0 {
-			return nil, fmt.Errorf("index: block %d overlaps its predecessor", i)
+			return fmt.Errorf("index: block %d overlaps its predecessor", i)
 		}
+		// Every value is ≤ MaxDocID, but the accumulated range can still
+		// walk past the bound.
 		first := prevLast + int(gap)
-		span, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, fmt.Errorf("index: corrupt block %d span", i)
-		}
-		b = b[n:]
-		if span > MaxDocID {
-			return nil, fmt.Errorf("index: block %d span %d exceeds %d", i, span, uint64(MaxDocID))
-		}
 		last := first + int(span)
 		if first > MaxDocID || last > MaxDocID {
-			return nil, fmt.Errorf("index: block %d document range exceeds %d", i, int64(MaxDocID))
+			return fmt.Errorf("index: block %d document range exceeds %d", i, int64(MaxDocID))
 		}
-		plen, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, fmt.Errorf("index: corrupt block %d payload length", i)
-		}
-		b = b[n:]
-		maxIdx, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, fmt.Errorf("index: corrupt block %d max index", i)
-		}
-		b = b[n:]
-		if maxIdx >= nPal {
-			return nil, fmt.Errorf("index: block %d max index %d out of palette range", i, maxIdx)
+		if maxIdx >= uint64(len(bt.Palette)) {
+			return fmt.Errorf("index: block %d max index %d out of palette range", i, maxIdx)
 		}
 		// Accumulate in uint64 and bound against the remaining buffer so
 		// hostile lengths cannot wrap the running offset.
 		if plen == 0 || plen > uint64(len(b)) || payloadTotal > uint64(len(b))-plen {
-			return nil, fmt.Errorf("index: block %d payload overruns buffer", i)
+			return fmt.Errorf("index: block %d payload overruns buffer", i)
 		}
-		infos[i] = BlockInfo{
+		bt.Infos[i] = BlockInfo{
 			FirstDoc: first,
 			LastDoc:  last,
 			Off:      int(payloadTotal),
 			Len:      int(plen),
 			MaxIdx:   int(maxIdx),
-			MaxScore: palette[maxIdx],
+			MaxScore: bt.Palette[maxIdx],
 		}
 		payloadTotal += plen
 		prevLast = last
 	}
 	if payloadTotal != uint64(len(b)) {
-		return nil, fmt.Errorf("index: %d trailing block payload bytes", uint64(len(b))-payloadTotal)
+		return fmt.Errorf("index: %d trailing block payload bytes", uint64(len(b))-payloadTotal)
 	}
-	return &BlockTable{Palette: palette, Infos: infos, payload: b}, nil
+	bt.payload = b
+	return nil
 }
 
 // DecodeDocs unpacks only the directory of block i: the document ids
 // it contains, without touching the match area. This is the
-// candidate-generation path — a handful of varints per block instead
-// of a full posting decode.
-func (bt *BlockTable) DecodeDocs(i int) ([]int, error) {
-	docs, _, _, err := bt.decodeDir(i)
+// candidate-generation path — one short stream per block instead of a
+// full posting decode.
+func (bt *BlockTable) DecodeDocs(i int) (docs []int, err error) {
+	if bt.wide {
+		docs, _, _, err = decodeDir(bt, i, wideLanes)
+	} else {
+		docs, _, _, err = decodeDir(bt, i, narrowLanes)
+	}
 	return docs, err
+}
+
+// DecodeBlock fully unpacks block i: the document ids and, aligned
+// with them, each document's match list (subslices of one flat
+// backing list, position-sorted with palette scores applied). Every
+// invariant is validated, including that the skip entry's max index
+// equals the maximum score index actually present — the check that
+// keeps block-max pruning sound against hostile bytes.
+func (bt *BlockTable) DecodeBlock(i int) (docs []int, lists []match.List, err error) {
+	if bt.wide {
+		return decodeBlock(bt, i, wideLanes)
+	}
+	return decodeBlock(bt, i, narrowLanes)
 }
 
 // decodeDir parses block i's directory, returning the document ids,
 // per-document match counts, and the unconsumed match area.
-func (bt *BlockTable) decodeDir(i int) (docs []int, nMatch []int, matchArea []byte, err error) {
-	if bt.batch {
-		return bt.decodeDirBatch(i)
-	}
+func decodeDir[T lane](bt *BlockTable, i int, read func([]byte, int) ([]T, []byte, bool)) (docs, nMatch []int, matchArea []byte, err error) {
 	info := bt.Infos[i]
 	b := bt.payload[info.Off : info.Off+info.Len]
 	nDocs, n := binary.Uvarint(b)
@@ -307,23 +511,25 @@ func (bt *BlockTable) decodeDir(i int) (docs []int, nMatch []int, matchArea []by
 		return nil, nil, nil, fmt.Errorf("index: corrupt block %d doc count", i)
 	}
 	b = b[n:]
-	// Each document costs at least 2 directory bytes beyond the first
-	// (delta + count) plus 2 match bytes; a loose per-doc floor of one
-	// byte bounds the allocation.
+	// The directory's 2·nDocs−1 values need at least one byte each
+	// beyond their control bytes, so nDocs beyond the payload length is
+	// unsatisfiable; the bound caps the allocation.
 	if nDocs == 0 || nDocs > uint64(len(b)) {
 		return nil, nil, nil, fmt.Errorf("index: block %d doc count %d exceeds payload", i, nDocs)
+	}
+	vals, b, ok := read(b, int(2*nDocs-1))
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("index: truncated block %d directory", i)
 	}
 	docs = make([]int, nDocs)
 	nMatch = make([]int, nDocs)
 	doc := info.FirstDoc
-	for d := uint64(0); d < nDocs; d++ {
+	v := 0
+	for d := range docs {
 		if d > 0 {
-			delta, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, nil, nil, fmt.Errorf("index: corrupt block %d doc delta", i)
-			}
-			b = b[n:]
-			if delta == 0 || delta > MaxDocID {
+			delta := vals[v]
+			v++
+			if delta == 0 {
 				return nil, nil, nil, fmt.Errorf("index: block %d doc ids not strictly ascending", i)
 			}
 			doc += int(delta)
@@ -331,11 +537,8 @@ func (bt *BlockTable) decodeDir(i int) (docs []int, nMatch []int, matchArea []by
 		if doc > info.LastDoc {
 			return nil, nil, nil, fmt.Errorf("index: block %d document %d outside its range", i, doc)
 		}
-		count, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, nil, nil, fmt.Errorf("index: corrupt block %d match count", i)
-		}
-		b = b[n:]
+		count := uint64(vals[v])
+		v++
 		// Every match costs at least 2 bytes in the match area.
 		if count == 0 || count > uint64(info.Len)/2 {
 			return nil, nil, nil, fmt.Errorf("index: block %d match count %d exceeds payload", i, count)
@@ -349,17 +552,9 @@ func (bt *BlockTable) decodeDir(i int) (docs []int, nMatch []int, matchArea []by
 	return docs, nMatch, b, nil
 }
 
-// DecodeBlock fully unpacks block i: the document ids and, aligned
-// with them, each document's match list (subslices of one flat
-// backing list, position-sorted with palette scores applied). Every
-// invariant is validated, including that the skip entry's max index
-// equals the maximum score index actually present — the check that
-// keeps block-max pruning sound against hostile bytes.
-func (bt *BlockTable) DecodeBlock(i int) (docs []int, lists []match.List, err error) {
-	if bt.batch {
-		return bt.decodeBlockBatch(i)
-	}
-	docs, nMatch, b, err := bt.decodeDir(i)
+// decodeBlock is DecodeBlock over one lane width.
+func decodeBlock[T lane](bt *BlockTable, i int, read func([]byte, int) ([]T, []byte, bool)) (docs []int, lists []match.List, err error) {
+	docs, nMatch, b, err := decodeDir(bt, i, read)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -370,21 +565,23 @@ func (bt *BlockTable) DecodeBlock(i int) (docs []int, lists []match.List, err er
 	if uint64(total) > uint64(len(b))/2 {
 		return nil, nil, fmt.Errorf("index: block %d match total %d exceeds payload", i, total)
 	}
+	vals, b, ok := read(b, 2*total)
+	if !ok {
+		return nil, nil, fmt.Errorf("index: truncated block %d match area", i)
+	}
+	if len(b) != 0 {
+		return nil, nil, fmt.Errorf("index: %d trailing bytes in block %d", len(b), i)
+	}
 	flat := make(match.List, 0, total)
 	lists = make([]match.List, len(docs))
 	maxSeen := 0
+	v := 0
 	for d := range docs {
 		begin := len(flat)
 		pos := 0
 		for m := 0; m < nMatch[d]; m++ {
-			pd, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("index: corrupt block %d position delta", i)
-			}
-			b = b[n:]
-			if pd > MaxPosition {
-				return nil, nil, fmt.Errorf("index: block %d position delta %d exceeds %d", i, pd, uint64(MaxPosition))
-			}
+			pd, idx := vals[v], vals[v+1]
+			v += 2
 			if m > 0 && pd == 0 {
 				return nil, nil, fmt.Errorf("index: block %d positions not strictly ascending in doc %d", i, docs[d])
 			}
@@ -392,23 +589,13 @@ func (bt *BlockTable) DecodeBlock(i int) (docs []int, lists []match.List, err er
 			if pos > MaxPosition {
 				return nil, nil, fmt.Errorf("index: block %d position %d exceeds %d", i, pos, int64(MaxPosition))
 			}
-			idx, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("index: corrupt block %d score index", i)
-			}
-			b = b[n:]
-			if idx >= uint64(len(bt.Palette)) {
+			if uint64(idx) >= uint64(len(bt.Palette)) {
 				return nil, nil, fmt.Errorf("index: block %d score index %d out of palette range", i, idx)
 			}
-			if int(idx) > maxSeen {
-				maxSeen = int(idx)
-			}
+			maxSeen = max(maxSeen, int(idx))
 			flat = append(flat, match.Match{Loc: pos, Score: bt.Palette[idx]})
 		}
 		lists[d] = flat[begin:len(flat):len(flat)]
-	}
-	if len(b) != 0 {
-		return nil, nil, fmt.Errorf("index: %d trailing bytes in block %d", len(b), i)
 	}
 	if maxSeen != bt.Infos[i].MaxIdx {
 		return nil, nil, fmt.Errorf("index: block %d max index %d disagrees with content max %d",
@@ -432,21 +619,18 @@ func (bt *BlockTable) Validate() error {
 	return nil
 }
 
-// BuildConceptBlocks computes a concept's block-partitioned posting
-// buffer from the compressed postings. The empty concept (no corpus
-// occurrences) builds to nil.
-func (c *Compact) BuildConceptBlocks(concept Concept) []byte {
-	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
-	return EncodeBlocks(docs, lists, 0)
-}
-
-// BuildConceptBlocksBatch is BuildConceptBlocks for the group-varint
-// batched layout (batchdecode.go). ok is false when some value exceeds
-// the uint32 the batch form can carry; the caller keeps the varint
-// form then.
-func (c *Compact) BuildConceptBlocksBatch(concept Concept) ([]byte, bool) {
-	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
-	return EncodeBlocksBatch(docs, lists, 0)
+// decodeAll decodes every block, concatenating their documents and
+// match lists in id order.
+func (bt *BlockTable) decodeAll() (docs []int, lists []match.List, err error) {
+	for i := range bt.Infos {
+		d, l, err := bt.DecodeBlock(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		docs = append(docs, d...)
+		lists = append(lists, l...)
+	}
+	return docs, lists, nil
 }
 
 // mergePollStride is how many postings conceptDocLists merges between
@@ -526,28 +710,14 @@ func (c *Compact) conceptDocLists(ctx context.Context, concept Concept) (docs []
 	return docs, lists, true
 }
 
-// encodeConceptBlocks packs merged match data in the group-varint
-// batched layout (batchdecode.go) whenever preferBatch is set and the
-// values fit it, falling back to the per-integer varint layout
-// otherwise; queries see identical match lists either way. The empty
-// input encodes to nil.
-func encodeConceptBlocks(docs []int, lists []match.List, blockSize int, preferBatch bool) (buf []byte, batch bool) {
-	if preferBatch {
-		if buf, ok := EncodeBlocksBatch(docs, lists, blockSize); ok && buf != nil {
-			return buf, true
-		}
-	}
-	return EncodeBlocks(docs, lists, blockSize), false
-}
-
 // BuildBlockTable builds a concept's block table straight from the
 // postings, without registering it: how a concept that has no
 // registered table is served. The table goes through the same encoder
-// and the same DecodeBlocksBatch/DecodeBlocks validation as one loaded
-// from disk, so it is indistinguishable from a registered one; a
-// concept absent from the corpus yields an empty table. The error is
-// ctx's when the build was abandoned, or names a non-finite weight.
-// Corrupt posting bytes panic, as in Compact.Postings.
+// and the same DecodeBlocks validation as one loaded from disk, so it
+// is indistinguishable from a registered one; a concept absent from
+// the corpus yields an empty table. The error is ctx's when the build
+// was abandoned, or names a non-finite weight. Corrupt posting bytes
+// panic, as in Compact.Postings.
 func (c *Compact) BuildBlockTable(ctx context.Context, concept Concept) (*BlockTable, error) {
 	if !concept.Finite() {
 		return nil, fmt.Errorf("index: concept has a non-finite weight")
@@ -556,14 +726,10 @@ func (c *Compact) BuildBlockTable(ctx context.Context, concept Concept) (*BlockT
 	if !ok {
 		return nil, ctx.Err()
 	}
-	buf, batch := encodeConceptBlocks(docs, lists, 0, true)
-	if buf == nil {
+	if len(docs) == 0 {
 		return &BlockTable{}, nil
 	}
-	if batch {
-		return DecodeBlocksBatch(buf)
-	}
-	return DecodeBlocks(buf)
+	return DecodeBlocks(EncodeBlocks(docs, lists, 0))
 }
 
 // AddConceptBlocks precomputes and registers a concept's
@@ -572,73 +738,32 @@ func (c *Compact) BuildBlockTable(ctx context.Context, concept Concept) (*BlockT
 // read-only and concurrent readers do not lock. Concepts with
 // non-finite weights or no corpus occurrences are skipped (nothing to
 // serve, and non-finite scores would poison every bound comparison).
-//
-// The buffer is stored in the group-varint batched layout
-// (batchdecode.go) whenever the concept's values fit it, falling back
-// to the per-integer varint layout otherwise; queries see identical
-// match lists either way.
 func (c *Compact) AddConceptBlocks(concept Concept) {
-	c.addConceptBlocks(concept, 0, true)
+	c.AddConceptBlocksSized(concept, 0)
 }
 
 // AddConceptBlocksSized is AddConceptBlocks with an explicit block
-// size — a test and tuning hook; ≤ 0 means BlockSize. Unlike
-// AddConceptBlocks it always stores the varint layout, so tests that
-// poke varint buffers (and the corruption hooks in testhook.go) keep a
-// stable target.
+// size — a test and tuning hook; ≤ 0 means BlockSize.
 func (c *Compact) AddConceptBlocksSized(concept Concept, blockSize int) {
-	c.addConceptBlocks(concept, blockSize, false)
-}
-
-// AddConceptBlocksBatchSized registers the batched layout with an
-// explicit block size, reporting whether the batch form was used
-// (false means the values did not fit uint32 and the varint form was
-// stored instead).
-func (c *Compact) AddConceptBlocksBatchSized(concept Concept, blockSize int) bool {
-	return c.addConceptBlocks(concept, blockSize, true)
-}
-
-func (c *Compact) addConceptBlocks(concept Concept, blockSize int, preferBatch bool) bool {
 	if !concept.Finite() {
-		return false
+		return
 	}
 	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
-	buf, batch := encodeConceptBlocks(docs, lists, blockSize, preferBatch)
-	if buf == nil {
-		return false
-	}
-	key := ConceptKey(concept)
-	if batch {
-		if c.batch == nil {
-			c.batch = make(map[uint64][]byte)
-		}
-		c.batch[key] = buf
-		delete(c.blocks, key)
-		return true
+	if len(docs) == 0 {
+		return
 	}
 	if c.blocks == nil {
 		c.blocks = make(map[uint64][]byte)
 	}
-	c.blocks[key] = buf
-	delete(c.batch, key)
-	return false
+	c.blocks[ConceptKey(concept)] = EncodeBlocks(docs, lists, blockSize)
 }
 
-// ConceptBlocks returns a concept's registered block table — batched
-// or varint, whichever layout the concept was registered with — or
+// ConceptBlocks returns a concept's registered block table, or
 // ok=false when the concept was never registered. Like
 // Compact.Postings, a decode failure indicates memory corruption
 // (LoadCompact validates every buffer eagerly) and fails loudly.
 func (c *Compact) ConceptBlocks(concept Concept) (*BlockTable, bool) {
-	key := ConceptKey(concept)
-	if b, ok := c.batch[key]; ok {
-		bt, err := DecodeBlocksBatch(b)
-		if err != nil || bt == nil {
-			panic(fmt.Sprintf("index: corrupt batched concept blocks: %v", err))
-		}
-		return bt, true
-	}
-	b, ok := c.blocks[key]
+	b, ok := c.blocks[ConceptKey(concept)]
 	if !ok {
 		return nil, false
 	}
@@ -649,6 +774,5 @@ func (c *Compact) ConceptBlocks(concept Concept) (*BlockTable, bool) {
 	return bt, true
 }
 
-// ConceptBlocksCount returns the number of registered block tables
-// across both layouts.
-func (c *Compact) ConceptBlocksCount() int { return len(c.blocks) + len(c.batch) }
+// ConceptBlocksCount returns the number of registered block tables.
+func (c *Compact) ConceptBlocksCount() int { return len(c.blocks) }

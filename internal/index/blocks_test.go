@@ -187,105 +187,272 @@ func TestAddConceptBlocksSkipsDegenerate(t *testing.T) {
 	}
 }
 
-// TestDecodeBlocksRejectsHostileBytes exercises the bounded-decode
-// contract on crafted corruption, including the soundness-critical
-// lying-block-max case.
-func TestDecodeBlocksRejectsHostileBytes(t *testing.T) {
-	valid := EncodeBlocks(
-		[]int{1, 2, 5},
-		[]match.List{
-			{{Loc: 3, Score: 0.5}, {Loc: 7, Score: 1.0}},
-			{{Loc: 1, Score: 0.5}},
-			{{Loc: 2, Score: 1.0}},
-		}, 2)
-	if _, err := DecodeBlocks(valid); err != nil {
-		t.Fatalf("valid buffer rejected: %v", err)
-	}
-
-	reject := func(name string, b []byte) {
-		t.Helper()
-		bt, err := DecodeBlocks(b)
-		if err != nil {
-			return
-		}
-		if err := bt.Validate(); err == nil {
-			t.Errorf("%s: hostile buffer accepted", name)
-		}
-	}
-
-	// Truncation at every length must fail somewhere in decode or
-	// validate, never panic or read out of range.
-	for i := 1; i < len(valid); i++ {
-		reject("truncated", valid[:i])
-	}
-	reject("giant palette count", binary.AppendUvarint(nil, math.MaxUint64))
-	reject("nan palette", append(binary.AppendUvarint(nil, 1),
-		binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))...))
-
-	// Lying block max: a block whose skip entry claims maxIdx 0 while
-	// the content uses palette index 1. Accepting it would let hostile
-	// bytes understate an upper bound and unsoundly prune real answers.
-	lie := binary.AppendUvarint(nil, 2) // palette: 0.5, 1.0
-	lie = binary.LittleEndian.AppendUint64(lie, math.Float64bits(0.5))
-	lie = binary.LittleEndian.AppendUint64(lie, math.Float64bits(1.0))
-	lie = binary.AppendUvarint(lie, 1) // one block
-	var payload []byte
-	payload = binary.AppendUvarint(payload, 1) // one doc
-	payload = binary.AppendUvarint(payload, 1) // one match
-	payload = binary.AppendUvarint(payload, 2) // pos 2
-	payload = binary.AppendUvarint(payload, 1) // scoreIdx 1 (score 1.0)
-	lie = binary.AppendUvarint(lie, 3)                    // firstDoc 3
-	lie = binary.AppendUvarint(lie, 0)                    // span 0
-	lie = binary.AppendUvarint(lie, uint64(len(payload))) // payload length
-	lie = binary.AppendUvarint(lie, 0)                    // claimed maxIdx 0 — a lie
-	reject("lying block max", append(lie, payload...))
-
-	// The honest twin (maxIdx 1) must decode.
-	honest := binary.AppendUvarint(nil, 2)
-	honest = binary.LittleEndian.AppendUint64(honest, math.Float64bits(0.5))
-	honest = binary.LittleEndian.AppendUint64(honest, math.Float64bits(1.0))
-	honest = binary.AppendUvarint(honest, 1)
-	honest = binary.AppendUvarint(honest, 3)
-	honest = binary.AppendUvarint(honest, 0)
-	honest = binary.AppendUvarint(honest, uint64(len(payload)))
-	honest = binary.AppendUvarint(honest, 1)
-	bt, err := DecodeBlocks(append(honest, payload...))
-	if err != nil {
-		t.Fatalf("honest buffer rejected: %v", err)
-	}
-	if err := bt.Validate(); err != nil {
-		t.Fatalf("honest buffer failed validation: %v", err)
-	}
-	if bt.Infos[0].MaxScore != 1.0 {
-		t.Fatalf("MaxScore = %v, want 1.0", bt.Infos[0].MaxScore)
+// wideInput is block-table input whose document ids and positions
+// straddle 2^32, so its table is flagged.
+func wideInput() ([]int, []match.List) {
+	return []int{0, math.MaxUint32, math.MaxUint32 + 4, 1<<33 + 7}, []match.List{
+		{{Loc: 3, Score: 0.5}, {Loc: 7, Score: 1}},
+		{{Loc: 1, Score: 0.5}},
+		{{Loc: math.MaxUint32 + 1, Score: 1}},
+		{{Loc: 2, Score: 0.25}, {Loc: MaxPosition, Score: 0.5}},
 	}
 }
 
-// TestDecodeBlocksRejectsEveryBitFlip flips each bit of a valid
-// buffer: every mutation must either fail to decode or still satisfy
-// every invariant — never panic, never read out of range. (Framing
-// CRCs catch these at load; this pins the codec's own robustness.)
-func TestDecodeBlocksRejectsEveryBitFlip(t *testing.T) {
+// TestEncodeBlocksWideRoundTrip holds every slot a corpus can push
+// past a lane — first gap, a later block's gap, span with document
+// delta, first position, position delta — at 2^32−2 (the largest value
+// an unflagged table stores), 2^32−1, 2^32 and MaxDocID/MaxPosition to
+// an exact round trip, flagged exactly when the value needs the escape.
+// (A payload length, match count or palette index that large needs a
+// block of gigabytes; the same escape carries them, and crafted
+// buffers in TestDecodeBlocksRejectsHostileBytes reach those slots.)
+func TestEncodeBlocksWideRoundTrip(t *testing.T) {
+	one := func(loc int) match.List { return match.List{{Loc: loc, Score: 1}} }
+	for _, v := range []int{math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, MaxDocID} {
+		for _, tc := range []struct {
+			name      string
+			docs      []int
+			lists     []match.List
+			blockSize int
+		}{
+			{"first gap", []int{v}, []match.List{one(0)}, 0},
+			{"later gap", []int{0, v}, []match.List{one(0), one(0)}, 1},
+			{"span and doc delta", []int{0, v}, []match.List{one(0), one(0)}, 0},
+			{"first position", []int{0}, []match.List{one(v)}, 0},
+			{"position delta", []int{0}, []match.List{{{Loc: 0, Score: 0.5}, {Loc: v, Score: 1}}}, 0},
+		} {
+			buf := EncodeBlocks(tc.docs, tc.lists, tc.blockSize)
+			// An unflagged table starts with its palette count, never 0.
+			if flagged, want := buf[0] == 0, v >= escapeLane; flagged != want {
+				t.Errorf("%s = %d: flagged %v, want %v", tc.name, v, flagged, want)
+			}
+			bt, err := DecodeBlocks(buf)
+			if err != nil {
+				t.Fatalf("%s = %d: %v", tc.name, v, err)
+			}
+			docs, lists, err := bt.decodeAll()
+			if err != nil || !reflect.DeepEqual(docs, tc.docs) || !reflect.DeepEqual(lists, tc.lists) {
+				t.Errorf("%s = %d: round trip %v %v (%v), want %v %v", tc.name, v, docs, lists, err, tc.docs, tc.lists)
+			}
+		}
+	}
+
+	// An unflagged buffer may hold a literal 2^32−1 lane (writers before
+	// the escape stored one there); it decodes as that value.
+	payload := binary.AppendUvarint(nil, 1)                     // one doc
+	payload = appendGroup(payload, []uint64{1})                 // one match
+	payload = appendGroup(payload, []uint64{math.MaxUint32, 0}) // at 2^32−1
+	literal := binary.AppendUvarint(nil, 1)
+	literal = binary.LittleEndian.AppendUint64(literal, math.Float64bits(1))
+	literal = binary.AppendUvarint(literal, 1)
+	literal = appendGroup(literal, []uint64{5, 0, uint64(len(payload)), 0})
+	bt, err := DecodeBlocks(append(literal, payload...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, lists, err := bt.decodeAll()
+	if err != nil || !reflect.DeepEqual(docs, []int{5}) || !reflect.DeepEqual(lists, []match.List{one(math.MaxUint32)}) {
+		t.Fatalf("literal 2^32−1 lane: %v %v (%v)", docs, lists, err)
+	}
+}
+
+// rejectBlocks fails the test when b decodes to a table that validates.
+func rejectBlocks(t *testing.T, name string, b []byte) {
+	t.Helper()
+	if bt, err := DecodeBlocks(b); err == nil && bt.Validate() == nil {
+		t.Errorf("%s: hostile buffer accepted", name)
+	}
+}
+
+// acceptBlocks decodes and validates b, failing the test otherwise.
+func acceptBlocks(t *testing.T, name string, b []byte) *BlockTable {
+	t.Helper()
+	bt, err := DecodeBlocks(b)
+	if err == nil {
+		err = bt.Validate()
+	}
+	if err != nil {
+		t.Fatalf("%s: valid buffer rejected: %v", name, err)
+	}
+	return bt
+}
+
+// craftStream is one hand-built stream: its lanes, then the trailer
+// values a flagged table carries after them.
+type craftStream struct{ lanes, trailer []uint64 }
+
+func (s craftStream) put(b []byte) []byte {
+	for i := 0; i < len(s.lanes); i += 4 {
+		b = appendGroup(b, s.lanes[i:min(i+4, len(s.lanes))])
+	}
+	for _, v := range s.trailer {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// craftTable builds a one-block table over the palette (0.5, 1.0) from
+// raw streams; skip gets the payload length.
+func craftTable(flagged bool, skip func(payloadLen uint64) craftStream, dir, matches craftStream) []byte {
+	var b []byte
+	if flagged {
+		b = append(b, 0)
+	}
+	b = binary.AppendUvarint(b, 2)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1.0))
+	b = binary.AppendUvarint(b, 1)
+	payload := matches.put(dir.put(binary.AppendUvarint(nil, 1)))
+	return append(skip(uint64(len(payload))).put(b), payload...)
+}
+
+// skipWith is the all-lane skip stream of a one-block table holding
+// document 3, with the given max index.
+func skipWith(maxIdx uint64) func(uint64) craftStream {
+	return func(n uint64) craftStream { return craftStream{lanes: []uint64{3, 0, n, maxIdx}} }
+}
+
+// TestDecodeBlocksBatchRejectsHostileBytes exercises the bounded-decode
+// contract on unflagged tables — lanes only, byte for byte the batched
+// group-varint layout of every table without a wide value: truncation
+// at every length, giant counts, NaN palette bits, and the
+// soundness-critical lying block max.
+func TestDecodeBlocksBatchRejectsHostileBytes(t *testing.T) {
+	valid := EncodeBlocks([]int{1, 2, 5}, []match.List{
+		{{Loc: 3, Score: 0.5}, {Loc: 7, Score: 1.0}},
+		{{Loc: 1, Score: 0.5}},
+		{{Loc: 2, Score: 1.0}},
+	}, 2)
+	acceptBlocks(t, "valid", valid)
+	for i := 1; i < len(valid); i++ {
+		rejectBlocks(t, "truncated", valid[:i])
+	}
+	rejectBlocks(t, "giant palette count", binary.AppendUvarint(nil, math.MaxUint64))
+	rejectBlocks(t, "nan palette", append(binary.AppendUvarint(nil, 1),
+		binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))...))
+	giantBlocks := binary.AppendUvarint(nil, 1)
+	giantBlocks = binary.LittleEndian.AppendUint64(giantBlocks, math.Float64bits(1))
+	rejectBlocks(t, "giant block count", binary.AppendUvarint(giantBlocks, math.MaxUint64))
+
+	// One document (3) with one match at position 2, score index 1.
+	dir, matches := craftStream{lanes: []uint64{1}}, craftStream{lanes: []uint64{2, 1}}
+	if bt := acceptBlocks(t, "honest", craftTable(false, skipWith(1), dir, matches)); bt.Infos[0].FirstDoc != 3 || bt.Infos[0].MaxScore != 1.0 {
+		t.Fatalf("honest buffer decoded to %+v", bt.Infos[0])
+	}
+	// Lying block max: the skip entry claims maxIdx 0 while the match
+	// uses palette index 1. Accepting it would understate a block-max
+	// bound and let pruning drop real answers.
+	rejectBlocks(t, "lying block max", craftTable(false, skipWith(0), dir, matches))
+}
+
+// TestDecodeBlocksRejectsHostileBytes exercises the same contract on
+// flagged tables, whose escaped values arrive as uvarints: truncation
+// at every length, a giant or empty palette behind the flag, escapes
+// out of range, missing or read as literal lanes, and a lying block
+// max carried in an escape.
+func TestDecodeBlocksRejectsHostileBytes(t *testing.T) {
+	docs, lists := wideInput()
+	valid := EncodeBlocks(docs, lists, 2)
+	acceptBlocks(t, "valid", valid)
+	for i := 1; i < len(valid); i++ {
+		rejectBlocks(t, "truncated", valid[:i])
+	}
+	rejectBlocks(t, "flagged giant palette count", binary.AppendUvarint([]byte{0}, math.MaxUint64))
+	rejectBlocks(t, "flagged empty palette", []byte{0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+
+	// The honest one-block table of the unflagged test with every slot
+	// escaped, each true value in its stream's trailer — the path a
+	// payload length, match count or palette index past a lane would
+	// take.
+	esc := []uint64{escapeLane, escapeLane, escapeLane, escapeLane}
+	escapedSkip := func(maxIdx uint64) func(uint64) craftStream {
+		return func(n uint64) craftStream { return craftStream{esc, []uint64{3, 0, n, maxIdx}} }
+	}
+	dir, matches := craftStream{esc[:1], []uint64{1}}, craftStream{esc[:2], []uint64{2, 1}}
+	escaped := craftTable(true, escapedSkip(1), dir, matches)
+	if bt := acceptBlocks(t, "every slot escaped", escaped); bt.Infos[0].FirstDoc != 3 || bt.Infos[0].MaxScore != 1.0 {
+		t.Fatalf("escaped buffer decoded to %+v", bt.Infos[0])
+	}
+	rejectBlocks(t, "lying escaped block max", craftTable(true, escapedSkip(0), dir, matches))
+	rejectBlocks(t, "escapes read as literal lanes", escaped[1:])
+	// Converted unchecked, this position would wrap to −1.
+	rejectBlocks(t, "escape past MaxPosition", craftTable(true, skipWith(1),
+		craftStream{lanes: []uint64{1}}, craftStream{[]uint64{escapeLane, 1}, []uint64{math.MaxUint64}}))
+	rejectBlocks(t, "escape without trailer", craftTable(true, skipWith(1),
+		craftStream{lanes: []uint64{escapeLane}}, craftStream{lanes: []uint64{2, 1}}))
+}
+
+// flipEveryBit decodes every single-bit mutation of valid. Each must
+// either fail to decode or still satisfy every invariant — never panic,
+// never read out of range. (Framing CRCs catch these at load; this pins
+// the codec's own robustness.)
+func flipEveryBit(valid []byte) {
+	for i := 0; i < len(valid)*8; i++ {
+		mut := append([]byte(nil), valid...)
+		mut[i/8] ^= 1 << (i % 8)
+		// A flip may survive decode (toggling a score bit keeps a
+		// coherent buffer); then the table must still validate or fail
+		// cleanly, end to end.
+		if bt, err := DecodeBlocks(mut); err == nil {
+			_ = bt.Validate()
+		}
+	}
+}
+
+// TestDecodeBlocksBatchRejectsEveryBitFlip flips each bit of a
+// registered, unflagged buffer.
+func TestDecodeBlocksBatchRejectsEveryBitFlip(t *testing.T) {
 	c := blocksTestCompact(t, 40, 3)
 	concept := Concept{text.Stem("river"): 1.0, text.Stem("delta"): 0.5}
 	c.AddConceptBlocksSized(concept, 8)
 	valid := c.blocks[ConceptKey(concept)]
-	if len(valid) == 0 {
-		t.Fatal("no block buffer to mutate")
+	if len(valid) == 0 || valid[0] == 0 {
+		t.Fatal("registered table missing or flagged")
 	}
-	for i := 0; i < len(valid)*8; i++ {
-		mut := make([]byte, len(valid))
-		copy(mut, valid)
-		mut[i/8] ^= 1 << (i % 8)
-		bt, err := DecodeBlocks(mut)
-		if err != nil {
-			continue
+	flipEveryBit(valid)
+}
+
+// TestDecodeBlocksRejectsEveryBitFlip flips each bit of a flagged
+// buffer, trailers included.
+func TestDecodeBlocksRejectsEveryBitFlip(t *testing.T) {
+	docs, lists := wideInput()
+	valid := EncodeBlocks(docs, lists, 2)
+	if valid[0] != 0 {
+		t.Fatal("wide input encoded unflagged")
+	}
+	flipEveryBit(valid)
+}
+
+// decodeGroups' two paths — the branch-free ≥17-byte fast path and the
+// byte-checked tail — must agree on every stream, including streams
+// short enough that the fast path never runs.
+func TestDecodeGroupsPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(23)
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = min(rng.Uint64()>>uint(32+rng.Intn(25)), escapeLane-1)
 		}
-		// A flip may survive decode (e.g. toggling a score bit keeps a
-		// coherent buffer) — then the result must still be structurally
-		// valid end to end.
-		if err := bt.Validate(); err != nil {
-			continue
+		enc, _ := appendStream(nil, vals)
+		// Padded: the fast path can run full groups. Unpadded: the tail
+		// loop must produce the same values near the end of the buffer.
+		padded := append(append([]byte{}, enc...), make([]byte, 32)...)
+		got := make([]uint32, n)
+		rest, ok := decodeGroups(padded, got)
+		if !ok || len(rest) != 32 {
+			t.Fatalf("trial %d: padded decode failed (ok=%v rest=%d)", trial, ok, len(rest))
+		}
+		tight := make([]uint32, n)
+		rest, ok = decodeGroups(enc, tight)
+		if !ok || len(rest) != 0 {
+			t.Fatalf("trial %d: tight decode failed (ok=%v rest=%d)", trial, ok, len(rest))
+		}
+		for i := range vals {
+			if uint64(got[i]) != vals[i] || uint64(tight[i]) != vals[i] {
+				t.Fatalf("trial %d: value %d decoded %d (padded) / %d (tight), want %d",
+					trial, i, got[i], tight[i], vals[i])
+			}
 		}
 	}
 }

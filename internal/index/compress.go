@@ -134,12 +134,11 @@ func DecodePostings(b []byte) ([]Posting, error) {
 
 // Compact is a read-only compressed index: the same query surface as
 // Index over varint-packed posting lists, plus optional per-concept
-// block tables (blocks.go, batchdecode.go) and concept-pair lists
-// (pairs.go) registered at build time.
+// block tables (blocks.go) and concept-pair lists (pairs.go)
+// registered at build time.
 type Compact struct {
 	postings map[string][]byte
 	blocks   map[uint64][]byte  // ConceptKey → EncodeBlocks buffer
-	batch    map[uint64][]byte  // ConceptKey → EncodeBlocksBatch buffer
 	pairs    map[PairKey][]byte // PairKey → EncodePairs buffer
 	docs     int
 }

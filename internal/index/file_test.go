@@ -144,18 +144,20 @@ func TestLoadFileRejectsBitRot(t *testing.T) {
 	}
 }
 
-// TestLoadFileRejectsLegacyBytes pins that the file layer demands the
-// framed format: a legacy (unframed) buffer on disk is refused, since
-// a file without checksums cannot be trusted against bit-rot.
+// TestLoadFileRejectsLegacyBytes pins that the file layer refuses
+// every shape LoadCompact does — a legacy (unframed) buffer on disk
+// above all, since a file without checksums cannot be trusted against
+// bit-rot — with an ErrCorrupt naming what it saw.
 func TestLoadFileRejectsLegacyBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.idx")
-	unframed, _ := RetiredShapesForTest(framedTestIndex(t))
-	if err := os.WriteFile(path, unframed, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadFile(path)
-	if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "missing magic") {
-		t.Fatalf("legacy file: err = %v", err)
+	for names, b := range RejectedShapesForTest(framedTestIndex(t)) {
+		path := filepath.Join(t.TempDir(), "legacy.idx")
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFile(path)
+		if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), names) {
+			t.Fatalf("%s file: err = %v", names, err)
+		}
 	}
 }
 

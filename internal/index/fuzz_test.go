@@ -2,9 +2,12 @@ package index
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,13 +59,14 @@ func FuzzDecodePostings(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlocks ensures the block-partitioned posting decode path
-// never panics on arbitrary bytes, that accepted tables respect every
-// documented invariant (ascending disjoint block ranges, bounded ids
-// and positions, finite ascending palette, truthful block maxima —
-// the soundness-critical one for block-max pruning), and that
-// accepted content round-trips through EncodeBlocks.
-func FuzzDecodeBlocks(f *testing.F) {
+// addUnflaggedSeeds seeds a block fuzz target with valid unflagged
+// tables and the crafted corruptions of one: a palette count, then a
+// block count behind a minimal valid palette, of MaxUint64 (both must
+// be bounded before they can drive a huge allocation); NaN palette
+// bits (rejected, never compared against); and a control byte
+// promising four 4-byte values before a truncated buffer (the group
+// decoder's bounds check, not a slice panic, must reject it).
+func addUnflaggedSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeBlocks([]int{0}, []match.List{{{Loc: 0, Score: 1}}}, 0))
 	f.Add(EncodeBlocks(
@@ -73,20 +77,38 @@ func FuzzDecodeBlocks(f *testing.F) {
 			{{Loc: 2, Score: 1.0}},
 			{{Loc: 4, Score: -0.25}, {Loc: 5, Score: 0.5}},
 		}, 2))
-	// Crafted overflow: a palette count of MaxUint64 must be bounded
-	// before it can drive a huge allocation.
 	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
-	// NaN palette bits: must be rejected, never compared against.
-	nan := binary.AppendUvarint(nil, 1)
-	f.Add(binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN())))
+	// Clipped: the two seeds appended to it must not share its spare capacity.
+	palette := slices.Clip(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), math.Float64bits(1)))
+	f.Add(binary.AppendUvarint(palette, math.MaxUint64))
+	f.Add(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), math.Float64bits(math.NaN())))
+	f.Add(append(binary.AppendUvarint(palette, 1), 0xff, 0x01))
+}
+
+// FuzzDecodeBlocks ensures the concept block decode path never panics
+// on arbitrary bytes, that accepted tables respect every documented
+// invariant (ascending disjoint block ranges, bounded ids and
+// positions, finite ascending palette, truthful block maxima — the
+// soundness-critical one for block-max pruning), and that accepted
+// content round-trips through EncodeBlocks — always, since the wide
+// escape carries any value a table can hold.
+func FuzzDecodeBlocks(f *testing.F) {
+	addUnflaggedSeeds(f)
+	// Flagged tables: escapes in every kind of stream; values at
+	// MaxDocID/MaxPosition; behind the flag, a control byte promising
+	// four 4-byte values before a truncated buffer.
+	docs, lists := wideInput()
+	f.Add(EncodeBlocks(docs, lists, 2))
+	f.Add(EncodeBlocks([]int{MaxDocID}, []match.List{{{Loc: MaxPosition, Score: 1}}}, 0))
+	trunc := binary.AppendUvarint([]byte{0}, 1)
+	trunc = binary.LittleEndian.AppendUint64(trunc, math.Float64bits(1))
+	f.Add(append(binary.AppendUvarint(trunc, 1), 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bt, err := DecodeBlocks(data)
 		if err != nil || bt == nil {
 			return
 		}
 		prevLast := -1
-		var docs []int
-		var lists []match.List
 		for i := range bt.Infos {
 			info := bt.Infos[i]
 			if info.FirstDoc <= prevLast || info.FirstDoc > info.LastDoc || info.LastDoc > MaxDocID {
@@ -121,163 +143,82 @@ func FuzzDecodeBlocks(f *testing.F) {
 			if max != info.MaxScore {
 				t.Fatalf("block %d MaxScore %v disagrees with content max %v", i, info.MaxScore, max)
 			}
-			docs = append(docs, d...)
-			lists = append(lists, l...)
 		}
-		if bt.Validate() != nil {
-			return // some block rejected above: no round-trip contract
+		docs, lists, err := bt.decodeAll()
+		if err != nil {
+			return // some block rejected above: nothing to round-trip
 		}
-		// Fully valid tables must round-trip through the encoder.
+		// Fully valid tables round-trip through the encoder.
 		again, err := DecodeBlocks(EncodeBlocks(docs, lists, BlockSize))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		var docsAgain []int
-		for i := range again.Infos {
-			d, _, err := again.DecodeBlock(i)
-			if err != nil {
-				t.Fatalf("re-decode block %d: %v", i, err)
-			}
-			docsAgain = append(docsAgain, d...)
-		}
-		if len(docsAgain) != len(docs) {
-			t.Fatalf("round trip changed doc count: %d vs %d", len(docsAgain), len(docs))
-		}
-		for i := range docs {
-			if docs[i] != docsAgain[i] {
-				t.Fatalf("round trip changed doc %d", i)
-			}
-		}
-	})
-}
-
-// FuzzDecodeBatch ensures the group-varint batched decode path never
-// panics on arbitrary bytes and upholds the same invariants as
-// FuzzDecodeBlocks — ascending disjoint block ranges, bounded ids and
-// positions, finite ascending palette, truthful block maxima — plus
-// the batch-specific contract: accepted content re-encodes through
-// EncodeBlocksBatch (always possible, since decoded values fit uint32
-// by construction) and decodes back identically.
-func FuzzDecodeBatch(f *testing.F) {
-	f.Add([]byte{})
-	one, _ := EncodeBlocksBatch([]int{0}, []match.List{{{Loc: 0, Score: 1}}}, 0)
-	f.Add(one)
-	many, _ := EncodeBlocksBatch(
-		[]int{1, 2, 5, 9},
-		[]match.List{
-			{{Loc: 3, Score: 0.5}, {Loc: 7, Score: 1.0}},
-			{{Loc: 1, Score: 0.5}},
-			{{Loc: 2, Score: 1.0}},
-			{{Loc: 4, Score: -0.25}, {Loc: 5, Score: 0.5}},
-		}, 2)
-	f.Add(many)
-	// Crafted overflow: a palette count of MaxUint64 must be bounded
-	// before it can drive a huge allocation; same for the block count
-	// behind a minimal valid palette.
-	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
-	giant := binary.AppendUvarint(nil, 1)
-	giant = binary.LittleEndian.AppendUint64(giant, math.Float64bits(1))
-	f.Add(binary.AppendUvarint(giant, math.MaxUint64))
-	// NaN palette bits: must be rejected, never compared against.
-	nan := binary.AppendUvarint(nil, 1)
-	f.Add(binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN())))
-	// A control byte promising four 4-byte values before a truncated
-	// buffer: the group decoder's bounds check, not a slice panic, must
-	// reject it.
-	trunc := binary.AppendUvarint(nil, 1)
-	trunc = binary.LittleEndian.AppendUint64(trunc, math.Float64bits(1))
-	trunc = binary.AppendUvarint(trunc, 1)
-	f.Add(append(trunc, 0xff, 0x01))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		bt, err := DecodeBlocksBatch(data)
-		if err != nil || bt == nil {
-			return
-		}
-		prevLast := -1
-		var docs []int
-		var lists []match.List
-		for i := range bt.Infos {
-			info := bt.Infos[i]
-			if info.FirstDoc <= prevLast || info.FirstDoc > info.LastDoc || info.LastDoc > MaxDocID {
-				t.Fatalf("block %d range invalid: %+v after last %d", i, info, prevLast)
-			}
-			prevLast = info.LastDoc
-			d, l, err := bt.DecodeBlock(i)
-			if err != nil {
-				continue // skip-table ok but payload hostile: rejected, fine
-			}
-			max := math.Inf(-1)
-			prevDoc := info.FirstDoc - 1
-			for j := range d {
-				if d[j] <= prevDoc || d[j] > info.LastDoc {
-					t.Fatalf("block %d doc %d out of order or range", i, d[j])
-				}
-				prevDoc = d[j]
-				prevPos := -1
-				for _, m := range l[j] {
-					if m.Loc <= prevPos || m.Loc > MaxPosition {
-						t.Fatalf("block %d doc %d positions invalid", i, d[j])
-					}
-					prevPos = m.Loc
-					if math.IsNaN(m.Score) || math.IsInf(m.Score, 0) {
-						t.Fatalf("non-finite score accepted")
-					}
-					if m.Score > max {
-						max = m.Score
-					}
-				}
-			}
-			if max != info.MaxScore {
-				t.Fatalf("block %d MaxScore %v disagrees with content max %v", i, info.MaxScore, max)
-			}
-			docs = append(docs, d...)
-			lists = append(lists, l...)
-		}
-		if bt.Validate() != nil {
-			return // some block rejected above: no round-trip contract
-		}
-		// Fully valid tables round-trip through the batch encoder when
-		// the re-blocked values still fit uint32 (regrouping under the
-		// default block size can widen a block's span past what the
-		// original partitioning needed — then the varint fallback owns
-		// the content and there is no batch round-trip contract).
-		enc, ok := EncodeBlocksBatch(docs, lists, BlockSize)
-		if !ok {
-			return
-		}
-		again, err := DecodeBlocksBatch(enc)
+		docsAgain, listsAgain, err := again.decodeAll()
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		var docsAgain []int
-		for i := range again.Infos {
-			d, _, err := again.DecodeBlock(i)
-			if err != nil {
-				t.Fatalf("re-decode block %d: %v", i, err)
-			}
-			docsAgain = append(docsAgain, d...)
-		}
-		if len(docsAgain) != len(docs) {
-			t.Fatalf("round trip changed doc count: %d vs %d", len(docsAgain), len(docs))
-		}
-		for i := range docs {
-			if docs[i] != docsAgain[i] {
-				t.Fatalf("round trip changed doc %d", i)
-			}
+		if !reflect.DeepEqual(docsAgain, docs) || !reflect.DeepEqual(listsAgain, lists) {
+			t.Fatalf("round trip changed the table")
 		}
 	})
 }
 
+// FuzzDecodeBatch drives arbitrary bytes through the batched,
+// per-block decode paths the engine takes, seeded with unflagged
+// tables. Every block that fully decodes must list the same documents
+// through DecodeDocs, the directory-only decode candidate generation
+// relies on; and fully valid content whose ids and positions all stay
+// below 2^32−1 must re-encode unflagged — lanes only, the bytes every
+// table without a wide value has always had. (FuzzDecodeBlocks holds
+// the re-encoding to an exact round trip.)
+func FuzzDecodeBatch(f *testing.F) {
+	addUnflaggedSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bt, err := DecodeBlocks(data)
+		if err != nil || bt == nil {
+			return
+		}
+		for i := range bt.Infos {
+			full, _, err := bt.DecodeBlock(i)
+			if err != nil {
+				continue
+			}
+			dir, err := bt.DecodeDocs(i)
+			if err != nil || !reflect.DeepEqual(dir, full) {
+				t.Fatalf("block %d: DecodeDocs %v (%v), DecodeBlock %v", i, dir, err, full)
+			}
+		}
+		docs, lists, err := bt.decodeAll()
+		if err != nil {
+			return // some block rejected: nothing to re-encode
+		}
+		narrow := docs[len(docs)-1] < escapeLane
+		for _, l := range lists {
+			narrow = narrow && l[len(l)-1].Loc < escapeLane
+		}
+		if narrow && EncodeBlocks(docs, lists, BlockSize)[0] == 0 {
+			t.Fatal("content below 2^32−1 re-encoded flagged")
+		}
+	})
+}
+
+// addRejectedShapes seeds a loader fuzz target with every shape the
+// loaders refuse — unframed, sections 2 and 3, a repeated concept
+// key — in a fixed order.
+func addRejectedShapes(f *testing.F, c *Compact) {
+	shapes := RejectedShapesForTest(c)
+	for _, name := range slices.Sorted(maps.Keys(shapes)) {
+		f.Add(shapes[name])
+	}
+}
+
 // FuzzLoadCompact ensures index deserialization never panics, and
-// that nothing without the framing magic is ever accepted. The seeds
-// include the two retired shapes (unframed, section 2).
+// that nothing without the framing magic is ever accepted.
 func FuzzLoadCompact(f *testing.F) {
 	ix := New()
 	ix.AddText(0, "alpha beta gamma")
 	f.Add(ix.Compact().Marshal())
-	unframed, section2 := RetiredShapesForTest(ix.Compact())
-	f.Add(unframed)
-	f.Add(section2)
+	addRejectedShapes(f, ix.Compact())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := LoadCompact(data)
@@ -303,9 +244,7 @@ func FuzzLoadFile(f *testing.F) {
 	c := ix.Compact()
 	c.AddConceptBlocks(Concept{"alpha": 1, "beta": 0.5})
 	f.Add(c.Marshal())
-	unframed, section2 := RetiredShapesForTest(c)
-	f.Add(unframed)
-	f.Add(section2)
+	addRejectedShapes(f, c)
 	f.Add([]byte(frameMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

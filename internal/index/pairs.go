@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -91,6 +92,12 @@ func MakePairKey(a, b, spec uint64) PairKey {
 		a, b = b, a
 	}
 	return PairKey{Lo: a, Hi: b, Spec: spec}
+}
+
+// compare orders pair keys by (Lo, Hi, Spec): the order Marshal
+// writes and LoadCompact requires.
+func (k PairKey) compare(o PairKey) int {
+	return cmp.Or(cmp.Compare(k.Lo, o.Lo), cmp.Compare(k.Hi, o.Hi), cmp.Compare(k.Spec, o.Spec))
 }
 
 // PairEntry is one decoded pair-posting record.

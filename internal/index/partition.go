@@ -127,74 +127,33 @@ func (c *Compact) partitionPairs(shards []*Compact) error {
 // partitionBlocks rebuilds each registered block table from the
 // shard's documents. The rebuilt tables use the default BlockSize:
 // the original partitioning is not recoverable from the encoded form,
-// and block boundaries only steer pruning, never results. A table
-// keeps its layout across the split — batched stays batched (a
-// shard's values are a subset of the original's, so they still fit),
-// varint stays varint.
+// and block boundaries only steer pruning, never results.
 func (c *Compact) partitionBlocks(shards []*Compact) error {
+	n := len(shards)
 	for key, buf := range c.blocks {
 		bt, err := DecodeBlocks(buf)
 		if err != nil || bt == nil {
 			return fmt.Errorf("index: partition: concept blocks %x: %v", key, err)
 		}
-		if err := partitionOneBlockTable(shards, key, bt, false); err != nil {
-			return err
-		}
-	}
-	for key, buf := range c.batch {
-		bt, err := DecodeBlocksBatch(buf)
-		if err != nil || bt == nil {
-			return fmt.Errorf("index: partition: batched concept blocks %x: %v", key, err)
-		}
-		if err := partitionOneBlockTable(shards, key, bt, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// partitionOneBlockTable splits one decoded block table across shards,
-// re-encoding each shard's slice in the requested layout.
-func partitionOneBlockTable(shards []*Compact, key uint64, bt *BlockTable, batch bool) error {
-	n := len(shards)
-	var docs []int
-	var lists []match.List
-	for i := range bt.Infos {
-		d, l, err := bt.DecodeBlock(i)
+		docs, lists, err := bt.decodeAll()
 		if err != nil {
-			return fmt.Errorf("index: partition: concept blocks %x block %d: %v", key, i, err)
+			return fmt.Errorf("index: partition: concept blocks %x: %v", key, err)
 		}
-		docs = append(docs, d...)
-		lists = append(lists, l...)
-	}
-	for s, shard := range shards {
-		var sd []int
-		var sl []match.List
-		for i, d := range docs {
-			if ShardOf(d, n) == s {
-				sd = append(sd, d)
-				sl = append(sl, lists[i])
-			}
-		}
-		if batch {
-			// Filtering can widen doc deltas past what the original
-			// encoding carried, so a shard may no longer fit the batch
-			// form; it then falls through to the varint encoder below.
-			if enc, ok := EncodeBlocksBatch(sd, sl, 0); ok {
-				if enc != nil {
-					if shard.batch == nil {
-						shard.batch = make(map[uint64][]byte)
-					}
-					shard.batch[key] = enc
+		for s, shard := range shards {
+			var sd []int
+			var sl []match.List
+			for i, d := range docs {
+				if ShardOf(d, n) == s {
+					sd = append(sd, d)
+					sl = append(sl, lists[i])
 				}
-				continue
 			}
-		}
-		if enc := EncodeBlocks(sd, sl, 0); enc != nil {
-			if shard.blocks == nil {
-				shard.blocks = make(map[uint64][]byte)
+			if len(sd) > 0 {
+				if shard.blocks == nil {
+					shard.blocks = make(map[uint64][]byte)
+				}
+				shard.blocks[key] = EncodeBlocks(sd, sl, 0)
 			}
-			shard.blocks[key] = enc
 		}
 	}
 	return nil

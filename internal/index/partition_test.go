@@ -10,8 +10,7 @@ import (
 )
 
 // partitionCorpus builds a compacted index with registered concept
-// metadata and block tables, exercising every section a Partition
-// must split.
+// block tables, exercising every section a Partition must split.
 func partitionCorpus(t *testing.T) (*Compact, []Concept) {
 	t.Helper()
 	ix := New()
@@ -109,123 +108,70 @@ func sortPostings(ps []Posting) {
 	}
 }
 
-func TestPartitionSplitsConceptBlocks(t *testing.T) {
-	c, concepts := partitionCorpus(t)
-	const n = 2
-	shards, err := c.Partition(n)
-	if err != nil {
-		t.Fatalf("Partition(%d): %v", n, err)
-	}
-	for _, cc := range concepts {
-		wantDocs, wantLists := decodeAllBlocks(t, c, cc)
-		gotLists := map[int]match.List{}
-		for s, shard := range shards {
-			docs, lists := decodeAllBlocks(t, shard, cc)
-			for i, d := range docs {
-				if ShardOf(d, n) != s {
-					t.Fatalf("shard %d blocks own doc %d", s, d)
-				}
-				gotLists[d] = lists[i]
-			}
-		}
-		if len(gotLists) != len(wantDocs) {
-			t.Fatalf("concept %v: shard blocks cover %d docs, want %d", cc, len(gotLists), len(wantDocs))
-		}
-		for i, d := range wantDocs {
-			if !reflect.DeepEqual(gotLists[d], wantLists[i]) {
-				t.Fatalf("concept %v doc %d: shard list %v, want %v", cc, d, gotLists[d], wantLists[i])
-			}
-		}
-	}
-}
-
-// TestPartitionSplitsBatchedBlocks is the batched-layout twin of
-// TestPartitionSplitsConceptBlocks: a concept registered in the
-// group-varint batch form must survive the split with its layout
-// intact (each shard's buffer lands in the batch map, not the varint
-// one — shard deltas are a subset of the original's, so they fit) and
-// with exactly the original documents and match lists, shard-disjoint.
+// TestPartitionSplitsBatchedBlocks holds every registered unflagged
+// table — the batched group-varint form — to a shard-disjoint split
+// with exactly the original documents and match lists, and every shard
+// table to that form too: a shard's values are bounded by the
+// original's ids and positions, so no split may need the wide flag.
 func TestPartitionSplitsBatchedBlocks(t *testing.T) {
 	c, concepts := partitionCorpus(t)
-	batched := Concept{"lenovo": 1.0, "ibm": 0.5}
-	if !c.AddConceptBlocksBatchSized(batched, 2) {
-		t.Fatal("batch layout not registered")
-	}
-	concepts = append(concepts, batched)
-	const n = 3
-	shards, err := c.Partition(n)
-	if err != nil {
-		t.Fatalf("Partition(%d): %v", n, err)
-	}
-	key := ConceptKey(batched)
-	for s, shard := range shards {
-		if _, leaked := shard.blocks[key]; leaked {
-			t.Fatalf("shard %d: batched concept re-encoded as varint", s)
-		}
-	}
-	for _, cc := range concepts {
-		wantDocs, wantLists := decodeAllBlocks(t, c, cc)
-		gotLists := map[int]match.List{}
+	for _, shards := range assertPartitionSplits(t, c, concepts) {
 		for s, shard := range shards {
-			docs, lists := decodeAllBlocks(t, shard, cc)
-			for i, d := range docs {
-				if ShardOf(d, n) != s {
-					t.Fatalf("shard %d blocks own doc %d", s, d)
+			for _, cc := range concepts {
+				if b := shard.blocks[ConceptKey(cc)]; len(b) > 0 && b[0] == 0 {
+					t.Fatalf("%d shards: shard %d table of %v is flagged", len(shards), s, cc)
 				}
-				gotLists[d] = lists[i]
-			}
-		}
-		if len(gotLists) != len(wantDocs) {
-			t.Fatalf("concept %v: shard blocks cover %d docs, want %d", cc, len(gotLists), len(wantDocs))
-		}
-		for i, d := range wantDocs {
-			if !reflect.DeepEqual(gotLists[d], wantLists[i]) {
-				t.Fatalf("concept %v doc %d: shard list %v, want %v", cc, d, gotLists[d], wantLists[i])
 			}
 		}
 	}
 }
 
-// TestBuildConceptBlocksBatchMatchesVarint pins the two standalone
-// builders against each other: both encode the same corpus-wide
-// best-member-score merge, so decoding their outputs must agree
-// document for document and match for match.
-func TestBuildConceptBlocksBatchMatchesVarint(t *testing.T) {
-	c, concepts := partitionCorpus(t)
-	for _, cc := range concepts {
-		vbuf := c.BuildConceptBlocks(cc)
-		bbuf, ok := c.BuildConceptBlocksBatch(cc)
-		if !ok {
-			t.Fatalf("concept %v: batch builder fell back on an ordinary corpus", cc)
-		}
-		vt, err := DecodeBlocks(vbuf)
+// TestPartitionSplitsConceptBlocks holds a flagged table, whose ids and
+// positions straddle 2^32, to the same split.
+func TestPartitionSplitsConceptBlocks(t *testing.T) {
+	c, _ := partitionCorpus(t)
+	docs, lists := wideInput()
+	wide := Concept{"wide": 1}
+	c.blocks[ConceptKey(wide)] = EncodeBlocks(docs, lists, 2)
+	assertPartitionSplits(t, c, []Concept{wide})
+}
+
+// assertPartitionSplits splits c 2 and 3 ways and checks that the
+// shards' tables of concepts own disjoint documents by ShardOf and
+// together hold exactly the original documents and match lists. It
+// returns the splits.
+func assertPartitionSplits(t *testing.T, c *Compact, concepts []Concept) [][]*Compact {
+	t.Helper()
+	var splits [][]*Compact
+	for _, n := range []int{2, 3} {
+		shards, err := c.Partition(n)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Partition(%d): %v", n, err)
 		}
-		bt, err := DecodeBlocksBatch(bbuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vt.Infos) != len(bt.Infos) {
-			t.Fatalf("concept %v: %d varint blocks vs %d batch blocks", cc, len(vt.Infos), len(bt.Infos))
-		}
-		for i := range vt.Infos {
-			vd, vl, err := vt.DecodeBlock(i)
-			if err != nil {
-				t.Fatal(err)
+		splits = append(splits, shards)
+		for _, cc := range concepts {
+			wantDocs, wantLists := decodeAllBlocks(t, c, cc)
+			gotLists := map[int]match.List{}
+			for s, shard := range shards {
+				docs, lists := decodeAllBlocks(t, shard, cc)
+				for i, d := range docs {
+					if ShardOf(d, n) != s {
+						t.Fatalf("n=%d: shard %d blocks own doc %d", n, s, d)
+					}
+					gotLists[d] = lists[i]
+				}
 			}
-			bd, bl, err := bt.DecodeBlock(i)
-			if err != nil {
-				t.Fatal(err)
+			if len(gotLists) != len(wantDocs) {
+				t.Fatalf("n=%d concept %v: shard blocks cover %d docs, want %d", n, cc, len(gotLists), len(wantDocs))
 			}
-			if !reflect.DeepEqual(vd, bd) || !reflect.DeepEqual(vl, bl) {
-				t.Fatalf("concept %v block %d: builders disagree", cc, i)
+			for i, d := range wantDocs {
+				if !reflect.DeepEqual(gotLists[d], wantLists[i]) {
+					t.Fatalf("n=%d concept %v doc %d: shard list %v, want %v", n, cc, d, gotLists[d], wantLists[i])
+				}
 			}
 		}
 	}
-	if buf, ok := c.BuildConceptBlocksBatch(Concept{"unseen-word": 1}); !ok || buf != nil {
-		t.Fatalf("empty concept: got (%v, %v), want (nil, true)", buf, ok)
-	}
+	return splits
 }
 
 func decodeAllBlocks(t *testing.T, c *Compact, cc Concept) ([]int, []match.List) {
@@ -234,15 +180,9 @@ func decodeAllBlocks(t *testing.T, c *Compact, cc Concept) ([]int, []match.List)
 	if !ok {
 		return nil, nil
 	}
-	var docs []int
-	var lists []match.List
-	for i := range bt.Infos {
-		d, l, err := bt.DecodeBlock(i)
-		if err != nil {
-			t.Fatalf("DecodeBlock(%d): %v", i, err)
-		}
-		docs = append(docs, d...)
-		lists = append(lists, l...)
+	docs, lists, err := bt.decodeAll()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return docs, lists
 }

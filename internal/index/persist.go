@@ -1,11 +1,15 @@
 package index
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 )
 
 // Persistence for compacted indexes: a Compact serializes to a single
@@ -22,26 +26,27 @@ import (
 //	per section: id(1) varint(len) payload crc32c(payload, 4 bytes LE)
 //
 // Section 1 holds the posting payload — varint(docs), varint(#terms),
-// then per term (sorted by stem for determinism) varint(len(stem))
-// stem varint(len(postings)) postings, where postings is the
-// varint-packed buffer of compress.go. Section 3, present only when
-// block-partitioned concept postings are registered in the varint
-// layout (blocks.go), holds varint(#concepts), then per concept
-// (sorted by key) uint64le(key) varint(len) EncodeBlocks buffer.
-// Section 4, present only when group-varint batched concept postings
-// are registered (batchdecode.go), repeats that shape with
-// EncodeBlocksBatch buffers. Section 5, present only when precomputed
-// pair lists are registered (pairs.go), holds varint(#pairs), then per
-// pair (sorted by key) uint64le(lo) uint64le(hi) uint64le(spec)
-// varint(len) EncodePairs buffer. An index that omits an optional
-// section simply lacks the feature; an unknown section id is rejected
-// loudly instead of being misparsed.
+// then per term varint(len(stem)) stem varint(len(postings)) postings,
+// where postings is the varint-packed buffer of compress.go. Section 4,
+// present only when concept block tables are registered (blocks.go),
+// holds varint(#concepts), then per concept uint64le(key) varint(len)
+// EncodeBlocks buffer. Section 5, present only when precomputed pair
+// lists are registered (pairs.go), holds varint(#pairs), then per pair
+// uint64le(lo) uint64le(hi) uint64le(spec) varint(len) EncodePairs
+// buffer. In every section the entries are in strictly ascending key
+// order (stem; concept key; lo, hi, spec) and every buffer is
+// non-empty — what Marshal writes, and all the loader accepts, so a
+// repeated entry cannot silently replace an earlier one. An index that
+// omits an optional section simply lacks the feature; an unknown
+// section id is rejected loudly instead of being misparsed.
 //
-// Two shapes older code could read are rejected, each with an
+// Three shapes older code could write are rejected, each with an
 // ErrCorrupt-wrapped error naming what was seen: section 2 (per-concept
-// doc-max metadata, a representation the engine no longer serves), and
-// unframed input (the pre-framing layout, which carried no checksums —
-// nothing but tests ever wrote either).
+// doc-max metadata, a representation the engine no longer serves),
+// section 3 (concept block tables in a per-integer varint codec, since
+// replaced by section 4's, which also carries the values that codec
+// existed for), and unframed input (the pre-framing layout, which
+// carried no checksums). No shipped tool or workload wrote any of them.
 
 // Framing constants. The version byte lets the layout evolve without
 // breaking old readers loudly: an unknown version is rejected with a
@@ -50,12 +55,17 @@ const (
 	frameMagic   = "BJIX"
 	frameVersion = 1
 
-	secPostings    = 1 // posting payload: docs header + term table
-	secRetiredMeta = 2 // concept max-score metadata: no longer read
-	secBlocks      = 3 // optional block-partitioned concept postings
-	secBlocksBatch = 4 // optional group-varint batched concept postings
-	secPairs       = 5 // optional precomputed concept-pair postings
+	secPostings = 1 // posting payload: docs header + term table
+	secBlocks   = 4 // optional concept block tables
+	secPairs    = 5 // optional precomputed concept-pair postings
 )
+
+// retiredSections names the section ids older writers used that this
+// reader refuses.
+var retiredSections = map[byte]string{
+	2: "concept max-score metadata",
+	3: "varint concept block tables",
+}
 
 // castagnoli is the CRC32-C polynomial table — the checksum flavor
 // with hardware support on both amd64 and arm64.
@@ -63,41 +73,50 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt tags every framed-index validation failure: bad magic,
 // unsupported version, truncated sections, checksum mismatches,
-// trailing bytes. errors.Is(err, ErrCorrupt) distinguishes "the bytes
-// are damaged" from I/O errors when loading from disk.
+// trailing bytes, malformed entries. errors.Is(err, ErrCorrupt)
+// distinguishes "the bytes are damaged" from I/O errors when loading
+// from disk.
 var ErrCorrupt = errors.New("index: corrupt framed index")
 
 // Marshal serializes the compacted index in the framed, checksummed
 // form.
 func (c *Compact) Marshal() []byte {
-	postings := c.marshalPostings()
-	blocks := c.marshalConceptMap(c.blocks)
-	batch := c.marshalConceptMap(c.batch)
-	pairs := c.marshalPairs()
-	buf := append(make([]byte, 0, len(postings)+len(blocks)+len(batch)+len(pairs)+32), frameMagic...)
+	type section struct {
+		id      byte
+		payload []byte
+	}
+	sections := []section{{secPostings, c.marshalPostings()}}
+	if len(c.blocks) > 0 {
+		sections = append(sections, section{secBlocks,
+			appendEntries(nil, c.blocks, cmp.Compare[uint64], binary.LittleEndian.AppendUint64)})
+	}
+	if len(c.pairs) > 0 {
+		sections = append(sections, section{secPairs, appendEntries(nil, c.pairs, PairKey.compare,
+			func(b []byte, k PairKey) []byte {
+				b = binary.LittleEndian.AppendUint64(b, k.Lo)
+				b = binary.LittleEndian.AppendUint64(b, k.Hi)
+				return binary.LittleEndian.AppendUint64(b, k.Spec)
+			})})
+	}
+	size := 32 // magic, version, and per section id, length, checksum
+	for _, s := range sections {
+		size += len(s.payload)
+	}
+	buf := append(make([]byte, 0, size), frameMagic...)
 	buf = append(buf, frameVersion)
-	nsec := uint64(1)
-	if blocks != nil {
-		nsec++
-	}
-	if batch != nil {
-		nsec++
-	}
-	if pairs != nil {
-		nsec++
-	}
-	buf = binary.AppendUvarint(buf, nsec)
-	buf = appendSection(buf, secPostings, postings)
-	if blocks != nil {
-		buf = appendSection(buf, secBlocks, blocks)
-	}
-	if batch != nil {
-		buf = appendSection(buf, secBlocksBatch, batch)
-	}
-	if pairs != nil {
-		buf = appendSection(buf, secPairs, pairs)
+	buf = binary.AppendUvarint(buf, uint64(len(sections)))
+	for _, s := range sections {
+		buf = appendSection(buf, s.id, s.payload)
 	}
 	return buf
+}
+
+// marshalPostings builds the posting payload (section 1).
+func (c *Compact) marshalPostings() []byte {
+	buf := binary.AppendUvarint(nil, uint64(c.docs))
+	return appendEntries(buf, c.postings, strings.Compare, func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	})
 }
 
 // appendSection frames one payload: id, length, bytes, CRC32-C.
@@ -108,77 +127,15 @@ func appendSection(buf []byte, id byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 }
 
-// marshalPostings builds the posting payload (section 1).
-func (c *Compact) marshalPostings() []byte {
-	stems := make([]string, 0, len(c.postings))
-	for s := range c.postings {
-		stems = append(stems, s)
-	}
-	sort.Strings(stems)
-	buf := binary.AppendUvarint(nil, uint64(c.docs))
-	buf = binary.AppendUvarint(buf, uint64(len(stems)))
-	for _, s := range stems {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-		p := c.postings[s]
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
-// marshalConceptMap builds a per-concept payload (sections 3 and 4),
-// nil when the map is empty: varint(#concepts), then per concept (sorted by key for determinism)
-// uint64le(key) varint(len) buffer.
-func (c *Compact) marshalConceptMap(m map[uint64][]byte) []byte {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.LittleEndian.AppendUint64(buf, k)
-		b := m[k]
-		buf = binary.AppendUvarint(buf, uint64(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
-}
-
-// marshalPairs builds the pair-list payload (section 5), nil when no
-// pairs are registered. Per pair (sorted by key for determinism): the
-// three key words little-endian, then the length-prefixed EncodePairs
+// appendEntries appends a keyed entry list: varint(#entries), then per
+// entry, in ascending key order, the key (putKey), varint(len) and the
 // buffer.
-func (c *Compact) marshalPairs() []byte {
-	if len(c.pairs) == 0 {
-		return nil
-	}
-	keys := make([]PairKey, 0, len(c.pairs))
-	for k := range c.pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		if a.Hi != b.Hi {
-			return a.Hi < b.Hi
-		}
-		return a.Spec < b.Spec
-	})
-	buf := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.LittleEndian.AppendUint64(buf, k.Lo)
-		buf = binary.LittleEndian.AppendUint64(buf, k.Hi)
-		buf = binary.LittleEndian.AppendUint64(buf, k.Spec)
-		p := c.pairs[k]
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
+func appendEntries[K comparable](buf []byte, m map[K][]byte, cmp func(K, K) int, putKey func([]byte, K) []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(m)))
+	for _, k := range slices.SortedFunc(maps.Keys(m), cmp) {
+		buf = putKey(buf, k)
+		buf = binary.AppendUvarint(buf, uint64(len(m[k])))
+		buf = append(buf, m[k]...)
 	}
 	return buf
 }
@@ -202,11 +159,11 @@ func LoadCompact(b []byte) (*Compact, error) {
 	}
 	b = b[1:]
 	nsec, n := binary.Uvarint(b)
-	if n <= 0 || nsec == 0 || nsec > 5 {
+	if n <= 0 || nsec == 0 || nsec > secPairs {
 		return nil, fmt.Errorf("%w: bad section count", ErrCorrupt)
 	}
 	b = b[n:]
-	var postings, blocks, batch, pairs []byte
+	c := &Compact{}
 	prevID := byte(0)
 	for i := uint64(0); i < nsec; i++ {
 		if len(b) == 0 {
@@ -216,6 +173,10 @@ func LoadCompact(b []byte) (*Compact, error) {
 		b = b[1:]
 		if id <= prevID || id > secPairs {
 			return nil, fmt.Errorf("%w: bad section id %d", ErrCorrupt, id)
+		}
+		// Ids ascend, so the mandatory posting section comes first.
+		if i == 0 && id != secPostings {
+			return nil, fmt.Errorf("%w: no posting section", ErrCorrupt)
 		}
 		prevID = id
 		plen, n := binary.Uvarint(b)
@@ -233,224 +194,152 @@ func LoadCompact(b []byte) (*Compact, error) {
 			return nil, fmt.Errorf("%w: checksum mismatch in section %d (stored %08x, computed %08x)",
 				ErrCorrupt, id, stored, sum)
 		}
-		switch id {
-		case secPostings:
-			postings = payload
-		case secRetiredMeta:
-			return nil, fmt.Errorf("%w: section %d (concept max-score metadata) is no longer supported", ErrCorrupt, id)
-		case secBlocks:
-			blocks = payload
-		case secBlocksBatch:
-			batch = payload
-		case secPairs:
-			pairs = payload
+		if what, retired := retiredSections[id]; retired {
+			return nil, fmt.Errorf("%w: section %d (%s) is no longer supported", ErrCorrupt, id, what)
+		}
+		if err := sectionParsers[id](c, payload); err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, id, err)
 		}
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
 	}
-	if postings == nil {
-		return nil, fmt.Errorf("%w: no posting section", ErrCorrupt)
-	}
-	c, rest, err := parsePostings(postings)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in posting section", ErrCorrupt, len(rest))
-	}
-	if blocks != nil {
-		rest, err := parseBlocks(c, blocks)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in blocks section", ErrCorrupt, len(rest))
-		}
-	}
-	if batch != nil {
-		rest, err := parseBlocksBatch(c, batch)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in batched-blocks section", ErrCorrupt, len(rest))
-		}
-	}
-	if pairs != nil {
-		rest, err := parsePairs(c, pairs)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in pairs section", ErrCorrupt, len(rest))
-		}
-	}
 	return c, nil
 }
 
+// sectionParsers decode the sections this reader accepts into a
+// Compact: every id from 1 to secPairs that is not retired.
+var sectionParsers = map[byte]func(*Compact, []byte) error{
+	secPostings: parsePostings,
+	secBlocks:   parseBlocks,
+	secPairs:    parsePairs,
+}
+
 // parsePostings decodes the posting payload — docs header plus term
-// table — returning the unconsumed remainder.
-func parsePostings(b []byte) (*Compact, []byte, error) {
+// table — validating every posting list eagerly so a corrupt load
+// fails here, not at query time.
+func parsePostings(c *Compact, b []byte) (err error) {
 	docs, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("index: corrupt docs header")
+		return fmt.Errorf("corrupt docs header")
 	}
-	b = b[n:]
-	nTerms, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("index: corrupt term count")
-	}
-	b = b[n:]
-	// Each term costs at least 3 bytes (stem length, one stem byte,
-	// posting length); reject counts the buffer cannot hold so corrupt
-	// input cannot drive huge allocations.
-	if nTerms > uint64(len(b))/3+1 {
-		return nil, nil, fmt.Errorf("index: term count %d exceeds buffer", nTerms)
-	}
-	c := &Compact{postings: make(map[string][]byte, nTerms), docs: int(docs)}
-	for i := uint64(0); i < nTerms; i++ {
+	c.docs = int(docs)
+	readStem := func(b []byte) (string, []byte, bool) {
 		slen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < slen {
-			return nil, nil, fmt.Errorf("index: corrupt stem %d", i)
+		if n <= 0 || slen > uint64(len(b[n:])) {
+			return "", nil, false
 		}
-		b = b[n:]
-		stem := string(b[:slen])
-		b = b[slen:]
-		plen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < plen {
-			return nil, nil, fmt.Errorf("index: corrupt postings for %q", stem)
-		}
-		b = b[n:]
-		postings := make([]byte, plen)
-		copy(postings, b[:plen])
-		b = b[plen:]
-		// Validate eagerly so a corrupt load fails here, not at query
-		// time.
-		if _, err := DecodePostings(postings); err != nil {
-			return nil, nil, fmt.Errorf("index: invalid postings for %q: %v", stem, err)
-		}
-		c.postings[stem] = postings
+		return string(b[n : n+int(slen)]), b[n+int(slen):], true
 	}
-	return c, b, nil
+	// An entry takes at least 2 bytes: stem length, posting length.
+	c.postings, err = parseEntries(b[n:], 2, readStem, strings.Compare, func(stem string, buf []byte) error {
+		if _, err := DecodePostings(buf); err != nil {
+			return fmt.Errorf("invalid postings for %q: %v", stem, err)
+		}
+		return nil
+	})
+	return err
 }
 
-// parseBlocks decodes the block-partitioned-postings payload into
-// c.blocks, returning the unconsumed remainder. Every block of every
-// concept is fully decoded here — the same eager-validation stance as
-// postings, so ConceptBlocks can treat decode failure as memory
-// corruption.
-func parseBlocks(c *Compact, b []byte) ([]byte, error) {
-	m, rest, err := parseConceptBlockMap(b, DecodeBlocks)
-	if err != nil {
-		return nil, err
+// parseBlocks decodes the concept block tables into c.blocks. Every
+// block of every concept is fully decoded here — the same
+// eager-validation stance as postings, so ConceptBlocks can treat
+// decode failure as memory corruption.
+func parseBlocks(c *Compact, b []byte) (err error) {
+	readKey := func(b []byte) (uint64, []byte, bool) {
+		if len(b) < 8 {
+			return 0, nil, false
+		}
+		return binary.LittleEndian.Uint64(b), b[8:], true
 	}
-	c.blocks = m
-	return rest, nil
+	// An entry takes at least 9 bytes: key, length.
+	c.blocks, err = parseEntries(b, 9, readKey, cmp.Compare[uint64], func(_ uint64, buf []byte) error {
+		bt, err := DecodeBlocks(buf)
+		if err == nil {
+			err = bt.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("invalid concept blocks: %v", err)
+		}
+		return nil
+	})
+	return err
 }
 
-// parseBlocksBatch is parseBlocks for the group-varint batched layout
-// (section 4), filling c.batch.
-func parseBlocksBatch(c *Compact, b []byte) ([]byte, error) {
-	m, rest, err := parseConceptBlockMap(b, DecodeBlocksBatch)
-	if err != nil {
-		return nil, err
-	}
-	c.batch = m
-	return rest, nil
-}
-
-// parsePairs decodes the pair-list payload into c.pairs, returning
-// the unconsumed remainder. Every block of every pair list is fully
-// decoded here — the same eager-validation stance as postings — so
-// ConceptPairs can treat decode failure as memory corruption.
-func parsePairs(c *Compact, b []byte) ([]byte, error) {
-	nPairs, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("index: corrupt pair-list count")
-	}
-	b = b[n:]
-	// Each pair costs at least 25 bytes (three 8-byte key words, one
-	// length byte).
-	if nPairs > uint64(len(b))/25 {
-		return nil, fmt.Errorf("index: pair-list count %d exceeds buffer", nPairs)
-	}
-	c.pairs = make(map[PairKey][]byte, nPairs)
-	for i := uint64(0); i < nPairs; i++ {
+// parsePairs decodes the pair-list payload into c.pairs. Every block
+// of every pair list is fully decoded here — the same eager-validation
+// stance as postings — so ConceptPairs can treat decode failure as
+// memory corruption.
+func parsePairs(c *Compact, b []byte) (err error) {
+	readKey := func(b []byte) (PairKey, []byte, bool) {
 		if len(b) < 24 {
-			return nil, fmt.Errorf("index: truncated pair-list key %d", i)
+			return PairKey{}, nil, false
 		}
 		key := PairKey{
 			Lo:   binary.LittleEndian.Uint64(b),
 			Hi:   binary.LittleEndian.Uint64(b[8:]),
 			Spec: binary.LittleEndian.Uint64(b[16:]),
 		}
-		b = b[24:]
-		if key.Lo > key.Hi {
-			return nil, fmt.Errorf("index: pair-list key %d not in canonical order", i)
-		}
-		plen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < plen {
-			return nil, fmt.Errorf("index: corrupt pair list %d", i)
-		}
-		b = b[n:]
-		buf := make([]byte, plen)
-		copy(buf, b[:plen])
-		b = b[plen:]
-		pt, err := DecodePairs(buf)
-		if err != nil {
-			return nil, fmt.Errorf("index: invalid pair list %d: %v", i, err)
-		}
-		if err := pt.Validate(); err != nil {
-			return nil, fmt.Errorf("index: invalid pair list %d: %v", i, err)
-		}
-		if pt == nil {
-			continue // zero-length buffer: nothing to serve
-		}
-		c.pairs[key] = buf
+		return key, b[24:], true
 	}
-	return b, nil
+	// An entry takes at least 25 bytes: three key words, length.
+	c.pairs, err = parseEntries(b, 25, readKey, PairKey.compare, func(key PairKey, buf []byte) error {
+		if key.Lo > key.Hi {
+			return fmt.Errorf("pair key not in canonical order")
+		}
+		pt, err := DecodePairs(buf)
+		if err == nil {
+			err = pt.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("invalid pair list: %v", err)
+		}
+		return nil
+	})
+	return err
 }
 
-// parseConceptBlockMap parses one per-concept block-table payload with
-// the given block decoder, eagerly validating every block of every
-// concept.
-func parseConceptBlockMap(b []byte, decode func([]byte) (*BlockTable, error)) (map[uint64][]byte, []byte, error) {
-	nBlk, n := binary.Uvarint(b)
+// parseEntries parses an appendEntries list into a map, checking each
+// entry's key and a copy of its buffer with check first. Keys must be
+// strictly ascending under cmp and buffers non-empty, and the list must
+// fill b. minEntry is the fewest bytes an entry can take: it bounds the
+// count before anything is allocated.
+func parseEntries[K comparable](b []byte, minEntry int, readKey func([]byte) (K, []byte, bool), cmp func(K, K) int, check func(K, []byte) error) (map[K][]byte, error) {
+	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("index: corrupt concept-blocks count")
+		return nil, fmt.Errorf("corrupt entry count")
 	}
 	b = b[n:]
-	// Each concept costs at least 9 bytes (8-byte key, length byte).
-	if nBlk > uint64(len(b))/9 {
-		return nil, nil, fmt.Errorf("index: concept-blocks count %d exceeds buffer", nBlk)
+	if count > uint64(len(b)/minEntry) {
+		return nil, fmt.Errorf("entry count %d exceeds buffer", count)
 	}
-	m := make(map[uint64][]byte, nBlk)
-	for i := uint64(0); i < nBlk; i++ {
-		if len(b) < 8 {
-			return nil, nil, fmt.Errorf("index: truncated concept-blocks key %d", i)
+	m := make(map[K][]byte, count)
+	var prev K
+	for i := uint64(0); i < count; i++ {
+		key, rest, ok := readKey(b)
+		if !ok {
+			return nil, fmt.Errorf("entry %d: truncated key", i)
 		}
-		key := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		blen, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b[n:])) < blen {
-			return nil, nil, fmt.Errorf("index: corrupt concept blocks %d", i)
+		if i > 0 && cmp(prev, key) >= 0 {
+			return nil, fmt.Errorf("entry %d: key %v not strictly ascending", i, key)
 		}
-		b = b[n:]
-		blk := make([]byte, blen)
-		copy(blk, b[:blen])
-		b = b[blen:]
-		bt, err := decode(blk)
-		if err != nil {
-			return nil, nil, fmt.Errorf("index: invalid concept blocks %d: %v", i, err)
+		blen, n := binary.Uvarint(rest)
+		if n <= 0 || blen > uint64(len(rest[n:])) {
+			return nil, fmt.Errorf("entry %d: truncated buffer", i)
 		}
-		if err := bt.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("index: invalid concept blocks %d: %v", i, err)
+		if blen == 0 {
+			return nil, fmt.Errorf("entry %d: empty buffer", i)
 		}
-		if bt == nil {
-			continue // zero-length buffer: nothing to serve
+		end := n + int(blen)
+		buf := bytes.Clone(rest[n:end])
+		if err := check(key, buf); err != nil {
+			return nil, fmt.Errorf("entry %d: %v", i, err)
 		}
-		m[key] = blk
+		m[key] = buf
+		b, prev = rest[end:], key
 	}
-	return m, b, nil
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return m, nil
 }

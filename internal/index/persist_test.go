@@ -1,9 +1,17 @@
 package index
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bestjoin/internal/match"
+	"bestjoin/internal/text"
 )
 
 func TestMarshalLoadRoundTrip(t *testing.T) {
@@ -57,8 +65,8 @@ func TestLoadCompactCorrupt(t *testing.T) {
 	}
 }
 
-// framedTestIndex builds a small index with block-partitioned concept
-// postings in both layouts, so its Marshal carries sections 1, 3 and 4.
+// framedTestIndex builds a small index with concept block tables at two
+// block sizes, so its Marshal carries sections 1 and 4.
 func framedTestIndex(t *testing.T) *Compact {
 	t.Helper()
 	ix := New()
@@ -99,24 +107,137 @@ func TestMarshalIsFramed(t *testing.T) {
 	}
 }
 
-// TestLoadCompactLegacy pins that the two retired input shapes are
-// refused, each with an ErrCorrupt-wrapped error naming what was seen:
-// the unframed pre-framing layout (it carries no checksums, and
-// LoadCompact is what /swapindex feeds wire bytes to) and a framed
-// file carrying section 2, the doc-max metadata nothing serves anymore.
+// TestLoadCompactLegacy pins that every refused input shape fails
+// with an ErrCorrupt-wrapped error naming what was seen: the unframed
+// pre-framing layout (it carries no checksums, and LoadCompact is what
+// /swapindex feeds wire bytes to), a framed file carrying section 2
+// (the doc-max metadata nothing serves anymore) or section 3 (the
+// retired varint block codec), and one repeating a concept key.
 func TestLoadCompactLegacy(t *testing.T) {
-	unframed, section2 := RetiredShapesForTest(framedTestIndex(t))
+	for names, b := range RejectedShapesForTest(framedTestIndex(t)) {
+		_, err := LoadCompact(b)
+		if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), names) {
+			t.Errorf("%s: err = %v, want ErrCorrupt naming %q", names, err, names)
+		}
+	}
+}
+
+// TestLoadCompactRejectsMisorderedEntries pins the entry discipline of
+// every keyed section: keys strictly ascending — the order Marshal
+// writes — and every buffer non-empty, or ErrCorrupt naming the section
+// and the entry. A repeated key would otherwise load with the later
+// entry silently replacing the earlier one.
+func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
+	type entry struct{ key, buf []byte }
+	entries := func(es ...entry) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(es)))
+		for _, e := range es {
+			b = append(append(b, e.key...), binary.AppendUvarint(nil, uint64(len(e.buf)))...)
+			b = append(b, e.buf...)
+		}
+		return b
+	}
+	stem := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	key := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	postings := EncodePostings([]Posting{{Doc: 0, Pos: 1}})
+	table := EncodeBlocks([]int{0}, []match.List{{{Loc: 1, Score: 1}}}, 0)
+	pairs := EncodePairs(testPairEntries(), 3)
 	for _, tc := range []struct {
-		name, names string
-		b           []byte
+		name    string
+		id      byte
+		payload []byte
+		names   string
 	}{
-		{"unframed", "missing magic", unframed},
-		{"section 2", "section 2", section2},
+		{"repeated stem", secPostings, entries(entry{stem("a"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
+		{"descending stems", secPostings, entries(entry{stem("b"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
+		{"empty postings", secPostings, entries(entry{stem("a"), nil}), "section 1: entry 0"},
+		{"repeated concept key", secBlocks, entries(entry{key(7), table}, entry{key(7), table}), "section 4: entry 1"},
+		{"descending concept keys", secBlocks, entries(entry{key(8), table}, entry{key(7), table}), "section 4: entry 1"},
+		{"empty block table", secBlocks, entries(entry{key(7), nil}), "section 4: entry 0"},
+		{"repeated pair key", secPairs, entries(entry{key(1, 2, 3), pairs}, entry{key(1, 2, 3), pairs}), "section 5: entry 1"},
+		{"descending pair keys", secPairs, entries(entry{key(1, 2, 4), pairs}, entry{key(1, 2, 3), pairs}), "section 5: entry 1"},
+		{"empty pair list", secPairs, entries(entry{key(1, 2, 3), nil}), "section 5: entry 0"},
 	} {
-		_, err := LoadCompact(tc.b)
+		docs := binary.AppendUvarint(nil, 1)
+		b := binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 2)
+		if tc.id == secPostings {
+			b = binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 1)
+			b = appendSection(b, secPostings, append(docs, tc.payload...))
+		} else {
+			b = appendSection(b, secPostings, append(docs, entries(entry{stem("a"), postings})...))
+			b = appendSection(b, tc.id, tc.payload)
+		}
+		_, err := LoadCompact(b)
 		if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.names) {
 			t.Errorf("%s: err = %v, want ErrCorrupt naming %q", tc.name, err, tc.names)
 		}
+	}
+}
+
+// TestPersistBatchSectionRoundTrip pins the persisted form of concept
+// block tables: every one — narrow or flagged, at any block size —
+// travels in section 4 of Marshal and loads back byte for byte.
+func TestPersistBatchSectionRoundTrip(t *testing.T) {
+	c := blocksTestCompact(t, 80, 5)
+	c.AddConceptBlocksSized(Concept{text.Stem("river"): 1.0, text.Stem("bank"): 0.5}, 8)
+	c.AddConceptBlocks(Concept{text.Stem("stone"): 0.75})
+	docs, lists := wideInput()
+	c.blocks[7] = EncodeBlocks(docs, lists, 2)
+	b := c.Marshal()
+	// Frame: magic, version, section count, then (id, length, payload,
+	// checksum) per section.
+	var ids []byte
+	rest := b[len(frameMagic)+2:]
+	for len(rest) > 0 {
+		n, k := binary.Uvarint(rest[1:])
+		ids = append(ids, rest[0])
+		rest = rest[1+k+int(n)+4:]
+	}
+	if !bytes.Equal(ids, []byte{secPostings, secBlocks}) {
+		t.Fatalf("section ids %v, want [1 4]", ids)
+	}
+	loaded, err := LoadCompact(b)
+	if err != nil {
+		t.Fatalf("round trip failed: %v", err)
+	}
+	if !reflect.DeepEqual(loaded.blocks, c.blocks) {
+		t.Fatal("block tables changed in the round trip")
+	}
+}
+
+// TestMarshalBytesPinned pins the file format byte for byte: the
+// SHA-256 of Marshal over a fixed corpus with registered block tables,
+// followed by the Marshal of each piece of its 3-way Partition. Every
+// index saved before the wide escape existed must stay readable, and
+// every table without a wide value must still encode to those bytes.
+func TestMarshalBytesPinned(t *testing.T) {
+	c := blocksTestCompact(t, 400, 7)
+	for _, cc := range []Concept{
+		{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25},
+		{text.Stem("stone"): 0.75, text.Stem("bridge"): 0.6},
+		{text.Stem("valley"): 1.0},
+		{text.Stem("flood"): 0.9, text.Stem("delta"): 0.9, text.Stem("river"): 0.3},
+	} {
+		c.AddConceptBlocks(cc)
+	}
+	h := sha256.New()
+	h.Write(c.Marshal())
+	shards, err := c.Partition(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range shards {
+		h.Write(s.Marshal())
+	}
+	const want = "4ba3f14c9293d11f30718a35cf3dd1deeea770704a640bfc1505d8ab363f7421"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("Marshal bytes moved: sha256 %s, want %s", got, want)
 	}
 }
 

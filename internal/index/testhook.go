@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 
+	"bestjoin/internal/match"
 	"bestjoin/internal/text"
 )
 
@@ -20,34 +21,41 @@ func CorruptPostingsForTest(c *Compact, word string) {
 	}
 }
 
-// RetiredShapesForTest returns c's postings in the two input shapes
-// LoadCompact no longer accepts: unframed (the bare pre-framing
-// payload, no magic and no checksums) and framed with a correctly
-// checksummed section 2. Every loader, and the /swapindex endpoint,
-// must refuse both. Not for production use.
-func RetiredShapesForTest(c *Compact) (unframed, section2 []byte) {
-	unframed = c.marshalPostings()
-	section2 = append([]byte(frameMagic), frameVersion)
-	section2 = binary.AppendUvarint(section2, 2)
-	section2 = appendSection(section2, secPostings, unframed)
-	return unframed, appendSection(section2, secRetiredMeta, []byte{0})
+// RejectedShapesForTest returns inputs every loader, and the
+// /swapindex endpoint, must refuse, each keyed by a phrase of the
+// ErrCorrupt-wrapped error that refuses it: c's postings unframed (the
+// bare pre-framing payload, no magic and no checksums); framed with a
+// correctly checksummed retired section 2 or 3; and framed with a
+// section 4 listing one concept key three times — two tables, then an
+// empty buffer. Not for production use.
+func RejectedShapesForTest(c *Compact) map[string][]byte {
+	postings := c.marshalPostings()
+	framed := func(id byte, payload []byte) []byte {
+		b := binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 2)
+		return appendSection(appendSection(b, secPostings, postings), id, payload)
+	}
+	table := EncodeBlocks([]int{0}, []match.List{{{Loc: 0, Score: 1}}}, 0)
+	dup := binary.AppendUvarint(nil, 3)
+	for _, t := range [][]byte{table, table, nil} {
+		dup = binary.LittleEndian.AppendUint64(dup, 7)
+		dup = append(binary.AppendUvarint(dup, uint64(len(t))), t...)
+	}
+	return map[string][]byte{
+		"missing magic":      postings,
+		"section 2":          framed(2, []byte{0}),
+		"section 3":          framed(3, []byte{0}),
+		"section 4: entry 1": framed(secBlocks, dup),
+	}
 }
 
 // CorruptConceptBlocksForTest replaces a concept's registered block
-// buffer — batched or varint, whichever layout it was registered with
-// — with bytes both decoders reject, so ConceptBlocks panics: the
+// buffer with bytes DecodeBlocks rejects, so ConceptBlocks panics: the
 // in-memory corruption the engine's block-table lookup must contain.
 // Not for production use.
 func CorruptConceptBlocksForTest(c *Compact, concept Concept) {
-	garbage := []byte{
+	c.blocks[ConceptKey(concept)] = []byte{
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
 	}
-	key := ConceptKey(concept)
-	if _, ok := c.batch[key]; ok {
-		c.batch[key] = garbage
-		return
-	}
-	c.blocks[key] = garbage
 }
 
 // CorruptConceptPairsForTest overwrites a registered pair list with
@@ -82,18 +90,10 @@ func CorruptConceptPairPayloadForTest(c *Compact, a, b Concept, spec uint64) {
 // concept's registered block buffer while leaving the palette and
 // skip table intact: ConceptBlocks still succeeds, but any per-block
 // directory or match-area decode fails. Exercises the engine's lazy
-// per-block failure paths for whichever layout the concept was
-// registered with. Not for production use.
+// per-block failure paths. Not for production use.
 func CorruptConceptBlockPayloadForTest(c *Compact, concept Concept) {
-	key := ConceptKey(concept)
-	b, bt := c.blocks[key], (*BlockTable)(nil)
-	var err error
-	if bb, ok := c.batch[key]; ok {
-		b = bb
-		bt, err = DecodeBlocksBatch(bb)
-	} else {
-		bt, err = DecodeBlocks(b)
-	}
+	b := c.blocks[ConceptKey(concept)]
+	bt, err := DecodeBlocks(b)
 	if err != nil || bt == nil {
 		panic("CorruptConceptBlockPayloadForTest: buffer must start valid")
 	}

@@ -8,16 +8,39 @@ import (
 // The corruption hooks exist so other packages can prove their
 // containment of index-layer panics; these tests pin the hooks' own
 // contract — each one really produces the failure mode it advertises,
-// for both block layouts — so a hook silently going stale can't turn
-// the engine's robustness suite into a no-op.
+// on unflagged and on flagged block tables — so a hook silently going
+// stale can't turn the engine's robustness suite into a no-op.
 
-func hookCorpus(t *testing.T) (*Compact, Concept) {
+// hookCorpus is twelve identical documents, with ids 2^32 apart when
+// wide — which flags the concept's block table.
+func hookCorpus(t *testing.T, wide bool) (*Compact, Concept) {
 	t.Helper()
 	ix := New()
 	for d := 0; d < 12; d++ {
-		ix.AddText(d, "amber basalt cedar amber basalt")
+		id := d
+		if wide {
+			id <<= 32
+		}
+		ix.AddText(id, "amber basalt cedar amber basalt")
 	}
 	return ix.Compact(), Concept{"amber": 1, "basalt": 0.9}
+}
+
+// hookTables registers the hook corpus's concept with small blocks
+// for each table shape, handing each to f as a subtest: "batch" is an
+// unflagged table, every value in a group-varint lane; "varint" is a
+// flagged one, whose 2^32 gaps travel as uvarint escapes.
+func hookTables(t *testing.T, f func(t *testing.T, c *Compact, concept Concept)) {
+	for _, shape := range []string{"batch", "varint"} {
+		t.Run(shape, func(t *testing.T) {
+			c, concept := hookCorpus(t, shape == "varint")
+			c.AddConceptBlocksSized(concept, 4)
+			if flagged := c.blocks[ConceptKey(concept)][0] == 0; flagged != (shape == "varint") {
+				t.Fatalf("table flagged %v", flagged)
+			}
+			f(t, c, concept)
+		})
+	}
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -31,55 +54,35 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 func TestCorruptPostingsHookPanics(t *testing.T) {
-	c, _ := hookCorpus(t)
+	c, _ := hookCorpus(t, false)
 	CorruptPostingsForTest(c, "amber")
 	mustPanic(t, "Postings on corrupt bytes", func() { c.Postings("amber") })
 }
 
 func TestCorruptConceptBlocksHookPanics(t *testing.T) {
-	for _, layout := range []string{"varint", "batch"} {
-		t.Run(layout, func(t *testing.T) {
-			c, concept := hookCorpus(t)
-			if layout == "batch" {
-				if !c.AddConceptBlocksBatchSized(concept, 4) {
-					t.Fatal("batch layout not registered")
-				}
-			} else {
-				c.AddConceptBlocksSized(concept, 4)
-			}
-			CorruptConceptBlocksForTest(c, concept)
-			mustPanic(t, "ConceptBlocks on corrupt table", func() { c.ConceptBlocks(concept) })
-		})
-	}
+	hookTables(t, func(t *testing.T, c *Compact, concept Concept) {
+		CorruptConceptBlocksForTest(c, concept)
+		mustPanic(t, "ConceptBlocks on corrupt table", func() { c.ConceptBlocks(concept) })
+	})
 }
 
 func TestCorruptConceptBlockPayloadHook(t *testing.T) {
-	for _, layout := range []string{"varint", "batch"} {
-		t.Run(layout, func(t *testing.T) {
-			c, concept := hookCorpus(t)
-			if layout == "batch" {
-				if !c.AddConceptBlocksBatchSized(concept, 4) {
-					t.Fatal("batch layout not registered")
-				}
-			} else {
-				c.AddConceptBlocksSized(concept, 4)
-			}
-			CorruptConceptBlockPayloadForTest(c, concept)
-			// The skip table must still decode — the hook's point is that
-			// the failure is deferred to the lazy per-block path.
-			bt, ok := c.ConceptBlocks(concept)
-			if !ok || bt == nil {
-				t.Fatal("payload hook broke the skip table too")
-			}
-			if _, _, err := bt.DecodeBlock(len(bt.Infos) - 1); err == nil {
-				t.Fatal("last block decoded despite corrupted payload")
-			}
-		})
-	}
+	hookTables(t, func(t *testing.T, c *Compact, concept Concept) {
+		CorruptConceptBlockPayloadForTest(c, concept)
+		// The skip table must still decode — the hook's point is that
+		// the failure is deferred to the lazy per-block path.
+		bt, ok := c.ConceptBlocks(concept)
+		if !ok || bt == nil {
+			t.Fatal("payload hook broke the skip table too")
+		}
+		if _, _, err := bt.DecodeBlock(len(bt.Infos) - 1); err == nil {
+			t.Fatal("last block decoded despite corrupted payload")
+		}
+	})
 }
 
 func TestQueryLists(t *testing.T) {
-	c, concept := hookCorpus(t)
+	c, concept := hookCorpus(t, false)
 	other := Concept{"cedar": 0.5}
 	lists := c.QueryLists(3, []Concept{concept, other})
 	if len(lists) != 2 {

@@ -813,10 +813,11 @@ func TestServerRejects(t *testing.T) {
 }
 
 // TestSwapIndexRejectsRetiredShapes: /swapindex takes index bytes off
-// the wire, so it accepts only the checksummed frame. The unframed
-// pre-framing layout and a framed body carrying section 2 (doc-max
-// metadata) both answer 400 and leave the served epoch where it was;
-// the same postings properly framed are swapped in.
+// the wire, so it accepts only a well-formed checksummed frame. The
+// unframed pre-framing layout, a framed body carrying section 2
+// (doc-max metadata) or section 3 (varint block tables), and one
+// repeating a concept key all answer 400 and leave the served epoch
+// where it was; the same postings properly framed are swapped in.
 func TestSwapIndexRejectsRetiredShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	compact := buildCompact(t, remoteCorpus(rng))
@@ -835,8 +836,7 @@ func TestSwapIndexRejectsRetiredShapes(t *testing.T) {
 		return resp.StatusCode
 	}
 	before := e.Health().Epoch
-	unframed, section2 := index.RetiredShapesForTest(compact)
-	for name, body := range map[string][]byte{"unframed": unframed, "section 2": section2} {
+	for name, body := range index.RejectedShapesForTest(compact) {
 		if code := swap(body); code != http.StatusBadRequest {
 			t.Errorf("%s body: status %d, want 400", name, code)
 		}

@@ -16,7 +16,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +27,7 @@ import (
 
 	"bestjoin/internal/engine"
 	"bestjoin/internal/index"
+	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
 
@@ -634,5 +638,84 @@ func TestShardEmptyAnswer(t *testing.T) {
 	}
 	if len(res.Docs) != 0 || res.Partial || res.Degraded {
 		t.Fatalf("empty query result = %+v", res)
+	}
+}
+
+// TestWideDocIDsEndToEnd serves a corpus whose document ids straddle
+// 2^32 — so every registered block table, and every table Partition
+// rebuilds, carries wide values — through the whole path:
+// AddConceptBlocks, Marshal, LoadCompact, a 3-way Partition and the
+// coordinator, conjunctive and disjunctive, graded bitwise against
+// joining Compact.QueryLists over the ids present.
+func TestWideDocIDsEndToEnd(t *testing.T) {
+	ids := []int{0, 1, math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 3,
+		1<<33 + 7, 1<<33 + 8, 5<<32 + 2, 1 << 39}
+	rng := rand.New(rand.NewSource(61))
+	ix := index.New()
+	for _, id := range ids {
+		words := make([]string, 8+rng.Intn(12))
+		for i := range words {
+			words[i] = shardVocab[rng.Intn(5)]
+		}
+		ix.AddText(id, strings.Join(words, " "))
+	}
+	built := ix.Compact()
+	concepts := []index.Concept{{"amber": 1, "basalt": 0.6}, {"cedar": 1, "delta": 0.8}, {"ember": 0.9}}
+	for _, c := range concepts {
+		built.AddConceptBlocks(c)
+	}
+	loaded, err := index.LoadCompact(built.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	reference := func(join engine.KernelFactory, minMatch int) []engine.DocResult {
+		kern := join()
+		var out []engine.DocResult
+		for _, d := range ids {
+			var sub match.Lists
+			for _, l := range loaded.QueryLists(d, concepts) {
+				if len(l) > 0 {
+					sub = append(sub, l)
+				}
+			}
+			if len(sub) < minMatch {
+				continue
+			}
+			kern.Reset(nil, sub)
+			if set, score, ok := kern.Join(); ok {
+				out = append(out, engine.DocResult{Doc: d, Score: score, Set: set.Clone()})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool {
+			return out[i].Score > out[j].Score || (out[i].Score == out[j].Score && out[i].Doc < out[j].Doc)
+		})
+		return out[:min(k, len(out))]
+	}
+	coord, err := New(loaded, Config{Shards: 3, Engine: engine.Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range shardFamilies() {
+		for _, mode := range []struct {
+			name     string
+			q        engine.Query
+			minMatch int
+		}{
+			{"AND", engine.Query{Mode: engine.ModeAND}, len(concepts)},
+			{"OR", engine.Query{Mode: engine.ModeOR}, 1},
+		} {
+			q := mode.q
+			q.Concepts, q.Join, q.K = concepts, fam.factory, k
+			got, err := coord.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reference(fam.factory, mode.minMatch)
+			if got.Degraded || got.Partial || len(want) == 0 || !docsEqual(got.Docs, want) {
+				t.Fatalf("%s %s: degraded=%v partial=%v\ngot:  %+v\nwant: %+v",
+					fam.name, mode.name, got.Degraded, got.Partial, got.Docs, want)
+			}
+		}
 	}
 }

@@ -65,9 +65,10 @@ fi
 # Coverage gate: the packages carrying the pruning machinery and the
 # decode/coalescing hot path must not silently lose test coverage.
 # Floors are measured-minus-two at the time each floor was recorded
-# (engine 94.2% and index 90.4% after the flat decode, the doc-max
-# metadata codec and the legacy file shape were deleted; scorefn 92.3%,
-# shard 98.7%); raise them when coverage rises.
+# (engine 94.2% after the flat decode, the doc-max metadata codec and
+# the legacy file shape were deleted; index 91.6% once group-varint with
+# its wide escape became the only block codec; scorefn 92.3%, shard
+# 98.7%); raise them when coverage rises.
 echo "== coverage floors =="
 check_cover() {
     pkg="$1"
@@ -88,7 +89,7 @@ check_cover() {
 }
 check_cover ./internal/engine/  92.2
 check_cover ./internal/scorefn/ 90.3
-check_cover ./internal/index/   88.4
+check_cover ./internal/index/   89.6
 check_cover ./internal/shard/   97.1
 check_cover ./internal/remote/  80.6
 
