@@ -84,6 +84,18 @@ func TestHandleQueryJSON(t *testing.T) {
 	if rec.Code != 400 {
 		t.Errorf("bad k: status %d, want 400", rec.Code)
 	}
+	// A k the engine would have to size a 2^40-entry heap for is the
+	// client's error, and the server answers the next query as before.
+	rec = httptest.NewRecorder()
+	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo,nba&k=1099511627776", nil))
+	if rec.Code != 400 {
+		t.Errorf("k=2^40: status %d, want 400", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo,nba&k=2", nil))
+	if rec.Code != 200 {
+		t.Errorf("query after k=2^40: status %d: %s", rec.Code, rec.Body)
+	}
 	// A WIN query wider than the kernel takes is the client's error,
 	// not a 200 whose every candidate was dropped by a kernel panic.
 	s.fn = "win"

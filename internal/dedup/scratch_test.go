@@ -62,6 +62,51 @@ func TestValidKernelZeroAlloc(t *testing.T) {
 	}
 }
 
+// flooredKernel is a kernel that takes a floor.
+type flooredKernel interface {
+	join.Kernel
+	join.Floored
+}
+
+// TestArmedKernelZeroAlloc is the same gate with the floor armed, for
+// the two kernels that screen: a warmed WIN or MED kernel, bare and
+// wrapped, allocates nothing per document whether the window screen
+// cuts it before the merge or lets it through to the program (and, for
+// the wrapper, to the search).
+func TestArmedKernelZeroAlloc(t *testing.T) {
+	for _, name := range []string{"win", "med"} {
+		for _, dups := range []int{0, 1, 3} {
+			lists := dupTokenLists(dups)
+			for _, wrapped := range []bool{false, true} {
+				k := innerKernels()[name].(flooredKernel)
+				if wrapped {
+					k = Wrap(k)
+				}
+				k.Reset(nil, lists)
+				_, score, ok := k.Join()
+				if !ok {
+					t.Fatalf("%s dups=%d wrapped=%v: no matchset", name, dups, wrapped)
+				}
+				for _, floor := range []float64{score, math.MaxFloat64} {
+					k.SetFloor(floor)
+					k.Reset(nil, lists)
+					k.Join() // warm-up under this floor
+					if cut := floor != score; k.WindowCut() != cut {
+						t.Fatalf("%s dups=%d wrapped=%v floor %v: WindowCut %v, want %v", name, dups, wrapped, floor, k.WindowCut(), cut)
+					}
+					allocs := testing.AllocsPerRun(50, func() {
+						k.Reset(nil, lists)
+						k.Join()
+					})
+					if allocs != 0 {
+						t.Errorf("%s dups=%d wrapped=%v floor %v: %v allocs per join, want 0", name, dups, wrapped, floor, allocs)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMemoCollisionsNeverSkip forces every removal set onto one hash:
 // the exact comparison must still tell distinct instances apart, so
 // the search explores exactly what it explores under the real hash.

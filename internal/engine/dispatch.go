@@ -64,14 +64,19 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 			for i := range fetch {
 				fetch[i].blk = -1
 			}
+			// Polled once per document: a non-blocking receive, where
+			// ctx.Err() locks a mutex the whole pool shares.
+			done := qs.ctx.Done()
 			for chunk := range jobs {
 				e.counters.queueDepth.Add(-int64(len(chunk)))
 				floor := top.entry()
 				for _, jb := range chunk {
 					// Drain without evaluating once the query is out of
 					// time; those documents count as unevaluated.
-					if qs.ctx.Err() != nil {
+					select {
+					case <-done:
 						continue
+					default:
 					}
 					bar := floor.bar(jb.doc)
 					if jb.bound < bar {

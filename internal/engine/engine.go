@@ -64,6 +64,10 @@ const (
 	DefaultQueueDepth    = 64
 )
 
+// MaxK caps Query.K: a larger K is a malformed query, refused before
+// any work is done, on every entry point and on the wire.
+const MaxK = 1 << 16
+
 // Config sizes the engine.
 type Config struct {
 	// Workers is the number of join workers per query; ≤ 0 means

@@ -314,8 +314,28 @@ func TestMalformedQueries(t *testing.T) {
 			t.Errorf("SearchSnapshot accepted concept weight %v", w)
 		}
 	}
+	// A K past MaxK is refused before any work, never sized into a heap:
+	// 2^40 slots would kill the process with an unrecoverable
+	// out-of-memory error. MaxK itself is served.
+	big := Query{Concepts: testConcepts(), Join: MEDJoiner(scorefn.ExpMED{Alpha: 0.1}), K: 1 << 40}
+	if _, err := e.Search(context.Background(), big); err == nil {
+		t.Error("Search accepted K = 2^40")
+	}
+	if _, err := e.SearchSnapshot(context.Background(), big, e.Snapshot()); err == nil {
+		t.Error("SearchSnapshot accepted K = 2^40")
+	}
 	if st := e.Stats(); st.Queries != 0 {
 		t.Errorf("malformed queries were admitted: %+v", st)
+	}
+	big.K = MaxK
+	if res, err := e.Search(context.Background(), big); err != nil || len(res.Docs) == 0 || len(res.Docs) > 10 {
+		t.Errorf("K = MaxK over 10 documents: %v, %+v", err, res)
+	}
+	for _, mode := range []QueryMode{ModeAND, ModeOR} {
+		big.K, big.Mode = MaxK+1, mode
+		if _, err := e.Search(context.Background(), big); err == nil {
+			t.Errorf("mode %v: Search accepted K = MaxK+1", mode)
+		}
 	}
 	// A concept with no corpus occurrences yields an empty, complete
 	// result, not an error.

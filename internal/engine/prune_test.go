@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -348,5 +349,63 @@ search:
 	}
 	if st := e.Stats(); st.WindowCutJoins != 2 || st.FloorCutJoins != 2 {
 		t.Fatalf("WindowCutJoins=%d FloorCutJoins=%d, want 2 and 2: documents 6 and 7, nothing that ties the floor", st.WindowCutJoins, st.FloorCutJoins)
+	}
+}
+
+// countingBound is a join.UpperBounded that counts its evaluations,
+// weighs each maximum by its position (so order matters), and panics
+// on a negative one.
+type countingBound struct {
+	join.Kernel
+	calls int
+}
+
+func (c *countingBound) ScoreUpperBound(perListMax []float64) float64 {
+	c.calls++
+	sum := 0.0
+	for i, m := range perListMax {
+		if m < 0 {
+			panic("negative maximum")
+		}
+		sum += float64(i+1) * m
+	}
+	return sum
+}
+
+// TestPlanBoundsRemembersEqualMaxima: a candidate whose maxima are its
+// predecessor's, bit for bit, takes the predecessor's bound without an
+// evaluation; any other maxima — another order, another value, a zero
+// of the other sign — are evaluated; and a panicking bound still
+// disables pruning for the query.
+func TestPlanBoundsRemembersEqualMaxima(t *testing.T) {
+	e := New(buildCompact(t, []string{"amber"}), Config{Workers: 1})
+	kern := &countingBound{}
+	factory := func() join.Kernel { return kern }
+	negZero := math.Copysign(0, -1)
+	maxima := [][2]float64{
+		{1, 0.5}, {1, 0.5}, {1, 0.5}, // remembered twice
+		{0.5, 1},                 // order
+		{0.5, 0.75},              // value
+		{0, 0.5}, {negZero, 0.5}, // -0 is not +0
+		{negZero, 0.5},
+		{1, 0.5}, // only the predecessor is remembered
+	}
+	wantCalls := 6
+	var perListMax []float64
+	for _, m := range maxima {
+		perListMax = append(perListMax, m[:]...)
+	}
+	bounds := e.planBounds(factory, make([]int, len(maxima)), perListMax, 2)
+	if kern.calls != wantCalls {
+		t.Fatalf("%d evaluations for %d candidates, want %d", kern.calls, len(maxima), wantCalls)
+	}
+	for i, m := range maxima {
+		if want := m[0] + 2*m[1]; bounds[i] != want {
+			t.Fatalf("candidate %d: bound %v, want %v", i, bounds[i], want)
+		}
+	}
+	perListMax[len(perListMax)-1] = -1
+	if bounds := e.planBounds(factory, make([]int, len(maxima)), perListMax, 2); bounds != nil || e.Stats().JoinPanics != 1 {
+		t.Fatalf("a panicking bound: bounds %v, JoinPanics %d, want nil and 1", bounds, e.Stats().JoinPanics)
 	}
 }

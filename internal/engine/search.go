@@ -29,7 +29,8 @@ type Query struct {
 	// Spec rides the wire, so one Query serves local and remote shards
 	// with identical kernels.
 	Spec KernelSpec
-	// K is the number of documents to return; ≤ 0 means DefaultK.
+	// K is the number of documents to return; ≤ 0 means DefaultK, and
+	// above MaxK is an error.
 	K int
 	// Mode selects conjunctive (ModeAND) or disjunctive (ModeOR)
 	// candidate generation; ModeDefault (the zero value) uses the
@@ -187,6 +188,9 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 			return nil, err
 		}
 		q.Join = f
+	}
+	if q.K > MaxK {
+		return nil, fmt.Errorf("engine: K %d out of range [0, %d]", q.K, MaxK)
 	}
 	k := q.K
 	if k <= 0 {
@@ -346,12 +350,15 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	pending := 0 // jobs appended but not yet shipped
 	ship := func() bool {
 		chunk := jobsBacking[len(jobsBacking)-pending:]
+		// Counted before the send: the receiving worker uncounts it at
+		// once, and the gauge must not read below zero meanwhile.
+		e.counters.queueDepth.Add(int64(len(chunk)))
 		select {
 		case jobs <- chunk:
-			e.counters.queueDepth.Add(int64(len(chunk)))
 			pending = 0
 			return true
 		case <-ctx.Done():
+			e.counters.queueDepth.Add(-int64(len(chunk)))
 			return false
 		}
 	}
@@ -441,7 +448,10 @@ func (e *Engine) finish(qs *queryState, res *Result, start time.Time) *Result {
 // — in the factory or in a bound evaluation — is recovered and
 // disables pruning for this query: running unpruned is always sound.
 // (Bound computation and ordering are split so the pair-index stage
-// can tighten bounds in between.)
+// can tighten bounds in between.) Maxima are block-level, so
+// consecutive candidates mostly carry the same ones: a candidate whose
+// maxima are the previous one's, bit for bit, takes its bound — the
+// same float, since the cap is a function of the maxima alone.
 func (e *Engine) planBounds(f KernelFactory, candidates []int, perListMax []float64, nc int) (bounds []float64) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -455,9 +465,25 @@ func (e *Engine) planBounds(f KernelFactory, candidates []int, perListMax []floa
 	}
 	bounds = make([]float64, len(candidates))
 	for i := range candidates {
-		bounds[i] = ub.ScoreUpperBound(perListMax[i*nc : (i+1)*nc])
+		maxima := perListMax[i*nc : (i+1)*nc]
+		if i > 0 && sameBits(maxima, perListMax[(i-1)*nc:i*nc]) {
+			bounds[i] = bounds[i-1]
+			continue
+		}
+		bounds[i] = ub.ScoreUpperBound(maxima)
 	}
 	return bounds
+}
+
+// sameBits reports whether a and b, of one length, hold the same
+// floats bit for bit (-0 is not +0).
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // boundOrder computes the bound-descending dispatch order (ties keep

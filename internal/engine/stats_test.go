@@ -174,6 +174,44 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	}
 }
 
+// TestOneWorkerCountsPinned pins the join counters of a seeded stream
+// — AND, OR and 2-of-3 queries under WIN and MED, bare and wrapped in
+// the valid-matchset search — at one worker, where every join sees a
+// bar that depends on the dispatch order alone. The values were
+// recorded before the window screen stopped reading a merged event
+// stream: a kernel that cuts exactly the documents it used to cut, and
+// a search that reruns exactly the sub-instances it used to, reproduce
+// them to the count.
+func TestOneWorkerCountsPinned(t *testing.T) {
+	compact := buildCompact(t, testCorpus(600, 31))
+	for _, c := range append(testConcepts(), overlapConcepts()...) {
+		compact.AddConceptBlocks(c)
+	}
+	e := New(compact, Config{Workers: 1})
+	for _, concepts := range [][]index.Concept{testConcepts(), overlapConcepts()} {
+		for _, family := range []string{"win", "med"} {
+			for _, valid := range []bool{true, false} {
+				for _, shape := range []struct {
+					mode     QueryMode
+					minMatch int
+				}{{ModeAND, 0}, {ModeOR, 0}, {ModeOR, 2}} {
+					q := Query{Concepts: concepts, Spec: KernelSpec{Family: family, Alpha: 0.1, Valid: valid},
+						K: 5, Mode: shape.mode, MinMatch: shape.minMatch}
+					if _, err := e.Search(context.Background(), q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	type counts struct{ joins, floorCuts, windowCuts, invocations uint64 }
+	st := e.Stats()
+	got := counts{st.JoinsRun, st.FloorCutJoins, st.WindowCutJoins, st.KernelInvocations}
+	if want := (counts{4504, 3654, 3585, 2848}); got != want {
+		t.Fatalf("JoinsRun, FloorCutJoins, WindowCutJoins, KernelInvocations %+v, want %+v", got, want)
+	}
+}
+
 // TestHistogramObserveEdges pins the histogram's two clamp branches:
 // a negative duration (clock skew between the two reads around a
 // query) lands in the lowest bucket instead of indexing with a

@@ -46,8 +46,11 @@ type topK struct {
 	shared *GlobalFloor
 }
 
+// newTopK sizes the heap for min(k, 64) entries and lets it grow by
+// append: a K near MaxK over a few candidates pays for the entries it
+// keeps, not for k.
 func newTopK(k int, shared *GlobalFloor) *topK {
-	t := &topK{k: k, h: make(docHeap, 0, k), shared: shared}
+	t := &topK{k: k, h: make(docHeap, 0, min(k, 64)), shared: shared}
 	t.floor.Store(math.Float64bits(math.Inf(-1)))
 	t.floorDoc.Store(math.MaxInt)
 	return t

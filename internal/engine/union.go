@@ -208,12 +208,13 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 	chunk := make([]docJob, 0, dispatchChunk)
 	var slab match.Lists
 	ship := func() bool {
+		e.counters.queueDepth.Add(int64(len(chunk))) // before the send, as in search
 		select {
 		case jobs <- chunk:
-			e.counters.queueDepth.Add(int64(len(chunk)))
 			chunk = make([]docJob, 0, dispatchChunk)
 			return true
 		case <-qs.ctx.Done():
+			e.counters.queueDepth.Add(-int64(len(chunk)))
 			qs.cancelled = true
 			return false
 		}

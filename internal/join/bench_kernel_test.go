@@ -7,14 +7,17 @@ package join_test
 //	go test -bench=BenchmarkKernel -benchmem ./internal/join/
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"bestjoin/internal/dedup"
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 	"bestjoin/internal/randinst"
+	"bestjoin/internal/scorefn"
 	"bestjoin/internal/synth"
 )
 
@@ -58,9 +61,10 @@ func BenchmarkKernelVsOneShot(b *testing.B) {
 // their first inner run and the rest search to their valid optimum.
 // The other two arms isolate the window screen: under floor=window-cut
 // no document can reach the floor and every join ends at the screen,
-// the merge and the window pass its whole cost; under floor=survivor the screen is armed
-// with a floor nothing falls below, so its difference from the
-// floorless arm is what the screen costs a document it lets through.
+// the screen — no merge — its whole cost; under floor=survivor the
+// screen is armed with a floor nothing falls below, so its difference
+// from the floorless arm is what the screen costs a document it lets
+// through.
 func BenchmarkValidKernel(b *testing.B) {
 	for _, tc := range kernelCases()[:2] { // win, med
 		for _, d := range []struct {
@@ -95,6 +99,60 @@ func BenchmarkValidKernel(b *testing.B) {
 						invocations += kern.Invocations()
 					}
 					b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
+				})
+			}
+		}
+	}
+}
+
+// flooredKernel is a kernel the window screen arms.
+type flooredKernel interface {
+	join.Kernel
+	join.Floored
+}
+
+// BenchmarkWindowScreen times one armed WIN or MED join at three and
+// five terms (up to 12 matches per list over 300 locations) on the two
+// kinds of document the window screen sees: /cut, one whose cap is
+// below the floor, so the join is the screen alone — a pass over each
+// list and a sweep over their heads, no merge — and /pass, the same
+// lists with a tight cluster of perfect matches added whose score is
+// the floor itself, so the screen lets it through to the merge and the
+// dynamic program. Both must read 0 allocs/op.
+func BenchmarkWindowScreen(b *testing.B) {
+	for _, kc := range []struct {
+		name  string
+		build func() flooredKernel
+	}{
+		{"win", func() flooredKernel { return join.NewWINKernel(scorefn.ExpWIN{Alpha: 0.1}) }},
+		{"med", func() flooredKernel { return join.NewMEDKernel(scorefn.ExpMED{Alpha: 0.1}) }},
+	} {
+		for _, q := range []int{3, 5} {
+			rng := rand.New(rand.NewSource(int64(q)))
+			cut := randinst.Lists(rng, randinst.Config{Terms: q, MaxPerList: 12, MaxLoc: 300})
+			pass := make(match.Lists, q)
+			for j, l := range cut {
+				pass[j] = append(l.Clone(), match.Match{Loc: 400 + j, Score: 1})
+			}
+			kern := kc.build()
+			kern.Reset(nil, pass)
+			_, floor, _ := kern.Join()
+			kern.SetFloor(floor)
+			for _, doc := range []struct {
+				name  string
+				lists match.Lists
+				cut   bool
+			}{{"cut", cut, true}, {"pass", pass, false}} {
+				b.Run(fmt.Sprintf("%s/w%d/%s", kc.name, q, doc.name), func(b *testing.B) {
+					kern.Reset(nil, doc.lists)
+					if _, _, ok := kern.Join(); ok == doc.cut || kern.WindowCut() != doc.cut {
+						b.Fatalf("ok %v, WindowCut %v: the document is not the kind it is named for", ok, kern.WindowCut())
+					}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						kern.Reset(nil, doc.lists)
+						kern.Join()
+					}
 				})
 			}
 		}

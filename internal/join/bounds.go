@@ -15,7 +15,10 @@ import "bestjoin/internal/scorefn"
 // under restrictions that only shrink the feasible matchset space,
 // such as the duplicate-avoidance wrapper. Never-prune-on-equality is
 // the engine's side of the bargain; the kernel's bound only has to
-// dominate, not to be tight.
+// dominate, not to be tight. The bound must be a function of
+// perListMax alone, which it leaves as it found it: the engine reads
+// the maxima again, and gives candidates with bit-identical maxima one
+// evaluation.
 type UpperBounded interface {
 	ScoreUpperBound(perListMax []float64) float64
 }

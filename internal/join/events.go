@@ -7,16 +7,18 @@ import (
 )
 
 // eventStream is a kernel's loaded instance in merged form, and the
-// window screen that form makes possible. load merges the lists once
-// into a flat reused slice in exactly match.Merger's order (location,
-// then term index, then list position); the kernel's dynamic program
-// then iterates the slice instead of re-merging. A kernel armed with a
-// top-k floor (join.Floored) first makes one linear pass over the
-// slice (window) for what a proximity-aware score cap needs — each
-// list's maximum match score and the smallest window holding one match
-// of every term — and drops a document whose cap
-// (scorefn.WindowCapWIN/MED) is strictly below the floor before
-// running the program, or evaluating a single g_j, at all.
+// window screen that decides whether the merge is worth making. load
+// merges the lists once into a flat reused slice in exactly
+// match.Merger's order (location, then term index, then list
+// position); the kernel's dynamic program then iterates the slice
+// instead of re-merging. A kernel armed with a top-k floor
+// (join.Floored) first reads the unmerged lists (screen) for what a
+// proximity-aware score cap needs — each list's maximum match score and
+// the smallest window holding one match of every term — and drops a
+// document whose cap (scorefn.WindowCapWIN/MED) is strictly below the
+// floor before merging it, running the program, or evaluating g for
+// anything but the list maxima. Only documents the screen lets through
+// are merged; an unarmed kernel merges without screening.
 type eventStream struct {
 	events []match.Event
 	terms  []termScan // one per list
@@ -30,14 +32,12 @@ type eventStream struct {
 	inline [8]termScan
 }
 
-// termScan is one list's state: during load its merge cursor, with the
-// location of its next match cached beside it so the scan for the
-// smallest stays within one small array; during window what the screen
-// gathers.
+// termScan is one list's cursor, with the location of its next match
+// cached beside it so the scan for the smallest stays within one small
+// array: during load the merge's, during screen the head sweep's.
 type termScan struct {
 	loc, pos, n int     // next match's location and index; the list's length
-	last        int     // location of the latest match passed
-	smax        float64 // largest match score passed; a NaN never is
+	smax        float64 // screen: the list's largest match score; a NaN never is
 }
 
 // SetFloor arms the following Joins with a top-k floor (Floored). Only
@@ -63,14 +63,19 @@ func (s *eventStream) cutBy(bound float64) bool {
 	return s.cut
 }
 
-// load starts a Join: it merges lists into s.events. It reports false,
-// having merged nothing, when the instance is not complete and so has
-// no matchset.
-func (s *eventStream) load(lists match.Lists) bool {
+// scan sizes the per-list cursors for lists and clears the cut. It
+// reports false, sizing nothing, when the instance is not complete and
+// so has no matchset.
+func (s *eventStream) scan(lists match.Lists) bool {
 	s.cut = false
 	q := len(lists)
 	if q == 0 {
 		return false
+	}
+	for _, l := range lists {
+		if len(l) == 0 {
+			return false
+		}
 	}
 	if cap(s.terms) < q {
 		s.terms = s.inline[:]
@@ -78,13 +83,20 @@ func (s *eventStream) load(lists match.Lists) bool {
 			s.terms = make([]termScan, q)
 		}
 	}
-	terms := s.terms[:q]
-	s.terms = terms
+	s.terms = s.terms[:q]
+	return true
+}
+
+// load starts a Join's program: it merges lists into s.events. It
+// reports false, having merged nothing, when the instance is not
+// complete.
+func (s *eventStream) load(lists match.Lists) bool {
+	if !s.scan(lists) {
+		return false
+	}
+	terms := s.terms
 	total := 0
 	for j, l := range lists {
-		if len(l) == 0 {
-			return false
-		}
 		terms[j] = termScan{loc: l[0].Loc, n: len(l)}
 		total += len(l)
 	}
@@ -117,53 +129,65 @@ func (s *eventStream) load(lists match.Lists) bool {
 	return true
 }
 
-// window passes over the loaded events once for the screen: wmin, the
+// screen reads the lists, unmerged, for the window screen: wmin, the
 // smallest window holding one match of every term, and the sum over
 // terms of g_j of the list's maximum score — in term order — with the
-// sum of their magnitudes, the form scorefn's window caps take. ok is
-// false when the events are not in location order (a list was not
-// sorted), which wmin's scan relies on. A g that is NaN or infinite
-// carries into the cap, which then cuts nothing.
+// sum of their magnitudes, the form scorefn's window caps take. It
+// clears the cut. ok is false when the instance is not complete, or
+// when a list is not in location order, which the sweep relies on. A g
+// that is NaN or infinite carries into the cap, which then cuts
+// nothing.
 //
-// wmin is the least, over events, of the event's location minus the
-// smallest of the terms' latest locations, once every term has been
-// seen. That smallest location only moves when the term holding it
-// (minTerm) advances, and until then the windows ending at later
-// events only widen: rescan on minTerm alone.
-func (s *eventStream) window(memo *gMemo) (wmin int, gsum, mag float64, ok bool) {
+// One pass per list takes its maximum score and checks its order; the
+// comparisons are the ones a pass over the merged events would make,
+// list by list, so the maximum is the same float to the bit (a -0 and
+// a +0 included). Then one sweep over the lists' heads finds wmin:
+// every window [lo, hi] holding one match of each term is at least as
+// wide as the one whose matches are, for each term, its first at or
+// after lo; so record max head − min head, advance the list holding the
+// smallest head, and stop when that list runs out (or the window is
+// empty: none is narrower). This is the merged pass's wmin because a
+// merge of the lists is in location order exactly when every list is,
+// and the smallest range holding one element of every list is what
+// that pass computes.
+func (s *eventStream) screen(lists match.Lists, memo *gMemo) (wmin int, gsum, mag float64, ok bool) {
+	if !s.scan(lists) {
+		return 0, 0, 0, false
+	}
 	terms := s.terms
-	for j := range terms {
-		terms[j].smax = math.Inf(-1)
+	hi := math.MinInt
+	for j, l := range lists {
+		smax, prev := math.Inf(-1), l[0].Loc
+		for i := range l {
+			m := &l[i]
+			if m.Loc < prev {
+				return 0, 0, 0, false
+			}
+			prev = m.Loc
+			if m.Score > smax {
+				smax = m.Score
+			}
+		}
+		terms[j] = termScan{loc: l[0].Loc, n: len(l), smax: smax}
+		hi = max(hi, l[0].Loc)
 	}
 	wmin = math.MaxInt
-	seen, minTerm, prev := 0, -1, math.MinInt
-	for i := range s.events {
-		ev := &s.events[i]
-		loc := ev.M.Loc
-		if loc < prev {
-			return 0, 0, 0, false
-		}
-		prev = loc
-		t := &terms[ev.Term]
-		if ev.M.Score > t.smax {
-			t.smax = ev.M.Score
-		}
-		t.last = loc
-		if ev.Pos == 0 {
-			if seen++; seen == len(terms) {
-				minTerm = ev.Term // every term seen: first scan
+	for {
+		low, lo := 0, terms[0].loc
+		for j := 1; j < len(terms); j++ {
+			if terms[j].loc < lo {
+				low, lo = j, terms[j].loc
 			}
 		}
-		if ev.Term == minTerm {
-			lo := terms[0].last
-			minTerm = 0
-			for j := 1; j < len(terms); j++ {
-				if terms[j].last < lo {
-					lo, minTerm = terms[j].last, j
-				}
-			}
-			wmin = min(wmin, loc-lo)
+		if wmin = min(wmin, hi-lo); wmin == 0 {
+			break
 		}
+		t := &terms[low]
+		if t.pos++; t.pos == t.n {
+			break
+		}
+		t.loc = lists[low][t.pos].Loc
+		hi = max(hi, t.loc)
 	}
 	for j := range terms {
 		g := memo.g(j, terms[j].smax)

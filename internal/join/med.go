@@ -15,7 +15,7 @@ import (
 // merged event stream, and the candidate/output matchset buffers. See
 // the Kernel interface for the reuse and ownership contract. It is
 // Floored: armed with a top-k floor, Join returns ok == false — before
-// building any envelope — for an instance whose window upper bound
+// merging the lists or building any envelope — for an instance whose window upper bound
 // (scorefn.WindowCapMED) is strictly below the floor.
 type MEDKernel struct {
 	fn          scorefn.MED
@@ -103,13 +103,13 @@ func (k *MEDKernel) Join() (best match.Set, score float64, ok bool) {
 	lists := k.lists
 	q := len(lists)
 	k.grow(q)
-	if !k.load(lists) {
-		return nil, 0, false
-	}
 	if k.armed {
-		if wmin, total, mag, ok := k.window(&k.g); ok && k.cutBy(scorefn.WindowCapMED(k.fn, total, mag, wmin)) {
+		if wmin, total, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(scorefn.WindowCapMED(k.fn, total, mag, wmin)) {
 			return nil, 0, false
 		}
+	}
+	if !k.load(lists) {
+		return nil, 0, false
 	}
 	for j := range lists {
 		k.entries[j] = envelope.PrecomputeInto(k.entries[j][:0], lists[j], k.contribs[j])

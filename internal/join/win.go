@@ -81,8 +81,8 @@ func (a *winArena) alloc(term int, m match.Match, prev *winNode) *winNode {
 // arena, the g_j memo, the merged event stream, and the output
 // matchset buffer. See the Kernel interface for the reuse and
 // ownership contract. It is Floored: armed with a top-k floor, Join
-// returns ok == false — before touching the subset table or the arena
-// — for an instance whose window upper bound
+// returns ok == false — before merging the lists or touching the subset
+// table — for an instance whose window upper bound
 // (scorefn.WindowCapWIN) is strictly below the floor.
 type WINKernel struct {
 	fn          scorefn.WIN
@@ -130,13 +130,13 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 		panic(fmt.Sprintf("join: WIN supports at most %d query terms, got %d", MaxWINTerms, q))
 	}
 	k.g.grow(q)
-	if !k.load(lists) {
-		return nil, 0, false
-	}
 	if k.armed {
-		if wmin, gsum, mag, ok := k.window(&k.g); ok && k.cutBy(scorefn.WindowCapWIN(k.fn, gsum, mag, wmin)) {
+		if wmin, gsum, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(scorefn.WindowCapWIN(k.fn, gsum, mag, wmin)) {
 			return nil, 0, false
 		}
+	}
+	if !k.load(lists) {
+		return nil, 0, false
 	}
 	fn := k.fn
 	if cap(k.states) < 1<<q {

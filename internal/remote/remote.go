@@ -53,12 +53,11 @@ const (
 	maxTermLen = 1 << 10
 	// maxTermsPerConcept caps one concept's expansion size.
 	maxTermsPerConcept = 1 << 12
-	// maxK caps the requested result size.
-	maxK = 1 << 16
 	// maxBudget caps the query's deadline budget.
 	maxBudget = time.Hour
-	// maxWireDocs caps the document rows in one wire result.
-	maxWireDocs = maxK
+	// maxWireDocs caps the document rows in one wire result at the cap
+	// on K itself (engine.MaxK), which Validate enforces on the query.
+	maxWireDocs = engine.MaxK
 	// maxWireMatches caps one document's matchset length.
 	maxWireMatches = 1 << 16
 	// maxWireCount caps each of the result's candidate-accounting
@@ -182,8 +181,8 @@ func (wq *WireQuery) Validate() error {
 			}
 		}
 	}
-	if wq.K < 0 || wq.K > maxK {
-		return fmt.Errorf("remote: k %d out of range [0, %d]", wq.K, maxK)
+	if wq.K < 0 || wq.K > engine.MaxK {
+		return fmt.Errorf("remote: k %d out of range [0, %d]", wq.K, engine.MaxK)
 	}
 	switch wq.Mode {
 	case "", "and", "or":

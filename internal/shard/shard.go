@@ -259,6 +259,9 @@ func (c *Coordinator) Search(ctx context.Context, q engine.Query) (*engine.Resul
 	if err := q.CheckWidth(); err != nil {
 		return nil, err // once here, not once per shard
 	}
+	if q.K > engine.MaxK {
+		return nil, fmt.Errorf("shard: K %d out of range [0, %d]", q.K, engine.MaxK)
+	}
 	start := time.Now()
 	k := q.K
 	if k <= 0 {

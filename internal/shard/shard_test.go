@@ -452,8 +452,13 @@ func TestShardSearchErrors(t *testing.T) {
 	if _, err := coord.Search(context.Background(), wide); !errors.Is(err, engine.ErrQueryTooWide) {
 		t.Fatalf("25-concept WIN query: err %v, want ErrQueryTooWide", err)
 	}
+	// So is a K past engine.MaxK.
+	big := engine.Query{Concepts: []index.Concept{{"amber": 1.0}}, Spec: wide.Spec, K: engine.MaxK + 1}
+	if _, err := coord.Search(context.Background(), big); err == nil {
+		t.Fatal("K past MaxK accepted")
+	}
 	if st := coord.Stats(); st.ShardQueries != 4 || st.JoinPanics != 0 {
-		t.Fatalf("too-wide query reached the shards: ShardQueries %d (want the 4 of the two queries above), JoinPanics %d", st.ShardQueries, st.JoinPanics)
+		t.Fatalf("too-wide or too-deep query reached the shards: ShardQueries %d (want the 4 of the two queries above), JoinPanics %d", st.ShardQueries, st.JoinPanics)
 	}
 }
 

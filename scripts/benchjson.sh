@@ -82,6 +82,13 @@ medianize() {
 echo "== go test -bench=BenchmarkValidKernel -benchmem (benchtime=20000x, count=$COUNT) =="
 go test -run='^$' -bench='BenchmarkValidKernel' -benchmem -benchtime=20000x -count="$COUNT" ./internal/join/ | tee -a "$RAW"
 
+# The window screen on its own: one armed WIN/MED join at three and
+# five terms on a document the screen cuts before any merge (/cut) and
+# on one it lets through to the merge and the program (/pass); 0
+# allocs/op for both.
+echo "== go test -bench=BenchmarkWindowScreen -benchmem (benchtime=20000x, count=$COUNT) =="
+go test -run='^$' -bench='BenchmarkWindowScreen' -benchmem -benchtime=20000x -count="$COUNT" ./internal/join/ | tee -a "$RAW"
+
 medianize "$RAW" > "$MED"
 if [ "${BENCH_SAVE_BASELINE:-}" = "1" ]; then
     # Provenance first (the parsers read only ^Benchmark lines; a -N
