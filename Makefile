@@ -30,6 +30,7 @@ fuzz:
 	go test -run=Fuzz -fuzz=FuzzLoadFile -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBlocks -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/index/
+	go test -run=Fuzz -fuzz=FuzzBlockDocs -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodePairs -fuzztime=30s ./internal/index/
 
 # CPU and heap profiles of the cold/cached engine benchmark, for

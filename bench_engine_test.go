@@ -170,7 +170,22 @@ func BenchmarkEngineCoalesced(b *testing.B) {
 		b.Fatal("baseline query decoded no blocks; coalescing benchmark is vacuous")
 	}
 
-	run := func(b *testing.B, cfg bestjoin.EngineConfig) bestjoin.EngineStats {
+	// round runs conc copies of q at once against a cold cache.
+	round := func(b *testing.B, e *bestjoin.Engine) {
+		e.ResetCache()
+		var wg sync.WaitGroup
+		for g := 0; g < conc; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := e.Search(context.Background(), q); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	run := func(b *testing.B, cfg bestjoin.EngineConfig) (*bestjoin.Engine, bestjoin.EngineStats) {
 		// Coalescing only fires when goroutines actually overlap inside
 		// the decode window; on a single-core host the 8 query
 		// goroutines serialize and every fetch finds the leader's
@@ -186,39 +201,40 @@ func BenchmarkEngineCoalesced(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ResetCache()
-			var wg sync.WaitGroup
-			for g := 0; g < conc; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := e.Search(context.Background(), q); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
+			round(b, e)
 		}
 		b.StopTimer()
 		st := e.Stats()
 		b.ReportMetric(float64(st.BlockDecodes)/float64(b.N), "blockdecodes/op")
 		b.ReportMetric(float64(st.CoalescedDecodes)/float64(b.N), "coalesceddecodes/op")
 		b.ReportMetric(float64(st.DecodeWaits)/float64(b.N), "decodewaits/op")
-		return st
+		return e, st
 	}
 
 	b.Run("coalesced", func(b *testing.B) {
-		st := run(b, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true})
+		e, st := run(b, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true})
 		if got := st.BlockDecodes / uint64(b.N); got > single+2 {
 			b.Fatalf("%d concurrent queries decoded %d blocks/op; single query needs %d — coalescing not collapsing shared decodes",
 				conc, got, single)
 		}
-		if st.CoalescedDecodes == 0 {
-			b.Fatalf("coalesced arm shared no decodes across %d concurrent queries; the arm is not exercising the layer", conc)
+		// A block's entry builds in microseconds, so the first query to
+		// reach its joins can build every entry before another arrives:
+		// one cold round shares no build about a third of the time.
+		// Sharing is judged over at least minRounds rounds — a run that
+		// timed fewer (the probe, -benchtime=1x) is topped up, untimed.
+		const minRounds = 12
+		shared := st.CoalescedDecodes
+		for r := b.N; shared == 0 && r < minRounds; r++ {
+			round(b, e)
+			shared = e.Stats().CoalescedDecodes
+		}
+		if shared == 0 {
+			b.Fatalf("coalesced arm shared no decodes across %d rounds of %d concurrent queries; the arm is not exercising the layer",
+				max(b.N, minRounds), conc)
 		}
 	})
 	b.Run("nocoalesce", func(b *testing.B) {
-		st := run(b, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true, DisableCoalescing: true})
+		_, st := run(b, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true, DisableCoalescing: true})
 		if st.CoalescedDecodes != 0 || st.DecodeWaits != 0 {
 			b.Fatalf("coalescing disabled but stats show %d coalesced / %d waits",
 				st.CoalescedDecodes, st.DecodeWaits)

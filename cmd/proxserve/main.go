@@ -114,7 +114,7 @@ func main() {
 		alpha   = flag.Float64("alpha", 0.1, "distance-decay rate for the exp scoring functions")
 		k       = flag.Int("k", 5, "number of documents to return per query")
 		workers = flag.Int("workers", 0, "join workers per query (0 = GOMAXPROCS)")
-		cache   = flag.Int("cache", 0, "match-list cache capacity in decoded blocks of ~128 documents (0 = default)")
+		cache   = flag.Int("cache", 0, "match-list cache capacity in blocks of ~128 documents, each document decoded on first need (0 = default)")
 		cacheB  = flag.Int64("cache-bytes", 0, "additionally bound the match-list cache to this many bytes (0 = block count only)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-query deadline")
 		noprune = flag.Bool("noprune", false, "disable lossless max-score pruning (baseline mode)")

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"bestjoin/internal/faultinject"
@@ -16,12 +18,16 @@ import (
 // (FirstDoc, LastDoc) range, and a block's document directory (one
 // short group-varint stream) is decoded only when the walk actually
 // needs ids inside it.
-// Match areas are decoded lazily, per block, by the join workers — in
-// parallel — and only for blocks that still matter when a worker
-// reaches them: a candidate block whose block-max score upper bound has
-// fallen strictly below the top-k floor is pruned below decode, its
-// bytes never touched. Stats().BlocksSkipped counts those;
-// Stats().BlockDecodes counts the blocks that were decoded.
+// Match areas are decoded lazily by the join workers — in parallel —
+// and only for blocks that still matter when a worker reaches them: a
+// candidate block whose block-max score upper bound has fallen strictly
+// below the top-k floor is pruned below decode, its bytes never
+// touched. Stats().BlocksSkipped counts those. A block that is needed
+// becomes a list-cache entry — its directory and match-area offsets
+// (index.BlockDocs), Stats().BlockDecodes counting each one built — and
+// each of its documents decodes on first need, once, into the entry:
+// a query that needs two documents of a block decodes two, not the
+// whole block.
 //
 // Soundness (DESIGN.md): a block's MaxScore is ≥ every per-document
 // maximum inside it, the UpperBound hooks are monotone non-decreasing
@@ -189,25 +195,29 @@ func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []in
 	}
 }
 
-// blockFetch memoizes one worker's most recent block per concept, and
-// the position of the last document served from it: bound-tied
-// documents keep ascending id order through dispatch, so consecutive
-// jobs usually share a block — skipping the skip-table search and even
-// the cache Get — and often sit at neighbouring positions.
+// blockFetch memoizes one worker's most recent block entry per
+// concept, and the position of the last document served from it:
+// bound-tied documents keep ascending id order through dispatch, so
+// consecutive jobs usually share a block — skipping the skip-table
+// search and even the cache Get — and often sit at neighbouring
+// positions. scratch holds a document this worker had to decode
+// outside the entry (docList); it is valid until the next such decode
+// for the same concept, which is after the job that asked for it ran.
 type blockFetch struct {
-	blk   int
-	di    int
-	docs  []int
-	lists []match.List
+	blk     int
+	di      int
+	ent     *listEntry
+	scratch match.List
 }
 
-// list returns doc's match list under concept cd: locate
-// the document's block, fetch its decoded form (worker memo → list
-// cache → decode), and find the document in it. The memo only
-// short-cuts the two searches — blocks cover disjoint id ranges and a
-// block lists a document once — so the answer does not depend on what
-// the worker served before. false means the document is not there
-// (unreachable for a generated candidate) or a decode failed.
+// list returns doc's match list under concept cd: locate the
+// document's block, fetch its entry (worker memo → list cache → index
+// the block), find the document in it, and decode its matches unless
+// the entry already holds them. The memo only short-cuts the two
+// searches — blocks cover disjoint id ranges and a block lists a
+// document once — so the answer does not depend on what the worker
+// served before. false means the document is not there (unreachable
+// for a generated candidate) or a decode failed.
 func (f *blockFetch) list(e *Engine, qs *queryState, cd *conceptData, doc int) (match.List, bool) {
 	bt := cd.blocks.bt
 	if f.blk < 0 || doc < bt.Infos[f.blk].FirstDoc || doc > bt.Infos[f.blk].LastDoc {
@@ -215,28 +225,29 @@ func (f *blockFetch) list(e *Engine, qs *queryState, cd *conceptData, doc int) (
 		if blk < 0 {
 			return nil, false
 		}
-		docs, lists, ok := e.fetchBlock(qs, cd, blk)
+		ent, ok := e.fetchBlock(qs, cd, blk)
 		if !ok {
 			return nil, false
 		}
-		f.blk, f.di, f.docs, f.lists = blk, -1, docs, lists
+		f.blk, f.di, f.ent = blk, -1, ent
 	}
+	docs := f.ent.bd.Docs
 	di := f.di + 1
-	if di >= len(f.docs) || f.docs[di] != doc {
-		di = sort.SearchInts(f.docs, doc)
-		if di == len(f.docs) || f.docs[di] != doc {
+	if di >= len(docs) || docs[di] != doc {
+		di = sort.SearchInts(docs, doc)
+		if di == len(docs) || docs[di] != doc {
 			return nil, false
 		}
 	}
 	f.di = di
-	return f.lists[di], true
+	return e.docList(qs, f.ent, di, &f.scratch)
 }
 
-// fillLists completes a job's match lists on a worker — lazy per-block
-// decode fanned out across the pool. A conjunctive job (mask == 0) has
-// one slot per concept; a disjunctive job one slot per set bit of
-// jb.mask, in ascending concept order. false means a decode failed and
-// the document must be dropped.
+// fillLists completes a job's match lists on a worker — lazy
+// per-document decode fanned out across the pool. A conjunctive job
+// (mask == 0) has one slot per concept; a disjunctive job one slot per
+// set bit of jb.mask, in ascending concept order. false means a decode
+// failed and the document must be dropped.
 func (e *Engine) fillLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch) bool {
 	s := 0
 	for j, cd := range cds {
@@ -253,54 +264,178 @@ func (e *Engine) fillLists(qs *queryState, cds []*conceptData, jb docJob, fetch 
 	return true
 }
 
-// fetchBlock returns one decoded block via the list cache (entries are
-// keyed by block index). Cache misses route through the flight
-// group (coalesce.go) so concurrent misses on the same block — within
-// one query's worker pool or across queries sharing a concept —
-// perform a single decode. The fetched bit records that the block was
-// needed; candidate blocks with the bit still clear at query end were
-// pruned below decode.
-func (e *Engine) fetchBlock(qs *queryState, cd *conceptData, blk int) (docs []int, lists []match.List, ok bool) {
+// fetchBlock returns one block's entry via the list cache (entries are
+// keyed by block index). Cache misses route through the flight group
+// (coalesce.go) so concurrent misses on the same block — within one
+// query's worker pool or across queries sharing a concept — index it
+// once. The fetched bit records that the block was needed; candidate
+// blocks with the bit still clear at query end were pruned below
+// decode.
+func (e *Engine) fetchBlock(qs *queryState, cd *conceptData, blk int) (*listEntry, bool) {
 	key := listKey{epoch: qs.epoch, blk: blk, fp: cd.fp}
-	if ent, hit := e.lists.Get(key); hit && !faultinject.ForceMiss(faultinject.ListCacheMiss) {
-		e.counters.listHits.Add(1)
-		cd.fetched[blk/64].Or(1 << (blk % 64))
-		return ent.docs, ent.lists, true
+	if ent, hit := e.cachedEntry(cd, blk, key); hit {
+		return ent, true
 	}
 	if e.coalesce {
 		return e.fetchCoalesced(qs, cd, blk, key)
 	}
 	e.counters.listMisses.Add(1)
-	docs, lists, ok = e.decodeBlock(qs, cd, blk)
+	ent, ok := e.buildEntry(qs, cd, blk)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	cd.fetched[blk/64].Or(1 << (blk % 64))
-	e.lists.Put(key, listEntry{docs: docs, lists: lists})
-	return docs, lists, true
+	e.lists.Put(key, ent)
+	return ent, true
 }
 
-// decodeBlock decodes one block's match area under recover (the
-// ConceptDecode injection site simulates corrupt bytes here too). A
-// failure drops only the documents that needed this block, never the
-// query — and never writes conceptData fields, which belong to the
-// dispatcher goroutine.
-func (e *Engine) decodeBlock(qs *queryState, cd *conceptData, blk int) (docs []int, lists []match.List, ok bool) {
+// cachedEntry is the list-cache hit path: block blk's entry if the
+// cache holds it, with the hit counted and the block marked fetched.
+func (e *Engine) cachedEntry(cd *conceptData, blk int, key listKey) (*listEntry, bool) {
+	ent, hit := e.lists.Get(key)
+	if !hit || faultinject.ForceMiss(faultinject.ListCacheMiss) {
+		return nil, false
+	}
+	e.counters.listHits.Add(1)
+	cd.fetched[blk/64].Or(1 << (blk % 64))
+	return ent, true
+}
+
+// buildEntry builds a list-cache entry for block blk: its directory
+// and match-area offsets, no match decoded yet (Stats().BlockDecodes
+// counts these). A failure (corrupt bytes) drops only the documents
+// that needed this block, never the query — and never writes
+// conceptData fields, which belong to the dispatcher goroutine.
+func (e *Engine) buildEntry(qs *queryState, cd *conceptData, blk int) (*listEntry, bool) {
+	faultinject.MaybeSleep(faultinject.DecodeLatency)
+	bd, err := cd.blocks.bt.DecodeBlockDocs(blk)
+	if err != nil {
+		e.counters.decodeFailures.Add(1)
+		qs.degraded.Store(true)
+		return nil, false
+	}
+	e.counters.blockDecodes.Add(1)
+	return newListEntry(bd), true
+}
+
+// newListEntry wraps an indexed block as a cache entry with every
+// document still to decode.
+func newListEntry(bd index.BlockDocs) *listEntry {
+	n := len(bd.Docs)
+	maxCount := 0
+	for d := range n {
+		maxCount = max(maxCount, bd.Count(d))
+	}
+	return &listEntry{bd: bd, lists: make([]match.List, n), state: make([]atomic.Uint32, n),
+		slack: arenaSlack(bd.Total, maxCount)}
+}
+
+// Slot states of a listEntry document. A slot goes empty → claimed →
+// ready once; a claim whose decode failed goes back to empty, keeping
+// the arena room it took for the next claim, so an injected or
+// transient fault never poisons the cached entry.
+const (
+	slotEmpty uint32 = iota
+	slotClaimed
+	slotReady
+)
+
+// docList returns document d of entry ent, decoding it on first need.
+// The goroutine that claims the slot decodes into the entry's arena
+// and publishes the list with a release store; a caller that finds the
+// slot claimed by someone else does not wait — it decodes into its own
+// scratch.
+func (e *Engine) docList(qs *queryState, ent *listEntry, d int, scratch *match.List) (match.List, bool) {
+	st := &ent.state[d]
+	if st.Load() == slotReady {
+		return ent.lists[d], true
+	}
+	if st.CompareAndSwap(slotEmpty, slotClaimed) {
+		n := ent.bd.Count(d)
+		dst := ent.lists[d][:0] // room an earlier, failed claim took
+		if cap(dst) < n {
+			dst = ent.arena.take(n, ent.bd.Total)
+		}
+		l, ok := e.decodeDoc(qs, &ent.bd, d, dst)
+		if !ok {
+			ent.lists[d] = dst
+			st.Store(slotEmpty)
+			return nil, false
+		}
+		ent.lists[d] = l
+		st.Store(slotReady)
+		return l, true
+	}
+	l, ok := e.decodeDoc(qs, &ent.bd, d, (*scratch)[:0])
+	if ok {
+		*scratch = l
+	}
+	return l, ok
+}
+
+// decodeDoc appends document d's matches to dst under recover (the
+// ConceptDecode injection site simulates corrupt bytes here). A
+// failure drops only the documents whose decode failed; each failed
+// decode counts once in Stats().DecodeFailures.
+func (e *Engine) decodeDoc(qs *queryState, bd *index.BlockDocs, d int, dst match.List) (l match.List, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.counters.decodeFailures.Add(1)
 			qs.degraded.Store(true)
-			docs, lists, ok = nil, nil, false
+			l, ok = nil, false
 		}
 	}()
-	faultinject.MaybeSleep(faultinject.DecodeLatency)
 	faultinject.MaybePanic(faultinject.ConceptDecode)
-	d, l, err := cd.blocks.bt.DecodeBlock(blk)
+	l, err := bd.DecodeDoc(dst, d)
 	if err != nil {
 		e.counters.decodeFailures.Add(1)
 		qs.degraded.Store(true)
-		return nil, nil, false
+		return nil, false
 	}
-	e.counters.blockDecodes.Add(1)
-	return d, l, true
+	return l, true
+}
+
+// matchArena is a list-cache entry's match storage: documents decoded
+// into the entry take their room by bump allocation from chunks of
+// plain matches (no pointers for the GC to mark) that double in size
+// up to the matches still unplaced. Every document gets room in it —
+// each takes room once, so the matches not yet handed out always
+// cover the next one — and it allocates past the block's decoded size
+// by no more than arenaSlack, which its cache cost charges up front.
+type matchArena struct {
+	mu     sync.Mutex
+	free   match.List // the current chunk's untaken tail
+	last   int        // the current chunk's size
+	handed int        // matches handed out
+	alloc  int        // matches allocated across chunks
+}
+
+// minArenaChunk is the smallest chunk a block's arena allocates, in
+// matches.
+const minArenaChunk = 32
+
+// take returns room for n matches (length 0, capacity n) in the arena
+// of a block of total matches. A chunk too short for n is dropped with
+// its tail.
+func (a *matchArena) take(n, total int) match.List {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.free) < n {
+		size := min(max(n, 2*a.last, minArenaChunk), total-a.handed)
+		a.free, a.last = make(match.List, size), size
+		a.alloc += size
+	}
+	dst := a.free[:0:n]
+	a.free = a.free[n:]
+	a.handed += n
+	return dst
+}
+
+// arenaSlack bounds how far an arena allocates past its block's total
+// matches: only dropped tails overshoot, each shorter than the largest
+// document. A chunk capped at the matches still unplaced holds every
+// later document, so only doubling chunks — chunk i at least
+// minArenaChunk·2^i and at most total matches — are ever dropped.
+func arenaSlack(total, maxCount int) int {
+	return bits.Len(uint(total/minArenaChunk)) * max(maxCount-1, 0)
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bestjoin/internal/index"
@@ -214,6 +215,49 @@ func assertCorruptBlocksDegrade(t *testing.T, stride int) {
 			t.Fatal("payload decode failures not counted in DecodeFailures")
 		}
 	})
+}
+
+// TestCorruptDocumentDropsOnlyItself corrupts one document of a
+// block: the block still indexes, so only that document is dropped —
+// every other document of the block, and of the index, is answered
+// exactly — the result is Degraded, and the failure counts once in
+// Stats().DecodeFailures.
+func TestCorruptDocumentDropsOnlyItself(t *testing.T) {
+	corpus := make([]string, 24)
+	for i := range corpus {
+		corpus[i] = strings.Repeat("cedar ", i%5) + "amber basalt"
+	}
+	concept := index.Concept{"amber": 1, "basalt": 0.9}
+	q := Query{Concepts: []index.Concept{concept}, Join: diffFamilies()[0].factory, K: len(corpus)}
+	cfg := Config{Workers: 1, DisablePruning: true}
+	healthy := buildCompact(t, corpus)
+	healthy.AddConceptBlocksSized(concept, 8)
+	want, err := New(healthy, cfg).Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	compact := buildCompact(t, corpus)
+	compact.AddConceptBlocksSized(concept, 8)
+	index.CorruptConceptBlockLastDocForTest(compact, concept)
+	e := New(compact, cfg)
+	res, err := e.Search(context.Background(), q)
+	if err != nil {
+		t.Fatalf("corrupt document must degrade, not error: %v", err)
+	}
+	if !res.Degraded || res.Failed != 1 {
+		t.Fatalf("degraded=%v failed=%d, want degraded with one failure", res.Degraded, res.Failed)
+	}
+	var rest []DocResult
+	for _, d := range want.Docs {
+		if d.Doc != len(corpus)-1 {
+			rest = append(rest, d)
+		}
+	}
+	assertSameDocs(t, "corrupt document", res.Docs, rest)
+	if st := e.Stats(); st.DecodeFailures != 1 || st.BlockDecodes != 3 {
+		t.Fatalf("DecodeFailures = %d, BlockDecodes = %d, want 1 and 3", st.DecodeFailures, st.BlockDecodes)
+	}
 }
 
 // TestBlocksSkippedCounting pins the skip accounting: with one

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bestjoin/internal/index"
+	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
 
@@ -89,6 +90,97 @@ func TestEngineCacheBytes(t *testing.T) {
 	}
 	if got := def.Stats().CacheBytes; got != 0 {
 		t.Fatalf("default config CacheBytes = %d, want 0", got)
+	}
+}
+
+// TestCacheBytesBoundsDecodedEntries holds Config.CacheBytes to a true
+// upper bound on a lazily filled cache: after a query that leaves more
+// blocks than fit, every document of every cached block is decoded, and
+// the cache — counted from what its entries actually hold — still fits.
+func TestCacheBytesBoundsDecodedEntries(t *testing.T) {
+	compact := buildCompact(t, testCorpus(400, 13))
+	concepts := testConcepts()
+	for _, c := range concepts {
+		compact.AddConceptBlocksSized(c, 16)
+	}
+	const bound = 12 << 10
+	e := New(compact, Config{Workers: 2, CacheBytes: bound, DisablePruning: true})
+	q := Query{Concepts: concepts, Join: WINJoiner(scorefn.ExpWIN{Alpha: 0.07}), K: 5, Mode: ModeOR}
+	if _, err := e.Search(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	qs := &queryState{ctx: context.Background()}
+	var resident int64
+	e.lists.mu.Lock()
+	for _, el := range e.lists.items {
+		ent := el.Value.(*lruEntry[listKey, *listEntry]).val
+		var scratch match.List
+		for d := range ent.bd.Docs {
+			if _, ok := e.docList(qs, ent, d, &scratch); !ok {
+				t.Fatalf("doc %d of a cached block failed to decode", d)
+			}
+			if ent.state[d].Load() != slotReady {
+				t.Fatalf("doc %d decoded outside its entry", d)
+			}
+		}
+		if ent.arena.alloc > ent.bd.Total+ent.slack {
+			t.Fatalf("arena holds %d matches of a %d-match block (slack %d)", ent.arena.alloc, ent.bd.Total, ent.slack)
+		}
+		resident += listEntryCost(ent) - int64(ent.bd.Total+ent.slack-ent.arena.alloc)*matchBytes
+	}
+	cached := len(e.lists.items)
+	e.lists.mu.Unlock()
+	if st := e.Stats(); st.BlockDecodes <= uint64(cached) {
+		t.Fatalf("%d blocks decoded, %d cached: the bound never evicted", st.BlockDecodes, cached)
+	}
+	if resident > bound || e.lists.Bytes() > bound {
+		t.Fatalf("resident %d B, accounted %d B, bound %d B", resident, e.lists.Bytes(), bound)
+	}
+}
+
+// TestArenaPlacesEveryDocument fills a full-size block's entry document
+// by document, last first: every slot ends in the entry, not in a
+// caller's scratch — a chunk is capped by the matches still unplaced,
+// not by those allocated, so dropped chunk tails never starve the last
+// documents — and the arena stays within the slack its cost charges.
+func TestArenaPlacesEveryDocument(t *testing.T) {
+	shapes := map[string]func(d int) int{
+		"12 matches each": func(int) int { return 12 },
+		"mixed counts":    func(d int) int { return 1 + d*7%23 },
+	}
+	for name, count := range shapes {
+		docs := make([]int, index.BlockSize)
+		lists := make([]match.List, index.BlockSize)
+		for d := range docs {
+			docs[d] = 3 * d
+			for i := range count(d) {
+				lists[d] = append(lists[d], match.Match{Loc: 5 * i, Score: 0.5})
+			}
+		}
+		bt, err := index.DecodeBlocks(index.EncodeBlocks(docs, lists, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd, err := bt.DecodeBlockDocs(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent := newListEntry(bd)
+		e, qs := &Engine{}, &queryState{ctx: context.Background()}
+		var scratch match.List
+		for d := len(docs) - 1; d >= 0; d-- {
+			l, ok := e.docList(qs, ent, d, &scratch)
+			if !ok || ent.state[d].Load() != slotReady {
+				t.Fatalf("%s: doc %d not placed in its entry (ok=%v)", name, d, ok)
+			}
+			if len(l) != len(lists[d]) || l[len(l)-1] != lists[d][len(l)-1] {
+				t.Fatalf("%s: doc %d decoded %v, want %v", name, d, l, lists[d])
+			}
+		}
+		if ent.arena.alloc > ent.bd.Total+ent.slack {
+			t.Fatalf("%s: arena allocated %d matches for a %d-match block, slack %d",
+				name, ent.arena.alloc, ent.bd.Total, ent.slack)
+		}
 	}
 }
 

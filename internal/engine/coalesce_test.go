@@ -1,16 +1,19 @@
 package engine
 
 // White-box tests for the cross-query decode coalescing layer
-// (coalesce.go). The singleflight counting tests install a flight by
+// (coalesce.go) and the entries it shares. The singleflight counting tests install a flight by
 // hand so waiter arrival and flight completion are fully deterministic
 // — no sleeps, no racing on who becomes leader — and the barrier test
 // checks the conservation invariant that survives any interleaving:
-// every fetch is exactly one of a cache hit, a decode, or a coalesced
-// wait. scripts/check.sh runs the package under -race, so the
-// channel-close publication of the shared result is verified too.
+// every fetch is exactly one of a cache hit, an entry build, or a
+// coalesced wait. scripts/check.sh runs the package under -race, so the
+// channel-close publication of the shared result is verified too, and
+// so is the per-document memo of a shared entry (TestEntryFirstTouch).
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -42,9 +45,9 @@ func coalesceFixture(t *testing.T, cfg Config) (*Engine, *queryState, *conceptDa
 // TestCoalesceWaitersServedByLeader pins the deterministic accounting
 // of N goroutines sharing one concept's block: exactly 1 BlockDecodes
 // (the leader's) and N−1 CoalescedDecodes (everyone else served the
-// leader's slices). The flight is installed by hand and the test plays
+// leader's entry). The flight is installed by hand and the test plays
 // the leader, so waiter arrival and completion order are fixed — no
-// racing on who decodes.
+// racing on who builds.
 func TestCoalesceWaitersServedByLeader(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
 	const n = 8
@@ -55,15 +58,14 @@ func TestCoalesceWaitersServedByLeader(t *testing.T) {
 	e.flights.mu.Unlock()
 
 	type fetchResult struct {
-		docs  []int
-		lists []match.List
-		ok    bool
+		ent *listEntry
+		ok  bool
 	}
 	results := make(chan fetchResult, n-1)
 	for g := 0; g < n-1; g++ {
 		go func() {
-			docs, lists, ok := e.fetchBlock(qs, cd, 0)
-			results <- fetchResult{docs, lists, ok}
+			ent, ok := e.fetchBlock(qs, cd, 0)
+			results <- fetchResult{ent, ok}
 		}()
 	}
 	// All N−1 must register as waiters before the flight completes.
@@ -75,14 +77,14 @@ func TestCoalesceWaitersServedByLeader(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The test is the Nth goroutine — the leader: one real decode,
+	// The test is the Nth goroutine — the leader: one real entry build,
 	// cache Put, publish, flight removal, wake.
-	docs, lists, ok := e.decodeBlock(qs, cd, 0)
+	ent, ok := e.buildEntry(qs, cd, 0)
 	if !ok {
-		t.Fatal("leader decode failed")
+		t.Fatal("leader build failed")
 	}
-	e.lists.Put(key, listEntry{docs: docs, lists: lists})
-	call.docs, call.lists, call.ok = docs, lists, true
+	e.lists.Put(key, ent)
+	call.ent, call.ok = ent, true
 	e.flights.mu.Lock()
 	delete(e.flights.m, key)
 	e.flights.mu.Unlock()
@@ -93,12 +95,11 @@ func TestCoalesceWaitersServedByLeader(t *testing.T) {
 		if !r.ok {
 			t.Fatal("waiter failed on a successful flight")
 		}
-		// Waiters share the leader's slices — the same backing array,
-		// not copies, exactly like a cache hit.
-		if len(r.docs) == 0 || &r.docs[0] != &docs[0] {
-			t.Fatal("waiter did not receive the leader's shared slice")
+		// Waiters share the leader's entry, not copies, exactly like a
+		// cache hit.
+		if r.ent != ent {
+			t.Fatal("waiter did not receive the leader's shared entry")
 		}
-		_ = r.lists
 	}
 	st := e.Stats()
 	if st.BlockDecodes != 1 {
@@ -138,8 +139,8 @@ func TestCoalesceCancelledWaiter(t *testing.T) {
 	cancel()
 	cqs := &queryState{ctx: ctx, idx: qs.idx, epoch: qs.epoch}
 	ccd := e.conceptData(cqs, cd.concept)
-	docs, lists, ok := e.fetchBlock(cqs, ccd, 0)
-	if ok || docs != nil || lists != nil {
+	ent, ok := e.fetchBlock(cqs, ccd, 0)
+	if ok || ent != nil {
 		t.Fatalf("cancelled waiter returned a result: ok=%v", ok)
 	}
 	if cqs.degraded.Load() {
@@ -158,21 +159,22 @@ func TestCoalesceCancelledWaiter(t *testing.T) {
 		t.Fatal("cancelled waiter completed the flight")
 	default:
 	}
-	wantDocs, wantLists, err := cd.blocks.bt.DecodeBlock(0)
+	bd, err := cd.blocks.bt.DecodeBlockDocs(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	call.docs, call.lists, call.ok = wantDocs, wantLists, true
+	want := newListEntry(bd)
+	call.ent, call.ok = want, true
 	// Complete the flight the way the leader does: cache first, then
 	// removal — so a fetch arriving after the flight is gone finds the
-	// cache warm instead of decoding again.
-	e.lists.Put(key, listEntry{docs: wantDocs, lists: wantLists})
+	// cache warm instead of building again.
+	e.lists.Put(key, want)
 	e.flights.mu.Lock()
 	delete(e.flights.m, key)
 	e.flights.mu.Unlock()
 	close(call.done)
-	docs, _, ok = e.fetchBlock(qs, cd, 0)
-	if !ok || &docs[0] != &wantDocs[0] {
+	ent, ok = e.fetchBlock(qs, cd, 0)
+	if !ok || ent != want {
 		t.Fatal("late fetch not served from the cache the flight populated")
 	}
 	if got := e.counters.listHits.Load(); got != 1 {
@@ -201,7 +203,7 @@ func TestCoalesceSharedFailureDegrades(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, _, oks[g] = e.fetchBlock(qs, cd, 0)
+			_, oks[g] = e.fetchBlock(qs, cd, 0)
 		}(g)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -238,11 +240,33 @@ func TestCoalesceSharedFailureDegrades(t *testing.T) {
 	}
 }
 
+// TestCoalesceRechecksCache pins the window between a cache miss and
+// the flight lock: a flight that ended in between published its entry
+// first, so the late miss takes that entry — a cache hit — instead of
+// leading a second build.
+func TestCoalesceRechecksCache(t *testing.T) {
+	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
+	key := listKey{epoch: qs.epoch, blk: 0, fp: cd.fp}
+	bd, err := cd.blocks.bt.DecodeBlockDocs(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newListEntry(bd)
+	e.lists.Put(key, want)
+	ent, ok := e.fetchCoalesced(qs, cd, 0, key)
+	if !ok || ent != want {
+		t.Fatal("late miss did not take the published entry")
+	}
+	if st := e.Stats(); st.BlockDecodes != 0 || st.ListHits != 1 {
+		t.Fatalf("BlockDecodes = %d, ListHits = %d, want 0 and 1", st.BlockDecodes, st.ListHits)
+	}
+}
+
 // TestCoalesceConservation races N cold fetches of the same block with
 // no hand-built flight and checks the invariant that holds under every
-// interleaving: each fetch is exactly one cache hit, actual decode, or
-// coalesced wait; at least one real decode happened; and every fetch
-// got the identical decoded content.
+// interleaving: each fetch is exactly one cache hit, entry build, or
+// coalesced wait; at least one real build happened; and every fetch
+// got the same block's documents.
 func TestCoalesceConservation(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
 	const n = 16
@@ -252,9 +276,8 @@ func TestCoalesceConservation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			docs, _, ok := e.fetchBlock(qs, cd, 0)
-			if ok {
-				docsOut[g] = docs
+			if ent, ok := e.fetchBlock(qs, cd, 0); ok {
+				docsOut[g] = ent.bd.Docs
 			}
 		}(g)
 	}
@@ -298,7 +321,7 @@ func TestCoalesceConservation(t *testing.T) {
 func TestCoalesceDisabled(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1, DisableCoalescing: true})
 	for i := 0; i < 3; i++ {
-		if _, _, ok := e.fetchBlock(qs, cd, 0); !ok {
+		if _, ok := e.fetchBlock(qs, cd, 0); !ok {
 			t.Fatal("fetch failed")
 		}
 	}
@@ -357,5 +380,69 @@ func TestCoalesceEndToEnd(t *testing.T) {
 	e.flights.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d flight entries leaked", leaked)
+	}
+}
+
+// TestEntryFirstTouch has many goroutines first-touch every document
+// of one shared entry at once: each gets the document's exact list,
+// whether it won the slot's claim and decoded into the entry or found
+// the slot claimed and decoded into its own scratch — the loser path is
+// also pinned deterministically by holding a claim by hand — and the
+// entry ends with every slot published, inside its arena bound.
+func TestEntryFirstTouch(t *testing.T) {
+	e, qs, cd := coalesceFixture(t, Config{Workers: 1})
+	ent, ok := e.fetchBlock(qs, cd, 0)
+	if !ok {
+		t.Fatal("fetch failed")
+	}
+	_, want, err := cd.blocks.bt.DecodeBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := slices.Equal[match.List]
+
+	// A held claim: the caller decodes into its scratch and leaves the
+	// slot alone.
+	ent.state[0].Store(slotClaimed)
+	var scratch match.List
+	l, ok := e.docList(qs, ent, 0, &scratch)
+	if !ok || !same(l, want[0]) || &l[0] != &scratch[0] {
+		t.Fatalf("claim loser got %v (ok=%v), want %v in its scratch", l, ok, want[0])
+	}
+	if ent.state[0].Load() != slotClaimed || ent.lists[0] != nil {
+		t.Fatal("claim loser touched the slot")
+	}
+	ent.state[0].Store(slotEmpty)
+
+	const n = 16
+	var wg sync.WaitGroup
+	errs := make(chan string, n*len(want))
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch match.List
+			for d := range want {
+				if l, ok := e.docList(qs, ent, (d+g)%len(want), &scratch); !ok || !same(l, want[(d+g)%len(want)]) {
+					errs <- fmt.Sprintf("doc %d: got %v (ok=%v)", (d+g)%len(want), l, ok)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	for d := range want {
+		if ent.state[d].Load() != slotReady || !same(ent.lists[d], want[d]) {
+			t.Fatalf("slot %d not published with its list", d)
+		}
+	}
+	if ent.arena.alloc > ent.bd.Total {
+		t.Fatalf("arena allocated %d matches for a block of %d", ent.arena.alloc, ent.bd.Total)
+	}
+	if qs.degraded.Load() || e.Stats().DecodeFailures != 0 {
+		t.Fatal("healthy first touches degraded the query")
 	}
 }

@@ -9,10 +9,10 @@
 //
 // The engine supports context cancellation and deadlines (a query that
 // runs out of time returns its best-so-far answer marked Partial), an
-// LRU cache of decoded posting blocks so repeated queries skip posting
-// decompression entirely, and an observability layer of atomic counters
-// plus a latency histogram, exposed via Stats() and optionally expvar
-// (Publish).
+// LRU cache of posting blocks whose documents stay decoded once read,
+// so repeated queries skip posting decompression entirely, and an
+// observability layer of atomic counters plus a latency histogram,
+// exposed via Stats() and optionally expvar (Publish).
 //
 // Joins run on reusable kernels (join.Kernel): a query supplies a
 // KernelFactory, each worker builds one kernel from it and reuses that
@@ -51,6 +51,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"bestjoin/internal/index"
 	"bestjoin/internal/match"
@@ -73,19 +74,22 @@ type Config struct {
 	// Workers is the number of join workers per query; ≤ 0 means
 	// GOMAXPROCS.
 	Workers int
-	// CacheLists caps the match-list LRU, counted in decoded blocks
-	// (one entry is one concept's block of ~index.BlockSize documents
-	// with their match lists); ≤ 0 means DefaultCacheLists.
+	// CacheLists caps the match-list LRU, counted in blocks: one entry
+	// is one concept's block of ~index.BlockSize documents — its
+	// directory and match-area offsets, whose documents' match lists
+	// decode on first need and stay in the entry; ≤ 0 means
+	// DefaultCacheLists.
 	CacheLists int
 	// CacheConcepts caps the concept → block-table LRU in entries;
 	// ≤ 0 means DefaultCacheConcepts.
 	CacheConcepts int
 	// CacheBytes additionally bounds the match-list cache by the total
-	// byte cost of its entries — decoded blocks vary by orders of
-	// magnitude, so an entry-count cap alone can pin anywhere from
-	// kilobytes to gigabytes. ≤ 0 keeps the default entry-count-only
-	// behavior; > 0 is a hard bound (Stats().CacheBytes reports the
-	// accounted size).
+	// byte cost of its entries — blocks vary by orders of magnitude, so
+	// an entry-count cap alone can pin anywhere from kilobytes to
+	// gigabytes. An entry is charged on insert for its block fully
+	// decoded, however few of its documents are decoded later. ≤ 0
+	// keeps the default entry-count-only behavior; > 0 is a hard bound
+	// (Stats().CacheBytes reports the accounted size).
 	CacheBytes int64
 	// DisablePruning turns off max-score top-k pruning; the zero
 	// Config prunes (the knob defaults to on). Pruning is lossless —
@@ -105,9 +109,9 @@ type Config struct {
 	QueueDepth int
 	// DisableCoalescing turns off cross-query decode coalescing
 	// (coalesce.go); the zero Config coalesces. Coalescing never
-	// changes results — waiters receive exactly the bytes-identical
-	// decoded block the leader produced — so the switch exists for the
-	// differential harness and for measuring the coalescing win.
+	// changes results — waiters receive the very entry the leader
+	// built — so the switch exists for the differential harness and for
+	// measuring the coalescing win.
 	DisableCoalescing bool
 	// Mode is the default query mode for queries that leave Query.Mode
 	// unset: ModeAND (the zero value, conjunctive intersection) or
@@ -137,34 +141,41 @@ type Engine struct {
 	queue    int
 	mode     QueryMode
 	admit    admitter
-	lists    *lruCache[listKey, listEntry]
+	lists    *lruCache[listKey, *listEntry]
 	concepts *lruCache[conceptKey, *blockSet]
 	flights  flightGroup
 	counters counters
 	latency  histogram
 }
 
-// listEntry is one match-list cache value: a whole decoded block —
-// document ids plus, aligned, each document's match list.
+// listEntry is one match-list cache value: one block's directory and
+// match-area offsets (index.BlockDocs), whose documents decode on
+// first need (docList) and stay in the entry — slot d of lists holds
+// document d's matches once state[d] is slotReady.
 type listEntry struct {
-	docs  []int
+	bd    index.BlockDocs
 	lists []match.List
+	state []atomic.Uint32
+	arena matchArena
+	slack int // arenaSlack: matches the arena may allocate past bd.Total
 }
 
 // matchBytes is the in-memory size of one match.Match (int + float64)
 // for byte-cost cache accounting.
 const matchBytes = 16
 
-// listEntryCost estimates one cache entry's resident bytes: match
-// storage plus slice headers plus fixed LRU bookkeeping. A block's
-// lists are disjoint subslices of one flat backing, so summing their
-// lengths counts each match once.
-func listEntryCost(v listEntry) int64 {
-	n := int64(len(v.docs))*8 + int64(len(v.lists))*24
-	for _, l := range v.lists {
-		n += int64(len(l)) * matchBytes
-	}
-	return n + 64
+// docHeaderBytes is an entry's per-document overhead: the id, the
+// list header, the slot state, and index.BlockDocs's offsets (24).
+const docHeaderBytes = 8 + 24 + 4 + 24
+
+// listEntryCost is one cache entry's resident bytes with every
+// document decoded — the block's matches plus the arena's bounded
+// slack — plus per-document headers and fixed bookkeeping. It is
+// charged in full on insert, so Config.CacheBytes bounds the cache
+// however many of its documents get decoded later.
+func listEntryCost(v *listEntry) int64 {
+	return int64(v.bd.Total+v.slack)*matchBytes + int64(len(v.bd.Docs))*docHeaderBytes +
+		int64(unsafe.Sizeof(*v)) + 64
 }
 
 // conceptKey identifies one cached concept block table under one index
@@ -198,9 +209,9 @@ func New(idx *index.Compact, cfg Config) *Engine {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	lists := newLRU[listKey, listEntry](cfg.CacheLists)
+	lists := newLRU[listKey, *listEntry](cfg.CacheLists)
 	if cfg.CacheBytes > 0 {
-		lists = newLRUBytes[listKey, listEntry](cfg.CacheLists, cfg.CacheBytes, listEntryCost)
+		lists = newLRUBytes[listKey, *listEntry](cfg.CacheLists, cfg.CacheBytes, listEntryCost)
 	}
 	e := &Engine{
 		workers:  cfg.Workers,

@@ -41,8 +41,8 @@ type counters struct {
 	shed           atomic.Uint64
 	indexReloads   atomic.Uint64
 	queueDepth     atomic.Int64
-	// Block-max skip layer: blockDecodes counts posting blocks actually
-	// decoded by workers; blocksSkipped counts candidate blocks whose
+	// Block-max skip layer: blockDecodes counts block entries built on
+	// a list-cache miss; blocksSkipped counts candidate blocks whose
 	// block-max bound let the query finish without ever decoding them.
 	blockDecodes  atomic.Uint64
 	blocksSkipped atomic.Uint64
@@ -178,7 +178,8 @@ type Stats struct {
 	PartialResults uint64 // queries returning Partial results
 	// Robustness surface. JoinPanics counts kernel (and kernel-factory)
 	// panics recovered by the panic-isolation layer; DecodeFailures
-	// counts concept decodes that hit corrupt bytes; DegradedResults
+	// counts decodes (concept tables, block entries, single documents)
+	// that hit corrupt bytes, each failed decode once; DegradedResults
 	// counts queries that returned with Result.Degraded set. Shed counts
 	// queries rejected by admission control (ErrOverloaded). InFlight
 	// and QueueDepth are gauges: queries currently admitted, and jobs
@@ -191,8 +192,10 @@ type Stats struct {
 	InFlight        int
 	QueueDepth      int
 	CachedLists     int // current entries in the match-list cache
-	// Block-max skip layer. BlockDecodes counts posting blocks decoded
-	// by join workers (the lazy per-block decode path); BlocksSkipped
+	// Block-max skip layer. BlockDecodes counts the match-list cache
+	// entries join workers built on a miss — a block's directory and
+	// match-area offsets; its documents then decode one at a time, on
+	// first need, and are not counted here. BlocksSkipped
 	// counts candidate blocks never decoded because their block-max
 	// score upper bound fell strictly below the top-k floor. CacheBytes
 	// is the match-list cache's accounted size — non-zero only when
@@ -200,7 +203,7 @@ type Stats struct {
 	BlockDecodes  uint64
 	BlocksSkipped uint64
 	CacheBytes    int64
-	// Decode coalescing. CoalescedDecodes counts block decodes avoided
+	// Decode coalescing. CoalescedDecodes counts block entry builds avoided
 	// because a concurrent query (or worker) already had the identical
 	// decode in flight and this one was served the leader's result;
 	// DecodeWaits counts the waits themselves, including those that

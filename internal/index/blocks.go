@@ -355,17 +355,24 @@ func wideLanes(b []byte, n int) ([]uint64, []byte, bool) {
 		return nil, nil, false
 	}
 	out := make([]uint64, n)
+	b, ok = resolveEscapes(lanes, out, b)
+	return out, b, ok
+}
+
+// resolveEscapes widens lanes into out, each escapeLane lane taking
+// the next uvarint of trailer, and returns the unconsumed trailer.
+func resolveEscapes(lanes []uint32, out []uint64, trailer []byte) ([]byte, bool) {
 	for i, v := range lanes {
 		out[i] = uint64(v)
 		if v == escapeLane {
-			x, k := binary.Uvarint(b)
+			x, k := binary.Uvarint(trailer)
 			if k <= 0 || x > MaxDocID {
-				return nil, nil, false
+				return nil, false
 			}
-			out[i], b = x, b[k:]
+			out[i], trailer = x, trailer[k:]
 		}
 	}
-	return out, b, true
+	return trailer, true
 }
 
 // DecodeBlocks unpacks the palette and skip table of an EncodeBlocks
@@ -578,23 +585,13 @@ func decodeBlock[T lane](bt *BlockTable, i int, read func([]byte, int) ([]T, []b
 	v := 0
 	for d := range docs {
 		begin := len(flat)
-		pos := 0
-		for m := 0; m < nMatch[d]; m++ {
-			pd, idx := vals[v], vals[v+1]
-			v += 2
-			if m > 0 && pd == 0 {
-				return nil, nil, fmt.Errorf("index: block %d positions not strictly ascending in doc %d", i, docs[d])
-			}
-			pos += int(pd)
-			if pos > MaxPosition {
-				return nil, nil, fmt.Errorf("index: block %d position %d exceeds %d", i, pos, int64(MaxPosition))
-			}
-			if uint64(idx) >= uint64(len(bt.Palette)) {
-				return nil, nil, fmt.Errorf("index: block %d score index %d out of palette range", i, idx)
-			}
-			maxSeen = max(maxSeen, int(idx))
-			flat = append(flat, match.Match{Loc: pos, Score: bt.Palette[idx]})
+		var top int
+		flat, top, err = appendMatches(flat, vals[v:v+2*nMatch[d]], bt.Palette)
+		if err != nil {
+			return nil, nil, fmt.Errorf("index: block %d doc %d: %w", i, docs[d], err)
 		}
+		v += 2 * nMatch[d]
+		maxSeen = max(maxSeen, top)
 		lists[d] = flat[begin:len(flat):len(flat)]
 	}
 	if maxSeen != bt.Infos[i].MaxIdx {
@@ -602,6 +599,235 @@ func decodeBlock[T lane](bt *BlockTable, i int, read func([]byte, int) ([]T, []b
 			i, bt.Infos[i].MaxIdx, maxSeen)
 	}
 	return docs, lists, nil
+}
+
+// appendMatches appends one document's matches to dst: vals holds its
+// (position delta, palette index) pairs, the first delta absolute. It
+// makes every per-match check a block decode makes — positions
+// strictly ascending and at most MaxPosition, indices inside the
+// palette — for DecodeBlock and DecodeDoc alike, and returns the
+// largest palette index it read.
+func appendMatches[T lane](dst match.List, vals []T, palette []float64) (match.List, int, error) {
+	pos, top := 0, 0
+	for m := 0; m < len(vals); m += 2 {
+		pd, idx := vals[m], vals[m+1]
+		if m > 0 && pd == 0 {
+			return dst, 0, fmt.Errorf("positions not strictly ascending")
+		}
+		pos += int(pd)
+		if pos > MaxPosition {
+			return dst, 0, fmt.Errorf("position %d exceeds %d", pos, int64(MaxPosition))
+		}
+		if uint64(idx) >= uint64(len(palette)) {
+			return dst, 0, fmt.Errorf("score index %d out of palette range", idx)
+		}
+		top = max(top, int(idx))
+		dst = append(dst, match.Match{Loc: pos, Score: palette[idx]})
+	}
+	return dst, top, nil
+}
+
+// BlockDocs is one block whose match area is indexed but not decoded:
+// the directory's document ids and, for each document, where its
+// matches start. DecodeDoc unpacks one document on demand, so a reader
+// that needs two documents of a block pays for two, not for the whole
+// block DecodeBlock unpacks.
+type BlockDocs struct {
+	Docs  []int // document ids, ascending
+	Total int   // Σ match counts: the block's decoded size in matches
+	bt    *BlockTable
+	blk   int
+	area  []byte // the match area and, in a flagged table, its trailer
+	at    []docStart
+}
+
+// docStart locates one document's matches in a block's match area.
+type docStart struct {
+	off  int   // byte offset of the group holding the document's first value
+	esc  int   // flagged tables: byte offset of the document's first escape in the trailer
+	n    int32 // match count
+	lane int32 // the first value's lane in its group: 0 or 2
+}
+
+// gvGroupLen[c] is the byte length of a full group behind control
+// byte c, the control byte included.
+var gvGroupLen = func() (t [256]uint8) {
+	for c := range t {
+		t[c] = uint8(5 + c&3 + c>>2&3 + c>>4&3 + c>>6)
+	}
+	return t
+}()
+
+// scanGroup reads the first k lanes (1–4) of the group at the head of
+// b without decoding them: it returns how many are escapeLane lanes
+// and the bytes they span, the control byte included; ok is false when
+// they overrun b.
+func scanGroup(b []byte, k int) (escapes, length int, ok bool) {
+	if len(b) == 0 {
+		return 0, 0, false
+	}
+	c, p := b[0], 1
+	for s := 0; s < k; s++ {
+		l := int(c>>(2*uint(s))&3) + 1
+		if p+l > len(b) {
+			return 0, 0, false
+		}
+		if l == 4 && binary.LittleEndian.Uint32(b[p:]) == escapeLane {
+			escapes++
+		}
+		p += l
+	}
+	return escapes, p, true
+}
+
+// DecodeBlockDocs decodes block i's directory and indexes its match
+// area without decoding it: one walk over the area's control bytes
+// records where each document's first group starts, its lane there
+// and, in a flagged table, where its escapes start in the trailer. It
+// makes DecodeBlock's whole-area checks — the match total fits the
+// payload, every group is in bounds, no bytes trail the area — and
+// leaves the per-match checks to DecodeDoc. The block-max agreement is
+// not checked here; load-time Validate enforces it through
+// DecodeBlock.
+func (bt *BlockTable) DecodeBlockDocs(i int) (BlockDocs, error) {
+	var docs, nMatch []int
+	var area []byte
+	var err error
+	if bt.wide {
+		docs, nMatch, area, err = decodeDir(bt, i, wideLanes)
+	} else {
+		docs, nMatch, area, err = decodeDir(bt, i, narrowLanes)
+	}
+	if err != nil {
+		return BlockDocs{}, err
+	}
+	total := 0
+	for _, c := range nMatch {
+		total += c
+	}
+	if uint64(total) > uint64(len(area))/2 {
+		return BlockDocs{}, fmt.Errorf("index: block %d match total %d exceeds payload", i, total)
+	}
+	truncated := func() (BlockDocs, error) {
+		return BlockDocs{}, fmt.Errorf("index: truncated block %d match area", i)
+	}
+	// Only a flagged table counts escapes; an unflagged one reads a
+	// 2^32−1 lane literally.
+	wide := bt.wide
+	at := make([]docStart, len(docs))
+	// Every group but the last is full. A document starts at an even
+	// value index v: lane v&3 (0 or 2) of group v>>2.
+	nVals, v, g, off, escs := 2*total, 0, 0, 0, 0
+	for d, n := range nMatch {
+		for ; g < v>>2; g++ {
+			if off >= len(area) {
+				return truncated()
+			}
+			if !wide {
+				off += int(gvGroupLen[area[off]])
+				continue
+			}
+			e, l, ok := scanGroup(area[off:], 4)
+			if !ok {
+				return truncated()
+			}
+			escs, off = escs+e, off+l
+		}
+		at[d] = docStart{off: off, esc: escs, n: int32(n), lane: int32(v & 3)}
+		if wide && v&3 != 0 {
+			e, _, ok := scanGroup(area[min(off, len(area)):], v&3)
+			if !ok {
+				return truncated()
+			}
+			at[d].esc += e
+		}
+		v += 2 * n
+	}
+	for ; 4*g < nVals; g++ {
+		e, l, ok := scanGroup(area[min(off, len(area)):], min(4, nVals-4*g))
+		if !ok {
+			return truncated()
+		}
+		if wide {
+			escs += e
+		}
+		off += l
+	}
+	// The trailer: each document's escapes start where the uvarints of
+	// the escapes before it end.
+	d := 0
+	for e := 0; ; e++ {
+		for d < len(at) && at[d].esc == e {
+			at[d].esc = off
+			d++
+		}
+		if e == escs {
+			break
+		}
+		x, k := binary.Uvarint(area[off:])
+		if k <= 0 || x > MaxDocID {
+			return truncated()
+		}
+		off += k
+	}
+	if off != len(area) {
+		return BlockDocs{}, fmt.Errorf("index: %d trailing bytes in block %d", len(area)-off, i)
+	}
+	return BlockDocs{Docs: docs, Total: total, bt: bt, blk: i, area: area, at: at}, nil
+}
+
+// Count returns the number of matches of document d (an index into
+// Docs).
+func (bd *BlockDocs) Count(d int) int { return int(bd.at[d].n) }
+
+// docLanes is how many values DecodeDoc decodes on the stack; a
+// document with more matches decodes into a heap buffer.
+const docLanes = 256
+
+// DecodeDoc appends the matches of document d (an index into Docs) to
+// dst, position-sorted with palette scores applied, exactly as
+// DecodeBlock lists them, making every per-match check DecodeBlock
+// makes. dst with room for Count(d) more matches is not reallocated.
+func (bd *BlockDocs) DecodeDoc(dst match.List, d int) (match.List, error) {
+	at := bd.at[d]
+	var buf [docLanes]uint32
+	lanes := buf[:]
+	if need := int(at.lane) + 2*int(at.n); need > len(lanes) {
+		lanes = make([]uint32, need)
+	} else {
+		lanes = lanes[:need]
+	}
+	if _, ok := decodeGroups(bd.area[at.off:], lanes); !ok {
+		return dst, fmt.Errorf("index: truncated block %d match area", bd.blk)
+	}
+	lanes = lanes[at.lane:]
+	var err error
+	if bd.bt.wide {
+		dst, err = bd.decodeWide(dst, lanes, bd.area[at.esc:])
+	} else {
+		dst, _, err = appendMatches(dst, lanes, bd.bt.Palette)
+	}
+	if err != nil {
+		return dst, fmt.Errorf("index: block %d doc %d: %w", bd.blk, bd.Docs[d], err)
+	}
+	return dst, nil
+}
+
+// decodeWide is DecodeDoc's flagged-table tail: resolve the
+// document's escapes from its place in the trailer, then append.
+func (bd *BlockDocs) decodeWide(dst match.List, lanes []uint32, trailer []byte) (match.List, error) {
+	var buf [docLanes]uint64
+	vals := buf[:]
+	if len(lanes) > len(vals) {
+		vals = make([]uint64, len(lanes))
+	} else {
+		vals = vals[:len(lanes)]
+	}
+	if _, ok := resolveEscapes(lanes, vals, trailer); !ok {
+		return dst, fmt.Errorf("corrupt escape trailer")
+	}
+	dst, _, err := appendMatches(dst, vals, bd.bt.Palette)
+	return dst, err
 }
 
 // Validate fully decodes every block — the eager load-time gate, so

@@ -456,3 +456,178 @@ func TestDecodeGroupsPathsAgree(t *testing.T) {
 		}
 	}
 }
+
+// checkBlockDocs holds every block of bt to the per-document decode
+// contract FuzzBlockDocs states.
+func checkBlockDocs(t *testing.T, bt *BlockTable) {
+	t.Helper()
+	for i := range bt.Infos {
+		docs, lists, err := bt.DecodeBlock(i)
+		bd, derr := bt.DecodeBlockDocs(i)
+		if derr != nil {
+			if err == nil {
+				t.Fatalf("block %d: DecodeBlock succeeds, DecodeBlockDocs: %v", i, derr)
+			}
+			continue
+		}
+		if err == nil && !reflect.DeepEqual(bd.Docs, docs) {
+			t.Fatalf("block %d: DecodeBlockDocs lists %v, DecodeBlock %v", i, bd.Docs, docs)
+		}
+		total := 0
+		for d := range bd.Docs {
+			total += bd.Count(d)
+			// Appending after a prefix must leave the prefix alone.
+			prefix := match.List{{Loc: -1, Score: 7}}
+			got, gerr := bd.DecodeDoc(prefix, d)
+			if gerr == nil {
+				if len(got) != 1+bd.Count(d) || got[0] != prefix[0] {
+					t.Fatalf("block %d doc %d: %d matches after the prefix, count %d", i, d, len(got)-1, bd.Count(d))
+				}
+				for m := 2; m < len(got); m++ {
+					if got[m].Loc <= got[m-1].Loc {
+						t.Fatalf("block %d doc %d: positions not ascending", i, d)
+					}
+				}
+			}
+			if err != nil {
+				continue // DecodeBlock rejected the block: either outcome
+			}
+			if gerr != nil {
+				t.Fatalf("block %d doc %d: DecodeBlock succeeds, DecodeDoc: %v", i, d, gerr)
+			}
+			want := lists[d]
+			for m := range want {
+				g := got[1+m]
+				if g.Loc != want[m].Loc || math.Float64bits(g.Score) != math.Float64bits(want[m].Score) {
+					t.Fatalf("block %d doc %d match %d: %+v, DecodeBlock %+v", i, d, m, g, want[m])
+				}
+			}
+		}
+		if bd.Total != total {
+			t.Fatalf("block %d: Total %d, counts sum to %d", i, bd.Total, total)
+		}
+	}
+}
+
+// TestDecodeDocMatchesDecodeBlock runs the per-document contract over
+// registered tables at several block sizes, over flagged tables, and
+// over documents with more matches than DecodeDoc decodes on the stack.
+func TestDecodeDocMatchesDecodeBlock(t *testing.T) {
+	c := blocksTestCompact(t, 300, 5)
+	concept := Concept{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25}
+	for _, size := range []int{1, 3, 64, 0} {
+		c.AddConceptBlocksSized(concept, size)
+		bt, _ := c.ConceptBlocks(concept)
+		checkBlockDocs(t, bt)
+	}
+	docs, lists := wideInput()
+	for _, size := range []int{1, 2, 3, 0} {
+		bt, err := DecodeBlocks(EncodeBlocks(docs, lists, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBlockDocs(t, bt)
+	}
+	long := func(base, step int) match.List {
+		l := make(match.List, 3*docLanes)
+		for m := range l {
+			l[m] = match.Match{Loc: base + m*step, Score: float64(m % 3)}
+		}
+		return l
+	}
+	for _, step := range []int{1, math.MaxUint32} {
+		bt, err := DecodeBlocks(EncodeBlocks([]int{4, 9, 10},
+			[]match.List{long(0, step), {{Loc: 5, Score: 1}}, long(math.MaxUint32, step)}, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBlockDocs(t, bt)
+	}
+}
+
+// TestDecodeBlockDocsIsolatesCorruptDocument corrupts one document's
+// score index: DecodeBlock rejects the whole block, DecodeBlockDocs
+// still indexes it, and only that document's decode fails.
+func TestDecodeBlockDocsIsolatesCorruptDocument(t *testing.T) {
+	docs := []int{1, 2, 3}
+	lists := []match.List{{{Loc: 3, Score: 0.5}}, {{Loc: 1, Score: 1}}, {{Loc: 2, Score: 0.5}}}
+	buf := EncodeBlocks(docs, lists, 0)
+	bt, err := DecodeBlocks(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The match area's last byte is document 3's one-byte score index.
+	buf[len(buf)-1] = 0x7f
+	if _, _, err := bt.DecodeBlock(0); err == nil {
+		t.Fatal("DecodeBlock accepted a score index outside the palette")
+	}
+	bd, err := bt.DecodeBlockDocs(0)
+	if err != nil {
+		t.Fatalf("DecodeBlockDocs: %v", err)
+	}
+	for d := range docs {
+		got, err := bd.DecodeDoc(nil, d)
+		if d == 2 {
+			if err == nil {
+				t.Fatal("corrupt document decoded")
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, lists[d]) {
+			t.Fatalf("doc %d: %v (%v), want %v", d, got, err, lists[d])
+		}
+	}
+}
+
+// BenchmarkBlockDecode prices one block of BlockSize documents with 12
+// matches each three ways: the whole-block DecodeBlock, the match-area
+// index DecodeBlockDocs, and that index plus two documents' DecodeDoc —
+// the list-cache miss of a query that needs two documents of a block.
+func BenchmarkBlockDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	docs := make([]int, BlockSize)
+	lists := make([]match.List, BlockSize)
+	for d := range docs {
+		docs[d] = 3 * d
+		pos := 0
+		for m := 0; m < 12; m++ {
+			pos += 1 + rng.Intn(300)
+			lists[d] = append(lists[d], match.Match{Loc: pos, Score: []float64{0.5, 0.8, 1}[rng.Intn(3)]})
+		}
+	}
+	bt, err := DecodeBlocks(EncodeBlocks(docs, lists, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("block", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := bt.DecodeBlock(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bt.DecodeBlockDocs(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("index+2docs", func(b *testing.B) {
+		b.ReportAllocs()
+		var dst match.List
+		for i := 0; i < b.N; i++ {
+			bd, err := bt.DecodeBlockDocs(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, d := range []int{17, 90} {
+				if dst, err = bd.DecodeDoc(dst[:0], d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

@@ -202,6 +202,27 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// FuzzBlockDocs holds the per-document decode to DecodeBlock on
+// arbitrary bytes, seeded with unflagged and flagged tables: wherever
+// DecodeBlock accepts a block, DecodeBlockDocs lists the same
+// documents and every DecodeDoc succeeds with that document's list,
+// bit for bit; wherever it does not, a per-document decode may error
+// or succeed, but what it returns is still well formed.
+func FuzzBlockDocs(f *testing.F) {
+	addUnflaggedSeeds(f)
+	docs, lists := wideInput()
+	f.Add(EncodeBlocks(docs, lists, 2))
+	f.Add(EncodeBlocks(docs, lists, 0))
+	f.Add(EncodeBlocks([]int{MaxDocID}, []match.List{{{Loc: MaxPosition, Score: 1}}}, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bt, err := DecodeBlocks(data)
+		if err != nil || bt == nil {
+			return
+		}
+		checkBlockDocs(t, bt)
+	})
+}
+
 // addRejectedShapes seeds a loader fuzz target with every shape the
 // loaders refuse — unframed, sections 2 and 3, a repeated concept
 // key — in a fixed order.

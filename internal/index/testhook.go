@@ -102,3 +102,17 @@ func CorruptConceptBlockPayloadForTest(c *Compact, concept Concept) {
 		b[i] = 0xff
 	}
 }
+
+// CorruptConceptBlockLastDocForTest sets the palette index of the last
+// match of a concept's registered unflagged table — the buffer's last
+// byte, a one-byte lane — to 0xff, outside any palette that small:
+// DecodeBlock rejects the last block, DecodeBlockDocs still indexes it,
+// and only its last document fails to decode. Not for production use.
+func CorruptConceptBlockLastDocForTest(c *Compact, concept Concept) {
+	b := c.blocks[ConceptKey(concept)]
+	bt, err := DecodeBlocks(b)
+	if err != nil || bt == nil || bt.wide || len(bt.Palette) >= 0xff {
+		panic("CorruptConceptBlockLastDocForTest: buffer must start valid, unflagged, with a small palette")
+	}
+	b[len(b)-1] = 0xff
+}

@@ -66,18 +66,18 @@ func TestRemoteChaosNetworkFaults(t *testing.T) {
 			hedgeAfter: 10 * time.Millisecond, wantTimeouts: true, wantHedges: true,
 		},
 		{
-			name:  "conn-drop",
-			rates: map[faultinject.Site]float64{faultinject.NetDrop: 0.3},
+			name:    "conn-drop",
+			rates:   map[faultinject.Site]float64{faultinject.NetDrop: 0.3},
 			timeout: time.Second, hedgeAfter: -1,
 		},
 		{
-			name:  "http-500",
-			rates: map[faultinject.Site]float64{faultinject.NetStatus: 0.3},
+			name:    "http-500",
+			rates:   map[faultinject.Site]float64{faultinject.NetStatus: 0.3},
 			timeout: time.Second, hedgeAfter: -1,
 		},
 		{
-			name:  "corrupt-bytes",
-			rates: map[faultinject.Site]float64{faultinject.NetCorrupt: 0.3},
+			name:    "corrupt-bytes",
+			rates:   map[faultinject.Site]float64{faultinject.NetCorrupt: 0.3},
 			timeout: time.Second, hedgeAfter: -1,
 		},
 		{

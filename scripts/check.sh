@@ -10,6 +10,17 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+# Formatting gate over every tracked Go file (bench/ included; build
+# output under ignored directories is not looked at): any file gofmt
+# would rewrite fails the check.
+echo "== gofmt -l =="
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files are not formatted:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
