@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"bestjoin"
+	"bestjoin/internal/shard"
 )
 
 const engineBenchDocs = 2000
@@ -523,8 +524,10 @@ func BenchmarkEngineUnion(b *testing.B) {
 
 // BenchmarkEngineSharded measures the scatter-gather tier on the warm
 // path: the same query on a single engine and on 1/2/4-shard
-// coordinators, each shard with its own caches and the scatter sharing
-// one pruning floor. shardqueries/op and mergedcandidates/op land in
+// coordinators over in-process child engines (the remote fleet's
+// coordinator without the wire), each shard with its own caches and
+// the scatter sharing one pruning floor. shardqueries/op and
+// mergedcandidates/op land in
 // BENCH_engine.json via scripts/benchjson.sh, so the fan-out cost and
 // the merge width are tracked across changes. The sharded answer is
 // gated bitwise against the single engine's before timing starts.
@@ -554,7 +557,7 @@ func BenchmarkEngineSharded(b *testing.B) {
 	})
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			coord, err := bestjoin.NewShardedEngine(c, shards, cfg)
+			coord, err := shard.New(c, shard.Config{Shards: shards, Engine: cfg})
 			if err != nil {
 				b.Fatal(err)
 			}

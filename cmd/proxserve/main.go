@@ -42,33 +42,30 @@
 // -pair-budget flag caps the bytes spent on lists and -nopairs turns
 // the tier off entirely (baseline mode).
 //
-// With -shards N the corpus is partitioned by document id across N
-// child engines behind a scatter-gather coordinator: every query fans
-// out to all shards under one shared pruning floor and the per-shard
-// answers rank-merge into results bitwise identical to the single
-// engine's. /healthz then reports one readiness row per shard, /stats
-// rolls the fleet up (per-shard snapshots ride along), and reloads
-// roll shard by shard with zero downtime.
-//
-// The shard tier also runs across processes. A shard process serves
-// one doc-partition of the corpus and exposes the remote shard API:
+// A process is either an engine over an index or a coordinator over
+// remote shard processes. A shard process is an engine that serves one
+// doc-partition of the corpus and exposes the remote shard API:
 //
 //	proxserve -synth 2000 -serve-shard -shard-of 0/2 -http :7601
 //	proxserve -synth 2000 -serve-shard -shard-of 1/2 -http :7602
 //
-// and a coordinator process fans queries out to the fleet instead of
-// holding any index of its own:
+// and a coordinator holds no index of its own (so it refuses -shard-of
+// and -serve-shard):
 //
 //	proxserve -shards-at 127.0.0.1:7601,127.0.0.1:7602 -http :7600
 //
+// Its per-shard answers rank-merge into results bitwise identical to a
+// single engine's; /healthz reports one readiness row per shard, /stats
+// rolls the fleet up, and a SIGHUP reload of -index rolls shard by shard.
+//
 // Remote shard calls get the full robustness stack: per-attempt
 // deadline budgets carved from the query deadline, bounded retries
-// with jittered exponential backoff, request hedging once an attempt
-// outlives the shard's observed latency quantile, and a per-shard
-// circuit breaker. With -quorum M the coordinator answers from any M
-// of N shards — a degraded but sound subset (flagged in the JSON body
-// and with an X-Degraded header) instead of an error — while M-1 or
-// fewer answering shards still fail the query.
+// with jittered exponential backoff, a hedged duplicate request once
+// an attempt outlives a fixed delay (50ms), and a per-shard circuit
+// breaker. With -quorum M the coordinator answers from any M of N
+// shards — a degraded but sound subset (flagged in the JSON body and
+// with an X-Degraded header) instead of an error — while M-1 or fewer
+// answering shards still fail the query.
 //
 // With -index the server loads a checksummed index file written by
 // -save (or CompactIndex.SaveFile) instead of indexing a corpus, and
@@ -118,17 +115,15 @@ func main() {
 		cacheB  = flag.Int64("cache-bytes", 0, "additionally bound the match-list cache to this many bytes (0 = block count only)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-query deadline")
 		noprune = flag.Bool("noprune", false, "disable lossless max-score pruning (baseline mode)")
-		nocoal  = flag.Bool("nocoalesce", false, "disable cross-query block-decode coalescing (baseline mode)")
 		mode    = flag.String("mode", "and", "default query mode: and (every concept must match) or or (ranked union)")
 		minm    = flag.Int("min-match", 0, "disjunctive threshold: require at least this many concepts to match (0 = mode default)")
 		drain   = flag.Duration("drain", 5*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		synth   = flag.Int("synth", 0, "index a synthetic corpus of this many documents instead of files")
 		httpad  = flag.String("http", "", "serve HTTP on this address instead of the stdin REPL")
 
-		shards       = flag.Int("shards", 1, "doc-partitioned shards behind a scatter-gather coordinator (1 = single engine); its child engines serve pair lists for this process's own -fn only, also under -serve-shard")
 		serveShard   = flag.Bool("serve-shard", false, "expose the remote shard API (/shardquery, /swapindex, /shardstats) so a -shards-at coordinator can drive this process")
 		shardOf      = flag.String("shard-of", "", "serve partition i of n of the built index, given as i/n (shard processes of a doc-partitioned fleet)")
-		shardsAt     = flag.String("shards-at", "", "comma-separated host:port list of remote shard processes to coordinate over (no local index is built)")
+		shardsAt     = flag.String("shards-at", "", "comma-separated host:port list of remote shard processes to coordinate over (no local index is built; not with -shard-of or -serve-shard)")
 		quorum       = flag.Int("quorum", 0, "minimum remote shards that must answer a query: 0 = all (strict), 1..N arms degraded partial answers")
 		shardTimeout = flag.Duration("shard-timeout", 2*time.Second, "per-attempt deadline budget for each remote shard call")
 		inflight     = flag.Int("max-inflight", 64, "maximum concurrently admitted queries (0 = unlimited)")
@@ -141,10 +136,13 @@ func main() {
 		pairBudget = flag.Int("pair-budget", 4<<20, "storage budget in bytes for precomputed pair lists per kernel spec, spent on the costliest concept pairs of the whole index first and counted on this process's partition (0 or less = unlimited)")
 	)
 	flag.Parse()
+	if err := checkTopology(*shardsAt, *shardOf, *serveShard); err != nil {
+		log.Fatalf("proxserve: %v", err)
+	}
 
 	// A -shards-at coordinator holds no index of its own; every other
-	// mode builds (or loads) one, optionally cut down to its -shard-of
-	// partition.
+	// process builds (or loads) one, optionally cut down to its -shard-of
+	// partition, and serves it from one engine.
 	src := &source{
 		files: flag.Args(), synth: *synth, idxPath: *idxPath, savePath: *savePath,
 		shardOf: *shardOf, lex: bestjoin.BuiltinLexicon(),
@@ -166,24 +164,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("proxserve: %v", err)
 	}
-	ecfg := bestjoin.EngineConfig{
-		Workers:           *workers,
-		CacheLists:        *cache,
-		CacheBytes:        *cacheB,
-		DisablePruning:    *noprune,
-		DisableCoalescing: *nocoal,
-		DisablePairIndex:  *nopairs,
-		MaxInFlight:       *inflight,
-		Overload:          overload,
-		Mode:              qmode,
-	}
 	// The server is written against the Searcher contract, so a remote
-	// fleet, a sharded fleet, and a single engine are interchangeable
-	// from here on.
+	// fleet and a single engine are interchangeable from here on.
 	var eng bestjoin.Searcher
 	var publish func(string) error
-	switch {
-	case *shardsAt != "":
+	if *shardsAt != "" {
 		fleet, err := bestjoin.NewRemoteFleet(splitAddrs(*shardsAt),
 			bestjoin.RemoteShardConfig{Timeout: *shardTimeout},
 			bestjoin.ShardedEngineConfig{Quorum: *quorum})
@@ -191,15 +176,21 @@ func main() {
 			log.Fatalf("proxserve: %v", err)
 		}
 		eng, publish = fleet, fleet.Publish
-	case *shards > 1:
-		coord, err := bestjoin.NewShardedEngine(compact, *shards, ecfg)
-		if err != nil {
-			log.Fatalf("proxserve: %v", err)
-		}
-		eng, publish = coord, coord.Publish
-	default:
-		e := bestjoin.NewEngine(compact, ecfg)
+		fmt.Printf("coordinating %d remote shards at %s (quorum %d)\n",
+			len(splitAddrs(*shardsAt)), *shardsAt, *quorum)
+	} else {
+		e := bestjoin.NewEngine(compact, bestjoin.EngineConfig{
+			Workers:          *workers,
+			CacheLists:       *cache,
+			CacheBytes:       *cacheB,
+			DisablePruning:   *noprune,
+			DisablePairIndex: *nopairs,
+			MaxInFlight:      *inflight,
+			Overload:         overload,
+			Mode:             qmode,
+		})
 		eng, publish = e, e.Publish
+		fmt.Printf("indexed %d documents (%d bytes compressed)\n", compact.Docs(), compact.Bytes())
 	}
 	src.armPairs(eng, plan)
 	if err := publish("bestjoin.engine"); err != nil {
@@ -215,16 +206,6 @@ func main() {
 		mode:     qmode,
 		minMatch: *minm,
 		reload:   &reloadStatus{},
-	}
-	switch {
-	case *shardsAt != "":
-		fmt.Printf("coordinating %d remote shards at %s (quorum %d)\n",
-			len(splitAddrs(*shardsAt)), *shardsAt, *quorum)
-	case *shards > 1:
-		fmt.Printf("indexed %d documents (%d bytes compressed) across %d shards\n",
-			compact.Docs(), compact.Bytes(), *shards)
-	default:
-		fmt.Printf("indexed %d documents (%d bytes compressed)\n", compact.Docs(), compact.Bytes())
 	}
 
 	if *httpad != "" {
@@ -330,7 +311,7 @@ func (rs *reloadStatus) get() string {
 
 // cutPartition resolves -shard-of: "i/n" doc-partitions the index
 // into n pieces and keeps piece i (global document ids survive, so a
-// fleet of such processes merges exactly like the in-process tier).
+// fleet of such processes merges into a single engine's answer).
 func cutPartition(c *bestjoin.CompactIndex, spec string) (*bestjoin.CompactIndex, error) {
 	is, ns, ok := strings.Cut(spec, "/")
 	if !ok {
@@ -346,6 +327,22 @@ func cutPartition(c *bestjoin.CompactIndex, spec string) (*bestjoin.CompactIndex
 		return nil, err
 	}
 	return parts[i], nil
+}
+
+// checkTopology refuses flags that would make one process two
+// topologies. On a -shards-at coordinator, -shard-of would cut every
+// reloaded -index to partition i/n and roll that piece across the whole
+// fleet, and -serve-shard would nest the coordinator in another fleet.
+func checkTopology(shardsAt, shardOf string, serveShard bool) error {
+	switch {
+	case shardsAt == "":
+		return nil
+	case shardOf != "":
+		return errors.New("-shard-of cannot be combined with -shards-at: a coordinator serves the whole index across its shards")
+	case serveShard:
+		return errors.New("-serve-shard cannot be combined with -shards-at: a coordinator is not a shard of another fleet")
+	}
+	return nil
 }
 
 // splitAddrs parses the -shards-at list.
@@ -660,14 +657,13 @@ func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, err
 	return c, plan, nil
 }
 
-// armPairs hands the plan and -pair-budget to a single engine, which
-// then builds the planned lists in the background for whatever kernel
-// spec its queries carry — a shard process is queried with the
+// armPairs hands the plan and -pair-budget to the process's engine,
+// which then builds the planned lists in the background for whatever
+// kernel spec its queries carry — a shard process is queried with the
 // coordinator's -fn, not its own. Called before the index the plan
 // came with is swapped in. Under -nopairs the plan is empty and nothing
-// is ever built. An in-process -shards coordinator is left alone: its
-// children serve the lists built here for this process's own -fn,
-// partitioned with the index.
+// is ever built. A -shards-at coordinator has no engine to arm: each
+// of its shard processes arms its own.
 func (src *source) armPairs(eng bestjoin.Searcher, plan bestjoin.PairPlan) {
 	e, ok := eng.(*bestjoin.Engine)
 	if !ok {

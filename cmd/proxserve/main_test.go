@@ -643,20 +643,57 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// shardedServer builds a server backed by a ShardedEngine over the
-// demo corpus — the -shards path without a process.
+// TestCheckTopology pins the start-up refusal of a coordinator that is
+// also told to be a partition or a shard of another fleet.
+func TestCheckTopology(t *testing.T) {
+	for _, c := range []struct {
+		shardsAt, shardOf string
+		serveShard, ok    bool
+	}{
+		{"", "", false, true},
+		{"", "0/2", true, true},
+		{"", "1/2", false, true},
+		{"", "", true, true},
+		{"a:1,b:2", "", false, true},
+		{"a:1,b:2", "0/2", false, false},
+		{"a:1,b:2", "", true, false},
+		{"a:1,b:2", "0/2", true, false},
+	} {
+		err := checkTopology(c.shardsAt, c.shardOf, c.serveShard)
+		if (err == nil) != c.ok {
+			t.Errorf("checkTopology(%q, %q, %v) = %v, want ok %v", c.shardsAt, c.shardOf, c.serveShard, err, c.ok)
+		}
+	}
+}
+
+// shardedServer builds what a -shards-at coordinator serves: a remote
+// fleet over the demo corpus, each partition an engine behind the shard
+// API of its own loopback HTTP server.
 func shardedServer(t *testing.T, shards int) *server {
 	t.Helper()
 	ix := bestjoin.NewIndex()
 	for d, body := range demoCorpus {
 		ix.AddText(d, body)
 	}
-	coord, err := bestjoin.NewShardedEngine(ix.Compact(), shards, bestjoin.EngineConfig{Workers: 2})
+	parts, err := ix.Compact().Partition(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, len(parts))
+	for i, part := range parts {
+		mux := http.NewServeMux()
+		bestjoin.NewRemoteServer(bestjoin.NewEngine(part, bestjoin.EngineConfig{Workers: 2}),
+			bestjoin.RemoteServerConfig{}).Register(mux)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		addrs[i] = ts.URL
+	}
+	fleet, err := bestjoin.NewRemoteFleet(addrs, bestjoin.RemoteShardConfig{}, bestjoin.ShardedEngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &server{
-		eng:     coord,
+		eng:     fleet,
 		lex:     bestjoin.BuiltinLexicon(),
 		fn:      "med",
 		alpha:   0.1,
@@ -665,9 +702,9 @@ func shardedServer(t *testing.T, shards int) *server {
 	}
 }
 
-// TestShardedQueryMatchesSingle drives the -shards path through the
-// HTTP handler: the sharded server's answer must match the single
-// engine's document for document, score for score.
+// TestShardedQueryMatchesSingle drives the -shards-at path through the
+// HTTP handler: the fleet's answer must match the single engine's
+// document for document, score for score.
 func TestShardedQueryMatchesSingle(t *testing.T) {
 	single := demoServer(t)
 	sharded := shardedServer(t, 3)
@@ -703,8 +740,8 @@ func TestShardedQueryMatchesSingle(t *testing.T) {
 
 // TestHandleHealthz pins the readiness endpoint on both serving
 // shapes: a ready single engine reports its epoch with no shard rows,
-// a sharded fleet reports one row per shard, and epochs move on
-// reload.
+// a remote fleet reports one row per shard, and epochs move on a
+// reload rolled over /swapindex.
 func TestHandleHealthz(t *testing.T) {
 	s := demoServer(t)
 	rec := httptest.NewRecorder()
@@ -738,7 +775,8 @@ func TestHandleHealthz(t *testing.T) {
 		}
 	}
 
-	// A rolling reload moves the fleet epoch and every shard's epoch.
+	// A rolling reload ships each shard its partition over /swapindex
+	// and moves the fleet epoch and every shard's epoch.
 	ix := bestjoin.NewIndex()
 	ix.AddText(0, "alpha beta")
 	sh.eng.SwapIndex(ix.Compact())

@@ -105,15 +105,16 @@
 // internal/engine; see cmd/proxserve for a runnable server and
 // examples/engine for a walkthrough.
 //
-// NewShardedEngine scales the same engine out inside one process: the
-// corpus is partitioned by document id across N child engines and a
-// coordinator scatter-gathers every query under one shared pruning
-// floor, rank-merging the per-shard top-k heaps into answers bitwise
+// NewRemoteFleet scales the same engine out across processes: the
+// corpus is partitioned by document id (CompactIndex.Partition), each
+// partition is served by an Engine behind NewRemoteServer, and the
+// returned ShardedEngine scatter-gathers every query over the fleet,
+// rank-merging the per-shard top-k heaps into answers bitwise
 // identical to the single engine's. Engine and ShardedEngine both
 // satisfy the Searcher contract (Search, Stats, SwapIndex, Health) —
-// servers need not know which they hold; reloads roll shard by shard
-// with zero downtime, and Health reports the index epoch plus
-// per-shard readiness (proxserve's -shards flag and GET /healthz).
+// servers need not know which they hold; reloads roll shard by shard,
+// and Health reports the index epoch plus per-shard readiness
+// (proxserve's -serve-shard and -shards-at flags and GET /healthz).
 //
 // # From text to match lists
 //

@@ -148,7 +148,7 @@ func NewEngine(idx *CompactIndex, cfg EngineConfig) *Engine { return engine.New(
 
 // Searcher is the serving contract shared by Engine and ShardedEngine:
 // Search, Stats, zero-downtime SwapIndex, and Health. Servers written
-// against it cannot tell a single engine from a sharded fleet.
+// against it cannot tell a single engine from a remote fleet.
 type Searcher = engine.Searcher
 
 // EngineHealth is a Searcher's readiness snapshot: overall readiness,
@@ -160,31 +160,17 @@ type EngineHealth = engine.Health
 // ShardHealth is one shard's row in EngineHealth.Shards.
 type ShardHealth = engine.ShardHealth
 
-// ShardedEngine scatter-gathers queries over N doc-partitioned child
-// engines and rank-merges their top-k heaps into the global answer —
-// bitwise identical to a single Engine over the unsplit index, with
-// pruning shared across shards through a fleet-wide floor and rolling
-// zero-downtime reloads. See DESIGN.md "Sharded scatter-gather tier".
+// ShardedEngine is the coordinator NewRemoteFleet returns: it
+// scatter-gathers queries over doc-partitioned shard processes and
+// rank-merges their top-k heaps into the global answer — bitwise
+// identical to a single Engine over the unsplit index — and rolls
+// reloads across the fleet shard by shard. See DESIGN.md "Sharded
+// scatter-gather tier" and "Remote shard tier".
 type ShardedEngine = shard.Coordinator
 
-// NewShardedEngine partitions the index by document id into shards
-// pieces (shards ≤ 1 keeps one child) and builds a ShardedEngine over
-// them; cfg configures every child engine identically.
-func NewShardedEngine(idx *CompactIndex, shards int, cfg EngineConfig) (*ShardedEngine, error) {
-	return shard.New(idx, shard.Config{Shards: shards, Engine: cfg})
-}
-
-// ShardedEngineConfig carries the coordinator-level knobs of a
-// sharded or remote fleet: shard count, per-child engine config,
-// quorum degraded mode, and rolling-reload health gating.
+// ShardedEngineConfig carries NewRemoteFleet's coordinator-level
+// knobs: quorum degraded mode and rolling-reload health gating.
 type ShardedEngineConfig = shard.Config
-
-// NewShardedEngineConfig builds a ShardedEngine with the full
-// coordinator config exposed — NewShardedEngine with the quorum and
-// roll-gating knobs available.
-func NewShardedEngineConfig(idx *CompactIndex, cfg ShardedEngineConfig) (*ShardedEngine, error) {
-	return shard.New(idx, cfg)
-}
 
 // JoinSpec names a stock kernel declaratively — scoring family,
 // decay rate, valid-matchset restriction — so a query can cross a
@@ -233,7 +219,7 @@ func BuildPairPlan(idx *CompactIndex, plan PairPlan, spec JoinSpec, budgetBytes 
 // RemoteShard is an HTTP client for one shard process; it slots into
 // a ShardedEngine as a child. See internal/remote for the robustness
 // stack: per-attempt deadline budgets, retries with jittered backoff,
-// latency-quantile hedging, and a circuit breaker.
+// a hedged duplicate after a fixed delay, and a circuit breaker.
 type RemoteShard = remote.Shard
 
 // RemoteShardConfig tunes a RemoteShard's robustness machinery.

@@ -1,9 +1,9 @@
 package bestjoin_test
 
 // Root-level acceptance for the auxiliary pair-index tier: pair lists
-// must be invisible through every composition of the public surface —
-// single engine, doc-partitioned sharded engine (where Partition
-// splits each pair list by shard), AND / OR / m-of-n modes — and the
+// must be invisible through every composition — single engine,
+// doc-partitioned shard coordinator (where Partition splits each pair
+// list by shard), AND / OR / m-of-n modes — and the
 // speedup must be measurable (BenchmarkEnginePairs, recorded in
 // BENCH_engine.json by scripts/benchjson.sh).
 
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"bestjoin"
+	"bestjoin/internal/shard"
 )
 
 const pairTestDocs = 400
@@ -156,7 +157,7 @@ func TestShardedPairDifferential(t *testing.T) {
 			}
 		}
 		for _, shards := range []int{2, 4} {
-			se, err := bestjoin.NewShardedEngine(c, shards, bestjoin.EngineConfig{})
+			se, err := shard.New(c, shard.Config{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -316,8 +316,8 @@ func TestCoalesceConservation(t *testing.T) {
 
 // TestCoalesceDisabled pins the escape hatch: with
 // Config.DisableCoalescing every miss decodes for itself — no flights,
-// no waits — which is the baseline the -nocoalesce proxserve flag
-// exposes.
+// no waits — which is the baseline BenchmarkEngineCoalesced/nocoalesce
+// measures.
 func TestCoalesceDisabled(t *testing.T) {
 	e, qs, cd := coalesceFixture(t, Config{Workers: 1, DisableCoalescing: true})
 	for i := 0; i < 3; i++ {

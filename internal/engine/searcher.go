@@ -9,9 +9,9 @@ import (
 // Searcher is the query surface an Engine exposes, abstracted so a
 // caller cannot tell one engine from a fleet of them: internal/shard's
 // Coordinator implements the same interface by scatter-gathering N
-// doc-partitioned child engines and rank-merging their heaps, and the
-// root facade (bestjoin.NewShardedEngine) hands either implementation
-// to servers like cmd/proxserve unchanged.
+// doc-partitioned children and rank-merging their heaps. cmd/proxserve
+// serves either one unchanged: an Engine, or a coordinator over remote
+// shard processes (bestjoin.NewRemoteFleet).
 type Searcher interface {
 	// Search evaluates one query; see Engine.Search for the error and
 	// degradation contract every implementation must honor.

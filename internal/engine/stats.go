@@ -245,7 +245,7 @@ type Stats struct {
 	Shards           []Stats `json:",omitempty"`
 	// Remote shard tier (internal/remote). Hedged counts duplicate
 	// requests launched because a shard call outlived its hedging
-	// trigger (the shard's observed latency quantile); Retried counts
+	// delay (ShardConfig.HedgeAfter); Retried counts
 	// re-attempts after a retryable transport failure; ShardTimeouts
 	// counts attempts cut by the per-attempt deadline budget;
 	// BreakerOpen counts searches rejected immediately because a

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,9 +44,10 @@ type ShardConfig struct {
 	Backoff time.Duration
 	// HedgeAfter is how long an attempt may run before a duplicate
 	// request is launched against the same shard (first answer wins —
-	// queries are idempotent reads, so hedging is safe). Once 16
-	// latency samples accumulate, the observed p90 replaces this
-	// static trigger. 0 means 50ms; < 0 disables hedging.
+	// queries are idempotent reads, so hedging is safe). It is a fixed
+	// delay because a latency-quantile trigger would re-send a healthy
+	// shard's slowest, most expensive queries by construction. 0 means
+	// 50ms; < 0 disables hedging.
 	HedgeAfter time.Duration
 	// BreakerThreshold opens the circuit breaker after this many
 	// consecutive failed searches; while open, searches fail fast
@@ -106,7 +106,6 @@ type Shard struct {
 	base string
 	cfg  ShardConfig
 	br   breaker
-	lat  latRing
 
 	hedged      atomic.Uint64
 	retried     atomic.Uint64
@@ -142,7 +141,7 @@ func (s *Shard) Pin() shard.SearchFunc { return s.Search }
 
 // Search runs one query against the shard with the full robustness
 // stack: breaker fail-fast, per-attempt deadline budgets, hedging
-// after the latency quantile, and bounded jittered-backoff retries on
+// after HedgeAfter, and bounded jittered-backoff retries on
 // unavailability.
 func (s *Shard) Search(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if !s.br.allow() {
@@ -151,11 +150,9 @@ func (s *Shard) Search(ctx context.Context, q engine.Query) (*engine.Result, err
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
 		res, err := s.hedgedDo(ctx, q)
 		if err == nil {
 			s.br.success()
-			s.lat.record(time.Since(start))
 			return res, nil
 		}
 		if !errors.Is(err, ErrUnavailable) {
@@ -197,12 +194,11 @@ func (s *Shard) backoff(ctx context.Context, attempt int) error {
 }
 
 // hedgedDo runs one logical attempt, launching a duplicate request if
-// the first outlives the hedging trigger. First success wins; a
-// permanent failure from either wins immediately (waiting for the
-// twin cannot change a 400).
+// the first outlives HedgeAfter. First success wins; a permanent
+// failure from either wins immediately (waiting for the twin cannot
+// change a 400).
 func (s *Shard) hedgedDo(ctx context.Context, q engine.Query) (*engine.Result, error) {
-	hedge := s.hedgeDelay()
-	if hedge <= 0 {
+	if s.cfg.HedgeAfter <= 0 {
 		return s.once(ctx, q)
 	}
 	type outcome struct {
@@ -220,7 +216,7 @@ func (s *Shard) hedgedDo(ctx context.Context, q engine.Query) (*engine.Result, e
 	}
 	launch()
 	outstanding := 1
-	timer := time.NewTimer(hedge)
+	timer := time.NewTimer(s.cfg.HedgeAfter)
 	defer timer.Stop()
 	var firstErr error
 	for {
@@ -247,22 +243,6 @@ func (s *Shard) hedgedDo(ctx context.Context, q engine.Query) (*engine.Result, e
 			}
 		}
 	}
-}
-
-// hedgeDelay picks the hedging trigger: the observed p90 latency once
-// enough samples exist, the configured static delay before that, 0
-// when hedging is disabled.
-func (s *Shard) hedgeDelay() time.Duration {
-	if s.cfg.HedgeAfter <= 0 {
-		return 0
-	}
-	if p90, ok := s.lat.p90(); ok {
-		if p90 < time.Millisecond {
-			p90 = time.Millisecond
-		}
-		return p90
-	}
-	return s.cfg.HedgeAfter
 }
 
 // once is a single wire attempt: carve the deadline budget, encode
@@ -488,37 +468,4 @@ func (b *breaker) failure() {
 	if b.fails >= b.threshold {
 		b.openUntil = time.Now().Add(b.cooldown)
 	}
-}
-
-// latRing is a fixed ring of recent attempt latencies feeding the
-// hedge trigger's p90.
-type latRing struct {
-	mu      sync.Mutex
-	samples [64]time.Duration
-	n       int
-}
-
-func (l *latRing) record(d time.Duration) {
-	l.mu.Lock()
-	l.samples[l.n%len(l.samples)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// p90 reports the 90th-percentile recorded latency once at least 16
-// samples exist.
-func (l *latRing) p90() (time.Duration, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < 16 {
-		return 0, false
-	}
-	k := l.n
-	if k > len(l.samples) {
-		k = len(l.samples)
-	}
-	buf := make([]time.Duration, k)
-	copy(buf, l.samples[:k])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf[(k*9)/10], true
 }

@@ -530,6 +530,45 @@ func TestRemoteHedging(t *testing.T) {
 	}
 }
 
+// TestRemoteHedgeOnlyAfterHedgeAfter pins HedgeAfter as the only
+// hedging trigger: after 32 fast calls, a call slower than every one
+// of them but well inside HedgeAfter is not hedged. A trigger learned
+// from the shard's own latency quantile would re-send it.
+func TestRemoteHedgeOnlyAfterHedgeAfter(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	compact := buildCompact(t, remoteCorpus(rng))
+	eng := engine.New(compact, engine.Config{Workers: 1})
+	inner := http.NewServeMux()
+	NewServer(eng, ServerConfig{}).Register(inner)
+	const fast = 32
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shardquery" && calls.Add(1) == fast+1 {
+			time.Sleep(250 * time.Millisecond)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	s := NewShard(ts.URL, ShardConfig{Timeout: time.Minute, Retries: -1, HedgeAfter: 10 * time.Second})
+	q := engine.Query{
+		Concepts: remoteConcepts(rng),
+		Spec:     engine.KernelSpec{Family: "med", Alpha: 0.05},
+		K:        3,
+	}
+	for i := 0; i <= fast; i++ {
+		if _, err := s.Search(context.Background(), q); err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+	}
+	if n := calls.Load(); n != fast+1 {
+		t.Fatalf("%d requests reached the shard for %d calls", n, fast+1)
+	}
+	if h := s.Stats().Hedged; h != 0 {
+		t.Fatalf("Hedged = %d: a call inside HedgeAfter was hedged", h)
+	}
+}
+
 // TestRemoteTimeoutCounted pins the per-attempt deadline budget: a
 // shard slower than Timeout costs a counted timeout and retries.
 func TestRemoteTimeoutCounted(t *testing.T) {

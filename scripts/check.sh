@@ -24,6 +24,21 @@ fi
 echo "== go build =="
 go build ./...
 
+# Flag ratchet: proxserve's command-line surface may shrink, never
+# grow. The ceiling is the count today; a change that deletes a flag
+# lowers it to the new count in the same change.
+echo "== proxserve flag ratchet =="
+max_flags=25
+flagbin="$(mktemp)"
+go build -o "$flagbin" ./cmd/proxserve
+nflags="$("$flagbin" -h 2>&1 | grep -c '^  -' || true)"
+rm -f "$flagbin"
+if [ "$nflags" -gt "$max_flags" ]; then
+    echo "proxserve lists $nflags flags in -h, more than the ceiling of $max_flags" >&2
+    exit 1
+fi
+echo "proxserve: $nflags flags (ceiling $max_flags)"
+
 echo "== go test -race =="
 go test -race ./...
 
