@@ -22,7 +22,8 @@ bench:
 bench-json:
 	./scripts/benchjson.sh
 
-# Short fuzz passes over the untrusted-bytes decode paths.
+# Short fuzz passes over the untrusted-bytes decode paths (index files,
+# match lists, the shard wire) and over the cache rung's soundness.
 fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecode -fuzztime=30s ./internal/match/
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
@@ -32,6 +33,9 @@ fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzBlockDocs -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodePairs -fuzztime=30s ./internal/index/
+	go test -run=Fuzz -fuzz=FuzzShardQuery -fuzztime=30s ./internal/remote/
+	go test -run=Fuzz -fuzz=FuzzShardResult -fuzztime=30s ./internal/remote/
+	go test -run=Fuzz -fuzz=FuzzScreenRung -fuzztime=30s ./internal/join/
 
 # CPU and heap profiles of the cold/cached engine benchmark, for
 # digging into the block-max skip layer with `go tool pprof cpu.prof`

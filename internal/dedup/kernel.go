@@ -97,6 +97,16 @@ func (k *Kernel) FloorCut() bool { return k.d.cut || k.windowCut }
 // because the inner kernel's window screen cut it.
 func (k *Kernel) WindowCut() bool { return k.windowCut }
 
+// CutWidth forwards to a Floored inner kernel, whose screen the search's
+// root run applies with the same floor: a cut there is a cut here.
+// Without one no width cuts.
+func (k *Kernel) CutWidth(sigs []join.Sig, bar float64) (int, bool) {
+	if k.floored == nil {
+		return 0, false
+	}
+	return k.floored.CutWidth(sigs, bar)
+}
+
 // ScoreUpperBound forwards to the inner kernel's bound when it has
 // one. Valid (duplicate-free) matchsets are a subset of all matchsets,
 // so the inner kernel's unrestricted cap stays sound for the wrapped

@@ -72,11 +72,16 @@ type flooredKernel interface {
 // the two kernels that screen: a warmed WIN or MED kernel, bare and
 // wrapped, allocates nothing per document whether the window screen
 // cuts it before the merge or lets it through to the program (and, for
-// the wrapper, to the search).
+// the wrapper, to the search) — nor does its cut width, remembered or
+// searched for afresh at a bar it has not seen.
 func TestArmedKernelZeroAlloc(t *testing.T) {
 	for _, name := range []string{"win", "med"} {
 		for _, dups := range []int{0, 1, 3} {
 			lists := dupTokenLists(dups)
+			sigs := make([]join.Sig, len(lists))
+			for j, l := range lists {
+				sigs[j] = join.Signature(l)
+			}
 			for _, wrapped := range []bool{false, true} {
 				k := innerKernels()[name].(flooredKernel)
 				if wrapped {
@@ -101,6 +106,18 @@ func TestArmedKernelZeroAlloc(t *testing.T) {
 					if allocs != 0 {
 						t.Errorf("%s dups=%d wrapped=%v floor %v: %v allocs per join, want 0", name, dups, wrapped, floor, allocs)
 					}
+				}
+				if _, ok := k.CutWidth(sigs, math.MaxFloat64); !ok {
+					t.Fatalf("%s dups=%d wrapped=%v: no cut width at the largest bar", name, dups, wrapped)
+				}
+				bar := score
+				allocs := testing.AllocsPerRun(50, func() {
+					k.CutWidth(sigs, math.MaxFloat64)
+					bar = math.Nextafter(bar, 0) // a new bar: a memo miss
+					k.CutWidth(sigs, bar)
+				})
+				if allocs != 0 {
+					t.Errorf("%s dups=%d wrapped=%v: %v allocs per cut width, want 0", name, dups, wrapped, allocs)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"bestjoin/internal/faultinject"
 	"bestjoin/internal/index"
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 )
 
@@ -27,7 +28,9 @@ import (
 // (index.BlockDocs), Stats().BlockDecodes counting each one built — and
 // each of its documents decodes on first need, once, into the entry:
 // a query that needs two documents of a block decodes two, not the
-// whole block.
+// whole block. A decoded document keeps its join.Sig beside it — a
+// location mask and its exact maximum score — which the cache rung
+// (dispatch.go) reads before every later join of the document.
 //
 // Soundness (DESIGN.md): a block's MaxScore is ≥ every per-document
 // maximum inside it, the UpperBound hooks are monotone non-decreasing
@@ -147,12 +150,37 @@ func (cu *listCursor) mark() {
 	cu.cd.cand[cu.blk/64] |= 1 << (cu.blk % 64)
 }
 
+// blockPos is where a cursor found a candidate: its block and its index
+// in the block's directory. A job carries one per list, so the worker
+// finds the document in the block's entry without searching for either.
+type blockPos struct{ blk, di int32 }
+
+// at returns the cursor's current position. A cursor that answered from
+// the skip entry's FirstDoc, its directory undecoded, stands at index 0.
+func (cu *listCursor) at() blockPos {
+	if cu.dir == nil {
+		return blockPos{int32(cu.blk), 0}
+	}
+	return blockPos{int32(cu.blk), int32(cu.di)}
+}
+
+// blockMaxima is the per-list maxima of the candidates found at
+// positions at (flattened as intersectCursors flattens them): each
+// position's block MaxScore, as maxAt reads it.
+func blockMaxima(cds []*conceptData, at []blockPos) []float64 {
+	perListMax := make([]float64, len(at))
+	for i, p := range at {
+		perListMax[i] = cds[i%len(cds)].blocks.bt.Infos[p.blk].MaxScore
+	}
+	return perListMax
+}
+
 // intersectCursors returns the documents present in every concept by
-// a leapfrog walk over cursors, together with the per-list maximum
-// match scores of every surviving document, flattened document-major:
-// perListMax[i*len(cds)+j] is concept j's block maximum for the i-th
-// candidate. No concept's corpus-wide doc-set is ever materialized.
-func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []int, perListMax []float64) {
+// a leapfrog walk over cursors, together with where each cursor found
+// each of them, flattened document-major: at[i*len(cds)+j] is concept
+// j's (block, directory index) for the i-th candidate. No concept's
+// corpus-wide doc-set is ever materialized.
+func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []int, at []blockPos) {
 	n := len(cds)
 	for _, cd := range cds {
 		if cd.failed {
@@ -167,7 +195,7 @@ func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []in
 	for {
 		doc, ok := curs[j].seek(e, qs, d)
 		if !ok {
-			return docs, perListMax
+			return docs, at
 		}
 		if doc > d {
 			d, matched = doc, 1
@@ -177,14 +205,14 @@ func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []in
 		if matched == n {
 			docs = append(docs, d)
 			for jj := range curs {
-				perListMax = append(perListMax, curs[jj].maxAt())
+				at = append(at, curs[jj].at())
 				curs[jj].mark()
 			}
 			// Poll the context on a coarse stride: a cancelled query
 			// stops generating candidates nobody will read.
 			if len(docs)&0x3ff == 0 && qs.ctx.Err() != nil {
 				qs.cancelled = true
-				return docs, perListMax
+				return docs, at
 			}
 			d++
 			matched = 0
@@ -196,69 +224,68 @@ func (e *Engine) intersectCursors(qs *queryState, cds []*conceptData) (docs []in
 }
 
 // blockFetch memoizes one worker's most recent block entry per
-// concept, and the position of the last document served from it:
-// bound-tied documents keep ascending id order through dispatch, so
-// consecutive jobs usually share a block — skipping the skip-table
-// search and even the cache Get — and often sit at neighbouring
-// positions. scratch holds a document this worker had to decode
+// concept: bound-tied documents keep ascending id order through
+// dispatch, so consecutive jobs usually share a block and skip the
+// cache Get. scratch holds a document this worker had to decode
 // outside the entry (docList); it is valid until the next such decode
 // for the same concept, which is after the job that asked for it ran.
 type blockFetch struct {
 	blk     int
-	di      int
 	ent     *listEntry
 	scratch match.List
 }
 
-// list returns doc's match list under concept cd: locate the
-// document's block, fetch its entry (worker memo → list cache → index
-// the block), find the document in it, and decode its matches unless
-// the entry already holds them. The memo only short-cuts the two
-// searches — blocks cover disjoint id ranges and a block lists a
-// document once — so the answer does not depend on what the worker
-// served before. false means the document is not there (unreachable
-// for a generated candidate) or a decode failed.
-func (f *blockFetch) list(e *Engine, qs *queryState, cd *conceptData, doc int) (match.List, bool) {
+// list returns doc's match list under concept cd, with its signature:
+// fetch the entry of the block the job's cursor position names (worker
+// memo → list cache → index the block), take the document at the
+// position's directory index, and decode its matches unless the entry
+// already holds them. A position that does not hold doc falls back to
+// searching the skip table and the directory, so the answer depends
+// neither on the position nor on what the worker served before. false
+// means the document is not there (unreachable for a generated
+// candidate) or a decode failed.
+func (f *blockFetch) list(e *Engine, qs *queryState, cd *conceptData, doc int, at blockPos) (match.List, join.Sig, bool) {
 	bt := cd.blocks.bt
-	if f.blk < 0 || doc < bt.Infos[f.blk].FirstDoc || doc > bt.Infos[f.blk].LastDoc {
-		blk := bt.FindBlock(doc)
-		if blk < 0 {
-			return nil, false
+	blk, di := int(at.blk), int(at.di)
+	if blk < 0 || blk >= len(bt.Infos) || doc < bt.Infos[blk].FirstDoc || doc > bt.Infos[blk].LastDoc {
+		if blk = bt.FindBlock(doc); blk < 0 {
+			return nil, join.Sig{}, false
 		}
+	}
+	if blk != f.blk {
 		ent, ok := e.fetchBlock(qs, cd, blk)
 		if !ok {
-			return nil, false
+			return nil, join.Sig{}, false
 		}
-		f.blk, f.di, f.ent = blk, -1, ent
+		f.blk, f.ent = blk, ent
 	}
 	docs := f.ent.bd.Docs
-	di := f.di + 1
-	if di >= len(docs) || docs[di] != doc {
+	if di < 0 || di >= len(docs) || docs[di] != doc {
 		di = sort.SearchInts(docs, doc)
 		if di == len(docs) || docs[di] != doc {
-			return nil, false
+			return nil, join.Sig{}, false
 		}
 	}
-	f.di = di
 	return e.docList(qs, f.ent, di, &f.scratch)
 }
 
-// fillLists completes a job's match lists on a worker — lazy
-// per-document decode fanned out across the pool. A conjunctive job
-// (mask == 0) has one slot per concept; a disjunctive job one slot per
-// set bit of jb.mask, in ascending concept order. false means a decode
+// fillLists completes a job's match lists and their signatures on a
+// worker — lazy per-document decode fanned out across the pool. A
+// conjunctive job (mask == 0) has one slot per concept; a disjunctive
+// job one slot per set bit of jb.mask, in ascending concept order; sigs
+// takes the slots' signatures in the same order. false means a decode
 // failed and the document must be dropped.
-func (e *Engine) fillLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch) bool {
+func (e *Engine) fillLists(qs *queryState, cds []*conceptData, jb docJob, fetch []blockFetch, sigs []join.Sig) bool {
 	s := 0
 	for j, cd := range cds {
 		if jb.mask != 0 && jb.mask&(1<<uint(j)) == 0 {
 			continue
 		}
-		l, ok := fetch[j].list(e, qs, cd, jb.doc)
+		l, sig, ok := fetch[j].list(e, qs, cd, jb.doc, jb.at[s])
 		if !ok {
 			return false
 		}
-		jb.lists[s] = l
+		jb.lists[s], sigs[s] = l, sig
 		s++
 	}
 	return true
@@ -326,8 +353,9 @@ func newListEntry(bd index.BlockDocs) *listEntry {
 	for d := range n {
 		maxCount = max(maxCount, bd.Count(d))
 	}
-	return &listEntry{bd: bd, lists: make([]match.List, n), state: make([]atomic.Uint32, n),
-		slack: arenaSlack(bd.Total, maxCount)}
+	ent := &listEntry{bd: bd, lists: make([]match.List, n), state: make([]atomic.Uint32, n)}
+	ent.slack = arenaSlack(ent.room(), maxCount+1)
+	return ent
 }
 
 // Slot states of a listEntry document. A slot goes empty → claimed →
@@ -340,37 +368,47 @@ const (
 	slotReady
 )
 
-// docList returns document d of entry ent, decoding it on first need.
-// The goroutine that claims the slot decodes into the entry's arena
-// and publishes the list with a release store; a caller that finds the
-// slot claimed by someone else does not wait — it decodes into its own
-// scratch.
-func (e *Engine) docList(qs *queryState, ent *listEntry, d int, scratch *match.List) (match.List, bool) {
+// docList returns document d of entry ent and its signature, decoding
+// both on first need. The goroutine that claims the slot decodes into
+// the entry's arena, with the signature in one more match's room just
+// past the list (Loc holding the mask's bits, Score the maximum), and
+// publishes the list with a release store; a caller that finds the slot
+// claimed by someone else does not wait — it decodes into its own
+// scratch and computes the signature there. The list handed out is
+// capped at its length, so nothing appended to it can reach the
+// signature.
+func (e *Engine) docList(qs *queryState, ent *listEntry, d int, scratch *match.List) (match.List, join.Sig, bool) {
 	st := &ent.state[d]
 	if st.Load() == slotReady {
-		return ent.lists[d], true
+		l := ent.lists[d]
+		n := len(l)
+		sig := l[:n+1][n]
+		return l[:n:n], join.Sig{Mask: uint64(sig.Loc), Max: sig.Score}, true
 	}
 	if st.CompareAndSwap(slotEmpty, slotClaimed) {
 		n := ent.bd.Count(d)
 		dst := ent.lists[d][:0] // room an earlier, failed claim took
-		if cap(dst) < n {
-			dst = ent.arena.take(n, ent.bd.Total)
+		if cap(dst) < n+1 {
+			dst = ent.arena.take(n+1, ent.room())
 		}
 		l, ok := e.decodeDoc(qs, &ent.bd, d, dst)
 		if !ok {
 			ent.lists[d] = dst
 			st.Store(slotEmpty)
-			return nil, false
+			return nil, join.Sig{}, false
 		}
-		ent.lists[d] = l
+		sig := join.Signature(l)
+		n = len(l)
+		ent.lists[d] = append(l, match.Match{Loc: int(sig.Mask), Score: sig.Max})[:n]
 		st.Store(slotReady)
-		return l, true
+		return l[:n:n], sig, true
 	}
 	l, ok := e.decodeDoc(qs, &ent.bd, d, (*scratch)[:0])
-	if ok {
-		*scratch = l
+	if !ok {
+		return nil, join.Sig{}, false
 	}
-	return l, ok
+	*scratch = l
+	return l, join.Signature(l), true
 }
 
 // decodeDoc appends document d's matches to dst under recover (the

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"bestjoin/internal/index"
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
@@ -116,17 +119,17 @@ func TestCacheBytesBoundsDecodedEntries(t *testing.T) {
 		ent := el.Value.(*lruEntry[listKey, *listEntry]).val
 		var scratch match.List
 		for d := range ent.bd.Docs {
-			if _, ok := e.docList(qs, ent, d, &scratch); !ok {
+			if _, _, ok := e.docList(qs, ent, d, &scratch); !ok {
 				t.Fatalf("doc %d of a cached block failed to decode", d)
 			}
 			if ent.state[d].Load() != slotReady {
 				t.Fatalf("doc %d decoded outside its entry", d)
 			}
 		}
-		if ent.arena.alloc > ent.bd.Total+ent.slack {
-			t.Fatalf("arena holds %d matches of a %d-match block (slack %d)", ent.arena.alloc, ent.bd.Total, ent.slack)
+		if ent.arena.alloc > ent.room()+ent.slack {
+			t.Fatalf("arena holds %d matches of a %d-match block (slack %d)", ent.arena.alloc, ent.room(), ent.slack)
 		}
-		resident += listEntryCost(ent) - int64(ent.bd.Total+ent.slack-ent.arena.alloc)*matchBytes
+		resident += listEntryCost(ent) - int64(ent.room()+ent.slack-ent.arena.alloc)*matchBytes
 	}
 	cached := len(e.lists.items)
 	e.lists.mu.Unlock()
@@ -169,7 +172,7 @@ func TestArenaPlacesEveryDocument(t *testing.T) {
 		e, qs := &Engine{}, &queryState{ctx: context.Background()}
 		var scratch match.List
 		for d := len(docs) - 1; d >= 0; d-- {
-			l, ok := e.docList(qs, ent, d, &scratch)
+			l, _, ok := e.docList(qs, ent, d, &scratch)
 			if !ok || ent.state[d].Load() != slotReady {
 				t.Fatalf("%s: doc %d not placed in its entry (ok=%v)", name, d, ok)
 			}
@@ -177,10 +180,41 @@ func TestArenaPlacesEveryDocument(t *testing.T) {
 				t.Fatalf("%s: doc %d decoded %v, want %v", name, d, l, lists[d])
 			}
 		}
-		if ent.arena.alloc > ent.bd.Total+ent.slack {
+		if ent.arena.alloc > ent.room()+ent.slack {
 			t.Fatalf("%s: arena allocated %d matches for a %d-match block, slack %d",
-				name, ent.arena.alloc, ent.bd.Total, ent.slack)
+				name, ent.arena.alloc, ent.room(), ent.slack)
 		}
+	}
+}
+
+// TestFetchPositionIsOnlyAHint: a worker takes a candidate's document
+// at the (block, directory index) its cursor shipped, and a position
+// that does not hold the document — another index, another block, none
+// at all — falls back to the search: the answer is the document's list
+// and signature whatever the position says.
+func TestFetchPositionIsOnlyAHint(t *testing.T) {
+	corpus := make([]string, 24)
+	for i := range corpus {
+		corpus[i] = strings.Repeat("cedar ", i%5) + "amber"
+	}
+	compact := buildCompact(t, corpus)
+	concept := index.Concept{"amber": 1}
+	compact.AddConceptBlocksSized(concept, 8)
+	e := New(compact, Config{Workers: 1})
+	qs := &queryState{ctx: context.Background(), idx: compact, epoch: 1}
+	cd := e.conceptData(qs, concept)
+	f := blockFetch{blk: -1}
+	for _, d := range []int{0, 9, 23, 8, 7} {
+		want := match.List{{Loc: d % 5, Score: 1}}
+		blk, di := int32(d/8), int32(d%8)
+		for _, at := range []blockPos{{blk, di}, {blk, (di + 1) % 8}, {(blk + 1) % 3, di}, {99, -4}, {-1, 0}} {
+			if l, sig, ok := f.list(e, qs, cd, d, at); !ok || !slices.Equal(l, want) || sig != join.Signature(want) {
+				t.Fatalf("doc %d at %+v: %v, signature %+v (ok %v), want %v", d, at, l, sig, ok, want)
+			}
+		}
+	}
+	if _, _, ok := f.list(e, qs, cd, 24, blockPos{2, 7}); ok {
+		t.Fatal("found a document the concept does not hold")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"bestjoin/internal/index"
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 )
 
@@ -384,8 +385,8 @@ func TestCoalesceEndToEnd(t *testing.T) {
 }
 
 // TestEntryFirstTouch has many goroutines first-touch every document
-// of one shared entry at once: each gets the document's exact list,
-// whether it won the slot's claim and decoded into the entry or found
+// of one shared entry at once: each gets the document's exact list and
+// signature, whether it won the slot's claim and decoded into the entry or found
 // the slot claimed and decoded into its own scratch — the loser path is
 // also pinned deterministically by holding a claim by hand — and the
 // entry ends with every slot published, inside its arena bound.
@@ -405,8 +406,8 @@ func TestEntryFirstTouch(t *testing.T) {
 	// slot alone.
 	ent.state[0].Store(slotClaimed)
 	var scratch match.List
-	l, ok := e.docList(qs, ent, 0, &scratch)
-	if !ok || !same(l, want[0]) || &l[0] != &scratch[0] {
+	l, sig, ok := e.docList(qs, ent, 0, &scratch)
+	if !ok || !same(l, want[0]) || &l[0] != &scratch[0] || sig != join.Signature(want[0]) {
 		t.Fatalf("claim loser got %v (ok=%v), want %v in its scratch", l, ok, want[0])
 	}
 	if ent.state[0].Load() != slotClaimed || ent.lists[0] != nil {
@@ -423,8 +424,9 @@ func TestEntryFirstTouch(t *testing.T) {
 			defer wg.Done()
 			var scratch match.List
 			for d := range want {
-				if l, ok := e.docList(qs, ent, (d+g)%len(want), &scratch); !ok || !same(l, want[(d+g)%len(want)]) {
-					errs <- fmt.Sprintf("doc %d: got %v (ok=%v)", (d+g)%len(want), l, ok)
+				dd := (d + g) % len(want)
+				if l, sig, ok := e.docList(qs, ent, dd, &scratch); !ok || !same(l, want[dd]) || sig != join.Signature(want[dd]) {
+					errs <- fmt.Sprintf("doc %d: got %v, signature %+v (ok=%v)", dd, l, sig, ok)
 				}
 			}
 		}()
@@ -439,8 +441,8 @@ func TestEntryFirstTouch(t *testing.T) {
 			t.Fatalf("slot %d not published with its list", d)
 		}
 	}
-	if ent.arena.alloc > ent.bd.Total {
-		t.Fatalf("arena allocated %d matches for a block of %d", ent.arena.alloc, ent.bd.Total)
+	if ent.arena.alloc > ent.room() {
+		t.Fatalf("arena allocated %d matches for a block of %d", ent.arena.alloc, ent.room())
 	}
 	if qs.degraded.Load() || e.Stats().DecodeFailures != 0 {
 		t.Fatal("healthy first touches degraded the query")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 )
 
@@ -35,6 +36,7 @@ type docJob struct {
 	orig  float64
 	mask  uint64
 	lists match.Lists
+	at    []blockPos // per slot: where the candidate walk found doc
 }
 
 // joinWorkers spawns the join worker pool shared by the conjunctive
@@ -48,7 +50,10 @@ type docJob struct {
 // dropped only when its bound is strictly below its bar
 // (floorEntry.bar): a bound at the floor still runs when the
 // document's id would win the tie. The same bar arms a join.Floored
-// kernel (safeJoin), unless pruning is disabled.
+// kernel (safeJoin), unless pruning is disabled — and, before that,
+// the cache rung: a document whose lists' signatures prove its every
+// window too wide for the kernel's cut width is pruned like a bound
+// below its bar, its join never run.
 // Conjunctive jobs (mask == 0) carry full-width list slices;
 // disjunctive jobs carry a concept bitmask with one compacted list
 // slot per set bit. The caller closes jobs and waits on wg.
@@ -64,6 +69,7 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 			for i := range fetch {
 				fetch[i].blk = -1
 			}
+			sigs := make([]join.Sig, nc)
 			// Polled once per document: a non-blocking receive, where
 			// ctx.Err() locks a mutex the whole pool shares.
 			done := qs.ctx.Done()
@@ -89,7 +95,7 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 						}
 						continue
 					}
-					if !e.fillLists(qs, cds, jb, fetch) {
+					if !e.fillLists(qs, cds, jb, fetch, sigs) {
 						// Block decode failure: drop this document only. An
 						// unfilled job on an expired context is not a failure
 						// — a cancelled flight waiter returns false without
@@ -107,7 +113,12 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 							continue
 						}
 					}
-					set, score, ok, panicked := safeJoin(kern, bar, jb.lists)
+					set, score, ok, rungCut, panicked := safeJoin(kern, bar, jb.lists, sigs[:len(jb.lists)])
+					if rungCut {
+						pruned.Add(1)
+						e.counters.prunedDocs.Add(1)
+						continue
+					}
 					e.counters.joinsRun.Add(1)
 					if panicked {
 						e.counters.joinPanics.Add(1)

@@ -151,30 +151,37 @@ type Engine struct {
 // listEntry is one match-list cache value: one block's directory and
 // match-area offsets (index.BlockDocs), whose documents decode on
 // first need (docList) and stay in the entry — slot d of lists holds
-// document d's matches once state[d] is slotReady.
+// document d's matches, with its join.Sig in the room just past them,
+// once state[d] is slotReady.
 type listEntry struct {
 	bd    index.BlockDocs
 	lists []match.List
 	state []atomic.Uint32
 	arena matchArena
-	slack int // arenaSlack: matches the arena may allocate past bd.Total
+	slack int // arenaSlack: matches the arena may allocate past room()
 }
 
+// room is the matches the entry's arena places with every document
+// decoded: each document's matches and one more for its signature.
+func (v *listEntry) room() int { return v.bd.Total + len(v.bd.Docs) }
+
 // matchBytes is the in-memory size of one match.Match (int + float64)
-// for byte-cost cache accounting.
+// for byte-cost cache accounting; a document's signature (a 64-bit
+// location mask and its maximum score) takes the same.
 const matchBytes = 16
 
-// docHeaderBytes is an entry's per-document overhead: the id, the
-// list header, the slot state, and index.BlockDocs's offsets (24).
+// docHeaderBytes is an entry's per-document overhead outside the arena:
+// the id, the list header, the slot state, and index.BlockDocs's
+// offsets (24).
 const docHeaderBytes = 8 + 24 + 4 + 24
 
 // listEntryCost is one cache entry's resident bytes with every
-// document decoded — the block's matches plus the arena's bounded
-// slack — plus per-document headers and fixed bookkeeping. It is
-// charged in full on insert, so Config.CacheBytes bounds the cache
-// however many of its documents get decoded later.
+// document decoded — the block's matches and signatures plus the
+// arena's bounded slack — plus per-document headers and fixed
+// bookkeeping. It is charged in full on insert, so Config.CacheBytes
+// bounds the cache however many of its documents get decoded later.
 func listEntryCost(v *listEntry) int64 {
-	return int64(v.bd.Total+v.slack)*matchBytes + int64(len(v.bd.Docs))*docHeaderBytes +
+	return int64(v.room()+v.slack)*matchBytes + int64(len(v.bd.Docs))*docHeaderBytes +
 		int64(unsafe.Sizeof(*v)) + 64
 }
 

@@ -159,21 +159,28 @@ func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
 }
 
 // safeJoin runs one kernel invocation under recover: a panic in
-// SetFloor, in Reset, in Join, or injected at the KernelJoin site is
-// contained to this one document. The kernel must be treated as
-// poisoned after a panic — its scratch may be mid-mutation. A Floored
-// kernel is armed with the document's bar first, so ok == false also
-// means "ranks strictly below the k-th kept entry" (the kernel-floor
-// screen, DESIGN.md).
-func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set, score float64, ok, panicked bool) {
+// CutWidth, in SetFloor, in Reset, in Join, or injected at the
+// KernelJoin site is contained to this one document. The kernel must be
+// treated as poisoned after a panic — its scratch may be mid-mutation.
+// A Floored kernel first takes the cache rung: when the lists'
+// signatures sigs prove every window of one match per list at least
+// its cut width at bar (join.Apart), the window screen would cut the
+// document, so the join does not run and rungCut reports it. Otherwise
+// the kernel is armed with the bar, so ok == false also means "ranks
+// strictly below the k-th kept entry" (the kernel-floor screen,
+// DESIGN.md).
+func safeJoin(kern workerKernel, bar float64, lists match.Lists, sigs []join.Sig) (set match.Set, score float64, ok, rungCut, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			set, score, ok, panicked = nil, 0, false, true
+			set, score, ok, rungCut, panicked = nil, 0, false, false, true
 		}
 	}()
 	faultinject.MaybePanic(faultinject.KernelJoin)
-	if kern.floored != nil {
-		kern.floored.SetFloor(bar)
+	if fk := kern.floored; fk != nil {
+		if w, cuts := fk.CutWidth(sigs, bar); cuts && join.Apart(sigs, w) {
+			return nil, 0, false, true, false
+		}
+		fk.SetFloor(bar)
 	}
 	kern.Reset(nil, lists)
 	set, score, ok = kern.Join()

@@ -275,7 +275,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	if union {
 		return e.searchUnion(qs, q, cds, minMatch, k, start), nil
 	}
-	candidates, perListMax := e.intersectCursors(qs, cds)
+	candidates, at := e.intersectCursors(qs, cds)
 
 	// No candidate contains every concept: the answer is empty and
 	// final, so skip the worker pool entirely. (A concept whose decode
@@ -304,6 +304,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// below can attribute the prunes only the pair bound caused.
 	var pairOrig []float64
 	if e.prune {
+		perListMax := blockMaxima(cds, at)
 		bounds = e.planBounds(q.Join, candidates, perListMax, nc)
 		if bounds != nil {
 			if pairFP != 0 && nc > 2 {
@@ -401,7 +402,7 @@ dispatch:
 			orig = pairOrig[i]
 		}
 		jobsBacking = append(jobsBacking, docJob{doc: candidates[i], bound: bound, orig: orig,
-			lists: backing[i*nc : (i+1)*nc : (i+1)*nc]})
+			lists: backing[i*nc : (i+1)*nc : (i+1)*nc], at: at[i*nc : (i+1)*nc]})
 		if pending++; pending == dispatchChunk {
 			if !ship() {
 				break dispatch

@@ -166,7 +166,11 @@ type Stats struct {
 	DedupCapped    uint64
 	// PrunedDocs counts candidate documents skipped because their
 	// score upper bound was strictly below the top-k floor — joins
-	// that never ran. PrunedFraction is PrunedDocs over all candidates
+	// that never ran. The bound is the candidate's per-list (block)
+	// maxima, or, at the worker, the cache rung's: its lists'
+	// signatures put every window past the kernel's cut width (a
+	// document the window screen would otherwise have cut, counting in
+	// WindowCutJoins). PrunedFraction is PrunedDocs over all candidates
 	// that reached the prune-or-join decision (0 when none have).
 	PrunedDocs     uint64
 	PrunedFraction float64

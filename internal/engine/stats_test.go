@@ -24,7 +24,8 @@ import (
 // on and one worker the bar each join sees (floorEntry.bar: the floor,
 // or one ulp above it for a document that has lost the tie on id) is a
 // function of dispatch order alone, so a replay that models both
-// kernel-floor screens must predict every counter exactly — JoinsRun,
+// kernel-floor screens and the cache rung ahead of them must predict
+// every counter exactly — JoinsRun,
 // KernelInvocations, FloorCutJoins, WindowCutJoins, PrunedDocs, for the
 // wrapped kernel and the bare one — and the wrapped count must come out
 // strictly below the floorless one; with more workers the floors depend on the schedule,
@@ -103,22 +104,40 @@ func TestKernelInvocationsCounted(t *testing.T) {
 
 	// The floored replay: one worker takes candidates in bound order,
 	// skips those whose bound is under their bar, arms the kernel with
-	// that bar, and reloads the floor entry after every offer. The kernels replayed
-	// know no window screen — one-shot joins, which dedup.Wrap cannot
-	// arm — so the screen is the model's: a candidate whose window cap
-	// is under the floor is cut at its root run, unscored. The search
+	// that bar, and reloads the floor entry after every offer. Before the
+	// join it takes the cache rung, as the engine does: the lists'
+	// signatures, and a WIN kernel's cut width at the bar, prune a
+	// document whose every window is at least that wide. The kernels
+	// replayed know no window screen — one-shot joins, which dedup.Wrap
+	// cannot arm — so the screen is the model's: a candidate whose window
+	// cap is under the floor is cut at its root run, unscored. The search
 	// floor alone would have cut it there too, one kernel run later, so
 	// the screen moves no counter but its own.
 	oneShot := func(l match.Lists) (match.Set, float64, bool) { return join.WIN(fn, l) }
+	sigs := make([][]join.Sig, len(lists))
+	for i, l := range lists {
+		for _, list := range l {
+			sigs[i] = append(sigs[i], join.Signature(list))
+		}
+	}
 	type prediction struct{ joins, invocations, floorCuts, windowCuts, pruned uint64 }
-	replay := func(valid bool) (p prediction) {
+	replay := func(valid bool) (p prediction, rungCuts int) {
 		search := dedup.Wrap(join.KernelFunc(oneShot))
+		rung := join.NewWINKernel(fn)
 		top := newTopK(DefaultK, nil)
 		entry := top.entry()
 		for _, i := range boundOrder(bounds) {
 			floor := entry.bar(docs[i])
 			if bounds[i] < floor {
 				p.pruned++
+				continue
+			}
+			if w, cuts := rung.CutWidth(sigs[i], floor); cuts && join.Apart(sigs[i], w) {
+				if caps[i] >= floor {
+					t.Fatalf("doc %d: the rung cuts at width %d, but the window cap %v is not under the floor %v", docs[i], w, caps[i], floor)
+				}
+				p.pruned++
+				rungCuts++
 				continue
 			}
 			p.joins++
@@ -145,12 +164,12 @@ func TestKernelInvocationsCounted(t *testing.T) {
 				entry = top.entry()
 			}
 		}
-		return p
+		return p, rungCuts
 	}
 	for _, valid := range []bool{true, false} {
-		p := replay(valid)
-		if p.windowCuts == 0 || valid && (p.floorCuts == p.windowCuts || p.invocations >= invocations) {
-			t.Fatalf("floored replay (valid %v): %+v against %d floorless invocations — the corpus does not exercise both cuts", valid, p, invocations)
+		p, rungCuts := replay(valid)
+		if rungCuts == 0 || p.windowCuts == 0 || valid && (p.floorCuts == p.windowCuts || p.invocations >= invocations) {
+			t.Fatalf("floored replay (valid %v): %+v and %d rung cuts against %d floorless invocations — the corpus does not exercise every cut", valid, p, rungCuts, invocations)
 		}
 		e = New(compact, Config{Workers: 1})
 		if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: KernelSpec{Family: "win", Alpha: 0.07, Valid: valid}}); err != nil {
@@ -177,17 +196,26 @@ func TestKernelInvocationsCounted(t *testing.T) {
 // TestOneWorkerCountsPinned pins the join counters of a seeded stream
 // — AND, OR and 2-of-3 queries under WIN and MED, bare and wrapped in
 // the valid-matchset search — at one worker, where every join sees a
-// bar that depends on the dispatch order alone. The values were
-// recorded before the window screen stopped reading a merged event
-// stream: a kernel that cuts exactly the documents it used to cut, and
-// a search that reruns exactly the sub-instances it used to, reproduce
-// them to the count.
+// bar that depends on the dispatch order alone. A kernel that cuts
+// exactly the documents it used to cut, and a search that reruns
+// exactly the sub-instances it used to, reproduce them to the count.
+// They were re-recorded when the cache rung began pruning before the
+// join: joins 4 504 → 1 518, floor cuts 3 654 → 668, window cuts
+// 3 585 → 599 and kernel invocations 2 848 → 1 436 — every document
+// the rung took was one the window screen used to cut, so joins, floor
+// cuts and window cuts fell by the same 2 986. The conjunctive queries'
+// Result.Pruned (0 before the rung) is pinned beside them: an AND
+// query's candidates are fixed, so what is not joined is pruned. A
+// disjunctive walk's pivot jumps skip documents uncounted, as far as a
+// floor the worker has raised by then allows, so its prunes are not
+// pinned.
 func TestOneWorkerCountsPinned(t *testing.T) {
 	compact := buildCompact(t, testCorpus(600, 31))
 	for _, c := range append(testConcepts(), overlapConcepts()...) {
 		compact.AddConceptBlocks(c)
 	}
 	e := New(compact, Config{Workers: 1})
+	var andPruned uint64
 	for _, concepts := range [][]index.Concept{testConcepts(), overlapConcepts()} {
 		for _, family := range []string{"win", "med"} {
 			for _, valid := range []bool{true, false} {
@@ -197,18 +225,22 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 				}{{ModeAND, 0}, {ModeOR, 0}, {ModeOR, 2}} {
 					q := Query{Concepts: concepts, Spec: KernelSpec{Family: family, Alpha: 0.1, Valid: valid},
 						K: 5, Mode: shape.mode, MinMatch: shape.minMatch}
-					if _, err := e.Search(context.Background(), q); err != nil {
+					res, err := e.Search(context.Background(), q)
+					if err != nil {
 						t.Fatal(err)
+					}
+					if shape.mode == ModeAND {
+						andPruned += uint64(res.Pruned)
 					}
 				}
 			}
 		}
 	}
-	type counts struct{ joins, floorCuts, windowCuts, invocations uint64 }
+	type counts struct{ joins, floorCuts, windowCuts, invocations, andPruned uint64 }
 	st := e.Stats()
-	got := counts{st.JoinsRun, st.FloorCutJoins, st.WindowCutJoins, st.KernelInvocations}
-	if want := (counts{4504, 3654, 3585, 2848}); got != want {
-		t.Fatalf("JoinsRun, FloorCutJoins, WindowCutJoins, KernelInvocations %+v, want %+v", got, want)
+	got := counts{st.JoinsRun, st.FloorCutJoins, st.WindowCutJoins, st.KernelInvocations, andPruned}
+	if want := (counts{1518, 668, 599, 1436, 554}); got != want {
+		t.Fatalf("JoinsRun, FloorCutJoins, WindowCutJoins, KernelInvocations, conjunctive Pruned %+v, want %+v", got, want)
 	}
 }
 

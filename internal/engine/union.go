@@ -203,10 +203,11 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 	// The pivot walk. Unlike the conjunctive path the candidate count
 	// is unknown upfront, so chunks are freshly allocated slices (the
 	// workers may still hold shipped ones), and the jobs' list headers
-	// are carved off a slab that is replaced, never rewound, when it
-	// runs out.
+	// and cursor positions are carved off slabs that are replaced, never
+	// rewound, when they run out.
 	chunk := make([]docJob, 0, dispatchChunk)
 	var slab match.Lists
+	var posSlab []blockPos
 	ship := func() bool {
 		e.counters.queueDepth.Add(int64(len(chunk))) // before the send, as in search
 		select {
@@ -293,16 +294,19 @@ pivots:
 		}
 		// Surviving candidate: ship one empty slot per matched concept;
 		// a worker fills them (fillLists).
-		var mask uint64
-		for _, cu := range atDoc {
-			mask |= 1 << uint(cu.ci)
-			cu.mark()
-		}
 		if len(slab) < len(atDoc) {
 			slab = make(match.Lists, dispatchChunk*len(cds))
+			posSlab = make([]blockPos, dispatchChunk*len(cds))
 		}
-		chunk = append(chunk, docJob{doc: d, bound: bound, orig: bound, mask: mask, lists: slab[:len(atDoc):len(atDoc)]})
-		slab = slab[len(atDoc):]
+		var mask uint64
+		for s, cu := range atDoc {
+			mask |= 1 << uint(cu.ci)
+			posSlab[s] = cu.at()
+			cu.mark()
+		}
+		chunk = append(chunk, docJob{doc: d, bound: bound, orig: bound, mask: mask,
+			lists: slab[:len(atDoc):len(atDoc)], at: posSlab[:len(atDoc)]})
+		slab, posSlab = slab[len(atDoc):], posSlab[len(atDoc):]
 		if len(chunk) == dispatchChunk && !ship() {
 			break pivots
 		}

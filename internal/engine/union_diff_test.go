@@ -19,9 +19,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"bestjoin/internal/dedup"
 	"bestjoin/internal/index"
+	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
@@ -411,19 +415,40 @@ func TestUnionPivotSkipsCounted(t *testing.T) {
 
 // TestUnionArmsWindowScreen pins the kernel floors' scope: a
 // disjunctive query — plain OR and m-of-n — arms the WIN/MED window
-// screen exactly as a conjunctive one does, for the valid-matchset
-// wrapper and for a bare kernel, and the answers stay the unpruned
-// engine's.
+// screen, and the cache rung ahead of it, exactly as a conjunctive one
+// does, for the valid-matchset wrapper and for a bare kernel, and the
+// answers stay the unpruned engine's. Three documents hold every
+// concept adjacent and set the floor; after them come documents whose
+// three terms sit a few tokens apart inside one 8-position bucket —
+// too wide to reach the floor, which only the exact screen can see —
+// and documents whose terms sit buckets apart, which the rung prunes
+// before their join.
 func TestUnionArmsWindowScreen(t *testing.T) {
-	compact := buildCompact(t, testCorpus(600, 31))
+	docs := []string{"lenovo nba partnership", "partnership nba lenovo", "nba lenovo partnership"}
+	far := strings.Repeat(" quartz", 20)
+	for i := 0; i < 20; i++ {
+		docs = append(docs, "lenovo quartz quartz nba quartz quartz partnership", "lenovo"+far+" nba"+far+" partnership")
+	}
+	compact := buildCompact(t, docs)
 	for _, c := range overlapConcepts() {
 		compact.AddConceptBlocks(c)
 	}
 	for _, family := range []string{"win", "med"} {
 		for _, valid := range []bool{true, false} {
 			for _, minMatch := range []int{0, 2} {
-				q := Query{Concepts: overlapConcepts(), Spec: KernelSpec{Family: family, Alpha: 0.1, Valid: valid},
-					K: 3, Mode: ModeOR, MinMatch: minMatch}
+				var rungCuts atomic.Int64
+				factory := func() join.Kernel {
+					var inner probedKernel = join.NewWINKernel(scorefn.ExpWIN{Alpha: 0.1})
+					if family == "med" {
+						inner = join.NewMEDKernel(scorefn.ExpMED{Alpha: 0.1})
+					}
+					var k join.Kernel = rungProbe{inner, &rungCuts}
+					if valid {
+						k = dedup.Wrap(k)
+					}
+					return k
+				}
+				q := Query{Concepts: overlapConcepts(), Join: factory, K: 3, Mode: ModeOR, MinMatch: minMatch}
 				e := New(compact, Config{Workers: 1})
 				got, err := e.Search(context.Background(), q)
 				if err != nil {
@@ -435,12 +460,39 @@ func TestUnionArmsWindowScreen(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s valid %v m %d", family, valid, minMatch)
 				assertSameDocs(t, label, got.Docs, want.Docs)
-				if st := e.Stats(); st.WindowCutJoins == 0 || st.WindowCutJoins > st.FloorCutJoins {
+				st := e.Stats()
+				if st.WindowCutJoins == 0 || st.WindowCutJoins > st.FloorCutJoins {
 					t.Errorf("%s: %d window cuts, %d floor cuts of %d joins", label, st.WindowCutJoins, st.FloorCutJoins, st.JoinsRun)
+				}
+				if cuts := uint64(rungCuts.Load()); cuts == 0 || cuts > st.PrunedDocs || st.JoinsRun+st.PrunedDocs != uint64(got.Candidates) {
+					t.Errorf("%s: %d rung cuts, %d pruned and %d joined of %d candidates", label, cuts, st.PrunedDocs, st.JoinsRun, got.Candidates)
 				}
 			}
 		}
 	}
+}
+
+// probedKernel is a kernel with a window screen and a disjunctive bound.
+type probedKernel interface {
+	join.Kernel
+	join.Floored
+	join.UnionBounded
+}
+
+// rungProbe counts the documents the engine's cache rung prunes: it
+// answers CutWidth as its kernel does, and tallies the answers the
+// signatures then turn into a cut.
+type rungProbe struct {
+	probedKernel
+	cuts *atomic.Int64
+}
+
+func (p rungProbe) CutWidth(sigs []join.Sig, bar float64) (int, bool) {
+	w, ok := p.probedKernel.CutWidth(sigs, bar)
+	if ok && join.Apart(sigs, w) {
+		p.cuts.Add(1)
+	}
+	return w, ok
 }
 
 // countingUnionBound is a join.UnionBounded that counts its

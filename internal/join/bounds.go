@@ -105,6 +105,15 @@ type Floored interface {
 	// screen: the cut (root) run never reached the dynamic program.
 	FloorCut() bool
 	WindowCut() bool
+	// CutWidth is the window screen asked before the lists are at hand:
+	// the narrowest window width w whose cap, over the lists' maxima
+	// sigs[j].Max, is strictly below bar. An instance with those maxima
+	// whose every window holding one match per list is at least w wide
+	// (Apart) is one the kernel armed with bar would cut. ok is false
+	// when no width cuts; a kernel without a window screen always
+	// answers so. CutWidth leaves the floor and the loaded instance as
+	// they were.
+	CutWidth(sigs []Sig, bar float64) (w int, ok bool)
 }
 
 var (

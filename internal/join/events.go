@@ -2,6 +2,7 @@ package join
 
 import (
 	"math"
+	"math/bits"
 
 	"bestjoin/internal/match"
 )
@@ -26,6 +27,8 @@ type eventStream struct {
 	armed bool // floor is finite: the screen may cut
 	floor float64
 	cut   bool // the last Join was cut by the screen
+
+	cuts []cutSlot // cutWidth's memo, made on first use
 
 	// A kernel lives for one query, and few queries have more terms:
 	// their scan state needs no allocation of its own.
@@ -195,4 +198,147 @@ func (s *eventStream) screen(lists match.Lists, memo *gMemo) (wmin int, gsum, ma
 		mag += math.Abs(g)
 	}
 	return wmin, gsum, mag, true
+}
+
+// Sig is one match list's location signature, the input of the cache
+// rung that screens a document before its join (Floored.CutWidth and
+// Apart). It is made once, when a document's list is decoded, and read
+// by every later query:
+//   - Mask has bit b set when a match's location falls in the bucket
+//     [8b, 8b+8); bucket 0 also takes every location below 0 and bucket
+//     63 every location from 504 on, so the bucket is monotone in the
+//     location and two locations d apart are at most ⌈d/8⌉ buckets
+//     apart, over the whole location range.
+//   - Max is the list's largest match score, found by the comparisons
+//     screen makes, in the same order: the same float to the bit.
+//
+// A zero Mask is no signature — the list is empty or not in location
+// order — and the rung never cuts on it.
+type Sig struct {
+	Mask uint64
+	Max  float64
+}
+
+// Signature computes l's Sig.
+func Signature(l match.List) Sig {
+	smax, mask, sorted, prev := math.Inf(-1), uint64(0), true, math.MinInt
+	for i := range l {
+		m := &l[i]
+		sorted = sorted && m.Loc >= prev
+		prev = m.Loc
+		if m.Score > smax {
+			smax = m.Score
+		}
+		mask |= 1 << min(max(m.Loc>>3, 0), 63)
+	}
+	if !sorted {
+		mask = 0
+	}
+	return Sig{Mask: mask, Max: smax}
+}
+
+// Apart reports whether sigs prove that every window holding one match
+// of each list is at least w wide, so that a cap falling with the
+// window puts all of the instance's matchsets at or below the cap at w.
+// A window [lo, lo+w−1] holds matches only in buckets b(lo) through
+// b(lo)+r, r = ⌈(w−1)/8⌉; so b(lo) is in every list's mask shifted down
+// by 0 to r buckets, and when the AND of those dilated masks is empty
+// no such window exists. Every window is at least 0 wide. A zero mask
+// proves nothing.
+func Apart(sigs []Sig, w int) bool {
+	r := min((w+6)/8, 63)
+	acc := ^uint64(0)
+	for _, s := range sigs {
+		if s.Mask == 0 {
+			return false
+		}
+		m := s.Mask
+		// m covers the shifts [0, span) of the mask; double that up to r.
+		for span := 1; span <= r; span *= 2 {
+			m |= m >> min(span, r+1-span)
+		}
+		acc &= m
+	}
+	return len(sigs) > 0 && (w <= 0 || acc == 0)
+}
+
+// windowCapper is a screening kernel's window cap, scorefn.WindowCapWIN
+// or WindowCapMED under its current scoring function.
+type windowCapper interface {
+	windowCap(gsum, mag float64, w int) float64
+}
+
+// maxWindow is the widest window two locations Decode accepts can span.
+const maxWindow = 2 * match.MaxLocation
+
+// cutMemoBits sizes the cut-width memo: a query's documents carry a few
+// distinct maxima and the bar rises a few dozen times, so a few dozen
+// (gsum, bar) pairs are live at once. On the bench harness's warm_and
+// stream 64 slots miss 4.1 % of lookups — about what a fresh kernel per
+// query must miss, 128 slots miss 4.0 % — and 8 slots miss 15 %.
+const cutMemoBits = 6
+
+// cutSlot is one remembered cut width, under the exact bits of its
+// arguments and the g_j memo generation that computed gsum and mag.
+type cutSlot struct {
+	gsum, mag, bar uint64
+	w              int
+	ok             bool
+	gen            uint32
+}
+
+// cutWidth is Floored.CutWidth for a kernel whose g_j transform is
+// memo and whose window cap is c. It sums g_j(Max_j) in list order as
+// screen does — the same gsum and mag to the bit — and looks the width
+// up by the bits of (gsum, mag, bar), so the scoring function's F runs
+// only when that triple is new. Like SetFloor, only a finite bar cuts.
+func (s *eventStream) cutWidth(sigs []Sig, bar float64, memo *gMemo, c windowCapper) (int, bool) {
+	if len(sigs) == 0 || bar-bar != 0 {
+		return 0, false
+	}
+	memo.grow(len(sigs))
+	gsum, mag := 0.0, 0.0
+	for j := range sigs {
+		g := memo.g(j, sigs[j].Max)
+		gsum += g
+		mag += math.Abs(g)
+	}
+	if s.cuts == nil {
+		s.cuts = make([]cutSlot, 1<<cutMemoBits)
+	}
+	gb, mb, bb := math.Float64bits(gsum), math.Float64bits(mag), math.Float64bits(bar)
+	slot := &s.cuts[(gb^bits.RotateLeft64(mb, 21)^bits.RotateLeft64(bb, 42))*0x9e3779b97f4a7c15>>(64-cutMemoBits)]
+	if slot.gen != memo.gen || slot.gsum != gb || slot.mag != mb || slot.bar != bb {
+		w, ok := narrowestCut(c, gsum, mag, bar)
+		*slot = cutSlot{gsum: gb, mag: mb, bar: bb, w: w, ok: ok, gen: memo.gen}
+	}
+	return slot.w, slot.ok
+}
+
+// narrowestCut returns the narrowest window width whose cap is strictly
+// below bar — galloping up from 0, then bisecting — or false when not
+// even the widest window's is. The cap falls as the window widens, the
+// premise of the window screen itself, so every wider window's cap is
+// below bar too. The answer is exact either way: the cap at the width
+// returned is below bar, and the cap one narrower is not.
+func narrowestCut(c windowCapper, gsum, mag, bar float64) (int, bool) {
+	below := func(w int) bool { return c.windowCap(gsum, mag, w) < bar }
+	if below(0) {
+		return 0, true
+	}
+	lo, hi := 0, 1 // the cap at lo is not below bar; at hi, to be found
+	for !below(hi) {
+		if hi == maxWindow {
+			return 0, false
+		}
+		lo, hi = hi, min(2*hi, maxWindow)
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; below(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, true
 }

@@ -88,6 +88,15 @@ func (k *MEDKernel) grow(q int) {
 	k.out = k.out[:q]
 }
 
+// CutWidth is Floored.CutWidth under scorefn.WindowCapMED.
+func (k *MEDKernel) CutWidth(sigs []Sig, bar float64) (int, bool) {
+	return k.cutWidth(sigs, bar, &k.g, k)
+}
+
+func (k *MEDKernel) windowCap(total, mag float64, w int) float64 {
+	return scorefn.WindowCapMED(k.fn, total, mag, w)
+}
+
 // Join solves the loaded instance exactly as the one-shot MED does. By
 // Lemma 1 there is an overall best matchset in which every match is
 // dominating at the set's median location, so it precomputes the
@@ -104,7 +113,7 @@ func (k *MEDKernel) Join() (best match.Set, score float64, ok bool) {
 	q := len(lists)
 	k.grow(q)
 	if k.armed {
-		if wmin, total, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(scorefn.WindowCapMED(k.fn, total, mag, wmin)) {
+		if wmin, total, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(k.windowCap(total, mag, wmin)) {
 			return nil, 0, false
 		}
 	}

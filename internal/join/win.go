@@ -113,6 +113,15 @@ func (k *WINKernel) Reset(fn any, lists match.Lists) {
 	k.lists = lists
 }
 
+// CutWidth is Floored.CutWidth under scorefn.WindowCapWIN.
+func (k *WINKernel) CutWidth(sigs []Sig, bar float64) (int, bool) {
+	return k.cutWidth(sigs, bar, &k.g, k)
+}
+
+func (k *WINKernel) windowCap(gsum, mag float64, w int) float64 {
+	return scorefn.WindowCapWIN(k.fn, gsum, mag, w)
+}
+
 // Join solves the loaded instance exactly as the one-shot WIN does: it
 // processes all matches in location order; at each match it updates,
 // for every subset P of query terms containing the match's term, the
@@ -131,7 +140,7 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 	}
 	k.g.grow(q)
 	if k.armed {
-		if wmin, gsum, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(scorefn.WindowCapWIN(k.fn, gsum, mag, wmin)) {
+		if wmin, gsum, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(k.windowCap(gsum, mag, wmin)) {
 			return nil, 0, false
 		}
 	}

@@ -312,10 +312,8 @@ func (s *Shard) once(ctx context.Context, q engine.Query) (*engine.Result, error
 	if len(raw) > MaxResultBytes {
 		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrUnavailable, MaxResultBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
 	var wr WireResult
-	if err := dec.Decode(&wr); err != nil {
+	if err := decodeWire(bytes.NewReader(raw), &wr); err != nil {
 		// Truncated or mangled bytes — indistinguishable from a torn
 		// stream, so it is the retryable class.
 		return nil, fmt.Errorf("%w: corrupt response: %v", ErrUnavailable, err)

@@ -29,8 +29,10 @@
 package remote
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -114,6 +116,15 @@ type WireResult struct {
 
 func finite(f float64) bool {
 	return !math.IsNaN(f) && !math.IsInf(f, 0)
+}
+
+// decodeWire decodes one wire value — a query on the shard side, a
+// result on the coordinator side — refusing any field the type does
+// not have. Validate is the caller's next step.
+func decodeWire(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // EncodeQuery flattens an engine.Query for the wire. The query must

@@ -81,10 +81,8 @@ func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "injected fault", http.StatusInternalServerError)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, sv.queryBytes))
-	dec.DisallowUnknownFields()
 	var wq WireQuery
-	if err := dec.Decode(&wq); err != nil {
+	if err := decodeWire(http.MaxBytesReader(w, r.Body, sv.queryBytes), &wq); err != nil {
 		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
 		return
 	}

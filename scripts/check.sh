@@ -74,12 +74,21 @@ go test -race -tags faultinject ./internal/faultinject/ ./internal/engine/ ./int
 # serves, and that kernel on its own must allocate nothing per document
 # however many duplicated tokens it has to split on — nor must a WIN or
 # MED kernel armed with a floor, bare or wrapped, whether its window
-# screen cuts the document or lets it through. Run without -race — the
+# screen cuts the document or lets it through, nor its cut width,
+# remembered or searched for afresh. Run without -race — the
 # race runtime adds allocations of its own and would make the ceilings
 # meaningless.
 echo "== cached-path allocation ceiling =="
 go test -count=1 -run TestEngineCachedAllocCeiling ./internal/engine/
 go test -count=1 -run 'TestValidKernelZeroAlloc|TestArmedKernelZeroAlloc' ./internal/dedup/
+
+# The cache rung prunes a document before its join on a location
+# signature and a memoized cut width: fuzz it against the exact window
+# screen it stands in for (a rung cut must be a cut the armed kernel
+# makes, and the cut width must be exact). A failing input lands in
+# internal/join/testdata/fuzz/.
+echo "== fuzz: cache rung vs window screen (10 s) =="
+go test -run='^$' -fuzz=FuzzScreenRung -fuzztime=10s ./internal/join/
 
 # Known-vulnerability scan, when the tool is installed (the CI image
 # may not ship it; the gate must not fail on a missing scanner).
@@ -96,7 +105,7 @@ fi
 # (engine 94.2% after the flat decode, the doc-max metadata codec and
 # the legacy file shape were deleted; index 91.6% once group-varint with
 # its wide escape became the only block codec; scorefn 92.3%, shard
-# 98.7%; join 94.6% once the window screen read the unmerged lists);
+# 98.7%; join 95.2% once the cache rung sat beside the window screen);
 # raise them when coverage rises.
 echo "== coverage floors =="
 check_cover() {
@@ -121,7 +130,7 @@ check_cover ./internal/scorefn/ 90.3
 check_cover ./internal/index/   89.6
 check_cover ./internal/shard/   97.1
 check_cover ./internal/remote/  80.6
-check_cover ./internal/join/    92.6
+check_cover ./internal/join/    93.2
 
 # End-to-end smoke of the networked shard tier: two real shard
 # processes and a coordinator, queried through a rolling restart with
