@@ -440,7 +440,7 @@ func TestEnginePublicAPI(t *testing.T) {
 // fills with documents at that cap, and every later pivot ties the
 // floor: those are pruned because the id-ordered walk has already lost
 // them the tie (the rank-order floor), not on score.
-func engineBenchUnionQuery(join bestjoin.Joiner) bestjoin.EngineQuery {
+func engineBenchUnionQuery(join bestjoin.KernelFactory) bestjoin.EngineQuery {
 	q := engineBenchQuery()
 	q.Mode = bestjoin.ModeOR
 	q.Join = join
@@ -458,7 +458,7 @@ func BenchmarkEngineUnion(b *testing.B) {
 	c := engineBenchIndex()
 	for _, fam := range []struct {
 		prefix string
-		join   bestjoin.Joiner
+		join   bestjoin.KernelFactory
 	}{
 		{"", bestjoin.JoinMAX(bestjoin.SumMAX{Alpha: 0.1})},
 		{"med/", bestjoin.JoinValidMED(bestjoin.ExpMED{Alpha: 0.1})},

@@ -37,8 +37,7 @@
 // At startup the server precomputes auxiliary pair lists for the
 // heaviest (longest-posting) stems under the served kernel: two-term
 // queries over those pairs are answered straight off a precomputed
-// list with zero joins, and wider queries use the lists to tighten
-// pruning bounds — answers stay bitwise identical either way. The
+// list with zero joins, bitwise identical to the kernel path. The
 // -pair-budget flag caps the bytes spent on lists and -nopairs turns
 // the tier off entirely (baseline mode).
 //

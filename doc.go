@@ -80,8 +80,9 @@
 // worker pool, a global top-k heap, LRU-cached posting decoding,
 // context deadlines with partial results, and Stats/expvar
 // observability. The engine prunes losslessly by default: candidates
-// whose score upper bound (ScoreUpperBoundWIN/MED/MAX over per-concept
-// block-maximum match scores) cannot beat the current top-k floor are
+// whose score cap over per-concept block-maximum match scores
+// (CheckCapWIN/MED/MAX probe a scoring function's caps) cannot beat
+// the current top-k floor are
 // skipped without joining, with output identical to the exhaustive
 // engine; EngineConfig.DisablePruning turns it off. Every concept is
 // served through a block table — registered on the index

@@ -106,7 +106,7 @@ const (
 	OverloadShed = engine.OverloadShed
 )
 
-// EngineQuery is one retrieval request: concepts, a joiner, K, and —
+// EngineQuery is one retrieval request: concepts, a kernel factory, K, and —
 // for disjunctive retrieval — the query Mode and MinMatch threshold.
 type EngineQuery = engine.Query
 
@@ -138,10 +138,6 @@ type EngineStats = engine.Stats
 // the worker reuses the kernel's scratch across every candidate
 // document it evaluates. Adapt a one-shot function with JoinKernelFunc.
 type KernelFactory = engine.KernelFactory
-
-// Joiner is the former name of KernelFactory, kept as an alias for
-// call sites predating the kernel refactor.
-type Joiner = engine.Joiner
 
 // NewEngine builds an engine over a compacted index.
 func NewEngine(idx *CompactIndex, cfg EngineConfig) *Engine { return engine.New(idx, cfg) }
@@ -175,7 +171,7 @@ type ShardedEngineConfig = shard.Config
 // JoinSpec names a stock kernel declaratively — scoring family,
 // decay rate, valid-matchset restriction — so a query can cross a
 // process boundary: the remote tier serializes the spec instead of
-// the Joiner closure and the serving side rebuilds an identical
+// the Join closure and the serving side rebuilds an identical
 // kernel. Set it on EngineQuery.Spec alongside (or instead of) Join.
 type JoinSpec = engine.KernelSpec
 
@@ -185,9 +181,8 @@ type JoinSpec = engine.KernelSpec
 // of Veretennikov's additional indexes) and registered in descending
 // cost order until budgetBytes of encoded lists are stored (≤ 0 means
 // unlimited). A two-term conjunctive query carrying that spec is then
-// answered straight off the precomputed list, and wider queries use
-// the lists to tighten pruning bounds; answers are bitwise identical
-// either way. Call at build time, before the index serves queries.
+// answered straight off the precomputed list, bitwise identical to
+// the kernel path. Call at build time, before the index serves queries.
 // Returns the number of pairs registered. It is PlanPairs followed by
 // BuildPairPlan on the same index.
 func BuildPairIndex(idx *CompactIndex, concepts []Concept, spec JoinSpec, budgetBytes int) (int, error) {
@@ -251,20 +246,20 @@ func NewRemoteFleet(addrs []string, scfg RemoteShardConfig, cfg ShardedEngineCon
 	return remote.NewFleet(addrs, scfg, cfg)
 }
 
-// JoinWIN builds a Joiner from a WIN scoring function.
-func JoinWIN(fn WIN) Joiner { return engine.WINJoiner(fn) }
+// JoinWIN builds a KernelFactory from a WIN scoring function.
+func JoinWIN(fn WIN) KernelFactory { return engine.WINJoiner(fn) }
 
-// JoinMED builds a Joiner from a MED scoring function.
-func JoinMED(fn MED) Joiner { return engine.MEDJoiner(fn) }
+// JoinMED builds a KernelFactory from a MED scoring function.
+func JoinMED(fn MED) KernelFactory { return engine.MEDJoiner(fn) }
 
-// JoinMAX builds a Joiner from an efficient MAX scoring function.
-func JoinMAX(fn EfficientMAX) Joiner { return engine.MAXJoiner(fn) }
+// JoinMAX builds a KernelFactory from an efficient MAX scoring function.
+func JoinMAX(fn EfficientMAX) KernelFactory { return engine.MAXJoiner(fn) }
 
 // JoinValidWIN is JoinWIN restricted to valid matchsets (Section VI).
-func JoinValidWIN(fn WIN) Joiner { return engine.ValidWINJoiner(fn) }
+func JoinValidWIN(fn WIN) KernelFactory { return engine.ValidWINJoiner(fn) }
 
 // JoinValidMED is JoinMED restricted to valid matchsets.
-func JoinValidMED(fn MED) Joiner { return engine.ValidMEDJoiner(fn) }
+func JoinValidMED(fn MED) KernelFactory { return engine.ValidMEDJoiner(fn) }
 
 // JoinValidMAX is JoinMAX restricted to valid matchsets.
-func JoinValidMAX(fn EfficientMAX) Joiner { return engine.ValidMAXJoiner(fn) }
+func JoinValidMAX(fn EfficientMAX) KernelFactory { return engine.ValidMAXJoiner(fn) }

@@ -112,10 +112,10 @@ func assertSameDocs(t *testing.T, label string, got, want *bestjoin.EngineResult
 }
 
 // TestShardedPairDifferential pins the composition contract: for
-// two-term (pair-served), three-term (pair-tightened bounds), ranked
-// union, and m-of-n queries, a pair-enabled engine — single or
-// sharded 2/4 ways — answers identically to the pair-disabled single
-// engine.
+// two-term (pair-served), three-term (kernel-joined beside the pair
+// lists, which it never consults), ranked union, and m-of-n queries, a
+// pair-enabled engine — single or sharded 2/4 ways — answers
+// identically to the pair-disabled single engine.
 func TestShardedPairDifferential(t *testing.T) {
 	c := pairTestIndex(t)
 	concepts := pairConcepts()
@@ -156,6 +156,9 @@ func TestShardedPairDifferential(t *testing.T) {
 				t.Fatalf("%s: single engine not pair-served: %+v", name, st)
 			}
 		}
+		if st := single.Stats(); name == "three-term" && st.PairHits != 0 {
+			t.Fatalf("three-term: a pair list was looked up: %+v", st)
+		}
 		for _, shards := range []int{2, 4} {
 			se, err := shard.New(c, shard.Config{Shards: shards})
 			if err != nil {
@@ -179,40 +182,33 @@ func TestShardedPairDifferential(t *testing.T) {
 	}
 }
 
-// BenchmarkEnginePairs measures the pair tier's two wins on the same
-// corpus: "served" answers a two-term query off the precomputed list
-// (vs the kernel path on a pair-disabled engine), and "bounds" runs
-// the three-term query whose per-candidate caps the pair lists
-// tighten. Identical top-k is asserted once up front; pairhits/op and
-// pairboundprunes/op land in BENCH_engine.json.
+// BenchmarkEnginePairs measures the pair tier's win on the planted
+// corpus: "served" answers a two-term query off the precomputed list,
+// "kernel" runs the same query on a pair-disabled engine. Identical
+// top-k is asserted once up front; pairhits/op lands in
+// BENCH_engine.json.
 func BenchmarkEnginePairs(b *testing.B) {
 	c := pairTestIndex(b)
-	q2 := bestjoin.EngineQuery{Concepts: pairConcepts()[:2], Spec: pairSpec(), K: 10}
-	q3 := bestjoin.EngineQuery{Concepts: pairConcepts(), Spec: pairSpec(), K: 10}
-
-	for _, q := range []bestjoin.EngineQuery{q2, q3} {
-		pe := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
-		ke := bestjoin.NewEngine(c, bestjoin.EngineConfig{DisablePairIndex: true})
-		rp, err := pe.Search(context.Background(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rk, err := ke.Search(context.Background(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rp.Docs) != len(rk.Docs) {
-			b.Fatalf("pair returned %d docs, kernel %d", len(rp.Docs), len(rk.Docs))
-		}
-		for i := range rp.Docs {
-			if rp.Docs[i].Doc != rk.Docs[i].Doc || rp.Docs[i].Score != rk.Docs[i].Score {
-				b.Fatalf("rank %d differs: pair (%d, %v) vs kernel (%d, %v)", i,
-					rp.Docs[i].Doc, rp.Docs[i].Score, rk.Docs[i].Doc, rk.Docs[i].Score)
-			}
+	q := bestjoin.EngineQuery{Concepts: pairConcepts()[:2], Spec: pairSpec(), K: 10}
+	rp, err := bestjoin.NewEngine(c, bestjoin.EngineConfig{}).Search(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rk, err := bestjoin.NewEngine(c, bestjoin.EngineConfig{DisablePairIndex: true}).Search(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(rp.Docs) != len(rk.Docs) {
+		b.Fatalf("pair returned %d docs, kernel %d", len(rp.Docs), len(rk.Docs))
+	}
+	for i := range rp.Docs {
+		if rp.Docs[i].Doc != rk.Docs[i].Doc || rp.Docs[i].Score != rk.Docs[i].Score {
+			b.Fatalf("rank %d differs: pair (%d, %v) vs kernel (%d, %v)", i,
+				rp.Docs[i].Doc, rp.Docs[i].Score, rk.Docs[i].Doc, rk.Docs[i].Score)
 		}
 	}
 
-	run := func(b *testing.B, cfg bestjoin.EngineConfig, q bestjoin.EngineQuery) {
+	run := func(b *testing.B, cfg bestjoin.EngineConfig) {
 		e := bestjoin.NewEngine(c, cfg)
 		if _, err := e.Search(context.Background(), q); err != nil {
 			b.Fatal(err)
@@ -225,22 +221,13 @@ func BenchmarkEnginePairs(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		st := e.Stats()
-		b.ReportMetric(float64(st.PairHits)/float64(b.N), "pairhits/op")
-		b.ReportMetric(float64(st.PairBoundPrunes)/float64(b.N), "pairboundprunes/op")
+		b.ReportMetric(float64(e.Stats().PairHits)/float64(b.N), "pairhits/op")
 	}
 
 	b.Run("served", func(b *testing.B) {
-		run(b, bestjoin.EngineConfig{}, q2)
-		// The arm is vacuous unless queries actually hit the pair list.
+		run(b, bestjoin.EngineConfig{})
 	})
 	b.Run("kernel", func(b *testing.B) {
-		run(b, bestjoin.EngineConfig{DisablePairIndex: true, CacheLists: 1 << 14}, q2)
-	})
-	b.Run("bounds", func(b *testing.B) {
-		run(b, bestjoin.EngineConfig{}, q3)
-	})
-	b.Run("nobounds", func(b *testing.B) {
-		run(b, bestjoin.EngineConfig{DisablePairIndex: true, CacheLists: 1 << 14}, q3)
+		run(b, bestjoin.EngineConfig{DisablePairIndex: true, CacheLists: 1 << 14})
 	})
 }

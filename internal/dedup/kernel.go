@@ -107,25 +107,15 @@ func (k *Kernel) CutWidth(sigs []join.Sig, bar float64) (int, bool) {
 	return k.floored.CutWidth(sigs, bar)
 }
 
-// ScoreUpperBound forwards to the inner kernel's bound when it has
-// one. Valid (duplicate-free) matchsets are a subset of all matchsets,
-// so the inner kernel's unrestricted cap stays sound for the wrapped
-// join. An inner kernel without bound support yields +Inf, which the
-// engine's floor comparison can never prune on.
-func (k *Kernel) ScoreUpperBound(perListMax []float64) float64 {
+// ScoreUpperBound forwards to the inner kernel's cap (join.UpperBounded)
+// when it has one, for either minMatch. Valid (duplicate-free)
+// matchsets are a subset of all matchsets, so the inner kernel's
+// unrestricted cap stays sound for the wrapped join. An inner kernel
+// without one yields +Inf, which the engine's floor comparison can
+// never prune on.
+func (k *Kernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
 	if ub, ok := k.inner.(join.UpperBounded); ok {
-		return ub.ScoreUpperBound(perListMax)
-	}
-	return math.Inf(1)
-}
-
-// ScoreUnionUpperBound forwards the disjunctive (m-of-n) bound to the
-// inner kernel by the same subset argument as ScoreUpperBound: the
-// duplicate-avoidance constraint only shrinks the feasible matchset
-// space, so the inner kernel's unrestricted union cap stays sound.
-func (k *Kernel) ScoreUnionUpperBound(perListMax []float64, minMatch int) float64 {
-	if ub, ok := k.inner.(join.UnionBounded); ok {
-		return ub.ScoreUnionUpperBound(perListMax, minMatch)
+		return ub.ScoreUpperBound(perListMax, minMatch)
 	}
 	return math.Inf(1)
 }

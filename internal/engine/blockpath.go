@@ -33,7 +33,7 @@ import (
 // (dispatch.go) reads before every later join of the document.
 //
 // Soundness (DESIGN.md): a block's MaxScore is ≥ every per-document
-// maximum inside it, the UpperBound hooks are monotone non-decreasing
+// maximum inside it, the score caps are monotone non-decreasing
 // in each per-list maximum, and the floor only rises — so a block-max
 // bound strictly below the floor proves every document in the block
 // loses. Equality never prunes, preserving the document-id tie-break.

@@ -206,7 +206,7 @@ func TestDifferentialDedupForwardsBounds(t *testing.T) {
 	wrapped := dedup.Wrap(inner)
 	maxima := []float64{0.9, 0.8, 0.7}
 	var ub join.UpperBounded = wrapped
-	if got, want := ub.ScoreUpperBound(maxima), inner.ScoreUpperBound(maxima); got != want {
+	if got, want := ub.ScoreUpperBound(maxima, 0), inner.ScoreUpperBound(maxima, 0); got != want {
 		t.Fatalf("dedup wrapper bound %v, inner %v", got, want)
 	}
 }

@@ -30,10 +30,6 @@ const dispatchChunk = 32
 type docJob struct {
 	doc   int
 	bound float64
-	// orig is the pre-tightening bound when a pair list lowered this
-	// job's bound (pairpath.go), equal to bound otherwise, so worker
-	// prunes the pair bound alone caused are attributed to it.
-	orig  float64
 	mask  uint64
 	lists match.Lists
 	at    []blockPos // per slot: where the candidate walk found doc
@@ -88,11 +84,6 @@ func (e *Engine) joinWorkers(qs *queryState, factory KernelFactory, cds []*conce
 					if jb.bound < bar {
 						pruned.Add(1)
 						e.counters.prunedDocs.Add(1)
-						if jb.orig >= bar {
-							// Only the pair-tightened bound is below the
-							// floor: this prune is the pair index's win.
-							e.counters.pairBoundPrunes.Add(1)
-						}
 						continue
 					}
 					if !e.fillLists(qs, cds, jb, fetch, sigs) {

@@ -110,7 +110,7 @@ func bruteForce(c *index.Compact, concepts []index.Concept, jn KernelFactory, k 
 func TestSearchMatchesBruteForce(t *testing.T) {
 	c := buildCompact(t, testCorpus(120, 7))
 	e := New(c, Config{Workers: 4})
-	for name, jn := range map[string]Joiner{
+	for name, jn := range map[string]KernelFactory{
 		"win":      WINJoiner(scorefn.ExpWIN{Alpha: 0.1}),
 		"med":      MEDJoiner(scorefn.ExpMED{Alpha: 0.1}),
 		"max":      MAXJoiner(scorefn.SumMAX{Alpha: 0.1}),

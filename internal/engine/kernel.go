@@ -15,8 +15,8 @@ import (
 
 // Kernel plumbing: the factory surface queries supply, the stock
 // factories for the paper's scoring families, and the panic-isolation
-// wrappers that keep user-supplied scoring closures from taking the
-// process down.
+// wrappers — around the kernel's joins and around its score cap — that
+// keep user-supplied scoring closures from taking the process down.
 
 // KernelFactory builds one reusable join kernel. The factory itself
 // must be safe for concurrent use (Search calls it once per worker);
@@ -24,10 +24,6 @@ import (
 // exclusively and reuses its scratch across the documents it
 // evaluates. Adapt a plain one-shot function with join.KernelFunc.
 type KernelFactory func() join.Kernel
-
-// Joiner is the former name of KernelFactory, kept as an alias for
-// call sites predating the kernel refactor.
-type Joiner = KernelFactory
 
 // WINJoiner joins under a WIN scoring function (Algorithm 1).
 func WINJoiner(fn scorefn.WIN) KernelFactory {
@@ -185,4 +181,82 @@ func safeJoin(kern workerKernel, bar float64, lists match.Lists, sigs []join.Sig
 	kern.Reset(nil, lists)
 	set, score, ok = kern.Join()
 	return
+}
+
+// bounder evaluates a query kernel's score cap (join.UpperBounded) for
+// a dispatcher: the conjunctive path's per-candidate bounds (minMatch 0)
+// and the union walk's per-pivot ones. A cap that panics is contained:
+// the bounder is failed, the evaluation yields +Inf, which never
+// prunes, and the query goes on unpruned, which is always sound. It
+// remembers its last evaluation: consecutive candidates and pivots
+// mostly carry bit-identical maxima (they are block-level), and the cap
+// is a function of its arguments alone, so those take the same float
+// without calling the kernel. It belongs to one dispatcher goroutine.
+type bounder struct {
+	e      *Engine
+	ub     join.UpperBounded
+	failed bool
+	// have: lastMax, lastMin and lastBound hold the last successful
+	// evaluation — the arguments' exact bits, in the order given, and
+	// the cap they produced.
+	have      bool
+	lastMax   []uint64
+	lastMin   int
+	lastBound float64
+}
+
+// bounderFor probes the query's kernel for join.UpperBounded. nil means
+// no cap — the kernel has none, or the factory panicked (recovered and
+// counted) — and the query runs unpruned.
+func (e *Engine) bounderFor(factory KernelFactory) (b *bounder) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.counters.joinPanics.Add(1)
+			b = nil
+		}
+	}()
+	if ub, ok := factory().(join.UpperBounded); ok {
+		return &bounder{e: e, ub: ub}
+	}
+	return nil
+}
+
+// bound evaluates the kernel's cap over perListMax for minMatch; a panic
+// fails the bounder and yields +Inf. Arguments bit-identical to the
+// last evaluation's return its cap.
+func (b *bounder) bound(perListMax []float64, minMatch int) (v float64) {
+	if b.remembers(perListMax, minMatch) {
+		return b.lastBound
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			b.e.counters.joinPanics.Add(1)
+			b.failed = true
+			v = math.Inf(1)
+		}
+	}()
+	b.lastMax = b.lastMax[:0]
+	for _, m := range perListMax {
+		b.lastMax = append(b.lastMax, math.Float64bits(m))
+	}
+	// Nothing is remembered until the kernel has answered: it may
+	// panic. A disjunctive cap may also reorder perListMax, hence the
+	// copy above.
+	b.have = false
+	b.lastBound = b.ub.ScoreUpperBound(perListMax, minMatch)
+	b.have, b.lastMin = true, minMatch
+	return b.lastBound
+}
+
+// remembers reports whether the arguments are the last evaluation's.
+func (b *bounder) remembers(perListMax []float64, minMatch int) bool {
+	if !b.have || b.lastMin != minMatch || len(b.lastMax) != len(perListMax) {
+		return false
+	}
+	for i, m := range perListMax {
+		if math.Float64bits(m) != b.lastMax[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -116,101 +116,6 @@ func TestDifferentialPairServedVsKernel(t *testing.T) {
 	}
 }
 
-// TestDifferentialPairBoundsWiderQueries is the ≥3-term acceptance
-// property: pair lists used as tighter pruning bounds must leave the
-// answer bitwise identical — the bound may only skip documents that
-// provably cannot enter the top-k.
-func TestDifferentialPairBoundsWiderQueries(t *testing.T) {
-	trials := 12
-	if testing.Short() {
-		trials = 4
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(11000 + int64(trial)))
-		docs := diffCorpus(rng)
-		concepts := pairConceptsN(rng, 3)
-		k := 1 + rng.Intn(4)
-		for _, spec := range pairSpecs() {
-			compact := buildCompact(t, docs)
-			if registerPairs(t, compact, concepts, spec) == 0 {
-				continue
-			}
-			for _, workers := range []int{1, 4} {
-				pairEng := New(compact, Config{Workers: workers})
-				baseEng := New(compact, Config{Workers: workers, DisablePairIndex: true})
-				q := Query{Concepts: concepts, Spec: spec, K: k}
-				rp, err := pairEng.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, err := baseEng.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("trial %d %s/%v workers=%d k=%d (3-term)",
-					trial, spec.Family, spec.Valid, workers, k)
-				assertIdentical(t, label, rp, rb)
-				st := pairEng.Stats()
-				if st.PairServed != 0 {
-					t.Fatalf("%s: 3-term query was pair-served", label)
-				}
-				// MED takes no tightening (soundness argument in
-				// pairpath.go), so its pair counters must stay silent.
-				if spec.Family == "med" && (st.PairHits != 0 || st.PairBoundPrunes != 0) {
-					t.Fatalf("%s: MED query used pair bounds: %+v", label, st)
-				}
-			}
-		}
-	}
-}
-
-// TestPairBoundPrunesAttribution pins that the PairBoundPrunes counter
-// moves on a corpus engineered so the tightened bound — and only the
-// tightened bound — rules candidates out: one hot document with all
-// three concepts adjacent, many cold ones whose pair terms sit far
-// apart (low pair score) but whose per-list maxima look great.
-func TestPairBoundPrunesAttribution(t *testing.T) {
-	docs := []string{"amber basalt cedar"}
-	for i := 0; i < 40; i++ {
-		// amber ... 60 tokens ... basalt cedar-free: the amber+basalt
-		// pair score decays to nearly zero while each list's own max
-		// stays 1.
-		filler := ""
-		for j := 0; j < 60; j++ {
-			filler += " lumen"
-		}
-		docs = append(docs, "amber"+filler+" basalt"+filler+" cedar")
-	}
-	concepts := []index.Concept{{"amber": 1}, {"basalt": 1}, {"cedar": 1}}
-	spec := KernelSpec{Family: "win", Alpha: 0.2}
-	compact := buildCompact(t, docs)
-	registerPairs(t, compact, concepts, spec)
-
-	pairEng := New(compact, Config{Workers: 1})
-	baseEng := New(compact, Config{Workers: 1, DisablePairIndex: true})
-	q := Query{Concepts: concepts, Spec: spec, K: 1}
-	rp, err := pairEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := baseEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "engineered prune corpus", rp, rb)
-	st := pairEng.Stats()
-	if st.PairBoundPrunes == 0 {
-		t.Fatalf("tightened bounds pruned nothing on the engineered corpus: %+v (pruned %d/%d)",
-			st, rp.Pruned, rp.Candidates)
-	}
-	// Far-apart terms are what the cache rung cuts too, so the base
-	// engine prunes all 40 cold documents on its own: the pair bound only
-	// takes some of them earlier.
-	if rp.Pruned < rb.Pruned {
-		t.Fatalf("pair bounds lowered pruning: %d (pair) vs %d (base)", rp.Pruned, rb.Pruned)
-	}
-}
-
 // TestPairCorruptListFallsBack is the chaos property for whole-list
 // corruption: ConceptPairs panics in the engine's lookup, which must
 // contain it, fall back to the kernel path, and produce the identical,
@@ -283,44 +188,6 @@ func TestPairCorruptPayloadFallsBack(t *testing.T) {
 	st := pairEng.Stats()
 	if st.DecodeFailures == 0 || st.PairServed != 0 {
 		t.Fatalf("mid-serve failure accounting wrong: %+v", st)
-	}
-}
-
-// TestPairCorruptPayloadBoundsFallBack drives the payload corruption
-// through the ≥3-term tightening walk: the pair's bounds are abandoned
-// but the answer stays identical.
-func TestPairCorruptPayloadBoundsFallBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	docs := diffCorpus(rng)
-	concepts := pairConceptsN(rng, 3)
-	spec := KernelSpec{Family: "win", Alpha: 0.07}
-	compact := buildCompact(t, docs)
-	if registerPairs(t, compact, concepts, spec) == 0 {
-		t.Skip("empty intersection draw")
-	}
-	fp := spec.Fingerprint()
-	for i := 0; i < 3; i++ {
-		for j := i + 1; j < 3; j++ {
-			if _, ok := compact.ConceptPairs(concepts[i], concepts[j], fp); ok {
-				index.CorruptConceptPairPayloadForTest(compact, concepts[i], concepts[j], fp)
-			}
-		}
-	}
-
-	pairEng := New(compact, Config{})
-	baseEng := New(compact, Config{DisablePairIndex: true})
-	q := Query{Concepts: concepts, Spec: spec, K: 4}
-	rp, err := pairEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := baseEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "corrupt pair bounds", rp, rb)
-	if rp.Degraded {
-		t.Fatal("bound fallback must not degrade the result")
 	}
 }
 

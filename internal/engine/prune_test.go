@@ -353,21 +353,26 @@ search:
 }
 
 // countingBound is a join.UpperBounded that counts its evaluations,
-// weighs each maximum by its position (so order matters), and panics
-// on a negative one.
+// adds to minMatch each maximum weighed by its position (so order
+// matters), panics on a negative maximum, and — asked for a
+// disjunctive cap — scrambles its argument as the shipped caps'
+// in-place sort may.
 type countingBound struct {
 	join.Kernel
 	calls int
 }
 
-func (c *countingBound) ScoreUpperBound(perListMax []float64) float64 {
+func (c *countingBound) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
 	c.calls++
-	sum := 0.0
+	sum := float64(minMatch)
 	for i, m := range perListMax {
 		if m < 0 {
 			panic("negative maximum")
 		}
 		sum += float64(i+1) * m
+		if minMatch > 0 {
+			perListMax[i] = -1
+		}
 	}
 	return sum
 }

@@ -299,17 +299,8 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	nc := len(cds)
 	var bounds []float64
 	var order []int // candidate indices in dispatch order; nil = as-is
-	// pairOrig holds the pre-tightening bounds when registered pair
-	// lists lowered any of them (pairpath.go), so the dispatch screen
-	// below can attribute the prunes only the pair bound caused.
-	var pairOrig []float64
 	if e.prune {
-		perListMax := blockMaxima(cds, at)
-		bounds = e.planBounds(q.Join, candidates, perListMax, nc)
-		if bounds != nil {
-			if pairFP != 0 && nc > 2 {
-				pairOrig = e.tightenPairBounds(qs, q, pairFP, candidates, perListMax, bounds)
-			}
+		if bounds = e.planBounds(q.Join, candidates, blockMaxima(cds, at), nc); bounds != nil {
 			order = boundOrder(bounds)
 		}
 	}
@@ -385,23 +376,13 @@ dispatch:
 			// cannot displace any kept document (the entry only
 			// improves), so skipping its join — and its block fetches
 			// — loses nothing.
-			if bar := flushFloor.bar(candidates[i]); bound < bar {
+			if bound < flushFloor.bar(candidates[i]) {
 				pruned.Add(1)
 				e.counters.prunedDocs.Add(1)
-				if pairOrig != nil && pairOrig[i] >= bar {
-					// The per-list bound alone would have let this
-					// document through to a join: the prune is the pair
-					// index's win.
-					e.counters.pairBoundPrunes.Add(1)
-				}
 				continue
 			}
 		}
-		orig := bound
-		if pairOrig != nil && order != nil {
-			orig = pairOrig[i]
-		}
-		jobsBacking = append(jobsBacking, docJob{doc: candidates[i], bound: bound, orig: orig,
+		jobsBacking = append(jobsBacking, docJob{doc: candidates[i], bound: bound,
 			lists: backing[i*nc : (i+1)*nc : (i+1)*nc], at: at[i*nc : (i+1)*nc]})
 		if pending++; pending == dispatchChunk {
 			if !ship() {
@@ -444,47 +425,22 @@ func (e *Engine) finish(qs *queryState, res *Result, start time.Time) *Result {
 	return res
 }
 
-// planBounds probes the query's kernel for score upper bounds and
-// computes every candidate's cap from its per-list maxima. Any panic
-// — in the factory or in a bound evaluation — is recovered and
-// disables pruning for this query: running unpruned is always sound.
-// (Bound computation and ordering are split so the pair-index stage
-// can tighten bounds in between.) Maxima are block-level, so
-// consecutive candidates mostly carry the same ones: a candidate whose
-// maxima are the previous one's, bit for bit, takes its bound — the
-// same float, since the cap is a function of the maxima alone.
-func (e *Engine) planBounds(f KernelFactory, candidates []int, perListMax []float64, nc int) (bounds []float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.counters.joinPanics.Add(1)
-			bounds = nil
-		}
-	}()
-	ub, ok := f().(join.UpperBounded)
-	if !ok {
+// planBounds computes every candidate's cap from its per-list maxima
+// through the query kernel's bounder. nil means no bounds — the kernel
+// has no cap, or the factory or a cap evaluation panicked (recovered
+// and counted) — and the query runs unpruned, which is always sound.
+func (e *Engine) planBounds(f KernelFactory, candidates []int, perListMax []float64, nc int) []float64 {
+	b := e.bounderFor(f)
+	if b == nil {
 		return nil
 	}
-	bounds = make([]float64, len(candidates))
+	bounds := make([]float64, len(candidates))
 	for i := range candidates {
-		maxima := perListMax[i*nc : (i+1)*nc]
-		if i > 0 && sameBits(maxima, perListMax[(i-1)*nc:i*nc]) {
-			bounds[i] = bounds[i-1]
-			continue
+		if bounds[i] = b.bound(perListMax[i*nc:(i+1)*nc], 0); b.failed {
+			return nil
 		}
-		bounds[i] = ub.ScoreUpperBound(maxima)
 	}
 	return bounds
-}
-
-// sameBits reports whether a and b, of one length, hold the same
-// floats bit for bit (-0 is not +0).
-func sameBits(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // boundOrder computes the bound-descending dispatch order (ties keep

@@ -60,19 +60,17 @@ type counters struct {
 	pivotSkips      atomic.Uint64
 	unionCandidates atomic.Uint64
 	// unionUnpruned counts disjunctive queries a pruning engine had to
-	// run exhaustively anyway — the kernel offered no disjunctive
-	// bound (e.g. the Weighted* scorefn families), a concept lacked
-	// maxima, or a bound panicked mid-walk. Still correct, silently
-	// slower; the counter makes the degradation visible.
+	// run exhaustively anyway — the kernel has no score cap, its
+	// scoring function is not term-exchangeable (scorefn.Exchangeable:
+	// the Weighted* families), or the cap panicked mid-walk. Still
+	// correct, silently slower; the counter makes the degradation
+	// visible.
 	unionUnpruned atomic.Uint64
 	// Auxiliary pair indexes (pairpath.go): pairHits counts pair-list
 	// lookups that found a registered list; pairServed counts two-term
-	// queries answered entirely off a pair list (no kernel joins);
-	// pairBoundPrunes counts candidates pruned only because a pair
-	// list tightened their score upper bound below the floor.
-	pairHits        atomic.Uint64
-	pairServed      atomic.Uint64
-	pairBoundPrunes atomic.Uint64
+	// queries answered entirely off a pair list (no kernel joins).
+	pairHits   atomic.Uint64
+	pairServed atomic.Uint64
 }
 
 // histBuckets is the number of latency buckets: bucket i counts
@@ -225,15 +223,16 @@ type Stats struct {
 	// UnionUnpruned counts disjunctive queries a pruning engine ran
 	// exhaustively because no sound bound was available — correct
 	// results, silently degraded latency. A non-zero value usually
-	// means the deployed scoring family has no UnionBounded hook.
+	// means the deployed kernel has no cap (join.UpperBounded), or its
+	// scoring function is not term-exchangeable, as the Weighted*
+	// families are not.
 	UnionUnpruned uint64
 	// Auxiliary pair indexes (pairpath.go). PairHits counts pair-list
 	// lookups that found a registered list; PairServed counts two-term
 	// conjunctive queries answered entirely off a precomputed pair list
-	// (zero kernel joins); PairBoundPrunes counts candidates of wider
-	// queries pruned only because a pair list tightened their upper
-	// bound below the top-k floor (the per-list-maxima bound alone
-	// would have let them through to a join).
+	// (zero kernel joins). PairBoundPrunes is always 0: pair lists no
+	// longer bound wider queries. The field stays while the load
+	// harness under bench/ reads it.
 	PairHits        uint64
 	PairServed      uint64
 	PairBoundPrunes uint64
@@ -307,7 +306,6 @@ func (e *Engine) Stats() Stats {
 		UnionUnpruned:    e.counters.unionUnpruned.Load(),
 		PairHits:         e.counters.pairHits.Load(),
 		PairServed:       e.counters.pairServed.Load(),
-		PairBoundPrunes:  e.counters.pairBoundPrunes.Load(),
 		QueryLatency:     e.latency.snapshot(),
 
 		KernelInvocations: e.counters.kernelInvs.Load(),

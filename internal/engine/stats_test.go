@@ -77,17 +77,20 @@ func TestKernelInvocationsCounted(t *testing.T) {
 			kern.Join()
 			joins++
 			invocations += uint64(kern.Invocations())
-			maxima, blockMax := make([]float64, len(l)), make([]float64, len(l))
+			gsum, mag, blockMax := 0.0, 0.0, make([]float64, len(l))
 			for j := range l {
+				smax := 0.0
 				for _, m := range l[j] {
-					maxima[j] = max(maxima[j], m.Score)
+					smax = max(smax, m.Score)
 				}
+				g := fn.G(j, smax)
+				gsum, mag = gsum+g, mag+math.Abs(g)
 				blockMax[j] = tables[j].Infos[tables[j].FindBlock(d)].MaxScore
 			}
 			wmin := math.MaxInt
 			naive.ForEach(l, func(s match.Set) { wmin = min(wmin, s.Window()) })
 			docs, lists = append(docs, d), append(lists, l)
-			bounds, caps = append(bounds, kern.ScoreUpperBound(blockMax)), append(caps, scorefn.WindowUpperBoundWIN(fn, maxima, wmin))
+			bounds, caps = append(bounds, kern.ScoreUpperBound(blockMax, 0)), append(caps, scorefn.CapWIN(fn, gsum, mag, wmin))
 		}
 	}
 	if invocations <= joins {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 )
 
@@ -18,9 +17,9 @@ import (
 // matches at their current documents, so they seek forward; once none
 // sit below the pivot, at least m cursors sit exactly at the minimum —
 // a confirmed candidate. Its aggregate score bound is the kernel's
-// disjunctive cap (join.UnionBounded) over the matched cursors'
-// per-list maxima — their block-max table entries. A pivot whose bound
-// ranks strictly below the k-th kept entry (floorEntry.bar: below its
+// disjunctive cap (join.UpperBounded at minMatch ≥ 1) over the matched
+// cursors' per-list maxima — their block-max table entries. A pivot
+// whose bound ranks strictly below the k-th kept entry (floorEntry.bar: below its
 // score, or tied with it on a larger document id — a tie the pivot
 // would still win on id never prunes) is skipped without fetching a
 // single match list, and the walk jumps the matched cursors over the
@@ -68,78 +67,6 @@ type unionCursor struct {
 	doc int
 }
 
-// unionBounder wraps a kernel's disjunctive bound with panic
-// containment: a bound that panics poisons only the bounding — the
-// query continues unpruned, which is always sound. It remembers its
-// last evaluation (consecutive pivots mostly carry bit-identical
-// maxima, and the cap costs a sort, a G per list and an F per subset
-// size); it belongs to the one dispatcher goroutine.
-type unionBounder struct {
-	e      *Engine
-	ub     join.UnionBounded
-	failed bool
-	// The last successful evaluation: the arguments' exact bits, in the
-	// order given, and the bound they produced. lastMin 0 = none yet.
-	lastMax   []uint64
-	lastMin   int
-	lastBound float64
-}
-
-// unionBounderFor probes the query's kernel for join.UnionBounded,
-// recovering a panicking factory to nil (no bound, exhaustive union).
-func (e *Engine) unionBounderFor(factory KernelFactory) (b *unionBounder) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.counters.joinPanics.Add(1)
-			b = nil
-		}
-	}()
-	if ub, ok := factory().(join.UnionBounded); ok {
-		return &unionBounder{e: e, ub: ub}
-	}
-	return nil
-}
-
-// bound evaluates the kernel's disjunctive cap; a panic flips failed
-// and yields +Inf, which never prunes. Arguments bit-identical to the
-// previous call's return its bound without calling the kernel — the
-// same float, since the cap is a function of its arguments alone.
-func (b *unionBounder) bound(perListMax []float64, minMatch int) (v float64) {
-	if b.remembers(perListMax, minMatch) {
-		return b.lastBound
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			b.e.counters.joinPanics.Add(1)
-			b.failed = true
-			v = math.Inf(1)
-		}
-	}()
-	b.lastMax = b.lastMax[:0]
-	for _, m := range perListMax {
-		b.lastMax = append(b.lastMax, math.Float64bits(m))
-	}
-	// Nothing is remembered until the kernel has answered: it may
-	// panic. It may also reorder perListMax, hence the copy above.
-	b.lastMin = 0
-	b.lastBound = b.ub.ScoreUnionUpperBound(perListMax, minMatch)
-	b.lastMin = minMatch
-	return b.lastBound
-}
-
-// remembers reports whether the arguments are the last evaluation's.
-func (b *unionBounder) remembers(perListMax []float64, minMatch int) bool {
-	if b.lastMin != minMatch || len(b.lastMax) != len(perListMax) {
-		return false
-	}
-	for i, m := range perListMax {
-		if math.Float64bits(m) != b.lastMax[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // searchUnion evaluates a disjunctive query: candidates are documents
 // matching at least minMatch concepts, scored by the kernel over their
 // matched lists only (compacted in concept order).
@@ -172,20 +99,19 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 		return e.finish(qs, res, start)
 	}
 
-	// Probe the kernel for the disjunctive bound. Without one — or
-	// with pruning disabled — every pivot carries a +Inf bound and the
-	// loop degenerates to the exhaustive ranked union, which is always
-	// sound (and is the differential baseline's evaluation order).
-	var ub *unionBounder
+	// Probe the kernel for its cap. Without one — or with pruning
+	// disabled — every pivot carries a +Inf bound and the loop
+	// degenerates to the exhaustive ranked union, which is always sound
+	// (and is the differential baseline's evaluation order).
+	var ub *bounder
 	if bounding {
-		if ub = e.unionBounderFor(q.Join); ub == nil {
+		if ub = e.bounderFor(q.Join); ub == nil {
 			bounding = false
 		}
 	}
 	if e.prune && !bounding {
-		// A pruning engine running this union exhaustively — the kernel
-		// has no disjunctive bound (e.g. the Weighted* scorefn families).
-		// Silent degradation is an operational trap, so surface it in
+		// A pruning engine running this union exhaustively: silent
+		// degradation is an operational trap, so surface it in
 		// Stats().UnionUnpruned.
 		e.counters.unionUnpruned.Add(1)
 	}
@@ -270,12 +196,13 @@ pivots:
 				scratch = append(scratch, cu.maxAt())
 			}
 			bound = ub.bound(scratch, minMatch)
-			if ub.failed {
-				// The bound panicked mid-walk: the rest of this union
-				// runs exhaustively, another silent-degradation case
-				// worth a counter tick.
+			if math.IsInf(bound, 1) {
+				// No disjunctive cap: the scoring function is not
+				// term-exchangeable, or the cap panicked. The rest of
+				// this union runs exhaustively, another silent-degradation
+				// case worth a counter tick. (An overflowing cap is +Inf
+				// too; joining every later pivot is sound all the same.)
 				bounding = false
-				bound = math.Inf(1)
 				e.counters.unionUnpruned.Add(1)
 			}
 		}
@@ -304,7 +231,7 @@ pivots:
 			posSlab[s] = cu.at()
 			cu.mark()
 		}
-		chunk = append(chunk, docJob{doc: d, bound: bound, orig: bound, mask: mask,
+		chunk = append(chunk, docJob{doc: d, bound: bound, mask: mask,
 			lists: slab[:len(atDoc):len(atDoc)], at: posSlab[:len(atDoc)]})
 		slab, posSlab = slab[len(atDoc):], posSlab[len(atDoc):]
 		if len(chunk) == dispatchChunk && !ship() {

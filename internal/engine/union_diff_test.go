@@ -472,11 +472,11 @@ func TestUnionArmsWindowScreen(t *testing.T) {
 	}
 }
 
-// probedKernel is a kernel with a window screen and a disjunctive bound.
+// probedKernel is a kernel with a window screen and a score cap.
 type probedKernel interface {
 	join.Kernel
 	join.Floored
-	join.UnionBounded
+	join.UpperBounded
 }
 
 // rungProbe counts the documents the engine's cache rung prunes: it
@@ -495,24 +495,6 @@ func (p rungProbe) CutWidth(sigs []join.Sig, bar float64) (int, bool) {
 	return w, ok
 }
 
-// countingUnionBound is a join.UnionBounded that counts its
-// evaluations, sums its arguments, scrambles them as the shipped
-// bounds' in-place sort may, and panics on a negative maximum.
-type countingUnionBound struct{ calls int }
-
-func (c *countingUnionBound) ScoreUnionUpperBound(perListMax []float64, minMatch int) float64 {
-	c.calls++
-	sum := float64(minMatch)
-	for i, m := range perListMax {
-		if m < 0 {
-			panic("negative maximum")
-		}
-		sum += m
-		perListMax[i] = -1
-	}
-	return sum
-}
-
 // TestUnionBounderRemembersLastAnswer: bit-identical arguments return
 // the previous bound without an evaluation; any other arguments — a
 // different maximum, order, length, minMatch, or zero of the other sign
@@ -520,8 +502,8 @@ func (c *countingUnionBound) ScoreUnionUpperBound(perListMax []float64, minMatch
 // nothing remembered.
 func TestUnionBounderRemembersLastAnswer(t *testing.T) {
 	e := New(buildCompact(t, []string{"amber"}), Config{Workers: 1})
-	kern := &countingUnionBound{}
-	b := &unionBounder{e: e, ub: kern}
+	kern := &countingBound{}
+	b := &bounder{e: e, ub: kern}
 	negZero := math.Copysign(0, -1)
 	steps := []struct {
 		maxima   []float64
@@ -529,11 +511,11 @@ func TestUnionBounderRemembersLastAnswer(t *testing.T) {
 		want     float64
 		calls    int
 	}{
-		{[]float64{1, 0.5}, 1, 2.5, 1},
-		{[]float64{1, 0.5}, 1, 2.5, 1}, // remembered
-		{[]float64{1, 0.5}, 1, 2.5, 1},
-		{[]float64{0.5, 1}, 1, 2.5, 2}, // order
-		{[]float64{0.5, 1}, 2, 3.5, 3}, // minMatch
+		{[]float64{1, 0.5}, 1, 3, 1},
+		{[]float64{1, 0.5}, 1, 3, 1}, // remembered
+		{[]float64{1, 0.5}, 1, 3, 1},
+		{[]float64{0.5, 1}, 1, 3.5, 2}, // order
+		{[]float64{0.5, 1}, 2, 4.5, 3}, // minMatch
 		{[]float64{0.5}, 2, 2.5, 4},    // length
 		{[]float64{0}, 2, 2, 5},
 		{[]float64{negZero}, 2, 2, 6}, // -0 is not +0
@@ -561,5 +543,34 @@ func TestUnionBounderRemembersLastAnswer(t *testing.T) {
 	calls := kern.calls
 	if got := b.bound([]float64{-1}, 2); !math.IsInf(got, 1) || kern.calls != calls+1 {
 		t.Fatalf("a panicked evaluation was remembered: %v after %d more evaluations", got, kern.calls-calls)
+	}
+}
+
+// TestWeightedUnionRunsUnpruned: a term-weighted scoring function has no
+// disjunctive cap. The sorted-prefix cap evaluates g by sorted position,
+// which is sound only when g_j does not depend on j: here it weighed
+// amber's 0.2 by basalt's 2 and basalt's 1 by amber's 0.5, capping
+// document 1 (209) at 90 — below document 0's 159, so the pruned union
+// answered document 0. Such a query runs exhaustively, counted in
+// UnionUnpruned, and answers as the unpruned engine does.
+func TestWeightedUnionRunsUnpruned(t *testing.T) {
+	compact := buildCompact(t, []string{"amber" + strings.Repeat(" lumen", 50) + " basalt", "amber basalt"})
+	fn := scorefn.WeightedWIN{Base: scorefn.LinearWIN{Scale: 0.01}, Weights: []float64{0.5, 2}}
+	q := Query{Concepts: []index.Concept{{"amber": 0.2}, {"basalt": 1}}, Join: WINJoiner(fn), K: 1, Mode: ModeOR}
+	for _, workers := range []int{1, 4} {
+		e := New(compact, Config{Workers: workers})
+		got, err := e.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(compact, Config{Workers: workers, DisablePruning: true}).Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("workers %d", workers)
+		assertSameDocs(t, label, got.Docs, want.Docs)
+		if got.Docs[0].Doc != 1 || e.Stats().UnionUnpruned != 1 {
+			t.Fatalf("%s: top doc %d, UnionUnpruned %d, want doc 1 and 1", label, got.Docs[0].Doc, e.Stats().UnionUnpruned)
+		}
 	}
 }

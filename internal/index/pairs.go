@@ -58,8 +58,7 @@ import (
 // was not finite). Storing tombstones keeps the pair list's document
 // set exactly equal to the two concepts' intersection, so a
 // pair-served query reports the same candidate count the kernel path
-// would, and the ≥3-term bound-tightening path knows the difference
-// between "no result" and "not indexed".
+// would.
 //
 // The witness (loc0,s0)/(loc1,s1) is stored in canonical order — the
 // lower-ConceptKey concept's match first; a caller that asked for the

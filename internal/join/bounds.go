@@ -5,82 +5,46 @@ import "bestjoin/internal/scorefn"
 // UpperBounded is the optional kernel capability behind the engine's
 // lossless top-k pruning: a kernel that can cap, from per-list maximum
 // match scores alone, the score any matchset of a document could
-// attain under its current scoring function. The engine probes a
-// query's kernel for this interface; when present (and pruning is
-// enabled) it skips the join for every candidate document whose cap is
-// strictly below the current top-k floor.
+// attain under its current scoring function — the list-max rung of
+// scorefn.ListMaxCap. The engine probes a query's kernel for this
+// interface; when present (and pruning is enabled) it skips the join
+// for every candidate document whose cap is strictly below its bar.
 //
-// Contract: for any instance whose list maxima are perListMax,
-// ScoreUpperBound must be ≥ the score Join would return — including
-// under restrictions that only shrink the feasible matchset space,
-// such as the duplicate-avoidance wrapper. Never-prune-on-equality is
-// the engine's side of the bargain; the kernel's bound only has to
-// dominate, not to be tight. The bound must be a function of
-// perListMax alone, which it leaves as it found it: the engine reads
-// the maxima again, and gives candidates with bit-identical maxima one
-// evaluation.
-type UpperBounded interface {
-	ScoreUpperBound(perListMax []float64) float64
-}
-
-// ScoreUpperBound caps the WIN score of any matchset drawn from lists
-// with the given per-list maxima (scorefn.UpperBoundWIN under the
-// kernel's current scoring function).
-func (k *WINKernel) ScoreUpperBound(perListMax []float64) float64 {
-	return scorefn.UpperBoundWIN(k.fn, perListMax)
-}
-
-// ScoreUpperBound caps the MED score of any matchset drawn from lists
-// with the given per-list maxima.
-func (k *MEDKernel) ScoreUpperBound(perListMax []float64) float64 {
-	return scorefn.UpperBoundMED(k.fn, perListMax)
-}
-
-// ScoreUpperBound caps the MAX score of any matchset drawn from lists
-// with the given per-list maxima.
-func (k *MAXKernel) ScoreUpperBound(perListMax []float64) float64 {
-	return scorefn.UpperBoundMAX(k.fn, perListMax)
-}
-
-// UnionBounded is the optional kernel capability behind the engine's
-// disjunctive (ranked-union / m-of-n) pruning: a cap on the score any
-// matchset drawn from ANY subset of at least minMatch of the lists
-// could attain. The conjunctive ScoreUpperBound is not reusable there
-// — for product-style scoring functions adding a list lowers the
-// bound, so a full-set cap does not dominate partial matches.
-//
-// Contract: for any document whose per-list maximum match scores are
-// perListMax, ScoreUnionUpperBound must be ≥ the score Join would
-// return on the match lists of ANY subset of ≥ minMatch lists,
+// minMatch ≤ 0 asks for the conjunctive cap, over the matchsets of
+// every list; perListMax is left as it was, and the cap is a function
+// of it alone, so candidates with bit-identical maxima need one
+// evaluation. minMatch ≥ 1 asks for the disjunctive cap of a ranked
+// union, over the matchsets of ANY subset of at least minMatch lists,
 // compacted in order (the engine passes workers only the matched
-// lists, re-indexed from 0). An implementation may reorder perListMax
-// (the shipped ones sort it in place rather than allocate a copy per
-// pivot document). The implementations below satisfy the contract
-// only for term-exchangeable scoring functions — G (or Contribution)
-// independent of the term index — which holds for every shipped
-// unweighted instance. Queries scoring with term-dependent transforms
-// (scorefn.WeightedWIN/WeightedMED) must run with pruning disabled.
-type UnionBounded interface {
-	ScoreUnionUpperBound(perListMax []float64, minMatch int) float64
+// lists, re-indexed from 0); it may reorder perListMax, and is +Inf
+// when the scoring function is not scorefn.Exchangeable.
+//
+// Contract: the cap must be ≥ the score Join would return on any such
+// instance — including under restrictions that only shrink the
+// feasible matchset space, such as the duplicate-avoidance wrapper.
+// Never-prune-on-equality is the engine's side of the bargain; the
+// kernel's cap only has to dominate, not to be tight.
+type UpperBounded interface {
+	ScoreUpperBound(perListMax []float64, minMatch int) float64
 }
 
-// ScoreUnionUpperBound caps the WIN score of any matchset drawn from
-// at least minMatch of the lists (scorefn.UnionUpperBoundWIN under the
-// kernel's current scoring function).
-func (k *WINKernel) ScoreUnionUpperBound(perListMax []float64, minMatch int) float64 {
-	return scorefn.UnionUpperBoundWIN(k.fn, perListMax, minMatch)
+// ScoreUpperBound is the WIN list-max rung under the kernel's current
+// scoring function.
+func (k *WINKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, k.fn.G,
+		func(gsum float64) float64 { return scorefn.CapWIN(k.fn, gsum, 0, 0) })
 }
 
-// ScoreUnionUpperBound caps the MED score of any matchset drawn from
-// at least minMatch of the lists.
-func (k *MEDKernel) ScoreUnionUpperBound(perListMax []float64, minMatch int) float64 {
-	return scorefn.UnionUpperBoundMED(k.fn, perListMax, minMatch)
+// ScoreUpperBound is the MED list-max rung.
+func (k *MEDKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, k.fn.G,
+		func(total float64) float64 { return scorefn.CapMED(k.fn, total, 0, 0) })
 }
 
-// ScoreUnionUpperBound caps the MAX score of any matchset drawn from
-// at least minMatch of the lists.
-func (k *MAXKernel) ScoreUnionUpperBound(perListMax []float64, minMatch int) float64 {
-	return scorefn.UnionUpperBoundMAX(k.fn, perListMax, minMatch)
+// ScoreUpperBound is the MAX list-max rung.
+func (k *MAXKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch,
+		func(j int, x float64) float64 { return k.fn.Contribution(j, x, 0) }, k.fn.F)
 }
 
 // Floored is the optional kernel capability behind the engine's
@@ -120,9 +84,6 @@ var (
 	_ UpperBounded = (*WINKernel)(nil)
 	_ UpperBounded = (*MEDKernel)(nil)
 	_ UpperBounded = (*MAXKernel)(nil)
-	_ UnionBounded = (*WINKernel)(nil)
-	_ UnionBounded = (*MEDKernel)(nil)
-	_ UnionBounded = (*MAXKernel)(nil)
 	_ Floored      = (*WINKernel)(nil)
 	_ Floored      = (*MEDKernel)(nil)
 )

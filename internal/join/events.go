@@ -16,7 +16,7 @@ import (
 // (join.Floored) first reads the unmerged lists (screen) for what a
 // proximity-aware score cap needs — each list's maximum match score and
 // the smallest window holding one match of every term — and drops a
-// document whose cap (scorefn.WindowCapWIN/MED) is strictly below the
+// document whose cap (scorefn.CapWIN/MED) is strictly below the
 // floor before merging it, running the program, or evaluating g for
 // anything but the list maxima. Only documents the screen lets through
 // are merged; an unarmed kernel merges without screening.
@@ -262,8 +262,8 @@ func Apart(sigs []Sig, w int) bool {
 	return len(sigs) > 0 && (w <= 0 || acc == 0)
 }
 
-// windowCapper is a screening kernel's window cap, scorefn.WindowCapWIN
-// or WindowCapMED under its current scoring function.
+// windowCapper is a screening kernel's window cap, scorefn.CapWIN
+// or CapMED under its current scoring function.
 type windowCapper interface {
 	windowCap(gsum, mag float64, w int) float64
 }

@@ -16,7 +16,7 @@ import (
 // the Kernel interface for the reuse and ownership contract. It is
 // Floored: armed with a top-k floor, Join returns ok == false — before
 // merging the lists or building any envelope — for an instance whose window upper bound
-// (scorefn.WindowCapMED) is strictly below the floor.
+// (scorefn.CapMED) is strictly below the floor.
 type MEDKernel struct {
 	fn          scorefn.MED
 	g           gMemo // g_j(score), evaluated once per distinct (term, score)
@@ -88,13 +88,13 @@ func (k *MEDKernel) grow(q int) {
 	k.out = k.out[:q]
 }
 
-// CutWidth is Floored.CutWidth under scorefn.WindowCapMED.
+// CutWidth is Floored.CutWidth under scorefn.CapMED.
 func (k *MEDKernel) CutWidth(sigs []Sig, bar float64) (int, bool) {
 	return k.cutWidth(sigs, bar, &k.g, k)
 }
 
 func (k *MEDKernel) windowCap(total, mag float64, w int) float64 {
-	return scorefn.WindowCapMED(k.fn, total, mag, w)
+	return scorefn.CapMED(k.fn, total, mag, w)
 }
 
 // Join solves the loaded instance exactly as the one-shot MED does. By

@@ -83,7 +83,7 @@ func (a *winArena) alloc(term int, m match.Match, prev *winNode) *winNode {
 // ownership contract. It is Floored: armed with a top-k floor, Join
 // returns ok == false — before merging the lists or touching the subset
 // table — for an instance whose window upper bound
-// (scorefn.WindowCapWIN) is strictly below the floor.
+// (scorefn.CapWIN) is strictly below the floor.
 type WINKernel struct {
 	fn          scorefn.WIN
 	g           gMemo // g_j(score), evaluated once per distinct (term, score)
@@ -113,13 +113,13 @@ func (k *WINKernel) Reset(fn any, lists match.Lists) {
 	k.lists = lists
 }
 
-// CutWidth is Floored.CutWidth under scorefn.WindowCapWIN.
+// CutWidth is Floored.CutWidth under scorefn.CapWIN.
 func (k *WINKernel) CutWidth(sigs []Sig, bar float64) (int, bool) {
 	return k.cutWidth(sigs, bar, &k.g, k)
 }
 
 func (k *WINKernel) windowCap(gsum, mag float64, w int) float64 {
-	return scorefn.WindowCapWIN(k.fn, gsum, mag, w)
+	return scorefn.CapWIN(k.fn, gsum, mag, w)
 }
 
 // Join solves the loaded instance exactly as the one-shot WIN does: it

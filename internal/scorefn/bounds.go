@@ -2,105 +2,117 @@ package scorefn
 
 import "math"
 
-// Score upper bounds: for each family, the highest score any matchset
-// drawn from lists with the given per-list maximum match scores could
-// possibly attain. The proximity term is capped at its best case — a
-// zero-length window for WIN, zero distance to the median for MED,
-// zero distance to the reference location for MAX — and every match
-// score at its list's maximum, so the bound dominates every concrete
-// matchset by the families' own monotonicity contracts (Definitions 3,
-// 5 and 7). These are the per-document score caps that make
-// threshold-style top-k pruning (Fagin et al.'s TA) lossless: a
-// document whose bound is strictly below the current top-k floor can
-// be skipped without ever running its best-join.
+// Score caps: the one fact all pruning rests on. f and every g_j are
+// monotone (Definitions 3, 5 and 7), so no matchset whose match scores
+// are at most the per-list maxima max_j, and whose window is at least
+// w, scores above the family's cap at Σ g_j(max_j) and w:
 //
-// Soundness per family, for any matchset M with score(m_j) ≤ max_j:
-//
-//   - WIN: every g_j is increasing, so Σ g_j(score(m_j)) ≤ Σ g_j(max_j);
-//     f is increasing in the g-total and decreasing in the window, and
-//     window(M) ≥ 0, hence score(M) ≤ f(Σ g_j(max_j), 0).
-//   - MED: each contribution g_j(score(m_j)) − |loc(m_j) − median(M)|
-//     is at most g_j(max_j); f is increasing.
+//   - WIN: f is increasing in the g-total and decreasing in the
+//     window, so score(M) ≤ F(Σ g_j(max_j), w).
+//   - MED: the median is one of M's own locations, so for |Q| ≥ 2 the
+//     leftmost and rightmost matches alone are window(M) ≥ w away from
+//     it in total, and score(M) ≤ F(Σ g_j(max_j) − w). For |Q| = 1
+//     both sides of that distance inequality are 0.
 //   - MAX: c_j is increasing in score and decreasing in distance, so
-//     c_j(m_j, l) ≤ c_j(max_j, 0) for every reference location l — the
-//     bound dominates the supremum over all locations, not just the
-//     match locations, so it is sound for general MAX functions too.
+//     c_j(m_j, l) ≤ c_j(max_j, 0) at every reference location l and
+//     score(M) ≤ F(Σ c_j(max_j, 0)). MAX has no window cap: its F is
+//     the whole cap.
 //
-// The bounds are tight at zero proximity penalty: a matchset whose
-// matches all carry their list's maximum score and share one location
-// scores exactly the bound (every floating-point operation is applied
-// to identical inputs in identical order). CheckUpperBoundWIN/MED/MAX
-// probe the domination property on randomized instances.
+// The engine's screens are rungs of one ladder of these caps (DESIGN.md
+// "Score-upper-bound pruning").
+//
+// Rounding. A cap taken at w = 0 with magnitude 0 is F of the term-order
+// sum, exactly what ScoreWIN/MED/MAX compute for a matchset holding every
+// list's maximum at one location: it is tight, to the bit. A window cap
+// is compared with scores the join kernels summed in another order
+// (WIN in location order, MED with each distance folded into its term),
+// so it must dominate under rounding too. A float64 sum of n terms is
+// within n·2⁻⁵³·Σ|x_i| of the real one in any order, and a matchset's
+// magnitudes exceed the maxima's by no more than its total falls short
+// of theirs, so inflating the total by sumMargin times mag, the summed
+// magnitudes of the cap's own terms, covers both sums by three orders
+// of magnitude at any width a kernel accepts. A non-finite g or F
+// surfaces as a NaN or infinite cap, and "cap < floor" never holds for
+// a NaN. CheckCapWIN/MED/MAX probe every rung exhaustively.
+const sumMargin = 1e-12
 
-// UpperBound is the engine-facing shape of the hooks below: a
-// per-document score cap computed from the per-list maximum match
-// scores of one candidate document.
-type UpperBound func(perListMax []float64) float64
-
-// UpperBoundWIN returns the WIN score cap f(Σ g_j(max_j), 0): the best
-// possible transformed-score total combined with a zero-length window.
-func UpperBoundWIN(fn WIN, perListMax []float64) float64 {
-	gsum := 0.0
-	for j, m := range perListMax {
-		gsum += fn.G(j, m)
-	}
-	return fn.F(gsum, 0)
+// CapWIN is the WIN cap F(gsum + mag·margin, w): gsum is Σ g_j(max_j)
+// in term order, mag the sum of its terms' magnitudes, w a lower bound
+// on every matchset's window. At mag 0 and w 0 it is F(gsum, 0).
+func CapWIN(fn WIN, gsum, mag float64, w int) float64 {
+	return fn.F(gsum+mag*sumMargin, float64(w))
 }
 
-// UpperBoundMED returns the MED score cap f(Σ g_j(max_j)): every match
-// at its list's maximum score sitting exactly on the median.
-func UpperBoundMED(fn MED, perListMax []float64) float64 {
-	total := 0.0
-	for j, m := range perListMax {
-		total += fn.G(j, m)
-	}
-	return fn.F(total)
+// CapMED is the MED cap F(total − w + (mag + w)·margin); see CapWIN. At
+// mag 0 and w 0 it is F(total).
+func CapMED(fn MED, total, mag float64, w int) float64 {
+	wf := float64(w)
+	return fn.F(total - wf + (mag+wf)*sumMargin)
 }
 
-// UpperBoundMAX returns the MAX score cap f(Σ c_j(max_j, 0)): every
-// match at its list's maximum score sitting exactly on the reference
-// location.
-func UpperBoundMAX(fn MAX, perListMax []float64) float64 {
-	total := 0.0
-	for j, m := range perListMax {
-		total += fn.Contribution(j, m, 0)
-	}
-	return fn.F(total)
+// Exchangeable marks a scoring function whose per-term transform — G,
+// or Contribution — does not depend on the term index. Only such a
+// function has a disjunctive cap (ListMaxCap with minMatch ≥ 1): its
+// score of a subset of the lists depends on the multiset of match
+// scores alone, whichever terms they answer. Every unweighted instance
+// is exchangeable; WeightedWIN and WeightedMED are not.
+type Exchangeable interface {
+	// TermExchangeable is a marker; implementations assert the property.
+	TermExchangeable()
 }
 
-// Union (disjunctive) upper bounds: the highest score any matchset
-// drawn from ANY subset of at least minMatch of the given lists could
-// attain. The conjunctive bounds above are not reusable here — for
-// product-style instances g_j(x) = ln(x) is negative on scores in
-// (0,1], so adding a list LOWERS the transformed-score total: with two
-// lists of maximum 0.5, the full-set WIN bound is f(ln 0.5 + ln 0.5, 0)
-// = 0.25, while a document matching only the first list legitimately
-// scores up to 0.5. A sound disjunctive bound must therefore maximize
-// over the admissible subset sizes.
+// ListMaxCap is the list-max rung every family shares: the cap at
+// magnitude 0 and window 0 over the per-list maxima. g is the family's
+// per-term transform at a list maximum (G, or Contribution at distance
+// 0) and capAt its cap over a g-total at magnitude 0 and window 0
+// (CapWIN, CapMED, or MAX's F).
 //
-// The functions below sort the per-list maxima descending (in place —
-// the caller's slice is reordered) and evaluate the family's
-// zero-proximity cap on every prefix of size s ∈ [minMatch, len],
-// returning the largest. That dominates the best
-// join over any admissible subset PROVIDED the per-term transform is
-// term-exchangeable — G(j, x) (or Contribution(j, x, d)) does not
-// depend on j — because then the score of a size-s subset depends only
-// on the multiset of its match scores, each of which is dominated
-// element-wise by the s largest list maxima. Every shipped unweighted
-// instance (ExpWIN, LinearWIN, ExpMED, LinearMED, ProdMAX, SumMAX) is
-// term-exchangeable; WeightedWIN/WeightedMED are not, and callers
-// scoring with term-dependent transforms must not use these bounds
-// (disable pruning instead). CheckUnionUpperBound* probe the
-// domination property on randomized instances and subsets.
+// minMatch ≤ 0 asks for the conjunctive cap capAt(Σ_j g(j, max_j)),
+// summed in term order, over matchsets of every list; perListMax is
+// left as it was.
 //
-// minMatch values outside [1, len(perListMax)] are clamped; an empty
-// perListMax yields -Inf (no admissible matchset).
+// minMatch ≥ 1 asks for the disjunctive cap over matchsets of ANY subset
+// of at least minMatch lists, compacted to term indices 0..s−1 — the
+// instances a ranked union joins. Adding a list can lower a cap (two
+// ExpWIN lists of maximum 0.5 cap at 0.25, while one of them alone
+// scores 0.5), so the cap is the largest over the admissible subset
+// sizes s of capAt(Σ_{i<s} g(i, sorted_i)): perListMax is sorted
+// descending, in place, NaNs last, and each size takes the s largest
+// maxima. That dominates every subset of size s only when g ignores its
+// term index, so fn — the function g and capAt belong to — must be
+// Exchangeable; for any other fn the cap is +Inf, which prunes nothing.
+// minMatch above len(perListMax) is clamped to it; an empty perListMax
+// yields -Inf (no admissible matchset), and a NaN cap at any size makes
+// the whole cap NaN.
+func ListMaxCap(fn any, perListMax []float64, minMatch int, g func(term int, max float64) float64, capAt func(sum float64) float64) float64 {
+	if minMatch <= 0 {
+		sum := 0.0
+		for j, m := range perListMax {
+			sum += g(j, m)
+		}
+		return capAt(sum)
+	}
+	if _, ok := fn.(Exchangeable); !ok {
+		return math.Inf(1)
+	}
+	sortDescending(perListMax)
+	minMatch = min(minMatch, len(perListMax))
+	best, sum := math.Inf(-1), 0.0
+	for i, m := range perListMax {
+		sum += g(i, m)
+		if i+1 >= minMatch {
+			if v := capAt(sum); v > best || math.IsNaN(v) {
+				best = v
+			}
+		}
+	}
+	return best
+}
 
 // sortDescending sorts the per-list maxima in place, largest first and
 // NaNs last (the order sort.Reverse(sort.Float64Slice) gives): an
 // insertion sort, since there is one maximum per query term, and in
-// place because the engine calls the union bounds once per pivot
-// document on a scratch slice it refills each time.
+// place because the engine refills its scratch for every pivot.
 func sortDescending(perListMax []float64) {
 	for i := 1; i < len(perListMax); i++ {
 		v := perListMax[i]
@@ -114,130 +126,4 @@ func sortDescending(perListMax []float64) {
 		}
 		perListMax[j] = v
 	}
-}
-
-// prefixMax folds one admissible prefix's cap into the running
-// maximum; a NaN cap poisons the bound (it never prunes).
-func prefixMax(best, v float64) float64 {
-	if v > best || math.IsNaN(v) {
-		return v
-	}
-	return best
-}
-
-// UnionUpperBoundWIN returns the disjunctive WIN score cap
-// max over s ∈ [minMatch, n] of f(Σ_{i<s} g(sorted_i), 0), with the
-// per-list maxima sorted descending — in place: perListMax is
-// reordered. Sound for term-exchangeable G.
-func UnionUpperBoundWIN(fn WIN, perListMax []float64, minMatch int) float64 {
-	sortDescending(perListMax)
-	minMatch = min(minMatch, len(perListMax)) // below 1 admits every prefix, as 1 does
-	best, gsum := math.Inf(-1), 0.0
-	for i, m := range perListMax {
-		gsum += fn.G(i, m)
-		if i+1 >= minMatch {
-			best = prefixMax(best, fn.F(gsum, 0))
-		}
-	}
-	return best
-}
-
-// UnionUpperBoundMED returns the disjunctive MED score cap; see
-// UnionUpperBoundWIN.
-func UnionUpperBoundMED(fn MED, perListMax []float64, minMatch int) float64 {
-	sortDescending(perListMax)
-	minMatch = min(minMatch, len(perListMax))
-	best, total := math.Inf(-1), 0.0
-	for i, m := range perListMax {
-		total += fn.G(i, m)
-		if i+1 >= minMatch {
-			best = prefixMax(best, fn.F(total))
-		}
-	}
-	return best
-}
-
-// UnionUpperBoundMAX returns the disjunctive MAX score cap; see
-// UnionUpperBoundWIN.
-func UnionUpperBoundMAX(fn MAX, perListMax []float64, minMatch int) float64 {
-	sortDescending(perListMax)
-	minMatch = min(minMatch, len(perListMax))
-	best, total := math.Inf(-1), 0.0
-	for i, m := range perListMax {
-		total += fn.Contribution(i, m, 0)
-		if i+1 >= minMatch {
-			best = prefixMax(best, fn.F(total))
-		}
-	}
-	return best
-}
-
-// Window upper bounds: the per-list-maxima caps above with the
-// proximity term held to the best any matchset of the instance can
-// actually reach. wmin is the smallest window holding one match of
-// every list — a location-ordered merge of the lists yields it — so
-// every matchset M of the instance has window(M) ≥ wmin, and:
-//
-//   - WIN: f is decreasing in the window, hence
-//     score(M) ≤ f(Σ g_j(max_j), wmin).
-//   - MED: the median is one of M's own locations, so for |Q| ≥ 2 the
-//     leftmost and rightmost matches alone are max loc − min loc away
-//     from it in total: Σ_j |loc(m_j) − median(M)| ≥ window(M) ≥ wmin,
-//     hence score(M) ≤ f(Σ g_j(max_j) − wmin). For |Q| = 1 both sides
-//     of the distance inequality are 0.
-//
-// Unlike the caps above these are compared against scores the join
-// kernels computed with the same terms in a different order (WIN sums
-// g in location order, MED folds each distance into its term first),
-// so they must dominate under rounding, not only in real arithmetic.
-// A float64 sum of n terms is within n·2⁻⁵³·Σ|x_i| of the real one
-// whatever the order, and a matchset's own magnitudes exceed the
-// maxima's by no more than its score total falls short of theirs, so
-// inflating the total by sumMargin times the summed magnitudes of the
-// bound's own terms covers both sums by three orders of magnitude at
-// any query width a kernel accepts. A non-finite g or scoring-function
-// value surfaces as a NaN or infinite bound; callers cut on
-// "bound < floor", which a NaN never satisfies.
-// CheckWindowUpperBoundWIN/MED probe domination exhaustively.
-const sumMargin = 1e-12
-
-// WindowUpperBoundWIN returns the WIN score cap f(Σ g_j(max_j), wmin)
-// for matchsets spanning a window of at least wmin, Σ inflated by the
-// rounding margin.
-func WindowUpperBoundWIN(fn WIN, perListMax []float64, wmin int) float64 {
-	gsum, mag := 0.0, 0.0
-	for j, m := range perListMax {
-		g := fn.G(j, m)
-		gsum += g
-		mag += math.Abs(g)
-	}
-	return WindowCapWIN(fn, gsum, mag, wmin)
-}
-
-// WindowCapWIN is WindowUpperBoundWIN for a caller that already holds
-// the g_j(max_j) — the WIN kernel, which has every g of the instance
-// and keeps each list's largest: gsum is their sum in term order, mag
-// the sum of their magnitudes.
-func WindowCapWIN(fn WIN, gsum, mag float64, wmin int) float64 {
-	return fn.F(gsum+mag*sumMargin, float64(wmin))
-}
-
-// WindowUpperBoundMED returns the MED score cap f(Σ g_j(max_j) − wmin)
-// for matchsets spanning a window of at least wmin, the total inflated
-// by the rounding margin.
-func WindowUpperBoundMED(fn MED, perListMax []float64, wmin int) float64 {
-	total, mag := 0.0, 0.0
-	for j, m := range perListMax {
-		g := fn.G(j, m)
-		total += g
-		mag += math.Abs(g)
-	}
-	return WindowCapMED(fn, total, mag, wmin)
-}
-
-// WindowCapMED is WindowUpperBoundMED for a caller that already holds
-// the g_j(max_j); see WindowCapWIN.
-func WindowCapMED(fn MED, total, mag float64, wmin int) float64 {
-	w := float64(wmin)
-	return fn.F(total - w + (mag+w)*sumMargin)
 }

@@ -1,7 +1,7 @@
-// Upper-bound contract tests (external test package so they can
+// Score-cap contract tests (external test package so they can
 // cross-check against internal/naive, which itself imports scorefn):
 // for each family and both concrete instances — exponential decay and
-// linear — the bound computed from per-list maxima must dominate the
+// linear — the cap computed from per-list maxima must dominate the
 // true best-join score of every enumerable instance, and must be
 // attained exactly when the proximity penalty is zero.
 package scorefn_test
@@ -9,6 +9,7 @@ package scorefn_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bestjoin/internal/match"
@@ -32,6 +33,29 @@ func perListMax(lists match.Lists) []float64 {
 	return out
 }
 
+// Each family's list-max rung, as its join kernel takes it.
+func capWIN(fn scorefn.WIN, maxima []float64, minMatch int) float64 {
+	return scorefn.ListMaxCap(fn, maxima, minMatch, fn.G, func(s float64) float64 { return scorefn.CapWIN(fn, s, 0, 0) })
+}
+
+func capMED(fn scorefn.MED, maxima []float64) float64 {
+	return scorefn.ListMaxCap(fn, maxima, 0, fn.G, func(s float64) float64 { return scorefn.CapMED(fn, s, 0, 0) })
+}
+
+func capMAX(fn scorefn.MAX, maxima []float64) float64 {
+	return scorefn.ListMaxCap(fn, maxima, 0, func(j int, x float64) float64 { return fn.Contribution(j, x, 0) }, fn.F)
+}
+
+// windowCaps are the WIN and MED window caps over per-list maxima.
+func windowCaps(win scorefn.WIN, med scorefn.MED, maxima []float64, w int) (float64, float64) {
+	gw, mw, gm, mm := 0.0, 0.0, 0.0, 0.0
+	for j, x := range maxima {
+		gw, mw = gw+win.G(j, x), mw+math.Abs(win.G(j, x))
+		gm, mm = gm+med.G(j, x), mm+math.Abs(med.G(j, x))
+	}
+	return scorefn.CapWIN(win, gw, mw, w), scorefn.CapMED(med, gm, mm, w)
+}
+
 // randLists draws a random complete instance with 1–4 matches per
 // list, ties allowed (shared locations are exactly the zero-penalty
 // regime the bounds must stay sound in).
@@ -51,7 +75,7 @@ func TestUpperBoundWINDominatesNaive(t *testing.T) {
 		if !ok {
 			t.Fatal("naive found no matchset on a complete instance")
 		}
-		if bound := scorefn.UpperBoundWIN(fn, perListMax(lists)); score > bound {
+		if bound := capWIN(fn, perListMax(lists), 0); score > bound {
 			t.Fatalf("trial %d: naive WIN score %v exceeds bound %v (best %v, lists %v)",
 				trial, score, bound, best, lists)
 		}
@@ -68,7 +92,7 @@ func TestUpperBoundMEDDominatesNaive(t *testing.T) {
 		if !ok {
 			t.Fatal("naive found no matchset on a complete instance")
 		}
-		if bound := scorefn.UpperBoundMED(fn, perListMax(lists)); score > bound {
+		if bound := capMED(fn, perListMax(lists)); score > bound {
 			t.Fatalf("trial %d: naive MED score %v exceeds bound %v (best %v, lists %v)",
 				trial, score, bound, best, lists)
 		}
@@ -85,7 +109,7 @@ func TestUpperBoundMAXDominatesNaive(t *testing.T) {
 		if !ok {
 			t.Fatal("naive found no matchset on a complete instance")
 		}
-		if bound := scorefn.UpperBoundMAX(fn, perListMax(lists)); score > bound {
+		if bound := capMAX(fn, perListMax(lists)); score > bound {
 			t.Fatalf("trial %d: naive MAX score %v exceeds bound %v (best %v, lists %v)",
 				trial, score, bound, best, lists)
 		}
@@ -112,153 +136,134 @@ func TestUpperBoundTightAtZeroPenalty(t *testing.T) {
 			lists[j].Sort()
 		}
 		winFn := scorefn.ExpWIN{Alpha: 0.1}
-		if _, score, _ := naive.WIN(winFn, lists); score != scorefn.UpperBoundWIN(winFn, maxima) {
-			t.Fatalf("trial %d: WIN bound not tight: best %v, bound %v",
-				trial, score, scorefn.UpperBoundWIN(winFn, maxima))
+		if _, score, _ := naive.WIN(winFn, lists); score != capWIN(winFn, maxima, 0) {
+			t.Fatalf("trial %d: WIN bound not tight: best %v, bound %v", trial, score, capWIN(winFn, maxima, 0))
 		}
 		medFn := scorefn.LinearMED{Scale: 0.3}
-		if _, score, _ := naive.MED(medFn, lists); score != scorefn.UpperBoundMED(medFn, maxima) {
-			t.Fatalf("trial %d: MED bound not tight: best %v, bound %v",
-				trial, score, scorefn.UpperBoundMED(medFn, maxima))
+		if _, score, _ := naive.MED(medFn, lists); score != capMED(medFn, maxima) {
+			t.Fatalf("trial %d: MED bound not tight: best %v, bound %v", trial, score, capMED(medFn, maxima))
 		}
 		maxFn := scorefn.SumMAX{Alpha: 0.1}
-		if _, score, _ := naive.MAX(maxFn, lists); score != scorefn.UpperBoundMAX(maxFn, maxima) {
-			t.Fatalf("trial %d: MAX bound not tight: best %v, bound %v",
-				trial, score, scorefn.UpperBoundMAX(maxFn, maxima))
+		if _, score, _ := naive.MAX(maxFn, lists); score != capMAX(maxFn, maxima) {
+			t.Fatalf("trial %d: MAX bound not tight: best %v, bound %v", trial, score, capMAX(maxFn, maxima))
 		}
 	}
 }
 
 // TestUnionUpperBoundDominatesPartialMatches is the regression the
-// conjunctive bounds would fail: under product-style scoring a subset
-// join can exceed the full-set cap (two lists of max 0.5 give an ExpWIN
-// full-set bound of 0.25 while a single-list match scores 0.5), so the
-// disjunctive bound must maximize over admissible subset sizes. The
-// in-package checkers enumerate every subset of ≥ minMatch lists.
+// conjunctive cap would fail: under product-style scoring a subset join
+// can exceed the full-set cap (see TestUnionUpperBoundSingleListRegime),
+// so the disjunctive cap maximizes over admissible subset sizes. Its
+// sorted prefixes dominate only for term-exchangeable functions: the
+// weighted ones take no disjunctive cap (+Inf) and pass the checker's
+// union arm, and a weighted function claiming exchangeability fails it.
 func TestUnionUpperBoundDominatesPartialMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	for _, fn := range []scorefn.WIN{scorefn.ExpWIN{Alpha: 0.1}, scorefn.LinearWIN{Scale: 0.3}} {
-		if err := scorefn.CheckUnionUpperBoundWIN(fn, 3, 60, rng); err != nil {
+	weighted := scorefn.WeightedWIN{Base: scorefn.LinearWIN{Scale: 0.01}, Weights: []float64{0.5, 2}}
+	if got := capWIN(weighted, []float64{0.2, 1}, 1); !math.IsInf(got, 1) {
+		t.Fatalf("weighted union cap %v, want +Inf", got)
+	}
+	for _, fn := range []scorefn.WIN{weighted, scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.1}, Weights: []float64{1.5, 0.5, 2}}} {
+		if err := scorefn.CheckCapWIN(fn, 3, 60, rng); err != nil {
 			t.Errorf("%#v: %v", fn, err)
 		}
 	}
-	for _, fn := range []scorefn.MED{scorefn.ExpMED{Alpha: 0.1}, scorefn.LinearMED{Scale: 0.3}} {
-		if err := scorefn.CheckUnionUpperBoundMED(fn, 3, 60, rng); err != nil {
-			t.Errorf("%#v: %v", fn, err)
-		}
+	med := scorefn.WeightedMED{Base: scorefn.LinearMED{Scale: 0.3}, Weights: []float64{1.5, 0.5, 2}}
+	if err := scorefn.CheckCapMED(med, 3, 60, rng); err != nil {
+		t.Errorf("%#v: %v", med, err)
 	}
-	for _, fn := range []scorefn.MAX{scorefn.SumMAX{Alpha: 0.1}, scorefn.ProdMAX{Alpha: 0.1}} {
-		if err := scorefn.CheckUnionUpperBoundMAX(fn, 3, 60, rng); err != nil {
-			t.Errorf("%#v: %v", fn, err)
-		}
+	if err := scorefn.CheckCapWIN(claimsExchangeable{weighted}, 2, 200, rng); err == nil || !strings.Contains(err.Error(), "union") {
+		t.Fatalf("a term-dependent union cap passed the checker: %v", err)
 	}
 }
+
+// claimsExchangeable is a term-dependent WIN that claims otherwise.
+type claimsExchangeable struct{ scorefn.WeightedWIN }
+
+func (claimsExchangeable) TermExchangeable() {}
 
 // TestUnionUpperBoundSingleListRegime pins the concrete counterexample
-// above: the union bound with minMatch=1 must be at least the best
-// single-list score, where the conjunctive full-set bound is not.
+// above: the union cap with minMatch=1 must be at least the best
+// single-list score, where the conjunctive full-set cap is not.
 func TestUnionUpperBoundSingleListRegime(t *testing.T) {
 	fn := scorefn.ExpWIN{Alpha: 0.1}
-	maxima := []float64{0.5, 0.5}
-	conj := scorefn.UpperBoundWIN(fn, maxima)
+	conj := capWIN(fn, []float64{0.5, 0.5}, 0)
 	if conj >= 0.5 {
-		t.Fatalf("premise broken: conjunctive bound %v should sit below the single-list score 0.5", conj)
+		t.Fatalf("premise broken: conjunctive cap %v should sit below the single-list score 0.5", conj)
 	}
-	if got := scorefn.UnionUpperBoundWIN(fn, maxima, 1); got < 0.5 {
-		t.Fatalf("union bound %v below the single-list score 0.5", got)
+	if got := capWIN(fn, []float64{0.5, 0.5}, 1); got < 0.5 {
+		t.Fatalf("union cap %v below the single-list score 0.5", got)
 	}
 	// m=n degenerates to the conjunctive cap.
-	if got := scorefn.UnionUpperBoundWIN(fn, maxima, 2); got != conj {
-		t.Fatalf("union bound at m=n is %v, want conjunctive cap %v", got, conj)
+	if got := capWIN(fn, []float64{0.5, 0.5}, 2); got != conj {
+		t.Fatalf("union cap at m=n is %v, want conjunctive cap %v", got, conj)
 	}
 }
 
-// TestCheckUpperBound runs the in-package contract checkers over every
-// concrete instance, including the per-term weighted wrappers.
+// TestCheckUpperBound runs the contract checkers over every concrete
+// instance, including the per-term weighted wrappers and the MED
+// adapter, at one to four terms.
 func TestCheckUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	weights := []float64{1.5, 0.5, 2}
-	for _, fn := range []scorefn.WIN{
-		scorefn.ExpWIN{Alpha: 0.1},
-		scorefn.LinearWIN{Scale: 0.3},
-		scorefn.WeightedWIN{Base: scorefn.LinearWIN{Scale: 0.3}, Weights: weights},
-	} {
-		if err := scorefn.CheckUpperBoundWIN(fn, 3, 60, rng); err != nil {
-			t.Errorf("%#v: %v", fn, err)
+	for terms := 1; terms <= 4; terms++ {
+		for _, fn := range []scorefn.WIN{
+			scorefn.ExpWIN{Alpha: 0.1},
+			scorefn.LinearWIN{Scale: 0.3},
+			scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.1}, Weights: weights},
+		} {
+			if err := scorefn.CheckCapWIN(fn, terms, 80, rng); err != nil {
+				t.Errorf("%#v, %d terms: %v", fn, terms, err)
+			}
 		}
-	}
-	for _, fn := range []scorefn.MED{
-		scorefn.ExpMED{Alpha: 0.1},
-		scorefn.LinearMED{Scale: 0.3},
-		scorefn.WeightedMED{Base: scorefn.LinearMED{Scale: 0.3}, Weights: weights},
-	} {
-		if err := scorefn.CheckUpperBoundMED(fn, 3, 60, rng); err != nil {
-			t.Errorf("%#v: %v", fn, err)
+		for _, fn := range []scorefn.MED{
+			scorefn.ExpMED{Alpha: 0.1},
+			scorefn.LinearMED{Scale: 0.3},
+			scorefn.WeightedMED{Base: scorefn.LinearMED{Scale: 0.3}, Weights: weights},
+		} {
+			if err := scorefn.CheckCapMED(fn, terms, 80, rng); err != nil {
+				t.Errorf("%#v, %d terms: %v", fn, terms, err)
+			}
 		}
-	}
-	for _, fn := range []scorefn.MAX{
-		scorefn.SumMAX{Alpha: 0.1},
-		scorefn.ProdMAX{Alpha: 0.1},
-		scorefn.MEDAsMAX{MED: scorefn.LinearMED{Scale: 0.3}},
-	} {
-		if err := scorefn.CheckUpperBoundMAX(fn, 3, 60, rng); err != nil {
-			t.Errorf("%#v: %v", fn, err)
+		for _, fn := range []scorefn.MAX{
+			scorefn.SumMAX{Alpha: 0.1},
+			scorefn.ProdMAX{Alpha: 0.1},
+			scorefn.MEDAsMAX{MED: scorefn.LinearMED{Scale: 0.3}},
+		} {
+			if err := scorefn.CheckCapMAX(fn, terms, 80, rng); err != nil {
+				t.Errorf("%#v, %d terms: %v", fn, terms, err)
+			}
 		}
 	}
 }
 
-// TestWindowUpperBound: the window bounds' contract, checked two ways.
-// The in-package checkers enumerate small crowded and hostile
-// instances (duplicated locations, zero, negative and NaN scores) for
-// every shipped instance, the non-separable weighted WIN included, at
-// one to four terms. And against internal/naive: the exhaustive
-// optimum of a random instance never exceeds the bound taken at the
-// instance's own smallest window, while a bound taken one location
-// wider than that is no bound at all for the tight instance.
+// TestWindowUpperBound cross-checks the window caps against
+// internal/naive: the exhaustive optimum of a random instance never
+// exceeds the cap taken at the instance's own smallest window, while a
+// cap taken one location wider than that is no bound at all for the
+// tight instance.
 func TestWindowUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	weights := []float64{1.5, 0.5, 2}
-	wins := []scorefn.WIN{
-		scorefn.ExpWIN{Alpha: 0.1},
-		scorefn.LinearWIN{Scale: 0.3},
-		scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.1}, Weights: weights},
-	}
-	meds := []scorefn.MED{
-		scorefn.ExpMED{Alpha: 0.1},
-		scorefn.LinearMED{Scale: 0.3},
-		scorefn.WeightedMED{Base: scorefn.LinearMED{Scale: 0.3}, Weights: weights},
-	}
-	for terms := 1; terms <= 4; terms++ {
-		for _, fn := range wins {
-			if err := scorefn.CheckWindowUpperBoundWIN(fn, terms, 80, rng); err != nil {
-				t.Errorf("%#v, %d terms: %v", fn, terms, err)
-			}
-		}
-		for _, fn := range meds {
-			if err := scorefn.CheckWindowUpperBoundMED(fn, terms, 80, rng); err != nil {
-				t.Errorf("%#v, %d terms: %v", fn, terms, err)
-			}
-		}
-	}
+	win := scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.1}, Weights: []float64{1.5, 0.5, 2}}
+	med := scorefn.LinearMED{Scale: 0.3}
 	for trial := 0; trial < 600; trial++ {
 		lists := randLists(rng, 1+rng.Intn(4))
-		maxima := perListMax(lists)
 		wmin := math.MaxInt
 		naive.ForEach(lists, func(s match.Set) { wmin = min(wmin, s.Window()) })
-		win, med := wins[trial%len(wins)], meds[trial%len(meds)]
-		if _, score, _ := naive.WIN(win, lists); score > scorefn.WindowUpperBoundWIN(win, maxima, wmin) {
-			t.Fatalf("trial %d: naive WIN score %v exceeds the window bound at wmin %d (lists %v)", trial, score, wmin, lists)
+		capW, capM := windowCaps(win, med, perListMax(lists), wmin)
+		if _, score, _ := naive.WIN(win, lists); score > capW {
+			t.Fatalf("trial %d: naive WIN score %v exceeds the window cap at wmin %d (lists %v)", trial, score, wmin, lists)
 		}
-		if _, score, _ := naive.MED(med, lists); score > scorefn.WindowUpperBoundMED(med, maxima, wmin) {
-			t.Fatalf("trial %d: naive MED score %v exceeds the window bound at wmin %d (lists %v)", trial, score, wmin, lists)
+		if _, score, _ := naive.MED(med, lists); score > capM {
+			t.Fatalf("trial %d: naive MED score %v exceeds the window cap at wmin %d (lists %v)", trial, score, wmin, lists)
 		}
 	}
 	tight := match.Lists{{{Loc: 3, Score: 0.9}}, {{Loc: 5, Score: 0.8}}}
-	maxima := perListMax(tight)
-	if _, score, _ := naive.WIN(wins[0], tight); !(score > scorefn.WindowUpperBoundWIN(wins[0], maxima, 3)) {
-		t.Fatal("WIN bound at a window wider than the instance's still dominates: the window is not in the bound")
+	capW, capM := windowCaps(win, med, perListMax(tight), 3)
+	if _, score, _ := naive.WIN(win, tight); !(score > capW) {
+		t.Fatal("WIN cap at a window wider than the instance's still dominates: the window is not in the cap")
 	}
-	if _, score, _ := naive.MED(meds[0], tight); !(score > scorefn.WindowUpperBoundMED(meds[0], maxima, 3)) {
-		t.Fatal("MED bound at a window wider than the instance's still dominates: the window is not in the bound")
+	if _, score, _ := naive.MED(med, tight); !(score > capM) {
+		t.Fatal("MED cap at a window wider than the instance's still dominates: the window is not in the cap")
 	}
 }

@@ -129,140 +129,100 @@ func CheckAtMostOneCrossing(fn MAX, terms int, n int, lo, hi int, rng *rand.Rand
 	return nil
 }
 
-// CheckUpperBoundWIN probes the score-upper-bound contract of a WIN
-// scoring function on n randomized enumerable instances: for every
-// matchset of a small random instance, ScoreWIN must not exceed
-// UpperBoundWIN of the per-list maxima; and a matchset carrying every
-// list's maximum score at one shared location must score exactly the
-// bound (tightness at zero proximity penalty). It returns the first
-// violation found, or nil.
-func CheckUpperBoundWIN(fn WIN, terms int, n int, rng *rand.Rand) error {
-	return checkUpperBound(terms, n, rng,
-		func(maxima []float64) float64 { return UpperBoundWIN(fn, maxima) },
-		func(s match.Set) float64 { return ScoreWIN(fn, s) },
-		"WIN")
+// CheckCapWIN probes every rung of fn's score cap (bounds.go) on n
+// random instances of terms lists, each enumerated exhaustively. Even
+// instances are plain: 1–3 matches per list, scores in (0,1], on 30
+// locations. Odd ones are crowded onto 12 locations with zero,
+// negative, NaN and tied scores mixed in; a NaN cap cuts nothing and so
+// passes. With minMatch drawn from [1, terms], every matchset of every
+// subset of at least minMatch lists (compacted to term indices 0..s−1,
+// as the engine hands partial matches to kernels) must score at most
+// the disjunctive cap, and every matchset of all the lists at most the
+// list-max cap and the window cap at w_min, the instance's smallest
+// window, found by brute force. And each cap must be worth having: with
+// every list's maximum at one location the list-max cap is the score,
+// to the bit; spread over a window w > 0, the window cap at w lies
+// within the rounding margin above it. It returns the first violation
+// found, or nil.
+func CheckCapWIN(fn WIN, terms, n int, rng *rand.Rand) error {
+	return checkCaps(terms, n, rng, capFamily{
+		name:  "WIN",
+		score: func(s match.Set) float64 { return ScoreWIN(fn, s) },
+		listMax: func(maxima []float64, minMatch int) float64 {
+			return ListMaxCap(fn, maxima, minMatch, fn.G, func(gsum float64) float64 { return CapWIN(fn, gsum, 0, 0) })
+		},
+		window: func(maxima []float64, w int) float64 {
+			gsum, mag := gTotals(fn.G, maxima)
+			return CapWIN(fn, gsum, mag, w)
+		},
+	})
 }
 
-// CheckUpperBoundMED is CheckUpperBoundWIN for the MED family.
-func CheckUpperBoundMED(fn MED, terms int, n int, rng *rand.Rand) error {
-	return checkUpperBound(terms, n, rng,
-		func(maxima []float64) float64 { return UpperBoundMED(fn, maxima) },
-		func(s match.Set) float64 { return ScoreMED(fn, s) },
-		"MED")
+// CheckCapMED is CheckCapWIN for the MED family.
+func CheckCapMED(fn MED, terms, n int, rng *rand.Rand) error {
+	return checkCaps(terms, n, rng, capFamily{
+		name:  "MED",
+		score: func(s match.Set) float64 { return ScoreMED(fn, s) },
+		listMax: func(maxima []float64, minMatch int) float64 {
+			return ListMaxCap(fn, maxima, minMatch, fn.G, func(total float64) float64 { return CapMED(fn, total, 0, 0) })
+		},
+		window: func(maxima []float64, w int) float64 {
+			total, mag := gTotals(fn.G, maxima)
+			return CapMED(fn, total, mag, w)
+		},
+	})
 }
 
-// CheckUpperBoundMAX is CheckUpperBoundWIN for the MAX family
-// (maximized-at-match evaluation, the regime the join algorithms and
-// the engine operate in).
-func CheckUpperBoundMAX(fn MAX, terms int, n int, rng *rand.Rand) error {
-	return checkUpperBound(terms, n, rng,
-		func(maxima []float64) float64 { return UpperBoundMAX(fn, maxima) },
-		func(s match.Set) float64 { v, _ := ScoreMAX(fn, s); return v },
-		"MAX")
+// CheckCapMAX is CheckCapWIN for the MAX family, scored by
+// maximized-at-match evaluation, the regime the join algorithms and the
+// engine operate in. MAX has no window cap, and its instances are all
+// plain: a negative score decays towards 0, rising with distance.
+func CheckCapMAX(fn MAX, terms, n int, rng *rand.Rand) error {
+	return checkCaps(terms, n, rng, capFamily{
+		name:  "MAX",
+		score: func(s match.Set) float64 { v, _ := ScoreMAX(fn, s); return v },
+		listMax: func(maxima []float64, minMatch int) float64 {
+			return ListMaxCap(fn, maxima, minMatch, func(j int, x float64) float64 { return fn.Contribution(j, x, 0) }, fn.F)
+		},
+	})
 }
 
-// checkUpperBound enumerates the cross product of small random match
-// lists and verifies bound domination plus zero-penalty tightness.
-func checkUpperBound(terms, n int, rng *rand.Rand,
-	bound func([]float64) float64, score func(match.Set) float64, family string) error {
+// capFamily is what checkCaps needs of a family: its score, its
+// list-max rung (ListMaxCap), and its window cap over per-list maxima,
+// nil for a family without one.
+type capFamily struct {
+	name    string
+	score   func(match.Set) float64
+	listMax func(maxima []float64, minMatch int) float64
+	window  func(maxima []float64, w int) float64
+}
+
+func checkCaps(terms, n int, rng *rand.Rand, fam capFamily) error {
 	for i := 0; i < n; i++ {
-		// Random instance: 1–3 matches per list, locations in [0, 30).
+		draw, locs := randScore, 30
+		if i%2 == 1 && fam.window != nil {
+			draw, locs = hostileScore, 12
+		}
 		lists := make([]match.List, terms)
-		maxima := make([]float64, terms)
 		for j := range lists {
-			m := 1 + rng.Intn(3)
-			for k := 0; k < m; k++ {
-				lists[j] = append(lists[j], match.Match{Loc: rng.Intn(30), Score: randScore(rng)})
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				lists[j] = append(lists[j], match.Match{Loc: rng.Intn(locs), Score: draw(rng)})
 			}
 			lists[j].Sort()
-			maxima[j] = lists[j][0].Score
-			for _, mm := range lists[j] {
-				if mm.Score > maxima[j] {
-					maxima[j] = mm.Score
-				}
-			}
 		}
-		b := bound(maxima)
-		// Domination over the full cross product.
-		if err := forEachSet(lists, func(set match.Set) error {
-			if v := score(set); v > b {
-				return fmt.Errorf("scorefn: %s upper bound %v below matchset score %v for %v", family, b, v, set)
-			}
+		maxima, minMatch, wmin := listMaxima(lists), 1+rng.Intn(terms), math.MaxInt
+		forEachSet(lists, func(set match.Set) error {
+			wmin = min(wmin, set.Window())
 			return nil
-		}); err != nil {
-			return err
+		})
+		conj, window := fam.listMax(maxima, 0), math.Inf(1)
+		if fam.window != nil {
+			window = fam.window(maxima, wmin)
 		}
-		// Tightness: all maxima at one shared location scores the bound.
-		tight := make(match.Set, terms)
-		loc := rng.Intn(30)
-		for j := range tight {
-			tight[j] = match.Match{Loc: loc, Score: maxima[j]}
-		}
-		if v := score(tight); v != b {
-			return fmt.Errorf("scorefn: %s upper bound %v not tight at zero proximity penalty (got %v)", family, b, v)
-		}
-	}
-	return nil
-}
-
-// CheckUnionUpperBoundWIN probes the disjunctive-bound contract of a
-// term-exchangeable WIN scoring function on n randomized enumerable
-// instances: for every subset of at least minMatch lists and every
-// matchset drawn from it (compacted to term indices 0..s−1, exactly
-// how the engine hands partial matches to kernels), ScoreWIN must not
-// exceed UnionUpperBoundWIN of the full per-list maxima. It returns
-// the first violation found, or nil.
-func CheckUnionUpperBoundWIN(fn WIN, terms int, n int, rng *rand.Rand) error {
-	return checkUnionUpperBound(terms, n, rng,
-		func(maxima []float64, m int) float64 { return UnionUpperBoundWIN(fn, maxima, m) },
-		func(s match.Set) float64 { return ScoreWIN(fn, s) },
-		"WIN")
-}
-
-// CheckUnionUpperBoundMED is CheckUnionUpperBoundWIN for the MED
-// family.
-func CheckUnionUpperBoundMED(fn MED, terms int, n int, rng *rand.Rand) error {
-	return checkUnionUpperBound(terms, n, rng,
-		func(maxima []float64, m int) float64 { return UnionUpperBoundMED(fn, maxima, m) },
-		func(s match.Set) float64 { return ScoreMED(fn, s) },
-		"MED")
-}
-
-// CheckUnionUpperBoundMAX is CheckUnionUpperBoundWIN for the MAX
-// family (maximized-at-match evaluation).
-func CheckUnionUpperBoundMAX(fn MAX, terms int, n int, rng *rand.Rand) error {
-	return checkUnionUpperBound(terms, n, rng,
-		func(maxima []float64, m int) float64 { return UnionUpperBoundMAX(fn, maxima, m) },
-		func(s match.Set) float64 { v, _ := ScoreMAX(fn, s); return v },
-		"MAX")
-}
-
-// checkUnionUpperBound enumerates every subset of ≥ minMatch lists of
-// small random instances and verifies the union bound dominates every
-// matchset of every subset.
-func checkUnionUpperBound(terms, n int, rng *rand.Rand,
-	bound func([]float64, int) float64, score func(match.Set) float64, family string) error {
-	for i := 0; i < n; i++ {
-		lists := make([]match.List, terms)
-		maxima := make([]float64, terms)
-		for j := range lists {
-			m := 1 + rng.Intn(3)
-			for k := 0; k < m; k++ {
-				lists[j] = append(lists[j], match.Match{Loc: rng.Intn(30), Score: randScore(rng)})
-			}
-			lists[j].Sort()
-			maxima[j] = lists[j][0].Score
-			for _, mm := range lists[j] {
-				if mm.Score > maxima[j] {
-					maxima[j] = mm.Score
-				}
-			}
-		}
-		minMatch := 1 + rng.Intn(terms)
-		b := bound(maxima, minMatch)
+		union := fam.listMax(append([]float64(nil), maxima...), minMatch)
 		for mask := 1; mask < 1<<terms; mask++ {
 			var sub []match.List
-			for j := 0; j < terms; j++ {
+			for j := range lists {
 				if mask&(1<<j) != 0 {
 					sub = append(sub, lists[j])
 				}
@@ -271,90 +231,54 @@ func checkUnionUpperBound(terms, n int, rng *rand.Rand,
 				continue
 			}
 			if err := forEachSet(sub, func(set match.Set) error {
-				if v := score(set); v > b {
-					return fmt.Errorf("scorefn: %s union bound %v (m=%d) below subset %b matchset score %v for %v",
-						family, b, minMatch, mask, v, set)
+				if v := fam.score(set); v > union || len(sub) == terms && (v > conj || v > window) {
+					return fmt.Errorf("scorefn: %s matchset %v of lists %b in %v scores %v, above a cap: list-max %v, union (m=%d) %v, window (w_min %d) %v",
+						fam.name, set, mask, lists, v, conj, minMatch, union, wmin, window)
 				}
 				return nil
 			}); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// CheckWindowUpperBoundWIN probes the window-upper-bound contract of a
-// WIN scoring function on n randomized enumerable instances: with wmin
-// the smallest window over every matchset of the instance, no
-// matchset's ScoreWIN may exceed WindowUpperBoundWIN of the per-list
-// maxima and wmin — on instances crowded onto a few locations (shared
-// tokens, wmin often 0), and on hostile ones mixing zero, negative and
-// NaN scores in, where a bound that is itself NaN cuts nothing and so
-// passes. And the bound must be worth having: with every list's
-// maximum at one shared location it lies within the rounding margin of
-// the score. It returns the first violation found, or nil.
-func CheckWindowUpperBoundWIN(fn WIN, terms int, n int, rng *rand.Rand) error {
-	return checkWindowUpperBound(terms, n, rng,
-		func(maxima []float64, wmin int) float64 { return WindowUpperBoundWIN(fn, maxima, wmin) },
-		func(s match.Set) float64 { return ScoreWIN(fn, s) },
-		"WIN")
-}
-
-// CheckWindowUpperBoundMED is CheckWindowUpperBoundWIN for the MED
-// family.
-func CheckWindowUpperBoundMED(fn MED, terms int, n int, rng *rand.Rand) error {
-	return checkWindowUpperBound(terms, n, rng,
-		func(maxima []float64, wmin int) float64 { return WindowUpperBoundMED(fn, maxima, wmin) },
-		func(s match.Set) float64 { return ScoreMED(fn, s) },
-		"MED")
-}
-
-func checkWindowUpperBound(terms, n int, rng *rand.Rand,
-	bound func([]float64, int) float64, score func(match.Set) float64, family string) error {
-	for i := 0; i < n; i++ {
-		// 1–3 matches per list on a dozen locations; every other
-		// instance draws its scores from the hostile mix.
-		draw := randScore
-		if i%2 == 1 {
-			draw = hostileScore
-		}
-		lists := make([]match.List, terms)
-		for j := range lists {
-			for k := 1 + rng.Intn(3); k > 0; k-- {
-				lists[j] = append(lists[j], match.Match{Loc: rng.Intn(12), Score: draw(rng)})
-			}
-			lists[j].Sort()
-		}
-		maxima := listMaxima(lists)
-		wmin := math.MaxInt
-		forEachSet(lists, func(set match.Set) error {
-			wmin = min(wmin, set.Window())
-			return nil
-		})
-		b := bound(maxima, wmin)
-		if err := forEachSet(lists, func(set match.Set) error {
-			if v := score(set); v > b {
-				return fmt.Errorf("scorefn: %s window bound %v (wmin %d) below matchset score %v for %v in %v", family, b, wmin, v, set, lists)
-			}
-			return nil
-		}); err != nil {
-			return err
+		// Tightness: every list's maximum, term 0 at location 7 and the
+		// others w to its right, so every matchset's window is w and MED's
+		// distances to the median sum to w.
+		w := 0
+		if terms > 1 && i%2 == 1 && fam.window != nil {
+			w = 1 + rng.Intn(3)
 		}
 		tight := make(match.Set, terms)
 		for j := range tight {
-			tight[j] = match.Match{Loc: 7, Score: randScore(rng)}
+			tight[j] = match.Match{Loc: 7 + w, Score: randScore(rng)}
 			maxima[j] = tight[j].Score
 		}
-		if v, b := score(tight), bound(maxima, 0); !(b >= v && b-v <= 1e-9*math.Abs(v)) {
-			return fmt.Errorf("scorefn: %s window bound %v not within the rounding margin of score %v at zero window", family, b, v)
+		tight[0].Loc = 7
+		v := fam.score(tight)
+		if b := fam.listMax(maxima, 0); w == 0 && b != v {
+			return fmt.Errorf("scorefn: %s list-max cap %v not tight at zero window (score %v)", fam.name, b, v)
+		}
+		if fam.window != nil {
+			if b := fam.window(maxima, w); !(b >= v && b-v <= 1e-9*math.Max(math.Abs(v), 1)) {
+				return fmt.Errorf("scorefn: %s window cap %v not within the rounding margin of score %v at window %d", fam.name, b, v, w)
+			}
 		}
 	}
 	return nil
 }
 
-// listMaxima returns each list's maximum match score, the window
-// bounds' perListMax, as a join kernel tracks it: a NaN score is never
+// gTotals returns Σ g(j, max_j) in term order and the sum of its terms'
+// magnitudes: a window cap's gsum and mag.
+func gTotals(g func(int, float64) float64, maxima []float64) (sum, mag float64) {
+	for j, m := range maxima {
+		v := g(j, m)
+		sum += v
+		mag += math.Abs(v)
+	}
+	return sum, mag
+}
+
+// listMaxima returns each list's maximum match score, the caps'
+// perListMax, as a join kernel tracks it: a NaN score is never
 // a maximum, and an all-NaN list reads -Inf.
 func listMaxima(lists []match.List) []float64 {
 	out := make([]float64, len(lists))

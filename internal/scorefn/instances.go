@@ -24,6 +24,7 @@ func (e ExpWIN) F(gsum, window float64) float64 { return math.Exp(gsum - e.Alpha
 // calling exp per subset.
 func (e ExpWIN) KeySlope() float64        { return e.Alpha }
 func (e ExpWIN) Lift(key float64) float64 { return math.Exp(key) }
+func (e ExpWIN) TermExchangeable()        {}
 
 // LinearWIN is the WIN instance from the paper's TREC experiment
 // (footnote 9): g_j(x)=x/Scale, f(x,y)=x−y. The paper uses Scale=0.3,
@@ -40,6 +41,7 @@ func (l LinearWIN) F(gsum, window float64) float64 { return gsum - window }
 // the identity lift (WINSeparable).
 func (l LinearWIN) KeySlope() float64        { return 1 }
 func (l LinearWIN) Lift(key float64) float64 { return key }
+func (l LinearWIN) TermExchangeable()        {}
 
 // ExpMED is the paper's Equation (3): the product of individual match
 // scores, each decayed exponentially with its distance to the median
@@ -56,6 +58,7 @@ type ExpMED struct {
 func (e ExpMED) G(_ int, score float64) float64 { return math.Log(score) / e.Alpha }
 
 func (e ExpMED) F(total float64) float64 { return math.Exp(e.Alpha * total) }
+func (e ExpMED) TermExchangeable()       {}
 
 // LinearMED is the MED instance from the paper's TREC experiment
 // (footnote 9): g_j(x)=x/Scale, f(x)=x, with Scale=0.3.
@@ -66,6 +69,7 @@ type LinearMED struct {
 func (l LinearMED) G(_ int, score float64) float64 { return score / l.Scale }
 
 func (l LinearMED) F(total float64) float64 { return total }
+func (l LinearMED) TermExchangeable()       {}
 
 // ProdMAX is the paper's Equation (4): the MAX generalization of
 // ExpMED,
@@ -86,6 +90,7 @@ func (p ProdMAX) Contribution(_ int, score, dist float64) float64 {
 func (p ProdMAX) F(total float64) float64 { return math.Exp(total) }
 
 func (p ProdMAX) AtMostOneCrossing() bool { return true }
+func (p ProdMAX) TermExchangeable()       {}
 
 // SumMAX is the paper's Equation (5): the sum of exponentially
 // distance-decayed match scores,
@@ -107,6 +112,7 @@ func (s SumMAX) Contribution(_ int, score, dist float64) float64 {
 func (s SumMAX) F(total float64) float64 { return total }
 
 func (s SumMAX) AtMostOneCrossing() bool { return true }
+func (s SumMAX) TermExchangeable()       {}
 
 // MEDAsMAX adapts a MED scoring function to the MAX interface with
 // c_j(m,l) = g_j(score(m)) − |loc(m)−l|. It is used by the envelope

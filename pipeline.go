@@ -120,39 +120,26 @@ func CheckAtMostOneCrossing(fn MAX, terms, n, lo, hi int, seed int64) error {
 	return scorefn.CheckAtMostOneCrossing(fn, terms, n, lo, hi, rand.New(rand.NewSource(seed)))
 }
 
-// ScoreUpperBoundWIN is the largest score any matchset drawn from
-// lists with the given per-list maximum match scores can reach under
-// fn — the proximity-free best case the engine prunes against. See
-// DESIGN.md "Score-upper-bound pruning".
-func ScoreUpperBoundWIN(fn WIN, perListMax []float64) float64 {
-	return scorefn.UpperBoundWIN(fn, perListMax)
+// CheckCapWIN probes fn's score caps — the bounds lossless pruning
+// compares with the top-k floor — on n randomized instances: each cap
+// must dominate every matchset it covers (all the lists, any subset of
+// at least m of them, and every matchset at least the smallest window
+// wide) and be tight when every list's best match shares one location.
+// Run it alongside CheckWIN when implementing a WIN instance. A
+// function whose G does not depend on the term index may declare so
+// with a TermExchangeable() method, which lets disjunctive queries
+// prune; see DESIGN.md "Score-upper-bound pruning".
+func CheckCapWIN(fn WIN, terms, n int, seed int64) error {
+	return scorefn.CheckCapWIN(fn, terms, n, rand.New(rand.NewSource(seed)))
 }
 
-// ScoreUpperBoundMED is ScoreUpperBoundWIN for MED functions.
-func ScoreUpperBoundMED(fn MED, perListMax []float64) float64 {
-	return scorefn.UpperBoundMED(fn, perListMax)
+// CheckCapMED is CheckCapWIN for MED functions.
+func CheckCapMED(fn MED, terms, n int, seed int64) error {
+	return scorefn.CheckCapMED(fn, terms, n, rand.New(rand.NewSource(seed)))
 }
 
-// ScoreUpperBoundMAX is ScoreUpperBoundWIN for MAX functions.
-func ScoreUpperBoundMAX(fn MAX, perListMax []float64) float64 {
-	return scorefn.UpperBoundMAX(fn, perListMax)
-}
-
-// CheckUpperBoundWIN probes that fn's score upper bound dominates the
-// true score on n randomized instances and is exactly attained when
-// every list's best match shares one location. Run it alongside
-// CheckWIN when implementing a WIN instance: lossless pruning depends
-// on the bound never under-estimating.
-func CheckUpperBoundWIN(fn WIN, terms, n int, seed int64) error {
-	return scorefn.CheckUpperBoundWIN(fn, terms, n, rand.New(rand.NewSource(seed)))
-}
-
-// CheckUpperBoundMED is CheckUpperBoundWIN for MED functions.
-func CheckUpperBoundMED(fn MED, terms, n int, seed int64) error {
-	return scorefn.CheckUpperBoundMED(fn, terms, n, rand.New(rand.NewSource(seed)))
-}
-
-// CheckUpperBoundMAX is CheckUpperBoundWIN for MAX functions.
-func CheckUpperBoundMAX(fn MAX, terms, n int, seed int64) error {
-	return scorefn.CheckUpperBoundMAX(fn, terms, n, rand.New(rand.NewSource(seed)))
+// CheckCapMAX is CheckCapWIN for MAX functions, which have no window
+// cap.
+func CheckCapMAX(fn MAX, terms, n int, seed int64) error {
+	return scorefn.CheckCapMAX(fn, terms, n, rand.New(rand.NewSource(seed)))
 }
