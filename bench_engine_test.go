@@ -30,7 +30,6 @@ const engineBenchDocs = 2000
 var (
 	engineCorpusOnce sync.Once
 	engineCompact    *bestjoin.CompactIndex
-	engineBare       *bestjoin.CompactIndex // same corpus, no block table registered
 )
 
 // engineBenchIndex builds (once) a compacted index over a dense
@@ -63,15 +62,7 @@ func engineBenchIndex() *bestjoin.CompactIndex {
 			}
 			ix.AddText(d, strings.Join(words, " "))
 		}
-		engineCompact, engineBare = ix.Compact(), ix.Compact()
-		// Register block-partitioned postings for the main benchmark
-		// query's concepts (and only those: the pruning query below
-		// has its tables built on demand), so the cold benchmark
-		// measures the block-max skip layer alone — per-block lazy
-		// decode on the worker pool, no table build.
-		for _, c := range engineBenchQuery().Concepts {
-			engineCompact.AddConceptBlocks(c)
-		}
+		engineCompact = ix.Compact()
 	})
 	return engineCompact
 }
@@ -88,33 +79,27 @@ func engineBenchQuery() bestjoin.EngineQuery {
 	}
 }
 
-// BenchmarkEngineColdVsCached compares a query that must decode every
-// concept's postings against the identical query answered from the
-// LRU cache. The ondemand arm is the cold query over an index with no
-// block table registered: it additionally builds each concept's table
-// from the raw postings (what a proxserve without a pre-built -index
-// file pays once per concept and epoch).
+// BenchmarkEngineColdVsCached compares a query that must build every
+// concept's block table from the postings and decode its blocks (what a
+// process pays once per concept and epoch) against the identical query
+// answered from the LRU caches.
 func BenchmarkEngineColdVsCached(b *testing.B) {
 	c := engineBenchIndex()
 	q := engineBenchQuery()
-	cold := func(c *bestjoin.CompactIndex) func(*testing.B) {
-		return func(b *testing.B) {
-			e := bestjoin.NewEngine(c, bestjoin.EngineConfig{CacheLists: 1 << 14})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.ResetCache()
-				if _, err := e.Search(context.Background(), q); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("cold", func(b *testing.B) {
+		e := bestjoin.NewEngine(c, bestjoin.EngineConfig{CacheLists: 1 << 14})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.ResetCache()
+			if _, err := e.Search(context.Background(), q); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			st := e.Stats()
-			b.ReportMetric(float64(st.BlocksSkipped)/float64(b.N), "blocksskipped/op")
-			b.ReportMetric(float64(st.BlockDecodes)/float64(b.N), "blockdecodes/op")
 		}
-	}
-	b.Run("cold", cold(c))
-	b.Run("ondemand", cold(engineBare))
+		b.StopTimer()
+		st := e.Stats()
+		b.ReportMetric(float64(st.BlocksSkipped)/float64(b.N), "blocksskipped/op")
+		b.ReportMetric(float64(st.BlockDecodes)/float64(b.N), "blockdecodes/op")
+	})
 	b.Run("cached", func(b *testing.B) {
 		e := bestjoin.NewEngine(c, bestjoin.EngineConfig{CacheLists: 1 << 14})
 		if _, err := e.Search(context.Background(), q); err != nil {
@@ -245,12 +230,12 @@ func BenchmarkEngineCoalesced(b *testing.B) {
 
 // engineBenchPruningQuery is a query shaped for the top-k floor: a
 // steep score spread inside each concept (1 / 0.5 / 0.25), so most
-// candidates score well under the k-th kept entry. Its concepts have no
-// registered block table, and on this uniformly random corpus every
-// ~128-document block of an on-demand table holds a top-weight match:
-// the block-max bound retires nobody before its join (pruneddocs/op
-// reads 0; only 1–2-document blocks would vary enough), and the win is
-// the kernel floor cutting the losing joins short.
+// candidates score well under the k-th kept entry. On this uniformly
+// random corpus every ~128-document block of its tables holds a
+// top-weight match, so the block-max bound retires nobody before its
+// join (only 1–2-document blocks would vary enough); its prunes are the
+// cache rung's, and the rest of the win is the kernel floor cutting the
+// losing joins short.
 func engineBenchPruningQuery() bestjoin.EngineQuery {
 	return bestjoin.EngineQuery{
 		Concepts: []bestjoin.Concept{

@@ -85,9 +85,8 @@
 // the current top-k floor are
 // skipped without joining, with output identical to the exhaustive
 // engine; EngineConfig.DisablePruning turns it off. Every concept is
-// served through a block table — registered on the index
-// (CompactIndex.AddConceptBlocks) or built from the postings on first
-// use — which moves the same pruning below the decode: candidate
+// served through a block table built from the stem postings on first
+// use, which moves the same pruning below the decode: candidate
 // generation walks per-block skip tables, blocks are decoded lazily
 // and in parallel on the worker pool, and blocks whose block-max score
 // bound cannot beat the top-k floor are skipped without touching their

@@ -63,10 +63,10 @@ type Concept = index.Concept
 // — see DESIGN.md "Score-upper-bound pruning". Set
 // EngineConfig.DisablePruning for the exhaustive baseline.
 //
-// Every concept is served through a block table — the one registered
-// on the index (CompactIndex.AddConceptBlocks), or one the engine
-// builds from the postings the first time the concept is queried — so
-// the same pruning also works below the decode: candidates come from
+// Every concept is served through a block table the engine builds
+// from the stem postings the first time the concept is queried (and
+// keeps for the index epoch) — so the same pruning also works below
+// the decode: candidates come from
 // per-block skip tables, posting blocks are decoded lazily and in
 // parallel on the worker pool, and blocks whose block-max bound cannot
 // beat the floor are never decoded at all. See DESIGN.md "Block-max

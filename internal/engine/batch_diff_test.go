@@ -6,8 +6,8 @@ package engine
 // form must be invisible: a random corpus served from unflagged tables
 // answers exactly as the same corpus with its ids spaced wideStride
 // apart — every gap, span and document delta escaped — served from
-// registered and from on-demand flagged tables, once the ids are mapped
-// back: document ids, scores bit for bit, matchsets, tie-break order
+// flagged tables at the same and at the default block size, once the
+// ids are mapped back: document ids, scores bit for bit, matchsets, tie-break order
 // and the Partial flag, across scoring families, workers and pruning.
 // scripts/check.sh runs it under -race.
 
@@ -61,18 +61,16 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 		// Three physically separate indexes from the same corpus: dense
 		// ids with unflagged tables, spaced ids with flagged tables at
 		// the same block size (odd trials use a tiny size so queries
-		// cross many block boundaries), and spaced ids with nothing
-		// registered, whose flagged tables are built on demand.
+		// cross many block boundaries), and spaced ids with flagged
+		// tables at the default size.
 		batchIdx := buildCompact(t, corpus)
 		varintIdx := buildCompactSpaced(t, corpus, wideStride)
 		blockSize := 16
 		if trial%2 == 1 {
 			blockSize = 3
 		}
-		for _, c := range concepts {
-			batchIdx.AddConceptBlocksSized(c, blockSize)
-			varintIdx.AddConceptBlocksSized(c, blockSize)
-		}
+		index.SetBlockSizeForTest(batchIdx, blockSize)
+		index.SetBlockSizeForTest(varintIdx, blockSize)
 		bareIdx := buildCompactSpaced(t, corpus, wideStride)
 		k := 1 + rng.Intn(6)
 		for _, workers := range []int{1, 4} {
@@ -92,7 +90,7 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 					label := fmt.Sprintf("trial %d %s workers=%d k=%d bs=%d noprune=%v",
 						trial, fam.name, workers, k, blockSize, noprune)
 					assertIdentical(t, label+" batch-vs-varint", rb, unspaced(t, rv, wideStride))
-					assertIdentical(t, label+" batch-vs-on-demand", rb, unspaced(t, ro, wideStride))
+					assertIdentical(t, label+" batch-vs-default-size", rb, unspaced(t, ro, wideStride))
 					if rb.Degraded || rv.Degraded || ro.Degraded {
 						t.Fatalf("%s: degraded on a healthy index", label)
 					}

@@ -1,9 +1,8 @@
 package engine
 
-// Differential harness for the one served representation: however a
-// concept's block table reaches the engine — registered at build time
-// at any block size, or built on demand at the first query — the
-// answer must be the paper's: bit for bit what joining every document's
+// Differential harness for the one served representation: at whatever
+// block size a concept's table is built from the postings, the answer
+// must be the paper's: bit for bit what joining every document's
 // index.Compact.QueryLists and ranking by (score, id) gives. This
 // property test builds random corpora and random queries and holds
 // conjunctive, disjunctive and m-of-n queries to that reference across
@@ -18,41 +17,38 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bestjoin/internal/index"
 )
 
-// diffLayout is the layout axis of the differential suites: how a test
-// index's concepts reach the engine.
+// diffLayout is the layout axis of the differential suites: the block
+// size a test index builds its concept tables at.
 type diffLayout struct {
-	name     string
-	register func(*index.Compact, index.Concept) // nil: built on demand
+	name string
+	size int // documents per block; 0 means index.BlockSize
 }
 
-// diffLayouts enumerates the axis: tables registered with tiny blocks
-// (walks cross many block boundaries), mid-size blocks (several
-// documents share one, block jumps have room), AddConceptBlocks'
-// default size, and nothing registered at all.
+// diffLayouts enumerates the axis: tiny blocks (walks cross many block
+// boundaries), mid-size blocks (several documents share one, block
+// jumps have room), and the default size.
 func diffLayouts() []diffLayout {
-	sized := func(n int) func(*index.Compact, index.Concept) {
-		return func(c *index.Compact, cc index.Concept) { c.AddConceptBlocksSized(cc, n) }
-	}
-	return []diffLayout{
-		{"on-demand", nil},
-		{"bs=3", sized(3)},
-		{"bs=16", sized(16)},
-		{"bs=default", (*index.Compact).AddConceptBlocks},
-	}
+	return []diffLayout{{"bs=3", 3}, {"bs=16", 16}, {"bs=default", 0}}
 }
 
-// apply registers every concept under the layout (a no-op on demand).
-func (l diffLayout) apply(c *index.Compact, concepts []index.Concept) {
-	if l.register != nil {
-		for _, cc := range concepts {
-			l.register(c, cc)
-		}
-	}
+// apply builds c's tables at the layout's block size.
+func (l diffLayout) apply(c *index.Compact) { index.SetBlockSizeForTest(c, l.size) }
+
+// plantTable builds concept's table on e's index, lets corrupt damage
+// it, and caches it for the current epoch as the engine does a table
+// it built: the next query reads the damaged table.
+func plantTable(e *Engine, concept index.Concept, corrupt func(*index.BlockTable)) {
+	snap := e.snap.Load()
+	bt, _ := snap.idx.ConceptBlocks(concept)
+	corrupt(bt)
+	key := conceptKey{epoch: snap.epoch, fp: index.ConceptKey(concept)}
+	e.concepts.Put(key, &blockSet{bt: bt, dirs: make([]atomic.Pointer[[]int], bt.NumBlocks())})
 }
 
 func TestDifferentialBlocksVsFlat(t *testing.T) {
@@ -72,7 +68,7 @@ func TestDifferentialBlocksVsFlat(t *testing.T) {
 		idxs := make([]*index.Compact, len(layouts))
 		for i, layout := range layouts {
 			idxs[i] = buildCompact(t, corpus)
-			layout.apply(idxs[i], concepts)
+			layout.apply(idxs[i])
 		}
 		// AND, OR, and — when the query is wide enough — 2-of-n.
 		modes := []Query{{}, {Mode: ModeOR}}
@@ -131,7 +127,7 @@ func TestBlocksPruneInRankOrder(t *testing.T) {
 	}
 	compact := buildCompact(t, docs)
 	concept := []index.Concept{{"amber": 1, "basalt": 1}}
-	compact.AddConceptBlocksSized(concept[0], 2)
+	index.SetBlockSizeForTest(compact, 2)
 
 	e := New(compact, Config{Workers: 1})
 	q := Query{Concepts: concept, Join: diffFamilies()[0].factory, K: 4}
@@ -159,17 +155,18 @@ func TestBlocksPruneInRankOrder(t *testing.T) {
 }
 
 // TestCorruptBlocksDegradeNotCrash pins the block layer's failure
-// model for registered flagged tables (document ids spaced wideStride
+// model for flagged tables (document ids spaced wideStride
 // apart, so the payload corrupted below carries escape trailers); its
 // twin TestBatchBlocksDegradeNotCrash pins it for unflagged ones.
 func TestCorruptBlocksDegradeNotCrash(t *testing.T) {
 	assertCorruptBlocksDegrade(t, wideStride)
 }
 
-// assertCorruptBlocksDegrade registers a table over a corpus with ids
-// spaced stride apart and corrupts it: whether in the skip table (the
-// lookup panics) or in a lazily-decoded payload (directory and
-// match-area decodes error), the query must degrade to a sound subset,
+// assertCorruptBlocksDegrade serves a table over a corpus with ids
+// spaced stride apart and corrupts it: whether it cannot be built (its
+// postings are corrupt, so the build panics) or it is built and a
+// lazily-decoded payload is damaged (directory and match-area decodes
+// error), the query must degrade to a sound subset,
 // never crash the process, never return an error, and count in
 // Stats().DecodeFailures.
 func assertCorruptBlocksDegrade(t *testing.T, stride int) {
@@ -182,8 +179,8 @@ func assertCorruptBlocksDegrade(t *testing.T, stride int) {
 
 	t.Run("skip-table", func(t *testing.T) {
 		compact := buildCompactSpaced(t, corpus, stride)
-		compact.AddConceptBlocksSized(concept, 4)
-		index.CorruptConceptBlocksForTest(compact, concept)
+		index.SetBlockSizeForTest(compact, 4)
+		index.CorruptPostingsForTest(compact, "amber")
 		e := New(compact, Config{Workers: 2})
 		res, err := e.Search(context.Background(), q)
 		if err != nil {
@@ -198,9 +195,9 @@ func assertCorruptBlocksDegrade(t *testing.T, stride int) {
 	})
 	t.Run("payload", func(t *testing.T) {
 		compact := buildCompactSpaced(t, corpus, stride)
-		compact.AddConceptBlocksSized(concept, 4)
-		index.CorruptConceptBlockPayloadForTest(compact, concept)
+		index.SetBlockSizeForTest(compact, 4)
 		e := New(compact, Config{Workers: 2})
+		plantTable(e, concept, index.CorruptConceptBlockPayloadForTest)
 		res, err := e.Search(context.Background(), q)
 		if err != nil {
 			t.Fatalf("corrupt block payload must degrade, not error: %v", err)
@@ -230,17 +227,15 @@ func TestCorruptDocumentDropsOnlyItself(t *testing.T) {
 	concept := index.Concept{"amber": 1, "basalt": 0.9}
 	q := Query{Concepts: []index.Concept{concept}, Join: diffFamilies()[0].factory, K: len(corpus)}
 	cfg := Config{Workers: 1, DisablePruning: true}
-	healthy := buildCompact(t, corpus)
-	healthy.AddConceptBlocksSized(concept, 8)
-	want, err := New(healthy, cfg).Search(context.Background(), q)
+	compact := buildCompact(t, corpus)
+	index.SetBlockSizeForTest(compact, 8)
+	want, err := New(compact, cfg).Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	compact := buildCompact(t, corpus)
-	compact.AddConceptBlocksSized(concept, 8)
-	index.CorruptConceptBlockLastDocForTest(compact, concept)
 	e := New(compact, cfg)
+	plantTable(e, concept, index.CorruptConceptBlockLastDocForTest)
 	res, err := e.Search(context.Background(), q)
 	if err != nil {
 		t.Fatalf("corrupt document must degrade, not error: %v", err)
@@ -272,7 +267,7 @@ func TestBlocksSkippedCounting(t *testing.T) {
 	docs[0] = "amber amber amber basalt" // only doc containing the heavy word
 	compact := buildCompact(t, docs)
 	concept := index.Concept{"basalt": 1, "amber": 0.1}
-	compact.AddConceptBlocksSized(concept, 4)
+	index.SetBlockSizeForTest(compact, 4)
 
 	e := New(compact, Config{Workers: 1})
 	q := Query{Concepts: []index.Concept{concept}, Join: diffFamilies()[0].factory, K: 1}

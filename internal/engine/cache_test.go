@@ -67,9 +67,6 @@ func TestLRUByteBound(t *testing.T) {
 func TestEngineCacheBytes(t *testing.T) {
 	compact := buildCompact(t, testCorpus(120, 11))
 	concepts := testConcepts()
-	// One block-served concept: byte accounting must price block
-	// entries (docs + per-doc lists) as well as flat single-list ones.
-	compact.AddConceptBlocks(concepts[0])
 	factory := WINJoiner(scorefn.ExpWIN{Alpha: 0.07})
 	const bound = 8 << 10
 
@@ -103,9 +100,7 @@ func TestEngineCacheBytes(t *testing.T) {
 func TestCacheBytesBoundsDecodedEntries(t *testing.T) {
 	compact := buildCompact(t, testCorpus(400, 13))
 	concepts := testConcepts()
-	for _, c := range concepts {
-		compact.AddConceptBlocksSized(c, 16)
-	}
+	index.SetBlockSizeForTest(compact, 16)
 	const bound = 12 << 10
 	e := New(compact, Config{Workers: 2, CacheBytes: bound, DisablePruning: true})
 	q := Query{Concepts: concepts, Join: WINJoiner(scorefn.ExpWIN{Alpha: 0.07}), K: 5, Mode: ModeOR}
@@ -199,7 +194,7 @@ func TestFetchPositionIsOnlyAHint(t *testing.T) {
 	}
 	compact := buildCompact(t, corpus)
 	concept := index.Concept{"amber": 1}
-	compact.AddConceptBlocksSized(concept, 8)
+	index.SetBlockSizeForTest(compact, 8)
 	e := New(compact, Config{Workers: 1})
 	qs := &queryState{ctx: context.Background(), idx: compact, epoch: 1}
 	cd := e.conceptData(qs, concept)
@@ -224,9 +219,6 @@ func TestFetchPositionIsOnlyAHint(t *testing.T) {
 // scratch — returns the identical answer.
 func TestResetCacheClearsBlockState(t *testing.T) {
 	compact := buildCompact(t, testCorpus(120, 9))
-	for _, c := range testConcepts() {
-		compact.AddConceptBlocks(c)
-	}
 	e := New(compact, Config{Workers: 2, CacheBytes: 1 << 20})
 	q := Query{Concepts: testConcepts(), Join: WINJoiner(scorefn.ExpWIN{Alpha: 0.07}), K: 5}
 	r1, err := e.Search(context.Background(), q)
@@ -272,9 +264,6 @@ func overlapConcepts() []index.Concept {
 // through the duplicate-avoidance search — to the same ceiling.
 func TestEngineCachedAllocCeiling(t *testing.T) {
 	compact := buildCompact(t, testCorpus(400, 12))
-	for _, c := range append(testConcepts(), overlapConcepts()...) {
-		compact.AddConceptBlocks(c)
-	}
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
 	joins, dups := 0, 0
 	for _, r := range bruteForce(compact, overlapConcepts(), WINJoiner(scorefn.ExpWIN{Alpha: spec.Alpha}), compact.Docs()) {

@@ -238,7 +238,7 @@ func TestChaosConcurrentQueries(t *testing.T) {
 }
 
 // TestChaosCoalescedDecodes points the chaos harness at the decode
-// coalescing layer: registered block-served concepts, full-rate decode
+// coalescing layer: block-served concepts, full-rate decode
 // latency to hold flights open while waiters pile up, and a burst of
 // identical concurrent queries. Every query must complete (the
 // deferred flight completion means no leader outcome can strand a
@@ -247,9 +247,7 @@ func TestChaosConcurrentQueries(t *testing.T) {
 func TestChaosCoalescedDecodes(t *testing.T) {
 	c := buildCompact(t, testCorpus(100, 53))
 	concepts := testConcepts()
-	for _, concept := range concepts {
-		c.AddConceptBlocksSized(concept, 8)
-	}
+	index.SetBlockSizeForTest(c, 8)
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
 	fullRanking := bruteForce(c, concepts, jn, c.Docs())
 	e := New(c, Config{Workers: 4})
@@ -316,9 +314,7 @@ func TestChaosCoalescedDecodes(t *testing.T) {
 func TestChaosCoalescedLeaderFailure(t *testing.T) {
 	c := buildCompact(t, testCorpus(80, 59))
 	concepts := testConcepts()
-	for _, concept := range concepts {
-		c.AddConceptBlocksSized(concept, 8)
-	}
+	index.SetBlockSizeForTest(c, 8)
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
 	e := New(c, Config{Workers: 4})
 	baseline, err := e.Search(context.Background(),

@@ -33,7 +33,7 @@ func coalesceFixture(t *testing.T, cfg Config) (*Engine, *queryState, *conceptDa
 	}
 	compact := buildCompact(t, corpus)
 	concept := index.Concept{"amber": 1, "basalt": 0.5}
-	compact.AddConceptBlocksSized(concept, 8)
+	index.SetBlockSizeForTest(compact, 8)
 	e := New(compact, cfg)
 	qs := &queryState{ctx: context.Background(), idx: compact, epoch: 1}
 	cd := e.conceptData(qs, concept)
@@ -346,7 +346,7 @@ func TestCoalesceEndToEnd(t *testing.T) {
 	}
 	compact := buildCompact(t, corpus)
 	concept := index.Concept{"amber": 1, "basalt": 0.5}
-	compact.AddConceptBlocksSized(concept, 8)
+	index.SetBlockSizeForTest(compact, 8)
 	e := New(compact, Config{Workers: 2})
 	q := Query{Concepts: []index.Concept{concept}, Join: diffFamilies()[0].factory, K: 5}
 	ref, err := e.Search(context.Background(), q)

@@ -8,8 +8,8 @@ package engine
 // order, and the Partial flag — is identical to the unpruned engine's
 // across all three scoring families, with and without the
 // duplicate-avoidance wrapper, with one worker and with several, and
-// with block tables registered at build time as well as built on
-// demand. scripts/check.sh runs it under -race,
+// with block tables built at three block sizes. scripts/check.sh runs
+// it under -race,
 // so the atomic floor shared across workers is exercised too.
 
 import (
@@ -133,7 +133,7 @@ func TestDifferentialPrunedVsUnpruned(t *testing.T) {
 		concepts := diffConcepts(rng)
 		// Rotate how the concepts' block tables reach the engine.
 		layout := diffLayouts()[trial%len(diffLayouts())]
-		layout.apply(compact, concepts)
+		layout.apply(compact)
 		k := 1 + rng.Intn(6)
 		for _, workers := range []int{1, 4} {
 			for _, fam := range diffFamilies() {

@@ -180,9 +180,6 @@ func attachQueries(spec KernelSpec) []Query {
 // the match-list cache, and without changing one bit of any answer.
 func TestAttachPairsKeepsEpoch(t *testing.T) {
 	compact := buildCompact(t, testCorpus(400, 12))
-	for _, c := range testConcepts() {
-		compact.AddConceptBlocks(c) // block-served: a cold list is a counted decode
-	}
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
 	queries := attachQueries(spec)
 	base := New(compact, Config{Workers: 2, DisablePairIndex: true})

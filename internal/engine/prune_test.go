@@ -141,9 +141,7 @@ func TestLateLowIdsStillWin(t *testing.T) {
 	}
 	for _, arm := range arms {
 		compact := buildCompact(t, arm.docs)
-		for _, c := range arm.query.Concepts {
-			compact.AddConceptBlocksSized(c, 8)
-		}
+		index.SetBlockSizeForTest(compact, 8)
 		q := arm.query
 		q.Join, q.K = factory, k
 		want, err := New(compact, Config{Workers: 8, DisablePruning: true}).Search(context.Background(), q)

@@ -318,11 +318,11 @@ func TestSwapIndexInFlightQueryFinishesOnOldSnapshot(t *testing.T) {
 }
 
 // TestCancelledContextAbandonsDecode pins the decode-cancellation fix:
-// a query cancelled while its concepts' block tables are being built
-// from the postings must return promptly with Partial, not finish
-// multi-million-posting merges nobody will read. The corpus is large enough that decoding
-// all concepts takes visible time; the budget is generous enough to
-// stay robust on slow CI.
+// a query whose context has ended checks it before each concept's
+// table build, so it returns promptly with Partial instead of building
+// tables from the postings nobody will read. The corpus is large
+// enough that building all concepts' tables takes visible time; the
+// budget is generous enough to stay robust on slow CI.
 func TestCancelledContextAbandonsDecode(t *testing.T) {
 	c := buildCompact(t, testCorpus(4000, 37))
 	e := New(c, Config{Workers: 2})

@@ -262,15 +262,17 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// Candidate generation: resolve each concept's block table
 	// (cache-assisted) and intersect by a cursor walk that gallops over
 	// block doc-ranges from the skip tables, decoding only the block
-	// directories the intersection actually enters. Building a table on
-	// demand checks the context, so a cancelled query stops burning CPU
-	// here instead of merging postings nobody will read.
+	// directories the intersection actually enters. The context is
+	// checked before each concept, so a cancelled query builds no
+	// further table from the postings; a table it did build stays in
+	// the concept cache for the next query.
 	cds := make([]*conceptData, len(q.Concepts))
 	for j, c := range q.Concepts {
-		cds[j] = e.conceptData(qs, c)
-		if qs.cancelled {
+		if ctx.Err() != nil {
+			qs.cancelled = true
 			return e.finish(qs, &Result{Docs: []DocResult{}}, start), nil
 		}
+		cds[j] = e.conceptData(qs, c)
 	}
 	if union {
 		return e.searchUnion(qs, q, cds, minMatch, k, start), nil

@@ -61,10 +61,7 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	// cross product, not at whatever the kernel's merge scan says.
 	tables := make([]*index.BlockTable, len(concepts))
 	for j, c := range concepts {
-		var err error
-		if tables[j], err = compact.BuildBlockTable(ctx, c); err != nil {
-			t.Fatal(err)
-		}
+		tables[j], _ = compact.ConceptBlocks(c)
 	}
 	var joins, invocations uint64
 	kern := ValidWINJoiner(fn)().(*dedup.Kernel)
@@ -214,9 +211,6 @@ func TestKernelInvocationsCounted(t *testing.T) {
 // pinned.
 func TestOneWorkerCountsPinned(t *testing.T) {
 	compact := buildCompact(t, testCorpus(600, 31))
-	for _, c := range append(testConcepts(), overlapConcepts()...) {
-		compact.AddConceptBlocks(c)
-	}
 	e := New(compact, Config{Workers: 1})
 	var andPruned uint64
 	for _, concepts := range [][]index.Concept{testConcepts(), overlapConcepts()} {

@@ -10,7 +10,7 @@ package engine
 // the unpruned engine's AND to an independent exhaustive baseline,
 // across all scoring families, with and without duplicate avoidance,
 // one and several workers, every minMatch in [1, n], and block tables
-// registered (three block sizes) as well as built on demand.
+// built at three block sizes.
 // scripts/check.sh runs it under -race.
 
 import (
@@ -117,7 +117,7 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 		idx := buildCompact(t, corpus)
 		// Rotate how the concepts' block tables reach the engine.
 		layout := diffLayouts()[trial%len(diffLayouts())]
-		layout.apply(idx, concepts)
+		layout.apply(idx)
 		k := 1 + rng.Intn(6)
 		for minMatch := 1; minMatch <= len(concepts); minMatch++ {
 			for _, workers := range []int{1, 4} {
@@ -340,9 +340,7 @@ func TestUnionNeverPruneOnEquality(t *testing.T) {
 	for _, blocked := range []bool{false, true} {
 		compact := buildCompact(t, docs)
 		if blocked {
-			for _, c := range concepts {
-				compact.AddConceptBlocksSized(c, 2)
-			}
+			index.SetBlockSizeForTest(compact, 2)
 		}
 		e := New(compact, Config{Workers: 1})
 		res, err := e.Search(context.Background(), Query{
@@ -388,9 +386,7 @@ func TestUnionPivotSkipsCounted(t *testing.T) {
 	for _, blocked := range []bool{false, true} {
 		compact := buildCompact(t, docs)
 		if blocked {
-			for _, c := range concepts {
-				compact.AddConceptBlocksSized(c, 4)
-			}
+			index.SetBlockSizeForTest(compact, 4)
 		}
 		e := New(compact, Config{Workers: 1, QueueDepth: 1})
 		res, err := e.Search(context.Background(), Query{
@@ -430,9 +426,6 @@ func TestUnionArmsWindowScreen(t *testing.T) {
 		docs = append(docs, "lenovo quartz quartz nba quartz quartz partnership", "lenovo"+far+" nba"+far+" partnership")
 	}
 	compact := buildCompact(t, docs)
-	for _, c := range overlapConcepts() {
-		compact.AddConceptBlocks(c)
-	}
 	for _, family := range []string{"win", "med"} {
 		for _, valid := range []bool{true, false} {
 			for _, minMatch := range []int{0, 2} {

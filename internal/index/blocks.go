@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -132,8 +131,7 @@ func (bt *BlockTable) FindBlock(doc int) int {
 // BlockSize. The empty input encodes to nil. Inputs must satisfy the
 // documented invariants (ascending docs, ascending positions, finite
 // scores, ids and positions within MaxDocID/MaxPosition); EncodeBlocks
-// is a build-time path fed by the merge of conceptDocLists, Partition
-// and tests.
+// is fed by ConceptBlocks' merge and by tests.
 func EncodeBlocks(docs []int, lists []match.List, blockSize int) []byte {
 	if len(docs) == 0 {
 		return nil
@@ -378,8 +376,7 @@ func resolveEscapes(lanes []uint32, out []uint64, trailer []byte) ([]byte, bool)
 // DecodeBlocks unpacks the palette and skip table of an EncodeBlocks
 // buffer, retaining the payload area for per-block decoding. Hostile
 // bytes yield an error, never a panic or an out-of-range table; the
-// per-block payloads are validated by DecodeBlock (Validate runs it
-// over every block, which is what the load path does eagerly).
+// per-block payloads are validated by DecodeBlock.
 func DecodeBlocks(b []byte) (*BlockTable, error) {
 	if len(b) == 0 {
 		return nil, nil
@@ -687,8 +684,8 @@ func scanGroup(b []byte, k int) (escapes, length int, ok bool) {
 // makes DecodeBlock's whole-area checks — the match total fits the
 // payload, every group is in bounds, no bytes trail the area — and
 // leaves the per-match checks to DecodeDoc. The block-max agreement is
-// not checked here; load-time Validate enforces it through
-// DecodeBlock.
+// not checked here: DecodeBlock checks it, and a table ConceptBlocks
+// built holds it by construction.
 func (bt *BlockTable) DecodeBlockDocs(i int) (BlockDocs, error) {
 	var docs, nMatch []int
 	var area []byte
@@ -830,53 +827,17 @@ func (bd *BlockDocs) decodeWide(dst match.List, lanes []uint32, trailer []byte) 
 	return dst, err
 }
 
-// Validate fully decodes every block — the eager load-time gate, so
-// corrupt or adversarial bytes fail at LoadCompact rather than at
-// query time.
-func (bt *BlockTable) Validate() error {
-	if bt == nil {
-		return nil
-	}
-	for i := range bt.Infos {
-		if _, _, err := bt.DecodeBlock(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeAll decodes every block, concatenating their documents and
-// match lists in id order.
-func (bt *BlockTable) decodeAll() (docs []int, lists []match.List, err error) {
-	for i := range bt.Infos {
-		d, l, err := bt.DecodeBlock(i)
-		if err != nil {
-			return nil, nil, err
-		}
-		docs = append(docs, d...)
-		lists = append(lists, l...)
-	}
-	return docs, lists, nil
-}
-
-// mergePollStride is how many postings conceptDocLists merges between
-// context polls: a multi-million-posting merge must not outlive the
-// query that asked for it, and a posting count is a steady clock.
-const mergePollStride = 1 << 12
-
 // conceptDocLists computes a concept's corpus-wide match data — the
-// one "best member-word score wins" merge behind block registration,
-// the on-demand table build and the pair lists. It is a k-way merge of
-// the member words' posting lists in (document, position) order: each
+// one "best member-word score wins" merge behind every block table
+// (ConceptBlocks) and the pair lists. It is a k-way merge of the
+// member words' posting lists in (document, position) order: each
 // word's postings are already sorted that way, so every match is
 // emitted in final order straight into one flat backing list, and the
 // per-document lists are capped subslices of it. Words of one concept
 // can share a (document, position) — only when they share a stem —
 // and such duplicates are adjacent in merge order, where the higher
-// weight wins. ok is false when ctx ended before the merge did; the
-// partial output must be discarded. Corrupt posting bytes panic, as in
-// Compact.Postings.
-func (c *Compact) conceptDocLists(ctx context.Context, concept Concept) (docs []int, lists []match.List, ok bool) {
+// weight wins. Corrupt posting bytes panic, as in Compact.Postings.
+func (c *Compact) conceptDocLists(concept Concept) (docs []int, lists []match.List) {
 	type source struct {
 		ps    []Posting
 		score float64
@@ -891,10 +852,7 @@ func (c *Compact) conceptDocLists(ctx context.Context, concept Concept) (docs []
 	}
 	flat := make(match.List, 0, total)
 	curDoc, begin := -1, 0
-	for merged := 0; ; merged++ {
-		if merged%mergePollStride == 0 && ctx.Err() != nil {
-			return nil, nil, false
-		}
+	for {
 		min := -1
 		for s := range srcs {
 			if len(srcs[s].ps) == 0 {
@@ -933,72 +891,36 @@ func (c *Compact) conceptDocLists(ctx context.Context, concept Concept) (docs []
 	if curDoc >= 0 {
 		lists = append(lists, flat[begin:len(flat):len(flat)])
 	}
-	return docs, lists, true
+	return docs, lists
 }
 
-// BuildBlockTable builds a concept's block table straight from the
-// postings, without registering it: how a concept that has no
-// registered table is served. The table goes through the same encoder
-// and the same DecodeBlocks validation as one loaded from disk, so it
-// is indistinguishable from a registered one; a concept absent from
-// the corpus yields an empty table. The error is ctx's when the build
-// was abandoned, or names a non-finite weight. Corrupt posting bytes
-// panic, as in Compact.Postings.
-func (c *Compact) BuildBlockTable(ctx context.Context, concept Concept) (*BlockTable, error) {
-	if !concept.Finite() {
-		return nil, fmt.Errorf("index: concept has a non-finite weight")
-	}
-	docs, lists, ok := c.conceptDocLists(ctx, concept)
-	if !ok {
-		return nil, ctx.Err()
-	}
-	if len(docs) == 0 {
-		return &BlockTable{}, nil
-	}
-	return DecodeBlocks(EncodeBlocks(docs, lists, 0))
-}
-
-// AddConceptBlocks precomputes and registers a concept's
-// block-partitioned postings, keyed by ConceptKey. Call it at build
-// time, before the index starts serving queries: Compact is otherwise
-// read-only and concurrent readers do not lock. Concepts with
-// non-finite weights or no corpus occurrences are skipped (nothing to
-// serve, and non-finite scores would poison every bound comparison).
-func (c *Compact) AddConceptBlocks(concept Concept) {
-	c.AddConceptBlocksSized(concept, 0)
-}
-
-// AddConceptBlocksSized is AddConceptBlocks with an explicit block
-// size — a test and tuning hook; ≤ 0 means BlockSize.
-func (c *Compact) AddConceptBlocksSized(concept Concept, blockSize int) {
-	if !concept.Finite() {
-		return
-	}
-	docs, lists, _ := c.conceptDocLists(context.Background(), concept)
-	if len(docs) == 0 {
-		return
-	}
-	if c.blocks == nil {
-		c.blocks = make(map[uint64][]byte)
-	}
-	c.blocks[ConceptKey(concept)] = EncodeBlocks(docs, lists, blockSize)
-}
-
-// ConceptBlocks returns a concept's registered block table, or
-// ok=false when the concept was never registered. Like
-// Compact.Postings, a decode failure indicates memory corruption
-// (LoadCompact validates every buffer eagerly) and fails loudly.
+// ConceptBlocks builds a concept's block table from the stem postings.
+// It is the only way a table comes to exist: the index neither stores
+// nor remembers one (the engine's concept cache keeps the tables it
+// built for an index epoch), so every table is this merge through this
+// encoder, at the index's block size. The buffer passes the same
+// DecodeBlocks validation as any other. A concept absent from the
+// corpus yields an empty table; ok is false only for a non-finite
+// weight, which would poison every bound comparison. Corrupt posting
+// bytes panic, as in Compact.Postings.
 func (c *Compact) ConceptBlocks(concept Concept) (*BlockTable, bool) {
-	b, ok := c.blocks[ConceptKey(concept)]
-	if !ok {
+	if !concept.Finite() {
 		return nil, false
 	}
-	bt, err := DecodeBlocks(b)
-	if err != nil || bt == nil {
-		panic(fmt.Sprintf("index: corrupt concept blocks: %v", err))
+	docs, lists := c.conceptDocLists(concept)
+	if len(docs) == 0 {
+		return &BlockTable{}, true
+	}
+	bt, err := DecodeBlocks(EncodeBlocks(docs, lists, c.blockSize))
+	if err != nil {
+		panic(fmt.Sprintf("index: built concept blocks do not decode: %v", err))
 	}
 	return bt, true
 }
 
-// ConceptBlocksCount returns the number of registered block tables.
-func (c *Compact) ConceptBlocksCount() int { return len(c.blocks) }
+// AddConceptBlocks does nothing: block tables are built from the stem
+// postings on first use (ConceptBlocks) and never registered or saved.
+//
+// Deprecated: it remains so that callers written against the former
+// registry still compile.
+func (c *Compact) AddConceptBlocks(Concept) {}

@@ -1,9 +1,8 @@
 package index
 
 import (
-	"context"
+	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -49,21 +48,11 @@ func flatConceptMatches(c *Compact, concept Concept) (docs []int, lists []match.
 func TestBlocksRoundTripMatchesFlatDecode(t *testing.T) {
 	c := blocksTestCompact(t, 300, 1)
 	concept := Concept{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25}
-	// Registered at several block sizes, and — size −1 — built on
-	// demand from the postings of an index with nothing registered.
-	for _, size := range []int{1, 7, 64, 0, -1} {
-		var bt *BlockTable
-		if size < 0 {
-			var err error
-			if bt, err = blocksTestCompact(t, 300, 1).BuildBlockTable(context.Background(), concept); err != nil {
-				t.Fatalf("BuildBlockTable: %v", err)
-			}
-		} else {
-			c.AddConceptBlocksSized(concept, size)
-			var ok bool
-			if bt, ok = c.ConceptBlocks(concept); !ok {
-				t.Fatalf("size %d: concept blocks not registered", size)
-			}
+	for _, size := range []int{1, 7, 64, 0} {
+		SetBlockSizeForTest(c, size)
+		bt, ok := c.ConceptBlocks(concept)
+		if !ok {
+			t.Fatalf("size %d: no table built", size)
 		}
 		wantDocs, wantLists := flatConceptMatches(c, concept)
 		var gotDocs []int
@@ -116,23 +105,19 @@ func TestBlocksRoundTripMatchesFlatDecode(t *testing.T) {
 	}
 }
 
-// TestBuildBlockTableEdges pins the on-demand builder's contract at
-// its edges: a concept absent from the corpus is an empty table, not an
-// error; a non-finite weight is an error; and a build whose context
-// has ended reports that context's error instead of a table.
-func TestBuildBlockTableEdges(t *testing.T) {
+// TestConceptBlocksEdges pins the builder's contract at its edges: a
+// concept absent from the corpus is an empty table, and a non-finite
+// weight builds none.
+func TestConceptBlocksEdges(t *testing.T) {
 	c := blocksTestCompact(t, 50, 2)
-	bt, err := c.BuildBlockTable(context.Background(), Concept{"nowhere": 1})
-	if err != nil || bt == nil || bt.NumBlocks() != 0 || bt.FindBlock(3) != -1 {
-		t.Fatalf("absent concept: table %+v, err %v; want an empty table", bt, err)
+	bt, ok := c.ConceptBlocks(Concept{"nowhere": 1})
+	if !ok || bt == nil || bt.NumBlocks() != 0 || bt.FindBlock(3) != -1 {
+		t.Fatalf("absent concept: table %+v, ok %v; want an empty table", bt, ok)
 	}
-	if _, err := c.BuildBlockTable(context.Background(), Concept{"river": math.NaN()}); err == nil {
-		t.Fatal("NaN weight built a table")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if bt, err := c.BuildBlockTable(ctx, Concept{"river": 1}); !errors.Is(err, context.Canceled) || bt != nil {
-		t.Fatalf("cancelled build: table %v, err %v; want context.Canceled", bt, err)
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if bt, ok := c.ConceptBlocks(Concept{"river": w}); ok || bt != nil {
+			t.Fatalf("weight %v built a table", w)
+		}
 	}
 }
 
@@ -174,16 +159,21 @@ func TestEncodeBlocksEmpty(t *testing.T) {
 	}
 }
 
+// TestAddConceptBlocksSkipsDegenerate pins what is left of the former
+// registry: AddConceptBlocks stores nothing, for a degenerate concept or
+// a served one, so the file it would be saved in is unchanged.
 func TestAddConceptBlocksSkipsDegenerate(t *testing.T) {
 	c := blocksTestCompact(t, 20, 2)
+	before := c.Marshal()
 	c.AddConceptBlocks(Concept{text.Stem("river"): math.NaN()})
 	c.AddConceptBlocks(Concept{text.Stem("river"): math.Inf(1)})
 	c.AddConceptBlocks(Concept{"zzz-absent-stem": 1.0})
-	if n := c.ConceptBlocksCount(); n != 0 {
-		t.Fatalf("ConceptBlocksCount = %d, want 0", n)
+	c.AddConceptBlocks(Concept{text.Stem("river"): 1.0})
+	if !bytes.Equal(c.Marshal(), before) {
+		t.Fatal("AddConceptBlocks changed the marshalled index")
 	}
 	if _, ok := c.ConceptBlocks(Concept{text.Stem("river"): math.NaN()}); ok {
-		t.Fatal("ConceptBlocks returned ok for unregistered concept")
+		t.Fatal("ConceptBlocks returned ok for a NaN weight")
 	}
 }
 
@@ -254,6 +244,30 @@ func TestEncodeBlocksWideRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(docs, []int{5}) || !reflect.DeepEqual(lists, []match.List{one(math.MaxUint32)}) {
 		t.Fatalf("literal 2^32−1 lane: %v %v (%v)", docs, lists, err)
 	}
+}
+
+// Validate fully decodes every block, so corrupt or adversarial bytes
+// anywhere in the table fail.
+func (bt *BlockTable) Validate() error {
+	if bt == nil {
+		return nil
+	}
+	_, _, err := bt.decodeAll()
+	return err
+}
+
+// decodeAll decodes every block, concatenating their documents and
+// match lists in id order.
+func (bt *BlockTable) decodeAll() (docs []int, lists []match.List, err error) {
+	for i := range bt.Infos {
+		d, l, err := bt.DecodeBlock(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		docs = append(docs, d...)
+		lists = append(lists, l...)
+	}
+	return docs, lists, nil
 }
 
 // rejectBlocks fails the test when b decodes to a table that validates.
@@ -399,15 +413,14 @@ func flipEveryBit(valid []byte) {
 	}
 }
 
-// TestDecodeBlocksBatchRejectsEveryBitFlip flips each bit of a
-// registered, unflagged buffer.
+// TestDecodeBlocksBatchRejectsEveryBitFlip flips each bit of an
+// unflagged buffer built from a corpus.
 func TestDecodeBlocksBatchRejectsEveryBitFlip(t *testing.T) {
 	c := blocksTestCompact(t, 40, 3)
-	concept := Concept{text.Stem("river"): 1.0, text.Stem("delta"): 0.5}
-	c.AddConceptBlocksSized(concept, 8)
-	valid := c.blocks[ConceptKey(concept)]
+	docs, lists := c.conceptDocLists(Concept{text.Stem("river"): 1.0, text.Stem("delta"): 0.5})
+	valid := EncodeBlocks(docs, lists, 8)
 	if len(valid) == 0 || valid[0] == 0 {
-		t.Fatal("registered table missing or flagged")
+		t.Fatal("table missing or flagged")
 	}
 	flipEveryBit(valid)
 }
@@ -510,13 +523,13 @@ func checkBlockDocs(t *testing.T, bt *BlockTable) {
 }
 
 // TestDecodeDocMatchesDecodeBlock runs the per-document contract over
-// registered tables at several block sizes, over flagged tables, and
+// built tables at several block sizes, over flagged tables, and
 // over documents with more matches than DecodeDoc decodes on the stack.
 func TestDecodeDocMatchesDecodeBlock(t *testing.T) {
 	c := blocksTestCompact(t, 300, 5)
 	concept := Concept{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25}
 	for _, size := range []int{1, 3, 64, 0} {
-		c.AddConceptBlocksSized(concept, size)
+		SetBlockSizeForTest(c, size)
 		bt, _ := c.ConceptBlocks(concept)
 		checkBlockDocs(t, bt)
 	}

@@ -133,14 +133,14 @@ func DecodePostings(b []byte) ([]Posting, error) {
 }
 
 // Compact is a read-only compressed index: the same query surface as
-// Index over varint-packed posting lists, plus optional per-concept
-// block tables (blocks.go) and concept-pair lists (pairs.go)
-// registered at build time.
+// Index over varint-packed posting lists, the per-concept block tables
+// built from them (blocks.go), and optional concept-pair lists
+// (pairs.go) registered at build time.
 type Compact struct {
-	postings map[string][]byte
-	blocks   map[uint64][]byte  // ConceptKey → EncodeBlocks buffer
-	pairs    map[PairKey][]byte // PairKey → EncodePairs buffer
-	docs     int
+	postings  map[string][]byte
+	pairs     map[PairKey][]byte // PairKey → EncodePairs buffer
+	docs      int
+	blockSize int // documents per block of a built table; 0 means BlockSize
 }
 
 // Compact freezes the index into its compressed form.

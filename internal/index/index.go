@@ -104,8 +104,8 @@ func (c Concept) Finite() bool {
 }
 
 // ConceptKey hashes a concept to a stable 64-bit key, independent of
-// map iteration order: the identity under which concept block tables,
-// pair lists and the engine's concept caches are stored.
+// map iteration order: the identity under which pair lists and the
+// engine's concept caches store what they hold for a concept.
 func ConceptKey(c Concept) uint64 {
 	words := make([]string, 0, len(c))
 	for w := range c {

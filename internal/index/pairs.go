@@ -2,7 +2,6 @@ package index
 
 import (
 	"cmp"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -448,8 +447,8 @@ func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lis
 	if _, dup := c.pairs[key]; dup {
 		return 0, false
 	}
-	docsA, listsA, _ := c.conceptDocLists(context.Background(), a)
-	docsB, listsB, _ := c.conceptDocLists(context.Background(), b)
+	docsA, listsA := c.conceptDocLists(a)
+	docsB, listsB := c.conceptDocLists(b)
 	var entries []PairEntry
 	lists := make(match.Lists, 2)
 	for i, j := 0, 0; i < len(docsA) && j < len(docsB); {

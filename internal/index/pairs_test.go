@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -279,8 +278,8 @@ func TestAddConceptPairsMatchesJoin(t *testing.T) {
 
 	// The list's doc set must be exactly the concepts' intersection,
 	// and every scored record must replay the join bitwise.
-	docsA, listsA, _ := c.conceptDocLists(context.Background(), a)
-	docsB, listsB, _ := c.conceptDocLists(context.Background(), b)
+	docsA, listsA := c.conceptDocLists(a)
+	docsB, listsB := c.conceptDocLists(b)
 	k := 0
 	for i, j := 0, 0; i < len(docsA) && j < len(docsB); {
 		switch {

@@ -1,14 +1,10 @@
 package index
 
-import (
-	"fmt"
-
-	"bestjoin/internal/match"
-)
+import "fmt"
 
 // Document-partitioned sharding: Partition splits one compacted index
-// into n shard indexes whose posting lists, concept block tables and
-// pair lists are each restricted to the shard's documents.
+// into n shard indexes whose posting lists and pair lists are each
+// restricted to the shard's documents.
 // The partitioner is the substrate of the scatter-gather serving tier
 // (internal/shard): best-join scoring is document-local — a document's
 // match lists, and therefore its score and matchset, depend only on
@@ -28,10 +24,12 @@ import (
 //     translation and tie-breaks on document id mean the same thing on
 //     every shard.
 //
-// Registered block tables survive partitioning: they are rebuilt from
-// the shard's documents (block boundaries move — a shard has ~1/n of
-// each block's documents — but block-max pruning is lossless, so
-// boundaries never change answers, only skip rates).
+// A shard builds its concept block tables from its own postings, like
+// any index (Compact.ConceptBlocks): a table holds exactly the shard's
+// documents of the whole index's table, with the same match lists.
+// Block boundaries move — a shard has ~1/n of each block's documents —
+// but block-max pruning is lossless, so boundaries never change
+// answers, only skip rates.
 
 // ShardOf returns the shard owning document doc under an n-way
 // partition: doc mod n, the deterministic round-robin assignment used
@@ -52,7 +50,7 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 	}
 	shards := make([]*Compact, n)
 	for s := range shards {
-		shards[s] = &Compact{postings: make(map[string][]byte, len(c.postings)), docs: c.docs}
+		shards[s] = &Compact{postings: make(map[string][]byte, len(c.postings)), docs: c.docs, blockSize: c.blockSize}
 	}
 	// Postings: decode each stem once, split by owner, re-encode the
 	// non-empty pieces. Posting order is (doc, pos) ascending and
@@ -76,9 +74,6 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 				shards[s].postings[stem] = EncodePostings(sps)
 			}
 		}
-	}
-	if err := c.partitionBlocks(shards); err != nil {
-		return nil, err
 	}
 	if err := c.partitionPairs(shards); err != nil {
 		return nil, err
@@ -118,41 +113,6 @@ func (c *Compact) partitionPairs(shards []*Compact) error {
 					shard.pairs = make(map[PairKey][]byte)
 				}
 				shard.pairs[key] = enc
-			}
-		}
-	}
-	return nil
-}
-
-// partitionBlocks rebuilds each registered block table from the
-// shard's documents. The rebuilt tables use the default BlockSize:
-// the original partitioning is not recoverable from the encoded form,
-// and block boundaries only steer pruning, never results.
-func (c *Compact) partitionBlocks(shards []*Compact) error {
-	n := len(shards)
-	for key, buf := range c.blocks {
-		bt, err := DecodeBlocks(buf)
-		if err != nil || bt == nil {
-			return fmt.Errorf("index: partition: concept blocks %x: %v", key, err)
-		}
-		docs, lists, err := bt.decodeAll()
-		if err != nil {
-			return fmt.Errorf("index: partition: concept blocks %x: %v", key, err)
-		}
-		for s, shard := range shards {
-			var sd []int
-			var sl []match.List
-			for i, d := range docs {
-				if ShardOf(d, n) == s {
-					sd = append(sd, d)
-					sl = append(sl, lists[i])
-				}
-			}
-			if len(sd) > 0 {
-				if shard.blocks == nil {
-					shard.blocks = make(map[uint64][]byte)
-				}
-				shard.blocks[key] = EncodeBlocks(sd, sl, 0)
 			}
 		}
 	}

@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"bestjoin/internal/match"
+	"bestjoin/internal/text"
 )
 
-// partitionCorpus builds a compacted index with registered concept
-// block tables, exercising every section a Partition must split.
+// partitionCorpus builds a compacted index whose concept tables are cut
+// into tiny blocks, several per concept.
 func partitionCorpus(t *testing.T) (*Compact, []Concept) {
 	t.Helper()
 	ix := New()
@@ -33,9 +34,7 @@ func partitionCorpus(t *testing.T) (*Compact, []Concept) {
 		{"lenovo": 1.0, "dell": 0.8, "ibm": 0.6},
 		{"laptops": 0.9, "pc": 0.7},
 	}
-	for _, cc := range concepts {
-		c.AddConceptBlocksSized(cc, 2) // tiny blocks → several per concept
-	}
+	SetBlockSizeForTest(c, 2)
 	return c, concepts
 }
 
@@ -108,17 +107,17 @@ func sortPostings(ps []Posting) {
 	}
 }
 
-// TestPartitionSplitsBatchedBlocks holds every registered unflagged
-// table — the batched group-varint form — to a shard-disjoint split
-// with exactly the original documents and match lists, and every shard
-// table to that form too: a shard's values are bounded by the
-// original's ids and positions, so no split may need the wide flag.
+// TestPartitionSplitsBatchedBlocks holds every unflagged table — the
+// batched group-varint form — a shard builds to a shard-disjoint split
+// with exactly the whole index's documents and match lists, and to that
+// form too: a shard's values are bounded by the original's ids and
+// positions, so no split may need the wide flag.
 func TestPartitionSplitsBatchedBlocks(t *testing.T) {
 	c, concepts := partitionCorpus(t)
 	for _, shards := range assertPartitionSplits(t, c, concepts) {
 		for s, shard := range shards {
 			for _, cc := range concepts {
-				if b := shard.blocks[ConceptKey(cc)]; len(b) > 0 && b[0] == 0 {
+				if bt, _ := shard.ConceptBlocks(cc); bt.wide {
 					t.Fatalf("%d shards: shard %d table of %v is flagged", len(shards), s, cc)
 				}
 			}
@@ -129,17 +128,32 @@ func TestPartitionSplitsBatchedBlocks(t *testing.T) {
 // TestPartitionSplitsConceptBlocks holds a flagged table, whose ids and
 // positions straddle 2^32, to the same split.
 func TestPartitionSplitsConceptBlocks(t *testing.T) {
-	c, _ := partitionCorpus(t)
 	docs, lists := wideInput()
-	wide := Concept{"wide": 1}
-	c.blocks[ConceptKey(wide)] = EncodeBlocks(docs, lists, 2)
+	word := map[float64]string{0.25: "wquarter", 0.5: "whalf", 1: "wone"}
+	ix := New()
+	for i, d := range docs {
+		var toks []text.Token
+		for _, m := range lists[i] {
+			toks = append(toks, text.Token{Word: word[m.Score], Pos: m.Loc})
+		}
+		ix.Add(d, toks)
+	}
+	c := ix.Compact()
+	SetBlockSizeForTest(c, 2)
+	wide := Concept{}
+	for score, w := range word {
+		wide[w] = score
+	}
+	if bt, _ := c.ConceptBlocks(wide); !bt.wide {
+		t.Fatal("table over ids past 2^32 is not flagged")
+	}
 	assertPartitionSplits(t, c, []Concept{wide})
 }
 
 // assertPartitionSplits splits c 2 and 3 ways and checks that the
-// shards' tables of concepts own disjoint documents by ShardOf and
-// together hold exactly the original documents and match lists. It
-// returns the splits.
+// tables the shards build for concepts own disjoint documents by
+// ShardOf and together hold exactly the documents and match lists of
+// c's own tables. It returns the splits.
 func assertPartitionSplits(t *testing.T, c *Compact, concepts []Concept) [][]*Compact {
 	t.Helper()
 	var splits [][]*Compact
@@ -176,10 +190,7 @@ func assertPartitionSplits(t *testing.T, c *Compact, concepts []Concept) [][]*Co
 
 func decodeAllBlocks(t *testing.T, c *Compact, cc Concept) ([]int, []match.List) {
 	t.Helper()
-	bt, ok := c.ConceptBlocks(cc)
-	if !ok {
-		return nil, nil
-	}
+	bt, _ := c.ConceptBlocks(cc)
 	docs, lists, err := bt.decodeAll()
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +218,6 @@ func TestPartitionDeterministic(t *testing.T) {
 		for stem, buf := range a[s].postings {
 			if !bytes.Equal(buf, b[s].postings[stem]) {
 				t.Fatalf("shard %d stem %q: buffers differ across runs", s, stem)
-			}
-		}
-		for key, buf := range a[s].blocks {
-			if !bytes.Equal(buf, b[s].blocks[key]) {
-				t.Fatalf("shard %d blocks %x: buffers differ across runs", s, key)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,26 +26,25 @@ import (
 //
 // Section 1 holds the posting payload — varint(docs), varint(#terms),
 // then per term varint(len(stem)) stem varint(len(postings)) postings,
-// where postings is the varint-packed buffer of compress.go. Section 4,
-// present only when concept block tables are registered (blocks.go),
-// holds varint(#concepts), then per concept uint64le(key) varint(len)
-// EncodeBlocks buffer. Section 5, present only when precomputed pair
-// lists are registered (pairs.go), holds varint(#pairs), then per pair
-// uint64le(lo) uint64le(hi) uint64le(spec) varint(len) EncodePairs
-// buffer. In every section the entries are in strictly ascending key
-// order (stem; concept key; lo, hi, spec) and every buffer is
-// non-empty — what Marshal writes, and all the loader accepts, so a
-// repeated entry cannot silently replace an earlier one. An index that
-// omits an optional section simply lacks the feature; an unknown
-// section id is rejected loudly instead of being misparsed.
+// where postings is the varint-packed buffer of compress.go. Section 5,
+// present only when precomputed pair lists are registered (pairs.go),
+// holds varint(#pairs), then per pair uint64le(lo) uint64le(hi)
+// uint64le(spec) varint(len) EncodePairs buffer. In every section the
+// entries are in strictly ascending key order (stem; lo, hi, spec) and
+// every buffer is non-empty — what Marshal writes, and all the loader
+// accepts, so a repeated entry cannot silently replace an earlier one.
+// An index that omits the optional section simply lacks the feature; an
+// unknown section id is rejected loudly instead of being misparsed.
+// Concept block tables are not persisted: they are built from section
+// 1 on first use (Compact.ConceptBlocks).
 //
-// Three shapes older code could write are rejected, each with an
+// Four shapes older code could write are rejected, each with an
 // ErrCorrupt-wrapped error naming what was seen: section 2 (per-concept
 // doc-max metadata, a representation the engine no longer serves),
-// section 3 (concept block tables in a per-integer varint codec, since
-// replaced by section 4's, which also carries the values that codec
-// existed for), and unframed input (the pre-framing layout, which
-// carried no checksums). No shipped tool or workload wrote any of them.
+// section 3 (concept block tables in a per-integer varint codec),
+// section 4 (registered concept block tables, a second copy of what
+// section 1 holds: rebuild such a file from its corpus), and unframed
+// input (the pre-framing layout, which carried no checksums).
 
 // Framing constants. The version byte lets the layout evolve without
 // breaking old readers loudly: an unknown version is rejected with a
@@ -56,7 +54,6 @@ const (
 	frameVersion = 1
 
 	secPostings = 1 // posting payload: docs header + term table
-	secBlocks   = 4 // optional concept block tables
 	secPairs    = 5 // optional precomputed concept-pair postings
 )
 
@@ -65,6 +62,7 @@ const (
 var retiredSections = map[byte]string{
 	2: "concept max-score metadata",
 	3: "varint concept block tables",
+	4: "registered concept block tables; tables are built from the postings now",
 }
 
 // castagnoli is the CRC32-C polynomial table — the checksum flavor
@@ -86,10 +84,6 @@ func (c *Compact) Marshal() []byte {
 		payload []byte
 	}
 	sections := []section{{secPostings, c.marshalPostings()}}
-	if len(c.blocks) > 0 {
-		sections = append(sections, section{secBlocks,
-			appendEntries(nil, c.blocks, cmp.Compare[uint64], binary.LittleEndian.AppendUint64)})
-	}
 	if len(c.pairs) > 0 {
 		sections = append(sections, section{secPairs, appendEntries(nil, c.pairs, PairKey.compare,
 			func(b []byte, k PairKey) []byte {
@@ -142,8 +136,8 @@ func appendEntries[K comparable](buf []byte, m map[K][]byte, cmp func(K, K) int,
 
 // LoadCompact deserializes a Marshal buffer, verifying the framing —
 // magic, version, section structure, per-section checksums, no
-// trailing bytes — and eagerly validating every posting list, block
-// table and pair list, so corrupt or adversarial bytes fail here
+// trailing bytes — and eagerly validating every posting list and pair
+// list, so corrupt or adversarial bytes fail here
 // rather than at query time. Input without the magic is refused: the
 // frame's checksums are what make bytes off the wire trustworthy.
 func LoadCompact(b []byte) (*Compact, error) {
@@ -211,7 +205,6 @@ func LoadCompact(b []byte) (*Compact, error) {
 // Compact: every id from 1 to secPairs that is not retired.
 var sectionParsers = map[byte]func(*Compact, []byte) error{
 	secPostings: parsePostings,
-	secBlocks:   parseBlocks,
 	secPairs:    parsePairs,
 }
 
@@ -235,31 +228,6 @@ func parsePostings(c *Compact, b []byte) (err error) {
 	c.postings, err = parseEntries(b[n:], 2, readStem, strings.Compare, func(stem string, buf []byte) error {
 		if _, err := DecodePostings(buf); err != nil {
 			return fmt.Errorf("invalid postings for %q: %v", stem, err)
-		}
-		return nil
-	})
-	return err
-}
-
-// parseBlocks decodes the concept block tables into c.blocks. Every
-// block of every concept is fully decoded here — the same
-// eager-validation stance as postings, so ConceptBlocks can treat
-// decode failure as memory corruption.
-func parseBlocks(c *Compact, b []byte) (err error) {
-	readKey := func(b []byte) (uint64, []byte, bool) {
-		if len(b) < 8 {
-			return 0, nil, false
-		}
-		return binary.LittleEndian.Uint64(b), b[8:], true
-	}
-	// An entry takes at least 9 bytes: key, length.
-	c.blocks, err = parseEntries(b, 9, readKey, cmp.Compare[uint64], func(_ uint64, buf []byte) error {
-		bt, err := DecodeBlocks(buf)
-		if err == nil {
-			err = bt.Validate()
-		}
-		if err != nil {
-			return fmt.Errorf("invalid concept blocks: %v", err)
 		}
 		return nil
 	})

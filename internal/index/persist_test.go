@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"bestjoin/internal/match"
 	"bestjoin/internal/text"
 )
 
@@ -65,22 +64,18 @@ func TestLoadCompactCorrupt(t *testing.T) {
 	}
 }
 
-// framedTestIndex builds a small index with concept block tables at two
-// block sizes, so its Marshal carries sections 1 and 4.
+// framedTestIndex builds a small index; its Marshal carries section 1.
 func framedTestIndex(t *testing.T) *Compact {
 	t.Helper()
 	ix := New()
 	ix.AddText(0, "lenovo partners with the nba in a new deal")
 	ix.AddText(1, "dell announced a partnership with the olympics")
 	ix.AddText(3, "the nba finals drew a record basketball audience")
-	c := ix.Compact()
-	c.AddConceptBlocksSized(Concept{"lenovo": 1, "dell": 0.9}, 2)
-	c.AddConceptBlocks(Concept{"nba": 1, "olympics": 0.8, "basketball": 0.7})
-	return c
+	return ix.Compact()
 }
 
-// TestMarshalIsFramed pins the on-disk format: magic, version, and the
-// block sections when tables are registered.
+// TestMarshalIsFramed pins the on-disk format: magic, version, and a
+// loaded index that builds the same block tables as the original.
 func TestMarshalIsFramed(t *testing.T) {
 	c := framedTestIndex(t)
 	b := c.Marshal()
@@ -94,25 +89,21 @@ func TestMarshalIsFramed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.ConceptBlocksCount() != c.ConceptBlocksCount() {
-		t.Fatalf("blocks count %d, want %d", loaded.ConceptBlocksCount(), c.ConceptBlocksCount())
-	}
-	bt, ok := loaded.ConceptBlocks(Concept{"lenovo": 1, "dell": 0.9})
-	if !ok || bt.NumBlocks() == 0 {
-		t.Fatalf("concept blocks did not survive the round trip: ok=%v", ok)
-	}
-	want, _ := c.ConceptBlocks(Concept{"lenovo": 1, "dell": 0.9})
-	if bt.NumBlocks() != want.NumBlocks() {
-		t.Fatalf("blocks changed across the round trip: %d vs %d", bt.NumBlocks(), want.NumBlocks())
+	concept := Concept{"lenovo": 1, "dell": 0.9}
+	bt, _ := loaded.ConceptBlocks(concept)
+	want, _ := c.ConceptBlocks(concept)
+	if bt.NumBlocks() == 0 || !reflect.DeepEqual(bt, want) {
+		t.Fatalf("loaded index builds %+v, original %+v", bt, want)
 	}
 }
 
 // TestLoadCompactLegacy pins that every refused input shape fails
 // with an ErrCorrupt-wrapped error naming what was seen: the unframed
 // pre-framing layout (it carries no checksums, and LoadCompact is what
-// /swapindex feeds wire bytes to), a framed file carrying section 2
-// (the doc-max metadata nothing serves anymore) or section 3 (the
-// retired varint block codec), and one repeating a concept key.
+// /swapindex feeds wire bytes to), and a framed file carrying section
+// 2 (the doc-max metadata nothing serves anymore), section 3 (the
+// retired varint block codec) or section 4 (registered block tables,
+// which are built from the postings now).
 func TestLoadCompactLegacy(t *testing.T) {
 	for names, b := range RejectedShapesForTest(framedTestIndex(t)) {
 		_, err := LoadCompact(b)
@@ -146,7 +137,6 @@ func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
 		return b
 	}
 	postings := EncodePostings([]Posting{{Doc: 0, Pos: 1}})
-	table := EncodeBlocks([]int{0}, []match.List{{{Loc: 1, Score: 1}}}, 0)
 	pairs := EncodePairs(testPairEntries(), 3)
 	for _, tc := range []struct {
 		name    string
@@ -157,9 +147,6 @@ func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
 		{"repeated stem", secPostings, entries(entry{stem("a"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
 		{"descending stems", secPostings, entries(entry{stem("b"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
 		{"empty postings", secPostings, entries(entry{stem("a"), nil}), "section 1: entry 0"},
-		{"repeated concept key", secBlocks, entries(entry{key(7), table}, entry{key(7), table}), "section 4: entry 1"},
-		{"descending concept keys", secBlocks, entries(entry{key(8), table}, entry{key(7), table}), "section 4: entry 1"},
-		{"empty block table", secBlocks, entries(entry{key(7), nil}), "section 4: entry 0"},
 		{"repeated pair key", secPairs, entries(entry{key(1, 2, 3), pairs}, entry{key(1, 2, 3), pairs}), "section 5: entry 1"},
 		{"descending pair keys", secPairs, entries(entry{key(1, 2, 4), pairs}, entry{key(1, 2, 3), pairs}), "section 5: entry 1"},
 		{"empty pair list", secPairs, entries(entry{key(1, 2, 3), nil}), "section 5: entry 0"},
@@ -180,15 +167,14 @@ func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
 	}
 }
 
-// TestPersistBatchSectionRoundTrip pins the persisted form of concept
-// block tables: every one — narrow or flagged, at any block size —
-// travels in section 4 of Marshal and loads back byte for byte.
+// TestPersistBatchSectionRoundTrip pins that block tables travel as
+// their postings: Marshal writes section 1 alone, and the tables a
+// loaded index builds — narrow or flagged, at any block size — equal
+// the original's.
 func TestPersistBatchSectionRoundTrip(t *testing.T) {
 	c := blocksTestCompact(t, 80, 5)
-	c.AddConceptBlocksSized(Concept{text.Stem("river"): 1.0, text.Stem("bank"): 0.5}, 8)
-	c.AddConceptBlocks(Concept{text.Stem("stone"): 0.75})
-	docs, lists := wideInput()
-	c.blocks[7] = EncodeBlocks(docs, lists, 2)
+	// Positions past 2^32 flag the "wide" concept's table.
+	c.postings[text.Stem("wide")] = EncodePostings([]Posting{{Doc: 3, Pos: 1 << 33}, {Doc: 4, Pos: MaxPosition}})
 	b := c.Marshal()
 	// Frame: magic, version, section count, then (id, length, payload,
 	// checksum) per section.
@@ -199,33 +185,41 @@ func TestPersistBatchSectionRoundTrip(t *testing.T) {
 		ids = append(ids, rest[0])
 		rest = rest[1+k+int(n)+4:]
 	}
-	if !bytes.Equal(ids, []byte{secPostings, secBlocks}) {
-		t.Fatalf("section ids %v, want [1 4]", ids)
+	if !bytes.Equal(ids, []byte{secPostings}) {
+		t.Fatalf("section ids %v, want [1]", ids)
 	}
 	loaded, err := LoadCompact(b)
 	if err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	if !reflect.DeepEqual(loaded.blocks, c.blocks) {
-		t.Fatal("block tables changed in the round trip")
+	for _, size := range []int{8, 0} {
+		SetBlockSizeForTest(c, size)
+		SetBlockSizeForTest(loaded, size)
+		for _, cc := range []Concept{
+			{text.Stem("river"): 1.0, text.Stem("bank"): 0.5},
+			{text.Stem("stone"): 0.75},
+			{"wide": 1, text.Stem("stone"): 0.5},
+		} {
+			got, _ := loaded.ConceptBlocks(cc)
+			want, _ := c.ConceptBlocks(cc)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("size %d concept %v: loaded index builds a different table", size, cc)
+			}
+		}
+	}
+	if bt, _ := c.ConceptBlocks(Concept{"wide": 1}); !bt.wide {
+		t.Fatal("the wide concept's table is not flagged")
 	}
 }
 
 // TestMarshalBytesPinned pins the file format byte for byte: the
-// SHA-256 of Marshal over a fixed corpus with registered block tables,
-// followed by the Marshal of each piece of its 3-way Partition. Every
-// index saved before the wide escape existed must stay readable, and
-// every table without a wide value must still encode to those bytes.
+// SHA-256 of Marshal over a fixed corpus, followed by the Marshal of
+// each piece of its 3-way Partition, and then the block-table buffer
+// each of them encodes for four concepts. Every index saved before must
+// stay readable, and every table without a wide value must still
+// encode to the same bytes.
 func TestMarshalBytesPinned(t *testing.T) {
 	c := blocksTestCompact(t, 400, 7)
-	for _, cc := range []Concept{
-		{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25},
-		{text.Stem("stone"): 0.75, text.Stem("bridge"): 0.6},
-		{text.Stem("valley"): 1.0},
-		{text.Stem("flood"): 0.9, text.Stem("delta"): 0.9, text.Stem("river"): 0.3},
-	} {
-		c.AddConceptBlocks(cc)
-	}
 	h := sha256.New()
 	h.Write(c.Marshal())
 	shards, err := c.Partition(3)
@@ -235,7 +229,18 @@ func TestMarshalBytesPinned(t *testing.T) {
 	for _, s := range shards {
 		h.Write(s.Marshal())
 	}
-	const want = "4ba3f14c9293d11f30718a35cf3dd1deeea770704a640bfc1505d8ab363f7421"
+	for _, cc := range []Concept{
+		{text.Stem("river"): 1.0, text.Stem("bank"): 0.5, text.Stem("water"): 0.25},
+		{text.Stem("stone"): 0.75, text.Stem("bridge"): 0.6},
+		{text.Stem("valley"): 1.0},
+		{text.Stem("flood"): 0.9, text.Stem("delta"): 0.9, text.Stem("river"): 0.3},
+	} {
+		for _, ix := range append([]*Compact{c}, shards...) {
+			docs, lists := ix.conceptDocLists(cc)
+			h.Write(EncodeBlocks(docs, lists, 0))
+		}
+	}
+	const want = "7f11e37ce6ecdbb685dc1f51618b0394bf0a5b124fa210ff7854c724a4fb8903"
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Fatalf("Marshal bytes moved: sha256 %s, want %s", got, want)
 	}

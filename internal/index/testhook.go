@@ -3,7 +3,6 @@ package index
 import (
 	"encoding/binary"
 
-	"bestjoin/internal/match"
 	"bestjoin/internal/text"
 )
 
@@ -21,40 +20,30 @@ func CorruptPostingsForTest(c *Compact, word string) {
 	}
 }
 
+// SetBlockSizeForTest makes the tables c builds (ConceptBlocks) hold n
+// documents per block instead of BlockSize, so small test corpora span
+// many blocks; n ≤ 0 restores BlockSize. Partition passes the size on
+// to the shards. Call it before c serves queries. Not for production
+// use.
+func SetBlockSizeForTest(c *Compact, n int) { c.blockSize = n }
+
 // RejectedShapesForTest returns inputs every loader, and the
 // /swapindex endpoint, must refuse, each keyed by a phrase of the
 // ErrCorrupt-wrapped error that refuses it: c's postings unframed (the
-// bare pre-framing payload, no magic and no checksums); framed with a
-// correctly checksummed retired section 2 or 3; and framed with a
-// section 4 listing one concept key three times — two tables, then an
-// empty buffer. Not for production use.
+// bare pre-framing payload, no magic and no checksums), and framed with
+// a correctly checksummed retired section 2, 3 or 4. Not for
+// production use.
 func RejectedShapesForTest(c *Compact) map[string][]byte {
 	postings := c.marshalPostings()
-	framed := func(id byte, payload []byte) []byte {
+	framed := func(id byte) []byte {
 		b := binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 2)
-		return appendSection(appendSection(b, secPostings, postings), id, payload)
-	}
-	table := EncodeBlocks([]int{0}, []match.List{{{Loc: 0, Score: 1}}}, 0)
-	dup := binary.AppendUvarint(nil, 3)
-	for _, t := range [][]byte{table, table, nil} {
-		dup = binary.LittleEndian.AppendUint64(dup, 7)
-		dup = append(binary.AppendUvarint(dup, uint64(len(t))), t...)
+		return appendSection(appendSection(b, secPostings, postings), id, []byte{0})
 	}
 	return map[string][]byte{
-		"missing magic":      postings,
-		"section 2":          framed(2, []byte{0}),
-		"section 3":          framed(3, []byte{0}),
-		"section 4: entry 1": framed(secBlocks, dup),
-	}
-}
-
-// CorruptConceptBlocksForTest replaces a concept's registered block
-// buffer with bytes DecodeBlocks rejects, so ConceptBlocks panics: the
-// in-memory corruption the engine's block-table lookup must contain.
-// Not for production use.
-func CorruptConceptBlocksForTest(c *Compact, concept Concept) {
-	c.blocks[ConceptKey(concept)] = []byte{
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+		"missing magic": postings,
+		"section 2":     framed(2),
+		"section 3":     framed(3),
+		"section 4":     framed(4),
 	}
 }
 
@@ -87,32 +76,27 @@ func CorruptConceptPairPayloadForTest(c *Compact, a, b Concept, spec uint64) {
 }
 
 // CorruptConceptBlockPayloadForTest overwrites the payload area of a
-// concept's registered block buffer while leaving the palette and
-// skip table intact: ConceptBlocks still succeeds, but any per-block
-// directory or match-area decode fails. Exercises the engine's lazy
-// per-block failure paths. Not for production use.
-func CorruptConceptBlockPayloadForTest(c *Compact, concept Concept) {
-	b := c.blocks[ConceptKey(concept)]
-	bt, err := DecodeBlocks(b)
-	if err != nil || bt == nil {
-		panic("CorruptConceptBlockPayloadForTest: buffer must start valid")
+// built block table while leaving the palette and skip table intact:
+// the table still finds blocks, but every block's directory and
+// match-area decodes fail. Exercises the engine's lazy per-block
+// failure paths. Not for production use.
+func CorruptConceptBlockPayloadForTest(bt *BlockTable) {
+	if bt.NumBlocks() == 0 {
+		panic("CorruptConceptBlockPayloadForTest: table must have a block")
 	}
-	last := bt.Infos[len(bt.Infos)-1]
-	for i := len(b) - (last.Off + last.Len); i < len(b); i++ {
-		b[i] = 0xff
+	for i := range bt.payload {
+		bt.payload[i] = 0xff
 	}
 }
 
 // CorruptConceptBlockLastDocForTest sets the palette index of the last
-// match of a concept's registered unflagged table — the buffer's last
-// byte, a one-byte lane — to 0xff, outside any palette that small:
-// DecodeBlock rejects the last block, DecodeBlockDocs still indexes it,
-// and only its last document fails to decode. Not for production use.
-func CorruptConceptBlockLastDocForTest(c *Compact, concept Concept) {
-	b := c.blocks[ConceptKey(concept)]
-	bt, err := DecodeBlocks(b)
-	if err != nil || bt == nil || bt.wide || len(bt.Palette) >= 0xff {
-		panic("CorruptConceptBlockLastDocForTest: buffer must start valid, unflagged, with a small palette")
+// match of a built unflagged table — its payload's last byte, a
+// one-byte lane — to 0xff, outside any palette that small: DecodeBlock
+// rejects the last block, DecodeBlockDocs still indexes it, and only
+// its last document fails to decode. Not for production use.
+func CorruptConceptBlockLastDocForTest(bt *BlockTable) {
+	if bt.NumBlocks() == 0 || bt.wide || len(bt.Palette) >= 0xff {
+		panic("CorruptConceptBlockLastDocForTest: table must be non-empty, unflagged, with a small palette")
 	}
-	b[len(b)-1] = 0xff
+	bt.payload[len(bt.payload)-1] = 0xff
 }

@@ -26,7 +26,7 @@ func hookCorpus(t *testing.T, wide bool) (*Compact, Concept) {
 	return ix.Compact(), Concept{"amber": 1, "basalt": 0.9}
 }
 
-// hookTables registers the hook corpus's concept with small blocks
+// hookTables builds the hook corpus's concept table with small blocks
 // for each table shape, handing each to f as a subtest: "batch" is an
 // unflagged table, every value in a group-varint lane; "varint" is a
 // flagged one, whose 2^32 gaps travel as uvarint escapes.
@@ -34,9 +34,9 @@ func hookTables(t *testing.T, f func(t *testing.T, c *Compact, concept Concept))
 	for _, shape := range []string{"batch", "varint"} {
 		t.Run(shape, func(t *testing.T) {
 			c, concept := hookCorpus(t, shape == "varint")
-			c.AddConceptBlocksSized(concept, 4)
-			if flagged := c.blocks[ConceptKey(concept)][0] == 0; flagged != (shape == "varint") {
-				t.Fatalf("table flagged %v", flagged)
+			SetBlockSizeForTest(c, 4)
+			if bt, _ := c.ConceptBlocks(concept); bt.wide != (shape == "varint") {
+				t.Fatalf("table flagged %v", bt.wide)
 			}
 			f(t, c, concept)
 		})
@@ -61,22 +61,24 @@ func TestCorruptPostingsHookPanics(t *testing.T) {
 
 func TestCorruptConceptBlocksHookPanics(t *testing.T) {
 	hookTables(t, func(t *testing.T, c *Compact, concept Concept) {
-		CorruptConceptBlocksForTest(c, concept)
-		mustPanic(t, "ConceptBlocks on corrupt table", func() { c.ConceptBlocks(concept) })
+		CorruptPostingsForTest(c, "amber")
+		mustPanic(t, "ConceptBlocks on corrupt postings", func() { c.ConceptBlocks(concept) })
 	})
 }
 
 func TestCorruptConceptBlockPayloadHook(t *testing.T) {
 	hookTables(t, func(t *testing.T, c *Compact, concept Concept) {
-		CorruptConceptBlockPayloadForTest(c, concept)
-		// The skip table must still decode — the hook's point is that
-		// the failure is deferred to the lazy per-block path.
-		bt, ok := c.ConceptBlocks(concept)
-		if !ok || bt == nil {
+		bt, _ := c.ConceptBlocks(concept)
+		CorruptConceptBlockPayloadForTest(bt)
+		// The skip table must still find blocks — the hook's point is
+		// that the failure is deferred to the lazy per-block path.
+		if bt.FindBlock(0) != 0 {
 			t.Fatal("payload hook broke the skip table too")
 		}
-		if _, _, err := bt.DecodeBlock(len(bt.Infos) - 1); err == nil {
-			t.Fatal("last block decoded despite corrupted payload")
+		for i := range bt.Infos {
+			if _, err := bt.DecodeDocs(i); err == nil {
+				t.Fatalf("block %d directory decoded despite corrupted payload", i)
+			}
 		}
 	})
 }

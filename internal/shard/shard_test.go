@@ -7,8 +7,8 @@ package shard
 // the Partial/Degraded flags — is identical to a single engine over
 // the unsplit index, across conjunctive, disjunctive, and m-of-n
 // evaluation, all six scoring families, one worker and several,
-// pruning on and off, and with block tables registered at build time
-// (and re-cut by the partitioner) as well as built on demand per shard.
+// pruning on and off, and with block tables built from each shard's
+// postings at two block sizes.
 // scripts/check.sh runs it under -race, so the shared global floor
 // and the scatter goroutines are exercised for data races too.
 
@@ -146,8 +146,8 @@ func assertSameResult(t *testing.T, label string, sharded, single *engine.Result
 // TestShardDifferential is the core acceptance test: N ∈ {1, 2, 4}
 // shards versus the single engine across AND/OR/m-of-n × all six
 // scoring families × 1/4 workers × pruning on/off, over random
-// corpora whose block tables are registered or built on demand, in
-// rotation.
+// corpora whose block tables are built at the default block size or at
+// a small one, in rotation.
 func TestShardDifferential(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -157,15 +157,12 @@ func TestShardDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(4000 + int64(trial)))
 		compact := buildCompact(t, shardCorpus(rng))
 		concepts := shardConcepts(rng)
-		// Rotate how the concepts' block tables reach the engines: built
-		// on demand from each shard's postings, or registered on the
-		// whole index and re-cut per shard by Partition.
-		layout := "on-demand"
+		// Rotate the block size every engine builds its tables at, from
+		// the whole index's postings or from a shard's.
+		layout := "bs=default"
 		if trial%2 == 1 {
-			layout = "registered"
-			for _, c := range concepts {
-				compact.AddConceptBlocksSized(c, 16)
-			}
+			layout = "bs=16"
+			index.SetBlockSizeForTest(compact, 16)
 		}
 		k := 1 + rng.Intn(6)
 		minMatch := 1 + rng.Intn(len(concepts))
@@ -647,10 +644,9 @@ func TestShardEmptyAnswer(t *testing.T) {
 }
 
 // TestWideDocIDsEndToEnd serves a corpus whose document ids straddle
-// 2^32 — so every registered block table, and every table Partition
-// rebuilds, carries wide values — through the whole path:
-// AddConceptBlocks, Marshal, LoadCompact, a 3-way Partition and the
-// coordinator, conjunctive and disjunctive, graded bitwise against
+// 2^32 — so every block table a shard builds carries wide values —
+// through the whole path: Marshal, LoadCompact, a 3-way Partition and
+// the coordinator, conjunctive and disjunctive, graded bitwise against
 // joining Compact.QueryLists over the ids present.
 func TestWideDocIDsEndToEnd(t *testing.T) {
 	ids := []int{0, 1, math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 3,
@@ -666,9 +662,6 @@ func TestWideDocIDsEndToEnd(t *testing.T) {
 	}
 	built := ix.Compact()
 	concepts := []index.Concept{{"amber": 1, "basalt": 0.6}, {"cedar": 1, "delta": 0.8}, {"ember": 0.9}}
-	for _, c := range concepts {
-		built.AddConceptBlocks(c)
-	}
 	loaded, err := index.LoadCompact(built.Marshal())
 	if err != nil {
 		t.Fatal(err)

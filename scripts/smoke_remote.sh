@@ -14,11 +14,10 @@
 # nobody telling it to. The script waits (bounded) for every shard's
 # /shardstats to show PairServed growing, before and after the roll.
 #
-# The shards run -synth 400 with no pre-built -index file, so no block
-# table is registered: they must still serve through the block layer
-# (tables built on demand) — the path the benchmark measures — which
-# shows as "BlockDecodes" above 0 on each shard, before and after the
-# roll.
+# The shards run -synth 400. Like every process, they serve through the
+# block layer, building each concept's table from the postings on first
+# use — the path the benchmark measures — which shows as "BlockDecodes"
+# above 0 on each shard, before and after the roll.
 #
 # Needs curl or wget for HTTP; skips cleanly when neither is present
 # (the in-repo equivalent runs as TestRemoteRollingRestart).
