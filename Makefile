@@ -29,6 +29,7 @@ fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzLoadCompact -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzLoadFile -fuzztime=30s ./internal/index/
+	go test -run=Fuzz -fuzz=FuzzStemArrays -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBlocks -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzBlockDocs -fuzztime=30s ./internal/index/
@@ -47,7 +48,8 @@ profile:
 
 # Fault-injection chaos suite: the faultinject build tag arms the
 # injection sites, and -race proves the recovery paths (kernel
-# rebuild, degraded decode, cache repopulation) are data-race-free.
+# rebuild, degraded decode, racing first-use stem decodes) are
+# data-race-free.
 # scripts/check.sh runs this too; the target exists for quick local
 # iteration on the fault-tolerance layer.
 chaos:

@@ -1,8 +1,8 @@
 package bestjoin_test
 
 // Benchmarks for the concurrent indexed query engine: cold vs cached
-// query latency (the LRU match-list cache removes all posting
-// decompression from repeated queries) and worker-pool scaling (1
+// query latency (a stem's postings are decoded on its first use and
+// kept, so repeated queries decode nothing) and worker-pool scaling (1
 // worker vs GOMAXPROCS) on a synthetic corpus of 2000 documents.
 //
 //	go test -bench=BenchmarkEngine -benchmem
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"bestjoin"
+	"bestjoin/internal/index"
 	"bestjoin/internal/shard"
 )
 
@@ -79,33 +80,46 @@ func engineBenchQuery() bestjoin.EngineQuery {
 	}
 }
 
-// BenchmarkEngineColdVsCached compares a query that must build every
-// concept's block table from the postings and decode its blocks (what a
-// process pays once per concept and epoch) against the identical query
-// answered from the LRU caches.
+// BenchmarkEngineColdVsCached compares a concept's first query (what a
+// process pays once per stem and index epoch: each iteration loads a
+// fresh index from the marshalled bytes, untimed, so the query decodes
+// every member stem's postings into its arrays) against the identical
+// query repeated on one engine, which decodes nothing.
 func BenchmarkEngineColdVsCached(b *testing.B) {
-	c := engineBenchIndex()
+	raw := engineBenchIndex().Marshal()
 	q := engineBenchQuery()
 	b.Run("cold", func(b *testing.B) {
-		e := bestjoin.NewEngine(c, bestjoin.EngineConfig{CacheLists: 1 << 14})
 		b.ReportAllocs()
+		var st bestjoin.EngineStats
 		for i := 0; i < b.N; i++ {
-			e.ResetCache()
+			b.StopTimer()
+			c, err := bestjoin.LoadCompactIndex(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC() // the load's garbage is not the query's
+			b.StartTimer()
+			e := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
 			if _, err := e.Search(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
+			st = e.Stats()
 		}
 		b.StopTimer()
-		st := e.Stats()
-		b.ReportMetric(float64(st.BlocksSkipped)/float64(b.N), "blocksskipped/op")
-		b.ReportMetric(float64(st.BlockDecodes)/float64(b.N), "blockdecodes/op")
+		b.ReportMetric(float64(st.JoinsRun), "joins/op")
 	})
 	b.Run("cached", func(b *testing.B) {
-		e := bestjoin.NewEngine(c, bestjoin.EngineConfig{CacheLists: 1 << 14})
+		c, err := bestjoin.LoadCompactIndex(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
+		// The warm-up decodes the stems.
 		if _, err := e.Search(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
-		warm := e.Stats() // the warm-up query legitimately decodes
+		decoded := queryStems(b, c, q)
+		warm := e.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -114,13 +128,29 @@ func BenchmarkEngineColdVsCached(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		st := e.Stats()
-		if st.ConceptMisses+st.ListMisses > warm.ConceptMisses+warm.ListMisses {
-			b.Fatalf("cached runs decoded postings: %d concept + %d list misses after warm-up",
-				st.ConceptMisses-warm.ConceptMisses, st.ListMisses-warm.ListMisses)
+		for i, s := range queryStems(b, c, q) {
+			if s != decoded[i] {
+				b.Fatalf("cached runs decoded postings: stem %d's arrays were replaced after warm-up", i)
+			}
 		}
-		reportInvocations(b, st, warm)
+		reportInvocations(b, e.Stats(), warm)
 	})
+}
+
+// queryStems returns the arrays the index holds for every member stem
+// of q's concepts, in concept then stem order.
+func queryStems(b *testing.B, c *bestjoin.CompactIndex, q bestjoin.EngineQuery) []*index.StemArrays {
+	var out []*index.StemArrays
+	for _, concept := range q.Concepts {
+		stems, err := c.ConceptStems(concept)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range stems {
+			out = append(out, s.Arrays)
+		}
+	}
+	return out
 }
 
 // reportInvocations puts the two numbers /stats divides — joins and
@@ -130,111 +160,12 @@ func reportInvocations(b *testing.B, st, base bestjoin.EngineStats) {
 	b.ReportMetric(float64(st.KernelInvocations-base.KernelInvocations)/float64(b.N), "invocations/op")
 }
 
-// BenchmarkEngineCoalesced measures the cross-query coalescing layer
-// under its target workload: 8 goroutines issue the identical query
-// against a cold cache each iteration, so every block fetch races.
-// With coalescing on, one goroutine decodes each block and the rest
-// wait for its result — the per-iteration decode count stays at the
-// single-query baseline no matter how many queries run concurrently,
-// and the benchmark asserts that (with slack of 2 for the benign
-// window between the leader's cache publish and its flight removal,
-// where a late miss may lead a fresh flight). The nocoalesce twin
-// shows the duplicated decode work the layer removes. Pruning is off
-// in both so the decode count is a deterministic function of the
-// index rather than of scheduling-dependent heap state.
-func BenchmarkEngineCoalesced(b *testing.B) {
-	c := engineBenchIndex()
-	q := engineBenchQuery()
-	const conc = 8
-
-	base := bestjoin.NewEngine(c, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true})
-	if _, err := base.Search(context.Background(), q); err != nil {
-		b.Fatal(err)
-	}
-	single := base.Stats().BlockDecodes
-	if single == 0 {
-		b.Fatal("baseline query decoded no blocks; coalescing benchmark is vacuous")
-	}
-
-	// round runs conc copies of q at once against a cold cache.
-	round := func(b *testing.B, e *bestjoin.Engine) {
-		e.ResetCache()
-		var wg sync.WaitGroup
-		for g := 0; g < conc; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := e.Search(context.Background(), q); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	run := func(b *testing.B, cfg bestjoin.EngineConfig) (*bestjoin.Engine, bestjoin.EngineStats) {
-		// Coalescing only fires when goroutines actually overlap inside
-		// the decode window; on a single-core host the 8 query
-		// goroutines serialize and every fetch finds the leader's
-		// result already cached, reporting coalesceddecodes/op = 0 on
-		// both arms. Pin GOMAXPROCS above 1 so the arms genuinely race.
-		// This must happen inside the sub-benchmark: the test runner
-		// resets GOMAXPROCS to the -cpu value before each b.Run arm.
-		if prev := runtime.GOMAXPROCS(0); prev < 4 {
-			runtime.GOMAXPROCS(4)
-			defer runtime.GOMAXPROCS(prev)
-		}
-		e := bestjoin.NewEngine(c, cfg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			round(b, e)
-		}
-		b.StopTimer()
-		st := e.Stats()
-		b.ReportMetric(float64(st.BlockDecodes)/float64(b.N), "blockdecodes/op")
-		b.ReportMetric(float64(st.CoalescedDecodes)/float64(b.N), "coalesceddecodes/op")
-		b.ReportMetric(float64(st.DecodeWaits)/float64(b.N), "decodewaits/op")
-		return e, st
-	}
-
-	b.Run("coalesced", func(b *testing.B) {
-		e, st := run(b, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true})
-		if got := st.BlockDecodes / uint64(b.N); got > single+2 {
-			b.Fatalf("%d concurrent queries decoded %d blocks/op; single query needs %d — coalescing not collapsing shared decodes",
-				conc, got, single)
-		}
-		// A block's entry builds in microseconds, so the first query to
-		// reach its joins can build every entry before another arrives:
-		// one cold round shares no build about a third of the time.
-		// Sharing is judged over at least minRounds rounds — a run that
-		// timed fewer (the probe, -benchtime=1x) is topped up, untimed.
-		const minRounds = 12
-		shared := st.CoalescedDecodes
-		for r := b.N; shared == 0 && r < minRounds; r++ {
-			round(b, e)
-			shared = e.Stats().CoalescedDecodes
-		}
-		if shared == 0 {
-			b.Fatalf("coalesced arm shared no decodes across %d rounds of %d concurrent queries; the arm is not exercising the layer",
-				max(b.N, minRounds), conc)
-		}
-	})
-	b.Run("nocoalesce", func(b *testing.B) {
-		_, st := run(b, bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true, DisableCoalescing: true})
-		if st.CoalescedDecodes != 0 || st.DecodeWaits != 0 {
-			b.Fatalf("coalescing disabled but stats show %d coalesced / %d waits",
-				st.CoalescedDecodes, st.DecodeWaits)
-		}
-	})
-}
-
 // engineBenchPruningQuery is a query shaped for the top-k floor: a
 // steep score spread inside each concept (1 / 0.5 / 0.25), so most
-// candidates score well under the k-th kept entry. On this uniformly
-// random corpus every ~128-document block of its tables holds a
-// top-weight match, so the block-max bound retires nobody before its
-// join (only 1–2-document blocks would vary enough); its prunes are the
-// cache rung's, and the rest of the win is the kernel floor cutting the
+// candidates score well under the k-th kept entry. Its bounds take each
+// concept's exact maximum on a document, so a document holding only a
+// concept's weaker words is retired before its join; the cache rung
+// prunes more, and the rest of the win is the kernel floor cutting the
 // losing joins short.
 func engineBenchPruningQuery() bestjoin.EngineQuery {
 	return bestjoin.EngineQuery{
@@ -247,11 +178,13 @@ func engineBenchPruningQuery() bestjoin.EngineQuery {
 	}
 }
 
-// BenchmarkEnginePruning compares the cold query path with pruning on
-// (the default) and off. Both runs produce the identical top-k — the
+// BenchmarkEnginePruning compares the query path with pruning on (the
+// default) and off. Both runs produce the identical top-k — the
 // benchmark asserts it once up front — so the delta is pure join work
 // avoided or cut short; pruneddocs/op and joins/op make the skip rate
-// visible in BENCH_engine.json.
+// visible in BENCH_engine.json. (The arms keep their "/cold" names from
+// when each iteration dropped the engine's caches; the engine has none
+// now.)
 func BenchmarkEnginePruning(b *testing.B) {
 	c := engineBenchIndex()
 	q := engineBenchPruningQuery()
@@ -283,14 +216,13 @@ func BenchmarkEnginePruning(b *testing.B) {
 		name string
 		cfg  bestjoin.EngineConfig
 	}{
-		{"pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}},
-		{"unpruned", bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true}},
+		{"pruned", bestjoin.EngineConfig{}},
+		{"unpruned", bestjoin.EngineConfig{DisablePruning: true}},
 	} {
 		b.Run(mode.name+"/cold", func(b *testing.B) {
 			e := bestjoin.NewEngine(c, mode.cfg)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.ResetCache()
 				if _, err := e.Search(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
@@ -318,7 +250,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 	}
 	for _, workers := range []int{1, multi, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: workers, CacheLists: 1 << 14})
+			e := bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: workers})
 			if _, err := e.Search(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
@@ -346,7 +278,6 @@ func BenchmarkEngineAdmission(b *testing.B) {
 	c := engineBenchIndex()
 	q := engineBenchQuery()
 	e := bestjoin.NewEngine(c, bestjoin.EngineConfig{
-		CacheLists:  1 << 14,
 		MaxInFlight: 2,
 		Overload:    bestjoin.OverloadShed,
 	})
@@ -479,9 +410,9 @@ func BenchmarkEngineUnion(b *testing.B) {
 			cfg  bestjoin.EngineConfig
 			q    bestjoin.EngineQuery
 		}{
-			{"or/pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}, q},
-			{"or/unpruned", bestjoin.EngineConfig{CacheLists: 1 << 14, DisablePruning: true}, q},
-			{"m2/pruned", bestjoin.EngineConfig{CacheLists: 1 << 14}, m2},
+			{"or/pruned", bestjoin.EngineConfig{}, q},
+			{"or/unpruned", bestjoin.EngineConfig{DisablePruning: true}, q},
+			{"m2/pruned", bestjoin.EngineConfig{}, m2},
 		} {
 			b.Run(fam.prefix+bench.name, func(b *testing.B) {
 				e := bestjoin.NewEngine(c, bench.cfg)
@@ -519,7 +450,7 @@ func BenchmarkEngineUnion(b *testing.B) {
 func BenchmarkEngineSharded(b *testing.B) {
 	c := engineBenchIndex()
 	q := engineBenchQuery()
-	cfg := bestjoin.EngineConfig{CacheLists: 1 << 14}
+	cfg := bestjoin.EngineConfig{}
 
 	single := bestjoin.NewEngine(c, cfg)
 	want, err := single.Search(context.Background(), q)
@@ -590,7 +521,7 @@ func BenchmarkEngineRemote(b *testing.B) {
 	q := engineBenchQuery()
 	q.Join = nil
 	q.Spec = bestjoin.JoinSpec{Family: "win", Alpha: 0.1, Valid: true}
-	cfg := bestjoin.EngineConfig{CacheLists: 1 << 14}
+	cfg := bestjoin.EngineConfig{}
 
 	single := bestjoin.NewEngine(c, cfg)
 	want, err := single.Search(context.Background(), q)

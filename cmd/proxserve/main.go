@@ -110,8 +110,7 @@ func main() {
 		alpha   = flag.Float64("alpha", 0.1, "distance-decay rate for the exp scoring functions")
 		k       = flag.Int("k", 5, "number of documents to return per query")
 		workers = flag.Int("workers", 0, "join workers per query (0 = GOMAXPROCS)")
-		cache   = flag.Int("cache", 0, "match-list cache capacity in blocks of ~128 documents, each document decoded on first need (0 = default)")
-		cacheB  = flag.Int64("cache-bytes", 0, "additionally bound the match-list cache to this many bytes (0 = block count only)")
+		cache   = flag.Int("cache", 0, "ignored: the engine keeps no match-list cache (accepted so existing command lines still start)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-query deadline")
 		noprune = flag.Bool("noprune", false, "disable lossless max-score pruning (baseline mode)")
 		mode    = flag.String("mode", "and", "default query mode: and (every concept must match) or or (ranked union)")
@@ -181,7 +180,6 @@ func main() {
 		e := bestjoin.NewEngine(compact, bestjoin.EngineConfig{
 			Workers:          *workers,
 			CacheLists:       *cache,
-			CacheBytes:       *cacheB,
 			DisablePruning:   *noprune,
 			DisablePairIndex: *nopairs,
 			MaxInFlight:      *inflight,

@@ -77,31 +77,24 @@
 // For ranking whole corpora rather than single documents, NewEngine
 // wraps a compacted inverted index (CompactIndex) in a concurrent
 // query engine — candidate generation, per-document best-joins on a
-// worker pool, a global top-k heap, LRU-cached posting decoding,
-// context deadlines with partial results, and Stats/expvar
-// observability. The engine prunes losslessly by default: candidates
-// whose score cap over per-concept block-maximum match scores
-// (CheckCapWIN/MED/MAX probe a scoring function's caps) cannot beat
-// the current top-k floor are
-// skipped without joining, with output identical to the exhaustive
-// engine; EngineConfig.DisablePruning turns it off. Every concept is
-// served through a block table built from the stem postings on first
-// use, which moves the same pruning below the decode: candidate
-// generation walks per-block skip tables, blocks are decoded lazily
-// and in parallel on the worker pool, and blocks whose block-max score
-// bound cannot beat the top-k floor are skipped without touching their
-// bytes. Queries are conjunctive by default; EngineQuery.Mode =
-// ModeOR (with an optional m-of-n EngineQuery.MinMatch threshold)
-// instead ranks the union of documents matching at least m concepts
-// through a block-max WAND pivot walk, pruned by a union score bound
-// that remains sound for the paper's product-form scorers. On the warm
-// path, block buffers use a batched group-varint encoding (decoding
-// four integers per control byte, values past uint32 carried by an
-// in-band escape) and concurrent queries sharing a concept
-// coalesce their block decodes through a singleflight layer — one
-// decode per block no matter how many queries race, counted by
-// Stats().CoalescedDecodes and switchable off with
-// EngineConfig.DisableCoalescing. The implementation lives in
+// worker pool, a global top-k heap, context deadlines with partial
+// results, and Stats/expvar observability. A concept is the query-time
+// union of its member stems: each stem's postings are decoded into
+// plain arrays once, on the stem's first use, and a document's concept
+// match list is merged from them (best weight wins at a shared
+// position, as the paper's footnote 1 builds it) only when the
+// document is about to be joined. The engine prunes losslessly by
+// default: candidates whose score cap over each concept's exact
+// maximum on the document (CheckCapWIN/MED/MAX probe a scoring
+// function's caps) cannot beat the current top-k floor, or whose stems'
+// location masks put every window past the kernel's cut, are skipped
+// without merging or joining, with output identical to the exhaustive
+// engine; EngineConfig.DisablePruning turns it off. Queries are
+// conjunctive by default; EngineQuery.Mode = ModeOR (with an optional
+// m-of-n EngineQuery.MinMatch threshold) instead ranks the union of
+// documents matching at least m concepts through a WAND pivot walk,
+// pruned by a union score bound that remains sound for the paper's
+// product-form scorers. The implementation lives in
 // internal/engine; see cmd/proxserve for a runnable server and
 // examples/engine for a walkthrough.
 //

@@ -52,25 +52,21 @@ type Concept = index.Concept
 
 // Engine is a concurrent retrieval engine over a CompactIndex: it
 // evaluates multi-concept queries document-at-a-time on a sharded
-// worker pool, keeps a global top-k heap, caches decoded match lists
-// in an LRU, honors context deadlines (returning Partial results),
-// and exposes counters and latency histograms via Stats.
+// worker pool, keeps a global top-k heap, honors context deadlines
+// (returning Partial results), and exposes counters and latency
+// histograms via Stats.
+//
+// A concept is the query-time union of its member stems, whose
+// postings the index decodes into plain arrays once, on each stem's
+// first use; a document's concept match list is merged from them just
+// before its join. See DESIGN.md "Per-stem arrays".
 //
 // By default the engine prunes losslessly: candidates whose score
-// upper bound (from per-concept block-maximum match scores) is
+// upper bound (from each concept's exact maximum on the document) is
 // strictly below the current top-k floor are skipped without running
 // the join, with output guaranteed identical to the exhaustive engine
 // — see DESIGN.md "Score-upper-bound pruning". Set
 // EngineConfig.DisablePruning for the exhaustive baseline.
-//
-// Every concept is served through a block table the engine builds
-// from the stem postings the first time the concept is queried (and
-// keeps for the index epoch) — so the same pruning also works below
-// the decode: candidates come from
-// per-block skip tables, posting blocks are decoded lazily and in
-// parallel on the worker pool, and blocks whose block-max bound cannot
-// beat the floor are never decoded at all. See DESIGN.md "Block-max
-// skip layer".
 type Engine = engine.Engine
 
 // The engine degrades instead of dying under partial failure: kernel
@@ -79,7 +75,7 @@ type Engine = engine.Engine
 // and SwapIndex hot-reloads the live index without draining queries.
 // See DESIGN.md "Failure model & graceful degradation".
 
-// EngineConfig sizes an Engine: worker count, cache capacities, the
+// EngineConfig sizes an Engine: worker count, queue depth, the
 // DisablePruning switch (pruning is on by default), and the admission
 // control knobs MaxInFlight and Overload.
 type EngineConfig = engine.Config
@@ -90,9 +86,13 @@ var ErrOverloaded = engine.ErrOverloaded
 
 // ErrQueryTooWide is returned by Engine.Search (and the sharded and
 // remote tiers) for a query with more concepts than its kernel can
-// join — more than 24 under a WIN JoinSpec. Servers should map it to a
-// client error.
+// join — more than 24 under a WIN JoinSpec — or a concept of more than
+// MaxConceptStems member words. Servers should map it to a client
+// error.
 var ErrQueryTooWide = engine.ErrQueryTooWide
+
+// MaxConceptStems caps the member words of one query concept.
+const MaxConceptStems = engine.MaxConceptStems
 
 // OverloadPolicy selects what Search does at the MaxInFlight cap:
 // block until the caller's context expires, or shed immediately.
@@ -112,7 +112,7 @@ type EngineQuery = engine.Query
 
 // QueryMode selects conjunctive (AND, every concept must match) or
 // disjunctive (OR, ranked union) evaluation. Disjunctive queries run a
-// block-max WAND pivot walk and support m-of-n thresholds through
+// WAND pivot walk and support m-of-n thresholds through
 // EngineQuery.MinMatch; see DESIGN.md "Disjunctive retrieval & WAND
 // soundness" for the pruning-bound contract.
 type QueryMode = engine.QueryMode

@@ -228,6 +228,6 @@ func BenchmarkEnginePairs(b *testing.B) {
 		run(b, bestjoin.EngineConfig{})
 	})
 	b.Run("kernel", func(b *testing.B) {
-		run(b, bestjoin.EngineConfig{DisablePairIndex: true, CacheLists: 1 << 14})
+		run(b, bestjoin.EngineConfig{DisablePairIndex: true})
 	})
 }

@@ -1,10 +1,11 @@
 // The concurrent indexed query engine end-to-end: index a corpus,
 // compact it, and serve multi-concept queries document-at-a-time with
-// worker-pool joins, an LRU match-list cache, deadlines, and
-// observability — the full "query + corpus → ranked answers" path.
+// worker-pool joins, deadlines, and observability — the full
+// "query + corpus → ranked answers" path.
 //
-// The walkthrough runs the same query cold and cached (the second run
-// decodes no postings), then demonstrates a deadline-bounded query
+// The walkthrough runs the same query cold and again (the first run
+// decodes each stem's postings into plain arrays the index keeps, the
+// second decodes nothing), then demonstrates a deadline-bounded query
 // returning its best-so-far answer marked Partial, and finally prints
 // the engine's stats snapshot.
 //
@@ -46,16 +47,16 @@ func main() {
 		K:    3,
 	}
 
-	// Cold: every concept's postings are decoded and the per-document
-	// match lists enter the LRU cache.
+	// Cold: every stem the concepts name is decoded, once, into plain
+	// arrays the index keeps.
 	cold, err := eng.Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cold query:   %d candidates evaluated in %v\n", cold.Candidates, cold.Elapsed)
 
-	// Cached: the same query again — candidate sets and match lists
-	// come straight from the cache, no posting is decoded.
+	// Again: the stems are decoded already, so no posting is decoded;
+	// the match lists are merged from their arrays.
 	cached, err := eng.Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)

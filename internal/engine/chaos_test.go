@@ -4,8 +4,8 @@ package engine
 
 // Chaos differential harness: only compiled with -tags faultinject
 // (`make chaos` runs it under -race). Deterministic faults — kernel
-// panics, corrupt-decode panics, decode latency, cache-miss storms —
-// are injected into live queries, and every outcome is held to the
+// panics, corrupt-decode panics, decode latency — are injected into
+// live queries, and every outcome is held to the
 // fault-tolerance contract:
 //
 //   - no query ever returns an error or crashes the process;
@@ -46,19 +46,11 @@ func chaosFaults() []struct {
 			Rates:   map[faultinject.Site]float64{faultinject.DecodeLatency: 1},
 			Latency: 200 * time.Microsecond,
 		}},
-		{"cache-miss-storm", faultinject.Config{
-			Rates: map[faultinject.Site]float64{
-				faultinject.ListCacheMiss:    1,
-				faultinject.ConceptCacheMiss: 1,
-			},
-		}},
 		{"everything-at-once", faultinject.Config{
 			Rates: map[faultinject.Site]float64{
-				faultinject.KernelJoin:       0.2,
-				faultinject.ConceptDecode:    0.2,
-				faultinject.DecodeLatency:    0.5,
-				faultinject.ListCacheMiss:    0.3,
-				faultinject.ConceptCacheMiss: 0.3,
+				faultinject.KernelJoin:    0.2,
+				faultinject.ConceptDecode: 0.2,
+				faultinject.DecodeLatency: 0.5,
 			},
 			Latency: 100 * time.Microsecond,
 		}},
@@ -67,8 +59,9 @@ func chaosFaults() []struct {
 
 // TestChaosDifferential is the core of the harness: the full fault ×
 // worker-count × pruning matrix, three seeds and three queries per
-// cell (cold then cached paths), each outcome checked against the
-// fault-free baseline.
+// cell, each seed on a freshly built index (so its stems decode on
+// first use, where the decode faults fire), each outcome checked
+// against the fault-free baseline.
 func TestChaosDifferential(t *testing.T) {
 	c := buildCompact(t, testCorpus(120, 41))
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
@@ -85,6 +78,7 @@ func TestChaosDifferential(t *testing.T) {
 					for seed := int64(1); seed <= 3; seed++ {
 						cfg := fault.cfg
 						cfg.Seed = seed
+						e.SwapIndex(buildCompact(t, testCorpus(120, 41)))
 						faultinject.Activate(cfg)
 						for round := 0; round < 3; round++ {
 							res, err := e.Search(context.Background(),
@@ -120,7 +114,7 @@ func TestChaosDifferential(t *testing.T) {
 					}
 
 					// Injection off: the engine must be fully healthy, its
-					// caches unpoisoned by whatever just happened.
+					// index unpoisoned by whatever just happened.
 					res, err := e.Search(context.Background(),
 						Query{Concepts: testConcepts(), Join: jn, K: k})
 					if err != nil || res.Degraded || res.Partial {
@@ -154,12 +148,14 @@ func TestChaosCountersMatchInjections(t *testing.T) {
 			faultinject.ConceptDecode: 0.3,
 		},
 	})
+	// A stem whose decode fired keeps nothing, so a later round decodes
+	// it again: decode faults fire until every stem is in, and the
+	// kernel faults once the concepts resolve.
 	for round := 0; round < 4; round++ {
 		if _, err := e.Search(context.Background(),
 			Query{Concepts: testConcepts(), Join: jn, K: 5}); err != nil {
 			t.Fatal(err)
 		}
-		e.ResetCache() // force fresh decodes so ConceptDecode keeps firing
 	}
 	kernelFired := faultinject.Fired(faultinject.KernelJoin)
 	decodeFired := faultinject.Fired(faultinject.ConceptDecode)
@@ -181,8 +177,8 @@ func TestChaosCountersMatchInjections(t *testing.T) {
 
 // TestChaosConcurrentQueries runs the everything-at-once profile from
 // many goroutines at once; under `make chaos` this executes with -race,
-// so it proves the recovery paths (kernel rebuild, cd.failed, cache
-// repopulation) are data-race-free, not just crash-free.
+// so it proves the recovery paths (kernel rebuild, cd.failed, racing
+// first-use stem decodes) are data-race-free, not just crash-free.
 func TestChaosConcurrentQueries(t *testing.T) {
 	c := buildCompact(t, testCorpus(100, 47))
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
@@ -191,11 +187,9 @@ func TestChaosConcurrentQueries(t *testing.T) {
 	faultinject.Activate(faultinject.Config{
 		Seed: 11,
 		Rates: map[faultinject.Site]float64{
-			faultinject.KernelJoin:       0.2,
-			faultinject.ConceptDecode:    0.1,
-			faultinject.DecodeLatency:    0.5,
-			faultinject.ListCacheMiss:    0.3,
-			faultinject.ConceptCacheMiss: 0.3,
+			faultinject.KernelJoin:    0.2,
+			faultinject.ConceptDecode: 0.1,
+			faultinject.DecodeLatency: 0.5,
 		},
 		Latency: 50 * time.Microsecond,
 	})
@@ -235,133 +229,6 @@ func TestChaosConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-}
-
-// TestChaosCoalescedDecodes points the chaos harness at the decode
-// coalescing layer: block-served concepts, full-rate decode
-// latency to hold flights open while waiters pile up, and a burst of
-// identical concurrent queries. Every query must complete (the
-// deferred flight completion means no leader outcome can strand a
-// waiter), every returned document must carry a healthy score, and the
-// flight map must drain.
-func TestChaosCoalescedDecodes(t *testing.T) {
-	c := buildCompact(t, testCorpus(100, 53))
-	concepts := testConcepts()
-	index.SetBlockSizeForTest(c, 8)
-	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
-	fullRanking := bruteForce(c, concepts, jn, c.Docs())
-	e := New(c, Config{Workers: 4})
-	faultinject.Activate(faultinject.Config{
-		Seed: 13,
-		Rates: map[faultinject.Site]float64{
-			faultinject.DecodeLatency: 1,
-			faultinject.ListCacheMiss: 1, // every fetch misses: flights form every round
-		},
-		Latency: 300 * time.Microsecond,
-	})
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8*4)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 4; round++ {
-				res, err := e.Search(context.Background(),
-					Query{Concepts: concepts, Join: jn, K: 5})
-				if err != nil {
-					errs <- fmt.Errorf("round %d: %v", round, err)
-					return
-				}
-				for _, d := range res.Docs {
-					found := false
-					for _, w := range fullRanking {
-						if w.Doc == d.Doc && w.Score == d.Score {
-							found = true
-							break
-						}
-					}
-					if !found {
-						errs <- fmt.Errorf("round %d: doc %d score %v not in healthy ranking", round, d.Doc, d.Score)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	faultinject.Deactivate()
-	for err := range errs {
-		t.Error(err)
-	}
-	e.flights.mu.Lock()
-	leaked := len(e.flights.m)
-	e.flights.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d flight entries leaked", leaked)
-	}
-	st := e.Stats()
-	if st.DecodeWaits < st.CoalescedDecodes {
-		t.Fatalf("CoalescedDecodes %d exceeds DecodeWaits %d", st.CoalescedDecodes, st.DecodeWaits)
-	}
-}
-
-// TestChaosCoalescedLeaderFailure injects decode panics at full rate:
-// every flight's leader fails, so every waiter must receive the shared
-// failure — degraded results, no errors, no deadlock, no waiter left
-// blocked — and the engine must be healthy again once injection stops.
-func TestChaosCoalescedLeaderFailure(t *testing.T) {
-	c := buildCompact(t, testCorpus(80, 59))
-	concepts := testConcepts()
-	index.SetBlockSizeForTest(c, 8)
-	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
-	e := New(c, Config{Workers: 4})
-	baseline, err := e.Search(context.Background(),
-		Query{Concepts: concepts, Join: jn, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ResetCache()
-	faultinject.Activate(faultinject.Config{
-		Seed: 17,
-		Rates: map[faultinject.Site]float64{
-			faultinject.ConceptDecode: 1,
-			faultinject.DecodeLatency: 1,
-		},
-		Latency: 200 * time.Microsecond,
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := e.Search(context.Background(),
-				Query{Concepts: concepts, Join: jn, K: 5})
-			if err != nil {
-				t.Errorf("failed flights must degrade, not error: %v", err)
-				return
-			}
-			if !res.Degraded {
-				t.Error("every decode failed yet the result is not degraded")
-			}
-		}()
-	}
-	wg.Wait()
-	faultinject.Deactivate()
-	e.flights.mu.Lock()
-	leaked := len(e.flights.m)
-	e.flights.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d flight entries leaked", leaked)
-	}
-	// Injection off: fully healthy again, bitwise back to baseline.
-	res, err := e.Search(context.Background(),
-		Query{Concepts: concepts, Join: jn, K: 5})
-	if err != nil || res.Degraded || res.Partial {
-		t.Fatalf("engine unhealthy after chaos: %v %+v", err, res)
-	}
-	assertIdentical(t, "post-chaos", res, baseline)
 }
 
 // appearsInSomeSubset reports whether one returned document carries
@@ -428,6 +295,7 @@ func TestChaosDifferentialUnion(t *testing.T) {
 					for seed := int64(1); seed <= 3; seed++ {
 						cfg := fault.cfg
 						cfg.Seed = seed
+						e.SwapIndex(buildCompact(t, testCorpus(120, 43)))
 						faultinject.Activate(cfg)
 						for round := 0; round < 3; round++ {
 							res, err := e.Search(context.Background(),

@@ -131,9 +131,6 @@ func TestDifferentialPrunedVsUnpruned(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + int64(trial)))
 		compact := buildCompact(t, diffCorpus(rng))
 		concepts := diffConcepts(rng)
-		// Rotate how the concepts' block tables reach the engine.
-		layout := diffLayouts()[trial%len(diffLayouts())]
-		layout.apply(compact)
 		k := 1 + rng.Intn(6)
 		for _, workers := range []int{1, 4} {
 			for _, fam := range diffFamilies() {
@@ -148,8 +145,8 @@ func TestDifferentialPrunedVsUnpruned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("trial %d %s workers=%d k=%d %s",
-					trial, fam.name, workers, k, layout.name)
+				label := fmt.Sprintf("trial %d %s workers=%d k=%d",
+					trial, fam.name, workers, k)
 				assertIdentical(t, label, rp, ru)
 				if got := int(pruned.Stats().PrunedDocs); got != rp.Pruned {
 					t.Fatalf("%s: Result.Pruned %d != stats PrunedDocs %d", label, rp.Pruned, got)

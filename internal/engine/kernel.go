@@ -154,28 +154,39 @@ func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
 	return wk
 }
 
-// safeJoin runs one kernel invocation under recover: a panic in
-// CutWidth, in SetFloor, in Reset, in Join, or injected at the
-// KernelJoin site is contained to this one document. The kernel must be
-// treated as poisoned after a panic — its scratch may be mid-mutation.
-// A Floored kernel first takes the cache rung: when the lists'
-// signatures sigs prove every window of one match per list at least
-// its cut width at bar (join.Apart), the window screen would cut the
-// document, so the join does not run and rungCut reports it. Otherwise
-// the kernel is armed with the bar, so ok == false also means "ranks
-// strictly below the k-th kept entry" (the kernel-floor screen,
-// DESIGN.md).
-func safeJoin(kern workerKernel, bar float64, lists match.Lists, sigs []join.Sig) (set match.Set, score float64, ok, rungCut, panicked bool) {
+// rungCut runs the cache rung of a Floored kernel under recover: when
+// the lists' signatures sigs prove every window of one match per list
+// at least the kernel's cut width at bar (join.Apart), the window
+// screen would cut the document, so it need not be joined — nor its
+// lists merged. A kernel without a window screen never cuts. A panic
+// in CutWidth poisons the kernel, like one in a join.
+func rungCut(kern workerKernel, bar float64, sigs []join.Sig) (cut, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			set, score, ok, rungCut, panicked = nil, 0, false, false, true
+			cut, panicked = false, true
+		}
+	}()
+	if fk := kern.floored; fk != nil {
+		w, cuts := fk.CutWidth(sigs, bar)
+		return cuts && join.Apart(sigs, w), false
+	}
+	return false, false
+}
+
+// safeJoin runs one kernel invocation under recover: a panic in
+// SetFloor, in Reset, in Join, or injected at the KernelJoin site is
+// contained to this one document. The kernel must be treated as
+// poisoned after a panic — its scratch may be mid-mutation. A Floored
+// kernel is armed with bar, so ok == false also means "ranks strictly
+// below the k-th kept entry" (the kernel-floor screen, DESIGN.md).
+func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set, score float64, ok, panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			set, score, ok, panicked = nil, 0, false, true
 		}
 	}()
 	faultinject.MaybePanic(faultinject.KernelJoin)
 	if fk := kern.floored; fk != nil {
-		if w, cuts := fk.CutWidth(sigs, bar); cuts && join.Apart(sigs, w) {
-			return nil, 0, false, true, false
-		}
 		fk.SetFloor(bar)
 	}
 	kern.Reset(nil, lists)
@@ -189,13 +200,18 @@ func safeJoin(kern workerKernel, bar float64, lists match.Lists, sigs []join.Sig
 // the bounder is failed, the evaluation yields +Inf, which never
 // prunes, and the query goes on unpruned, which is always sound. It
 // remembers its last evaluation: consecutive candidates and pivots
-// mostly carry bit-identical maxima (they are block-level), and the cap
-// is a function of its arguments alone, so those take the same float
-// without calling the kernel. It belongs to one dispatcher goroutine.
+// often carry bit-identical maxima (a concept's maximum on a document
+// is one of its stem weights), and the cap is a function of its
+// arguments alone, so those take the same float without calling the
+// kernel. It also runs the cache rung at dispatch (cuts), through the
+// same kernel when it is Floored. It belongs to one dispatcher
+// goroutine.
 type bounder struct {
 	e      *Engine
 	ub     join.UpperBounded
+	fl     join.Floored // nil: no rung at dispatch
 	failed bool
+	maxima []float64 // scratch for boundSigs
 	// have: lastMax, lastMin and lastBound hold the last successful
 	// evaluation — the arguments' exact bits, in the order given, and
 	// the cap they produced.
@@ -215,10 +231,39 @@ func (e *Engine) bounderFor(factory KernelFactory) (b *bounder) {
 			b = nil
 		}
 	}()
-	if ub, ok := factory().(join.UpperBounded); ok {
-		return &bounder{e: e, ub: ub}
+	k := factory()
+	if ub, ok := k.(join.UpperBounded); ok {
+		fl, _ := k.(join.Floored)
+		return &bounder{e: e, ub: ub, fl: fl}
 	}
 	return nil
+}
+
+// boundSigs is bound over the maxima of sigs.
+func (b *bounder) boundSigs(sigs []join.Sig, minMatch int) float64 {
+	b.maxima = b.maxima[:0]
+	for _, s := range sigs {
+		b.maxima = append(b.maxima, s.Max)
+	}
+	return b.bound(b.maxima, minMatch)
+}
+
+// cuts runs the cache rung at dispatch: whether the kernel's window
+// screen would cut a document whose lists have signatures sigs, at
+// bar. A panic in CutWidth is counted and turns the rung off for the
+// rest of the query; the workers' own rung still runs.
+func (b *bounder) cuts(sigs []join.Sig, bar float64) (cut bool) {
+	if b.fl == nil {
+		return false
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			b.e.counters.joinPanics.Add(1)
+			b.fl, cut = nil, false
+		}
+	}()
+	w, ok := b.fl.CutWidth(sigs, bar)
+	return ok && join.Apart(sigs, w)
 }
 
 // bound evaluates the kernel's cap over perListMax for minMatch; a panic

@@ -79,7 +79,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 		floor := top.entry()
 		if e.prune && info.MaxScore < floor.bar(info.FirstDoc) {
 			// The whole block provably ranks below the k-th kept entry:
-			// skip it without decoding, like the block-max skip layer.
+			// skip it without decoding.
 			pruned += info.NDocs
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,7 +142,6 @@ func TestLateLowIdsStillWin(t *testing.T) {
 	}
 	for _, arm := range arms {
 		compact := buildCompact(t, arm.docs)
-		index.SetBlockSizeForTest(compact, 8)
 		q := arm.query
 		q.Join, q.K = factory, k
 		want, err := New(compact, Config{Workers: 8, DisablePruning: true}).Search(context.Background(), q)
@@ -394,11 +394,11 @@ func TestPlanBoundsRemembersEqualMaxima(t *testing.T) {
 		{1, 0.5}, // only the predecessor is remembered
 	}
 	wantCalls := 6
-	var perListMax []float64
+	var sigs []join.Sig
 	for _, m := range maxima {
-		perListMax = append(perListMax, m[:]...)
+		sigs = append(sigs, join.Sig{Max: m[0]}, join.Sig{Max: m[1]})
 	}
-	bounds := e.planBounds(factory, make([]int, len(maxima)), perListMax, 2)
+	_, bounds := e.planBounds(factory, sigs, 2)
 	if kern.calls != wantCalls {
 		t.Fatalf("%d evaluations for %d candidates, want %d", kern.calls, len(maxima), wantCalls)
 	}
@@ -407,8 +407,50 @@ func TestPlanBoundsRemembersEqualMaxima(t *testing.T) {
 			t.Fatalf("candidate %d: bound %v, want %v", i, bounds[i], want)
 		}
 	}
-	perListMax[len(perListMax)-1] = -1
-	if bounds := e.planBounds(factory, make([]int, len(maxima)), perListMax, 2); bounds != nil || e.Stats().JoinPanics != 1 {
+	sigs[len(sigs)-1].Max = -1
+	if _, bounds := e.planBounds(factory, sigs, 2); bounds != nil || e.Stats().JoinPanics != 1 {
 		t.Fatalf("a panicking bound: bounds %v, JoinPanics %d, want nil and 1", bounds, e.Stats().JoinPanics)
+	}
+}
+
+// TestBoundOrderNaN: a NaN bound (a kernel cap may propagate one on
+// purpose; a NaN bound never prunes) still yields a permutation of the
+// candidates: the dispatch order decides only how soon the floor rises,
+// never the answer.
+func TestBoundOrderNaN(t *testing.T) {
+	nan := math.NaN()
+	order := boundOrder([]float64{1, nan, 3, nan, 2, nan, 3})
+	if got := slices.Sorted(slices.Values(order)); !slices.Equal(got, []int{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("order %v is not a permutation", order)
+	}
+}
+
+// TestNegativeWeightWINServes: under the "win" family a negative
+// concept weight makes a candidate's score cap NaN (ExpWIN.G is a
+// logarithm). The query must still be answered, exactly as the
+// unpruned engine answers it — with a few candidates, where the
+// dispatch order is computed over NaN and finite bounds alike, and
+// with many.
+func TestNegativeWeightWINServes(t *testing.T) {
+	few := []string{
+		"lenovo nba partnership",
+		"dell olympics alliance",
+		"lenovo basketball deal",
+		"hewlett nba deal lenovo",
+	}
+	for name, docs := range map[string][]string{"few": few, "many": testCorpus(300, 12)} {
+		compact := buildCompact(t, docs)
+		concepts := testConcepts()
+		concepts[0] = index.Concept{"lenovo": -0.5, "dell": 0.9, "hewlett": 0.8}
+		q := Query{Concepts: concepts, Spec: KernelSpec{Family: "win", Alpha: 0.07}, K: 10}
+		got, err := New(compact, Config{Workers: 2}).Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(compact, Config{Workers: 2, DisablePruning: true}).Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameDocs(t, name, got.Docs, want.Docs)
 	}
 }

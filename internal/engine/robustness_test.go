@@ -11,6 +11,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -413,4 +416,148 @@ func TestQueryTooWideRejectedOnce(t *testing.T) {
 	if res, err := e.Search(context.Background(), q); err != nil || res.Degraded {
 		t.Fatalf("%d-concept MED query: err %v, result %+v", len(wide), err, res)
 	}
+}
+
+// wideConcept is a concept of n distinct member words, one of which
+// (lenovo) occurs in the test corpus.
+func wideConcept(n int) index.Concept {
+	c := index.Concept{"lenovo": 1}
+	for i := 1; i < n; i++ {
+		c[fmt.Sprintf("zz%dq", i)] = 0.5
+	}
+	return c
+}
+
+// TestConceptStemsCapped holds Search to MaxConceptStems: a concept of
+// MaxConceptStems member words is served, one more is refused before
+// any work, like a K above MaxK, whatever the mode and kernel.
+func TestConceptStemsCapped(t *testing.T) {
+	e := New(buildCompact(t, testCorpus(40, 3)), Config{Workers: 2})
+	spec := KernelSpec{Family: "med", Alpha: 0.1}
+	for _, tc := range []struct {
+		name  string
+		words int
+		mode  QueryMode
+		ok    bool
+	}{
+		{"and at the cap", MaxConceptStems, ModeAND, true},
+		{"or at the cap", MaxConceptStems, ModeOR, true},
+		{"and past the cap", MaxConceptStems + 1, ModeAND, false},
+		{"or past the cap", MaxConceptStems + 1, ModeOR, false},
+	} {
+		before := e.Stats().Queries
+		q := Query{Concepts: []index.Concept{testConcepts()[1], wideConcept(tc.words)}, Spec: spec, Mode: tc.mode}
+		_, err := e.Search(context.Background(), q)
+		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, ErrQueryTooWide) {
+			t.Fatalf("%s: err %v", tc.name, err)
+		}
+		if admitted := e.Stats().Queries - before; admitted != map[bool]uint64{true: 1, false: 0}[tc.ok] {
+			t.Fatalf("%s: %d queries admitted", tc.name, admitted)
+		}
+	}
+}
+
+// TestSwapIndexRacesFirstUseDecodes swaps the index while queries race
+// the first-use decodes of the same stems, on both epochs: each swap
+// installs a freshly built index, so every epoch decodes its stems
+// under concurrent queries. Every answer must equal the reference
+// ranking of the epoch it was pinned to, and each index must hold only
+// arrays decoded from its own postings — none from another epoch's.
+// Run under -race (scripts/check.sh), this is the lifecycle sequence
+// search / swap / first-use decode.
+func TestSwapIndexRacesFirstUseDecodes(t *testing.T) {
+	corpora := [][]string{testCorpus(150, 61), testCorpus(120, 67)}
+	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
+	q := Query{Concepts: testConcepts(), Join: jn, K: 8}
+	var refs [2][]DocResult
+	for i, docs := range corpora {
+		refs[i] = bruteForce(buildCompact(t, docs), testConcepts(), jn, 8)
+	}
+	const epochs = 6
+	idxs := make([]*index.Compact, epochs)
+	for ep := range idxs {
+		idxs[ep] = buildCompact(t, corpora[ep%2])
+	}
+	e := New(idxs[0], Config{Workers: 2})
+	var served [epochs]atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 16)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := e.Snapshot()
+				res, err := e.SearchSnapshot(context.Background(), q, snap)
+				if err == nil && (res.Degraded || res.Partial) {
+					err = fmt.Errorf("epoch %d: degraded %v partial %v", snap.Epoch(), res.Degraded, res.Partial)
+				}
+				if err == nil && !equalDocs(res.Docs, refs[snap.Epoch()%2]) {
+					err = fmt.Errorf("epoch %d: answer differs from its reference", snap.Epoch())
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				served[snap.Epoch()].Add(1)
+			}
+		}()
+	}
+	// Each epoch serves a few queries — the first of them racing its
+	// decodes — before the next swap.
+	for ep := 0; ep < epochs; ep++ {
+		for deadline := time.Now().Add(5 * time.Second); served[ep].Load() < 4 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if ep+1 < epochs {
+			e.SwapIndex(idxs[ep+1])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for ep := range served {
+		if served[ep].Load() == 0 {
+			t.Fatalf("epoch %d served no query", ep)
+		}
+	}
+	for ep, idx := range idxs {
+		for _, c := range testConcepts() {
+			stems, err := idx.ConceptStems(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range stems {
+				for other, o := range idxs {
+					if arr, _ := o.Stem(s.Stem); other != ep && arr == s.Arrays {
+						t.Fatalf("stem %q: epochs %d and %d share arrays", s.Stem, ep, other)
+					}
+				}
+				fresh, _ := buildCompact(t, corpora[ep%2]).Stem(s.Stem)
+				if !reflect.DeepEqual(flatten(s.Arrays), flatten(fresh)) {
+					t.Fatalf("epoch %d stem %q: arrays hold other postings than the index's", ep, s.Stem)
+				}
+			}
+		}
+	}
+}
+
+// flatten lists a stem's arrays as postings.
+func flatten(s *index.StemArrays) []index.Posting {
+	var out []index.Posting
+	for i := 0; i < s.Len(); i++ {
+		for j := s.Start(i); j < s.End(i); j++ {
+			out = append(out, index.Posting{Doc: s.Doc(i), Pos: s.Pos(j)})
+		}
+	}
+	return out
 }

@@ -64,12 +64,18 @@ type Query struct {
 // as one recovered kernel panic per candidate document.
 var ErrQueryTooWide = errors.New("engine: query too wide for its kernel")
 
-// CheckWidth reports ErrQueryTooWide when the query's Spec names a
+// CheckWidth reports ErrQueryTooWide when a concept has more than
+// MaxConceptStems member words, or when the query's Spec names a
 // kernel that cannot join len(Concepts) lists. Engine.Search, the
 // shard coordinator and the remote shard server all call it before any
 // work is done. An opaque Join factory cannot be inspected; custom
 // factories cap their own width.
 func (q Query) CheckWidth() error {
+	for j, c := range q.Concepts {
+		if len(c) > MaxConceptStems {
+			return fmt.Errorf("%w: concept %d has %d member words, at most %d", ErrQueryTooWide, j, len(c), MaxConceptStems)
+		}
+	}
 	if q.Spec.Family == "win" && len(q.Concepts) > join.MaxWINTerms {
 		return fmt.Errorf("%w: WIN joins at most %d concepts, got %d", ErrQueryTooWide, join.MaxWINTerms, len(q.Concepts))
 	}
@@ -259,13 +265,10 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 		}
 	}
 
-	// Candidate generation: resolve each concept's block table
-	// (cache-assisted) and intersect by a cursor walk that gallops over
-	// block doc-ranges from the skip tables, decoding only the block
-	// directories the intersection actually enters. The context is
-	// checked before each concept, so a cancelled query builds no
-	// further table from the postings; a table it did build stays in
-	// the concept cache for the next query.
+	// Candidate generation: resolve each concept's stems and intersect
+	// by a leapfrog walk whose cursors gallop over the stems' document
+	// arrays. The context is checked before each concept, so a
+	// cancelled query decodes no further stem.
 	cds := make([]*conceptData, len(q.Concepts))
 	for j, c := range q.Concepts {
 		if ctx.Err() != nil {
@@ -277,7 +280,8 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	if union {
 		return e.searchUnion(qs, q, cds, minMatch, k, start), nil
 	}
-	candidates, at := e.intersectCursors(qs, cds)
+	cands := intersectCursors(qs, cds)
+	candidates, sigs := cands.docs, cands.sigs
 
 	// No candidate contains every concept: the answer is empty and
 	// final, so skip the worker pool entirely. (A concept whose decode
@@ -290,30 +294,31 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	}
 
 	// Max-score pruning setup: when the query's kernel can cap a
-	// document's score from its per-list maxima, compute every
+	// document's score from its per-list maxima — each concept's exact
+	// maximum on the document, its signature's Max — compute every
 	// candidate's upper bound and order candidates by bound,
 	// descending (ties keep ascending document order). Processing the
 	// most promising documents first drives the top-k floor up
 	// quickly, so later, weaker candidates are skipped before their
-	// join — or even before their blocks are decoded. A factory
-	// or bound that panics here downgrades the query to the unpruned
-	// (still correct) path.
+	// join, and before their lists are merged. A factory or bound that
+	// panics here downgrades the query to the unpruned (still correct)
+	// path.
 	nc := len(cds)
 	var bounds []float64
 	var order []int // candidate indices in dispatch order; nil = as-is
+	var ub *bounder
 	if e.prune {
-		if bounds = e.planBounds(q.Join, candidates, blockMaxima(cds, at), nc); bounds != nil {
+		if ub, bounds = e.planBounds(q.Join, sigs, nc); bounds != nil {
 			order = boundOrder(bounds)
 		}
 	}
 
 	// Worker pool: candidates flow through one shared channel in
-	// dispatchChunk batches, so channel operations and top-k floor
+	// dispatchChunk batches (chunker), so channel operations and top-k floor
 	// loads amortize across a chunk instead of costing one each per
 	// document (the flat-worker-scaling fix). The dispatcher only
-	// screens and ships; workers fetch each job's match lists — lazy
-	// per-block decode fanned out across the pool — run joins, and
-	// offer results to the shared top-k heap. The heap's result is
+	// screens and ships; workers merge each job's match lists, run
+	// joins, and offer results to the shared top-k heap. The heap's result is
 	// insertion-order independent (ties break on document id, and the
 	// floor only rises), so unsharded dispatch cannot change answers.
 	// Each worker builds one kernel from the query's factory and reuses
@@ -334,28 +339,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	var wg sync.WaitGroup
 	e.joinWorkers(qs, q.Join, cds, workers, jobs, top, &evaluated, &pruned, &wg)
 
-	// One flat backing array for every job's lists header, and one for
-	// the jobs themselves: chunks are subslices of jobsBacking (which
-	// never grows past its capacity), so dispatch allocates nothing
-	// per chunk and the slices workers receive are never reallocated
-	// under them.
-	backing := make(match.Lists, len(candidates)*nc)
-	jobsBacking := make([]docJob, 0, len(candidates))
-	pending := 0 // jobs appended but not yet shipped
-	ship := func() bool {
-		chunk := jobsBacking[len(jobsBacking)-pending:]
-		// Counted before the send: the receiving worker uncounts it at
-		// once, and the gauge must not read below zero meanwhile.
-		e.counters.queueDepth.Add(int64(len(chunk)))
-		select {
-		case jobs <- chunk:
-			pending = 0
-			return true
-		case <-ctx.Done():
-			e.counters.queueDepth.Add(-int64(len(chunk)))
-			return false
-		}
-	}
+	ch := chunker{e: e, ctx: ctx, jobs: jobs, width: nc}
 	flushFloor := top.entry()
 dispatch:
 	for oi := 0; oi < len(candidates); oi++ {
@@ -376,31 +360,23 @@ dispatch:
 			// Screen before shipping: a document whose bound ranks
 			// strictly below the k-th kept entry (floorEntry.bar)
 			// cannot displace any kept document (the entry only
-			// improves), so skipping its join — and its block fetches
-			// — loses nothing.
-			if bound < flushFloor.bar(candidates[i]) {
+			// improves), so skipping its join loses nothing; nor does
+			// skipping one the cache rung cuts at that bar.
+			bar := flushFloor.bar(candidates[i])
+			if bound < bar || ub.cuts(sigs[i*nc:(i+1)*nc], bar) {
 				pruned.Add(1)
 				e.counters.prunedDocs.Add(1)
 				continue
 			}
 		}
-		jobsBacking = append(jobsBacking, docJob{doc: candidates[i], bound: bound,
-			lists: backing[i*nc : (i+1)*nc : (i+1)*nc], at: at[i*nc : (i+1)*nc]})
-		if pending++; pending == dispatchChunk {
-			if !ship() {
-				break dispatch
-			}
+		if !ch.add(docJob{doc: candidates[i], bound: bound, sigs: sigs[i*nc : (i+1)*nc],
+			locs: cands.locs[cands.start[i]:cands.start[i+1]], nlocs: cands.nlocs[i*nc : (i+1)*nc]}, nc) {
+			break dispatch
 		}
 	}
-	if pending > 0 {
-		ship()
-	}
+	ch.ship()
 	close(jobs)
 	wg.Wait()
-
-	// Candidate blocks no worker ever fetched were pruned below
-	// decode: their bytes were never touched.
-	e.countSkippedBlocks(cds)
 
 	res.Docs = top.results()
 	res.Evaluated = int(evaluated.Load())
@@ -427,22 +403,24 @@ func (e *Engine) finish(qs *queryState, res *Result, start time.Time) *Result {
 	return res
 }
 
-// planBounds computes every candidate's cap from its per-list maxima
-// through the query kernel's bounder. nil means no bounds — the kernel
-// has no cap, or the factory or a cap evaluation panicked (recovered
-// and counted) — and the query runs unpruned, which is always sound.
-func (e *Engine) planBounds(f KernelFactory, candidates []int, perListMax []float64, nc int) []float64 {
+// planBounds computes every candidate's cap from its lists' maxima
+// (sigs, flattened as intersectCursors flattens them) through the
+// query kernel's bounder, which it returns for the dispatch rung. nil
+// bounds mean none — the kernel has no cap, or the factory or a cap
+// evaluation panicked (recovered and counted) — and the query runs
+// unpruned, which is always sound.
+func (e *Engine) planBounds(f KernelFactory, sigs []join.Sig, nc int) (*bounder, []float64) {
 	b := e.bounderFor(f)
 	if b == nil {
-		return nil
+		return nil, nil
 	}
-	bounds := make([]float64, len(candidates))
-	for i := range candidates {
-		if bounds[i] = b.bound(perListMax[i*nc:(i+1)*nc], 0); b.failed {
-			return nil
+	bounds := make([]float64, len(sigs)/nc)
+	for i := range bounds {
+		if bounds[i] = b.boundSigs(sigs[i*nc:(i+1)*nc], 0); b.failed {
+			return nil, nil
 		}
 	}
-	return bounds
+	return b, bounds
 }
 
 // boundOrder computes the bound-descending dispatch order (ties keep

@@ -6,8 +6,8 @@ import "bestjoin/internal/index"
 // reloads. The engine's only pointer to its index lives in one atomic
 // snapshot; a query loads it once at admission and uses it
 // throughout, so SwapIndex can never mix two indexes inside one
-// query, and the caches are keyed by the snapshot's epoch so a swap
-// can never serve stale entries to new queries. The exported Snapshot
+// query, and a new query reads only the new index's stems. The
+// exported Snapshot
 // handle extends the same guarantee across engines: a shard
 // coordinator pins one snapshot per child before scattering a query
 // (SearchSnapshot), so a rolling reload that has already swapped some
@@ -36,9 +36,8 @@ func newSnapshot(idx *index.Compact, epoch uint64, prep *pairPrep) *snapshot {
 
 // Snapshot is an opaque handle pinning one (index, epoch) pair of an
 // engine. Handles stay valid forever: a swapped-out snapshot keeps
-// serving the queries pinned to it (its cache entries age out of the
-// LRUs naturally). The zero Snapshot pins nothing and is rejected by
-// SearchSnapshot.
+// serving the queries pinned to it. The zero Snapshot pins nothing and
+// is rejected by SearchSnapshot.
 type Snapshot struct {
 	snap *snapshot
 }
@@ -68,17 +67,14 @@ func (s Snapshot) Docs() int {
 // SwapIndex atomically replaces the engine's live index — the
 // hot-reload path (proxserve triggers it on SIGHUP). Queries already
 // in flight finish on the snapshot they started with; queries admitted
-// after the swap see only the new index, because the caches are keyed
-// by reload epoch (stale entries age out of the LRUs, and both caches
-// are dropped eagerly to give the new index the full capacity). The
+// after the swap see only the new index, whose stems decode on their
+// first use there — the old index's decoded stems go with it. The
 // pair plan (SetPairPlan) carries over; lists built in the background
 // for the old index do not, and are rebuilt on demand.
 func (e *Engine) SwapIndex(idx *index.Compact) {
 	old := e.snap.Load()
 	e.snap.Store(newSnapshot(idx, old.epoch+1, &pairPrep{}))
 	e.counters.indexReloads.Add(1)
-	e.lists.Reset()
-	e.concepts.Reset()
 }
 
 // Index returns the engine's current live index.
@@ -93,8 +89,9 @@ func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
 // pair lists (index.Compact.ForkPairs, then a pair build): a pair list
 // stores the kernel's own outputs, so every query answers the same
 // before and after the attach, and everything keyed or gated by the
-// epoch — cache entries, queries in flight on the old pointer, a
-// coordinator's pinned-epoch health check — stays valid. A query still
+// epoch — queries in flight on the old pointer, a coordinator's
+// pinned-epoch health check — stays valid, and the fork shares the
+// base's decoded stems. A query still
 // holding the old pointer is merely slower.
 //
 // The attach is a compare-and-swap: it reports false, and publishes

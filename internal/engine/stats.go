@@ -13,10 +13,7 @@ import (
 // a power-of-two latency histogram, and an expvar bridge. Everything
 // is readable at any time via Engine.Stats without pausing queries.
 
-// counters holds the engine's atomic event counters. The two caches
-// are accounted separately: a concept miss re-derives a concept's
-// candidate documents, a list miss re-decodes postings for one
-// (document, concept) — conflating them hides which cache is cold.
+// counters holds the engine's atomic event counters.
 type counters struct {
 	queries        atomic.Uint64
 	docsEvaluated  atomic.Uint64
@@ -26,10 +23,6 @@ type counters struct {
 	windowCutJoins atomic.Uint64
 	dedupCapped    atomic.Uint64
 	prunedDocs     atomic.Uint64
-	conceptHits    atomic.Uint64
-	conceptMisses  atomic.Uint64
-	listHits       atomic.Uint64
-	listMisses     atomic.Uint64
 	deadlineHits   atomic.Uint64
 	partials       atomic.Uint64
 	// Robustness counters: recovered faults, degraded answers, load
@@ -41,17 +34,6 @@ type counters struct {
 	shed           atomic.Uint64
 	indexReloads   atomic.Uint64
 	queueDepth     atomic.Int64
-	// Block-max skip layer: blockDecodes counts block entries built on
-	// a list-cache miss; blocksSkipped counts candidate blocks whose
-	// block-max bound let the query finish without ever decoding them.
-	blockDecodes  atomic.Uint64
-	blocksSkipped atomic.Uint64
-	// Decode coalescing (coalesce.go): coalescedDecodes counts block
-	// decodes avoided because a waiter was served by an in-flight
-	// leader's result; decodeWaits counts every wait on a flight,
-	// including waits ending in cancellation or a shared failure.
-	coalescedDecodes atomic.Uint64
-	decodeWaits      atomic.Uint64
 	// Disjunctive (ranked-union) path: unionCandidates counts confirmed
 	// pivots — documents verified to match at least MinMatch concepts —
 	// and pivotSkips the subset whose aggregate union bound fell
@@ -164,24 +146,25 @@ type Stats struct {
 	DedupCapped    uint64
 	// PrunedDocs counts candidate documents skipped because their
 	// score upper bound was strictly below the top-k floor — joins
-	// that never ran. The bound is the candidate's per-list (block)
-	// maxima, or, at the worker, the cache rung's: its lists'
-	// signatures put every window past the kernel's cut width (a
-	// document the window screen would otherwise have cut, counting in
-	// WindowCutJoins). PrunedFraction is PrunedDocs over all candidates
-	// that reached the prune-or-join decision (0 when none have).
+	// that never ran. The bound is the candidate's per-list maxima (each
+	// concept's exact maximum on the document), or the cache rung's, at
+	// dispatch or at the worker: its lists' signatures put every window
+	// past the kernel's cut width (a document the window screen would
+	// otherwise have cut). PrunedFraction is PrunedDocs over all
+	// candidates that reached the prune-or-join decision (0 when none
+	// have).
 	PrunedDocs     uint64
 	PrunedFraction float64
-	ConceptHits    uint64 // concept → candidate-documents cache hits
-	ConceptMisses  uint64 // concept cache misses (each re-derives candidates)
-	ListHits       uint64 // (document, concept) match-list cache hits
-	ListMisses     uint64 // match-list cache misses (each decodes postings)
+	// ListHits and ListMisses have read 0 since the list cache was
+	// deleted; the load harness under bench/ still reads them.
+	ListHits       uint64
+	ListMisses     uint64
 	DeadlineHits   uint64 // queries cut short by a context deadline
 	PartialResults uint64 // queries returning Partial results
 	// Robustness surface. JoinPanics counts kernel (and kernel-factory)
 	// panics recovered by the panic-isolation layer; DecodeFailures
-	// counts decodes (concept tables, block entries, single documents)
-	// that hit corrupt bytes, each failed decode once; DegradedResults
+	// counts concept resolutions whose stem postings would not decode,
+	// and corrupt pair lists; DegradedResults
 	// counts queries that returned with Result.Degraded set. Shed counts
 	// queries rejected by admission control (ErrOverloaded). InFlight
 	// and QueueDepth are gauges: queries currently admitted, and jobs
@@ -193,26 +176,12 @@ type Stats struct {
 	IndexReloads    uint64 // SwapIndex hot reloads since creation
 	InFlight        int
 	QueueDepth      int
-	CachedLists     int // current entries in the match-list cache
-	// Block-max skip layer. BlockDecodes counts the match-list cache
-	// entries join workers built on a miss — a block's directory and
-	// match-area offsets; its documents then decode one at a time, on
-	// first need, and are not counted here. BlocksSkipped
-	// counts candidate blocks never decoded because their block-max
-	// score upper bound fell strictly below the top-k floor. CacheBytes
-	// is the match-list cache's accounted size — non-zero only when
-	// Config.CacheBytes puts the cache in byte-cost mode.
-	BlockDecodes  uint64
-	BlocksSkipped uint64
-	CacheBytes    int64
-	// Decode coalescing. CoalescedDecodes counts block entry builds avoided
-	// because a concurrent query (or worker) already had the identical
-	// decode in flight and this one was served the leader's result;
-	// DecodeWaits counts the waits themselves, including those that
-	// ended in the waiter's cancellation or the leader's failure —
-	// DecodeWaits − CoalescedDecodes is the unlucky remainder.
+	// BlockDecodes, BlocksSkipped and CoalescedDecodes have read 0 since
+	// the block codec, its list cache and decode coalescing were
+	// deleted; the load harness under bench/ still reads them.
+	BlockDecodes     uint64
+	BlocksSkipped    uint64
 	CoalescedDecodes uint64
-	DecodeWaits      uint64
 	// Disjunctive (ranked-union) path. UnionCandidates counts confirmed
 	// WAND pivots — documents verified to match at least MinMatch
 	// concepts; PivotSkips counts the subset skipped because their
@@ -277,36 +246,26 @@ func (e *Engine) Stats() Stats {
 		fraction = float64(pruned) / float64(pruned+evaluated)
 	}
 	return Stats{
-		Queries:          e.counters.queries.Load(),
-		DocsEvaluated:    evaluated,
-		JoinsRun:         e.counters.joinsRun.Load(),
-		PrunedDocs:       pruned,
-		PrunedFraction:   fraction,
-		ConceptHits:      e.counters.conceptHits.Load(),
-		ConceptMisses:    e.counters.conceptMisses.Load(),
-		ListHits:         e.counters.listHits.Load(),
-		ListMisses:       e.counters.listMisses.Load(),
-		DeadlineHits:     e.counters.deadlineHits.Load(),
-		PartialResults:   e.counters.partials.Load(),
-		JoinPanics:       e.counters.joinPanics.Load(),
-		DecodeFailures:   e.counters.decodeFailures.Load(),
-		DegradedResults:  e.counters.degraded.Load(),
-		Shed:             e.counters.shed.Load(),
-		IndexReloads:     e.counters.indexReloads.Load(),
-		InFlight:         e.admit.inFlight(),
-		QueueDepth:       int(e.counters.queueDepth.Load()),
-		CachedLists:      e.lists.Len(),
-		BlockDecodes:     e.counters.blockDecodes.Load(),
-		BlocksSkipped:    e.counters.blocksSkipped.Load(),
-		CacheBytes:       e.lists.Bytes(),
-		CoalescedDecodes: e.counters.coalescedDecodes.Load(),
-		DecodeWaits:      e.counters.decodeWaits.Load(),
-		UnionCandidates:  e.counters.unionCandidates.Load(),
-		PivotSkips:       e.counters.pivotSkips.Load(),
-		UnionUnpruned:    e.counters.unionUnpruned.Load(),
-		PairHits:         e.counters.pairHits.Load(),
-		PairServed:       e.counters.pairServed.Load(),
-		QueryLatency:     e.latency.snapshot(),
+		Queries:         e.counters.queries.Load(),
+		DocsEvaluated:   evaluated,
+		JoinsRun:        e.counters.joinsRun.Load(),
+		PrunedDocs:      pruned,
+		PrunedFraction:  fraction,
+		DeadlineHits:    e.counters.deadlineHits.Load(),
+		PartialResults:  e.counters.partials.Load(),
+		JoinPanics:      e.counters.joinPanics.Load(),
+		DecodeFailures:  e.counters.decodeFailures.Load(),
+		DegradedResults: e.counters.degraded.Load(),
+		Shed:            e.counters.shed.Load(),
+		IndexReloads:    e.counters.indexReloads.Load(),
+		InFlight:        e.admit.inFlight(),
+		QueueDepth:      int(e.counters.queueDepth.Load()),
+		UnionCandidates: e.counters.unionCandidates.Load(),
+		PivotSkips:      e.counters.pivotSkips.Load(),
+		UnionUnpruned:   e.counters.unionUnpruned.Load(),
+		PairHits:        e.counters.pairHits.Load(),
+		PairServed:      e.counters.pairServed.Load(),
+		QueryLatency:    e.latency.snapshot(),
 
 		KernelInvocations: e.counters.kernelInvs.Load(),
 		FloorCutJoins:     e.counters.floorCutJoins.Load(),

@@ -55,14 +55,10 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	}
 
 	// The floorless replay, collecting what the floored one needs: each
-	// candidate's lists, its score upper bound — over the block maxima
-	// the engine bounds it by — and its window cap: scorefn's bound at
-	// the document's own maxima and the smallest window of its whole
-	// cross product, not at whatever the kernel's merge scan says.
-	tables := make([]*index.BlockTable, len(concepts))
-	for j, c := range concepts {
-		tables[j], _ = compact.ConceptBlocks(c)
-	}
+	// candidate's lists, its score upper bound — over the lists' maxima,
+	// which the engine bounds it by — and its window cap: scorefn's bound
+	// at those maxima and the smallest window of its whole cross product,
+	// not at whatever the kernel's merge scan says.
 	var joins, invocations uint64
 	kern := ValidWINJoiner(fn)().(*dedup.Kernel)
 	var docs []int
@@ -74,7 +70,7 @@ func TestKernelInvocationsCounted(t *testing.T) {
 			kern.Join()
 			joins++
 			invocations += uint64(kern.Invocations())
-			gsum, mag, blockMax := 0.0, 0.0, make([]float64, len(l))
+			gsum, mag, maxima := 0.0, 0.0, make([]float64, len(l))
 			for j := range l {
 				smax := 0.0
 				for _, m := range l[j] {
@@ -82,12 +78,12 @@ func TestKernelInvocationsCounted(t *testing.T) {
 				}
 				g := fn.G(j, smax)
 				gsum, mag = gsum+g, mag+math.Abs(g)
-				blockMax[j] = tables[j].Infos[tables[j].FindBlock(d)].MaxScore
+				maxima[j] = smax
 			}
 			wmin := math.MaxInt
 			naive.ForEach(l, func(s match.Set) { wmin = min(wmin, s.Window()) })
 			docs, lists = append(docs, d), append(lists, l)
-			bounds, caps = append(bounds, kern.ScoreUpperBound(blockMax, 0)), append(caps, scorefn.CapWIN(fn, gsum, mag, wmin))
+			bounds, caps = append(bounds, kern.ScoreUpperBound(maxima, 0)), append(caps, scorefn.CapWIN(fn, gsum, mag, wmin))
 		}
 	}
 	if invocations <= joins {
@@ -208,7 +204,14 @@ func TestKernelInvocationsCounted(t *testing.T) {
 // query's candidates are fixed, so what is not joined is pruned. A
 // disjunctive walk's pivot jumps skip documents uncounted, as far as a
 // floor the worker has raised by then allows, so its prunes are not
-// pinned.
+// pinned. They were re-recorded again when concepts became unions of
+// their stems: a candidate's bound now takes each concept's exact
+// maximum on the document instead of its block's, and the rung also
+// runs at dispatch. Tighter bounds prune more conjunctive candidates
+// before their join (554 → 650) and reorder dispatch, so joins fell
+// 1 518 → 1 372, floor cuts 668 → 658 and kernel invocations
+// 1 436 → 1 284, while window cuts moved 599 → 603 under the new
+// dispatch order.
 func TestOneWorkerCountsPinned(t *testing.T) {
 	compact := buildCompact(t, testCorpus(600, 31))
 	e := New(compact, Config{Workers: 1})
@@ -236,7 +239,7 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 	type counts struct{ joins, floorCuts, windowCuts, invocations, andPruned uint64 }
 	st := e.Stats()
 	got := counts{st.JoinsRun, st.FloorCutJoins, st.WindowCutJoins, st.KernelInvocations, andPruned}
-	if want := (counts{1518, 668, 599, 1436, 554}); got != want {
+	if want := (counts{1372, 658, 603, 1284, 650}); got != want {
 		t.Fatalf("JoinsRun, FloorCutJoins, WindowCutJoins, KernelInvocations, conjunctive Pruned %+v, want %+v", got, want)
 	}
 }

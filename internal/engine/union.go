@@ -6,11 +6,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bestjoin/internal/match"
+	"bestjoin/internal/join"
 )
 
 // Disjunctive (OR / weak-AND / m-of-n) retrieval: a ranked-union
-// evaluation path that advances the same leapfrog listCursors the
+// evaluation path that advances the same concept cursors the
 // conjunctive intersection uses, but in a WAND-style pivot loop over
 // Fagin-threshold bounds. The walk repeatedly takes the m-th smallest
 // cursor position as the pivot: cursors below it can never assemble m
@@ -18,21 +18,22 @@ import (
 // sit below the pivot, at least m cursors sit exactly at the minimum —
 // a confirmed candidate. Its aggregate score bound is the kernel's
 // disjunctive cap (join.UpperBounded at minMatch ≥ 1) over the matched
-// cursors' per-list maxima — their block-max table entries. A pivot
-// whose bound ranks strictly below the k-th kept entry (floorEntry.bar: below its
-// score, or tied with it on a larger document id — a tie the pivot
-// would still win on id never prunes) is skipped without fetching a
-// single match list, and the walk jumps the matched cursors over the
-// whole remaining block range in the same seek (see advanceUnion). The
-// walk is id-ordered, so once the heap holds k documents at the
-// kernel's cap every later pivot has lost its tie already: that is
-// where Fagin's threshold (k objects with grade at least the threshold)
-// stops the walk. Documents that survive the bound go to the shared
-// worker pool, where block match areas are decoded lazily — only for
-// documents that also survive the re-check at evaluation time.
+// concepts' exact maxima on the pivot. A pivot whose bound ranks
+// strictly below the k-th kept entry (floorEntry.bar: below its score,
+// or tied with it on a larger document id — a tie the pivot would
+// still win on id never prunes) is skipped without merging a single
+// match list, and when every matched concept stood at its largest
+// weight the walk jumps the matched cursors up to the next unmatched
+// one in the same seek (see advanceUnion). The walk is id-ordered, so
+// once the heap holds k documents at the kernel's cap every later
+// pivot has lost its tie already: that is where Fagin's threshold (k
+// objects with grade at least the threshold) stops the walk. A pivot
+// the cache rung cuts is dropped too. Documents that survive go to the
+// shared worker pool, which merges their lists only if they also
+// survive the re-check at evaluation time.
 //
 // Soundness (DESIGN.md "Disjunctive retrieval & WAND soundness"): the
-// per-cursor maxima dominate every match score the document can
+// per-concept maxima dominate every match score the document can
 // contribute, the union bound dominates the join over any subset of
 // ≥ m matched lists, and the kept entry only improves in rank order —
 // so a pivot skipped against today's entry is rejected a fortiori by
@@ -58,13 +59,12 @@ const (
 	ModeOR
 )
 
-// unionCursor wraps a listCursor for the pivot walk: ci is the
-// concept's position in the query (the bit it owns in docJob.mask),
-// doc the cursor's current document (−1 once exhausted).
+// unionCursor wraps a conceptCursor for the pivot walk: ci is the
+// concept's position in the query (the bit it owns in docJob.mask);
+// doc is −1 once exhausted.
 type unionCursor struct {
-	listCursor
-	ci  int
-	doc int
+	conceptCursor
+	ci int
 }
 
 // searchUnion evaluates a disjunctive query: candidates are documents
@@ -75,20 +75,17 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 
 	// One cursor per living concept. A failed concept (corrupt
 	// postings — the query is already Degraded) and an unknown concept
-	// (no postings at all: an empty table, exhausted at the first seek)
+	// (no postings at all: no stems, exhausted at the first seek)
 	// alike contribute no cursor: the union degrades to the surviving
 	// terms instead of returning nothing, which is the point of
 	// disjunctive evaluation.
 	bounding := e.prune
 	alive := make([]*unionCursor, 0, len(cds))
 	for ci, cd := range cds {
-		cu := &unionCursor{ci: ci}
-		cu.cd = cd
-		doc, ok := cu.seek(e, qs, 0)
-		if !ok {
+		cu := &unionCursor{conceptCursor: newCursor(cd), ci: ci}
+		if _, ok := cu.seek(0); !ok {
 			continue
 		}
-		cu.doc = doc
 		alive = append(alive, cu)
 	}
 	// Fewer surviving concepts than the match requirement: no document
@@ -126,29 +123,17 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 	var wg sync.WaitGroup
 	e.joinWorkers(qs, q.Join, cds, e.workers, jobs, top, &evaluated, &pruned, &wg)
 
-	// The pivot walk. Unlike the conjunctive path the candidate count
-	// is unknown upfront, so chunks are freshly allocated slices (the
-	// workers may still hold shipped ones), and the jobs' list headers
-	// and cursor positions are carved off slabs that are replaced, never
-	// rewound, when they run out.
-	chunk := make([]docJob, 0, dispatchChunk)
-	var slab match.Lists
-	var posSlab []blockPos
-	ship := func() bool {
-		e.counters.queueDepth.Add(int64(len(chunk))) // before the send, as in search
-		select {
-		case jobs <- chunk:
-			chunk = make([]docJob, 0, dispatchChunk)
-			return true
-		case <-qs.ctx.Done():
-			e.counters.queueDepth.Add(-int64(len(chunk)))
-			qs.cancelled = true
-			return false
-		}
-	}
+	// The pivot walk. The jobs' stem counts and signatures are carved
+	// off slabs that are replaced, never rewound, when they run out, and
+	// their stem locations appended to one buffer: the workers may
+	// still hold shipped ones.
+	ch := chunker{e: e, ctx: qs.ctx, jobs: jobs, width: len(cds)}
+	var nlocSlab []int32
+	var locBuf []stemLoc
+	var sigSlab []join.Sig
 	flushFloor := top.entry()
-	scratch := make([]float64, 0, len(alive))
 	atDoc := make([]*unionCursor, 0, len(alive))
+	atSigs := make([]join.Sig, 0, len(alive))
 	steps := 0
 pivots:
 	for len(alive) >= minMatch {
@@ -168,12 +153,10 @@ pivots:
 			cu := alive[i]
 			if cu.doc < d {
 				progressed = true
-				doc, ok := cu.seek(e, qs, d)
-				if !ok {
+				if _, ok := cu.seek(d); !ok {
 					alive = append(alive[:i], alive[i+1:]...)
 					continue
 				}
-				cu.doc = doc
 			}
 			i++
 		}
@@ -183,19 +166,15 @@ pivots:
 		// Aligned: d is the minimum position and at least minMatch
 		// cursors sit exactly on it — d provably matches ≥ m concepts,
 		// and no cursor below d means no other concept can contribute.
-		atDoc = atDoc[:0]
+		atDoc, atSigs = atDoc[:0], atSigs[:0]
 		for _, cu := range alive {
 			if cu.doc == d {
-				atDoc = append(atDoc, cu)
+				atDoc, atSigs = append(atDoc, cu), append(atSigs, cu.sig)
 			}
 		}
 		bound := math.Inf(1)
 		if bounding {
-			scratch = scratch[:0]
-			for _, cu := range atDoc {
-				scratch = append(scratch, cu.maxAt())
-			}
-			bound = ub.bound(scratch, minMatch)
+			bound = ub.boundSigs(atSigs, minMatch)
 			if math.IsInf(bound, 1) {
 				// No disjunctive cap: the scoring function is not
 				// term-exchangeable, or the cap panicked. The rest of
@@ -208,44 +187,54 @@ pivots:
 		}
 		res.Candidates++
 		e.counters.unionCandidates.Add(1)
-		if bound < flushFloor.bar(d) {
-			// Pivot skip: the matched cursors' aggregate bound cannot
+		bar := flushFloor.bar(d)
+		if bound < bar {
+			// Pivot skip: the matched concepts' aggregate bound cannot
 			// outrank the kept entry, so d is pruned before a single
-			// match list is assembled — and the walk may clear a whole
-			// block range in the same move.
+			// match list is merged — and the walk may clear a whole
+			// range in the same move.
 			pruned.Add(1)
 			e.counters.prunedDocs.Add(1)
 			e.counters.pivotSkips.Add(1)
-			e.advanceUnion(qs, &alive, atDoc, d)
+			advanceUnion(&alive, atDoc, atSigs, d)
+			continue
+		}
+		if bounding && ub.cuts(atSigs, bar) {
+			pruned.Add(1)
+			e.counters.prunedDocs.Add(1)
+			seekUnion(&alive, atDoc, d+1)
 			continue
 		}
 		// Surviving candidate: ship one empty slot per matched concept;
 		// a worker fills them (fillLists).
-		if len(slab) < len(atDoc) {
-			slab = make(match.Lists, dispatchChunk*len(cds))
-			posSlab = make([]blockPos, dispatchChunk*len(cds))
+		n := len(atDoc)
+		if len(sigSlab) < n {
+			nlocSlab = make([]int32, dispatchChunk*len(cds))
+			sigSlab = make([]join.Sig, dispatchChunk*len(cds))
 		}
 		var mask uint64
+		begin := len(locBuf)
 		for s, cu := range atDoc {
 			mask |= 1 << uint(cu.ci)
-			posSlab[s] = cu.at()
-			cu.mark()
+			nlocSlab[s] = cu.locs(&locBuf)
 		}
-		chunk = append(chunk, docJob{doc: d, bound: bound, mask: mask,
-			lists: slab[:len(atDoc):len(atDoc)], at: posSlab[:len(atDoc)]})
-		slab, posSlab = slab[len(atDoc):], posSlab[len(atDoc):]
-		if len(chunk) == dispatchChunk && !ship() {
+		copy(sigSlab, atSigs)
+		// A later append may move locBuf; this job keeps the backing its
+		// locations were written to, which nothing writes again.
+		jb := docJob{doc: d, bound: bound, mask: mask,
+			locs: locBuf[begin:len(locBuf):len(locBuf)], nlocs: nlocSlab[:n:n], sigs: sigSlab[:n:n]}
+		nlocSlab, sigSlab = nlocSlab[n:], sigSlab[n:]
+		if !ch.add(jb, n) {
+			qs.cancelled = true
 			break pivots
 		}
-		seekUnion(e, qs, &alive, atDoc, d+1)
+		seekUnion(&alive, atDoc, d+1)
 	}
-	if len(chunk) > 0 {
-		ship()
+	if !ch.ship() {
+		qs.cancelled = true
 	}
 	close(jobs)
 	wg.Wait()
-
-	e.countSkippedBlocks(cds)
 
 	res.Docs = top.results()
 	res.Evaluated = int(evaluated.Load())
@@ -253,43 +242,39 @@ pivots:
 	return e.finish(qs, res, start)
 }
 
-// advanceUnion moves the matched cursors past a skipped pivot d — and
-// past the whole remaining block range in the same seek. Over the
-// range (d, jumpEnd], with jumpEnd capped by every matched cursor's
-// block end and by the first unmatched cursor's position, no other
-// concept can join and the matched cursors' block maxima are the very
-// upper bounds d was just rejected on. A bar only rises with the
-// document id, so every document in the range loses a fortiori: the
-// walk seeks straight to jumpEnd+1 without confirming membership of
-// anything in between — whole blocks pass with their match areas, and
-// even their document directories, untouched.
-func (e *Engine) advanceUnion(qs *queryState, alive *[]*unionCursor, atDoc []*unionCursor, d int) {
-	jumpEnd := math.MaxInt
+// advanceUnion moves the matched cursors past a skipped pivot d. When
+// every matched concept stood on d at its largest weight (atSigs[s].Max
+// is its top), d was rejected on the largest maxima those concepts
+// have anywhere, so the walk jumps them past every document before the
+// first unmatched cursor's: over that range no other concept can join,
+// each document's bound is at most d's, and a bar only rises with the
+// document id, so every document there loses a fortiori — and the seek
+// confirms none of them. Otherwise the matched cursors step to d+1.
+func advanceUnion(alive *[]*unionCursor, atDoc []*unionCursor, atSigs []join.Sig, d int) {
+	for s, cu := range atDoc {
+		if atSigs[s].Max != cu.cd.top {
+			seekUnion(alive, atDoc, d+1)
+			return
+		}
+	}
+	target := math.MaxInt
 	for _, cu := range *alive {
-		if cu.doc > d && cu.doc-1 < jumpEnd {
-			jumpEnd = cu.doc - 1
+		if cu.doc > d {
+			target = min(target, cu.doc)
 		}
 	}
-	for _, cu := range atDoc {
-		if last := cu.cd.blocks.bt.Infos[cu.blk].LastDoc; last < jumpEnd {
-			jumpEnd = last
-		}
-	}
-	seekUnion(e, qs, alive, atDoc, jumpEnd+1)
+	seekUnion(alive, atDoc, target)
 }
 
 // seekUnion advances every cursor in atDoc to the first document
 // ≥ target, compacting exhausted cursors out of alive.
-func seekUnion(e *Engine, qs *queryState, alive *[]*unionCursor, atDoc []*unionCursor, target int) {
+func seekUnion(alive *[]*unionCursor, atDoc []*unionCursor, target int) {
 	dropped := false
 	for _, cu := range atDoc {
-		doc, ok := cu.seek(e, qs, target)
-		if !ok {
+		if _, ok := cu.seek(target); !ok {
 			cu.doc = -1
 			dropped = true
-			continue
 		}
-		cu.doc = doc
 	}
 	if !dropped {
 		return

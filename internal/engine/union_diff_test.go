@@ -115,9 +115,6 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 		corpus := diffCorpus(rng)
 		concepts := diffConcepts(rng)
 		idx := buildCompact(t, corpus)
-		// Rotate how the concepts' block tables reach the engine.
-		layout := diffLayouts()[trial%len(diffLayouts())]
-		layout.apply(idx)
 		k := 1 + rng.Intn(6)
 		for minMatch := 1; minMatch <= len(concepts); minMatch++ {
 			for _, workers := range []int{1, 4} {
@@ -133,8 +130,8 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("trial %d %s workers=%d k=%d m=%d %s",
-						trial, fam.name, workers, k, minMatch, layout.name)
+					label := fmt.Sprintf("trial %d %s workers=%d k=%d m=%d",
+						trial, fam.name, workers, k, minMatch)
 					assertResultInvariants(t, label+" pruned", rp)
 					assertResultInvariants(t, label+" unpruned", ru)
 					assertUnionIdentical(t, label, rp, ru)
@@ -337,36 +334,30 @@ func TestUnionNeverPruneOnEquality(t *testing.T) {
 		docs[i] = "amber"
 	}
 	concepts := []index.Concept{{"amber": 1}, {"basalt": 1}}
-	for _, blocked := range []bool{false, true} {
-		compact := buildCompact(t, docs)
-		if blocked {
-			index.SetBlockSizeForTest(compact, 2)
-		}
-		e := New(compact, Config{Workers: 1})
-		res, err := e.Search(context.Background(), Query{
-			Concepts: concepts, Join: diffFamilies()[0].factory, K: 4, Mode: ModeOR,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Docs) != 4 {
-			t.Fatalf("blocked=%v: got %d docs, want 4", blocked, len(res.Docs))
-		}
-		for i, dr := range res.Docs {
-			if dr.Doc != i {
-				t.Fatalf("blocked=%v: rank %d is doc %d, want %d (tie-break by id broken)", blocked, i, dr.Doc, i)
-			}
-		}
-		if got := e.Stats().PivotSkips; got != 0 {
-			t.Fatalf("blocked=%v: %d pivots skipped on an all-ties query", blocked, got)
-		}
-		assertResultInvariants(t, "equality", res)
+	e := New(buildCompact(t, docs), Config{Workers: 1})
+	res, err := e.Search(context.Background(), Query{
+		Concepts: concepts, Join: diffFamilies()[0].factory, K: 4, Mode: ModeOR,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(res.Docs) != 4 {
+		t.Fatalf("got %d docs, want 4", len(res.Docs))
+	}
+	for i, dr := range res.Docs {
+		if dr.Doc != i {
+			t.Fatalf("rank %d is doc %d, want %d (tie-break by id broken)", i, dr.Doc, i)
+		}
+	}
+	if got := e.Stats().PivotSkips; got != 0 {
+		t.Fatalf("%d pivots skipped on an all-ties query", got)
+	}
+	assertResultInvariants(t, "equality", res)
 }
 
 // TestUnionPivotSkipsCounted pins that the union pruning machinery
 // actually fires: one dominant document and k=1 must leave a trail of
-// skipped pivots (and, in block mode, undecoded blocks). SumMAX is the
+// skipped pivots. SumMAX is the
 // family here because it is additive — matching the heavy second
 // concept strictly raises the score — whereas the product families can
 // legitimately rank a partial match above a full one.
@@ -383,30 +374,20 @@ func TestUnionPivotSkipsCounted(t *testing.T) {
 	}
 	docs[0] = "amber basalt" // the only doc with the heavy second concept
 	concepts := []index.Concept{{"amber": 0.1}, {"basalt": 1}}
-	for _, blocked := range []bool{false, true} {
-		compact := buildCompact(t, docs)
-		if blocked {
-			index.SetBlockSizeForTest(compact, 4)
-		}
-		e := New(compact, Config{Workers: 1, QueueDepth: 1})
-		res, err := e.Search(context.Background(), Query{
-			Concepts: concepts, Join: MAXJoiner(scorefn.SumMAX{Alpha: 0.1}), K: 1, Mode: ModeOR,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Docs[0].Doc != 0 {
-			t.Fatalf("blocked=%v: top doc %d, want 0", blocked, res.Docs[0].Doc)
-		}
-		st := e.Stats()
-		if st.PivotSkips == 0 {
-			t.Fatalf("blocked=%v: no pivot skips on a skewed corpus (pruned=%d)", blocked, res.Pruned)
-		}
-		if blocked && st.BlocksSkipped == 0 {
-			t.Fatal("block mode: expected candidate blocks pruned below decode")
-		}
-		assertResultInvariants(t, "skew", res)
+	e := New(buildCompact(t, docs), Config{Workers: 1, QueueDepth: 1})
+	res, err := e.Search(context.Background(), Query{
+		Concepts: concepts, Join: MAXJoiner(scorefn.SumMAX{Alpha: 0.1}), K: 1, Mode: ModeOR,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Docs[0].Doc != 0 {
+		t.Fatalf("top doc %d, want 0", res.Docs[0].Doc)
+	}
+	if st := e.Stats(); st.PivotSkips == 0 {
+		t.Fatalf("no pivot skips on a skewed corpus (pruned=%d)", res.Pruned)
+	}
+	assertResultInvariants(t, "skew", res)
 }
 
 // TestUnionArmsWindowScreen pins the kernel floors' scope: a

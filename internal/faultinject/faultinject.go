@@ -1,9 +1,9 @@
 // Package faultinject provides deterministic, seedable fault-injection
 // points for the retrieval engine's chaos tests. Each injection site
 // names one place where production systems really fail — a
-// user-supplied scoring kernel panicking, an index block decoding to
-// garbage, a slow disk, a cache eviction storm — and the engine calls
-// the matching hook (MaybePanic, MaybeSleep, ForceMiss) at that spot.
+// user-supplied scoring kernel panicking, an index's postings decoding
+// to garbage, a slow disk, a dropped connection — and the code calls the
+// matching hook (MaybePanic, MaybeSleep, Fires) at that spot.
 //
 // The hooks are compiled in two shapes, selected by the `faultinject`
 // build tag:
@@ -31,19 +31,13 @@ const (
 	// KernelJoin fires just before a worker runs a best-join kernel;
 	// a firing panics, simulating a hostile user-supplied scorefn.
 	KernelJoin Site = iota
-	// ConceptDecode fires at the start of a corpus-wide concept
-	// decode; a firing panics the way index.Compact.Postings does on
-	// corrupt posting bytes.
+	// ConceptDecode fires just before a stem's postings are decoded
+	// into plain arrays (index.Compact.Stem, on the stem's first use);
+	// a firing panics the way corrupt posting bytes fail the decode.
 	ConceptDecode
 	// DecodeLatency fires at the same spot but sleeps instead of
 	// panicking, simulating a slow or contended storage layer.
 	DecodeLatency
-	// ListCacheMiss forces a (document, concept) match-list cache hit
-	// to be treated as a miss — an eviction storm.
-	ListCacheMiss
-	// ConceptCacheMiss forces a concept-cache hit to be treated as a
-	// miss.
-	ConceptCacheMiss
 	// NetLatency fires in the remote shard server just before a query
 	// is handled; a firing sleeps, simulating a congested network or a
 	// GC-paused shard process.
@@ -70,10 +64,6 @@ func (s Site) String() string {
 		return "concept-decode-corrupt"
 	case DecodeLatency:
 		return "decode-latency"
-	case ListCacheMiss:
-		return "list-cache-miss"
-	case ConceptCacheMiss:
-		return "concept-cache-miss"
 	case NetLatency:
 		return "net-latency"
 	case NetDrop:

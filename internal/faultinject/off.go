@@ -25,8 +25,5 @@ func MaybePanic(Site) {}
 // MaybeSleep never sleeps without the faultinject build tag.
 func MaybeSleep(Site) {}
 
-// ForceMiss never forces a miss without the faultinject build tag.
-func ForceMiss(Site) bool { return false }
-
 // Fires never fires without the faultinject build tag.
 func Fires(Site) bool { return false }

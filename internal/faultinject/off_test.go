@@ -15,7 +15,7 @@ func TestDisabledBuildIsInert(t *testing.T) {
 	}
 	Activate(Config{
 		Seed:    1,
-		Rates:   map[Site]float64{KernelJoin: 1, ConceptDecode: 1, ListCacheMiss: 1},
+		Rates:   map[Site]float64{KernelJoin: 1, ConceptDecode: 1, NetDrop: 1},
 		Latency: time.Hour,
 	})
 	defer Deactivate()
@@ -29,9 +29,6 @@ func TestDisabledBuildIsInert(t *testing.T) {
 			MaybePanic(s)
 		}()
 		MaybeSleep(s) // must return immediately, not sleep an hour
-		if ForceMiss(s) {
-			t.Fatalf("site %v forced a miss in disabled build", s)
-		}
 		if Fires(s) {
 			t.Fatalf("site %v fires in disabled build", s)
 		}

@@ -94,13 +94,6 @@ func MaybeSleep(s Site) {
 	}
 }
 
-// ForceMiss reports whether a cache hit at this site must be treated
-// as a miss.
-func ForceMiss(s Site) bool {
-	_, fire := decide(s)
-	return fire
-}
-
 // Fires draws the site's next firing decision and reports it — the
 // general-purpose hook for sites whose fault the caller injects itself
 // (dropping a connection, corrupting response bytes).

@@ -53,10 +53,10 @@ func TestFiresMatchesPlan(t *testing.T) {
 }
 
 func TestRateZeroNeverFires(t *testing.T) {
-	Activate(Config{Seed: 42, Rates: map[Site]float64{ListCacheMiss: 0}})
+	Activate(Config{Seed: 42, Rates: map[Site]float64{NetDrop: 0}})
 	defer Deactivate()
 	for i := 0; i < 1000; i++ {
-		if ForceMiss(ListCacheMiss) {
+		if Fires(NetDrop) {
 			t.Fatal("rate-0 site fired")
 		}
 	}
@@ -67,11 +67,11 @@ func TestRateZeroNeverFires(t *testing.T) {
 // different seed yields a different one.
 func TestDeterministicUnderSeed(t *testing.T) {
 	pattern := func(seed int64) []bool {
-		Activate(Config{Seed: seed, Rates: map[Site]float64{ListCacheMiss: 0.3}})
+		Activate(Config{Seed: seed, Rates: map[Site]float64{NetDrop: 0.3}})
 		defer Deactivate()
 		out := make([]bool, 500)
 		for i := range out {
-			out[i] = ForceMiss(ListCacheMiss)
+			out[i] = Fires(NetDrop)
 		}
 		return out
 	}
@@ -93,11 +93,11 @@ func TestDeterministicUnderSeed(t *testing.T) {
 // TestRateIsApproximatelyHonored draws many decisions and checks the
 // empirical rate; the decision hash must not be wildly biased.
 func TestRateIsApproximatelyHonored(t *testing.T) {
-	Activate(Config{Seed: 1, Rates: map[Site]float64{ConceptCacheMiss: 0.25}})
+	Activate(Config{Seed: 1, Rates: map[Site]float64{NetDrop: 0.25}})
 	defer Deactivate()
 	n, hits := 20000, 0
 	for i := 0; i < n; i++ {
-		if ForceMiss(ConceptCacheMiss) {
+		if Fires(NetDrop) {
 			hits++
 		}
 	}
@@ -120,7 +120,7 @@ func TestMaybeSleepInjectsLatency(t *testing.T) {
 // TestConcurrentDecisionsRaceClean hammers one site from many
 // goroutines; the point is the -race run in `make chaos`.
 func TestConcurrentDecisionsRaceClean(t *testing.T) {
-	Activate(Config{Seed: 3, Rates: map[Site]float64{ListCacheMiss: 0.5}})
+	Activate(Config{Seed: 3, Rates: map[Site]float64{NetDrop: 0.5}})
 	defer Deactivate()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -128,17 +128,17 @@ func TestConcurrentDecisionsRaceClean(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				ForceMiss(ListCacheMiss)
-				Fired(ListCacheMiss)
+				Fires(NetDrop)
+				Fired(NetDrop)
 			}
 		}()
 	}
 	wg.Wait()
-	if Fired(ListCacheMiss) == 0 {
+	if Fired(NetDrop) == 0 {
 		t.Fatal("no firings under concurrency")
 	}
 	Deactivate()
-	if ForceMiss(ListCacheMiss) {
+	if Fires(NetDrop) {
 		t.Fatal("fired after Deactivate")
 	}
 }

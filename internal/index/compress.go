@@ -3,19 +3,14 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"bestjoin/internal/match"
 	"bestjoin/internal/text"
 )
 
-// Posting-list compression: the classic inverted-index layout of
-// delta-encoded document ids and positions packed as unsigned
-// varints. A compacted index answers the same queries as Index while
-// storing each posting in a few bytes instead of two machine words —
-// the representation a production retrieval system would keep on disk
-// or in a block cache.
-//
-// Layout per term: varint(#documents), then per document
+// Posting-list compression: delta-encoded document ids and positions
+// packed as unsigned varints, a few bytes per posting. Layout per term: varint(#documents), then per document
 // varint(docDelta) varint(#positions) varint(posDelta)... with
 // document ids and positions both delta-encoded within their runs.
 
@@ -67,89 +62,122 @@ const (
 // bounded by MaxDocID and positions by MaxPosition; deltas that would
 // overflow either bound are rejected as corrupt rather than wrapped.
 func DecodePostings(b []byte) ([]Posting, error) {
+	var out []Posting
+	err := walkPostings(b, func(doc, pos int) { out = append(out, Posting{Doc: doc, Pos: pos}) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walkPostings validates an EncodePostings buffer and hands every
+// posting to emit in (doc, pos) order — the one decode loop behind
+// DecodePostings, the load-time check and the plain stem arrays
+// (stems.go), so all three read the same postings from the same bytes.
+// emit may have been called before an error is returned.
+func walkPostings(b []byte, emit func(doc, pos int)) error {
 	if len(b) == 0 {
-		return nil, nil
+		return nil
 	}
 	nDocs, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("index: corrupt posting header")
+		return fmt.Errorf("index: corrupt posting header")
 	}
 	b = b[n:]
-	var out []Posting
 	doc := 0
 	prevRunEnd := -1 // last position of the previous run of this doc
 	for d := uint64(0); d < nDocs; d++ {
 		delta, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, fmt.Errorf("index: corrupt doc delta")
+			return fmt.Errorf("index: corrupt doc delta")
 		}
 		b = b[n:]
 		// Check the delta before converting: a uvarint above MaxInt64
 		// would wrap int(delta) negative.
 		if delta > MaxDocID {
-			return nil, fmt.Errorf("index: doc delta %d exceeds %d", delta, uint64(MaxDocID))
+			return fmt.Errorf("index: doc delta %d exceeds %d", delta, uint64(MaxDocID))
 		}
 		doc += int(delta)
 		if doc > MaxDocID {
-			return nil, fmt.Errorf("index: doc id %d exceeds %d", doc, int64(MaxDocID))
+			return fmt.Errorf("index: doc id %d exceeds %d", doc, int64(MaxDocID))
 		}
 		if delta != 0 {
 			prevRunEnd = -1
 		}
 		count, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, fmt.Errorf("index: corrupt position count")
+			return fmt.Errorf("index: corrupt position count")
 		}
 		b = b[n:]
 		pos := 0
 		for k := uint64(0); k < count; k++ {
 			pd, n := binary.Uvarint(b)
 			if n <= 0 {
-				return nil, fmt.Errorf("index: corrupt position delta")
+				return fmt.Errorf("index: corrupt position delta")
 			}
 			b = b[n:]
 			if pd > MaxPosition {
-				return nil, fmt.Errorf("index: position delta %d exceeds %d", pd, uint64(MaxPosition))
+				return fmt.Errorf("index: position delta %d exceeds %d", pd, uint64(MaxPosition))
 			}
 			pos += int(pd)
 			if pos > MaxPosition {
-				return nil, fmt.Errorf("index: position %d exceeds %d", pos, int64(MaxPosition))
+				return fmt.Errorf("index: position %d exceeds %d", pos, int64(MaxPosition))
 			}
 			// A repeated run of the same document (doc delta 0) restarts
 			// the position accumulator; reject it unless positions keep
 			// ascending, so decoded postings are always (doc, pos)-sorted.
 			if pos < prevRunEnd {
-				return nil, fmt.Errorf("index: positions out of order in doc %d", doc)
+				return fmt.Errorf("index: positions out of order in doc %d", doc)
 			}
-			out = append(out, Posting{Doc: doc, Pos: pos})
+			emit(doc, pos)
 		}
 		pos = max(pos, prevRunEnd)
 		prevRunEnd = pos
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("index: %d trailing bytes", len(b))
+		return fmt.Errorf("index: %d trailing bytes", len(b))
 	}
-	return out, nil
+	return nil
 }
 
 // Compact is a read-only compressed index: the same query surface as
-// Index over varint-packed posting lists, the per-concept block tables
-// built from them (blocks.go), and optional concept-pair lists
-// (pairs.go) registered at build time.
+// Index over varint-packed posting lists, each stem's plain arrays
+// decoded from them on first use (stems.go), and optional concept-pair
+// lists (pairs.go) registered at build time.
 type Compact struct {
-	postings  map[string][]byte
-	pairs     map[PairKey][]byte // PairKey → EncodePairs buffer
-	docs      int
-	blockSize int // documents per block of a built table; 0 means BlockSize
+	postings map[string][]byte
+	// stems has one slot per key of postings, filled by Stem on the
+	// stem's first use. The map itself is never written once the index
+	// serves, so readers need no lock.
+	stems map[string]*atomic.Pointer[StemArrays]
+	pairs map[PairKey][]byte // PairKey → EncodePairs buffer
+	docs  int
+}
+
+// newCompact wraps posting buffers as an index, with an empty arrays
+// slot per stem.
+func newCompact(docs int, postings map[string][]byte) *Compact {
+	c := &Compact{postings: postings, docs: docs, stems: make(map[string]*atomic.Pointer[StemArrays], len(postings))}
+	for stem := range postings {
+		c.stems[stem] = new(atomic.Pointer[StemArrays])
+	}
+	return c
+}
+
+// setPostings replaces one stem's posting bytes, dropping arrays
+// decoded from the old ones. Not safe while the index serves.
+func (c *Compact) setPostings(stem string, b []byte) {
+	c.postings[stem] = b
+	c.stems[stem] = new(atomic.Pointer[StemArrays])
 }
 
 // Compact freezes the index into its compressed form.
 func (ix *Index) Compact() *Compact {
-	c := &Compact{postings: make(map[string][]byte, len(ix.postings)), docs: ix.docs}
+	postings := make(map[string][]byte, len(ix.postings))
 	for stem, ps := range ix.postings {
-		c.postings[stem] = EncodePostings(ps)
+		postings[stem] = EncodePostings(ps)
 	}
-	return c
+	return newCompact(ix.docs, postings)
 }
 
 // Docs returns the number of documents.
@@ -177,32 +205,13 @@ func (c *Compact) Postings(word string) []Posting {
 }
 
 // ConceptList derives a concept's match list within one document from
-// the compressed postings, mirroring Index.ConceptList.
+// the compressed postings, as Index.ConceptList does: the reference
+// every faster path is held to.
 func (c *Compact) ConceptList(doc int, concept Concept) match.List {
-	best := map[int]float64{}
-	for word, score := range concept {
-		for _, p := range c.Postings(word) {
-			if p.Doc != doc {
-				continue
-			}
-			if s, ok := best[p.Pos]; !ok || score > s {
-				best[p.Pos] = score
-			}
-		}
-	}
-	out := make(match.List, 0, len(best))
-	for pos, s := range best {
-		out = append(out, match.Match{Loc: pos, Score: s})
-	}
-	out.Sort()
-	return out
+	return conceptList(doc, concept, c.Postings)
 }
 
 // QueryLists derives one match list per concept for a document.
 func (c *Compact) QueryLists(doc int, concepts []Concept) match.Lists {
-	lists := make(match.Lists, len(concepts))
-	for j, cc := range concepts {
-		lists[j] = c.ConceptList(doc, cc)
-	}
-	return lists
+	return queryLists(doc, concepts, c.ConceptList)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -60,167 +59,213 @@ func FuzzDecodePostings(f *testing.F) {
 	})
 }
 
-// addUnflaggedSeeds seeds a block fuzz target with valid unflagged
-// tables and the crafted corruptions of one: a palette count, then a
-// block count behind a minimal valid palette, of MaxUint64 (both must
-// be bounded before they can drive a huge allocation); NaN palette
-// bits (rejected, never compared against); and a control byte
-// promising four 4-byte values before a truncated buffer (the group
-// decoder's bounds check, not a slice panic, must reject it).
-func addUnflaggedSeeds(f *testing.F) {
+// addPostingSeeds seeds a stem fuzz target with §1 posting buffers:
+// valid ones at small, bucket-straddling, past-2^32 and maximal ids and
+// positions, and the crafted edges of the decode — a repeated document
+// run (doc delta 0) whose positions continue, and one whose positions
+// restart (rejected); repeated positions within a run and a run of no
+// positions; an absurd document count before no payload, and a
+// position delta past MaxPosition.
+func addPostingSeeds(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeBlocks([]int{0}, []match.List{{{Loc: 0, Score: 1}}}, 0))
-	f.Add(EncodeBlocks(
-		[]int{1, 2, 5, 9},
-		[]match.List{
-			{{Loc: 3, Score: 0.5}, {Loc: 7, Score: 1.0}},
-			{{Loc: 1, Score: 0.5}},
-			{{Loc: 2, Score: 1.0}},
-			{{Loc: 4, Score: -0.25}, {Loc: 5, Score: 0.5}},
-		}, 2))
-	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
-	// Clipped: the two seeds appended to it must not share its spare capacity.
-	palette := slices.Clip(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), math.Float64bits(1)))
-	f.Add(binary.AppendUvarint(palette, math.MaxUint64))
-	f.Add(binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1), math.Float64bits(math.NaN())))
-	f.Add(append(binary.AppendUvarint(palette, 1), 0xff, 0x01))
+	f.Add(EncodePostings([]Posting{{Doc: 0, Pos: 0}}))
+	f.Add(EncodePostings([]Posting{{Doc: 1, Pos: 3}, {Doc: 1, Pos: 9}, {Doc: 7, Pos: 2}}))
+	f.Add(EncodePostings([]Posting{{Doc: 2, Pos: 503}, {Doc: 2, Pos: 504}, {Doc: 2, Pos: 1 << 20}}))
+	f.Add(EncodePostings([]Posting{{Doc: 3, Pos: 1<<32 - 1}, {Doc: 3, Pos: 1 << 32}, {Doc: 1 << 33, Pos: 4}}))
+	f.Add(EncodePostings([]Posting{{Doc: MaxDocID, Pos: MaxPosition}}))
+	f.Add([]byte{2, 5, 1, 3, 0, 1, 4})
+	f.Add([]byte{2, 5, 1, 3, 0, 1, 2})
+	f.Add([]byte{2, 1, 3, 4, 0, 0, 2, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add(binary.AppendUvarint([]byte{1, 0, 1}, MaxPosition+1))
 }
 
-// FuzzDecodeBlocks ensures the concept block decode path never panics
-// on arbitrary bytes, that accepted tables respect every documented
-// invariant (ascending disjoint block ranges, bounded ids and
-// positions, finite ascending palette, truthful block maxima — the
-// soundness-critical one for block-max pruning), and that accepted
-// content round-trips through EncodeBlocks — always, since the wide
-// escape carries any value a table can hold.
+// FuzzStemArrays drives arbitrary §1 posting bytes through the stem
+// decode the query path reads: it must never panic, and it either
+// fails or yields arrays listing exactly DecodePostings' postings —
+// each document once, with at least one position and the location
+// mask of its positions — failing exactly when DecodePostings does.
+// Seek finds every document from any earlier index.
+func FuzzStemArrays(f *testing.F) {
+	addPostingSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decodeStem(data)
+		want, werr := DecodePostings(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decodeStem error %v, DecodePostings error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if got := flattenStem(s); !slices.Equal(got, want) {
+			t.Fatalf("arrays %v, postings %v", got, want)
+		}
+		ids := stemDocs(s)
+		if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+			t.Fatalf("documents not strictly ascending: %v", ids)
+		}
+		for i, d := range ids {
+			if s.Seek(0, d) != i || s.Seek(i, d) != i || s.Seek(0, d+1) != i+1 {
+				t.Fatalf("Seek disagrees with document %d at %d", d, i)
+			}
+		}
+	})
+}
+
+// fuzzConceptLists holds a concept's merged lists on its first 16
+// documents to Compact.ConceptList, bit for bit. (ConceptList decodes
+// every posting per document: a prefix keeps a many-document input
+// fast.)
+func fuzzConceptLists(t *testing.T, c *Compact, concept Concept, docs []int, lists []match.List) {
+	t.Helper()
+	for i, d := range docs[:min(len(docs), 16)] {
+		if ref := c.ConceptList(d, concept); !slices.Equal(lists[i], ref) {
+			t.Fatalf("doc %d: merged %v, ConceptList %v", d, lists[i], ref)
+		}
+	}
+}
+
+// FuzzDecodeBlocks drives arbitrary §1 posting bytes through the
+// ConceptBlocks view of a concept over them: corrupt bytes panic (as
+// Compact.Postings does) exactly when the stem decode fails; accepted
+// bytes give ranges of at most BlockSize documents, ascending and
+// disjoint, every document within MaxDocID with a non-empty list of
+// strictly ascending positions within MaxPosition at the concept's
+// weight — the stem's documents, in order, with Compact.ConceptList's
+// lists. (The name is that of the block codec the view replaces.)
 func FuzzDecodeBlocks(f *testing.F) {
-	addUnflaggedSeeds(f)
-	// Flagged tables: escapes in every kind of stream; values at
-	// MaxDocID/MaxPosition; behind the flag, a control byte promising
-	// four 4-byte values before a truncated buffer.
-	docs, lists := wideInput()
-	f.Add(EncodeBlocks(docs, lists, 2))
-	f.Add(EncodeBlocks([]int{MaxDocID}, []match.List{{{Loc: MaxPosition, Score: 1}}}, 0))
-	trunc := binary.AppendUvarint([]byte{0}, 1)
-	trunc = binary.LittleEndian.AppendUint64(trunc, math.Float64bits(1))
-	f.Add(append(binary.AppendUvarint(trunc, 1), 0xff))
+	addPostingSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bt, err := DecodeBlocks(data)
-		if err != nil || bt == nil {
+		s, err := decodeStem(data)
+		c := New().Compact()
+		c.setPostings("alpha", data)
+		concept := Concept{"alpha": 0.5}
+		var bt *BlockTable
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			bt, _ = c.ConceptBlocks(concept)
+			return false
+		}()
+		if panicked != (err != nil) {
+			t.Fatalf("view panicked %v, stem decode error %v", panicked, err)
+		}
+		if err != nil {
 			return
 		}
-		prevLast := -1
-		for i := range bt.Infos {
-			info := bt.Infos[i]
-			if info.FirstDoc <= prevLast || info.FirstDoc > info.LastDoc || info.LastDoc > MaxDocID {
-				t.Fatalf("block %d range invalid: %+v after last %d", i, info, prevLast)
-			}
-			prevLast = info.LastDoc
+		if n := s.Len(); bt.NumBlocks() != (n+BlockSize-1)/BlockSize {
+			t.Fatalf("%d ranges over %d documents", bt.NumBlocks(), n)
+		}
+		var docs []int
+		var lists []match.List
+		for i := 0; i < bt.NumBlocks(); i++ {
 			d, l, err := bt.DecodeBlock(i)
-			if err != nil {
-				continue // skip-table ok but payload hostile: rejected, fine
+			if err != nil || len(d) == 0 || len(d) > BlockSize || len(d) != len(l) {
+				t.Fatalf("range %d: %d documents, %d lists, %v", i, len(d), len(l), err)
 			}
-			max := math.Inf(-1)
-			prevDoc := info.FirstDoc - 1
-			for j := range d {
-				if d[j] <= prevDoc || d[j] > info.LastDoc {
-					t.Fatalf("block %d doc %d out of order or range", i, d[j])
-				}
-				prevDoc = d[j]
-				prevPos := -1
-				for _, m := range l[j] {
-					if m.Loc <= prevPos || m.Loc > MaxPosition {
-						t.Fatalf("block %d doc %d positions invalid", i, d[j])
-					}
-					prevPos = m.Loc
-					if math.IsNaN(m.Score) || math.IsInf(m.Score, 0) {
-						t.Fatalf("non-finite score accepted")
-					}
-					if m.Score > max {
-						max = m.Score
-					}
+			docs, lists = append(docs, d...), append(lists, l...)
+		}
+		for i, d := range docs {
+			if d < 0 || d > MaxDocID || i > 0 && d <= docs[i-1] || len(lists[i]) == 0 {
+				t.Fatalf("document %d at %d out of order, out of range or empty", d, i)
+			}
+			for j, m := range lists[i] {
+				if m.Loc < 0 || m.Loc > MaxPosition || j > 0 && m.Loc <= lists[i][j-1].Loc || m.Score != 0.5 {
+					t.Fatalf("document %d match %d: %+v", d, j, m)
 				}
 			}
-			if max != info.MaxScore {
-				t.Fatalf("block %d MaxScore %v disagrees with content max %v", i, info.MaxScore, max)
-			}
 		}
-		docs, lists, err := bt.decodeAll()
-		if err != nil {
-			return // some block rejected above: nothing to round-trip
+		if !slices.Equal(docs, stemDocs(s)) {
+			t.Fatalf("view documents %v, stem documents %v", docs, stemDocs(s))
 		}
-		// Fully valid tables round-trip through the encoder.
-		again, err := DecodeBlocks(EncodeBlocks(docs, lists, BlockSize))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		docsAgain, listsAgain, err := again.decodeAll()
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(docsAgain, docs) || !reflect.DeepEqual(listsAgain, lists) {
-			t.Fatalf("round trip changed the table")
-		}
+		fuzzConceptLists(t, c, concept, docs, lists)
 	})
 }
 
-// FuzzDecodeBatch drives arbitrary bytes through the batched,
-// per-block decode paths the engine takes, seeded with unflagged
-// tables. Every block that fully decodes must list the same documents
-// through DecodeDocs, the directory-only decode candidate generation
-// relies on; and fully valid content whose ids and positions all stay
-// below 2^32−1 must re-encode unflagged — lanes only, the bytes every
-// table without a wide value has always had. (FuzzDecodeBlocks holds
-// the re-encoding to an exact round trip.)
+// FuzzDecodeBatch drives two arbitrary §1 posting buffers — data[0]
+// bytes after the first, then the rest — through the merge of a
+// concept over two stems at different weights, the merge every query
+// runs: when both decode, the concept lists exactly the documents
+// either stem holds, each with Compact.ConceptList's list bit for bit;
+// when either is corrupt, the concept's stems fail to resolve. (The
+// name is that of the batched block decode the merge replaces.)
 func FuzzDecodeBatch(f *testing.F) {
-	addUnflaggedSeeds(f)
+	two := func(a, b []Posting) []byte {
+		ea := EncodePostings(a)
+		return append(append([]byte{byte(len(ea))}, ea...), EncodePostings(b)...)
+	}
+	f.Add([]byte{0})
+	f.Add(two([]Posting{{Doc: 0, Pos: 0}}, []Posting{{Doc: 0, Pos: 0}}))
+	f.Add(two([]Posting{{Doc: 1, Pos: 3}, {Doc: 1, Pos: 9}, {Doc: 7, Pos: 2}},
+		[]Posting{{Doc: 1, Pos: 4}, {Doc: 1, Pos: 9}, {Doc: 5, Pos: 1}}))
+	f.Add(two([]Posting{{Doc: 2, Pos: 503}, {Doc: 9, Pos: 1}}, []Posting{{Doc: 2, Pos: 503}, {Doc: 2, Pos: 504}}))
+	f.Add(two([]Posting{{Doc: 3, Pos: 1 << 32}, {Doc: 1 << 33, Pos: 4}},
+		[]Posting{{Doc: 3, Pos: 1<<32 - 1}, {Doc: MaxDocID, Pos: MaxPosition}}))
+	f.Add(append([]byte{7, 2, 5, 1, 3, 0, 1, 4}, 1, 5, 2, 3, 4))
+	f.Add(append([]byte{7, 2, 5, 1, 3, 0, 1, 2}, 1, 5, 1, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bt, err := DecodeBlocks(data)
-		if err != nil || bt == nil {
+		if len(data) == 0 {
 			return
 		}
-		for i := range bt.Infos {
-			full, _, err := bt.DecodeBlock(i)
-			if err != nil {
-				continue
-			}
-			dir, err := bt.DecodeDocs(i)
-			if err != nil || !reflect.DeepEqual(dir, full) {
-				t.Fatalf("block %d: DecodeDocs %v (%v), DecodeBlock %v", i, dir, err, full)
-			}
+		cut := 1 + min(int(data[0]), len(data)-1)
+		a, b := data[1:cut], data[cut:]
+		c := New().Compact()
+		c.setPostings("alpha", a)
+		c.setPostings("beta", b)
+		concept := Concept{"alpha": 1, "beta": 0.25}
+		sa, errA := decodeStem(a)
+		sb, errB := decodeStem(b)
+		if _, err := c.ConceptStems(concept); (err == nil) != (errA == nil && errB == nil) {
+			t.Fatalf("ConceptStems error %v, stem errors %v, %v", err, errA, errB)
 		}
-		docs, lists, err := bt.decodeAll()
-		if err != nil {
-			return // some block rejected: nothing to re-encode
+		if errA != nil || errB != nil {
+			return
 		}
-		narrow := docs[len(docs)-1] < escapeLane
-		for _, l := range lists {
-			narrow = narrow && l[len(l)-1].Loc < escapeLane
+		want := slices.Compact(slices.Sorted(slices.Values(append(stemDocs(sa), stemDocs(sb)...))))
+		docs, lists := c.conceptDocLists(concept)
+		if !slices.Equal(docs, want) {
+			t.Fatalf("concept documents %v, stems' %v", docs, want)
 		}
-		if narrow && EncodeBlocks(docs, lists, BlockSize)[0] == 0 {
-			t.Fatal("content below 2^32−1 re-encoded flagged")
-		}
+		fuzzConceptLists(t, c, concept, docs, lists)
 	})
 }
 
-// FuzzBlockDocs holds the per-document decode to DecodeBlock on
-// arbitrary bytes, seeded with unflagged and flagged tables: wherever
-// DecodeBlock accepts a block, DecodeBlockDocs lists the same
-// documents and every DecodeDoc succeeds with that document's list,
-// bit for bit; wherever it does not, a per-document decode may error
-// or succeed, but what it returns is still well formed.
+// FuzzBlockDocs holds the per-document merge the engine's workers run
+// (AppendConceptList at one document) to the whole-concept merge on
+// arbitrary §1 posting bytes: a concept over the stem and a copy of it
+// at half the weight, merged one document at a time after a prefix,
+// leaves the prefix alone and appends exactly that document's list —
+// strictly ascending positions, each at the higher weight — which is
+// Compact.ConceptList's, bit for bit. (The name is that of the
+// per-document block decode the merge replaces.)
 func FuzzBlockDocs(f *testing.F) {
-	addUnflaggedSeeds(f)
-	docs, lists := wideInput()
-	f.Add(EncodeBlocks(docs, lists, 2))
-	f.Add(EncodeBlocks(docs, lists, 0))
-	f.Add(EncodeBlocks([]int{MaxDocID}, []match.List{{{Loc: MaxPosition, Score: 1}}}, 0))
+	addPostingSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bt, err := DecodeBlocks(data)
-		if err != nil || bt == nil {
+		s, err := decodeStem(data)
+		if err != nil {
 			return
 		}
-		checkBlockDocs(t, bt)
+		c := New().Compact()
+		c.setPostings("alpha", data)
+		c.setPostings("beta", data)
+		concept := Concept{"alpha": 1, "beta": 0.5}
+		docs, lists := c.conceptDocLists(concept)
+		if !slices.Equal(docs, stemDocs(s)) {
+			t.Fatalf("concept documents %v, stem documents %v", docs, stemDocs(s))
+		}
+		prefix := match.List{{Loc: -1, Score: 7}}
+		for i := range docs {
+			at := []StemAt{{Arrays: s, I: i, Score: 0.5}, {Arrays: s, I: i, Score: 1}}
+			got := AppendConceptList(prefix[:1:1], at)
+			if got[0] != prefix[0] || !slices.Equal(got[1:], lists[i]) {
+				t.Fatalf("doc %d: merged %v after the prefix, whole-concept merge %v", docs[i], got, lists[i])
+			}
+			for j, m := range lists[i] {
+				if m.Score != 1 || j > 0 && m.Loc <= lists[i][j-1].Loc {
+					t.Fatalf("doc %d match %d: %+v", docs[i], j, m)
+				}
+			}
+		}
+		fuzzConceptLists(t, c, concept, docs, lists)
 	})
 }
 

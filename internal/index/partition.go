@@ -4,32 +4,15 @@ import "fmt"
 
 // Document-partitioned sharding: Partition splits one compacted index
 // into n shard indexes whose posting lists and pair lists are each
-// restricted to the shard's documents.
-// The partitioner is the substrate of the scatter-gather serving tier
-// (internal/shard): best-join scoring is document-local — a document's
-// match lists, and therefore its score and matchset, depend only on
-// that document's own postings — so doc-partitioned sharding is
-// lossless by construction, and a coordinator that rank-merges
-// per-shard top-k heaps reproduces the single-index answer exactly.
-//
-// Two invariants make that argument hold:
-//
-//   - Assignment is deterministic and total: document d lives in shard
-//     ShardOf(d, n) = d mod n, nowhere else. Round-robin keeps shards
-//     balanced under the common "ids roughly follow ingest order"
-//     distribution without needing corpus statistics.
-//   - Global document ids are preserved. A shard index keeps the whole
-//     corpus's id space (Docs() reports the global count) and its
-//     postings carry original ids, so shard-served results need no id
-//     translation and tie-breaks on document id mean the same thing on
-//     every shard.
-//
-// A shard builds its concept block tables from its own postings, like
-// any index (Compact.ConceptBlocks): a table holds exactly the shard's
-// documents of the whole index's table, with the same match lists.
-// Block boundaries move — a shard has ~1/n of each block's documents —
-// but block-max pruning is lossless, so boundaries never change
-// answers, only skip rates.
+// restricted to the shard's documents — the substrate of the
+// scatter-gather tier (internal/shard). Best-join scoring is
+// document-local, so a coordinator that rank-merges per-shard top-k
+// heaps reproduces the single-index answer exactly, given two
+// invariants: assignment is deterministic and total (document d lives
+// in shard ShardOf(d, n) = d mod n, nowhere else), and global document
+// ids are preserved (a shard keeps the whole id space, Docs() included,
+// so results need no translation and tie-breaks on id mean the same
+// thing on every shard). A shard decodes its own stems (Compact.Stem).
 
 // ShardOf returns the shard owning document doc under an n-way
 // partition: doc mod n, the deterministic round-robin assignment used
@@ -48,9 +31,9 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 	if n == 1 {
 		return []*Compact{c}, nil
 	}
-	shards := make([]*Compact, n)
-	for s := range shards {
-		shards[s] = &Compact{postings: make(map[string][]byte, len(c.postings)), docs: c.docs, blockSize: c.blockSize}
+	parts := make([]map[string][]byte, n)
+	for s := range parts {
+		parts[s] = make(map[string][]byte, len(c.postings))
 	}
 	// Postings: decode each stem once, split by owner, re-encode the
 	// non-empty pieces. Posting order is (doc, pos) ascending and
@@ -71,9 +54,13 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 		}
 		for s, sps := range split {
 			if len(sps) > 0 {
-				shards[s].postings[stem] = EncodePostings(sps)
+				parts[s][stem] = EncodePostings(sps)
 			}
 		}
+	}
+	shards := make([]*Compact, n)
+	for s, postings := range parts {
+		shards[s] = newCompact(c.docs, postings)
 	}
 	if err := c.partitionPairs(shards); err != nil {
 		return nil, err

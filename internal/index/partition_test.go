@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"bestjoin/internal/match"
-	"bestjoin/internal/text"
 )
 
-// partitionCorpus builds a compacted index whose concept tables are cut
-// into tiny blocks, several per concept.
+// partitionCorpus builds a small compacted index and two concepts over
+// it.
 func partitionCorpus(t *testing.T) (*Compact, []Concept) {
 	t.Helper()
 	ix := New()
@@ -34,7 +33,6 @@ func partitionCorpus(t *testing.T) (*Compact, []Concept) {
 		{"lenovo": 1.0, "dell": 0.8, "ibm": 0.6},
 		{"laptops": 0.9, "pc": 0.7},
 	}
-	SetBlockSizeForTest(c, 2)
 	return c, concepts
 }
 
@@ -107,62 +105,64 @@ func sortPostings(ps []Posting) {
 	}
 }
 
-// TestPartitionSplitsBatchedBlocks holds every unflagged table — the
-// batched group-varint form — a shard builds to a shard-disjoint split
-// with exactly the whole index's documents and match lists, and to that
-// form too: a shard's values are bounded by the original's ids and
-// positions, so no split may need the wide flag.
+// TestPartitionSplitsBatchedBlocks holds the concept lists shards
+// merge from their own stems to the whole index's on a small corpus,
+// and each shard's stem arrays to exactly the whole index's documents
+// it owns, with their positions and location masks.
 func TestPartitionSplitsBatchedBlocks(t *testing.T) {
 	c, concepts := partitionCorpus(t)
-	for _, shards := range assertPartitionSplits(t, c, concepts) {
-		for s, shard := range shards {
-			for _, cc := range concepts {
-				if bt, _ := shard.ConceptBlocks(cc); bt.wide {
-					t.Fatalf("%d shards: shard %d table of %v is flagged", len(shards), s, cc)
+	assertPartitionSplits(t, c, concepts)
+	for _, n := range []int{2, 3} {
+		shards, err := c.Partition(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for stem := range c.postings {
+			whole, _ := c.Stem(stem)
+			for s, shard := range shards {
+				var want []Posting
+				for _, p := range flattenStem(whole) {
+					if ShardOf(p.Doc, n) == s {
+						want = append(want, p)
+					}
+				}
+				arr, err := shard.Stem(stem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []Posting
+				if arr != nil {
+					got = flattenStem(arr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d shard %d stem %q: %v, want %v", n, s, stem, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestPartitionSplitsConceptBlocks holds a flagged table, whose ids and
-// positions straddle 2^32, to the same split.
+// TestPartitionSplitsConceptBlocks holds the same split to a concept
+// whose ids and positions straddle 2^32.
 func TestPartitionSplitsConceptBlocks(t *testing.T) {
 	docs, lists := wideInput()
-	word := map[float64]string{0.25: "wquarter", 0.5: "whalf", 1: "wone"}
-	ix := New()
-	for i, d := range docs {
-		var toks []text.Token
-		for _, m := range lists[i] {
-			toks = append(toks, text.Token{Word: word[m.Score], Pos: m.Loc})
-		}
-		ix.Add(d, toks)
-	}
-	c := ix.Compact()
-	SetBlockSizeForTest(c, 2)
-	wide := Concept{}
-	for score, w := range word {
-		wide[w] = score
-	}
-	if bt, _ := c.ConceptBlocks(wide); !bt.wide {
-		t.Fatal("table over ids past 2^32 is not flagged")
+	c, wide := compactOf(docs, lists)
+	if got, _ := decodeAllBlocks(t, c, wide); !reflect.DeepEqual(got, docs) {
+		t.Fatalf("wide concept documents %v, want %v", got, docs)
 	}
 	assertPartitionSplits(t, c, []Concept{wide})
 }
 
 // assertPartitionSplits splits c 2 and 3 ways and checks that the
-// tables the shards build for concepts own disjoint documents by
-// ShardOf and together hold exactly the documents and match lists of
-// c's own tables. It returns the splits.
-func assertPartitionSplits(t *testing.T, c *Compact, concepts []Concept) [][]*Compact {
+// concept lists the shards merge own disjoint documents by ShardOf and
+// together hold exactly the documents and match lists of c's own.
+func assertPartitionSplits(t *testing.T, c *Compact, concepts []Concept) {
 	t.Helper()
-	var splits [][]*Compact
 	for _, n := range []int{2, 3} {
 		shards, err := c.Partition(n)
 		if err != nil {
 			t.Fatalf("Partition(%d): %v", n, err)
 		}
-		splits = append(splits, shards)
 		for _, cc := range concepts {
 			wantDocs, wantLists := decodeAllBlocks(t, c, cc)
 			gotLists := map[int]match.List{}
@@ -185,15 +185,18 @@ func assertPartitionSplits(t *testing.T, c *Compact, concepts []Concept) [][]*Co
 			}
 		}
 	}
-	return splits
 }
 
-func decodeAllBlocks(t *testing.T, c *Compact, cc Concept) ([]int, []match.List) {
+// decodeAllBlocks lists every range of c's block view of cc.
+func decodeAllBlocks(t *testing.T, c *Compact, cc Concept) (docs []int, lists []match.List) {
 	t.Helper()
 	bt, _ := c.ConceptBlocks(cc)
-	docs, lists, err := bt.decodeAll()
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < bt.NumBlocks(); i++ {
+		d, l, err := bt.DecodeBlock(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, lists = append(docs, d...), append(lists, l...)
 	}
 	return docs, lists
 }

@@ -35,8 +35,8 @@ import (
 // accepts, so a repeated entry cannot silently replace an earlier one.
 // An index that omits the optional section simply lacks the feature; an
 // unknown section id is rejected loudly instead of being misparsed.
-// Concept block tables are not persisted: they are built from section
-// 1 on first use (Compact.ConceptBlocks).
+// Nothing per concept is persisted: a stem's plain arrays are decoded
+// from section 1 on first use (Compact.Stem).
 //
 // Four shapes older code could write are rejected, each with an
 // ErrCorrupt-wrapped error naming what was seen: section 2 (per-concept
@@ -216,7 +216,6 @@ func parsePostings(c *Compact, b []byte) (err error) {
 	if n <= 0 {
 		return fmt.Errorf("corrupt docs header")
 	}
-	c.docs = int(docs)
 	readStem := func(b []byte) (string, []byte, bool) {
 		slen, n := binary.Uvarint(b)
 		if n <= 0 || slen > uint64(len(b[n:])) {
@@ -225,13 +224,17 @@ func parsePostings(c *Compact, b []byte) (err error) {
 		return string(b[n : n+int(slen)]), b[n+int(slen):], true
 	}
 	// An entry takes at least 2 bytes: stem length, posting length.
-	c.postings, err = parseEntries(b[n:], 2, readStem, strings.Compare, func(stem string, buf []byte) error {
-		if _, err := DecodePostings(buf); err != nil {
+	postings, err := parseEntries(b[n:], 2, readStem, strings.Compare, func(stem string, buf []byte) error {
+		if err := walkPostings(buf, func(int, int) {}); err != nil {
 			return fmt.Errorf("invalid postings for %q: %v", stem, err)
 		}
 		return nil
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	*c = *newCompact(int(docs), postings)
+	return nil
 }
 
 // parsePairs decodes the pair-list payload into c.pairs. Every block

@@ -167,14 +167,14 @@ func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
 	}
 }
 
-// TestPersistBatchSectionRoundTrip pins that block tables travel as
-// their postings: Marshal writes section 1 alone, and the tables a
-// loaded index builds — narrow or flagged, at any block size — equal
-// the original's.
+// TestPersistBatchSectionRoundTrip pins that concept data travels as
+// its postings: Marshal writes section 1 alone, and the concept lists a
+// loaded index merges — positions below 2^32 or past it — equal the
+// original's.
 func TestPersistBatchSectionRoundTrip(t *testing.T) {
 	c := blocksTestCompact(t, 80, 5)
-	// Positions past 2^32 flag the "wide" concept's table.
-	c.postings[text.Stem("wide")] = EncodePostings([]Posting{{Doc: 3, Pos: 1 << 33}, {Doc: 4, Pos: MaxPosition}})
+	// Positions past 2^32.
+	c.setPostings(text.Stem("wide"), EncodePostings([]Posting{{Doc: 3, Pos: 1 << 33}, {Doc: 4, Pos: MaxPosition}}))
 	b := c.Marshal()
 	// Frame: magic, version, section count, then (id, length, payload,
 	// checksum) per section.
@@ -192,23 +192,19 @@ func TestPersistBatchSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	for _, size := range []int{8, 0} {
-		SetBlockSizeForTest(c, size)
-		SetBlockSizeForTest(loaded, size)
-		for _, cc := range []Concept{
-			{text.Stem("river"): 1.0, text.Stem("bank"): 0.5},
-			{text.Stem("stone"): 0.75},
-			{"wide": 1, text.Stem("stone"): 0.5},
-		} {
-			got, _ := loaded.ConceptBlocks(cc)
-			want, _ := c.ConceptBlocks(cc)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("size %d concept %v: loaded index builds a different table", size, cc)
-			}
+	for _, cc := range []Concept{
+		{text.Stem("river"): 1.0, text.Stem("bank"): 0.5},
+		{text.Stem("stone"): 0.75},
+		{"wide": 1, text.Stem("stone"): 0.5},
+	} {
+		got, _ := loaded.ConceptBlocks(cc)
+		want, _ := c.ConceptBlocks(cc)
+		if !reflect.DeepEqual(got, want) || got.NumBlocks() == 0 {
+			t.Fatalf("concept %v: loaded index merges different lists", cc)
 		}
 	}
-	if bt, _ := c.ConceptBlocks(Concept{"wide": 1}); !bt.wide {
-		t.Fatal("the wide concept's table is not flagged")
+	if s, _ := loaded.Stem("wide"); s == nil || s.Pos(0) != 1<<33 || s.Pos(1) != MaxPosition {
+		t.Fatal("positions past 2^32 are not held exactly")
 	}
 }
 

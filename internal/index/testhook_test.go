@@ -8,11 +8,11 @@ import (
 // The corruption hooks exist so other packages can prove their
 // containment of index-layer panics; these tests pin the hooks' own
 // contract — each one really produces the failure mode it advertises,
-// on unflagged and on flagged block tables — so a hook silently going
+// with document ids below 2^32 and past it — so a hook silently going
 // stale can't turn the engine's robustness suite into a no-op.
 
 // hookCorpus is twelve identical documents, with ids 2^32 apart when
-// wide — which flags the concept's block table.
+// wide.
 func hookCorpus(t *testing.T, wide bool) (*Compact, Concept) {
 	t.Helper()
 	ix := New()
@@ -26,18 +26,14 @@ func hookCorpus(t *testing.T, wide bool) (*Compact, Concept) {
 	return ix.Compact(), Concept{"amber": 1, "basalt": 0.9}
 }
 
-// hookTables builds the hook corpus's concept table with small blocks
-// for each table shape, handing each to f as a subtest: "batch" is an
-// unflagged table, every value in a group-varint lane; "varint" is a
-// flagged one, whose 2^32 gaps travel as uvarint escapes.
+// hookTables hands the hook corpus to f as a subtest for each id
+// range: "batch" keeps ids below 2^32, "varint" spaces them 2^32 apart
+// (the names are those of the two block-table shapes the corpora once
+// exercised).
 func hookTables(t *testing.T, f func(t *testing.T, c *Compact, concept Concept)) {
 	for _, shape := range []string{"batch", "varint"} {
 		t.Run(shape, func(t *testing.T) {
 			c, concept := hookCorpus(t, shape == "varint")
-			SetBlockSizeForTest(c, 4)
-			if bt, _ := c.ConceptBlocks(concept); bt.wide != (shape == "varint") {
-				t.Fatalf("table flagged %v", bt.wide)
-			}
 			f(t, c, concept)
 		})
 	}
@@ -61,24 +57,39 @@ func TestCorruptPostingsHookPanics(t *testing.T) {
 
 func TestCorruptConceptBlocksHookPanics(t *testing.T) {
 	hookTables(t, func(t *testing.T, c *Compact, concept Concept) {
+		if bt, _ := c.ConceptBlocks(concept); bt.NumBlocks() != 1 {
+			t.Fatalf("healthy view has %d blocks, want 1", bt.NumBlocks())
+		}
 		CorruptPostingsForTest(c, "amber")
 		mustPanic(t, "ConceptBlocks on corrupt postings", func() { c.ConceptBlocks(concept) })
+		if _, err := c.ConceptStems(concept); err == nil {
+			t.Fatal("ConceptStems decoded corrupt postings")
+		}
 	})
 }
 
+// TestCorruptConceptBlockPayloadHook pins that CorruptPostingsForTest
+// reaches the lazy per-stem decode even on a warm index: with every
+// stem of the concept decoded already, the hook still makes the next
+// use of the corrupted stem fail — every use, nothing kept — while the
+// concept's other stem keeps its decoded arrays. (The name is that of
+// the former block-payload hook, whose deferred per-block failure the
+// per-stem decode now carries.)
 func TestCorruptConceptBlockPayloadHook(t *testing.T) {
 	hookTables(t, func(t *testing.T, c *Compact, concept Concept) {
-		bt, _ := c.ConceptBlocks(concept)
-		CorruptConceptBlockPayloadForTest(bt)
-		// The skip table must still find blocks — the hook's point is
-		// that the failure is deferred to the lazy per-block path.
-		if bt.FindBlock(0) != 0 {
-			t.Fatal("payload hook broke the skip table too")
+		stems, err := c.ConceptStems(concept)
+		if err != nil || len(stems) != 2 {
+			t.Fatalf("healthy concept: %d stems, %v", len(stems), err)
 		}
-		for i := range bt.Infos {
-			if _, err := bt.DecodeDocs(i); err == nil {
-				t.Fatalf("block %d directory decoded despite corrupted payload", i)
+		basalt, _ := c.Stem("basalt")
+		CorruptPostingsForTest(c, "amber")
+		for range 2 {
+			if s, err := c.Stem("amber"); err == nil || s != nil {
+				t.Fatalf("warm stem decoded past the hook: %v, %v", s, err)
 			}
+		}
+		if s, err := c.Stem("basalt"); err != nil || s != basalt {
+			t.Fatalf("untouched stem: %p, %v; want its decoded arrays %p", s, err, basalt)
 		}
 	})
 }

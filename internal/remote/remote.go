@@ -53,8 +53,6 @@ const (
 	maxConcepts = 256
 	// maxTermLen caps one concept term's byte length.
 	maxTermLen = 1 << 10
-	// maxTermsPerConcept caps one concept's expansion size.
-	maxTermsPerConcept = 1 << 12
 	// maxBudget caps the query's deadline budget.
 	maxBudget = time.Hour
 	// maxWireDocs caps the document rows in one wire result at the cap
@@ -180,8 +178,8 @@ func (wq *WireQuery) Validate() error {
 		if len(c) == 0 {
 			return fmt.Errorf("remote: concept %d is empty", i)
 		}
-		if len(c) > maxTermsPerConcept {
-			return fmt.Errorf("remote: concept %d has %d terms, exceeds limit %d", i, len(c), maxTermsPerConcept)
+		if len(c) > engine.MaxConceptStems {
+			return fmt.Errorf("remote: concept %d has %d terms, exceeds limit %d", i, len(c), engine.MaxConceptStems)
 		}
 		for term, w := range c {
 			if term == "" || len(term) > maxTermLen {

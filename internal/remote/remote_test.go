@@ -979,3 +979,24 @@ func TestRemoteStatsRollup(t *testing.T) {
 		t.Fatalf("shard processes report %d served queries through /shardstats, want 6", served)
 	}
 }
+
+// TestWireConceptStemsCapped: the wire decode refuses a concept of more
+// than engine.MaxConceptStems terms, and accepts one at the cap.
+func TestWireConceptStemsCapped(t *testing.T) {
+	for _, tc := range []struct {
+		words int
+		ok    bool
+	}{{engine.MaxConceptStems, true}, {engine.MaxConceptStems + 1, false}} {
+		c := index.Concept{}
+		for i := 0; i < tc.words; i++ {
+			c[fmt.Sprintf("w%d", i)] = 0.5
+		}
+		wq, err := EncodeQuery(engine.Query{Concepts: []index.Concept{c}, Spec: engine.KernelSpec{Family: "med", Alpha: 0.1}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wq.Validate(); tc.ok != (err == nil) {
+			t.Fatalf("%d terms: Validate %v", tc.words, err)
+		}
+	}
+}

@@ -22,7 +22,7 @@
 //     the same thing on every shard.
 //   - A shared pruning floor (engine.GlobalFloor via Query.Floor).
 //     Each shard publishes its local k-th-best kept score and prunes
-//     against the fleet-wide maximum, so block-max/WAND pruning still
+//     against the fleet-wide maximum, so bound and WAND pruning still
 //     bites across the partition: a strong document found on one
 //     shard stops weak candidates everywhere. Soundness: a shard's
 //     k-th-best kept score is witnessed by k real documents, so the
@@ -521,10 +521,6 @@ func (c *Coordinator) Stats() engine.Stats {
 		agg.WindowCutJoins += s.WindowCutJoins
 		agg.DedupCapped += s.DedupCapped
 		agg.PrunedDocs += s.PrunedDocs
-		agg.ConceptHits += s.ConceptHits
-		agg.ConceptMisses += s.ConceptMisses
-		agg.ListHits += s.ListHits
-		agg.ListMisses += s.ListMisses
 		agg.DeadlineHits += s.DeadlineHits
 		agg.PartialResults += s.PartialResults
 		agg.JoinPanics += s.JoinPanics
@@ -534,18 +530,11 @@ func (c *Coordinator) Stats() engine.Stats {
 		agg.IndexReloads += s.IndexReloads
 		agg.InFlight += s.InFlight
 		agg.QueueDepth += s.QueueDepth
-		agg.CachedLists += s.CachedLists
-		agg.BlockDecodes += s.BlockDecodes
-		agg.BlocksSkipped += s.BlocksSkipped
-		agg.CacheBytes += s.CacheBytes
-		agg.CoalescedDecodes += s.CoalescedDecodes
-		agg.DecodeWaits += s.DecodeWaits
 		agg.UnionCandidates += s.UnionCandidates
 		agg.PivotSkips += s.PivotSkips
 		agg.UnionUnpruned += s.UnionUnpruned
 		agg.PairHits += s.PairHits
 		agg.PairServed += s.PairServed
-		agg.PairBoundPrunes += s.PairBoundPrunes
 		agg.Hedged += s.Hedged
 		agg.Retried += s.Retried
 		agg.ShardTimeouts += s.ShardTimeouts

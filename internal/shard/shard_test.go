@@ -146,8 +146,7 @@ func assertSameResult(t *testing.T, label string, sharded, single *engine.Result
 // TestShardDifferential is the core acceptance test: N ∈ {1, 2, 4}
 // shards versus the single engine across AND/OR/m-of-n × all six
 // scoring families × 1/4 workers × pruning on/off, over random
-// corpora whose block tables are built at the default block size or at
-// a small one, in rotation.
+// corpora.
 func TestShardDifferential(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -157,13 +156,6 @@ func TestShardDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(4000 + int64(trial)))
 		compact := buildCompact(t, shardCorpus(rng))
 		concepts := shardConcepts(rng)
-		// Rotate the block size every engine builds its tables at, from
-		// the whole index's postings or from a shard's.
-		layout := "bs=default"
-		if trial%2 == 1 {
-			layout = "bs=16"
-			index.SetBlockSizeForTest(compact, 16)
-		}
 		k := 1 + rng.Intn(6)
 		minMatch := 1 + rng.Intn(len(concepts))
 
@@ -199,8 +191,8 @@ func TestShardDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							label := fmt.Sprintf("trial %d %s %s shards=%d workers=%d k=%d noprune=%v layout=%s",
-								trial, fam.name, mode.name, n, workers, k, noprune, layout)
+							label := fmt.Sprintf("trial %d %s %s shards=%d workers=%d k=%d noprune=%v",
+								trial, fam.name, mode.name, n, workers, k, noprune)
 							pureAND := q.Mode == engine.ModeAND && q.MinMatch == 0
 							assertSameResult(t, label, got, want, pureAND)
 							// Repeat the query: the warm path (per-shard
@@ -714,6 +706,34 @@ func TestWideDocIDsEndToEnd(t *testing.T) {
 				t.Fatalf("%s %s: degraded=%v partial=%v\ngot:  %+v\nwant: %+v",
 					fam.name, mode.name, got.Degraded, got.Partial, got.Docs, want)
 			}
+		}
+	}
+}
+
+// TestConceptStemsCappedAtCoordinator: a concept of more than
+// engine.MaxConceptStems member words is refused by the coordinator
+// itself, typed, before any shard sees it; one at the cap is served.
+func TestConceptStemsCappedAtCoordinator(t *testing.T) {
+	coord, err := New(buildCompact(t, []string{"amber cedar", "basalt amber"}), Config{Shards: 2, Engine: engine.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := engine.KernelSpec{Family: "med", Alpha: 0.5}
+	for _, tc := range []struct {
+		words int
+		ok    bool
+	}{{engine.MaxConceptStems, true}, {engine.MaxConceptStems + 1, false}} {
+		c := index.Concept{"amber": 1}
+		for i := 1; i < tc.words; i++ {
+			c[fmt.Sprintf("zz%dq", i)] = 0.5
+		}
+		before := coord.Stats().ShardQueries
+		_, err := coord.Search(context.Background(), engine.Query{Concepts: []index.Concept{c}, Spec: spec})
+		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, engine.ErrQueryTooWide) {
+			t.Fatalf("%d member words: err %v", tc.words, err)
+		}
+		if reached := coord.Stats().ShardQueries - before; reached != map[bool]uint64{true: 2, false: 0}[tc.ok] {
+			t.Fatalf("%d member words: %d shard queries", tc.words, reached)
 		}
 	}
 }

@@ -14,10 +14,11 @@
 # nobody telling it to. The script waits (bounded) for every shard's
 # /shardstats to show PairServed growing, before and after the roll.
 #
-# The shards run -synth 400. Like every process, they serve through the
-# block layer, building each concept's table from the postings on first
-# use — the path the benchmark measures — which shows as "BlockDecodes"
-# above 0 on each shard, before and after the roll.
+# The shards run -synth 400. Like every process, they serve concepts as
+# unions of their stems' arrays, decoded from the postings on first use,
+# and join candidates with the kernel — the path the benchmark measures —
+# which shows as "JoinsRun" above 0 on each shard, before and after the
+# roll.
 #
 # Needs curl or wget for HTTP; skips cleanly when neither is present
 # (the in-repo equivalent runs as TestRemoteRollingRestart).
@@ -144,12 +145,12 @@ shard_stat() { # $1 = shard address, $2 = counter name
 }
 pair_served() { shard_stat "$1" PairServed; }
 
-# assert_block_served fails unless both shards have decoded blocks.
-assert_block_served() { # $1 = label
+# assert_kernel_served fails unless both shards have joined candidates.
+assert_kernel_served() { # $1 = label
     for addr in "$SHARD0" "$SHARD1"; do
-        if [ "$(shard_stat "$addr" BlockDecodes)" -eq 0 ]; then
-            echo "smoke-remote: shard $addr answered queries with BlockDecodes 0 $1:" \
-                "it is not serving through block tables" >&2
+        if [ "$(shard_stat "$addr" JoinsRun)" -eq 0 ]; then
+            echo "smoke-remote: shard $addr answered queries with JoinsRun 0 $1:" \
+                "it is not serving through the concept path" >&2
             exit 1
         fi
     done
@@ -183,7 +184,7 @@ echo "== queries against the healthy fleet =="
 run_queries 5 "healthy"
 echo "== both shards build pair lists for the coordinator's spec on demand =="
 await_pair_served "before the roll"
-assert_block_served "before the roll"
+assert_kernel_served "before the roll"
 if [ "$DEGRADED" -ne 0 ]; then
     echo "smoke-remote: healthy fleet answered degraded" >&2
     exit 1
@@ -222,7 +223,7 @@ settle "after both shards restarted"
 echo "== restarted shards serve pair lists again =="
 DEGRADED_ROLL="$DEGRADED"
 await_pair_served "after the roll"
-assert_block_served "after the roll"
+assert_kernel_served "after the roll"
 if [ "$FAILED" -ne 0 ] || [ "$DEGRADED" -ne "$DEGRADED_ROLL" ]; then
     echo "smoke-remote: pair queries after the roll: $FAILED failed, $(( DEGRADED - DEGRADED_ROLL )) degraded" >&2
     cat "$TMP"/*.log >&2 || true
