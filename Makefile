@@ -23,7 +23,8 @@ bench-json:
 	./scripts/benchjson.sh
 
 # Short fuzz passes over the untrusted-bytes decode paths (index files,
-# match lists, the shard wire) and over the cache rung's soundness.
+# match lists, the shard wire), over the stem decode and concept merges
+# built on section 1, and over the cache rung's soundness.
 fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecode -fuzztime=30s ./internal/match/
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
@@ -33,7 +34,6 @@ fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecodeBlocks -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzBlockDocs -fuzztime=30s ./internal/index/
-	go test -run=Fuzz -fuzz=FuzzDecodePairs -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzShardQuery -fuzztime=30s ./internal/remote/
 	go test -run=Fuzz -fuzz=FuzzShardResult -fuzztime=30s ./internal/remote/
 	go test -run=Fuzz -fuzz=FuzzScreenRung -fuzztime=30s ./internal/join/

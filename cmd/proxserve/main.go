@@ -38,8 +38,10 @@
 // heaviest (longest-posting) stems under the served kernel: two-term
 // queries over those pairs are answered straight off a precomputed
 // list with zero joins, bitwise identical to the kernel path. The
-// -pair-budget flag caps the bytes spent on lists and -nopairs turns
-// the tier off entirely (baseline mode).
+// lists live only in the process that built them: an index file, a
+// partition and a /swapindex body never carry them. The -pair-budget
+// flag caps the bytes spent on lists per kernel spec, and
+// -pair-budget 0 turns the tier off entirely (baseline mode).
 //
 // A process is either an engine over an index or a coordinator over
 // remote shard processes. A shard process is an engine that serves one
@@ -130,12 +132,14 @@ func main() {
 		savePath     = flag.String("save", "", "after indexing, save the checksummed index to this path")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof (debug only)")
 
-		nopairs    = flag.Bool("nopairs", false, "disable the auxiliary pair-index tier: no pair lists are built and the engine never serves from them (baseline mode)")
-		pairBudget = flag.Int("pair-budget", 4<<20, "storage budget in bytes for precomputed pair lists per kernel spec, spent on the costliest concept pairs of the whole index first and counted on this process's partition (0 or less = unlimited)")
+		pairBudget = flag.Int("pair-budget", 4<<20, "storage budget in bytes for precomputed pair lists per kernel spec, spent on the costliest concept pairs of the whole index first and counted on this process's partition (0 = no pair tier: no lists, no background builds)")
 	)
 	flag.Parse()
 	if err := checkTopology(*shardsAt, *shardOf, *serveShard); err != nil {
 		log.Fatalf("proxserve: %v", err)
+	}
+	if *pairBudget < 0 {
+		log.Fatalf("proxserve: -pair-budget %d is negative (0 turns the pair tier off)", *pairBudget)
 	}
 
 	// A -shards-at coordinator holds no index of its own; every other
@@ -144,7 +148,7 @@ func main() {
 	src := &source{
 		files: flag.Args(), synth: *synth, idxPath: *idxPath, savePath: *savePath,
 		shardOf: *shardOf, lex: bestjoin.BuiltinLexicon(),
-		pairs: !*nopairs, spec: specFor(*fn, *alpha), pairBudget: *pairBudget,
+		coordinator: *shardsAt != "", spec: specFor(*fn, *alpha), pairBudget: *pairBudget,
 	}
 	var compact *bestjoin.CompactIndex
 	var plan bestjoin.PairPlan
@@ -178,13 +182,12 @@ func main() {
 			len(splitAddrs(*shardsAt)), *shardsAt, *quorum)
 	} else {
 		e := bestjoin.NewEngine(compact, bestjoin.EngineConfig{
-			Workers:          *workers,
-			CacheLists:       *cache,
-			DisablePruning:   *noprune,
-			DisablePairIndex: *nopairs,
-			MaxInFlight:      *inflight,
-			Overload:         overload,
-			Mode:             qmode,
+			Workers:        *workers,
+			CacheLists:     *cache,
+			DisablePruning: *noprune,
+			MaxInFlight:    *inflight,
+			Overload:       overload,
+			Mode:           qmode,
 		})
 		eng, publish = e, e.Publish
 		fmt.Printf("indexed %d documents (%d bytes compressed)\n", compact.Docs(), compact.Bytes())
@@ -216,15 +219,7 @@ func main() {
 		if *idxPath != "" {
 			hup := make(chan os.Signal, 1)
 			signal.Notify(hup, syscall.SIGHUP)
-			go watchReload(hup, func() error {
-				c, plan, err := src.loadServing()
-				if err != nil {
-					return err
-				}
-				src.armPairs(eng, plan)
-				eng.SwapIndex(c)
-				return nil
-			}, srv.reload)
+			go watchReload(hup, func() error { return src.reload(eng) }, srv.reload)
 		}
 		fmt.Printf("serving on %s (try /query?terms=lenovo,nba,partnership and /debug/vars)\n", *httpad)
 		if err := runServer(newHTTPServer(*httpad, mux), nil, *drain); err != nil {
@@ -619,9 +614,12 @@ type source struct {
 	shardOf  string // "i/n", or "" to serve the whole index
 	lex      *bestjoin.Lexicon
 
-	pairs      bool // false under -nopairs: no plan, no lists, no background build
-	spec       bestjoin.JoinSpec
-	pairBudget int
+	// coordinator is set on a -shards-at process: it serves no index of
+	// its own, so it plans and builds no pair lists; each shard process
+	// builds its own.
+	coordinator bool
+	spec        bestjoin.JoinSpec
+	pairBudget  int // 0: no plan, no lists, no background build
 }
 
 // loadServing builds (or loads) the index and returns what the engine
@@ -632,7 +630,9 @@ type source struct {
 // pairs — with one plan, any two shards' lists are prefixes of the same
 // order. Lists for this process's own -fn are built here, on the
 // partition; lists for any other spec a query carries are built by the
-// engine on demand (armPairs).
+// engine on demand (armPairs). A coordinator gets the whole index and
+// no plan: it has no engine to serve lists from, and the partitions it
+// ships carry none.
 func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, error) {
 	c, err := buildIndex(src.files, src.synth, src.idxPath, src.savePath)
 	if err != nil {
@@ -645,22 +645,33 @@ func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, err
 		}
 	}
 	var plan bestjoin.PairPlan
-	if src.pairs {
+	if src.pairBudget > 0 && !src.coordinator {
 		plan = planPairs(whole, src.lex)
-		// A saved file may predate the pair tier (or carry pairs for
-		// another kernel); AddConceptPairs skips what is already there.
 		buildPairs(c, plan, src.spec, src.pairBudget)
 	}
 	return c, plan, nil
+}
+
+// reload is the SIGHUP reload: load what this process serves again,
+// hand the engine the new plan, then swap the index in (a coordinator
+// rolls it across its shards).
+func (src *source) reload(eng bestjoin.Searcher) error {
+	c, plan, err := src.loadServing()
+	if err != nil {
+		return err
+	}
+	src.armPairs(eng, plan)
+	eng.SwapIndex(c)
+	return nil
 }
 
 // armPairs hands the plan and -pair-budget to the process's engine,
 // which then builds the planned lists in the background for whatever
 // kernel spec its queries carry — a shard process is queried with the
 // coordinator's -fn, not its own. Called before the index the plan
-// came with is swapped in. Under -nopairs the plan is empty and nothing
-// is ever built. A -shards-at coordinator has no engine to arm: each
-// of its shard processes arms its own.
+// came with is swapped in. Under -pair-budget 0 the plan is empty and
+// nothing is ever built. A -shards-at coordinator has no engine to arm:
+// each of its shard processes arms its own.
 func (src *source) armPairs(eng bestjoin.Searcher, plan bestjoin.PairPlan) {
 	e, ok := eng.(*bestjoin.Engine)
 	if !ok {

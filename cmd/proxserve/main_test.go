@@ -835,25 +835,24 @@ func TestHandleStatsUnionNote(t *testing.T) {
 // a two-term query must reach the engine as a Spec-only query (a Join
 // closure would win over Spec locally and suppress the pair path), so
 // that when the queried pair was precomputed by buildPairs the engine
-// serves it off the pair list — and the answer matches a pair-disabled
-// server bitwise.
+// serves it off the pair list — and the answer matches a server over
+// the same index without lists bitwise.
 func TestQueryPairServed(t *testing.T) {
 	ix := bestjoin.NewIndex()
 	for d, body := range synthCorpus(200) {
 		ix.AddText(d, body)
 	}
 	compact := ix.Compact()
+	bare := compact.ForkPairs()
 	lex := bestjoin.BuiltinLexicon()
 	buildPairs(compact, planPairs(compact, lex), specFor("med", 0.1), 0)
-	mk := func(nopairs bool) *server {
+	mk := func(c *bestjoin.CompactIndex) *server {
 		return &server{
-			eng: bestjoin.NewEngine(compact, bestjoin.EngineConfig{
-				Workers: 2, DisablePairIndex: nopairs,
-			}),
+			eng: bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 2}),
 			lex: lex, fn: "med", alpha: 0.1, k: 3, timeout: 5 * time.Second,
 		}
 	}
-	s, base := mk(false), mk(true)
+	s, base := mk(compact), mk(bare)
 	// quartz and ribbon are filler vocabulary — in nearly every synth
 	// doc, so their pair is among the heaviest and always selected.
 	got, err := s.query("quartz,ribbon", 3, s.mode, s.minMatch)
@@ -868,7 +867,7 @@ func TestQueryPairServed(t *testing.T) {
 		t.Fatalf("two-term query was not pair-served: %+v", st)
 	}
 	if st := base.eng.Stats(); st.PairServed != 0 {
-		t.Fatal("pair-disabled server served off the pair list")
+		t.Fatal("a server without lists served off a pair list")
 	}
 	if len(got.Docs) != len(want.Docs) {
 		t.Fatalf("pair-served %d docs, kernel %d", len(got.Docs), len(want.Docs))
@@ -884,8 +883,8 @@ func TestQueryPairServed(t *testing.T) {
 // TestLoadServingPlansOnWholeIndex pins the one start-up sequence: a
 // -shard-of process gets its partition together with the plan of the
 // WHOLE index, lists for its own -fn are built on the partition, and
-// -nopairs means no plan and no lists. A second call — what SIGHUP
-// does — returns the same.
+// -pair-budget 0 means no plan and no lists. A second call — what
+// SIGHUP does — returns the same.
 func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.idx")
 	ix := bestjoin.NewIndex()
@@ -898,7 +897,7 @@ func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 	}
 	lex := bestjoin.BuiltinLexicon()
 	src := &source{idxPath: path, shardOf: "1/2", lex: lex,
-		pairs: true, spec: specFor("med", 0.1), pairBudget: 1}
+		spec: specFor("med", 0.1), pairBudget: 1}
 	for _, when := range []string{"start-up", "reload"} {
 		c, plan, err := src.loadServing()
 		if err != nil {
@@ -914,13 +913,13 @@ func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 			t.Fatalf("%s: %d own-spec lists at a one-list budget", when, n)
 		}
 	}
-	src.pairs = false
+	src.pairBudget = 0
 	c, plan, err := src.loadServing()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Len() != 0 || c.ConceptPairsCount() != 0 {
-		t.Fatalf("-nopairs: %d planned pairs, %d lists", plan.Len(), c.ConceptPairsCount())
+		t.Fatalf("-pair-budget 0: %d planned pairs, %d lists", plan.Len(), c.ConceptPairsCount())
 	}
 	src.shardOf = "2/2"
 	if _, _, err := src.loadServing(); err == nil {
@@ -943,7 +942,7 @@ func TestArmPairsServesForeignSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &source{idxPath: path, lex: bestjoin.BuiltinLexicon(),
-		pairs: true, spec: specFor("med", 0.1), pairBudget: 0}
+		spec: specFor("med", 0.1), pairBudget: 1 << 30}
 	serve := func(arm bool) *server {
 		c, plan, err := src.loadServing()
 		if err != nil {
@@ -956,16 +955,31 @@ func TestArmPairsServesForeignSpec(t *testing.T) {
 		return &server{eng: eng, lex: src.lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
 	}
 	armed, bare := serve(true), serve(false)
-	want, err := bare.query("quartz,ribbon", 3, bare.mode, bare.minMatch)
+	queryUntilPairServed(t, armed, bare, func() bool { return armed.eng.Stats().PairServed > 0 })
+	if h := armed.eng.Health(); h.Epoch != 0 {
+		t.Fatalf("attach moved the epoch to %d", h.Epoch)
+	}
+	if st := bare.eng.Stats(); st.PairServed != 0 {
+		t.Fatal("an engine without the plan served a foreign spec from a pair list")
+	}
+}
+
+// queryUntilPairServed repeats the heavy two-term query quartz,ribbon
+// on s, each answer bitwise ref's, until served reports that a pair
+// list answered it — the background build the first query starts has
+// attached — or 30 s pass.
+func queryUntilPairServed(t *testing.T, s, ref *server, served func() bool) {
+	t.Helper()
+	want, err := ref.query("quartz,ribbon", 3, ref.mode, ref.minMatch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for armed.eng.Stats().PairServed == 0 {
+	for !served() {
 		if time.Now().After(deadline) {
-			t.Fatal("armed engine never served the foreign spec from a pair list")
+			t.Fatal("the two-term query was never served from a pair list")
 		}
-		got, err := armed.query("quartz,ribbon", 3, armed.mode, armed.minMatch)
+		got, err := s.query("quartz,ribbon", 3, s.mode, s.minMatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -980,10 +994,74 @@ func TestArmPairsServesForeignSpec(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h := armed.eng.Health(); h.Epoch != 0 {
-		t.Fatalf("attach moved the epoch to %d", h.Epoch)
+}
+
+// TestCoordinatorRollShipsNoLists is a -shards-at coordinator's SIGHUP
+// reload in miniature: the coordinator plans and builds nothing for
+// its own -fn, each shard receives a partition with no lists, and a
+// shard then serves a two-term query from the list its demand build
+// attaches (its plan came with its own start-up), with the answer of a
+// single engine over the whole index.
+func TestCoordinatorRollShipsNoLists(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corpus.idx")
+	ix := bestjoin.NewIndex()
+	for d, body := range synthCorpus(80) {
+		ix.AddText(d, body)
 	}
-	if st := bare.eng.Stats(); st.PairServed != 0 {
-		t.Fatal("an engine without the plan served a foreign spec from a pair list")
+	whole := ix.Compact()
+	if err := whole.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	lex := bestjoin.BuiltinLexicon()
+	shards := make([]*bestjoin.Engine, 2)
+	addrs := make([]string, len(shards))
+	for i := range shards {
+		src := &source{idxPath: path, shardOf: fmt.Sprintf("%d/2", i), lex: lex,
+			spec: specFor("med", 0.1), pairBudget: 4 << 20}
+		c, plan, err := src.loadServing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 1})
+		src.armPairs(shards[i], plan)
+		mux := http.NewServeMux()
+		bestjoin.NewRemoteServer(shards[i], bestjoin.RemoteServerConfig{}).Register(mux)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		addrs[i] = ts.URL
+	}
+	fleet, err := bestjoin.NewRemoteFleet(addrs, bestjoin.RemoteShardConfig{}, bestjoin.ShardedEngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := &source{idxPath: path, lex: lex, coordinator: true,
+		spec: specFor("win", 0.1), pairBudget: 4 << 20}
+	c, plan, err := coord.loadServing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Len() != 0 || c.ConceptPairsCount() != 0 {
+		t.Fatalf("coordinator planned %d pairs and built %d lists", plan.Len(), c.ConceptPairsCount())
+	}
+	if err := coord.reload(fleet); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range shards {
+		if e.Epoch() != 1 || e.Index().ConceptPairsCount() != 0 {
+			t.Fatalf("shard %d after the roll: epoch %d, %d pair lists", i, e.Epoch(), e.Index().ConceptPairsCount())
+		}
+	}
+
+	srv := &server{eng: fleet, lex: lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
+	single := &server{eng: bestjoin.NewEngine(whole, bestjoin.EngineConfig{Workers: 1}),
+		lex: lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
+	queryUntilPairServed(t, srv, single, func() bool {
+		return shards[0].Stats().PairServed > 0 && shards[1].Stats().PairServed > 0
+	})
+	for i, e := range shards {
+		if e.Epoch() != 1 {
+			t.Fatalf("shard %d's attach moved its epoch to %d", i, e.Epoch())
+		}
 	}
 }

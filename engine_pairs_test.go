@@ -2,14 +2,17 @@ package bestjoin_test
 
 // Root-level acceptance for the auxiliary pair-index tier: pair lists
 // must be invisible through every composition — single engine,
-// doc-partitioned shard coordinator (where Partition splits each pair
-// list by shard), AND / OR / m-of-n modes — and the
-// speedup must be measurable (BenchmarkEnginePairs, recorded in
-// BENCH_engine.json by scripts/benchjson.sh).
+// doc-partitioned shard coordinator (whose partitions carry no lists),
+// a fleet of shards that each built their own lists from the whole
+// index's plan, AND / OR / m-of-n modes — and the speedup must be
+// measurable (BenchmarkEnginePairs, recorded in BENCH_engine.json by
+// scripts/benchjson.sh).
 
 import (
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -111,14 +114,45 @@ func assertSameDocs(t *testing.T, label string, got, want *bestjoin.EngineResult
 	}
 }
 
+// pairFleet serves c the way a fleet of -shard-of processes does: each
+// of n partitions, with the lists of the whole index's plan built on
+// it, in an engine behind the remote shard API on a loopback server,
+// under one coordinator.
+func pairFleet(t *testing.T, c *bestjoin.CompactIndex, n int) *bestjoin.ShardedEngine {
+	t.Helper()
+	parts, err := c.Partition(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := bestjoin.PlanPairs(c, pairConcepts())
+	addrs := make([]string, n)
+	for i, part := range parts {
+		if built, err := bestjoin.BuildPairPlan(part, plan, pairSpec(), 0); err != nil || built == 0 {
+			t.Fatalf("shard %d built %d lists: %v", i, built, err)
+		}
+		mux := http.NewServeMux()
+		bestjoin.NewRemoteServer(bestjoin.NewEngine(part, bestjoin.EngineConfig{}), bestjoin.RemoteServerConfig{}).Register(mux)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		addrs[i] = ts.URL
+	}
+	fleet, err := bestjoin.NewRemoteFleet(addrs, bestjoin.RemoteShardConfig{}, bestjoin.ShardedEngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet
+}
+
 // TestShardedPairDifferential pins the composition contract: for
 // two-term (pair-served), three-term (kernel-joined beside the pair
 // lists, which it never consults), ranked union, and m-of-n queries, a
-// pair-enabled engine — single or sharded 2/4 ways — answers
-// identically to the pair-disabled single engine.
+// pair-enabled engine — single, sharded 2/4 ways over partitions that
+// carry no lists, or a 2/4-shard fleet whose shards built their own —
+// answers identically to the pair-disabled single engine.
 func TestShardedPairDifferential(t *testing.T) {
 	c := pairTestIndex(t)
 	concepts := pairConcepts()
+	fleets := map[int]*bestjoin.ShardedEngine{2: pairFleet(t, c, 2), 4: pairFleet(t, c, 4)}
 	queries := map[string]bestjoin.EngineQuery{
 		"two-term":   {Concepts: concepts[:2], Spec: pairSpec(), K: 7},
 		"swapped":    {Concepts: []bestjoin.Concept{concepts[1], concepts[0]}, Spec: pairSpec(), K: 7},
@@ -169,15 +203,23 @@ func TestShardedPairDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameDocs(t, name+"/sharded", got, want, conjunctive)
-			if name == "two-term" {
-				// The shard rollup must surface the children's pair
-				// counters: every shard holding part of the pair's doc
-				// set served its slice off the partitioned pair list.
-				if st := se.Stats(); st.PairServed == 0 || st.PairHits < st.PairServed {
-					t.Fatalf("shards=%d: rollup lost pair counters: PairHits=%d PairServed=%d",
-						shards, st.PairHits, st.PairServed)
-				}
+			if st := se.Stats(); st.PairHits != 0 {
+				t.Fatalf("shards=%d: a partition carried a pair list: %+v", shards, st)
 			}
+			got, err = fleets[shards].Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameDocs(t, name+"/fleet", got, want, conjunctive)
+		}
+	}
+	for shards, fleet := range fleets {
+		// The fleet rollup must surface the children's pair counters:
+		// every shard served its slice of both two-term queries off the
+		// list it built.
+		if st := fleet.Stats(); st.PairServed != uint64(2*shards) || st.PairHits != st.PairServed {
+			t.Fatalf("shards=%d: rollup lost pair counters: PairHits=%d PairServed=%d",
+				shards, st.PairHits, st.PairServed)
 		}
 	}
 }

@@ -79,7 +79,7 @@ type KernelSpec struct {
 func (s KernelSpec) Zero() bool { return s == KernelSpec{} }
 
 // Fingerprint hashes the spec to the stable 64-bit identity under
-// which pair lists (index.PairKey.Spec) are registered and looked up.
+// which pair lists are registered and looked up.
 // The index layer treats the value as opaque; only equality matters —
 // a pair list answers exactly the spec that built it, so any field
 // change must change the fingerprint.

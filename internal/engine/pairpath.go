@@ -17,36 +17,14 @@ import (
 //
 // It applies only to spec-only queries (Query.Join == nil): a pair list
 // answers exactly the kernel spec that built it, and an opaque Join
-// closure has no comparable identity. Every failure mode — unregistered
-// pair, corrupt list, mid-serve decode error — falls back to the kernel
-// path, which computes the same answer the slow way; the pair layer can
-// be slow, never wrong.
-
-// conceptPairs looks up the registered pair table for two concepts
-// under a kernel fingerprint, containing the panic a corrupt
-// in-memory list raises. A nil return means "not served by a pair
-// list" — the caller proceeds on the kernel path, which still yields
-// the full answer, so the failure is counted but the query is not
-// degraded.
-func (e *Engine) conceptPairs(qs *queryState, a, b index.Concept, fp uint64) (pt *index.PairTable) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.counters.decodeFailures.Add(1)
-			pt = nil
-		}
-	}()
-	t, ok := qs.idx.ConceptPairs(a, b, fp)
-	if !ok {
-		return nil
-	}
-	return t
-}
+// closure has no comparable identity. A pair with no list takes the
+// kernel path, which computes the same answer the slow way. A list is
+// only ever built in this process (index.Compact.AddConceptPairs), so
+// serving it cannot fail.
 
 // servePair answers a two-term conjunctive spec query entirely off
-// its registered pair list. ok=false means the query was not (or
-// could not be) pair-served and the caller must run the kernel path;
-// no partial answer escapes — a mid-serve decode failure abandons the
-// serve wholesale.
+// its registered pair list. ok=false means the pair has no list and
+// the caller must run the kernel path.
 //
 // The serve mirrors the kernel path's accounting: every record in the
 // list is one candidate (tombstones included — the list's document
@@ -55,8 +33,8 @@ func (e *Engine) conceptPairs(qs *queryState, a, b index.Concept, fp uint64) (pt
 // ranks strictly below the k-th kept entry (floorEntry.bar) counts as
 // pruned.
 func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time.Time) (*Result, bool) {
-	pt := e.conceptPairs(qs, q.Concepts[0], q.Concepts[1], fp)
-	if pt == nil {
+	pt, ok := qs.idx.ConceptPairs(q.Concepts[0], q.Concepts[1], fp)
+	if !ok {
 		return nil, false
 	}
 	e.counters.pairHits.Add(1)
@@ -83,11 +61,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 			pruned += info.NDocs
 			continue
 		}
-		entries, err := pt.DecodeBlock(i)
-		if err != nil {
-			e.counters.decodeFailures.Add(1)
-			return nil, false
-		}
+		entries, _ := pt.DecodeBlock(i)
 		for _, ent := range entries {
 			if !ent.OK {
 				// The kernel produced no scorable result here at build

@@ -6,8 +6,7 @@ package engine
 // engine is how fast the answer arrives and what the pair counters
 // say. These tests build random corpora, register pair lists with the
 // real kernel, and assert bitwise-identical output across scoring
-// families, worker counts, concept orders, pruning on and off, and
-// every corruption fallback.
+// families, worker counts, concept orders, and pruning on and off.
 
 import (
 	"context"
@@ -113,81 +112,6 @@ func TestDifferentialPairServedVsKernel(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPairCorruptListFallsBack is the chaos property for whole-list
-// corruption: ConceptPairs panics in the engine's lookup, which must
-// contain it, fall back to the kernel path, and produce the identical,
-// non-degraded answer.
-func TestPairCorruptListFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	docs := diffCorpus(rng)
-	concepts := pairConceptsN(rng, 2)
-	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
-	compact := buildCompact(t, docs)
-	if registerPairs(t, compact, concepts, spec) == 0 {
-		t.Skip("empty intersection draw")
-	}
-	index.CorruptConceptPairsForTest(compact, concepts[0], concepts[1], spec.Fingerprint())
-
-	pairEng := New(compact, Config{})
-	baseEng := New(compact, Config{DisablePairIndex: true})
-	q := Query{Concepts: concepts, Spec: spec, K: 5}
-	rp, err := pairEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := baseEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "corrupt pair list", rp, rb)
-	if rp.Degraded {
-		t.Fatal("kernel fallback produced the full answer; result must not be degraded")
-	}
-	st := pairEng.Stats()
-	if st.DecodeFailures == 0 {
-		t.Fatal("corruption left no DecodeFailures trace")
-	}
-	if st.PairServed != 0 {
-		t.Fatal("corrupt pair list was served")
-	}
-}
-
-// TestPairCorruptPayloadFallsBack is the chaos property for payload
-// corruption: the skip table loads, the first block decode fails
-// mid-serve, and the serve must be abandoned wholesale — kernel-path
-// answer, not degraded, no partial pair answer escaping.
-func TestPairCorruptPayloadFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	docs := diffCorpus(rng)
-	concepts := pairConceptsN(rng, 2)
-	spec := KernelSpec{Family: "max", Alpha: 0.1}
-	compact := buildCompact(t, docs)
-	if registerPairs(t, compact, concepts, spec) == 0 {
-		t.Skip("empty intersection draw")
-	}
-	index.CorruptConceptPairPayloadForTest(compact, concepts[0], concepts[1], spec.Fingerprint())
-
-	pairEng := New(compact, Config{})
-	baseEng := New(compact, Config{DisablePairIndex: true})
-	q := Query{Concepts: concepts, Spec: spec, K: 5}
-	rp, err := pairEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := baseEng.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "corrupt pair payload", rp, rb)
-	if rp.Degraded {
-		t.Fatal("kernel fallback produced the full answer; result must not be degraded")
-	}
-	st := pairEng.Stats()
-	if st.DecodeFailures == 0 || st.PairServed != 0 {
-		t.Fatalf("mid-serve failure accounting wrong: %+v", st)
 	}
 }
 

@@ -163,8 +163,8 @@ type Stats struct {
 	PartialResults uint64 // queries returning Partial results
 	// Robustness surface. JoinPanics counts kernel (and kernel-factory)
 	// panics recovered by the panic-isolation layer; DecodeFailures
-	// counts concept resolutions whose stem postings would not decode,
-	// and corrupt pair lists; DegradedResults
+	// counts concept resolutions whose stem postings would not decode;
+	// DegradedResults
 	// counts queries that returned with Result.Degraded set. Shed counts
 	// queries rejected by admission control (ErrOverloaded). InFlight
 	// and QueueDepth are gauges: queries currently admitted, and jobs

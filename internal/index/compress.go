@@ -150,7 +150,7 @@ type Compact struct {
 	// stem's first use. The map itself is never written once the index
 	// serves, so readers need no lock.
 	stems map[string]*atomic.Pointer[StemArrays]
-	pairs map[PairKey][]byte // PairKey → EncodePairs buffer
+	pairs map[pairKey]*PairTable
 	docs  int
 }
 

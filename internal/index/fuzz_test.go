@@ -270,7 +270,7 @@ func FuzzBlockDocs(f *testing.F) {
 }
 
 // addRejectedShapes seeds a loader fuzz target with every shape the
-// loaders refuse — unframed, and the retired sections 2, 3 and 4 — in
+// loaders refuse — unframed, and the retired sections 2 to 5 — in
 // a fixed order.
 func addRejectedShapes(f *testing.F, c *Compact) {
 	shapes := RejectedShapesForTest(c)
@@ -338,90 +338,83 @@ func FuzzLoadFile(f *testing.F) {
 	})
 }
 
-// FuzzDecodePairs drives arbitrary bytes through the pair-posting
-// decoder: it must never panic, every accepted skip table must carry
-// ascending disjoint bounded block ranges, every accepted block must
-// hold ascending in-range documents with finite scores and bounded
-// witness locations and a truthful block max, and fully valid tables
-// must round-trip through the encoder.
+// FuzzDecodePairs holds the pair-list codec to a lossless round trip:
+// records drawn from arbitrary bytes (ascending documents up to
+// MaxDocID, tombstones, any finite scores including −0, witness
+// locations up to MaxPosition), packed at a drawn block size, unpack
+// bit for bit, with skip entries that bound each block and carry its
+// exact maximum. DecodeBlock checks nothing, so this is the contract
+// that keeps a pair-served answer equal to the kernel's.
 func FuzzDecodePairs(f *testing.F) {
+	record := func(b []byte, gap uint64, ok bool, score, s0, s1 float64, l0, l1 uint64) []byte {
+		b = binary.AppendUvarint(b, gap)
+		if !ok {
+			return append(b, 0)
+		}
+		b = binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(score))
+		b = binary.LittleEndian.AppendUint64(binary.AppendUvarint(b, l0), math.Float64bits(s0))
+		return binary.LittleEndian.AppendUint64(binary.AppendUvarint(b, l1), math.Float64bits(s1))
+	}
 	f.Add([]byte{})
-	f.Add(EncodePairs([]PairEntry{
-		{Doc: 0, OK: true, Score: 1, W0: match.Match{Loc: 0, Score: 1}, W1: match.Match{Loc: 1, Score: 0.5}},
-	}, 0))
-	f.Add(EncodePairs(testPairEntries(), 3))
-	f.Add(EncodePairs(testPairEntries(), 128))
-	// Crafted overflow: a block count of MaxUint64 must be bounded
-	// before it can drive a huge allocation.
-	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
-	// NaN block max: must be rejected, never compared against.
-	nan := binary.AppendUvarint(nil, 1)
-	nan = binary.AppendUvarint(nan, 1)
-	nan = binary.AppendUvarint(nan, 0)
-	nan = binary.AppendUvarint(nan, 1)
-	f.Add(binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN())))
+	f.Add(record([]byte{0}, 0, true, 1, 1, 0.5, 0, 1))
+	f.Add(record(record(record([]byte{2}, 2, true, 1.5, 0.5, 1, 3, 7), 0, false, 0, 0, 0, 0, 0), 5, true, -0.25, -0.5, 0.25, 0, 2))
+	f.Add(record(record([]byte{1}, MaxDocID-1, true, math.Copysign(0, -1), 0, 0, MaxPosition, 1), 0, true, 0, 0, 0, 1, 1))
+	f.Add(record(record([]byte{0}, 3, true, math.NaN(), 0, 0, 0, 0), 1, true, 1, math.Inf(1), 0, 0, 0))
+	f.Add(record(record(record([]byte{7}, 0, false, 0, 0, 0, 0, 0), 0, false, 0, 0, 0, 0, 0), 9, true, 2, 1, 1, 1<<41, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pt, err := DecodePairs(data)
-		if err != nil || pt == nil {
+		if len(data) == 0 {
 			return
 		}
-		prevLast := -1
+		blockSize := int(data[0]%8) - 1 // −1 and 0 mean BlockSize
 		var entries []PairEntry
-		for i := range pt.Infos {
-			info := pt.Infos[i]
-			if info.FirstDoc <= prevLast || info.FirstDoc > info.LastDoc || info.LastDoc > MaxDocID {
-				t.Fatalf("block %d range invalid: %+v after last %d", i, info, prevLast)
+		b, doc := data[1:], -1
+		float := func() (float64, bool) {
+			if len(b) < 8 {
+				return 0, false
 			}
-			prevLast = info.LastDoc
-			es, err := pt.DecodeBlock(i)
-			if err != nil {
-				continue // skip-table ok but payload hostile: rejected, fine
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+			return v, !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		for len(b) > 0 {
+			gap, n := binary.Uvarint(b)
+			if n <= 0 || n == len(b) || gap >= uint64(MaxDocID-doc) {
+				break
 			}
-			max := math.Inf(-1)
-			prevDoc := info.FirstDoc - 1
-			for _, ent := range es {
-				if ent.Doc <= prevDoc || ent.Doc > info.LastDoc {
-					t.Fatalf("block %d doc %d out of order or range", i, ent.Doc)
-				}
-				prevDoc = ent.Doc
-				if !ent.OK {
-					continue
-				}
-				if math.IsNaN(ent.Score) || math.IsInf(ent.Score, 0) {
-					t.Fatalf("non-finite pair score accepted")
-				}
-				for _, w := range []match.Match{ent.W0, ent.W1} {
-					if w.Loc < 0 || w.Loc > MaxPosition || math.IsNaN(w.Score) || math.IsInf(w.Score, 0) {
-						t.Fatalf("block %d witness %+v invalid", i, w)
+			doc += int(gap) + 1
+			ent := PairEntry{Doc: doc, OK: b[n] == 1}
+			b = b[n+1:]
+			if ent.OK {
+				var fin [3]bool
+				ent.Score, fin[0] = float()
+				for j, w := range []*match.Match{&ent.W0, &ent.W1} {
+					loc, n := binary.Uvarint(b)
+					if n <= 0 {
+						loc, n = 0, 0
 					}
+					b = b[n:]
+					w.Loc = int(loc % (MaxPosition + 1))
+					w.Score, fin[j+1] = float()
 				}
-				if ent.Score > max {
-					max = ent.Score
+				if fin != [3]bool{true, true, true} {
+					ent = PairEntry{Doc: doc} // a kernel result the codec cannot carry: a tombstone
 				}
 			}
-			if max != info.MaxScore {
-				t.Fatalf("block %d MaxScore %v disagrees with content max %v", i, info.MaxScore, max)
+			entries = append(entries, ent)
+		}
+		pt, size := newPairTable(entries, blockSize)
+		if len(entries) == 0 {
+			if pt != nil || size != 0 {
+				t.Fatalf("no records packed to %v, charged %d", pt, size)
 			}
-			entries = append(entries, es...)
+			return
 		}
-		if pt.Validate() != nil {
-			return // some block rejected above: no round-trip contract
+		assertSkipTable(t, pt)
+		if got := decodeAll(t, pt); !entriesEqual(got, entries) {
+			t.Fatalf("round trip changed pair entries:\n got %+v\nwant %+v", got, entries)
 		}
-		// Fully valid tables must round-trip through the encoder.
-		again, err := DecodePairs(EncodePairs(entries, BlockSize))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		var out []PairEntry
-		for i := range again.Infos {
-			es, err := again.DecodeBlock(i)
-			if err != nil {
-				t.Fatalf("re-decode block %d: %v", i, err)
-			}
-			out = append(out, es...)
-		}
-		if !entriesEqual(out, entries) {
-			t.Fatalf("round trip changed pair entries")
+		if pt.NumDocs() != len(entries) || size <= len(pt.payload) {
+			t.Fatalf("%d records, %d counted; charged %d for a %d-byte payload", len(entries), pt.NumDocs(), size, len(pt.payload))
 		}
 	})
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -59,17 +58,14 @@ func entriesEqual(a, b []PairEntry) bool {
 	return true
 }
 
+// TestPairsRoundTrip packs every record shape at several block sizes
+// and unpacks it bit for bit, with skip entries that bound each
+// block's documents and carry its exact maximum.
 func TestPairsRoundTrip(t *testing.T) {
 	entries := testPairEntries()
 	for _, blockSize := range []int{1, 2, 3, 4, 128, 0} {
-		buf := EncodePairs(entries, blockSize)
-		pt, err := DecodePairs(buf)
-		if err != nil {
-			t.Fatalf("blockSize %d: %v", blockSize, err)
-		}
-		if err := pt.Validate(); err != nil {
-			t.Fatalf("blockSize %d: Validate: %v", blockSize, err)
-		}
+		pt, _ := newPairTable(entries, blockSize)
+		assertSkipTable(t, pt)
 		if got := decodeAll(t, pt); !entriesEqual(got, entries) {
 			t.Fatalf("blockSize %d: round trip changed entries:\n got %+v\nwant %+v", blockSize, got, entries)
 		}
@@ -83,10 +79,7 @@ func TestPairsAllTombstoneBlockMax(t *testing.T) {
 	// At blockSize 3 the records 27/30/31 and 32/... split so that one
 	// block (30,31,32... actually 27/30/31) is all tombstones; its skip
 	// entry must carry the −Inf sentinel and still round-trip.
-	pt, err := DecodePairs(EncodePairs(testPairEntries(), 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt, _ := newPairTable(testPairEntries(), 3)
 	sawNegInf := false
 	for _, info := range pt.Infos {
 		if math.IsInf(info.MaxScore, -1) {
@@ -98,21 +91,27 @@ func TestPairsAllTombstoneBlockMax(t *testing.T) {
 	}
 }
 
+// TestEncodePairsEmpty: no records pack to no table, charged nothing.
 func TestEncodePairsEmpty(t *testing.T) {
-	if buf := EncodePairs(nil, 0); buf != nil {
-		t.Fatalf("EncodePairs(nil) = %v, want nil", buf)
+	if pt, size := newPairTable(nil, 0); pt != nil || size != 0 {
+		t.Fatalf("newPairTable(nil) = %v, %d; want nil, 0", pt, size)
 	}
-	pt, err := DecodePairs(nil)
-	if err != nil || pt != nil {
-		t.Fatalf("DecodePairs(nil) = %v, %v; want nil, nil", pt, err)
+}
+
+// TestPairTableSize pins the bytes a list is charged — what the pair
+// budget counts — on the test records: a change here changes which
+// lists a budget registers. The figures are the lengths of the varint
+// buffers pair lists were once stored as.
+func TestPairTableSize(t *testing.T) {
+	for _, tc := range []struct{ blockSize, want int }{{1, 264}, {3, 198}, {4, 188}, {0, 167}} {
+		if _, size := newPairTable(testPairEntries(), tc.blockSize); size != tc.want {
+			t.Errorf("blockSize %d: charged %d bytes, want %d", tc.blockSize, size, tc.want)
+		}
 	}
 }
 
 func TestPairTableFindBlock(t *testing.T) {
-	pt, err := DecodePairs(EncodePairs(testPairEntries(), 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt, _ := newPairTable(testPairEntries(), 4)
 	for _, ent := range testPairEntries() {
 		i := findBlock(pt, ent.Doc)
 		if i < 0 {
@@ -127,81 +126,31 @@ func TestPairTableFindBlock(t *testing.T) {
 	}
 }
 
-// TestDecodePairsRejectsHostileBytes drives crafted buffers at every
-// skip-table and payload validation layer.
-func TestDecodePairsRejectsHostileBytes(t *testing.T) {
-	valid := EncodePairs(testPairEntries(), 4)
-
-	// mutate copies valid and applies f; decode must fail somewhere
-	// (skip table or any block).
-	reject := func(name string, buf []byte) {
-		t.Helper()
-		pt, err := DecodePairs(buf)
-		if err != nil {
-			return
-		}
-		if err := pt.Validate(); err == nil {
-			t.Errorf("%s: hostile buffer decoded without error", name)
-		}
-	}
-
-	// Block count far past what the buffer can hold.
-	reject("huge block count", binary.AppendUvarint(nil, math.MaxUint64))
-	reject("zero block count", binary.AppendUvarint(nil, 0))
-
-	// Truncations at every prefix length.
-	for cut := 1; cut < len(valid); cut++ {
-		reject("truncation", valid[:cut])
-	}
-	// Trailing garbage.
-	reject("trailing bytes", append(append([]byte(nil), valid...), 0xAA))
-
-	// A skip table whose recorded max overstates the content: block-max
-	// skipping would be unsound in the other direction, but any mismatch
-	// must be rejected.
-	crafted := EncodePairs([]PairEntry{
-		{Doc: 1, OK: true, Score: 1, W0: match.Match{Loc: 0, Score: 1}, W1: match.Match{Loc: 1, Score: 1}},
-	}, 0)
-	// The max-score float64 sits after varints nBlocks=1, gap=1, span=0,
-	// nDocs=1 — 4 bytes in.
-	lied := append([]byte(nil), crafted...)
-	binary.LittleEndian.PutUint64(lied[4:], math.Float64bits(99.0))
-	reject("overstated block max", lied)
-	binary.LittleEndian.PutUint64(lied[4:], math.Float64bits(math.NaN()))
-	reject("NaN block max", lied)
-	binary.LittleEndian.PutUint64(lied[4:], math.Float64bits(math.Inf(1)))
-	reject("+Inf block max", lied)
-}
-
-// TestPairsPersistRoundTrip pins the section-5 story end to end:
-// registered pair lists survive Marshal → LoadCompact bitwise.
+// TestPairsPersistRoundTrip pins that pair lists stay out of the
+// file: an index with registered lists marshals to exactly the bytes
+// of the same index without them, and loads back with none. The lists
+// stay servable, in either concept order and only under the
+// fingerprint that built them, on the index that built them.
 func TestPairsPersistRoundTrip(t *testing.T) {
 	c, a, b, spec := pairTestIndex(t)
-	want, ok := c.ConceptPairs(a, b, spec)
-	if !ok {
-		t.Fatal("pair not registered")
+	if !bytes.Equal(c.Marshal(), framedTestIndex(t).Marshal()) {
+		t.Fatal("registered pair lists changed the marshaled bytes")
 	}
-
 	loaded, err := LoadCompact(c.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.ConceptPairsCount() != c.ConceptPairsCount() {
-		t.Fatalf("pair count %d, want %d", loaded.ConceptPairsCount(), c.ConceptPairsCount())
+	if n := loaded.ConceptPairsCount(); n != 0 {
+		t.Fatalf("%d pair lists loaded from a file", n)
 	}
-	// Lookup must work in both concept orders.
+	want, _ := c.ConceptPairs(a, b, spec)
 	for _, order := range [][2]Concept{{a, b}, {b, a}} {
-		got, ok := loaded.ConceptPairs(order[0], order[1], spec)
-		if !ok {
-			t.Fatal("pair lost across the round trip")
-		}
-		if !entriesEqual(decodeAll(t, got), decodeAll(t, want)) {
-			t.Fatal("pair entries changed across the round trip")
+		got, ok := c.ConceptPairs(order[0], order[1], spec)
+		if !ok || got != want {
+			t.Fatal("lookup depends on concept order")
 		}
 	}
-	// The wrong fingerprint must miss: a pair list only answers the
-	// exact kernel that built it.
-	if _, ok := loaded.ConceptPairs(a, b, spec+1); ok {
+	if _, ok := c.ConceptPairs(a, b, spec+1); ok {
 		t.Fatal("pair served under a different kernel fingerprint")
 	}
 }
@@ -226,23 +175,6 @@ func TestPairsEmptySetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPairsMarshalRejectsEveryBitFlip extends the bit-rot acceptance
-// test to a pair-bearing index: the section-5 CRC leaves no pair byte
-// unprotected.
-func TestPairsMarshalRejectsEveryBitFlip(t *testing.T) {
-	c, _, _, _ := pairTestIndex(t)
-	valid := c.Marshal()
-	for i := range valid {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), valid...)
-			mut[i] ^= 1 << bit
-			if _, err := LoadCompact(mut); err == nil {
-				t.Fatalf("bit flip at byte %d bit %d loaded without error", i, bit)
-			}
-		}
-	}
-}
-
 // pairTestJoin is a deterministic stand-in kernel: score and witness
 // derived purely from the two match lists.
 func pairTestJoin(lists match.Lists) (match.Set, float64, bool) {
@@ -255,7 +187,6 @@ func pairTestJoin(lists match.Lists) (match.Set, float64, bool) {
 }
 
 // pairTestIndex builds a small corpus with one registered pair list
-// (plus the other optional sections, so section ordering is exercised)
 // and returns the concepts and fingerprint it was registered under.
 func pairTestIndex(t *testing.T) (*Compact, Concept, Concept, uint64) {
 	t.Helper()
@@ -368,8 +299,10 @@ func TestAddConceptPairsRejectsUnrepresentable(t *testing.T) {
 	}
 }
 
-// TestPartitionPreservesPairScores pins that doc-partitioning splits
-// every pair list by shard with scores and witnesses bitwise intact.
+// TestPartitionPreservesPairScores pins how a shard gets its lists: a
+// partition (n > 1) carries none, and the list each shard builds on its
+// partition holds exactly the whole index's records for its documents,
+// scores and witnesses bit for bit.
 func TestPartitionPreservesPairScores(t *testing.T) {
 	c, a, b, spec := pairTestIndex(t)
 	whole, _ := c.ConceptPairs(a, b, spec)
@@ -382,10 +315,14 @@ func TestPartitionPreservesPairScores(t *testing.T) {
 		}
 		var merged []PairEntry
 		for s, p := range parts {
-			pt, ok := p.ConceptPairs(a, b, spec)
-			if !ok {
+			if k := p.ConceptPairsCount(); k != 0 {
+				t.Fatalf("n=%d: shard %d carries %d pair lists", n, s, k)
+			}
+			if _, ok := p.AddConceptPairs(a, b, spec, pairTestJoin); !ok {
 				continue // shard holds none of the pair's docs
 			}
+			pt, _ := p.ConceptPairs(a, b, spec)
+			assertSkipTable(t, pt)
 			for _, ent := range decodeAll(t, pt) {
 				if ShardOf(ent.Doc, n) != s {
 					t.Fatalf("n=%d: doc %d landed in shard %d", n, ent.Doc, s)
@@ -393,47 +330,11 @@ func TestPartitionPreservesPairScores(t *testing.T) {
 				merged = append(merged, ent)
 			}
 		}
-		// ShardOf partitions contiguous ranges... merge by doc order.
-		sortPairEntries(merged)
+		sort.Slice(merged, func(i, j int) bool { return merged[i].Doc < merged[j].Doc })
 		if !entriesEqual(merged, all) {
-			t.Fatalf("n=%d: partitioned pair entries differ from the whole", n)
+			t.Fatalf("n=%d: shard-built pair entries differ from the whole", n)
 		}
 	}
-}
-
-func sortPairEntries(es []PairEntry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Doc < es[j-1].Doc; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
-// TestCorruptPairHooks pins the two test hooks other packages' chaos
-// tests build on: whole-list corruption panics at lookup, payload
-// corruption survives lookup but fails every block decode.
-func TestCorruptPairHooks(t *testing.T) {
-	c, a, b, spec := pairTestIndex(t)
-	CorruptConceptPairPayloadForTest(c, a, b, spec)
-	pt, ok := c.ConceptPairs(a, b, spec)
-	if !ok {
-		t.Fatal("payload corruption must keep the skip table loadable")
-	}
-	for i := range pt.Infos {
-		if _, err := pt.DecodeBlock(i); err == nil {
-			t.Fatalf("block %d decoded after payload corruption", i)
-		}
-	}
-
-	CorruptConceptPairsForTest(c, a, b, spec)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ConceptPairs did not panic on whole-list corruption")
-			}
-		}()
-		c.ConceptPairs(a, b, spec)
-	}()
 }
 
 // TestForkPairsOwnsItsRegistry: a fork starts with the parent's lists,
@@ -442,7 +343,6 @@ func TestCorruptPairHooks(t *testing.T) {
 // index that is serving queries.
 func TestForkPairsOwnsItsRegistry(t *testing.T) {
 	c, a, b, spec := pairTestIndex(t)
-	parent := c.Marshal()
 	fork := c.ForkPairs()
 	if got := fork.PairSpecs(); len(got) != 1 || got[0] != spec {
 		t.Fatalf("fork's fingerprints %x, want [%x]", got, spec)
@@ -459,7 +359,7 @@ func TestForkPairsOwnsItsRegistry(t *testing.T) {
 	if got := fork.PairSpecs(); len(got) != 2 || got[0] != spec-1 || got[1] != spec {
 		t.Fatalf("fork's fingerprints %x, want [%x %x]", got, spec-1, spec)
 	}
-	if c.ConceptPairsCount() != 1 || !bytes.Equal(c.Marshal(), parent) {
+	if _, ok := c.ConceptPairs(a, b, spec-1); ok || c.ConceptPairsCount() != 1 || len(c.PairSpecs()) != 1 {
 		t.Fatal("registering on the fork changed the parent")
 	}
 	if fork.Docs() != c.Docs() || fork.Bytes() != c.Bytes() {
@@ -483,4 +383,30 @@ func findBlock(pt *PairTable, doc int) int {
 		return -1
 	}
 	return i
+}
+
+// assertSkipTable checks pt's skip entries against its records: each
+// block's first and last document, its count, payload ranges that tile
+// the payload in order, and its exact maximum score (−Inf when it holds
+// only tombstones) — what block skipping relies on.
+func assertSkipTable(t *testing.T, pt *PairTable) {
+	t.Helper()
+	off := 0
+	for i, info := range pt.Infos {
+		es, _ := pt.DecodeBlock(i)
+		max := math.Inf(-1)
+		for _, e := range es {
+			if e.OK && e.Score > max {
+				max = e.Score
+			}
+		}
+		if len(es) != info.NDocs || es[0].Doc != info.FirstDoc || es[len(es)-1].Doc != info.LastDoc ||
+			info.Off != off || max != info.MaxScore {
+			t.Fatalf("block %d: skip entry %+v disagrees with its %d records", i, info, len(es))
+		}
+		off += info.Len
+	}
+	if off != len(pt.payload) {
+		t.Fatalf("blocks cover %d of %d payload bytes", off, len(pt.payload))
+	}
 }

@@ -3,8 +3,8 @@ package index
 import "fmt"
 
 // Document-partitioned sharding: Partition splits one compacted index
-// into n shard indexes whose posting lists and pair lists are each
-// restricted to the shard's documents — the substrate of the
+// into n shard indexes whose posting lists are each restricted to the
+// shard's documents — the substrate of the
 // scatter-gather tier (internal/shard). Best-join scoring is
 // document-local, so a coordinator that rank-merges per-shard top-k
 // heaps reproduces the single-index answer exactly, given two
@@ -12,7 +12,9 @@ import "fmt"
 // in shard ShardOf(d, n) = d mod n, nowhere else), and global document
 // ids are preserved (a shard keeps the whole id space, Docs() included,
 // so results need no translation and tie-breaks on id mean the same
-// thing on every shard). A shard decodes its own stems (Compact.Stem).
+// thing on every shard). A shard decodes its own stems (Compact.Stem)
+// and carries no pair lists: a process serving a shard builds its own
+// (engine.BuildPairPlan, from the whole index's plan).
 
 // ShardOf returns the shard owning document doc under an n-way
 // partition: doc mod n, the deterministic round-robin assignment used
@@ -62,46 +64,5 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 	for s, postings := range parts {
 		shards[s] = newCompact(c.docs, postings)
 	}
-	if err := c.partitionPairs(shards); err != nil {
-		return nil, err
-	}
 	return shards, nil
-}
-
-// partitionPairs filters each registered pair list per shard. Entries
-// are value copies, so a shard's scores and witnesses are bitwise
-// identical to the original's — the property the shard tier's
-// bitwise-identity differential relies on.
-func (c *Compact) partitionPairs(shards []*Compact) error {
-	n := len(shards)
-	for key, buf := range c.pairs {
-		pt, err := DecodePairs(buf)
-		if err != nil || pt == nil {
-			return fmt.Errorf("index: partition: concept pairs %x/%x: %v", key.Lo, key.Hi, err)
-		}
-		var entries []PairEntry
-		for i := range pt.Infos {
-			es, err := pt.DecodeBlock(i)
-			if err != nil {
-				return fmt.Errorf("index: partition: concept pairs %x/%x block %d: %v", key.Lo, key.Hi, i, err)
-			}
-			entries = append(entries, es...)
-		}
-		var se []PairEntry
-		for s, shard := range shards {
-			se = se[:0]
-			for _, e := range entries {
-				if ShardOf(e.Doc, n) == s {
-					se = append(se, e)
-				}
-			}
-			if enc := EncodePairs(se, 0); enc != nil {
-				if shard.pairs == nil {
-					shard.pairs = make(map[PairKey][]byte)
-				}
-				shard.pairs[key] = enc
-			}
-		}
-	}
-	return nil
 }

@@ -102,8 +102,9 @@ func TestMarshalIsFramed(t *testing.T) {
 // pre-framing layout (it carries no checksums, and LoadCompact is what
 // /swapindex feeds wire bytes to), and a framed file carrying section
 // 2 (the doc-max metadata nothing serves anymore), section 3 (the
-// retired varint block codec) or section 4 (registered block tables,
-// which are built from the postings now).
+// retired varint block codec), section 4 (registered block tables,
+// which are built from the postings now) or section 5 (pair lists,
+// which each serving process builds for itself).
 func TestLoadCompactLegacy(t *testing.T) {
 	for names, b := range RejectedShapesForTest(framedTestIndex(t)) {
 		_, err := LoadCompact(b)
@@ -114,9 +115,9 @@ func TestLoadCompactLegacy(t *testing.T) {
 }
 
 // TestLoadCompactRejectsMisorderedEntries pins the entry discipline of
-// every keyed section: keys strictly ascending — the order Marshal
+// the posting section: stems strictly ascending — the order Marshal
 // writes — and every buffer non-empty, or ErrCorrupt naming the section
-// and the entry. A repeated key would otherwise load with the later
+// and the entry. A repeated stem would otherwise load with the later
 // entry silently replacing the earlier one.
 func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
 	type entry struct{ key, buf []byte }
@@ -129,37 +130,18 @@ func TestLoadCompactRejectsMisorderedEntries(t *testing.T) {
 		return b
 	}
 	stem := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
-	key := func(words ...uint64) []byte {
-		var b []byte
-		for _, w := range words {
-			b = binary.LittleEndian.AppendUint64(b, w)
-		}
-		return b
-	}
 	postings := EncodePostings([]Posting{{Doc: 0, Pos: 1}})
-	pairs := EncodePairs(testPairEntries(), 3)
 	for _, tc := range []struct {
 		name    string
-		id      byte
 		payload []byte
 		names   string
 	}{
-		{"repeated stem", secPostings, entries(entry{stem("a"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
-		{"descending stems", secPostings, entries(entry{stem("b"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
-		{"empty postings", secPostings, entries(entry{stem("a"), nil}), "section 1: entry 0"},
-		{"repeated pair key", secPairs, entries(entry{key(1, 2, 3), pairs}, entry{key(1, 2, 3), pairs}), "section 5: entry 1"},
-		{"descending pair keys", secPairs, entries(entry{key(1, 2, 4), pairs}, entry{key(1, 2, 3), pairs}), "section 5: entry 1"},
-		{"empty pair list", secPairs, entries(entry{key(1, 2, 3), nil}), "section 5: entry 0"},
+		{"repeated stem", entries(entry{stem("a"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
+		{"descending stems", entries(entry{stem("b"), postings}, entry{stem("a"), postings}), "section 1: entry 1"},
+		{"empty postings", entries(entry{stem("a"), nil}), "section 1: entry 0"},
 	} {
-		docs := binary.AppendUvarint(nil, 1)
-		b := binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 2)
-		if tc.id == secPostings {
-			b = binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 1)
-			b = appendSection(b, secPostings, append(docs, tc.payload...))
-		} else {
-			b = appendSection(b, secPostings, append(docs, entries(entry{stem("a"), postings})...))
-			b = appendSection(b, tc.id, tc.payload)
-		}
+		b := binary.AppendUvarint(append([]byte(frameMagic), frameVersion), 1)
+		b = appendSection(b, secPostings, append(binary.AppendUvarint(nil, 1), tc.payload...))
 		_, err := LoadCompact(b)
 		if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.names) {
 			t.Errorf("%s: err = %v, want ErrCorrupt naming %q", tc.name, err, tc.names)

@@ -20,8 +20,8 @@ func CorruptPostingsForTest(c *Compact, word string) {
 // RejectedShapesForTest returns inputs every loader, and /swapindex,
 // must refuse, keyed by a phrase of the ErrCorrupt-wrapped error that
 // refuses each: c's postings unframed (no magic, no checksums), and
-// framed with a correctly checksummed retired section 2, 3 or 4. Not
-// for production use.
+// framed with a correctly checksummed retired section 2, 3, 4 or 5.
+// Not for production use.
 func RejectedShapesForTest(c *Compact) map[string][]byte {
 	postings := c.marshalPostings()
 	framed := func(id byte) []byte {
@@ -33,32 +33,6 @@ func RejectedShapesForTest(c *Compact) map[string][]byte {
 		"section 2":     framed(2),
 		"section 3":     framed(3),
 		"section 4":     framed(4),
-	}
-}
-
-// CorruptConceptPairsForTest overwrites a registered pair list with
-// bytes DecodePairs rejects, so ConceptPairs panics: the in-memory
-// corruption the engine's pair lookup must contain by falling back to
-// the kernel path. Not for production use.
-func CorruptConceptPairsForTest(c *Compact, a, b Concept, spec uint64) {
-	c.pairs[MakePairKey(ConceptKey(a), ConceptKey(b), spec)] = []byte{
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
-	}
-}
-
-// CorruptConceptPairPayloadForTest overwrites the payload area of a
-// registered pair list, skip table intact: ConceptPairs succeeds but
-// block decodes fail — the mid-serve failure path, which must abandon
-// the pair serve for the kernel path. Not for production use.
-func CorruptConceptPairPayloadForTest(c *Compact, a, b Concept, spec uint64) {
-	key := MakePairKey(ConceptKey(a), ConceptKey(b), spec)
-	buf := c.pairs[key]
-	pt, err := DecodePairs(buf)
-	if err != nil || pt == nil {
-		panic("CorruptConceptPairPayloadForTest: buffer must start valid")
-	}
-	last := pt.Infos[len(pt.Infos)-1]
-	for i := len(buf) - (last.Off + last.Len); i < len(buf); i++ {
-		buf[i] = 0xff
+		"section 5":     framed(5),
 	}
 }

@@ -28,7 +28,7 @@ go build ./...
 # grow. The ceiling is the count today; a change that deletes a flag
 # lowers it to the new count in the same change.
 echo "== proxserve flag ratchet =="
-max_flags=24
+max_flags=23
 flagbin="$(mktemp)"
 go build -o "$flagbin" ./cmd/proxserve
 nflags="$("$flagbin" -h 2>&1 | grep -c '^  -' || true)"
@@ -90,6 +90,13 @@ go test -count=1 -run 'TestValidKernelZeroAlloc|TestArmedKernelZeroAlloc' ./inte
 echo "== fuzz: cache rung vs window screen (10 s) =="
 go test -run='^$' -fuzz=FuzzScreenRung -fuzztime=10s ./internal/join/
 
+# The framed loader is the index's only decoder of bytes from disk or
+# the wire (LoadFile, POST /swapindex): it must never panic, and must
+# accept nothing unframed. A failing input lands in
+# internal/index/testdata/fuzz/.
+echo "== fuzz: framed index loader (10 s) =="
+go test -run='^$' -fuzz=FuzzLoadCompact -fuzztime=10s ./internal/index/
+
 # Known-vulnerability scan, when the tool is installed (the CI image
 # may not ship it; the gate must not fail on a missing scanner).
 if command -v govulncheck >/dev/null 2>&1; then
@@ -103,8 +110,8 @@ fi
 # stem decode hot path must not silently lose test coverage.
 # Floors are measured-minus-two at the time each floor was recorded
 # (engine 94.2% after the flat decode, the doc-max metadata codec and
-# the legacy file shape were deleted; index 92.1% once per-stem arrays
-# replaced the block codec; scorefn 93.9% with one
+# the legacy file shape were deleted; index 96.0% once pair lists
+# stopped being persisted; scorefn 93.9% with one
 # cap checker per family; shard 98.7%; join 95.2% once the cache rung
 # sat beside the window screen);
 # raise them when coverage rises.
@@ -128,7 +135,7 @@ check_cover() {
 }
 check_cover ./internal/engine/  92.2
 check_cover ./internal/scorefn/ 91.9
-check_cover ./internal/index/   90.1
+check_cover ./internal/index/   94.0
 check_cover ./internal/shard/   97.1
 check_cover ./internal/remote/  80.6
 check_cover ./internal/join/    93.2
