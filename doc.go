@@ -92,9 +92,9 @@
 // engine; EngineConfig.DisablePruning turns it off. Queries are
 // conjunctive by default; EngineQuery.Mode = ModeOR (with an optional
 // m-of-n EngineQuery.MinMatch threshold) instead ranks the union of
-// documents matching at least m concepts through a WAND pivot walk,
-// pruned by a union score bound that remains sound for the paper's
-// product-form scorers. The implementation lives in
+// documents matching at least m concepts. One WAND pivot walk serves
+// both, at m = n for AND, pruned at m < n by a union score bound that
+// remains sound for the paper's product-form scorers. The implementation lives in
 // internal/engine; see cmd/proxserve for a runnable server and
 // examples/engine for a walkthrough.
 //

@@ -85,10 +85,10 @@ type EngineConfig = engine.Config
 var ErrOverloaded = engine.ErrOverloaded
 
 // ErrQueryTooWide is returned by Engine.Search (and the sharded and
-// remote tiers) for a query with more concepts than its kernel can
-// join — more than 24 under a WIN JoinSpec — or a concept of more than
-// MaxConceptStems member words. Servers should map it to a client
-// error.
+// remote tiers) for a query of more than 64 concepts, of more concepts
+// than its kernel can join — more than 24 under a WIN JoinSpec — or
+// with a concept of more than MaxConceptStems member words. Servers
+// should map it to a client error.
 var ErrQueryTooWide = engine.ErrQueryTooWide
 
 // MaxConceptStems caps the member words of one query concept.
@@ -111,10 +111,10 @@ const (
 type EngineQuery = engine.Query
 
 // QueryMode selects conjunctive (AND, every concept must match) or
-// disjunctive (OR, ranked union) evaluation. Disjunctive queries run a
-// WAND pivot walk and support m-of-n thresholds through
-// EngineQuery.MinMatch; see DESIGN.md "Disjunctive retrieval & WAND
-// soundness" for the pruning-bound contract.
+// disjunctive (OR, ranked union) evaluation. Both run one WAND pivot
+// walk, at m = n for AND; disjunctive queries support m-of-n thresholds
+// through EngineQuery.MinMatch. See DESIGN.md "Disjunctive retrieval &
+// WAND soundness" for the pruning-bound contract.
 type QueryMode = engine.QueryMode
 
 const (

@@ -81,19 +81,19 @@ func pairTestIndex(t testing.TB) *bestjoin.CompactIndex {
 	return pairCompact
 }
 
-// assertSameDocs compares ranked results. Candidates is compared only
-// when wantCand is set, which callers do for conjunctive queries only:
-// a ranked union's confirmed-pivot count depends on how far the floor
-// had risen when the walk reached each pivot — on worker timing, and
-// for a sharded union on each shard's own floor — while the returned
-// ranking must still be identical.
-func assertSameDocs(t *testing.T, label string, got, want *bestjoin.EngineResult, wantCand bool) {
+// assertSameDocs compares ranked results, and holds got's candidates
+// to at most the exhaustive walk's (full): a pruning walk's confirmed
+// count depends on how far the floor had risen when it reached each
+// pivot — on worker timing, and in a fleet on each shard's own floor —
+// but it never confirms a document the exhaustive walk does not, and a
+// pair list holds exactly the documents both concepts do.
+func assertSameDocs(t *testing.T, label string, got, want, full *bestjoin.EngineResult) {
 	t.Helper()
 	if got.Partial != want.Partial {
 		t.Fatalf("%s: Partial %v vs %v", label, got.Partial, want.Partial)
 	}
-	if wantCand && got.Candidates != want.Candidates {
-		t.Fatalf("%s: Candidates %d vs %d", label, got.Candidates, want.Candidates)
+	if got.Candidates > full.Candidates {
+		t.Fatalf("%s: confirmed %d candidates, exhaustive %d", label, got.Candidates, full.Candidates)
 	}
 	if len(got.Docs) != len(want.Docs) {
 		t.Fatalf("%s: %d docs vs %d", label, len(got.Docs), len(want.Docs))
@@ -172,19 +172,11 @@ func TestShardedPairDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conjunctive := q.Mode != bestjoin.ModeOR
-		assertSameDocs(t, name+"/single", got, want, conjunctive)
-		if !conjunctive {
-			// A pruned walk may stop early but never confirms a pivot the
-			// exhaustive walk does not.
-			full, err := exhaustive.Search(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Candidates > full.Candidates {
-				t.Fatalf("%s/single: pruned walk confirmed %d pivots, exhaustive %d", name, got.Candidates, full.Candidates)
-			}
+		full, err := exhaustive.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSameDocs(t, name+"/single", got, want, full)
 		if name == "two-term" || name == "swapped" {
 			if st := single.Stats(); st.PairServed != 1 {
 				t.Fatalf("%s: single engine not pair-served: %+v", name, st)
@@ -202,7 +194,7 @@ func TestShardedPairDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameDocs(t, name+"/sharded", got, want, conjunctive)
+			assertSameDocs(t, name+"/sharded", got, want, full)
 			if st := se.Stats(); st.PairHits != 0 {
 				t.Fatalf("shards=%d: a partition carried a pair list: %+v", shards, st)
 			}
@@ -210,7 +202,7 @@ func TestShardedPairDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameDocs(t, name+"/fleet", got, want, conjunctive)
+			assertSameDocs(t, name+"/fleet", got, want, full)
 		}
 	}
 	for shards, fleet := range fleets {

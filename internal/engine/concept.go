@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
@@ -43,13 +44,13 @@ type conceptData struct {
 	failed bool
 }
 
-// conceptData resolves a concept's stems for this query. Corrupt
-// postings — the index reports them, and the ConceptDecode injection
-// site panics where they would be decoded — fail the concept: the
-// query degrades and the process survives. (Search has already refused
-// non-finite weights and oversized concepts.)
-func (e *Engine) conceptData(qs *queryState, c index.Concept) (cd *conceptData) {
-	cd = &conceptData{top: math.Inf(-1)}
+// conceptData resolves a concept's stems for this query into cd.
+// Corrupt postings — the index reports them, and the ConceptDecode
+// injection site panics where they would be decoded — fail the concept:
+// the query degrades and the process survives. (Search has already
+// refused non-finite weights and oversized concepts.)
+func (e *Engine) conceptData(qs *queryState, c index.Concept, cd *conceptData) {
+	cd.top = math.Inf(-1)
 	defer func() {
 		if r := recover(); r != nil || cd.failed {
 			e.counters.decodeFailures.Add(1)
@@ -60,13 +61,12 @@ func (e *Engine) conceptData(qs *queryState, c index.Concept) (cd *conceptData) 
 	stems, err := qs.idx.ConceptStems(c)
 	if err != nil {
 		cd.failed = true
-		return cd
+		return
 	}
 	cd.stems = stems
 	for _, s := range stems {
 		cd.top = max(cd.top, s.Score)
 	}
-	return cd
 }
 
 // conceptCursor walks one concept's documents in ascending order: the
@@ -92,8 +92,10 @@ type stemPos struct {
 	w         float64
 }
 
-func newCursor(cd *conceptData) conceptCursor {
-	cu := conceptCursor{cd: cd, pos: make([]stemPos, 0, len(cd.stems)), doc: -1}
+// newCursor starts a cursor on cd with buf, which has room for a
+// position per stem, as its positions.
+func newCursor(cd *conceptData, buf []stemPos) conceptCursor {
+	cu := conceptCursor{cd: cd, pos: buf[:0:len(cd.stems)], doc: -1}
 	for s := range cd.stems {
 		if arr := cd.stems[s].Arrays; arr.Len() > 0 {
 			cu.pos = append(cu.pos, stemPos{doc: arr.Doc(0), s: s, arr: arr, w: cd.stems[s].Score})
@@ -157,90 +159,15 @@ func (cu *conceptCursor) locs(buf *[]stemLoc) int32 {
 	return int32(len(*buf) - n)
 }
 
-// candidates is the conjunctive walk's output, flattened
-// document-major for n concepts: candidate i is docs[i]; concept j's
-// signature on it is sigs[i*n+j]; its stems' locations are
-// locs[start[i]:start[i+1]], concept by concept, nlocs[i*n+j] of them
-// for concept j.
-type candidates struct {
-	docs  []int
-	sigs  []join.Sig
-	locs  []stemLoc
-	nlocs []int32
-	start []int32
-}
-
-// intersectCursors returns the documents present in every concept by a
-// leapfrog walk over concept cursors, with where each concept stands on
-// each of them.
-func intersectCursors(qs *queryState, cds []*conceptData) (c candidates) {
-	n := len(cds)
-	for _, cd := range cds {
-		if cd.failed {
-			return c
-		}
-	}
-	curs := make([]conceptCursor, n)
-	// The rarest concept's documents bound the candidates: size the
-	// outputs to that, up to a cap a huge concept cannot inflate (past
-	// it they grow by append).
-	want := math.MaxInt
-	for j := range curs {
-		curs[j] = newCursor(cds[j])
-		total := 0
-		for _, s := range cds[j].stems {
-			total += s.Arrays.Len()
-		}
-		want = min(want, total)
-	}
-	want = min(want, 1<<12)
-	c.docs, c.start = make([]int, 0, want), make([]int32, 1, want+1)
-	c.sigs, c.nlocs = make([]join.Sig, 0, want*n), make([]int32, 0, want*n)
-	c.locs = make([]stemLoc, 0, want*n)
-	d, matched, j := 0, 0, 0
-	for {
-		doc, ok := curs[j].seek(d)
-		if !ok {
-			return c
-		}
-		if doc > d {
-			d, matched = doc, 1
-		} else {
-			matched++
-		}
-		if matched == n {
-			c.docs = append(c.docs, d)
-			for jj := range curs {
-				c.sigs, c.nlocs = append(c.sigs, curs[jj].sig), append(c.nlocs, curs[jj].locs(&c.locs))
-			}
-			c.start = append(c.start, int32(len(c.locs)))
-			// Poll the context on a coarse stride: a cancelled query
-			// stops generating candidates nobody will read.
-			if len(c.docs)&0x3ff == 0 && qs.ctx.Err() != nil {
-				qs.cancelled = true
-				return c
-			}
-			d++
-			matched = 0
-		}
-		if j++; j == n {
-			j = 0
-		}
-	}
-}
-
 // fillLists merges a job's match lists on a worker, just before its
-// join: slot s takes the concept's list on the document from the
+// join: the slot of each set bit of jb.mask, in ascending concept
+// order, takes that concept's list on the document from the
 // jb.nlocs[s] stems next in jb.locs, into the worker's scratch[s]
-// (valid until the worker's next job; at is scratch too). A
-// conjunctive job (mask == 0) has one slot per concept; a disjunctive
-// job one per set bit of jb.mask, in ascending concept order.
+// (valid until the worker's next job; at is scratch too).
 func fillLists(cds []*conceptData, jb docJob, scratch []match.List, at *[]index.StemAt) {
-	s, locs := 0, jb.locs
-	for j, cd := range cds {
-		if jb.mask != 0 && jb.mask&(1<<uint(j)) == 0 {
-			continue
-		}
+	locs := jb.locs
+	for s, m := 0, jb.mask; m != 0; s, m = s+1, m&(m-1) {
+		cd := cds[bits.TrailingZeros64(m)]
 		*at = (*at)[:0]
 		run := locs[:jb.nlocs[s]]
 		locs = locs[len(run):]
@@ -250,6 +177,5 @@ func fillLists(cds []*conceptData, jb docJob, scratch []match.List, at *[]index.
 		}
 		scratch[s] = index.AppendConceptList(scratch[s][:0], *at)
 		jb.lists[s] = scratch[s]
-		s++
 	}
 }

@@ -92,8 +92,8 @@ type Config struct {
 	// lead over the workers; they never change results.
 	QueueDepth int
 	// Mode is the default query mode for queries that leave Query.Mode
-	// unset: ModeAND (the zero value, conjunctive intersection) or
-	// ModeOR (ranked union). See QueryMode.
+	// unset: ModeAND (the zero value, every concept) or ModeOR (ranked
+	// union). See QueryMode.
 	Mode QueryMode
 	// DisablePairIndex turns off the auxiliary pair-index planner stage
 	// (pairpath.go); the zero Config uses registered pair lists. Pair

@@ -195,8 +195,8 @@ func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set,
 }
 
 // bounder evaluates a query kernel's score cap (join.UpperBounded) for
-// a dispatcher: the conjunctive path's per-candidate bounds (minMatch 0)
-// and the union walk's per-pivot ones. A cap that panics is contained:
+// the candidate walk's dispatcher, once per pivot. A cap that panics is
+// contained:
 // the bounder is failed, the evaluation yields +Inf, which never
 // prunes, and the query goes on unpruned, which is always sound. It
 // remembers its last evaluation: consecutive candidates and pivots
@@ -205,20 +205,20 @@ func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set,
 // arguments alone, so those take the same float without calling the
 // kernel. It also runs the cache rung at dispatch (cuts), through the
 // same kernel when it is Floored. It belongs to one dispatcher
-// goroutine.
+// goroutine, and bounds at most MaxConcepts lists.
 type bounder struct {
 	e      *Engine
 	ub     join.UpperBounded
 	fl     join.Floored // nil: no rung at dispatch
 	failed bool
-	maxima []float64 // scratch for boundSigs
-	// have: lastMax, lastMin and lastBound hold the last successful
-	// evaluation — the arguments' exact bits, in the order given, and
-	// the cap they produced.
-	have      bool
-	lastMax   []uint64
-	lastMin   int
-	lastBound float64
+	maxima [MaxConcepts]float64 // scratch for boundSigs
+	// have: lastMax[:lastN], lastMin and lastBound hold the last
+	// successful evaluation — the arguments' exact bits, in the order
+	// given, and the cap they produced.
+	have           bool
+	lastMax        [MaxConcepts]uint64
+	lastN, lastMin int
+	lastBound      float64
 }
 
 // bounderFor probes the query's kernel for join.UpperBounded. nil means
@@ -241,11 +241,11 @@ func (e *Engine) bounderFor(factory KernelFactory) (b *bounder) {
 
 // boundSigs is bound over the maxima of sigs.
 func (b *bounder) boundSigs(sigs []join.Sig, minMatch int) float64 {
-	b.maxima = b.maxima[:0]
-	for _, s := range sigs {
-		b.maxima = append(b.maxima, s.Max)
+	maxima := b.maxima[:len(sigs)]
+	for i, s := range sigs {
+		maxima[i] = s.Max
 	}
-	return b.bound(b.maxima, minMatch)
+	return b.bound(maxima, minMatch)
 }
 
 // cuts runs the cache rung at dispatch: whether the kernel's window
@@ -280,10 +280,10 @@ func (b *bounder) bound(perListMax []float64, minMatch int) (v float64) {
 			v = math.Inf(1)
 		}
 	}()
-	b.lastMax = b.lastMax[:0]
-	for _, m := range perListMax {
-		b.lastMax = append(b.lastMax, math.Float64bits(m))
+	for i, m := range perListMax {
+		b.lastMax[i] = math.Float64bits(m)
 	}
+	b.lastN = len(perListMax)
 	// Nothing is remembered until the kernel has answered: it may
 	// panic. A disjunctive cap may also reorder perListMax, hence the
 	// copy above.
@@ -295,7 +295,7 @@ func (b *bounder) bound(perListMax []float64, minMatch int) (v float64) {
 
 // remembers reports whether the arguments are the last evaluation's.
 func (b *bounder) remembers(perListMax []float64, minMatch int) bool {
-	if !b.have || b.lastMin != minMatch || len(b.lastMax) != len(perListMax) {
+	if !b.have || b.lastMin != minMatch || b.lastN != len(perListMax) {
 		return false
 	}
 	for i, m := range perListMax {

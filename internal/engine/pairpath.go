@@ -26,11 +26,11 @@ import (
 // its registered pair list. ok=false means the pair has no list and
 // the caller must run the kernel path.
 //
-// The serve mirrors the kernel path's accounting: every record in the
-// list is one candidate (tombstones included — the list's document
-// set is exactly the two concepts' intersection), a record offered or
-// tombstoned counts as evaluated, and a record (or whole block) that
-// ranks strictly below the k-th kept entry (floorEntry.bar) counts as
+// The serve counts every record in the list as one candidate
+// (tombstones included — the list's document set is exactly the two
+// concepts' intersection, what an exhaustive walk confirms), a record
+// offered or tombstoned as evaluated, and a record (or whole block)
+// that ranks strictly below the k-th kept entry (floorEntry.bar) as
 // pruned.
 func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time.Time) (*Result, bool) {
 	pt, ok := qs.idx.ConceptPairs(q.Concepts[0], q.Concepts[1], fp)
@@ -79,7 +79,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 			if swap {
 				scratch[0], scratch[1] = ent.W1, ent.W0
 			}
-			top.offer(ent.Doc, ent.Score, scratch) // offer clones scratch
+			top.offer(ent.Doc, ent.Score, scratch) // offer copies scratch
 			floor = top.entry()
 			evaluated++
 		}

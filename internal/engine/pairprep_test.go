@@ -240,11 +240,7 @@ func TestAttachPairsKeepsEpoch(t *testing.T) {
 	check := func(label string) {
 		for i, q := range queries {
 			got := mustSearch(t, e, q)
-			if q.Mode == ModeOR {
-				assertUnionIdentical(t, fmt.Sprintf("%s query %d", label, i), got, want[i])
-			} else {
-				assertIdentical(t, fmt.Sprintf("%s query %d", label, i), got, want[i])
-			}
+			assertIdentical(t, fmt.Sprintf("%s query %d", label, i), got, want[i])
 		}
 	}
 	check("before the plan") // no plan yet: kernel path, decodes the stems

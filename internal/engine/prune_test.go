@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -375,15 +374,15 @@ func (c *countingBound) ScoreUpperBound(perListMax []float64, minMatch int) floa
 	return sum
 }
 
-// TestPlanBoundsRemembersEqualMaxima: a candidate whose maxima are its
+// TestBoundSigsRemembersEqualMaxima: a candidate whose maxima are its
 // predecessor's, bit for bit, takes the predecessor's bound without an
 // evaluation; any other maxima — another order, another value, a zero
-// of the other sign — are evaluated; and a panicking bound still
-// disables pruning for the query.
-func TestPlanBoundsRemembersEqualMaxima(t *testing.T) {
+// of the other sign — are evaluated; and a panicking bound fails the
+// bounder, which then bounds nothing.
+func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
 	e := New(buildCompact(t, []string{"amber"}), Config{Workers: 1})
 	kern := &countingBound{}
-	factory := func() join.Kernel { return kern }
+	b := e.bounderFor(func() join.Kernel { return kern })
 	negZero := math.Copysign(0, -1)
 	maxima := [][2]float64{
 		{1, 0.5}, {1, 0.5}, {1, 0.5}, // remembered twice
@@ -393,44 +392,23 @@ func TestPlanBoundsRemembersEqualMaxima(t *testing.T) {
 		{negZero, 0.5},
 		{1, 0.5}, // only the predecessor is remembered
 	}
-	wantCalls := 6
-	var sigs []join.Sig
-	for _, m := range maxima {
-		sigs = append(sigs, join.Sig{Max: m[0]}, join.Sig{Max: m[1]})
-	}
-	_, bounds := e.planBounds(factory, sigs, 2)
-	if kern.calls != wantCalls {
-		t.Fatalf("%d evaluations for %d candidates, want %d", kern.calls, len(maxima), wantCalls)
-	}
 	for i, m := range maxima {
-		if want := m[0] + 2*m[1]; bounds[i] != want {
-			t.Fatalf("candidate %d: bound %v, want %v", i, bounds[i], want)
+		if got, want := b.boundSigs([]join.Sig{{Max: m[0]}, {Max: m[1]}}, 0), m[0]+2*m[1]; got != want {
+			t.Fatalf("candidate %d: bound %v, want %v", i, got, want)
 		}
 	}
-	sigs[len(sigs)-1].Max = -1
-	if _, bounds := e.planBounds(factory, sigs, 2); bounds != nil || e.Stats().JoinPanics != 1 {
-		t.Fatalf("a panicking bound: bounds %v, JoinPanics %d, want nil and 1", bounds, e.Stats().JoinPanics)
+	if kern.calls != 6 {
+		t.Fatalf("%d evaluations for %d candidates, want 6", kern.calls, len(maxima))
 	}
-}
-
-// TestBoundOrderNaN: a NaN bound (a kernel cap may propagate one on
-// purpose; a NaN bound never prunes) still yields a permutation of the
-// candidates: the dispatch order decides only how soon the floor rises,
-// never the answer.
-func TestBoundOrderNaN(t *testing.T) {
-	nan := math.NaN()
-	order := boundOrder([]float64{1, nan, 3, nan, 2, nan, 3})
-	if got := slices.Sorted(slices.Values(order)); !slices.Equal(got, []int{0, 1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("order %v is not a permutation", order)
+	if got := b.boundSigs([]join.Sig{{Max: 1}, {Max: -1}}, 0); !math.IsInf(got, 1) || !b.failed || e.Stats().JoinPanics != 1 {
+		t.Fatalf("a panicking bound: %v, failed %v, JoinPanics %d, want +Inf, true and 1", got, b.failed, e.Stats().JoinPanics)
 	}
 }
 
 // TestNegativeWeightWINServes: under the "win" family a negative
 // concept weight makes a candidate's score cap NaN (ExpWIN.G is a
 // logarithm). The query must still be answered, exactly as the
-// unpruned engine answers it — with a few candidates, where the
-// dispatch order is computed over NaN and finite bounds alike, and
-// with many.
+// unpruned engine answers it — with a few candidates and with many.
 func TestNegativeWeightWINServes(t *testing.T) {
 	few := []string{
 		"lenovo nba partnership",

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +13,9 @@ import (
 )
 
 // Query is one retrieval request: candidate documents are those
-// containing at least one match for every concept, each is joined
-// with Join, and the K best are returned.
+// containing at least one match for MinMatch of its concepts (every
+// concept by default), each is joined with Join over its matched
+// lists, and the K best are returned.
 type Query struct {
 	Concepts []index.Concept
 	Join     KernelFactory
@@ -38,10 +36,11 @@ type Query struct {
 	Mode QueryMode
 	// MinMatch is the m-of-n knob: a candidate document must match at
 	// least MinMatch of the query's concepts. 0 means the resolved
-	// mode's default — len(Concepts) for AND, 1 for OR. Any explicit
-	// value in [1, len(Concepts)] selects the disjunctive evaluation
-	// path, so MinMatch = len(Concepts) is AND semantics evaluated by
-	// ranked union. Values < 0 or > len(Concepts) are errors.
+	// mode's default — len(Concepts) for AND, 1 for OR. Every query
+	// runs the one candidate walk (union.go) at its resolved m, so
+	// MinMatch = len(Concepts) is an AND query; only the pair tier
+	// (pairpath.go) tells them apart, serving two-term AND queries whose
+	// MinMatch is 0. Values < 0 or > len(Concepts) are errors.
 	MinMatch int
 	// Floor optionally shares one pruning floor across engines: when a
 	// coordinator scatters this query to N doc-partitioned shards, each
@@ -57,20 +56,29 @@ type Query struct {
 	Floor *GlobalFloor
 }
 
-// ErrQueryTooWide is returned for a query with more concepts than its
-// kernel can join. WIN keeps one state per subset of query terms, so
-// join.WINKernel refuses (panics on) more than join.MaxWINTerms lists;
-// the width is checked once, at the entry points, instead of surfacing
-// as one recovered kernel panic per candidate document.
+// ErrQueryTooWide is returned for a query with more concepts than the
+// candidate walk or its kernel can take. WIN keeps one state per subset
+// of query terms, so join.WINKernel refuses (panics on) more than
+// join.MaxWINTerms lists; the width is checked once, at the entry
+// points, instead of surfacing as one recovered kernel panic per
+// candidate document.
 var ErrQueryTooWide = errors.New("engine: query too wide for its kernel")
 
-// CheckWidth reports ErrQueryTooWide when a concept has more than
-// MaxConceptStems member words, or when the query's Spec names a
-// kernel that cannot join len(Concepts) lists. Engine.Search, the
-// shard coordinator and the remote shard server all call it before any
-// work is done. An opaque Join factory cannot be inspected; custom
-// factories cap their own width.
+// MaxConcepts caps a query's concepts: the candidate walk gives each
+// concept one bit of a job's 64-bit concept mask (docJob.mask).
+const MaxConcepts = 64
+
+// CheckWidth reports ErrQueryTooWide when the query has more than
+// MaxConcepts concepts, when a concept has more than MaxConceptStems
+// member words, or when the query's Spec names a kernel that cannot
+// join len(Concepts) lists. Engine.Search, the shard coordinator and
+// the remote shard server all call it before any work is done. An
+// opaque Join factory cannot be inspected; custom factories cap their
+// own width.
 func (q Query) CheckWidth() error {
+	if len(q.Concepts) > MaxConcepts {
+		return fmt.Errorf("%w: at most %d concepts, got %d", ErrQueryTooWide, MaxConcepts, len(q.Concepts))
+	}
 	for j, c := range q.Concepts {
 		if len(c) > MaxConceptStems {
 			return fmt.Errorf("%w: concept %d has %d member words, at most %d", ErrQueryTooWide, j, len(c), MaxConceptStems)
@@ -106,7 +114,11 @@ type Result struct {
 	// mis-scored), so a degraded answer is a sound subset of the
 	// healthy answer; Failed counts the dropped candidates.
 	Degraded bool
-	// Candidates is the number of documents containing every concept;
+	// Candidates is the number of documents the candidate walk
+	// confirmed: each matches at least MinMatch concepts. A walk that
+	// jumps past documents that cannot outrank the floor never
+	// confirms them, so it depends on how soon the floor rose (a
+	// pair-served query counts every document of its list).
 	// Evaluated is how many of them were actually joined; Pruned is
 	// how many were skipped because their score upper bound could not
 	// beat the top-k floor; Failed is how many were dropped by
@@ -225,13 +237,6 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 			minMatch = 1
 		}
 	}
-	// An explicit MinMatch always takes the disjunctive path, even at
-	// m = n: AND-by-ranked-union is how the equivalence tests keep the
-	// union evaluator honest against the intersection evaluator.
-	union := mode == ModeOR || q.MinMatch > 0
-	if union && n > 64 {
-		return nil, fmt.Errorf("engine: disjunctive queries support at most 64 concepts, got %d", n)
-	}
 
 	// Admission control: at the in-flight cap, shed immediately or
 	// wait until the caller's context gives up.
@@ -256,132 +261,28 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	}
 
 	// Pair-served fast path: a two-term conjunctive spec query whose
-	// pair list is registered skips concept resolution, candidate
-	// intersection, and the worker pool entirely — the list already
-	// holds every (doc, score, witness) the kernel path would compute.
-	if pairFP != 0 && !union && len(q.Concepts) == 2 {
+	// pair list is registered skips concept resolution, the candidate
+	// walk, and the worker pool entirely — the list already holds every
+	// (doc, score, witness) the kernel path would compute.
+	if pairFP != 0 && mode != ModeOR && q.MinMatch == 0 && n == 2 {
 		if res, ok := e.servePair(qs, q, pairFP, k, start); ok {
 			return res, nil
 		}
 	}
 
-	// Candidate generation: resolve each concept's stems and intersect
-	// by a leapfrog walk whose cursors gallop over the stems' document
-	// arrays. The context is checked before each concept, so a
-	// cancelled query decodes no further stem.
-	cds := make([]*conceptData, len(q.Concepts))
+	// Resolve each concept's stems for the candidate walk. The context
+	// is checked before each concept, so a cancelled query decodes no
+	// further stem.
+	cds, data := make([]*conceptData, n), make([]conceptData, n)
 	for j, c := range q.Concepts {
 		if ctx.Err() != nil {
 			qs.cancelled = true
 			return e.finish(qs, &Result{Docs: []DocResult{}}, start), nil
 		}
-		cds[j] = e.conceptData(qs, c)
+		cds[j] = &data[j]
+		e.conceptData(qs, c, cds[j])
 	}
-	if union {
-		return e.searchUnion(qs, q, cds, minMatch, k, start), nil
-	}
-	cands := intersectCursors(qs, cds)
-	candidates, sigs := cands.docs, cands.sigs
-
-	// No candidate contains every concept: the answer is empty and
-	// final, so skip the worker pool entirely. (A concept whose decode
-	// failed has an empty candidate list, so degraded queries take
-	// this path with Degraded set — an empty but sound answer.)
-	res := &Result{Candidates: len(candidates)}
-	if len(candidates) == 0 {
-		res.Docs = []DocResult{}
-		return e.finish(qs, res, start), nil
-	}
-
-	// Max-score pruning setup: when the query's kernel can cap a
-	// document's score from its per-list maxima — each concept's exact
-	// maximum on the document, its signature's Max — compute every
-	// candidate's upper bound and order candidates by bound,
-	// descending (ties keep ascending document order). Processing the
-	// most promising documents first drives the top-k floor up
-	// quickly, so later, weaker candidates are skipped before their
-	// join, and before their lists are merged. A factory or bound that
-	// panics here downgrades the query to the unpruned (still correct)
-	// path.
-	nc := len(cds)
-	var bounds []float64
-	var order []int // candidate indices in dispatch order; nil = as-is
-	var ub *bounder
-	if e.prune {
-		if ub, bounds = e.planBounds(q.Join, sigs, nc); bounds != nil {
-			order = boundOrder(bounds)
-		}
-	}
-
-	// Worker pool: candidates flow through one shared channel in
-	// dispatchChunk batches (chunker), so channel operations and top-k floor
-	// loads amortize across a chunk instead of costing one each per
-	// document (the flat-worker-scaling fix). The dispatcher only
-	// screens and ships; workers merge each job's match lists, run
-	// joins, and offer results to the shared top-k heap. The heap's result is
-	// insertion-order independent (ties break on document id, and the
-	// floor only rises), so unsharded dispatch cannot change answers.
-	// Each worker builds one kernel from the query's factory and reuses
-	// its scratch for every document it evaluates; a kernel that panics
-	// is discarded and rebuilt, so one poisoned join cannot corrupt the
-	// next document's evaluation.
-	workers := e.workers
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	top := newTopK(k, q.Floor)
-	var evaluated, pruned atomic.Int64
-	chunkCap := workers * e.queue / dispatchChunk
-	if chunkCap < 1 {
-		chunkCap = 1
-	}
-	jobs := make(chan []docJob, chunkCap)
-	var wg sync.WaitGroup
-	e.joinWorkers(qs, q.Join, cds, workers, jobs, top, &evaluated, &pruned, &wg)
-
-	ch := chunker{e: e, ctx: ctx, jobs: jobs, width: nc}
-	flushFloor := top.entry()
-dispatch:
-	for oi := 0; oi < len(candidates); oi++ {
-		if oi&31 == 0 {
-			// Stop dispatching for a query nobody is waiting on
-			// anymore, and refresh the dispatcher's floor on the same
-			// coarse stride.
-			if ctx.Err() != nil {
-				break dispatch
-			}
-			flushFloor = top.entry()
-		}
-		i := oi
-		bound := math.Inf(1)
-		if order != nil {
-			i = order[oi]
-			bound = bounds[i]
-			// Screen before shipping: a document whose bound ranks
-			// strictly below the k-th kept entry (floorEntry.bar)
-			// cannot displace any kept document (the entry only
-			// improves), so skipping its join loses nothing; nor does
-			// skipping one the cache rung cuts at that bar.
-			bar := flushFloor.bar(candidates[i])
-			if bound < bar || ub.cuts(sigs[i*nc:(i+1)*nc], bar) {
-				pruned.Add(1)
-				e.counters.prunedDocs.Add(1)
-				continue
-			}
-		}
-		if !ch.add(docJob{doc: candidates[i], bound: bound, sigs: sigs[i*nc : (i+1)*nc],
-			locs: cands.locs[cands.start[i]:cands.start[i+1]], nlocs: cands.nlocs[i*nc : (i+1)*nc]}, nc) {
-			break dispatch
-		}
-	}
-	ch.ship()
-	close(jobs)
-	wg.Wait()
-
-	res.Docs = top.results()
-	res.Evaluated = int(evaluated.Load())
-	res.Pruned = int(pruned.Load())
-	return e.finish(qs, res, start), nil
+	return e.walk(qs, q, cds, minMatch, k, start), nil
 }
 
 // finish folds the query state into the result and updates the
@@ -401,35 +302,4 @@ func (e *Engine) finish(qs *queryState, res *Result, start time.Time) *Result {
 	}
 	res.Elapsed = time.Since(start)
 	return res
-}
-
-// planBounds computes every candidate's cap from its lists' maxima
-// (sigs, flattened as intersectCursors flattens them) through the
-// query kernel's bounder, which it returns for the dispatch rung. nil
-// bounds mean none — the kernel has no cap, or the factory or a cap
-// evaluation panicked (recovered and counted) — and the query runs
-// unpruned, which is always sound.
-func (e *Engine) planBounds(f KernelFactory, sigs []join.Sig, nc int) (*bounder, []float64) {
-	b := e.bounderFor(f)
-	if b == nil {
-		return nil, nil
-	}
-	bounds := make([]float64, len(sigs)/nc)
-	for i := range bounds {
-		if bounds[i] = b.boundSigs(sigs[i*nc:(i+1)*nc], 0); b.failed {
-			return nil, nil
-		}
-	}
-	return b, bounds
-}
-
-// boundOrder computes the bound-descending dispatch order (ties keep
-// ascending document order, so dispatch stays deterministic).
-func boundOrder(bounds []float64) []int {
-	order := make([]int, len(bounds))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] > bounds[order[b]] })
-	return order
 }

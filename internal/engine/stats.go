@@ -34,19 +34,19 @@ type counters struct {
 	shed           atomic.Uint64
 	indexReloads   atomic.Uint64
 	queueDepth     atomic.Int64
-	// Disjunctive (ranked-union) path: unionCandidates counts confirmed
+	// The candidate walk, every query's: unionCandidates counts confirmed
 	// pivots — documents verified to match at least MinMatch concepts —
-	// and pivotSkips the subset whose aggregate union bound fell
+	// and pivotSkips the subset whose score bound fell
 	// strictly below the top-k floor, skipped before any match list was
 	// assembled.
 	pivotSkips      atomic.Uint64
 	unionCandidates atomic.Uint64
-	// unionUnpruned counts disjunctive queries a pruning engine had to
-	// run exhaustively anyway — the kernel has no score cap, its
-	// scoring function is not term-exchangeable (scorefn.Exchangeable:
-	// the Weighted* families), or the cap panicked mid-walk. Still
-	// correct, silently slower; the counter makes the degradation
-	// visible.
+	// unionUnpruned counts queries a pruning engine had to walk
+	// exhaustively anyway — the kernel has no score cap, the query is
+	// disjunctive (m < n) and its scoring function is not
+	// term-exchangeable (scorefn.Exchangeable: the Weighted* families),
+	// or the cap panicked mid-walk. Still correct, silently slower; the
+	// counter makes the degradation visible.
 	unionUnpruned atomic.Uint64
 	// Auxiliary pair indexes (pairpath.go): pairHits counts pair-list
 	// lookups that found a registered list; pairServed counts two-term
@@ -182,19 +182,23 @@ type Stats struct {
 	BlockDecodes     uint64
 	BlocksSkipped    uint64
 	CoalescedDecodes uint64
-	// Disjunctive (ranked-union) path. UnionCandidates counts confirmed
-	// WAND pivots — documents verified to match at least MinMatch
-	// concepts; PivotSkips counts the subset skipped because their
-	// aggregate union bound fell strictly below the top-k floor, before
-	// any match list was assembled.
+	// The candidate walk, which every query the pair tier does not
+	// serve runs — AND, OR and m-of-n alike; the names date from when
+	// only disjunctive queries took it. UnionCandidates counts confirmed
+	// pivots — documents verified to match at least MinMatch concepts;
+	// PivotSkips counts the subset skipped because their score bound
+	// fell strictly below the top-k floor, before any match list was
+	// assembled.
 	UnionCandidates uint64
 	PivotSkips      uint64
-	// UnionUnpruned counts disjunctive queries a pruning engine ran
-	// exhaustively because no sound bound was available — correct
-	// results, silently degraded latency. A non-zero value usually
-	// means the deployed kernel has no cap (join.UpperBounded), or its
+	// UnionUnpruned counts queries a pruning engine walked exhaustively
+	// because no sound bound was available — correct results, silently
+	// degraded latency. A non-zero value usually means the deployed
+	// kernel has no cap (join.UpperBounded), or a disjunctive query's
 	// scoring function is not term-exchangeable, as the Weighted*
-	// families are not.
+	// families are not: such a walk runs exhaustively from its first
+	// pivot matching more than m concepts (a pivot matching exactly m,
+	// every pivot at m = n, takes the conjunctive cap).
 	UnionUnpruned uint64
 	// Auxiliary pair indexes (pairpath.go). PairHits counts pair-list
 	// lookups that found a registered list; PairServed counts two-term

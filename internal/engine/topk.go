@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -130,11 +131,12 @@ func (t *topK) entry() floorEntry {
 // lock-free read can only be more permissive than the state under the
 // lock — never the reverse. Equal scores must still take the lock (a
 // smaller doc id displaces the weakest kept entry). set may alias the
-// worker's kernel-owned buffer, so an entering offer clones it — under
+// worker's kernel-owned buffer, so an entering offer copies it — under
 // the lock, once it is known to enter: a query has a few dozen of
 // those, against thousands of offers that tie with the floor and lose
 // on document id (graded scores tie often), which must not pay for a
-// clone each.
+// copy each. Once the heap is full, the copy goes into the evicted
+// entry's set, which nothing else holds.
 func (t *topK) offer(doc int, score float64, set match.Set) {
 	if score < t.Floor() {
 		return
@@ -150,7 +152,7 @@ func (t *topK) offer(doc int, score float64, set match.Set) {
 	}
 	worst := t.h[0]
 	if score > worst.Score || (score == worst.Score && doc < worst.Doc) {
-		t.h[0] = DocResult{Doc: doc, Score: score, Set: set.Clone()}
+		t.h[0] = DocResult{Doc: doc, Score: score, Set: append(worst.Set[:0], set...)}
 		heap.Fix(&t.h, 0)
 		t.raiseFloor()
 	}
@@ -177,11 +179,11 @@ func (t *topK) results() []DocResult {
 	defer t.mu.Unlock()
 	out := make([]DocResult, len(t.h))
 	copy(out, t.h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b DocResult) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[i].Doc < out[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 	return out
 }

@@ -2,44 +2,45 @@ package engine
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bestjoin/internal/join"
 )
 
-// Disjunctive (OR / weak-AND / m-of-n) retrieval: a ranked-union
-// evaluation path that advances the same concept cursors the
-// conjunctive intersection uses, but in a WAND-style pivot loop over
-// Fagin-threshold bounds. The walk repeatedly takes the m-th smallest
-// cursor position as the pivot: cursors below it can never assemble m
-// matches at their current documents, so they seek forward; once none
-// sit below the pivot, at least m cursors sit exactly at the minimum —
-// a confirmed candidate. Its aggregate score bound is the kernel's
-// disjunctive cap (join.UpperBounded at minMatch ≥ 1) over the matched
-// concepts' exact maxima on the pivot. A pivot whose bound ranks
-// strictly below the k-th kept entry (floorEntry.bar: below its score,
-// or tied with it on a larger document id — a tie the pivot would
-// still win on id never prunes) is skipped without merging a single
-// match list, and when every matched concept stood at its largest
-// weight the walk jumps the matched cursors up to the next unmatched
-// one in the same seek (see advanceUnion). The walk is id-ordered, so
-// once the heap holds k documents at the kernel's cap every later
-// pivot has lost its tie already: that is where Fagin's threshold (k
-// objects with grade at least the threshold) stops the walk. A pivot
-// the cache rung cuts is dropped too. Documents that survive go to the
-// shared worker pool, which merges their lists only if they also
-// survive the re-check at evaluation time.
+// The candidate walk: every query the pair tier does not serve — AND,
+// OR and m-of-n alike — is evaluated by one WAND-style pivot loop over
+// Fagin-threshold bounds, at the query's resolved m (n for AND). The
+// walk repeatedly takes the m-th smallest cursor position as the
+// pivot: cursors below it can never assemble m matches at their
+// current documents, so they seek forward; once none sit below the
+// pivot, at least m cursors sit exactly at the minimum — a confirmed
+// candidate. At m = n the pivot is the largest position, and the walk
+// is a leapfrog intersection. A candidate's score bound is the
+// kernel's cap (join.UpperBounded) over the matched concepts' exact
+// maxima on it: the disjunctive cap at m < n, the conjunctive one at
+// m = n, where every candidate matches every concept. A pivot whose
+// bound ranks strictly below the k-th kept entry (floorEntry.bar:
+// below its score, or tied with it on a larger document id — a tie the
+// pivot would still win on id never prunes) is skipped without merging
+// a single match list, and when every matched concept stood at its
+// largest weight the walk jumps the matched cursors up to the next
+// unmatched one in the same seek (see advanceUnion); at m = n that
+// jump ends the walk. The walk is id-ordered, so once the heap holds k
+// documents at the kernel's cap every later pivot has lost its tie
+// already: that is where Fagin's threshold (k objects with grade at
+// least the threshold) stops the walk. A pivot the cache rung cuts is
+// dropped too. Documents that survive go to the shared worker pool,
+// which merges their lists only if they also survive the re-check at
+// evaluation time.
 //
 // Soundness (DESIGN.md "Disjunctive retrieval & WAND soundness"): the
 // per-concept maxima dominate every match score the document can
-// contribute, the union bound dominates the join over any subset of
-// ≥ m matched lists, and the kept entry only improves in rank order —
-// so a pivot skipped against today's entry is rejected a fortiori by
-// every later one. The differential suite (union_diff_test.go) proves
-// the pruned union path bitwise-identical to the exhaustive ranked
-// union.
+// contribute, the bound dominates the join over any subset of ≥ m
+// matched lists, and the kept entry only improves in rank order — so a
+// pivot skipped against today's entry is rejected a fortiori by every
+// later one. The differential suites (differential_test.go,
+// union_diff_test.go) hold the pruned walk bitwise-identical to the
+// exhaustive one and to a brute-force ranking.
 
 // QueryMode selects how many of a query's concepts a candidate
 // document must contain.
@@ -49,8 +50,8 @@ const (
 	// ModeDefault defers to the engine's configured Config.Mode (which
 	// itself defaults to ModeAND).
 	ModeDefault QueryMode = iota
-	// ModeAND requires every concept — conjunctive intersection, the
-	// engine's historical behavior.
+	// ModeAND requires every concept: the walk at m = n, the engine's
+	// historical behavior.
 	ModeAND
 	// ModeOR requires at least one concept (ranked union); combine
 	// with Query.MinMatch for m-of-n weak-AND semantics. Concepts
@@ -59,7 +60,7 @@ const (
 	ModeOR
 )
 
-// unionCursor wraps a conceptCursor for the pivot walk: ci is the
+// unionCursor wraps a conceptCursor for the candidate walk: ci is the
 // concept's position in the query (the bit it owns in docJob.mask);
 // doc is −1 once exhausted.
 type unionCursor struct {
@@ -67,26 +68,34 @@ type unionCursor struct {
 	ci int
 }
 
-// searchUnion evaluates a disjunctive query: candidates are documents
-// matching at least minMatch concepts, scored by the kernel over their
-// matched lists only (compacted in concept order).
-func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMatch, k int, start time.Time) *Result {
+// walk evaluates a query: candidates are documents matching at least
+// minMatch concepts, scored by the kernel over their matched lists
+// only (compacted in concept order).
+func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k int, start time.Time) *Result {
 	res := &Result{}
 
-	// One cursor per living concept. A failed concept (corrupt
-	// postings — the query is already Degraded) and an unknown concept
-	// (no postings at all: no stems, exhausted at the first seek)
-	// alike contribute no cursor: the union degrades to the surviving
-	// terms instead of returning nothing, which is the point of
-	// disjunctive evaluation.
-	bounding := e.prune
-	alive := make([]*unionCursor, 0, len(cds))
+	// One cursor per living concept, all carved off one slab with their
+	// stem positions. A failed concept (corrupt postings — the query is
+	// already Degraded) and an unknown concept (no postings at all: no
+	// stems, exhausted at the first seek) alike contribute no cursor: a
+	// union degrades to the surviving terms instead of returning
+	// nothing, which is the point of disjunctive evaluation, and an AND
+	// query is left with fewer cursors than it needs.
+	nstems := 0
+	for _, cd := range cds {
+		nstems += len(cd.stems)
+	}
+	curs, pos := make([]unionCursor, len(cds)), make([]stemPos, nstems)
+	// alive and atDoc, the cursors standing on a pivot, share one buffer.
+	buf := make([]*unionCursor, 2*len(cds))
+	alive, atDoc := buf[:0:len(cds)], buf[len(cds):len(cds)]
 	for ci, cd := range cds {
-		cu := &unionCursor{conceptCursor: newCursor(cd), ci: ci}
-		if _, ok := cu.seek(0); !ok {
-			continue
+		cu := &curs[ci]
+		cu.conceptCursor, cu.ci = newCursor(cd, pos), ci
+		pos = pos[len(cd.stems):]
+		if _, ok := cu.seek(0); ok {
+			alive = append(alive, cu)
 		}
-		alive = append(alive, cu)
 	}
 	// Fewer surviving concepts than the match requirement: no document
 	// can qualify. The answer is empty and complete (Degraded when a
@@ -98,8 +107,12 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 
 	// Probe the kernel for its cap. Without one — or with pruning
 	// disabled — every pivot carries a +Inf bound and the loop
-	// degenerates to the exhaustive ranked union, which is always sound
-	// (and is the differential baseline's evaluation order).
+	// degenerates to the exhaustive walk, which is always sound (and is
+	// the differential baseline's evaluation order). A pivot matching
+	// exactly m concepts — every pivot at m = n — takes the conjunctive
+	// cap (scorefn.ListMaxCap), which a term-weighted scoring function
+	// has where it has no disjunctive one.
+	bounding := e.prune
 	var ub *bounder
 	if bounding {
 		if ub = e.bounderFor(q.Join); ub == nil {
@@ -107,47 +120,45 @@ func (e *Engine) searchUnion(qs *queryState, q Query, cds []*conceptData, minMat
 		}
 	}
 	if e.prune && !bounding {
-		// A pruning engine running this union exhaustively: silent
+		// A pruning engine running this query exhaustively: silent
 		// degradation is an operational trap, so surface it in
 		// Stats().UnionUnpruned.
 		e.counters.unionUnpruned.Add(1)
 	}
 
-	top := newTopK(k, q.Floor)
-	var evaluated, pruned atomic.Int64
-	chunkCap := e.workers * e.queue / dispatchChunk
-	if chunkCap < 1 {
-		chunkCap = 1
-	}
-	jobs := make(chan []docJob, chunkCap)
-	var wg sync.WaitGroup
-	e.joinWorkers(qs, q.Join, cds, e.workers, jobs, top, &evaluated, &pruned, &wg)
+	// The worker pool starts as the walk ships its first chunks
+	// (chunker.ship), so a walk that confirms nothing starts none.
+	p := &pool{e: e, qs: qs, factory: q.Join, cds: cds, top: newTopK(k, q.Floor),
+		jobs: make(chan []docJob, max(1, e.workers*e.queue/dispatchChunk))}
+	ch := chunker{pool: p, idle: e.workers}
 
 	// The pivot walk. The jobs' stem counts and signatures are carved
-	// off slabs that are replaced, never rewound, when they run out, and
-	// their stem locations appended to one buffer: the workers may
-	// still hold shipped ones.
-	ch := chunker{e: e, ctx: qs.ctx, jobs: jobs, width: len(cds)}
+	// off slabs that are replaced, never rewound, when they run out
+	// (slab), and their stem locations appended to one buffer, sized for
+	// a chunk of jobs up front: the workers may still hold shipped ones.
 	var nlocSlab []int32
-	var locBuf []stemLoc
 	var sigSlab []join.Sig
-	flushFloor := top.entry()
-	atDoc := make([]*unionCursor, 0, len(alive))
-	atSigs := make([]join.Sig, 0, len(alive))
+	locBuf := make([]stemLoc, 0, min(dispatchChunk*nstems, 1<<12))
+	flushFloor := p.top.entry()
+	var smallBuf [8]int
+	small := smallBuf[:]
+	if minMatch > len(smallBuf) {
+		small = make([]int, minMatch)
+	}
 	steps := 0
 pivots:
 	for len(alive) >= minMatch {
 		if steps&31 == 0 {
 			// Poll the context and refresh the dispatcher's floor on a
-			// coarse stride, like the conjunctive dispatch loop.
+			// coarse stride.
 			if qs.ctx.Err() != nil {
 				qs.cancelled = true
 				break pivots
 			}
-			flushFloor = top.entry()
+			flushFloor = p.top.entry()
 		}
 		steps++
-		d := mthSmallestDoc(alive, minMatch)
+		d := mthSmallestDoc(alive, minMatch, small)
 		progressed := false
 		for i := 0; i < len(alive); {
 			cu := alive[i]
@@ -166,7 +177,13 @@ pivots:
 		// Aligned: d is the minimum position and at least minMatch
 		// cursors sit exactly on it — d provably matches ≥ m concepts,
 		// and no cursor below d means no other concept can contribute.
-		atDoc, atSigs = atDoc[:0], atSigs[:0]
+		// Their signatures go straight into the signature slab, which
+		// moves on only if d ships.
+		if len(sigSlab) < len(alive) {
+			nlocSlab, sigSlab = slab[int32](len(cds), ch.shipped), slab[join.Sig](len(cds), ch.shipped)
+		}
+		atDoc = atDoc[:0]
+		atSigs := sigSlab[:0]
 		for _, cu := range alive {
 			if cu.doc == d {
 				atDoc, atSigs = append(atDoc, cu), append(atSigs, cu.sig)
@@ -176,9 +193,9 @@ pivots:
 		if bounding {
 			bound = ub.boundSigs(atSigs, minMatch)
 			if math.IsInf(bound, 1) {
-				// No disjunctive cap: the scoring function is not
-				// term-exchangeable, or the cap panicked. The rest of
-				// this union runs exhaustively, another silent-degradation
+				// No cap: a disjunctive one where the scoring function is
+				// not term-exchangeable, or the cap panicked. The rest of
+				// this walk runs exhaustively, another silent-degradation
 				// case worth a counter tick. (An overflowing cap is +Inf
 				// too; joining every later pivot is sound all the same.)
 				bounding = false
@@ -193,14 +210,14 @@ pivots:
 			// outrank the kept entry, so d is pruned before a single
 			// match list is merged — and the walk may clear a whole
 			// range in the same move.
-			pruned.Add(1)
+			p.pruned.Add(1)
 			e.counters.prunedDocs.Add(1)
 			e.counters.pivotSkips.Add(1)
 			advanceUnion(&alive, atDoc, atSigs, d)
 			continue
 		}
 		if bounding && ub.cuts(atSigs, bar) {
-			pruned.Add(1)
+			p.pruned.Add(1)
 			e.counters.prunedDocs.Add(1)
 			seekUnion(&alive, atDoc, d+1)
 			continue
@@ -208,21 +225,16 @@ pivots:
 		// Surviving candidate: ship one empty slot per matched concept;
 		// a worker fills them (fillLists).
 		n := len(atDoc)
-		if len(sigSlab) < n {
-			nlocSlab = make([]int32, dispatchChunk*len(cds))
-			sigSlab = make([]join.Sig, dispatchChunk*len(cds))
-		}
 		var mask uint64
 		begin := len(locBuf)
 		for s, cu := range atDoc {
 			mask |= 1 << uint(cu.ci)
 			nlocSlab[s] = cu.locs(&locBuf)
 		}
-		copy(sigSlab, atSigs)
 		// A later append may move locBuf; this job keeps the backing its
 		// locations were written to, which nothing writes again.
 		jb := docJob{doc: d, bound: bound, mask: mask,
-			locs: locBuf[begin:len(locBuf):len(locBuf)], nlocs: nlocSlab[:n:n], sigs: sigSlab[:n:n]}
+			locs: locBuf[begin:len(locBuf):len(locBuf)], nlocs: nlocSlab[:n:n], sigs: atSigs[:n:n]}
 		nlocSlab, sigSlab = nlocSlab[n:], sigSlab[n:]
 		if !ch.add(jb, n) {
 			qs.cancelled = true
@@ -233,12 +245,12 @@ pivots:
 	if !ch.ship() {
 		qs.cancelled = true
 	}
-	close(jobs)
-	wg.Wait()
+	close(p.jobs)
+	p.wg.Wait()
 
-	res.Docs = top.results()
-	res.Evaluated = int(evaluated.Load())
-	res.Pruned = int(pruned.Load())
+	res.Docs = p.top.results()
+	res.Evaluated = int(p.evaluated.Load())
+	res.Pruned = int(p.pruned.Load())
 	return e.finish(qs, res, start)
 }
 
@@ -289,14 +301,11 @@ func seekUnion(alive *[]*unionCursor, atDoc []*unionCursor, target int) {
 }
 
 // mthSmallestDoc returns the m-th smallest current document over the
-// alive cursors (1 ≤ m ≤ len). Queries hold at most 64 cursors, so a
-// bounded insertion scan beats sorting machinery.
-func mthSmallestDoc(alive []*unionCursor, m int) int {
-	var buf [8]int
-	small := buf[:0]
-	if m > len(buf) {
-		small = make([]int, 0, m)
-	}
+// alive cursors (1 ≤ m ≤ len), with small, of capacity at least m, as
+// scratch. Queries hold at most 64 cursors, so a bounded insertion scan
+// beats sorting machinery.
+func mthSmallestDoc(alive []*unionCursor, m int, small []int) int {
+	small = small[:0]
 	for _, cu := range alive {
 		d := cu.doc
 		switch {

@@ -67,19 +67,6 @@ func bruteForceUnion(c *index.Compact, concepts []index.Concept, jn KernelFactor
 	return out
 }
 
-// assertUnionIdentical is assertIdentical minus the Candidates
-// comparison: the WAND walk legitimately confirms fewer pivots than
-// the exhaustive union enumerates (block jumps skip documents without
-// ever establishing membership), so only the observable answer —
-// docs, scores, matchsets, order, Partial — must match.
-func assertUnionIdentical(t *testing.T, label string, pruned, unpruned *Result) {
-	t.Helper()
-	if pruned.Partial != unpruned.Partial {
-		t.Fatalf("%s: Partial %v (pruned) vs %v (unpruned)", label, pruned.Partial, unpruned.Partial)
-	}
-	assertSameDocs(t, label, pruned.Docs, unpruned.Docs)
-}
-
 // assertSameDocs compares two rankings bit for bit.
 func assertSameDocs(t *testing.T, label string, got, want []DocResult) {
 	t.Helper()
@@ -132,9 +119,7 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 					}
 					label := fmt.Sprintf("trial %d %s workers=%d k=%d m=%d",
 						trial, fam.name, workers, k, minMatch)
-					assertResultInvariants(t, label+" pruned", rp)
-					assertResultInvariants(t, label+" unpruned", ru)
-					assertUnionIdentical(t, label, rp, ru)
+					assertIdentical(t, label, rp, ru)
 					want := bruteForceUnion(idx, concepts, fam.factory, k, minMatch)
 					assertSameDocs(t, label+" vs baseline", rp.Docs, want)
 					// The exhaustive union confirms every qualifying
@@ -155,7 +140,7 @@ func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertUnionIdentical(t, label+" cached", rp2, ru)
+					assertIdentical(t, label+" cached", rp2, ru)
 				}
 			}
 		}
@@ -252,8 +237,9 @@ func TestUnionSingleConceptMatchesAND(t *testing.T) {
 }
 
 // TestUnionMinMatchBoundaries pins the m-of-n edges: MinMatch = n must
-// reproduce the conjunctive answer exactly (AND evaluated by ranked
-// union), and MinMatch = 1 must be plain OR.
+// be the conjunctive answer — the brute-force ranking of the documents
+// holding every concept, as a default AND query is — and MinMatch = 1
+// must be plain OR.
 func TestUnionMinMatchBoundaries(t *testing.T) {
 	c := buildCompact(t, testCorpus(100, 23))
 	concepts := testConcepts()
@@ -268,9 +254,11 @@ func TestUnionMinMatchBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameDocs(t, "m=n "+fam.name, viaUnion.Docs, and.Docs)
-		if viaUnion.Partial != and.Partial {
-			t.Fatalf("m=n %s: Partial %v vs %v", fam.name, viaUnion.Partial, and.Partial)
+		want := bruteForce(c, concepts, fam.factory, 5)
+		assertSameDocs(t, "AND "+fam.name, and.Docs, want)
+		assertSameDocs(t, "m=n "+fam.name, viaUnion.Docs, want)
+		if viaUnion.Partial || and.Partial {
+			t.Fatalf("m=n %s: Partial %v, AND Partial %v", fam.name, viaUnion.Partial, and.Partial)
 		}
 
 		or, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 5, Mode: ModeOR})
@@ -525,7 +513,8 @@ func TestUnionBounderRemembersLastAnswer(t *testing.T) {
 // which is sound only when g_j does not depend on j: here it weighed
 // amber's 0.2 by basalt's 2 and basalt's 1 by amber's 0.5, capping
 // document 1 (209) at 90 — below document 0's 159, so the pruned union
-// answered document 0. Such a query runs exhaustively, counted in
+// answered document 0. Such a query runs exhaustively from its first
+// pivot matching more than m concepts (here the first), counted in
 // UnionUnpruned, and answers as the unpruned engine does.
 func TestWeightedUnionRunsUnpruned(t *testing.T) {
 	compact := buildCompact(t, []string{"amber" + strings.Repeat(" lumen", 50) + " basalt", "amber basalt"})
@@ -545,6 +534,63 @@ func TestWeightedUnionRunsUnpruned(t *testing.T) {
 		assertSameDocs(t, label, got.Docs, want.Docs)
 		if got.Docs[0].Doc != 1 || e.Stats().UnionUnpruned != 1 {
 			t.Fatalf("%s: top doc %d, UnionUnpruned %d, want doc 1 and 1", label, got.Docs[0].Doc, e.Stats().UnionUnpruned)
+		}
+	}
+}
+
+// capOnly is a kernel whose only screen is its score cap: no window
+// screen, no cache rung, so whatever it prunes the list-max rung did.
+type capOnly struct {
+	join.Kernel
+	join.UpperBounded
+}
+
+// TestWeightedANDKeepsItsCap: a term-weighted scoring function has a
+// conjunctive cap but no disjunctive one (scorefn.ListMaxCap). An AND
+// query — by default or by MinMatch = n — runs the candidate walk at
+// m = n, where every candidate matches every concept, so it takes the
+// conjunctive cap: it is not counted in UnionUnpruned, a kernel whose
+// only screen is that cap still prunes at K = 1, and it answers as the
+// unpruned engine does.
+//
+// The pruned counts at K = 1, 3, 5, 10 are pinned as lower bounds, as
+// measured when this walk replaced the conjunctive path (one worker,
+// 64 candidates), so a weaker cap or a later floor cannot go
+// unnoticed. That path, which sorted every candidate by its cap before
+// joining any, pruned more: 58 / 46 / 39 / 31 with the served kernel,
+// 33 / 10 / 3 / 0 with the cap alone.
+func TestWeightedANDKeepsItsCap(t *testing.T) {
+	compact := buildCompact(t, testCorpus(400, 12))
+	fn := scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.07}, Weights: []float64{0.5, 2, 1}}
+	ks := []int{1, 3, 5, 10}
+	pinned := map[bool][]int{false: {52, 43, 36, 25}, true: {10, 1, 0, 0}}
+	for _, bare := range []bool{false, true} {
+		factory := func() join.Kernel {
+			k := join.NewWINKernel(fn)
+			if bare {
+				return capOnly{k, k}
+			}
+			return k
+		}
+		for i, k := range ks {
+			for _, minMatch := range []int{0, 3} {
+				q := Query{Concepts: testConcepts(), Join: factory, K: k, MinMatch: minMatch}
+				e := New(compact, Config{Workers: 1})
+				got, err := e.Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("cap only %v, K %d, MinMatch %d", bare, k, minMatch)
+				assertIdentical(t, label, got, want)
+				if st := e.Stats(); st.UnionUnpruned != 0 || got.Pruned < pinned[bare][i] || k == 1 && got.Pruned == 0 {
+					t.Fatalf("%s: UnionUnpruned %d, %d of %d candidates pruned, want 0 and at least %d (and some)",
+						label, st.UnionUnpruned, got.Pruned, got.Candidates, pinned[bare][i])
+				}
+			}
 		}
 	}
 }

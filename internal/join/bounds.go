@@ -10,14 +10,15 @@ import "bestjoin/internal/scorefn"
 // interface; when present (and pruning is enabled) it skips the join
 // for every candidate document whose cap is strictly below its bar.
 //
-// minMatch ≤ 0 asks for the conjunctive cap, over the matchsets of
-// every list; perListMax is left as it was, and the cap is a function
-// of it alone, so candidates with bit-identical maxima need one
-// evaluation. minMatch ≥ 1 asks for the disjunctive cap of a ranked
-// union, over the matchsets of ANY subset of at least minMatch lists,
-// compacted in order (the engine passes workers only the matched
-// lists, re-indexed from 0); it may reorder perListMax, and is +Inf
-// when the scoring function is not scorefn.Exchangeable.
+// minMatch ≤ 0, or ≥ len(perListMax), asks for the conjunctive cap,
+// over the matchsets of every list; perListMax is left as it was, and
+// the cap is a function of it alone, so candidates with bit-identical
+// maxima need one evaluation. Any other minMatch asks for the
+// disjunctive cap of a ranked union, over the matchsets of ANY subset
+// of at least minMatch lists, compacted in order (the engine passes
+// workers only the matched lists, re-indexed from 0); it may reorder
+// perListMax, and is +Inf when the scoring function is not
+// scorefn.Exchangeable.
 //
 // Contract: the cap must be ≥ the score Join would return on any such
 // instance — including under restrictions that only shrink the

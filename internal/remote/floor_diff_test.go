@@ -254,7 +254,7 @@ func floorDifferential(t *testing.T, corpus []string) {
 									t.Fatalf("%s: rank %d doc %d witness %v is not a matchset (valid: %v) scoring %v", label, i, g.Doc, g.Set, fam.spec.Valid, g.Score)
 								}
 							}
-							assertSame(t, label+" vs floorless", got, base, false)
+							assertSame(t, label+" vs floorless", got, base)
 						}
 					}
 				}

@@ -49,8 +49,6 @@ const (
 	MaxQueryBytes = 1 << 20
 	// MaxResultBytes caps a /shardquery response body.
 	MaxResultBytes = 32 << 20
-	// maxConcepts caps the number of concepts in one wire query.
-	maxConcepts = 256
 	// maxTermLen caps one concept term's byte length.
 	maxTermLen = 1 << 10
 	// maxBudget caps the query's deadline budget.
@@ -171,8 +169,8 @@ func (wq *WireQuery) Validate() error {
 	if len(wq.Concepts) == 0 {
 		return errors.New("remote: query has no concepts")
 	}
-	if len(wq.Concepts) > maxConcepts {
-		return fmt.Errorf("remote: %d concepts exceeds limit %d", len(wq.Concepts), maxConcepts)
+	if len(wq.Concepts) > engine.MaxConcepts {
+		return fmt.Errorf("remote: %d concepts exceeds limit %d", len(wq.Concepts), engine.MaxConcepts)
 	}
 	for i, c := range wq.Concepts {
 		if len(c) == 0 {

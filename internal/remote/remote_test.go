@@ -12,6 +12,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -122,14 +123,15 @@ func fastCfg() ShardConfig {
 	return ShardConfig{Timeout: 2 * time.Minute, Retries: -1, HedgeAfter: -1, Backoff: time.Millisecond}
 }
 
-func assertSame(t *testing.T, label string, got, want *engine.Result, pureAND bool) {
+// assertSame holds a fleet's answer to the reference's: flags, docs,
+// scores and matchsets. Candidates is held by assertCandidates: a
+// pruning walk jumps past documents it never confirms, as far as each
+// shard's floor has risen, so only an exhaustive count is exact.
+func assertSame(t *testing.T, label string, got, want *engine.Result) {
 	t.Helper()
 	if got.Partial != want.Partial || got.Degraded != want.Degraded {
 		t.Fatalf("%s: flags Partial=%v/Degraded=%v, want %v/%v",
 			label, got.Partial, got.Degraded, want.Partial, want.Degraded)
-	}
-	if pureAND && got.Candidates != want.Candidates {
-		t.Fatalf("%s: Candidates %d, want %d", label, got.Candidates, want.Candidates)
 	}
 	if len(got.Docs) != len(want.Docs) {
 		t.Fatalf("%s: %d docs, want %d\ngot:  %+v\nwant: %+v",
@@ -154,12 +156,25 @@ func assertSame(t *testing.T, label string, got, want *engine.Result, pureAND bo
 	}
 }
 
+// assertCandidates holds a pruning answer's Candidates between the
+// documents it returned, each of which it confirmed, and the count of
+// an exhaustive walk, which confirms every document matching the query.
+func assertCandidates(t *testing.T, label string, got, exhaustive *engine.Result) {
+	t.Helper()
+	if got.Candidates < len(got.Docs) || got.Candidates > exhaustive.Candidates {
+		t.Fatalf("%s: Candidates %d, want between %d (docs returned) and %d (exhaustive)",
+			label, got.Candidates, len(got.Docs), exhaustive.Candidates)
+	}
+}
+
 // TestRemoteDifferential is the transparency acceptance test: for
 // every shard count, kernel spec, and query shape, the healthy remote
 // fleet's answer is bitwise identical to the in-process coordinator's
 // and to a single engine's over the unsplit index. Only Spec rides
 // the queries, so all three paths provably construct their kernels
-// from the same three serializable fields.
+// from the same three serializable fields. Candidates is summed across
+// the wire: a fleet of exhaustive shards reports the exhaustive
+// engine's count exactly, and the pruning paths stay within it.
 func TestRemoteDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -168,6 +183,8 @@ func TestRemoteDifferential(t *testing.T) {
 		// The reference never touches a pair list, so a fleet answer
 		// served from one is checked against a kernel-joined one.
 		single := engine.New(compact, engine.Config{Workers: 2, DisablePairIndex: true})
+		unpruned := engine.Config{Workers: 2, DisablePairIndex: true, DisablePruning: true}
+		exhaustive := engine.New(compact, unpruned)
 		for _, n := range []int{1, 2, 3} {
 			local, err := shard.New(compact, shard.Config{Shards: n, Engine: engine.Config{Workers: 2}})
 			if err != nil {
@@ -178,19 +195,20 @@ func TestRemoteDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pf.checkPairTier(t, fleet, single, remoteSpecs()[(int(seed)+n)%len(remoteSpecs())])
+			exFleet, err := NewFleet(startFleet(t, compact, n, unpruned), fastCfg(), shard.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf.checkPairTier(t, fleet, single, exhaustive, remoteSpecs()[(int(seed)+n)%len(remoteSpecs())])
 			for _, spec := range remoteSpecs() {
 				for round := 0; round < 2; round++ {
 					concepts := remoteConcepts(rng)
 					q := engine.Query{Concepts: concepts, Spec: spec, K: 1 + rng.Intn(8)}
-					pureAND := true
 					switch rng.Intn(3) {
 					case 1:
 						q.Mode = engine.ModeOR
-						pureAND = false
 					case 2:
 						q.MinMatch = 1 + rng.Intn(len(concepts))
-						pureAND = false
 					}
 					label := fmt.Sprintf("seed %d shards %d spec %+v round %d", seed, n, spec, round)
 					want, err := single.Search(context.Background(), q)
@@ -201,12 +219,26 @@ func TestRemoteDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: local coordinator: %v", label, err)
 					}
-					assertSame(t, label+" (local)", lres, want, pureAND)
+					ex, err := exhaustive.Search(context.Background(), q)
+					if err != nil {
+						t.Fatalf("%s: exhaustive: %v", label, err)
+					}
+					assertSame(t, label+" (local)", lres, want)
+					assertCandidates(t, label+" (local)", lres, ex)
 					rres, err := fleet.Search(context.Background(), q)
 					if err != nil {
 						t.Fatalf("%s: remote fleet: %v", label, err)
 					}
-					assertSame(t, label+" (remote)", rres, want, pureAND)
+					assertSame(t, label+" (remote)", rres, want)
+					assertCandidates(t, label+" (remote)", rres, ex)
+					xres, err := exFleet.Search(context.Background(), q)
+					if err != nil {
+						t.Fatalf("%s: exhaustive remote fleet: %v", label, err)
+					}
+					assertSame(t, label+" (exhaustive remote)", xres, ex)
+					if xres.Candidates != ex.Candidates {
+						t.Fatalf("%s: exhaustive remote fleet: Candidates %d, want %d", label, xres.Candidates, ex.Candidates)
+					}
 				}
 			}
 		}
@@ -263,11 +295,16 @@ func startPlannedFleet(t *testing.T, compact *index.Compact, n int) *plannedFlee
 // twice: kernel-joined on every shard the first time (which starts the
 // builds), pair-served on every shard once they attach, bitwise equal
 // to the pair-disabled reference both times — and the attach is
-// invisible to the coordinator's health view.
-func (pf *plannedFleet) checkPairTier(t *testing.T, fleet *shard.Coordinator, single *engine.Engine, spec engine.KernelSpec) {
+// invisible to the coordinator's health view. Pair-served, the fleet
+// counts each list's documents: exactly the exhaustive walk's count.
+func (pf *plannedFleet) checkPairTier(t *testing.T, fleet *shard.Coordinator, single, exhaustive *engine.Engine, spec engine.KernelSpec) {
 	t.Helper()
 	q := engine.Query{Concepts: pf.planned[:2], Spec: spec, K: 5}
 	want, err := single.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := exhaustive.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +317,8 @@ func (pf *plannedFleet) checkPairTier(t *testing.T, fleet *shard.Coordinator, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSame(t, label+" (before the attach)", got, want, true)
+	assertSame(t, label+" (before the attach)", got, want)
+	assertCandidates(t, label+" (before the attach)", got, ex)
 	for i, e := range pf.engines {
 		if st := e.Stats(); st.PairServed != 0 {
 			t.Fatalf("%s: shard %d pair-served before any list was built", label, i)
@@ -300,7 +338,10 @@ func (pf *plannedFleet) checkPairTier(t *testing.T, fleet *shard.Coordinator, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSame(t, label+" (after the attach)", got, want, true)
+	assertSame(t, label+" (after the attach)", got, want)
+	if got.Candidates != ex.Candidates {
+		t.Fatalf("%s (after the attach): Candidates %d, want the pair lists' %d documents", label, got.Candidates, ex.Candidates)
+	}
 	for i, e := range pf.engines {
 		if st := e.Stats(); st.PairServed != 1 {
 			t.Fatalf("%s: shard %d PairServed = %d after the attach, want 1", label, i, st.PairServed)
@@ -631,6 +672,7 @@ func TestRemoteSwapIndexRoll(t *testing.T) {
 		t.Fatalf("post-roll: Ready=%v Epoch=%d Err=%q, want true/1/\"\"", h.Ready, h.Epoch, h.Err)
 	}
 	single := engine.New(newCompact, engine.Config{Workers: 1})
+	exhaustive := engine.New(newCompact, engine.Config{Workers: 1, DisablePruning: true})
 	spec := engine.KernelSpec{Family: "max", Alpha: 0.1}
 	for round := 0; round < 3; round++ {
 		q := engine.Query{Concepts: remoteConcepts(rng), Spec: spec, K: 5}
@@ -638,11 +680,17 @@ func TestRemoteSwapIndexRoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ex, err := exhaustive.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := fleet.Search(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSame(t, fmt.Sprintf("post-roll round %d", round), got, want, true)
+		label := fmt.Sprintf("post-roll round %d", round)
+		assertSame(t, label, got, want)
+		assertCandidates(t, label, got, ex)
 	}
 }
 
@@ -792,6 +840,59 @@ func TestRemoteHealthUnreachable(t *testing.T) {
 	}
 	if h.Err == "" {
 		t.Fatal("unreachable shard health has no Err")
+	}
+}
+
+// TestQueryWidthCap: engine.MaxConcepts is the one cap on a query's
+// concepts, on every entry point. 64 concepts are answered and 65
+// refused with ErrQueryTooWide, AND and OR, by Engine.Search and
+// shard.Coordinator.Search; the shard HTTP route answers the first and
+// refuses the second with a 400.
+func TestQueryWidthCap(t *testing.T) {
+	compact := buildCompact(t, remoteCorpus(rand.New(rand.NewSource(53))))
+	eng := engine.New(compact, engine.Config{Workers: 2})
+	coord, err := shard.New(compact, shard.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	NewServer(eng, ServerConfig{}).Register(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	searchers := map[string]func(context.Context, engine.Query) (*engine.Result, error){
+		"engine": eng.Search, "coordinator": coord.Search,
+	}
+	for _, width := range []int{engine.MaxConcepts, engine.MaxConcepts + 1} {
+		concepts := make([]index.Concept, width)
+		for i := range concepts {
+			concepts[i] = index.Concept{remoteVocab[i%len(remoteVocab)]: 1}
+		}
+		tooWide := width > engine.MaxConcepts
+		for _, mode := range []engine.QueryMode{engine.ModeAND, engine.ModeOR} {
+			q := engine.Query{Concepts: concepts, Spec: engine.KernelSpec{Family: "med", Alpha: 0.1}, K: 3, Mode: mode}
+			label := fmt.Sprintf("%d concepts, mode %d", width, mode)
+			for name, search := range searchers {
+				if _, err := search(context.Background(), q); tooWide != errors.Is(err, engine.ErrQueryTooWide) || !tooWide && err != nil {
+					t.Errorf("%s, %s: err %v, refused %v", label, name, err, tooWide)
+				}
+			}
+			wq, err := EncodeQuery(q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(wq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/shardquery", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if want := map[bool]int{false: http.StatusOK, true: http.StatusBadRequest}[tooWide]; resp.StatusCode != want {
+				t.Errorf("%s, /shardquery: status %d, want %d", label, resp.StatusCode, want)
+			}
+		}
 	}
 }
 

@@ -52,7 +52,8 @@ func CapMED(fn MED, total, mag float64, w int) float64 {
 
 // Exchangeable marks a scoring function whose per-term transform — G,
 // or Contribution — does not depend on the term index. Only such a
-// function has a disjunctive cap (ListMaxCap with minMatch ≥ 1): its
+// function has a disjunctive cap (ListMaxCap with 1 ≤ minMatch < the
+// number of lists): its
 // score of a subset of the lists depends on the multiset of match
 // scores alone, whichever terms they answer. Every unweighted instance
 // is exchangeable; WeightedWIN and WeightedMED are not.
@@ -69,10 +70,13 @@ type Exchangeable interface {
 //
 // minMatch ≤ 0 asks for the conjunctive cap capAt(Σ_j g(j, max_j)),
 // summed in term order, over matchsets of every list; perListMax is
-// left as it was.
+// left as it was. So does minMatch ≥ len(perListMax): the only
+// admissible subset is then every list, so every scoring function has
+// this cap, the term-weighted ones included.
 //
-// minMatch ≥ 1 asks for the disjunctive cap over matchsets of ANY subset
-// of at least minMatch lists, compacted to term indices 0..s−1 — the
+// 1 ≤ minMatch < len(perListMax) asks for the disjunctive cap over
+// matchsets of ANY subset of at least minMatch lists, compacted to
+// term indices 0..s−1 — the
 // instances a ranked union joins. Adding a list can lower a cap (two
 // ExpWIN lists of maximum 0.5 cap at 0.25, while one of them alone
 // scores 0.5), so the cap is the largest over the admissible subset
@@ -81,11 +85,9 @@ type Exchangeable interface {
 // maxima. That dominates every subset of size s only when g ignores its
 // term index, so fn — the function g and capAt belong to — must be
 // Exchangeable; for any other fn the cap is +Inf, which prunes nothing.
-// minMatch above len(perListMax) is clamped to it; an empty perListMax
-// yields -Inf (no admissible matchset), and a NaN cap at any size makes
-// the whole cap NaN.
+// A NaN cap at any size makes the whole cap NaN.
 func ListMaxCap(fn any, perListMax []float64, minMatch int, g func(term int, max float64) float64, capAt func(sum float64) float64) float64 {
-	if minMatch <= 0 {
+	if minMatch <= 0 || minMatch >= len(perListMax) {
 		sum := 0.0
 		for j, m := range perListMax {
 			sum += g(j, m)
@@ -96,7 +98,6 @@ func ListMaxCap(fn any, perListMax []float64, minMatch int, g func(term int, max
 		return math.Inf(1)
 	}
 	sortDescending(perListMax)
-	minMatch = min(minMatch, len(perListMax))
 	best, sum := math.Inf(-1), 0.0
 	for i, m := range perListMax {
 		sum += g(i, m)

@@ -157,11 +157,16 @@ func TestUpperBoundTightAtZeroPenalty(t *testing.T) {
 // sorted prefixes dominate only for term-exchangeable functions: the
 // weighted ones take no disjunctive cap (+Inf) and pass the checker's
 // union arm, and a weighted function claiming exchangeability fails it.
+// At minMatch = n the only admissible subset is every list, so a
+// weighted function takes its conjunctive cap there.
 func TestUnionUpperBoundDominatesPartialMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	weighted := scorefn.WeightedWIN{Base: scorefn.LinearWIN{Scale: 0.01}, Weights: []float64{0.5, 2}}
 	if got := capWIN(weighted, []float64{0.2, 1}, 1); !math.IsInf(got, 1) {
 		t.Fatalf("weighted union cap %v, want +Inf", got)
+	}
+	if got, want := capWIN(weighted, []float64{0.2, 1}, 2), capWIN(weighted, []float64{0.2, 1}, 0); got != want || math.IsInf(got, 0) {
+		t.Fatalf("weighted cap at m=n is %v, want the conjunctive cap %v", got, want)
 	}
 	for _, fn := range []scorefn.WIN{weighted, scorefn.WeightedWIN{Base: scorefn.ExpWIN{Alpha: 0.1}, Weights: []float64{1.5, 0.5, 2}}} {
 		if err := scorefn.CheckCapWIN(fn, 3, 60, rng); err != nil {

@@ -102,11 +102,13 @@ func shardFamilies() []struct {
 // assertSameResult holds the coordinator's answer to the single
 // engine's, field by field. Docs, scores, matchsets, order, and the
 // Partial/Degraded flags must be bitwise identical. Candidates is
-// comparable only on the pure conjunctive path, where it is the exact
-// intersection size and the shard counts partition the global count;
-// on the union path the pivot walk's block jumps make the candidate
-// count schedule-dependent, so it is not part of the identity.
-func assertSameResult(t *testing.T, label string, sharded, single *engine.Result, pureAND bool) {
+// exact only between exhaustive walks, where it counts every document
+// matching the query and the shard counts partition the global count:
+// so when single is the exhaustive result itself, the counts must
+// match. A pruning walk's jumps make its count depend on how soon each
+// shard's floor rose, so it is held between the documents returned and
+// the exhaustive count.
+func assertSameResult(t *testing.T, label string, sharded, single, exhaustive *engine.Result) {
 	t.Helper()
 	if sharded.Partial != single.Partial {
 		t.Fatalf("%s: Partial %v (sharded) vs %v (single)", label, sharded.Partial, single.Partial)
@@ -114,8 +116,12 @@ func assertSameResult(t *testing.T, label string, sharded, single *engine.Result
 	if sharded.Degraded != single.Degraded {
 		t.Fatalf("%s: Degraded %v (sharded) vs %v (single)", label, sharded.Degraded, single.Degraded)
 	}
-	if pureAND && sharded.Candidates != single.Candidates {
+	if single == exhaustive && sharded.Candidates != single.Candidates {
 		t.Fatalf("%s: Candidates %d (sharded) vs %d (single)", label, sharded.Candidates, single.Candidates)
+	}
+	if sharded.Candidates < len(sharded.Docs) || sharded.Candidates > exhaustive.Candidates {
+		t.Fatalf("%s: Candidates %d (sharded), want between %d (docs returned) and %d (exhaustive)",
+			label, sharded.Candidates, len(sharded.Docs), exhaustive.Candidates)
 	}
 	if len(sharded.Docs) != len(single.Docs) {
 		t.Fatalf("%s: %d docs (sharded) vs %d (single)\nsharded: %+v\nsingle:  %+v",
@@ -182,6 +188,14 @@ func TestShardDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						exhaustive := want
+						if !noprune {
+							ecfg := cfg
+							ecfg.DisablePruning = true
+							if exhaustive, err = engine.New(compact, ecfg).Search(context.Background(), q); err != nil {
+								t.Fatal(err)
+							}
+						}
 						for _, n := range []int{1, 2, 4} {
 							coord, err := New(compact, Config{Shards: n, Engine: cfg})
 							if err != nil {
@@ -193,8 +207,7 @@ func TestShardDifferential(t *testing.T) {
 							}
 							label := fmt.Sprintf("trial %d %s %s shards=%d workers=%d k=%d noprune=%v",
 								trial, fam.name, mode.name, n, workers, k, noprune)
-							pureAND := q.Mode == engine.ModeAND && q.MinMatch == 0
-							assertSameResult(t, label, got, want, pureAND)
+							assertSameResult(t, label, got, want, exhaustive)
 							// Repeat the query: the warm path (per-shard
 							// concept and list caches populated, shared
 							// floor fresh per query) must stay identical.
@@ -202,7 +215,7 @@ func TestShardDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							assertSameResult(t, label+" cached", again, want, pureAND)
+							assertSameResult(t, label+" cached", again, want, exhaustive)
 						}
 					}
 				}
