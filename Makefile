@@ -24,7 +24,8 @@ bench-json:
 
 # Short fuzz passes over the untrusted-bytes decode paths (index files,
 # match lists, the shard wire), over the stem decode and concept merges
-# built on section 1, and over the cache rung's soundness.
+# built on section 1, over the cache rung's soundness, and over the
+# tokenizer against its rune-by-rune reference.
 fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecode -fuzztime=30s ./internal/match/
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
@@ -37,6 +38,7 @@ fuzz:
 	go test -run=Fuzz -fuzz=FuzzShardQuery -fuzztime=30s ./internal/remote/
 	go test -run=Fuzz -fuzz=FuzzShardResult -fuzztime=30s ./internal/remote/
 	go test -run=Fuzz -fuzz=FuzzScreenRung -fuzztime=30s ./internal/join/
+	go test -run=Fuzz -fuzz=FuzzTokenize -fuzztime=30s ./internal/text/
 
 # CPU and heap profiles of the cold/cached engine benchmark, for
 # digging into the block-max skip layer with `go tool pprof cpu.prof`

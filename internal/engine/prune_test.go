@@ -374,10 +374,11 @@ func (c *countingBound) ScoreUpperBound(perListMax []float64, minMatch int) floa
 	return sum
 }
 
-// TestBoundSigsRemembersEqualMaxima: a candidate whose maxima are its
-// predecessor's, bit for bit, takes the predecessor's bound without an
-// evaluation; any other maxima — another order, another value, a zero
-// of the other sign — are evaluated; and a panicking bound fails the
+// TestBoundSigsRemembersEqualMaxima: a candidate whose maxima an
+// earlier candidate had, bit for bit, takes that candidate's bound
+// without an evaluation; any other maxima — another order, another
+// value, a zero of the other sign — are evaluated; arguments wider than
+// the memo are evaluated every time; and a panicking bound fails the
 // bounder, which then bounds nothing.
 func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
 	e := New(buildCompact(t, []string{"amber"}), Config{Workers: 1})
@@ -390,15 +391,21 @@ func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
 		{0.5, 0.75},              // value
 		{0, 0.5}, {negZero, 0.5}, // -0 is not +0
 		{negZero, 0.5},
-		{1, 0.5}, // only the predecessor is remembered
+		{1, 0.5}, // remembered from the first
 	}
 	for i, m := range maxima {
 		if got, want := b.boundSigs([]join.Sig{{Max: m[0]}, {Max: m[1]}}, 0), m[0]+2*m[1]; got != want {
 			t.Fatalf("candidate %d: bound %v, want %v", i, got, want)
 		}
 	}
-	if kern.calls != 6 {
-		t.Fatalf("%d evaluations for %d candidates, want 6", kern.calls, len(maxima))
+	if kern.calls != 5 {
+		t.Fatalf("%d evaluations for %d candidates, want 5", kern.calls, len(maxima))
+	}
+	wide := make([]join.Sig, boundMemoWidth+1)
+	for i := 0; i < 2; i++ {
+		if got := b.boundSigs(wide, 0); got != 0 || kern.calls != 6+i {
+			t.Fatalf("wide candidate %d: bound %v after %d evaluations, want 0 after %d", i, got, kern.calls, 6+i)
+		}
 	}
 	if got := b.boundSigs([]join.Sig{{Max: 1}, {Max: -1}}, 0); !math.IsInf(got, 1) || !b.failed || e.Stats().JoinPanics != 1 {
 		t.Fatalf("a panicking bound: %v, failed %v, JoinPanics %d, want +Inf, true and 1", got, b.failed, e.Stats().JoinPanics)

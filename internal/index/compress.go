@@ -16,36 +16,70 @@ import (
 
 // EncodePostings packs a (doc, pos)-sorted posting list.
 func EncodePostings(ps []Posting) []byte {
-	if len(ps) == 0 {
+	var e postingEncoder
+	for _, p := range ps {
+		e.add(p.Doc, p.Pos)
+	}
+	return e.bytes()
+}
+
+// postingEncoder writes one posting list in the layout above as its
+// postings arrive, the one encoder behind Index.Add, EncodePostings and
+// Partition. Consecutive postings of one document form a run; a
+// document id or position below its predecessor is encoded as the
+// wrapped delta, so bad input reaches the decoder's checks unchanged.
+type postingEncoder struct {
+	// buf holds the runs without the header, the last one open: its
+	// count is a one-byte placeholder at countAt until the run closes.
+	buf     []byte
+	runs    int
+	doc     int // the open run's document
+	pos     int // the open run's last position, 0 before its first
+	count   int // the open run's positions
+	countAt int
+}
+
+// add appends one posting.
+func (e *postingEncoder) add(doc, pos int) {
+	if e.runs == 0 || doc != e.doc {
+		e.closeRun()
+		e.buf = binary.AppendUvarint(e.buf, uint64(doc-e.doc))
+		e.countAt = len(e.buf)
+		e.buf = append(e.buf, 0)
+		e.runs++
+		e.doc, e.pos, e.count = doc, 0, 0
+	}
+	e.buf = binary.AppendUvarint(e.buf, uint64(pos-e.pos))
+	e.pos = pos
+	e.count++
+}
+
+// closeRun writes the open run's count over its placeholder, moving
+// its positions up when the count takes more than one byte.
+func (e *postingEncoder) closeRun() {
+	if e.runs == 0 {
+		return
+	}
+	var count [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(count[:], uint64(e.count))
+	if n > 1 {
+		e.buf = append(e.buf, count[1:n]...) // room for the longer count
+		copy(e.buf[e.countAt+n:], e.buf[e.countAt+1:len(e.buf)-(n-1)])
+	}
+	copy(e.buf[e.countAt:], count[:n])
+}
+
+// bytes returns the postings added so far, encoded, in a buffer of
+// their own (nil for none); the encoder is left as it was.
+func (e *postingEncoder) bytes() []byte {
+	if e.runs == 0 {
 		return nil
 	}
-	// Group by document to count runs first.
-	nDocs := 1
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Doc != ps[i-1].Doc {
-			nDocs++
-		}
-	}
-	buf := make([]byte, 0, 2+len(ps)*2)
-	buf = binary.AppendUvarint(buf, uint64(nDocs))
-	prevDoc := 0
-	for i := 0; i < len(ps); {
-		doc := ps[i].Doc
-		j := i
-		for j < len(ps) && ps[j].Doc == doc {
-			j++
-		}
-		buf = binary.AppendUvarint(buf, uint64(doc-prevDoc))
-		prevDoc = doc
-		buf = binary.AppendUvarint(buf, uint64(j-i))
-		prevPos := 0
-		for _, p := range ps[i:j] {
-			buf = binary.AppendUvarint(buf, uint64(p.Pos-prevPos))
-			prevPos = p.Pos
-		}
-		i = j
-	}
-	return buf
+	out := make([]byte, 0, len(e.buf)+2*binary.MaxVarintLen64)
+	out = binary.AppendUvarint(out, uint64(e.runs))
+	out = append(out, e.buf[:e.countAt]...)
+	out = binary.AppendUvarint(out, uint64(e.count))
+	return append(out, e.buf[e.countAt+1:]...)
 }
 
 // MaxDocID and MaxPosition bound the document ids and token positions
@@ -171,11 +205,12 @@ func (c *Compact) setPostings(stem string, b []byte) {
 	c.stems[stem] = new(atomic.Pointer[StemArrays])
 }
 
-// Compact freezes the index into its compressed form.
+// Compact freezes the index into its compressed form: each stem's
+// encoded postings, copied behind their run count.
 func (ix *Index) Compact() *Compact {
-	postings := make(map[string][]byte, len(ix.postings))
-	for stem, ps := range ix.postings {
-		postings[stem] = EncodePostings(ps)
+	postings := make(map[string][]byte, len(ix.stems))
+	for stem, e := range ix.stems {
+		postings[stem] = e.bytes()
 	}
 	return newCompact(ix.docs, postings)
 }

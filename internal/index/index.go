@@ -11,6 +11,7 @@ package index
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -26,51 +27,74 @@ type Posting struct {
 	Pos int
 }
 
-// Index is an inverted index over documents added with Add.
+// Index is an inverted index over documents added with Add or AddText,
+// built straight into the compressed form Compact serves: each stem's
+// postings are encoded (EncodePostings' layout) as they arrive.
 type Index struct {
-	postings map[string][]Posting
-	docs     int
-	// stems memoizes text.Stem per distinct token seen by Add: a corpus
-	// repeats a small vocabulary, and the stemmer is most of what
-	// indexing a token costs.
-	stems map[string]string
+	stems map[string]*postingEncoder
+	// words maps each distinct token seen to its stem's encoder: a
+	// corpus repeats a small vocabulary, and the stemmer is most of what
+	// indexing a new token costs.
+	words map[string]*postingEncoder
+	docs  int
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{postings: make(map[string][]Posting), stems: make(map[string]string)}
+	return &Index{stems: make(map[string]*postingEncoder), words: make(map[string]*postingEncoder)}
 }
 
 // Add indexes one document's tokens under the given document id.
-// Documents must be added in non-decreasing id order for postings to
-// stay sorted.
+// Documents must be added in non-decreasing id order, and a document's
+// positions in non-decreasing order, for postings to stay sorted.
 func (ix *Index) Add(doc int, tokens []text.Token) {
 	for _, t := range tokens {
-		stem, ok := ix.stems[t.Word]
-		if !ok {
-			stem = text.Stem(t.Word)
-			ix.stems[t.Word] = stem
-		}
-		ix.postings[stem] = append(ix.postings[stem], Posting{Doc: doc, Pos: t.Pos})
+		ix.encoder([]byte(t.Word)).add(doc, t.Pos)
 	}
-	if doc+1 > ix.docs {
-		ix.docs = doc + 1
-	}
+	ix.docs = max(ix.docs, doc+1)
 }
 
-// AddText tokenizes and indexes a raw document.
+// AddText tokenizes (text.Scan) and indexes a raw document, as Add of
+// its text.Tokenize tokens would.
 func (ix *Index) AddText(doc int, body string) {
-	ix.Add(doc, text.Tokenize(body))
+	text.Scan(body, func(word []byte, pos int) { ix.encoder(word).add(doc, pos) })
+	ix.docs = max(ix.docs, doc+1)
+}
+
+// encoder returns the posting encoder of a token's stem. A token seen
+// before costs one map lookup and no allocation.
+func (ix *Index) encoder(word []byte) *postingEncoder {
+	if e, ok := ix.words[string(word)]; ok {
+		return e
+	}
+	w := string(word)
+	stem := text.Stem(w)
+	e := ix.stems[stem]
+	if e == nil {
+		e = new(postingEncoder)
+		ix.stems[stem] = e
+	}
+	ix.words[w] = e
+	return e
 }
 
 // Docs returns the number of documents (max added id + 1).
 func (ix *Index) Docs() int { return ix.docs }
 
 // Postings returns the posting list of a word (stemmed internally),
-// sorted by (doc, position). The returned slice is shared; callers
-// must not modify it.
+// sorted by (doc, position): a reference accessor, decoding the stem's
+// encoded postings on every call. Postings added out of order panic,
+// as in Compact.Postings.
 func (ix *Index) Postings(word string) []Posting {
-	return ix.postings[text.Stem(word)]
+	e := ix.stems[text.Stem(word)]
+	if e == nil {
+		return nil
+	}
+	ps, err := DecodePostings(e.bytes())
+	if err != nil {
+		panic(fmt.Sprintf("index: postings for %q do not decode: %v", word, err))
+	}
+	return ps
 }
 
 // Concept is a scored disjunction of words: the specific terms whose

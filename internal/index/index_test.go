@@ -1,7 +1,7 @@
 package index
 
 import (
-	"slices"
+	"bytes"
 	"testing"
 
 	"bestjoin/internal/lexicon"
@@ -127,12 +127,12 @@ func TestAddStemsEveryOccurrence(t *testing.T) {
 			want[text.Stem(tok.Word)] = append(want[text.Stem(tok.Word)], Posting{Doc: d, Pos: tok.Pos})
 		}
 	}
-	if len(ix.postings) != len(want) {
-		t.Fatalf("%d posting lists, want %d", len(ix.postings), len(want))
+	if len(ix.stems) != len(want) {
+		t.Fatalf("%d posting lists, want %d", len(ix.stems), len(want))
 	}
 	for stem, ps := range want {
-		if got := ix.postings[stem]; !slices.Equal(got, ps) {
-			t.Fatalf("postings[%q] = %v, want %v", stem, got, ps)
+		if got := ix.stems[stem].bytes(); !bytes.Equal(got, EncodePostings(ps)) {
+			t.Fatalf("postings[%q] = %v, want %v", stem, got, EncodePostings(ps))
 		}
 	}
 	if n := len(ix.Postings("partner")); n != 5 {

@@ -37,26 +37,20 @@ func (c *Compact) Partition(n int) ([]*Compact, error) {
 	for s := range parts {
 		parts[s] = make(map[string][]byte, len(c.postings))
 	}
-	// Postings: decode each stem once, split by owner, re-encode the
-	// non-empty pieces. Posting order is (doc, pos) ascending and
-	// filtering preserves it, so the shard buffers are valid by
-	// construction.
-	split := make([][]Posting, n)
+	// Postings: walk each stem once, encoding every posting into its
+	// owner's piece. Posting order is (doc, pos) ascending and filtering
+	// preserves it, so the shard buffers are valid by construction.
+	split := make([]postingEncoder, n)
 	for stem, buf := range c.postings {
-		ps, err := DecodePostings(buf)
-		if err != nil {
+		for s := range split {
+			split[s] = postingEncoder{buf: split[s].buf[:0]}
+		}
+		if err := walkPostings(buf, func(doc, pos int) { split[ShardOf(doc, n)].add(doc, pos) }); err != nil {
 			return nil, fmt.Errorf("index: partition: postings for %q: %v", stem, err)
 		}
 		for s := range split {
-			split[s] = split[s][:0]
-		}
-		for _, p := range ps {
-			s := ShardOf(p.Doc, n)
-			split[s] = append(split[s], p)
-		}
-		for s, sps := range split {
-			if len(sps) > 0 {
-				parts[s][stem] = EncodePostings(sps)
+			if b := split[s].bytes(); b != nil {
+				parts[s][stem] = b
 			}
 		}
 	}

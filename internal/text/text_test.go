@@ -1,6 +1,8 @@
 package text
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -29,13 +31,22 @@ func TestTokenizeEmptyAndPunctuation(t *testing.T) {
 	}
 }
 
-func TestWords(t *testing.T) {
-	got := Words("A b, C")
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Words = %v, want %v", got, want)
-		}
+// TestScanLendsOneBuffer: Scan hands fn a word valid for the call, so a
+// word longer than the pooled buffer still arrives whole, and a scan
+// whose words fit allocates nothing.
+func TestScanLendsOneBuffer(t *testing.T) {
+	long := strings.Repeat("Ab", 100)
+	got := scanTokens("x " + long + " ÿ")
+	want := []Token{{"x", 0}, {strings.ToLower(long), 1}, {"ÿ", 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Scan = %q, want %q", got, want)
+	}
+	n := 0
+	doc := "Lenovo, the PC-maker; partners with   NBA in 2008! Étude"
+	if allocs := testing.AllocsPerRun(100, func() {
+		Scan(doc, func(word []byte, pos int) { n += len(word) + pos })
+	}); allocs != 0 {
+		t.Fatalf("Scan allocates %v per document", allocs)
 	}
 }
 

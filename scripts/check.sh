@@ -81,6 +81,11 @@ go test -race -tags faultinject ./internal/faultinject/ ./internal/engine/ ./int
 echo "== cached-path allocation ceiling =="
 go test -count=1 -run TestEngineCachedAllocCeiling ./internal/engine/
 go test -count=1 -run 'TestValidKernelZeroAlloc|TestArmedKernelZeroAlloc' ./internal/dedup/
+# The index build: once a document's words have all been seen, AddText
+# averages below one allocation per call, and the tokenizer allocates
+# nothing.
+go test -count=1 -run TestAddTextAllocCeiling ./internal/index/
+go test -count=1 -run TestScanLendsOneBuffer ./internal/text/
 
 # The cache rung prunes a document before its join on a location
 # signature and a memoized cut width: fuzz it against the exact window
@@ -112,7 +117,8 @@ fi
 # (engine 96.5% once every query ran the one candidate walk; index
 # 96.0% once pair lists stopped being persisted; scorefn 93.9% with one
 # cap checker per family; shard 98.7%; join 95.2% once the cache rung
-# sat beside the window screen);
+# sat beside the window screen; text 97.3% once one scan loop fed both
+# the tokenizer and the index build);
 # raise them when coverage rises.
 echo "== coverage floors =="
 check_cover() {
@@ -138,6 +144,7 @@ check_cover ./internal/index/   94.0
 check_cover ./internal/shard/   97.1
 check_cover ./internal/remote/  80.6
 check_cover ./internal/join/    93.2
+check_cover ./internal/text/    95.3
 
 # End-to-end smoke of the networked shard tier: two real shard
 # processes and a coordinator, queried through a rolling restart with
