@@ -281,13 +281,11 @@ func watchReload(ch <-chan os.Signal, reload func() error, status *reloadStatus)
 type reloadStatus struct {
 	mu      sync.Mutex
 	lastErr string
-	epoch   uint64 // reload attempts observed (diagnostic)
 }
 
 func (rs *reloadStatus) set(err error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	rs.epoch++
 	if err != nil {
 		rs.lastErr = err.Error()
 	} else {

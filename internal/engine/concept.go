@@ -53,7 +53,7 @@ func (e *Engine) conceptData(qs *queryState, c index.Concept, cd *conceptData) {
 	cd.top = math.Inf(-1)
 	defer func() {
 		if r := recover(); r != nil || cd.failed {
-			e.counters.decodeFailures.Add(1)
+			qs.tally.DecodeFailures++
 			qs.degraded.Store(true)
 			cd.stems, cd.failed = nil, true
 		}

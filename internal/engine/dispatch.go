@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
@@ -51,17 +50,18 @@ type docJob struct {
 
 // pool is what one query's join workers share with its dispatcher:
 // the query, its kernel factory and concepts, the top-k heap, the job
-// channel, and the tallies.
+// channel, and the workers' tally: each worker adds its own to it once,
+// under mu, when it exits.
 type pool struct {
-	e         *Engine
-	qs        *queryState
-	factory   KernelFactory
-	cds       []*conceptData
-	top       *topK
-	jobs      chan []docJob
-	wg        sync.WaitGroup
-	evaluated atomic.Int64
-	pruned    atomic.Int64
+	e       *Engine
+	qs      *queryState
+	factory KernelFactory
+	cds     []*conceptData
+	top     *topK
+	jobs    chan []docJob
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	tally   Tally
 }
 
 // chunker batches a dispatcher's jobs for the worker pool: a chunk of
@@ -109,14 +109,14 @@ func (c *chunker) ship() bool {
 	}
 	// Counted before the send: the receiving worker uncounts it at once,
 	// and the gauge must not read below zero meanwhile.
-	c.e.counters.queueDepth.Add(int64(len(c.chunk)))
+	c.e.queueDepth.Add(int64(len(c.chunk)))
 	select {
 	case c.jobs <- c.chunk:
 		c.chunk = nil
 		c.shipped++
 		return true
 	case <-c.qs.ctx.Done():
-		c.e.counters.queueDepth.Add(-int64(len(c.chunk)))
+		c.e.queueDepth.Add(-int64(len(c.chunk)))
 		return false
 	}
 }
@@ -135,20 +135,27 @@ func (c *chunker) ship() bool {
 // whose lists' signatures prove its every window too wide for the
 // kernel's cut width is pruned like a bound below its bar, its lists
 // never merged. The dispatcher ran the same rung against its own,
-// staler, bar. The dispatcher closes jobs and waits on wg.
+// staler, bar. The worker counts into a local tally, added to the
+// pool's as it exits. The dispatcher closes jobs and waits on wg.
 func (p *pool) work() {
 	e, qs, factory, cds, top := p.e, p.qs, p.factory, p.cds, p.top
 	p.wg.Add(1)
 	go func() {
-		defer p.wg.Done()
-		kern := buildKernel(factory, e)
+		var t Tally
+		defer func() {
+			p.mu.Lock()
+			p.tally.Add(t)
+			p.mu.Unlock()
+			p.wg.Done()
+		}()
+		kern := buildKernel(factory, e.prune, &t)
 		scratch := make([]match.List, len(cds))
 		var at []index.StemAt
 		// Polled once per document: a non-blocking receive, where
 		// ctx.Err() locks a mutex the whole pool shares.
 		done := qs.ctx.Done()
 		for chunk := range p.jobs {
-			e.counters.queueDepth.Add(-int64(len(chunk)))
+			e.queueDepth.Add(-int64(len(chunk)))
 			floor := top.entry()
 			for _, jb := range chunk {
 				// Drain without evaluating once the query is out of
@@ -160,12 +167,11 @@ func (p *pool) work() {
 				}
 				bar := floor.bar(jb.doc)
 				if jb.bound < bar {
-					p.pruned.Add(1)
-					e.counters.prunedDocs.Add(1)
+					t.PrunedDocs++
 					continue
 				}
 				if kern.Kernel == nil { // last build panicked: retry per job
-					kern = buildKernel(factory, e)
+					kern = buildKernel(factory, e.prune, &t)
 					if kern.Kernel == nil {
 						qs.fail()
 						continue
@@ -173,8 +179,7 @@ func (p *pool) work() {
 				}
 				cut, panicked := rungCut(kern, bar, jb.sigs)
 				if cut {
-					p.pruned.Add(1)
-					e.counters.prunedDocs.Add(1)
+					t.PrunedDocs++
 					continue
 				}
 				var set match.Set
@@ -184,30 +189,29 @@ func (p *pool) work() {
 					fillLists(cds, jb, scratch, &at)
 					set, score, ok, panicked = safeJoin(kern, bar, jb.lists)
 				}
-				e.counters.joinsRun.Add(1)
+				t.JoinsRun++
 				if panicked {
-					e.counters.joinPanics.Add(1)
+					t.JoinPanics++
 					qs.fail()
 					kern = workerKernel{} // poisoned scratch: rebuild before reuse
 					continue
 				}
 				if fk := kern.floored; fk != nil && fk.FloorCut() {
-					e.counters.floorCutJoins.Add(1)
+					t.FloorCutJoins++
 					if fk.WindowCut() {
-						e.counters.windowCutJoins.Add(1)
+						t.WindowCutJoins++
 					}
 				}
 				if dk := kern.valid; dk != nil {
-					e.counters.kernelInvs.Add(uint64(dk.Invocations()))
+					t.KernelInvocations += uint64(dk.Invocations())
 					if dk.Capped() {
 						// No trustworthy score: like a document past the
 						// deadline, this one stays unevaluated (Partial).
-						e.counters.dedupCapped.Add(1)
+						t.DedupCapped++
 						continue
 					}
 				}
-				e.counters.docsEvaluated.Add(1)
-				p.evaluated.Add(1)
+				t.DocsEvaluated++
 				if ok && !math.IsNaN(score) {
 					top.offer(jb.doc, score, set)
 					floor = top.entry()

@@ -9,8 +9,9 @@
 //
 // The engine supports context cancellation and deadlines (a query that
 // runs out of time returns its best-so-far answer marked Partial) and
-// an observability layer of atomic counters plus a latency histogram,
-// exposed via Stats() and optionally expvar (Publish). It keeps no
+// an observability layer: each query counts into its own Tally, added
+// with its latency to the engine's total when it finishes, exposed via
+// Stats() and optionally expvar (Publish). It keeps no
 // cache of its own: a concept is the query-time union of its member
 // stems, whose postings the index decodes into plain arrays once, on
 // each stem's first use (concept.go).
@@ -105,21 +106,23 @@ type Config struct {
 
 // Engine answers top-k queries over one compacted index. It is safe
 // for concurrent use; all mutable state is the snapshot pointer, the
-// pair plan, and the stats counters, each with its own
-// synchronization.
+// pair plan, the queue gauge, and the counter total with its latency
+// histogram, each with its own synchronization.
 type Engine struct {
-	snap     atomic.Pointer[snapshot]
-	planning atomic.Pointer[pairPlanning] // nil until SetPairPlan
-	building sync.Mutex                   // one background pair build at a time
-	builds   sync.WaitGroup               // background pair builds in flight
-	workers  int
-	prune    bool
-	pairs    bool
-	queue    int
-	mode     QueryMode
-	admit    admitter
-	counters counters
-	latency  histogram
+	snap       atomic.Pointer[snapshot]
+	planning   atomic.Pointer[pairPlanning] // nil until SetPairPlan
+	building   sync.Mutex                   // one background pair build at a time
+	builds     sync.WaitGroup               // background pair builds in flight
+	workers    int
+	prune      bool
+	pairs      bool
+	queue      int
+	mode       QueryMode
+	admit      admitter
+	queueDepth atomic.Int64 // gauge: jobs queued for join workers
+	mu         sync.Mutex   // guards total and latency
+	total      Tally
+	latency    histogram
 }
 
 // New builds an engine over a compacted index.

@@ -137,18 +137,18 @@ type workerKernel struct {
 }
 
 // buildKernel calls the query's factory, recovering a panicking
-// factory to the zero workerKernel so one hostile factory cannot kill
-// a worker (and with it the whole query's WaitGroup).
-func buildKernel(f KernelFactory, e *Engine) (wk workerKernel) {
+// factory to the zero workerKernel (counted in t) so one hostile
+// factory cannot kill a worker (and with it the whole query's WaitGroup).
+func buildKernel(f KernelFactory, prune bool, t *Tally) (wk workerKernel) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.counters.joinPanics.Add(1)
+			t.JoinPanics++
 			wk = workerKernel{}
 		}
 	}()
 	wk.Kernel = f()
 	wk.valid, _ = wk.Kernel.(*dedup.Kernel)
-	if e.prune {
+	if prune {
 		wk.floored, _ = wk.Kernel.(join.Floored)
 	}
 	return wk
@@ -205,10 +205,10 @@ func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set,
 // arguments alone, so arguments bit-identical to a remembered
 // evaluation's take its float without calling the kernel. It also runs
 // the cache rung at dispatch (cuts), through the same kernel when it is
-// Floored. It belongs to one dispatcher goroutine, and bounds at most
-// MaxConcepts lists.
+// Floored. It belongs to one dispatcher goroutine, counting in its
+// query's tally, and bounds at most MaxConcepts lists.
 type bounder struct {
-	e      *Engine
+	t      *Tally
 	ub     join.UpperBounded
 	fl     join.Floored // nil: no rung at dispatch
 	failed bool
@@ -238,18 +238,18 @@ type boundSlot struct {
 
 // bounderFor probes the query's kernel for join.UpperBounded. nil means
 // no cap — the kernel has none, or the factory panicked (recovered and
-// counted) — and the query runs unpruned.
-func (e *Engine) bounderFor(factory KernelFactory) (b *bounder) {
+// counted in t) — and the query runs unpruned.
+func bounderFor(factory KernelFactory, t *Tally) (b *bounder) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.counters.joinPanics.Add(1)
+			t.JoinPanics++
 			b = nil
 		}
 	}()
 	k := factory()
 	if ub, ok := k.(join.UpperBounded); ok {
 		fl, _ := k.(join.Floored)
-		return &bounder{e: e, ub: ub, fl: fl}
+		return &bounder{t: t, ub: ub, fl: fl}
 	}
 	return nil
 }
@@ -273,7 +273,7 @@ func (b *bounder) cuts(sigs []join.Sig, bar float64) (cut bool) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			b.e.counters.joinPanics.Add(1)
+			b.t.JoinPanics++
 			b.fl, cut = nil, false
 		}
 	}()
@@ -300,7 +300,7 @@ func (b *bounder) bound(perListMax []float64, minMatch int) (v float64) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			b.e.counters.joinPanics.Add(1)
+			b.t.JoinPanics++
 			b.failed = true
 			v = math.Inf(1)
 		}

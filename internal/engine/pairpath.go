@@ -37,7 +37,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 	if !ok {
 		return nil, false
 	}
-	e.counters.pairHits.Add(1)
+	qs.tally.PairHits++
 	// Stored witnesses are in canonical (lower ConceptKey first) order;
 	// kernel matchsets are term-indexed, so a query naming the concepts
 	// in the other order needs the two entries swapped.
@@ -84,7 +84,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 			evaluated++
 		}
 	}
-	e.counters.pairServed.Add(1)
+	qs.tally.PairServed++
 	res := &Result{
 		Docs:       top.results(),
 		Candidates: pt.NumDocs(),

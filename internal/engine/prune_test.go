@@ -381,9 +381,9 @@ func (c *countingBound) ScoreUpperBound(perListMax []float64, minMatch int) floa
 // the memo are evaluated every time; and a panicking bound fails the
 // bounder, which then bounds nothing.
 func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
-	e := New(buildCompact(t, []string{"amber"}), Config{Workers: 1})
+	var tally Tally
 	kern := &countingBound{}
-	b := e.bounderFor(func() join.Kernel { return kern })
+	b := bounderFor(func() join.Kernel { return kern }, &tally)
 	negZero := math.Copysign(0, -1)
 	maxima := [][2]float64{
 		{1, 0.5}, {1, 0.5}, {1, 0.5}, // remembered twice
@@ -407,8 +407,8 @@ func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
 			t.Fatalf("wide candidate %d: bound %v after %d evaluations, want 0 after %d", i, got, kern.calls, 6+i)
 		}
 	}
-	if got := b.boundSigs([]join.Sig{{Max: 1}, {Max: -1}}, 0); !math.IsInf(got, 1) || !b.failed || e.Stats().JoinPanics != 1 {
-		t.Fatalf("a panicking bound: %v, failed %v, JoinPanics %d, want +Inf, true and 1", got, b.failed, e.Stats().JoinPanics)
+	if got := b.boundSigs([]join.Sig{{Max: 1}, {Max: -1}}, 0); !math.IsInf(got, 1) || !b.failed || tally.JoinPanics != 1 {
+		t.Fatalf("a panicking bound: %v, failed %v, JoinPanics %d, want +Inf, true and 1", got, b.failed, tally.JoinPanics)
 	}
 }
 

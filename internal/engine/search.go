@@ -136,10 +136,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// queryState is the per-query fault and cancellation context threaded
-// through candidate generation and the worker pool. degraded and
-// failed are touched by workers concurrently; cancelled only by the
-// dispatcher goroutine.
+// queryState is the per-query fault and cancellation context, and the
+// query's tally, threaded through candidate generation and the worker
+// pool. degraded and failed are touched by workers concurrently;
+// cancelled and tally only by the dispatcher goroutine.
 type queryState struct {
 	ctx       context.Context
 	idx       *index.Compact
@@ -147,6 +147,7 @@ type queryState struct {
 	cancelled bool
 	degraded  atomic.Bool
 	failed    atomic.Int64
+	tally     Tally
 }
 
 // fail records one candidate document dropped by a recovered fault.
@@ -242,14 +243,12 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// wait until the caller's context gives up.
 	release, err := e.admit.admit(ctx)
 	if err != nil {
-		e.counters.shed.Add(1)
+		e.count(Tally{Shed: 1})
 		return nil, err
 	}
 	defer release()
 
 	start := time.Now()
-	e.counters.queries.Add(1)
-	defer func() { e.latency.observe(time.Since(start)) }()
 
 	snap := pinned
 	if snap == nil {
@@ -285,21 +284,32 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	return e.walk(qs, q, cds, minMatch, k, start), nil
 }
 
-// finish folds the query state into the result and updates the
-// outcome counters.
+// finish folds the query state into the result, and adds the query's
+// tally and latency to the engine's total. Candidates, Evaluated and
+// Pruned are the tally's, unless servePair counted its list in res
+// itself: pair-served queries stay out of the walk's counts.
 func (e *Engine) finish(qs *queryState, res *Result, start time.Time) *Result {
+	t := &qs.tally
+	if t.PairServed == 0 {
+		res.Candidates, res.Evaluated, res.Pruned = int(t.UnionCandidates), int(t.DocsEvaluated), int(t.PrunedDocs)
+	}
 	res.Failed = int(qs.failed.Load())
 	res.Degraded = qs.degraded.Load()
 	res.Partial = res.Evaluated+res.Pruned+res.Failed != res.Candidates || qs.cancelled
+	t.Queries = 1
 	if res.Degraded {
-		e.counters.degraded.Add(1)
+		t.DegradedResults = 1
 	}
 	if res.Partial {
-		e.counters.partials.Add(1)
+		t.PartialResults = 1
 	}
 	if errors.Is(qs.ctx.Err(), context.DeadlineExceeded) {
-		e.counters.deadlineHits.Add(1)
+		t.DeadlineHits = 1
 	}
 	res.Elapsed = time.Since(start)
+	e.mu.Lock()
+	e.total.Add(*t)
+	e.latency.observe(res.Elapsed)
+	e.mu.Unlock()
 	return res
 }

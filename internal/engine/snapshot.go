@@ -74,7 +74,7 @@ func (s Snapshot) Docs() int {
 func (e *Engine) SwapIndex(idx *index.Compact) {
 	old := e.snap.Load()
 	e.snap.Store(newSnapshot(idx, old.epoch+1, &pairPrep{}))
-	e.counters.indexReloads.Add(1)
+	e.count(Tally{IndexReloads: 1})
 }
 
 // Index returns the engine's current live index.

@@ -112,10 +112,11 @@ func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k i
 	// exactly m concepts — every pivot at m = n — takes the conjunctive
 	// cap (scorefn.ListMaxCap), which a term-weighted scoring function
 	// has where it has no disjunctive one.
+	t := &qs.tally
 	bounding := e.prune
 	var ub *bounder
 	if bounding {
-		if ub = e.bounderFor(q.Join); ub == nil {
+		if ub = bounderFor(q.Join, t); ub == nil {
 			bounding = false
 		}
 	}
@@ -123,7 +124,7 @@ func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k i
 		// A pruning engine running this query exhaustively: silent
 		// degradation is an operational trap, so surface it in
 		// Stats().UnionUnpruned.
-		e.counters.unionUnpruned.Add(1)
+		t.UnionUnpruned++
 	}
 
 	// The worker pool starts as the walk ships its first chunks
@@ -199,26 +200,23 @@ pivots:
 				// case worth a counter tick. (An overflowing cap is +Inf
 				// too; joining every later pivot is sound all the same.)
 				bounding = false
-				e.counters.unionUnpruned.Add(1)
+				t.UnionUnpruned++
 			}
 		}
-		res.Candidates++
-		e.counters.unionCandidates.Add(1)
+		t.UnionCandidates++
 		bar := flushFloor.bar(d)
 		if bound < bar {
 			// Pivot skip: the matched concepts' aggregate bound cannot
 			// outrank the kept entry, so d is pruned before a single
 			// match list is merged — and the walk may clear a whole
 			// range in the same move.
-			p.pruned.Add(1)
-			e.counters.prunedDocs.Add(1)
-			e.counters.pivotSkips.Add(1)
+			t.PrunedDocs++
+			t.PivotSkips++
 			advanceUnion(&alive, atDoc, atSigs, d)
 			continue
 		}
 		if bounding && ub.cuts(atSigs, bar) {
-			p.pruned.Add(1)
-			e.counters.prunedDocs.Add(1)
+			t.PrunedDocs++
 			seekUnion(&alive, atDoc, d+1)
 			continue
 		}
@@ -247,10 +245,9 @@ pivots:
 	}
 	close(p.jobs)
 	p.wg.Wait()
+	t.Add(p.tally)
 
 	res.Docs = p.top.results()
-	res.Evaluated = int(p.evaluated.Load())
-	res.Pruned = int(p.pruned.Load())
 	return e.finish(qs, res, start)
 }
 

@@ -155,11 +155,10 @@ type Coordinator struct {
 	// rolling-reload tests probe.
 	rollHook func(shard int)
 
-	queries          atomic.Uint64
-	shardQueries     atomic.Uint64
-	mergedCandidates atomic.Uint64
-	quorumDegraded   atomic.Uint64
-	shardFailures    atomic.Uint64
+	// tallyMu guards tally, the coordinator's own counters: each query
+	// adds its tally once, as it returns.
+	tallyMu sync.Mutex
+	tally   engine.Tally
 }
 
 // generation is one atomically-published index generation: the pinned
@@ -274,8 +273,12 @@ func (c *Coordinator) Search(ctx context.Context, q engine.Query) (*engine.Resul
 	}
 	gen := c.gen.Load()
 	n := len(c.children)
-	c.queries.Add(1)
-	c.shardQueries.Add(uint64(n))
+	t := engine.Tally{Queries: 1, ShardQueries: uint64(n)}
+	defer func() {
+		c.tallyMu.Lock()
+		c.tally.Add(t)
+		c.tallyMu.Unlock()
+	}()
 
 	// Scatter. A shard failure cancels the rest only once it makes
 	// quorum unreachable — before that the fleet keeps working toward
@@ -307,12 +310,12 @@ func (c *Coordinator) Search(ctx context.Context, q engine.Query) (*engine.Resul
 	if ok < c.quorum || ok == 0 {
 		return nil, firstError(errs)
 	}
-	res := c.merge(results, k, start)
+	res := c.merge(results, k, start, &t)
 	if ok < n {
 		res.Degraded = true
 		res.FailedShards = n - ok
-		c.quorumDegraded.Add(1)
-		c.shardFailures.Add(uint64(n - ok))
+		t.QuorumDegraded++
+		t.ShardFailures += uint64(n - ok)
 	}
 	return res, nil
 }
@@ -342,8 +345,8 @@ func firstError(errs []error) error {
 // shards' already-sorted Docs under the engine's exact comparator —
 // score descending, document id ascending on ties — taking the first
 // k rows. Counts sum; flags OR. Nil entries (shards dropped by quorum
-// mode) are skipped.
-func (c *Coordinator) merge(results []*engine.Result, k int, start time.Time) *engine.Result {
+// mode) are skipped. The rows entering the merge count in t.
+func (c *Coordinator) merge(results []*engine.Result, k int, start time.Time, t *engine.Tally) *engine.Result {
 	merged := &engine.Result{Docs: make([]engine.DocResult, 0, k)}
 	heads := make([]int, len(results))
 	entering := 0
@@ -359,7 +362,7 @@ func (c *Coordinator) merge(results []*engine.Result, k int, start time.Time) *e
 		merged.Degraded = merged.Degraded || r.Degraded
 		entering += len(r.Docs)
 	}
-	c.mergedCandidates.Add(uint64(entering))
+	t.MergedCandidates += uint64(entering)
 	for len(merged.Docs) < k {
 		best := -1
 		for s, r := range results {
@@ -490,63 +493,34 @@ func (c *Coordinator) Health() engine.Health {
 	return h
 }
 
-// Stats rolls the fleet up into one engine.Stats: child counters are
-// summed field by field (so DegradedResults, PartialResults, and
-// DeadlineHits count per-shard events — one coordinator query can
-// tick a counter up to N times), latency histograms are merged,
-// PrunedFraction is recomputed over the summed counts, and the
-// coordinator's own counters fill Queries, ShardQueries,
-// MergedCandidates, QuorumDegraded, and ShardFailures. Remote
-// children contribute their client-side robustness counters (Hedged,
-// Retried, ShardTimeouts, BreakerOpen) to the rollup. Each child's
+// Stats rolls the fleet up into one engine.Stats: its Tally is the
+// coordinator's own plus every child's (so DegradedResults,
+// PartialResults, and DeadlineHits count per-shard events — one
+// coordinator query can tick a counter up to N times, and remote
+// children contribute their client-side Hedged, Retried, ShardTimeouts
+// and BreakerOpen), except Queries, which is the coordinator's own
+// count. The gauges sum, latency histograms are merged, and
+// PrunedFraction is recomputed over the summed counts. Each child's
 // unmodified Stats rides along in Shards, in shard order.
 func (c *Coordinator) Stats() engine.Stats {
-	agg := engine.Stats{
-		Queries:          c.queries.Load(),
-		ShardQueries:     c.shardQueries.Load(),
-		MergedCandidates: c.mergedCandidates.Load(),
-		QuorumDegraded:   c.quorumDegraded.Load(),
-		ShardFailures:    c.shardFailures.Load(),
-	}
-	shards := make([]engine.Stats, len(c.children))
+	c.tallyMu.Lock()
+	own := c.tally
+	c.tallyMu.Unlock()
+	agg := engine.Stats{Tally: own, Shards: make([]engine.Stats, len(c.children))}
 	hists := make([]engine.LatencyHistogram, len(c.children))
 	for i, child := range c.children {
 		s := child.Stats()
-		shards[i] = s
+		agg.Shards[i] = s
 		hists[i] = s.QueryLatency
-		agg.DocsEvaluated += s.DocsEvaluated
-		agg.JoinsRun += s.JoinsRun
-		agg.KernelInvocations += s.KernelInvocations
-		agg.FloorCutJoins += s.FloorCutJoins
-		agg.WindowCutJoins += s.WindowCutJoins
-		agg.DedupCapped += s.DedupCapped
-		agg.PrunedDocs += s.PrunedDocs
-		agg.DeadlineHits += s.DeadlineHits
-		agg.PartialResults += s.PartialResults
-		agg.JoinPanics += s.JoinPanics
-		agg.DecodeFailures += s.DecodeFailures
-		agg.DegradedResults += s.DegradedResults
-		agg.Shed += s.Shed
-		agg.IndexReloads += s.IndexReloads
+		agg.Add(s.Tally)
 		agg.InFlight += s.InFlight
 		agg.QueueDepth += s.QueueDepth
-		agg.UnionCandidates += s.UnionCandidates
-		agg.PivotSkips += s.PivotSkips
-		agg.UnionUnpruned += s.UnionUnpruned
-		agg.PairHits += s.PairHits
-		agg.PairServed += s.PairServed
-		agg.Hedged += s.Hedged
-		agg.Retried += s.Retried
-		agg.ShardTimeouts += s.ShardTimeouts
-		agg.BreakerOpen += s.BreakerOpen
-		agg.QuorumDegraded += s.QuorumDegraded
-		agg.ShardFailures += s.ShardFailures
 	}
+	agg.Queries = own.Queries
 	if agg.PrunedDocs+agg.DocsEvaluated > 0 {
 		agg.PrunedFraction = float64(agg.PrunedDocs) / float64(agg.PrunedDocs+agg.DocsEvaluated)
 	}
 	agg.QueryLatency = mergeLatency(hists)
-	agg.Shards = shards
 	return agg
 }
 

@@ -493,7 +493,8 @@ func TestMergeTieBreak(t *testing.T) {
 	b := &engine.Result{Docs: []engine.DocResult{
 		{Doc: 3, Score: 2.0}, {Doc: 8, Score: 1.0},
 	}, Candidates: 2, Evaluated: 2, Partial: true}
-	merged := c.merge([]*engine.Result{a, b}, 3, time.Now())
+	var tally engine.Tally
+	merged := c.merge([]*engine.Result{a, b}, 3, time.Now(), &tally)
 	wantDocs := []int{3, 4, 8}
 	if len(merged.Docs) != len(wantDocs) {
 		t.Fatalf("merged %d docs, want %d: %+v", len(merged.Docs), len(wantDocs), merged.Docs)
@@ -503,14 +504,14 @@ func TestMergeTieBreak(t *testing.T) {
 			t.Fatalf("rank %d doc %d, want %d (tie must break toward smaller id)", i, merged.Docs[i].Doc, w)
 		}
 	}
-	if merged.Candidates != 4 || merged.Evaluated != 4 {
-		t.Fatalf("counts did not sum: %+v", merged)
+	if merged.Candidates != 4 || merged.Evaluated != 4 || tally.MergedCandidates != 4 {
+		t.Fatalf("counts did not sum: %+v, %d rows merged", merged, tally.MergedCandidates)
 	}
 	if !merged.Partial {
 		t.Fatal("Partial flag did not OR across shards")
 	}
 	// k larger than the union: the merge drains both shards and stops.
-	drained := c.merge([]*engine.Result{a, b}, 10, time.Now())
+	drained := c.merge([]*engine.Result{a, b}, 10, time.Now(), &tally)
 	if len(drained.Docs) != 4 {
 		t.Fatalf("over-k merge returned %d docs", len(drained.Docs))
 	}
