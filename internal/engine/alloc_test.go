@@ -34,7 +34,7 @@ func TestEngineCachedAllocCeiling(t *testing.T) {
 	compact := buildCompact(t, testCorpus(400, 12))
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
 	joins, dups := 0, 0
-	for _, r := range bruteForce(compact, overlapConcepts(), WINJoiner(scorefn.ExpWIN{Alpha: spec.Alpha}), compact.Docs()) {
+	for _, r := range oracle(compact, overlapConcepts(), 3, WINJoiner(scorefn.ExpWIN{Alpha: spec.Alpha}), compact.Docs()) {
 		joins++
 		if !r.Set.Valid() {
 			dups++

@@ -66,8 +66,8 @@ func TestChaosDifferential(t *testing.T) {
 	c := buildCompact(t, testCorpus(120, 41))
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
 	const k = 8
-	baseline := bruteForce(c, testConcepts(), jn, k)
-	fullRanking := bruteForce(c, testConcepts(), jn, c.Docs())
+	baseline := oracle(c, testConcepts(), 3, jn, k)
+	fullRanking := oracle(c, testConcepts(), 3, jn, c.Docs())
 
 	for _, fault := range chaosFaults() {
 		for _, workers := range []int{1, 4} {
@@ -97,17 +97,7 @@ func TestChaosDifferential(t *testing.T) {
 										seed, round, res.Candidates)
 								}
 							} else {
-								if len(res.Docs) != len(baseline) {
-									t.Fatalf("seed %d round %d: non-degraded result has %d docs, baseline %d",
-										seed, round, len(res.Docs), len(baseline))
-								}
-								for i := range baseline {
-									g, w := res.Docs[i], baseline[i]
-									if g.Doc != w.Doc || g.Score != w.Score {
-										t.Fatalf("seed %d round %d rank %d: got doc %d score %v, baseline doc %d score %v",
-											seed, round, i, g.Doc, g.Score, w.Doc, w.Score)
-									}
-								}
+								assertSameDocs(t, fmt.Sprintf("%s seed %d round %d", label, seed, round), res.Docs, baseline)
 							}
 						}
 						faultinject.Deactivate()
@@ -120,14 +110,7 @@ func TestChaosDifferential(t *testing.T) {
 					if err != nil || res.Degraded || res.Partial {
 						t.Fatalf("engine unhealthy after chaos: %v %+v", err, res)
 					}
-					if len(res.Docs) != len(baseline) {
-						t.Fatalf("post-chaos result has %d docs, baseline %d", len(res.Docs), len(baseline))
-					}
-					for i := range baseline {
-						if res.Docs[i].Doc != baseline[i].Doc || res.Docs[i].Score != baseline[i].Score {
-							t.Fatalf("post-chaos rank %d: %+v, baseline %+v", i, res.Docs[i], baseline[i])
-						}
-					}
+					assertSameDocs(t, "post-chaos", res.Docs, baseline)
 				})
 			}
 		}
@@ -183,7 +166,7 @@ func TestChaosConcurrentQueries(t *testing.T) {
 	c := buildCompact(t, testCorpus(100, 47))
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
 	e := New(c, Config{Workers: 4, MaxInFlight: 6})
-	fullRanking := bruteForce(c, testConcepts(), jn, c.Docs())
+	fullRanking := oracle(c, testConcepts(), 3, jn, c.Docs())
 	faultinject.Activate(faultinject.Config{
 		Seed: 11,
 		Rates: map[faultinject.Site]float64{
@@ -271,7 +254,7 @@ func TestChaosDifferentialUnion(t *testing.T) {
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
 	const k = 8
 	concepts := testConcepts()
-	baseline := bruteForceUnion(c, concepts, jn, k, 1)
+	baseline := oracle(c, concepts, 1, jn, k)
 
 	// Healthy full union rankings for every non-empty concept subset —
 	// the candidate references a degraded result may soundly shrink to.
@@ -283,7 +266,7 @@ func TestChaosDifferentialUnion(t *testing.T) {
 				sub = append(sub, concepts[i])
 			}
 		}
-		fulls = append(fulls, bruteForceUnion(c, sub, jn, c.Docs(), 1))
+		fulls = append(fulls, oracle(c, sub, 1, jn, c.Docs()))
 	}
 
 	for _, fault := range chaosFaults() {

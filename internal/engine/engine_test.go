@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
 	"bestjoin/internal/match"
+	"bestjoin/internal/refrank"
 	"bestjoin/internal/scorefn"
 )
 
@@ -77,32 +77,14 @@ func testConcepts() []index.Concept {
 	}
 }
 
-// bruteForce ranks every document by re-deriving its lists directly
-// from the compacted index — the reference the engine must agree with.
-// It reuses one kernel across all documents, exactly like an engine
-// worker, cloning kept sets out of the kernel's buffer.
-func bruteForce(c *index.Compact, concepts []index.Concept, jn KernelFactory, k int) []DocResult {
-	var out []DocResult
-	kern := jn()
-	for d := 0; d < c.Docs(); d++ {
-		lists := c.QueryLists(d, concepts)
-		if !lists.Complete() {
-			continue
-		}
-		kern.Reset(nil, lists)
-		set, score, ok := kern.Join()
-		if ok {
-			out = append(out, DocResult{Doc: d, Score: score, Set: set.Clone()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
-	if k < len(out) {
-		out = out[:k]
+// oracle is internal/refrank's ranking of the documents matching at
+// least m of concepts, joined with a kernel from jn, cut at k: the
+// reference the engine must agree with bit for bit.
+func oracle(c *index.Compact, concepts []index.Concept, m int, jn KernelFactory, k int) []DocResult {
+	ranked, _ := refrank.Rank(c, concepts, m, refrank.Kernel(jn()))
+	out := make([]DocResult, min(k, len(ranked)))
+	for i := range out {
+		out[i] = DocResult(ranked[i])
 	}
 	return out
 }
@@ -116,7 +98,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		"max":      MAXJoiner(scorefn.SumMAX{Alpha: 0.1}),
 		"validmed": ValidMEDJoiner(scorefn.ExpMED{Alpha: 0.1}),
 	} {
-		want := bruteForce(c, testConcepts(), jn, 5)
+		want := oracle(c, testConcepts(), 3, jn, 5)
 		res, err := e.Search(context.Background(), Query{Concepts: testConcepts(), Join: jn, K: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -124,16 +106,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		if res.Partial {
 			t.Errorf("%s: unexpected partial result", name)
 		}
-		if len(res.Docs) != len(want) {
-			t.Fatalf("%s: got %d docs, want %d", name, len(res.Docs), len(want))
-		}
-		for i := range want {
-			got := res.Docs[i]
-			if got.Doc != want[i].Doc || got.Score != want[i].Score {
-				t.Errorf("%s: rank %d: got doc %d score %v, want doc %d score %v",
-					name, i, got.Doc, got.Score, want[i].Doc, want[i].Score)
-			}
-		}
+		assertSameDocs(t, name, res.Docs, want)
 	}
 }
 
@@ -172,14 +145,7 @@ func TestRepeatQueryHitsCacheAndSkipsDecoding(t *testing.T) {
 	if st := e.Stats(); st.ListHits+st.ListMisses+st.BlockDecodes+st.CoalescedDecodes != 0 {
 		t.Errorf("retired counters moved: %+v", st)
 	}
-	if len(first.Docs) != len(second.Docs) {
-		t.Fatalf("repeat result differs in length: %d vs %d", len(first.Docs), len(second.Docs))
-	}
-	for i := range first.Docs {
-		if first.Docs[i].Doc != second.Docs[i].Doc || first.Docs[i].Score != second.Docs[i].Score {
-			t.Errorf("repeat result differs at rank %d: %+v vs %+v", i, first.Docs[i], second.Docs[i])
-		}
-	}
+	assertSameDocs(t, "repeat", second.Docs, first.Docs)
 }
 
 func TestCacheEvictionStillCorrect(t *testing.T) {
@@ -188,17 +154,13 @@ func TestCacheEvictionStillCorrect(t *testing.T) {
 	// constant eviction must not change answers.
 	e := New(c, Config{Workers: 2, CacheLists: 4})
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
-	want := bruteForce(c, testConcepts(), jn, 4)
+	want := oracle(c, testConcepts(), 3, jn, 4)
 	for round := 0; round < 3; round++ {
 		res, err := e.Search(context.Background(), Query{Concepts: testConcepts(), Join: jn, K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if res.Docs[i].Doc != want[i].Doc || res.Docs[i].Score != want[i].Score {
-				t.Fatalf("round %d rank %d: got %+v, want %+v", round, i, res.Docs[i], want[i])
-			}
-		}
+		assertSameDocs(t, fmt.Sprintf("round %d", round), res.Docs, want)
 	}
 }
 
@@ -271,14 +233,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 			base = res.Docs
 			continue
 		}
-		if len(res.Docs) != len(base) {
-			t.Fatalf("workers=%d: %d docs vs %d", workers, len(res.Docs), len(base))
-		}
-		for i := range base {
-			if res.Docs[i].Doc != base[i].Doc || res.Docs[i].Score != base[i].Score {
-				t.Errorf("workers=%d rank %d: %+v vs %+v", workers, i, res.Docs[i], base[i])
-			}
-		}
+		assertSameDocs(t, fmt.Sprintf("workers=%d", workers), res.Docs, base)
 	}
 }
 
@@ -286,7 +241,7 @@ func TestConcurrentSearches(t *testing.T) {
 	c := buildCompact(t, testCorpus(150, 17))
 	e := New(c, Config{Workers: 4})
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
-	want := bruteForce(c, testConcepts(), jn, 3)
+	want := oracle(c, testConcepts(), 3, jn, 3)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {

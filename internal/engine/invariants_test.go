@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // assertResultInvariants checks the Result accounting contract shared
 // by every evaluation path, the audit behind the Partial derivation in
@@ -26,4 +29,34 @@ func assertResultInvariants(t *testing.T, label string, res *Result) {
 		t.Fatalf("%s: complete result with accounting shortfall: Evaluated(%d)+Pruned(%d)+Failed(%d) = %d != Candidates %d",
 			label, res.Evaluated, res.Pruned, res.Failed, sum, res.Candidates)
 	}
+}
+
+// assertIdentical holds two results of one query to the same answer:
+// both pass the accounting invariants, agree on Partial, and rank the
+// same documents, scores and matchsets. Candidates is not compared: a
+// walk that prunes jumps past documents it never confirms.
+func assertIdentical(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	assertResultInvariants(t, label+" got", got)
+	assertResultInvariants(t, label+" want", want)
+	if got.Partial != want.Partial {
+		t.Fatalf("%s: Partial %v vs %v", label, got.Partial, want.Partial)
+	}
+	assertSameDocs(t, label, got.Docs, want.Docs)
+}
+
+// assertSameDocs compares two rankings with equalDocs.
+func assertSameDocs(t *testing.T, label string, got, want []DocResult) {
+	t.Helper()
+	if !equalDocs(got, want) {
+		t.Fatalf("%s: ranked\n%+v\nwant\n%+v", label, got, want)
+	}
+}
+
+// equalDocs compares two rankings: documents, scores and matchsets. It
+// is callable off the test's goroutine.
+func equalDocs(a, b []DocResult) bool {
+	return slices.EqualFunc(a, b, func(x, y DocResult) bool {
+		return x.Doc == y.Doc && x.Score == y.Score && slices.Equal(x.Set, y.Set)
+	})
 }

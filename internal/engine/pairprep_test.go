@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -117,10 +116,9 @@ func referenceBuildPairIndex(idx *index.Compact, concepts []index.Concept, spec 
 // plan short.
 func TestBuildPairIndexIsPlanThenBuild(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(4100 + int64(trial)))
-		docs := diffCorpus(rng)
-		concepts := pairConceptsN(rng, 5)
-		spec := pairSpecs()[trial%len(pairSpecs())]
+		docs := testCorpus(60, 4100+int64(trial))
+		concepts := append(testConcepts(), index.Concept{"quartz": 1, "ribbon": 0.6}, index.Concept{"saddle": 0.8})
+		spec := KernelSpec{Family: []string{"win", "med", "max"}[trial%3], Alpha: 0.07, Valid: trial%2 == 1}
 		for _, budget := range []int{0, 1, 400, 2000, 1 << 20} {
 			want := buildCompact(t, docs)
 			nWant := referenceBuildPairIndex(want, concepts, spec, budget)
@@ -184,25 +182,6 @@ func samePairLists(a, b *index.Compact, concepts []index.Concept, fp uint64) boo
 					x.W1.Loc != y.W1.Loc || bits(x.W1.Score) != bits(y.W1.Score) {
 					return false
 				}
-			}
-		}
-	}
-	return true
-}
-
-// equalDocs compares two rankings bit for bit; unlike assertSameDocs
-// it is callable off the test's goroutine.
-func equalDocs(a, b []DocResult) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Doc != b[i].Doc || a[i].Score != b[i].Score || len(a[i].Set) != len(b[i].Set) {
-			return false
-		}
-		for j := range a[i].Set {
-			if a[i].Set[j] != b[i].Set[j] {
-				return false
 			}
 		}
 	}

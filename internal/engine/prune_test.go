@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bestjoin/internal/dedup"
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
 	"bestjoin/internal/match"
@@ -437,5 +438,46 @@ func TestNegativeWeightWINServes(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameDocs(t, name, got.Docs, want.Docs)
+	}
+}
+
+// TestCustomKernelRunsUnpruned pins the compatibility contract: a
+// query whose kernel cannot provide upper bounds (a plain KernelFunc)
+// must run unpruned — every candidate joined — even on a pruning
+// engine.
+func TestCustomKernelRunsUnpruned(t *testing.T) {
+	compact := buildCompact(t, testCorpus(80, 7))
+	concepts := testConcepts()
+	e := New(compact, Config{})
+	win := scorefn.ExpWIN{Alpha: 0.07}
+	q := Query{
+		Concepts: concepts,
+		Join: func() join.Kernel {
+			return join.KernelFunc(func(ls match.Lists) (match.Set, float64, bool) {
+				return join.WIN(win, ls)
+			})
+		},
+		K: 3,
+	}
+	res, err := e.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pruned != 0 || res.Evaluated != res.Candidates {
+		t.Fatalf("unbounded kernel was pruned: %+v", res)
+	}
+}
+
+// TestDedupWrapperForwardsBounds pins that the dedup wrapper
+// forwards its inner kernel's bound (so Valid* joins actually prune)
+// and stays sound doing it: the valid best-join score never exceeds
+// the unrestricted bound.
+func TestDedupWrapperForwardsBounds(t *testing.T) {
+	inner := join.NewWINKernel(scorefn.ExpWIN{Alpha: 0.07})
+	wrapped := dedup.Wrap(inner)
+	maxima := []float64{0.9, 0.8, 0.7}
+	var ub join.UpperBounded = wrapped
+	if got, want := ub.ScoreUpperBound(maxima, 0), inner.ScoreUpperBound(maxima, 0); got != want {
+		t.Fatalf("dedup wrapper bound %v, inner %v", got, want)
 	}
 }

@@ -97,7 +97,7 @@ func TestKernelPanicIsolatedToOneDocument(t *testing.T) {
 	c := buildCompact(t, testCorpus(150, 21))
 	e := New(c, Config{Workers: 4})
 	inner := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
-	full := bruteForce(c, testConcepts(), inner, c.Docs())
+	full := oracle(c, testConcepts(), 3, inner, c.Docs())
 
 	var calls atomic.Int64
 	flaky := flakyFactory(inner, &calls, func(n int64) bool { return n%5 == 3 })
@@ -257,7 +257,7 @@ func TestSwapIndexServesNewIndexWithoutStaleCache(t *testing.T) {
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
 	q := Query{Concepts: testConcepts(), Join: jn, K: 50}
 
-	wantA := bruteForce(a, testConcepts(), jn, 50)
+	wantA := oracle(a, testConcepts(), 3, jn, 50)
 	resA, err := e.Search(context.Background(), q) // populates caches under epoch 0
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestSwapIndexServesNewIndexWithoutStaleCache(t *testing.T) {
 	if e.Index() != b {
 		t.Fatal("Index() does not return the swapped-in index")
 	}
-	wantB := bruteForce(b, testConcepts(), jn, 50)
+	wantB := oracle(b, testConcepts(), 3, jn, 50)
 	resB, err := e.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestCancelledContextAbandonsDecode(t *testing.T) {
 	if err != nil || full.Partial || full.Degraded {
 		t.Fatalf("engine unhealthy after abandoned decode: %v %+v", err, full)
 	}
-	want := bruteForce(c, testConcepts(), MEDJoiner(scorefn.ExpMED{Alpha: 0.1}), 5)
+	want := oracle(c, testConcepts(), 3, MEDJoiner(scorefn.ExpMED{Alpha: 0.1}), 5)
 	assertSoundSubset(t, "after-abandoned-decode", full.Docs, want)
 	if len(full.Docs) != len(want) {
 		t.Fatalf("after abandoned decode: %d docs, want %d", len(full.Docs), len(want))
@@ -471,7 +471,7 @@ func TestSwapIndexRacesFirstUseDecodes(t *testing.T) {
 	q := Query{Concepts: testConcepts(), Join: jn, K: 8}
 	var refs [2][]DocResult
 	for i, docs := range corpora {
-		refs[i] = bruteForce(buildCompact(t, docs), testConcepts(), jn, 8)
+		refs[i] = oracle(buildCompact(t, docs), testConcepts(), 3, jn, 8)
 	}
 	const epochs = 6
 	idxs := make([]*index.Compact, epochs)

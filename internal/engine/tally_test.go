@@ -104,8 +104,8 @@ func TestTallyQueryGranular(t *testing.T) {
 	compact := buildCompact(t, testCorpus(300, 17))
 	concepts := testConcepts()
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
-	if n := registerPairs(t, compact, concepts, spec); n == 0 {
-		t.Fatal("no pair list registered")
+	if n, err := BuildPairIndex(compact, concepts, spec, 0); err != nil || n == 0 {
+		t.Fatalf("BuildPairIndex: %d lists, %v", n, err)
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

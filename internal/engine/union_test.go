@@ -1,24 +1,13 @@
 package engine
 
-// Differential harness for disjunctive (ranked-union / m-of-n)
-// retrieval: WAND pivot skipping is supposed to be invisible — the
-// only observable difference between the pruned union path and the
-// exhaustive ranked union is how many pivots were bounded away. This
-// property test builds random corpora and random queries and asserts
-// the pruned engine's output — document ids, scores (bit for bit),
-// matchsets, tie-break order, and the Partial flag — is identical to
-// the unpruned engine's AND to an independent exhaustive baseline,
-// across all scoring families, with and without duplicate avoidance,
-// one and several workers, every minMatch in [1, n], and block tables
-// built at three block sizes.
-// scripts/check.sh runs it under -race.
+// Unit tests of disjunctive (ranked-union / m-of-n) retrieval: its
+// edges, its equality rule and the screens it arms. TestDifferential
+// (the root package) holds every mode to the reference ranker.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,126 +15,8 @@ import (
 	"bestjoin/internal/dedup"
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
-	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
-
-// bruteForceUnion ranks every document matching at least minMatch
-// concepts by re-deriving its lists from the compacted index and
-// joining only the matched (non-empty) lists, compacted in concept
-// order — the independent exhaustive ranked-union reference the WAND
-// path must agree with bit for bit.
-func bruteForceUnion(c *index.Compact, concepts []index.Concept, jn KernelFactory, k, minMatch int) []DocResult {
-	var out []DocResult
-	kern := jn()
-	for d := 0; d < c.Docs(); d++ {
-		lists := c.QueryLists(d, concepts)
-		sub := make(match.Lists, 0, len(lists))
-		for _, l := range lists {
-			if len(l) > 0 {
-				sub = append(sub, l)
-			}
-		}
-		if len(sub) < minMatch {
-			continue
-		}
-		kern.Reset(nil, sub)
-		set, score, ok := kern.Join()
-		if ok && !math.IsNaN(score) {
-			out = append(out, DocResult{Doc: d, Score: score, Set: set.Clone()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// assertSameDocs compares two rankings bit for bit.
-func assertSameDocs(t *testing.T, label string, got, want []DocResult) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d docs, want %d\ngot:  %+v\nwant: %+v", label, len(got), len(want), got, want)
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.Doc != w.Doc {
-			t.Fatalf("%s: rank %d doc %d, want %d\ngot:  %+v\nwant: %+v", label, i, g.Doc, w.Doc, got, want)
-		}
-		if g.Score != w.Score {
-			t.Fatalf("%s: rank %d (doc %d) score %v, want %v", label, i, g.Doc, g.Score, w.Score)
-		}
-		if len(g.Set) != len(w.Set) {
-			t.Fatalf("%s: rank %d (doc %d) matchset sizes %d vs %d", label, i, g.Doc, len(g.Set), len(w.Set))
-		}
-		for j := range g.Set {
-			if g.Set[j] != w.Set[j] {
-				t.Fatalf("%s: rank %d (doc %d) matchset %v, want %v", label, i, g.Doc, g.Set, w.Set)
-			}
-		}
-	}
-}
-
-func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
-	trials := 24
-	if testing.Short() {
-		trials = 6
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(6000 + int64(trial)))
-		corpus := diffCorpus(rng)
-		concepts := diffConcepts(rng)
-		idx := buildCompact(t, corpus)
-		k := 1 + rng.Intn(6)
-		for minMatch := 1; minMatch <= len(concepts); minMatch++ {
-			for _, workers := range []int{1, 4} {
-				for _, fam := range diffFamilies() {
-					pruned := New(idx, Config{Workers: workers})
-					unpruned := New(idx, Config{Workers: workers, DisablePruning: true})
-					q := Query{Concepts: concepts, Join: fam.factory, K: k, Mode: ModeOR, MinMatch: minMatch}
-					rp, err := pruned.Search(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ru, err := unpruned.Search(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("trial %d %s workers=%d k=%d m=%d",
-						trial, fam.name, workers, k, minMatch)
-					assertIdentical(t, label, rp, ru)
-					want := bruteForceUnion(idx, concepts, fam.factory, k, minMatch)
-					assertSameDocs(t, label+" vs baseline", rp.Docs, want)
-					// The exhaustive union confirms every qualifying
-					// document; the WAND walk never confirms more.
-					if ru.Candidates > 0 && rp.Candidates > ru.Candidates {
-						t.Fatalf("%s: pruned confirmed %d pivots, exhaustive %d", label, rp.Candidates, ru.Candidates)
-					}
-					st := pruned.Stats()
-					if st.UnionCandidates != uint64(rp.Candidates) {
-						t.Fatalf("%s: stats UnionCandidates %d != Result.Candidates %d",
-							label, st.UnionCandidates, rp.Candidates)
-					}
-					if up := unpruned.Stats().PivotSkips; up != 0 {
-						t.Fatalf("%s: unpruned engine skipped %d pivots", label, up)
-					}
-					// Repeat on warm caches: identical again.
-					rp2, err := pruned.Search(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertIdentical(t, label+" cached", rp2, ru)
-				}
-			}
-		}
-	}
-}
 
 // TestUnionUnknownConceptDegradesToSurvivors pins the headline OR
 // semantics: a query naming one concept absent from the corpus must
@@ -221,62 +92,66 @@ func TestUnionAllConceptsUnknown(t *testing.T) {
 func TestUnionSingleConceptMatchesAND(t *testing.T) {
 	c := buildCompact(t, testCorpus(90, 19))
 	concepts := []index.Concept{{"lenovo": 1, "dell": 0.9, "hewlett": 0.8}}
-	for _, fam := range diffFamilies() {
+	for _, spec := range []KernelSpec{{Family: "win", Alpha: 0.07}, {Family: "med", Alpha: 0.05, Valid: true}, {Family: "max", Alpha: 0.1}} {
 		e := New(c, Config{Workers: 4})
-		and, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 6})
+		and, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, K: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
-		or, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 6, Mode: ModeOR})
+		or, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, K: 6, Mode: ModeOR})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameDocs(t, "single-concept "+fam.name, or.Docs, and.Docs)
-		assertResultInvariants(t, "single-concept "+fam.name, or)
+		label := fmt.Sprintf("single-concept %+v", spec)
+		assertSameDocs(t, label, or.Docs, and.Docs)
+		assertResultInvariants(t, label, or)
 	}
 }
 
 // TestUnionMinMatchBoundaries pins the m-of-n edges: MinMatch = n must
-// be the conjunctive answer — the brute-force ranking of the documents
+// be the conjunctive answer — the reference ranking of the documents
 // holding every concept, as a default AND query is — and MinMatch = 1
 // must be plain OR.
 func TestUnionMinMatchBoundaries(t *testing.T) {
 	c := buildCompact(t, testCorpus(100, 23))
 	concepts := testConcepts()
 	n := len(concepts)
-	for _, fam := range diffFamilies() {
+	for _, spec := range []KernelSpec{{Family: "win", Alpha: 0.07, Valid: true}, {Family: "med", Alpha: 0.05}, {Family: "max", Alpha: 0.1, Valid: true}} {
 		e := New(c, Config{Workers: 4})
-		and, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 5})
+		and, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaUnion, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 5, MinMatch: n})
+		viaUnion, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, K: 5, MinMatch: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteForce(c, concepts, fam.factory, 5)
-		assertSameDocs(t, "AND "+fam.name, and.Docs, want)
-		assertSameDocs(t, "m=n "+fam.name, viaUnion.Docs, want)
+		factory, _ := spec.Factory()
+		want := oracle(c, concepts, n, factory, 5)
+		label := fmt.Sprintf("%+v", spec)
+		assertSameDocs(t, "AND "+label, and.Docs, want)
+		assertSameDocs(t, "m=n "+label, viaUnion.Docs, want)
 		if viaUnion.Partial || and.Partial {
-			t.Fatalf("m=n %s: Partial %v, AND Partial %v", fam.name, viaUnion.Partial, and.Partial)
+			t.Fatalf("m=n %s: Partial %v, AND Partial %v", label, viaUnion.Partial, and.Partial)
 		}
 
-		or, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 5, Mode: ModeOR})
+		or, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, K: 5, Mode: ModeOR})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m1, err := e.Search(context.Background(), Query{Concepts: concepts, Join: fam.factory, K: 5, Mode: ModeOR, MinMatch: 1})
+		m1, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, K: 5, Mode: ModeOR, MinMatch: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameDocs(t, "m=1 "+fam.name, m1.Docs, or.Docs)
+		assertSameDocs(t, "m=1 "+label, m1.Docs, or.Docs)
 	}
 	// Out-of-range MinMatch values are errors, not silent clamps.
 	e := New(c, Config{})
-	if _, err := e.Search(context.Background(), Query{Concepts: concepts, Join: diffFamilies()[0].factory, MinMatch: n + 1}); err == nil {
+	spec := KernelSpec{Family: "win", Alpha: 0.07}
+	if _, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, MinMatch: n + 1}); err == nil {
 		t.Fatal("MinMatch > n accepted")
 	}
-	if _, err := e.Search(context.Background(), Query{Concepts: concepts, Join: diffFamilies()[0].factory, MinMatch: -1}); err == nil {
+	if _, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: spec, MinMatch: -1}); err == nil {
 		t.Fatal("negative MinMatch accepted")
 	}
 }
@@ -324,7 +199,7 @@ func TestUnionNeverPruneOnEquality(t *testing.T) {
 	concepts := []index.Concept{{"amber": 1}, {"basalt": 1}}
 	e := New(buildCompact(t, docs), Config{Workers: 1})
 	res, err := e.Search(context.Background(), Query{
-		Concepts: concepts, Join: diffFamilies()[0].factory, K: 4, Mode: ModeOR,
+		Concepts: concepts, Join: WINJoiner(scorefn.ExpWIN{Alpha: 0.07}), K: 4, Mode: ModeOR,
 	})
 	if err != nil {
 		t.Fatal(err)

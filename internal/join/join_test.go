@@ -11,12 +11,38 @@ import (
 	"bestjoin/internal/scorefn"
 )
 
-const scoreTol = 1e-9
+// maxULPs bounds how far a kernel's score may sit from internal/naive's
+// for the same optimum, and from its own witness re-scored: the two
+// evaluate the same products and exponentials in different orders. It
+// is the largest distance these seeded tests measure, over both orders
+// their maps iterate in: 31 for ExpWIN, 26 between MAXGeneral and MAX,
+// 10 for the weighted WIN; the MED and MAX kernels agree with naive
+// bitwise. LinearWIN subtracts the window from a sum of scores, and its
+// small optima lose bits to that cancellation: linearWINULPs.
+const (
+	maxULPs       = 31
+	linearWINULPs = 1024
+)
+
+// ulps is the distance between a and b in units in the last place: how
+// many float64 values lie between them, plus one (0 when equal; +0 and
+// −0 are equal).
+func ulps(a, b float64) uint64 {
+	ordered := func(f float64) uint64 {
+		if b := int64(math.Float64bits(f)); b < 0 {
+			return uint64(math.MinInt64 - b)
+		}
+		return math.Float64bits(f)
+	}
+	x, y := ordered(a), ordered(b)
+	return max(x, y) - min(x, y)
+}
 
 // agree fails the test unless the fast and naive results have the same
-// existence and, when both exist, the same (optimal) score. Matchsets
-// themselves may differ: many matchsets can tie for the optimum.
-func agree(t *testing.T, name string, lists match.Lists,
+// existence and, when both exist, the same (optimal) score within bound
+// ulps. Matchsets themselves may differ: many matchsets can tie for the
+// optimum.
+func agree(t *testing.T, name string, bound uint64, lists match.Lists,
 	fastSet match.Set, fastScore float64, fastOK bool,
 	naiveSet match.Set, naiveScore float64, naiveOK bool) {
 	t.Helper()
@@ -26,7 +52,7 @@ func agree(t *testing.T, name string, lists match.Lists,
 	if !fastOK {
 		return
 	}
-	if math.Abs(fastScore-naiveScore) > scoreTol {
+	if ulps(fastScore, naiveScore) > bound {
 		t.Fatalf("%s: score %v != naive optimum %v\nfast %v\nnaive %v\nlists %v",
 			name, fastScore, naiveScore, fastSet, naiveSet, lists)
 	}
@@ -52,17 +78,18 @@ func TestWINMatchesNaive(t *testing.T) {
 		"ExpWIN":    scorefn.ExpWIN{Alpha: 0.1},
 		"LinearWIN": scorefn.LinearWIN{Scale: 0.3},
 	}
+	bounds := map[string]uint64{"ExpWIN": maxULPs, "LinearWIN": linearWINULPs}
 	for name, fn := range fns {
 		for _, cfg := range randConfigs() {
 			for trial := 0; trial < 150; trial++ {
 				lists := randinst.Lists(rng, cfg)
 				fs, fScore, fOK := WIN(fn, lists)
 				ns, nScore, nOK := naive.WIN(fn, lists)
-				agree(t, "WIN/"+name, lists, fs, fScore, fOK, ns, nScore, nOK)
+				agree(t, "WIN/"+name, bounds[name], lists, fs, fScore, fOK, ns, nScore, nOK)
 				if fOK {
 					// The returned matchset's own score must equal the
 					// reported score.
-					if got := scorefn.ScoreWIN(fn, fs); math.Abs(got-fScore) > scoreTol {
+					if got := scorefn.ScoreWIN(fn, fs); ulps(got, fScore) > bounds[name] {
 						t.Fatalf("WIN/%s: reported %v but set scores %v: %v", name, fScore, got, fs)
 					}
 				}
@@ -83,9 +110,9 @@ func TestMEDMatchesNaive(t *testing.T) {
 				lists := randinst.Lists(rng, cfg)
 				fs, fScore, fOK := MED(fn, lists)
 				ns, nScore, nOK := naive.MED(fn, lists)
-				agree(t, "MED/"+name, lists, fs, fScore, fOK, ns, nScore, nOK)
+				agree(t, "MED/"+name, maxULPs, lists, fs, fScore, fOK, ns, nScore, nOK)
 				if fOK {
-					if got := scorefn.ScoreMED(fn, fs); math.Abs(got-fScore) > scoreTol {
+					if got := scorefn.ScoreMED(fn, fs); ulps(got, fScore) > maxULPs {
 						t.Fatalf("MED/%s: reported %v but set scores %v: %v", name, fScore, got, fs)
 					}
 				}
@@ -106,9 +133,9 @@ func TestMAXMatchesNaive(t *testing.T) {
 				lists := randinst.Lists(rng, cfg)
 				fs, fScore, fOK := MAX(fn, lists)
 				ns, nScore, nOK := naive.MAX(fn, lists)
-				agree(t, "MAX/"+name, lists, fs, fScore, fOK, ns, nScore, nOK)
+				agree(t, "MAX/"+name, maxULPs, lists, fs, fScore, fOK, ns, nScore, nOK)
 				if fOK {
-					if got, _ := scorefn.ScoreMAX(fn, fs); math.Abs(got-fScore) > scoreTol {
+					if got, _ := scorefn.ScoreMAX(fn, fs); ulps(got, fScore) > maxULPs {
 						t.Fatalf("MAX/%s: reported %v but set scores %v: %v", name, fScore, got, fs)
 					}
 				}
@@ -124,7 +151,7 @@ func TestMAXGeneralMatchesNaive(t *testing.T) {
 		lists := randinst.Lists(rng, randinst.Config{Terms: 3, MaxPerList: 4, MaxLoc: 50, AllowTies: true})
 		fs, fScore, fOK := MAXGeneral(fn, lists)
 		ns, nScore, nOK := naive.MAX(fn, lists)
-		agree(t, "MAXGeneral", lists, fs, fScore, fOK, ns, nScore, nOK)
+		agree(t, "MAXGeneral", maxULPs, lists, fs, fScore, fOK, ns, nScore, nOK)
 	}
 }
 
@@ -138,7 +165,7 @@ func TestMAXGeneralAgreesWithSpecialized(t *testing.T) {
 		if gOK != sOK {
 			t.Fatalf("ok mismatch: general %v specialized %v", gOK, sOK)
 		}
-		if gOK && math.Abs(gScore-sScore) > scoreTol {
+		if gOK && ulps(gScore, sScore) > maxULPs {
 			t.Fatalf("general %v != specialized %v on %v", gScore, sScore, lists)
 		}
 	}
@@ -166,15 +193,15 @@ func TestSingleTermSingleMatch(t *testing.T) {
 	if !ok || len(s) != 1 || s[0].Loc != 42 {
 		t.Fatalf("WIN single = %v %v %v", s, sc, ok)
 	}
-	if math.Abs(sc-0.7) > scoreTol {
+	if ulps(sc, 0.7) > maxULPs {
 		t.Errorf("WIN single score = %v, want 0.7 (window 0)", sc)
 	}
 	s, sc, ok = MED(scorefn.ExpMED{Alpha: 0.1}, lists)
-	if !ok || s[0].Loc != 42 || math.Abs(sc-0.7) > scoreTol {
+	if !ok || s[0].Loc != 42 || ulps(sc, 0.7) > maxULPs {
 		t.Errorf("MED single = %v %v %v", s, sc, ok)
 	}
 	s, sc, ok = MAX(scorefn.SumMAX{Alpha: 0.1}, lists)
-	if !ok || s[0].Loc != 42 || math.Abs(sc-0.7) > scoreTol {
+	if !ok || s[0].Loc != 42 || ulps(sc, 0.7) > maxULPs {
 		t.Errorf("MAX single = %v %v %v", s, sc, ok)
 	}
 }
@@ -266,7 +293,7 @@ func TestLemma1Replacement(t *testing.T) {
 		before := scorefn.ScoreMED(fn, set)
 		after := set.Clone()
 		after[j] = alt
-		if scorefn.ScoreMED(fn, after) < before-scoreTol {
+		if got := scorefn.ScoreMED(fn, after); got < before && ulps(got, before) > maxULPs {
 			t.Fatalf("Lemma 1 violated: replacing %v with %v in %v dropped score %v -> %v",
 				set[j], alt, set, before, scorefn.ScoreMED(fn, after))
 		}
@@ -280,7 +307,7 @@ func TestWeightedWINMatchesNaive(t *testing.T) {
 		lists := randinst.Lists(rng, randinst.Config{Terms: 3, MaxPerList: 4, MaxLoc: 60, AllowTies: trial%2 == 0})
 		_, fScore, fOK := WIN(fn, lists)
 		_, nScore, nOK := naive.WIN(fn, lists)
-		if fOK != nOK || (fOK && math.Abs(fScore-nScore) > scoreTol) {
+		if fOK != nOK || (fOK && ulps(fScore, nScore) > maxULPs) {
 			t.Fatalf("weighted WIN %v/%v != naive %v/%v on %v", fScore, fOK, nScore, nOK, lists)
 		}
 	}
@@ -293,7 +320,7 @@ func TestWeightedMEDMatchesNaive(t *testing.T) {
 		lists := randinst.Lists(rng, randinst.Config{Terms: 3, MaxPerList: 4, MaxLoc: 60, AllowTies: trial%2 == 0})
 		_, fScore, fOK := MED(fn, lists)
 		_, nScore, nOK := naive.MED(fn, lists)
-		if fOK != nOK || (fOK && math.Abs(fScore-nScore) > scoreTol) {
+		if fOK != nOK || (fOK && ulps(fScore, nScore) > maxULPs) {
 			t.Fatalf("weighted MED %v/%v != naive %v/%v on %v", fScore, fOK, nScore, nOK, lists)
 		}
 	}

@@ -1,10 +1,9 @@
 package remote
 
-// The remote tier's contract in three layers: (1) transparency — a
-// healthy remote N-shard fleet answers bitwise identically to the
-// in-process coordinator and to a single engine over the unsplit
-// index; (2) robustness — retries, hedging, breaker, and timeouts
-// behave and are counted; (3) availability — quorum answers are sound
+// The remote tier's contract past transparency (TestDifferential, in
+// the root package, holds healthy fleets of 1–3 shards to the reference
+// ranker): (1) robustness — retries, hedging, breaker, and timeouts
+// behave and are counted; (2) availability — quorum answers are sound
 // subsets, and a rolling restart of shard processes fails zero
 // queries. The wire format's defensive decoding is pinned by table
 // tests.
@@ -20,7 +19,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,6 +28,7 @@ import (
 
 	"bestjoin/internal/engine"
 	"bestjoin/internal/index"
+	"bestjoin/internal/refrank"
 	"bestjoin/internal/shard"
 )
 
@@ -73,283 +73,32 @@ func buildCompact(t testing.TB, docs []string) *index.Compact {
 	return ix.Compact()
 }
 
-// remoteSpecs enumerates the kernel specs under test — the samples a
-// wire query can actually name.
-func remoteSpecs() []engine.KernelSpec {
-	return []engine.KernelSpec{
-		{Family: "win", Alpha: 0.07},
-		{Family: "med", Alpha: 0.05},
-		{Family: "max", Alpha: 0.1},
-		{Family: "win", Alpha: 0.07, Valid: true},
-		{Family: "med", Alpha: 0.05, Valid: true},
-		{Family: "max", Alpha: 0.1, Valid: true},
-	}
-}
-
-// startFleet partitions the index across n shard servers (each a real
-// HTTP server wrapping a real engine) and returns their addresses.
+// startFleet partitions the index across n shard servers, each a real
+// HTTP server wrapping a real engine, and returns their addresses; the
+// servers close with the test.
 func startFleet(t testing.TB, compact *index.Compact, n int, ecfg engine.Config) []string {
 	t.Helper()
 	parts, err := compact.Partition(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, _ := startShardEngines(t, parts, ecfg)
-	return addrs
-}
-
-// startShardEngines serves each partition from its own engine behind
-// its own HTTP server; the servers close with the test.
-func startShardEngines(t testing.TB, parts []*index.Compact, ecfg engine.Config) ([]string, []*engine.Engine) {
-	t.Helper()
 	addrs := make([]string, len(parts))
-	engines := make([]*engine.Engine, len(parts))
 	for i, p := range parts {
-		engines[i] = engine.New(p, ecfg)
 		mux := http.NewServeMux()
-		NewServer(engines[i], ServerConfig{}).Register(mux)
+		NewServer(engine.New(p, ecfg), ServerConfig{}).Register(mux)
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
 	}
-	return addrs, engines
+	return addrs
 }
 
-// fastCfg is the shard-client config for transparency tests: patient
+// fastCfg is the shard-client config for answer-checking tests: patient
 // timers, no hedging or retries — those paths have their own tests,
 // and under -race a valid-join union query can legitimately run long,
 // so stacked speculative attempts would only snowball load.
 func fastCfg() ShardConfig {
 	return ShardConfig{Timeout: 2 * time.Minute, Retries: -1, HedgeAfter: -1, Backoff: time.Millisecond}
-}
-
-// assertSame holds a fleet's answer to the reference's: flags, docs,
-// scores and matchsets. Candidates is held by assertCandidates: a
-// pruning walk jumps past documents it never confirms, as far as each
-// shard's floor has risen, so only an exhaustive count is exact.
-func assertSame(t *testing.T, label string, got, want *engine.Result) {
-	t.Helper()
-	if got.Partial != want.Partial || got.Degraded != want.Degraded {
-		t.Fatalf("%s: flags Partial=%v/Degraded=%v, want %v/%v",
-			label, got.Partial, got.Degraded, want.Partial, want.Degraded)
-	}
-	if len(got.Docs) != len(want.Docs) {
-		t.Fatalf("%s: %d docs, want %d\ngot:  %+v\nwant: %+v",
-			label, len(got.Docs), len(want.Docs), got.Docs, want.Docs)
-	}
-	for i := range got.Docs {
-		g, w := got.Docs[i], want.Docs[i]
-		if g.Doc != w.Doc || g.Score != w.Score {
-			t.Fatalf("%s: rank %d: doc %d score %v, want doc %d score %v",
-				label, i, g.Doc, g.Score, w.Doc, w.Score)
-		}
-		if len(g.Set) != len(w.Set) {
-			t.Fatalf("%s: rank %d (doc %d): matchset size %d, want %d",
-				label, i, g.Doc, len(g.Set), len(w.Set))
-		}
-		for j := range g.Set {
-			if g.Set[j] != w.Set[j] {
-				t.Fatalf("%s: rank %d (doc %d) match %d: %+v, want %+v",
-					label, i, g.Doc, j, g.Set[j], w.Set[j])
-			}
-		}
-	}
-}
-
-// assertCandidates holds a pruning answer's Candidates between the
-// documents it returned, each of which it confirmed, and the count of
-// an exhaustive walk, which confirms every document matching the query.
-func assertCandidates(t *testing.T, label string, got, exhaustive *engine.Result) {
-	t.Helper()
-	if got.Candidates < len(got.Docs) || got.Candidates > exhaustive.Candidates {
-		t.Fatalf("%s: Candidates %d, want between %d (docs returned) and %d (exhaustive)",
-			label, got.Candidates, len(got.Docs), exhaustive.Candidates)
-	}
-}
-
-// TestRemoteDifferential is the transparency acceptance test: for
-// every shard count, kernel spec, and query shape, the healthy remote
-// fleet's answer is bitwise identical to the in-process coordinator's
-// and to a single engine's over the unsplit index. Only Spec rides
-// the queries, so all three paths provably construct their kernels
-// from the same three serializable fields. Candidates is summed across
-// the wire: a fleet of exhaustive shards reports the exhaustive
-// engine's count exactly, and the pruning paths stay within it.
-func TestRemoteDifferential(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		docs := remoteCorpus(rng)
-		compact := buildCompact(t, docs)
-		// The reference never touches a pair list, so a fleet answer
-		// served from one is checked against a kernel-joined one.
-		single := engine.New(compact, engine.Config{Workers: 2, DisablePairIndex: true})
-		unpruned := engine.Config{Workers: 2, DisablePairIndex: true, DisablePruning: true}
-		exhaustive := engine.New(compact, unpruned)
-		for _, n := range []int{1, 2, 3} {
-			local, err := shard.New(compact, shard.Config{Shards: n, Engine: engine.Config{Workers: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pf := startPlannedFleet(t, compact, n)
-			fleet, err := NewFleet(pf.addrs, fastCfg(), shard.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exFleet, err := NewFleet(startFleet(t, compact, n, unpruned), fastCfg(), shard.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pf.checkPairTier(t, fleet, single, exhaustive, remoteSpecs()[(int(seed)+n)%len(remoteSpecs())])
-			for _, spec := range remoteSpecs() {
-				for round := 0; round < 2; round++ {
-					concepts := remoteConcepts(rng)
-					q := engine.Query{Concepts: concepts, Spec: spec, K: 1 + rng.Intn(8)}
-					switch rng.Intn(3) {
-					case 1:
-						q.Mode = engine.ModeOR
-					case 2:
-						q.MinMatch = 1 + rng.Intn(len(concepts))
-					}
-					label := fmt.Sprintf("seed %d shards %d spec %+v round %d", seed, n, spec, round)
-					want, err := single.Search(context.Background(), q)
-					if err != nil {
-						t.Fatalf("%s: single: %v", label, err)
-					}
-					lres, err := local.Search(context.Background(), q)
-					if err != nil {
-						t.Fatalf("%s: local coordinator: %v", label, err)
-					}
-					ex, err := exhaustive.Search(context.Background(), q)
-					if err != nil {
-						t.Fatalf("%s: exhaustive: %v", label, err)
-					}
-					assertSame(t, label+" (local)", lres, want)
-					assertCandidates(t, label+" (local)", lres, ex)
-					rres, err := fleet.Search(context.Background(), q)
-					if err != nil {
-						t.Fatalf("%s: remote fleet: %v", label, err)
-					}
-					assertSame(t, label+" (remote)", rres, want)
-					assertCandidates(t, label+" (remote)", rres, ex)
-					xres, err := exFleet.Search(context.Background(), q)
-					if err != nil {
-						t.Fatalf("%s: exhaustive remote fleet: %v", label, err)
-					}
-					assertSame(t, label+" (exhaustive remote)", xres, ex)
-					if xres.Candidates != ex.Candidates {
-						t.Fatalf("%s: exhaustive remote fleet: Candidates %d, want %d", label, xres.Candidates, ex.Candidates)
-					}
-				}
-			}
-		}
-	}
-}
-
-// plannedFleet is a loopback fleet deployed the way proxserve deploys
-// one: every shard engine carries the pair plan of the WHOLE index, and
-// starts with lists for a spec of its own that no query names — so the
-// spec a query does name has to be prepared on demand.
-type plannedFleet struct {
-	addrs    []string
-	engines  []*engine.Engine
-	attached chan pairBuild // one send per finished background build
-	planned  []index.Concept
-}
-
-// pairBuild is what an engine announces when a background build ends.
-type pairBuild struct {
-	spec  engine.KernelSpec
-	lists int
-	err   error
-}
-
-func startPlannedFleet(t *testing.T, compact *index.Compact, n int) *plannedFleet {
-	t.Helper()
-	pf := &plannedFleet{
-		planned: []index.Concept{{"amber": 1}, {"basalt": 0.9, "cedar": 0.5}, {"delta": 1}},
-		// Buffered past anything the test can start (4 specs × 3 shards),
-		// so a build finishing after the test moved on never blocks.
-		attached: make(chan pairBuild, 64),
-	}
-	plan := engine.PlanPairs(compact, pf.planned)
-	parts, err := compact.Partition(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	own := engine.KernelSpec{Family: "max", Alpha: 0.3, Valid: true}
-	for _, p := range parts {
-		if _, err := engine.BuildPairPlan(p, plan, own, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pf.addrs, pf.engines = startShardEngines(t, parts, engine.Config{Workers: 2})
-	for _, e := range pf.engines {
-		e.SetPairPlan(plan, 0, func(spec engine.KernelSpec, lists int, err error) {
-			pf.attached <- pairBuild{spec, lists, err}
-		})
-	}
-	return pf
-}
-
-// checkPairTier drives one planned two-term query through the fleet
-// twice: kernel-joined on every shard the first time (which starts the
-// builds), pair-served on every shard once they attach, bitwise equal
-// to the pair-disabled reference both times — and the attach is
-// invisible to the coordinator's health view. Pair-served, the fleet
-// counts each list's documents: exactly the exhaustive walk's count.
-func (pf *plannedFleet) checkPairTier(t *testing.T, fleet *shard.Coordinator, single, exhaustive *engine.Engine, spec engine.KernelSpec) {
-	t.Helper()
-	q := engine.Query{Concepts: pf.planned[:2], Spec: spec, K: 5}
-	want, err := single.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := exhaustive.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	health := fleet.Health()
-	if !health.Ready {
-		t.Fatalf("fleet not ready: %+v", health)
-	}
-	label := fmt.Sprintf("pair tier, %d shards, spec %+v", len(pf.engines), spec)
-	got, err := fleet.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, label+" (before the attach)", got, want)
-	assertCandidates(t, label+" (before the attach)", got, ex)
-	for i, e := range pf.engines {
-		if st := e.Stats(); st.PairServed != 0 {
-			t.Fatalf("%s: shard %d pair-served before any list was built", label, i)
-		}
-	}
-	for range pf.engines {
-		select {
-		case b := <-pf.attached:
-			if b.spec != spec || b.err != nil || b.lists != len(pf.planned) {
-				t.Fatalf("%s: a build finished with %+v, want %d lists", label, b, len(pf.planned))
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: background builds never finished", label)
-		}
-	}
-	got, err = fleet.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, label+" (after the attach)", got, want)
-	if got.Candidates != ex.Candidates {
-		t.Fatalf("%s (after the attach): Candidates %d, want the pair lists' %d documents", label, got.Candidates, ex.Candidates)
-	}
-	for i, e := range pf.engines {
-		if st := e.Stats(); st.PairServed != 1 {
-			t.Fatalf("%s: shard %d PairServed = %d after the attach, want 1", label, i, st.PairServed)
-		}
-	}
-	if after := fleet.Health(); !reflect.DeepEqual(after, health) {
-		t.Fatalf("%s: the attach moved the fleet's health: %+v → %+v", label, health, after)
-	}
 }
 
 // TestRemoteQuorumDegraded kills one of three shard processes and
@@ -648,8 +397,8 @@ func TestRemoteTimeoutCounted(t *testing.T) {
 // TestRemoteSwapIndexRoll rolls a remote fleet onto a new corpus
 // through Coordinator.SwapIndex: each shard process receives its
 // partition over /swapindex, the health gate sees them come back, and
-// the post-roll fleet answers bitwise like a single engine over the
-// new corpus.
+// the post-roll fleet answers bitwise as internal/refrank ranks the new
+// corpus.
 func TestRemoteSwapIndexRoll(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	oldDocs := remoteCorpus(rng)
@@ -671,26 +420,24 @@ func TestRemoteSwapIndexRoll(t *testing.T) {
 	if !h.Ready || h.Epoch != 1 || h.Err != "" {
 		t.Fatalf("post-roll: Ready=%v Epoch=%d Err=%q, want true/1/\"\"", h.Ready, h.Epoch, h.Err)
 	}
-	single := engine.New(newCompact, engine.Config{Workers: 1})
-	exhaustive := engine.New(newCompact, engine.Config{Workers: 1, DisablePruning: true})
 	spec := engine.KernelSpec{Family: "max", Alpha: 0.1}
+	factory, _ := spec.Factory()
 	for round := 0; round < 3; round++ {
-		q := engine.Query{Concepts: remoteConcepts(rng), Spec: spec, K: 5}
-		want, err := single.Search(context.Background(), q)
+		concepts := remoteConcepts(rng)
+		got, err := fleet.Search(context.Background(), engine.Query{Concepts: concepts, Spec: spec, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := exhaustive.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
+		want, qualifying := refrank.Rank(newCompact, concepts, len(concepts), refrank.Kernel(factory()))
+		want = want[:min(5, len(want))]
+		if got.Partial || got.Degraded || len(got.Docs) != len(want) || got.Candidates > qualifying {
+			t.Fatalf("post-roll round %d: %+v, want %d documents of %d qualifying", round, got, len(want), qualifying)
 		}
-		got, err := fleet.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
+		for i, w := range want {
+			if g := got.Docs[i]; g.Doc != w.Doc || g.Score != w.Score || !slices.Equal(g.Set, w.Set) {
+				t.Fatalf("post-roll round %d rank %d: %+v, want %+v", round, i, g, w)
+			}
 		}
-		label := fmt.Sprintf("post-roll round %d", round)
-		assertSame(t, label, got, want)
-		assertCandidates(t, label, got, ex)
 	}
 }
 

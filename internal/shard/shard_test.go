@@ -1,16 +1,9 @@
 package shard
 
-// Differential harness for the scatter-gather tier: sharding is
-// supposed to be invisible. The property test builds random corpora
-// and random queries and asserts the N-shard coordinator's answer —
-// document ids, scores (bit for bit), matchsets, tie-break order, and
-// the Partial/Degraded flags — is identical to a single engine over
-// the unsplit index, across conjunctive, disjunctive, and m-of-n
-// evaluation, all six scoring families, one worker and several,
-// pruning on and off, and with block tables built from each shard's
-// postings at two block sizes.
-// scripts/check.sh runs it under -race, so the shared global floor
-// and the scatter goroutines are exercised for data races too.
+// Tests of the scatter-gather tier's own mechanics: rolling reloads,
+// health, stats, errors, the merge's tie-break, overload and quorum.
+// TestDifferential (the root package) holds the coordinator's answers,
+// over 1, 2 and 4 shards, to the reference ranker.
 
 import (
 	"context"
@@ -18,7 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,7 +20,7 @@ import (
 
 	"bestjoin/internal/engine"
 	"bestjoin/internal/index"
-	"bestjoin/internal/match"
+	"bestjoin/internal/refrank"
 	"bestjoin/internal/scorefn"
 )
 
@@ -77,168 +70,10 @@ func buildCompact(t testing.TB, docs []string) *index.Compact {
 	return ix.Compact()
 }
 
-// shardFamilies enumerates the kernel factories under test; fresh
-// factories per call because kernels are stateful.
-func shardFamilies() []struct {
-	name    string
-	factory engine.KernelFactory
-} {
-	win := scorefn.ExpWIN{Alpha: 0.07}
-	med := scorefn.ExpMED{Alpha: 0.05}
-	max := scorefn.SumMAX{Alpha: 0.1}
-	return []struct {
-		name    string
-		factory engine.KernelFactory
-	}{
-		{"WIN", engine.WINJoiner(win)},
-		{"MED", engine.MEDJoiner(med)},
-		{"MAX", engine.MAXJoiner(max)},
-		{"ValidWIN", engine.ValidWINJoiner(win)},
-		{"ValidMED", engine.ValidMEDJoiner(med)},
-		{"ValidMAX", engine.ValidMAXJoiner(max)},
-	}
-}
-
-// assertSameResult holds the coordinator's answer to the single
-// engine's, field by field. Docs, scores, matchsets, order, and the
-// Partial/Degraded flags must be bitwise identical. Candidates is
-// exact only between exhaustive walks, where it counts every document
-// matching the query and the shard counts partition the global count:
-// so when single is the exhaustive result itself, the counts must
-// match. A pruning walk's jumps make its count depend on how soon each
-// shard's floor rose, so it is held between the documents returned and
-// the exhaustive count.
-func assertSameResult(t *testing.T, label string, sharded, single, exhaustive *engine.Result) {
-	t.Helper()
-	if sharded.Partial != single.Partial {
-		t.Fatalf("%s: Partial %v (sharded) vs %v (single)", label, sharded.Partial, single.Partial)
-	}
-	if sharded.Degraded != single.Degraded {
-		t.Fatalf("%s: Degraded %v (sharded) vs %v (single)", label, sharded.Degraded, single.Degraded)
-	}
-	if single == exhaustive && sharded.Candidates != single.Candidates {
-		t.Fatalf("%s: Candidates %d (sharded) vs %d (single)", label, sharded.Candidates, single.Candidates)
-	}
-	if sharded.Candidates < len(sharded.Docs) || sharded.Candidates > exhaustive.Candidates {
-		t.Fatalf("%s: Candidates %d (sharded), want between %d (docs returned) and %d (exhaustive)",
-			label, sharded.Candidates, len(sharded.Docs), exhaustive.Candidates)
-	}
-	if len(sharded.Docs) != len(single.Docs) {
-		t.Fatalf("%s: %d docs (sharded) vs %d (single)\nsharded: %+v\nsingle:  %+v",
-			label, len(sharded.Docs), len(single.Docs), sharded.Docs, single.Docs)
-	}
-	for i := range sharded.Docs {
-		s, u := sharded.Docs[i], single.Docs[i]
-		if s.Doc != u.Doc {
-			t.Fatalf("%s: rank %d doc %d (sharded) vs %d (single)\nsharded: %+v\nsingle:  %+v",
-				label, i, s.Doc, u.Doc, sharded.Docs, single.Docs)
-		}
-		if s.Score != u.Score {
-			t.Fatalf("%s: rank %d (doc %d) score %v (sharded) vs %v (single)",
-				label, i, s.Doc, s.Score, u.Score)
-		}
-		if len(s.Set) != len(u.Set) {
-			t.Fatalf("%s: rank %d (doc %d) matchset sizes differ", label, i, s.Doc)
-		}
-		for j := range s.Set {
-			if s.Set[j] != u.Set[j] {
-				t.Fatalf("%s: rank %d (doc %d) matchset %v (sharded) vs %v (single)",
-					label, i, s.Doc, s.Set, u.Set)
-			}
-		}
-	}
-}
-
-// TestShardDifferential is the core acceptance test: N ∈ {1, 2, 4}
-// shards versus the single engine across AND/OR/m-of-n × all six
-// scoring families × 1/4 workers × pruning on/off, over random
-// corpora.
-func TestShardDifferential(t *testing.T) {
-	trials := 6
-	if testing.Short() {
-		trials = 2
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(4000 + int64(trial)))
-		compact := buildCompact(t, shardCorpus(rng))
-		concepts := shardConcepts(rng)
-		k := 1 + rng.Intn(6)
-		minMatch := 1 + rng.Intn(len(concepts))
-
-		modes := []struct {
-			name string
-			q    engine.Query
-		}{
-			{"AND", engine.Query{Mode: engine.ModeAND}},
-			{"OR", engine.Query{Mode: engine.ModeOR}},
-			{fmt.Sprintf("%d-of-%d", minMatch, len(concepts)),
-				engine.Query{MinMatch: minMatch}},
-		}
-		for _, workers := range []int{1, 4} {
-			for _, noprune := range []bool{false, true} {
-				cfg := engine.Config{Workers: workers, DisablePruning: noprune}
-				for _, fam := range shardFamilies() {
-					for _, mode := range modes {
-						q := mode.q
-						q.Concepts = concepts
-						q.Join = fam.factory
-						q.K = k
-						single := engine.New(compact, cfg)
-						want, err := single.Search(context.Background(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						exhaustive := want
-						if !noprune {
-							ecfg := cfg
-							ecfg.DisablePruning = true
-							if exhaustive, err = engine.New(compact, ecfg).Search(context.Background(), q); err != nil {
-								t.Fatal(err)
-							}
-						}
-						for _, n := range []int{1, 2, 4} {
-							coord, err := New(compact, Config{Shards: n, Engine: cfg})
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := coord.Search(context.Background(), q)
-							if err != nil {
-								t.Fatal(err)
-							}
-							label := fmt.Sprintf("trial %d %s %s shards=%d workers=%d k=%d noprune=%v",
-								trial, fam.name, mode.name, n, workers, k, noprune)
-							assertSameResult(t, label, got, want, exhaustive)
-							// Repeat the query: the warm path (per-shard
-							// concept and list caches populated, shared
-							// floor fresh per query) must stay identical.
-							again, err := coord.Search(context.Background(), q)
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertSameResult(t, label+" cached", again, want, exhaustive)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func docsEqual(a, b []engine.DocResult) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Doc != b[i].Doc || a[i].Score != b[i].Score || len(a[i].Set) != len(b[i].Set) {
-			return false
-		}
-		for j := range a[i].Set {
-			if a[i].Set[j] != b[i].Set[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y engine.DocResult) bool {
+		return x.Doc == y.Doc && x.Score == y.Score && slices.Equal(x.Set, y.Set)
+	})
 }
 
 // TestShardRollingReload is the zero-downtime acceptance test:
@@ -653,7 +488,7 @@ func TestShardEmptyAnswer(t *testing.T) {
 // 2^32 — so every block table a shard builds carries wide values —
 // through the whole path: Marshal, LoadCompact, a 3-way Partition and
 // the coordinator, conjunctive and disjunctive, graded bitwise against
-// joining Compact.QueryLists over the ids present.
+// internal/refrank.
 func TestWideDocIDsEndToEnd(t *testing.T) {
 	ids := []int{0, 1, math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 3,
 		1<<33 + 7, 1<<33 + 8, 5<<32 + 2, 1 << 39}
@@ -673,52 +508,28 @@ func TestWideDocIDsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	reference := func(join engine.KernelFactory, minMatch int) []engine.DocResult {
-		kern := join()
-		var out []engine.DocResult
-		for _, d := range ids {
-			var sub match.Lists
-			for _, l := range loaded.QueryLists(d, concepts) {
-				if len(l) > 0 {
-					sub = append(sub, l)
-				}
-			}
-			if len(sub) < minMatch {
-				continue
-			}
-			kern.Reset(nil, sub)
-			if set, score, ok := kern.Join(); ok {
-				out = append(out, engine.DocResult{Doc: d, Score: score, Set: set.Clone()})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			return out[i].Score > out[j].Score || (out[i].Score == out[j].Score && out[i].Doc < out[j].Doc)
-		})
-		return out[:min(k, len(out))]
-	}
 	coord, err := New(loaded, Config{Shards: 3, Engine: engine.Config{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range shardFamilies() {
+	for _, spec := range []engine.KernelSpec{{Family: "win", Alpha: 0.07}, {Family: "med", Alpha: 0.05, Valid: true}, {Family: "max", Alpha: 0.1}} {
+		factory, _ := spec.Factory()
 		for _, mode := range []struct {
-			name     string
-			q        engine.Query
+			mode     engine.QueryMode
 			minMatch int
-		}{
-			{"AND", engine.Query{Mode: engine.ModeAND}, len(concepts)},
-			{"OR", engine.Query{Mode: engine.ModeOR}, 1},
-		} {
-			q := mode.q
-			q.Concepts, q.Join, q.K = concepts, fam.factory, k
-			got, err := coord.Search(context.Background(), q)
+		}{{engine.ModeAND, len(concepts)}, {engine.ModeOR, 1}} {
+			got, err := coord.Search(context.Background(), engine.Query{Concepts: concepts, Join: factory, K: k, Mode: mode.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := reference(fam.factory, mode.minMatch)
+			ranked, _ := refrank.Rank(loaded, concepts, mode.minMatch, refrank.Kernel(factory()))
+			want := make([]engine.DocResult, min(k, len(ranked)))
+			for i := range want {
+				want[i] = engine.DocResult(ranked[i])
+			}
 			if got.Degraded || got.Partial || len(want) == 0 || !docsEqual(got.Docs, want) {
-				t.Fatalf("%s %s: degraded=%v partial=%v\ngot:  %+v\nwant: %+v",
-					fam.name, mode.name, got.Degraded, got.Partial, got.Docs, want)
+				t.Fatalf("%+v mode %d: degraded=%v partial=%v\ngot:  %+v\nwant: %+v",
+					spec, mode.mode, got.Degraded, got.Partial, got.Docs, want)
 			}
 		}
 	}

@@ -42,12 +42,12 @@ echo "proxserve: $nflags flags (ceiling $max_flags)"
 echo "== go test -race =="
 go test -race ./...
 
-# The root package's differential tests take ~0.05 s each; ten runs
-# catch an assertion that depends on worker timing (PR 19 left
-# TestShardedPairDifferential failing three runs in four, and one run
-# of the suite above passes a test like that one time in four).
+# TestDifferential, the one differential matrix, in its -short form
+# (every axis value at least once); ten runs catch an assertion that
+# depends on worker timing, which one run of the suite above passes
+# now and then.
 echo "== root differentials x10 =="
-go test -race -count=10 -run Differential .
+go test -race -short -count=10 -run TestDifferential .
 
 # The load harness under bench/ is a module of its own (BENCHMARK.json
 # builds it from there), so nothing above compiles it: vet and
@@ -61,10 +61,10 @@ echo "== bench/ harness: go vet + go test =="
 # under -race. Injected kernel panics, corrupt stem decodes and decode
 # latency must never crash, race, or mis-score a document —
 # on the single engine and through the sharded scatter-gather tier
-# (the plain -race run above already covers the shard differential;
-# this arms the injection sites on top). The remote package adds the
-# network fault sites: latency, dropped connections, 500s, and
-# truncated response bytes against a real HTTP fleet.
+# (the plain -race run above already holds the coordinator to the
+# reference ranker; this arms the injection sites on top). The remote
+# package adds the network fault sites: latency, dropped connections,
+# 500s, and truncated response bytes against a real HTTP fleet.
 echo "== go test -race -tags faultinject (chaos) =="
 go test -race -tags faultinject ./internal/faultinject/ ./internal/engine/ ./internal/shard/ ./internal/remote/
 
