@@ -38,9 +38,9 @@ import (
 // contribute, the bound dominates the join over any subset of ≥ m
 // matched lists, and the kept entry only improves in rank order — so a
 // pivot skipped against today's entry is rejected a fortiori by every
-// later one. The differential suites (differential_test.go,
-// union_diff_test.go) hold the pruned walk bitwise-identical to the
-// exhaustive one and to a brute-force ranking.
+// later one. The differential matrix (internal/refrank/refranktest)
+// holds the pruned walk bitwise-identical to internal/refrank's
+// exhaustive ranking.
 
 // QueryMode selects how many of a query's concepts a candidate
 // document must contain.
