@@ -536,7 +536,7 @@ func BenchmarkEngineRemote(b *testing.B) {
 	addrs := make([]string, len(parts))
 	for i, p := range parts {
 		mux := http.NewServeMux()
-		bestjoin.NewRemoteServer(bestjoin.NewEngine(p, cfg), bestjoin.RemoteServerConfig{}).Register(mux)
+		bestjoin.NewRemoteServer(bestjoin.NewEngine(p, cfg)).Register(mux)
 		ts := httptest.NewServer(mux)
 		defer ts.Close()
 		addrs[i] = ts.URL

@@ -3,6 +3,7 @@ package bestjoin_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"bestjoin"
@@ -188,4 +189,24 @@ func ExampleByLocationMED() {
 	// Output:
 	// 12
 	// 103
+}
+
+// TestConfigFieldCeiling is a ratchet on the settable surface: the
+// exported fields of the three config types a deployment fills in. A
+// change may delete fields and lower the ceiling; one that adds a field
+// fails here.
+func TestConfigFieldCeiling(t *testing.T) {
+	const ceiling = 15
+	n := 0
+	for _, v := range []any{bestjoin.EngineConfig{}, bestjoin.ShardedEngineConfig{}, bestjoin.RemoteShardConfig{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				n++
+			}
+		}
+	}
+	if n > ceiling {
+		t.Fatalf("%d exported config fields, more than the ceiling of %d", n, ceiling)
+	}
 }

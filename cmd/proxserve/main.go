@@ -7,11 +7,14 @@
 //	proxserve                         # index a small embedded demo corpus
 //
 // By default proxserve runs a line-oriented REPL on stdin: each line
-// is a comma-separated list of query terms, answered with the top-k
-// documents; ":stats" prints the engine's observability snapshot and
-// ":quit" exits. With -http it serves HTTP instead:
+// is a comma-separated list of query terms, answered with the top 5
+// documents that match every term, or the query string /query takes
+// (terms=a,b&mode=or&m=2&k=3); ":stats" prints the engine's
+// observability snapshot and ":quit" exits. With -http it serves HTTP
+// instead:
 //
-//	GET /query?terms=a,b&k=5     top-k documents as JSON
+//	GET /query?terms=a,b         top 5 documents matching every term, as JSON
+//	GET /query?terms=a,b&k=10    top 10
 //	GET /query?terms=a,b&mode=or top-k ranked union (any term may match)
 //	GET /query?terms=a,b,c&m=2   m-of-n: documents matching ≥ 2 concepts
 //	GET /stats                   engine stats as JSON
@@ -34,14 +37,15 @@
 // drain rate (bounded to 1–30 seconds), so clients back off roughly
 // as long as the queue actually needs to clear.
 //
-// At startup the server precomputes auxiliary pair lists for the
-// heaviest (longest-posting) stems under the served kernel: two-term
-// queries over those pairs are answered straight off a precomputed
-// list with zero joins, bitwise identical to the kernel path. The
-// lists live only in the process that built them: an index file, a
-// partition and a /swapindex body never carry them. The -pair-budget
-// flag caps the bytes spent on lists per kernel spec, and
-// -pair-budget 0 turns the tier off entirely (baseline mode).
+// At startup the server plans auxiliary pair lists for the heaviest
+// (longest-posting) stems of the whole index. The first two-term query
+// of each kernel spec starts a background build of that spec's lists;
+// once they attach, two-term queries over those pairs are answered
+// straight off a precomputed list with zero joins, bitwise identical
+// to the kernel path. The lists live only in the process that built
+// them: an index file, a partition and a /swapindex body never carry
+// them. The -pair-budget flag caps the bytes spent on lists per kernel
+// spec, and -pair-budget 0 turns the tier off entirely (baseline mode).
 //
 // A process is either an engine over an index or a coordinator over
 // remote shard processes. A shard process is an engine that serves one
@@ -87,12 +91,14 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -109,14 +115,11 @@ import (
 func main() {
 	var (
 		fn      = flag.String("fn", "med", "scoring family: win, med, or max")
-		alpha   = flag.Float64("alpha", 0.1, "distance-decay rate for the exp scoring functions")
-		k       = flag.Int("k", 5, "number of documents to return per query")
+		alpha   = flag.Float64("alpha", 0.1, "distance-decay rate of the scoring family (finite, > 0)")
 		workers = flag.Int("workers", 0, "join workers per query (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", 0, "ignored: the engine keeps no match-list cache (accepted so existing command lines still start)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-query deadline")
 		noprune = flag.Bool("noprune", false, "disable lossless max-score pruning (baseline mode)")
-		mode    = flag.String("mode", "and", "default query mode: and (every concept must match) or or (ranked union)")
-		minm    = flag.Int("min-match", 0, "disjunctive threshold: require at least this many concepts to match (0 = mode default)")
 		drain   = flag.Duration("drain", 5*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		synth   = flag.Int("synth", 0, "index a synthetic corpus of this many documents instead of files")
 		httpad  = flag.String("http", "", "serve HTTP on this address instead of the stdin REPL")
@@ -138,6 +141,10 @@ func main() {
 	if err := checkTopology(*shardsAt, *shardOf, *serveShard); err != nil {
 		log.Fatalf("proxserve: %v", err)
 	}
+	spec, err := kernelSpec(*fn, *alpha)
+	if err != nil {
+		log.Fatalf("proxserve: %v", err)
+	}
 	if *pairBudget < 0 {
 		log.Fatalf("proxserve: -pair-budget %d is negative (0 turns the pair tier off)", *pairBudget)
 	}
@@ -148,11 +155,10 @@ func main() {
 	src := &source{
 		files: flag.Args(), synth: *synth, idxPath: *idxPath, savePath: *savePath,
 		shardOf: *shardOf, lex: bestjoin.BuiltinLexicon(),
-		coordinator: *shardsAt != "", spec: specFor(*fn, *alpha), pairBudget: *pairBudget,
+		coordinator: *shardsAt != "", pairBudget: *pairBudget,
 	}
 	var compact *bestjoin.CompactIndex
 	var plan bestjoin.PairPlan
-	var err error
 	if *shardsAt == "" {
 		if compact, plan, err = src.loadServing(); err != nil {
 			log.Fatalf("proxserve: %v", err)
@@ -161,10 +167,6 @@ func main() {
 	overload := bestjoin.OverloadBlock
 	if *shed {
 		overload = bestjoin.OverloadShed
-	}
-	qmode, err := parseMode(*mode)
-	if err != nil {
-		log.Fatalf("proxserve: %v", err)
 	}
 	// The server is written against the Searcher contract, so a remote
 	// fleet and a single engine are interchangeable from here on.
@@ -187,7 +189,6 @@ func main() {
 			DisablePruning: *noprune,
 			MaxInFlight:    *inflight,
 			Overload:       overload,
-			Mode:           qmode,
 		})
 		eng, publish = e, e.Publish
 		fmt.Printf("indexed %d documents (%d bytes compressed)\n", compact.Docs(), compact.Bytes())
@@ -197,15 +198,11 @@ func main() {
 		log.Printf("proxserve: %v", err)
 	}
 	srv := &server{
-		eng:      eng,
-		lex:      bestjoin.BuiltinLexicon(),
-		fn:       *fn,
-		alpha:    *alpha,
-		k:        *k,
-		timeout:  *timeout,
-		mode:     qmode,
-		minMatch: *minm,
-		reload:   &reloadStatus{},
+		eng:     eng,
+		lex:     bestjoin.BuiltinLexicon(),
+		spec:    spec,
+		timeout: *timeout,
+		reload:  &reloadStatus{},
 	}
 
 	if *httpad != "" {
@@ -214,7 +211,7 @@ func main() {
 			// Mount the remote shard API next to the human-facing routes;
 			// /healthz stays proxserve's own (same shape and status
 			// mapping the shard client expects).
-			bestjoin.NewRemoteServer(eng, bestjoin.RemoteServerConfig{}).RegisterShardOnly(mux)
+			bestjoin.NewRemoteServer(eng).RegisterShardOnly(mux)
 		}
 		if *idxPath != "" {
 			hup := make(chan os.Signal, 1)
@@ -333,6 +330,18 @@ func checkTopology(shardsAt, shardOf string, serveShard bool) error {
 		return errors.New("-serve-shard cannot be combined with -shards-at: a coordinator is not a shard of another fleet")
 	}
 	return nil
+}
+
+// kernelSpec resolves -fn and -alpha into the kernel every query of
+// this process carries, refusing at start-up what a query would
+// otherwise fail on: an unknown family or an alpha that is not finite
+// and positive.
+func kernelSpec(fn string, alpha float64) (bestjoin.JoinSpec, error) {
+	spec := bestjoin.JoinSpec{Family: fn, Alpha: alpha, Valid: true}
+	if _, err := spec.Factory(); err != nil {
+		return spec, fmt.Errorf("-fn %q -alpha %v: %w", fn, alpha, err)
+	}
+	return spec, nil
 }
 
 // splitAddrs parses the -shards-at list.
@@ -456,39 +465,79 @@ func runServer(hs *http.Server, ln net.Listener, drain time.Duration) error {
 }
 
 type server struct {
-	eng      bestjoin.Searcher
-	lex      *bestjoin.Lexicon
-	fn       string
-	alpha    float64
-	k        int
-	timeout  time.Duration
-	mode     bestjoin.QueryMode
-	minMatch int
-	done     drainRate
+	eng     bestjoin.Searcher
+	lex     *bestjoin.Lexicon
+	spec    bestjoin.JoinSpec // -fn/-alpha, carried by every query
+	timeout time.Duration
+	done    drainRate
 	// reload records the SIGHUP hot-reload loop's last outcome for
 	// /healthz; nil (tests building a bare server) reads as "no reload
 	// has failed".
 	reload *reloadStatus
 }
 
-// parseMode maps the -mode flag (and the mode HTTP parameter) onto a
-// QueryMode.
-func parseMode(s string) (bestjoin.QueryMode, error) {
-	switch s {
-	case "", "and":
-		return bestjoin.ModeAND, nil
-	case "or":
-		return bestjoin.ModeOR, nil
-	}
-	return bestjoin.ModeDefault, fmt.Errorf("unknown query mode %q (want and or or)", s)
+// defaultK is the number of documents a request that names no k gets.
+const defaultK = 5
+
+// request is one query as /query and the REPL take it: the
+// comma-separated terms, K, and the mode with its m-of-n threshold.
+type request struct {
+	terms    string
+	k        int
+	mode     bestjoin.QueryMode
+	minMatch int
 }
 
-// query answers one comma-separated term list under the given mode and
-// m-of-n threshold; successful completions feed the drain-rate
-// estimate behind Retry-After.
-func (s *server) query(terms string, k int, mode bestjoin.QueryMode, minMatch int) (*bestjoin.EngineResult, error) {
+// parseRequest reads the parameters of a query string
+// (terms=a,b&mode=or&m=2&k=3). Only terms is required: by default a
+// request is an AND query for the top defaultK documents.
+func parseRequest(v url.Values) (request, error) {
+	req := request{terms: v.Get("terms"), k: defaultK}
+	if req.terms == "" {
+		return req, errors.New("missing terms parameter")
+	}
+	if kq := v.Get("k"); kq != "" {
+		n, err := strconv.Atoi(kq)
+		if err != nil || n <= 0 {
+			return req, errors.New("bad k parameter")
+		}
+		req.k = n
+	}
+	switch v.Get("mode") {
+	case "", "and":
+	case "or":
+		req.mode = bestjoin.ModeOR
+	default:
+		return req, errors.New("bad mode parameter (want and or or)")
+	}
+	if mm := v.Get("m"); mm != "" {
+		n, err := strconv.Atoi(mm)
+		if err != nil || n < 0 {
+			return req, errors.New("bad m parameter")
+		}
+		req.minMatch = n
+	}
+	return req, nil
+}
+
+// parseLine reads a REPL line: bare comma-separated terms, or, when it
+// holds an '=', the query string /query takes.
+func parseLine(line string) (request, error) {
+	v := url.Values{"terms": {line}}
+	if strings.Contains(line, "=") {
+		var err error
+		if v, err = url.ParseQuery(line); err != nil {
+			return request{}, err
+		}
+	}
+	return parseRequest(v)
+}
+
+// query answers one request; successful completions feed the
+// drain-rate estimate behind Retry-After.
+func (s *server) query(req request) (*bestjoin.EngineResult, error) {
 	var concepts []bestjoin.Concept
-	for _, t := range strings.Split(terms, ",") {
+	for _, t := range strings.Split(req.terms, ",") {
 		t = strings.TrimSpace(t)
 		if t == "" {
 			continue
@@ -507,7 +556,7 @@ func (s *server) query(terms string, k int, mode bestjoin.QueryMode, minMatch in
 	// over Spec locally, so the engine could not trust the stored
 	// pair scores to match it.
 	res, err := s.eng.Search(ctx, bestjoin.EngineQuery{
-		Concepts: concepts, Spec: s.spec(), K: k, Mode: mode, MinMatch: minMatch,
+		Concepts: concepts, Spec: s.spec, K: req.k, Mode: req.mode, MinMatch: req.minMatch,
 	})
 	if err == nil {
 		s.done.note(time.Now())
@@ -585,8 +634,8 @@ func (s *server) concept(term string) bestjoin.Concept {
 }
 
 // expandConcept is the term → concept expansion shared by the query
-// path and the offline pair build: both must derive bit-identical
-// concepts for a pair list built at startup to be found at query time.
+// path and the pair plan: both must derive bit-identical concepts for
+// a planned pair's list to be found at query time.
 func expandConcept(lex *bestjoin.Lexicon, term string) bestjoin.Concept {
 	c := index.ConceptFromGraph(lex.Neighborhood(term, 3), lexicon.ScorePerEdge)
 	if len(c) == 0 {
@@ -602,8 +651,8 @@ const pairConceptCount = 24
 
 // source is everything that decides what this process serves: where
 // the index comes from, which partition of it, and the pair tier's
-// settings. Start-up and every SIGHUP reload go through loadServing,
-// so the two cannot drift apart.
+// budget. Start-up and every SIGHUP reload go through loadServing, so
+// the two cannot drift apart.
 type source struct {
 	files    []string
 	synth    int
@@ -613,10 +662,9 @@ type source struct {
 	lex      *bestjoin.Lexicon
 
 	// coordinator is set on a -shards-at process: it serves no index of
-	// its own, so it plans and builds no pair lists; each shard process
+	// its own, so it plans no pair lists; each shard process plans and
 	// builds its own.
 	coordinator bool
-	spec        bestjoin.JoinSpec
 	pairBudget  int // 0: no plan, no lists, no background build
 }
 
@@ -626,11 +674,10 @@ type source struct {
 // partition's heaviest stems rank differently from its sibling's, and
 // shards that each planned for themselves would register different
 // pairs — with one plan, any two shards' lists are prefixes of the same
-// order. Lists for this process's own -fn are built here, on the
-// partition; lists for any other spec a query carries are built by the
-// engine on demand (armPairs). A coordinator gets the whole index and
-// no plan: it has no engine to serve lists from, and the partitions it
-// ships carry none.
+// order. No list is built here: the engine builds them on demand, on
+// its partition, for the spec its queries carry (armPairs). A
+// coordinator gets the whole index and no plan: it has no engine to
+// serve lists from, and the partitions it ships carry none.
 func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, error) {
 	c, err := buildIndex(src.files, src.synth, src.idxPath, src.savePath)
 	if err != nil {
@@ -645,7 +692,6 @@ func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, err
 	var plan bestjoin.PairPlan
 	if src.pairBudget > 0 && !src.coordinator {
 		plan = planPairs(whole, src.lex)
-		buildPairs(c, plan, src.spec, src.pairBudget)
 	}
 	return c, plan, nil
 }
@@ -665,11 +711,11 @@ func (src *source) reload(eng bestjoin.Searcher) error {
 
 // armPairs hands the plan and -pair-budget to the process's engine,
 // which then builds the planned lists in the background for whatever
-// kernel spec its queries carry — a shard process is queried with the
-// coordinator's -fn, not its own. Called before the index the plan
-// came with is swapped in. Under -pair-budget 0 the plan is empty and
-// nothing is ever built. A -shards-at coordinator has no engine to arm:
-// each of its shard processes arms its own.
+// kernel spec its queries carry — its own -fn, or, on a shard process,
+// the coordinator's. Called before the index the plan came with is
+// swapped in. Under -pair-budget 0 the plan is empty and nothing is
+// ever built. A -shards-at coordinator has no engine to arm: each of
+// its shard processes arms its own.
 func (src *source) armPairs(eng bestjoin.Searcher, plan bestjoin.PairPlan) {
 	e, ok := eng.(*bestjoin.Engine)
 	if !ok {
@@ -706,37 +752,8 @@ func planPairs(c *bestjoin.CompactIndex, lex *bestjoin.Lexicon) bestjoin.PairPla
 	return bestjoin.PlanPairs(c, concepts)
 }
 
-// buildPairs precomputes the plan's lists on c under the served kernel
-// spec. Build failures only cost the speedup (the kernel path answers
-// everything), so they log and serve.
-func buildPairs(c *bestjoin.CompactIndex, plan bestjoin.PairPlan, spec bestjoin.JoinSpec, budget int) {
-	n, err := bestjoin.BuildPairPlan(c, plan, spec, budget)
-	if err != nil {
-		log.Printf("proxserve: pair-index build failed (serving without pairs): %v", err)
-		return
-	}
-	fmt.Printf("precomputed %d concept-pair lists of %d planned over the heaviest stems\n", n, plan.Len())
-}
-
-// spec is the -fn/-alpha kernel in declarative form — the
-// serializable kernel name a query carries so local engines, remote
-// shards, and the pair index all resolve the identical kernel.
-func (s *server) spec() bestjoin.JoinSpec {
-	return specFor(s.fn, s.alpha)
-}
-
-// specFor normalizes the -fn flag into the declarative kernel spec;
-// the pair build uses the same mapping so its lists carry the exact
-// fingerprint production queries present.
-func specFor(fn string, alpha float64) bestjoin.JoinSpec {
-	if fn != "win" && fn != "max" {
-		fn = "med"
-	}
-	return bestjoin.JoinSpec{Family: fn, Alpha: alpha, Valid: true}
-}
-
-func (s *server) repl(in *os.File, out *os.File) {
-	fmt.Fprintf(out, "enter comma-separated query terms (:stats for counters, :quit to exit)\n> ")
+func (s *server) repl(in io.Reader, out io.Writer) {
+	fmt.Fprintf(out, "enter comma-separated query terms or a /query string such as terms=a,b&mode=or&k=3 (:stats for counters, :quit to exit)\n> ")
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -748,7 +765,12 @@ func (s *server) repl(in *os.File, out *os.File) {
 			b, _ := json.MarshalIndent(s.eng.Stats(), "", "  ")
 			fmt.Fprintln(out, string(b))
 		default:
-			res, err := s.query(line, s.k, s.mode, s.minMatch)
+			req, err := parseLine(line)
+			if err != nil {
+				fmt.Fprintf(out, "error: %v\n", err)
+				break
+			}
+			res, err := s.query(req)
 			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 				break
@@ -759,7 +781,7 @@ func (s *server) repl(in *os.File, out *os.File) {
 	}
 }
 
-func printResult(out *os.File, res *bestjoin.EngineResult) {
+func printResult(out io.Writer, res *bestjoin.EngineResult) {
 	state := ""
 	if res.Partial {
 		state = " [PARTIAL: deadline hit]"
@@ -775,39 +797,12 @@ func printResult(out *os.File, res *bestjoin.EngineResult) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	terms := r.URL.Query().Get("terms")
-	if terms == "" {
-		http.Error(w, "missing terms parameter", http.StatusBadRequest)
+	req, err := parseRequest(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	k := s.k
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		n, err := strconv.Atoi(kq)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad k parameter", http.StatusBadRequest)
-			return
-		}
-		k = n
-	}
-	mode := s.mode
-	if mq := r.URL.Query().Get("mode"); mq != "" {
-		m, err := parseMode(mq)
-		if err != nil {
-			http.Error(w, "bad mode parameter (want and or or)", http.StatusBadRequest)
-			return
-		}
-		mode = m
-	}
-	minMatch := s.minMatch
-	if mm := r.URL.Query().Get("m"); mm != "" {
-		n, err := strconv.Atoi(mm)
-		if err != nil || n < 0 {
-			http.Error(w, "bad m parameter", http.StatusBadRequest)
-			return
-		}
-		minMatch = n
-	}
-	res, err := s.query(terms, k, mode, minMatch)
+	res, err := s.query(req)
 	if err != nil {
 		// Overload is the client's cue to back off and retry, not a bad
 		// request: 429 plus Retry-After, the contract load balancers and

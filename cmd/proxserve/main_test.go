@@ -30,16 +30,20 @@ func demoServer(t *testing.T) *server {
 	return &server{
 		eng:     bestjoin.NewEngine(ix.Compact(), bestjoin.EngineConfig{Workers: 2}),
 		lex:     bestjoin.BuiltinLexicon(),
-		fn:      "med",
-		alpha:   0.1,
-		k:       3,
+		spec:    medSpec,
 		timeout: 5 * time.Second,
 	}
 }
 
+// medSpec and winSpec are the kernels -fn med and -fn win resolve to.
+var (
+	medSpec = bestjoin.JoinSpec{Family: "med", Alpha: 0.1, Valid: true}
+	winSpec = bestjoin.JoinSpec{Family: "win", Alpha: 0.1, Valid: true}
+)
+
 func TestQueryRanksDemoCorpus(t *testing.T) {
 	s := demoServer(t)
-	res, err := s.query("lenovo,nba,partnership", 3, s.mode, s.minMatch)
+	res, err := s.query(request{terms: "lenovo,nba,partnership", k: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func TestQueryRanksDemoCorpus(t *testing.T) {
 	if res.Docs[0].Doc != 0 {
 		t.Errorf("top document %d, want 0", res.Docs[0].Doc)
 	}
-	if _, err := s.query(" , ", 3, s.mode, s.minMatch); err == nil {
+	if _, err := s.query(request{terms: " , ", k: 3}); err == nil {
 		t.Error("empty term list did not error")
 	}
 }
@@ -74,31 +78,9 @@ func TestHandleQueryJSON(t *testing.T) {
 		t.Errorf("got %d docs, want 1..2", len(res.Docs))
 	}
 
-	rec = httptest.NewRecorder()
-	s.handleQuery(rec, httptest.NewRequest("GET", "/query", nil))
-	if rec.Code != 400 {
-		t.Errorf("missing terms: status %d, want 400", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=a&k=zero", nil))
-	if rec.Code != 400 {
-		t.Errorf("bad k: status %d, want 400", rec.Code)
-	}
-	// A k the engine would have to size a 2^40-entry heap for is the
-	// client's error, and the server answers the next query as before.
-	rec = httptest.NewRecorder()
-	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo,nba&k=1099511627776", nil))
-	if rec.Code != 400 {
-		t.Errorf("k=2^40: status %d, want 400", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo,nba&k=2", nil))
-	if rec.Code != 200 {
-		t.Errorf("query after k=2^40: status %d: %s", rec.Code, rec.Body)
-	}
 	// A WIN query wider than the kernel takes is the client's error,
 	// not a 200 whose every candidate was dropped by a kernel panic.
-	s.fn = "win"
+	s.spec = winSpec
 	rec = httptest.NewRecorder()
 	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo"+strings.Repeat(",nba", 24), nil))
 	if rec.Code != 400 || !strings.Contains(rec.Body.String(), "too wide") {
@@ -110,19 +92,29 @@ func TestHandleQueryJSON(t *testing.T) {
 }
 
 func TestREPLCommands(t *testing.T) {
-	// The REPL reads *os.File; exercise the command dispatch through
-	// query/stats directly plus a pipe-backed round trip.
 	s := demoServer(t)
-	if _, err := s.query("lenovo", 1, s.mode, s.minMatch); err != nil {
-		t.Fatal(err)
+	var out strings.Builder
+	s.repl(strings.NewReader(strings.Join([]string{
+		"lenovo,zzzunknownzzz",                   // bare terms: AND
+		"terms=lenovo,zzzunknownzzz&mode=or",     // the /query string: OR
+		"terms=lenovo,nba,zzzunknownzzz&m=2&k=1", // m-of-n, one document
+		"terms=lenovo&mode=xor",
+		":stats",
+		":quit",
+		"lenovo", // never read
+	}, "\n")), &out)
+	// Every answer ends in the next prompt, which :quit leaves unanswered.
+	answers := strings.Split(strings.TrimSuffix(out.String(), "> "), "> ")[1:]
+	if len(answers) != 5 {
+		t.Fatalf("%d answers before :quit, want 5:\n%s", len(answers), out.String())
 	}
-	st := s.eng.Stats()
-	if st.Queries == 0 {
-		t.Error("stats did not count the query")
+	for i, want := range []string{"no documents matched", "#1 doc", "#1 doc", "error: bad mode", `"Queries": 3`} {
+		if !strings.Contains(answers[i], want) {
+			t.Errorf("answer %d %q does not contain %q", i, answers[i], want)
+		}
 	}
-	b, err := json.Marshal(st)
-	if err != nil || !strings.Contains(string(b), "Queries") {
-		t.Errorf("stats JSON: %s, %v", b, err)
+	if strings.Contains(answers[2], "#2 doc") {
+		t.Errorf("k=1 line answered more than one document: %q", answers[2])
 	}
 }
 
@@ -139,12 +131,27 @@ func TestSynthCorpusDeterministicAndQueryable(t *testing.T) {
 	}
 	s := demoServer(t)
 	s.eng = bestjoin.NewEngine(ix.Compact(), bestjoin.EngineConfig{})
-	res, err := s.query("lenovo,nba,partnership", 5, s.mode, s.minMatch)
+	res, err := s.query(request{terms: "lenovo,nba,partnership", k: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Docs) == 0 {
 		t.Error("synthetic corpus yields no answers for the planted query")
+	}
+	// A /query that names no k gets the top 5 (quartz and ribbon are
+	// filler vocabulary, in nearly every document); that it names no
+	// mode makes it AND (TestHandleQueryModes).
+	get := func(url string) (res bestjoin.EngineResult) {
+		rec := httptest.NewRecorder()
+		s.handleQuery(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &res) != nil {
+			t.Fatalf("%s: status %d body %q", url, rec.Code, rec.Body)
+		}
+		return res
+	}
+	deflt, explicit := get("/query?terms=quartz,ribbon"), get("/query?terms=quartz,ribbon&k=5&mode=and")
+	if len(deflt.Docs) != 5 || !reflect.DeepEqual(deflt.Docs, explicit.Docs) {
+		t.Errorf("query without k: %d docs, want the 5 of k=5&mode=and", len(deflt.Docs))
 	}
 }
 
@@ -291,37 +298,7 @@ func TestLimitBody(t *testing.T) {
 // Retry-After — and once the slot frees, the same query succeeds.
 func TestHandleQueryOverloaded(t *testing.T) {
 	s := demoServer(t)
-	ix := bestjoin.NewIndex()
-	for d, body := range demoCorpus {
-		ix.AddText(d, body)
-	}
-	s.eng = bestjoin.NewEngine(ix.Compact(), bestjoin.EngineConfig{
-		Workers:     1,
-		MaxInFlight: 1,
-		Overload:    bestjoin.OverloadShed,
-	})
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	blocking := bestjoin.KernelFactory(func() bestjoin.JoinKernel {
-		return bestjoin.JoinKernelFunc(func(ls bestjoin.MatchLists) (bestjoin.Matchset, float64, bool) {
-			once.Do(func() { close(entered) })
-			<-release
-			return nil, 0, false
-		})
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.eng.Search(context.Background(), bestjoin.EngineQuery{
-			Concepts: []bestjoin.Concept{{"lenovo": 1}},
-			Join:     blocking,
-			K:        1,
-		})
-	}()
-	<-entered
-
+	release := occupySlot(t, s, bestjoin.OverloadShed)
 	rec := httptest.NewRecorder()
 	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo", nil))
 	if rec.Code != http.StatusTooManyRequests {
@@ -334,13 +311,43 @@ func TestHandleQueryOverloaded(t *testing.T) {
 		t.Error("shed query not counted in Stats().Shed")
 	}
 
-	close(release)
-	<-done
+	release()
 	rec = httptest.NewRecorder()
 	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("after slot freed: status %d, want 200 (body %q)", rec.Code, rec.Body)
 	}
+}
+
+// occupySlot gives s an engine over the demo corpus with one worker and
+// one admission slot under the given overload policy, and fills the
+// slot with a query blocked inside its kernel until release is called.
+func occupySlot(t *testing.T, s *server, overload bestjoin.OverloadPolicy) (release func()) {
+	t.Helper()
+	ix := bestjoin.NewIndex()
+	for d, body := range demoCorpus {
+		ix.AddText(d, body)
+	}
+	s.eng = bestjoin.NewEngine(ix.Compact(), bestjoin.EngineConfig{Workers: 1, MaxInFlight: 1, Overload: overload})
+	entered, unblock, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	blocking := bestjoin.KernelFactory(func() bestjoin.JoinKernel {
+		return bestjoin.JoinKernelFunc(func(ls bestjoin.MatchLists) (bestjoin.Matchset, float64, bool) {
+			once.Do(func() { close(entered) })
+			<-unblock
+			return nil, 0, false
+		})
+	})
+	go func() {
+		defer close(done)
+		s.eng.Search(context.Background(), bestjoin.EngineQuery{
+			Concepts: []bestjoin.Concept{{"lenovo": 1}},
+			Join:     blocking,
+			K:        1,
+		})
+	}()
+	<-entered
+	return func() { close(unblock); <-done }
 }
 
 // TestWatchReload pins the hot-reload loop: every signal triggers one
@@ -506,15 +513,6 @@ func TestHandleQueryRetryAfterDerived(t *testing.T) {
 	} {
 		t.Run(policy.name, func(t *testing.T) {
 			s := demoServer(t)
-			ix := bestjoin.NewIndex()
-			for d, body := range demoCorpus {
-				ix.AddText(d, body)
-			}
-			s.eng = bestjoin.NewEngine(ix.Compact(), bestjoin.EngineConfig{
-				Workers:     1,
-				MaxInFlight: 1,
-				Overload:    policy.overload,
-			})
 			// Block waits for a slot until the query's context expires;
 			// keep the handler's deadline short so the test stays fast.
 			s.timeout = 100 * time.Millisecond
@@ -523,28 +521,7 @@ func TestHandleQueryRetryAfterDerived(t *testing.T) {
 			base := time.Unix(2000, 0)
 			s.done.note(base)
 			s.done.note(base.Add(3 * time.Second))
-
-			entered := make(chan struct{})
-			release := make(chan struct{})
-			var once sync.Once
-			blocking := bestjoin.KernelFactory(func() bestjoin.JoinKernel {
-				return bestjoin.JoinKernelFunc(func(ls bestjoin.MatchLists) (bestjoin.Matchset, float64, bool) {
-					once.Do(func() { close(entered) })
-					<-release
-					return nil, 0, false
-				})
-			})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				s.eng.Search(context.Background(), bestjoin.EngineQuery{
-					Concepts: []bestjoin.Concept{{"lenovo": 1}},
-					Join:     blocking,
-					K:        1,
-				})
-			}()
-			<-entered
-			defer func() { close(release); <-done }()
+			defer occupySlot(t, s, policy.overload)()
 
 			rec := httptest.NewRecorder()
 			s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo", nil))
@@ -564,8 +541,9 @@ func TestHandleQueryRetryAfterDerived(t *testing.T) {
 }
 
 // TestHandleQueryModes drives the mode and m parameters: OR rescues a
-// query whose extra term is absent from the corpus, AND keeps the
-// conjunctive contract, and malformed values are 400s.
+// query whose extra term is absent from the corpus, AND — also what a
+// query naming no mode gets — keeps the conjunctive contract, and
+// malformed parameters are 400s.
 func TestHandleQueryModes(t *testing.T) {
 	s := demoServer(t)
 
@@ -609,7 +587,13 @@ func TestHandleQueryModes(t *testing.T) {
 		t.Fatal("m=2 union returned nothing despite lenovo+nba documents")
 	}
 
+	// A k the engine would have to size a 2^40-entry heap for is the
+	// client's error like any malformed parameter, and the server
+	// answers the next query as before.
 	for _, bad := range []string{
+		"/query",
+		"/query?terms=a&k=zero",
+		"/query?terms=lenovo,nba&k=1099511627776",
 		"/query?terms=lenovo&mode=maybe",
 		"/query?terms=lenovo&m=-1",
 		"/query?terms=lenovo&m=x",
@@ -620,6 +604,9 @@ func TestHandleQueryModes(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", bad, rec.Code)
 		}
 	}
+	if rec, res := get("/query?terms=lenovo,nba&k=2"); res == nil {
+		t.Errorf("query after the malformed ones: status %d: %s", rec.Code, rec.Body)
+	}
 
 	// m larger than the concept count is the engine's range error,
 	// surfaced as a 400 rather than a 500 or a silent clamp.
@@ -627,19 +614,6 @@ func TestHandleQueryModes(t *testing.T) {
 	s.handleQuery(rec, httptest.NewRequest("GET", "/query?terms=lenovo&m=5", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("m>n: status %d, want 400", rec.Code)
-	}
-}
-
-// TestParseMode pins the flag/parameter mapping.
-func TestParseMode(t *testing.T) {
-	if m, err := parseMode("and"); err != nil || m != bestjoin.ModeAND {
-		t.Errorf("parseMode(and) = %v, %v", m, err)
-	}
-	if m, err := parseMode("or"); err != nil || m != bestjoin.ModeOR {
-		t.Errorf("parseMode(or) = %v, %v", m, err)
-	}
-	if _, err := parseMode("xor"); err == nil {
-		t.Error("parseMode(xor) accepted")
 	}
 }
 
@@ -666,6 +640,27 @@ func TestCheckTopology(t *testing.T) {
 	}
 }
 
+// TestKernelSpecFlags pins the start-up resolution of -fn and -alpha:
+// the three families, lower case, with a finite alpha > 0 resolve to
+// the valid-matchset kernel; anything else is an error naming both
+// flags, not a kernel the process serves.
+func TestKernelSpecFlags(t *testing.T) {
+	for _, c := range []struct {
+		fn    string
+		alpha float64
+		ok    bool
+	}{
+		{"win", 0.1, true}, {"med", 0.1, true}, {"max", 2, true},
+		{"WIN", 0.1, false}, {"", 0.1, false}, {"win", -0.5, false}, {"med", 0, false},
+	} {
+		spec, err := kernelSpec(c.fn, c.alpha)
+		if c.ok && (err != nil || spec != bestjoin.JoinSpec{Family: c.fn, Alpha: c.alpha, Valid: true}) ||
+			!c.ok && (err == nil || !strings.Contains(err.Error(), "-fn") || !strings.Contains(err.Error(), "-alpha")) {
+			t.Errorf("kernelSpec(%q, %v) = %+v, %v; want ok %v", c.fn, c.alpha, spec, err, c.ok)
+		}
+	}
+}
+
 // shardedServer builds what a -shards-at coordinator serves: a remote
 // fleet over the demo corpus, each partition an engine behind the shard
 // API of its own loopback HTTP server.
@@ -682,8 +677,7 @@ func shardedServer(t *testing.T, shards int) *server {
 	addrs := make([]string, len(parts))
 	for i, part := range parts {
 		mux := http.NewServeMux()
-		bestjoin.NewRemoteServer(bestjoin.NewEngine(part, bestjoin.EngineConfig{Workers: 2}),
-			bestjoin.RemoteServerConfig{}).Register(mux)
+		bestjoin.NewRemoteServer(bestjoin.NewEngine(part, bestjoin.EngineConfig{Workers: 2})).Register(mux)
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
@@ -692,14 +686,7 @@ func shardedServer(t *testing.T, shards int) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &server{
-		eng:     fleet,
-		lex:     bestjoin.BuiltinLexicon(),
-		fn:      "med",
-		alpha:   0.1,
-		k:       3,
-		timeout: 5 * time.Second,
-	}
+	return &server{eng: fleet, lex: bestjoin.BuiltinLexicon(), spec: medSpec, timeout: 5 * time.Second}
 }
 
 // TestShardedQueryMatchesSingle drives the -shards-at path through the
@@ -833,58 +820,43 @@ func TestHandleStatsUnionNote(t *testing.T) {
 
 // TestQueryPairServed pins the server-to-engine pair-index contract:
 // a two-term query must reach the engine as a Spec-only query (a Join
-// closure would win over Spec locally and suppress the pair path), so
-// that when the queried pair was precomputed by buildPairs the engine
-// serves it off the pair list — and the answer matches a server over
-// the same index without lists bitwise.
+// closure would win over Spec locally and suppress the pair path). On
+// an engine armed with the plan, the first such query finds no list
+// and starts the build for its spec; once the build attaches, the
+// query is served off the pair list — and every answer matches a
+// server over the same index without lists bitwise.
 func TestQueryPairServed(t *testing.T) {
 	ix := bestjoin.NewIndex()
 	for d, body := range synthCorpus(200) {
 		ix.AddText(d, body)
 	}
 	compact := ix.Compact()
-	bare := compact.ForkPairs()
 	lex := bestjoin.BuiltinLexicon()
-	buildPairs(compact, planPairs(compact, lex), specFor("med", 0.1), 0)
-	mk := func(c *bestjoin.CompactIndex) *server {
-		return &server{
-			eng: bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 2}),
-			lex: lex, fn: "med", alpha: 0.1, k: 3, timeout: 5 * time.Second,
-		}
+	mk := func() *server {
+		return &server{eng: bestjoin.NewEngine(compact, bestjoin.EngineConfig{Workers: 2}),
+			lex: lex, spec: medSpec, timeout: 5 * time.Second}
 	}
-	s, base := mk(compact), mk(bare)
+	s, base := mk(), mk()
+	(&source{pairBudget: 4 << 20}).armPairs(s.eng, planPairs(compact, lex))
 	// quartz and ribbon are filler vocabulary — in nearly every synth
-	// doc, so their pair is among the heaviest and always selected.
-	got, err := s.query("quartz,ribbon", 3, s.mode, s.minMatch)
-	if err != nil {
+	// doc, so their pair is among the heaviest and always planned.
+	if _, err := s.query(request{terms: "quartz,ribbon", k: 3}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.query("quartz,ribbon", 3, base.mode, base.minMatch)
-	if err != nil {
-		t.Fatal(err)
+	if st := s.eng.Stats(); st.PairServed != 0 {
+		t.Fatal("the first two-term query was pair-served: lists existed before any query")
 	}
-	if st := s.eng.Stats(); st.PairServed != 1 {
-		t.Fatalf("two-term query was not pair-served: %+v", st)
-	}
+	queryUntilPairServed(t, s, base, func() bool { return s.eng.Stats().PairServed > 0 })
 	if st := base.eng.Stats(); st.PairServed != 0 {
-		t.Fatal("a server without lists served off a pair list")
-	}
-	if len(got.Docs) != len(want.Docs) {
-		t.Fatalf("pair-served %d docs, kernel %d", len(got.Docs), len(want.Docs))
-	}
-	for i := range got.Docs {
-		if got.Docs[i].Doc != want.Docs[i].Doc || got.Docs[i].Score != want.Docs[i].Score {
-			t.Fatalf("rank %d: pair-served (%d, %v) vs kernel (%d, %v)", i,
-				got.Docs[i].Doc, got.Docs[i].Score, want.Docs[i].Doc, want.Docs[i].Score)
-		}
+		t.Fatal("a server without the plan served off a pair list")
 	}
 }
 
 // TestLoadServingPlansOnWholeIndex pins the one start-up sequence: a
 // -shard-of process gets its partition together with the plan of the
-// WHOLE index, lists for its own -fn are built on the partition, and
-// -pair-budget 0 means no plan and no lists. A second call — what
-// SIGHUP does — returns the same.
+// WHOLE index and no pair list (lists come from the engine's build for
+// the spec its queries carry), and -pair-budget 0 means no plan. A
+// second call — what SIGHUP does — returns the same.
 func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.idx")
 	ix := bestjoin.NewIndex()
@@ -896,8 +868,7 @@ func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	lex := bestjoin.BuiltinLexicon()
-	src := &source{idxPath: path, shardOf: "1/2", lex: lex,
-		spec: specFor("med", 0.1), pairBudget: 1}
+	src := &source{idxPath: path, shardOf: "1/2", lex: lex, pairBudget: 1}
 	for _, when := range []string{"start-up", "reload"} {
 		c, plan, err := src.loadServing()
 		if err != nil {
@@ -909,8 +880,8 @@ func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 		if c.Docs() != whole.Docs() || c.Bytes() >= whole.Bytes() {
 			t.Fatalf("%s: served index is not a partition: %d docs, %d of %d bytes", when, c.Docs(), c.Bytes(), whole.Bytes())
 		}
-		if n := c.ConceptPairsCount(); n != 1 {
-			t.Fatalf("%s: %d own-spec lists at a one-list budget", when, n)
+		if n := c.ConceptPairsCount(); n != 0 {
+			t.Fatalf("%s: %d pair lists before any query", when, n)
 		}
 	}
 	src.pairBudget = 0
@@ -927,11 +898,12 @@ func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 	}
 }
 
-// TestArmPairsServesForeignSpec is the shard process in miniature: the
-// engine starts with lists for its own -fn, is queried under another
-// one, and — armed with the plan — serves that spec's pair queries from
-// lists it built in the background, at the same epoch, with the same
-// answer. An engine that was not armed never does.
+// TestArmPairsServesForeignSpec is the shard process in miniature: a
+// process started with the default -fn med is queried under win and —
+// armed with the plan — serves win's pair queries from lists it built
+// in the background, at the same epoch, with the same answer. It holds
+// lists for win only: nothing is built for a spec no query carried. An
+// engine that was not armed never serves from a list.
 func TestArmPairsServesForeignSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.idx")
 	ix := bestjoin.NewIndex()
@@ -941,9 +913,8 @@ func TestArmPairsServesForeignSpec(t *testing.T) {
 	if err := ix.Compact().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	src := &source{idxPath: path, lex: bestjoin.BuiltinLexicon(),
-		spec: specFor("med", 0.1), pairBudget: 1 << 30}
-	serve := func(arm bool) *server {
+	src := &source{idxPath: path, lex: bestjoin.BuiltinLexicon(), pairBudget: 1 << 30}
+	serve := func(arm bool) (*server, *bestjoin.Engine) {
 		c, plan, err := src.loadServing()
 		if err != nil {
 			t.Fatal(err)
@@ -952,12 +923,16 @@ func TestArmPairsServesForeignSpec(t *testing.T) {
 		if arm {
 			src.armPairs(eng, plan)
 		}
-		return &server{eng: eng, lex: src.lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
+		return &server{eng: eng, lex: src.lex, spec: winSpec, timeout: 5 * time.Second}, eng
 	}
-	armed, bare := serve(true), serve(false)
-	queryUntilPairServed(t, armed, bare, func() bool { return armed.eng.Stats().PairServed > 0 })
-	if h := armed.eng.Health(); h.Epoch != 0 {
+	armed, eng := serve(true)
+	bare, _ := serve(false)
+	queryUntilPairServed(t, armed, bare, func() bool { return eng.Stats().PairServed > 0 })
+	if h := eng.Health(); h.Epoch != 0 {
 		t.Fatalf("attach moved the epoch to %d", h.Epoch)
+	}
+	if specs := eng.Index().PairSpecs(); !reflect.DeepEqual(specs, []uint64{winSpec.Fingerprint()}) {
+		t.Fatalf("lists under %d specs %v, want win's alone", len(specs), specs)
 	}
 	if st := bare.eng.Stats(); st.PairServed != 0 {
 		t.Fatal("an engine without the plan served a foreign spec from a pair list")
@@ -970,7 +945,7 @@ func TestArmPairsServesForeignSpec(t *testing.T) {
 // attached — or 30 s pass.
 func queryUntilPairServed(t *testing.T, s, ref *server, served func() bool) {
 	t.Helper()
-	want, err := ref.query("quartz,ribbon", 3, ref.mode, ref.minMatch)
+	want, err := ref.query(request{terms: "quartz,ribbon", k: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -979,29 +954,23 @@ func queryUntilPairServed(t *testing.T, s, ref *server, served func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatal("the two-term query was never served from a pair list")
 		}
-		got, err := s.query("quartz,ribbon", 3, s.mode, s.minMatch)
+		got, err := s.query(request{terms: "quartz,ribbon", k: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Docs) != len(want.Docs) {
-			t.Fatalf("%d docs, want %d", len(got.Docs), len(want.Docs))
-		}
-		for i := range got.Docs {
-			if got.Docs[i].Doc != want.Docs[i].Doc || got.Docs[i].Score != want.Docs[i].Score {
-				t.Fatalf("rank %d: (%d, %v), want (%d, %v)", i,
-					got.Docs[i].Doc, got.Docs[i].Score, want.Docs[i].Doc, want.Docs[i].Score)
-			}
+		if !reflect.DeepEqual(got.Docs, want.Docs) {
+			t.Fatalf("answer %+v, want %+v", got.Docs, want.Docs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestCoordinatorRollShipsNoLists is a -shards-at coordinator's SIGHUP
-// reload in miniature: the coordinator plans and builds nothing for
-// its own -fn, each shard receives a partition with no lists, and a
-// shard then serves a two-term query from the list its demand build
-// attaches (its plan came with its own start-up), with the answer of a
-// single engine over the whole index.
+// reload in miniature: the coordinator plans nothing, each shard
+// receives a partition with no lists, and a shard then serves a
+// two-term query from the list its demand build attaches (its plan
+// came with its own start-up), with the answer of a single engine over
+// the whole index.
 func TestCoordinatorRollShipsNoLists(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.idx")
@@ -1017,8 +986,7 @@ func TestCoordinatorRollShipsNoLists(t *testing.T) {
 	shards := make([]*bestjoin.Engine, 2)
 	addrs := make([]string, len(shards))
 	for i := range shards {
-		src := &source{idxPath: path, shardOf: fmt.Sprintf("%d/2", i), lex: lex,
-			spec: specFor("med", 0.1), pairBudget: 4 << 20}
+		src := &source{idxPath: path, shardOf: fmt.Sprintf("%d/2", i), lex: lex, pairBudget: 4 << 20}
 		c, plan, err := src.loadServing()
 		if err != nil {
 			t.Fatal(err)
@@ -1026,7 +994,7 @@ func TestCoordinatorRollShipsNoLists(t *testing.T) {
 		shards[i] = bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 1})
 		src.armPairs(shards[i], plan)
 		mux := http.NewServeMux()
-		bestjoin.NewRemoteServer(shards[i], bestjoin.RemoteServerConfig{}).Register(mux)
+		bestjoin.NewRemoteServer(shards[i]).Register(mux)
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
@@ -1035,8 +1003,7 @@ func TestCoordinatorRollShipsNoLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := &source{idxPath: path, lex: lex, coordinator: true,
-		spec: specFor("win", 0.1), pairBudget: 4 << 20}
+	coord := &source{idxPath: path, lex: lex, coordinator: true, pairBudget: 4 << 20}
 	c, plan, err := coord.loadServing()
 	if err != nil {
 		t.Fatal(err)
@@ -1053,9 +1020,9 @@ func TestCoordinatorRollShipsNoLists(t *testing.T) {
 		}
 	}
 
-	srv := &server{eng: fleet, lex: lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
+	srv := &server{eng: fleet, lex: lex, spec: winSpec, timeout: 5 * time.Second}
 	single := &server{eng: bestjoin.NewEngine(whole, bestjoin.EngineConfig{Workers: 1}),
-		lex: lex, fn: "win", alpha: 0.1, k: 3, timeout: 5 * time.Second}
+		lex: lex, spec: winSpec, timeout: 5 * time.Second}
 	queryUntilPairServed(t, srv, single, func() bool {
 		return shards[0].Stats().PairServed > 0 && shards[1].Stats().PairServed > 0
 	})

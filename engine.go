@@ -75,9 +75,9 @@ type Engine = engine.Engine
 // and SwapIndex hot-reloads the live index without draining queries.
 // See DESIGN.md "Failure model & graceful degradation".
 
-// EngineConfig sizes an Engine: worker count, queue depth, the
-// DisablePruning switch (pruning is on by default), and the admission
-// control knobs MaxInFlight and Overload.
+// EngineConfig sizes an Engine: worker count, the DisablePruning
+// switch (pruning is on by default), and the admission control knobs
+// MaxInFlight and Overload.
 type EngineConfig = engine.Config
 
 // ErrOverloaded is returned by Engine.Search when admission control
@@ -118,9 +118,8 @@ type EngineQuery = engine.Query
 type QueryMode = engine.QueryMode
 
 const (
-	// ModeDefault defers to EngineConfig.Mode (itself defaulting to AND).
-	ModeDefault = engine.ModeDefault
-	// ModeAND requires every concept to match (the classic best-join).
+	// ModeAND (the zero value) requires every concept to match (the
+	// classic best-join).
 	ModeAND = engine.ModeAND
 	// ModeOR ranks the union of documents matching at least
 	// EngineQuery.MinMatch concepts (1 when unset).
@@ -165,7 +164,7 @@ type ShardHealth = engine.ShardHealth
 type ShardedEngine = shard.Coordinator
 
 // ShardedEngineConfig carries NewRemoteFleet's coordinator-level
-// knobs: quorum degraded mode and rolling-reload health gating.
+// knob: quorum degraded mode.
 type ShardedEngineConfig = shard.Config
 
 // JoinSpec names a stock kernel declaratively — scoring family,
@@ -183,8 +182,7 @@ type JoinSpec = engine.KernelSpec
 // unlimited). A two-term conjunctive query carrying that spec is then
 // answered straight off the precomputed list, bitwise identical to
 // the kernel path. Call at build time, before the index serves queries.
-// Returns the number of pairs registered. It is PlanPairs followed by
-// BuildPairPlan on the same index.
+// Returns the number of pairs registered.
 func BuildPairIndex(idx *CompactIndex, concepts []Concept, spec JoinSpec, budgetBytes int) (int, error) {
 	return engine.BuildPairIndex(idx, concepts, spec, budgetBytes)
 }
@@ -197,18 +195,12 @@ type PairPlan = engine.PairPlan
 
 // PlanPairs orders the concepts' pairs by posting-bytes product on idx
 // without running any kernel. A fleet plans once on the whole index so
-// every shard builds — and serves — the same pairs.
+// every shard builds — and serves — the same pairs: Engine.SetPairPlan
+// hands the plan to a serving engine, which builds lists in the
+// background for whatever spec its queries carry and attaches them
+// without changing the index epoch.
 func PlanPairs(idx *CompactIndex, concepts []Concept) PairPlan {
 	return engine.PlanPairs(idx, concepts)
-}
-
-// BuildPairPlan registers the plan's lists on idx (the planned index
-// or a partition of it) for one kernel spec, under a byte budget.
-// Engine.SetPairPlan hands a plan to a serving engine instead, which
-// then builds lists in the background for whatever spec its queries
-// carry and attaches them without changing the index epoch.
-func BuildPairPlan(idx *CompactIndex, plan PairPlan, spec JoinSpec, budgetBytes int) (int, error) {
-	return engine.BuildPairPlan(idx, plan, spec, budgetBytes)
 }
 
 // RemoteShard is an HTTP client for one shard process; it slots into
@@ -230,13 +222,8 @@ func NewRemoteShard(base string, cfg RemoteShardConfig) *RemoteShard {
 // (/shardquery, /swapindex, /shardstats, /healthz).
 type RemoteServer = remote.Server
 
-// RemoteServerConfig bounds a RemoteServer's request surface.
-type RemoteServerConfig = remote.ServerConfig
-
 // NewRemoteServer wraps a searcher for serving as a shard process.
-func NewRemoteServer(s Searcher, cfg RemoteServerConfig) *RemoteServer {
-	return remote.NewServer(s, cfg)
-}
+func NewRemoteServer(s Searcher) *RemoteServer { return remote.NewServer(s) }
 
 // NewRemoteFleet composes a ShardedEngine over remote shard processes
 // at the given addresses: the networked scatter-gather tier, with the

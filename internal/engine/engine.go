@@ -56,11 +56,13 @@ import (
 	"bestjoin/internal/index"
 )
 
-// Defaults for Config and Query zero values.
-const (
-	DefaultK          = 10
-	DefaultQueueDepth = 64
-)
+// DefaultK is the number of documents a Query with K ≤ 0 returns.
+const DefaultK = 10
+
+// jobsPerWorker sizes the candidate job queue, in documents per
+// worker. A smaller queue bounds the dispatcher's lead over the
+// workers; it never changes results.
+const jobsPerWorker = 64
 
 // MaxK caps Query.K: a larger K is a malformed query, refused before
 // any work is done, on every entry point and on the wire.
@@ -88,14 +90,6 @@ type Config struct {
 	// Overload picks the behavior at the MaxInFlight cap:
 	// OverloadBlock (zero value) or OverloadShed.
 	Overload OverloadPolicy
-	// QueueDepth caps each worker's candidate job queue; ≤ 0 means
-	// DefaultQueueDepth. Smaller queues bound the dispatcher's
-	// lead over the workers; they never change results.
-	QueueDepth int
-	// Mode is the default query mode for queries that leave Query.Mode
-	// unset: ModeAND (the zero value, every concept) or ModeOR (ranked
-	// union). See QueryMode.
-	Mode QueryMode
 	// DisablePairIndex turns off the auxiliary pair-index planner stage
 	// (pairpath.go); the zero Config uses registered pair lists. Pair
 	// serving is exact — the lists store the same kernel's scores — so
@@ -116,8 +110,6 @@ type Engine struct {
 	workers    int
 	prune      bool
 	pairs      bool
-	queue      int
-	mode       QueryMode
 	admit      admitter
 	queueDepth atomic.Int64 // gauge: jobs queued for join workers
 	mu         sync.Mutex   // guards total and latency
@@ -130,15 +122,10 @@ func New(idx *index.Compact, cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	e := &Engine{
 		workers: cfg.Workers,
 		prune:   !cfg.DisablePruning,
 		pairs:   !cfg.DisablePairIndex,
-		queue:   cfg.QueueDepth,
-		mode:    cfg.Mode,
 		admit:   newAdmitter(cfg.MaxInFlight, cfg.Overload),
 	}
 	e.snap.Store(newSnapshot(idx, 0, &pairPrep{}))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -315,6 +316,39 @@ func TestMalformedQueries(t *testing.T) {
 	})
 	if err != nil || len(res.Docs) != 0 || res.Partial {
 		t.Errorf("vacuous query: %v, %+v", err, res)
+	}
+}
+
+// TestKernelSpecFactory pins what a spec must carry to resolve: one of
+// the three families, spelled as on the wire, and a finite alpha > 0.
+// Every family decays with distance only for alpha > 0, and the
+// pruning bounds assume that decay, so any other alpha is refused with
+// an error that names it.
+func TestKernelSpecFactory(t *testing.T) {
+	for _, c := range []struct {
+		spec    KernelSpec
+		wantErr string // "" resolves
+	}{
+		{KernelSpec{Family: "win", Alpha: 0.1}, ""},
+		{KernelSpec{Family: "med", Alpha: 0.1, Valid: true}, ""},
+		{KernelSpec{Family: "max", Alpha: 5e-324}, ""},
+		{KernelSpec{Family: "med", Alpha: math.MaxFloat64}, ""},
+		{KernelSpec{Family: "WIN", Alpha: 0.1}, "family"},
+		{KernelSpec{Alpha: 0.1}, "family"},
+		{KernelSpec{Family: "win", Alpha: -0.5}, "alpha"},
+		{KernelSpec{Family: "med", Alpha: 0}, "alpha"},
+		{KernelSpec{Family: "max", Alpha: math.Copysign(0, -1)}, "alpha"},
+		{KernelSpec{Family: "win", Alpha: math.NaN()}, "alpha"},
+		{KernelSpec{Family: "med", Alpha: math.Inf(1)}, "alpha"},
+		{KernelSpec{Family: "max", Alpha: math.Inf(-1)}, "alpha"},
+	} {
+		f, err := c.spec.Factory()
+		switch {
+		case c.wantErr == "" && (err != nil || f == nil):
+			t.Errorf("%+v: factory %v, error %v; want a factory", c.spec, f != nil, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%+v: error %v, want one naming %s", c.spec, err, c.wantErr)
+		}
 	}
 }
 

@@ -99,11 +99,15 @@ func (s KernelSpec) Fingerprint() uint64 {
 }
 
 // Factory resolves the spec into a kernel factory, or fails on an
-// unknown family or a non-finite alpha (hostile specs arrive over the
-// network; they must be rejected, not scored).
+// unknown family or an alpha that is not finite and positive (hostile
+// specs arrive over the network; they must be rejected, not scored).
+// Every family is a decay in distance only for alpha > 0: at alpha < 0
+// the score grows with distance, so the pruning bounds, which assume
+// the decay, cut documents the exhaustive ranking keeps, and at
+// alpha = 0 MED divides by zero and ranks nothing.
 func (s KernelSpec) Factory() (KernelFactory, error) {
-	if s.Alpha != s.Alpha || s.Alpha > math.MaxFloat64 || s.Alpha < -math.MaxFloat64 {
-		return nil, fmt.Errorf("engine: kernel spec alpha %v is not finite", s.Alpha)
+	if !(s.Alpha > 0) || s.Alpha > math.MaxFloat64 {
+		return nil, fmt.Errorf("engine: kernel spec alpha %v is not a finite positive number", s.Alpha)
 	}
 	switch s.Family {
 	case "win":

@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// Demand-filled pair lists. A process builds lists for its own kernel
-// spec at start-up, but the spec that matters is the one its queries
-// carry: a shard process serves whatever spec the coordinator puts on
-// the wire. So the engine fills the cache itself. The first spec-only
+// Demand-filled pair lists. The spec that matters is the one a
+// process's queries carry: a shard process serves whatever spec the
+// coordinator puts on the wire. So the engine fills the cache itself,
+// for each spec its queries bring. The first spec-only
 // query whose fingerprint has no lists on the live snapshot starts a
 // background build of the plan for that spec, on a private fork of the
 // snapshot's index (index.Compact.ForkPairs), and publishes the result

@@ -30,9 +30,8 @@ type Query struct {
 	// K is the number of documents to return; ≤ 0 means DefaultK, and
 	// above MaxK is an error.
 	K int
-	// Mode selects conjunctive (ModeAND) or disjunctive (ModeOR)
-	// candidate generation; ModeDefault (the zero value) uses the
-	// engine's configured Config.Mode.
+	// Mode selects conjunctive (ModeAND, the zero value) or
+	// disjunctive (ModeOR) candidate generation.
 	Mode QueryMode
 	// MinMatch is the m-of-n knob: a candidate document must match at
 	// least MinMatch of the query's concepts. 0 means the resolved
@@ -215,10 +214,6 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	if k <= 0 {
 		k = DefaultK
 	}
-	mode := q.Mode
-	if mode == ModeDefault {
-		mode = e.mode
-	}
 	n := len(q.Concepts)
 	if q.MinMatch < 0 || q.MinMatch > n {
 		return nil, fmt.Errorf("engine: MinMatch %d out of range [0, %d]", q.MinMatch, n)
@@ -234,7 +229,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	minMatch := q.MinMatch
 	if minMatch == 0 {
 		minMatch = n
-		if mode == ModeOR {
+		if q.Mode == ModeOR {
 			minMatch = 1
 		}
 	}
@@ -263,7 +258,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	// pair list is registered skips concept resolution, the candidate
 	// walk, and the worker pool entirely — the list already holds every
 	// (doc, score, witness) the kernel path would compute.
-	if pairFP != 0 && mode != ModeOR && q.MinMatch == 0 && n == 2 {
+	if pairFP != 0 && q.Mode != ModeOR && q.MinMatch == 0 && n == 2 {
 		if res, ok := e.servePair(qs, q, pairFP, k, start); ok {
 			return res, nil
 		}

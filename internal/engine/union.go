@@ -47,12 +47,9 @@ import (
 type QueryMode int
 
 const (
-	// ModeDefault defers to the engine's configured Config.Mode (which
-	// itself defaults to ModeAND).
-	ModeDefault QueryMode = iota
-	// ModeAND requires every concept: the walk at m = n, the engine's
-	// historical behavior.
-	ModeAND
+	// ModeAND (the zero value) requires every concept: the walk at
+	// m = n, the engine's historical behavior.
+	ModeAND QueryMode = iota
 	// ModeOR requires at least one concept (ranked union); combine
 	// with Query.MinMatch for m-of-n weak-AND semantics. Concepts
 	// absent from the corpus degrade the query to its surviving terms
@@ -130,7 +127,7 @@ func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k i
 	// The worker pool starts as the walk ships its first chunks
 	// (chunker.ship), so a walk that confirms nothing starts none.
 	p := &pool{e: e, qs: qs, factory: q.Join, cds: cds, top: newTopK(k, q.Floor),
-		jobs: make(chan []docJob, max(1, e.workers*e.queue/dispatchChunk))}
+		jobs: make(chan []docJob, max(1, e.workers*jobsPerWorker/dispatchChunk))}
 	ch := chunker{pool: p, idle: e.workers}
 
 	// The pivot walk. The jobs' stem counts and signatures are carved

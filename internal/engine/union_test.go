@@ -156,37 +156,6 @@ func TestUnionMinMatchBoundaries(t *testing.T) {
 	}
 }
 
-// TestUnionConfigModeDefault: Config.Mode = ModeOR makes OR the
-// engine-wide default, and an explicit Query.Mode = ModeAND overrides
-// it back.
-func TestUnionConfigModeDefault(t *testing.T) {
-	c := buildCompact(t, testCorpus(60, 29))
-	concepts := testConcepts()
-	jn := MAXJoiner(scorefn.SumMAX{Alpha: 0.1})
-	orEngine := New(c, Config{Workers: 2, Mode: ModeOR})
-	andEngine := New(c, Config{Workers: 2})
-
-	viaDefault, err := orEngine.Search(context.Background(), Query{Concepts: concepts, Join: jn, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := andEngine.Search(context.Background(), Query{Concepts: concepts, Join: jn, K: 5, Mode: ModeOR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDocs(t, "config-default-or", viaDefault.Docs, explicit.Docs)
-
-	overridden, err := orEngine.Search(context.Background(), Query{Concepts: concepts, Join: jn, K: 5, Mode: ModeAND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainAND, err := andEngine.Search(context.Background(), Query{Concepts: concepts, Join: jn, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDocs(t, "query-overrides-config", overridden.Docs, plainAND.Docs)
-}
-
 // TestUnionNeverPruneOnEquality mirrors the conjunctive equality tests
 // for the pivot loop: when every document scores exactly the pruning
 // bound, the floor ties the bound for every later pivot, and any skip
@@ -226,18 +195,19 @@ func TestUnionNeverPruneOnEquality(t *testing.T) {
 // legitimately rank a partial match above a full one.
 func TestUnionPivotSkipsCounted(t *testing.T) {
 	// Sizing makes the skip deterministic rather than scheduler-luck:
-	// QueueDepth 1 with one worker gives an unbuffered job channel, so
-	// shipping the second 32-job chunk cannot return before the worker
-	// finished the first (which contains the dominant doc 0 and raises
-	// the floor), and every pivot after the next stride-32 floor
-	// refresh — guaranteed to exist with 200 documents — must skip.
+	// one worker gets a job channel of two chunks, so shipping the
+	// fourth 32-job chunk cannot return before the worker took the
+	// second, having finished the first (which contains the dominant
+	// doc 0 and raises the floor), and every pivot after the next
+	// stride-32 floor refresh — guaranteed to exist with 200 documents
+	// — must skip.
 	docs := make([]string, 200)
 	for i := range docs {
 		docs[i] = "amber cedar"
 	}
 	docs[0] = "amber basalt" // the only doc with the heavy second concept
 	concepts := []index.Concept{{"amber": 0.1}, {"basalt": 1}}
-	e := New(buildCompact(t, docs), Config{Workers: 1, QueueDepth: 1})
+	e := New(buildCompact(t, docs), Config{Workers: 1})
 	res, err := e.Search(context.Background(), Query{
 		Concepts: concepts, Join: MAXJoiner(scorefn.SumMAX{Alpha: 0.1}), K: 1, Mode: ModeOR,
 	})

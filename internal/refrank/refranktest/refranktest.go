@@ -242,7 +242,7 @@ func Run(t *testing.T, slice Slice) {
 	for _, w := range []int{1, 2, 3, 5} {
 		shapes = append(shapes, Shape{w, engine.ModeAND, 0}, Shape{w, engine.ModeOR, 0})
 		for m := 1; m <= w; m++ {
-			shapes = append(shapes, Shape{w, []engine.QueryMode{engine.ModeDefault, engine.ModeOR}[m%2], m})
+			shapes = append(shapes, Shape{w, []engine.QueryMode{engine.ModeAND, engine.ModeOR}[m%2], m})
 		}
 	}
 	if slice.Shapes != nil {
@@ -255,7 +255,7 @@ func Run(t *testing.T, slice Slice) {
 	// whose engines hold lists takes, in turn, the two-term AND query
 	// they serve and a neighbour they must not: explicit m = n, OR, or
 	// a third term.
-	neighbours := []Shape{{2, engine.ModeDefault, 2}, {2, engine.ModeOR, 0}, {3, engine.ModeAND, 0}}
+	neighbours := []Shape{{2, engine.ModeAND, 2}, {2, engine.ModeOR, 0}, {3, engine.ModeAND, 0}}
 	topos := []Topology{{}, {Tier: BuiltPairs}, {Tier: BuiltPairs}, {Shards: 1},
 		{Shards: 2}, {Shards: 2, Tier: BuiltPairs}, {Shards: 4}, {Shards: 4, Tier: BuiltPairs}}
 	for n := 1; n <= 3; n++ {
@@ -663,7 +663,7 @@ func startDiffServer(t *testing.T, r diffRow, compact *index.Compact) *diffServe
 			})
 		}
 		mux := http.NewServeMux()
-		remote.NewServer(e, remote.ServerConfig{}).Register(mux)
+		remote.NewServer(e).Register(mux)
 		servers = append(servers, httptest.NewServer(mux))
 		addrs[i] = servers[i].URL
 	}

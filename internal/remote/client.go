@@ -57,9 +57,6 @@ type ShardConfig struct {
 	// BreakerCooldown is how long the breaker stays open before
 	// admitting a probe. 0 means 500ms.
 	BreakerCooldown time.Duration
-	// Client optionally overrides the HTTP client (tests, custom
-	// transports). nil means a dedicated client with sane pooling.
-	Client *http.Client
 }
 
 func (cfg ShardConfig) resolved() ShardConfig {
@@ -90,12 +87,6 @@ func (cfg ShardConfig) resolved() ShardConfig {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 500 * time.Millisecond
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	return cfg
 }
 
@@ -103,9 +94,10 @@ func (cfg ShardConfig) resolved() ShardConfig {
 // shard.Child so a shard.Coordinator composes over remote children
 // exactly as over local engines. Safe for concurrent use.
 type Shard struct {
-	base string
-	cfg  ShardConfig
-	br   breaker
+	base   string
+	cfg    ShardConfig
+	client *http.Client // dedicated to this shard, pooled connections
+	br     breaker
 
 	hedged      atomic.Uint64
 	retried     atomic.Uint64
@@ -124,7 +116,10 @@ func NewShard(base string, cfg ShardConfig) *Shard {
 	}
 	base = strings.TrimRight(base, "/")
 	cfg = cfg.resolved()
-	s := &Shard{base: base, cfg: cfg}
+	s := &Shard{base: base, cfg: cfg, client: &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+	}}}
 	s.br.threshold = cfg.BreakerThreshold
 	s.br.cooldown = cfg.BreakerCooldown
 	return s
@@ -274,7 +269,7 @@ func (s *Shard) once(ctx context.Context, q engine.Query) (*engine.Result, error
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.cfg.Client.Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller's context died; not the shard's fault.
@@ -340,7 +335,7 @@ func (s *Shard) SwapIndex(idx *index.Compact) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := s.cfg.Client.Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("remote: swap to %s: %w", s.base, err)
 	}
@@ -361,7 +356,7 @@ func (s *Shard) Stats() engine.Stats {
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/shardstats", nil)
 	if err == nil {
-		if resp, err := s.cfg.Client.Do(req); err == nil {
+		if resp, err := s.client.Do(req); err == nil {
 			if resp.StatusCode == http.StatusOK {
 				json.NewDecoder(io.LimitReader(resp.Body, MaxResultBytes)).Decode(&st)
 			}
@@ -384,7 +379,7 @@ func (s *Shard) Health() engine.Health {
 	if err != nil {
 		return engine.Health{Err: err.Error()}
 	}
-	resp, err := s.cfg.Client.Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return engine.Health{Err: err.Error()}
 	}

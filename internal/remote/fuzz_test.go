@@ -43,6 +43,7 @@ func FuzzShardQuery(f *testing.F) {
 	}
 	f.Add(wireBytes(f, seed))
 	f.Add([]byte(`{"concepts":[{"a":-0}],"family":"med","alpha":-0,"mode":"and","floor":-0}`))
+	f.Add([]byte(`{"concepts":[{"a":-0}],"family":"med","alpha":0.1,"mode":"and","floor":-0}`))
 	f.Add([]byte(`{"concepts":[{"a":1}],"family":"max","alpha":1e308,"k":65536,"budget_ms":3600000}`))
 	f.Add([]byte(`{"concepts":[{"\xff":1},{"a":1}],"family":"win","alpha":0.1,"min_match":2} trailing`))
 	f.Add([]byte(`{"concepts":[{"a":1}],"family":"win","alpha":0.1,"extra":1}`))
@@ -68,6 +69,9 @@ func FuzzShardQuery(f *testing.F) {
 		}
 		if _, err := back.ToQuery(); err != nil {
 			t.Fatalf("a re-encoded query does not resolve: %v", err)
+		}
+		if wq.Mode == "and" {
+			wq.Mode = "" // one mode, which EncodeQuery sends as ""
 		}
 		if !reflect.DeepEqual(back, wq) {
 			t.Fatalf("round trip changed the query:\n got %+v\nwant %+v", back, wq)

@@ -71,7 +71,7 @@ type WireQuery struct {
 	Alpha    float64         `json:"alpha"`
 	Valid    bool            `json:"valid,omitempty"`
 	K        int             `json:"k,omitempty"`
-	// Mode is "" (engine default), "and", or "or".
+	// Mode is "" or "and" (every concept), or "or".
 	Mode     string `json:"mode,omitempty"`
 	MinMatch int    `json:"min_match,omitempty"`
 	// Floor is the coordinator's pruning-floor snapshot at send time;
@@ -139,9 +139,7 @@ func EncodeQuery(q engine.Query, budget time.Duration) (WireQuery, error) {
 		MinMatch: q.MinMatch,
 	}
 	switch q.Mode {
-	case engine.ModeDefault:
-	case engine.ModeAND:
-		wq.Mode = "and"
+	case engine.ModeAND: // the zero mode travels as the omitted ""
 	case engine.ModeOR:
 		wq.Mode = "or"
 	default:
@@ -224,10 +222,7 @@ func (wq *WireQuery) ToQuery() (engine.Query, error) {
 		K:        wq.K,
 		MinMatch: wq.MinMatch,
 	}
-	switch wq.Mode {
-	case "and":
-		q.Mode = engine.ModeAND
-	case "or":
+	if wq.Mode == "or" {
 		q.Mode = engine.ModeOR
 	}
 	if wq.Floor != nil {

@@ -85,7 +85,7 @@ func startFleet(t testing.TB, compact *index.Compact, n int, ecfg engine.Config)
 	addrs := make([]string, len(parts))
 	for i, p := range parts {
 		mux := http.NewServeMux()
-		NewServer(engine.New(p, ecfg), ServerConfig{}).Register(mux)
+		NewServer(engine.New(p, ecfg)).Register(mux)
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
@@ -118,7 +118,7 @@ func TestRemoteQuorumDegraded(t *testing.T) {
 	var dead *httptest.Server
 	for i, p := range parts {
 		mux := http.NewServeMux()
-		NewServer(engine.New(p, engine.Config{Workers: 1}), ServerConfig{}).Register(mux)
+		NewServer(engine.New(p, engine.Config{Workers: 1})).Register(mux)
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
@@ -190,7 +190,7 @@ func TestRemoteRetriesRecover(t *testing.T) {
 	compact := buildCompact(t, remoteCorpus(rng))
 	eng := engine.New(compact, engine.Config{Workers: 1})
 	inner := http.NewServeMux()
-	NewServer(eng, ServerConfig{}).Register(inner)
+	NewServer(eng).Register(inner)
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shardquery" && calls.Add(1) <= 2 {
@@ -228,7 +228,7 @@ func TestRemoteBreaker(t *testing.T) {
 	compact := buildCompact(t, remoteCorpus(rng))
 	eng := engine.New(compact, engine.Config{Workers: 1})
 	inner := http.NewServeMux()
-	NewServer(eng, ServerConfig{}).Register(inner)
+	NewServer(eng).Register(inner)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/shardquery" {
 			inner.ServeHTTP(w, r)
@@ -288,7 +288,7 @@ func TestRemoteHedging(t *testing.T) {
 	compact := buildCompact(t, remoteCorpus(rng))
 	eng := engine.New(compact, engine.Config{Workers: 1})
 	inner := http.NewServeMux()
-	NewServer(eng, ServerConfig{}).Register(inner)
+	NewServer(eng).Register(inner)
 	var first atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shardquery" && first.CompareAndSwap(false, true) {
@@ -329,7 +329,7 @@ func TestRemoteHedgeOnlyAfterHedgeAfter(t *testing.T) {
 	compact := buildCompact(t, remoteCorpus(rng))
 	eng := engine.New(compact, engine.Config{Workers: 1})
 	inner := http.NewServeMux()
-	NewServer(eng, ServerConfig{}).Register(inner)
+	NewServer(eng).Register(inner)
 	const fast = 32
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -366,7 +366,7 @@ func TestRemoteTimeoutCounted(t *testing.T) {
 	compact := buildCompact(t, remoteCorpus(rng))
 	eng := engine.New(compact, engine.Config{Workers: 1})
 	inner := http.NewServeMux()
-	NewServer(eng, ServerConfig{}).Register(inner)
+	NewServer(eng).Register(inner)
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shardquery" && calls.Add(1) == 1 {
@@ -460,7 +460,7 @@ func (p *shardProc) start(t *testing.T) {
 		p.addr = ln.Addr().String()
 	}
 	mux := http.NewServeMux()
-	NewServer(engine.New(p.part, engine.Config{Workers: 1}), ServerConfig{}).Register(mux)
+	NewServer(engine.New(p.part, engine.Config{Workers: 1})).Register(mux)
 	p.hs = &http.Server{Handler: mux}
 	p.done = make(chan struct{})
 	go func() {
@@ -603,7 +603,7 @@ func TestQueryWidthCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	NewServer(eng, ServerConfig{}).Register(mux)
+	NewServer(eng).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	searchers := map[string]func(context.Context, engine.Query) (*engine.Result, error){
@@ -648,7 +648,7 @@ func TestServerRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	compact := buildCompact(t, remoteCorpus(rng))
 	mux := http.NewServeMux()
-	NewServer(engine.New(compact, engine.Config{Workers: 1}), ServerConfig{}).Register(mux)
+	NewServer(engine.New(compact, engine.Config{Workers: 1})).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
@@ -668,6 +668,8 @@ func TestServerRejects(t *testing.T) {
 		{"unknown field", `{"concepts":[{"a":1}],"family":"med","alpha":0.1,"surprise":1}`},
 		{"no concepts", `{"concepts":[],"family":"med","alpha":0.1}`},
 		{"bad family", `{"concepts":[{"a":1}],"family":"cosine","alpha":0.1}`},
+		{"negative alpha", `{"concepts":[{"a":1}],"family":"win","alpha":-0.5,"valid":true}`},
+		{"zero alpha", `{"concepts":[{"a":1}],"family":"med","alpha":0}`},
 		{"bad mode", `{"concepts":[{"a":1}],"family":"med","alpha":0.1,"mode":"xor"}`},
 		{"negative k", `{"concepts":[{"a":1}],"family":"med","alpha":0.1,"k":-1}`},
 		{"huge k", `{"concepts":[{"a":1}],"family":"med","alpha":0.1,"k":999999999}`},
@@ -710,7 +712,7 @@ func TestSwapIndexRejectsRetiredShapes(t *testing.T) {
 	compact := buildCompact(t, remoteCorpus(rng))
 	e := engine.New(compact, engine.Config{Workers: 1})
 	mux := http.NewServeMux()
-	NewServer(e, ServerConfig{}).Register(mux)
+	NewServer(e).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 

@@ -12,13 +12,14 @@ import (
 	"bestjoin/internal/index"
 )
 
-// ServerConfig bounds a shard server's request surface.
-type ServerConfig struct {
-	// MaxQueryBytes caps a /shardquery body; ≤ 0 means MaxQueryBytes.
-	MaxQueryBytes int64
-	// MaxIndexBytes caps a /swapindex body; ≤ 0 means 256 MiB.
-	MaxIndexBytes int64
-}
+// maxIndexBytes caps a /swapindex body.
+const maxIndexBytes = 256 << 20
+
+// ServerConfig has no fields: a shard server's body caps are the
+// constants MaxQueryBytes and maxIndexBytes. NewServer still accepts
+// one, so the load harness under bench/, which passes a zero
+// ServerConfig, builds unchanged.
+type ServerConfig struct{}
 
 // Server exposes one engine.Searcher as a shard process's HTTP API:
 // POST /shardquery (one wire query in, one wire result out), POST
@@ -27,22 +28,13 @@ type ServerConfig struct {
 // engine is the normal shard process, but a coordinator works too
 // (tiered fleets).
 type Server struct {
-	s          engine.Searcher
-	queryBytes int64
-	indexBytes int64
+	s engine.Searcher
 }
 
-// NewServer wraps a searcher for serving.
-func NewServer(s engine.Searcher, cfg ServerConfig) *Server {
-	qb := cfg.MaxQueryBytes
-	if qb <= 0 {
-		qb = MaxQueryBytes
-	}
-	ib := cfg.MaxIndexBytes
-	if ib <= 0 {
-		ib = 256 << 20
-	}
-	return &Server{s: s, queryBytes: qb, indexBytes: ib}
+// NewServer wraps a searcher for serving. A ServerConfig argument is
+// accepted and ignored (see ServerConfig).
+func NewServer(s engine.Searcher, _ ...ServerConfig) *Server {
+	return &Server{s: s}
 }
 
 // Register mounts all four routes on a mux.
@@ -82,7 +74,7 @@ func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wq WireQuery
-	if err := decodeWire(http.MaxBytesReader(w, r.Body, sv.queryBytes), &wq); err != nil {
+	if err := decodeWire(http.MaxBytesReader(w, r.Body, MaxQueryBytes), &wq); err != nil {
 		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -131,7 +123,7 @@ func (sv *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sv.indexBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIndexBytes))
 	if err != nil {
 		http.Error(w, "read index: "+err.Error(), http.StatusBadRequest)
 		return

@@ -316,13 +316,11 @@ func TestRollPausesOnUnhealthyChild(t *testing.T) {
 	compact := buildCompact(t, shardCorpus(rng))
 	children := localChildren(t, compact, 3, engine.Config{Workers: 1})
 	children[0] = &unhealthyAfterSwap{Child: children[0]}
-	c, err := NewFromChildren(children, Config{
-		RollHealthTimeout: 30 * time.Millisecond,
-		RollPoll:          time.Millisecond,
-	})
+	c, err := NewFromChildren(children, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.rollWait = 30 * time.Millisecond
 
 	c.SwapIndex(compact)
 	h := c.Health()

@@ -125,15 +125,16 @@ type Config struct {
 	// Quorum shards answer, the survivors are merged into a sound
 	// partial answer flagged Degraded with FailedShards set.
 	Quorum int
-	// RollHealthTimeout bounds how long a rolling reload waits for
-	// each freshly-swapped child to report Ready before aborting the
-	// roll (generation not advanced; Health carries the error).
-	// 0 means 5s.
-	RollHealthTimeout time.Duration
-	// RollPoll is the health-poll interval during a rolling reload.
-	// 0 means 5ms.
-	RollPoll time.Duration
 }
+
+// The rolling reload's health gate: after each child's swap the roll
+// polls its health every rollPoll and aborts (generation not advanced;
+// Health carries the error) if it is not Ready within
+// rollHealthTimeout.
+const (
+	rollHealthTimeout = 5 * time.Second
+	rollPoll          = 5 * time.Millisecond
+)
 
 // Coordinator scatter-gathers queries over N doc-partitioned
 // children. It implements engine.Searcher, so servers cannot tell it
@@ -141,8 +142,7 @@ type Config struct {
 type Coordinator struct {
 	children []Child
 	quorum   int
-	rollWait time.Duration
-	rollPoll time.Duration
+	rollWait time.Duration // rollHealthTimeout; tests shorten it
 	gen      atomic.Pointer[generation]
 	// swapMu serializes rolling reloads; queries never take it.
 	swapMu sync.Mutex
@@ -216,15 +216,7 @@ func NewFromChildren(children []Child, cfg Config) (*Coordinator, error) {
 	if q < 0 || q > len(children) {
 		return nil, fmt.Errorf("shard: quorum %d out of range [1, %d]", cfg.Quorum, len(children))
 	}
-	wait := cfg.RollHealthTimeout
-	if wait <= 0 {
-		wait = 5 * time.Second
-	}
-	poll := cfg.RollPoll
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
-	}
-	c := &Coordinator{children: children, quorum: q, rollWait: wait, rollPoll: poll}
+	c := &Coordinator{children: children, quorum: q, rollWait: rollHealthTimeout}
 	fns, epochs := pinAll(children)
 	c.gen.Store(&generation{search: fns, epochs: epochs})
 	return c, nil
@@ -391,7 +383,7 @@ func (c *Coordinator) merge(results []*engine.Result, k int, start time.Time, t 
 // SwapIndex hot-reloads the whole fleet with zero downtime: the new
 // index is partitioned, each child swaps one at a time, and the roll
 // pauses after each swap until that child reports Ready again (the
-// health gate — bounded by Config.RollHealthTimeout). Only after
+// health gate — bounded by rollHealthTimeout). Only after
 // every child is on the new index and healthy does the coordinator
 // atomically publish the new generation; an unhealthy or failing
 // child aborts the roll instead, leaving the generation unflipped and
@@ -443,7 +435,7 @@ func (c *Coordinator) awaitHealthy(i int, child Child) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("shard %d not ready %v after swap; roll aborted", i, c.rollWait)
 		}
-		time.Sleep(c.rollPoll)
+		time.Sleep(rollPoll)
 	}
 }
 

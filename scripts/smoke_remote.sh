@@ -7,12 +7,14 @@
 # (degraded, flagged as such in the JSON body); once both shards are
 # back the fleet must report healthy again.
 #
-# The coordinator runs -fn win against shards started with the default
-# -fn (med), so the kernel spec on the wire is one no shard built pair
-# lists for at start-up: each shard has to build them on demand, from
-# the whole-index plan, and a RESTARTED shard has to do so again with
-# nobody telling it to. The script waits (bounded) for every shard's
-# /shardstats to show PairServed growing, before and after the roll.
+# No process builds pair lists at start-up: a shard plans them on the
+# whole index and builds them on demand, for the kernel spec its
+# queries carry. The coordinator runs -fn win against shards started
+# with the default -fn (med), so the lists a shard serves are the win
+# ones the coordinator's queries asked for, and a RESTARTED shard has
+# to build them again with nobody telling it to. The script waits
+# (bounded) for every shard's /shardstats to show PairServed growing,
+# before and after the roll.
 #
 # The shards run -synth 400. Like every process, they serve concepts as
 # unions of their stems' arrays, decoded from the postings on first use,
