@@ -24,8 +24,9 @@ bench-json:
 
 # Short fuzz passes over the untrusted-bytes decode paths (index files,
 # match lists, the shard wire), over the stem decode and concept merges
-# built on section 1, over the cache rung's soundness, and over the
-# tokenizer against its rune-by-rune reference.
+# built on section 1, over the soundness of the cache rung and of the
+# valid-matchset cap, and over the tokenizer against its rune-by-rune
+# reference.
 fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecode -fuzztime=30s ./internal/match/
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
@@ -38,6 +39,7 @@ fuzz:
 	go test -run=Fuzz -fuzz=FuzzShardQuery -fuzztime=30s ./internal/remote/
 	go test -run=Fuzz -fuzz=FuzzShardResult -fuzztime=30s ./internal/remote/
 	go test -run=Fuzz -fuzz=FuzzScreenRung -fuzztime=30s ./internal/join/
+	go test -run=Fuzz -fuzz=FuzzDistinctCap -fuzztime=30s ./internal/join/
 	go test -run=Fuzz -fuzz=FuzzTokenize -fuzztime=30s ./internal/text/
 
 # CPU and heap profiles of the cold/cached engine benchmark, for

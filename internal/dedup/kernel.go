@@ -107,15 +107,32 @@ func (k *Kernel) CutWidth(sigs []join.Sig, bar float64) (int, bool) {
 	return k.floored.CutWidth(sigs, bar)
 }
 
-// ScoreUpperBound forwards to the inner kernel's cap (join.UpperBounded)
-// when it has one, for either minMatch. Valid (duplicate-free)
-// matchsets are a subset of all matchsets, so the inner kernel's
-// unrestricted cap stays sound for the wrapped join. An inner kernel
-// without one yields +Inf, which the engine's floor comparison can
-// never prune on.
+// distinctBounded is a kernel's cap over matchsets whose matches sit at
+// pairwise-distinct locations: join.WINKernel's and MEDKernel's
+// DistinctUpperBound, the list-max rung at the window floor of its
+// scoring family.
+type distinctBounded interface {
+	DistinctUpperBound(perListMax []float64, minMatch int) float64
+}
+
+var (
+	_ distinctBounded = (*join.WINKernel)(nil)
+	_ distinctBounded = (*join.MEDKernel)(nil)
+)
+
+// ScoreUpperBound is the inner kernel's cap over matchsets at pairwise-
+// distinct locations (distinctBounded), for either minMatch: a valid
+// matchset uses no location twice, so its window is at least the
+// family's floor for its size. An inner kernel without that cap gives
+// its unrestricted one (join.UpperBounded) — valid matchsets are a
+// subset of all matchsets, so it stays sound — and one without either
+// yields +Inf, which the engine's floor comparison can never prune on.
 func (k *Kernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
-	if ub, ok := k.inner.(join.UpperBounded); ok {
-		return ub.ScoreUpperBound(perListMax, minMatch)
+	switch inner := k.inner.(type) {
+	case distinctBounded:
+		return inner.DistinctUpperBound(perListMax, minMatch)
+	case join.UpperBounded:
+		return inner.ScoreUpperBound(perListMax, minMatch)
 	}
 	return math.Inf(1)
 }

@@ -468,16 +468,102 @@ func TestCustomKernelRunsUnpruned(t *testing.T) {
 	}
 }
 
-// TestDedupWrapperForwardsBounds pins that the dedup wrapper
-// forwards its inner kernel's bound (so Valid* joins actually prune)
-// and stays sound doing it: the valid best-join score never exceeds
-// the unrestricted bound.
+// TestDedupWrapperForwardsBounds pins that the dedup wrapper forwards
+// a cap from its inner kernel (so Valid* joins actually prune) and stays
+// sound doing it. Under WIN and MED it is the inner kernel's cap at the
+// window floor of distinct locations, below the unrestricted cap and at
+// least the best valid score of an instance with those maxima at
+// adjacent locations; under MAX it is the unrestricted cap itself.
 func TestDedupWrapperForwardsBounds(t *testing.T) {
-	inner := join.NewWINKernel(scorefn.ExpWIN{Alpha: 0.07})
-	wrapped := dedup.Wrap(inner)
 	maxima := []float64{0.9, 0.8, 0.7}
-	var ub join.UpperBounded = wrapped
-	if got, want := ub.ScoreUpperBound(maxima, 0), inner.ScoreUpperBound(maxima, 0); got != want {
-		t.Fatalf("dedup wrapper bound %v, inner %v", got, want)
+	adjacent := match.Lists{{{Loc: 4, Score: 0.9}}, {{Loc: 5, Score: 0.8}}, {{Loc: 6, Score: 0.7}, {Loc: 5, Score: 0.2}}}
+	adjacent[2].Sort()
+	for _, inner := range []interface {
+		join.Kernel
+		join.UpperBounded
+	}{
+		join.NewWINKernel(scorefn.ExpWIN{Alpha: 0.07}),
+		join.NewMEDKernel(scorefn.ExpMED{Alpha: 0.07}),
+		join.NewMAXKernel(scorefn.SumMAX{Alpha: 0.07}),
+	} {
+		wrapped := dedup.Wrap(inner)
+		var ub join.UpperBounded = wrapped
+		for _, minMatch := range []int{0, 2} {
+			got, unrestricted := ub.ScoreUpperBound(append([]float64(nil), maxima...), minMatch), inner.ScoreUpperBound(append([]float64(nil), maxima...), minMatch)
+			if _, isMAX := inner.(*join.MAXKernel); isMAX && got != unrestricted || !isMAX && !(got < unrestricted) {
+				t.Fatalf("%T, m=%d: dedup wrapper bound %v, inner %v", inner, minMatch, got, unrestricted)
+			}
+			wrapped.Reset(nil, adjacent)
+			if _, score, ok := wrapped.Join(); !ok || score > got {
+				t.Fatalf("%T, m=%d: best valid score %v (ok %v) above the wrapper's bound %v", inner, minMatch, score, ok, got)
+			}
+		}
+	}
+}
+
+// tieCorpus is n templated documents holding the query words amber,
+// basalt and cobalt among fillers. Half of them hold all three at
+// adjacent locations, the narrowest window and the least distance to
+// the median that distinct locations allow; a quarter hold amber and
+// basalt so, without cobalt; the last quarter spread all three a token
+// apart. Document d's fillers are its own, so no two are alike.
+func tieCorpus(n int) []string {
+	filler := []string{"quartz", "ribbon", "saddle", "timber", "umbrella", "violet", "walnut", "yarn"}
+	docs := make([]string, n)
+	for d := range docs {
+		words := []string{filler[d%8], filler[d/8%8], filler[d/64%8]}
+		switch d % 4 {
+		case 1:
+			words = append(words, "amber", "basalt")
+		case 3:
+			words = append(words, "amber", "yarn", "basalt", "yarn", "cobalt")
+		default:
+			words = append(words, "amber", "basalt", "cobalt")
+		}
+		docs[d] = joinWords(append(words, filler[(d+3)%8], filler[(d+5)%8]))
+	}
+	return docs
+}
+
+// TestDistinctCapPrunesTies pins the valid-matchset cap's window floor
+// at work: on a corpus whose top k all tie at the distinct-location
+// optimum, the cap of every later candidate is at most the k-th score,
+// and the candidate, losing the tie on its id, prunes without a join. A
+// cap at window 0 sits above that score and joins every candidate — 400
+// and 300 of them in the queries below — while the floor's cap joins 18
+// and 7, pinned as ceilings. Answers equal internal/refrank's, bit for
+// bit.
+func TestDistinctCapPrunesTies(t *testing.T) {
+	const k = 5
+	compact := buildCompact(t, tieCorpus(400))
+	concepts := []index.Concept{{"amber": 1}, {"basalt": 1}, {"cobalt": 1}}
+	for _, tc := range []struct {
+		name     string
+		spec     KernelSpec
+		jn       KernelFactory
+		mode     QueryMode
+		minMatch int
+		maxJoins uint64
+	}{
+		{"ValidMED 2-of-3", KernelSpec{Family: "med", Alpha: 0.1, Valid: true}, ValidMEDJoiner(scorefn.ExpMED{Alpha: 0.1}), ModeOR, 2, 18},
+		{"ValidWIN AND", KernelSpec{Family: "win", Alpha: 0.1, Valid: true}, ValidWINJoiner(scorefn.ExpWIN{Alpha: 0.1}), ModeAND, 0, 7},
+	} {
+		e := New(compact, Config{Workers: 1})
+		res, err := e.Search(context.Background(), Query{Concepts: concepts, Spec: tc.spec, K: k, Mode: tc.mode, MinMatch: tc.minMatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := tc.minMatch
+		if m == 0 {
+			m = len(concepts)
+		}
+		want := oracle(compact, concepts, m, tc.jn, k)
+		assertSameDocs(t, tc.name, res.Docs, want)
+		if len(want) < k || want[k-1].Score != want[0].Score {
+			t.Fatalf("%s: the top %d do not tie (%+v): the corpus tests nothing", tc.name, k, want)
+		}
+		if st := e.Stats(); st.JoinsRun > tc.maxJoins {
+			t.Fatalf("%s: %d joins of %d candidates, want at most %d", tc.name, st.JoinsRun, res.Candidates, tc.maxJoins)
+		}
 	}
 }

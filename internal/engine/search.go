@@ -218,6 +218,9 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	if q.MinMatch < 0 || q.MinMatch > n {
 		return nil, fmt.Errorf("engine: MinMatch %d out of range [0, %d]", q.MinMatch, n)
 	}
+	if q.Mode != ModeAND && q.Mode != ModeOR {
+		return nil, fmt.Errorf("engine: unknown query mode %d", q.Mode)
+	}
 	for j, c := range q.Concepts {
 		// NaN < floor is always false and ±Inf defeats every cap: such a
 		// weight would poison the score bounds, so it is the caller's

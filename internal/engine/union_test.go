@@ -156,6 +156,24 @@ func TestUnionMinMatchBoundaries(t *testing.T) {
 	}
 }
 
+// TestUnknownQueryModeRefused pins that a mode other than ModeAND and
+// ModeOR is an error, like an out-of-range MinMatch, and not run as
+// AND: the remote tier cannot encode such a mode, so a fleet refuses
+// it too, and one engine must answer as the fleet does.
+func TestUnknownQueryModeRefused(t *testing.T) {
+	e := New(buildCompact(t, testCorpus(40, 3)), Config{})
+	spec := KernelSpec{Family: "med", Alpha: 0.1, Valid: true}
+	for _, mode := range []QueryMode{QueryMode(7), QueryMode(-1), ModeOR + 1} {
+		_, err := e.Search(context.Background(), Query{Concepts: testConcepts(), Spec: spec, Mode: mode})
+		if err == nil || !strings.Contains(err.Error(), "unknown query mode") {
+			t.Fatalf("mode %d: err %v, want an unknown-mode error", mode, err)
+		}
+	}
+	if q := e.Stats().Queries; q != 0 {
+		t.Fatalf("refused queries counted: Queries %d", q)
+	}
+}
+
 // TestUnionNeverPruneOnEquality mirrors the conjunctive equality tests
 // for the pivot loop: when every document scores exactly the pruning
 // bound, the floor ties the bound for every later pivot, and any skip

@@ -32,20 +32,36 @@ type UpperBounded interface {
 // ScoreUpperBound is the WIN list-max rung under the kernel's current
 // scoring function.
 func (k *WINKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
-	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, k.fn.G,
-		func(gsum float64) float64 { return scorefn.CapWIN(k.fn, gsum, 0, 0) })
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, nil, k.fn.G, k.windowCap)
+}
+
+// DistinctUpperBound is the WIN list-max rung over matchsets whose
+// matches sit at pairwise-distinct locations, the valid matchsets of
+// the Section VI duplicate-avoidance wrapper (dedup.Kernel): each
+// subset size s at the window floor s−1 (scorefn.DistinctFloorWIN).
+// Its arguments and their handling are ScoreUpperBound's.
+func (k *WINKernel) DistinctUpperBound(perListMax []float64, minMatch int) float64 {
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, scorefn.DistinctFloorWIN, k.fn.G, k.windowCap)
 }
 
 // ScoreUpperBound is the MED list-max rung.
 func (k *MEDKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
-	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, k.fn.G,
-		func(total float64) float64 { return scorefn.CapMED(k.fn, total, 0, 0) })
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, nil, k.fn.G, k.windowCap)
+}
+
+// DistinctUpperBound is the MED list-max rung over matchsets at
+// pairwise-distinct locations, each subset size s at the total distance
+// floor ⌊s²/4⌋ (scorefn.DistinctFloorMED). MAXKernel has no such rung:
+// a MAX score has no window to floor.
+func (k *MEDKernel) DistinctUpperBound(perListMax []float64, minMatch int) float64 {
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, scorefn.DistinctFloorMED, k.fn.G, k.windowCap)
 }
 
 // ScoreUpperBound is the MAX list-max rung.
 func (k *MAXKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 {
-	return scorefn.ListMaxCap(k.fn, perListMax, minMatch,
-		func(j int, x float64) float64 { return k.fn.Contribution(j, x, 0) }, k.fn.F)
+	return scorefn.ListMaxCap(k.fn, perListMax, minMatch, nil,
+		func(j int, x float64) float64 { return k.fn.Contribution(j, x, 0) },
+		func(sum, mag float64, _ int) float64 { return scorefn.CapMAX(k.fn, sum, mag) })
 }
 
 // Floored is the optional kernel capability behind the engine's

@@ -31,7 +31,13 @@ import "math"
 // magnitudes exceed the maxima's by no more than its total falls short
 // of theirs, so inflating the total by sumMargin times mag, the summed
 // magnitudes of the cap's own terms, covers both sums by three orders
-// of magnitude at any width a kernel accepts. A non-finite g or F
+// of magnitude at any width a kernel accepts. When mag is 0 — every
+// g_j(max_j) is 0, as for lists of weight-1 matches under ExpWIN or
+// ExpMED — no margin is needed at any width: every match's g_j is at
+// most 0, so a kernel's WIN g-total is at most 0 in any order and each
+// MED term fl(g_j − d_j) is at most −d_j, whose sum is exact in
+// integers; rounding is monotone, so the score is at most F(0, w) or
+// F(−w), and both caps are exactly that. A non-finite g or F
 // surfaces as a NaN or infinite cap, and "cap < floor" never holds for
 // a NaN. CheckCapWIN/MED/MAX probe every rung exhaustively.
 const sumMargin = 1e-12
@@ -44,11 +50,32 @@ func CapWIN(fn WIN, gsum, mag float64, w int) float64 {
 }
 
 // CapMED is the MED cap F(total − w + (mag + w)·margin); see CapWIN. At
-// mag 0 and w 0 it is F(total).
+// mag 0 it is F(total − w), with no margin.
 func CapMED(fn MED, total, mag float64, w int) float64 {
 	wf := float64(w)
+	if mag == 0 {
+		return fn.F(total - wf)
+	}
 	return fn.F(total - wf + (mag+wf)*sumMargin)
 }
+
+// CapMAX is the MAX cap F(total + mag·margin) over Σ c_j(max_j, 0); see
+// CapWIN. MAX has no window. At mag 0 it is F(total).
+func CapMAX(fn MAX, total, mag float64) float64 {
+	return fn.F(total + mag*sumMargin)
+}
+
+// DistinctFloorWIN is the narrowest window of s pairwise-distinct
+// integer locations, s−1: the WIN window floor of a valid matchset
+// (Section VI) of s lists, which uses no location twice.
+func DistinctFloorWIN(s int) int { return s - 1 }
+
+// DistinctFloorMED is the least total distance of s pairwise-distinct
+// integer locations to one of them, ⌊s²/4⌋: s consecutive locations
+// about their median, whose distances are 1, 1, 2, 2, …. It is the MED
+// window floor of a valid matchset of s lists; for s ≥ 2 it is at least
+// DistinctFloorWIN(s), the leftmost and rightmost matches alone.
+func DistinctFloorMED(s int) int { return s * s / 4 }
 
 // Exchangeable marks a scoring function whose per-term transform — G,
 // or Contribution — does not depend on the term index. Only such a
@@ -62,17 +89,22 @@ type Exchangeable interface {
 	TermExchangeable()
 }
 
-// ListMaxCap is the list-max rung every family shares: the cap at
-// magnitude 0 and window 0 over the per-list maxima. g is the family's
-// per-term transform at a list maximum (G, or Contribution at distance
-// 0) and capAt its cap over a g-total at magnitude 0 and window 0
-// (CapWIN, CapMED, or MAX's F).
+// ListMaxCap is the list-max rung every family shares: the cap over
+// the per-list maxima at the narrowest window a matchset of s lists can
+// have, floor(s) — 0 for a nil floor, where every list may sit at one
+// location. g is the family's per-term transform at a list maximum (G,
+// or Contribution at distance 0) and capAt its cap over a g-total, the
+// total's magnitude and a window (CapWIN, CapMED, or CapMAX, which has
+// no window). A cap at window 0 over a sum that a matchset at one
+// location scores bit for bit is taken at magnitude 0, F of the sum
+// itself, tight to the bit; any other cap at its terms' magnitude, which
+// is 0, and the cap exact, when every term is 0 (see Rounding above).
 //
-// minMatch ≤ 0 asks for the conjunctive cap capAt(Σ_j g(j, max_j)),
-// summed in term order, over matchsets of every list; perListMax is
-// left as it was. So does minMatch ≥ len(perListMax): the only
-// admissible subset is then every list, so every scoring function has
-// this cap, the term-weighted ones included.
+// minMatch ≤ 0 asks for the conjunctive cap over matchsets of every
+// list, its g-total summed in term order; perListMax is left as it was.
+// So does minMatch ≥ len(perListMax): the only admissible subset is
+// then every list, so every scoring function has this cap, the
+// term-weighted ones included.
 //
 // 1 ≤ minMatch < len(perListMax) asks for the disjunctive cap over
 // matchsets of ANY subset of at least minMatch lists, compacted to
@@ -80,34 +112,54 @@ type Exchangeable interface {
 // instances a ranked union joins. Adding a list can lower a cap (two
 // ExpWIN lists of maximum 0.5 cap at 0.25, while one of them alone
 // scores 0.5), so the cap is the largest over the admissible subset
-// sizes s of capAt(Σ_{i<s} g(i, sorted_i)): perListMax is sorted
-// descending, in place, NaNs last, and each size takes the s largest
-// maxima. That dominates every subset of size s only when g ignores its
-// term index, so fn — the function g and capAt belong to — must be
-// Exchangeable; for any other fn the cap is +Inf, which prunes nothing.
-// A NaN cap at any size makes the whole cap NaN.
-func ListMaxCap(fn any, perListMax []float64, minMatch int, g func(term int, max float64) float64, capAt func(sum float64) float64) float64 {
+// sizes s of the cap over the s largest maxima, g evaluated at sorted
+// position i and summed in that order: perListMax is sorted descending,
+// in place, NaNs last. That dominates every subset of size s only when g
+// ignores its term index, so fn — the function g and capAt belong to —
+// must be Exchangeable; for any other fn the cap is +Inf, which prunes
+// nothing. A NaN cap at any size makes the whole cap NaN.
+func ListMaxCap(fn any, perListMax []float64, minMatch int, floor func(s int) int, g func(term int, max float64) float64, capAt func(sum, mag float64, w int) float64) float64 {
 	if minMatch <= 0 || minMatch >= len(perListMax) {
-		sum := 0.0
+		sum, mag := 0.0, 0.0
 		for j, m := range perListMax {
-			sum += g(j, m)
+			v := g(j, m)
+			sum, mag = sum+v, mag+math.Abs(v)
 		}
-		return capAt(sum)
+		return capAtSize(len(perListMax), sum, mag, true, floor, capAt)
 	}
 	if _, ok := fn.(Exchangeable); !ok {
 		return math.Inf(1)
 	}
 	sortDescending(perListMax)
-	best, sum := math.Inf(-1), 0.0
+	best, sum, mag := math.Inf(-1), 0.0, 0.0
 	for i, m := range perListMax {
-		sum += g(i, m)
+		v := g(i, m)
+		sum, mag = sum+v, mag+math.Abs(v)
 		if i+1 >= minMatch {
-			if v := capAt(sum); v > best || math.IsNaN(v) {
+			if v := capAtSize(i+1, sum, mag, false, floor, capAt); v > best || math.IsNaN(v) {
 				best = v
 			}
 		}
 	}
 	return best
+}
+
+// capAtSize is ListMaxCap's cap over the g-total sum of s lists, whose
+// terms' magnitudes sum to mag, at window floor(s). The margin is left
+// out at window 0 when a matchset of the lists' maxima at one location
+// scores F of this very sum: when it was summed in term order, as
+// ScoreWIN/MED/MAX sum, or has at most two terms, whose float sum is
+// the same in either order. A sum of three or more sorted maxima can
+// round an ulp below the same terms summed in term order.
+func capAtSize(s int, sum, mag float64, termOrder bool, floor func(int) int, capAt func(sum, mag float64, w int) float64) float64 {
+	w := 0
+	if floor != nil {
+		w = floor(s)
+	}
+	if w == 0 && (termOrder || s <= 2) {
+		mag = 0
+	}
+	return capAt(sum, mag, w)
 }
 
 // sortDescending sorts the per-list maxima in place, largest first and

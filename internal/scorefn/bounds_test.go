@@ -35,15 +35,16 @@ func perListMax(lists match.Lists) []float64 {
 
 // Each family's list-max rung, as its join kernel takes it.
 func capWIN(fn scorefn.WIN, maxima []float64, minMatch int) float64 {
-	return scorefn.ListMaxCap(fn, maxima, minMatch, fn.G, func(s float64) float64 { return scorefn.CapWIN(fn, s, 0, 0) })
+	return scorefn.ListMaxCap(fn, maxima, minMatch, nil, fn.G, func(s, m float64, w int) float64 { return scorefn.CapWIN(fn, s, m, w) })
 }
 
 func capMED(fn scorefn.MED, maxima []float64) float64 {
-	return scorefn.ListMaxCap(fn, maxima, 0, fn.G, func(s float64) float64 { return scorefn.CapMED(fn, s, 0, 0) })
+	return scorefn.ListMaxCap(fn, maxima, 0, nil, fn.G, func(s, m float64, w int) float64 { return scorefn.CapMED(fn, s, m, w) })
 }
 
 func capMAX(fn scorefn.MAX, maxima []float64) float64 {
-	return scorefn.ListMaxCap(fn, maxima, 0, func(j int, x float64) float64 { return fn.Contribution(j, x, 0) }, fn.F)
+	return scorefn.ListMaxCap(fn, maxima, 0, nil, func(j int, x float64) float64 { return fn.Contribution(j, x, 0) },
+		func(s, m float64, _ int) float64 { return scorefn.CapMAX(fn, s, m) })
 }
 
 // windowCaps are the WIN and MED window caps over per-list maxima.

@@ -142,65 +142,84 @@ func CheckAtMostOneCrossing(fn MAX, terms int, n int, lo, hi int, rng *rand.Rand
 // window, found by brute force. And each cap must be worth having: with
 // every list's maximum at one location the list-max cap is the score,
 // to the bit; spread over a window w > 0, the window cap at w lies
-// within the rounding margin above it. It returns the first violation
-// found, or nil.
+// within the rounding margin above it.
+//
+// Its distinct-location arm does the same for the caps at the window
+// floor of pairwise-distinct locations (ListMaxCap with
+// DistinctFloorWIN), on one more instance per round whose matches all
+// sit at distinct locations, with scores drawn from 1, the two floats
+// just below 1, 0.7 and 0.4: every matchset must score at most them,
+// and the matchset of weight-1 matches at adjacent locations, the
+// distinct-location optimum, must score the conjunctive cap — to the
+// bit when every g_j(1) is 0, within the rounding margin otherwise. It
+// returns the first violation found, or nil.
 func CheckCapWIN(fn WIN, terms, n int, rng *rand.Rand) error {
 	return checkCaps(terms, n, rng, capFamily{
 		name:  "WIN",
+		fn:    fn,
 		score: func(s match.Set) float64 { return ScoreWIN(fn, s) },
-		listMax: func(maxima []float64, minMatch int) float64 {
-			return ListMaxCap(fn, maxima, minMatch, fn.G, func(gsum float64) float64 { return CapWIN(fn, gsum, 0, 0) })
-		},
-		window: func(maxima []float64, w int) float64 {
-			gsum, mag := gTotals(fn.G, maxima)
-			return CapWIN(fn, gsum, mag, w)
-		},
+		g:     fn.G,
+		capAt: func(sum, mag float64, w int) float64 { return CapWIN(fn, sum, mag, w) },
+		floor: DistinctFloorWIN,
 	})
 }
 
-// CheckCapMED is CheckCapWIN for the MED family.
+// CheckCapMED is CheckCapWIN for the MED family, with DistinctFloorMED.
 func CheckCapMED(fn MED, terms, n int, rng *rand.Rand) error {
 	return checkCaps(terms, n, rng, capFamily{
 		name:  "MED",
+		fn:    fn,
 		score: func(s match.Set) float64 { return ScoreMED(fn, s) },
-		listMax: func(maxima []float64, minMatch int) float64 {
-			return ListMaxCap(fn, maxima, minMatch, fn.G, func(total float64) float64 { return CapMED(fn, total, 0, 0) })
-		},
-		window: func(maxima []float64, w int) float64 {
-			total, mag := gTotals(fn.G, maxima)
-			return CapMED(fn, total, mag, w)
-		},
+		g:     fn.G,
+		capAt: func(sum, mag float64, w int) float64 { return CapMED(fn, sum, mag, w) },
+		floor: DistinctFloorMED,
 	})
 }
 
 // CheckCapMAX is CheckCapWIN for the MAX family, scored by
 // maximized-at-match evaluation, the regime the join algorithms and the
-// engine operate in. MAX has no window cap, and its instances are all
-// plain: a negative score decays towards 0, rising with distance.
+// engine operate in. MAX has no window cap, and so no distinct-location
+// arm, and its instances are all plain: a negative score decays towards
+// 0, rising with distance.
 func CheckCapMAX(fn MAX, terms, n int, rng *rand.Rand) error {
 	return checkCaps(terms, n, rng, capFamily{
 		name:  "MAX",
+		fn:    fn,
 		score: func(s match.Set) float64 { v, _ := ScoreMAX(fn, s); return v },
-		listMax: func(maxima []float64, minMatch int) float64 {
-			return ListMaxCap(fn, maxima, minMatch, func(j int, x float64) float64 { return fn.Contribution(j, x, 0) }, fn.F)
-		},
+		g:     func(j int, x float64) float64 { return fn.Contribution(j, x, 0) },
+		capAt: func(sum, mag float64, _ int) float64 { return CapMAX(fn, sum, mag) },
 	})
 }
 
-// capFamily is what checkCaps needs of a family: its score, its
-// list-max rung (ListMaxCap), and its window cap over per-list maxima,
-// nil for a family without one.
+// capFamily is what checkCaps needs of a family: its score, and
+// ListMaxCap's arguments for it — the function, g and capAt — plus its
+// window floor at pairwise-distinct locations, nil for a family without
+// a window cap.
 type capFamily struct {
-	name    string
-	score   func(match.Set) float64
-	listMax func(maxima []float64, minMatch int) float64
-	window  func(maxima []float64, w int) float64
+	name  string
+	fn    any
+	score func(match.Set) float64
+	g     func(term int, max float64) float64
+	capAt func(sum, mag float64, w int) float64
+	floor func(s int) int
+}
+
+// listMax is the family's list-max rung at window floor floor.
+func (f capFamily) listMax(maxima []float64, minMatch int, floor func(int) int) float64 {
+	return ListMaxCap(f.fn, maxima, minMatch, floor, f.g, f.capAt)
+}
+
+// window is the family's window cap over maxima at window w.
+func (f capFamily) window(maxima []float64, w int) float64 {
+	gsum, mag := gTotals(f.g, maxima)
+	return f.capAt(gsum, mag, w)
 }
 
 func checkCaps(terms, n int, rng *rand.Rand, fam capFamily) error {
+	windowed := fam.floor != nil
 	for i := 0; i < n; i++ {
 		draw, locs := randScore, 30
-		if i%2 == 1 && fam.window != nil {
+		if i%2 == 1 && windowed {
 			draw, locs = hostileScore, 12
 		}
 		lists := make([]match.List, terms)
@@ -215,36 +234,25 @@ func checkCaps(terms, n int, rng *rand.Rand, fam capFamily) error {
 			wmin = min(wmin, set.Window())
 			return nil
 		})
-		conj, window := fam.listMax(maxima, 0), math.Inf(1)
-		if fam.window != nil {
+		conj, window := fam.listMax(maxima, 0, nil), math.Inf(1)
+		if windowed {
 			window = fam.window(maxima, wmin)
 		}
-		union := fam.listMax(append([]float64(nil), maxima...), minMatch)
-		for mask := 1; mask < 1<<terms; mask++ {
-			var sub []match.List
-			for j := range lists {
-				if mask&(1<<j) != 0 {
-					sub = append(sub, lists[j])
-				}
+		union := fam.listMax(append([]float64(nil), maxima...), minMatch, nil)
+		if err := eachSubsetSet(lists, minMatch, func(set match.Set) error {
+			if v := fam.score(set); v > union || len(set) == terms && (v > conj || v > window) {
+				return fmt.Errorf("scorefn: %s matchset %v in %v scores %v, above a cap: list-max %v, union (m=%d) %v, window (w_min %d) %v",
+					fam.name, set, lists, v, conj, minMatch, union, wmin, window)
 			}
-			if len(sub) < minMatch {
-				continue
-			}
-			if err := forEachSet(sub, func(set match.Set) error {
-				if v := fam.score(set); v > union || len(sub) == terms && (v > conj || v > window) {
-					return fmt.Errorf("scorefn: %s matchset %v of lists %b in %v scores %v, above a cap: list-max %v, union (m=%d) %v, window (w_min %d) %v",
-						fam.name, set, mask, lists, v, conj, minMatch, union, wmin, window)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		// Tightness: every list's maximum, term 0 at location 7 and the
 		// others w to its right, so every matchset's window is w and MED's
 		// distances to the median sum to w.
 		w := 0
-		if terms > 1 && i%2 == 1 && fam.window != nil {
+		if terms > 1 && i%2 == 1 && windowed {
 			w = 1 + rng.Intn(3)
 		}
 		tight := make(match.Set, terms)
@@ -254,13 +262,89 @@ func checkCaps(terms, n int, rng *rand.Rand, fam capFamily) error {
 		}
 		tight[0].Loc = 7
 		v := fam.score(tight)
-		if b := fam.listMax(maxima, 0); w == 0 && b != v {
+		if b := fam.listMax(maxima, 0, nil); w == 0 && b != v {
 			return fmt.Errorf("scorefn: %s list-max cap %v not tight at zero window (score %v)", fam.name, b, v)
 		}
-		if fam.window != nil {
-			if b := fam.window(maxima, w); !(b >= v && b-v <= 1e-9*math.Max(math.Abs(v), 1)) {
+		if windowed {
+			if b := fam.window(maxima, w); !withinMargin(b, v) {
 				return fmt.Errorf("scorefn: %s window cap %v not within the rounding margin of score %v at window %d", fam.name, b, v, w)
 			}
+			if err := checkDistinct(terms, rng, fam); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// distinctScores are the distinct-location arm's match scores: 1, whose
+// g is 0 under ExpWIN and ExpMED, so that the cap there carries no
+// margin; the two floats just below it, whose g is a few ulps below 0;
+// and two plain weights.
+var distinctScores = [...]float64{1, 1 - 0x1p-53, 1 - 0x1p-52, 0.7, 0.4}
+
+// checkDistinct is checkCaps's distinct-location arm on one instance of
+// terms lists, 1–3 matches each, at pairwise-distinct locations packed
+// into a range barely wider than their number.
+func checkDistinct(terms int, rng *rand.Rand, fam capFamily) error {
+	locs := rng.Perm(3*terms + 2)
+	lists := make([]match.List, terms)
+	for j := range lists {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			lists[j] = append(lists[j], match.Match{Loc: locs[0], Score: distinctScores[rng.Intn(len(distinctScores))]})
+			locs = locs[1:]
+		}
+		lists[j].Sort()
+	}
+	maxima, minMatch := listMaxima(lists), 1+rng.Intn(terms)
+	conj := fam.listMax(maxima, 0, fam.floor)
+	union := fam.listMax(append([]float64(nil), maxima...), minMatch, fam.floor)
+	if err := eachSubsetSet(lists, minMatch, func(set match.Set) error {
+		if v := fam.score(set); v > union || len(set) == terms && v > conj {
+			return fmt.Errorf("scorefn: %s matchset %v at distinct locations in %v scores %v, above a distinct-location cap: list-max %v, union (m=%d) %v",
+				fam.name, set, lists, v, conj, minMatch, union)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Tightness: weight-1 matches at adjacent locations, the narrowest
+	// window and the least distance to the median distinct locations
+	// allow.
+	tight := make(match.Set, terms)
+	for j := range tight {
+		tight[j] = match.Match{Loc: 7 + j, Score: 1}
+		maxima[j] = 1
+	}
+	v, b := fam.score(tight), fam.listMax(maxima, 0, fam.floor)
+	if _, mag := gTotals(fam.g, maxima); mag == 0 && b != v || !withinMargin(b, v) {
+		return fmt.Errorf("scorefn: %s distinct-location cap %v not tight at adjacent locations (score %v, %d terms)", fam.name, b, v, terms)
+	}
+	return nil
+}
+
+// withinMargin reports whether cap b dominates score v by no more than
+// a rounding margin.
+func withinMargin(b, v float64) bool {
+	return b >= v && b-v <= 1e-9*math.Max(math.Abs(v), 1)
+}
+
+// eachSubsetSet calls fn on every matchset of every subset of at least
+// minMatch of the lists, compacted to term indices 0..s−1, stopping at
+// fn's first error.
+func eachSubsetSet(lists []match.List, minMatch int, fn func(match.Set) error) error {
+	for mask := 1; mask < 1<<len(lists); mask++ {
+		var sub []match.List
+		for j := range lists {
+			if mask&(1<<j) != 0 {
+				sub = append(sub, lists[j])
+			}
+		}
+		if len(sub) < minMatch {
+			continue
+		}
+		if err := forEachSet(sub, fn); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -123,8 +123,10 @@ func CheckAtMostOneCrossing(fn MAX, terms, n, lo, hi int, seed int64) error {
 // CheckCapWIN probes fn's score caps — the bounds lossless pruning
 // compares with the top-k floor — on n randomized instances: each cap
 // must dominate every matchset it covers (all the lists, any subset of
-// at least m of them, and every matchset at least the smallest window
-// wide) and be tight when every list's best match shares one location.
+// at least m of them, every matchset at least the smallest window wide,
+// and every matchset at pairwise-distinct locations, the valid ones) and
+// be tight when every list's best match shares one location, or sits
+// next to the others for the distinct-location cap.
 // Run it alongside CheckWIN when implementing a WIN instance. A
 // function whose G does not depend on the term index may declare so
 // with a TermExchangeable() method, which lets disjunctive queries
