@@ -116,7 +116,7 @@ func main() {
 	var (
 		fn      = flag.String("fn", "med", "scoring family: win, med, or max")
 		alpha   = flag.Float64("alpha", 0.1, "distance-decay rate of the scoring family (finite, > 0)")
-		workers = flag.Int("workers", 0, "join workers per query (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "walkers per query, each walking and joining its own document ranges (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", 0, "ignored: the engine keeps no match-list cache (accepted so existing command lines still start)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-query deadline")
 		noprune = flag.Bool("noprune", false, "disable lossless max-score pruning (baseline mode)")
@@ -600,7 +600,7 @@ func (d *drainRate) interval() time.Duration {
 	return newest.Sub(oldest) / time.Duration(k-1)
 }
 
-// retryAfterSecs turns a backlog (queries admitted plus queued) and an
+// retryAfterSecs turns a backlog (queries admitted) and an
 // observed per-query drain interval into a Retry-After hint: roughly
 // how long the backlog needs to clear, bounded to [1, 30] seconds so
 // clients neither hammer an overloaded server (a flat "1" invites an
@@ -621,10 +621,9 @@ func retryAfterSecs(backlog int, interval time.Duration) int {
 }
 
 // retryAfter derives the Retry-After header value from the engine's
-// current backlog and the observed drain rate.
+// queries in flight and the observed drain rate.
 func (s *server) retryAfter() int {
-	st := s.eng.Stats()
-	return retryAfterSecs(st.InFlight+st.QueueDepth, s.done.interval())
+	return retryAfterSecs(s.eng.Stats().InFlight, s.done.interval())
 }
 
 // concept expands one query term through the lexical graph: the term

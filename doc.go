@@ -76,8 +76,9 @@
 //
 // For ranking whole corpora rather than single documents, NewEngine
 // wraps a compacted inverted index (CompactIndex) in a concurrent
-// query engine — candidate generation, per-document best-joins on a
-// worker pool, a global top-k heap, context deadlines with partial
+// query engine — parallel walkers that each generate the candidates of
+// their own document ranges and best-join them, a global top-k heap,
+// context deadlines with partial
 // results, and Stats/expvar observability. A concept is the query-time
 // union of its member stems: each stem's postings are decoded into
 // plain arrays once, on the stem's first use, and a document's concept

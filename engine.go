@@ -51,10 +51,10 @@ func LoadCompactIndexFile(path string) (*CompactIndex, error) { return index.Loa
 type Concept = index.Concept
 
 // Engine is a concurrent retrieval engine over a CompactIndex: it
-// evaluates multi-concept queries document-at-a-time on a sharded
-// worker pool, keeps a global top-k heap, honors context deadlines
-// (returning Partial results), and exposes counters and latency
-// histograms via Stats.
+// evaluates multi-concept queries document-at-a-time on parallel
+// walkers over document-id ranges, keeps a global top-k heap, honors
+// context deadlines (returning Partial results), and exposes counters
+// and latency histograms via Stats.
 //
 // A concept is the query-time union of its member stems, whose
 // postings the index decodes into plain arrays once, on each stem's

@@ -9,7 +9,7 @@ import (
 // Admission control, extracted from Engine so every query-serving tier
 // can bound its concurrency the same way: a single engine admits at
 // its own gate, and a shard coordinator's children each keep their own
-// gate, so per-shard worker pools are protected even when queries
+// gate, so per-shard walkers are protected even when queries
 // arrive through the coordinator.
 
 // ErrOverloaded is returned by Search when admission control rejects

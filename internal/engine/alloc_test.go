@@ -25,7 +25,7 @@ func overlapConcepts() []index.Concept {
 // first) must stay under a fixed allocation budget, so any change that
 // sneaks per-document or per-posting allocation into the path fails
 // fast. The budget (150) has headroom over the measured value,
-// dominated by per-query goroutine and channel setup, but far below
+// dominated by each walker's cursors, kernel and goroutine, but far below
 // the thousands a per-document allocation would add. The second arm holds the
 // kernel proxserve actually serves — the valid-matchset wrapper, on
 // concepts that overlap so that at least a fifth of the joins go

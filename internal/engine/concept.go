@@ -2,11 +2,9 @@ package engine
 
 import (
 	"math"
-	"math/bits"
 
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
-	"bestjoin/internal/match"
 )
 
 // Per-query concepts: a query concept is the union of its member
@@ -22,8 +20,8 @@ import (
 // the merge would build, to the bit, so the score bounds and the cache
 // rung (join.Apart) screen a document before its list exists. Only a
 // document that survives them has its list merged
-// (index.AppendConceptList), into a worker's scratch, just before its
-// join.
+// (index.AppendConceptList), straight from the cursor's stem positions
+// into its walker's scratch, just before its join.
 
 // MaxConceptStems caps the member words of one query concept: a larger
 // concept is a malformed query, refused like a K above MaxK on every
@@ -84,12 +82,12 @@ type conceptCursor struct {
 	sig join.Sig
 }
 
-// stemPos is one stem's place in a cursor: stem s (arr, weight w) at
-// its document i, doc.
+// stemPos is one stem's place in a cursor: the stem's arrays arr, at
+// its document i, doc, and its weight w.
 type stemPos struct {
-	doc, i, s int
-	arr       *index.StemArrays
-	w         float64
+	doc, i int
+	arr    *index.StemArrays
+	w      float64
 }
 
 // newCursor starts a cursor on cd with buf, which has room for a
@@ -98,7 +96,7 @@ func newCursor(cd *conceptData, buf []stemPos) conceptCursor {
 	cu := conceptCursor{cd: cd, pos: buf[:0:len(cd.stems)], doc: -1}
 	for s := range cd.stems {
 		if arr := cd.stems[s].Arrays; arr.Len() > 0 {
-			cu.pos = append(cu.pos, stemPos{doc: arr.Doc(0), s: s, arr: arr, w: cd.stems[s].Score})
+			cu.pos = append(cu.pos, stemPos{doc: arr.Doc(0), arr: arr, w: cd.stems[s].Score})
 		}
 	}
 	return cu
@@ -141,41 +139,4 @@ func (cu *conceptCursor) seek(d int) (int, bool) {
 	}
 	cu.doc, cu.sig = doc, sig
 	return doc, doc != math.MaxInt
-}
-
-// stemLoc locates a candidate document in one of a concept's stems:
-// stem holds it at index i.
-type stemLoc struct{ stem, i int32 }
-
-// locs appends to buf where the stems holding the cursor's document
-// hold it, and returns how many it appended.
-func (cu *conceptCursor) locs(buf *[]stemLoc) int32 {
-	n := len(*buf)
-	for _, p := range cu.pos {
-		if p.doc == cu.doc {
-			*buf = append(*buf, stemLoc{int32(p.s), int32(p.i)})
-		}
-	}
-	return int32(len(*buf) - n)
-}
-
-// fillLists merges a job's match lists on a worker, just before its
-// join: the slot of each set bit of jb.mask, in ascending concept
-// order, takes that concept's list on the document from the
-// jb.nlocs[s] stems next in jb.locs, into the worker's scratch[s]
-// (valid until the worker's next job; at is scratch too).
-func fillLists(cds []*conceptData, jb docJob, scratch []match.List, at *[]index.StemAt) {
-	locs := jb.locs
-	for s, m := 0, jb.mask; m != 0; s, m = s+1, m&(m-1) {
-		cd := cds[bits.TrailingZeros64(m)]
-		*at = (*at)[:0]
-		run := locs[:jb.nlocs[s]]
-		locs = locs[len(run):]
-		for _, l := range run {
-			st := &cd.stems[l.stem]
-			*at = append(*at, index.StemAt{Arrays: st.Arrays, I: int(l.i), Score: st.Score})
-		}
-		scratch[s] = index.AppendConceptList(scratch[s][:0], *at)
-		jb.lists[s] = scratch[s]
-	}
 }

@@ -1,11 +1,13 @@
 // Package engine is a concurrent indexed retrieval engine: the first
 // vertical slice of the serving system the roadmap aims at. It
 // evaluates a multi-concept query document-at-a-time over a compacted
-// inverted index (index.Compact), runs a weighted proximity best-join
-// per candidate document on a sharded worker pool, and keeps a global
-// top-k document heap — the document-at-a-time, budgeted shape that
-// Fagin-style threshold algorithms and response-time-guaranteed
-// proximity indexes both converge on.
+// inverted index (index.Compact) and keeps a global top-k document heap
+// — the document-at-a-time, budgeted shape that Fagin-style threshold
+// algorithms and response-time-guaranteed proximity indexes both
+// converge on. Config.Workers walkers per query split the query's
+// document-id span into ranges; each walks its ranges with its own
+// concept cursors and runs a weighted proximity best-join on every
+// candidate it confirms and cannot prune (union.go).
 //
 // The engine supports context cancellation and deadlines (a query that
 // runs out of time returns its best-so-far answer marked Partial) and
@@ -17,7 +19,7 @@
 // each stem's first use (concept.go).
 //
 // Joins run on reusable kernels (join.Kernel): a query supplies a
-// KernelFactory, each worker builds one kernel from it and reuses that
+// KernelFactory, each walker builds one kernel from it and reuses that
 // kernel's scratch for every candidate document it evaluates, so the
 // cached query path performs almost no per-document allocation.
 //
@@ -26,7 +28,7 @@
 //
 //   - Panic isolation: kernels run user-supplied scoring closures, so
 //     every kernel invocation is wrapped in recover(). A panicking
-//     join poisons only that kernel — the worker discards it, rebuilds
+//     join poisons only that kernel — the walker discards it, rebuilds
 //     one from the query's factory, drops that single document, and
 //     the query completes with Result.Degraded set instead of taking
 //     the process down. Recovered panics are counted in
@@ -59,19 +61,16 @@ import (
 // DefaultK is the number of documents a Query with K ≤ 0 returns.
 const DefaultK = 10
 
-// jobsPerWorker sizes the candidate job queue, in documents per
-// worker. A smaller queue bounds the dispatcher's lead over the
-// workers; it never changes results.
-const jobsPerWorker = 64
-
 // MaxK caps Query.K: a larger K is a malformed query, refused before
 // any work is done, on every entry point and on the wire.
 const MaxK = 1 << 16
 
 // Config sizes the engine.
 type Config struct {
-	// Workers is the number of join workers per query; ≤ 0 means
-	// GOMAXPROCS.
+	// Workers is the number of walkers per query, each walking its own
+	// document-id ranges and joining the candidates it confirms; ≤ 0
+	// means GOMAXPROCS. At 1 the query runs on the calling goroutine
+	// alone.
 	Workers int
 	// CacheLists is ignored: the engine keeps no match-list cache.
 	//
@@ -100,21 +99,20 @@ type Config struct {
 
 // Engine answers top-k queries over one compacted index. It is safe
 // for concurrent use; all mutable state is the snapshot pointer, the
-// pair plan, the queue gauge, and the counter total with its latency
-// histogram, each with its own synchronization.
+// pair plan, and the counter total with its latency histogram, each
+// with its own synchronization.
 type Engine struct {
-	snap       atomic.Pointer[snapshot]
-	planning   atomic.Pointer[pairPlanning] // nil until SetPairPlan
-	building   sync.Mutex                   // one background pair build at a time
-	builds     sync.WaitGroup               // background pair builds in flight
-	workers    int
-	prune      bool
-	pairs      bool
-	admit      admitter
-	queueDepth atomic.Int64 // gauge: jobs queued for join workers
-	mu         sync.Mutex   // guards total and latency
-	total      Tally
-	latency    histogram
+	snap     atomic.Pointer[snapshot]
+	planning atomic.Pointer[pairPlanning] // nil until SetPairPlan
+	building sync.Mutex                   // one background pair build at a time
+	builds   sync.WaitGroup               // background pair builds in flight
+	workers  int
+	prune    bool
+	pairs    bool
+	admit    admitter
+	mu       sync.Mutex // guards total and latency
+	total    Tally
+	latency  histogram
 }
 
 // New builds an engine over a compacted index.

@@ -19,8 +19,8 @@ import (
 // keep user-supplied scoring closures from taking the process down.
 
 // KernelFactory builds one reusable join kernel. The factory itself
-// must be safe for concurrent use (Search calls it once per worker);
-// the kernels it returns need not be — each worker owns its kernel
+// must be safe for concurrent use (Search calls it once per walker);
+// the kernels it returns need not be — each walker owns its kernel
 // exclusively and reuses its scratch across the documents it
 // evaluates. Adapt a plain one-shot function with join.KernelFunc.
 type KernelFactory func() join.Kernel
@@ -132,7 +132,7 @@ func (s KernelSpec) Factory() (KernelFactory, error) {
 	return nil, fmt.Errorf("engine: unknown kernel family %q (want win, med, or max)", s.Family)
 }
 
-// workerKernel is one worker's kernel with its optional capabilities
+// workerKernel is one walker's kernel with its optional capabilities
 // resolved once per build, not once per document.
 type workerKernel struct {
 	join.Kernel
@@ -142,7 +142,7 @@ type workerKernel struct {
 
 // buildKernel calls the query's factory, recovering a panicking
 // factory to the zero workerKernel (counted in t) so one hostile
-// factory cannot kill a worker (and with it the whole query's WaitGroup).
+// factory cannot kill a walker (and with it the whole query's WaitGroup).
 func buildKernel(f KernelFactory, prune bool, t *Tally) (wk workerKernel) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -199,22 +199,20 @@ func safeJoin(kern workerKernel, bar float64, lists match.Lists) (set match.Set,
 }
 
 // bounder evaluates a query kernel's score cap (join.UpperBounded) for
-// the candidate walk's dispatcher, once per pivot. A cap that panics is
-// contained:
+// one walker, once or twice per pivot. A cap that panics is contained:
 // the bounder is failed, the evaluation yields +Inf, which never
-// prunes, and the query goes on unpruned, which is always sound. It
+// prunes, and the walker goes on unpruned, which is always sound. It
 // remembers its evaluations in a small direct-mapped memo: a concept's
 // maximum on a document is one of its stem weights, so a query's
 // pivots carry few distinct maxima, and the cap is a function of its
 // arguments alone, so arguments bit-identical to a remembered
-// evaluation's take its float without calling the kernel. It also runs
-// the cache rung at dispatch (cuts), through the same kernel when it is
-// Floored. It belongs to one dispatcher goroutine, counting in its
-// query's tally, and bounds at most MaxConcepts lists.
+// evaluation's take its float without calling the kernel — nor does a
+// rebuilt kernel, from the same factory, invalidate them. It belongs
+// to one walker, counting in the walker's tally, wraps that walker's
+// kernel (wrap), and bounds at most MaxConcepts lists.
 type bounder struct {
 	t      *Tally
 	ub     join.UpperBounded
-	fl     join.Floored // nil: no rung at dispatch
 	failed bool
 	maxima [MaxConcepts]float64 // scratch for boundSigs
 	memo   [1 << boundMemoBits]boundSlot
@@ -240,22 +238,11 @@ type boundSlot struct {
 	bound       float64
 }
 
-// bounderFor probes the query's kernel for join.UpperBounded. nil means
-// no cap — the kernel has none, or the factory panicked (recovered and
-// counted in t) — and the query runs unpruned.
-func bounderFor(factory KernelFactory, t *Tally) (b *bounder) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.JoinPanics++
-			b = nil
-		}
-	}()
-	k := factory()
-	if ub, ok := k.(join.UpperBounded); ok {
-		fl, _ := k.(join.Floored)
-		return &bounder{t: t, ub: ub, fl: fl}
-	}
-	return nil
+// wrap points the bounder at kernel k's cap; false means k has none,
+// and the walker runs unpruned.
+func (b *bounder) wrap(k workerKernel) bool {
+	b.ub, _ = k.Kernel.(join.UpperBounded)
+	return b.ub != nil
 }
 
 // boundSigs is bound over the maxima of sigs.
@@ -265,24 +252,6 @@ func (b *bounder) boundSigs(sigs []join.Sig, minMatch int) float64 {
 		maxima[i] = s.Max
 	}
 	return b.bound(maxima, minMatch)
-}
-
-// cuts runs the cache rung at dispatch: whether the kernel's window
-// screen would cut a document whose lists have signatures sigs, at
-// bar. A panic in CutWidth is counted and turns the rung off for the
-// rest of the query; the workers' own rung still runs.
-func (b *bounder) cuts(sigs []join.Sig, bar float64) (cut bool) {
-	if b.fl == nil {
-		return false
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			b.t.JoinPanics++
-			b.fl, cut = nil, false
-		}
-	}()
-	w, ok := b.fl.CutWidth(sigs, bar)
-	return ok && join.Apart(sigs, w)
 }
 
 // bound evaluates the kernel's cap over perListMax for minMatch; a panic

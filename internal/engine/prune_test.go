@@ -384,7 +384,7 @@ func (c *countingBound) ScoreUpperBound(perListMax []float64, minMatch int) floa
 func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
 	var tally Tally
 	kern := &countingBound{}
-	b := bounderFor(func() join.Kernel { return kern }, &tally)
+	b := &bounder{t: &tally, ub: kern}
 	negZero := math.Copysign(0, -1)
 	maxima := [][2]float64{
 		{1, 0.5}, {1, 0.5}, {1, 0.5}, // remembered twice

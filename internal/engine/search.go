@@ -63,8 +63,9 @@ type Query struct {
 // candidate document.
 var ErrQueryTooWide = errors.New("engine: query too wide for its kernel")
 
-// MaxConcepts caps a query's concepts: the candidate walk gives each
-// concept one bit of a job's 64-bit concept mask (docJob.mask).
+// MaxConcepts caps a query's concepts: every step of the candidate walk
+// visits each concept's cursor, and a walker's bounder keeps the
+// maxima of a pivot's matched concepts in a fixed array of this size.
 const MaxConcepts = 64
 
 // CheckWidth reports ErrQueryTooWide when the query has more than
@@ -136,9 +137,10 @@ type Result struct {
 }
 
 // queryState is the per-query fault and cancellation context, and the
-// query's tally, threaded through candidate generation and the worker
-// pool. degraded and failed are touched by workers concurrently;
-// cancelled and tally only by the dispatcher goroutine.
+// query's tally, threaded through candidate generation and the
+// walkers. degraded and failed are touched by walkers concurrently;
+// cancelled and tally only by the calling goroutine, after its walkers
+// have exited.
 type queryState struct {
 	ctx       context.Context
 	idx       *index.Compact
@@ -259,7 +261,7 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 
 	// Pair-served fast path: a two-term conjunctive spec query whose
 	// pair list is registered skips concept resolution, the candidate
-	// walk, and the worker pool entirely — the list already holds every
+	// walk and the join entirely — the list already holds every
 	// (doc, score, witness) the kernel path would compute.
 	if pairFP != 0 && q.Mode != ModeOR && q.MinMatch == 0 && n == 2 {
 		if res, ok := e.servePair(qs, q, pairFP, k, start); ok {

@@ -13,10 +13,9 @@ import (
 // power-of-two latency histogram; and an expvar bridge.
 
 // Tally is the engine's counter set: every cumulative count Stats
-// reports. A query counts into its own Tally, which its dispatcher
-// owns; each join worker counts into a plain local one, added to the
-// query's once, when the worker exits. Add is the only place the set is
-// listed.
+// reports. A query counts into its own Tally; each of its walkers
+// counts into a plain local one, added to the query's once, when the
+// walker exits. Add is the only place the set is listed.
 type Tally struct {
 	Queries       uint64 // admitted Search calls, counted as they finish
 	DocsEvaluated uint64 // candidate documents actually joined
@@ -28,8 +27,8 @@ type Tally struct {
 	// the paper's Figure 8 quantity, the number that says how much of a
 	// deployment's join time is duplicate avoidance. Unwrapped kernels
 	// add nothing. The kernel floor ends searches early against a floor
-	// that rises with the worker schedule, so with pruning on and
-	// several workers the count is schedule-dependent, like PrunedDocs.
+	// that rises with the walker schedule, so with pruning on and
+	// several walkers the count is schedule-dependent, like PrunedDocs.
 	KernelInvocations uint64
 	// FloorCutJoins counts joins a floor-aware kernel (join.Floored)
 	// ended at their first run because nothing in the document could
@@ -46,10 +45,9 @@ type Tally struct {
 	// PrunedDocs counts candidate documents skipped because their
 	// score upper bound was strictly below the top-k floor — joins
 	// that never ran. The bound is the candidate's per-list maxima (each
-	// concept's exact maximum on the document), or the cache rung's, at
-	// dispatch or at the worker: its lists' signatures put every window
-	// past the kernel's cut width (a document the window screen would
-	// otherwise have cut).
+	// concept's exact maximum on the document), or the cache rung's: its
+	// lists' signatures put every window past the kernel's cut width (a
+	// document the window screen would otherwise have cut).
 	PrunedDocs     uint64
 	DeadlineHits   uint64 // queries cut short by a context deadline
 	PartialResults uint64 // queries returning Partial results
@@ -215,10 +213,8 @@ type Stats struct {
 	// PrunedFraction is PrunedDocs over all candidates that reached the
 	// prune-or-join decision (0 when none have).
 	PrunedFraction float64
-	// InFlight and QueueDepth are gauges: queries currently admitted,
-	// and jobs currently queued for join workers.
-	InFlight   int
-	QueueDepth int
+	// InFlight is a gauge: queries currently admitted.
+	InFlight int
 	// ListHits, ListMisses, BlockDecodes, BlocksSkipped and
 	// CoalescedDecodes have read 0 since the list cache, the block codec
 	// and decode coalescing were deleted, and PairBoundPrunes since pair
@@ -239,14 +235,13 @@ type Stats struct {
 // Stats returns a snapshot of the engine's counts. A query is
 // counted when it finishes, all its counters and its latency at once,
 // so a snapshot taken while queries run holds each of them entirely or
-// not at all: Queries always equals QueryLatency.Count. The gauges are
-// read on their own.
+// not at all: Queries always equals QueryLatency.Count. The gauge is
+// read on its own.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{Tally: e.total, QueryLatency: e.latency.snapshot()}
 	e.mu.Unlock()
 	s.InFlight = e.admit.inFlight()
-	s.QueueDepth = int(e.queueDepth.Load())
 	if n := s.PrunedDocs + s.DocsEvaluated; n > 0 {
 		s.PrunedFraction = float64(s.PrunedDocs) / float64(n)
 	}

@@ -9,10 +9,15 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"strings"
+	"sync"
 	"testing"
 
 	"bestjoin/internal/index"
+	"bestjoin/internal/join"
+	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
 
@@ -31,43 +36,97 @@ func buildCompactSpaced(t testing.TB, docs []string, stride int) *index.Compact 
 }
 
 // TestBlocksPruneInRankOrder pins the rank-order tie-break of the
-// dispatch screen. Every document scores identically and every bound
-// ties the top-k floor, so what decides a document is its id alone: a
+// pivot screen. Every document scores identically and every bound ties
+// the top-k floor, so what decides a document is its id alone: a
 // document that still wins its tie against the k-th kept entry must be
-// joined, and one that has lost it already must not be. One worker
-// takes the 12 candidates in id order, so after documents 0–3 fill the
-// heap the 8 behind them are pruned, exactly.
+// joined, and one that has lost it already must not be. Document i
+// holds its words from location i on, so a probe reads each joined
+// document's id off its list: every document up to the 4th kept one is
+// joined, at any worker count, and only larger ids are skipped or
+// pruned. One walker takes the 12 candidates in id order with a floor
+// fresh after each offer: documents 0–3 fill the heap, pivot 4 loses
+// its tie on id and is skipped, and since its one concept stood at its
+// largest weight the walk jumps past every later document at once.
 func TestBlocksPruneInRankOrder(t *testing.T) {
 	docs := make([]string, 12)
 	for i := range docs {
-		docs[i] = "amber basalt"
+		docs[i] = strings.Repeat("quartz ", i) + "amber basalt"
 	}
 	compact := buildCompact(t, docs)
 	concept := []index.Concept{{"amber": 1, "basalt": 1}}
-
-	e := New(compact, Config{Workers: 1})
-	q := Query{Concepts: concept, Join: WINJoiner(scorefn.ExpWIN{Alpha: 0.07}), K: 4}
-	res, err := e.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDocs(t, "all ties", res.Docs, want.Docs)
-	if len(res.Docs) != 4 {
-		t.Fatalf("got %d docs, want 4", len(res.Docs))
-	}
-	for i, dr := range res.Docs {
-		if dr.Doc != i {
-			t.Fatalf("rank %d is doc %d, want %d (tie-break by id broken)", i, dr.Doc, i)
+	for _, workers := range []int{1, 4} {
+		var joined idProbeLog
+		q := Query{Concepts: concept, Join: idProbeFactory(&joined), K: 4}
+		e := New(compact, Config{Workers: workers})
+		res, err := e.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("all ties, %d workers", workers)
+		assertSameDocs(t, label, res.Docs, want.Docs)
+		assertResultInvariants(t, label, res)
+		if len(res.Docs) != 4 {
+			t.Fatalf("%s: got %d docs, want 4", label, len(res.Docs))
+		}
+		for i, dr := range res.Docs {
+			if dr.Doc != i {
+				t.Fatalf("%s: rank %d is doc %d, want %d (tie-break by id broken)", label, i, dr.Doc, i)
+			}
+		}
+		ids := joined.ids()
+		for d := 0; d <= res.Docs[3].Doc; d++ {
+			if !ids[d] {
+				t.Fatalf("%s: doc %d, which wins its tie with the 4th kept doc %d, was not joined (joined %v)", label, d, res.Docs[3].Doc, ids)
+			}
+		}
+		st := e.Stats()
+		if workers == 1 && (res.Evaluated != 4 || res.Pruned != 1 || st.PivotSkips != 1 || res.Candidates != 5) {
+			t.Fatalf("%s: %d candidates, %d evaluated, %d pruned, %d pivot skips; want 5, 4, 1 and 1",
+				label, res.Candidates, res.Evaluated, res.Pruned, st.PivotSkips)
 		}
 	}
-	if res.Pruned != 8 || res.Evaluated != 4 {
-		t.Fatalf("%d documents pruned, %d evaluated; want the 8 documents behind doc 3 pruned and 4 evaluated",
-			res.Pruned, res.Evaluated)
+}
+
+// idProbeLog collects the document ids an idProbe saw joined.
+type idProbeLog struct {
+	mu   sync.Mutex
+	seen map[int]bool
+}
+
+func (l *idProbeLog) ids() map[int]bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return maps.Clone(l.seen)
+}
+
+// idProbe is a WIN kernel that logs the location of each joined
+// document's first match: on a corpus where document i's words start
+// at location i, that is the document's id. It keeps the kernel's cap
+// and window screen, so the engine prunes exactly as it would without
+// the probe.
+type idProbe struct {
+	probedKernel
+	log *idProbeLog
+}
+
+func idProbeFactory(log *idProbeLog) KernelFactory {
+	return func() join.Kernel {
+		return idProbe{join.NewWINKernel(scorefn.ExpWIN{Alpha: 0.07}), log}
 	}
+}
+
+func (p idProbe) Reset(fn any, lists match.Lists) {
+	p.log.mu.Lock()
+	if p.log.seen == nil {
+		p.log.seen = map[int]bool{}
+	}
+	p.log.seen[lists[0][0].Loc] = true
+	p.log.mu.Unlock()
+	p.probedKernel.Reset(fn, lists)
 }
 
 // TestCorruptBlocksDegradeNotCrash pins the failure model over document

@@ -69,7 +69,7 @@ func TestStatsJSONKeys(t *testing.T) {
 		"JoinPanics", "JoinsRun", "KernelInvocations", "ListHits", "ListMisses",
 		"MergedCandidates", "PairBoundPrunes", "PairHits", "PairServed",
 		"PartialResults", "PivotSkips", "PrunedDocs", "PrunedFraction",
-		"Queries", "QueryLatency", "QueueDepth", "QuorumDegraded", "Retried",
+		"Queries", "QueryLatency", "QuorumDegraded", "Retried",
 		"ShardFailures", "ShardQueries", "ShardTimeouts", "Shards", "Shed",
 		"UnionCandidates", "UnionUnpruned", "WindowCutJoins",
 	}
@@ -228,8 +228,8 @@ func TestTallyQueryGranular(t *testing.T) {
 			if got != want {
 				t.Fatalf("Stats %+v, want %+v", got, want)
 			}
-			if st.QueryLatency.Count != st.Queries || st.InFlight != 0 || st.QueueDepth != 0 {
-				t.Fatalf("at rest: QueryLatency.Count %d, Queries %d, InFlight %d, QueueDepth %d", st.QueryLatency.Count, st.Queries, st.InFlight, st.QueueDepth)
+			if st.QueryLatency.Count != st.Queries || st.InFlight != 0 {
+				t.Fatalf("at rest: QueryLatency.Count %d, Queries %d, InFlight %d", st.QueryLatency.Count, st.Queries, st.InFlight)
 			}
 			if pairServed == 0 || injected.Load() == 0 || partial == 0 || len(kinds) != 9 {
 				t.Fatalf("stream too tame: %d pair-served, %d panics, %d partial, kinds %v", pairServed, injected.Load(), partial, kinds)

@@ -12,7 +12,7 @@ import (
 )
 
 // topK is the query's global top-k document heap: a size-bounded
-// min-heap guarded by a mutex, shared by every worker. The heap root
+// min-heap guarded by a mutex, shared by every walker. The heap root
 // is the currently weakest kept document, so most offers from losing
 // documents are rejected after one comparison.
 //
@@ -131,7 +131,7 @@ func (t *topK) entry() floorEntry {
 // lock-free read can only be more permissive than the state under the
 // lock — never the reverse. Equal scores must still take the lock (a
 // smaller doc id displaces the weakest kept entry). set may alias the
-// worker's kernel-owned buffer, so an entering offer copies it — under
+// walker's kernel-owned buffer, so an entering offer copies it — under
 // the lock, once it is known to enter: a query has a few dozen of
 // those, against thousands of offers that tie with the floor and lose
 // on document id (graded scores tie often), which must not pay for a

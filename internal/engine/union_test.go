@@ -8,13 +8,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bestjoin/internal/dedup"
 	"bestjoin/internal/index"
 	"bestjoin/internal/join"
+	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
 )
 
@@ -176,33 +179,47 @@ func TestUnknownQueryModeRefused(t *testing.T) {
 
 // TestUnionNeverPruneOnEquality mirrors the conjunctive equality tests
 // for the pivot loop: when every document scores exactly the pruning
-// bound, the floor ties the bound for every later pivot, and any skip
-// on equality would break the document-id tie-break order.
+// bound, the floor ties the bound for every later pivot, and a skip on
+// equality would break the document-id tie-break order. Document i
+// holds its word at location i, so idProbe reads each joined
+// document's id: every document up to the 4th kept one is joined, at
+// any worker count. One walker, its floor fresh after each offer,
+// skips pivot 4 — it lost its tie on id — and with it the rest.
 func TestUnionNeverPruneOnEquality(t *testing.T) {
 	docs := make([]string, 12)
 	for i := range docs {
-		docs[i] = "amber"
+		docs[i] = strings.Repeat("quartz ", i) + "amber"
 	}
 	concepts := []index.Concept{{"amber": 1}, {"basalt": 1}}
-	e := New(buildCompact(t, docs), Config{Workers: 1})
-	res, err := e.Search(context.Background(), Query{
-		Concepts: concepts, Join: WINJoiner(scorefn.ExpWIN{Alpha: 0.07}), K: 4, Mode: ModeOR,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Docs) != 4 {
-		t.Fatalf("got %d docs, want 4", len(res.Docs))
-	}
-	for i, dr := range res.Docs {
-		if dr.Doc != i {
-			t.Fatalf("rank %d is doc %d, want %d (tie-break by id broken)", i, dr.Doc, i)
+	for _, workers := range []int{1, 4} {
+		var joined idProbeLog
+		e := New(buildCompact(t, docs), Config{Workers: workers})
+		res, err := e.Search(context.Background(), Query{
+			Concepts: concepts, Join: idProbeFactory(&joined), K: 4, Mode: ModeOR,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		label := fmt.Sprintf("equality, %d workers", workers)
+		if len(res.Docs) != 4 {
+			t.Fatalf("%s: got %d docs, want 4", label, len(res.Docs))
+		}
+		for i, dr := range res.Docs {
+			if dr.Doc != i {
+				t.Fatalf("%s: rank %d is doc %d, want %d (tie-break by id broken)", label, i, dr.Doc, i)
+			}
+		}
+		ids := joined.ids()
+		for d := 0; d <= res.Docs[3].Doc; d++ {
+			if !ids[d] {
+				t.Fatalf("%s: doc %d, which wins its tie with the 4th kept doc, was not joined (joined %v)", label, d, ids)
+			}
+		}
+		if st := e.Stats(); workers == 1 && (st.PivotSkips != 1 || res.Pruned != 1 || res.Evaluated != 4) {
+			t.Fatalf("%s: %d pivot skips, %d pruned, %d evaluated; want 1, 1 and 4", label, st.PivotSkips, res.Pruned, res.Evaluated)
+		}
+		assertResultInvariants(t, label, res)
 	}
-	if got := e.Stats().PivotSkips; got != 0 {
-		t.Fatalf("%d pivots skipped on an all-ties query", got)
-	}
-	assertResultInvariants(t, "equality", res)
 }
 
 // TestUnionPivotSkipsCounted pins that the union pruning machinery
@@ -454,5 +471,170 @@ func TestWeightedANDKeepsItsCap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConjunctiveCapSkipsPivot: a 2-of-3 pivot matching all three
+// concepts is joined over all three lists, so the conjunctive cap over
+// exactly those lists bounds it, and under the valid-matchset MED
+// kernel that cap sits below the disjunctive one (three distinct
+// locations are at least 2 from their median, two at least 1). Five
+// documents hold amber next to beryl (0.95) and fill the heap at
+// 0.95·F(−1); every fourth document after them holds all three words at
+// adjacent locations, F(−2) under a disjunctive cap of F(−1) — a pivot
+// only the conjunctive cap skips. One walker joins none of them, and
+// the answers are internal/refrank's. The walk that took the
+// disjunctive cap alone joined all 45 documents and skipped none.
+func TestConjunctiveCapSkipsPivot(t *testing.T) {
+	docs := []string{"amber beryl", "beryl amber", "quartz amber beryl", "amber beryl quartz", "ribbon beryl amber"}
+	for i := 0; i < 40; i++ {
+		docs = append(docs, []string{
+			"amber basalt cedar",               // all three adjacent: F(−2)
+			"amber quartz basalt",              // two, 2 apart: F(−2)
+			"cedar beryl",                      // ties the 5th kept, loses on id
+			"amber quartz quartz quartz cedar", // two, 4 apart
+		}[i%4])
+	}
+	compact := buildCompact(t, docs)
+	concepts := []index.Concept{{"amber": 1}, {"basalt": 1, "beryl": 0.95}, {"cedar": 1}}
+	fn := scorefn.ExpMED{Alpha: 0.1}
+	var wide atomic.Int64
+	factory := func() join.Kernel { return dedup.Wrap(widthProbe{join.NewMEDKernel(fn), &wide}) }
+	e := New(compact, Config{Workers: 1})
+	res, err := e.Search(context.Background(), Query{Concepts: concepts, Join: factory, K: 5, Mode: ModeOR, MinMatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "2 of 3", res.Docs, oracle(compact, concepts, 2, ValidMEDJoiner(fn), 5))
+	assertResultInvariants(t, "2 of 3", res)
+	st := e.Stats()
+	if n := wide.Load(); n != 0 {
+		t.Fatalf("%d joins over all three lists; every such pivot's conjunctive cap is under the floor", n)
+	}
+	if st.JoinsRun != 35 || st.PivotSkips != 10 {
+		t.Fatalf("JoinsRun %d, PivotSkips %d; want 35 joins and the 10 three-word pivots skipped", st.JoinsRun, st.PivotSkips)
+	}
+}
+
+// widthProbe counts the instances of three or more lists its MED
+// kernel is loaded with, keeping the kernel's caps, the valid-matchset
+// one among them, and its window screen.
+type widthProbe struct {
+	*join.MEDKernel
+	wide *atomic.Int64
+}
+
+func (p widthProbe) Reset(fn any, lists match.Lists) {
+	if len(lists) >= 3 {
+		p.wide.Add(1)
+	}
+	p.MEDKernel.Reset(fn, lists)
+}
+
+// TestWalkerTiesAcrossRanges: far more than 2K documents tie at the
+// k-th score, two of them on either side of every boundary between the
+// walkers' id ranges at 2, 4 and 8 workers. Whichever walker fills the
+// heap first, a walker in a lower range must still admit its
+// smaller-id ties, so every shape answers internal/refrank's ranking
+// bitwise, the K smallest tied ids in id order.
+func TestWalkerTiesAcrossRanges(t *testing.T) {
+	const n, k = 600, 10
+	tied := map[int]bool{}
+	for _, workers := range []int{2, 4, 8} {
+		nranges := workers * rangesPerWalker
+		width := (n + nranges - 1) / nranges
+		for b := width; b < n; b += width {
+			tied[b-1], tied[b] = true, true
+		}
+	}
+	docs := make([]string, n)
+	var ids []int
+	for i := range docs {
+		switch {
+		case tied[i]:
+			docs[i] = "quartz amber basalt ribbon"
+			ids = append(ids, i)
+		case i%3 == 0:
+			docs[i] = "amber quartz basalt"
+		default:
+			docs[i] = "basalt ribbon ribbon ribbon amber quartz"
+		}
+	}
+	if len(ids) < 2*k {
+		t.Fatalf("%d tied documents, want at least %d", len(ids), 2*k)
+	}
+	compact := buildCompact(t, docs)
+	concepts := []index.Concept{{"amber": 1}, {"basalt": 1}}
+	for _, spec := range []KernelSpec{{Family: "win", Alpha: 0.1, Valid: true}, {Family: "med", Alpha: 0.1}} {
+		factory, err := spec.Factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []QueryMode{ModeAND, ModeOR} {
+			m := len(concepts)
+			if mode == ModeOR {
+				m = 1
+			}
+			want := oracle(compact, concepts, m, factory, k)
+			for i, dr := range want {
+				if dr.Doc != ids[i] || dr.Score != want[0].Score {
+					t.Fatalf("%v mode %d: reference rank %d is doc %d at %v, want tied doc %d", spec, mode, i, dr.Doc, dr.Score, ids[i])
+				}
+			}
+			for _, workers := range []int{2, 4, 8} {
+				e := New(compact, Config{Workers: workers})
+				res, err := e.Search(context.Background(), Query{Concepts: concepts, Join: factory, K: k, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v mode %d, %d workers", spec, mode, workers)
+				assertSameDocs(t, label, res.Docs, want)
+				assertResultInvariants(t, label, res)
+			}
+		}
+	}
+}
+
+// TestWalkerDeadlineMidRange: a deadline fires while every walker is
+// inside a join, in the middle of its first range. The query comes
+// back Partial, and every helper walker has exited by the time Search
+// returns.
+func TestWalkerDeadlineMidRange(t *testing.T) {
+	compact := buildCompact(t, testCorpus(2000, 5))
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	var joining, most atomic.Int64
+	factory := func() join.Kernel {
+		k := join.NewMEDKernel(scorefn.ExpMED{Alpha: 0.1})
+		return join.KernelFunc(func(ls match.Lists) (match.Set, float64, bool) {
+			now := joining.Add(1)
+			for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+			}
+			<-ctx.Done()
+			joining.Add(-1)
+			k.Reset(nil, ls)
+			return k.Join()
+		})
+	}
+	e := New(compact, Config{Workers: 4})
+	res, err := e.Search(ctx, Query{Concepts: testConcepts(), Join: factory, K: 5, Mode: ModeOR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial {
+		t.Fatalf("a deadline mid-walk: not Partial, %d of %d candidates evaluated", res.Evaluated, res.Candidates)
+	}
+	assertResultInvariants(t, "deadline", res)
+	if most.Load() < 2 {
+		t.Fatalf("at most %d walkers joined at once; the helpers never ran", most.Load())
+	}
+	// A helper exits right after it signals the WaitGroup Search waits
+	// on, so it may be counted a moment longer.
+	for limit := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(limit) {
+			t.Fatalf("%d goroutines after the query, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }

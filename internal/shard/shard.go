@@ -506,7 +506,6 @@ func (c *Coordinator) Stats() engine.Stats {
 		hists[i] = s.QueryLatency
 		agg.Add(s.Tally)
 		agg.InFlight += s.InFlight
-		agg.QueueDepth += s.QueueDepth
 	}
 	agg.Queries = own.Queries
 	if agg.PrunedDocs+agg.DocsEvaluated > 0 {

@@ -49,6 +49,15 @@ go test -race ./...
 echo "== root differentials x10 =="
 go test -race -short -count=10 -run TestDifferential .
 
+# The parallel walk, twenty times: ties straddling the boundaries of the
+# walkers' id ranges, a deadline firing mid-range while helper walkers
+# join, and every walker's tally merged into its query's. An assertion
+# that depends on how the walkers interleave shows up here, where one
+# run of the suite above passes it now and then. (About 30 s on a
+# 2-core host.)
+echo "== walker tests x20 =="
+go test -race -count=20 -run 'TestWalker|TestTallyQueryGranular' ./internal/engine/
+
 # The load harness under bench/ is a module of its own (BENCHMARK.json
 # builds it from there), so nothing above compiles it: vet and
 # self-test it here, or an engine API change breaks the benchmark
