@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 
 	"bestjoin"
 	"bestjoin/internal/index"
+	"bestjoin/internal/refrank"
 	"bestjoin/internal/shard"
 )
 
@@ -178,61 +180,60 @@ func engineBenchPruningQuery() bestjoin.EngineQuery {
 	}
 }
 
-// BenchmarkEnginePruning compares the query path with pruning on (the
-// default) and off. Both runs produce the identical top-k — the
-// benchmark asserts it once up front — so the delta is pure join work
-// avoided or cut short; pruneddocs/op and joins/op make the skip rate
-// visible in BENCH_engine.json. (The arms keep their "/cold" names from
-// when each iteration dropped the engine's caches; the engine has none
-// now.)
+// refrankGate fails b unless e answers q, a query that m of its
+// concepts qualify a document for, with internal/refrank's ranking
+// under q's own kernel, cut at q.K, bit for bit, and returns how many
+// documents qualify: what an exhaustive walk would join.
+func refrankGate(b *testing.B, e *bestjoin.Engine, c *bestjoin.CompactIndex, q bestjoin.EngineQuery, m int) int {
+	b.Helper()
+	got, err := e.Search(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, qualifying := refrank.Rank(c, q.Concepts, m, refrank.Kernel(q.Join()))
+	want = want[:min(q.K, len(want))]
+	if len(got.Docs) != len(want) {
+		b.Fatalf("m=%d: the engine returned %d docs, refrank ranks %d", q.MinMatch, len(got.Docs), len(want))
+	}
+	for i, w := range want {
+		if g := got.Docs[i]; g.Doc != w.Doc || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			b.Fatalf("m=%d: rank %d is (%d, %v), refrank's (%d, %v)", q.MinMatch, i, g.Doc, g.Score, w.Doc, w.Score)
+		}
+	}
+	return qualifying
+}
+
+// BenchmarkEnginePruning times the query path on a query shaped for
+// the top-k floor. Its answer is gated bitwise against internal/refrank
+// once up front; qualifying/op, the documents an exhaustive walk would
+// join, against joins/op and pruneddocs/op makes the size of the
+// pruning win visible in BENCH_engine.json. (The arm keeps its
+// "pruned/cold" name from when each iteration dropped the engine's
+// caches and an unpruned arm ran beside it.)
 func BenchmarkEnginePruning(b *testing.B) {
 	c := engineBenchIndex()
 	q := engineBenchPruningQuery()
 
 	pe := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
-	ue := bestjoin.NewEngine(c, bestjoin.EngineConfig{DisablePruning: true})
-	rp, err := pe.Search(context.Background(), q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ru, err := ue.Search(context.Background(), q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(rp.Docs) != len(ru.Docs) {
-		b.Fatalf("pruned returned %d docs, unpruned %d", len(rp.Docs), len(ru.Docs))
-	}
-	for i := range rp.Docs {
-		if rp.Docs[i].Doc != ru.Docs[i].Doc || rp.Docs[i].Score != ru.Docs[i].Score {
-			b.Fatalf("rank %d differs: pruned (%d, %v) vs unpruned (%d, %v)", i,
-				rp.Docs[i].Doc, rp.Docs[i].Score, ru.Docs[i].Doc, ru.Docs[i].Score)
-		}
-	}
-	if rp.Pruned == 0 && pe.Stats().FloorCutJoins == 0 {
+	qualifying := refrankGate(b, pe, c, q, len(q.Concepts))
+	if st := pe.Stats(); st.PrunedDocs == 0 && st.FloorCutJoins == 0 {
 		b.Fatal("pruning benchmark query pruned nothing and cut no join")
 	}
 
-	for _, mode := range []struct {
-		name string
-		cfg  bestjoin.EngineConfig
-	}{
-		{"pruned", bestjoin.EngineConfig{}},
-		{"unpruned", bestjoin.EngineConfig{DisablePruning: true}},
-	} {
-		b.Run(mode.name+"/cold", func(b *testing.B) {
-			e := bestjoin.NewEngine(c, mode.cfg)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Search(context.Background(), q); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("pruned/cold", func(b *testing.B) {
+		e := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Search(context.Background(), q); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			st := e.Stats()
-			b.ReportMetric(float64(st.PrunedDocs)/float64(b.N), "pruneddocs/op")
-			b.ReportMetric(float64(st.JoinsRun)/float64(b.N), "joins/op")
-		})
-	}
+		}
+		b.StopTimer()
+		st := e.Stats()
+		b.ReportMetric(float64(st.PrunedDocs)/float64(b.N), "pruneddocs/op")
+		b.ReportMetric(float64(st.JoinsRun)/float64(b.N), "joins/op")
+		b.ReportMetric(float64(qualifying), "qualifying/op")
+	})
 }
 
 // BenchmarkEngineWorkers measures worker-pool scaling of the join
@@ -364,12 +365,12 @@ func engineBenchUnionQuery(join bestjoin.KernelFactory) bestjoin.EngineQuery {
 }
 
 // BenchmarkEngineUnion measures the disjunctive (block-max WAND) path:
-// the ranked union pruned vs exhaustive, plus an m-of-n middle point,
-// for SumMAX (unprefixed names) and for the served family (med/).
-// joins/op, pivotskips/op, pruneddocs/op and unioncandidates/op land in
-// BENCH_engine.json via scripts/benchjson.sh, so the skip rate is
-// tracked across changes the same way the conjunctive layer tracks
-// pruneddocs/op.
+// the ranked union, plus an m-of-n middle point, for SumMAX (unprefixed
+// names) and for the served family (med/). joins/op, pivotskips/op,
+// pruneddocs/op, unioncandidates/op and qualifying/op (the documents
+// an exhaustive walk would join) land in BENCH_engine.json via
+// scripts/benchjson.sh, so the skip rate is tracked across changes the
+// same way the conjunctive layer tracks pruneddocs/op.
 func BenchmarkEngineUnion(b *testing.B) {
 	c := engineBenchIndex()
 	for _, fam := range []struct {
@@ -383,39 +384,18 @@ func BenchmarkEngineUnion(b *testing.B) {
 		m2 := q
 		m2.MinMatch = 2
 
-		// Gate: the pruned union must be bitwise identical to the
-		// exhaustive one before its latency means anything.
-		for _, gq := range []bestjoin.EngineQuery{q, m2} {
-			rp, err := bestjoin.NewEngine(c, bestjoin.EngineConfig{}).Search(context.Background(), gq)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ru, err := bestjoin.NewEngine(c, bestjoin.EngineConfig{DisablePruning: true}).Search(context.Background(), gq)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rp.Docs) != len(ru.Docs) {
-				b.Fatalf("%sm=%d: pruned union returned %d docs, unpruned %d", fam.prefix, gq.MinMatch, len(rp.Docs), len(ru.Docs))
-			}
-			for i := range rp.Docs {
-				if rp.Docs[i].Doc != ru.Docs[i].Doc || rp.Docs[i].Score != ru.Docs[i].Score {
-					b.Fatalf("%sm=%d: rank %d differs: pruned (%d, %v) vs unpruned (%d, %v)", fam.prefix, gq.MinMatch, i,
-						rp.Docs[i].Doc, rp.Docs[i].Score, ru.Docs[i].Doc, ru.Docs[i].Score)
-				}
-			}
-		}
-
+		// Gate: the union must be bitwise refrank's before its latency
+		// means anything.
 		for _, bench := range []struct {
-			name string
-			cfg  bestjoin.EngineConfig
-			q    bestjoin.EngineQuery
+			name       string
+			q          bestjoin.EngineQuery
+			qualifying int
 		}{
-			{"or/pruned", bestjoin.EngineConfig{}, q},
-			{"or/unpruned", bestjoin.EngineConfig{DisablePruning: true}, q},
-			{"m2/pruned", bestjoin.EngineConfig{}, m2},
+			{"or/pruned", q, refrankGate(b, bestjoin.NewEngine(c, bestjoin.EngineConfig{}), c, q, 1)},
+			{"m2/pruned", m2, refrankGate(b, bestjoin.NewEngine(c, bestjoin.EngineConfig{}), c, m2, 2)},
 		} {
 			b.Run(fam.prefix+bench.name, func(b *testing.B) {
-				e := bestjoin.NewEngine(c, bench.cfg)
+				e := bestjoin.NewEngine(c, bestjoin.EngineConfig{})
 				if _, err := e.Search(context.Background(), bench.q); err != nil {
 					b.Fatal(err)
 				}
@@ -433,6 +413,7 @@ func BenchmarkEngineUnion(b *testing.B) {
 				b.ReportMetric(float64(st.PivotSkips-base.PivotSkips)/float64(b.N), "pivotskips/op")
 				b.ReportMetric(float64(st.PrunedDocs-base.PrunedDocs)/float64(b.N), "pruneddocs/op")
 				b.ReportMetric(float64(st.UnionCandidates-base.UnionCandidates)/float64(b.N), "unioncandidates/op")
+				b.ReportMetric(float64(bench.qualifying), "qualifying/op")
 			})
 		}
 	}

@@ -119,7 +119,6 @@ func main() {
 		workers = flag.Int("workers", 0, "walkers per query, each walking and joining its own document ranges (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", 0, "ignored: the engine keeps no match-list cache (accepted so existing command lines still start)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-query deadline")
-		noprune = flag.Bool("noprune", false, "disable lossless max-score pruning (baseline mode)")
 		drain   = flag.Duration("drain", 5*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		synth   = flag.Int("synth", 0, "index a synthetic corpus of this many documents instead of files")
 		httpad  = flag.String("http", "", "serve HTTP on this address instead of the stdin REPL")
@@ -184,11 +183,10 @@ func main() {
 			len(splitAddrs(*shardsAt)), *shardsAt, *quorum)
 	} else {
 		e := bestjoin.NewEngine(compact, bestjoin.EngineConfig{
-			Workers:        *workers,
-			CacheLists:     *cache,
-			DisablePruning: *noprune,
-			MaxInFlight:    *inflight,
-			Overload:       overload,
+			Workers:     *workers,
+			CacheLists:  *cache,
+			MaxInFlight: *inflight,
+			Overload:    overload,
 		})
 		eng, publish = e, e.Publish
 		fmt.Printf("indexed %d documents (%d bytes compressed)\n", compact.Docs(), compact.Bytes())

@@ -793,8 +793,8 @@ func TestHandleStatsUnionNote(t *testing.T) {
 		t.Fatalf("fresh /stats already carries the union note: %s", rec.Body)
 	}
 
-	// A bare KernelFunc offers no union bound, so a pruning engine must
-	// run the disjunction exhaustively and count it.
+	// A bare KernelFunc offers no union bound, so the engine must run
+	// the disjunction exhaustively and count it.
 	unbounded := bestjoin.KernelFactory(func() bestjoin.JoinKernel {
 		return bestjoin.JoinKernelFunc(func(ls bestjoin.MatchLists) (bestjoin.Matchset, float64, bool) {
 			return nil, 1, true

@@ -84,13 +84,13 @@
 // plain arrays once, on the stem's first use, and a document's concept
 // match list is merged from them (best weight wins at a shared
 // position, as the paper's footnote 1 builds it) only when the
-// document is about to be joined. The engine prunes losslessly by
-// default: candidates whose score cap over each concept's exact
+// document is about to be joined. The engine always prunes, and
+// losslessly: candidates whose score cap over each concept's exact
 // maximum on the document (CheckCapWIN/MED/MAX probe a scoring
 // function's caps) cannot beat the current top-k floor, or whose stems'
 // location masks put every window past the kernel's cut, are skipped
-// without merging or joining, with output identical to the exhaustive
-// engine; EngineConfig.DisablePruning turns it off. Queries are
+// without merging or joining, with output identical to an exhaustive
+// ranking (internal/refrank). Queries are
 // conjunctive by default; EngineQuery.Mode = ModeOR (with an optional
 // m-of-n EngineQuery.MinMatch threshold) instead ranks the union of
 // documents matching at least m concepts. One WAND pivot walk serves

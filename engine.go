@@ -61,12 +61,11 @@ type Concept = index.Concept
 // first use; a document's concept match list is merged from them just
 // before its join. See DESIGN.md "Per-stem arrays".
 //
-// By default the engine prunes losslessly: candidates whose score
+// The engine always prunes, and losslessly: candidates whose score
 // upper bound (from each concept's exact maximum on the document) is
 // strictly below the current top-k floor are skipped without running
-// the join, with output guaranteed identical to the exhaustive engine
-// — see DESIGN.md "Score-upper-bound pruning". Set
-// EngineConfig.DisablePruning for the exhaustive baseline.
+// the join, with output guaranteed identical to an exhaustive ranking
+// — see DESIGN.md "Score-upper-bound pruning".
 type Engine = engine.Engine
 
 // The engine degrades instead of dying under partial failure: kernel
@@ -75,9 +74,8 @@ type Engine = engine.Engine
 // and SwapIndex hot-reloads the live index without draining queries.
 // See DESIGN.md "Failure model & graceful degradation".
 
-// EngineConfig sizes an Engine: worker count, the DisablePruning
-// switch (pruning is on by default), and the admission control knobs
-// MaxInFlight and Overload.
+// EngineConfig sizes an Engine: worker count and the admission
+// control knobs MaxInFlight and Overload.
 type EngineConfig = engine.Config
 
 // ErrOverloaded is returned by Engine.Search when admission control

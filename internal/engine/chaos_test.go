@@ -58,8 +58,9 @@ func chaosFaults() []struct {
 }
 
 // TestChaosDifferential is the core of the harness: the full fault ×
-// worker-count × pruning matrix, three seeds and three queries per
-// cell, each seed on a freshly built index (so its stems decode on
+// worker-count × K matrix (K 8, and a K covering every candidate, where
+// no bar rises and nothing is pruned), three seeds and three queries
+// per cell, each seed on a freshly built index (so its stems decode on
 // first use, where the decode faults fire), each outcome checked
 // against the fault-free baseline.
 func TestChaosDifferential(t *testing.T) {
@@ -71,18 +72,21 @@ func TestChaosDifferential(t *testing.T) {
 
 	for _, fault := range chaosFaults() {
 		for _, workers := range []int{1, 4} {
-			for _, noprune := range []bool{false, true} {
-				label := fmt.Sprintf("%s/workers=%d/noprune=%v", fault.name, workers, noprune)
+			for _, cover := range []bool{false, true} {
+				label := fmt.Sprintf("%s/workers=%d/cover=%v", fault.name, workers, cover)
+				q, want := Query{Concepts: testConcepts(), Join: jn, K: k}, baseline
+				if cover {
+					q.K, want = c.Docs(), fullRanking
+				}
 				t.Run(label, func(t *testing.T) {
-					e := New(c, Config{Workers: workers, DisablePruning: noprune})
+					e := New(c, Config{Workers: workers})
 					for seed := int64(1); seed <= 3; seed++ {
 						cfg := fault.cfg
 						cfg.Seed = seed
 						e.SwapIndex(buildCompact(t, testCorpus(120, 41)))
 						faultinject.Activate(cfg)
 						for round := 0; round < 3; round++ {
-							res, err := e.Search(context.Background(),
-								Query{Concepts: testConcepts(), Join: jn, K: k})
+							res, err := e.Search(context.Background(), q)
 							if err != nil {
 								t.Fatalf("seed %d round %d: injected faults must never error: %v", seed, round, err)
 							}
@@ -97,7 +101,7 @@ func TestChaosDifferential(t *testing.T) {
 										seed, round, res.Candidates)
 								}
 							} else {
-								assertSameDocs(t, fmt.Sprintf("%s seed %d round %d", label, seed, round), res.Docs, baseline)
+								assertSameDocs(t, fmt.Sprintf("%s seed %d round %d", label, seed, round), res.Docs, want)
 							}
 						}
 						faultinject.Deactivate()
@@ -105,12 +109,11 @@ func TestChaosDifferential(t *testing.T) {
 
 					// Injection off: the engine must be fully healthy, its
 					// index unpoisoned by whatever just happened.
-					res, err := e.Search(context.Background(),
-						Query{Concepts: testConcepts(), Join: jn, K: k})
+					res, err := e.Search(context.Background(), q)
 					if err != nil || res.Degraded || res.Partial {
 						t.Fatalf("engine unhealthy after chaos: %v %+v", err, res)
 					}
-					assertSameDocs(t, "post-chaos", res.Docs, baseline)
+					assertSameDocs(t, "post-chaos", res.Docs, want)
 				})
 			}
 		}
@@ -271,18 +274,21 @@ func TestChaosDifferentialUnion(t *testing.T) {
 
 	for _, fault := range chaosFaults() {
 		for _, workers := range []int{1, 4} {
-			for _, noprune := range []bool{false, true} {
-				label := fmt.Sprintf("%s/workers=%d/noprune=%v", fault.name, workers, noprune)
+			for _, cover := range []bool{false, true} {
+				label := fmt.Sprintf("%s/workers=%d/cover=%v", fault.name, workers, cover)
+				q, want := Query{Concepts: testConcepts(), Join: jn, K: k, Mode: ModeOR}, baseline
+				if cover {
+					q.K, want = c.Docs(), fulls[len(fulls)-1] // every concept
+				}
 				t.Run(label, func(t *testing.T) {
-					e := New(c, Config{Workers: workers, DisablePruning: noprune})
+					e := New(c, Config{Workers: workers})
 					for seed := int64(1); seed <= 3; seed++ {
 						cfg := fault.cfg
 						cfg.Seed = seed
 						e.SwapIndex(buildCompact(t, testCorpus(120, 43)))
 						faultinject.Activate(cfg)
 						for round := 0; round < 3; round++ {
-							res, err := e.Search(context.Background(),
-								Query{Concepts: testConcepts(), Join: jn, K: k, Mode: ModeOR})
+							res, err := e.Search(context.Background(), q)
 							if err != nil {
 								t.Fatalf("seed %d round %d: injected faults must never error: %v", seed, round, err)
 							}
@@ -304,19 +310,18 @@ func TestChaosDifferentialUnion(t *testing.T) {
 									}
 								}
 							} else {
-								assertSameDocs(t, fmt.Sprintf("%s seed %d round %d", label, seed, round), res.Docs, baseline)
+								assertSameDocs(t, fmt.Sprintf("%s seed %d round %d", label, seed, round), res.Docs, want)
 							}
 						}
 						faultinject.Deactivate()
 					}
 
 					// Injection off: healthy and bitwise back to baseline.
-					res, err := e.Search(context.Background(),
-						Query{Concepts: testConcepts(), Join: jn, K: k, Mode: ModeOR})
+					res, err := e.Search(context.Background(), q)
 					if err != nil || res.Degraded || res.Partial {
 						t.Fatalf("engine unhealthy after chaos: %v %+v", err, res)
 					}
-					assertSameDocs(t, "post-chaos", res.Docs, baseline)
+					assertSameDocs(t, "post-chaos", res.Docs, want)
 				})
 			}
 		}
@@ -349,11 +354,11 @@ func TestChaosPairPath(t *testing.T) {
 		}
 		want[name] = res
 	}
-	full, err := New(bare, Config{DisablePruning: true}).
-		Search(context.Background(), Query{Concepts: wideQ.Concepts, Spec: spec, K: bare.Docs()})
+	factory, err := spec.Factory()
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := oracle(bare, wideQ.Concepts, 3, factory, bare.Docs())
 
 	e := New(c, Config{Workers: 2})
 	faultinject.Activate(faultinject.Config{
@@ -378,7 +383,7 @@ func TestChaosPairPath(t *testing.T) {
 		}
 		assertResultInvariants(t, label, res)
 		if res.Degraded {
-			assertSoundSubset(t, label, res.Docs, full.Docs)
+			assertSoundSubset(t, label, res.Docs, full)
 		} else {
 			assertSameDocs(t, label, res.Docs, want["wide"].Docs)
 		}

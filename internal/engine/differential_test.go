@@ -12,10 +12,11 @@ import (
 // single keeps one engine without pair lists.
 func single(tp refranktest.Topology) bool { return tp == refranktest.Topology{} }
 
-// TestDifferentialPrunedVsUnpruned runs one engine on the random
-// corpora, pruning on and off: both answer what the reference ranks,
-// and the unpruned engine confirms exactly its qualifying documents.
-func TestDifferentialPrunedVsUnpruned(t *testing.T) {
+// TestDifferentialRandomCorpora runs one engine on the random corpora,
+// at the dealt K and at a K covering every qualifying document: both
+// answer what the reference ranks, and the covering query confirms
+// exactly the qualifying documents, pruning none.
+func TestDifferentialRandomCorpora(t *testing.T) {
 	refranktest.Run(t, refranktest.Slice{Topologies: single, Corpus: "random"})
 }
 

@@ -77,12 +77,6 @@ type Config struct {
 	// Deprecated: it remains so that callers written against the
 	// former list cache still compile.
 	CacheLists int
-	// DisablePruning turns off max-score top-k pruning; the zero
-	// Config prunes (the knob defaults to on). Pruning is lossless —
-	// the differential harness proves pruned and unpruned engines
-	// return identical results — so the switch exists for that harness
-	// and for measuring the pruning win, not for correctness.
-	DisablePruning bool
 	// MaxInFlight caps concurrently admitted queries; ≤ 0 means
 	// unlimited (no admission control).
 	MaxInFlight int
@@ -107,7 +101,6 @@ type Engine struct {
 	building sync.Mutex                   // one background pair build at a time
 	builds   sync.WaitGroup               // background pair builds in flight
 	workers  int
-	prune    bool
 	pairs    bool
 	admit    admitter
 	mu       sync.Mutex // guards total and latency
@@ -122,7 +115,6 @@ func New(idx *index.Compact, cfg Config) *Engine {
 	}
 	e := &Engine{
 		workers: cfg.Workers,
-		prune:   !cfg.DisablePruning,
 		pairs:   !cfg.DisablePairIndex,
 		admit:   newAdmitter(cfg.MaxInFlight, cfg.Overload),
 	}

@@ -170,14 +170,10 @@ func TestCacheEvictionStillCorrect(t *testing.T) {
 // query. The walk confirms candidates as it goes, so the partial
 // result's own Candidates counts only those confirmed before the
 // deadline (none, when it passes before the walk starts); the total is
-// an exhaustive engine's count.
+// internal/refrank's qualifying count.
 func TestDeadlineReturnsPartial(t *testing.T) {
 	c := buildCompact(t, testCorpus(300, 5))
-	all, err := New(c, Config{Workers: 2, DisablePruning: true}).Search(context.Background(),
-		Query{Concepts: testConcepts(), Join: MEDJoiner(scorefn.ExpMED{Alpha: 0.1}), K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, matching := refrank.Rank(c, testConcepts(), 3, refrank.Kernel(MEDJoiner(scorefn.ExpMED{Alpha: 0.1})()))
 	e := New(c, Config{Workers: 2})
 	slow := KernelFactory(func() join.Kernel {
 		return join.KernelFunc(func(ls match.Lists) (match.Set, float64, bool) {
@@ -194,8 +190,8 @@ func TestDeadlineReturnsPartial(t *testing.T) {
 	if !res.Partial {
 		t.Fatalf("expected partial result, evaluated %d of %d", res.Evaluated, res.Candidates)
 	}
-	if res.Evaluated >= all.Candidates || res.Evaluated > res.Candidates {
-		t.Errorf("partial result evaluated %d of %d confirmed, %d matching", res.Evaluated, res.Candidates, all.Candidates)
+	if res.Evaluated >= matching || res.Evaluated > res.Candidates {
+		t.Errorf("partial result evaluated %d of %d confirmed, %d matching", res.Evaluated, res.Candidates, matching)
 	}
 	st := e.Stats()
 	if st.DeadlineHits == 0 {

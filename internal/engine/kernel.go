@@ -136,14 +136,14 @@ func (s KernelSpec) Factory() (KernelFactory, error) {
 // resolved once per build, not once per document.
 type workerKernel struct {
 	join.Kernel
-	floored join.Floored  // nil without floor support, or with pruning disabled
+	floored join.Floored  // nil unless the kernel supports a floor
 	valid   *dedup.Kernel // nil unless the kernel is the valid-matchset wrapper
 }
 
 // buildKernel calls the query's factory, recovering a panicking
 // factory to the zero workerKernel (counted in t) so one hostile
 // factory cannot kill a walker (and with it the whole query's WaitGroup).
-func buildKernel(f KernelFactory, prune bool, t *Tally) (wk workerKernel) {
+func buildKernel(f KernelFactory, t *Tally) (wk workerKernel) {
 	defer func() {
 		if r := recover(); r != nil {
 			t.JoinPanics++
@@ -152,9 +152,7 @@ func buildKernel(f KernelFactory, prune bool, t *Tally) (wk workerKernel) {
 	}()
 	wk.Kernel = f()
 	wk.valid, _ = wk.Kernel.(*dedup.Kernel)
-	if prune {
-		wk.floored, _ = wk.Kernel.(join.Floored)
-	}
+	wk.floored, _ = wk.Kernel.(join.Floored)
 	return wk
 }
 

@@ -55,7 +55,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 		// after every offer; the block's first document has the weakest
 		// bar in it.
 		floor := top.entry()
-		if e.prune && info.MaxScore < floor.bar(info.FirstDoc) {
+		if info.MaxScore < floor.bar(info.FirstDoc) {
 			// The whole block provably ranks below the k-th kept entry:
 			// skip it without decoding.
 			pruned += info.NDocs
@@ -71,7 +71,7 @@ func (e *Engine) servePair(qs *queryState, q Query, fp uint64, k int, start time
 				continue
 			}
 			// A record's exact score is its own tightest upper bound.
-			if e.prune && ent.Score < floor.bar(ent.Doc) {
+			if ent.Score < floor.bar(ent.Doc) {
 				pruned++
 				continue
 			}

@@ -16,26 +16,29 @@ import (
 )
 
 // TestNeverPruneOnEquality engineers an exact tie between a
-// candidate's score upper bound and the top-k floor and checks the
-// candidate still joins. With LinearWIN{Scale: 1} (G(x) = x,
+// candidate's score upper bound and the bar it must clear, and checks
+// the candidate still joins. With LinearWIN{Scale: 1} (G(x) = x,
 // F(gsum, w) = gsum − w) every quantity below is an integer-valued
 // float, so the tie is exact, not approximate.
 //
 // Concepts A = {apple: 2, gold: 3} and B = {apple: 2}; K = 2; one
-// worker so the schedule is deterministic.
+// walker, so the walk is id-ordered.
 //
+//   - doc 1 is "apple": maxima (2, 2) give bound 4, and the best join
+//     scores exactly 4 — the bound is tight.
 //   - docs 8 and 9 are "gold pad apple": per-list maxima (3, 2) give
 //     bound 5; the actual best join puts both concepts on the single
 //     "apple" token (window 0) for score 4 — the bound is slack.
-//   - doc 1 is "apple": maxima (2, 2) give bound 4, and the best join
-//     scores exactly 4 — the bound is tight.
 //
-// The dispatcher visits by bound descending: 8, 9, then 1. After 8
-// and 9 the heap holds {(4, 8), (4, 9)} and the floor is 4 — equal to
-// doc 1's bound. Doc 1 must still be joined: it scores 4 and the
-// score-then-smaller-id tie-break replaces (4, 9), so the correct
-// answer is docs [1, 8]. An engine that pruned on equality (bound <=
-// floor) would skip doc 1 and return [8, 9].
+// Under one id-ordered walker every kept document has a smaller id
+// than the pivot, so a local tie is always lost on id. The tie comes
+// from a shared Query.Floor raised to 4 before the search (sound: docs
+// 1 and 8 score 4): the floor entry is (4, MaxInt), which no document
+// id exceeds, so doc 1's bound equals its bar. Doc 1 must still be
+// joined — by the pivot screen, the cache rung and the kernel floor
+// alike — and kept, so the answer is docs [1, 8]. An engine that
+// pruned on equality (bound <= bar), or took the floor's tie as lost,
+// would skip doc 1 and return [8, 9].
 func TestNeverPruneOnEquality(t *testing.T) {
 	docs := make([]string, 10)
 	for i := range docs {
@@ -46,13 +49,16 @@ func TestNeverPruneOnEquality(t *testing.T) {
 	docs[9] = "gold pad apple"
 	compact := buildCompact(t, docs)
 
+	floor := NewGlobalFloor()
+	floor.Raise(4)
 	q := Query{
 		Concepts: []index.Concept{
 			{"apple": 2, "gold": 3},
 			{"apple": 2},
 		},
-		Join: WINJoiner(scorefn.LinearWIN{Scale: 1}),
-		K:    2,
+		Join:  WINJoiner(scorefn.LinearWIN{Scale: 1}),
+		K:     2,
+		Floor: floor,
 	}
 	e := New(compact, Config{Workers: 1})
 	res, err := e.Search(context.Background(), q)
@@ -73,6 +79,9 @@ func TestNeverPruneOnEquality(t *testing.T) {
 	// bound (5) exceeds the final floor.
 	if res.Evaluated != 3 || res.Pruned != 0 {
 		t.Fatalf("Evaluated=%d Pruned=%d, want 3 evaluated and 0 pruned", res.Evaluated, res.Pruned)
+	}
+	if st := e.Stats(); st.FloorCutJoins != 0 {
+		t.Fatalf("%d joins cut by the kernel floor, want 0", st.FloorCutJoins)
 	}
 	if res.Partial {
 		t.Fatal("result marked Partial")
@@ -102,19 +111,18 @@ func (k *slowRepeatKernel) Join() (match.Set, float64, bool) {
 
 // TestLateLowIdsStillWin: every document scores the same (LinearWIN,
 // integer-valued, as in TestNeverPruneOnEquality), so the answer is the
-// k lowest ids, and both arms arrange for those to reach the heap last,
-// when it already holds k ties with larger ids and every screen is
-// comparing against them. A tie lost on id prunes; these ties are won
-// on id and must not.
+// k lowest ids, and both arms let those reach the heap when it may
+// already hold k ties with larger ids and every screen is comparing
+// against them. A tie lost on id prunes; these ties are won on id and
+// must not. At 8 walkers the first id range holds documents 0…6, and
+// the walkers on the ranges above it join their ties meanwhile.
 //
-//   - AND, bound-ordered dispatch: documents 10… are "gold pad apple"
-//     (bound 5, score 4), 0…9 are "apple" (bound 4 = score 4), so the
-//     dispatcher sends 0…9 after all the others. 0…4 must displace the
-//     kept entries; 5…9 have lost the tie by then.
-//   - OR over blocks: concept B's only (hence last) block holds
-//     documents 0…4, which repeat their word and are joined slowly;
-//     concept A's 395 documents behind them are joined by the other
-//     workers meanwhile.
+//   - AND: documents 0…9 are "apple" (bound 4 = score 4), 10… are
+//     "gold pad apple" (bound 5, score 4). 0…4 must displace whatever
+//     the heap holds; 5…9 have lost the tie once 0…4 are kept.
+//   - OR: documents 0…4 repeat "gold" and are joined slowly, so the
+//     other walkers fill the heap with the 395 "apple" documents'
+//     ties before 0…4 reach it.
 func TestLateLowIdsStillWin(t *testing.T) {
 	const n, k = 400, 5
 	factory := func() join.Kernel {
@@ -135,26 +143,24 @@ func TestLateLowIdsStillWin(t *testing.T) {
 		name  string
 		docs  []string
 		query Query
+		m     int
 		score float64
 	}{
-		{"and", and, Query{Concepts: []index.Concept{{"apple": 2, "gold": 3}, {"apple": 2}}}, 4},
-		{"or", or, Query{Concepts: []index.Concept{{"gold": 2}, {"apple": 2}}, Mode: ModeOR}, 2},
+		{"and", and, Query{Concepts: []index.Concept{{"apple": 2, "gold": 3}, {"apple": 2}}}, 2, 4},
+		{"or", or, Query{Concepts: []index.Concept{{"gold": 2}, {"apple": 2}}, Mode: ModeOR}, 1, 2},
 	}
 	for _, arm := range arms {
 		compact := buildCompact(t, arm.docs)
 		q := arm.query
 		q.Join, q.K = factory, k
-		want, err := New(compact, Config{Workers: 8, DisablePruning: true}).Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle(compact, q.Concepts, arm.m, factory, k)
 		pruned := 0
 		for trial := 0; trial < 5; trial++ {
 			res, err := New(compact, Config{Workers: 8}).Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameDocs(t, arm.name, res.Docs, want.Docs)
+			assertSameDocs(t, arm.name, res.Docs, want)
 			for i, dr := range res.Docs {
 				if dr.Doc != i || dr.Score != arm.score {
 					t.Fatalf("%s: rank %d is doc %d score %v, want doc %d score %v", arm.name, i, dr.Doc, dr.Score, i, arm.score)
@@ -173,9 +179,10 @@ func TestLateLowIdsStillWin(t *testing.T) {
 
 // TestPruningSkipsDominatedCandidates checks pruning actually fires on
 // a corpus built for it — one strong document and many weak ones — and
-// that the pruned result matches the unpruned engine exactly. Weak
-// documents bound at 1 can never beat the floor of 3 set by the strong
-// document, so with K = 1 all of them must be skipped without a join.
+// that the result is internal/refrank's exactly. Weak documents bound
+// at 1 can never beat the floor of 3 set by the strong document, so
+// with K = 1 all of them must be skipped without a join; at a K that
+// covers every candidate no bar rises, and the walk joins them all.
 func TestPruningSkipsDominatedCandidates(t *testing.T) {
 	const weak = 40
 	docs := make([]string, 0, weak+1)
@@ -196,8 +203,9 @@ func TestPruningSkipsDominatedCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned := New(compact, Config{Workers: 1, DisablePruning: true})
-	ru, err := unpruned.Search(context.Background(), q)
+	cover := q
+	cover.K = weak + 1
+	ru, err := New(compact, Config{Workers: 1}).Search(context.Background(), cover)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +213,8 @@ func TestPruningSkipsDominatedCandidates(t *testing.T) {
 	if len(rp.Docs) != 1 || rp.Docs[0].Doc != 0 || rp.Docs[0].Score != 3 {
 		t.Fatalf("pruned result wrong: %+v", rp.Docs)
 	}
-	if len(ru.Docs) != 1 || ru.Docs[0].Doc != rp.Docs[0].Doc || ru.Docs[0].Score != rp.Docs[0].Score {
-		t.Fatalf("pruned %+v and unpruned %+v disagree", rp.Docs, ru.Docs)
-	}
+	assertSameDocs(t, "K 1", rp.Docs, oracle(compact, q.Concepts, 1, q.Join, 1))
+	assertSameDocs(t, "K covering", ru.Docs, oracle(compact, q.Concepts, 1, q.Join, cover.K))
 	if rp.Pruned != weak {
 		t.Fatalf("Pruned = %d, want %d (every weak candidate skipped)", rp.Pruned, weak)
 	}
@@ -218,7 +225,7 @@ func TestPruningSkipsDominatedCandidates(t *testing.T) {
 		t.Fatal("pruned candidates must not mark the result Partial")
 	}
 	if ru.Pruned != 0 || ru.Evaluated != weak+1 {
-		t.Fatalf("unpruned engine: Evaluated=%d Pruned=%d", ru.Evaluated, ru.Pruned)
+		t.Fatalf("K covering every candidate: Evaluated=%d Pruned=%d", ru.Evaluated, ru.Pruned)
 	}
 
 	st := pruned.Stats()
@@ -415,8 +422,8 @@ func TestBoundSigsRemembersEqualMaxima(t *testing.T) {
 
 // TestNegativeWeightWINServes: under the "win" family a negative
 // concept weight makes a candidate's score cap NaN (ExpWIN.G is a
-// logarithm). The query must still be answered, exactly as the
-// unpruned engine answers it — with a few candidates and with many.
+// logarithm). The query must still be answered, exactly as
+// internal/refrank ranks it — with a few candidates and with many.
 func TestNegativeWeightWINServes(t *testing.T) {
 	few := []string{
 		"lenovo nba partnership",
@@ -433,18 +440,17 @@ func TestNegativeWeightWINServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(compact, Config{Workers: 2, DisablePruning: true}).Search(context.Background(), q)
+		factory, err := q.Spec.Factory()
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameDocs(t, name, got.Docs, want.Docs)
+		assertSameDocs(t, name, got.Docs, oracle(compact, concepts, 3, factory, q.K))
 	}
 }
 
 // TestCustomKernelRunsUnpruned pins the compatibility contract: a
 // query whose kernel cannot provide upper bounds (a plain KernelFunc)
-// must run unpruned — every candidate joined — even on a pruning
-// engine.
+// must run unpruned — every candidate joined.
 func TestCustomKernelRunsUnpruned(t *testing.T) {
 	compact := buildCompact(t, testCorpus(80, 7))
 	concepts := testConcepts()

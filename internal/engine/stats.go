@@ -27,8 +27,8 @@ type Tally struct {
 	// the paper's Figure 8 quantity, the number that says how much of a
 	// deployment's join time is duplicate avoidance. Unwrapped kernels
 	// add nothing. The kernel floor ends searches early against a floor
-	// that rises with the walker schedule, so with pruning on and
-	// several walkers the count is schedule-dependent, like PrunedDocs.
+	// that rises with the walker schedule, so with several walkers the
+	// count is schedule-dependent, like PrunedDocs.
 	KernelInvocations uint64
 	// FloorCutJoins counts joins a floor-aware kernel (join.Floored)
 	// ended at their first run because nothing in the document could
@@ -71,7 +71,7 @@ type Tally struct {
 	// assembled.
 	UnionCandidates uint64
 	PivotSkips      uint64
-	// UnionUnpruned counts queries a pruning engine walked exhaustively
+	// UnionUnpruned counts queries the engine walked exhaustively
 	// because no sound bound was available — correct results, silently
 	// degraded latency. A non-zero value usually means the deployed
 	// kernel has no cap (join.UpperBounded), or a disjunctive query's

@@ -19,14 +19,14 @@ import (
 // the valid-matchset kernel's per-join invocation counts — checked
 // against a direct replay of every candidate — and stays 0 for an
 // unwrapped kernel, so KernelInvocations/JoinsRun read off a live
-// server is the paper's Figure 8 quantity. With pruning off no join
-// sees a floor and the count is the floorless replay's; with pruning
-// on and one worker the bar each join sees (floorEntry.bar: the floor,
-// or one ulp above it for a document that has lost the tie on id) is a
-// function of document order alone — the worker takes the walk's
-// candidates in that order — so a replay that models both kernel-floor
-// screens and the cache rung ahead of them must predict the join
-// counters exactly — JoinsRun, KernelInvocations, FloorCutJoins,
+// server is the paper's Figure 8 quantity. At a K no smaller than the
+// candidate count no bar rises, no join sees a floor and the count is
+// the floorless replay's; at the default K and one worker the bar each
+// join sees (floorEntry.bar: the floor, or one ulp above it for a
+// document that has lost the tie on id) is a function of document
+// order alone — the worker takes the walk's candidates in that order
+// — so a replay that models both kernel-floor screens and the cache
+// rung ahead of them must predict the join counters exactly — JoinsRun, KernelInvocations, FloorCutJoins,
 // WindowCutJoins, for the wrapped kernel and the bare one — and the
 // wrapped count must come out strictly below the floorless one.
 // PrunedDocs is at most the replay's: a document the replay prunes the
@@ -48,13 +48,16 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
 	ctx := context.Background()
 
-	e := New(compact, Config{Workers: 2, DisablePruning: true})
-	if _, err := e.Search(ctx, Query{Concepts: concepts, Join: WINJoiner(fn)}); err != nil {
+	// K covers every document: the heap never fills, so nothing is
+	// pruned and no join is armed with a floor.
+	cover := compact.Docs()
+	e := New(compact, Config{Workers: 2})
+	if _, err := e.Search(ctx, Query{Concepts: concepts, Join: WINJoiner(fn), K: cover}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.JoinsRun == 0 || st.KernelInvocations != 0 || st.FloorCutJoins != 0 || st.WindowCutJoins != 0 {
-		t.Fatalf("unwrapped kernel, unpruned: JoinsRun %d, KernelInvocations %d, FloorCutJoins %d, WindowCutJoins %d, want >0, 0, 0 and 0",
-			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins)
+		t.Fatalf("unwrapped kernel, K %d: JoinsRun %d, KernelInvocations %d, FloorCutJoins %d, WindowCutJoins %d, want >0, 0, 0 and 0",
+			cover, st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins)
 	}
 
 	// The floorless replay, collecting what the floored one needs: each
@@ -92,13 +95,13 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	if invocations <= joins {
 		t.Fatalf("replay: %d invocations over %d joins — no join split, the corpus does not exercise the counter", invocations, joins)
 	}
-	e = New(compact, Config{Workers: 2, DisablePruning: true})
-	if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: spec}); err != nil {
+	e = New(compact, Config{Workers: 2})
+	if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: spec, K: cover}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.JoinsRun != joins || st.KernelInvocations != invocations || st.FloorCutJoins != 0 || st.WindowCutJoins != 0 {
-		t.Fatalf("valid kernel, unpruned: JoinsRun %d KernelInvocations %d FloorCutJoins %d WindowCutJoins %d, replay says %d, %d, 0 and 0",
-			st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins, joins, invocations)
+		t.Fatalf("valid kernel, K %d: JoinsRun %d KernelInvocations %d FloorCutJoins %d WindowCutJoins %d, replay says %d, %d, 0 and 0",
+			cover, st.JoinsRun, st.KernelInvocations, st.FloorCutJoins, st.WindowCutJoins, joins, invocations)
 	}
 
 	// The floored replay: one worker takes candidates in document order,

@@ -62,12 +62,8 @@ func TestBlocksPruneInRankOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		label := fmt.Sprintf("all ties, %d workers", workers)
-		assertSameDocs(t, label, res.Docs, want.Docs)
+		assertSameDocs(t, label, res.Docs, oracle(compact, concept, 1, idProbeFactory(&idProbeLog{}), q.K))
 		assertResultInvariants(t, label, res)
 		if len(res.Docs) != 4 {
 			t.Fatalf("%s: got %d docs, want 4", label, len(res.Docs))

@@ -83,7 +83,6 @@ const rangesPerWalker = 8
 // the walkers' tally and cancellation: each walker adds its own once,
 // under mu, when it exits.
 type walkState struct {
-	e         *Engine
 	qs        *queryState
 	factory   KernelFactory
 	cds       []*conceptData
@@ -113,7 +112,7 @@ func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k i
 	// terms instead of returning nothing, which is the point of
 	// disjunctive evaluation, and an AND query is left with fewer
 	// concepts than it needs.
-	s := &walkState{e: e, qs: qs, factory: q.Join, cds: cds, minMatch: minMatch, lo: math.MaxInt}
+	s := &walkState{qs: qs, factory: q.Join, cds: cds, minMatch: minMatch, lo: math.MaxInt}
 	living := 0
 	for _, cd := range cds {
 		s.nstems += len(cd.stems)
@@ -234,10 +233,8 @@ func (w *walker) cancelled() bool {
 
 // newWalker builds a walker: its cursors, all carved off one slab with
 // their stem positions; its scratch; and its kernel, whose cap the
-// bounder wraps. Without a cap — or with pruning disabled — every
-// pivot carries a +Inf bound and the loop degenerates to the
-// exhaustive walk, which is always sound (and is the differential
-// baseline's evaluation order).
+// bounder wraps. Without a cap every pivot carries a +Inf bound and
+// the loop degenerates to the exhaustive walk, which is always sound.
 func (s *walkState) newWalker() *walker {
 	n := len(s.cds)
 	w := &walker{walkState: s, done: s.qs.ctx.Done(), floor: s.top.entry(),
@@ -252,15 +249,12 @@ func (s *walkState) newWalker() *walker {
 		pos = pos[len(cd.stems):]
 	}
 	w.ub.t = &w.t
-	w.kern = buildKernel(s.factory, s.e.prune, &w.t)
-	if s.e.prune {
-		w.bounding = w.kern.Kernel != nil && w.ub.wrap(w.kern)
-		if !w.bounding {
-			// A pruning engine running this query exhaustively: silent
-			// degradation is an operational trap, so surface it in
-			// Stats().UnionUnpruned.
-			w.t.UnionUnpruned++
-		}
+	w.kern = buildKernel(s.factory, &w.t)
+	w.bounding = w.kern.Kernel != nil && w.ub.wrap(w.kern)
+	if !w.bounding {
+		// A query walked exhaustively: silent degradation is an
+		// operational trap, so surface it in Stats().UnionUnpruned.
+		w.t.UnionUnpruned++
 	}
 	return w
 }
@@ -440,7 +434,7 @@ func (w *walker) join(d int, bar float64) {
 // build panicked — and points the bounder at the new one; false means
 // the factory panicked again, and the pivot at hand fails.
 func (w *walker) rebuild() bool {
-	if w.kern = buildKernel(w.factory, w.e.prune, &w.t); w.kern.Kernel == nil {
+	if w.kern = buildKernel(w.factory, &w.t); w.kern.Kernel == nil {
 		return false
 	}
 	if w.bounding && !w.ub.wrap(w.kern) {

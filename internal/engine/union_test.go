@@ -262,7 +262,7 @@ func TestUnionPivotSkipsCounted(t *testing.T) {
 // disjunctive query — plain OR and m-of-n — arms the WIN/MED window
 // screen, and the cache rung ahead of it, exactly as a conjunctive one
 // does, for the valid-matchset wrapper and for a bare kernel, and the
-// answers stay the unpruned engine's. Three documents hold every
+// answers stay internal/refrank's. Three documents hold every
 // concept adjacent and set the floor; after them come documents whose
 // three terms sit a few tokens apart inside one 8-position bucket —
 // too wide to reach the floor, which only the exact screen can see —
@@ -296,12 +296,8 @@ func TestUnionArmsWindowScreen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
 				label := fmt.Sprintf("%s valid %v m %d", family, valid, minMatch)
-				assertSameDocs(t, label, got.Docs, want.Docs)
+				assertSameDocs(t, label, got.Docs, oracle(compact, q.Concepts, max(minMatch, 1), factory, q.K))
 				st := e.Stats()
 				if st.WindowCutJoins == 0 || st.WindowCutJoins > st.FloorCutJoins {
 					t.Errorf("%s: %d window cuts, %d floor cuts of %d joins", label, st.WindowCutJoins, st.FloorCutJoins, st.JoinsRun)
@@ -394,7 +390,7 @@ func TestUnionBounderRemembersLastAnswer(t *testing.T) {
 // document 1 (209) at 90 — below document 0's 159, so the pruned union
 // answered document 0. Such a query runs exhaustively from its first
 // pivot matching more than m concepts (here the first), counted in
-// UnionUnpruned, and answers as the unpruned engine does.
+// UnionUnpruned, and answers as internal/refrank ranks.
 func TestWeightedUnionRunsUnpruned(t *testing.T) {
 	compact := buildCompact(t, []string{"amber" + strings.Repeat(" lumen", 50) + " basalt", "amber basalt"})
 	fn := scorefn.WeightedWIN{Base: scorefn.LinearWIN{Scale: 0.01}, Weights: []float64{0.5, 2}}
@@ -405,12 +401,8 @@ func TestWeightedUnionRunsUnpruned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := New(compact, Config{Workers: workers, DisablePruning: true}).Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		label := fmt.Sprintf("workers %d", workers)
-		assertSameDocs(t, label, got.Docs, want.Docs)
+		assertSameDocs(t, label, got.Docs, oracle(compact, q.Concepts, 1, q.Join, q.K))
 		if got.Docs[0].Doc != 1 || e.Stats().UnionUnpruned != 1 {
 			t.Fatalf("%s: top doc %d, UnionUnpruned %d, want doc 1 and 1", label, got.Docs[0].Doc, e.Stats().UnionUnpruned)
 		}
@@ -429,8 +421,8 @@ type capOnly struct {
 // query — by default or by MinMatch = n — runs the candidate walk at
 // m = n, where every candidate matches every concept, so it takes the
 // conjunctive cap: it is not counted in UnionUnpruned, a kernel whose
-// only screen is that cap still prunes at K = 1, and it answers as the
-// unpruned engine does.
+// only screen is that cap still prunes at K = 1, and it answers as
+// internal/refrank ranks.
 //
 // The pruned counts at K = 1, 3, 5, 10 are pinned as lower bounds, as
 // measured when this walk replaced the conjunctive path (one worker,
@@ -459,12 +451,8 @@ func TestWeightedANDKeepsItsCap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := New(compact, Config{Workers: 1, DisablePruning: true}).Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
 				label := fmt.Sprintf("cap only %v, K %d, MinMatch %d", bare, k, minMatch)
-				assertIdentical(t, label, got, want)
+				assertIdentical(t, label, got, &Result{Docs: oracle(compact, q.Concepts, 3, factory, k)})
 				if st := e.Stats(); st.UnionUnpruned != 0 || got.Pruned < pinned[bare][i] || k == 1 && got.Pruned == 0 {
 					t.Fatalf("%s: UnionUnpruned %d, %d of %d candidates pruned, want 0 and at least %d (and some)",
 						label, st.UnionUnpruned, got.Pruned, got.Candidates, pinned[bare][i])

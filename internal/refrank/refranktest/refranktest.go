@@ -12,7 +12,9 @@
 //     Spec;
 //   - query: AND, OR and every m of n over 1, 2, 3 or 5 concepts, at K
 //     1, 5, 50 or a random K;
-//   - engine: 1, 4 or 8 workers, pruning on or off;
+//   - engine: 1, 4 or 8 workers, at the dealt K or (a cover row) at
+//     a K no smaller than the qualifying count, where no bar ever
+//     rises and the pruned walk must visit every qualifying document;
 //   - topology: one engine, a coordinator over 1, 2 or 4 in-process
 //     shards, or a loopback remote fleet of 1–3 shards;
 //   - pair tier: none, lists built at start-up, or (on a remote fleet)
@@ -177,14 +179,14 @@ type diffRow struct {
 	topo                   Topology
 	concepts               []index.Concept
 	k, workers             int
-	spaced, closure, prune bool
-	floor                  int  // none, raised before the query, or raised mid-query
+	spaced, closure, cover bool // cover: K covers every qualifying document
+	floor                  int  // none, raised before the query, or raised mid-query; none on a cover row
 	eligible               bool // a two-term AND query a pair list serves
 }
 
 func (r diffRow) String() string {
-	return fmt.Sprintf("%s spaced %v %+v closure %v %+v K %d workers %d prune %v %+v floor %v %v",
-		r.corpus.name, r.spaced, r.fam.spec, r.closure, r.shape, r.k, r.workers, r.prune, r.topo, r.floor, r.concepts)
+	return fmt.Sprintf("%s spaced %v %+v closure %v %+v K %d workers %d cover %v %+v floor %v %v",
+		r.corpus.name, r.spaced, r.fam.spec, r.closure, r.shape, r.k, r.workers, r.cover, r.topo, r.floor, r.concepts)
 }
 
 // Slice picks part of the matrix: the rows whose axes it keeps. Its
@@ -233,7 +235,7 @@ func Run(t *testing.T, slice Slice) {
 	}
 	fams := diffFamilies()
 	st := diffState{rankings: map[string]diffRanking{}, served: map[Topology]int{},
-		cuts: map[engine.KernelSpec][2]uint64{}, cutRows: map[engine.KernelSpec]int{}}
+		cuts: map[engine.KernelSpec][2]uint64{}, cutRows: map[engine.KernelSpec]int{}, coverRows: map[engine.KernelSpec]int{}}
 	for _, c := range templated {
 		st.checkTemplated(t, c, fams)
 	}
@@ -267,13 +269,13 @@ func Run(t *testing.T, slice Slice) {
 	}
 
 	// Each axis deals its values in a fresh seeded order every round.
-	// Family, corpus kind and pruning are dealt together, so every
-	// family runs pruned on a templated corpus every 24 rows; in three
-	// rounds of the topologies every deck runs through, the shapes on
-	// the 9 of every 23 rows whose engines hold no list. A slice that
-	// narrows the topologies runs a third as many rounds, but at least
-	// the 24 rows that take every family, pruned and not, through a
-	// corpus of each kind it keeps.
+	// Family, corpus kind and cover are dealt together, so every
+	// family runs at its dealt K on a templated corpus every 24 rows;
+	// in three rounds of the topologies every deck runs through, the
+	// shapes on the 9 of every 23 rows whose engines hold no list. A
+	// slice that narrows the topologies runs a third as many rounds,
+	// but at least the 24 rows that take every family, cover row and
+	// not, through a corpus of each kind it keeps.
 	decks, deckRNG := map[string][]int{}, rand.New(rand.NewSource(1))
 	deal := func(axis string, n int) int {
 		if len(decks[axis]) == 0 {
@@ -297,15 +299,18 @@ func Run(t *testing.T, slice Slice) {
 		rows = max(rows/3, 4*len(fams))
 	}
 	for i := 0; i < rows; i++ {
-		core, topo := deal("family, corpus kind, pruning", 4*len(fams)), deal("topology", len(topos))
+		core, topo := deal("family, corpus kind, cover", 4*len(fams)), deal("topology", len(topos))
 		r := diffRow{
-			fam: fams[core%len(fams)], prune: core/len(fams)%2 == 0,
+			fam: fams[core%len(fams)], cover: core/len(fams)%2 == 1,
 			corpus: dealCorpus("random corpus", random),
 			spaced: deal("ids", 2) == 1, closure: deal("form", 2) == 1,
 			workers: []int{1, 4, 8}[deal("workers", 3)],
 			topo:    topos[topo],
 			k:       []int{1, 5, 50, 1 + rng.Intn(12)}[deal("k", 4)],
 			floor:   deal("floor", 3),
+		}
+		if r.cover {
+			r.floor = 0 // a raised floor is a bar
 		}
 		if core < 2*len(fams) && len(templated) > 0 || len(random) == 0 {
 			r.corpus = dealCorpus("templated corpus", templated)
@@ -333,7 +338,9 @@ func Run(t *testing.T, slice Slice) {
 			r.concepts = append(r.concepts, concept)
 		}
 		st.run(t, r)
-		if r.corpus.templated && r.prune {
+		if r.cover {
+			st.coverRows[r.fam.spec]++
+		} else if r.corpus.templated {
 			st.cutRows[r.fam.spec]++
 		}
 	}
@@ -348,11 +355,16 @@ func Run(t *testing.T, slice Slice) {
 		}
 	}
 	// On the templated corpora a bare kernel's only cut is the window
-	// screen, and MAX has none; every floor-aware kernel that ran pruned
-	// there in two rows or more cut joins.
+	// screen, and MAX has none; every floor-aware kernel that ran there
+	// at its dealt K in two rows or more cut joins. Every family runs
+	// the exhaustive walk in a cover row.
 	for _, f := range fams {
 		cuts, window := st.cuts[f.spec][0], st.cuts[f.spec][1]
-		t.Logf("%+v: %d floor cuts, %d at the window screen in %d pruned rows", f.spec, cuts, window, st.cutRows[f.spec])
+		t.Logf("%+v: %d floor cuts, %d at the window screen in %d templated rows at the dealt K; %d cover rows",
+			f.spec, cuts, window, st.cutRows[f.spec], st.coverRows[f.spec])
+		if st.coverRows[f.spec] == 0 {
+			t.Errorf("%+v: no cover row", f.spec)
+		}
 		if f.spec.Family == "max" && window != 0 || !f.spec.Valid && window != cuts ||
 			(f.spec.Family != "max" || f.spec.Valid) && st.cutRows[f.spec] >= 2 && cuts == 0 {
 			t.Errorf("%+v: %d floor cuts, %d window cuts", f.spec, cuts, window)
@@ -363,12 +375,14 @@ func Run(t *testing.T, slice Slice) {
 // diffState remembers reference rankings, which rows over the templated
 // corpora share, and sums what single rows cannot show: pair-served
 // passes per tier (shards zeroed), and per family the floor and window
-// cuts on the templated corpora, and the pruned rows that ran there.
+// cuts on the templated corpora, the rows that ran there at the dealt
+// K, and the cover rows.
 type diffState struct {
-	rankings map[string]diffRanking
-	served   map[Topology]int
-	cuts     map[engine.KernelSpec][2]uint64
-	cutRows  map[engine.KernelSpec]int
+	rankings  map[string]diffRanking
+	served    map[Topology]int
+	cuts      map[engine.KernelSpec][2]uint64
+	cutRows   map[engine.KernelSpec]int
+	coverRows map[engine.KernelSpec]int
 }
 
 // diffRanking is refrank.Rank's answer: the ranking, and how many
@@ -460,8 +474,11 @@ func (st *diffState) run(t *testing.T, r diffRow) {
 	concepts := r.concepts
 	for pass := 0; pass < 2; pass++ {
 		label := fmt.Sprintf("%v pass %d", r, pass)
-		ref := st.rank(r, compact, concepts, m, false)
-		q := engine.Query{Concepts: concepts, K: r.k, Mode: r.shape.Mode, MinMatch: r.shape.MinMatch, Spec: r.fam.spec}
+		ref, k := st.rank(r, compact, concepts, m, false), r.k
+		if r.cover {
+			k = max(k, ref.qualifying)
+		}
+		q := engine.Query{Concepts: concepts, K: k, Mode: r.shape.Mode, MinMatch: r.shape.MinMatch, Spec: r.fam.spec}
 		if r.closure {
 			q.Join, _ = r.fam.spec.Factory()
 			if !r.topo.Remote {
@@ -501,8 +518,8 @@ func (st *diffState) run(t *testing.T, r diffRow) {
 		if r.corpus.templated && len(concepts) <= 3 {
 			naive = st.rank(r, compact, concepts, m, true).ranked
 		}
-		checkRanking(t, label, got, ref.ranked[:min(r.k, len(ref.ranked))], naive, r.fam)
-		if got.Candidates > ref.qualifying || !r.prune && got.Candidates != ref.qualifying || got.Candidates < len(got.Docs) {
+		checkRanking(t, label, got, ref.ranked[:min(k, len(ref.ranked))], naive, r.fam)
+		if got.Candidates > ref.qualifying || r.cover && got.Candidates != ref.qualifying || got.Candidates < len(got.Docs) {
 			t.Fatalf("%s: %d candidates, %d documents qualify, %d returned", label, got.Candidates, ref.qualifying, len(got.Docs))
 		}
 
@@ -528,7 +545,7 @@ func (st *diffState) run(t *testing.T, r diffRow) {
 			t.Fatalf("%s: Stats count %d candidates and %d pruned, the result %d and %d (%d of %d shards pair-served)",
 				label, d.UnionCandidates, d.PrunedDocs, got.Candidates, got.Pruned, served, srv.shards)
 		}
-		if !r.prune && d.PivotSkips+d.PrunedDocs+d.FloorCutJoins+uint64(got.Pruned) != 0 ||
+		if r.cover && d.PivotSkips+d.PrunedDocs+d.FloorCutJoins+uint64(got.Pruned) != 0 ||
 			d.WindowCutJoins > d.FloorCutJoins || d.FloorCutJoins > d.JoinsRun {
 			t.Fatalf("%s: %d skips, %d (%d) pruned; %d window cuts, %d floor cuts of %d joins",
 				label, d.PivotSkips, d.PrunedDocs, got.Pruned, d.WindowCutJoins, d.FloorCutJoins, d.JoinsRun)
@@ -616,7 +633,7 @@ type diffServer struct {
 // pair tier for the row's spec and concepts.
 func startDiffServer(t *testing.T, r diffRow, compact *index.Compact) *diffServer {
 	t.Helper()
-	cfg := engine.Config{Workers: r.workers, DisablePruning: !r.prune}
+	cfg := engine.Config{Workers: r.workers}
 	srv := &diffServer{shards: max(r.topo.Shards, 1), close: func() {}}
 	if !r.topo.Remote {
 		var err error

@@ -98,9 +98,11 @@ if [ "${BENCH_SAVE_BASELINE:-}" = "1" ]; then
 fi
 
 # Parse `BenchmarkName  N  X ns/op  Y B/op  Z allocs/op` lines to JSON.
-# Custom b.ReportMetric units ride along when present: pruneddocs/op
-# and joins/op from the pruning benchmark, shed/op from the admission
-# control benchmark, and blocksskipped/op + blockdecodes/op from the
+# Custom b.ReportMetric units ride along when present: pruneddocs/op,
+# joins/op and qualifying/op (the documents an exhaustive walk would
+# join, so the pruning win reads against it) from the pruning and
+# union benchmarks, shed/op from the admission control benchmark,
+# and blocksskipped/op + blockdecodes/op from the
 # cold benchmark (the block-max skip layer's decode-avoidance rate),
 # and pivotskips/op + unioncandidates/op from the disjunctive union
 # benchmark (the WAND layer's skip rate), and shardqueries/op +
@@ -124,13 +126,14 @@ bench_to_json() {
     awk '
     /^Benchmark/ {
         name = $1
-        ns = bytes = allocs = pruned = joins = shed = bskip = bdec = pskip = ucand = shq = mcand = codec = dwait = hedged = retried = phits = invs = ""
+        ns = bytes = allocs = pruned = joins = qual = shed = bskip = bdec = pskip = ucand = shq = mcand = codec = dwait = hedged = retried = phits = invs = ""
         for (i = 2; i <= NF; i++) {
             if ($i == "ns/op")             ns = $(i - 1)
             if ($i == "B/op")              bytes = $(i - 1)
             if ($i == "allocs/op")         allocs = $(i - 1)
             if ($i == "pruneddocs/op")     pruned = $(i - 1)
             if ($i == "joins/op")          joins = $(i - 1)
+            if ($i == "qualifying/op")     qual = $(i - 1)
             if ($i == "shed/op")           shed = $(i - 1)
             if ($i == "blocksskipped/op")  bskip = $(i - 1)
             if ($i == "blockdecodes/op")   bdec = $(i - 1)
@@ -151,6 +154,7 @@ bench_to_json() {
                       name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs)
         if (pruned != "") rec = rec sprintf(", \"pruneddocs_per_op\": %s", pruned)
         if (joins != "")  rec = rec sprintf(", \"joins_per_op\": %s", joins)
+        if (qual != "")   rec = rec sprintf(", \"qualifying_per_op\": %s", qual)
         if (shed != "")   rec = rec sprintf(", \"shed_per_op\": %s", shed)
         if (bskip != "")  rec = rec sprintf(", \"blocksskipped_per_op\": %s", bskip)
         if (bdec != "")   rec = rec sprintf(", \"blockdecodes_per_op\": %s", bdec)

@@ -28,7 +28,7 @@ go build ./...
 # grow. The ceiling is the count today; a change that deletes a flag
 # lowers it to the new count in the same change.
 echo "== proxserve flag ratchet =="
-max_flags=20
+max_flags=19
 flagbin="$(mktemp)"
 go build -o "$flagbin" ./cmd/proxserve
 nflags="$("$flagbin" -h 2>&1 | grep -c '^  -' || true)"
@@ -57,6 +57,13 @@ go test -race -short -count=10 -run TestDifferential .
 # 2-core host.)
 echo "== walker tests x20 =="
 go test -race -count=20 -run 'TestWalker|TestTallyQueryGranular' ./internal/engine/
+
+# The strictly-below rule, mutated in a copy of the tree: every place a
+# bound is held against the k-th kept entry must fail a test when it
+# prunes a tie it should not. The engine has no unpruned mode to grade
+# against, so this is what shows the rule is still pinned.
+echo "== mutants: the strictly-below rule =="
+./scripts/mutants.sh
 
 # The load harness under bench/ is a module of its own (BENCHMARK.json
 # builds it from there), so nothing above compiles it: vet and
