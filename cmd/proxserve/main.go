@@ -37,16 +37,6 @@
 // drain rate (bounded to 1–30 seconds), so clients back off roughly
 // as long as the queue actually needs to clear.
 //
-// At startup the server plans auxiliary pair lists for the heaviest
-// (longest-posting) stems of the whole index. The first two-term query
-// of each kernel spec starts a background build of that spec's lists;
-// once they attach, two-term queries over those pairs are answered
-// straight off a precomputed list with zero joins, bitwise identical
-// to the kernel path. The lists live only in the process that built
-// them: an index file, a partition and a /swapindex body never carry
-// them. The -pair-budget flag caps the bytes spent on lists per kernel
-// spec, and -pair-budget 0 turns the tier off entirely (baseline mode).
-//
 // A process is either an engine over an index or a coordinator over
 // remote shard processes. A shard process is an engine that serves one
 // doc-partition of the corpus and exposes the remote shard API:
@@ -133,8 +123,6 @@ func main() {
 		idxPath      = flag.String("index", "", "serve this saved index file instead of indexing a corpus (SIGHUP reloads it)")
 		savePath     = flag.String("save", "", "after indexing, save the checksummed index to this path")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof (debug only)")
-
-		pairBudget = flag.Int("pair-budget", 4<<20, "storage budget in bytes for precomputed pair lists per kernel spec, spent on the costliest concept pairs of the whole index first and counted on this process's partition (0 = no pair tier: no lists, no background builds)")
 	)
 	flag.Parse()
 	if err := checkTopology(*shardsAt, *shardOf, *serveShard); err != nil {
@@ -144,22 +132,17 @@ func main() {
 	if err != nil {
 		log.Fatalf("proxserve: %v", err)
 	}
-	if *pairBudget < 0 {
-		log.Fatalf("proxserve: -pair-budget %d is negative (0 turns the pair tier off)", *pairBudget)
-	}
 
 	// A -shards-at coordinator holds no index of its own; every other
 	// process builds (or loads) one, optionally cut down to its -shard-of
 	// partition, and serves it from one engine.
 	src := &source{
 		files: flag.Args(), synth: *synth, idxPath: *idxPath, savePath: *savePath,
-		shardOf: *shardOf, lex: bestjoin.BuiltinLexicon(),
-		coordinator: *shardsAt != "", pairBudget: *pairBudget,
+		shardOf: *shardOf,
 	}
 	var compact *bestjoin.CompactIndex
-	var plan bestjoin.PairPlan
 	if *shardsAt == "" {
-		if compact, plan, err = src.loadServing(); err != nil {
+		if compact, err = src.loadServing(); err != nil {
 			log.Fatalf("proxserve: %v", err)
 		}
 	}
@@ -191,7 +174,6 @@ func main() {
 		eng, publish = e, e.Publish
 		fmt.Printf("indexed %d documents (%d bytes compressed)\n", compact.Docs(), compact.Bytes())
 	}
-	src.armPairs(eng, plan)
 	if err := publish("bestjoin.engine"); err != nil {
 		log.Printf("proxserve: %v", err)
 	}
@@ -549,10 +531,7 @@ func (s *server) query(req request) (*bestjoin.EngineResult, error) {
 	defer cancel()
 	// Spec only, no Join closure: the engine resolves the identical
 	// kernel from the declarative spec (the remote tier's bitwise-
-	// proven path), and a spec-described query is what makes it
-	// eligible for the pair-index serve — a Join closure would win
-	// over Spec locally, so the engine could not trust the stored
-	// pair scores to match it.
+	// proven path).
 	res, err := s.eng.Search(ctx, bestjoin.EngineQuery{
 		Concepts: concepts, Spec: s.spec, K: req.k, Mode: req.mode, MinMatch: req.minMatch,
 	})
@@ -630,9 +609,7 @@ func (s *server) concept(term string) bestjoin.Concept {
 	return expandConcept(s.lex, term)
 }
 
-// expandConcept is the term → concept expansion shared by the query
-// path and the pair plan: both must derive bit-identical concepts for
-// a planned pair's list to be found at query time.
+// expandConcept is the term → concept expansion of the query path.
 func expandConcept(lex *bestjoin.Lexicon, term string) bestjoin.Concept {
 	c := index.ConceptFromGraph(lex.Neighborhood(term, 3), lexicon.ScorePerEdge)
 	if len(c) == 0 {
@@ -641,112 +618,37 @@ func expandConcept(lex *bestjoin.Lexicon, term string) bestjoin.Concept {
 	return c
 }
 
-// pairConceptCount bounds how many of the corpus's heaviest stems the
-// pair plan considers; the -pair-budget byte cap then selects among
-// their O(n²) pairs costliest-first.
-const pairConceptCount = 24
-
 // source is everything that decides what this process serves: where
-// the index comes from, which partition of it, and the pair tier's
-// budget. Start-up and every SIGHUP reload go through loadServing, so
-// the two cannot drift apart.
+// the index comes from and which partition of it. Start-up and every
+// SIGHUP reload go through loadServing, so the two cannot drift apart.
 type source struct {
 	files    []string
 	synth    int
 	idxPath  string
 	savePath string
 	shardOf  string // "i/n", or "" to serve the whole index
-	lex      *bestjoin.Lexicon
-
-	// coordinator is set on a -shards-at process: it serves no index of
-	// its own, so it plans no pair lists; each shard process plans and
-	// builds its own.
-	coordinator bool
-	pairBudget  int // 0: no plan, no lists, no background build
 }
 
-// loadServing builds (or loads) the index and returns what the engine
-// is handed: the index, cut to the -shard-of partition, and the pair
-// plan. The plan is computed on the WHOLE index, not the partition: a
-// partition's heaviest stems rank differently from its sibling's, and
-// shards that each planned for themselves would register different
-// pairs — with one plan, any two shards' lists are prefixes of the same
-// order. No list is built here: the engine builds them on demand, on
-// its partition, for the spec its queries carry (armPairs). A
-// coordinator gets the whole index and no plan: it has no engine to
-// serve lists from, and the partitions it ships carry none.
-func (src *source) loadServing() (*bestjoin.CompactIndex, bestjoin.PairPlan, error) {
+// loadServing builds (or loads) the index and cuts it to the -shard-of
+// partition. A coordinator gets the whole index: it ships partitions to
+// its shards on a roll.
+func (src *source) loadServing() (*bestjoin.CompactIndex, error) {
 	c, err := buildIndex(src.files, src.synth, src.idxPath, src.savePath)
-	if err != nil {
-		return nil, bestjoin.PairPlan{}, err
+	if err != nil || src.shardOf == "" {
+		return c, err
 	}
-	whole := c
-	if src.shardOf != "" {
-		if c, err = cutPartition(whole, src.shardOf); err != nil {
-			return nil, bestjoin.PairPlan{}, err
-		}
-	}
-	var plan bestjoin.PairPlan
-	if src.pairBudget > 0 && !src.coordinator {
-		plan = planPairs(whole, src.lex)
-	}
-	return c, plan, nil
+	return cutPartition(c, src.shardOf)
 }
 
 // reload is the SIGHUP reload: load what this process serves again,
-// hand the engine the new plan, then swap the index in (a coordinator
-// rolls it across its shards).
+// then swap the index in (a coordinator rolls it across its shards).
 func (src *source) reload(eng bestjoin.Searcher) error {
-	c, plan, err := src.loadServing()
+	c, err := src.loadServing()
 	if err != nil {
 		return err
 	}
-	src.armPairs(eng, plan)
 	eng.SwapIndex(c)
 	return nil
-}
-
-// armPairs hands the plan and -pair-budget to the process's engine,
-// which then builds the planned lists in the background for whatever
-// kernel spec its queries carry — its own -fn, or, on a shard process,
-// the coordinator's. Called before the index the plan came with is
-// swapped in. Under -pair-budget 0 the plan is empty and nothing is
-// ever built. A -shards-at coordinator has no engine to arm: each of
-// its shard processes arms its own.
-func (src *source) armPairs(eng bestjoin.Searcher, plan bestjoin.PairPlan) {
-	e, ok := eng.(*bestjoin.Engine)
-	if !ok {
-		return
-	}
-	e.SetPairPlan(plan, src.pairBudget, func(spec bestjoin.JoinSpec, lists int, err error) {
-		switch {
-		case err != nil:
-			log.Printf("proxserve: pair-list build for %s failed (serving without): %v", specString(spec), err)
-		case lists > 0:
-			log.Printf("proxserve: attached %d pair lists for %s", lists, specString(spec))
-		}
-	})
-}
-
-// specString renders a kernel spec for the log: {win 0.1 valid}.
-func specString(spec bestjoin.JoinSpec) string {
-	valid := ""
-	if spec.Valid {
-		valid = " valid"
-	}
-	return fmt.Sprintf("{%s %g%s}", spec.Family, spec.Alpha, valid)
-}
-
-// planPairs orders the pairs of the corpus's heaviest stems, each
-// expanded into a concept exactly as the query path expands terms —
-// so the two-term queries the kernel path handles worst (common-word
-// pairs) are the ones answered from precomputed lists.
-func planPairs(c *bestjoin.CompactIndex, lex *bestjoin.Lexicon) bestjoin.PairPlan {
-	concepts := make([]bestjoin.Concept, 0, pairConceptCount)
-	for _, stem := range c.HeavyStems(pairConceptCount) {
-		concepts = append(concepts, expandConcept(lex, stem))
-	}
-	return bestjoin.PlanPairs(c, concepts)
 }
 
 func (s *server) repl(in io.Reader, out io.Writer) {

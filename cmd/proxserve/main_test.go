@@ -818,46 +818,11 @@ func TestHandleStatsUnionNote(t *testing.T) {
 	}
 }
 
-// TestQueryPairServed pins the server-to-engine pair-index contract:
-// a two-term query must reach the engine as a Spec-only query (a Join
-// closure would win over Spec locally and suppress the pair path). On
-// an engine armed with the plan, the first such query finds no list
-// and starts the build for its spec; once the build attaches, the
-// query is served off the pair list — and every answer matches a
-// server over the same index without lists bitwise.
-func TestQueryPairServed(t *testing.T) {
-	ix := bestjoin.NewIndex()
-	for d, body := range synthCorpus(200) {
-		ix.AddText(d, body)
-	}
-	compact := ix.Compact()
-	lex := bestjoin.BuiltinLexicon()
-	mk := func() *server {
-		return &server{eng: bestjoin.NewEngine(compact, bestjoin.EngineConfig{Workers: 2}),
-			lex: lex, spec: medSpec, timeout: 5 * time.Second}
-	}
-	s, base := mk(), mk()
-	(&source{pairBudget: 4 << 20}).armPairs(s.eng, planPairs(compact, lex))
-	// quartz and ribbon are filler vocabulary — in nearly every synth
-	// doc, so their pair is among the heaviest and always planned.
-	if _, err := s.query(request{terms: "quartz,ribbon", k: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.eng.Stats(); st.PairServed != 0 {
-		t.Fatal("the first two-term query was pair-served: lists existed before any query")
-	}
-	queryUntilPairServed(t, s, base, func() bool { return s.eng.Stats().PairServed > 0 })
-	if st := base.eng.Stats(); st.PairServed != 0 {
-		t.Fatal("a server without the plan served off a pair list")
-	}
-}
-
-// TestLoadServingPlansOnWholeIndex pins the one start-up sequence: a
-// -shard-of process gets its partition together with the plan of the
-// WHOLE index and no pair list (lists come from the engine's build for
-// the spec its queries carry), and -pair-budget 0 means no plan. A
-// second call — what SIGHUP does — returns the same.
-func TestLoadServingPlansOnWholeIndex(t *testing.T) {
+// TestLoadServingCutsPartition pins the one start-up sequence: a
+// -shard-of process gets its partition of the saved index, a second
+// call — what SIGHUP does — returns the same, and a -shard-of out of
+// range is refused.
+func TestLoadServingCutsPartition(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.idx")
 	ix := bestjoin.NewIndex()
 	for d, body := range synthCorpus(300) {
@@ -867,111 +832,27 @@ func TestLoadServingPlansOnWholeIndex(t *testing.T) {
 	if err := whole.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	lex := bestjoin.BuiltinLexicon()
-	src := &source{idxPath: path, shardOf: "1/2", lex: lex, pairBudget: 1}
+	src := &source{idxPath: path, shardOf: "1/2"}
 	for _, when := range []string{"start-up", "reload"} {
-		c, plan, err := src.loadServing()
+		c, err := src.loadServing()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if want := planPairs(whole, lex); plan.Len() == 0 || !reflect.DeepEqual(plan, want) {
-			t.Fatalf("%s: plan of %d pairs is not the whole index's (%d pairs)", when, plan.Len(), want.Len())
 		}
 		if c.Docs() != whole.Docs() || c.Bytes() >= whole.Bytes() {
 			t.Fatalf("%s: served index is not a partition: %d docs, %d of %d bytes", when, c.Docs(), c.Bytes(), whole.Bytes())
 		}
-		if n := c.ConceptPairsCount(); n != 0 {
-			t.Fatalf("%s: %d pair lists before any query", when, n)
-		}
-	}
-	src.pairBudget = 0
-	c, plan, err := src.loadServing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Len() != 0 || c.ConceptPairsCount() != 0 {
-		t.Fatalf("-pair-budget 0: %d planned pairs, %d lists", plan.Len(), c.ConceptPairsCount())
 	}
 	src.shardOf = "2/2"
-	if _, _, err := src.loadServing(); err == nil {
+	if _, err := src.loadServing(); err == nil {
 		t.Fatal("bad -shard-of accepted")
 	}
 }
 
-// TestArmPairsServesForeignSpec is the shard process in miniature: a
-// process started with the default -fn med is queried under win and —
-// armed with the plan — serves win's pair queries from lists it built
-// in the background, at the same epoch, with the same answer. It holds
-// lists for win only: nothing is built for a spec no query carried. An
-// engine that was not armed never serves from a list.
-func TestArmPairsServesForeignSpec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.idx")
-	ix := bestjoin.NewIndex()
-	for d, body := range synthCorpus(60) {
-		ix.AddText(d, body)
-	}
-	if err := ix.Compact().SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	src := &source{idxPath: path, lex: bestjoin.BuiltinLexicon(), pairBudget: 1 << 30}
-	serve := func(arm bool) (*server, *bestjoin.Engine) {
-		c, plan, err := src.loadServing()
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 2})
-		if arm {
-			src.armPairs(eng, plan)
-		}
-		return &server{eng: eng, lex: src.lex, spec: winSpec, timeout: 5 * time.Second}, eng
-	}
-	armed, eng := serve(true)
-	bare, _ := serve(false)
-	queryUntilPairServed(t, armed, bare, func() bool { return eng.Stats().PairServed > 0 })
-	if h := eng.Health(); h.Epoch != 0 {
-		t.Fatalf("attach moved the epoch to %d", h.Epoch)
-	}
-	if specs := eng.Index().PairSpecs(); !reflect.DeepEqual(specs, []uint64{winSpec.Fingerprint()}) {
-		t.Fatalf("lists under %d specs %v, want win's alone", len(specs), specs)
-	}
-	if st := bare.eng.Stats(); st.PairServed != 0 {
-		t.Fatal("an engine without the plan served a foreign spec from a pair list")
-	}
-}
-
-// queryUntilPairServed repeats the heavy two-term query quartz,ribbon
-// on s, each answer bitwise ref's, until served reports that a pair
-// list answered it — the background build the first query starts has
-// attached — or 30 s pass.
-func queryUntilPairServed(t *testing.T, s, ref *server, served func() bool) {
-	t.Helper()
-	want, err := ref.query(request{terms: "quartz,ribbon", k: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for !served() {
-		if time.Now().After(deadline) {
-			t.Fatal("the two-term query was never served from a pair list")
-		}
-		got, err := s.query(request{terms: "quartz,ribbon", k: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Docs, want.Docs) {
-			t.Fatalf("answer %+v, want %+v", got.Docs, want.Docs)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestCoordinatorRollShipsNoLists is a -shards-at coordinator's SIGHUP
-// reload in miniature: the coordinator plans nothing, each shard
-// receives a partition with no lists, and a shard then serves a
-// two-term query from the list its demand build attaches (its plan
-// came with its own start-up), with the answer of a single engine over
-// the whole index.
-func TestCoordinatorRollShipsNoLists(t *testing.T) {
+// TestCoordinatorRollMatchesSingle is a -shards-at coordinator's
+// SIGHUP reload in miniature: each shard receives its partition at
+// epoch 1, and the fleet then answers the heavy two-term query
+// quartz,ribbon as a single engine over the whole index does.
+func TestCoordinatorRollMatchesSingle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.idx")
 	ix := bestjoin.NewIndex()
@@ -986,13 +867,12 @@ func TestCoordinatorRollShipsNoLists(t *testing.T) {
 	shards := make([]*bestjoin.Engine, 2)
 	addrs := make([]string, len(shards))
 	for i := range shards {
-		src := &source{idxPath: path, shardOf: fmt.Sprintf("%d/2", i), lex: lex, pairBudget: 4 << 20}
-		c, plan, err := src.loadServing()
+		src := &source{idxPath: path, shardOf: fmt.Sprintf("%d/2", i)}
+		c, err := src.loadServing()
 		if err != nil {
 			t.Fatal(err)
 		}
 		shards[i] = bestjoin.NewEngine(c, bestjoin.EngineConfig{Workers: 1})
-		src.armPairs(shards[i], plan)
 		mux := http.NewServeMux()
 		bestjoin.NewRemoteServer(shards[i]).Register(mux)
 		ts := httptest.NewServer(mux)
@@ -1003,32 +883,27 @@ func TestCoordinatorRollShipsNoLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := &source{idxPath: path, lex: lex, coordinator: true, pairBudget: 4 << 20}
-	c, plan, err := coord.loadServing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Len() != 0 || c.ConceptPairsCount() != 0 {
-		t.Fatalf("coordinator planned %d pairs and built %d lists", plan.Len(), c.ConceptPairsCount())
-	}
-	if err := coord.reload(fleet); err != nil {
+	if err := (&source{idxPath: path}).reload(fleet); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range shards {
-		if e.Epoch() != 1 || e.Index().ConceptPairsCount() != 0 {
-			t.Fatalf("shard %d after the roll: epoch %d, %d pair lists", i, e.Epoch(), e.Index().ConceptPairsCount())
+		if e.Epoch() != 1 {
+			t.Fatalf("shard %d after the roll: epoch %d", i, e.Epoch())
 		}
 	}
 
 	srv := &server{eng: fleet, lex: lex, spec: winSpec, timeout: 5 * time.Second}
 	single := &server{eng: bestjoin.NewEngine(whole, bestjoin.EngineConfig{Workers: 1}),
 		lex: lex, spec: winSpec, timeout: 5 * time.Second}
-	queryUntilPairServed(t, srv, single, func() bool {
-		return shards[0].Stats().PairServed > 0 && shards[1].Stats().PairServed > 0
-	})
-	for i, e := range shards {
-		if e.Epoch() != 1 {
-			t.Fatalf("shard %d's attach moved its epoch to %d", i, e.Epoch())
-		}
+	want, err := single.query(request{terms: "quartz,ribbon", k: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := srv.query(request{terms: "quartz,ribbon", k: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Docs, want.Docs) {
+		t.Fatalf("answer %+v, want %+v", got.Docs, want.Docs)
 	}
 }

@@ -172,35 +172,6 @@ type ShardedEngineConfig = shard.Config
 // kernel. Set it on EngineQuery.Spec alongside (or instead of) Join.
 type JoinSpec = engine.KernelSpec
 
-// BuildPairIndex precomputes auxiliary pair lists on the index for a
-// kernel spec: every unordered pair of the given concepts is costed
-// by the product of its posting byte lengths (the frequent-pair model
-// of Veretennikov's additional indexes) and registered in descending
-// cost order until budgetBytes of encoded lists are stored (≤ 0 means
-// unlimited). A two-term conjunctive query carrying that spec is then
-// answered straight off the precomputed list, bitwise identical to
-// the kernel path. Call at build time, before the index serves queries.
-// Returns the number of pairs registered.
-func BuildPairIndex(idx *CompactIndex, concepts []Concept, spec JoinSpec, budgetBytes int) (int, error) {
-	return engine.BuildPairIndex(idx, concepts, spec, budgetBytes)
-}
-
-// PairPlan is the spec-independent half of the pair tier: which
-// concept pairs get a list, costliest first. Pair lists are a cache of
-// kernel outputs; the plan says what to cache, a build fills it for
-// one kernel spec.
-type PairPlan = engine.PairPlan
-
-// PlanPairs orders the concepts' pairs by posting-bytes product on idx
-// without running any kernel. A fleet plans once on the whole index so
-// every shard builds — and serves — the same pairs: Engine.SetPairPlan
-// hands the plan to a serving engine, which builds lists in the
-// background for whatever spec its queries carry and attaches them
-// without changing the index epoch.
-func PlanPairs(idx *CompactIndex, concepts []Concept) PairPlan {
-	return engine.PlanPairs(idx, concepts)
-}
-
 // RemoteShard is an HTTP client for one shard process; it slots into
 // a ShardedEngine as a child. See internal/remote for the robustness
 // stack: per-attempt deadline budgets, retries with jittered backoff,

@@ -327,68 +327,3 @@ func TestChaosDifferentialUnion(t *testing.T) {
 		}
 	}
 }
-
-// TestChaosPairPath holds the auxiliary pair tier to the same
-// contract: with kernel and stem-decode faults injected, a two-term
-// query served off its pair list touches neither, so it is never
-// degraded and stays bitwise identical to the pair-free fault-free
-// baseline, round after round; and a three-term query beside the list,
-// kernel-joined, is exact or a sound degraded subset.
-func TestChaosPairPath(t *testing.T) {
-	spec := KernelSpec{Family: "win", Alpha: 0.1, Valid: true}
-	concepts := testConcepts()
-	pairQ := Query{Concepts: concepts[:2], Spec: spec, K: 8}
-	wideQ := Query{Concepts: concepts[:3], Spec: spec, K: 8}
-
-	bare := buildCompact(t, testCorpus(120, 47))
-	c := bare.ForkPairs()
-	if n, err := BuildPairIndex(c, concepts, spec, 0); err != nil || n == 0 {
-		t.Fatalf("BuildPairIndex: n=%d err=%v", n, err)
-	}
-	base := New(bare, Config{})
-	want := map[string]*Result{}
-	for name, q := range map[string]Query{"pair": pairQ, "wide": wideQ} {
-		res, err := base.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[name] = res
-	}
-	factory, err := spec.Factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := oracle(bare, wideQ.Concepts, 3, factory, bare.Docs())
-
-	e := New(c, Config{Workers: 2})
-	faultinject.Activate(faultinject.Config{
-		Rates: map[faultinject.Site]float64{
-			faultinject.KernelJoin:    0.2,
-			faultinject.ConceptDecode: 0.2,
-		},
-		Seed: 1,
-	})
-	defer faultinject.Deactivate()
-	for round := 0; round < 6; round++ {
-		label := fmt.Sprintf("round %d", round)
-		res, err := e.Search(context.Background(), pairQ)
-		if err != nil || res.Degraded {
-			t.Fatalf("%s: pair-served query failed or degraded: %v", label, err)
-		}
-		assertResultInvariants(t, label, res)
-		assertSameDocs(t, label, res.Docs, want["pair"].Docs)
-		res, err = e.Search(context.Background(), wideQ)
-		if err != nil {
-			t.Fatalf("%s: three-term query must never error: %v", label, err)
-		}
-		assertResultInvariants(t, label, res)
-		if res.Degraded {
-			assertSoundSubset(t, label, res.Docs, full)
-		} else {
-			assertSameDocs(t, label, res.Docs, want["wide"].Docs)
-		}
-	}
-	if st := e.Stats(); st.PairServed != 6 {
-		t.Fatalf("%d of 6 two-term queries pair-served", st.PairServed)
-	}
-}

@@ -9,7 +9,7 @@ import (
 	"bestjoin/internal/refrank/refranktest"
 )
 
-// single keeps one engine without pair lists.
+// single keeps one engine.
 func single(tp refranktest.Topology) bool { return tp == refranktest.Topology{} }
 
 // TestDifferentialRandomCorpora runs one engine on the random corpora,
@@ -38,13 +38,4 @@ func TestDifferentialBatchVsVarint(t *testing.T) {
 // exhaustive ranking of the documents matching at least m concepts.
 func TestDifferentialUnionWANDVsExhaustive(t *testing.T) {
 	refranktest.Run(t, refranktest.Slice{Topologies: single, Shapes: refranktest.Shape.Union})
-}
-
-// TestDifferentialPairServedVsKernel runs one engine holding the pair
-// lists of its query's concepts, asked, in turn, the two-term AND query
-// a list serves (in both concept orders) and a neighbour it must not.
-func TestDifferentialPairServedVsKernel(t *testing.T) {
-	refranktest.Run(t, refranktest.Slice{Topologies: func(tp refranktest.Topology) bool {
-		return tp == refranktest.Topology{Tier: refranktest.BuiltPairs}
-	}})
 }

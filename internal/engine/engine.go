@@ -83,29 +83,23 @@ type Config struct {
 	// Overload picks the behavior at the MaxInFlight cap:
 	// OverloadBlock (zero value) or OverloadShed.
 	Overload OverloadPolicy
-	// DisablePairIndex turns off the auxiliary pair-index planner stage
-	// (pairpath.go); the zero Config uses registered pair lists. Pair
-	// serving is exact — the lists store the same kernel's scores — so
-	// the switch exists for the differential harness and for measuring
-	// the pair-index win.
+	// DisablePairIndex is ignored: no query is served from pair lists.
+	//
+	// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 	DisablePairIndex bool
 }
 
 // Engine answers top-k queries over one compacted index. It is safe
-// for concurrent use; all mutable state is the snapshot pointer, the
-// pair plan, and the counter total with its latency histogram, each
-// with its own synchronization.
+// for concurrent use; all mutable state is the snapshot pointer and
+// the counter total with its latency histogram, each with its own
+// synchronization.
 type Engine struct {
-	snap     atomic.Pointer[snapshot]
-	planning atomic.Pointer[pairPlanning] // nil until SetPairPlan
-	building sync.Mutex                   // one background pair build at a time
-	builds   sync.WaitGroup               // background pair builds in flight
-	workers  int
-	pairs    bool
-	admit    admitter
-	mu       sync.Mutex // guards total and latency
-	total    Tally
-	latency  histogram
+	snap    atomic.Pointer[snapshot]
+	workers int
+	admit   admitter
+	mu      sync.Mutex // guards total and latency
+	total   Tally
+	latency histogram
 }
 
 // New builds an engine over a compacted index.
@@ -115,9 +109,8 @@ func New(idx *index.Compact, cfg Config) *Engine {
 	}
 	e := &Engine{
 		workers: cfg.Workers,
-		pairs:   !cfg.DisablePairIndex,
 		admit:   newAdmitter(cfg.MaxInFlight, cfg.Overload),
 	}
-	e.snap.Store(newSnapshot(idx, 0, &pairPrep{}))
+	e.snap.Store(&snapshot{idx: idx})
 	return e
 }

@@ -79,10 +79,10 @@ type KernelSpec struct {
 func (s KernelSpec) Zero() bool { return s == KernelSpec{} }
 
 // Fingerprint hashes the spec to the stable 64-bit identity under
-// which pair lists are registered and looked up.
+// which pair lists are registered and looked up (BuildPairIndex).
 // The index layer treats the value as opaque; only equality matters —
-// a pair list answers exactly the spec that built it, so any field
-// change must change the fingerprint.
+// a pair list holds exactly the outputs of the spec that built it, so
+// any field change must change the fingerprint.
 func (s KernelSpec) Fingerprint() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s.Family))

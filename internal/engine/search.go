@@ -37,9 +37,8 @@ type Query struct {
 	// least MinMatch of the query's concepts. 0 means the resolved
 	// mode's default — len(Concepts) for AND, 1 for OR. Every query
 	// runs the one candidate walk (union.go) at its resolved m, so
-	// MinMatch = len(Concepts) is an AND query; only the pair tier
-	// (pairpath.go) tells them apart, serving two-term AND queries whose
-	// MinMatch is 0. Values < 0 or > len(Concepts) are errors.
+	// MinMatch = len(Concepts) is an AND query. Values < 0 or
+	// > len(Concepts) are errors.
 	MinMatch int
 	// Floor optionally shares one pruning floor across engines: when a
 	// coordinator scatters this query to N doc-partitioned shards, each
@@ -117,8 +116,7 @@ type Result struct {
 	// Candidates is the number of documents the candidate walk
 	// confirmed: each matches at least MinMatch concepts. A walk that
 	// jumps past documents that cannot outrank the floor never
-	// confirms them, so it depends on how soon the floor rose (a
-	// pair-served query counts every document of its list).
+	// confirms them, so it depends on how soon the floor rose.
 	// Evaluated is how many of them were actually joined; Pruned is
 	// how many were skipped because their score upper bound could not
 	// beat the top-k floor; Failed is how many were dropped by
@@ -188,14 +186,6 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	if err := q.CheckWidth(); err != nil {
 		return nil, err
 	}
-	// A spec-only query is eligible for the auxiliary pair-index stage
-	// (pairpath.go): pair lists are keyed by the spec's fingerprint, so
-	// an opaque Join closure can never match one. Captured before the
-	// spec is resolved into q.Join below.
-	pairFP := uint64(0)
-	if e.pairs && q.Join == nil && !q.Spec.Zero() {
-		pairFP = q.Spec.Fingerprint()
-	}
 	if q.Join == nil {
 		// A spec-only query (the shape that crosses a process boundary)
 		// resolves its kernel here, so remote shard servers never touch
@@ -255,19 +245,6 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 		snap = e.snap.Load()
 	}
 	qs := &queryState{ctx: ctx, idx: snap.idx, epoch: snap.epoch}
-	if pairFP != 0 {
-		e.preparePairs(snap, q.Spec, pairFP)
-	}
-
-	// Pair-served fast path: a two-term conjunctive spec query whose
-	// pair list is registered skips concept resolution, the candidate
-	// walk and the join entirely — the list already holds every
-	// (doc, score, witness) the kernel path would compute.
-	if pairFP != 0 && q.Mode != ModeOR && q.MinMatch == 0 && n == 2 {
-		if res, ok := e.servePair(qs, q, pairFP, k, start); ok {
-			return res, nil
-		}
-	}
 
 	// Resolve each concept's stems for the candidate walk. The context
 	// is checked before each concept, so a cancelled query decodes no
@@ -286,13 +263,10 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 
 // finish folds the query state into the result, and adds the query's
 // tally and latency to the engine's total. Candidates, Evaluated and
-// Pruned are the tally's, unless servePair counted its list in res
-// itself: pair-served queries stay out of the walk's counts.
+// Pruned are the tally's.
 func (e *Engine) finish(qs *queryState, res *Result, start time.Time) *Result {
 	t := &qs.tally
-	if t.PairServed == 0 {
-		res.Candidates, res.Evaluated, res.Pruned = int(t.UnionCandidates), int(t.DocsEvaluated), int(t.PrunedDocs)
-	}
+	res.Candidates, res.Evaluated, res.Pruned = int(t.UnionCandidates), int(t.DocsEvaluated), int(t.PrunedDocs)
 	res.Failed = int(qs.failed.Load())
 	res.Degraded = qs.degraded.Load()
 	res.Partial = res.Evaluated+res.Pruned+res.Failed != res.Candidates || qs.cancelled

@@ -62,13 +62,12 @@ type Tally struct {
 	DegradedResults uint64
 	Shed            uint64
 	IndexReloads    uint64 // SwapIndex hot reloads since creation
-	// The candidate walk, which every query the pair tier does not
-	// serve runs — AND, OR and m-of-n alike; the names date from when
-	// only disjunctive queries took it. UnionCandidates counts confirmed
-	// pivots — documents verified to match at least MinMatch concepts;
-	// PivotSkips counts the subset skipped because their score bound
-	// fell strictly below the top-k floor, before any match list was
-	// assembled.
+	// The candidate walk, which every query runs — AND, OR and m-of-n
+	// alike; the names date from when only disjunctive queries took it.
+	// UnionCandidates counts confirmed pivots — documents verified to
+	// match at least MinMatch concepts; PivotSkips counts the subset
+	// skipped because their score bound fell strictly below the top-k
+	// floor, before any match list was assembled.
 	UnionCandidates uint64
 	PivotSkips      uint64
 	// UnionUnpruned counts queries the engine walked exhaustively
@@ -80,13 +79,6 @@ type Tally struct {
 	// pivot matching more than m concepts (a pivot matching exactly m,
 	// every pivot at m = n, takes the conjunctive cap).
 	UnionUnpruned uint64
-	// Auxiliary pair indexes (pairpath.go). PairHits counts pair-list
-	// lookups that found a registered list; PairServed counts two-term
-	// conjunctive queries answered entirely off a precomputed pair list
-	// (zero kernel joins). A pair-served query counts in none of the
-	// walk's counters above.
-	PairHits   uint64
-	PairServed uint64
 	// Sharded serving (internal/shard). ShardQueries counts child
 	// engine searches issued by a coordinator (N per coordinator
 	// query); MergedCandidates counts per-shard result rows entering
@@ -132,8 +124,6 @@ func (t *Tally) Add(o Tally) {
 	t.UnionCandidates += o.UnionCandidates
 	t.PivotSkips += o.PivotSkips
 	t.UnionUnpruned += o.UnionUnpruned
-	t.PairHits += o.PairHits
-	t.PairServed += o.PairServed
 	t.ShardQueries += o.ShardQueries
 	t.MergedCandidates += o.MergedCandidates
 	t.Hedged += o.Hedged
@@ -217,15 +207,18 @@ type Stats struct {
 	InFlight int
 	// ListHits, ListMisses, BlockDecodes, BlocksSkipped and
 	// CoalescedDecodes have read 0 since the list cache, the block codec
-	// and decode coalescing were deleted, and PairBoundPrunes since pair
-	// lists stopped bounding wider queries; the load harness under
-	// bench/ still reads them.
+	// and decode coalescing were deleted, PairBoundPrunes since pair
+	// lists stopped bounding wider queries, and PairServed since no
+	// query is served from a pair list.
+	//
+	// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 	ListHits         uint64
 	ListMisses       uint64
 	BlockDecodes     uint64
 	BlocksSkipped    uint64
 	CoalescedDecodes uint64
 	PairBoundPrunes  uint64
+	PairServed       uint64
 	QueryLatency     LatencyHistogram
 	// Shards holds each child engine's own Stats, in shard order, on a
 	// coordinator's roll-up (internal/shard); empty on a plain Engine.

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"bestjoin/internal/index"
 	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 	"bestjoin/internal/scorefn"
@@ -67,7 +66,7 @@ func TestStatsJSONKeys(t *testing.T) {
 		"DeadlineHits", "DecodeFailures", "DedupCapped", "DegradedResults",
 		"DocsEvaluated", "FloorCutJoins", "Hedged", "InFlight", "IndexReloads",
 		"JoinPanics", "JoinsRun", "KernelInvocations", "ListHits", "ListMisses",
-		"MergedCandidates", "PairBoundPrunes", "PairHits", "PairServed",
+		"MergedCandidates", "PairBoundPrunes", "PairServed",
 		"PartialResults", "PivotSkips", "PrunedDocs", "PrunedFraction",
 		"Queries", "QueryLatency", "QuorumDegraded", "Retried",
 		"ShardFailures", "ShardQueries", "ShardTimeouts", "Shards", "Shed",
@@ -93,20 +92,16 @@ func cancelFactory(inner KernelFactory, cancel context.CancelFunc) KernelFactory
 }
 
 // TestTallyQueryGranular runs a seeded stream mixing AND, OR, 2-of-3,
-// pair-served, cancelled, deadline-expired, shed and panicking-kernel
-// queries, one at a time, while a reader takes Stats snapshots
-// concurrently. A query is counted when it finishes, all at once, so
-// every snapshot has Queries == QueryLatency.Count, and at the end the
-// walk-served queries' summed Result counts are exactly the engine's
-// walk counters (pair-served queries stay out of them), and JoinPanics
+// cancelled, deadline-expired, shed and panicking-kernel queries, one
+// at a time, while a reader takes Stats snapshots concurrently. A query
+// is counted when it finishes, all at once, so every snapshot has
+// Queries == QueryLatency.Count, and at the end the queries' summed
+// Result counts are exactly the engine's walk counters, and JoinPanics
 // is exactly the panics injected.
 func TestTallyQueryGranular(t *testing.T) {
 	compact := buildCompact(t, testCorpus(300, 17))
 	concepts := testConcepts()
 	spec := KernelSpec{Family: "win", Alpha: 0.07, Valid: true}
-	if n, err := BuildPairIndex(compact, concepts, spec, 0); err != nil || n == 0 {
-		t.Fatalf("BuildPairIndex: %d lists, %v", n, err)
-	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := New(compact, Config{Workers: workers, MaxInFlight: 1, Overload: OverloadShed})
@@ -146,19 +141,16 @@ func TestTallyQueryGranular(t *testing.T) {
 			})
 			var sum struct{ candidates, evaluated, pruned uint64 }
 			kinds := map[string]int{}
-			admitted, shed, partial, degraded, deadline, pairServed := 0, 0, 0, 0, 0, 0
+			admitted, shed, partial, degraded, deadline := 0, 0, 0, 0, 0
 			for i := 0; i < 120; i++ {
 				ctx, cancel := context.WithCancel(context.Background())
 				q := Query{Concepts: concepts, Spec: spec, K: 1 + rng.Intn(8)}
-				kind := []string{"and", "or", "2of3", "pair", "cancelled", "midcancel", "deadline", "shed", "panic"}[rng.Intn(9)]
+				kind := []string{"and", "or", "2of3", "cancelled", "midcancel", "deadline", "shed", "panic"}[rng.Intn(8)]
 				switch kind {
 				case "or":
 					q.Mode = ModeOR
 				case "2of3":
 					q.MinMatch = 2
-				case "pair":
-					j := rng.Intn(3)
-					q.Concepts = []index.Concept{concepts[j], concepts[(j+1+rng.Intn(2))%3]}
 				case "cancelled":
 					cancel()
 				case "midcancel":
@@ -169,7 +161,6 @@ func TestTallyQueryGranular(t *testing.T) {
 				case "panic":
 					q.Spec, q.Join, q.Mode = KernelSpec{}, flaky, []QueryMode{ModeAND, ModeOR}[rng.Intn(2)]
 				}
-				before := e.Stats()
 				var release func()
 				if kind == "shed" {
 					var err error
@@ -196,13 +187,9 @@ func TestTallyQueryGranular(t *testing.T) {
 				assertResultInvariants(t, fmt.Sprintf("query %d (%s)", i, kind), res)
 				kinds[kind]++
 				admitted++
-				if e.Stats().PairServed > before.PairServed {
-					pairServed++
-				} else {
-					sum.candidates += uint64(res.Candidates)
-					sum.evaluated += uint64(res.Evaluated)
-					sum.pruned += uint64(res.Pruned)
-				}
+				sum.candidates += uint64(res.Candidates)
+				sum.evaluated += uint64(res.Evaluated)
+				sum.pruned += uint64(res.Pruned)
 				if res.Partial {
 					partial++
 				}
@@ -218,12 +205,12 @@ func TestTallyQueryGranular(t *testing.T) {
 
 			st := e.Stats()
 			type outcome struct {
-				queries, shed, partial, degraded, deadline, pairServed, panics uint64
-				candidates, evaluated, pruned                                  uint64
+				queries, shed, partial, degraded, deadline, panics uint64
+				candidates, evaluated, pruned                      uint64
 			}
-			got := outcome{st.Queries, st.Shed, st.PartialResults, st.DegradedResults, st.DeadlineHits, st.PairServed, st.JoinPanics,
+			got := outcome{st.Queries, st.Shed, st.PartialResults, st.DegradedResults, st.DeadlineHits, st.JoinPanics,
 				st.UnionCandidates, st.DocsEvaluated, st.PrunedDocs}
-			want := outcome{uint64(admitted), uint64(shed), uint64(partial), uint64(degraded), uint64(deadline), uint64(pairServed), uint64(injected.Load()),
+			want := outcome{uint64(admitted), uint64(shed), uint64(partial), uint64(degraded), uint64(deadline), uint64(injected.Load()),
 				sum.candidates, sum.evaluated, sum.pruned}
 			if got != want {
 				t.Fatalf("Stats %+v, want %+v", got, want)
@@ -231,8 +218,8 @@ func TestTallyQueryGranular(t *testing.T) {
 			if st.QueryLatency.Count != st.Queries || st.InFlight != 0 {
 				t.Fatalf("at rest: QueryLatency.Count %d, Queries %d, InFlight %d", st.QueryLatency.Count, st.Queries, st.InFlight)
 			}
-			if pairServed == 0 || injected.Load() == 0 || partial == 0 || len(kinds) != 9 {
-				t.Fatalf("stream too tame: %d pair-served, %d panics, %d partial, kinds %v", pairServed, injected.Load(), partial, kinds)
+			if injected.Load() == 0 || partial == 0 || len(kinds) != 8 {
+				t.Fatalf("stream too tame: %d panics, %d partial, kinds %v", injected.Load(), partial, kinds)
 			}
 			t.Logf("%d queries (%v), %d snapshots read", admitted+shed, kinds, snapshots.Load())
 		})

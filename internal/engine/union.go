@@ -11,8 +11,8 @@ import (
 	"bestjoin/internal/match"
 )
 
-// The candidate walk: every query the pair tier does not serve — AND,
-// OR and m-of-n alike — is evaluated by one WAND-style pivot loop over
+// The candidate walk: every query — AND, OR and m-of-n alike — is
+// evaluated by one WAND-style pivot loop over
 // Fagin-threshold bounds, at the query's resolved m (n for AND). The
 // walk repeatedly takes the m-th smallest cursor position as the
 // pivot: cursors below it can never assemble m matches at their

@@ -3,38 +3,31 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"maps"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"bestjoin/internal/match"
 	"bestjoin/internal/text"
 )
 
-// Auxiliary two-term pair indexes: precomputed best-join postings for
-// selected frequent concept pairs, per Veretennikov's additional-
-// indexes response-time guarantee. For a registered (conceptA,
-// conceptB, kernel) triple the index holds, for every document that
-// contains both concepts, the exact best-join result the kernel would
-// compute at query time: the pair score and the two-match witness
-// that attains it. A two-term conjunctive query whose pair is
-// registered is then answered straight off this list — no posting
-// decode, no kernel joins.
+// Two-term pair lists: for a registered (conceptA, conceptB, kernel)
+// triple, the exact best-join result the kernel computes on every
+// document that contains both concepts — the pair score and the
+// two-match witness that attains it. No query is served from them:
+// they remain because the load harness under bench/ builds them to
+// pick its pair2 query class and times their decode. They go with
+// ROADMAP item 1.
 //
-// A pair list is a cache of kernel outputs, not index content: it
-// exists only on the Compact of the process that built it
+// A pair list exists only on the Compact of the process that built it
 // (AddConceptPairs). Marshal never writes one and Partition never
 // carries one, so every list this package reads back was packed by
 // newPairTable in the same process, and DecodeBlock trusts its bytes.
 //
 // The list is block-partitioned: ~BlockSize documents per block, each
 // fronted by a skip entry (PairInfo: first/last document id, document
-// count, payload byte range, maximum pair score), so a serve skips
-// whole blocks that cannot beat the top-k floor without decoding them.
-// The payload, per document (the first document's delta is omitted:
-// it IS the block's FirstDoc), is
+// count, payload byte range). The payload, per document (the first
+// document's delta is omitted: it IS the block's FirstDoc), is
 //
 //	varint(docDelta) flag(1)
 //	flag 1: float64le(score) varint(loc0) float64le(s0)
@@ -43,16 +36,16 @@ import (
 //
 // A tombstone records a document where both concepts occur but the
 // kernel produced no scorable result, so the list's document set is
-// exactly the two concepts' intersection and a pair-served query
-// reports the kernel path's candidate count. The witness is stored in
+// exactly the two concepts' intersection. The witness is stored in
 // canonical order — the lower-ConceptKey concept's match first.
 //
 // A list is charged its payload plus its skip table as varints:
 // varint(#blocks), then per block varint(firstGap) varint(span)
-// varint(#docs), the 8-byte max score and varint(payloadLen), where
-// firstGap is the gap from the previous block's last document (the
-// first block's is its first document) and span is lastDoc − firstDoc.
-// That is the size the pair budget counts.
+// varint(#docs), 8 bytes (a block's maximum score, which the skip
+// entry once carried) and varint(payloadLen), where firstGap is the
+// gap from the previous block's last document (the first block's is
+// its first document) and span is lastDoc − firstDoc. That is the size
+// the pair budget counts, so the same budget registers the same lists.
 
 // pairKey identifies one registered pair list: the two concepts'
 // ConceptKeys in ascending order plus the opaque kernel fingerprint
@@ -92,9 +85,6 @@ type PairInfo struct {
 	NDocs    int // number of records (scored + tombstones)
 	Off      int // payload byte offset within the payload area
 	Len      int // payload byte length
-	// MaxScore is the maximum pair score among the block's scored
-	// records, −Inf when the block holds only tombstones.
-	MaxScore float64
 }
 
 // PairTable is one registered pair list: its skip table and the packed
@@ -105,17 +95,9 @@ type PairTable struct {
 }
 
 // NumBlocks returns the number of blocks in the table.
+//
+// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 func (pt *PairTable) NumBlocks() int { return len(pt.Infos) }
-
-// NumDocs returns the total number of records across all blocks —
-// the size of the two concepts' document intersection.
-func (pt *PairTable) NumDocs() int {
-	n := 0
-	for i := range pt.Infos {
-		n += pt.Infos[i].NDocs
-	}
-	return n
-}
 
 // newPairTable packs records — strictly ascending document ids, finite
 // scores and witness values on every OK record — into blocks of
@@ -136,7 +118,7 @@ func newPairTable(entries []PairEntry, blockSize int) (*PairTable, int) {
 		block := entries[b:min(b+blockSize, len(entries))]
 		info := PairInfo{
 			FirstDoc: block[0].Doc, LastDoc: block[len(block)-1].Doc,
-			NDocs: len(block), Off: len(pt.payload), MaxScore: math.Inf(-1),
+			NDocs: len(block), Off: len(pt.payload),
 		}
 		for i, ent := range block {
 			if i > 0 {
@@ -151,9 +133,6 @@ func newPairTable(entries []PairEntry, blockSize int) (*PairTable, int) {
 			for _, w := range [2]match.Match{ent.W0, ent.W1} {
 				pt.payload = binary.AppendUvarint(pt.payload, uint64(w.Loc))
 				pt.payload = binary.LittleEndian.AppendUint64(pt.payload, math.Float64bits(w.Score))
-			}
-			if ent.Score > info.MaxScore {
-				info.MaxScore = ent.Score
 			}
 		}
 		info.Len = len(pt.payload) - info.Off
@@ -174,6 +153,8 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // DecodeBlock unpacks block i. The table was packed by newPairTable in
 // this process, so its bytes are not checked and the error is always
 // nil.
+//
+// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 func (pt *PairTable) DecodeBlock(i int) ([]PairEntry, error) {
 	info := pt.Infos[i]
 	b := pt.payload[info.Off : info.Off+info.Len]
@@ -215,9 +196,11 @@ func (pt *PairTable) DecodeBlock(i int) ([]PairEntry, error) {
 // The registration is all-or-nothing: ok is false — and nothing is
 // stored — when a concept has non-finite weights, the intersection is
 // empty, a join yields a ±Inf score or a malformed witness (the codec
-// cannot carry those exactly, and an inexact pair list would change
-// answers), or the pair is already registered. bytes reports the size
+// cannot carry those exactly, and a pair list holds the kernel's
+// outputs exactly or not at all), or the pair is already registered. bytes reports the size
 // the new list is charged, for the selector's budget accounting.
+//
+// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lists) (match.Set, float64, bool)) (bytes int, ok bool) {
 	if !a.Finite() || !b.Finite() {
 		return 0, false
@@ -247,8 +230,8 @@ func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lis
 			ent := PairEntry{Doc: docsA[i]}
 			if okJoin && !math.IsNaN(score) {
 				// A ±Inf score or a witness the codec cannot represent
-				// exactly aborts the whole pair: serving an approximation
-				// would change answers.
+				// exactly aborts the whole pair: a list never holds an
+				// approximation of the kernel's output.
 				if math.IsInf(score, 0) || len(set) != 2 {
 					return 0, false
 				}
@@ -279,34 +262,11 @@ func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lis
 // ConceptPairs returns the registered pair table for two concepts
 // under a kernel fingerprint, or ok=false when the pair was never
 // registered. The concepts may be given in either order.
+//
+// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 func (c *Compact) ConceptPairs(a, b Concept, spec uint64) (*PairTable, bool) {
 	pt, ok := c.pairs[makePairKey(ConceptKey(a), ConceptKey(b), spec)]
 	return pt, ok
-}
-
-// ConceptPairsCount returns the number of registered pair lists.
-func (c *Compact) ConceptPairsCount() int { return len(c.pairs) }
-
-// PairSpecs returns the distinct kernel fingerprints under which pair
-// lists are registered, ascending.
-func (c *Compact) PairSpecs() []uint64 {
-	specs := make([]uint64, 0, len(c.pairs))
-	for k := range c.pairs {
-		specs = append(specs, k.spec)
-	}
-	slices.Sort(specs)
-	return slices.Compact(specs)
-}
-
-// ForkPairs returns an index that shares every posting buffer and
-// decoded stem with c but owns its pair-list registry (seeded with c's
-// lists), so AddConceptPairs on the fork never touches c: pair lists
-// can be built beside an index that is serving queries. The shared
-// buffers are read-only on both sides.
-func (c *Compact) ForkPairs() *Compact {
-	fork := *c
-	fork.pairs = maps.Clone(c.pairs)
-	return &fork
 }
 
 // ConceptPostingBytes returns the total compressed posting bytes
@@ -314,6 +274,8 @@ func (c *Compact) ForkPairs() *Compact {
 // pair-selection budget (frequent words have long posting lists, and
 // the pairs whose posting products are largest are exactly the
 // queries the kernel path handles worst).
+//
+// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 func (c *Compact) ConceptPostingBytes(concept Concept) int {
 	n := 0
 	for word := range concept {
@@ -325,6 +287,8 @@ func (c *Compact) ConceptPostingBytes(concept Concept) int {
 // HeavyStems returns up to n index stems ordered by descending
 // compressed posting length (ties broken by stem), the frequency
 // signal the pair-index selector feeds on.
+//
+// Deprecated: kept for bench/ only; goes with ROADMAP item 1.
 func (c *Compact) HeavyStems(n int) []string {
 	stems := make([]string, 0, len(c.postings))
 	for s := range c.postings {

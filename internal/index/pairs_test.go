@@ -60,7 +60,7 @@ func entriesEqual(a, b []PairEntry) bool {
 
 // TestPairsRoundTrip packs every record shape at several block sizes
 // and unpacks it bit for bit, with skip entries that bound each
-// block's documents and carry its exact maximum.
+// block's documents.
 func TestPairsRoundTrip(t *testing.T) {
 	entries := testPairEntries()
 	for _, blockSize := range []int{1, 2, 3, 4, 128, 0} {
@@ -69,25 +69,6 @@ func TestPairsRoundTrip(t *testing.T) {
 		if got := decodeAll(t, pt); !entriesEqual(got, entries) {
 			t.Fatalf("blockSize %d: round trip changed entries:\n got %+v\nwant %+v", blockSize, got, entries)
 		}
-		if pt.NumDocs() != len(entries) {
-			t.Fatalf("blockSize %d: NumDocs = %d, want %d", blockSize, pt.NumDocs(), len(entries))
-		}
-	}
-}
-
-func TestPairsAllTombstoneBlockMax(t *testing.T) {
-	// At blockSize 3 the records 27/30/31 and 32/... split so that one
-	// block (30,31,32... actually 27/30/31) is all tombstones; its skip
-	// entry must carry the −Inf sentinel and still round-trip.
-	pt, _ := newPairTable(testPairEntries(), 3)
-	sawNegInf := false
-	for _, info := range pt.Infos {
-		if math.IsInf(info.MaxScore, -1) {
-			sawNegInf = true
-		}
-	}
-	if !sawNegInf {
-		t.Fatal("no all-tombstone block produced the −Inf max-score sentinel")
 	}
 }
 
@@ -129,7 +110,7 @@ func TestPairTableFindBlock(t *testing.T) {
 // TestPairsPersistRoundTrip pins that pair lists stay out of the
 // file: an index with registered lists marshals to exactly the bytes
 // of the same index without them, and loads back with none. The lists
-// stay servable, in either concept order and only under the
+// stay findable, in either concept order and only under the
 // fingerprint that built them, on the index that built them.
 func TestPairsPersistRoundTrip(t *testing.T) {
 	c, a, b, spec := pairTestIndex(t)
@@ -140,8 +121,8 @@ func TestPairsPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := loaded.ConceptPairsCount(); n != 0 {
-		t.Fatalf("%d pair lists loaded from a file", n)
+	if _, ok := loaded.ConceptPairs(a, b, spec); ok {
+		t.Fatal("a pair list loaded from a file")
 	}
 	want, _ := c.ConceptPairs(a, b, spec)
 	for _, order := range [][2]Concept{{a, b}, {b, a}} {
@@ -160,15 +141,12 @@ func TestPairsPersistRoundTrip(t *testing.T) {
 // absent" shape every pre-pairs reader and writer produces.
 func TestPairsEmptySetRoundTrip(t *testing.T) {
 	c := framedTestIndex(t)
-	if c.ConceptPairsCount() != 0 {
+	if _, ok := c.ConceptPairs(Concept{"lenovo": 1}, Concept{"nba": 1}, 1); ok {
 		t.Fatal("test premise broken: index has pairs")
 	}
 	loaded, err := LoadCompact(c.Marshal())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if loaded.ConceptPairsCount() != 0 {
-		t.Fatalf("pairs appeared from nowhere: %d", loaded.ConceptPairsCount())
 	}
 	if _, ok := loaded.ConceptPairs(Concept{"lenovo": 1}, Concept{"nba": 1}, 1); ok {
 		t.Fatal("ConceptPairs hit on an index with no pairs")
@@ -315,8 +293,8 @@ func TestPartitionPreservesPairScores(t *testing.T) {
 		}
 		var merged []PairEntry
 		for s, p := range parts {
-			if k := p.ConceptPairsCount(); k != 0 {
-				t.Fatalf("n=%d: shard %d carries %d pair lists", n, s, k)
+			if _, ok := p.ConceptPairs(a, b, spec); ok {
+				t.Fatalf("n=%d: shard %d carries the pair list", n, s)
 			}
 			if _, ok := p.AddConceptPairs(a, b, spec, pairTestJoin); !ok {
 				continue // shard holds none of the pair's docs
@@ -337,44 +315,6 @@ func TestPartitionPreservesPairScores(t *testing.T) {
 	}
 }
 
-// TestForkPairsOwnsItsRegistry: a fork starts with the parent's lists,
-// shares its posting bytes, and registers new lists without the parent
-// seeing them — the property that lets pair lists be built beside an
-// index that is serving queries.
-func TestForkPairsOwnsItsRegistry(t *testing.T) {
-	c, a, b, spec := pairTestIndex(t)
-	fork := c.ForkPairs()
-	if got := fork.PairSpecs(); len(got) != 1 || got[0] != spec {
-		t.Fatalf("fork's fingerprints %x, want [%x]", got, spec)
-	}
-	if _, ok := fork.ConceptPairs(a, b, spec); !ok {
-		t.Fatal("fork lost the parent's list")
-	}
-	if n, ok := fork.AddConceptPairs(a, b, spec-1, pairTestJoin); !ok || n == 0 {
-		t.Fatal("AddConceptPairs on the fork failed")
-	}
-	if n, ok := fork.AddConceptPairs(a, Concept{"partnership": 1}, spec-1, pairTestJoin); !ok || n == 0 {
-		t.Fatal("AddConceptPairs on the fork failed")
-	}
-	if got := fork.PairSpecs(); len(got) != 2 || got[0] != spec-1 || got[1] != spec {
-		t.Fatalf("fork's fingerprints %x, want [%x %x]", got, spec-1, spec)
-	}
-	if _, ok := c.ConceptPairs(a, b, spec-1); ok || c.ConceptPairsCount() != 1 || len(c.PairSpecs()) != 1 {
-		t.Fatal("registering on the fork changed the parent")
-	}
-	if fork.Docs() != c.Docs() || fork.Bytes() != c.Bytes() {
-		t.Fatal("fork does not serve the parent's postings")
-	}
-	// An index with no lists forks to one that can still register them.
-	bare := framedTestIndex(t).ForkPairs()
-	if len(bare.PairSpecs()) != 0 {
-		t.Fatal("bare fork reports fingerprints")
-	}
-	if _, ok := bare.AddConceptPairs(a, b, spec, pairTestJoin); !ok {
-		t.Fatal("AddConceptPairs on a bare fork failed")
-	}
-}
-
 // findBlock returns the index of the block whose document range
 // contains doc, or -1 when no block covers it.
 func findBlock(pt *PairTable, doc int) int {
@@ -386,22 +326,15 @@ func findBlock(pt *PairTable, doc int) int {
 }
 
 // assertSkipTable checks pt's skip entries against its records: each
-// block's first and last document, its count, payload ranges that tile
-// the payload in order, and its exact maximum score (−Inf when it holds
-// only tombstones) — what block skipping relies on.
+// block's first and last document, its count, and payload ranges that
+// tile the payload in order.
 func assertSkipTable(t *testing.T, pt *PairTable) {
 	t.Helper()
 	off := 0
 	for i, info := range pt.Infos {
 		es, _ := pt.DecodeBlock(i)
-		max := math.Inf(-1)
-		for _, e := range es {
-			if e.OK && e.Score > max {
-				max = e.Score
-			}
-		}
 		if len(es) != info.NDocs || es[0].Doc != info.FirstDoc || es[len(es)-1].Doc != info.LastDoc ||
-			info.Off != off || max != info.MaxScore {
+			info.Off != off {
 			t.Fatalf("block %d: skip entry %+v disagrees with its %d records", i, info, len(es))
 		}
 		off += info.Len

@@ -13,8 +13,7 @@ import "fmt"
 // ids are preserved (a shard keeps the whole id space, Docs() included,
 // so results need no translation and tie-breaks on id mean the same
 // thing on every shard). A shard decodes its own stems (Compact.Stem)
-// and carries no pair lists: a process serving a shard builds its own
-// (engine.BuildPairPlan, from the whole index's plan).
+// and carries no pair lists.
 
 // ShardOf returns the shard owning document doc under an n-way
 // partition: doc mod n, the deterministic round-robin assignment used

@@ -30,8 +30,7 @@ import (
 // all the loader accepts, so a repeated stem cannot silently replace
 // an earlier one. Nothing per concept or concept pair is persisted: a
 // stem's plain arrays are decoded from section 1 on first use
-// (Compact.Stem), and pair lists live only in the process that built
-// them (pairs.go).
+// (Compact.Stem), and no query is served from a pair list.
 //
 // Five shapes older code could write are rejected, each with an
 // ErrCorrupt-wrapped error naming what was seen: section 2 (per-concept
@@ -39,8 +38,8 @@ import (
 // section 3 (concept block tables in a per-integer varint codec),
 // section 4 (registered concept block tables, a second copy of what
 // section 1 holds: rebuild such a file from its corpus), section 5
-// (precomputed concept-pair lists, a cache each serving process now
-// builds for itself) and unframed input (the pre-framing layout, which
+// (precomputed concept-pair lists, which no query is served from) and
+// unframed input (the pre-framing layout, which
 // carried no checksums). An unknown section id is rejected loudly
 // instead of being misparsed.
 
@@ -61,7 +60,7 @@ var retiredSections = map[byte]string{
 	2: "concept max-score metadata",
 	3: "varint concept block tables",
 	4: "registered concept block tables; tables are built from the postings now",
-	5: "precomputed concept-pair lists; each serving process builds its own",
+	5: "precomputed concept-pair lists; no query is served from them",
 }
 
 // castagnoli is the CRC32-C polynomial table — the checksum flavor

@@ -104,7 +104,7 @@ func TestMarshalIsFramed(t *testing.T) {
 // 2 (the doc-max metadata nothing serves anymore), section 3 (the
 // retired varint block codec), section 4 (registered block tables,
 // which are built from the postings now) or section 5 (pair lists,
-// which each serving process builds for itself).
+// which no query is served from).
 func TestLoadCompactLegacy(t *testing.T) {
 	for names, b := range RejectedShapesForTest(framedTestIndex(t)) {
 		_, err := LoadCompact(b)

@@ -17,14 +17,12 @@
 //     rises and the pruned walk must visit every qualifying document;
 //   - topology: one engine, a coordinator over 1, 2 or 4 in-process
 //     shards, or a loopback remote fleet of 1–3 shards;
-//   - pair tier: none, lists built at start-up, or (on a remote fleet)
-//     lists its shards build on demand from a plan;
 //   - floor: none, or Query.Floor raised to the reference's k-th score
 //     (lossless: k documents score at least that) before the query, or
 //     in process once a heap has filled, as a fleet peer's floor lands.
 //
 // A row runs its query, then the query with its concepts reversed: a
-// repeat over decoded stems that reads a pair list in the other order.
+// repeat over the stems the first pass decoded.
 // Run deals the whole matrix, or a Slice of it: the layer a package's
 // own differential test holds to the reference. Under -short every
 // axis value of the slice still comes up.
@@ -158,18 +156,11 @@ func (s Shape) Union() bool {
 	return s.Mode == engine.ModeOR || s.MinMatch > 0 && s.MinMatch < s.Width
 }
 
-// Pair tiers.
-const (
-	NoPairs     = iota
-	BuiltPairs  // lists built at start-up
-	DemandPairs // lists a remote fleet's shards build on demand from a plan
-)
-
 // Topology is one engine (Shards 0), a coordinator over Shards
-// in-process shards, or a remote fleet of Shards, and its pair Tier.
+// in-process shards, or a remote fleet of Shards.
 type Topology struct {
-	Remote       bool
-	Shards, Tier int
+	Remote bool
+	Shards int
 }
 
 type diffRow struct {
@@ -181,7 +172,6 @@ type diffRow struct {
 	k, workers             int
 	spaced, closure, cover bool // cover: K covers every qualifying document
 	floor                  int  // none, raised before the query, or raised mid-query; none on a cover row
-	eligible               bool // a two-term AND query a pair list serves
 }
 
 func (r diffRow) String() string {
@@ -194,8 +184,7 @@ func (r diffRow) String() string {
 type Slice struct {
 	// Topologies keeps the topologies it accepts; nil keeps all.
 	Topologies func(Topology) bool
-	// Shapes keeps, on topologies whose engines hold no pair list, the
-	// query shapes it accepts; nil keeps all.
+	// Shapes keeps the query shapes it accepts; nil keeps all.
 	Shapes func(Shape) bool
 	// Corpus keeps the corpora whose names start with it: "random",
 	// or one of the templated corpora, "mixed" and "tied". Empty keeps
@@ -234,7 +223,7 @@ func Run(t *testing.T, slice Slice) {
 		}
 	}
 	fams := diffFamilies()
-	st := diffState{rankings: map[string]diffRanking{}, served: map[Topology]int{},
+	st := diffState{rankings: map[string]diffRanking{},
 		cuts: map[engine.KernelSpec][2]uint64{}, cutRows: map[engine.KernelSpec]int{}, coverRows: map[engine.KernelSpec]int{}}
 	for _, c := range templated {
 		st.checkTemplated(t, c, fams)
@@ -250,20 +239,7 @@ func Run(t *testing.T, slice Slice) {
 	if slice.Shapes != nil {
 		shapes = slices.DeleteFunc(shapes, func(s Shape) bool { return !slice.Shapes(s) })
 	}
-	// A topology whose engines hold no pair list takes any shape: one
-	// built without lists, or a coordinator over 2 or 4 in-process
-	// shards, whose partitions carry none. (One in-process shard serves
-	// the index itself, lists and all, so it is built without.) One
-	// whose engines hold lists takes, in turn, the two-term AND query
-	// they serve and a neighbour they must not: explicit m = n, OR, or
-	// a third term.
-	neighbours := []Shape{{2, engine.ModeAND, 2}, {2, engine.ModeOR, 0}, {3, engine.ModeAND, 0}}
-	topos := []Topology{{}, {Tier: BuiltPairs}, {Tier: BuiltPairs}, {Shards: 1},
-		{Shards: 2}, {Shards: 2, Tier: BuiltPairs}, {Shards: 4}, {Shards: 4, Tier: BuiltPairs}}
-	for n := 1; n <= 3; n++ {
-		topos = append(topos, Topology{true, n, NoPairs}, Topology{true, n, BuiltPairs},
-			Topology{true, n, BuiltPairs}, Topology{true, n, DemandPairs}, Topology{true, n, DemandPairs})
-	}
+	topos := []Topology{{}, {Shards: 1}, {Shards: 2}, {Shards: 4}, {true, 1}, {true, 2}, {true, 3}}
 	if slice.Topologies != nil {
 		topos = slices.DeleteFunc(topos, func(tp Topology) bool { return !slice.Topologies(tp) })
 	}
@@ -271,11 +247,11 @@ func Run(t *testing.T, slice Slice) {
 	// Each axis deals its values in a fresh seeded order every round.
 	// Family, corpus kind and cover are dealt together, so every
 	// family runs at its dealt K on a templated corpus every 24 rows;
-	// in three rounds of the topologies every deck runs through, the
-	// shapes on the 9 of every 23 rows whose engines hold no list. A
-	// slice that narrows the topologies runs a third as many rounds,
-	// but at least the 24 rows that take every family, cover row and
-	// not, through a corpus of each kind it keeps.
+	// -short deals four rounds of that deck, and every other deck (none
+	// is larger) runs through at least four times. A slice that narrows
+	// the topologies runs a third as many rows, but at least the 24 rows
+	// that take every family, cover row and not, through a corpus of
+	// each kind it keeps.
 	decks, deckRNG := map[string][]int{}, rand.New(rand.NewSource(1))
 	deal := func(axis string, n int) int {
 		if len(decks[axis]) == 0 {
@@ -291,21 +267,21 @@ func Run(t *testing.T, slice Slice) {
 		}
 		return cs[deal(axis, len(cs))]
 	}
-	rows := 3 * len(topos)
+	rows := 4 * 4 * len(fams)
 	if !testing.Short() {
-		rows = 13 * len(topos)
+		rows = 12 * 4 * len(fams)
 	}
 	if slice.Topologies != nil {
 		rows = max(rows/3, 4*len(fams))
 	}
 	for i := 0; i < rows; i++ {
-		core, topo := deal("family, corpus kind, cover", 4*len(fams)), deal("topology", len(topos))
+		core := deal("family, corpus kind, cover", 4*len(fams))
 		r := diffRow{
 			fam: fams[core%len(fams)], cover: core/len(fams)%2 == 1,
 			corpus: dealCorpus("random corpus", random),
 			spaced: deal("ids", 2) == 1, closure: deal("form", 2) == 1,
 			workers: []int{1, 4, 8}[deal("workers", 3)],
-			topo:    topos[topo],
+			topo:    topos[deal("topology", len(topos))],
 			k:       []int{1, 5, 50, 1 + rng.Intn(12)}[deal("k", 4)],
 			floor:   deal("floor", 3),
 		}
@@ -318,15 +294,7 @@ func Run(t *testing.T, slice Slice) {
 		if slice.IDs != AnyIDs {
 			r.spaced = slice.IDs == SpacedIDs
 		}
-		switch {
-		case r.topo.Tier == NoPairs || !r.topo.Remote && r.topo.Shards > 0:
-			r.shape = shapes[deal("shape", len(shapes))]
-		case topo == 0 || topos[topo-1] != r.topo: // the first of a tier's two entries
-			r.shape, r.eligible = Shape{2, engine.ModeAND, 0}, true
-			r.closure = r.closure && r.topo.Remote // a Join closure never reaches a list in process
-		default:
-			r.shape = neighbours[deal("neighbour", len(neighbours))]
-		}
+		r.shape = shapes[deal("shape", len(shapes))]
 		if r.corpus.templated {
 			r.concepts = tiedConcepts(r.fam.spec.Valid)[:min(r.shape.Width, 3)]
 		}
@@ -338,29 +306,15 @@ func Run(t *testing.T, slice Slice) {
 			r.concepts = append(r.concepts, concept)
 		}
 		st.run(t, r)
-		if r.cover {
-			st.coverRows[r.fam.spec]++
-		} else if r.corpus.templated {
-			st.cutRows[r.fam.spec]++
-		}
 	}
 
-	t.Logf("pair-served passes: %v", st.served)
-	for _, tier := range []Topology{{Tier: BuiltPairs}, {Remote: true, Tier: BuiltPairs}, {Remote: true, Tier: DemandPairs}} {
-		dealt := slices.ContainsFunc(topos, func(tp Topology) bool {
-			return tp.Remote == tier.Remote && tp.Tier == tier.Tier && (tp.Remote || tp.Shards == 0)
-		})
-		if dealt && st.served[tier] == 0 {
-			t.Errorf("no query was served from a pair list on %+v", tier)
-		}
-	}
 	// On the templated corpora a bare kernel's only cut is the window
 	// screen, and MAX has none; every floor-aware kernel that ran there
-	// at its dealt K in two rows or more cut joins. Every family runs
-	// the exhaustive walk in a cover row.
+	// at its dealt K in two rows or more where a bar rises (cutRows)
+	// cut joins. Every family runs the exhaustive walk in a cover row.
 	for _, f := range fams {
 		cuts, window := st.cuts[f.spec][0], st.cuts[f.spec][1]
-		t.Logf("%+v: %d floor cuts, %d at the window screen in %d templated rows at the dealt K; %d cover rows",
+		t.Logf("%+v: %d floor cuts, %d at the window screen; %d templated rows where a bar rises; %d cover rows",
 			f.spec, cuts, window, st.cutRows[f.spec], st.coverRows[f.spec])
 		if st.coverRows[f.spec] == 0 {
 			t.Errorf("%+v: no cover row", f.spec)
@@ -373,13 +327,11 @@ func Run(t *testing.T, slice Slice) {
 }
 
 // diffState remembers reference rankings, which rows over the templated
-// corpora share, and sums what single rows cannot show: pair-served
-// passes per tier (shards zeroed), and per family the floor and window
-// cuts on the templated corpora, the rows that ran there at the dealt
-// K, and the cover rows.
+// corpora share, and sums what single rows cannot show: per family the
+// floor and window cuts on the templated corpora, the rows there at
+// the dealt K where a bar rises, and the cover rows.
 type diffState struct {
 	rankings  map[string]diffRanking
-	served    map[Topology]int
 	cuts      map[engine.KernelSpec][2]uint64
 	cutRows   map[engine.KernelSpec]int
 	coverRows map[engine.KernelSpec]int
@@ -468,9 +420,19 @@ func (st *diffState) run(t *testing.T, r diffRow) {
 	} else if m == 0 {
 		m = len(r.concepts)
 	}
+	// A templated row at its dealt K counts in cutRows when a bar
+	// rises before the kernel can be reached: a floor raised before the
+	// query, or a K each shard's heap can fill. A row of one concept
+	// does not count: its bound is its exact score, so no join it
+	// admits is cut.
+	if r.cover {
+		st.coverRows[r.fam.spec]++
+	} else if r.corpus.templated && len(r.concepts) > 1 && (r.floor == 1 || r.floor == 2 && r.topo.Remote ||
+		r.k*max(r.topo.Shards, 1) < st.rank(r, compact, r.concepts, m, false).qualifying) {
+		st.cutRows[r.fam.spec]++
+	}
 	srv := startDiffServer(t, r, compact)
 	defer srv.close()
-	health := srv.Health()
 	concepts := r.concepts
 	for pass := 0; pass < 2; pass++ {
 		label := fmt.Sprintf("%v pass %d", r, pass)
@@ -524,26 +486,9 @@ func (st *diffState) run(t *testing.T, r diffRow) {
 		}
 
 		d := tallyDelta(after.Tally, before.Tally)
-		served := 0
-		if r.eligible && (r.topo.Tier == BuiltPairs || pass == 1) {
-			served = srv.listed
-		}
-		var rollup uint64
-		for _, s := range after.Shards {
-			rollup += s.PairServed
-		}
-		if d.PairServed != uint64(served) || d.PairHits != d.PairServed || after.Shards != nil && rollup != after.PairServed {
-			t.Fatalf("%s: %d pair lookups served %d queries (the shards count %d of %d), want %d",
-				label, d.PairHits, d.PairServed, rollup, after.PairServed, served)
-		}
-		if served > 0 {
-			st.served[Topology{Remote: r.topo.Remote, Tier: r.topo.Tier}]++
-		}
-		// A pair-served query counts in none of the walk's counters.
-		if served == 0 && (d.PrunedDocs != uint64(got.Pruned) || d.UnionCandidates != uint64(got.Candidates)) ||
-			served == srv.shards && d.PrunedDocs+d.UnionCandidates+d.JoinsRun != 0 {
-			t.Fatalf("%s: Stats count %d candidates and %d pruned, the result %d and %d (%d of %d shards pair-served)",
-				label, d.UnionCandidates, d.PrunedDocs, got.Candidates, got.Pruned, served, srv.shards)
+		if d.PrunedDocs != uint64(got.Pruned) || d.UnionCandidates != uint64(got.Candidates) {
+			t.Fatalf("%s: Stats count %d candidates and %d pruned, the result %d and %d",
+				label, d.UnionCandidates, d.PrunedDocs, got.Candidates, got.Pruned)
 		}
 		if r.cover && d.PivotSkips+d.PrunedDocs+d.FloorCutJoins+uint64(got.Pruned) != 0 ||
 			d.WindowCutJoins > d.FloorCutJoins || d.FloorCutJoins > d.JoinsRun {
@@ -555,19 +500,6 @@ func (st *diffState) run(t *testing.T, r diffRow) {
 			st.cuts[r.fam.spec] = [2]uint64{c[0] + d.FloorCutJoins, c[1] + d.WindowCutJoins}
 		}
 
-		if pass == 0 && srv.pending > 0 {
-			for range srv.pending {
-				select {
-				case lists := <-srv.built:
-					srv.listed += min(lists, 1)
-				case <-time.After(30 * time.Second):
-					t.Fatalf("%s: background pair builds never finished", label)
-				}
-			}
-			if h := srv.Health(); !reflect.DeepEqual(h, health) {
-				t.Fatalf("%s: attaching pair lists moved the fleet's health: %+v → %+v", label, health, h)
-			}
-		}
 		concepts = slices.Clone(concepts)
 		slices.Reverse(concepts)
 	}
@@ -619,31 +551,20 @@ func tallyDelta(after, before engine.Tally) engine.Tally {
 	return after
 }
 
-// diffServer is a row's searcher, with what its pair tier holds.
+// diffServer is a row's searcher.
 type diffServer struct {
 	engine.Searcher
-	shards  int      // engines behind it
-	listed  int      // how many of them hold the query's pair list
-	pending int      // on demand: the background builds the first pass starts
-	built   chan int // their lists, one send per build
-	close   func()
+	close func()
 }
 
-// startDiffServer builds the row's topology over compact, with its
-// pair tier for the row's spec and concepts.
+// startDiffServer builds the row's topology over compact.
 func startDiffServer(t *testing.T, r diffRow, compact *index.Compact) *diffServer {
 	t.Helper()
 	cfg := engine.Config{Workers: r.workers}
-	srv := &diffServer{shards: max(r.topo.Shards, 1), close: func() {}}
+	srv := &diffServer{close: func() {}}
 	if !r.topo.Remote {
 		var err error
-		if r.topo.Tier == BuiltPairs {
-			if srv.listed, err = engine.BuildPairIndex(compact, r.concepts, r.fam.spec, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if srv.Searcher = engine.New(compact, cfg); r.topo.Shards > 0 {
-			srv.listed = 0 // no partition of 2 or 4 shards carries a list
 			srv.Searcher, err = shard.New(compact, shard.Config{Shards: r.topo.Shards, Engine: cfg})
 		}
 		if err != nil {
@@ -655,32 +576,11 @@ func startDiffServer(t *testing.T, r diffRow, compact *index.Compact) *diffServe
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := engine.PlanPairs(compact, r.concepts)
-	if r.topo.Tier == DemandPairs && plan.Len() > 0 {
-		srv.pending = len(parts)
-	}
-	srv.built = make(chan int, len(parts))
 	addrs := make([]string, len(parts))
 	var servers []*httptest.Server
 	for i, p := range parts {
-		if r.topo.Tier == BuiltPairs {
-			n, err := engine.BuildPairPlan(p, plan, r.fam.spec, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.listed += min(n, 1)
-		}
-		e := engine.New(p, cfg)
-		if r.topo.Tier == DemandPairs {
-			e.SetPairPlan(plan, 0, func(spec engine.KernelSpec, lists int, err error) {
-				if err != nil || spec != r.fam.spec {
-					t.Errorf("a background build for %+v: %d lists, %v", spec, lists, err)
-				}
-				srv.built <- lists
-			})
-		}
 		mux := http.NewServeMux()
-		remote.NewServer(e).Register(mux)
+		remote.NewServer(engine.New(p, cfg)).Register(mux)
 		servers = append(servers, httptest.NewServer(mux))
 		addrs[i] = servers[i].URL
 	}

@@ -7,8 +7,7 @@ import (
 )
 
 // TestRemoteDifferential runs the differential matrix's loopback remote
-// fleets of 1–3 shards: without pair lists, with lists each shard built
-// at start-up, and with lists each builds on demand from a plan.
+// fleets of 1–3 shards.
 func TestRemoteDifferential(t *testing.T) {
 	refranktest.Run(t, refranktest.Slice{Topologies: func(tp refranktest.Topology) bool { return tp.Remote }})
 }
@@ -21,7 +20,7 @@ func TestRemoteDifferential(t *testing.T) {
 // bare kernel's only cut is the window screen.
 func TestFloorDifferentialAgainstReference(t *testing.T) {
 	topologies := func(tp refranktest.Topology) bool {
-		return tp.Tier == refranktest.NoPairs && (tp.Shards == 0 || tp.Shards == 2)
+		return tp.Shards == 0 || tp.Shards == 2
 	}
 	for _, corpus := range []string{"mixed", "tied"} {
 		t.Run(corpus, func(t *testing.T) {

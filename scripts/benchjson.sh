@@ -113,8 +113,7 @@ fi
 # hedged/op + retried/op from the remote fleet benchmark (speculative
 # and repeated shard attempts: ~0 on a healthy loopback fleet, so
 # drift flags a latency regression or transport flakiness), and
-# pairhits/op from the pair-index benchmark (the auxiliary pair tier's
-# list hits), and invocations/op from the valid-kernel benchmark
+# invocations/op from the valid-kernel benchmark
 # (inner-kernel runs per join: the duplicate-avoidance search's width,
 # floorless and under a median floor) and, next to joins/op, from the
 # cached engine rows (per query: their quotient is what /stats shows
@@ -126,7 +125,7 @@ bench_to_json() {
     awk '
     /^Benchmark/ {
         name = $1
-        ns = bytes = allocs = pruned = joins = qual = shed = bskip = bdec = pskip = ucand = shq = mcand = codec = dwait = hedged = retried = phits = invs = ""
+        ns = bytes = allocs = pruned = joins = qual = shed = bskip = bdec = pskip = ucand = shq = mcand = codec = dwait = hedged = retried = invs = ""
         for (i = 2; i <= NF; i++) {
             if ($i == "ns/op")             ns = $(i - 1)
             if ($i == "B/op")              bytes = $(i - 1)
@@ -145,7 +144,6 @@ bench_to_json() {
             if ($i == "decodewaits/op")      dwait = $(i - 1)
             if ($i == "hedged/op")           hedged = $(i - 1)
             if ($i == "retried/op")          retried = $(i - 1)
-            if ($i == "pairhits/op")         phits = $(i - 1)
             if ($i == "invocations/op")      invs = $(i - 1)
         }
         if (ns == "") next
@@ -166,7 +164,6 @@ bench_to_json() {
         if (dwait != "")  rec = rec sprintf(", \"decodewaits_per_op\": %s", dwait)
         if (hedged != "")  rec = rec sprintf(", \"hedged_per_op\": %s", hedged)
         if (retried != "") rec = rec sprintf(", \"retried_per_op\": %s", retried)
-        if (phits != "")   rec = rec sprintf(", \"pairhits_per_op\": %s", phits)
         if (invs != "")    rec = rec sprintf(", \"invocations_per_op\": %s", invs)
         out = out rec "}"
     }

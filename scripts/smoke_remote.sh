@@ -7,14 +7,10 @@
 # (degraded, flagged as such in the JSON body); once both shards are
 # back the fleet must report healthy again.
 #
-# No process builds pair lists at start-up: a shard plans them on the
-# whole index and builds them on demand, for the kernel spec its
-# queries carry. The coordinator runs -fn win against shards started
-# with the default -fn (med), so the lists a shard serves are the win
-# ones the coordinator's queries asked for, and a RESTARTED shard has
-# to build them again with nobody telling it to. The script waits
-# (bounded) for every shard's /shardstats to show PairServed growing,
-# before and after the roll.
+# The coordinator runs -fn win against shards started with the default
+# -fn (med): the kernel spec rides every query. The heavy two-term query
+# quartz,ribbon must return the same documents and scores through the
+# coordinator before and after the roll, never failed or degraded.
 #
 # The shards run -synth 400. Like every process, they serve concepts as
 # unions of their stems' arrays, decoded from the postings on first use,
@@ -92,15 +88,15 @@ wait_healthy "$COORD" "coordinator"
 
 QUERY="http://$COORD/query?terms=lenovo,nba,partnership&k=5"
 # quartz and ribbon are filler vocabulary of the -synth corpus: in
-# nearly every document, so their pair heads the pair plan.
-PAIRQUERY="http://$COORD/query?terms=quartz,ribbon&k=5"
+# nearly every document, so this query joins the most candidates.
+HEAVYQUERY="http://$COORD/query?terms=quartz,ribbon&k=5"
 FAILED=0
 DEGRADED=0
-run_queries() { # $1 = count, $2 = label, $3 = URL (default $QUERY)
+run_queries() { # $1 = count, $2 = label
     n=0
     while [ "$n" -lt "$1" ]; do
         n=$(( n + 1 ))
-        if body="$(fetch "${3:-$QUERY}")"; then
+        if body="$(fetch "$QUERY")"; then
             case "$body" in
             *'"Docs"'*) ;;
             *)
@@ -145,7 +141,6 @@ shard_stat() { # $1 = shard address, $2 = counter name
     n="$(fetch "http://$1/shardstats" | sed -n 's/.*"'"$2"'":\([0-9][0-9]*\).*/\1/p')" || n=""
     echo "${n:-0}"
 }
-pair_served() { shard_stat "$1" PairServed; }
 
 # assert_kernel_served fails unless both shards have joined candidates.
 assert_kernel_served() { # $1 = label
@@ -158,34 +153,34 @@ assert_kernel_served() { # $1 = label
     done
 }
 
-# await_pair_served sends the heavy two-term query through the
-# coordinator until BOTH shards have answered it off a pair list since
-# the call began: the first queries are kernel-joined and start each
-# shard's background build, later ones are served from what it attached.
-await_pair_served() { # $1 = label
-    was0="$(pair_served "$SHARD0")"
-    was1="$(pair_served "$SHARD1")"
-    i=0
-    while :; do
-        run_queries 1 "pair query $1" "$PAIRQUERY"
-        if [ "$(pair_served "$SHARD0")" -gt "$was0" ] && [ "$(pair_served "$SHARD1")" -gt "$was1" ]; then
-            return 0
-        fi
-        i=$(( i + 1 ))
-        if [ "$i" -gt 100 ]; then
-            echo "smoke-remote: a shard never served the coordinator's spec from a pair list $1" \
-                "(PairServed shard0 $was0 -> $(pair_served "$SHARD0"), shard1 $was1 -> $(pair_served "$SHARD1"))" >&2
-            cat "$TMP"/*.log >&2 || true
-            exit 1
-        fi
-        sleep 0.1
-    done
+# heavy_docs prints the ranked documents (ids, scores and matchsets) of
+# the heavy two-term query through the coordinator, and fails the smoke
+# when the query fails, answers degraded, or ranks nothing.
+heavy_docs() { # $1 = label
+    if ! body="$(fetch "$HEAVYQUERY")"; then
+        echo "smoke-remote: heavy query failed $1" >&2
+        exit 1
+    fi
+    case "$body" in
+    *'"degraded":false'* | *'"degraded": false'*) ;;
+    *)
+        echo "smoke-remote: heavy query answered degraded $1: $body" >&2
+        exit 1
+        ;;
+    esac
+    docs="$(printf '%s\n' "$body" | sed -n '/"Docs"/,/"Partial"/p')"
+    case "$docs" in
+    *'"Doc"'*) printf '%s\n' "$docs" ;;
+    *)
+        echo "smoke-remote: heavy query ranked no document $1: $body" >&2
+        exit 1
+        ;;
+    esac
 }
 
 echo "== queries against the healthy fleet =="
 run_queries 5 "healthy"
-echo "== both shards build pair lists for the coordinator's spec on demand =="
-await_pair_served "before the roll"
+HEAVY_BEFORE="$(heavy_docs "before the roll")"
 assert_kernel_served "before the roll"
 if [ "$DEGRADED" -ne 0 ]; then
     echo "smoke-remote: healthy fleet answered degraded" >&2
@@ -220,15 +215,13 @@ fi
 echo "== fleet settles back to non-degraded =="
 settle "after both shards restarted"
 
-# Nothing told the restarted shards which spec to prepare: the spec
-# rides every query, and each shard planned for itself at start-up.
-echo "== restarted shards serve pair lists again =="
-DEGRADED_ROLL="$DEGRADED"
-await_pair_served "after the roll"
+echo "== the heavy query answers as before the roll =="
+HEAVY_AFTER="$(heavy_docs "after the roll")"
 assert_kernel_served "after the roll"
-if [ "$FAILED" -ne 0 ] || [ "$DEGRADED" -ne "$DEGRADED_ROLL" ]; then
-    echo "smoke-remote: pair queries after the roll: $FAILED failed, $(( DEGRADED - DEGRADED_ROLL )) degraded" >&2
-    cat "$TMP"/*.log >&2 || true
+if [ "$HEAVY_AFTER" != "$HEAVY_BEFORE" ]; then
+    echo "smoke-remote: the heavy query's answer changed across the roll" >&2
+    echo "before: $HEAVY_BEFORE" >&2
+    echo "after:  $HEAVY_AFTER" >&2
     exit 1
 fi
 
