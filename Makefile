@@ -23,16 +23,17 @@ bench-json:
 	./scripts/benchjson.sh
 
 # Short fuzz passes over the untrusted-bytes decode paths (index files,
-# match lists, the shard wire), over the stem decode and concept merges
-# built on section 1, over the soundness of the cache rung and of the
-# valid-matchset cap, and over the tokenizer against its rune-by-rune
-# reference.
+# match lists, the shard wire), over the stem decode, concept merges
+# and concept tables built on section 1, over the soundness of the
+# cache rung and of the valid-matchset cap, and over the tokenizer
+# against its rune-by-rune reference.
 fuzz:
 	go test -run=Fuzz -fuzz=FuzzDecode -fuzztime=30s ./internal/match/
 	go test -run=Fuzz -fuzz=FuzzDecodePostings -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzLoadCompact -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzLoadFile -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzStemArrays -fuzztime=30s ./internal/index/
+	go test -run=Fuzz -fuzz=FuzzConceptTable -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBlocks -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/index/
 	go test -run=Fuzz -fuzz=FuzzBlockDocs -fuzztime=30s ./internal/index/

@@ -18,7 +18,7 @@
 //	GET /query?terms=a,b&mode=or top-k ranked union (any term may match)
 //	GET /query?terms=a,b,c&m=2   m-of-n: documents matching ≥ 2 concepts
 //	GET /stats                   engine stats as JSON
-//	GET /healthz                 readiness: index epoch + per-shard rows
+//	GET /healthz                 readiness: index epoch, decoded bytes + per-shard rows
 //	GET /debug/vars              expvar (includes bestjoin.engine)
 //	GET /debug/pprof/...         profiling endpoints (only with -pprof)
 //
@@ -751,8 +751,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleHealthz reports the Searcher's readiness: the current index
-// epoch, the corpus size, and — when serving a sharded fleet — one
-// row per shard. Ready maps to 200, anything else to 503, so load
+// epoch, the corpus size, the index's decoded bytes, and — when
+// serving a sharded fleet — one row per shard. Ready maps to 200, anything else to 503, so load
 // balancers can use the endpoint unmodified.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := s.eng.Health()

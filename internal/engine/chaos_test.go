@@ -134,10 +134,11 @@ func TestChaosCountersMatchInjections(t *testing.T) {
 			faultinject.ConceptDecode: 0.3,
 		},
 	})
-	// A stem whose decode fired keeps nothing, so a later round decodes
-	// it again: decode faults fire until every stem is in, and the
-	// kernel faults once the concepts resolve.
-	for round := 0; round < 4; round++ {
+	// A stem whose decode fired, or a table whose build did, keeps
+	// nothing, so a later round decodes or builds it again: decode
+	// faults fire until every stem and table is in, and the kernel
+	// faults once the concepts resolve.
+	for round := 0; round < 8; round++ {
 		if _, err := e.Search(context.Background(),
 			Query{Concepts: testConcepts(), Join: jn, K: 5}); err != nil {
 			t.Fatal(err)
@@ -325,5 +326,43 @@ func TestChaosDifferentialUnion(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestChaosTableBuildPanicKeepsNothing: a ConceptDecode fault that
+// fires while a concept's table is merged — its stems already decoded
+// — degrades the query and keeps no table, so the index's resident
+// bytes stay its stems'; once injection stops, the same query merges
+// the tables and answers the reference ranking, undegraded.
+func TestChaosTableBuildPanicKeepsNothing(t *testing.T) {
+	c := buildCompact(t, testCorpus(120, 53))
+	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
+	q := Query{Concepts: testConcepts(), Join: jn, K: 5}
+	for _, concept := range q.Concepts {
+		if _, err := c.ConceptStems(concept); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stems := c.ResidentBytes()
+	e := New(c, Config{Workers: 2})
+	faultinject.Activate(faultinject.Config{Seed: 3, Rates: map[faultinject.Site]float64{faultinject.ConceptDecode: 1}})
+	res, err := e.Search(context.Background(), q)
+	fired := faultinject.Fired(faultinject.ConceptDecode)
+	faultinject.Deactivate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || len(res.Docs) != 0 || fired != uint64(len(q.Concepts)) {
+		t.Fatalf("degraded %v, %d documents, %d faults: want a degraded empty answer, one fault per concept", res.Degraded, len(res.Docs), fired)
+	}
+	if got := c.ResidentBytes(); got != stems {
+		t.Fatalf("%d resident bytes after failed builds, the stems hold %d", got, stems)
+	}
+	res, err = e.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded || !equalDocs(res.Docs, oracle(c, q.Concepts, 3, jn, 5)) || c.ResidentBytes() <= stems {
+		t.Fatalf("after injection: degraded %v, answer %+v, %d resident bytes", res.Degraded, res.Docs, c.ResidentBytes())
 	}
 }

@@ -160,7 +160,7 @@ func buildKernel(f KernelFactory, t *Tally) (wk workerKernel) {
 // the lists' signatures sigs prove every window of one match per list
 // at least the kernel's cut width at bar (join.Apart), the window
 // screen would cut the document, so it need not be joined — nor its
-// lists merged. A kernel without a window screen never cuts. A panic
+// lists read. A kernel without a window screen never cuts. A panic
 // in CutWidth poisons the kernel, like one in a join.
 func rungCut(kern workerKernel, bar float64, sigs []join.Sig) (cut, panicked bool) {
 	defer func() {

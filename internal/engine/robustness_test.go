@@ -458,13 +458,15 @@ func TestConceptStemsCapped(t *testing.T) {
 }
 
 // TestSwapIndexRacesFirstUseDecodes swaps the index while queries race
-// the first-use decodes of the same stems, on both epochs: each swap
-// installs a freshly built index, so every epoch decodes its stems
-// under concurrent queries. Every answer must equal the reference
-// ranking of the epoch it was pinned to, and each index must hold only
-// arrays decoded from its own postings — none from another epoch's.
-// Run under -race (scripts/check.sh), this is the lifecycle sequence
-// search / swap / first-use decode.
+// the first-use decodes of the same stems and the first-use builds of
+// the same concept tables, on both epochs: each swap installs a
+// freshly built index, so every epoch decodes its stems and merges its
+// tables under concurrent queries. Every answer must equal the
+// reference ranking of the epoch it was pinned to, and each index must
+// hold only arrays decoded from its own postings and tables merged from
+// its own arrays — none from another epoch's. Run under -race
+// (scripts/check.sh), this is the lifecycle sequence search / swap /
+// first-use decode and build.
 func TestSwapIndexRacesFirstUseDecodes(t *testing.T) {
 	corpora := [][]string{testCorpus(150, 61), testCorpus(120, 67)}
 	jn := MEDJoiner(scorefn.ExpMED{Alpha: 0.1})
@@ -532,6 +534,18 @@ func TestSwapIndexRacesFirstUseDecodes(t *testing.T) {
 	}
 	for ep, idx := range idxs {
 		for _, c := range testConcepts() {
+			tab, err := idx.ConceptArrays(c)
+			if err != nil || tab.Table() == nil {
+				t.Fatalf("epoch %d: no table (%v)", ep, err)
+			}
+			for other, o := range idxs {
+				if a, _ := o.ConceptArrays(c); other != ep && a.Table() == tab.Table() {
+					t.Fatalf("epochs %d and %d share a table", ep, other)
+				}
+			}
+			if tableSum(t, idx, c) != tableSum(t, buildCompact(t, corpora[ep%2]), c) {
+				t.Fatalf("epoch %d: a table holds other lists than the index's", ep)
+			}
 			stems, err := idx.ConceptStems(c)
 			if err != nil {
 				t.Fatal(err)

@@ -246,9 +246,10 @@ func (e *Engine) search(ctx context.Context, q Query, pinned *snapshot) (*Result
 	}
 	qs := &queryState{ctx: ctx, idx: snap.idx, epoch: snap.epoch}
 
-	// Resolve each concept's stems for the candidate walk. The context
-	// is checked before each concept, so a cancelled query decodes no
-	// further stem.
+	// Resolve each concept for the candidate walk: its kept arrays, or
+	// its stems decoded and its table merged on first use. The context
+	// is checked before each concept, so a cancelled query decodes and
+	// merges nothing further.
 	cds, data := make([]*conceptData, n), make([]conceptData, n)
 	for j, c := range q.Concepts {
 		if ctx.Err() != nil {

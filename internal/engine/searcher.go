@@ -44,6 +44,11 @@ type Health struct {
 	Epoch uint64 `json:"epoch"`
 	// Docs is the serving corpus size in documents.
 	Docs int `json:"docs"`
+	// ResidentBytes is what the serving index holds decoded: its
+	// stems' arrays and its kept concept tables, from their slices'
+	// capacities (index.Compact.ResidentBytes); a fleet's is the sum
+	// of its shards'.
+	ResidentBytes int64 `json:"resident_bytes"`
 	// Shards lists per-shard readiness, present only for sharded
 	// searchers.
 	Shards []ShardHealth `json:"shards,omitempty"`
@@ -65,8 +70,8 @@ type ShardHealth struct {
 
 // Health reports the single engine's readiness: always Ready (an
 // Engine holds exactly one live index by construction), at the
-// current snapshot's epoch.
+// current snapshot's epoch, with that index's resident bytes.
 func (e *Engine) Health() Health {
 	s := e.snap.Load()
-	return Health{Ready: true, Epoch: s.epoch, Docs: s.idx.Docs()}
+	return Health{Ready: true, Epoch: s.epoch, Docs: s.idx.Docs(), ResidentBytes: s.idx.ResidentBytes()}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bestjoin/internal/index"
 	"bestjoin/internal/join"
 	"bestjoin/internal/match"
 )
@@ -28,7 +27,7 @@ import (
 // either cap ranks strictly below the k-th kept entry
 // (floorEntry.bar: below its score, or tied with it on a larger
 // document id — a tie the pivot would still win on id never prunes).
-// A skipped pivot merges not a single match list, and when the
+// A skipped pivot reads not a single match list, and when the
 // disjunctive cap skipped it with every matched concept at its largest
 // weight the walk jumps the matched cursors up to the next unmatched
 // one in the same seek (see advanceUnion); at m = n that jump ends the
@@ -36,8 +35,9 @@ import (
 // the kernel's cap every later pivot has lost its tie already: that is
 // where Fagin's threshold (k objects with grade at least the
 // threshold) stops the walk. A pivot the cache rung cuts is dropped
-// too; one that survives has its lists merged straight from the
-// cursors' stem positions and is joined on the spot.
+// too; one that survives has its lists read off its cursors (a concept
+// table's slice, or a single stem's positions converted) and is joined
+// on the spot.
 //
 // The walk runs in parallel: Config.Workers walkers per query, the
 // calling goroutine one of them, each claiming document-id ranges in
@@ -86,7 +86,6 @@ type walkState struct {
 	qs        *queryState
 	factory   KernelFactory
 	cds       []*conceptData
-	nstems    int
 	minMatch  int
 	top       *topK
 	lo, hi    int
@@ -105,24 +104,20 @@ type walkState struct {
 func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k int, start time.Time) *Result {
 	res := &Result{}
 
-	// The query's document span, [lo, hi), over the stems of every
-	// living concept. A failed concept (corrupt postings — the query is
-	// already Degraded) and an unknown concept (no postings at all)
-	// alike contribute no documents: a union degrades to the surviving
+	// The query's document span, [lo, hi), over every living concept.
+	// A failed concept (corrupt postings — the query is already
+	// Degraded) and an unknown concept (no postings at all) alike
+	// contribute no documents: a union degrades to the surviving
 	// terms instead of returning nothing, which is the point of
 	// disjunctive evaluation, and an AND query is left with fewer
 	// concepts than it needs.
 	s := &walkState{qs: qs, factory: q.Join, cds: cds, minMatch: minMatch, lo: math.MaxInt}
 	living := 0
 	for _, cd := range cds {
-		s.nstems += len(cd.stems)
-		lives := false
-		for _, st := range cd.stems {
-			if n := st.Arrays.Len(); n > 0 {
-				s.lo, s.hi, lives = min(s.lo, st.Arrays.Doc(0)), max(s.hi, st.Arrays.Doc(n-1)+1), true
-			}
-		}
-		if lives {
+		if n := cd.arrays.Len(); n > 0 {
+			first, _, _ := cd.arrays.At(0)
+			last, _, _ := cd.arrays.At(n - 1)
+			s.lo, s.hi = min(s.lo, first), max(s.hi, last+1)
 			living++
 		}
 	}
@@ -165,8 +160,8 @@ func (e *Engine) walk(qs *queryState, q Query, cds []*conceptData, minMatch, k i
 }
 
 // walker is one walker's state: its cursors over the shared, read-only
-// stem arrays, its kernel and the bounder wrapping that kernel's cap,
-// its floor snapshot, its scratch, and its tally.
+// concept arrays, its kernel and the bounder wrapping that kernel's
+// cap, its floor snapshot, its scratch, and its tally.
 type walker struct {
 	*walkState
 	t        Tally
@@ -182,9 +177,8 @@ type walker struct {
 	atDoc   []*conceptCursor // the cursors standing on the pivot
 	atSigs  []join.Sig       // their signatures there
 	small   []int            // mthSmallestDoc's scratch
-	scratch []match.List     // one merged list per matched concept
+	scratch []match.List     // single-stem lists, converted; never a table's
 	lists   match.Lists
-	at      []index.StemAt
 }
 
 // run is one walker: it claims ranges in ascending order until none is
@@ -231,9 +225,8 @@ func (w *walker) cancelled() bool {
 	}
 }
 
-// newWalker builds a walker: its cursors, all carved off one slab with
-// their stem positions; its scratch; and its kernel, whose cap the
-// bounder wraps. Without a cap every pivot carries a +Inf bound and
+// newWalker builds a walker: its cursors, its scratch, and its kernel,
+// whose cap the bounder wraps. Without a cap every pivot carries a +Inf bound and
 // the loop degenerates to the exhaustive walk, which is always sound.
 func (s *walkState) newWalker() *walker {
 	n := len(s.cds)
@@ -243,10 +236,8 @@ func (s *walkState) newWalker() *walker {
 		small: make([]int, s.minMatch)}
 	ptrs := make([]*conceptCursor, 2*n)
 	w.alive, w.atDoc = ptrs[:0:n], ptrs[n:n]
-	pos := make([]stemPos, s.nstems)
 	for ci, cd := range s.cds {
-		w.curs[ci] = newCursor(cd, pos)
-		pos = pos[len(cd.stems):]
+		w.curs[ci] = newCursor(cd)
 	}
 	w.ub.t = &w.t
 	w.kern = buildKernel(s.factory, &w.t)
@@ -348,7 +339,7 @@ func (w *walker) pivot(d int) {
 		case bound < bar:
 			// Pivot skip: the matched concepts' aggregate bound cannot
 			// outrank the kept entry, so d is pruned before a single
-			// match list is merged — and the walk may clear a whole
+			// match list is read — and the walk may clear a whole
 			// range in the same move.
 			t.PrunedDocs++
 			t.PivotSkips++
@@ -370,13 +361,14 @@ func (w *walker) pivot(d int) {
 	seekUnion(&w.alive, w.atDoc, d+1)
 }
 
-// join runs the cache rung on d, then merges d's lists from the
-// cursors' stem positions into the walker's scratch, joins them under
-// panic isolation with the kernel armed with bar, and offers the
-// result to the shared top-k heap. A document whose lists' signatures
-// prove its every window too wide for the kernel's cut width is pruned
-// like a bound below its bar, its lists never merged. A panic poisons
-// the kernel, which the next pivot rebuilds.
+// join runs the cache rung on d, then reads d's lists off the cursors
+// (a table's slice, or a single stem's positions converted into the
+// walker's scratch), joins them under panic isolation with the kernel
+// armed with bar, and offers the result to the shared top-k heap. A
+// document whose lists' signatures prove its every window too wide for
+// the kernel's cut width is pruned like a bound below its bar, its
+// lists never read. A panic poisons the kernel, which the next pivot
+// rebuilds.
 func (w *walker) join(d int, bar float64) {
 	t := &w.t
 	cut, panicked := rungCut(w.kern, bar, w.atSigs)
@@ -390,14 +382,7 @@ func (w *walker) join(d int, bar float64) {
 	if !panicked {
 		lists := w.lists[:len(w.atDoc)]
 		for s, cu := range w.atDoc {
-			w.at = w.at[:0]
-			for _, p := range cu.pos {
-				if p.doc == d {
-					w.at = append(w.at, index.StemAt{Arrays: p.arr, I: p.i, Score: p.w})
-				}
-			}
-			w.scratch[s] = index.AppendConceptList(w.scratch[s][:0], w.at)
-			lists[s] = w.scratch[s]
+			lists[s] = cu.cd.arrays.List(cu.i, &w.scratch[s])
 		}
 		set, score, ok, panicked = safeJoin(w.kern, bar, lists)
 	}
@@ -454,7 +439,7 @@ func (w *walker) rebuild() bool {
 // confirms none of them. Otherwise the matched cursors step to d+1.
 func advanceUnion(alive *[]*conceptCursor, atDoc []*conceptCursor, atSigs []join.Sig, d int) {
 	for s, cu := range atDoc {
-		if atSigs[s].Max != cu.cd.top {
+		if atSigs[s].Max != cu.cd.arrays.Top() {
 			seekUnion(alive, atDoc, d+1)
 			return
 		}

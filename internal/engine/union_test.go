@@ -504,6 +504,50 @@ func TestConjunctiveCapSkipsPivot(t *testing.T) {
 	}
 }
 
+// TestConjunctiveCapTiesItsBar: a pivot that matches more concepts
+// than m is joined over all of them, and when the conjunctive cap over
+// exactly those lists equals its bar and the pivot wins the tie on id,
+// it must be joined, not skipped. LinearWIN (G(x) = x, F = gsum − w)
+// keeps every quantity an exact dyadic float: A = {apple: 4, gold: 4}
+// and B = {apple: −0.5}, 1 of 2, K = 2, one walker, and a shared floor
+// raised to 3.5 (its entry's id is MaxInt, so every document wins a tie
+// on id).
+//
+//   - doc 2 is "apple", in both lists at one location: its disjunctive
+//     cap is 4 (A alone), its conjunctive cap over both lists
+//     4 − 0.5 = 3.5, the bar — and its join scores exactly 3.5;
+//   - doc 5 is "gold": A alone, bound and score 4.
+//
+// The answer is internal/refrank's, [5, 2]. An engine whose
+// conjunctive cap pruned a bound equal to the bar would skip doc 2.
+func TestConjunctiveCapTiesItsBar(t *testing.T) {
+	docs := make([]string, 8)
+	for i := range docs {
+		docs[i] = "pad filler"
+	}
+	docs[2] = "apple"
+	docs[5] = "gold"
+	compact := buildCompact(t, docs)
+	concepts := []index.Concept{{"apple": 4, "gold": 4}, {"apple": -0.5}}
+	jn := WINJoiner(scorefn.LinearWIN{Scale: 1})
+	want := oracle(compact, concepts, 1, jn, 2)
+	if len(want) != 2 || want[0].Doc != 5 || want[1].Doc != 2 || want[1].Score != 3.5 {
+		t.Fatalf("reference %+v, want docs [5, 2] with doc 2 at 3.5", want)
+	}
+	floor := NewGlobalFloor()
+	floor.Raise(3.5)
+	e := New(compact, Config{Workers: 1})
+	res, err := e.Search(context.Background(), Query{Concepts: concepts, Join: jn, K: 2, Mode: ModeOR, Floor: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDocs(t, "conjunctive tie", res.Docs, want)
+	assertResultInvariants(t, "conjunctive tie", res)
+	if st := e.Stats(); st.PivotSkips != 0 || st.JoinsRun != 2 {
+		t.Fatalf("PivotSkips %d, JoinsRun %d; want both pivots joined", st.PivotSkips, st.JoinsRun)
+	}
+}
+
 // widthProbe counts the instances of three or more lists its MED
 // kernel is loaded with, keeping the kernel's caps, the valid-matchset
 // one among them, and its window screen.

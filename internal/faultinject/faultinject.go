@@ -32,8 +32,10 @@ const (
 	// a firing panics, simulating a hostile user-supplied scorefn.
 	KernelJoin Site = iota
 	// ConceptDecode fires just before a stem's postings are decoded
-	// into plain arrays (index.Compact.Stem, on the stem's first use);
-	// a firing panics the way corrupt posting bytes fail the decode.
+	// into plain arrays (index.Compact.Stem, on the stem's first use)
+	// and just before a concept's table is merged from them (on the
+	// concept's first use); a firing panics the way corrupt posting
+	// bytes fail the decode, and keeps nothing.
 	ConceptDecode
 	// DecodeLatency fires at the same spot but sleeps instead of
 	// panicking, simulating a slow or contended storage layer.

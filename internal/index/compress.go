@@ -176,22 +176,26 @@ func walkPostings(b []byte, emit func(doc, pos int)) error {
 
 // Compact is a read-only compressed index: the same query surface as
 // Index over varint-packed posting lists, each stem's plain arrays
-// decoded from them on first use (stems.go), and optional concept-pair
-// lists (pairs.go) registered at build time.
+// decoded from them on first use (stems.go), each multi-stem concept's
+// table merged from those on first use (concepts.go), and optional
+// concept-pair lists (pairs.go) registered at build time.
 type Compact struct {
 	postings map[string][]byte
 	// stems has one slot per key of postings, filled by Stem on the
 	// stem's first use. The map itself is never written once the index
 	// serves, so readers need no lock.
-	stems map[string]*atomic.Pointer[StemArrays]
-	pairs map[pairKey]*PairTable
-	docs  int
+	stems    map[string]*atomic.Pointer[StemArrays]
+	decoded  atomic.Int64 // the bytes of the arrays in stems
+	concepts *conceptCache
+	pairs    map[pairKey]*PairTable
+	docs     int
 }
 
 // newCompact wraps posting buffers as an index, with an empty arrays
-// slot per stem.
+// slot per stem and no concept kept.
 func newCompact(docs int, postings map[string][]byte) *Compact {
-	c := &Compact{postings: postings, docs: docs, stems: make(map[string]*atomic.Pointer[StemArrays], len(postings))}
+	c := &Compact{postings: postings, docs: docs, stems: make(map[string]*atomic.Pointer[StemArrays], len(postings)),
+		concepts: newConceptCache()}
 	for stem := range postings {
 		c.stems[stem] = new(atomic.Pointer[StemArrays])
 	}
@@ -199,10 +203,17 @@ func newCompact(docs int, postings map[string][]byte) *Compact {
 }
 
 // setPostings replaces one stem's posting bytes, dropping arrays
-// decoded from the old ones. Not safe while the index serves.
+// decoded from the old ones and every kept concept. Not safe while the
+// index serves.
 func (c *Compact) setPostings(stem string, b []byte) {
+	if s := c.stems[stem]; s != nil && s.Load() != nil {
+		c.decoded.Add(-int64(s.Load().Bytes()))
+	}
 	c.postings[stem] = b
 	c.stems[stem] = new(atomic.Pointer[StemArrays])
+	budget := c.concepts.budget
+	c.concepts = newConceptCache()
+	c.concepts.budget = budget
 }
 
 // Compact freezes the index into its compressed form: each stem's

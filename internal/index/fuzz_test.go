@@ -221,7 +221,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		want := slices.Compact(slices.Sorted(slices.Values(append(stemDocs(sa), stemDocs(sb)...))))
-		docs, lists := c.conceptDocLists(concept)
+		docs, lists := tableLists(c, concept)
 		if !slices.Equal(docs, want) {
 			t.Fatalf("concept documents %v, stems' %v", docs, want)
 		}
@@ -230,7 +230,7 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 // FuzzBlockDocs holds the per-document merge the engine's workers run
-// (AppendConceptList at one document) to the whole-concept merge on
+// (appendConceptList at one document) to the whole-concept merge on
 // arbitrary §1 posting bytes: a concept over the stem and a copy of it
 // at half the weight, merged one document at a time after a prefix,
 // leaves the prefix alone and appends exactly that document's list —
@@ -248,14 +248,14 @@ func FuzzBlockDocs(f *testing.F) {
 		c.setPostings("alpha", data)
 		c.setPostings("beta", data)
 		concept := Concept{"alpha": 1, "beta": 0.5}
-		docs, lists := c.conceptDocLists(concept)
+		docs, lists := tableLists(c, concept)
 		if !slices.Equal(docs, stemDocs(s)) {
 			t.Fatalf("concept documents %v, stem documents %v", docs, stemDocs(s))
 		}
 		prefix := match.List{{Loc: -1, Score: 7}}
 		for i := range docs {
-			at := []StemAt{{Arrays: s, I: i, Score: 0.5}, {Arrays: s, I: i, Score: 1}}
-			got := AppendConceptList(prefix[:1:1], at)
+			at := []stemAt{{Arrays: s, I: i, Score: 0.5}, {Arrays: s, I: i, Score: 1}}
+			got := appendConceptList(prefix[:1:1], at)
 			if got[0] != prefix[0] || !slices.Equal(got[1:], lists[i]) {
 				t.Fatalf("doc %d: merged %v after the prefix, whole-concept merge %v", docs[i], got, lists[i])
 			}

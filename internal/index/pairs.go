@@ -214,20 +214,21 @@ func (c *Compact) AddConceptPairs(a, b Concept, spec uint64, join func(match.Lis
 	if _, dup := c.pairs[key]; dup {
 		return 0, false
 	}
-	docsA, listsA := c.conceptDocLists(a)
-	docsB, listsB := c.conceptDocLists(b)
+	ta, tb := c.fullTable(a), c.fullTable(b)
 	var entries []PairEntry
 	lists := make(match.Lists, 2)
-	for i, j := 0, 0; i < len(docsA) && j < len(docsB); {
+	for i, j := 0, 0; i < ta.Len() && j < tb.Len(); {
+		da, _, _ := ta.At(i)
+		db, _, _ := tb.At(j)
 		switch {
-		case docsA[i] < docsB[j]:
+		case da < db:
 			i++
-		case docsA[i] > docsB[j]:
+		case da > db:
 			j++
 		default:
-			lists[0], lists[1] = listsA[i], listsB[j]
+			lists[0], lists[1] = ta.List(i), tb.List(j)
 			set, score, okJoin := join(lists)
-			ent := PairEntry{Doc: docsA[i]}
+			ent := PairEntry{Doc: da}
 			if okJoin && !math.IsNaN(score) {
 				// A ±Inf score or a witness the codec cannot represent
 				// exactly aborts the whole pair: a list never holds an

@@ -188,8 +188,8 @@ func TestAddConceptPairsMatchesJoin(t *testing.T) {
 
 	// The list's doc set must be exactly the concepts' intersection,
 	// and every scored record must replay the join bitwise.
-	docsA, listsA := c.conceptDocLists(a)
-	docsB, listsB := c.conceptDocLists(b)
+	docsA, listsA := tableLists(c, a)
+	docsB, listsB := tableLists(c, b)
 	k := 0
 	for i, j := 0, 0; i < len(docsA) && j < len(docsB); {
 		switch {

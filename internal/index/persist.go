@@ -128,7 +128,7 @@ func LoadCompact(b []byte) (*Compact, error) {
 		return nil, fmt.Errorf("%w: bad section count", ErrCorrupt)
 	}
 	b = b[n:]
-	c := &Compact{}
+	var c *Compact
 	prevID := byte(0)
 	for i := uint64(0); i < nsec; i++ {
 		if len(b) == 0 {
@@ -162,7 +162,8 @@ func LoadCompact(b []byte) (*Compact, error) {
 		if what, retired := retiredSections[id]; retired {
 			return nil, fmt.Errorf("%w: section %d (%s) is no longer supported", ErrCorrupt, id, what)
 		}
-		if err := parsePostings(c, payload); err != nil {
+		var err error
+		if c, err = parsePostings(payload); err != nil {
 			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, id, err)
 		}
 	}
@@ -176,51 +177,50 @@ func LoadCompact(b []byte) (*Compact, error) {
 // table — validating every posting list eagerly so a corrupt load
 // fails here, not at query time. Stems must be strictly ascending and
 // posting buffers non-empty, and the table must fill b.
-func parsePostings(c *Compact, b []byte) error {
+func parsePostings(b []byte) (*Compact, error) {
 	docs, n := binary.Uvarint(b)
 	if n <= 0 {
-		return fmt.Errorf("corrupt docs header")
+		return nil, fmt.Errorf("corrupt docs header")
 	}
 	b = b[n:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return fmt.Errorf("corrupt entry count")
+		return nil, fmt.Errorf("corrupt entry count")
 	}
 	b = b[n:]
 	// An entry takes at least 2 bytes: stem length, posting length.
 	// Bound the count before anything is allocated.
 	if count > uint64(len(b)/2) {
-		return fmt.Errorf("entry count %d exceeds buffer", count)
+		return nil, fmt.Errorf("entry count %d exceeds buffer", count)
 	}
 	postings := make(map[string][]byte, count)
 	prev := ""
 	for i := uint64(0); i < count; i++ {
 		slen, n := binary.Uvarint(b)
 		if n <= 0 || slen > uint64(len(b[n:])) {
-			return fmt.Errorf("entry %d: truncated key", i)
+			return nil, fmt.Errorf("entry %d: truncated key", i)
 		}
 		stem, rest := string(b[n:n+int(slen)]), b[n+int(slen):]
 		if i > 0 && prev >= stem {
-			return fmt.Errorf("entry %d: key %v not strictly ascending", i, stem)
+			return nil, fmt.Errorf("entry %d: key %v not strictly ascending", i, stem)
 		}
 		blen, n := binary.Uvarint(rest)
 		if n <= 0 || blen > uint64(len(rest[n:])) {
-			return fmt.Errorf("entry %d: truncated buffer", i)
+			return nil, fmt.Errorf("entry %d: truncated buffer", i)
 		}
 		if blen == 0 {
-			return fmt.Errorf("entry %d: empty buffer", i)
+			return nil, fmt.Errorf("entry %d: empty buffer", i)
 		}
 		end := n + int(blen)
 		buf := bytes.Clone(rest[n:end])
 		if err := walkPostings(buf, func(int, int) {}); err != nil {
-			return fmt.Errorf("entry %d: invalid postings for %q: %v", i, stem, err)
+			return nil, fmt.Errorf("entry %d: invalid postings for %q: %v", i, stem, err)
 		}
 		postings[stem] = buf
 		b, prev = rest[end:], stem
 	}
 	if len(b) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(b))
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
 	}
-	*c = *newCompact(int(docs), postings)
-	return nil
+	return newCompact(int(docs), postings), nil
 }

@@ -214,7 +214,7 @@ func TestMarshalBytesPinned(t *testing.T) {
 		{text.Stem("flood"): 0.9, text.Stem("delta"): 0.9, text.Stem("river"): 0.3},
 	} {
 		for _, ix := range append([]*Compact{c}, shards...) {
-			docs, lists := ix.conceptDocLists(cc)
+			docs, lists := tableLists(ix, cc)
 			h.Write(EncodeBlocks(docs, lists, 0))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"bestjoin/internal/faultinject"
 	"bestjoin/internal/match"
@@ -13,9 +14,10 @@ import (
 
 // Plain per-stem arrays: the form a query reads postings in, decoded
 // from a stem's §1 bytes on its first use and kept by the Compact. A
-// concept is never stored: its match list on a document is the
-// query-time merge of its stems' positions there (AppendConceptList),
-// the paper's footnote-1 construction.
+// concept's match list on a document is the merge of its stems'
+// positions there (appendConceptList), the paper's footnote-1
+// construction, which a concept table (concepts.go) holds for every
+// document of a multi-stem concept.
 
 // StemArrays is one stem's postings as plain arrays. Document i of the
 // stem is Doc(i); its positions, ascending (a repeated position is
@@ -89,6 +91,25 @@ func (s *StemArrays) End(i int) int { return s.ends[i] }
 // Pos returns position j.
 func (s *StemArrays) Pos(j int) int { return s.pos[j] }
 
+// Bytes returns the arrays' size from their capacities.
+func (s *StemArrays) Bytes() int {
+	return cap(s.docs)*int(unsafe.Sizeof(stemDoc{})) + (cap(s.ends)+cap(s.pos))*int(unsafe.Sizeof(0))
+}
+
+// appendList appends document i's match list at weight score to dst:
+// its positions, a repeated one once — appendConceptList of the stem
+// alone.
+func (s *StemArrays) appendList(dst match.List, i int, score float64) match.List {
+	begin := len(dst)
+	for _, p := range s.pos[s.Start(i):s.End(i)] {
+		if n := len(dst); n > begin && dst[n-1].Loc == p {
+			continue
+		}
+		dst = append(dst, match.Match{Loc: p, Score: score})
+	}
+	return dst
+}
+
 // Seek returns the index of the first document at least doc in
 // [lo, Len()), or Len(): an exponential probe from lo, then a binary
 // search, so a short move costs a few comparisons.
@@ -114,7 +135,7 @@ func (s *StemArrays) Seek(lo, doc int) int {
 
 // Stem returns the plain arrays of one stem (not a word), decoding its
 // postings on first use and keeping them; nil for a stem the index
-// lacks. Racing first uses decode equal arrays, either kept. Corrupt
+// lacks. Racing first uses decode equal arrays, one kept. Corrupt
 // bytes are an error and keep nothing, so every use reports them. The
 // decode is the faultinject.ConceptDecode and DecodeLatency site.
 func (c *Compact) Stem(stem string) (*StemArrays, error) {
@@ -131,7 +152,10 @@ func (c *Compact) Stem(stem string) (*StemArrays, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: postings of stem %q: %w", stem, err)
 	}
-	slot.Store(s)
+	if !slot.CompareAndSwap(nil, s) {
+		return slot.Load(), nil
+	}
+	c.decoded.Add(int64(s.Bytes()))
 	return s, nil
 }
 
@@ -171,18 +195,18 @@ func (c *Compact) ConceptStems(concept Concept) ([]ConceptStem, error) {
 	return out, nil
 }
 
-// StemAt is one stem's document I, with the weight its matches carry.
-type StemAt struct {
+// stemAt is one stem's document I, with the weight its matches carry.
+type stemAt struct {
 	Arrays *StemArrays
 	I      int
 	Score  float64
 }
 
-// AppendConceptList appends a concept's match list on one document to
+// appendConceptList appends a concept's match list on one document to
 // dst: the positions of the member stems at (each at that document),
 // in location order, a location held more than once scored with the
 // highest weight holding it — Compact.ConceptList, bit for bit.
-func AppendConceptList(dst match.List, at []StemAt) match.List {
+func appendConceptList(dst match.List, at []stemAt) match.List {
 	begin := len(dst)
 	// Merge the stems' runs, keeping them ordered by their heads — an
 	// advanced run usually moves a place or two.
@@ -222,54 +246,16 @@ func AppendConceptList(dst match.List, at []StemAt) match.List {
 	return dst
 }
 
-// conceptDocLists computes a concept's corpus-wide match data: every
-// document any member stem occurs in, ascending, with the concept's
-// match list there — the merge behind the pair lists and the
-// ConceptBlocks view. Corrupt posting bytes panic, as in
-// Compact.Postings.
-func (c *Compact) conceptDocLists(concept Concept) (docs []int, lists []match.List) {
-	stems, err := c.ConceptStems(concept)
-	if err != nil {
-		panic(fmt.Sprintf("index: corrupt compacted postings: %v", err))
-	}
-	next := make([]int, len(stems))
-	at := make([]StemAt, 0, len(stems))
-	var flat match.List
-	for {
-		doc := -1
-		for k, s := range stems {
-			if next[k] < s.Arrays.Len() && (doc < 0 || s.Arrays.Doc(next[k]) < doc) {
-				doc = s.Arrays.Doc(next[k])
-			}
-		}
-		if doc < 0 {
-			break
-		}
-		at = at[:0]
-		for k, s := range stems {
-			if next[k] < s.Arrays.Len() && s.Arrays.Doc(next[k]) == doc {
-				at = append(at, StemAt{Arrays: s.Arrays, I: next[k], Score: s.Score})
-				next[k]++
-			}
-		}
-		begin := len(flat)
-		flat = AppendConceptList(flat, at)
-		docs = append(docs, doc)
-		lists = append(lists, flat[begin:len(flat):len(flat)])
-	}
-	return docs, lists
-}
-
 // BlockSize is the number of documents per block of a pair list
 // (pairs.go) and of a ConceptBlocks view.
 const BlockSize = 128
 
-// BlockTable is a view of one concept's corpus-wide match data cut
-// into BlockSize-document ranges. It holds no bytes and no codec.
+// BlockTable is a view of one concept's table (ConceptTable) cut into
+// BlockSize-document ranges. It holds no bytes and no codec.
 //
-// Deprecated: the query path reads per-stem arrays (Compact.Stem);
-// the view remains for callers written against the former block
-// tables.
+// Deprecated: the query path reads concept tables and per-stem arrays
+// (Compact.ConceptArrays); the view remains for callers written
+// against the former block tables.
 type BlockTable struct {
 	docs  []int
 	lists []match.List
@@ -285,20 +271,27 @@ func (bt *BlockTable) DecodeBlock(i int) (docs []int, lists []match.List, err er
 	return bt.docs[lo:hi], bt.lists[lo:hi], nil
 }
 
-// ConceptBlocks returns the block view of a concept's merged match
-// data: empty for a concept absent from the corpus, ok false only for a
-// non-finite weight. Corrupt posting bytes panic.
+// ConceptBlocks returns the block view of a concept's table (built for
+// the view alone when the concept has one stem): empty for a concept
+// absent from the corpus, ok false only for a non-finite weight.
+// Corrupt posting bytes panic.
 //
 // Deprecated: see BlockTable.
 func (c *Compact) ConceptBlocks(concept Concept) (*BlockTable, bool) {
 	if !concept.Finite() {
 		return nil, false
 	}
-	docs, lists := c.conceptDocLists(concept)
-	return &BlockTable{docs: docs, lists: lists}, true
+	t := c.fullTable(concept)
+	bt := &BlockTable{docs: make([]int, t.Len()), lists: make([]match.List, t.Len())}
+	for i := range bt.docs {
+		bt.docs[i], _, _ = t.At(i)
+		bt.lists[i] = t.List(i)
+	}
+	return bt, true
 }
 
-// AddConceptBlocks does nothing: nothing per concept is stored.
+// AddConceptBlocks does nothing: a concept's table is merged on its
+// first use.
 //
 // Deprecated: it remains so that callers written against the former
 // registry still compile.

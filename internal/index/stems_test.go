@@ -183,7 +183,7 @@ func TestConceptListWideValues(t *testing.T) {
 	}))
 	c.docs = MaxDocID + 1
 	concept := Concept{"alpha": 0.5, "beta": 0.75}
-	docs, lists := c.conceptDocLists(concept)
+	docs, lists := tableLists(c, concept)
 	if want := []int{3, 1 << 35, MaxDocID}; !reflect.DeepEqual(docs, want) {
 		t.Fatalf("docs %v, want %v", docs, want)
 	}
@@ -215,15 +215,15 @@ func TestAppendConceptListManyStems(t *testing.T) {
 	if err != nil || len(stems) != len(words) {
 		t.Fatalf("%d stems, %v", len(stems), err)
 	}
-	var at []StemAt
+	var at []stemAt
 	for _, s := range stems {
 		i := s.Arrays.Seek(0, 0)
 		if s.Arrays.Doc(i) != 0 || s.Arrays.Seek(0, 1) != s.Arrays.Len() && s.Arrays.Doc(s.Arrays.Seek(0, 1)) != 2 {
 			t.Fatalf("stem %q: Seek(0, 0) = %d, Seek(0, 1) = %d", s.Stem, i, s.Arrays.Seek(0, 1))
 		}
-		at = append(at, StemAt{Arrays: s.Arrays, I: i, Score: s.Score})
+		at = append(at, stemAt{Arrays: s.Arrays, I: i, Score: s.Score})
 	}
-	if got, want := AppendConceptList(nil, at), c.ConceptList(0, concept); !reflect.DeepEqual(got, want) {
+	if got, want := appendConceptList(nil, at), c.ConceptList(0, concept); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged %v, ConceptList %v", got, want)
 	}
 	if heavy := c.HeavyStems(1); len(heavy) != 1 || heavy[0] != text.Stem("river") {
@@ -331,7 +331,7 @@ func TestEncodeBlocksEmpty(t *testing.T) {
 		t.Fatalf("view over empty postings: %+v, %v", bt, ok)
 	}
 	dst := match.List{{Loc: 4, Score: 1}}
-	if got := AppendConceptList(dst, nil); !reflect.DeepEqual(got, dst) {
+	if got := appendConceptList(dst, nil); !reflect.DeepEqual(got, dst) {
 		t.Fatalf("merge of no stems appended: %v", got)
 	}
 }
@@ -372,7 +372,7 @@ func TestEncodeBlocksWideRoundTrip(t *testing.T) {
 			c.setPostings("alpha", b)
 			c.docs = MaxDocID + 1
 			concept := Concept{"alpha": 0.5}
-			docs, lists := c.conceptDocLists(concept)
+			docs, lists := tableLists(c, concept)
 			for i, d := range docs {
 				if want := c.ConceptList(d, concept); !reflect.DeepEqual(lists[i], want) {
 					t.Fatalf("%s = %d: doc %d merged %v, ConceptList %v", tc.name, v, d, lists[i], want)
@@ -518,7 +518,7 @@ func flipEveryBit(t *testing.T, c *Compact, stem string, concept Concept) {
 		if got := flattenStem(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("bit %d: arrays %v, postings %v", i, got, want)
 		}
-		docs, lists := c.conceptDocLists(concept)
+		docs, lists := tableLists(c, concept)
 		for j, d := range docs[:min(len(docs), 8)] {
 			if ref := c.ConceptList(d, concept); !reflect.DeepEqual(lists[j], ref) {
 				t.Fatalf("bit %d: doc %d merged %v, ConceptList %v", i, d, lists[j], ref)
@@ -542,7 +542,7 @@ func TestDecodeBlocksRejectsEveryBitFlip(t *testing.T) {
 	flipEveryBit(t, c, text.Stem("whalf"), concept)
 }
 
-// TestDecodeGroupsPathsAgree holds AppendConceptList's two paths — run
+// TestDecodeGroupsPathsAgree holds appendConceptList's two paths — run
 // cursors on the stack for up to 8 stems, on the heap past that — to a
 // plain merge (every stem's positions, sorted, each location once at
 // its highest weight) on random runs of 0 to 22 stems, repeated
@@ -554,7 +554,7 @@ func TestDecodeGroupsPathsAgree(t *testing.T) {
 		n := rng.Intn(23)
 		// Each stem holds document 4, then 9: the merge must stop at
 		// the end of the run it was given.
-		var at []StemAt
+		var at []stemAt
 		best := map[int]float64{}
 		for k := 0; k < n; k++ {
 			var ps []Posting
@@ -568,7 +568,7 @@ func TestDecodeGroupsPathsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			score := float64(rng.Intn(5)) / 4
-			at = append(at, StemAt{Arrays: s, I: s.Seek(0, 4), Score: score})
+			at = append(at, stemAt{Arrays: s, I: s.Seek(0, 4), Score: score})
 			for _, p := range ps[:len(ps)-1] {
 				if w, ok := best[p.Pos]; !ok || score > w {
 					best[p.Pos] = score
@@ -579,7 +579,7 @@ func TestDecodeGroupsPathsAgree(t *testing.T) {
 		for _, loc := range slices.Sorted(maps.Keys(best)) {
 			want = append(want, match.Match{Loc: loc, Score: best[loc]})
 		}
-		if got := AppendConceptList(want[:1:1], at); !reflect.DeepEqual(got, want) {
+		if got := appendConceptList(want[:1:1], at); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d stems): merged %v, want %v", trial, n, got, want)
 		}
 	}
@@ -587,7 +587,7 @@ func TestDecodeGroupsPathsAgree(t *testing.T) {
 
 // TestDecodeDocMatchesDecodeBlock holds the per-document merge the
 // engine's workers run — each member stem Seek'd to the document, the
-// runs there merged by AppendConceptList after a prefix it leaves
+// runs there merged by appendConceptList after a prefix it leaves
 // alone — to the block view's whole-concept list for every document,
 // bit for bit: over a corpus, over ids and positions past 2^32, and
 // over documents held by more stems than the merge keeps on the stack.
@@ -620,14 +620,14 @@ func TestDecodeDocMatchesDecodeBlock(t *testing.T) {
 		for i := 0; i < bt.NumBlocks(); i++ {
 			docs, lists, _ := bt.DecodeBlock(i)
 			for j, d := range docs {
-				var at []StemAt
+				var at []stemAt
 				for _, s := range stems {
 					if k := s.Arrays.Seek(0, d); k < s.Arrays.Len() && s.Arrays.Doc(k) == d {
-						at = append(at, StemAt{Arrays: s.Arrays, I: k, Score: s.Score})
+						at = append(at, stemAt{Arrays: s.Arrays, I: k, Score: s.Score})
 					}
 				}
 				prefix := match.List{{Loc: -1, Score: 7}}
-				got := AppendConceptList(prefix, at)
+				got := appendConceptList(prefix, at)
 				if got[0] != prefix[0] || len(got) != 1+len(lists[j]) {
 					t.Fatalf("%s doc %d: %d matches after the prefix %v, want %d", tc.name, d, len(got)-1, got[0], len(lists[j]))
 				}
@@ -666,7 +666,7 @@ func TestDecodeBlockDocsIsolatesCorruptDocument(t *testing.T) {
 		}
 	}
 	healthy := Concept{"river": 1, "water": 0.5}
-	docs, lists := c.conceptDocLists(healthy)
+	docs, lists := tableLists(c, healthy)
 	if want, _ := flatConceptMatches(c, healthy); !reflect.DeepEqual(docs, want) || len(docs) == 0 {
 		t.Fatalf("healthy concept documents %v, want %v", docs, want)
 	}
@@ -703,4 +703,15 @@ func TestConceptStemsSortsAndMerges(t *testing.T) {
 			t.Fatalf("stem %q: score %v, want %v", s.Stem, s.Score, want[s.Stem])
 		}
 	}
+}
+
+// tableLists reads a concept's table (Compact.fullTable) back as its
+// documents and, aligned with them, their match lists.
+func tableLists(c *Compact, concept Concept) (docs []int, lists []match.List) {
+	t := c.fullTable(concept)
+	for i := 0; i < t.Len(); i++ {
+		d, _, _ := t.At(i)
+		docs, lists = append(docs, d), append(lists, t.List(i))
+	}
+	return docs, lists
 }

@@ -36,3 +36,12 @@ func RejectedShapesForTest(c *Compact) map[string][]byte {
 		"section 5":     framed(5),
 	}
 }
+
+// SetConceptBudgetForTest sets the bytes of concept tables c keeps
+// (ConceptBudget otherwise), so a test can pass the budget with a small
+// corpus. Not for production use.
+func SetConceptBudgetForTest(c *Compact, bytes int64) {
+	c.concepts.mu.Lock()
+	defer c.concepts.mu.Unlock()
+	c.concepts.budget = bytes
+}

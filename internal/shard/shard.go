@@ -470,6 +470,7 @@ func (c *Coordinator) rollErr() string {
 // generations. Err carries the last rolling reload's failure, if
 // any; a recorded failure does not by itself clear Ready — a fleet
 // stuck on the old generation is stale but still serving.
+// ResidentBytes is the sum of the children's.
 func (c *Coordinator) Health() engine.Health {
 	gen := c.gen.Load()
 	h := engine.Health{Ready: true, Epoch: gen.epoch, Err: c.rollErr()}
@@ -478,6 +479,7 @@ func (c *Coordinator) Health() engine.Health {
 		h.Shards = append(h.Shards, engine.ShardHealth{Shard: i, Epoch: ch.Epoch, Docs: ch.Docs, Ready: ch.Ready})
 		h.Ready = h.Ready && ch.Ready
 		h.Docs = ch.Docs
+		h.ResidentBytes += ch.ResidentBytes
 		if i < len(gen.epochs) && ch.Epoch != gen.epochs[i] {
 			h.Ready = false
 		}

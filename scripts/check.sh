@@ -54,9 +54,11 @@ go test -race -short -count=10 -run TestDifferential .
 # join, and every walker's tally merged into its query's. An assertion
 # that depends on how the walkers interleave shows up here, where one
 # run of the suite above passes it now and then. (About 30 s on a
-# 2-core host.)
-echo "== walker tests x20 =="
+# 2-core host.) The same for the first uses of one concept racing to
+# merge and keep its table.
+echo "== walker and table-build tests x20 =="
 go test -race -count=20 -run 'TestWalker|TestTallyQueryGranular' ./internal/engine/
+go test -race -count=20 -run 'TestConceptTableRacingFirstUses' ./internal/index/
 
 # The strictly-below rule, mutated in a copy of the tree: every place a
 # bound is held against the k-th kept entry must fail a test when it

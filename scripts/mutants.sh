@@ -4,9 +4,9 @@
 # the k-th kept entry, and every place that rule is written must be
 # held by a test. Each mutant below breaks one of them in a copy of the
 # working tree (the tree itself is never edited), and `go test -short`
-# of the root package and internal/engine must then fail. A mutant the
-# suite survives, or one that no longer applies or builds, fails this
-# script.
+# of the root package, internal/engine and internal/index must then
+# fail. A mutant the suite survives, or one that no longer applies or
+# builds, fails this script.
 #
 #   M1  floorEntry.bar gives a tie to the larger document id
 #   M2  floorEntry.bar takes every tie as lost
@@ -17,6 +17,9 @@
 #       narrowest cutting width, admitting a document its bar cuts
 #   M7  advanceUnion's range jump lands one document past the first
 #       unmatched cursor's
+#   M8  a concept table's per-document maximum takes the first stem
+#       present instead of the largest, so a bound can sit below the
+#       score it caps
 #
 # Usage: scripts/mutants.sh   (about 20 s a mutant on a 2-core host)
 set -eu
@@ -42,7 +45,7 @@ mutant() {
         echo "mutants: $name does not build" >&2
         exit 1
     fi
-    if (cd "$tmp" && go test -short -count=1 -failfast . ./internal/engine/ >/dev/null 2>&1); then
+    if (cd "$tmp" && go test -short -count=1 -failfast . ./internal/engine/ ./internal/index/ >/dev/null 2>&1); then
         echo "mutants: $name survived: no test failed" >&2
         exit 1
     fi
@@ -57,4 +60,5 @@ mutant M4 internal/engine/union.go 's/boundSigs(w\.atSigs, len(w\.atSigs)) < bar
 mutant M5 internal/engine/kernel.go 's/join\.Apart(sigs, w), false/join.Apart(sigs, w+1), false/'
 mutant M6 internal/join/events.go 's/^\treturn hi, true$/\treturn hi + 1, true/'
 mutant M7 internal/engine/union.go 's/target = min(target, cu\.doc)$/target = min(target, cu.doc+1)/'
+mutant M8 internal/index/concepts.go 's/if first || s\.Score > e\.max {/if first {/'
 echo "mutants: all killed"
