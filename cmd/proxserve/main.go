@@ -771,11 +771,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, h)
 }
 
+// writeJSON writes v as one line of compact JSON: these bodies are read
+// by programs, and indenting them cost the server more than encoding
+// them did. The REPL's :stats, read by people, stays indented.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

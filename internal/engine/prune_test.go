@@ -76,12 +76,15 @@ func TestNeverPruneOnEquality(t *testing.T) {
 		t.Fatalf("got scores [%v, %v], want [4, 4]", res.Docs[0].Score, res.Docs[1].Score)
 	}
 	// Doc 9 loses only on the doc-id tie-break, never by pruning: its
-	// bound (5) exceeds the final floor.
+	// bound (5) exceeds the final floor. It is joined, and its optimum,
+	// 4, is one ulp under its bar: the kernel's anchor trim reports that
+	// as a floor cut (join.Floored), the query's one. Doc 1, whose
+	// score equals its bar, is not cut.
 	if res.Evaluated != 3 || res.Pruned != 0 {
 		t.Fatalf("Evaluated=%d Pruned=%d, want 3 evaluated and 0 pruned", res.Evaluated, res.Pruned)
 	}
-	if st := e.Stats(); st.FloorCutJoins != 0 {
-		t.Fatalf("%d joins cut by the kernel floor, want 0", st.FloorCutJoins)
+	if st := e.Stats(); st.FloorCutJoins != 1 {
+		t.Fatalf("%d joins cut by the kernel floor, want 1: doc 9, which loses its id tie", st.FloorCutJoins)
 	}
 	if res.Partial {
 		t.Fatal("result marked Partial")
@@ -305,7 +308,11 @@ func TestPruningFloorMonotone(t *testing.T) {
 // them reach the kernel: without it all six are cut and the answer is
 // [8, 9]. Documents 6 and 7 spread the words over one more position and
 // are the screen's to cut; document 10 holds the words in term order,
-// scores the smaller sum, and loses on score.
+// scores the smaller sum, and loses on score. The walk takes the
+// documents in id order, so 0 and 1 hold the heap before 2…5, 8 and 9
+// are joined: each of those scores one ulp under its bar (a lost id
+// tie), and the kernel's anchor trim reports it, and 10, as a cut after
+// its program. That makes 9 window cuts, none of a document at its bar.
 func TestWindowScreenNeverCutsOnEquality(t *testing.T) {
 	var a, b, c float64
 search:
@@ -352,8 +359,69 @@ search:
 	if res.Evaluated != len(docs) || res.Pruned != 0 || res.Partial {
 		t.Fatalf("Evaluated=%d Pruned=%d Partial=%v, want all %d evaluated", res.Evaluated, res.Pruned, res.Partial, len(docs))
 	}
-	if st := e.Stats(); st.WindowCutJoins != 2 || st.FloorCutJoins != 2 {
-		t.Fatalf("WindowCutJoins=%d FloorCutJoins=%d, want 2 and 2: documents 6 and 7, nothing that ties the floor", st.WindowCutJoins, st.FloorCutJoins)
+	if st := e.Stats(); st.WindowCutJoins != 9 || st.FloorCutJoins != 9 {
+		t.Fatalf("WindowCutJoins=%d FloorCutJoins=%d, want 9 and 9: documents 2 to 10, nothing at its bar", st.WindowCutJoins, st.FloorCutJoins)
+	}
+}
+
+// TestAnchorTrimBoundary pins the WIN and MED kernels' anchor trim at
+// its edge, for the bare kernels and the valid-matchset wrapper, at one
+// walker. LinearWIN and LinearMED at scale 1 score two terms as their
+// summed weights less the window, in integers and halves, so every
+// score below is exact. A shared floor of 1.5 arms every join; on
+// maxima (3, 3) and (3, 2.5) the kernels' cut width at it is w* = 5, so
+// the trim keeps what lies within 4 tokens of the anchor, the one
+// "apple".
+//
+//   - doc 0 ties the floor: apple (3) and blue (2.5) 4 tokens apart,
+//     scoring 1.5 — equal to its bar, so never cut.
+//   - doc 1 wins: apple and berry (3) 4 tokens apart, w*−1, scoring 2,
+//     with a second berry far away that the trim drops.
+//   - doc 2 is the decoy: berry exactly w* from the apple, scoring 1,
+//     and bran (0.5) 3 before it, scoring 0.5; the screen's window, 3,
+//     lets it through, and the trim leaves only the bran. It is the
+//     query's one cut.
+//
+// A trim one token narrower would drop doc 0's blue and doc 1's near
+// berry, and lose both from the answer, which is internal/refrank's.
+func TestAnchorTrimBoundary(t *testing.T) {
+	docs := []string{
+		"apple pad pad pad blue",
+		"apple pad pad pad berry" + strings.Repeat(" pad", 20) + " berry",
+		"bran pad pad apple pad pad pad pad berry",
+	}
+	compact := buildCompact(t, docs)
+	concepts := []index.Concept{{"apple": 3}, {"berry": 3, "blue": 2.5, "bran": 0.5}}
+	const bar = 1.5
+	for name, factory := range map[string]KernelFactory{
+		"win":       WINJoiner(scorefn.LinearWIN{Scale: 1}),
+		"med":       MEDJoiner(scorefn.LinearMED{Scale: 1}),
+		"valid win": ValidWINJoiner(scorefn.LinearWIN{Scale: 1}),
+		"valid med": ValidMEDJoiner(scorefn.LinearMED{Scale: 1}),
+	} {
+		k := factory().(join.Floored)
+		for _, maxima := range [][]float64{{3, 3}, {3, 2.5}} {
+			if w, ok := k.CutWidth([]join.Sig{{Max: maxima[0]}, {Max: maxima[1]}}, bar); !ok || w != 5 {
+				t.Fatalf("%s: cut width %d (%v) at maxima %v, want 5", name, w, ok, maxima)
+			}
+		}
+		floor := NewGlobalFloor()
+		floor.Raise(bar)
+		q := Query{Concepts: concepts, Join: factory, K: 2, Floor: floor}
+		e := New(compact, Config{Workers: 1})
+		res, err := e.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle(compact, concepts, len(concepts), factory, q.K)
+		if len(want) != 2 || want[0].Doc != 1 || want[0].Score != 2 || want[1].Doc != 0 || want[1].Score != bar {
+			t.Fatalf("%s: the reference ranks %+v, want doc 1 at 2, then doc 0 at %v", name, want, bar)
+		}
+		assertSameDocs(t, name, res.Docs, want)
+		if st := e.Stats(); st.JoinsRun != 3 || st.FloorCutJoins != 1 || st.WindowCutJoins != 1 {
+			t.Fatalf("%s: JoinsRun %d, FloorCutJoins %d, WindowCutJoins %d, want 3, 1 and 1: the decoy alone is cut",
+				name, st.JoinsRun, st.FloorCutJoins, st.WindowCutJoins)
+		}
 	}
 }
 

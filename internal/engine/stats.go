@@ -35,7 +35,8 @@ type Tally struct {
 	// reach the top-k floor: a valid-matchset search whose
 	// duplicate-unaware optimum came out strictly below it, or — the
 	// WindowCutJoins among them — a WIN or MED run the window screen
-	// stopped before its dynamic program, wrapped or not. Both still
+	// stopped, before its dynamic program or after it ran on the lists
+	// the screen trimmed, wrapped or not. Both still
 	// count in JoinsRun and DocsEvaluated. DedupCapped counts joins
 	// whose search hit dedup.MaxInvocations; those documents are left
 	// unevaluated and the result is Partial.

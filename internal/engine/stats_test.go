@@ -34,8 +34,8 @@ import (
 // walkers the floors depend on the schedule too, and only the bounds
 // hold.
 func TestKernelInvocationsCounted(t *testing.T) {
-	// Three documents the window screen must let through to the search
-	// floor: every concept's best word is there, so the cap is high, but
+	// Three documents the window screen must let through to the anchor
+	// trim: every concept's best word is there, so the cap is high, but
 	// far from the others, and the words that sit together are weak.
 	corpus := testCorpus(200, 5)
 	far := strings.Repeat("quartz ", 40)
@@ -114,7 +114,11 @@ func TestKernelInvocationsCounted(t *testing.T) {
 	// cannot arm — so the screen is the model's: a candidate whose window
 	// cap is under the floor is cut at its root run, unscored. The search
 	// floor alone would have cut it there too, one kernel run later, so
-	// the screen moves no counter but its own.
+	// the screen moves no counter but its own. So is the anchor trim that
+	// follows the screen: where the kernel has a cut width at the bar, its
+	// root run joins the trimmed lists, and an optimum under the bar —
+	// the floorless one's, whenever that is under it too — is a window
+	// cut; the bare kernel reports it as one instead of returning it.
 	oneShot := func(l match.Lists) (match.Set, float64, bool) { return join.WIN(fn, l) }
 	sigs := make([][]join.Sig, len(lists))
 	for i, l := range lists {
@@ -123,7 +127,7 @@ func TestKernelInvocationsCounted(t *testing.T) {
 		}
 	}
 	type prediction struct{ joins, invocations, floorCuts, windowCuts, pruned uint64 }
-	replay := func(valid bool) (p prediction, rungCuts int) {
+	replay := func(valid bool) (p prediction, rungCuts, trimCuts int) {
 		search := dedup.Wrap(join.KernelFunc(oneShot))
 		rung := join.NewWINKernel(fn)
 		top := newTopK(DefaultK, nil)
@@ -150,11 +154,18 @@ func TestKernelInvocationsCounted(t *testing.T) {
 				set, score, ok = search.Join()
 				p.invocations += uint64(search.Invocations())
 			}
+			_, trims := rung.CutWidth(sigs[i], floor)
+			rootCut := search.FloorCut() && search.Invocations() == 1
 			switch windowCut := caps[i] < floor; {
 			case windowCut:
-				if valid && !(search.FloorCut() && search.Invocations() == 1) || score >= floor {
+				if valid && !rootCut || score >= floor {
 					t.Fatalf("doc %d: window cap %v under floor %v, but the join scores %v", docs[i], caps[i], floor, score)
 				}
+				p.windowCuts++
+				p.floorCuts++
+				ok = false
+			case trims && (valid && rootCut || !valid && score < floor):
+				trimCuts++
 				p.windowCuts++
 				p.floorCuts++
 				ok = false
@@ -166,12 +177,12 @@ func TestKernelInvocationsCounted(t *testing.T) {
 				entry = top.entry()
 			}
 		}
-		return p, rungCuts
+		return p, rungCuts, trimCuts
 	}
 	for _, valid := range []bool{true, false} {
-		p, rungCuts := replay(valid)
-		if rungCuts == 0 || p.windowCuts == 0 || valid && (p.floorCuts == p.windowCuts || p.invocations >= invocations) {
-			t.Fatalf("floored replay (valid %v): %+v and %d rung cuts against %d floorless invocations — the corpus does not exercise every cut", valid, p, rungCuts, invocations)
+		p, rungCuts, trimCuts := replay(valid)
+		if rungCuts == 0 || trimCuts == 0 || p.windowCuts == uint64(trimCuts) || valid && p.invocations >= invocations {
+			t.Fatalf("floored replay (valid %v): %+v, %d rung cuts and %d anchor-trim cuts against %d floorless invocations — the corpus does not exercise every cut", valid, p, rungCuts, trimCuts, invocations)
 		}
 		e = New(compact, Config{Workers: 1})
 		if _, err := e.Search(ctx, Query{Concepts: concepts, Spec: KernelSpec{Family: "win", Alpha: 0.07, Valid: valid}}); err != nil {
@@ -230,7 +241,14 @@ func TestKernelInvocationsCounted(t *testing.T) {
 // cap over exactly its matched lists, which is what it is joined over:
 // the 2-of-3 queries' joins fell 1 452 → 1 434, floor cuts 642 → 624,
 // window cuts 588 → 574 and kernel invocations 1 392 → 1 374 — every
-// join the cap took was one the kernel floor used to cut.
+// join the cap took was one the kernel floor used to cut. And again when
+// the WIN and MED kernels began anchoring their lists under a floor:
+// an optimum of the trimmed lists under the bar is a cut, so a bare
+// kernel's losing join, which used to come back scored and be dropped
+// at the heap, is now a floor cut, and the search's root run under the
+// floor is now the inner kernel's cut, a window cut. Floor cuts rose
+// 624 → 732 and window cuts 574 → 732, while joins, kernel invocations
+// and the conjunctive Evaluated did not move.
 func TestOneWorkerCountsPinned(t *testing.T) {
 	compact := buildCompact(t, testCorpus(600, 31))
 	e := New(compact, Config{Workers: 1})
@@ -258,7 +276,7 @@ func TestOneWorkerCountsPinned(t *testing.T) {
 	type counts struct{ joins, floorCuts, windowCuts, invocations, andEvaluated uint64 }
 	st := e.Stats()
 	got := counts{st.JoinsRun, st.FloorCutJoins, st.WindowCutJoins, st.KernelInvocations, andEvaluated}
-	if want := (counts{1434, 624, 574, 1374, 462}); got != want {
+	if want := (counts{1434, 732, 732, 1374, 462}); got != want {
 		t.Fatalf("JoinsRun, FloorCutJoins, WindowCutJoins, KernelInvocations, conjunctive Evaluated %+v, want %+v", got, want)
 	}
 }

@@ -75,9 +75,11 @@ func (k *MAXKernel) ScoreUpperBound(perListMax []float64, minMatch int) float64 
 // Join is a search, which stops once its duplicate-unaware optimum is
 // below the floor (dedup.Kernel). WINKernel and MEDKernel apply the
 // window screen (eventStream): a cap from the smallest window the
-// instance admits, checked before their dynamic program runs. The
-// wrapper forwards its floor, so each inner run of a search is
-// screened too.
+// instance admits, checked before their dynamic program runs, which
+// then runs on lists trimmed to what can reach the floor — an optimum
+// of those below the floor is a window cut too. The wrapper forwards
+// its floor, so each inner run of a search is screened and trimmed
+// too.
 type Floored interface {
 	SetFloor(floor float64)
 	// FloorCut reports whether the last Join came back ok == false on

@@ -19,7 +19,9 @@ import (
 // document whose cap (scorefn.CapWIN/MED) is strictly below the
 // floor before merging it, running the program, or evaluating g for
 // anything but the list maxima. Only documents the screen lets through
-// are merged; an unarmed kernel merges without screening.
+// are merged, and only after their lists are trimmed to the matches
+// that can still be in a matchset reaching the floor (anchor); an
+// unarmed kernel merges without screening.
 type eventStream struct {
 	events []match.Event
 	terms  []termScan // one per list
@@ -30,9 +32,16 @@ type eventStream struct {
 
 	cuts []cutSlot // cutWidth's memo, made on first use
 
+	// anchor's output: the trimmed lists' headers, and the matches of
+	// those that are not one run of their list, copied. The input lists
+	// are never written.
+	trimmed match.Lists
+	kept    []match.Match
+
 	// A kernel lives for one query, and few queries have more terms:
-	// their scan state needs no allocation of its own.
-	inline [8]termScan
+	// their scan state and trimmed lists need no allocation of their own.
+	inline        [8]termScan
+	inlineTrimmed [8]match.List
 }
 
 // termScan is one list's cursor, with the location of its next match
@@ -41,6 +50,7 @@ type eventStream struct {
 type termScan struct {
 	loc, pos, n int     // next match's location and index; the list's length
 	smax        float64 // screen: the list's largest match score; a NaN never is
+	smin        float64 // screen: the list's smallest match score, NaN once one is
 }
 
 // SetFloor arms the following Joins with a top-k floor (Floored). Only
@@ -63,6 +73,14 @@ func (s *eventStream) WindowCut() bool { return s.cut }
 // tie-break — and neither does a NaN one.
 func (s *eventStream) cutBy(bound float64) bool {
 	s.cut = bound < s.floor
+	return s.cut
+}
+
+// cutBelow records and reports whether score, the optimum of a program
+// run on the lists anchor returned with bar, is a cut: strictly below
+// bar.
+func (s *eventStream) cutBelow(score, bar float64) bool {
+	s.cut = score < bar
 	return s.cut
 }
 
@@ -132,47 +150,60 @@ func (s *eventStream) load(lists match.Lists) bool {
 	return true
 }
 
-// screen reads the lists, unmerged, for the window screen: wmin, the
-// smallest window holding one match of every term, and the sum over
-// terms of g_j of the list's maximum score — in term order — with the
-// sum of their magnitudes, the form scorefn's window caps take. It
-// clears the cut. ok is false when the instance is not complete, or
-// when a list is not in location order, which the sweep relies on. A g
-// that is NaN or infinite carries into the cap, which then cuts
-// nothing.
-//
-// One pass per list takes its maximum score and checks its order; the
-// comparisons are the ones a pass over the merged events would make,
-// list by list, so the maximum is the same float to the bit (a -0 and
-// a +0 included). Then one sweep over the lists' heads finds wmin:
-// every window [lo, hi] holding one match of each term is at least as
-// wide as the one whose matches are, for each term, its first at or
-// after lo; so record max head − min head, advance the list holding the
-// smallest head, and stop when that list runs out (or the window is
-// empty: none is narrower). This is the merged pass's wmin because a
-// merge of the lists is in location order exactly when every list is,
-// and the smallest range holding one element of every list is what
-// that pass computes.
-func (s *eventStream) screen(lists match.Lists, memo *gMemo) (wmin int, gsum, mag float64, ok bool) {
+// maxima is the screen's pass over each list: it takes the list's
+// largest and smallest match score (terms[j].smax, smin) and checks its
+// order, and sums g_j over the maxima. The comparisons are the ones a
+// pass over the merged events would make, list by list, so each maximum
+// is the same float to the bit (a -0 and a +0 included). It clears the
+// cut; ok is false when the instance is not complete or a list is not
+// in location order.
+func (s *eventStream) maxima(lists match.Lists, memo *gMemo) (gsum, mag float64, ok bool) {
 	if !s.scan(lists) {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	terms := s.terms
-	hi := math.MinInt
 	for j, l := range lists {
-		smax, prev := math.Inf(-1), l[0].Loc
+		smax, smin, prev := math.Inf(-1), math.Inf(1), l[0].Loc
 		for i := range l {
 			m := &l[i]
 			if m.Loc < prev {
-				return 0, 0, 0, false
+				return 0, 0, false
 			}
 			prev = m.Loc
 			if m.Score > smax {
 				smax = m.Score
 			}
+			if m.Score < smin {
+				smin = m.Score
+			} else if m.Score != m.Score {
+				smin = m.Score // nothing compares below a NaN: it stays
+			}
 		}
-		terms[j] = termScan{loc: l[0].Loc, n: len(l), smax: smax}
-		hi = max(hi, l[0].Loc)
+		terms[j].smax, terms[j].smin = smax, smin
+		g := memo.g(j, smax)
+		gsum += g
+		mag += math.Abs(g)
+	}
+	return gsum, mag, true
+}
+
+// sweep returns wmin, the smallest window holding one match of every
+// list, by one sweep over the lists' heads. The lists must be complete
+// and in location order, and sized by scan. Every window [lo, hi]
+// holding one match of each term is at least as wide as the one whose
+// matches are, for each term, its first at or after lo; so record max
+// head − min head, advance the list holding the smallest head, and stop
+// when that list runs out (or the window is empty: none is narrower).
+// This is the merged pass's wmin because a merge of the lists is in
+// location order exactly when every list is, and the smallest range
+// holding one element of every list is what that pass computes.
+func (s *eventStream) sweep(lists match.Lists) (wmin int) {
+	terms := s.terms
+	hi := math.MinInt
+	for j, l := range lists {
+		t := &terms[j]
+		t.loc, t.pos, t.n = l[0].Loc, 0, len(l)
+		hi = max(hi, t.loc)
 	}
 	wmin = math.MaxInt
 	for {
@@ -192,12 +223,166 @@ func (s *eventStream) screen(lists match.Lists, memo *gMemo) (wmin int, gsum, ma
 		t.loc = lists[low][t.pos].Loc
 		hi = max(hi, t.loc)
 	}
-	for j := range terms {
-		g := memo.g(j, terms[j].smax)
-		gsum += g
-		mag += math.Abs(g)
+	return wmin
+}
+
+// anchor is an armed kernel's window screen and anchor trim, run before
+// its program. It returns the lists the program is to run on, and bar:
+// an optimum of the program strictly below bar is a cut, not an answer.
+// ok is false when the instance is cut already (FloorCut).
+//
+// The screen cuts an instance whose smallest window caps strictly below
+// the floor. The trim keeps what can reach the floor: with w* the
+// narrowest width whose cap, at the lists' maxima, is below the floor
+// (cutAt, the cut width the cache rung also reads), every matchset at
+// or above the floor spans less than w*; so each of its matches lies
+// within w*−1 locations of its match in the anchor, the shortest list.
+// Every other list keeps only such matches (trim); the anchor is kept
+// whole. The trimmed instance's matchsets are a subset of the
+// original's that holds every one at or above the floor, so its
+// optimum is the original's, to the bit, whenever that reaches the
+// floor. Otherwise it is below the floor and may be another matchset
+// than the original's optimum: so it is a cut (bar), and a list the
+// trim empties is a cut at once.
+//
+// The trim runs before the sweep, which then reads the trimmed lists:
+// the caps fall as the window widens, so the screen cuts exactly when
+// wmin ≥ w*; a window narrower than w* survives the trim, so the
+// trimmed wmin is the original one whenever that is narrower than w*,
+// and at least w* (or a list is empty) otherwise. The screen's verdict
+// is the one it would reach on the whole lists.
+//
+// Nothing is trimmed where that argument does not hold: where the
+// screen stands down (an incomplete instance, or a list out of location
+// order), or where some g_j of a match score is NaN or infinite — the
+// program's comparisons with a NaN do not find an optimum, and an
+// infinite g makes sums NaN. G is increasing, so g_j finite at each
+// list's smallest and largest score, with no score NaN, makes every
+// match's g_j finite.
+func (s *eventStream) anchor(lists match.Lists, memo *gMemo, c windowCapper) (_ match.Lists, bar float64, ok bool) {
+	gsum, mag, ok := s.maxima(lists, memo)
+	if !ok {
+		return lists, math.Inf(-1), true
 	}
-	return wmin, gsum, mag, true
+	bar = math.Inf(-1)
+	if s.finite(mag, memo) {
+		if w, trims := s.cutAt(gsum, mag, s.floor, memo, c); trims {
+			if lists, ok = s.trim(lists, w-1); !ok {
+				s.cut = true
+				return nil, 0, false
+			}
+			bar = s.floor
+		}
+	}
+	if s.cutBy(c.windowCap(gsum, mag, s.sweep(lists))) {
+		return nil, 0, false
+	}
+	return lists, bar, true
+}
+
+// finite reports whether every g_j of a match score in the lists maxima
+// last read is finite: mag, the sum of the magnitudes at the maxima,
+// and g_j at each list's smallest score.
+func (s *eventStream) finite(mag float64, memo *gMemo) bool {
+	if mag-mag != 0 {
+		return false
+	}
+	for j := range s.terms {
+		if g := memo.g(j, s.terms[j].smin); g-g != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// trim keeps, of every list but the shortest (the first shortest), the
+// matches within r locations of one of the shortest list's; ok is false
+// when that leaves a list empty. The lists must be complete and in
+// location order. Each list is galloped over, once, interval by
+// interval of the anchor's matches ± r, overlapping ones joined; a list
+// whose kept matches are one run of it is resliced, and only one whose
+// kept matches are several runs is copied, into s.kept. When r spans
+// the whole instance nothing is trimmed, and lists itself comes back.
+func (s *eventStream) trim(lists match.Lists, r int) (_ match.Lists, ok bool) {
+	a, lo, hi, total := 0, math.MaxInt, math.MinInt, 0
+	for j, l := range lists {
+		if len(l) < len(lists[a]) {
+			a = j
+		}
+		lo, hi = min(lo, l[0].Loc), max(hi, l[len(l)-1].Loc)
+		total += len(l)
+	}
+	if hi-lo <= r {
+		return lists, true
+	}
+	anchor := lists[a]
+	if cap(s.trimmed) < len(lists) {
+		s.trimmed = s.inlineTrimmed[:]
+		if len(lists) > len(s.inlineTrimmed) {
+			s.trimmed = make(match.Lists, len(lists))
+		}
+	}
+	s.trimmed = s.trimmed[:len(lists)]
+	s.kept = s.kept[:0]
+	for j, l := range lists {
+		if j == a {
+			s.trimmed[j] = l
+			continue
+		}
+		b0, e0, runs, start, p := 0, 0, 0, len(s.kept), 0
+		for i := 0; i < len(anchor) && p < len(l); {
+			x, y := anchor[i].Loc-r, anchor[i].Loc+r
+			for i++; i < len(anchor) && anchor[i].Loc-r <= y+1; i++ {
+				y = anchor[i].Loc + r
+			}
+			b := gallop(l, p, x)
+			e := gallop(l, b, y+1)
+			if p = e; b == e {
+				continue
+			}
+			switch runs++; runs {
+			case 1:
+				b0, e0 = b, e
+			case 2:
+				if len(s.kept) == 0 && cap(s.kept) < total {
+					// Room for every list's whole length: no later list
+					// of this instance moves the copies made before it.
+					s.kept = make([]match.Match, 0, max(2*total, 128))
+				}
+				s.kept = append(append(s.kept, l[b0:e0]...), l[b:e]...)
+			default:
+				s.kept = append(s.kept, l[b:e]...)
+			}
+		}
+		switch runs {
+		case 0:
+			return nil, false
+		case 1:
+			s.trimmed[j] = l[b0:e0:e0]
+		default:
+			s.trimmed[j] = s.kept[start:len(s.kept):len(s.kept)]
+		}
+	}
+	return s.trimmed, true
+}
+
+// gallop returns the first index at or after i of l, a list in location
+// order, whose location is at least loc (len(l) when there is none):
+// steps doubling from i, then a binary search of the last step.
+func gallop(l match.List, i, loc int) int {
+	hi := i
+	for step := 1; hi < len(l) && l[hi].Loc < loc; step <<= 1 {
+		i, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(l))
+	for i < hi {
+		if mid := int(uint(i+hi) >> 1); l[mid].Loc < loc {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return i
 }
 
 // Sig is one match list's location signature, the input of the cache
@@ -303,6 +488,13 @@ func (s *eventStream) cutWidth(sigs []Sig, bar float64, memo *gMemo, c windowCap
 		gsum += g
 		mag += math.Abs(g)
 	}
+	return s.cutAt(gsum, mag, bar, memo, c)
+}
+
+// cutAt is cutWidth for the sums gsum and mag of g_j over the lists'
+// maxima, in list order, as maxima returns them: the memo lookup both
+// the cache rung and the anchor trim make.
+func (s *eventStream) cutAt(gsum, mag, bar float64, memo *gMemo, c windowCapper) (int, bool) {
 	if s.cuts == nil {
 		s.cuts = make([]cutSlot, 1<<cutMemoBits)
 	}

@@ -107,6 +107,21 @@ func TestEventStreamMatchesMerger(t *testing.T) {
 	}
 }
 
+// screen is the window screen's reading of the whole lists, unmerged:
+// wmin, the smallest window holding one match of every term, and the
+// sum over terms of g_j of the list's maximum score — in term order —
+// with the sum of their magnitudes, the form scorefn's window caps
+// take; maxima, then sweep. ok is false when the instance is not
+// complete, or when a list is not in location order. It is what an
+// armed kernel compares with its floor when the anchor trim stands
+// down.
+func (s *eventStream) screen(lists match.Lists, memo *gMemo) (wmin int, gsum, mag float64, ok bool) {
+	if gsum, mag, ok = s.maxima(lists, memo); !ok {
+		return 0, 0, 0, false
+	}
+	return s.sweep(lists), gsum, mag, true
+}
+
 // mergedWindow is the screen as a pass over the merged events — each
 // term's latest location kept, the window ending at every event once
 // every term has been seen — the form it took before it read the lists
@@ -309,7 +324,10 @@ func (k medStream) stream() *eventStream { return &k.eventStream }
 // where a wrong comparison shows: the answer itself (equality never
 // cuts), one ulp either side, NaN and both infinities; and the floor
 // one ulp above must actually cut whenever the instance is the tight
-// one, every list's maximum on one token.
+// one, every list's maximum on one token. The anchor trim that follows
+// the screen is held to the same contract, on the random instances and
+// on anchoredHostile's, where a score that is not its list's maximum
+// has a NaN or infinite g and the trim must stand down.
 func TestWindowScreen(t *testing.T) {
 	weights := []float64{1.5, 0.5, 2, 0.25}
 	kernels := map[string]func() (armed, bare Kernel){
@@ -337,23 +355,19 @@ func TestWindowScreen(t *testing.T) {
 		armed, bare := build()
 		floored := armed.(Floored)
 		cuts, tight := 0, 0
-		for trial := 0; trial < 3000; trial++ {
-			lists := crowded(rng, trial)
-			if trial%10 == 9 {
-				// The tight instance: one token carries every list's maximum.
-				for j := range lists {
-					lists[j] = append(lists[j], match.Match{Loc: 100, Score: 1})
-				}
-			}
+		// check holds the armed kernel to the floorless one on lists, at
+		// every floor above and the extra ones, and returns the floorless
+		// score.
+		check := func(trial int, lists match.Lists, extra ...float64) float64 {
 			bare.Reset(nil, lists)
 			wantSet, want, wantOK := bare.Join()
 			if !wantOK {
 				t.Fatalf("%s trial %d: floorless join found nothing", name, trial)
 			}
-			floors := []float64{
+			floors := append([]float64{
 				math.Inf(-1), math.NaN(), math.Inf(1), want, math.Nextafter(want, math.Inf(-1)),
 				math.Nextafter(want, math.Inf(1)), want + math.Abs(want)*rng.Float64(), rng.Float64(),
-			}
+			}, extra...)
 			for _, floor := range floors {
 				floored.SetFloor(floor)
 				armed.Reset(nil, lists)
@@ -370,9 +384,20 @@ func TestWindowScreen(t *testing.T) {
 					continue
 				}
 				if math.Float64bits(score) != math.Float64bits(want) || !sameSet(set, wantSet) {
-					t.Fatalf("%s trial %d floor %v: %v scoring %v, floorless %v scoring %v", name, trial, floor, set, score, wantSet, want)
+					t.Fatalf("%s trial %d floor %v: %v scoring %v, floorless %v scoring %v\n%v", name, trial, floor, set, score, wantSet, want, lists)
 				}
 			}
+			return want
+		}
+		for trial := 0; trial < 3000; trial++ {
+			lists := crowded(rng, trial)
+			if trial%10 == 9 {
+				// The tight instance: one token carries every list's maximum.
+				for j := range lists {
+					lists[j] = append(lists[j], match.Match{Loc: 100, Score: 1})
+				}
+			}
+			want := check(trial, lists)
 			if trial%10 == 9 && trial%3 != 0 {
 				floored.SetFloor(math.Nextafter(want, math.Inf(1)))
 				armed.Reset(nil, lists)
@@ -391,5 +416,53 @@ func TestWindowScreen(t *testing.T) {
 		if cuts < 1000 {
 			t.Fatalf("%s: only %d cuts — the screen is not exercised", name, cuts)
 		}
+		// The floors that make the trim cut: the clean instance's answer,
+		// and a little under it.
+		for i, h := range anchoredHostile() {
+			bare.Reset(nil, h.clean)
+			_, clean, _ := bare.Join()
+			check(3000+i, h.lists, clean, math.Nextafter(clean, math.Inf(-1)), clean-math.Abs(clean)/8)
+		}
 	}
+}
+
+// anchoredHostile returns instances an anchor trim would cut down — one
+// short list, the others long and spread out — each once clean and once
+// with one score no contract-abiding caller sends, at a match that is
+// not its list's maximum: negative (a NaN g under the exponential
+// families), zero or negative zero (an infinite one), or NaN. The bad
+// score sits in a long list far from the anchor, then next to it,
+// within any cut width, and then in the anchor itself.
+func anchoredHostile() []struct{ lists, clean match.Lists } {
+	shapes := []match.Lists{
+		{
+			{{Loc: 10, Score: 0.9}},
+			{{Loc: 2, Score: 0.3}, {Loc: 12, Score: 0.8}, {Loc: 40, Score: 0.7}, {Loc: 75, Score: 0.95}},
+			{{Loc: 13, Score: 0.6}, {Loc: 60, Score: 0.5}, {Loc: 90, Score: 0.85}},
+		},
+		{
+			{{Loc: 10, Score: 0.9}},
+			{{Loc: 11, Score: 0.3}, {Loc: 12, Score: 0.8}, {Loc: 40, Score: 0.7}, {Loc: 75, Score: 0.95}},
+			{{Loc: 13, Score: 0.6}, {Loc: 60, Score: 0.5}, {Loc: 90, Score: 0.85}},
+		},
+		{
+			{{Loc: 10, Score: 0.3}, {Loc: 50, Score: 0.9}},
+			{{Loc: 8, Score: 0.8}, {Loc: 30, Score: 0.7}, {Loc: 52, Score: 0.6}, {Loc: 95, Score: 0.95}},
+			{{Loc: 12, Score: 0.6}, {Loc: 49, Score: 0.5}, {Loc: 70, Score: 0.85}},
+		},
+	}
+	// Where each shape's 0.3 is, the score the bad one replaces.
+	at := [][2]int{{1, 0}, {1, 0}, {0, 0}}
+	var out []struct{ lists, clean match.Lists }
+	for s, clean := range shapes {
+		for _, bad := range []float64{-0.5, 0, math.Copysign(0, -1), math.NaN()} {
+			lists := make(match.Lists, len(clean))
+			for j, l := range clean {
+				lists[j] = slices.Clone(l)
+			}
+			lists[at[s][0]][at[s][1]].Score = bad
+			out = append(out, struct{ lists, clean match.Lists }{lists, clean})
+		}
+	}
+	return out
 }

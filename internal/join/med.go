@@ -16,7 +16,9 @@ import (
 // the Kernel interface for the reuse and ownership contract. It is
 // Floored: armed with a top-k floor, Join returns ok == false — before
 // merging the lists or building any envelope — for an instance whose window upper bound
-// (scorefn.CapMED) is strictly below the floor.
+// (scorefn.CapMED) is strictly below the floor, and runs the program on
+// a survivor's lists trimmed to the matches that can still reach the
+// floor (eventStream.anchor).
 type MEDKernel struct {
 	fn          scorefn.MED
 	g           gMemo // g_j(score), evaluated once per distinct (term, score)
@@ -112,8 +114,10 @@ func (k *MEDKernel) Join() (best match.Set, score float64, ok bool) {
 	lists := k.lists
 	q := len(lists)
 	k.grow(q)
+	bar := math.Inf(-1)
 	if k.armed {
-		if wmin, total, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(k.windowCap(total, mag, wmin)) {
+		var ok bool
+		if lists, bar, ok = k.anchor(lists, &k.g, k); !ok {
 			return nil, 0, false
 		}
 	}
@@ -153,7 +157,7 @@ func (k *MEDKernel) Join() (best match.Set, score float64, ok bool) {
 		}
 	}
 
-	if !found {
+	if !found || k.cutBelow(bestScore, bar) {
 		return nil, 0, false
 	}
 	return k.out, bestScore, true

@@ -83,7 +83,9 @@ func (a *winArena) alloc(term int, m match.Match, prev *winNode) *winNode {
 // ownership contract. It is Floored: armed with a top-k floor, Join
 // returns ok == false — before merging the lists or touching the subset
 // table — for an instance whose window upper bound
-// (scorefn.CapWIN) is strictly below the floor.
+// (scorefn.CapWIN) is strictly below the floor, and runs the program on
+// a survivor's lists trimmed to the matches that can still reach the
+// floor (eventStream.anchor).
 type WINKernel struct {
 	fn          scorefn.WIN
 	g           gMemo // g_j(score), evaluated once per distinct (term, score)
@@ -139,8 +141,10 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 		panic(fmt.Sprintf("join: WIN supports at most %d query terms, got %d", MaxWINTerms, q))
 	}
 	k.g.grow(q)
+	bar := math.Inf(-1)
 	if k.armed {
-		if wmin, gsum, mag, ok := k.screen(lists, &k.g); ok && k.cutBy(k.windowCap(gsum, mag, wmin)) {
+		var ok bool
+		if lists, bar, ok = k.anchor(lists, &k.g, k); !ok {
 			return nil, 0, false
 		}
 	}
@@ -156,7 +160,7 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 	}
 	k.arena.reset()
 	if sep, isSep := fn.(scorefn.WINSeparable); isSep {
-		return k.joinKeyed(sep, q)
+		return k.joinKeyed(sep, q, bar)
 	}
 	full := 1<<q - 1
 	states := k.states
@@ -205,7 +209,7 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 		}
 	}
 
-	if bestNode == nil {
+	if bestNode == nil || k.cutBelow(bestScore, bar) {
 		return nil, 0, false
 	}
 	return k.emit(bestNode, q), bestScore, true
@@ -221,7 +225,7 @@ func (k *WINKernel) Join() (best match.Set, score float64, ok bool) {
 // score is bit-identical to the generic path's (F computes Lift of the
 // same expression, per the WINSeparable contract), and the comparisons
 // are equivalent because Lift is strictly increasing.
-func (k *WINKernel) joinKeyed(sep scorefn.WINSeparable, q int) (best match.Set, score float64, ok bool) {
+func (k *WINKernel) joinKeyed(sep scorefn.WINSeparable, q int, bar float64) (best match.Set, score float64, ok bool) {
 	alpha := sep.KeySlope()
 	full := 1<<q - 1
 	states := k.states
@@ -263,7 +267,10 @@ func (k *WINKernel) joinKeyed(sep scorefn.WINSeparable, q int) (best match.Set, 
 	if bestNode == nil {
 		return nil, 0, false
 	}
-	return k.emit(bestNode, q), sep.Lift(bestKey), true
+	if score = sep.Lift(bestKey); k.cutBelow(score, bar) {
+		return nil, 0, false
+	}
+	return k.emit(bestNode, q), score, true
 }
 
 // emit materializes the winning chain into the kernel's reused output

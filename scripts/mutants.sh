@@ -4,8 +4,8 @@
 # the k-th kept entry, and every place that rule is written must be
 # held by a test. Each mutant below breaks one of them in a copy of the
 # working tree (the tree itself is never edited), and `go test -short`
-# of the root package, internal/engine and internal/index must then
-# fail. A mutant the suite survives, or one that no longer applies or
+# of the root package, internal/engine, internal/index and internal/join
+# must then fail. A mutant the suite survives, or one that no longer applies or
 # builds, fails this script.
 #
 #   M1  floorEntry.bar gives a tie to the larger document id
@@ -20,6 +20,9 @@
 #   M8  a concept table's per-document maximum takes the first stem
 #       present instead of the largest, so a bound can sit below the
 #       score it caps
+#   M9  the WIN/MED kernels' anchor trim keeps the matches within w*−2
+#       of the anchor instead of w*−1, dropping a matchset of window
+#       w*−1 that reaches the floor
 #
 # Usage: scripts/mutants.sh   (about 20 s a mutant on a 2-core host)
 set -eu
@@ -45,7 +48,7 @@ mutant() {
         echo "mutants: $name does not build" >&2
         exit 1
     fi
-    if (cd "$tmp" && go test -short -count=1 -failfast . ./internal/engine/ ./internal/index/ >/dev/null 2>&1); then
+    if (cd "$tmp" && go test -short -count=1 -failfast . ./internal/engine/ ./internal/index/ ./internal/join/ >/dev/null 2>&1); then
         echo "mutants: $name survived: no test failed" >&2
         exit 1
     fi
@@ -61,4 +64,5 @@ mutant M5 internal/engine/kernel.go 's/join\.Apart(sigs, w), false/join.Apart(si
 mutant M6 internal/join/events.go 's/^\treturn hi, true$/\treturn hi + 1, true/'
 mutant M7 internal/engine/union.go 's/target = min(target, cu\.doc)$/target = min(target, cu.doc+1)/'
 mutant M8 internal/index/concepts.go 's/if first || s\.Score > e\.max {/if first {/'
+mutant M9 internal/join/events.go 's/s\.trim(lists, w-1)/s.trim(lists, w-2)/'
 echo "mutants: all killed"

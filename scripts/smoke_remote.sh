@@ -168,7 +168,9 @@ heavy_docs() { # $1 = label
         exit 1
         ;;
     esac
-    docs="$(printf '%s\n' "$body" | sed -n '/"Docs"/,/"Partial"/p')"
+    # The body is one line of compact JSON: keep what lies between the
+    # "Docs" and "Partial" keys, the ranking without the timing fields.
+    docs="$(printf '%s\n' "$body" | sed -n 's/.*\("Docs":.*\),"Partial".*/\1/p')"
     case "$docs" in
     *'"Doc"'*) printf '%s\n' "$docs" ;;
     *)
